@@ -41,6 +41,19 @@ cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
     --baseline BENCH_engine.json --current "$BENCH_SMOKE_JSON" --threshold 0.3
 rm -f "$BENCH_SMOKE_JSON"
 
+echo "==> fedco-neural kernel bit-equivalence in release (the vectorised code only exists there)"
+cargo test -q --offline --release -p fedco-neural reference_bits
+
+echo "==> bench_neural smoke + bench_compare gate (smoke run vs BENCH_neural.json)"
+NEURAL_SMOKE_JSON="$(mktemp)"
+FEDCO_BENCH_MS=5 FEDCO_BENCH_JSON="$NEURAL_SMOKE_JSON" \
+    timeout 300 cargo bench -q --offline -p fedco-bench --bench neural
+grep -q '"name":"conv2d/forward/compact-c1"' "$NEURAL_SMOKE_JSON" \
+    || { echo "bench_neural wrote no conv2d JSON lines"; exit 1; }
+cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
+    --baseline BENCH_neural.json --current "$NEURAL_SMOKE_JSON" --threshold 0.3
+rm -f "$NEURAL_SMOKE_JSON"
+
 echo "==> example smoke tests"
 for ex in quickstart device_fleet energy_tradeoff arrival_patterns fleet_sweep; do
     echo "--> example: $ex"

@@ -1,16 +1,21 @@
 //! Micro-benchmarks of the on-device training substrate: LeNet forward /
-//! forward+backward throughput and the parameter arithmetic used for the
-//! 2.5 MB model exchange and the gradient-gap metric.
+//! forward+backward throughput, the two convolutions of the compact LeNet
+//! that Fig. 5 trains (the hot kernels), a hundred-example evaluation, and
+//! the parameter arithmetic used for the 2.5 MB model exchange and the
+//! gradient-gap metric. `BENCH_neural.json` records one session per commit.
 
 use std::hint::black_box;
 
 use fedco_bench::micro;
 use fedco_neural::data::SyntheticCifarConfig;
+use fedco_neural::layer::Layer;
+use fedco_neural::layers::Conv2d;
 use fedco_neural::lenet::LeNetConfig;
 use fedco_neural::loss::SoftmaxCrossEntropy;
 use fedco_neural::optimizer::Sgd;
+use fedco_neural::tensor::Tensor;
 use fedco_rng::rngs::SmallRng;
-use fedco_rng::SeedableRng;
+use fedco_rng::{Rng, SeedableRng};
 
 fn bench_lenet() {
     micro::group("lenet");
@@ -38,6 +43,44 @@ fn bench_lenet() {
         micro::bench(&format!("lenet/train_batch/{name}"), || {
             black_box(net.train_batch(&x, &y, &loss, &mut opt).unwrap());
         });
+        if name == "compact" {
+            // One accuracy sample of a Fig. 5 run: 100 held-out examples.
+            let (x, y) = data.batch(0, 100).unwrap();
+            micro::bench("lenet/eval100/compact", || {
+                black_box(net.evaluate(black_box(&x), &y).unwrap());
+            });
+        }
+    }
+}
+
+/// The two convolutions of the compact LeNet on a batch of 20. The backward
+/// cells see a `grad_output` that is three-quarters exact zeros, which is
+/// what max-pooling followed by ReLU hands a convolution.
+fn bench_conv2d() {
+    micro::group("conv2d");
+    for (name, in_channels, out_channels, side) in
+        [("compact-c1", 3, 4, 16), ("compact-c2", 4, 8, 7)]
+    {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut conv = Conv2d::new(in_channels, out_channels, 3, 1, 0, &mut rng);
+        let mut uniform = |shape: &[usize]| {
+            let len = shape.iter().product();
+            let data = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let x = uniform(&[20, in_channels, side, side]);
+        micro::bench(&format!("conv2d/forward/{name}"), || {
+            black_box(conv.forward(black_box(&x), true).unwrap());
+        });
+        let mut grad = uniform(&[20, out_channels, side - 2, side - 2]);
+        for (i, g) in grad.data_mut().iter_mut().enumerate() {
+            if i % 4 != 0 {
+                *g = 0.0;
+            }
+        }
+        micro::bench(&format!("conv2d/backward/{name}"), || {
+            black_box(conv.backward(black_box(&grad)).unwrap());
+        });
     }
 }
 
@@ -64,5 +107,6 @@ fn bench_param_vector() {
 
 fn main() {
     bench_lenet();
+    bench_conv2d();
     bench_param_vector();
 }

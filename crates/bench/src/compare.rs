@@ -26,7 +26,8 @@ use std::collections::BTreeMap;
 pub struct BenchRecord {
     /// The benchmark name (e.g. `engine/paper/Online/event`).
     pub name: String,
-    /// Simulated slots per wall-clock second.
+    /// Simulated slots — or, for a `median_ns` micro-benchmark line,
+    /// iterations — per wall-clock second.
     pub slots_per_sec: f64,
 }
 
@@ -53,9 +54,11 @@ fn number_field(line: &str, key: &str) -> Option<f64> {
 
 /// Parses the throughput records of a `BENCH_*.json` file.
 ///
-/// A line contributes one record when it carries a `"name"` plus either a
-/// `"slots_per_sec"` (the engine/fleet micro-benchmarks) or a
-/// `"slots_per_sec_mean"` (the `fleet_sweep` rollup lines) field. Aggregate
+/// A line contributes one record when it carries a `"name"` plus a
+/// `"slots_per_sec"` (the engine/fleet micro-benchmarks), a
+/// `"slots_per_sec_mean"` (the `fleet_sweep` rollup lines) or a
+/// `"median_ns"` (the `micro::bench` lines, read as `1e9 / median_ns`
+/// iterations per second) field. Aggregate
 /// and malformed lines are skipped — the trajectory file is append-only
 /// across commits and may mix schemas.
 pub fn parse_bench_lines(text: &str) -> Vec<BenchRecord> {
@@ -63,7 +66,8 @@ pub fn parse_bench_lines(text: &str) -> Vec<BenchRecord> {
         .filter_map(|line| {
             let name = string_field(line, "name")?;
             let slots_per_sec = number_field(line, "slots_per_sec")
-                .or_else(|| number_field(line, "slots_per_sec_mean"))?;
+                .or_else(|| number_field(line, "slots_per_sec_mean"))
+                .or_else(|| number_field(line, "median_ns").map(|ns| 1e9 / ns))?;
             if !slots_per_sec.is_finite() || slots_per_sec <= 0.0 {
                 return None;
             }
@@ -275,6 +279,12 @@ mod tests {
         );
         assert_eq!(fleet.len(), 1);
         assert_eq!(fleet[0].slots_per_sec, 76800.5);
+        // micro::bench lines carry ns per iteration.
+        let micro = parse_bench_lines(
+            "{\"name\":\"lenet/forward/compact\",\"median_ns\":250000.0,\"mean_ns\":1.0,\"samples\":7}\n",
+        );
+        assert_eq!(micro.len(), 1);
+        assert_eq!(micro[0].slots_per_sec, 4000.0);
         assert!(parse_bench_lines("not json\n{\"name\":\"x\"}\n").is_empty());
     }
 

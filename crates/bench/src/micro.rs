@@ -10,10 +10,12 @@
 //! per-sample time budget (milliseconds, default 100). Set
 //! `FEDCO_BENCH_JSON=<path>` to additionally append one JSON line per
 //! benchmark to that file (`{"name":…,"median_ns":…,"mean_ns":…,"min_ns":…,
-//! "samples":…}`), so perf trajectories can be recorded across commits and
-//! diffed mechanically.
+//! "samples":…,"nproc":…,"commit":…}`), so perf trajectories can be recorded
+//! across commits and diffed mechanically.
 
 use std::io::Write;
+use std::process::Command;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Number of timed samples per benchmark.
@@ -70,15 +72,43 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// `"nproc":N,"commit":"…"`: the machine width and the source a recorded
+/// line measured (`git` short hash, `-dirty` with uncommitted changes,
+/// `unknown` outside a checkout).
+fn provenance() -> &'static str {
+    static STAMP: OnceLock<String> = OnceLock::new();
+    STAMP.get_or_init(|| {
+        let git = |args: &[&str]| {
+            let out = Command::new("git").args(args).output().ok()?;
+            out.status
+                .success()
+                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+            Some(hash) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+                format!("{hash}-dirty")
+            }
+            Some(hash) => hash,
+            None => "unknown".to_string(),
+        };
+        let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+        format!(
+            "\"nproc\":{nproc},\"commit\":\"{}\"",
+            fedco_fleet::report::json_escape(&commit)
+        )
+    })
+}
+
 /// One machine-readable result line for `FEDCO_BENCH_JSON`.
 fn json_line(name: &str, median: f64, mean: f64, min: f64, samples: usize) -> String {
     format!(
-        "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{}}}",
+        "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},{}}}",
         fedco_fleet::report::json_escape(name),
         median,
         mean,
         min,
-        samples
+        samples,
+        provenance()
     )
 }
 
@@ -159,7 +189,8 @@ mod tests {
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"name\":\"slot/online \\\"25\\\"\""));
         assert!(line.contains("\"median_ns\":12.3"));
-        assert!(line.contains("\"samples\":7"));
+        assert!(line.contains("\"samples\":7,\"nproc\":"));
+        assert!(line.contains("\"commit\":\""));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 

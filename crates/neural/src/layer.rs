@@ -17,7 +17,12 @@ pub trait Layer: Debug + Send {
 
     /// Runs the forward pass.
     ///
-    /// `train` selects training-time behaviour (e.g. dropout masking).
+    /// `train` selects training-time behaviour (e.g. dropout masking) and
+    /// whether the pass is remembered: only a `train` forward caches what
+    /// `backward` needs. An evaluation forward (`train == false`) caches
+    /// nothing and drops any earlier cache, so a `backward` that follows it
+    /// fails with the layer's `*_backward_without_forward` error instead of
+    /// differentiating a stale batch.
     ///
     /// # Errors
     ///
@@ -34,15 +39,34 @@ pub trait Layer: Debug + Send {
     /// produced by the last `forward` call.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError>;
 
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient — the first layer of a network. Layers whose input gradient
+    /// is expensive override this to skip it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn accumulate_grads(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// Immutable views of the trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 
     /// Mutable views of the trainable parameters (possibly empty).
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        let pairs = self.params_with_grads();
+        pairs.into_iter().map(|(param, _)| param).collect()
+    }
 
     /// Immutable views of the accumulated parameter gradients, in the same
     /// order as [`Layer::params`].
     fn grads(&self) -> Vec<&Tensor>;
+
+    /// Each trainable parameter with its accumulated gradient, in the order
+    /// of [`Layer::params`] (empty for a layer without parameters): what an
+    /// optimiser step needs from one borrow.
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)>;
 
     /// Resets the accumulated parameter gradients to zero.
     fn zero_grads(&mut self);
@@ -83,8 +107,28 @@ impl ParamPair {
     }
 
     pub fn zero_grads(&mut self) {
-        self.grad_weight = Tensor::zeros(self.weight.shape());
-        self.grad_bias = Tensor::zeros(self.bias.shape());
+        self.grad_weight.data_mut().fill(0.0);
+        self.grad_bias.data_mut().fill(0.0);
+    }
+
+    pub fn with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
+    }
+}
+
+/// Remembers `value` in `slot` for the coming `backward` when `train`,
+/// reusing the slot's buffer between equally shaped batches; forgets it
+/// otherwise.
+pub(crate) fn cache_for_backward(slot: &mut Option<Tensor>, value: &Tensor, train: bool) {
+    match slot {
+        _ if !train => *slot = None,
+        Some(cached) if cached.shape() == value.shape() => {
+            cached.data_mut().copy_from_slice(value.data());
+        }
+        _ => *slot = Some(value.clone()),
     }
 }
 

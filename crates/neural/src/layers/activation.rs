@@ -1,6 +1,6 @@
 //! Elementwise activation layers (ReLU, tanh, sigmoid).
 
-use crate::layer::Layer;
+use crate::layer::{cache_for_backward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
 /// The kind of elementwise activation applied by an [`Activation`] layer.
@@ -23,12 +23,12 @@ impl ActivationKind {
         }
     }
 
-    /// Derivative expressed in terms of the *output* value `y = f(x)` for
-    /// tanh/sigmoid and of the input for ReLU.
-    fn derivative(self, x: f32, y: f32) -> f32 {
+    /// Derivative expressed in terms of the *output* value `y = f(x)`, the
+    /// only thing the layer keeps (for ReLU, `y > 0` exactly when `x > 0`).
+    fn derivative(self, y: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.0
@@ -59,7 +59,6 @@ impl ActivationKind {
 #[derive(Debug)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Tensor>,
     cached_output: Option<Tensor>,
 }
 
@@ -68,7 +67,6 @@ impl Activation {
     pub fn new(kind: ActivationKind) -> Self {
         Activation {
             kind,
-            cached_input: None,
             cached_output: None,
         }
     }
@@ -103,42 +101,31 @@ impl Layer for Activation {
         }
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let out = input.map(|x| self.kind.apply(x));
-        self.cached_input = Some(input.clone());
-        self.cached_output = Some(out.clone());
+        cache_for_backward(&mut self.cached_output, &out, train);
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let input = self
-            .cached_input
+        let output = self
+            .cached_output
             .as_ref()
             .ok_or(TensorError::ShapeMismatch {
                 lhs: vec![],
                 rhs: vec![],
                 op: "activation_backward_without_forward",
             })?;
-        let output = self
-            .cached_output
-            .as_ref()
-            // fedco-audit: allow(panic-surface): forward() caches output and input together; missing input already errored above
-            .expect("output cached with input");
-        if grad_output.shape() != input.shape() {
+        if grad_output.shape() != output.shape() {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_output.shape().to_vec(),
-                rhs: input.shape().to_vec(),
+                rhs: output.shape().to_vec(),
                 op: "activation_backward",
             });
         }
         let mut grad = grad_output.clone();
-        for ((g, &x), &y) in grad
-            .data_mut()
-            .iter_mut()
-            .zip(input.data())
-            .zip(output.data())
-        {
-            *g *= self.kind.derivative(x, y);
+        for (g, &y) in grad.data_mut().iter_mut().zip(output.data()) {
+            *g *= self.kind.derivative(y);
         }
         Ok(grad)
     }
@@ -147,11 +134,11 @@ impl Layer for Activation {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         Vec::new()
     }
 

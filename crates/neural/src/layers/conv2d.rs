@@ -1,9 +1,23 @@
-//! 2-D convolution layer (direct, nested-loop implementation).
+//! 2-D convolution layer.
+//!
+//! # Order-preservation contract
+//!
+//! Every result is bit-for-bit that of the textbook nested loops (kept as
+//! the `#[cfg(test)]` reference below): an output element is
+//! `acc = bias; acc += x·w` over the taps `(ic, ky, kx)` in ascending order,
+//! and a gradient element receives its `g·x` / `g·w` terms in ascending
+//! `(b, oc, oy, ox)` then `(ic, ky, kx)` order. The kernels may therefore be
+//! vectorised **across output positions** — `forward` applies one tap to a
+//! whole run of outputs at a time — but never across a reduction: no
+//! element's own sum is split, reassociated or fused into a multiply-add.
+//! A tap that falls into the zero padding is **skipped**, not added as
+//! `0·w`: adding `±0` would turn a `-0.0` accumulator into `+0.0` and
+//! `0·inf` into NaN.
 
 use fedco_rng::Rng;
 
 use crate::init::Initializer;
-use crate::layer::{Layer, ParamPair};
+use crate::layer::{cache_for_backward, Layer, ParamPair};
 use crate::tensor::{Tensor, TensorError};
 
 /// 2-D convolution over `[batch, in_channels, height, width]` inputs.
@@ -20,6 +34,35 @@ pub struct Conv2d {
     padding: usize,
     params: ParamPair,
     cached_input: Option<Tensor>,
+    /// `forward`'s accumulator for one output plane, kept between calls.
+    rows: Vec<f32>,
+}
+
+/// One kernel tap's share of `forward`: `runs` runs of `len` accumulators
+/// from `rows_at` (one `pitch` apart), fed from `input_at` within the
+/// example's planes (one strided input row apart).
+struct Tap {
+    weight_at: usize,
+    input_at: usize,
+    rows_at: usize,
+    runs: usize,
+    len: usize,
+}
+
+/// `dst[i] += src[i * step] * weight`. Elements are independent, so the
+/// compiler is free to vectorise; each one still sees a single multiply
+/// followed by a single add.
+fn axpy(dst: &mut [f32], src: &[f32], step: usize, weight: f32) {
+    let src = &src[..(dst.len() - 1) * step + 1];
+    if step == 1 {
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d += x * weight;
+        }
+    } else {
+        for (d, &x) in dst.iter_mut().zip(src.iter().step_by(step)) {
+            *d += x * weight;
+        }
+    }
 }
 
 impl Conv2d {
@@ -55,7 +98,81 @@ impl Conv2d {
             padding,
             params: ParamPair::new(weight, bias),
             cached_input: None,
+            rows: Vec::new(),
         }
+    }
+
+    /// The backward pass; the input gradient is left empty unless wanted.
+    fn backprop(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Tensor, TensorError> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or(TensorError::ShapeMismatch {
+                lhs: vec![],
+                rhs: vec![],
+                op: "conv2d_backward_without_forward",
+            })?;
+        let (batch, in_channels, oh, ow) = self.check_input(input.shape())?;
+        if grad_output.shape() != [batch, self.out_channels, oh, ow] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: grad_output.shape().to_vec(),
+                rhs: vec![batch, self.out_channels, oh, ow],
+                op: "conv2d_backward",
+            });
+        }
+        let (h, w) = (input.shape()[2], input.shape()[3]);
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        // The taps of output position `o` that read real input rather than
+        // padding: `p <= o * s + tap < len + p`.
+        let taps_inside = |o: usize, len: usize| {
+            let hi = (len + p).saturating_sub(o * s).min(k);
+            p.saturating_sub(o * s).min(hi)..hi
+        };
+        // Every tap in weight order: its input offset from an output
+        // position's (padded) top-left corner, and its kernel row and column.
+        let taps: Vec<(usize, usize, usize)> = (0..in_channels * k * k)
+            .map(|t| (t / (k * k), t / k % k, t % k))
+            .map(|(ic, ky, kx)| ((ic * h + ky) * w + kx, ky, kx))
+            .collect();
+        let corner_to_origin = p * w + p;
+        let mut grad_input = Tensor::zeros(if input_grad { input.shape() } else { &[0] });
+        let gi = grad_input.data_mut();
+        let x = input.data();
+        let weight = self.params.weight.data();
+        let gb = self.params.grad_bias.data_mut();
+        let grad_weight = self.params.grad_weight.data_mut();
+        // Pooling and ReLU leave most of `grad_output` exactly zero, so this
+        // is a scalar walk over the non-zero positions. The terms of one
+        // position go to distinct gradient elements, so only the order of
+        // the positions is significant.
+        for (plane, go) in grad_output.data().chunks(oh * ow).enumerate() {
+            let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
+            let w_oc = &weight[oc * taps.len()..][..taps.len()];
+            let gw_oc = &mut grad_weight[oc * taps.len()..][..taps.len()];
+            for (oy, go_row) in go.chunks(ow).enumerate() {
+                let kys = taps_inside(oy, h);
+                for (ox, &g) in go_row.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    gb[oc] += g;
+                    let kxs = taps_inside(ox, w);
+                    let clipped = kys.len() < k || kxs.len() < k;
+                    let corner = (b * in_channels * h + oy * s) * w + ox * s;
+                    for ((gw, &wv), &(offset, ky, kx)) in gw_oc.iter_mut().zip(w_oc).zip(&taps) {
+                        if clipped && !(kys.contains(&ky) && kxs.contains(&kx)) {
+                            continue;
+                        }
+                        let at = corner + offset - corner_to_origin;
+                        *gw += g * x[at];
+                        if input_grad {
+                            gi[at] += g * wv;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(grad_input)
     }
 
     /// Output spatial size for an input spatial size.
@@ -117,130 +234,88 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
-        let (batch, _c, oh, ow) = self.check_input(input.shape())?;
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
+        let (batch, in_channels, oh, ow) = self.check_input(input.shape())?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
-        let k = self.kernel;
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        // The output positions along an axis whose tap `tap` reads real input
+        // rather than padding: `p <= o * s + tap < len + p`.
+        let outputs_inside = |tap: usize, len: usize, out_len: usize| {
+            let hi = (len + p).saturating_sub(tap).div_ceil(s).min(out_len);
+            p.saturating_sub(tap).div_ceil(s).min(hi)..hi
+        };
+        // One output plane is accumulated in rows `pitch` apart. With
+        // `pitch == w` the input element under a tap sits at a fixed offset
+        // plus `s` times the accumulator index, across row ends too.
+        let pitch = w.max(ow);
+        self.rows.resize((oh - 1) * pitch + ow, 0.0);
+        // Where each tap that reads any input lands, in weight order.
+        let mut taps = Vec::with_capacity(in_channels * k * k);
+        for (t, (ic, ky, kx)) in (0..in_channels * k * k)
+            .map(|t| (t / (k * k), t / k % k, t % k))
+            .enumerate()
+        {
+            let (oys, oxs) = (outputs_inside(ky, h, oh), outputs_inside(kx, w, ow));
+            if oys.is_empty() || oxs.is_empty() {
+                continue;
+            }
+            // A tap inside the input at every column covers its rows in one
+            // run, computing the never-copied-out columns `ow..w` on the way
+            // (such a tap implies `(ow - 1) * s < w`, so `pitch == w`); a
+            // clipped tap goes row by row.
+            let (runs, len) = if oxs.len() == ow {
+                (1, (oys.len() - 1) * pitch + ow)
+            } else {
+                (oys.len(), oxs.len())
+            };
+            taps.push(Tap {
+                weight_at: t,
+                input_at: (ic * h + oys.start * s + ky - p) * w + (oxs.start * s + kx - p),
+                rows_at: oys.start * pitch + oxs.start,
+                runs,
+                len,
+            });
+        }
         let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        let in_data = input.data();
-        let w_data = self.params.weight.data();
-        let b_data = self.params.bias.data();
-        let out_data = out.data_mut();
-        for b in 0..batch {
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = b_data[oc];
-                        let iy0 = oy * self.stride;
-                        let ix0 = ox * self.stride;
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                let iy = iy0 + ky;
-                                if iy < self.padding || iy >= h + self.padding {
-                                    continue;
-                                }
-                                let iy = iy - self.padding;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx;
-                                    if ix < self.padding || ix >= w + self.padding {
-                                        continue;
-                                    }
-                                    let ix = ix - self.padding;
-                                    let xin =
-                                        in_data[((b * self.in_channels + ic) * h + iy) * w + ix];
-                                    let wv =
-                                        w_data[((oc * self.in_channels + ic) * k + ky) * k + kx];
-                                    acc += xin * wv;
-                                }
-                            }
-                        }
-                        out_data[((b * self.out_channels + oc) * oh + oy) * ow + ox] = acc;
-                    }
+        let (weight, bias) = (self.params.weight.data(), self.params.bias.data());
+        for (plane, out_plane) in out.data_mut().chunks_mut(oh * ow).enumerate() {
+            let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
+            let x_b = &input.data()[b * in_channels * h * w..][..in_channels * h * w];
+            let w_oc = &weight[oc * in_channels * k * k..][..in_channels * k * k];
+            self.rows.fill(bias[oc]);
+            for tap in &taps {
+                for run in 0..tap.runs {
+                    let dst = &mut self.rows[tap.rows_at + run * pitch..][..tap.len];
+                    let src = &x_b[tap.input_at + run * s * w..];
+                    axpy(dst, src, s, w_oc[tap.weight_at]);
                 }
             }
+            for (out_row, row) in out_plane.chunks_mut(ow).zip(self.rows.chunks(pitch)) {
+                out_row.copy_from_slice(&row[..ow]);
+            }
         }
-        self.cached_input = Some(input.clone());
+        cache_for_backward(&mut self.cached_input, input, train);
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(TensorError::ShapeMismatch {
-                lhs: vec![],
-                rhs: vec![],
-                op: "conv2d_backward_without_forward",
-            })?;
-        let (batch, _c, oh, ow) = self.check_input(input.shape())?;
-        if grad_output.shape() != [batch, self.out_channels, oh, ow] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: grad_output.shape().to_vec(),
-                rhs: vec![batch, self.out_channels, oh, ow],
-                op: "conv2d_backward",
-            });
-        }
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let k = self.kernel;
-        let mut grad_input = Tensor::zeros(input.shape());
-        let in_data = input.data();
-        let w_data = self.params.weight.data().to_vec();
-        let go = grad_output.data();
-        {
-            let gw = self.params.grad_weight.data_mut();
-            let gb = self.params.grad_bias.data_mut();
-            let gi = grad_input.data_mut();
-            for b in 0..batch {
-                for oc in 0..self.out_channels {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let g = go[((b * self.out_channels + oc) * oh + oy) * ow + ox];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            gb[oc] += g;
-                            let iy0 = oy * self.stride;
-                            let ix0 = ox * self.stride;
-                            for ic in 0..self.in_channels {
-                                for ky in 0..k {
-                                    let iy = iy0 + ky;
-                                    if iy < self.padding || iy >= h + self.padding {
-                                        continue;
-                                    }
-                                    let iy = iy - self.padding;
-                                    for kx in 0..k {
-                                        let ix = ix0 + kx;
-                                        if ix < self.padding || ix >= w + self.padding {
-                                            continue;
-                                        }
-                                        let ix = ix - self.padding;
-                                        let in_idx =
-                                            ((b * self.in_channels + ic) * h + iy) * w + ix;
-                                        let w_idx =
-                                            ((oc * self.in_channels + ic) * k + ky) * k + kx;
-                                        gw[w_idx] += g * in_data[in_idx];
-                                        gi[in_idx] += g * w_data[w_idx];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad_input)
+        self.backprop(grad_output, true)
+    }
+
+    fn accumulate_grads(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
+        self.backprop(grad_output, false).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.params.weight, &self.params.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.params.weight, &mut self.params.bias]
-    }
-
     fn grads(&self) -> Vec<&Tensor> {
         vec![&self.params.grad_weight, &self.params.grad_bias]
+    }
+
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        self.params.with_grads()
     }
 
     fn zero_grads(&mut self) {
@@ -258,6 +333,179 @@ mod tests {
     use super::*;
     use fedco_rng::rngs::SmallRng;
     use fedco_rng::SeedableRng;
+
+    /// The textbook seven-deep loop this layer used to run: the oracle that
+    /// fixes every output element's summation order.
+    fn reference_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
+        let (batch, _c, oh, ow) = conv.check_input(input.shape()).unwrap();
+        let (h, w) = (input.shape()[2], input.shape()[3]);
+        let k = conv.kernel;
+        let mut out = Tensor::zeros(&[batch, conv.out_channels, oh, ow]);
+        let in_data = input.data();
+        let w_data = conv.params.weight.data();
+        let b_data = conv.params.bias.data();
+        let out_data = out.data_mut();
+        for b in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = b_data[oc];
+                        let iy0 = oy * conv.stride;
+                        let ix0 = ox * conv.stride;
+                        for ic in 0..conv.in_channels {
+                            for ky in 0..k {
+                                let iy = iy0 + ky;
+                                if iy < conv.padding || iy >= h + conv.padding {
+                                    continue;
+                                }
+                                let iy = iy - conv.padding;
+                                for kx in 0..k {
+                                    let ix = ix0 + kx;
+                                    if ix < conv.padding || ix >= w + conv.padding {
+                                        continue;
+                                    }
+                                    let ix = ix - conv.padding;
+                                    let xin =
+                                        in_data[((b * conv.in_channels + ic) * h + iy) * w + ix];
+                                    let wv =
+                                        w_data[((oc * conv.in_channels + ic) * k + ky) * k + kx];
+                                    acc += xin * wv;
+                                }
+                            }
+                        }
+                        out_data[((b * conv.out_channels + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The matching backward oracle: accumulates into `gw` / `gb` and
+    /// returns the input gradient.
+    fn reference_backward(
+        conv: &Conv2d,
+        input: &Tensor,
+        grad_output: &Tensor,
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) -> Tensor {
+        let (batch, _c, oh, ow) = conv.check_input(input.shape()).unwrap();
+        let (h, w) = (input.shape()[2], input.shape()[3]);
+        let k = conv.kernel;
+        let mut grad_input = Tensor::zeros(input.shape());
+        let in_data = input.data();
+        let w_data = conv.params.weight.data();
+        let go = grad_output.data();
+        let gi = grad_input.data_mut();
+        for b in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = go[((b * conv.out_channels + oc) * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        gb[oc] += g;
+                        let iy0 = oy * conv.stride;
+                        let ix0 = ox * conv.stride;
+                        for ic in 0..conv.in_channels {
+                            for ky in 0..k {
+                                let iy = iy0 + ky;
+                                if iy < conv.padding || iy >= h + conv.padding {
+                                    continue;
+                                }
+                                let iy = iy - conv.padding;
+                                for kx in 0..k {
+                                    let ix = ix0 + kx;
+                                    if ix < conv.padding || ix >= w + conv.padding {
+                                        continue;
+                                    }
+                                    let ix = ix - conv.padding;
+                                    let in_idx = ((b * conv.in_channels + ic) * h + iy) * w + ix;
+                                    let w_idx = ((oc * conv.in_channels + ic) * k + ky) * k + kx;
+                                    gw[w_idx] += g * in_data[in_idx];
+                                    gi[in_idx] += g * w_data[w_idx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grad_input
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_match_reference_bits() {
+        let mut rng = SmallRng::seed_from_u64(2022);
+        let mut uniform = |shape: &[usize], zero_share: f32| {
+            let len = shape.iter().product();
+            let data = (0..len)
+                .map(|_| {
+                    let v = rng.gen::<f32>() - 0.5;
+                    if rng.gen::<f32>() < zero_share {
+                        0.0
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let mut cases = 0;
+        for kernel in [1usize, 2, 3, 5] {
+            for stride in [1usize, 2] {
+                for padding in [0usize, 1, 2] {
+                    for batch in [1usize, 3] {
+                        let (ic, oc) = (1 + cases % 4, 1 + (cases / 4 + kernel) % 4);
+                        let (h, w) = (6 + cases % 3, 10 - cases % 2);
+                        cases += 1;
+                        let label =
+                            format!("k{kernel} s{stride} p{padding} b{batch} {ic}->{oc} {h}x{w}");
+                        let bias = uniform(&[oc], 0.0);
+                        let build = || {
+                            let mut rng = SmallRng::seed_from_u64(cases as u64);
+                            let mut conv = Conv2d::new(ic, oc, kernel, stride, padding, &mut rng);
+                            *conv.params_mut()[1] = bias.clone();
+                            conv
+                        };
+                        let (mut conv, mut eval, mut params_only) = (build(), build(), build());
+                        let x = uniform(&[batch, ic, h, w], 0.1);
+                        let y = conv.forward(&x, true).unwrap();
+                        let want = reference_forward(&conv, &x);
+                        assert_eq!(bits(y.data()), bits(want.data()), "forward {label}");
+                        let y_eval = eval.forward(&x, false).unwrap();
+                        assert_eq!(bits(y_eval.data()), bits(want.data()), "eval {label}");
+
+                        // Two backward passes without zeroing in between: the
+                        // second accumulates into non-zero gradients. Skipping
+                        // the input gradient changes no parameter gradient.
+                        let mut gw = vec![0.0; conv.params()[0].len()];
+                        let mut gb = vec![0.0; oc];
+                        params_only.forward(&x, true).unwrap();
+                        for zero_share in [0.75, 0.4] {
+                            let g = uniform(y.shape(), zero_share);
+                            let gi = conv.backward(&g).unwrap();
+                            params_only.accumulate_grads(&g).unwrap();
+                            let want = reference_backward(&conv, &x, &g, &mut gw, &mut gb);
+                            assert_eq!(bits(gi.data()), bits(want.data()), "grad_input {label}");
+                            for layer in [&conv, &params_only] {
+                                let (gw_got, gb_got) = (layer.grads()[0], layer.grads()[1]);
+                                assert_eq!(bits(gw_got.data()), bits(&gw), "grad_weight {label}");
+                                assert_eq!(bits(gb_got.data()), bits(&gb), "grad_bias {label}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 48);
+    }
 
     #[test]
     fn identity_kernel_passes_input_through() {

@@ -3,7 +3,7 @@
 use fedco_rng::Rng;
 
 use crate::init::Initializer;
-use crate::layer::{Layer, ParamPair};
+use crate::layer::{cache_for_backward, Layer, ParamPair};
 use crate::tensor::{Tensor, TensorError};
 
 /// A fully-connected layer computing `y = x W + b`.
@@ -34,6 +34,8 @@ pub struct Dense {
     out_features: usize,
     params: ParamPair,
     cached_input: Option<Tensor>,
+    /// `backward`'s accumulator for one row of `xᵀ g`.
+    row: Vec<f32>,
 }
 
 impl Dense {
@@ -56,6 +58,7 @@ impl Dense {
             out_features,
             params: ParamPair::new(weight, bias),
             cached_input: None,
+            row: vec![0.0; out_features],
         }
     }
 
@@ -75,7 +78,7 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         if input.rank() != 2 || input.shape()[1] != self.in_features {
             return Err(TensorError::ShapeMismatch {
                 lhs: input.shape().to_vec(),
@@ -91,7 +94,7 @@ impl Layer for Dense {
                 out.data_mut()[idx] += self.params.bias.data()[j];
             }
         }
-        self.cached_input = Some(input.clone());
+        cache_for_backward(&mut self.cached_input, input, train);
         Ok(out)
     }
 
@@ -104,40 +107,65 @@ impl Layer for Dense {
                 rhs: vec![],
                 op: "dense_backward_without_forward",
             })?;
-        if grad_output.rank() != 2 || grad_output.shape()[1] != self.out_features {
+        let (batch, n_in, n_out) = (input.shape()[0], self.in_features, self.out_features);
+        if grad_output.shape() != [batch, n_out] {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_output.shape().to_vec(),
-                rhs: vec![input.shape()[0], self.out_features],
+                rhs: vec![batch, n_out],
                 op: "dense_backward",
             });
         }
-        // grad_weight += x^T g
-        let xt = input.transpose()?;
-        let gw = xt.matmul(grad_output)?;
-        self.params.grad_weight.add_scaled(&gw, 1.0)?;
-        // grad_bias += column sums of g
-        let batch = grad_output.shape()[0];
-        for b in 0..batch {
-            for j in 0..self.out_features {
-                self.params.grad_bias.data_mut()[j] +=
-                    grad_output.data()[b * self.out_features + j];
+        let (x, g) = (input.data(), grad_output.data());
+        // grad_weight += xᵀ g. Each row of the product is summed over the
+        // batch from zero and only then added, and zero inputs are skipped:
+        // the order (and so the bits) of `xᵀ.matmul(g)` followed by `+=`.
+        let grad_weight = self.params.grad_weight.data_mut();
+        for i in 0..n_in {
+            self.row.fill(0.0);
+            for b in 0..batch {
+                let xv = x[b * n_in + i];
+                if xv != 0.0 {
+                    let g_row = &g[b * n_out..(b + 1) * n_out];
+                    for (acc, &gv) in self.row.iter_mut().zip(g_row) {
+                        *acc += xv * gv;
+                    }
+                }
+            }
+            let gw_row = &mut grad_weight[i * n_out..(i + 1) * n_out];
+            for (gw, &acc) in gw_row.iter_mut().zip(&self.row) {
+                *gw += acc;
             }
         }
-        // grad_input = g W^T
-        let wt = self.params.weight.transpose()?;
-        grad_output.matmul(&wt)
+        // grad_bias += column sums of g; grad_input = g Wᵀ, reading W down
+        // its columns instead of transposing it and skipping zero gradients
+        // as `matmul` skips them.
+        let weight = self.params.weight.data();
+        let grad_bias = self.params.grad_bias.data_mut();
+        let mut grad_input = Tensor::zeros(&[batch, n_in]);
+        for b in 0..batch {
+            let gi_row = &mut grad_input.data_mut()[b * n_in..(b + 1) * n_in];
+            for (j, &gv) in g[b * n_out..(b + 1) * n_out].iter().enumerate() {
+                grad_bias[j] += gv;
+                if gv != 0.0 {
+                    for (i, gi) in gi_row.iter_mut().enumerate() {
+                        *gi += gv * weight[i * n_out + j];
+                    }
+                }
+            }
+        }
+        Ok(grad_input)
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.params.weight, &self.params.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.params.weight, &mut self.params.bias]
-    }
-
     fn grads(&self) -> Vec<&Tensor> {
         vec![&self.params.grad_weight, &self.params.grad_bias]
+    }
+
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        self.params.with_grads()
     }
 
     fn zero_grads(&mut self) {
@@ -231,6 +259,48 @@ mod tests {
                 "param {idx}: numeric {numeric} vs analytic {}",
                 analytic.data()[idx]
             );
+        }
+    }
+
+    #[test]
+    fn backward_matches_reference_bits() {
+        // The formulas `backward` used to spell with tensor ops: two
+        // transposes, a temporary product, `add_scaled(.., 1.0)`.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut relu_like = |shape: &[usize]| {
+            let len = shape.iter().product();
+            let data = (0..len)
+                .map(|_| (rng.gen::<f32>() - 0.4).max(0.0))
+                .collect();
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (batch, n_in, n_out) in [(1, 1, 1), (3, 5, 7), (20, 32, 48), (4, 9, 2)] {
+            let mut d = Dense::new(n_in, n_out, &mut SmallRng::seed_from_u64(n_in as u64));
+            let x = relu_like(&[batch, n_in]);
+            d.forward(&x, true).unwrap();
+            let mut gw = Tensor::zeros(&[n_in, n_out]);
+            let mut gb = vec![0.0f32; n_out];
+            // The second pass accumulates into non-zero gradients.
+            for _ in 0..2 {
+                let g = relu_like(&[batch, n_out]).scale(-1.5);
+                let gx = d.backward(&g).unwrap();
+                let product = x.transpose().unwrap().matmul(&g).unwrap();
+                gw.add_scaled(&product, 1.0).unwrap();
+                for row in g.data().chunks(n_out) {
+                    for (acc, &v) in gb.iter_mut().zip(row) {
+                        *acc += v;
+                    }
+                }
+                let want = g.matmul(&d.params()[0].transpose().unwrap()).unwrap();
+                assert_eq!(bits(&gx), bits(&want), "grad_input {batch}x{n_in}x{n_out}");
+                assert_eq!(bits(d.grads()[0]), bits(&gw), "grad_weight");
+                assert_eq!(
+                    bits(d.grads()[1]),
+                    bits(&Tensor::from_slice(&gb)),
+                    "grad_bias"
+                );
+            }
         }
     }
 

@@ -40,7 +40,7 @@ impl Layer for Dropout {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         if !train || self.p == 0.0 {
-            self.cached_mask = Some(Tensor::ones(input.shape()));
+            self.cached_mask = train.then(|| Tensor::ones(input.shape()));
             return Ok(input.clone());
         }
         let keep = 1.0 - self.p;
@@ -51,8 +51,9 @@ impl Layer for Dropout {
                 *m = scale;
             }
         }
-        self.cached_mask = Some(mask.clone());
-        input.mul(&mask)
+        let out = input.mul(&mask);
+        self.cached_mask = Some(mask);
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
@@ -71,11 +72,11 @@ impl Layer for Dropout {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         Vec::new()
     }
 

@@ -21,7 +21,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         if input.rank() < 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -31,7 +31,7 @@ impl Layer for Flatten {
         }
         let batch = input.shape()[0];
         let rest: usize = input.shape()[1..].iter().product();
-        self.cached_shape = Some(input.shape().to_vec());
+        self.cached_shape = train.then(|| input.shape().to_vec());
         input.reshape(&[batch, rest])
     }
 
@@ -51,11 +51,11 @@ impl Layer for Flatten {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         Vec::new()
     }
 

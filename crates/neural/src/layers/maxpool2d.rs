@@ -9,8 +9,9 @@ use crate::tensor::{Tensor, TensorError};
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    cached_input_shape: Option<Vec<usize>>,
-    cached_argmax: Option<Vec<usize>>,
+    /// The input shape and, per output element, the flat input index of its
+    /// maximum, as left by the last training forward.
+    cached: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -25,8 +26,7 @@ impl MaxPool2d {
         MaxPool2d {
             kernel,
             stride,
-            cached_input_shape: None,
-            cached_argmax: None,
+            cached: None,
         }
     }
 
@@ -78,56 +78,53 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let (batch, channels, oh, ow) = self.check(input.shape())?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
+        let (k, s) = (self.kernel, self.stride);
         let mut out = Tensor::zeros(&[batch, channels, oh, ow]);
-        let mut argmax = vec![0usize; batch * channels * oh * ow];
-        let data = input.data();
-        let out_data = out.data_mut();
-        for b in 0..batch {
-            for c in 0..channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let idx = ((b * channels + c) * h + iy) * w + ix;
-                                if data[idx] > best {
-                                    best = data[idx];
-                                    best_idx = idx;
-                                }
+        // A training pass reuses the last one's buffers; evaluation keeps none.
+        let mut cached = train.then(|| self.cached.take().unwrap_or_default());
+        if let Some((shape, argmax)) = cached.as_mut() {
+            shape.clear();
+            shape.extend_from_slice(input.shape());
+            argmax.resize(out.len(), 0);
+        }
+        let (data, out_data) = (input.data(), out.data_mut());
+        let mut o = 0;
+        for plane in 0..batch * channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    // A window with no value above -inf (all NaN, say) keeps
+                    // its own first element as the argmax, not element 0 of
+                    // the tensor, which is another example's.
+                    let first = (plane * h + oy * s) * w + ox * s;
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+                    for at in (first..).step_by(w).take(k) {
+                        for (i, &v) in data[at..at + k].iter().enumerate() {
+                            if v > best {
+                                (best, best_idx) = (v, at + i);
                             }
                         }
-                        let oidx = ((b * channels + c) * oh + oy) * ow + ox;
-                        out_data[oidx] = best;
-                        argmax[oidx] = best_idx;
                     }
+                    out_data[o] = best;
+                    if let Some((_, argmax)) = cached.as_mut() {
+                        argmax[o] = best_idx;
+                    }
+                    o += 1;
                 }
             }
         }
-        self.cached_input_shape = Some(input.shape().to_vec());
-        self.cached_argmax = Some(argmax);
+        self.cached = cached;
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let shape = self
-            .cached_input_shape
-            .as_ref()
-            .ok_or(TensorError::ShapeMismatch {
-                lhs: vec![],
-                rhs: vec![],
-                op: "maxpool2d_backward_without_forward",
-            })?;
-        let argmax = self
-            .cached_argmax
-            .as_ref()
-            // fedco-audit: allow(panic-surface): forward() caches argmax and shape together; missing shape already errored above
-            .expect("argmax cached with shape");
+        let (shape, argmax) = self.cached.as_ref().ok_or(TensorError::ShapeMismatch {
+            lhs: vec![],
+            rhs: vec![],
+            op: "maxpool2d_backward_without_forward",
+        })?;
         if grad_output.len() != argmax.len() {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_output.shape().to_vec(),
@@ -137,8 +134,8 @@ impl Layer for MaxPool2d {
         }
         let mut grad_input = Tensor::zeros(shape);
         let gi = grad_input.data_mut();
-        for (o, &src) in argmax.iter().enumerate() {
-            gi[src] += grad_output.data()[o];
+        for (&src, &g) in argmax.iter().zip(grad_output.data()) {
+            gi[src] += g;
         }
         Ok(grad_input)
     }
@@ -147,11 +144,11 @@ impl Layer for MaxPool2d {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         Vec::new()
     }
 
@@ -191,6 +188,18 @@ mod tests {
         let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
         let gx = pool.backward(&g).unwrap();
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn all_nan_window_keeps_its_gradient_in_its_own_example() {
+        let mut pool = MaxPool2d::new(2, 2);
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan], &[2, 1, 2, 2]);
+        pool.forward(&x.unwrap(), true).unwrap();
+        let gx = pool.backward(&Tensor::ones(&[2, 1, 1, 1])).unwrap();
+        // Example 0 sees only its own window's gradient; the NaN window's
+        // goes to that window's first element, not to element 0.
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Row-wise softmax layer.
 
-use crate::layer::Layer;
+use crate::layer::{cache_for_backward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
 /// Row-wise softmax over the last dimension of a `[batch, classes]` tensor.
@@ -60,9 +60,9 @@ impl Layer for Softmax {
         "softmax"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let out = Self::apply(input)?;
-        self.cached_output = Some(out.clone());
+        cache_for_backward(&mut self.cached_output, &out, train);
         Ok(out)
     }
 
@@ -101,11 +101,11 @@ impl Layer for Softmax {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         Vec::new()
     }
 

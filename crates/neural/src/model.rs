@@ -232,11 +232,24 @@ impl Sequential {
     ///
     /// Propagates shape errors from any layer.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for layer in &mut self.layers {
-            x = layer.forward(&x, train)?;
+            x = Some(layer.forward(x.as_ref().unwrap_or(input), train)?);
         }
-        Ok(x)
+        Ok(x.unwrap_or_else(|| input.clone()))
+    }
+
+    /// Backpropagates `grad_output` through `layers`, last to first; `None`
+    /// when there are none.
+    fn backward_through(
+        layers: &mut [Box<dyn Layer>],
+        grad_output: &Tensor,
+    ) -> Result<Option<Tensor>, TensorError> {
+        let mut g: Option<Tensor> = None;
+        for layer in layers.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
+        }
+        Ok(g)
     }
 
     /// Runs the backward pass through every layer (in reverse), accumulating
@@ -246,11 +259,8 @@ impl Sequential {
     ///
     /// Propagates shape errors from any layer.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
+        let g = Self::backward_through(&mut self.layers, grad_output)?;
+        Ok(g.unwrap_or_else(|| grad_output.clone()))
     }
 
     /// Zeroes all accumulated parameter gradients.
@@ -278,21 +288,17 @@ impl Sequential {
             loss: loss_value,
             grad,
         } = loss.forward(&logits, targets)?;
-        self.backward(&grad)?;
-        let mut params: Vec<&mut Tensor> = Vec::new();
-        let mut grads: Vec<&Tensor> = Vec::new();
-        // Split borrows: gather raw pointers first to satisfy the borrow
-        // checker without unsafe by re-walking the layers in two passes.
-        // First collect gradients (immutable), cloned references are fine.
-        let grad_clones: Vec<Tensor> = self
-            .layers
-            .iter()
-            .flat_map(|l| l.grads().into_iter().cloned())
-            .collect();
-        for layer in &mut self.layers {
-            params.extend(layer.params_mut());
+        // Nobody reads the gradient with respect to the images, so the first
+        // layer is only asked for its parameter gradients.
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let g = Self::backward_through(rest, &grad)?;
+            first.accumulate_grads(g.as_ref().unwrap_or(&grad))?;
         }
-        grads.extend(grad_clones.iter());
+        let (mut params, grads): (Vec<_>, Vec<_>) = self
+            .layers
+            .iter_mut()
+            .flat_map(|layer| layer.params_with_grads())
+            .unzip();
         optimizer.step(&mut params, &grads)?;
         let accuracy = batch_accuracy(&logits, targets);
         Ok(TrainStep {

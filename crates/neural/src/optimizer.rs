@@ -155,32 +155,31 @@ impl Sgd {
             });
         }
         let lr = self.current_learning_rate();
-        let beta = self.config.momentum;
+        let (beta, decay) = (self.config.momentum, self.config.weight_decay);
         for ((param, grad), velocity) in params
             .iter_mut()
             .zip(grads.iter())
             .zip(self.velocities.iter_mut())
         {
-            if param.shape() != grad.shape() {
+            if param.shape() != grad.shape() || param.shape() != velocity.shape() {
                 return Err(TensorError::ShapeMismatch {
                     lhs: param.shape().to_vec(),
                     rhs: grad.shape().to_vec(),
                     op: "sgd_step_shape",
                 });
             }
-            // Effective gradient including weight decay.
-            let mut g = (*grad).clone();
-            if self.config.weight_decay != 0.0 {
-                g.add_scaled(param, self.config.weight_decay)?;
-            }
-            if beta > 0.0 {
-                // v = beta * v + (1 - beta) * g   (Eq. 1)
-                velocity.scale_in_place(beta);
-                velocity.add_scaled(&g, 1.0 - beta)?;
-                param.add_scaled(velocity, -lr)?;
-            } else {
-                *velocity = g.clone();
-                param.add_scaled(&g, -lr)?;
+            let elements = param.data_mut().iter_mut().zip(grad.data());
+            for ((p, &g), v) in elements.zip(velocity.data_mut()) {
+                // Effective gradient including weight decay.
+                let g = if decay != 0.0 { g + decay * *p } else { g };
+                if beta > 0.0 {
+                    // v = beta * v + (1 - beta) * g   (Eq. 1)
+                    *v *= beta;
+                    *v += (1.0 - beta) * g;
+                } else {
+                    *v = g;
+                }
+                *p += -lr * *v;
             }
         }
         self.step += 1;
@@ -246,6 +245,52 @@ mod tests {
         let g = Tensor::from_slice(&[0.0]);
         opt.step(&mut [&mut p], &[&g]).unwrap();
         assert!((p.data()[0] - 0.9).abs() < 1e-6);
+    }
+
+    /// `Sgd::step` as it used to be spelt with whole-tensor operations.
+    fn reference_step(config: &SgdConfig, v: &mut Tensor, p: &mut Tensor, grad: &Tensor) {
+        let mut g = grad.clone();
+        if config.weight_decay != 0.0 {
+            g.add_scaled(p, config.weight_decay).unwrap();
+        }
+        if config.momentum > 0.0 {
+            v.scale_in_place(config.momentum);
+            v.add_scaled(&g, 1.0 - config.momentum).unwrap();
+            p.add_scaled(v, -config.learning_rate).unwrap();
+        } else {
+            *v = g.clone();
+            p.add_scaled(&g, -config.learning_rate).unwrap();
+        }
+    }
+
+    #[test]
+    fn step_matches_reference_bits() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let values = |seed: f32| -> Vec<f32> {
+            (0..37)
+                .map(|i| (seed + i as f32 * 0.731).sin() * 0.9)
+                .collect()
+        };
+        for momentum in [0.0, 0.9] {
+            for weight_decay in [0.0, 0.013] {
+                let config = SgdConfig {
+                    learning_rate: 0.07,
+                    momentum,
+                    weight_decay,
+                    schedule: LrSchedule::Constant,
+                };
+                let mut opt = Sgd::new(config);
+                let mut p = Tensor::from_slice(&values(0.3));
+                let (mut want_p, mut want_v) = (p.clone(), Tensor::zeros(p.shape()));
+                for step in 0..4 {
+                    let g = Tensor::from_slice(&values(step as f32 + 1.0));
+                    opt.step(&mut [&mut p], &[&g]).unwrap();
+                    reference_step(&config, &mut want_v, &mut want_p, &g);
+                    assert_eq!(bits(&p), bits(&want_p), "b={momentum} wd={weight_decay}");
+                    assert_eq!(bits(&opt.velocities()[0]), bits(&want_v), "velocity");
+                }
+            }
+        }
     }
 
     #[test]

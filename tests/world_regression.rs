@@ -84,3 +84,25 @@ fn paper_default_world_reproduces_pre_world_model_bits() {
     assert_eq!(result.final_accuracy.map(f32::to_bits), Some(0x3daa_aaab));
     assert_eq!(result.total_updates, 9);
 }
+
+#[test]
+fn compact_lenet_run_reproduces_the_pre_fast_kernel_bits() {
+    // `ml-smoke` trains the tiny 12×12×1 net; this is the compact LeNet
+    // (16×16×3) that Fig. 5 actually trains. Captured on the commit before
+    // the contiguous conv kernels landed: a kernel that reorders one
+    // reduction changes every constant below.
+    let spec: ScenarioSpec = "paper-default:ml=full:slots=1200".parse().expect("parses");
+    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let mut sim = Simulation::new(config);
+    let result = sim.run();
+    let params = sim.model_snapshot().params;
+    let bytes: Vec<u8> = params
+        .values()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    assert_eq!(result.total_energy_j.to_bits(), 0x40e4_e2ef_ffff_ffde);
+    assert_eq!(result.final_accuracy.map(f32::to_bits), Some(0x3e23_d70a));
+    assert_eq!(result.total_updates, 60);
+    assert_eq!(fnv1a(&bytes), 0x0d0e_16fc_a533_a46a, "global model drifted");
+}
