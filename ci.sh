@@ -22,6 +22,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace >/dev/null
 echo "==> fedco-audit static-analysis gate (determinism & panic-safety rules)"
 cargo run --release --offline -q -p fedco-audit -- --workspace
 
+echo "==> code size per crate (fedco-audit --loc; should fall, see EXPERIMENTS.md)"
+cargo run --release --offline -q -p fedco-audit -- --loc
+
 echo "==> engine dense-vs-event equivalence suite"
 cargo test -q --offline --test engine_equivalence
 
@@ -109,25 +112,6 @@ timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace
     || { echo "fedco-trace diff found a divergence"; exit 1; }
 rm -f "$TRACE_A" "$TRACE_B" "$METRICS_A" "$METRICS_B"
 
-echo "==> fleet_sweep sharded-engine smoke (1 vs 3 shards byte-identical)"
-SHARD_TRACE_A=/tmp/fedco_shard_trace_a.jsonl; SHARD_METRICS_A=/tmp/fedco_shard_metrics_a.jsonl
-SHARD_TRACE_B=/tmp/fedco_shard_trace_b.jsonl; SHARD_METRICS_B=/tmp/fedco_shard_metrics_b.jsonl
-timeout 120 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
-    --users 5 --slots 400 --shards 1 \
-    --trace "$SHARD_TRACE_A" --metrics "$SHARD_METRICS_A" >/dev/null
-timeout 120 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
-    --users 5 --slots 400 --shards 3 \
-    --trace "$SHARD_TRACE_B" --metrics "$SHARD_METRICS_B" >/dev/null
-test -s "$SHARD_TRACE_A" || { echo "sharded smoke wrote an empty trace"; exit 1; }
-cmp -s "$SHARD_TRACE_A" "$SHARD_TRACE_B" \
-    || { echo "trace differs between 1 and 3 engine shards"; exit 1; }
-cmp -s "$SHARD_METRICS_A" "$SHARD_METRICS_B" \
-    || { echo "metrics differ between 1 and 3 engine shards"; exit 1; }
-rm -f "$SHARD_TRACE_A" "$SHARD_TRACE_B" "$SHARD_METRICS_A" "$SHARD_METRICS_B"
-
-echo "==> shard determinism suite (1 vs N shards bit-identical)"
-cargo test -q --offline --test shard_determinism
-
 echo "==> fleet_sweep registry listings + bad-spec error paths"
 SCENARIO_LIST="$(timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- --list-scenarios)"
 echo "$SCENARIO_LIST" | grep -q "paper-default" \
@@ -145,6 +129,21 @@ if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- 
 fi
 grep -q "unknown scenario" /tmp/fleet_sweep_err \
     || { echo "bad --scenario error does not name the token"; exit 1; }
+# In-simulation sharding is gone: the flag is rejected with the usage text.
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --shards 2 >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "removed --shards flag unexpectedly succeeded"; exit 1
+fi
+grep -q "usage: fleet_sweep" /tmp/fleet_sweep_err \
+    || { echo "--shards rejection does not print the usage"; exit 1; }
+# An absurd fleet size is a typed error, not an allocator abort.
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --scenario smoke:users=99999999999999 --replicates 1 --policies online \
+    >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "absurd users= unexpectedly succeeded"; exit 1
+fi
+grep -q "users=99999999999999.*MAX_USERS" /tmp/fleet_sweep_err \
+    || { echo "absurd users= error does not name the field and MAX_USERS"; exit 1; }
 rm -f /tmp/fleet_sweep_err
 
 echo "==> fedco-server soak smoke: in-process determinism + TCP loopback lifecycle"

@@ -30,7 +30,8 @@
 //! ```
 //!
 //! Run it as `cargo run -p fedco-audit -- --workspace` (nonzero exit on any
-//! finding), or embed it:
+//! finding; `--loc` prints code lines per crate instead, see [`loc`]), or
+//! embed it:
 //!
 //! ```
 //! use fedco_audit::{audit_source, source::SourceFile};
@@ -47,6 +48,7 @@
 pub mod context;
 pub mod findings;
 pub mod lexer;
+pub mod loc;
 pub mod rules;
 pub mod source;
 

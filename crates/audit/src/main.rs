@@ -2,17 +2,19 @@
 //! the determinism & panic-safety rule registry.
 //!
 //! ```text
-//! fedco-audit [--workspace] [--json] [--list-rules] [--root DIR] [PATH…]
+//! fedco-audit [--workspace] [--json] [--list-rules] [--loc] [--root DIR] [PATH…]
 //! ```
 //!
 //! Exit status: `0` clean, `1` findings reported, `2` usage or I/O error.
+//! `--loc` reports code size instead of linting and always exits `0`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fedco_audit::{audit_paths, rules, source};
+use fedco_audit::{audit_paths, loc, rules, source};
 
-const USAGE: &str = "usage: fedco-audit [--workspace] [--json] [--list-rules] [--root DIR] [PATH…]
+const USAGE: &str =
+    "usage: fedco-audit [--workspace] [--json] [--list-rules] [--loc] [--root DIR] [PATH…]
 
 Lints Rust sources against the fedco determinism & panic-safety rules.
 With --workspace (or no PATH arguments) the enclosing cargo workspace is
@@ -21,12 +23,15 @@ discovered from --root (default: the current directory) and audited whole.
   --workspace    audit every .rs file in the enclosing workspace
   --json         machine-readable output: {\"files_scanned\":N,\"findings\":[…]}
   --list-rules   print the rule registry (id and summary) and exit
+  --loc          print code lines per crate (lines with a code token outside
+                 comments and test regions) instead of linting
   --root DIR     directory to start workspace discovery from";
 
 struct Args {
     workspace: bool,
     json: bool,
     list_rules: bool,
+    loc: bool,
     root: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
@@ -36,6 +41,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         workspace: false,
         json: false,
         list_rules: false,
+        loc: false,
         root: None,
         paths: Vec::new(),
     };
@@ -45,6 +51,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--json" => args.json = true,
             "--list-rules" => args.list_rules = true,
+            "--loc" => args.loc = true,
             "--root" => match it.next() {
                 Some(dir) => args.root = Some(PathBuf::from(dir)),
                 None => return Err("--root requires a directory argument".into()),
@@ -82,6 +89,13 @@ fn run(args: &Args) -> Result<bool, String> {
         files.sort();
         files
     };
+
+    if args.loc {
+        let table =
+            loc::loc_by_package(&root, &files).map_err(|e| format!("reading sources: {e}"))?;
+        print!("{}", loc::render(&table));
+        return Ok(true);
+    }
 
     let report = audit_paths(&root, &files).map_err(|e| format!("reading sources: {e}"))?;
     if args.json {

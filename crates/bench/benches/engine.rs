@@ -23,15 +23,14 @@
 //! scenario aggregate) is appended for mechanical diffing across commits —
 //! this is what `BENCH_engine.json` at the workspace root records.
 //!
-//! A final `engine/scale/<users>/<shards>` sweep times the event driver on
-//! the `city-scale` preset geometry from 20 k users up to one million, at
-//! each configured shard count, in fleet-aggregate user-slots per second.
+//! A final `engine/scale/<users>` sweep times the event driver on the
+//! `city-scale` preset geometry from 20 k users up to one million, in
+//! fleet-aggregate user-slots per second.
 //!
 //! Scale knobs for smoke runs: `FEDCO_BENCH_USERS` (default 100),
 //! `FEDCO_BENCH_SLOTS` (default 10 800), `FEDCO_BENCH_REPS` (default 3),
 //! `FEDCO_BENCH_SCALE_USERS` (default `20000,100000,1000000`),
-//! `FEDCO_BENCH_SCALE_SLOTS` (default 200), `FEDCO_BENCH_SHARDS`
-//! (default `1,4`).
+//! `FEDCO_BENCH_SCALE_SLOTS` (default 200).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -172,56 +171,40 @@ fn main() {
         ));
     }
 
-    // Scale sweep: the struct-of-arrays arena plus sharded execution at
+    // Scale sweep: the struct-of-arrays arena plus span fast-forward at
     // city scale and beyond. Event driver only (a dense million-user run
     // would dominate the whole benchmark), Online policy, `city-scale`
     // preset geometry, reported as fleet-aggregate **user-slots per
-    // second**. Shard counts must be byte-identical, so the first count is
-    // the reference the rest are checked against.
+    // second**.
     //
-    // Knobs: `FEDCO_BENCH_SCALE_USERS` (comma list), `FEDCO_BENCH_SCALE_SLOTS`,
-    // `FEDCO_BENCH_SHARDS` (comma list).
+    // Knobs: `FEDCO_BENCH_SCALE_USERS` (comma list), `FEDCO_BENCH_SCALE_SLOTS`.
     let scale_users = env_list("FEDCO_BENCH_SCALE_USERS", &[20_000, 100_000, 1_000_000]);
     let scale_slots = env_u64("FEDCO_BENCH_SCALE_SLOTS", 200);
-    let scale_shards = env_list("FEDCO_BENCH_SHARDS", &[1, 4]);
     micro::group(&format!(
         "engine scale — city-scale preset, Online, event driver, {scale_slots} slots, \
 best of {reps}"
     ));
     println!(
         "{:<42} {:>18} {:>12} {:>8}",
-        "users/shards", "user-slots/s", "wall ms", "skipped"
+        "users", "user-slots/s", "wall ms", "skipped"
     );
     for &scale in &scale_users {
-        let mut reference: Option<SimResult> = None;
-        for &shards in &scale_shards {
-            let config = scenario("city-scale", None, scale, scale_slots)
-                .with_policy(PolicyKind::Online)
-                .with_shards(shards as usize);
-            let (wall, result, stats) = time_run(&config, false, reps);
-            match &reference {
-                Some(r) => assert_eq!(
-                    r.total_energy_j.to_bits(),
-                    result.total_energy_j.to_bits(),
-                    "scale/{scale}: {shards} shards diverged from {} shards",
-                    scale_shards[0]
-                ),
-                None => reference = Some(result),
-            }
-            let slot_rate = scale_slots as f64 / wall;
-            let user_slot_rate = (scale * scale_slots) as f64 / wall;
-            println!(
-                "{:<42} {user_slot_rate:>18.0} {:>12.1} {:>7.1}%",
-                format!("scale/{scale}/{shards}"),
-                wall * 1e3,
-                stats.skip_fraction() * 100.0
-            );
-            micro::append_json_line(&format!(
-                "{{\"name\":\"engine/scale/{scale}/{shards}\",\"slots_per_sec\":{slot_rate:.0},\
+        let config =
+            scenario("city-scale", None, scale, scale_slots).with_policy(PolicyKind::Online);
+        let (wall, _, stats) = time_run(&config, false, reps);
+        let slot_rate = scale_slots as f64 / wall;
+        let user_slot_rate = (scale * scale_slots) as f64 / wall;
+        println!(
+            "{:<42} {user_slot_rate:>18.0} {:>12.1} {:>7.1}%",
+            format!("scale/{scale}"),
+            wall * 1e3,
+            stats.skip_fraction() * 100.0
+        );
+        micro::append_json_line(&format!(
+            "{{\"name\":\"engine/scale/{scale}\",\"slots_per_sec\":{slot_rate:.0},\
 \"user_slots_per_sec\":{user_slot_rate:.0},\"wall_ms\":{:.3},\"fast_forwarded_slots\":{}}}",
-                wall * 1e3,
-                stats.fast_forwarded_slots
-            ));
-        }
+            wall * 1e3,
+            stats.fast_forwarded_slots
+        ));
     }
 }

@@ -187,13 +187,6 @@ pub struct SimConfig {
     /// [`EnergyComponent::Radio`](fedco_device::profiler::EnergyComponent).
     /// `None` reproduces the paper's accounting, which ignores the radio.
     pub transport: Option<TransportModel>,
-    /// Number of user shards the engine fans the per-user slot phases over
-    /// (fork-join, partitioned by user id). Results are byte-identical for
-    /// any shard count — sharding only changes how the work is laid out —
-    /// so this is purely a throughput knob for large fleets. A request for
-    /// more shards than users is clamped so every shard holds at least one
-    /// user; `1` (the default) runs everything inline.
-    pub shards: usize,
     /// The environment dynamics of the run: arrival model, battery
     /// lifecycles, churn and uplink compression. The default is the paper's
     /// world (Bernoulli arrivals, everything else off), under which the
@@ -219,13 +212,18 @@ impl Default for SimConfig {
             record_user_gaps: false,
             collect_traces: true,
             transport: None,
-            shards: 1,
             world: WorldConfig::default(),
         }
     }
 }
 
 impl SimConfig {
+    /// Largest fleet one simulation accepts: 10× the `mega` preset. Every
+    /// per-user array is sized from `num_users` at construction, so an
+    /// absurd count is rejected by [`SimConfig::validate`] — and by the
+    /// scenario `users=` field — instead of reaching the allocator.
+    pub const MAX_USERS: usize = 10_000_000;
+
     /// The paper's main evaluation setting (Section VII-B) for a given
     /// policy: 25 users, 3 hours, arrival probability 0.001, V = 4000,
     /// L_b = 1000.
@@ -297,15 +295,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy fanning the per-user slot phases over `shards` user
-    /// shards. Purely a throughput knob: results are byte-identical for any
-    /// shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Returns a copy living in a different world (arrival model, battery
     /// lifecycles, churn, uplink compression).
     #[must_use]
@@ -336,6 +325,9 @@ impl SimConfig {
         if self.num_users == 0 {
             return Err(ConfigError::ZeroUsers);
         }
+        if self.num_users > SimConfig::MAX_USERS {
+            return Err(ConfigError::TooManyUsers(self.num_users));
+        }
         if self.total_slots == 0 {
             return Err(ConfigError::ZeroSlots);
         }
@@ -349,9 +341,6 @@ impl SimConfig {
         }
         if self.record_every_slots == 0 {
             return Err(ConfigError::ZeroRecordEverySlots);
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         if let Some(ratio) = self.world.compression.ratio() {
             if !(ratio.is_finite() && ratio > 0.0 && ratio <= 1.0) {
@@ -373,6 +362,8 @@ impl SimConfig {
 pub enum ConfigError {
     /// `num_users` is zero.
     ZeroUsers,
+    /// `num_users` exceeds [`SimConfig::MAX_USERS`] (value attached).
+    TooManyUsers(usize),
     /// `total_slots` is zero.
     ZeroSlots,
     /// `slot_seconds` is not strictly positive (value attached).
@@ -381,8 +372,6 @@ pub enum ConfigError {
     ArrivalProbabilityOutOfRange(f64),
     /// `record_every_slots` is zero.
     ZeroRecordEverySlots,
-    /// `shards` is zero.
-    ZeroShards,
     /// The world's uplink-compression ratio is outside `(0, 1]` (value
     /// attached).
     CompressionRatioOutOfRange(f64),
@@ -400,6 +389,11 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroUsers => f.write_str("num_users must be at least 1 (got 0)"),
+            ConfigError::TooManyUsers(n) => write!(
+                f,
+                "num_users must be at most MAX_USERS = {} (got {n})",
+                SimConfig::MAX_USERS
+            ),
             ConfigError::ZeroSlots => f.write_str("total_slots must be at least 1 (got 0)"),
             ConfigError::NonPositiveSlotSeconds(v) => {
                 write!(f, "slot_seconds must be positive (got {v})")
@@ -410,7 +404,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroRecordEverySlots => {
                 f.write_str("record_every_slots must be at least 1 (got 0)")
             }
-            ConfigError::ZeroShards => f.write_str("shards must be at least 1 (got 0)"),
             ConfigError::CompressionRatioOutOfRange(v) => {
                 write!(f, "world compression ratio must lie in (0, 1] (got {v})")
             }

@@ -163,7 +163,7 @@ pub const PRESET_NAMES: [&str; 15] = [
 /// The sweepable scenario fields, in canonical order. Every key is
 /// accepted by [`ScenarioSpec::set`], the `name:key=value…` CLI syntax and
 /// the scenario-file format, and any of them can back a fleet sweep axis.
-pub const FIELD_KEYS: [&str; 19] = [
+pub const FIELD_KEYS: [&str; 18] = [
     "users",
     "slots",
     "slot_seconds",
@@ -182,7 +182,6 @@ pub const FIELD_KEYS: [&str; 19] = [
     "record_every",
     "traces",
     "overhead",
-    "shards",
 ];
 
 /// A named, validated, fully-declarative description of a simulation
@@ -218,7 +217,6 @@ pub struct ScenarioSpec {
     record_every: u64,
     traces: bool,
     overhead: bool,
-    shards: usize,
 }
 
 impl ScenarioSpec {
@@ -243,7 +241,6 @@ impl ScenarioSpec {
             record_every: 60,
             traces: true,
             overhead: true,
-            shards: 1,
         }
     }
 
@@ -477,11 +474,6 @@ impl ScenarioSpec {
         self.overhead
     }
 
-    /// Number of user shards the engine fans the per-user phases over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Records an override with canonical formatting: an existing entry for
     /// the key is replaced in place, so the label order is first-set order.
     fn record(&mut self, key: &'static str, value: String) {
@@ -635,17 +627,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Returns a copy fanning the per-user slot phases over `shards` user
-    /// shards. Purely a throughput knob — results are byte-identical for
-    /// any shard count — so, uniquely among the sweepable fields, it does
-    /// **not** change the semantics the label keys.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self.record("shards", shards.to_string());
-        self
-    }
-
     /// Sets one field from its textual `key=value` form — the single entry
     /// point the CLI parser, the scenario-file parser and the fleet's sweep
     /// axes all share, so each of the [`FIELD_KEYS`] is uniformly
@@ -663,6 +644,12 @@ impl ScenarioSpec {
                 let n = value.parse::<usize>().map_err(|e| bad(e.to_string()))?;
                 if n == 0 {
                     return Err(bad("must be at least 1".into()));
+                }
+                if n > SimConfig::MAX_USERS {
+                    return Err(bad(format!(
+                        "must be at most MAX_USERS = {}",
+                        SimConfig::MAX_USERS
+                    )));
                 }
                 *self = self.clone().with_users(n);
             }
@@ -750,13 +737,6 @@ impl ScenarioSpec {
                 *self = self.clone().with_record_every(n);
             }
             "traces" => *self = self.clone().with_traces(parse_on_off(value).map_err(bad)?),
-            "shards" => {
-                let n = value.parse::<usize>().map_err(|e| bad(e.to_string()))?;
-                if n == 0 {
-                    return Err(bad("must be at least 1".into()));
-                }
-                *self = self.clone().with_shards(n);
-            }
             "overhead" => {
                 *self = self
                     .clone()
@@ -795,7 +775,6 @@ impl ScenarioSpec {
             record_user_gaps: false,
             collect_traces: self.traces,
             transport: self.link.model(),
-            shards: self.shards,
             world: self.world(),
         };
         config.validate()?;

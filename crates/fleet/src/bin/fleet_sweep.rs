@@ -4,10 +4,6 @@
 //! cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- [flags]
 //!
 //!   --workers N           worker threads (default 0 = one per core)
-//!   --shards N            engine shards inside every simulation (default
-//!                         0 = keep each scenario's `shards` field). A pure
-//!                         execution knob: any value gives byte-identical
-//!                         reports, traces and metrics
 //!   --scenario LIST       comma-separated scenario specs (default: smoke).
 //!                         Each entry is name[:key=value…] over the preset
 //!                         registry, e.g. paper-default, sparse:users=50,
@@ -57,7 +53,6 @@ use fedco_telemetry::export::events_to_jsonl;
 
 struct Args {
     workers: usize,
-    shards: usize,
     users: Option<usize>,
     slots: Option<u64>,
     replicates: usize,
@@ -72,7 +67,7 @@ struct Args {
     verify: bool,
 }
 
-const USAGE: &str = "usage: fleet_sweep [--workers N] [--shards N] [--scenario SPEC,SPEC,...] \
+const USAGE: &str = "usage: fleet_sweep [--workers N] [--scenario SPEC,SPEC,...] \
 [--scenario-file PATH] [--axis KEY=V1,V2,...] [--policies SPEC,SPEC,...] \
 [--users N] [--slots N] [--replicates N] [--seed N] [--csv PATH] [--jsonl PATH] \
 [--trace PATH] [--metrics PATH] [--verify] [--list-scenarios] [--list-policies]";
@@ -113,7 +108,6 @@ random:p=P[:salt=N] | threshold:w=W"
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         workers: 0,
-        shards: 0,
         users: None,
         slots: None,
         replicates: 2,
@@ -135,11 +129,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
             }
             "--users" => {
                 let n: usize = value("--users")?
@@ -258,7 +247,6 @@ fn build_grid(args: &Args) -> ScenarioGrid {
         .with_policy_specs(args.policies.clone())
         .with_base_seed(args.seed)
         .with_replicates(args.replicates)
-        .with_engine_shards(args.shards)
 }
 
 fn main() -> ExitCode {

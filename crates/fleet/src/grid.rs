@@ -121,12 +121,6 @@ pub struct ScenarioGrid {
     pub seeds: Vec<u64>,
     /// The seed every per-job derivation starts from.
     pub base_seed: u64,
-    /// Engine shard count applied to every built job config, or 0 to keep
-    /// each scenario's own `shards` field. This is an execution knob, not a
-    /// sweep dimension: sharding is byte-identical for any count, so it is
-    /// applied *after* the spec builds and never appears in scenario labels,
-    /// job seeds or report rows.
-    pub engine_shards: usize,
 }
 
 impl ScenarioGrid {
@@ -147,7 +141,6 @@ impl ScenarioGrid {
             policies: PolicyKind::ALL.iter().map(|&k| k.into()).collect(),
             seeds: vec![seed],
             base_seed: seed,
-            engine_shards: 0,
         }
     }
 
@@ -236,17 +229,6 @@ impl ScenarioGrid {
     #[must_use]
     pub fn with_base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Sets the engine shard count applied to every built job config
-    /// (0 keeps each scenario's own `shards` field). Sharding splits the
-    /// per-user phases of one simulation across threads and is
-    /// byte-identical for any count, so this knob — like the worker count —
-    /// changes nothing about the report.
-    #[must_use]
-    pub fn with_engine_shards(mut self, shards: usize) -> Self {
-        self.engine_shards = shards;
         self
     }
 
@@ -396,16 +378,9 @@ impl ScenarioGrid {
         };
         let policy = &self.policies[coord.policy];
         let config = match spec.build_with_policy(policy.clone()) {
-            Ok(mut config) => {
-                if self.engine_shards > 0 {
-                    // Execution knob only: applied after the build so the
-                    // scenario label and job seed stay shard-agnostic.
-                    config.shards = self.engine_shards;
-                }
-                config
-                    .with_seed(self.job_seed(&coord, &spec))
-                    .summary_only()
-            }
+            Ok(config) => config
+                .with_seed(self.job_seed(&coord, &spec))
+                .summary_only(),
             // fedco-audit: allow(panic-surface): documented panicking API; validate() is the fallible path run first by run_grid
             Err(e) => panic!("invalid scenario grid cell `{}`: {e}", spec.label()),
         };

@@ -16,7 +16,7 @@ use fedco_core::offline::{OfflineScheduler, OfflineUser};
 use fedco_core::online::{OnlineDecisionInput, SlotOutcome, WaitingSpanProbe};
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
 use fedco_core::spec::PolicyBuildContext;
-use fedco_device::energy::{Joules, Seconds};
+use fedco_device::energy::Joules;
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
 use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
 use fedco_fl::aggregation::AsyncUpdateRule;
@@ -39,7 +39,6 @@ use fedco_world::CHECK_EVERY_SLOTS;
 use crate::arrivals::{ArrivalCursor, ArrivalSchedule};
 use crate::clock::SimClock;
 use crate::experiment::{ConfigError, SimConfig};
-use crate::shards::{flush_pending_lane, run_on_shards, PhaseShared, ShardCtx, ShardPlan};
 use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
 use crate::user::{TrainingPhase, UserArena};
 
@@ -126,9 +125,8 @@ struct BatteryRuntime {
 /// bookkeeping (battery lifecycles and churn). Lives on the driving thread
 /// only; every transition happens at a world check slot — a multiple of
 /// [`CHECK_EVERY_SLOTS`], forced dense in the event driver — in ascending
-/// user order, so results are byte-identical across drivers and shard
-/// counts. `None` when the configured world needs no check slots (the
-/// paper-default world).
+/// user order, so results are byte-identical across drivers. `None` when
+/// the configured world needs no check slots (the paper-default world).
 #[derive(Debug)]
 struct WorldRuntime {
     battery: Option<BatteryRuntime>,
@@ -163,12 +161,12 @@ struct MlState {
 /// The simulation engine.
 #[derive(Debug)]
 pub struct Simulation {
-    config: SimConfig,
-    clock: SimClock,
-    arrivals: ArrivalSchedule,
-    arrival_cursors: Vec<ArrivalCursor>,
-    users: UserArena,
-    profilers: Vec<EnergyProfiler>,
+    pub(crate) config: SimConfig,
+    pub(crate) clock: SimClock,
+    pub(crate) arrivals: ArrivalSchedule,
+    pub(crate) arrival_cursors: Vec<ArrivalCursor>,
+    pub(crate) users: UserArena,
+    pub(crate) profilers: Vec<EnergyProfiler>,
     policy: Box<dyn SchedulingPolicy>,
     offline_scheduler: OfflineScheduler,
     server: Box<dyn ModelService>,
@@ -183,7 +181,7 @@ pub struct Simulation {
     /// extra-energy charge, trace snapshot, and at the end of the run) and
     /// per-slot work that a quiescence-certified policy makes unobservable
     /// is elided. `run_dense` keeps the eager reference behaviour.
-    event_mode: bool,
+    pub(crate) event_mode: bool,
     /// Cached [`SchedulingPolicy::quiescent_while_waiting`] for this run.
     policy_quiescent: bool,
     /// Cached [`SchedulingPolicy::can_fast_forward_waiting`] for this run:
@@ -191,12 +189,9 @@ pub struct Simulation {
     /// (the Online controller's closed-form Lyapunov evolution).
     policy_waiting_capable: bool,
     /// Per-user pending power state not yet flushed to the profiler.
-    pending_state: Vec<PowerState>,
+    pub(crate) pending_state: Vec<PowerState>,
     /// Slots accumulated in the pending state (0 = nothing pending).
-    pending_slots: Vec<u64>,
-    /// The deterministic user partition the per-user slot phases fan out
-    /// over (a single full-range shard when `config.shards == 1`).
-    shard_plan: ShardPlan,
+    pub(crate) pending_slots: Vec<u64>,
     /// World-model runtime (`None` when the configured world needs no check
     /// slots — the paper-default world, which keeps this path zero-cost).
     world: Option<WorldRuntime>,
@@ -371,7 +366,6 @@ impl Simulation {
         let arrival_cursors = vec![ArrivalCursor::new(); users.len()];
         let pending_state = vec![PowerState::Idle; users.len()];
         let pending_slots = vec![0u64; users.len()];
-        let shard_plan = ShardPlan::new(config.num_users, config.shards);
         let mut sim = Simulation {
             config,
             clock,
@@ -393,7 +387,6 @@ impl Simulation {
             policy_waiting_capable: false,
             pending_state,
             pending_slots,
-            shard_plan,
             world,
             telemetry: None,
         };
@@ -644,81 +637,6 @@ impl Simulation {
             .unwrap_or(0.0)
     }
 
-    /// Flushes user `i`'s pending power span into its profiler. A no-op in
-    /// dense mode (nothing ever pends) and whenever nothing is pending.
-    ///
-    /// Flushing *before* any other energy lands in the profiler keeps each
-    /// user's accumulation stream in exactly the dense order, so deferral
-    /// never changes the floating-point result.
-    fn flush_pending(&mut self, i: usize) {
-        flush_pending_lane(
-            &mut self.profilers[i],
-            self.pending_state[i],
-            &mut self.pending_slots[i],
-            Seconds(self.config.slot_seconds),
-        );
-    }
-
-    /// Flushes every user's pending span (before trace snapshots and at the
-    /// end of a run).
-    fn flush_all_pending(&mut self) {
-        for i in 0..self.users.len() {
-            self.flush_pending(i);
-        }
-    }
-
-    /// The shard plan of this simulation (one full-range shard unless the
-    /// configuration asked for more).
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shard_plan
-    }
-
-    /// Fans `f` out over the shard contexts (disjoint per-user views of the
-    /// arena, profilers, pending spans and arrival cursors) and returns the
-    /// per-shard results in shard order. Inline for one shard, scoped
-    /// fork-join threads for more — with byte-identical results either way,
-    /// because the sharded phases touch only per-user state and never
-    /// reduce floats across users.
-    fn sharded_phase<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: for<'e> Fn(&mut ShardCtx<'e>, &PhaseShared<'e>) -> R + Sync,
-    {
-        let shared = PhaseShared {
-            arrivals: &self.arrivals,
-            clock: &self.clock,
-            slot_len: Seconds(self.config.slot_seconds),
-            event_mode: self.event_mode,
-        };
-        let bounds = self.shard_plan.bounds();
-        let views = self.users.split_lanes(bounds);
-        let mut ctxs = Vec::with_capacity(bounds.len());
-        let mut profilers = self.profilers.as_mut_slice();
-        let mut pending_state = self.pending_state.as_mut_slice();
-        let mut pending_slots = self.pending_slots.as_mut_slice();
-        let mut cursors = self.arrival_cursors.as_mut_slice();
-        for (users, range) in views.into_iter().zip(bounds) {
-            let len = range.end - range.start;
-            let (p, rest) = profilers.split_at_mut(len);
-            profilers = rest;
-            let (s, rest) = pending_state.split_at_mut(len);
-            pending_state = rest;
-            let (l, rest) = pending_slots.split_at_mut(len);
-            pending_slots = rest;
-            let (c, rest) = cursors.split_at_mut(len);
-            cursors = rest;
-            ctxs.push(ShardCtx {
-                base: range.start,
-                users,
-                profilers: p,
-                pending_state: s,
-                pending_slots: l,
-                arrival_cursors: c,
-            });
-        }
-        run_on_shards(&mut ctxs, |ctx| f(ctx, &shared))
-    }
-
     /// Re-downloads the global model for a user that just uploaded.
     ///
     /// `slot` stamps the compressed-upload telemetry event. A user the
@@ -808,8 +726,8 @@ impl Simulation {
     /// The world check: battery accounting, churn transitions and the
     /// resulting offline/online flips, in ascending user order on the
     /// driving thread. Runs at every multiple of [`CHECK_EVERY_SLOTS`] —
-    /// forced dense in the event driver — so both drivers and every shard
-    /// count see byte-identical world dynamics.
+    /// forced dense in the event driver — so both drivers see byte-identical
+    /// world dynamics.
     fn world_check(&mut self, slot: u64) {
         let Some(mut w) = self.world.take() else {
             return;
@@ -972,7 +890,7 @@ impl Simulation {
     /// Executes one full dense slot (the reference per-slot semantics) and
     /// advances the clock by one.
     fn step_slot(&mut self, acc: &mut RunAccum) {
-        let slot_len = Seconds(self.config.slot_seconds);
+        let slot_len = self.slot_len();
         {
             let slot = self.clock.slot();
             let now_s = self.clock.now_s();
@@ -1002,16 +920,9 @@ impl Simulation {
             }
 
             // (1) Application arrivals (ignored while another app runs),
-            // fused with the phase census — arrivals never change `phase`,
-            // so counting per shard right after its arrivals is identical
-            // to a separate full pass. The per-user cursor makes arrivals
-            // O(1) amortized instead of a rescan of the user's whole
-            // arrival vector every slot; the census merge is an integer
-            // sum, exact in any order.
-            let census = self.sharded_phase(|ctx, sh| {
-                ctx.phase_arrivals(sh, slot);
-                ctx.phase_census()
-            });
+            // then the phase census.
+            self.phase_arrivals(slot);
+            let (training_now, waiting_at_start) = self.phase_census();
 
             // (2) Scheduling decisions for waiting users.
             //
@@ -1021,11 +932,6 @@ impl Simulation {
             // accumulated while waiting. The task queue Q(t) therefore tracks
             // the total outstanding waiting work in user-slots, which is what
             // the Eq.-22 threshold `Q ≥ V·t_d·ΔP` acts on.
-            let (mut training_now, mut waiting_at_start) = (0u64, 0usize);
-            for (training, waiting) in census {
-                training_now += training;
-                waiting_at_start += waiting;
-            }
             // The momentum norm only feeds the decision inputs of waiting
             // users; with nobody waiting it is dead weight (an O(params)
             // norm every slot in ML mode).
@@ -1111,21 +1017,12 @@ impl Simulation {
                 }
             }
 
-            // (3) Energy accounting and (4) timer advance, fused per shard
-            // (power of one user never feeds another user's tick). The
-            // event driver defers each user's slot into a pending span
-            // flushed on state changes (batching the identical per-slot
-            // additions); the dense reference records eagerly. Per-shard
-            // completion lists concatenate in shard order, reproducing the
-            // dense loop's ascending completion order exactly.
-            let completed: Vec<(usize, bool)> = self
-                .sharded_phase(|ctx, sh| {
-                    ctx.phase_power(sh);
-                    ctx.phase_tick()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
+            // (3) Energy accounting and (4) timer advance. The event
+            // driver defers each user's slot into a pending span flushed on
+            // state changes (batching the identical per-slot additions);
+            // the dense reference records eagerly.
+            self.phase_power();
+            let completed = self.phase_tick();
 
             // (5) Apply completed epochs to the server.
             for (user_id, corunning) in completed {
@@ -1533,13 +1430,9 @@ impl Simulation {
         let quiescent = self.policy_quiescent;
         let overhead_fraction = self.policy.decision_energy_overhead();
         let replay_overhead = self.config.decision_overhead && overhead_fraction > 0.0;
-        // Per-user span work (power segments, per-slot overhead replay for
-        // waiting users, timers, gap accrual) fans out over the shards; it
-        // touches only disjoint per-user state, so the merged result is
-        // byte-identical for any shard count.
-        self.sharded_phase(|ctx, sh| {
-            ctx.span_users(sh, cur, n, replay_overhead, overhead_fraction)
-        });
+        // Per-user span work: power segments, per-slot overhead replay for
+        // waiting users, timers, gap accrual.
+        self.span_users(cur, n, replay_overhead, overhead_fraction);
 
         // Queue dynamics. A quiescence-certifying policy promised a no-op
         // `end_of_slot` with both backlogs exactly zero, so the dense loop's

@@ -26,8 +26,8 @@ pub mod arrivals;
 pub mod clock;
 pub mod engine;
 pub mod experiment;
+mod phases;
 pub mod report;
-pub mod shards;
 pub mod trace;
 pub mod user;
 
@@ -44,7 +44,6 @@ pub mod prelude {
         ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
     };
     pub use crate::report::{render_breakdown, render_series, render_table, summarize};
-    pub use crate::shards::{ShardPlan, ShardedSimulation};
     pub use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
     pub use crate::user::{TrainingPhase, UserArena};
     pub use fedco_core::policy::PolicyKind;

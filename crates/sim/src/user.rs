@@ -15,9 +15,7 @@
 //! fat per-user structs, while rarely-read counters sit in a boxed
 //! [`UserSideTable`]. Device calibration is deduplicated: one
 //! [`DeviceProfile`] allocation per distinct [`DeviceKind`], shared through
-//! [`Arc`], instead of one copy per user. [`UserLanesMut`] is a borrowed
-//! view over a contiguous index range of the same arrays; the sharded engine
-//! hands disjoint lane views to worker threads.
+//! [`Arc`], instead of one copy per user.
 
 use std::sync::Arc;
 
@@ -217,55 +215,55 @@ impl UserArena {
         }
     }
 
-    /// A mutable lane view spanning every user.
-    pub fn lanes(&mut self) -> UserLanesMut<'_> {
-        UserLanesMut {
-            epsilon: self.epsilon,
-            profiles: &self.profiles,
-            profile_ix: &self.profile_ix,
-            phase: &mut self.phase,
-            app_remaining_slots: &mut self.app_remaining_slots,
-            current_app: &mut self.current_app,
-            base_version: &mut self.base_version,
-            gap: &mut self.gap,
-            current_wait_slots: &mut self.current_wait_slots,
-            last_decision_app: &mut self.last_decision_app,
-            epochs_completed: &mut self.cold.epochs_completed,
-            waiting_slots: &mut self.cold.waiting_slots,
-            corun_epochs: &mut self.cold.corun_epochs,
-        }
-    }
-
-    /// Splits the arena into disjoint lane views over the contiguous ranges
-    /// `bounds` (ascending, non-overlapping), for sharded stepping.
-    pub fn split_lanes(&mut self, bounds: &[std::ops::Range<usize>]) -> Vec<UserLanesMut<'_>> {
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut rest = self.lanes();
-        let mut consumed = 0usize;
-        for r in bounds {
-            debug_assert!(r.start == consumed, "shard bounds must be contiguous");
-            let (head, tail) = rest.split_at_mut(r.end - consumed);
-            consumed = r.end;
-            out.push(head);
-            rest = tail;
-        }
-        out
-    }
-
-    /// Starts a foreground application for user `i`. See
-    /// [`UserLanesMut::start_app`].
+    /// Starts a foreground application for user `i` for the given number of
+    /// slots. Arrivals while another app is running replace it (the user
+    /// switched apps).
     pub fn start_app(&mut self, i: usize, app: AppKind, duration_slots: u64) {
-        self.lanes().start_app(i, app, duration_slots);
+        self.current_app[i] = Some(app);
+        self.app_remaining_slots[i] = duration_slots.max(1);
     }
 
-    /// Starts training for user `i`. See [`UserLanesMut::start_training`].
+    /// Starts training for user `i` for the given number of slots;
+    /// `corunning` records whether an app is in the foreground at start.
     pub fn start_training(&mut self, i: usize, duration_slots: u64, corunning: bool) {
-        self.lanes().start_training(i, duration_slots, corunning);
+        self.phase[i] = TrainingPhase::Training {
+            remaining_slots: duration_slots.max(1),
+            corunning,
+        };
+        self.current_wait_slots[i] = 0;
+        if corunning {
+            self.cold.corun_epochs[i] += 1;
+        }
     }
 
-    /// Advances user `i` by one slot. See [`UserLanesMut::tick`].
+    /// Advances app and training timers of user `i` by one slot. Returns
+    /// `true` when a training epoch completed during this slot.
     pub fn tick(&mut self, i: usize) -> bool {
-        self.lanes().tick(i)
+        if self.app_remaining_slots[i] > 0 {
+            self.app_remaining_slots[i] -= 1;
+            if self.app_remaining_slots[i] == 0 {
+                self.current_app[i] = None;
+            }
+        }
+        match &mut self.phase[i] {
+            TrainingPhase::Training {
+                remaining_slots, ..
+            } => {
+                *remaining_slots -= 1;
+                if *remaining_slots == 0 {
+                    self.cold.epochs_completed[i] += 1;
+                    true
+                } else {
+                    false
+                }
+            }
+            TrainingPhase::Waiting => {
+                self.cold.waiting_slots[i] += 1;
+                self.current_wait_slots[i] += 1;
+                false
+            }
+            TrainingPhase::RoundBarrier | TrainingPhase::Offline => false,
+        }
     }
 
     /// Puts user `i` back into the waiting state (after its upload was
@@ -307,190 +305,6 @@ impl UserArena {
     /// momentum-predicted value for the lag expected over training.
     pub fn gap_schedule(&mut self, i: usize, predicted: GradientGap) {
         self.gap[i] = predicted.0;
-    }
-}
-
-/// A mutable view over a contiguous run of users' hot lanes (plus the cold
-/// counters the state machine touches). Indices are *local* to the view:
-/// lane `j` is global user `base + j` for a view created at offset `base`.
-#[derive(Debug)]
-pub struct UserLanesMut<'a> {
-    /// Per-idle-slot gap increment `ε`.
-    pub epsilon: f64,
-    /// The *full* shared profile table (one entry per distinct device kind,
-    /// never split — indexed through [`profile_ix`](Self::profile_ix)).
-    pub profiles: &'a [Arc<DeviceProfile>],
-    /// Per-user profile indices into [`profiles`](Self::profiles).
-    pub profile_ix: &'a [u32],
-    /// Training phases.
-    pub phase: &'a mut [TrainingPhase],
-    /// Foreground-app countdown timers.
-    pub app_remaining_slots: &'a mut [u64],
-    /// Foreground apps.
-    pub current_app: &'a mut [Option<AppKind>],
-    /// Downloaded model versions.
-    pub base_version: &'a mut [ModelVersion],
-    /// Accumulated gradient gaps.
-    pub gap: &'a mut [f64],
-    /// Current waiting-streak counters.
-    pub current_wait_slots: &'a mut [u64],
-    /// Last statuses handed to the policy.
-    pub last_decision_app: &'a mut [Option<AppStatus>],
-    /// Completed-epoch counters.
-    pub epochs_completed: &'a mut [u64],
-    /// Lifetime waiting-slot counters.
-    pub waiting_slots: &'a mut [u64],
-    /// Co-run epoch counters.
-    pub corun_epochs: &'a mut [u64],
-}
-
-impl<'a> UserLanesMut<'a> {
-    /// Number of users in this view.
-    pub fn len(&self) -> usize {
-        self.phase.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.phase.is_empty()
-    }
-
-    /// The (shared) calibration profile of lane `i`.
-    pub fn profile(&self, i: usize) -> &DeviceProfile {
-        &self.profiles[self.profile_ix[i] as usize]
-    }
-
-    /// Splits the view at `mid` into `[0, mid)` and `[mid, len)`.
-    pub fn split_at_mut(self, mid: usize) -> (UserLanesMut<'a>, UserLanesMut<'a>) {
-        let (pix_a, pix_b) = self.profile_ix.split_at(mid);
-        let (phase_a, phase_b) = self.phase.split_at_mut(mid);
-        let (app_a, app_b) = self.app_remaining_slots.split_at_mut(mid);
-        let (cur_a, cur_b) = self.current_app.split_at_mut(mid);
-        let (ver_a, ver_b) = self.base_version.split_at_mut(mid);
-        let (gap_a, gap_b) = self.gap.split_at_mut(mid);
-        let (cws_a, cws_b) = self.current_wait_slots.split_at_mut(mid);
-        let (lda_a, lda_b) = self.last_decision_app.split_at_mut(mid);
-        let (epo_a, epo_b) = self.epochs_completed.split_at_mut(mid);
-        let (wai_a, wai_b) = self.waiting_slots.split_at_mut(mid);
-        let (cor_a, cor_b) = self.corun_epochs.split_at_mut(mid);
-        (
-            UserLanesMut {
-                epsilon: self.epsilon,
-                profiles: self.profiles,
-                profile_ix: pix_a,
-                phase: phase_a,
-                app_remaining_slots: app_a,
-                current_app: cur_a,
-                base_version: ver_a,
-                gap: gap_a,
-                current_wait_slots: cws_a,
-                last_decision_app: lda_a,
-                epochs_completed: epo_a,
-                waiting_slots: wai_a,
-                corun_epochs: cor_a,
-            },
-            UserLanesMut {
-                epsilon: self.epsilon,
-                profiles: self.profiles,
-                profile_ix: pix_b,
-                phase: phase_b,
-                app_remaining_slots: app_b,
-                current_app: cur_b,
-                base_version: ver_b,
-                gap: gap_b,
-                current_wait_slots: cws_b,
-                last_decision_app: lda_b,
-                epochs_completed: epo_b,
-                waiting_slots: wai_b,
-                corun_epochs: cor_b,
-            },
-        )
-    }
-
-    /// Whether a foreground application is currently running for lane `i`.
-    pub fn app_running(&self, i: usize) -> bool {
-        self.app_remaining_slots[i] > 0 && self.current_app[i].is_some()
-    }
-
-    /// The current application status of lane `i`.
-    pub fn app_status(&self, i: usize) -> AppStatus {
-        match (self.app_running(i), self.current_app[i]) {
-            (true, Some(app)) => AppStatus::App(app),
-            _ => AppStatus::NoApp,
-        }
-    }
-
-    /// Whether lane `i` is training.
-    pub fn is_training(&self, i: usize) -> bool {
-        matches!(self.phase[i], TrainingPhase::Training { .. })
-    }
-
-    /// The Eq.-10 power state of lane `i`.
-    pub fn power_state(&self, i: usize) -> PowerState {
-        match (self.is_training(i), self.app_status(i)) {
-            (true, AppStatus::App(a)) => PowerState::CoRunning(a),
-            (true, AppStatus::NoApp) => PowerState::TrainingOnly,
-            (false, AppStatus::App(a)) => PowerState::AppOnly(a),
-            (false, AppStatus::NoApp) => PowerState::Idle,
-        }
-    }
-
-    /// Starts a foreground application for lane `i` for the given number of
-    /// slots. Arrivals while another app is running replace it (the user
-    /// switched apps).
-    pub fn start_app(&mut self, i: usize, app: AppKind, duration_slots: u64) {
-        self.current_app[i] = Some(app);
-        self.app_remaining_slots[i] = duration_slots.max(1);
-    }
-
-    /// Starts training for lane `i` for the given number of slots;
-    /// `corunning` records whether an app is in the foreground at start.
-    pub fn start_training(&mut self, i: usize, duration_slots: u64, corunning: bool) {
-        self.phase[i] = TrainingPhase::Training {
-            remaining_slots: duration_slots.max(1),
-            corunning,
-        };
-        self.current_wait_slots[i] = 0;
-        if corunning {
-            self.corun_epochs[i] += 1;
-        }
-    }
-
-    /// Advances app and training timers of lane `i` by one slot. Returns
-    /// `true` when a training epoch completed during this slot.
-    pub fn tick(&mut self, i: usize) -> bool {
-        if self.app_remaining_slots[i] > 0 {
-            self.app_remaining_slots[i] -= 1;
-            if self.app_remaining_slots[i] == 0 {
-                self.current_app[i] = None;
-            }
-        }
-        match &mut self.phase[i] {
-            TrainingPhase::Training {
-                remaining_slots, ..
-            } => {
-                *remaining_slots -= 1;
-                if *remaining_slots == 0 {
-                    self.epochs_completed[i] += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            TrainingPhase::Waiting => {
-                self.waiting_slots[i] += 1;
-                self.current_wait_slots[i] += 1;
-                false
-            }
-            TrainingPhase::RoundBarrier | TrainingPhase::Offline => false,
-        }
-    }
-
-    /// Applies `slots` idle slots to lane `i`'s gap by repeated addition.
-    pub fn gap_idle_slots(&mut self, i: usize, slots: u64) {
-        for _ in 0..slots {
-            self.gap[i] += self.epsilon;
-        }
     }
 }
 
@@ -637,23 +451,5 @@ mod tests {
         c.gap_idle_slots(0, 10);
         assert_eq!(c.gap[0], 0.0);
         assert_eq!(c.epsilon(), 0.0);
-    }
-
-    #[test]
-    fn split_lanes_views_are_disjoint_and_complete() {
-        let mut u = UserArena::build(7, 0.1, |_| DeviceKind::Pixel2);
-        let bounds = [0..3usize, 3..5, 5..7];
-        let mut views = u.split_lanes(&bounds);
-        assert_eq!(views.len(), 3);
-        assert_eq!(views[0].len(), 3);
-        assert_eq!(views[1].len(), 2);
-        assert_eq!(views[2].len(), 2);
-        // Mutations through a view land on the right global users.
-        views[1].start_app(1, AppKind::Zoom, 9); // global user 4
-        views[2].start_training(0, 3, false); // global user 5
-        drop(views);
-        assert_eq!(u.current_app[4], Some(AppKind::Zoom));
-        assert!(u.is_training(5));
-        assert!(u.is_waiting(0));
     }
 }

@@ -6,8 +6,8 @@
 //! alternates between calm and busy regimes. Each model here pre-generates a
 //! per-user arrival list for the whole horizon — the same oracle interface
 //! the offline scheduler already relies on — as a pure function of
-//! `(seed, user)`, so schedules are byte-identical across runs, drivers,
-//! shard counts and worker counts.
+//! `(seed, user)`, so schedules are byte-identical across runs, drivers
+//! and worker counts.
 //!
 //! All models draw from the same per-user seeded stream
 //! ([`user_rng`]), one `f64` per slot plus one app pick per arrival (the

@@ -7,9 +7,8 @@
 //! deterministic charging schedule brings the state of charge back over the
 //! rejoin threshold. The engine evaluates the lifecycle at world check slots
 //! (see [`CHECK_EVERY_SLOTS`](crate::CHECK_EVERY_SLOTS)), reading per-user
-//! profiler totals on the driving thread in ascending user order — no
-//! cross-user float reductions, so results are byte-identical across shard
-//! counts and engine drivers.
+//! profiler totals in ascending user order — no cross-user float
+//! reductions, so results are byte-identical across engine drivers.
 
 use fedco_device::battery::Battery;
 use fedco_device::profiles::DeviceKind;

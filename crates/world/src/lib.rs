@@ -26,7 +26,7 @@
 //! the world at fixed **check slots** (every
 //! [`CHECK_EVERY_SLOTS`] slots) which both engine drivers execute densely,
 //! so battery and churn transitions are byte-identical between the dense and
-//! the event-driven driver and across any shard count.
+//! the event-driven driver.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

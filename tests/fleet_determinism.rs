@@ -41,39 +41,6 @@ fn facade_sweep_is_worker_count_invariant() {
 }
 
 #[test]
-fn facade_sweep_is_engine_shard_invariant() {
-    // `with_engine_shards` (the `--shards` flag of the fleet_sweep binary)
-    // is a pure execution knob: the serialized report — including scenario
-    // labels, which must stay shard-agnostic — is byte-identical.
-    let baseline = run_grid(&grid(), 2);
-    let sharded = run_grid(&grid().with_engine_shards(3), 2);
-    assert_eq!(
-        deterministic_view(&baseline),
-        deterministic_view(&sharded),
-        "engine shards changed the merged statistics"
-    );
-    assert_eq!(baseline.rollups, sharded.rollups);
-    // The serialized telemetry (slot-stamped, no wall times) is
-    // byte-identical too — the contract the ci.sh `cmp` smoke relies on.
-    let (_, base_trace) = run_grid_traced(&grid(), 2);
-    let (_, shard_trace) = run_grid_traced(&grid().with_engine_shards(3), 2);
-    assert_eq!(
-        events_to_jsonl(&base_trace.events),
-        events_to_jsonl(&shard_trace.events),
-        "serialized trace diverged under engine sharding"
-    );
-    assert_eq!(
-        base_trace.metrics.to_jsonl(),
-        shard_trace.metrics.to_jsonl(),
-        "serialized metrics diverged under engine sharding"
-    );
-    // The knob genuinely reaches the built configs.
-    let grid3 = grid().with_engine_shards(3);
-    assert_eq!(grid3.job(0).config.shards, 3);
-    assert_eq!(grid().job(0).config.shards, 1);
-}
-
-#[test]
 fn fleet_jobs_agree_with_direct_engine_runs() {
     // A fleet job is nothing more than `run_simulation` of its resolved
     // config: spot-check the first and last cells against direct runs.

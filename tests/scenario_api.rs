@@ -4,6 +4,7 @@
 //! `spec → label → parse` round-trip must be exact, and the whole registry
 //! must build valid configurations for every registry policy.
 
+use fedco::core::scenario::FIELD_KEYS;
 use fedco::prelude::*;
 use fedco::sim::engine::run_simulation_summary;
 
@@ -240,34 +241,49 @@ fn scale_presets_are_registered_with_pinned_shapes() {
 }
 
 #[test]
-fn shards_field_parses_builds_and_round_trips() {
-    // `shards` is a first-class scenario field: settable by key, visible in
-    // the label, carried into the built config, and rejected at zero.
-    let spec: ScenarioSpec = "mega:users=50:slots=100:shards=8"
-        .parse()
-        .expect("shards override parses");
-    assert_eq!(spec.shards(), 8);
-    let reparsed: ScenarioSpec = spec.label().parse().expect("label parses");
-    assert_eq!(reparsed, spec);
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
-    assert_eq!(config.shards, 8);
-
-    // The builder records the override just like `set` does.
-    let built = ScenarioSpec::preset("smoke")
-        .expect("preset")
-        .with_shards(4);
-    assert_eq!(built.shards(), 4);
-    assert_eq!(
-        built.label().parse::<ScenarioSpec>().expect("parses"),
-        built
-    );
-
-    let err = "smoke:shards=0"
+fn shards_field_is_gone_and_rejected_loudly() {
+    // In-simulation sharding was deleted; parallelism is across jobs
+    // (`fleet_sweep --workers`). A stale `shards=` must fail by name and
+    // list what *is* settable.
+    assert_eq!(FIELD_KEYS.len(), 18);
+    assert!(!FIELD_KEYS.contains(&"shards"));
+    let err = "smoke:shards=2"
         .parse::<ScenarioSpec>()
         .unwrap_err()
         .to_string();
-    assert!(err.contains("shards=0"), "{err}");
-    assert!(err.contains("at least 1"), "{err}");
+    assert!(err.contains("unknown scenario field `shards`"), "{err}");
+    for key in FIELD_KEYS {
+        assert!(err.contains(key), "{key} missing from: {err}");
+    }
+}
+
+#[test]
+fn absurd_user_counts_are_rejected_before_any_allocation() {
+    // Both ways into a fleet size stop at `SimConfig::MAX_USERS`: the
+    // scenario field names itself and the limit...
+    let err = "smoke:users=99999999999999"
+        .parse::<ScenarioSpec>()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("users=99999999999999"), "{err}");
+    assert!(err.contains("MAX_USERS = 10000000"), "{err}");
+    // ...and so does a hand-built (or builder-built) config.
+    let mut config = SimConfig::small(PolicyKind::Online);
+    config.num_users = SimConfig::MAX_USERS + 1;
+    let expected = ConfigError::TooManyUsers(SimConfig::MAX_USERS + 1);
+    assert_eq!(config.validate(), Err(expected.clone()));
+    assert_eq!(Simulation::try_new(config).err(), Some(expected.clone()));
+    assert!(expected.to_string().contains("num_users"), "{expected}");
+    assert!(expected.to_string().contains("MAX_USERS"), "{expected}");
+    let built = ScenarioSpec::preset("smoke")
+        .expect("preset")
+        .with_users(SimConfig::MAX_USERS + 1)
+        .build();
+    assert_eq!(built.err(), Some(expected));
+    // The bound itself is accepted.
+    config = SimConfig::small(PolicyKind::Online);
+    config.num_users = SimConfig::MAX_USERS;
+    assert!(config.is_valid());
 }
 
 #[test]

@@ -50,8 +50,15 @@ fn paper_default_traced_sweep_is_worker_count_invariant() {
 
 #[test]
 fn dense_and_event_drivers_emit_identical_semantic_traces() {
-    for policy in PolicyKind::ALL {
-        let config = SimConfig::small(policy);
+    // Every built-in policy on the paper world, plus battery lifecycles +
+    // churn + MMPP arrivals in one scenario (the world-check lane).
+    let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
+        .parse()
+        .expect("world spec parses");
+    let mut configs: Vec<SimConfig> = PolicyKind::ALL.into_iter().map(SimConfig::small).collect();
+    configs.push(world.build_with_policy(PolicyKind::Online).expect("builds"));
+    for config in configs {
+        let label = format!("{} on {} users", config.policy.label(), config.num_users);
 
         let event_sink = BufferSink::shared();
         let event_result = Simulation::new(config.clone())
@@ -68,12 +75,12 @@ fn dense_and_event_drivers_emit_identical_semantic_traces() {
         assert_eq!(
             event_result.total_energy_j.to_bits(),
             dense_result.total_energy_j.to_bits(),
-            "results diverged between drivers for {policy:?}"
+            "results diverged between drivers for {label}"
         );
         let report = diff(&dense_trace, &event_trace, false);
         assert!(
             report.identical(),
-            "semantic trace diverged for {policy:?}: {report}"
+            "semantic trace diverged for {label}: {report}"
         );
     }
 }
