@@ -35,6 +35,10 @@ FEDCO_BENCH_JSON="$BENCH_SMOKE_JSON" \
     timeout 300 cargo bench -q --offline -p fedco-bench --bench engine
 grep -q '"name":"engine/paper/' "$BENCH_SMOKE_JSON" \
     || { echo "bench_engine wrote no JSON lines"; exit 1; }
+# The mostly-dense cell (the benchmark's city-online shape) has a fixed size,
+# so the gate below compares it like for like with the recorded trajectory.
+grep -q '"name":"engine/city-online/7500"' "$BENCH_SMOKE_JSON" \
+    || { echo "bench_engine wrote no engine/city-online/7500 cell"; exit 1; }
 
 echo "==> bench_compare perf-regression gate (smoke run vs BENCH_engine.json)"
 # The gate normalizes by the median current/baseline ratio, so a uniformly

@@ -25,7 +25,11 @@
 //!
 //! A final `engine/scale/<users>` sweep times the event driver on the
 //! `city-scale` preset geometry from 20 k users up to one million, in
-//! fleet-aggregate user-slots per second.
+//! fleet-aggregate user-slots per second, and an `engine/city-online/7500`
+//! cell times the shape of the repository benchmark's `city-online`
+//! workload (`city-scale:users=7500`, Online, the preset's full hour) —
+//! the mostly-dense regime, where a slot costs what happens in it — with
+//! its nanoseconds per dense user-slot and per-user visit count.
 //!
 //! Scale knobs for smoke runs: `FEDCO_BENCH_USERS` (default 100),
 //! `FEDCO_BENCH_SLOTS` (default 10 800), `FEDCO_BENCH_REPS` (default 3),
@@ -207,4 +211,36 @@ best of {reps}"
             stats.fast_forwarded_slots
         ));
     }
+
+    // The `city-online` workload of `benchmark/`: fixed shape (not scaled
+    // by the smoke knobs), so the recorded trajectory and the CI gate see
+    // the same cell the end-to-end benchmark times.
+    let (city_users, city_slots) = (7_500u64, 3_600u64);
+    let config =
+        scenario("city-scale", None, city_users, city_slots).with_policy(PolicyKind::Online);
+    let (wall, _, stats) = time_run(&config, false, reps);
+    let ns_per_dense_user_slot = wall * 1e9 / (stats.dense_slots * city_users) as f64;
+    micro::group(&format!(
+        "engine city-online — city-scale preset, {city_users} users x {city_slots} slots, \
+Online, event driver, best of {reps}"
+    ));
+    println!(
+        "{:<42} {:>12.1} ms {:>8.2} ns/dense user-slot {:>10} visits ({:.1}% of users x dense slots)",
+        format!("city-online/{city_users}"),
+        wall * 1e3,
+        ns_per_dense_user_slot,
+        stats.user_visits,
+        stats.user_visits as f64 * 100.0 / (stats.dense_slots * city_users) as f64
+    );
+    micro::append_json_line(&format!(
+        "{{\"name\":\"engine/city-online/{city_users}\",\"slots_per_sec\":{:.0},\
+\"wall_ms\":{:.3},\"ns_per_dense_user_slot\":{ns_per_dense_user_slot:.2},\"dense_slots\":{},\
+\"fast_forwarded_slots\":{},\"spans\":{},\"user_visits\":{}}}",
+        city_slots as f64 / wall,
+        wall * 1e3,
+        stats.dense_slots,
+        stats.fast_forwarded_slots,
+        stats.spans,
+        stats.user_visits
+    ));
 }

@@ -241,12 +241,16 @@ impl OnlineScheduler {
         queue_sum: &mut f64,
         vq_sum: &mut f64,
     ) -> u64 {
-        let mut gaps = probe.gaps.to_vec();
+        // The evolving gaps. Most probes end at the very first flip test
+        // with nothing committed, so the fleet-sized copy is only made once
+        // a slot commits; until then the probe's own gaps are read.
+        let mut evolved: Option<Vec<f64>> = None;
         let mut committed = 0u64;
         while committed < probe.limit {
             // Decisions first, in dense user order; stop before the first
             // slot in which any waiting user schedules. `decide` is pure,
             // so probing the flip slot leaves no trace.
+            let gaps = evolved.as_deref().unwrap_or(probe.gaps);
             for (k, &u) in probe.waiting.iter().enumerate() {
                 let mut input = probe.inputs[k];
                 input.accumulated_gap_if_idle = GradientGap(gaps[u] + probe.epsilon);
@@ -257,6 +261,7 @@ impl OnlineScheduler {
             // Every waiting user idles: commit the slot. Idle gaps accrue
             // first (as the dense decision loop does), then the end-of-slot
             // queue step sees the updated gap sum.
+            let gaps = evolved.get_or_insert_with(|| probe.gaps.to_vec());
             for &u in probe.waiting {
                 gaps[u] += probe.epsilon;
             }

@@ -15,8 +15,6 @@
 //! [`PolicySpec`](crate::spec::PolicySpec) get exactly the same engine
 //! semantics as the built-ins.
 
-use std::collections::BTreeMap;
-
 use fedco_device::power::{AppStatus, SlotDecision};
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
@@ -354,7 +352,18 @@ impl SchedulingPolicy for SyncSgdPolicy {
 /// [`wants_replanning`](SchedulingPolicy::wants_replanning) capability.
 #[derive(Debug, Default, Clone)]
 pub struct OfflinePolicy {
-    plan: BTreeMap<usize, u64>,
+    /// The planned start slot of each user, indexed by user id (grown on
+    /// demand; `None` = no entry).
+    start_of: Vec<Option<u64>>,
+    /// Every planned `(start, user)` pair in ascending order. An entry whose
+    /// user was since cleared or re-planned is stale: `start_of` no longer
+    /// agrees with it, and it is skipped.
+    by_start: Vec<(u64, usize)>,
+    /// Index into `by_start` of the earliest live entry (`by_start.len()`
+    /// when none is left), so the earliest pending start is read in O(1).
+    head: usize,
+    /// Number of users holding an entry.
+    planned: usize,
     window_slots: u64,
 }
 
@@ -362,51 +371,84 @@ impl OfflinePolicy {
     /// Creates an empty policy that never asks for replanning (plans must be
     /// installed by hand; everyone waits until one is).
     pub fn new() -> Self {
-        OfflinePolicy {
-            plan: BTreeMap::new(),
-            window_slots: 0,
-        }
+        OfflinePolicy::with_window(0)
     }
 
     /// Creates a policy that requests a fresh plan every `window_slots`
     /// slots (`0` disables replanning requests, like [`OfflinePolicy::new`]).
     pub fn with_window(window_slots: u64) -> Self {
         OfflinePolicy {
-            plan: BTreeMap::new(),
             window_slots,
+            ..OfflinePolicy::default()
+        }
+    }
+
+    /// Whether `by_start[k]` still is its user's planned start.
+    fn is_live(&self, k: usize) -> bool {
+        let (start, user_id) = self.by_start[k];
+        self.start_of[user_id] == Some(start)
+    }
+
+    /// Moves `head` past stale entries.
+    fn advance_head(&mut self) {
+        while self.head < self.by_start.len() && !self.is_live(self.head) {
+            self.head += 1;
+        }
+    }
+
+    /// Records `slot` as `user_id`'s start without touching `by_start`.
+    fn record_start(&mut self, user_id: usize, slot: u64) {
+        if user_id >= self.start_of.len() {
+            self.start_of.resize(user_id + 1, None);
+        }
+        if self.start_of[user_id].replace(slot).is_none() {
+            self.planned += 1;
         }
     }
 
     /// Installs (or replaces) the start slot planned for a user.
     pub fn set_start_slot(&mut self, user_id: usize, slot: u64) {
-        self.plan.insert(user_id, slot);
+        self.record_start(user_id, slot);
+        let at = self.by_start.partition_point(|&e| e < (slot, user_id));
+        self.by_start.insert(at, (slot, user_id));
+        self.head = self.head.min(at);
+        self.advance_head();
     }
 
     /// Removes a user's plan entry (after their training started).
     pub fn clear_user(&mut self, user_id: usize) {
-        self.plan.remove(&user_id);
+        if let Some(entry) = self.start_of.get_mut(user_id) {
+            if entry.take().is_some() {
+                self.planned -= 1;
+                self.advance_head();
+            }
+        }
     }
 
     /// Clears the whole plan (at window boundaries).
     pub fn clear(&mut self) {
-        self.plan.clear();
+        for (_, user_id) in self.by_start.drain(..) {
+            self.start_of[user_id] = None;
+        }
+        self.head = 0;
+        self.planned = 0;
     }
 
     /// The planned start slot for a user, if any.
     pub fn planned_slot(&self, user_id: usize) -> Option<u64> {
-        self.plan.get(&user_id).copied()
+        self.start_of.get(user_id).copied().flatten()
     }
 
     /// Number of planned users.
     pub fn planned_len(&self) -> usize {
-        self.plan.len()
+        self.planned
     }
 }
 
 impl SchedulingPolicy for OfflinePolicy {
     fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
-        match self.plan.get(&ctx.user_id) {
-            Some(&start) if ctx.slot >= start => SlotDecision::Schedule,
+        match self.planned_slot(ctx.user_id) {
+            Some(start) if ctx.slot >= start => SlotDecision::Schedule,
             _ => SlotDecision::Idle,
         }
     }
@@ -419,9 +461,14 @@ impl SchedulingPolicy for OfflinePolicy {
 
     fn install_plan(&mut self, plan: &WindowPlan) {
         self.clear();
+        // One sort per window instead of one sorted insert per user; a user
+        // listed twice keeps its last start and leaves a stale first entry.
         for (user_id, slot) in plan.iter() {
-            self.set_start_slot(user_id, slot);
+            self.record_start(user_id, slot);
+            self.by_start.push((slot, user_id));
         }
+        self.by_start.sort_unstable();
+        self.advance_head();
     }
 
     fn notify_scheduled(&mut self, user_id: usize) {
@@ -432,12 +479,16 @@ impl SchedulingPolicy for OfflinePolicy {
         // The policy acts on its own at the next replanning boundary and at
         // the earliest still-pending planned start. Entries at or before
         // `slot` belong to users that already flipped to Schedule (they are
-        // cleared the moment the user is scheduled), so only future starts
-        // can change a waiting user's decision.
+        // cleared the moment the user is scheduled) or that cannot be
+        // decided at all (a planned device that went dark), so only future
+        // starts can change a waiting user's decision — almost always the
+        // entry at `head` itself.
         let boundary = slot
             .checked_div(self.window_slots)
             .map(|w| (w + 1) * self.window_slots);
-        let next_start = self.plan.values().copied().filter(|&s| s > slot).min();
+        let next_start = (self.head..self.by_start.len())
+            .find(|&k| self.by_start[k].0 > slot && self.is_live(k))
+            .map(|k| self.by_start[k].0);
         match (boundary, next_start) {
             (Some(b), Some(s)) => Some(b.min(s)),
             (Some(b), None) => Some(b),
@@ -891,6 +942,42 @@ mod tests {
         q.set_start_slot(1, 30);
         assert_eq!(q.next_wakeup_after(0), Some(30));
         assert_eq!(q.next_wakeup_after(30), None);
+    }
+
+    #[test]
+    fn offline_plan_survives_replans_clears_and_duplicates() {
+        let mut p = OfflinePolicy::new();
+        p.set_start_slot(2, 50);
+        p.set_start_slot(2, 20); // re-planned: the later call wins
+        p.set_start_slot(7, 30);
+        assert_eq!(p.planned_len(), 2);
+        assert_eq!(p.planned_slot(2), Some(20));
+        assert_eq!(p.next_wakeup_after(0), Some(20));
+        assert_eq!(p.next_wakeup_after(20), Some(30));
+        assert_eq!(p.next_wakeup_after(30), None, "the stale 50 never wakes");
+        // Clearing the earliest entry moves the earliest pending start on.
+        p.clear_user(2);
+        p.clear_user(2);
+        p.clear_user(99);
+        assert_eq!(p.planned_len(), 1);
+        assert_eq!(p.next_wakeup_after(0), Some(30));
+        assert_eq!(p.decide(&ctx(2, 60)), SlotDecision::Idle);
+        // An installed plan replaces everything; a user listed twice keeps
+        // its last start.
+        let mut plan = WindowPlan::new();
+        plan.set_start_slot(1, 40);
+        plan.set_start_slot(1, 10);
+        plan.set_start_slot(0, 25);
+        p.install_plan(&plan);
+        assert_eq!(p.planned_len(), 2);
+        assert_eq!(p.planned_slot(7), None);
+        assert_eq!(p.planned_slot(1), Some(10));
+        assert_eq!(p.next_wakeup_after(0), Some(10));
+        assert_eq!(p.next_wakeup_after(10), Some(25));
+        assert_eq!(p.next_wakeup_after(25), None);
+        // A past start that was never cleared (its device went dark) does
+        // not hide the future ones behind it.
+        assert_eq!(p.next_wakeup_after(12), Some(25));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! keeping a per-state breakdown so figures like Fig. 1 (separate vs
 //! co-running energy) can be reproduced.
 
-use std::collections::BTreeMap;
-
 use crate::energy::{Joules, Seconds, Watts};
 use crate::power::{PowerModel, PowerState};
 
@@ -37,6 +35,15 @@ pub enum EnergyComponent {
 }
 
 impl EnergyComponent {
+    /// Every component, in enum (= breakdown) order.
+    pub const ALL: [EnergyComponent; 5] = [
+        EnergyComponent::CoRunning,
+        EnergyComponent::TrainingOnly,
+        EnergyComponent::AppOnly,
+        EnergyComponent::Idle,
+        EnergyComponent::Radio,
+    ];
+
     fn of(state: PowerState) -> Self {
         match state {
             PowerState::CoRunning(_) => EnergyComponent::CoRunning,
@@ -64,7 +71,11 @@ pub struct EnergyProfiler {
     model: PowerModel,
     total: Joules,
     total_time: Seconds,
-    by_component: BTreeMap<EnergyComponent, Joules>,
+    /// Energy per component, indexed by `EnergyComponent as usize`.
+    by_component: [Joules; EnergyComponent::ALL.len()],
+    /// Bit `c as usize` is set once anything was recorded under component
+    /// `c`: the breakdown lists touched components only, even at zero energy.
+    touched: u8,
     segments: Vec<PowerSegment>,
     keep_segments: bool,
 }
@@ -76,7 +87,8 @@ impl EnergyProfiler {
             model,
             total: Joules::ZERO,
             total_time: Seconds(0.0),
-            by_component: BTreeMap::new(),
+            by_component: [Joules::ZERO; EnergyComponent::ALL.len()],
+            touched: 0,
             segments: Vec::new(),
             keep_segments: true,
         }
@@ -94,6 +106,12 @@ impl EnergyProfiler {
         }
     }
 
+    /// The accumulator of `component`, marked as touched.
+    fn component_mut(&mut self, component: EnergyComponent) -> &mut Joules {
+        self.touched |= 1 << component as usize;
+        &mut self.by_component[component as usize]
+    }
+
     /// The underlying power model.
     pub fn model(&self) -> &PowerModel {
         &self.model
@@ -104,10 +122,7 @@ impl EnergyProfiler {
         let energy = self.model.slot_energy(state, duration);
         self.total += energy;
         self.total_time += duration;
-        *self
-            .by_component
-            .entry(EnergyComponent::of(state))
-            .or_insert(Joules::ZERO) += energy;
+        *self.component_mut(EnergyComponent::of(state)) += energy;
         if self.keep_segments {
             self.segments.push(PowerSegment { state, duration });
         }
@@ -130,10 +145,7 @@ impl EnergyProfiler {
             return Joules::ZERO;
         }
         let energy = self.model.slot_energy(state, slot);
-        let component = self
-            .by_component
-            .entry(EnergyComponent::of(state))
-            .or_insert(Joules::ZERO);
+        let component = EnergyComponent::of(state);
         // Accumulate in locals so the four independent dependency chains
         // stay in registers and pipeline, instead of round-tripping through
         // memory every iteration; each chain is still slot-by-slot repeated
@@ -141,7 +153,7 @@ impl EnergyProfiler {
         let (mut total, mut time, mut comp, mut span) = (
             self.total.value(),
             self.total_time.value(),
-            component.value(),
+            self.by_component[component as usize].value(),
             0.0f64,
         );
         let (e, s) = (energy.value(), slot.value());
@@ -153,7 +165,7 @@ impl EnergyProfiler {
         }
         self.total = Joules(total);
         self.total_time = Seconds(time);
-        *component = Joules(comp);
+        *self.component_mut(component) = Joules(comp);
         let span_energy = Joules(span);
         if self.keep_segments {
             self.segments.push(PowerSegment {
@@ -179,18 +191,18 @@ impl EnergyProfiler {
             return;
         }
         let energy = self.model.slot_energy(state, slot);
-        let component = self
-            .by_component
-            .entry(EnergyComponent::of(state))
-            .or_insert(Joules::ZERO);
-        let (mut total, mut comp) = (self.total.value(), component.value());
+        let component = EnergyComponent::of(state);
+        let (mut total, mut comp) = (
+            self.total.value(),
+            self.by_component[component as usize].value(),
+        );
         let e = energy.value();
         for _ in 0..slots {
             total += e;
             comp += e;
         }
         self.total = Joules(total);
-        *component = Joules(comp);
+        *self.component_mut(component) = Joules(comp);
         self.total_time += Seconds(slot.value() * slots as f64);
         if self.keep_segments {
             self.segments.push(PowerSegment {
@@ -204,7 +216,7 @@ impl EnergyProfiler {
     /// controller's decision overhead) under a component label.
     pub fn record_extra(&mut self, component: EnergyComponent, energy: Joules) {
         self.total += energy;
-        *self.by_component.entry(component).or_insert(Joules::ZERO) += energy;
+        *self.component_mut(component) += energy;
     }
 
     /// Total energy recorded so far.
@@ -224,15 +236,16 @@ impl EnergyProfiler {
 
     /// Energy attributed to one component.
     pub fn component_energy(&self, component: EnergyComponent) -> Joules {
-        self.by_component
-            .get(&component)
-            .copied()
-            .unwrap_or(Joules::ZERO)
+        self.by_component[component as usize]
     }
 
     /// The full per-component breakdown, sorted by component.
     pub fn breakdown(&self) -> Vec<(EnergyComponent, Joules)> {
-        self.by_component.iter().map(|(&k, &v)| (k, v)).collect()
+        EnergyComponent::ALL
+            .into_iter()
+            .filter(|&c| self.touched & (1 << c as usize) != 0)
+            .map(|c| (c, self.by_component[c as usize]))
+            .collect()
     }
 
     /// The recorded segments.
@@ -244,7 +257,8 @@ impl EnergyProfiler {
     pub fn reset(&mut self) {
         self.total = Joules::ZERO;
         self.total_time = Seconds(0.0);
-        self.by_component.clear();
+        self.by_component = [Joules::ZERO; EnergyComponent::ALL.len()];
+        self.touched = 0;
         self.segments.clear();
     }
 }
@@ -327,6 +341,35 @@ mod tests {
                 > p.component_energy(EnergyComponent::Idle).value()
         );
         assert_eq!(EnergyComponent::CoRunning.label(), "co-running");
+    }
+
+    #[test]
+    fn breakdown_lists_touched_components_only_in_enum_order() {
+        for (i, c) in EnergyComponent::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "ALL must follow the enum order");
+        }
+        let mut p = profiler();
+        assert!(p.breakdown().is_empty());
+        // Recorded out of enum order, one of them at zero energy: a touched
+        // component is listed even when it holds nothing.
+        p.record_extra(EnergyComponent::Radio, Joules::ZERO);
+        p.record_span_lean(PowerState::Idle, Seconds(1.0), 3);
+        p.record(PowerState::CoRunning(AppKind::Map), Seconds(1.0));
+        let listed: Vec<EnergyComponent> = p.breakdown().into_iter().map(|(c, _)| c).collect();
+        assert_eq!(
+            listed,
+            [
+                EnergyComponent::CoRunning,
+                EnergyComponent::Idle,
+                EnergyComponent::Radio
+            ]
+        );
+        assert_eq!(p.component_energy(EnergyComponent::Radio), Joules::ZERO);
+        assert_eq!(p.component_energy(EnergyComponent::AppOnly), Joules::ZERO);
+        // A zero-slot span touches nothing.
+        p.record_span(PowerState::TrainingOnly, Seconds(1.0), 0);
+        p.record_span_lean(PowerState::TrainingOnly, Seconds(1.0), 0);
+        assert_eq!(p.breakdown().len(), 3);
     }
 
     #[test]

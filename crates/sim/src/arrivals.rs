@@ -32,8 +32,7 @@ impl ArrivalSchedule {
     ///
     /// `probability` is the per-slot Bernoulli arrival probability; arrivals
     /// that would overlap a previous one of the same user are still recorded
-    /// (the engine ignores arrivals while an app is already running, matching
-    /// a user who switches apps).
+    /// (the engine ignores them — see [`ArrivalIndex`]).
     pub fn generate(num_users: usize, total_slots: u64, probability: f64, seed: u64) -> Self {
         let probability = probability.clamp(0.0, 1.0);
         let mut per_user = Vec::with_capacity(num_users);
@@ -139,6 +138,86 @@ impl ArrivalSchedule {
     /// Total number of arrivals across all users.
     pub fn total_arrivals(&self) -> usize {
         self.per_user.iter().map(Vec::len).sum()
+    }
+}
+
+/// The arrivals of an [`ArrivalSchedule`] bucketed by slot: a compressed
+/// sparse row index over the per-user lists (which stay, because the offline
+/// planner looks ahead per user). The event-indexed slot loop reads one
+/// bucket per slot instead of asking every user whether it has an arrival.
+///
+/// **Which arrivals count** is decided where a bucket is consumed, and it
+/// is the one rule of the whole engine: an arrival is *ignored* — not
+/// queued, not swapped in — while the user's previous application is still
+/// in the foreground, and while the device is offline (a dark phone
+/// launches nothing). The index therefore lists every generated arrival,
+/// exactly once, and the engine drops the ones that find the device busy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArrivalIndex {
+    /// `offsets[s]..offsets[s + 1]` is the bucket of slot `s`.
+    offsets: Vec<usize>,
+    /// Arrival users, bucket by bucket, ascending within a bucket.
+    users: Vec<u32>,
+    /// The application of each arrival, parallel to `users`.
+    apps: Vec<AppKind>,
+}
+
+impl ArrivalIndex {
+    /// Buckets every arrival of `schedule` before `total_slots` by slot — a
+    /// counting sort, so each bucket lists its users in ascending order.
+    pub fn build(schedule: &ArrivalSchedule, total_slots: u64) -> Self {
+        let slots = total_slots as usize;
+        let in_horizon = |a: &&AppArrival| a.slot < total_slots;
+        let mut offsets = vec![0usize; slots + 1];
+        for user in 0..schedule.num_users() {
+            for a in schedule.arrivals_for(user).iter().filter(in_horizon) {
+                offsets[a.slot as usize + 1] += 1;
+            }
+        }
+        for s in 0..slots {
+            offsets[s + 1] += offsets[s];
+        }
+        let total = offsets[slots];
+        let mut users = vec![0u32; total];
+        let mut apps = vec![AppKind::ALL[0]; total];
+        let mut fill = offsets.clone();
+        for user in 0..schedule.num_users() {
+            for a in schedule.arrivals_for(user).iter().filter(in_horizon) {
+                let at = &mut fill[a.slot as usize];
+                users[*at] = user as u32;
+                apps[*at] = a.app;
+                *at += 1;
+            }
+        }
+        ArrivalIndex {
+            offsets,
+            users,
+            apps,
+        }
+    }
+
+    /// Number of indexed arrivals.
+    pub fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// Whether no arrival is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.users.is_empty()
+    }
+
+    /// The positions of the arrivals of `slot` (empty past the horizon);
+    /// resolve each with [`get`](Self::get).
+    pub fn bucket(&self, slot: u64) -> std::ops::Range<usize> {
+        match self.offsets.get(slot as usize..slot as usize + 2) {
+            Some(&[from, to]) => from..to,
+            _ => 0..0,
+        }
+    }
+
+    /// The `(user, application)` of the arrival at position `at`.
+    pub fn get(&self, at: usize) -> (usize, AppKind) {
+        (self.users[at] as usize, self.apps[at])
     }
 }
 
@@ -271,6 +350,49 @@ mod tests {
         );
         // Out-of-range users are empty.
         assert_eq!(ArrivalCursor::new().next_at_or_after(&sched, 9, 0), None);
+    }
+
+    #[test]
+    fn index_lists_every_arrival_once_in_slot_then_user_order() {
+        use fedco_world::arrival::ArrivalSpec;
+        for spec in ArrivalSpec::ALL {
+            let (users, slots) = (70, 2_000);
+            let sched = ArrivalSchedule::from_model(spec.model().as_ref(), users, slots, 0.02, 5);
+            let index = ArrivalIndex::build(&sched, slots);
+            assert_eq!(index.len(), sched.total_arrivals(), "{spec:?}");
+            assert!(!index.is_empty());
+            // Walking the buckets in slot order yields (slot, user) strictly
+            // ascending, and exactly the per-user lists when regrouped.
+            let mut regrouped: Vec<Vec<AppArrival>> = vec![Vec::new(); users];
+            let mut last = None;
+            for slot in 0..slots {
+                for at in index.bucket(slot) {
+                    let (user, app) = index.get(at);
+                    assert!(last < Some((slot, user)), "{spec:?}: order broke");
+                    last = Some((slot, user));
+                    regrouped[user].push(AppArrival { slot, app });
+                }
+            }
+            for (user, arrivals) in regrouped.iter().enumerate() {
+                assert_eq!(arrivals, sched.arrivals_for(user), "{spec:?} user {user}");
+            }
+            assert!(index.bucket(slots).is_empty() && index.bucket(slots + 9).is_empty());
+        }
+        // Arrivals at or past the indexed horizon are left out; no arrivals
+        // at all is an empty index.
+        let sched = ArrivalSchedule::generate(3, 400, 0.05, 2);
+        let cut = ArrivalIndex::build(&sched, 100);
+        let kept: usize = (0..3)
+            .map(|u| {
+                sched
+                    .arrivals_for(u)
+                    .iter()
+                    .filter(|a| a.slot < 100)
+                    .count()
+            })
+            .sum();
+        assert_eq!(cut.len(), kept);
+        assert!(ArrivalIndex::build(&ArrivalSchedule::generate(3, 400, 0.0, 2), 400).is_empty());
     }
 
     #[test]

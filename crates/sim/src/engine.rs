@@ -6,6 +6,38 @@
 //! on synthetic CIFAR-like shards via `fedco-neural`), and the scheduling
 //! policies (`fedco-core`). One run reproduces the paper's 3-hour testbed
 //! experiment for a chosen policy and parameter set.
+//!
+//! # The slot loop
+//!
+//! A slot runs world check → planning → arrivals → census → decisions →
+//! power → timer expiry → completions → round barrier → queue dynamics →
+//! recording ([`Simulation::run_dense`] steps every slot this way, each
+//! per-user phase a plain scan of the fleet). Algorithm 2 of the paper only
+//! ever acts on devices *holding a pending task*, and a device that is
+//! mid-epoch, or whose application timer is running down, does nothing
+//! until its next event — so [`Simulation::run`] drives the same slot from
+//! event indices and a dense slot costs what happens in it, not the size
+//! of the fleet:
+//!
+//! * arrivals are bucketed by slot once, at construction
+//!   ([`ArrivalIndex`]);
+//! * application expiries and epoch completions are absolute deadlines in
+//!   one calendar, popped in `(slot, user)` order and checked against
+//!   the arena, so a device that went dark leaves only a stale entry;
+//! * the arena counts training / waiting / online users at every phase
+//!   transition and keeps the waiting users as an ascending set, which
+//!   drives the decision loop, the skip-horizon scan and the span replay;
+//! * power is *state since slot S* per user, written to a profiler only
+//!   when the state changes or something else is charged.
+//!
+//! What stays per waiting user per slot is what the paper's controller
+//! really does — the Eq. 21 decision, its Table III energy overhead, the
+//! `+ε` gap step — and what stays per user per slot is the fixed-order
+//! `gap_sum` fold that feeds Eq. 16 (and, inside the profilers, the
+//! repeated-addition energy chains): both define the bits. The `phases`
+//! module holds the two implementations of each phase and the argument for
+//! why they agree bit for bit; between dense slots, quiescent spans are
+//! fast-forwarded (see [`Simulation::run`]).
 
 use std::sync::Arc;
 
@@ -16,7 +48,6 @@ use fedco_core::offline::{OfflineScheduler, OfflineUser};
 use fedco_core::online::{OnlineDecisionInput, SlotOutcome, WaitingSpanProbe};
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
 use fedco_core::spec::PolicyBuildContext;
-use fedco_device::energy::Joules;
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
 use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
 use fedco_fl::aggregation::AsyncUpdateRule;
@@ -36,9 +67,11 @@ use fedco_world::battery::BatteryParams;
 use fedco_world::churn::ChurnSpec;
 use fedco_world::CHECK_EVERY_SLOTS;
 
-use crate::arrivals::{ArrivalCursor, ArrivalSchedule};
+use crate::arrivals::{ArrivalCursor, ArrivalIndex, ArrivalSchedule};
 use crate::clock::SimClock;
 use crate::experiment::{ConfigError, SimConfig};
+use crate::index::{Calendar, Deadline, Due};
+use crate::phases::NOT_ACCRUING;
 use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
 use crate::user::{TrainingPhase, UserArena};
 
@@ -58,6 +91,16 @@ pub struct EngineStats {
     pub fast_forwarded_slots: u64,
     /// Number of fast-forwarded spans.
     pub spans: u64,
+    /// Per-user state touches made by the phases of dense slots and by the
+    /// application of spans: one for every user a phase looks at or updates
+    /// (a decision, an arrival, a deadline, a power settlement, an idle
+    /// replay, a fleet-wide flush or world check). The plain scans of
+    /// [`Simulation::run_dense`] pay `users` per phase per slot; the
+    /// event-indexed [`Simulation::run`] pays for what happens. The
+    /// read-only look-ahead between dense slots (one pass over the waiting
+    /// users to bound the next span) is not included. Deterministic — a
+    /// count, not a timing.
+    pub user_visits: u64,
 }
 
 impl EngineStats {
@@ -105,6 +148,16 @@ struct RunAccum {
     total_lag: u64,
     max_lag: u64,
     last_accuracy: Option<f32>,
+}
+
+/// What the decisions of one slot add up to, for the queue dynamics.
+#[derive(Debug, Default)]
+struct DecisionTally {
+    /// Users whose training was scheduled this slot.
+    scheduled: usize,
+    /// The backlog those users had accumulated while waiting, in
+    /// user-slots.
+    drained_wait_slots: usize,
 }
 
 /// Per-user battery bookkeeping of a world-enabled run, advanced only at
@@ -164,6 +217,8 @@ pub struct Simulation {
     pub(crate) config: SimConfig,
     pub(crate) clock: SimClock,
     pub(crate) arrivals: ArrivalSchedule,
+    /// The same arrivals bucketed by slot, for the event-indexed loop.
+    pub(crate) arrival_index: ArrivalIndex,
     pub(crate) arrival_cursors: Vec<ArrivalCursor>,
     pub(crate) users: UserArena,
     pub(crate) profilers: Vec<EnergyProfiler>,
@@ -175,12 +230,14 @@ pub struct Simulation {
     rng: SmallRng,
     base_params: Vec<ParamVector>,
     sync_buffer: Vec<LocalUpdate>,
-    stats: EngineStats,
-    /// `true` while driven by [`Simulation::run`]: power accounting is
-    /// deferred into per-user pending spans (flushed on every state change,
+    pub(crate) stats: EngineStats,
+    /// `true` while driven by [`Simulation::run`]: the slot phases run from
+    /// the event indices instead of scanning the arena, power accounting is
+    /// kept as open per-user spans (closed on every state change,
     /// extra-energy charge, trace snapshot, and at the end of the run) and
     /// per-slot work that a quiescence-certified policy makes unobservable
-    /// is elided. `run_dense` keeps the eager reference behaviour.
+    /// is elided. `run_dense` keeps the plain-scan, eager reference
+    /// behaviour.
     pub(crate) event_mode: bool,
     /// Cached [`SchedulingPolicy::quiescent_while_waiting`] for this run.
     policy_quiescent: bool,
@@ -188,10 +245,27 @@ pub struct Simulation {
     /// a non-quiescent policy that can still commit waiting spans in bulk
     /// (the Online controller's closed-form Lyapunov evolution).
     policy_waiting_capable: bool,
-    /// Per-user pending power state not yet flushed to the profiler.
-    pub(crate) pending_state: Vec<PowerState>,
-    /// Slots accumulated in the pending state (0 = nothing pending).
-    pub(crate) pending_slots: Vec<u64>,
+    /// Application expiries and epoch completions by the slot they fall
+    /// due (event mode only; a dense run files nothing).
+    pub(crate) calendar: Calendar,
+    /// The power state each user has been accruing in since
+    /// `power_since[i]`, not yet recorded in its profiler.
+    pub(crate) power_state: Vec<PowerState>,
+    /// The first slot of each user's open power span
+    /// ([`NOT_ACCRUING`] while the device is offline).
+    pub(crate) power_since: Vec<u64>,
+    /// The slot boundary up to which every accruing user has accrued: the
+    /// current slot before its power phase, the next one after it.
+    pub(crate) accrued_to: u64,
+    /// Users whose phase or application changed since power last accrued.
+    pub(crate) dirty: Vec<u32>,
+    /// The users whose epoch completed in the current slot's tick,
+    /// ascending, with their co-running flag.
+    pub(crate) completed: Vec<(usize, bool)>,
+    /// Reused buffers of [`Simulation::fast_forward`]: the waiting users
+    /// and their decision inputs handed to the policy's span probe.
+    probe_waiting: Vec<usize>,
+    probe_inputs: Vec<OnlineDecisionInput>,
     /// World-model runtime (`None` when the configured world needs no check
     /// slots — the paper-default world, which keeps this path zero-cost).
     world: Option<WorldRuntime>,
@@ -233,6 +307,7 @@ impl Simulation {
             config.arrival_probability,
             config.seed,
         );
+        let arrival_index = ArrivalIndex::build(&arrivals, config.total_slots);
         // Struct-of-arrays user state; one shared DeviceProfile allocation
         // per distinct device kind instead of one copy per user.
         let users = UserArena::build(config.num_users, config.scheduler.epsilon, |i| {
@@ -364,12 +439,13 @@ impl Simulation {
         };
 
         let arrival_cursors = vec![ArrivalCursor::new(); users.len()];
-        let pending_state = vec![PowerState::Idle; users.len()];
-        let pending_slots = vec![0u64; users.len()];
+        let power_state = vec![PowerState::Idle; users.len()];
+        let power_since = vec![NOT_ACCRUING; users.len()];
         let mut sim = Simulation {
             config,
             clock,
             arrivals,
+            arrival_index,
             arrival_cursors,
             users,
             profilers,
@@ -385,8 +461,14 @@ impl Simulation {
             event_mode: false,
             policy_quiescent: false,
             policy_waiting_capable: false,
-            pending_state,
-            pending_slots,
+            calendar: Calendar::default(),
+            power_state,
+            power_since,
+            accrued_to: 0,
+            dirty: Vec::new(),
+            completed: Vec::new(),
+            probe_waiting: Vec::new(),
+            probe_inputs: Vec::new(),
             world,
             telemetry: None,
         };
@@ -539,17 +621,15 @@ impl Simulation {
         let window = self.window_slots();
         let now_s = slot as f64 * self.config.slot_seconds;
         let velocity = self.velocity_norm();
+        // Per waiting user, ascending: its planner description and the slot
+        // of its first arrival in the window, if any.
         let mut window_users = Vec::new();
-        let mut arrival_slot_of = std::collections::BTreeMap::new();
-        for i in 0..self.users.len() {
-            if !self.users.is_waiting(i) {
-                continue;
-            }
+        let mut arrival_slots = Vec::new();
+        for i in self.users.waiting() {
             let profile = self.users.profile(i);
             let arrival = self.arrivals.first_arrival_in_window(i, slot, window);
             let (arrival_s, saving_j) = match arrival {
                 Some(a) => {
-                    arrival_slot_of.insert(i, a.slot);
                     let t_train = profile.training_time().value();
                     let t_corun = profile.corun_time(a.app).value();
                     let separate = profile.training_power().value() * t_train
@@ -562,6 +642,7 @@ impl Simulation {
                 }
                 None => (None, 0.0),
             };
+            arrival_slots.push(arrival.map(|a| a.slot));
             window_users.push(OfflineUser {
                 id: i,
                 ready_time_s: now_s,
@@ -570,21 +651,22 @@ impl Simulation {
                 energy_saving_j: saving_j,
             });
         }
+        self.stats.user_visits += window_users.len() as u64;
         let solution = self
             .offline_scheduler
             .schedule_window(&window_users, velocity);
+        let mut selected = vec![false; self.users.len()];
+        for &user_id in &solution.selected {
+            selected[user_id] = true;
+        }
         let mut plan = WindowPlan::new();
-        for wu in &window_users {
-            if wu.app_arrival_s.is_none() {
-                continue;
-            }
-            let user_id = wu.id;
-            if solution.is_selected(user_id) {
-                plan.set_start_slot(user_id, arrival_slot_of[&user_id]);
-            } else {
-                // Rejected co-run opportunities execute separately right
-                // away to keep their staleness out of the budget.
-                plan.set_start_slot(user_id, slot);
+        for (wu, arrival_slot) in window_users.iter().zip(arrival_slots) {
+            // Selected co-run opportunities start with their application;
+            // rejected ones execute separately right away to keep their
+            // staleness out of the budget; users without an arrival wait.
+            if let Some(arrival_slot) = arrival_slot {
+                let start = if selected[wu.id] { arrival_slot } else { slot };
+                plan.set_start_slot(wu.id, start);
             }
         }
         self.policy.install_plan(&plan);
@@ -694,18 +776,14 @@ impl Simulation {
         self.users.become_waiting(user_id, snapshot.version);
     }
 
-    /// Takes user `i` dark: pending power lands first (the last energy the
-    /// device accrues), any running training epoch is aborted and its work
-    /// lost, and the foreground app is dropped. Mirrors a phone dying
-    /// mid-epoch — the server never hears from it.
+    /// Takes user `i` dark: its open power span lands first (the last
+    /// energy the device accrues), any running training epoch is aborted
+    /// and its work lost, and the foreground app is dropped — whatever
+    /// deadlines it had filed in the calendar are stale from here on.
+    /// Mirrors a phone dying mid-epoch — the server never hears from it.
     fn go_offline(&mut self, i: usize) {
-        self.flush_pending(i);
-        self.users.phase[i] = TrainingPhase::Offline;
-        self.users.current_app[i] = None;
-        self.users.app_remaining_slots[i] = 0;
-        self.users.gap[i] = 0.0;
-        self.users.current_wait_slots[i] = 0;
-        self.users.last_decision_app[i] = None;
+        self.stop_accruing(i);
+        self.users.go_offline(i);
     }
 
     /// Brings user `i` back online: a fresh download of the current global
@@ -721,6 +799,7 @@ impl Simulation {
         }
         self.base_params[i] = snapshot.params;
         self.users.become_waiting(i, snapshot.version);
+        self.mark_dirty(i);
     }
 
     /// The world check: battery accounting, churn transitions and the
@@ -734,6 +813,7 @@ impl Simulation {
         };
         let elapsed = slot - w.last_check_slot;
         w.last_check_slot = slot;
+        self.stats.user_visits += self.users.len() as u64;
         for i in 0..self.users.len() {
             if let Some(b) = w.battery.as_mut() {
                 // Debit exactly the energy accrued since the last check
@@ -792,9 +872,9 @@ impl Simulation {
             // the round barrier already uploaded; they go dark at requeue
             // time instead, so the sync buffer stays consistent.
             let wants_offline = w.wants_offline(i);
-            let is_offline = matches!(self.users.phase[i], TrainingPhase::Offline);
+            let is_offline = matches!(self.users.phase(i), TrainingPhase::Offline);
             if wants_offline && !is_offline {
-                if !matches!(self.users.phase[i], TrainingPhase::RoundBarrier) {
+                if !matches!(self.users.phase(i), TrainingPhase::RoundBarrier) {
                     self.go_offline(i);
                 }
             } else if !wants_offline && is_offline {
@@ -860,7 +940,12 @@ impl Simulation {
         self.event_mode = event_mode;
         self.policy_quiescent = self.policy.quiescent_while_waiting();
         self.policy_waiting_capable = self.policy.can_fast_forward_waiting();
-        self.pending_slots.iter_mut().for_each(|s| *s = 0);
+        if event_mode {
+            // Every user starts accruing at the first power phase, which
+            // looks at all of them once; nothing is due yet.
+            self.calendar = Calendar::new(self.config.total_slots);
+            self.dirty = (0..self.users.len() as u32).collect();
+        }
         if let Some(w) = self.world.as_mut() {
             w.last_check_slot = 0;
             w.battery_dead.iter_mut().for_each(|d| *d = false);
@@ -887,10 +972,79 @@ impl Simulation {
         }
     }
 
+    /// Slot phase 2 for one waiting user: the policy's decision, its energy
+    /// overhead, and the outcome — training starts, or one more idle slot.
+    fn decide_user(
+        &mut self,
+        i: usize,
+        slot: u64,
+        predicted: GradientGap,
+        tally: &mut DecisionTally,
+    ) {
+        let status = self.users.app_status(i);
+        self.users.last_decision_app[i] = Some(status);
+        let idle_gap = GradientGap(self.users.gap[i] + self.config.scheduler.epsilon);
+        let input =
+            OnlineDecisionInput::from_profile(self.users.profile(i), status, predicted, idle_gap);
+        let ctx = UserSlotContext {
+            user_id: i,
+            slot,
+            app_status: status,
+            input,
+        };
+        let decision = self.policy.decide(&ctx);
+        // Charge the decision-computation overhead the policy declares
+        // (Table III measures it for the online controller; the baselines
+        // decide for free).
+        let overhead_fraction = self.policy.decision_energy_overhead();
+        if self.config.decision_overhead && overhead_fraction > 0.0 {
+            let extra = self.decision_overhead(i, overhead_fraction);
+            self.flush_pending(i);
+            self.profilers[i].record_extra(EnergyComponent::Idle, extra);
+        }
+        match decision {
+            SlotDecision::Schedule => {
+                let corunning = status.is_app();
+                let duration_s = match status {
+                    AppStatus::App(app) => self.users.profile(i).corun_time(app).value(),
+                    AppStatus::NoApp => self.users.profile(i).training_time().value(),
+                };
+                let slots = self.clock.slots_for(duration_s);
+                tally.drained_wait_slots += self.users.current_wait_slots[i] as usize + 1;
+                let until = self.users.start_training(i, slot, slots, corunning);
+                self.file_deadline(i, until, Deadline::EpochDone);
+                self.users.gap_schedule(i, predicted);
+                tally.scheduled += 1;
+                self.policy.notify_scheduled(i);
+                // Schedule outcomes always happen at dense slots in both
+                // drivers, so they are semantic events.
+                if let Some(t) = &self.telemetry {
+                    t.sink.record(Event::new(
+                        slot,
+                        EventKind::Schedule {
+                            user: i as u64,
+                            corun: corunning,
+                        },
+                    ));
+                }
+            }
+            SlotDecision::Idle => {
+                // Still waiting at the end of this slot: the gap grows by
+                // `ε` and the slot counts as waited.
+                self.users.idle_slot(i);
+                // Idle outcomes repeat every waiting slot and are elided
+                // wholesale by event-driven skips: counted into the driver
+                // channel, never emitted per slot.
+                if let Some(t) = self.telemetry.as_mut() {
+                    t.idle_decisions += 1;
+                }
+            }
+        }
+    }
+
     /// Executes one full dense slot (the reference per-slot semantics) and
     /// advances the clock by one.
     fn step_slot(&mut self, acc: &mut RunAccum) {
-        let slot_len = self.slot_len();
         {
             let slot = self.clock.slot();
             let now_s = self.clock.now_s();
@@ -940,92 +1094,43 @@ impl Simulation {
             } else {
                 0.0
             };
-            let mut scheduled_count = 0usize;
-            let mut drained_wait_slots = 0usize;
             // The momentum-predicted gap only depends on slot-wide state
-            // (training count and velocity), so it is hoisted out of the
-            // per-user loop — bit-identical to recomputing it per user.
+            // (training count and velocity), so it is computed once per
+            // slot — bit-identical to recomputing it per user.
             let predicted = self
                 .predictor
                 .predict_gap(Lag(training_now.max(1)), velocity);
-            for i in 0..self.users.len() {
-                if !self.users.is_waiting(i) {
-                    continue;
+            // The waiting users, ascending: read off the waiting set, or
+            // (the reference) filtered out of a scan of the fleet. A user
+            // leaves the set when it is scheduled; none joins mid-loop.
+            let mut tally = DecisionTally::default();
+            if self.event_mode {
+                self.stats.user_visits += waiting_at_start as u64;
+                let mut next = self.users.next_waiting(0);
+                while let Some(i) = next {
+                    self.decide_user(i, slot, predicted, &mut tally);
+                    next = self.users.next_waiting(i + 1);
                 }
-                let status = self.users.app_status(i);
-                self.users.last_decision_app[i] = Some(status);
-                let idle_gap = GradientGap(self.users.gap[i] + self.config.scheduler.epsilon);
-                let input = OnlineDecisionInput::from_profile(
-                    self.users.profile(i),
-                    status,
-                    predicted,
-                    idle_gap,
-                );
-                let ctx = UserSlotContext {
-                    user_id: i,
-                    slot,
-                    app_status: status,
-                    input,
-                };
-                let decision = self.policy.decide(&ctx);
-                // Charge the decision-computation overhead the policy
-                // declares (Table III measures it for the online
-                // controller; the baselines decide for free).
-                let overhead_fraction = self.policy.decision_energy_overhead();
-                if self.config.decision_overhead && overhead_fraction > 0.0 {
-                    let profile = self.users.profile(i);
-                    let extra = (profile.decision_power_w - profile.idle_power_w).max(0.0)
-                        * overhead_fraction;
-                    self.flush_pending(i);
-                    self.profilers[i]
-                        .record_extra(EnergyComponent::Idle, Joules(extra * slot_len.value()));
-                }
-                match decision {
-                    SlotDecision::Schedule => {
-                        let corunning = status.is_app();
-                        let duration_s = match status {
-                            AppStatus::App(app) => self.users.profile(i).corun_time(app).value(),
-                            AppStatus::NoApp => self.users.profile(i).training_time().value(),
-                        };
-                        let slots = self.clock.slots_for(duration_s);
-                        drained_wait_slots += self.users.current_wait_slots[i] as usize + 1;
-                        self.users.start_training(i, slots, corunning);
-                        self.users.gap_schedule(i, predicted);
-                        scheduled_count += 1;
-                        self.policy.notify_scheduled(i);
-                        // Schedule outcomes always happen at dense slots in
-                        // both drivers, so they are semantic events.
-                        if let Some(t) = &self.telemetry {
-                            t.sink.record(Event::new(
-                                slot,
-                                EventKind::Schedule {
-                                    user: i as u64,
-                                    corun: corunning,
-                                },
-                            ));
-                        }
-                    }
-                    SlotDecision::Idle => {
-                        self.users.gap_idle_slot(i);
-                        // Idle outcomes repeat every waiting slot and are
-                        // elided wholesale by event-driven skips: counted
-                        // into the driver channel, never emitted per slot.
-                        if let Some(t) = self.telemetry.as_mut() {
-                            t.idle_decisions += 1;
-                        }
+            } else {
+                self.stats.user_visits += self.users.len() as u64;
+                for i in 0..self.users.len() {
+                    if self.users.is_waiting(i) {
+                        self.decide_user(i, slot, predicted, &mut tally);
                     }
                 }
             }
 
-            // (3) Energy accounting and (4) timer advance. The event
-            // driver defers each user's slot into a pending span flushed on
-            // state changes (batching the identical per-slot additions);
-            // the dense reference records eagerly.
-            self.phase_power();
-            let completed = self.phase_tick();
+            // (3) Energy accounting and (4) timer expiry. The event driver
+            // keeps each user's power as an open span closed on state
+            // changes (batching the identical per-slot additions) and pops
+            // the slot's deadlines off the calendar; the dense reference
+            // records and checks every user, every slot.
+            self.phase_power(slot);
+            self.phase_tick(slot);
 
             // (5) Apply completed epochs to the server.
-            for (user_id, corunning) in completed {
+            let mut completed = std::mem::take(&mut self.completed);
+            for (user_id, corunning) in completed.drain(..) {
                 if corunning {
                     acc.corun_epochs += 1;
                 }
@@ -1083,20 +1188,15 @@ impl Simulation {
                     self.requeue_user(user_id, slot);
                 }
             }
+            self.completed = completed;
 
             // (6) Round barrier: aggregate once every *online* participant
             // is done. Offline users neither train nor push, so the round
             // closes over the users the world left standing (with the
             // paper-default world the count is exactly the fleet size).
-            let barrier_ready = self.policy.round_barrier() && !self.sync_buffer.is_empty() && {
-                let online = self
-                    .users
-                    .phase
-                    .iter()
-                    .filter(|p| !matches!(p, TrainingPhase::Offline))
-                    .count();
-                self.sync_buffer.len() == online
-            };
+            let barrier_ready = self.policy.round_barrier()
+                && !self.sync_buffer.is_empty()
+                && self.sync_buffer.len() == self.online_users();
             if barrier_ready {
                 let buffer = std::mem::take(&mut self.sync_buffer);
                 let mean_gap: f64 = if self.config.collect_traces {
@@ -1127,8 +1227,9 @@ impl Simulation {
                         corun: false,
                     });
                 }
+                self.stats.user_visits += self.users.len() as u64;
                 for i in 0..self.users.len() {
-                    if !matches!(self.users.phase[i], TrainingPhase::Offline) {
+                    if !matches!(self.users.phase(i), TrainingPhase::Offline) {
                         self.requeue_user(i, slot);
                     }
                 }
@@ -1142,10 +1243,10 @@ impl Simulation {
             if !(self.event_mode && self.policy_quiescent) {
                 // fedco-audit: allow(float-reduction): fixed-order reduction over the gap lane — deterministic by construction
                 let gap_sum: f64 = self.users.gap.iter().sum();
-                let arrivals = waiting_at_start.saturating_sub(scheduled_count);
+                let arrivals = waiting_at_start.saturating_sub(tally.scheduled);
                 self.policy.end_of_slot(&SlotOutcome {
                     arrivals,
-                    scheduled: drained_wait_slots,
+                    scheduled: tally.drained_wait_slots,
                     gap_sum,
                 });
                 acc.queue_sum += self.policy.queue_backlog();
@@ -1243,42 +1344,33 @@ impl Simulation {
             // waiting user's decision flips, and replays its queue
             // evolution over exactly that prefix. The flip slot runs
             // densely afterwards.
-            let waiting: Vec<usize> = (0..self.users.len())
-                .filter(|&i| self.users.is_waiting(i))
-                .collect();
-            if !waiting.is_empty() {
+            if self.users.waiting_count() > 0 {
                 debug_assert!(self.policy_waiting_capable);
-                let mut training_now = 0u64;
-                for phase in &self.users.phase {
-                    if matches!(phase, TrainingPhase::Training { .. }) {
-                        training_now += 1;
-                    }
-                }
                 // Frozen for the whole span: no completion reaches the
                 // server before the horizon, so the momentum norm — and
                 // with it the predicted gap — cannot change mid-span.
                 let velocity = self.velocity_norm();
                 let predicted = self
                     .predictor
-                    .predict_gap(Lag(training_now.max(1)), velocity);
-                let inputs: Vec<OnlineDecisionInput> = waiting
-                    .iter()
-                    .map(|&i| {
-                        OnlineDecisionInput::from_profile(
-                            self.users.profile(i),
-                            self.users.app_status(i),
-                            predicted,
-                            GradientGap(0.0),
-                        )
-                    })
-                    .collect();
+                    .predict_gap(Lag(self.users.training_count().max(1)), velocity);
+                self.probe_waiting.clear();
+                self.probe_inputs.clear();
+                for i in self.users.waiting() {
+                    self.probe_waiting.push(i);
+                    self.probe_inputs.push(OnlineDecisionInput::from_profile(
+                        self.users.profile(i),
+                        self.users.app_status(i),
+                        predicted,
+                        GradientGap(0.0),
+                    ));
+                }
                 let probe = WaitingSpanProbe {
                     start_slot: cur,
                     limit: n,
                     epsilon: self.config.scheduler.epsilon,
                     gaps: &self.users.gap,
-                    waiting: &waiting,
-                    inputs: &inputs,
+                    waiting: &self.probe_waiting,
+                    inputs: &self.probe_inputs,
                 };
                 let committed =
                     self.policy
@@ -1362,53 +1454,55 @@ impl Simulation {
             h = h.min(cur + (CHECK_EVERY_SLOTS - rem));
         }
 
-        let quiescent = self.policy_quiescent;
-        let overhead_charged =
-            self.config.decision_overhead && self.policy.decision_energy_overhead() > 0.0;
-        for i in 0..self.users.len() {
-            match self.users.phase[i] {
-                TrainingPhase::Waiting => {
-                    // Skipping waiting users' decisions needs the policy's
-                    // certification, and the certificate only covers an
-                    // unchanged app status: a user requeued during the last
-                    // dense slot has not been decided at all, and one whose
-                    // app expired (or arrived) since its last decision must
-                    // be re-decided densely.
-                    if quiescent {
-                        if overhead_charged {
-                            return cur;
-                        }
-                    } else if !self.policy_waiting_capable {
-                        return cur;
-                    }
-                    match self.users.last_decision_app[i] {
-                        Some(status) if status == self.users.app_status(i) => {}
-                        _ => return cur,
-                    }
-                    if self.users.app_remaining_slots[i] > 0 {
-                        // The idle decision may flip when the app expires
-                        // (first visible at `cur + remaining`).
-                        h = h.min(cur + self.users.app_remaining_slots[i]);
-                    } else if let Some(a) =
-                        self.arrival_cursors[i].next_at_or_after(&self.arrivals, i, cur)
-                    {
-                        // ... or when a new application arrives.
-                        h = h.min(a.slot);
-                    }
+        // Waiting users. Skipping their decisions needs the policy's
+        // certification, and the certificate only covers an unchanged app
+        // status: a user requeued during the last dense slot has not been
+        // decided at all, and one whose app expired (or arrived) since its
+        // last decision must be re-decided densely.
+        if self.users.waiting_count() > 0 {
+            if self.policy_quiescent {
+                let overhead_charged =
+                    self.config.decision_overhead && self.policy.decision_energy_overhead() > 0.0;
+                if overhead_charged {
+                    return cur;
                 }
-                TrainingPhase::Training {
-                    remaining_slots, ..
-                } => {
-                    // The completion is processed inside slot
-                    // `cur + remaining - 1`, which must run densely.
-                    h = h.min(cur + remaining_slots - 1);
-                }
-                // Inert until a world check slot flips them — and those are
-                // already forced dense above.
-                TrainingPhase::RoundBarrier | TrainingPhase::Offline => {}
-            }
-            if h <= cur {
+            } else if !self.policy_waiting_capable {
                 return cur;
+            }
+            for i in self.users.waiting() {
+                match self.users.last_decision_app[i] {
+                    Some(status) if status == self.users.app_status(i) => {}
+                    _ => return cur,
+                }
+                if self.users.app_running(i) {
+                    // The idle decision may flip when the app expires
+                    // (first visible at its deadline).
+                    h = h.min(self.users.app_until[i]);
+                } else if let Some(a) =
+                    self.arrival_cursors[i].next_at_or_after(&self.arrivals, i, cur)
+                {
+                    // ... or when a new application arrives.
+                    h = h.min(a.slot);
+                }
+                if h <= cur {
+                    return cur;
+                }
+            }
+        }
+
+        // Training users: an epoch due at `until` completes inside slot
+        // `until - 1`, which must run densely. The earliest live one in the
+        // calendar is the bound; users at the round barrier or offline are
+        // inert until a world check flips them — and those slots are
+        // already forced dense above.
+        if self.users.training_count() > 0 {
+            let users = &self.users;
+            let epoch_done = |until, d: Due| {
+                d.what == Deadline::EpochDone
+                    && users.epoch_done_at(d.user as usize, until).is_some()
+            };
+            if let Some(until) = self.calendar.first_slot_with(cur + 1, h, epoch_done) {
+                h = until - 1;
             }
         }
         h
@@ -1430,9 +1524,11 @@ impl Simulation {
         let quiescent = self.policy_quiescent;
         let overhead_fraction = self.policy.decision_energy_overhead();
         let replay_overhead = self.config.decision_overhead && overhead_fraction > 0.0;
-        // Per-user span work: power segments, per-slot overhead replay for
-        // waiting users, timers, gap accrual.
-        self.span_users(cur, n, replay_overhead, overhead_fraction);
+        // Per-user span work: applications opening and leaving on users
+        // that are not waiting, then the waiting users' idle slots with
+        // their per-slot overhead replay.
+        self.span_events(cur, end);
+        self.span_waiting(cur, n, replay_overhead.then_some(overhead_fraction));
 
         // Queue dynamics. A quiescence-certifying policy promised a no-op
         // `end_of_slot` with both backlogs exactly zero, so the dense loop's

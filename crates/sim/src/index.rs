@@ -1,0 +1,250 @@
+//! The event indices of the slot loop: which users are due in a slot, and
+//! which users are waiting, without walking the fleet to find out.
+//!
+//! [`Calendar`] holds the two deadlines a device can have — its foreground
+//! application leaving, its training epoch completing — bucketed by the
+//! absolute slot at which they fall due. [`UserSet`] is an ascending set of
+//! user ids (the waiting users). The third index, the per-slot arrival
+//! buckets, lives next to the schedule it indexes:
+//! [`ArrivalIndex`](crate::arrivals::ArrivalIndex).
+
+use crate::experiment::SimConfig;
+
+// The indices store user ids as `u32` (half the calendar's and the arrival
+// index's footprint at a million users); every fleet fits.
+const _: () = assert!(SimConfig::MAX_USERS <= u32::MAX as usize);
+
+/// What a calendar entry announces for its user.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Deadline {
+    /// The foreground application leaves.
+    AppExpiry,
+    /// The training epoch is complete.
+    EpochDone,
+}
+
+/// One calendar entry. Ordered by user, then deadline kind — the order a
+/// bucket is handed out in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Due {
+    /// The user the deadline belongs to.
+    pub user: u32,
+    /// Which deadline it is.
+    pub what: Deadline,
+}
+
+/// Deadlines bucketed by the slot at which they fall due.
+///
+/// Entries are never removed when the state they announce goes away (a
+/// device that goes dark drops its application and aborts its epoch): they
+/// turn *stale* instead, and every read filters through a caller-supplied
+/// liveness test against the authoritative per-user deadlines. Together
+/// with the `(slot, user)` hand-out order and the dropping of duplicates,
+/// that makes the calendar report exactly the users a scan of the fleet
+/// for "deadline == slot" would find, in the order the scan finds them.
+#[derive(Debug, Default)]
+pub(crate) struct Calendar {
+    /// `buckets[s]` holds the deadlines falling due at slot `s`, in push
+    /// order.
+    buckets: Vec<Vec<Due>>,
+}
+
+impl Calendar {
+    /// A calendar for deadlines up to and including slot `horizon`.
+    pub(crate) fn new(horizon: u64) -> Self {
+        Calendar {
+            buckets: vec![Vec::new(); horizon as usize + 1],
+        }
+    }
+
+    /// Files a deadline of `user` at `slot`. A deadline beyond the horizon
+    /// can never fall due and is dropped.
+    pub(crate) fn push(&mut self, slot: u64, user: usize, what: Deadline) {
+        if let Some(bucket) = self.buckets.get_mut(slot as usize) {
+            bucket.push(Due {
+                user: user as u32,
+                what,
+            });
+        }
+    }
+
+    /// Takes the bucket of `slot`: its live entries, each once, ascending by
+    /// user. The bucket is empty afterwards.
+    pub(crate) fn take_due(&mut self, slot: u64, is_live: impl Fn(Due) -> bool) -> Vec<Due> {
+        let mut due = match self.buckets.get_mut(slot as usize) {
+            Some(bucket) => std::mem::take(bucket),
+            None => return Vec::new(),
+        };
+        due.retain(|&d| is_live(d));
+        due.sort_unstable();
+        due.dedup();
+        due
+    }
+
+    /// The first slot in `from..=to` holding an entry for which
+    /// `wanted(slot, entry)` holds. Nothing is consumed.
+    pub(crate) fn first_slot_with(
+        &self,
+        from: u64,
+        to: u64,
+        wanted: impl Fn(u64, Due) -> bool,
+    ) -> Option<u64> {
+        let end = to.saturating_add(1).min(self.buckets.len() as u64);
+        (from..end).find(|&slot| self.buckets[slot as usize].iter().any(|&d| wanted(slot, d)))
+    }
+}
+
+/// A set of user ids that iterates in ascending order: one bit per user.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UserSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl UserSet {
+    /// The set of all users `0..num_users`.
+    pub(crate) fn full(num_users: usize) -> Self {
+        let mut words = vec![u64::MAX; num_users.div_ceil(64)];
+        if let (Some(last), rem @ 1..) = (words.last_mut(), num_users % 64) {
+            *last = (1 << rem) - 1;
+        }
+        UserSet {
+            words,
+            len: num_users,
+        }
+    }
+
+    /// Number of users in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Adds user `i` (a no-op if present).
+    pub(crate) fn insert(&mut self, i: usize) {
+        let bit = 1 << (i % 64);
+        self.len += usize::from(self.words[i / 64] & bit == 0);
+        self.words[i / 64] |= bit;
+    }
+
+    /// Removes user `i` (a no-op if absent).
+    pub(crate) fn remove(&mut self, i: usize) {
+        let bit = 1 << (i % 64);
+        self.len -= usize::from(self.words[i / 64] & bit != 0);
+        self.words[i / 64] &= !bit;
+    }
+
+    /// The smallest member `>= from`, if any.
+    pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_at_or_after(0), |&i| self.next_at_or_after(i + 1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn due(user: u32, what: Deadline) -> Due {
+        Due { user, what }
+    }
+
+    #[test]
+    fn calendar_hands_out_a_bucket_in_user_order_once() {
+        let mut c = Calendar::new(10);
+        c.push(4, 9, Deadline::EpochDone);
+        c.push(4, 2, Deadline::EpochDone);
+        c.push(4, 9, Deadline::AppExpiry);
+        c.push(4, 2, Deadline::EpochDone); // filed twice: handed out once
+        c.push(5, 0, Deadline::AppExpiry);
+        assert_eq!(
+            c.take_due(4, |_| true),
+            [
+                due(2, Deadline::EpochDone),
+                due(9, Deadline::AppExpiry),
+                due(9, Deadline::EpochDone)
+            ]
+        );
+        assert!(c.take_due(4, |_| true).is_empty(), "a bucket is taken once");
+        assert_eq!(c.take_due(5, |_| true), [due(0, Deadline::AppExpiry)]);
+    }
+
+    #[test]
+    fn calendar_filters_stale_entries_through_the_liveness_test() {
+        // User 3 went dark after filing both deadlines; user 1 re-filed its
+        // expiry for a later slot.
+        let mut c = Calendar::new(20);
+        c.push(7, 3, Deadline::AppExpiry);
+        c.push(7, 3, Deadline::EpochDone);
+        c.push(7, 1, Deadline::AppExpiry);
+        c.push(12, 1, Deadline::AppExpiry);
+        c.push(7, 5, Deadline::EpochDone);
+        let app_until = [0u64, 12, 0, 0, 0, 0];
+        let epoch_until = [0u64, 0, 0, 0, 0, 7];
+        let live = |slot: u64, d: Due| match d.what {
+            Deadline::AppExpiry => app_until[d.user as usize] == slot,
+            Deadline::EpochDone => epoch_until[d.user as usize] == slot,
+        };
+        // The scan sees through stale entries, without consuming anything.
+        assert_eq!(c.first_slot_with(0, 20, live), Some(7));
+        assert_eq!(c.first_slot_with(8, 20, live), Some(12));
+        let epoch_done = |slot, d: Due| d.what == Deadline::EpochDone && live(slot, d);
+        assert_eq!(c.first_slot_with(0, 20, epoch_done), Some(7));
+        assert_eq!(c.first_slot_with(8, 20, epoch_done), None);
+        assert_eq!(c.take_due(7, |d| live(7, d)), [due(5, Deadline::EpochDone)]);
+        assert_eq!(
+            c.take_due(12, |d| live(12, d)),
+            [due(1, Deadline::AppExpiry)]
+        );
+    }
+
+    #[test]
+    fn calendar_is_quiet_when_empty_and_beyond_its_horizon() {
+        let mut c = Calendar::new(3);
+        assert!((0..=5).all(|s| c.take_due(s, |_| true).is_empty()));
+        assert!(c.take_due(2, |_| true).is_empty());
+        assert_eq!(c.first_slot_with(0, 99, |_, _| true), None);
+        // A deadline past the horizon never falls due.
+        c.push(4, 0, Deadline::EpochDone);
+        c.push(3, 0, Deadline::EpochDone);
+        assert!(c.take_due(4, |_| true).is_empty());
+        assert_eq!(c.first_slot_with(0, 99, |_, _| true), Some(3));
+        // The default calendar (a dense run's) files nothing.
+        let mut none = Calendar::default();
+        none.push(0, 0, Deadline::AppExpiry);
+        assert!(none.take_due(0, |_| true).is_empty());
+    }
+
+    #[test]
+    fn user_set_iterates_ascending_across_word_edges() {
+        for n in [1usize, 63, 64, 65, 128, 300] {
+            let mut set = UserSet::full(n);
+            assert_eq!(set.len(), n);
+            assert!(set.iter().eq(0..n), "n={n}");
+            assert_eq!(set.next_at_or_after(n), None);
+            // Keep only the word-edge members.
+            for i in 0..n {
+                if !(i % 64 == 0 || i % 64 == 63) {
+                    set.remove(i);
+                    set.remove(i);
+                }
+            }
+            let edges: Vec<usize> = (0..n).filter(|i| i % 64 == 0 || i % 64 == 63).collect();
+            assert_eq!(set.len(), edges.len());
+            assert!(set.iter().eq(edges.iter().copied()), "n={n}");
+            set.insert(n - 1);
+            set.insert(n - 1);
+            assert_eq!(set.next_at_or_after(n - 1), Some(n - 1));
+        }
+        assert_eq!(UserSet::full(0).next_at_or_after(0), None);
+    }
+}

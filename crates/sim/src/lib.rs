@@ -26,6 +26,7 @@ pub mod arrivals;
 pub mod clock;
 pub mod engine;
 pub mod experiment;
+mod index;
 mod phases;
 pub mod report;
 pub mod trace;
@@ -33,7 +34,7 @@ pub mod user;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::arrivals::{AppArrival, ArrivalCursor, ArrivalSchedule};
+    pub use crate::arrivals::{AppArrival, ArrivalCursor, ArrivalIndex, ArrivalSchedule};
     pub use crate::clock::SimClock;
     pub use crate::engine::{
         run_simulation, run_simulation_summary, run_simulation_summary_traced,

@@ -1,108 +1,124 @@
-//! The per-user slot phases of the engine, as plain loops over the arena.
+//! The per-user phases of a slot — application arrivals, the phase census,
+//! power accounting, timer expiry — and the per-user half of a fast-forward.
 //!
-//! These are the embarrassingly per-user parts of a slot — application
-//! arrivals, the phase census, power accounting, timer ticks, and the bulk
-//! span application — each touching only user `i`'s lanes of the
-//! struct-of-arrays state ([`UserArena`](crate::user::UserArena)), its
-//! energy profiler, its pending power span and its arrival cursor.
-//! Everything that touches shared state (policy decisions, the parameter
-//! server, queue dynamics, telemetry, every cross-user floating-point
-//! reduction) lives in [`engine`](crate::engine), in ascending user order.
+//! Each dense-slot phase exists twice. The `*_scan` functions are the
+//! reference: a plain walk over every user of the arena, recording power
+//! eagerly slot by slot; [`Simulation::run_dense`] uses nothing else, and
+//! the equivalence suite holds [`Simulation::run`] to its bits. The
+//! `*_indexed` functions do the same work from the event indices and touch
+//! only the users to whom something happens:
+//!
+//! * arrivals come from the slot's bucket of the
+//!   [`ArrivalIndex`](crate::arrivals::ArrivalIndex);
+//! * expiring applications and completing epochs come from the slot's
+//!   bucket of the [`Calendar`](crate::index::Calendar), live entries only,
+//!   ascending by user — the order the scan reports completions in;
+//! * the census is read off the counts the arena keeps at every phase
+//!   transition;
+//! * power is kept per user as *state `power_state[i]` since slot
+//!   `power_since[i]`*, and a profiler is written only when that state
+//!   changes or something else is charged to the user.
+//!
+//! # Why the indexed loop is bit-identical
+//!
+//! Every floating-point accumulator of a run belongs to exactly one user
+//! (its profiler, its gap) except the policy's queues, which the engine
+//! feeds from fixed-order folds it still computes over the whole fleet. So
+//! the only thing that could move a bit is the sequence of operations *one*
+//! user's accumulators see, and the indexed loop keeps that sequence:
+//!
+//! * A user's open power span is closed at exactly the boundaries the
+//!   per-slot deferral closed it — when the user's power state differs at
+//!   the next slot that accrues (`settle_power`, comparing against the
+//!   state that was accruing, so an application that expires and is
+//!   re-opened in the same kind merges just as it did), before any extra
+//!   energy lands (`flush_pending`), at trace and telemetry samples, at
+//!   world checks that read battery drain, and at the end of the run. Each
+//!   profiler therefore receives the same `record_span_lean` /
+//!   `record_extra` calls with the same arguments in the same order.
+//! * Inside a fast-forwarded span the order in which *different* users are
+//!   brought up to date is free — no accumulator is shared — but one user's
+//!   events must apply in slot order (an arrival is only accepted once the
+//!   previous application has expired), which walking the span's buckets
+//!   slot by slot guarantees.
+//! * Gaps and energy still grow by repeated addition, one slot at a time.
 
+use fedco_device::apps::AppKind;
 use fedco_device::energy::{Joules, Seconds};
-use fedco_device::power::PowerState;
-use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
+use fedco_device::profiler::EnergyComponent;
 
 use crate::engine::Simulation;
+use crate::index::Deadline;
 use crate::user::TrainingPhase;
 
-/// Flushes one user's pending power span (`state` for `*slots` slots) into
-/// its profiler. A no-op when nothing is pending.
-fn flush(profiler: &mut EnergyProfiler, state: PowerState, slots: &mut u64, slot_len: Seconds) {
-    if *slots > 0 {
-        profiler.record_span_lean(state, slot_len, *slots);
-        *slots = 0;
-    }
-}
+/// `power_since` of a user that accrues nothing (an offline device, and
+/// every user of a dense run, which records eagerly): no boundary lies past
+/// it, so flushing sees an empty span.
+pub(crate) const NOT_ACCRUING: u64 = u64::MAX;
 
-/// Appends `slots` slots of `state` to one user's pending span, flushing
-/// first if the state changed.
-fn pend(
-    profiler: &mut EnergyProfiler,
-    pending_state: &mut PowerState,
-    pending_slots: &mut u64,
-    state: PowerState,
-    slots: u64,
-    slot_len: Seconds,
-) {
-    if *pending_slots > 0 && *pending_state == state {
-        *pending_slots += slots;
-    } else {
-        flush(profiler, *pending_state, pending_slots, slot_len);
-        *pending_state = state;
-        *pending_slots = slots;
-    }
-}
-
-// The phase loops bind the lanes they stream to local slices first: through
-// `&mut self` every store would force the `Vec` headers (and `event_mode`,
-// the slot length) to be reloaded on the next iteration.
 impl Simulation {
     /// Duration of one slot.
     pub(crate) fn slot_len(&self) -> Seconds {
         Seconds(self.config.slot_seconds)
     }
 
-    /// Flushes user `i`'s pending power span into its profiler. A no-op in
-    /// dense mode (nothing ever pends) and whenever nothing is pending.
-    ///
-    /// Flushing *before* any other energy lands in the profiler keeps each
-    /// user's accumulation stream in exactly the dense order, so deferral
-    /// never changes the floating-point result.
-    pub(crate) fn flush_pending(&mut self, i: usize) {
-        let slot_len = self.slot_len();
-        flush(
-            &mut self.profilers[i],
-            self.pending_state[i],
-            &mut self.pending_slots[i],
-            slot_len,
-        );
+    fn is_offline(&self, i: usize) -> bool {
+        matches!(self.users.phase(i), TrainingPhase::Offline)
     }
 
-    /// Flushes every user's pending span (before trace snapshots and at the
-    /// end of a run).
-    pub(crate) fn flush_all_pending(&mut self) {
-        for i in 0..self.users.len() {
-            self.flush_pending(i);
+    /// The one arrival rule (see [`ArrivalIndex`](crate::arrivals::ArrivalIndex)):
+    /// `app` opens on user `i` at `slot` unless an application is already in
+    /// the foreground or the device is offline.
+    fn accept_arrival(&mut self, i: usize, app: AppKind, slot: u64) {
+        if self.users.app_running(i) || self.is_offline(i) {
+            return;
+        }
+        let duration = self.users.profile(i).corun_time(app).value();
+        let until = self
+            .users
+            .start_app(i, app, slot, self.clock.slots_for(duration));
+        self.file_deadline(i, until, Deadline::AppExpiry);
+    }
+
+    /// Files the deadline user `i` just acquired in the calendar, and marks
+    /// the user for the next power settlement (a dense run keeps no indices).
+    pub(crate) fn file_deadline(&mut self, i: usize, until: u64, what: Deadline) {
+        if self.event_mode {
+            self.calendar.push(until, i, what);
+            self.dirty.push(i as u32);
         }
     }
 
-    /// Slot phase 1: application arrivals (ignored while another app runs,
-    /// and while the device is offline — a dark phone launches nothing).
-    /// The per-user cursor makes arrivals O(1) amortized instead of a rescan
-    /// of the user's whole arrival vector every slot.
-    pub(crate) fn phase_arrivals(&mut self, slot: u64) {
-        let (arrivals, clock) = (&self.arrivals, &self.clock);
-        let users = &mut self.users;
-        for (i, cursor) in self.arrival_cursors.iter_mut().enumerate() {
-            if users.app_running(i) || matches!(users.phase[i], TrainingPhase::Offline) {
-                continue;
-            }
-            let arrival = cursor
-                .next_at_or_after(arrivals, i, slot)
+    /// The energy one decision costs user `i` (Table III), given the
+    /// policy's overhead fraction.
+    pub(crate) fn decision_overhead(&self, i: usize, overhead_fraction: f64) -> Joules {
+        let profile = self.users.profile(i);
+        let extra = (profile.decision_power_w - profile.idle_power_w).max(0.0) * overhead_fraction;
+        Joules(extra * self.slot_len().value())
+    }
+
+    // ----------------------------------------------------------------
+    // Reference scans: every phase walks the whole arena.
+    // ----------------------------------------------------------------
+
+    /// Slot phase 1: application arrivals, from each user's cursor into its
+    /// own arrival list.
+    fn phase_arrivals_scan(&mut self, slot: u64) {
+        for i in 0..self.users.len() {
+            let arrival = self.arrival_cursors[i]
+                .next_at_or_after(&self.arrivals, i, slot)
                 .filter(|a| a.slot == slot);
             if let Some(arrival) = arrival {
-                let duration = users.profile(i).corun_time(arrival.app).value();
-                users.start_app(i, arrival.app, clock.slots_for(duration));
+                self.accept_arrival(i, arrival.app, slot);
             }
         }
     }
 
     /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet.
-    pub(crate) fn phase_census(&self) -> (u64, usize) {
+    fn phase_census_scan(&self) -> (u64, usize) {
         let (mut training, mut waiting) = (0u64, 0usize);
-        for phase in self.users.phase.iter() {
-            match phase {
+        for i in 0..self.users.len() {
+            match self.users.phase(i) {
                 TrainingPhase::Training { .. } => training += 1,
                 TrainingPhase::Waiting => waiting += 1,
                 TrainingPhase::RoundBarrier | TrainingPhase::Offline => {}
@@ -111,175 +127,227 @@ impl Simulation {
         (training, waiting)
     }
 
-    /// Slot phase 3: per-user power accounting (deferred pending spans in
-    /// event mode, eager recording in dense mode). Offline devices accrue
-    /// nothing — dead phones draw no simulated power — identically in both
-    /// modes.
-    pub(crate) fn phase_power(&mut self) {
-        let (slot_len, event_mode) = (self.slot_len(), self.event_mode);
-        let users = &self.users;
-        let profilers = &mut self.profilers[..];
-        let pending_state = &mut self.pending_state[..];
-        let pending_slots = &mut self.pending_slots[..];
-        for i in 0..users.len() {
-            if matches!(users.phase[i], TrainingPhase::Offline) {
-                continue;
-            }
-            let state = users.power_state(i);
-            if event_mode {
-                pend(
-                    &mut profilers[i],
-                    &mut pending_state[i],
-                    &mut pending_slots[i],
-                    state,
-                    1,
-                    slot_len,
-                );
-            } else {
-                profilers[i].record(state, slot_len);
-            }
-        }
-    }
-
-    /// Slot phase 4: advance app and training timers; returns the users
-    /// (ascending) whose epoch completed this slot, with their co-running
-    /// flag.
-    pub(crate) fn phase_tick(&mut self) -> Vec<(usize, bool)> {
-        let users = &mut self.users;
-        let mut completed = Vec::new();
-        for i in 0..users.len() {
-            let corunning = matches!(
-                users.phase[i],
-                TrainingPhase::Training {
-                    corunning: true,
-                    ..
-                }
-            );
-            if users.tick(i) {
-                completed.push((i, corunning));
-            }
-        }
-        completed
-    }
-
-    /// The per-user body of a bulk span application: power accounting
-    /// segment by segment (with in-span app starts/expiries for non-waiting
-    /// users), per-slot decision-overhead replay for waiting users when the
-    /// policy charges it, and timer/counter bookkeeping — exactly `n` dense
-    /// ticks' worth, by repeated addition.
-    pub(crate) fn span_users(
-        &mut self,
-        cur: u64,
-        n: u64,
-        replay_overhead: bool,
-        overhead_fraction: f64,
-    ) {
-        let end = cur + n;
+    /// Slot phase 3: one slot of power recorded for every online user.
+    /// Offline devices accrue nothing — dead phones draw no simulated power.
+    fn phase_power_scan(&mut self) {
         let slot_len = self.slot_len();
-        let (arrivals, clock) = (&self.arrivals, &self.clock);
-        let users = &mut self.users;
-        let cursors = &mut self.arrival_cursors[..];
-        let profilers = &mut self.profilers[..];
-        let pending_state = &mut self.pending_state[..];
-        let pending_slots = &mut self.pending_slots[..];
-        for i in 0..users.len() {
-            if matches!(users.phase[i], TrainingPhase::Offline) {
-                // Offline devices are inert for the whole span: no power,
-                // no timers, no gap — exactly what `n` dense slots do. The
-                // world check that could bring them back bounds the span.
+        for i in 0..self.users.len() {
+            if !self.is_offline(i) {
+                self.profilers[i].record(self.users.power_state(i), slot_len);
+            }
+        }
+    }
+
+    /// Slot phase 4: every user's timers checked against the end of `slot`.
+    fn phase_tick_scan(&mut self, slot: u64) {
+        for i in 0..self.users.len() {
+            if let Some(corunning) = self.users.tick(i, slot) {
+                self.completed.push((i, corunning));
+            }
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // The phases as the slot loop calls them.
+    // ----------------------------------------------------------------
+
+    /// Slot phase 1: application arrivals of `slot`.
+    pub(crate) fn phase_arrivals(&mut self, slot: u64) {
+        if !self.event_mode {
+            self.stats.user_visits += self.users.len() as u64;
+            return self.phase_arrivals_scan(slot);
+        }
+        let bucket = self.arrival_index.bucket(slot);
+        self.stats.user_visits += bucket.len() as u64;
+        for at in bucket {
+            let (i, app) = self.arrival_index.get(at);
+            self.accept_arrival(i, app, slot);
+        }
+    }
+
+    /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet.
+    pub(crate) fn phase_census(&mut self) -> (u64, usize) {
+        let counted = (self.users.training_count(), self.users.waiting_count());
+        if self.event_mode {
+            debug_assert_eq!(counted, self.phase_census_scan(), "census drifted");
+            return counted;
+        }
+        self.stats.user_visits += self.users.len() as u64;
+        self.phase_census_scan()
+    }
+
+    /// Number of users that are not offline (the participants of a
+    /// synchronous round).
+    pub(crate) fn online_users(&self) -> usize {
+        if self.event_mode {
+            return self.users.online_count();
+        }
+        (0..self.users.len())
+            .filter(|&i| !self.is_offline(i))
+            .count()
+    }
+
+    /// Slot phase 3: power accounting of `slot`.
+    pub(crate) fn phase_power(&mut self, slot: u64) {
+        if !self.event_mode {
+            self.stats.user_visits += self.users.len() as u64;
+            return self.phase_power_scan();
+        }
+        self.settle_power(slot);
+        self.accrued_to = slot + 1;
+    }
+
+    /// Slot phase 4: applications that leave and epochs that complete at the
+    /// end of `slot`. Completed users land in `self.completed`, ascending,
+    /// with their co-running flag.
+    pub(crate) fn phase_tick(&mut self, slot: u64) {
+        if !self.event_mode {
+            self.stats.user_visits += self.users.len() as u64;
+            return self.phase_tick_scan(slot);
+        }
+        self.fire_deadlines(slot + 1);
+    }
+
+    // ----------------------------------------------------------------
+    // Indexed machinery.
+    // ----------------------------------------------------------------
+
+    /// Brings the power accounting of every user whose phase or application
+    /// changed since the last accrual up to `boundary`: a user now in a
+    /// different power state has its open span closed there and accrues in
+    /// the new state from `boundary` on.
+    fn settle_power(&mut self, boundary: u64) {
+        self.accrued_to = boundary;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        self.stats.user_visits += dirty.len() as u64;
+        for i in dirty.drain(..).map(|i| i as usize) {
+            // A device that went dark closed its own span on the way out.
+            if self.is_offline(i) {
                 continue;
             }
-            let (profiler, p_state, p_slots) = (
-                &mut profilers[i],
-                &mut pending_state[i],
-                &mut pending_slots[i],
-            );
-            if matches!(users.phase[i], TrainingPhase::Waiting) && replay_overhead {
-                // The dense loop charges this user's decision overhead
-                // every slot (flush, extra, then the slot's power), so the
-                // span must interleave the same per-user profiler stream —
-                // never batch the extras as one `n ×` multiply. The app
-                // status is frozen in-span (certified by `skip_horizon`),
-                // so the power state and overhead are constant.
-                let profile = users.profile(i);
-                let extra =
-                    (profile.decision_power_w - profile.idle_power_w).max(0.0) * overhead_fraction;
-                let state = users.power_state(i);
-                for _ in 0..n {
-                    flush(profiler, *p_state, p_slots, slot_len);
-                    profiler.record_extra(EnergyComponent::Idle, Joules(extra * slot_len.value()));
-                    pend(profiler, p_state, p_slots, state, 1, slot_len);
-                }
-                if users.app_remaining_slots[i] > 0 {
-                    // `n` never exceeds the app's remaining slots (the
-                    // expiry bounds the horizon), so this is the plain
-                    // timer decrement the segmented loop below would do.
-                    users.app_remaining_slots[i] -= n;
-                    if users.app_remaining_slots[i] == 0 {
-                        users.current_app[i] = None;
+            let state = self.users.power_state(i);
+            if state != self.power_state[i] || self.power_since[i] == NOT_ACCRUING {
+                self.flush_to(i, boundary);
+                self.power_state[i] = state;
+                self.power_since[i] = boundary;
+            }
+        }
+        self.dirty = dirty;
+    }
+
+    /// Records user `i`'s open power span up to slot boundary `to` into its
+    /// profiler. A no-op when the span is empty or the user accrues nothing.
+    fn flush_to(&mut self, i: usize, to: u64) {
+        let slots = to.saturating_sub(self.power_since[i]);
+        if slots > 0 {
+            let slot_len = self.slot_len();
+            self.profilers[i].record_span_lean(self.power_state[i], slot_len, slots);
+            self.power_since[i] = to;
+        }
+    }
+
+    /// Lands user `i`'s open power span in its profiler (a no-op in a dense
+    /// run, which records eagerly).
+    ///
+    /// Flushing *before* any other energy lands in the profiler keeps each
+    /// user's accumulation stream in exactly the dense order, so deferral
+    /// never changes the floating-point result.
+    pub(crate) fn flush_pending(&mut self, i: usize) {
+        self.flush_to(i, self.accrued_to);
+    }
+
+    /// Flushes every user's open span (before trace snapshots and at the
+    /// end of a run).
+    pub(crate) fn flush_all_pending(&mut self) {
+        if !self.event_mode {
+            return;
+        }
+        self.stats.user_visits += self.users.len() as u64;
+        for i in 0..self.users.len() {
+            self.flush_pending(i);
+        }
+    }
+
+    /// User `i` stops accruing power (its device went dark).
+    pub(crate) fn stop_accruing(&mut self, i: usize) {
+        self.flush_pending(i);
+        self.power_since[i] = NOT_ACCRUING;
+    }
+
+    /// Marks user `i` for the next [`settle_power`](Self::settle_power).
+    pub(crate) fn mark_dirty(&mut self, i: usize) {
+        if self.event_mode {
+            self.dirty.push(i as u32);
+        }
+    }
+
+    /// Fires the live calendar entries of `until`: applications whose last
+    /// slot was `until - 1` leave the foreground, epochs complete into
+    /// `self.completed` (ascending by user).
+    fn fire_deadlines(&mut self, until: u64) {
+        let users = &self.users;
+        let due = self.calendar.take_due(until, |d| match d.what {
+            Deadline::AppExpiry => users.app_expires_at(d.user as usize, until),
+            Deadline::EpochDone => users.epoch_done_at(d.user as usize, until).is_some(),
+        });
+        self.stats.user_visits += due.len() as u64;
+        for d in due {
+            let i = d.user as usize;
+            match d.what {
+                Deadline::AppExpiry => self.users.end_app(i),
+                Deadline::EpochDone => {
+                    if let Some(corunning) = self.users.epoch_done_at(i, until) {
+                        self.users.count_epoch(i);
+                        self.completed.push((i, corunning));
                     }
                 }
-                users.cold.waiting_slots[i] += n;
-                users.current_wait_slots[i] += n;
-                users.gap_idle_slots(i, n);
-                continue;
             }
-            // Power accounting, segment by segment, into the pending span
-            // (so a long uniform stretch across many spans and event slots
-            // flushes as one batched accrual). Waiting users never
-            // transition inside a span (their arrivals and expiries end
-            // it), so their single segment falls out of the same loop.
-            let mut t = cur;
-            while t < end {
-                if users.app_running(i) {
-                    let seg = (end - t).min(users.app_remaining_slots[i]);
-                    pend(
-                        profiler,
-                        p_state,
-                        p_slots,
-                        users.power_state(i),
-                        seg,
-                        slot_len,
-                    );
-                    users.app_remaining_slots[i] -= seg;
-                    if users.app_remaining_slots[i] == 0 {
-                        users.current_app[i] = None;
-                    }
-                    t += seg;
-                } else {
-                    match cursors[i].next_at_or_after(arrivals, i, t) {
-                        Some(a) if a.slot < end => {
-                            if a.slot > t {
-                                let state = users.power_state(i);
-                                pend(profiler, p_state, p_slots, state, a.slot - t, slot_len);
-                                t = a.slot;
-                            }
-                            let duration = users.profile(i).corun_time(a.app).value();
-                            users.start_app(i, a.app, clock.slots_for(duration));
-                        }
-                        _ => {
-                            let state = users.power_state(i);
-                            pend(profiler, p_state, p_slots, state, end - t, slot_len);
-                            t = end;
-                        }
-                    }
+            self.dirty.push(d.user);
+        }
+    }
+
+    /// The per-user half of fast-forwarding `cur..end`, for users that are
+    /// not waiting: applications open and leave inside the span, each
+    /// closing the user's power span at its own slot. Nothing else can
+    /// happen to them — `skip_horizon` ends the span before the first
+    /// completion.
+    pub(crate) fn span_events(&mut self, cur: u64, end: u64) {
+        for slot in cur..end {
+            // Deadlines of `cur` itself fired in the tick of `cur - 1`.
+            if slot > cur {
+                self.fire_deadlines(slot);
+            }
+            self.phase_arrivals(slot);
+            if !self.dirty.is_empty() {
+                self.settle_power(slot);
+            }
+        }
+        // The tick of the span's last slot; whoever it touches settles at
+        // the next accrual.
+        self.fire_deadlines(end);
+        debug_assert!(self.completed.is_empty(), "completion inside a span");
+        self.accrued_to = end;
+    }
+
+    /// The per-user half of fast-forwarding `n` slots from `cur`, for the
+    /// waiting users: `n` idle slots each (their application status is
+    /// frozen in-span, certified by `skip_horizon`). With
+    /// `replay_overhead`, the decision energy the dense loop charges them
+    /// every slot — flush, extra, then the slot's power — is replayed slot
+    /// by slot, never as one `n ×` multiply.
+    pub(crate) fn span_waiting(&mut self, cur: u64, n: u64, replay_overhead: Option<f64>) {
+        self.stats.user_visits += self.users.waiting_count() as u64;
+        let mut next = self.users.next_waiting(0);
+        while let Some(i) = next {
+            if let Some(overhead_fraction) = replay_overhead {
+                let extra = self.decision_overhead(i, overhead_fraction);
+                for k in 0..n {
+                    self.flush_to(i, cur + k);
+                    self.profilers[i].record_extra(EnergyComponent::Idle, extra);
                 }
             }
-            // Timers and counters, exactly as `n` dense ticks would.
-            match &mut users.phase[i] {
-                TrainingPhase::Training {
-                    remaining_slots, ..
-                } => {
-                    debug_assert!(*remaining_slots > n, "completion inside a span");
-                    *remaining_slots -= n;
-                }
-                TrainingPhase::Waiting => {
-                    users.cold.waiting_slots[i] += n;
-                    users.current_wait_slots[i] += n;
-                    users.gap_idle_slots(i, n);
-                }
-                TrainingPhase::RoundBarrier | TrainingPhase::Offline => {}
-            }
+            self.users.idle_slots(i, n);
+            next = self.users.next_waiting(i + 1);
         }
     }
 }

@@ -16,6 +16,15 @@
 //! [`UserSideTable`]. Device calibration is deduplicated: one
 //! [`DeviceProfile`] allocation per distinct [`DeviceKind`], shared through
 //! [`Arc`], instead of one copy per user.
+//!
+//! Timers are absolute deadlines (the slot an application leaves the
+//! foreground, the slot an epoch is complete), so nothing about a user
+//! changes between its events: the dense reference loop finds the users due
+//! in a slot by scanning ([`UserArena::tick`]), the event-indexed loop by
+//! popping a calendar. The arena also keeps the census of the fleet —
+//! training, offline and waiting counts plus the ascending set of waiting
+//! users — current at every phase transition, which is why the phase lane
+//! is private and only changes through the transition methods.
 
 use std::sync::Arc;
 
@@ -25,16 +34,19 @@ use fedco_device::profiles::{DeviceKind, DeviceProfile};
 use fedco_fl::model_state::ModelVersion;
 use fedco_fl::staleness::GradientGap;
 
+use crate::index::UserSet;
+
 /// The training phase of a user.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrainingPhase {
     /// The device holds a fresh model snapshot and waits for the scheduler.
     Waiting,
-    /// Training is running; `remaining_slots` slots are left; `corunning`
-    /// records whether it was started together with an application.
+    /// Training is running and completes in the tick of slot `until - 1`;
+    /// `corunning` records whether it was started together with an
+    /// application.
     Training {
-        /// Slots left until the local epoch completes.
-        remaining_slots: u64,
+        /// The first slot at which the local epoch is complete.
+        until: u64,
         /// Whether the epoch was started as a co-run.
         corunning: bool,
     },
@@ -77,10 +89,19 @@ pub struct UserArena {
     profiles: Vec<Arc<DeviceProfile>>,
     /// Index of each user's profile in [`profiles`](Self::profiles).
     profile_ix: Vec<u32>,
-    /// Current training phase.
-    pub phase: Vec<TrainingPhase>,
-    /// Remaining slots of the currently running foreground application.
-    pub app_remaining_slots: Vec<u64>,
+    /// Current training phase. Private: [`set_phase`](Self::set_phase) keeps
+    /// the census below in step with it.
+    phase: Vec<TrainingPhase>,
+    /// Number of users in [`TrainingPhase::Training`].
+    training: u64,
+    /// Number of users in [`TrainingPhase::Offline`].
+    offline: usize,
+    /// The users in [`TrainingPhase::Waiting`], ascending.
+    waiting: UserSet,
+    /// The first slot at which the current foreground application is no
+    /// longer running (it expires in the tick of slot `app_until - 1`).
+    /// Meaningful only while [`current_app`](Self::current_app) is set.
+    pub app_until: Vec<u64>,
     /// Which application is currently in the foreground.
     pub current_app: Vec<Option<AppKind>>,
     /// Version of the global model each user last downloaded.
@@ -132,7 +153,10 @@ impl UserArena {
             profiles,
             profile_ix,
             phase: vec![TrainingPhase::Waiting; num_users],
-            app_remaining_slots: vec![0; num_users],
+            training: 0,
+            offline: 0,
+            waiting: UserSet::full(num_users),
+            app_until: vec![0; num_users],
             current_app: vec![None; num_users],
             base_version: vec![ModelVersion::INITIAL; num_users],
             gap: vec![0.0; num_users],
@@ -182,16 +206,67 @@ impl UserArena {
         Arc::clone(&self.profiles[self.profile_ix[i] as usize])
     }
 
+    /// The training phase of user `i`.
+    pub fn phase(&self, i: usize) -> TrainingPhase {
+        self.phase[i]
+    }
+
+    /// Moves user `i` to `next`, keeping the census current.
+    fn set_phase(&mut self, i: usize, next: TrainingPhase) {
+        match self.phase[i] {
+            TrainingPhase::Waiting => self.waiting.remove(i),
+            TrainingPhase::Training { .. } => self.training -= 1,
+            TrainingPhase::Offline => self.offline -= 1,
+            TrainingPhase::RoundBarrier => {}
+        }
+        match next {
+            TrainingPhase::Waiting => self.waiting.insert(i),
+            TrainingPhase::Training { .. } => self.training += 1,
+            TrainingPhase::Offline => self.offline += 1,
+            TrainingPhase::RoundBarrier => {}
+        }
+        self.phase[i] = next;
+    }
+
+    /// Number of users currently training.
+    pub fn training_count(&self) -> u64 {
+        self.training
+    }
+
+    /// Number of users currently waiting for a scheduling decision.
+    pub fn waiting_count(&self) -> usize {
+        self.waiting.len()
+    }
+
+    /// Number of users that are not offline.
+    pub fn online_count(&self) -> usize {
+        self.len() - self.offline
+    }
+
+    /// The waiting users in ascending order — the order the dense scan
+    /// decides them in.
+    pub fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
+        self.waiting.iter()
+    }
+
+    /// The first waiting user with id `>= from`, if any. Stepping with
+    /// `next_waiting(i + 1)` is [`waiting`](Self::waiting) for loops that
+    /// change the arena as they go: it tolerates the current user leaving
+    /// the set in between.
+    pub fn next_waiting(&self, from: usize) -> Option<usize> {
+        self.waiting.next_at_or_after(from)
+    }
+
     /// Whether a foreground application is currently running for user `i`.
     pub fn app_running(&self, i: usize) -> bool {
-        self.app_remaining_slots[i] > 0 && self.current_app[i].is_some()
+        self.current_app[i].is_some()
     }
 
     /// The current application status of user `i` for the power model.
     pub fn app_status(&self, i: usize) -> AppStatus {
-        match (self.app_running(i), self.current_app[i]) {
-            (true, Some(app)) => AppStatus::App(app),
-            _ => AppStatus::NoApp,
+        match self.current_app[i] {
+            Some(app) => AppStatus::App(app),
+            None => AppStatus::NoApp,
         }
     }
 
@@ -215,61 +290,83 @@ impl UserArena {
         }
     }
 
-    /// Starts a foreground application for user `i` for the given number of
-    /// slots. Arrivals while another app is running replace it (the user
-    /// switched apps).
-    pub fn start_app(&mut self, i: usize, app: AppKind, duration_slots: u64) {
+    /// Puts `app` in user `i`'s foreground from slot `now` for the given
+    /// number of slots, and returns the slot it leaves again. The caller
+    /// decides whether an arrival is accepted at all (see
+    /// [`ArrivalIndex`](crate::arrivals::ArrivalIndex)); calling this while
+    /// an application runs replaces it.
+    pub fn start_app(&mut self, i: usize, app: AppKind, now: u64, duration_slots: u64) -> u64 {
         self.current_app[i] = Some(app);
-        self.app_remaining_slots[i] = duration_slots.max(1);
+        self.app_until[i] = now + duration_slots.max(1);
+        self.app_until[i]
     }
 
-    /// Starts training for user `i` for the given number of slots;
+    /// Takes user `i`'s application out of the foreground.
+    pub fn end_app(&mut self, i: usize) {
+        self.current_app[i] = None;
+    }
+
+    /// Starts training for user `i` at slot `now` for the given number of
+    /// slots, and returns the slot at which the epoch is complete;
     /// `corunning` records whether an app is in the foreground at start.
-    pub fn start_training(&mut self, i: usize, duration_slots: u64, corunning: bool) {
-        self.phase[i] = TrainingPhase::Training {
-            remaining_slots: duration_slots.max(1),
-            corunning,
-        };
+    pub fn start_training(
+        &mut self,
+        i: usize,
+        now: u64,
+        duration_slots: u64,
+        corunning: bool,
+    ) -> u64 {
+        let until = now + duration_slots.max(1);
+        self.set_phase(i, TrainingPhase::Training { until, corunning });
         self.current_wait_slots[i] = 0;
         if corunning {
             self.cold.corun_epochs[i] += 1;
         }
+        until
     }
 
-    /// Advances app and training timers of user `i` by one slot. Returns
-    /// `true` when a training epoch completed during this slot.
-    pub fn tick(&mut self, i: usize) -> bool {
-        if self.app_remaining_slots[i] > 0 {
-            self.app_remaining_slots[i] -= 1;
-            if self.app_remaining_slots[i] == 0 {
-                self.current_app[i] = None;
-            }
-        }
-        match &mut self.phase[i] {
+    /// Whether user `i`'s application leaves the foreground in the tick of
+    /// slot `until - 1`.
+    pub fn app_expires_at(&self, i: usize, until: u64) -> bool {
+        self.current_app[i].is_some() && self.app_until[i] == until
+    }
+
+    /// If user `i`'s epoch completes in the tick of slot `until - 1`, its
+    /// co-running flag.
+    pub fn epoch_done_at(&self, i: usize, until: u64) -> Option<bool> {
+        match self.phase[i] {
             TrainingPhase::Training {
-                remaining_slots, ..
-            } => {
-                *remaining_slots -= 1;
-                if *remaining_slots == 0 {
-                    self.cold.epochs_completed[i] += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            TrainingPhase::Waiting => {
-                self.cold.waiting_slots[i] += 1;
-                self.current_wait_slots[i] += 1;
-                false
-            }
-            TrainingPhase::RoundBarrier | TrainingPhase::Offline => false,
+                until: u,
+                corunning,
+            } if u == until => Some(corunning),
+            _ => None,
         }
+    }
+
+    /// Counts a completed epoch of user `i`.
+    pub fn count_epoch(&mut self, i: usize) {
+        self.cold.epochs_completed[i] += 1;
+    }
+
+    /// The end-of-slot timer check of user `i` for slot `slot`, as the
+    /// dense reference loop runs it for every user: the application expires
+    /// and the epoch completes when their deadline is `slot + 1`. Returns
+    /// the co-running flag of an epoch that completed during this slot.
+    pub fn tick(&mut self, i: usize, slot: u64) -> Option<bool> {
+        if self.app_expires_at(i, slot + 1) {
+            self.end_app(i);
+        }
+        let done = self.epoch_done_at(i, slot + 1);
+        if done.is_some() {
+            self.count_epoch(i);
+        }
+        done
     }
 
     /// Puts user `i` back into the waiting state (after its upload was
     /// applied and it re-downloaded the global model).
     pub fn become_waiting(&mut self, i: usize, new_base: ModelVersion) {
-        self.phase[i] = TrainingPhase::Waiting;
+        self.set_phase(i, TrainingPhase::Waiting);
         self.base_version[i] = new_base;
         self.gap[i] = 0.0;
         self.current_wait_slots[i] = 0;
@@ -278,7 +375,17 @@ impl UserArena {
 
     /// Parks user `i` at the synchronous round barrier.
     pub fn enter_barrier(&mut self, i: usize) {
-        self.phase[i] = TrainingPhase::RoundBarrier;
+        self.set_phase(i, TrainingPhase::RoundBarrier);
+    }
+
+    /// Takes user `i` dark: a running epoch is aborted, the foreground
+    /// application dropped, and gap and wait bookkeeping cleared.
+    pub fn go_offline(&mut self, i: usize) {
+        self.set_phase(i, TrainingPhase::Offline);
+        self.current_app[i] = None;
+        self.gap[i] = 0.0;
+        self.current_wait_slots[i] = 0;
+        self.last_decision_app[i] = None;
     }
 
     /// The accumulated gradient gap of user `i`.
@@ -286,19 +393,22 @@ impl UserArena {
         GradientGap(self.gap[i])
     }
 
-    /// Applies one idle slot to user `i`'s gap: `g(t) = g(t−1) + ε`.
-    pub fn gap_idle_slot(&mut self, i: usize) {
-        self.gap[i] += self.epsilon;
+    /// Applies one slot in which the policy left waiting user `i` idle: the
+    /// gap grows, `g(t) = g(t−1) + ε`, and the slot counts as waited.
+    pub fn idle_slot(&mut self, i: usize) {
+        self.idle_slots(i, 1);
     }
 
-    /// Applies `slots` consecutive idle slots to user `i`'s gap,
-    /// bit-identically to calling [`gap_idle_slot`](Self::gap_idle_slot)
-    /// that many times — by construction: repeated addition, never a
+    /// Applies `slots` consecutive idle slots to waiting user `i`,
+    /// bit-identically to calling [`idle_slot`](Self::idle_slot) that many
+    /// times — by construction: the gap grows by repeated addition, never a
     /// `slots × ε` multiply, which would round differently.
-    pub fn gap_idle_slots(&mut self, i: usize, slots: u64) {
+    pub fn idle_slots(&mut self, i: usize, slots: u64) {
         for _ in 0..slots {
             self.gap[i] += self.epsilon;
         }
+        self.cold.waiting_slots[i] += slots;
+        self.current_wait_slots[i] += slots;
     }
 
     /// Applies a scheduling decision to user `i`'s gap: it becomes the
@@ -330,39 +440,43 @@ mod tests {
     #[test]
     fn app_lifecycle() {
         let mut u = arena();
-        u.start_app(0, AppKind::Tiktok, 3);
+        assert_eq!(u.start_app(0, AppKind::Tiktok, 10, 3), 13);
         assert!(u.app_running(0));
         assert_eq!(u.app_status(0), AppStatus::App(AppKind::Tiktok));
         assert_eq!(u.power_state(0), PowerState::AppOnly(AppKind::Tiktok));
-        u.tick(0);
-        u.tick(0);
+        u.tick(0, 10);
+        u.tick(0, 11);
         assert!(u.app_running(0));
-        u.tick(0);
+        assert!(u.app_expires_at(0, 13) && !u.app_expires_at(0, 12));
+        u.tick(0, 12);
         assert!(!u.app_running(0));
         assert_eq!(u.current_app[0], None);
+        assert!(!u.app_expires_at(0, 13), "an ended app has no deadline");
     }
 
     #[test]
     fn training_lifecycle_and_power_states() {
         let mut u = arena();
-        u.start_app(0, AppKind::Map, 10);
-        u.start_training(0, 2, true);
+        u.start_app(0, AppKind::Map, 0, 10);
+        assert_eq!(u.start_training(0, 0, 2, true), 2);
         assert!(u.is_training(0));
         assert_eq!(u.power_state(0), PowerState::CoRunning(AppKind::Map));
         assert_eq!(u.cold.corun_epochs[0], 1);
-        assert!(!u.tick(0));
-        assert!(u.tick(0), "second slot completes the epoch");
+        assert_eq!(u.tick(0, 0), None);
+        assert_eq!(u.epoch_done_at(0, 2), Some(true));
+        assert_eq!(u.tick(0, 1), Some(true), "second slot completes the epoch");
         assert_eq!(u.cold.epochs_completed[0], 1);
         // Still in Training phase bookkeeping until the engine re-queues it.
         u.become_waiting(0, ModelVersion(4));
         assert!(u.is_waiting(0));
         assert_eq!(u.base_version[0], ModelVersion(4));
+        assert_eq!(u.epoch_done_at(0, 2), None);
     }
 
     #[test]
     fn training_without_app_is_background_state() {
         let mut u = arena();
-        u.start_training(0, 5, false);
+        u.start_training(0, 0, 5, false);
         assert_eq!(u.power_state(0), PowerState::TrainingOnly);
         assert_eq!(u.cold.corun_epochs[0], 0);
     }
@@ -370,11 +484,13 @@ mod tests {
     #[test]
     fn waiting_slots_are_counted() {
         let mut u = arena();
-        u.tick(0);
-        u.tick(0);
+        u.idle_slot(0);
+        u.idle_slot(0);
         assert_eq!(u.cold.waiting_slots[0], 2);
-        u.start_training(0, 1, false);
-        u.tick(0);
+        assert_eq!(u.current_wait_slots[0], 2);
+        u.start_training(0, 2, 1, false);
+        assert_eq!(u.current_wait_slots[0], 0);
+        u.tick(0, 2);
         assert_eq!(u.cold.waiting_slots[0], 2);
     }
 
@@ -384,39 +500,81 @@ mod tests {
         u.enter_barrier(0);
         assert!(!u.is_waiting(0));
         assert!(!u.is_training(0));
-        assert!(!u.tick(0));
+        assert_eq!(u.tick(0, 0), None);
         assert_eq!(u.power_state(0), PowerState::Idle);
     }
 
     #[test]
     fn offline_state_is_inert() {
         let mut u = arena();
-        u.phase[0] = TrainingPhase::Offline;
+        u.start_app(0, AppKind::Map, 0, 5);
+        u.start_training(0, 0, 1, true);
+        u.go_offline(0);
+        assert_eq!(u.phase(0), TrainingPhase::Offline);
         assert!(!u.is_waiting(0));
         assert!(!u.is_training(0));
-        assert!(!u.tick(0));
-        assert_eq!(u.cold.waiting_slots[0], 0);
+        assert!(!u.app_running(0));
+        assert_eq!(u.tick(0, 0), None, "the aborted epoch never completes");
+        assert_eq!(u.cold.epochs_completed[0], 0);
         // A rejoin restores the ordinary waiting state.
         u.become_waiting(0, ModelVersion(2));
         assert!(u.is_waiting(0));
     }
 
     #[test]
+    fn census_follows_every_transition() {
+        let mut u = UserArena::build(130, 0.1, |_| DeviceKind::Pixel2);
+        assert_eq!(
+            (u.waiting_count(), u.training_count(), u.online_count()),
+            (130, 0, 130)
+        );
+        assert_eq!(u.next_waiting(0), Some(0));
+        u.start_training(0, 0, 5, false);
+        u.start_training(64, 0, 5, false);
+        u.go_offline(65);
+        u.go_offline(64); // mid-epoch
+        assert_eq!(
+            (u.waiting_count(), u.training_count(), u.online_count()),
+            (127, 1, 128)
+        );
+        assert_eq!(u.next_waiting(0), Some(1));
+        assert_eq!(u.next_waiting(64), Some(66));
+        assert!(u.waiting().eq((1..130).filter(|i| ![64, 65].contains(i))));
+        u.enter_barrier(0);
+        assert_eq!(u.training_count(), 0);
+        u.become_waiting(0, ModelVersion(1));
+        u.become_waiting(65, ModelVersion(1));
+        assert_eq!((u.waiting_count(), u.online_count()), (129, 129));
+        assert_eq!(u.next_waiting(64), Some(65));
+        // Ascending iteration tolerates the current user leaving the set.
+        let mut seen = 0;
+        let mut next = u.next_waiting(0);
+        while let Some(i) = next {
+            u.start_training(i, 0, 1, false);
+            seen += 1;
+            next = u.next_waiting(i + 1);
+        }
+        assert_eq!((seen, u.waiting_count(), u.training_count()), (129, 0, 129));
+        assert_eq!(u.next_waiting(0), None);
+    }
+
+    #[test]
     fn app_switch_replaces_current_app() {
         let mut u = arena();
-        u.start_app(0, AppKind::Map, 100);
-        u.start_app(0, AppKind::Zoom, 50);
+        u.start_app(0, AppKind::Map, 0, 100);
+        u.start_app(0, AppKind::Zoom, 3, 50);
         assert_eq!(u.app_status(0), AppStatus::App(AppKind::Zoom));
-        assert_eq!(u.app_remaining_slots[0], 50);
+        assert_eq!(u.app_until[0], 53);
     }
 
     #[test]
     fn zero_durations_are_clamped_to_one_slot() {
         let mut u = arena();
-        u.start_app(0, AppKind::News, 0);
+        u.start_app(0, AppKind::News, 0, 0);
         assert!(u.app_running(0));
-        u.start_training(0, 0, false);
-        assert!(u.tick(0));
+        u.start_training(0, 0, 0, false);
+        assert_eq!(u.tick(0, 0), Some(false));
+        assert!(!u.app_running(0));
     }
 
     #[test]
@@ -442,13 +600,15 @@ mod tests {
         let mut a = arena();
         let mut b = arena();
         for _ in 0..1000 {
-            a.gap_idle_slot(0);
+            a.idle_slot(0);
         }
-        b.gap_idle_slots(0, 1000);
+        b.idle_slots(0, 1000);
         assert_eq!(a.gap[0].to_bits(), b.gap[0].to_bits());
+        assert_eq!(a.cold.waiting_slots[0], b.cold.waiting_slots[0]);
+        assert_eq!(a.current_wait_slots[0], b.current_wait_slots[0]);
         // A negative epsilon clamps to zero exactly like GapAccumulator.
         let mut c = UserArena::build(1, -0.5, |_| DeviceKind::Pixel2);
-        c.gap_idle_slots(0, 10);
+        c.idle_slots(0, 10);
         assert_eq!(c.gap[0], 0.0);
         assert_eq!(c.epsilon(), 0.0);
     }

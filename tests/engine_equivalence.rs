@@ -6,6 +6,13 @@
 //! across seeds, arrival probabilities (including the p = 0 and p = 1
 //! extremes), trace collection modes, ML mode, and custom policies that
 //! still use the conservative dense-stepping capability defaults.
+//!
+//! `run` also executes its dense slots from event indices (arrival buckets,
+//! a deadline calendar, a waiting set, maintained counts) where `run_dense`
+//! scans the fleet; the second half of the suite aims at what an index can
+//! get wrong and a scan cannot — stale deadlines, slot-boundary meetings,
+//! hand-out order, the round census, bitset word edges — and at
+//! `EngineStats::user_visits`.
 
 use fedco::prelude::*;
 
@@ -295,4 +302,322 @@ fn zero_arrivals_fast_forward_to_the_horizon_for_blocked_users() {
         "{:?}",
         sim.engine_stats()
     );
+}
+
+// ---------------------------------------------------------------------
+// What an event index can get wrong and a scan of the fleet cannot.
+// ---------------------------------------------------------------------
+
+/// Runs `config` under both drivers with telemetry attached and returns
+/// `(dense result, event result, event trace)` after checking the results
+/// and the semantic telemetry channel agree.
+fn run_both_traced(label: &str, config: SimConfig) -> (SimResult, SimResult, Vec<Event>) {
+    let traced = |dense: bool| {
+        let sink = BufferSink::shared();
+        let mut sim = Simulation::try_new(config.clone())
+            .expect("valid config")
+            .with_telemetry(sink.clone());
+        let result = if dense { sim.run_dense() } else { sim.run() };
+        (result, sink.drain())
+    };
+    let (dense, dense_trace) = traced(true);
+    let (event, event_trace) = traced(false);
+    assert_identical(label, &dense, &event);
+    let report = diff(&dense_trace, &event_trace, false);
+    assert!(
+        report.identical(),
+        "{label}: semantic trace diverged: {report}"
+    );
+    (dense, event, event_trace)
+}
+
+#[test]
+fn devices_going_dark_mid_epoch_leave_only_stale_deadlines() {
+    // Heavy churn plus small batteries under Immediate-style scheduling:
+    // devices are nearly always mid-epoch, and at this arrival rate mostly
+    // mid-application, when the world takes them offline. Their filed
+    // completion and expiry deadlines must never fire, and the rejoined
+    // device must file fresh ones.
+    let spec: ScenarioSpec = "battery-constrained:churn=heavy:users=24:slots=3000:arrival_p=0.05"
+        .parse()
+        .expect("spec parses");
+    for policy in PolicyKind::ALL {
+        let config = spec.build_with_policy(policy).expect("builds");
+        let label = format!("dark mid-epoch {policy}");
+        let (_, event, trace) = run_both_traced(&label, config.clone());
+        let (dense, summary) = run_both(config.summary_only());
+        assert_identical(&format!("{label} summary"), &dense, &summary);
+        assert_eq!(
+            event.total_energy_j.to_bits(),
+            summary.total_energy_j.to_bits()
+        );
+        if policy != PolicyKind::Immediate {
+            continue;
+        }
+        // The scenario really exercises the case: some user was taken dark
+        // during a co-running epoch (scheduled with an application in the
+        // foreground, which runs exactly as long as the epoch; not merged
+        // since), never merged that epoch, rejoined and trained again.
+        let mut in_corun_epoch = [false; 24];
+        let mut went_dark_mid_corun = [false; 24];
+        let mut offline = [false; 24];
+        let mut retrained_after_dark = 0;
+        for e in &trace {
+            match e.kind {
+                EventKind::Schedule { user, corun } => {
+                    let u = user as usize;
+                    assert!(!offline[u], "{label}: offline user {u} was scheduled");
+                    in_corun_epoch[u] = corun;
+                    if std::mem::take(&mut went_dark_mid_corun[u]) {
+                        retrained_after_dark += 1;
+                    }
+                }
+                EventKind::Merge { user, .. } => {
+                    let u = user as usize;
+                    assert!(!offline[u], "{label}: a stale completion of user {u} fired");
+                    in_corun_epoch[u] = false;
+                }
+                EventKind::UserChurned {
+                    user,
+                    offline: dark,
+                } => {
+                    let u = user as usize;
+                    offline[u] = dark;
+                    if dark && std::mem::take(&mut in_corun_epoch[u]) {
+                        went_dark_mid_corun[u] = true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            retrained_after_dark > 0,
+            "{label}: no user went dark mid-co-run and came back"
+        );
+    }
+}
+
+#[test]
+fn an_expiry_and_an_arrival_meet_on_a_slot_boundary() {
+    // With an arrival in every slot, each application that leaves is
+    // replaced at the very slot boundary it leaves at, so every user has an
+    // application in the foreground from slot 0 to the horizon: one slot
+    // without one — an expiry applied a slot late, an arrival refused
+    // because the old application still counted as running — would show up
+    // as background-training or idle energy. Under Immediate scheduling
+    // epochs and applications end together, at dense slots; under Sync-SGD
+    // users parked at the barrier swap applications inside spans.
+    use fedco::device::profiler::EnergyComponent;
+    for (policy, fleets, expected) in [
+        (
+            PolicyKind::Immediate,
+            &[1, 5, 70][..],
+            &[EnergyComponent::CoRunning][..],
+        ),
+        (
+            PolicyKind::SyncSgd,
+            &[5, 70][..],
+            &[EnergyComponent::CoRunning, EnergyComponent::AppOnly][..],
+        ),
+    ] {
+        for &users in fleets {
+            let config = SimConfig {
+                num_users: users,
+                total_slots: 1500,
+                arrival_probability: 1.0,
+                ..SimConfig::default()
+            }
+            .with_policy(policy);
+            for config in [config.clone(), config.summary_only()] {
+                let (dense, event) = run_both(config);
+                assert_identical(&format!("{policy} p=1 users={users}"), &dense, &event);
+                let components: Vec<EnergyComponent> =
+                    event.energy_by_component.iter().map(|(c, _)| *c).collect();
+                assert_eq!(components, expected, "{policy} users={users}");
+                assert!(event.total_updates > 0 && event.corun_epochs >= event.total_updates);
+            }
+        }
+    }
+}
+
+#[test]
+fn same_slot_completions_reach_the_server_in_ascending_user_order() {
+    // Mixed devices and co-run durations: epochs started in different slots
+    // routinely complete together, and the calendar — filled in scheduling
+    // order — must hand them to the server in ascending user id, the order
+    // the scan finds them in (it decides lags and model versions).
+    let spec: ScenarioSpec = "hetero-devices:users=60:slots=2500:arrival_p=0.01"
+        .parse()
+        .expect("spec parses");
+    let config = spec
+        .build_with_policy(PolicyKind::Immediate)
+        .expect("builds");
+    let (_, event, trace) = run_both_traced("same-slot completions", config);
+
+    // From the trace: each merge's slot and the slot its epoch started in.
+    let mut started_at = [0u64; 60];
+    let mut merges: Vec<(u64, u64, u64)> = Vec::new(); // (merge slot, user, start slot)
+    for e in &trace {
+        match e.kind {
+            EventKind::Schedule { user, .. } => started_at[user as usize] = e.slot,
+            EventKind::Merge { user, .. } => merges.push((e.slot, user, started_at[user as usize])),
+            _ => {}
+        }
+    }
+    assert_eq!(merges.len() as u64, event.total_updates);
+    let mut descending_schedule_order = 0;
+    for pair in merges.windows(2) {
+        let ((slot_a, user_a, start_a), (slot_b, user_b, start_b)) = (pair[0], pair[1]);
+        if slot_a == slot_b {
+            assert!(
+                user_a < user_b,
+                "slot {slot_a}: {user_a} merged before {user_b}"
+            );
+            // The interesting pairs: the higher id was filed first.
+            descending_schedule_order += u64::from(start_b < start_a);
+        }
+    }
+    assert!(
+        descending_schedule_order > 0,
+        "no same-slot completions filed out of user order — the test lost its subject"
+    );
+}
+
+#[test]
+fn a_sync_round_closes_over_the_online_users_only() {
+    // Sync-SGD under heavy churn: a round must close as soon as every user
+    // the world left standing has uploaded — counted from the maintained
+    // census in the event driver, by a scan in the dense one.
+    let spec: ScenarioSpec = "smoke:churn=heavy:users=12:slots=3000"
+        .parse()
+        .expect("spec parses");
+    let config = spec.build_with_policy(PolicyKind::SyncSgd).expect("builds");
+    let (_, event, trace) = run_both_traced("sync round under churn", config.clone());
+    let (dense, summary) = run_both(config.summary_only());
+    assert_identical("sync round under churn (summary)", &dense, &summary);
+    let rounds: Vec<u64> = trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Round { participants, .. } => Some(participants),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rounds.len() as u64, event.total_updates);
+    assert!(rounds.len() >= 3, "too few rounds: {rounds:?}");
+    assert!(
+        rounds.iter().any(|&p| p < 12),
+        "every round had the full fleet — churn never thinned one: {rounds:?}"
+    );
+    assert!(rounds.iter().all(|&p| (1..=12).contains(&p)));
+}
+
+#[test]
+fn fleet_sizes_at_the_waiting_set_word_edges_are_bit_identical() {
+    // The waiting set is a bitset of 64-user words: one user, one short of
+    // a word, exactly a word, one over, and several words with a ragged
+    // tail.
+    for users in [1, 63, 64, 65, 300] {
+        for policy in PolicyKind::ALL {
+            let config = SimConfig {
+                num_users: users,
+                total_slots: 600,
+                arrival_probability: 0.01,
+                record_every_slots: 60,
+                ..SimConfig::default()
+            }
+            .with_policy(policy);
+            let (dense, event) = run_both(config.clone());
+            assert_identical(&format!("{policy} users={users}"), &dense, &event);
+            let (dense, event) = run_both(config.summary_only());
+            assert_identical(&format!("{policy} users={users} summary"), &dense, &event);
+            // (A lone user never builds enough queue pressure for the
+            // online controller inside this horizon.)
+            assert!(
+                event.total_updates > 0 || users == 1,
+                "{policy} users={users} never trained"
+            );
+        }
+    }
+}
+
+#[test]
+fn user_visits_track_events_not_fleet_size() {
+    // An all-training fleet with no arrivals: between the slot everyone is
+    // scheduled in and the slot the first epoch completes in, nothing
+    // happens to anyone — so stepping those slots (kept dense here by a
+    // policy that asks to be woken every slot) must touch no user at all.
+    let stats_of = |config: SimConfig, dense: bool| {
+        let mut sim = Simulation::try_new(config).expect("valid config");
+        let result = if dense { sim.run_dense() } else { sim.run() };
+        (sim.engine_stats(), result)
+    };
+    let quiet = |total_slots| {
+        SimConfig {
+            num_users: 40,
+            total_slots,
+            arrival_probability: 0.0,
+            ..SimConfig::default()
+        }
+        .with_policy(PolicySpec::custom(AlwaysAwakeImmediateFactory))
+        .summary_only()
+    };
+    // One slot: everyone is decided, scheduled and starts accruing.
+    let (first_slot, _) = stats_of(quiet(1), false);
+    assert_eq!(first_slot.dense_slots, 1);
+    assert!(first_slot.user_visits >= 40);
+    // Fifty slots, all dense (the policy asks to be woken every slot), none
+    // of them completing anything: only the end-of-run flush is added.
+    let (fifty, result) = stats_of(quiet(50), false);
+    assert_eq!((fifty.dense_slots, fifty.fast_forwarded_slots), (50, 0));
+    assert_eq!(
+        result.total_updates, 0,
+        "an epoch completed inside the window"
+    );
+    assert_eq!(fifty.user_visits, first_slot.user_visits);
+    // The reference scans pay the fleet for every phase of every slot.
+    let (scanned, _) = stats_of(quiet(50), true);
+    assert!(scanned.user_visits >= 50 * 40 * 4, "{scanned:?}");
+
+    // The `city-online` shape of the benchmark at 300 users: most of the
+    // horizon is dense, a tenth of the fleet is waiting at any time.
+    let spec: ScenarioSpec = "city-scale:users=300".parse().expect("spec parses");
+    let config = spec
+        .build_with_policy(PolicyKind::Online)
+        .expect("builds")
+        .summary_only();
+    let (stats, _) = stats_of(config.clone(), false);
+    assert!(stats.dense_slots > stats.fast_forwarded_slots, "{stats:?}");
+    assert!(
+        stats.user_visits < 300 * stats.dense_slots / 4,
+        "visits {} vs users x dense slots {}",
+        stats.user_visits,
+        300 * stats.dense_slots
+    );
+    // Deterministic, and independent of trace collection only through the
+    // flushes that recording adds.
+    assert_eq!(stats_of(config, false).0, stats);
+}
+
+/// Immediate scheduling that keeps the conservative "wake me every slot"
+/// default, so the event driver steps every slot densely.
+#[derive(Debug)]
+struct AlwaysAwakeImmediate;
+
+impl SchedulingPolicy for AlwaysAwakeImmediate {
+    fn decide(&mut self, _ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
+        fedco::device::power::SlotDecision::Schedule
+    }
+    fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
+}
+
+#[derive(Debug)]
+struct AlwaysAwakeImmediateFactory;
+
+impl PolicyFactory for AlwaysAwakeImmediateFactory {
+    fn label(&self) -> String {
+        "AlwaysAwakeImmediate".to_string()
+    }
+    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+        Box::new(AlwaysAwakeImmediate)
+    }
 }
