@@ -1,35 +1,35 @@
-//! `bench_engine` — dense vs event-driven engine throughput.
+//! `bench_engine` — slot-loop throughput, scan reference vs indexed phases.
 //!
-//! Runs every policy of the default registry through both engine drivers on
-//! summary-mode cells of the scenario registry and reports simulated
-//! **slots per second**:
+//! Runs every policy of the default registry through `Simulation::run_dense`
+//! (every per-user phase a scan of the fleet) and `Simulation::run` (the
+//! same phases from event indices) on summary-mode cells of the scenario
+//! registry and reports simulated **slots per second**. Both step every
+//! slot; the cell names keep the `dense` / `event` suffixes the recorded
+//! trajectory uses:
 //!
 //! * `paper`  — the `paper-default` preset at fleet scale (100 users,
 //!   3-hour horizon, Bernoulli arrivals at p = 0.001);
 //! * `sparse` — the `sparse` preset pushed to its extreme
-//!   (p = 0.0001), where almost every slot is quiescent;
-//! * `burst`  — the `dense-burst` preset (p = 0.01), the dense end where
-//!   fast-forwarding buys the least;
+//!   (p = 0.0001), where almost nothing happens in a slot;
+//! * `burst`  — the `dense-burst` preset (p = 0.01), the busy end;
 //! * `lte`    — the `lte-uplink` preset, exercising the transport-charged
 //!   radio path;
 //! * `world`  — the `battery-constrained` preset (battery lifecycles plus
-//!   light churn), exercising the world-check lane that periodically forces
-//!   the event driver dense.
+//!   light churn), exercising the periodic fleet-wide world check.
 //!
-//! Each (scenario, policy, driver) cell is timed `FEDCO_BENCH_REPS` times
+//! Each (scenario, policy, loop) cell is timed `FEDCO_BENCH_REPS` times
 //! (default 3) and the best wall time is kept. Results are verified
-//! bit-identical between the drivers before any number is reported. With
+//! bit-identical between the two before any number is reported. With
 //! `FEDCO_BENCH_JSON=<path>` set, one JSON line per cell (plus a per-
 //! scenario aggregate) is appended for mechanical diffing across commits —
 //! this is what `BENCH_engine.json` at the workspace root records.
 //!
-//! A final `engine/scale/<users>` sweep times the event driver on the
-//! `city-scale` preset geometry from 20 k users up to one million, in
-//! fleet-aggregate user-slots per second, and an `engine/city-online/7500`
-//! cell times the shape of the repository benchmark's `city-online`
-//! workload (`city-scale:users=7500`, Online, the preset's full hour) —
-//! the mostly-dense regime, where a slot costs what happens in it — with
-//! its nanoseconds per dense user-slot and per-user visit count.
+//! A final `engine/scale/<users>` sweep times `run` on the `city-scale`
+//! preset geometry from 20 k users up to one million, in fleet-aggregate
+//! user-slots per second, and an `engine/city-online/7500` cell times the
+//! shape of the repository benchmark's `city-online` workload
+//! (`city-scale:users=7500`, Online, the preset's full hour) with its
+//! nanoseconds per user-slot and per-user visit count.
 //!
 //! Scale knobs for smoke runs: `FEDCO_BENCH_USERS` (default 100),
 //! `FEDCO_BENCH_SLOTS` (default 10 800), `FEDCO_BENCH_REPS` (default 3),
@@ -40,8 +40,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use fedco_bench::micro;
-use fedco_fleet::report::json_escape;
 use fedco_sim::prelude::*;
+use fedco_telemetry::export::json_escape;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -80,7 +80,7 @@ fn scenario(preset: &str, arrival_probability: Option<f64>, users: u64, slots: u
         .summary_only()
 }
 
-/// Best-of-`reps` wall seconds for one run, plus the result and skip stats.
+/// Best-of-`reps` wall seconds for one run, plus the result and engine stats.
 fn time_run(config: &SimConfig, dense: bool, reps: u64) -> (f64, SimResult, EngineStats) {
     let mut best = f64::INFINITY;
     let mut kept: Option<(SimResult, EngineStats)> = None;
@@ -107,8 +107,8 @@ fn main() {
         "engine throughput — {users} users x {slots} slots, summary mode, best of {reps}"
     ));
     println!(
-        "{:<42} {:>14} {:>14} {:>9} {:>8}",
-        "scenario/policy", "dense slots/s", "event slots/s", "speedup", "skipped"
+        "{:<42} {:>14} {:>16} {:>9}",
+        "scenario/policy", "scan slots/s", "indexed slots/s", "speedup"
     );
 
     let cells = [
@@ -124,11 +124,11 @@ fn main() {
         for spec in PolicySpec::default_registry() {
             let config = scenario(preset, p, users, slots).with_policy(spec.clone());
             let (dense_s, dense_result, _) = time_run(&config, true, reps);
-            let (event_s, event_result, stats) = time_run(&config, false, reps);
+            let (event_s, event_result, _) = time_run(&config, false, reps);
             assert_eq!(
                 dense_result.total_energy_j.to_bits(),
                 event_result.total_energy_j.to_bits(),
-                "{name}/{spec}: dense and event drivers diverged"
+                "{name}/{spec}: scan and indexed phases diverged"
             );
             assert_eq!(dense_result.total_updates, event_result.total_updates);
             dense_total_s += dense_s;
@@ -137,9 +137,8 @@ fn main() {
             let event_rate = slots as f64 / event_s;
             let label = format!("{name}/{}", spec.label());
             println!(
-                "{label:<42} {dense_rate:>14.0} {event_rate:>14.0} {:>8.1}x {:>7.1}%",
-                event_rate / dense_rate,
-                stats.skip_fraction() * 100.0
+                "{label:<42} {dense_rate:>14.0} {event_rate:>16.0} {:>8.1}x",
+                event_rate / dense_rate
             );
             micro::append_json_line(&format!(
                 "{{\"name\":\"engine/{}/dense\",\"slots_per_sec\":{:.0},\"wall_ms\":{:.3}}}",
@@ -149,20 +148,17 @@ fn main() {
             ));
             micro::append_json_line(&format!(
                 "{{\"name\":\"engine/{}/event\",\"slots_per_sec\":{:.0},\"wall_ms\":{:.3},\
-\"speedup\":{:.2},\"dense_slots\":{},\"fast_forwarded_slots\":{},\"spans\":{}}}",
+\"speedup\":{:.2}}}",
                 json_escape(&label),
                 event_rate,
                 event_s * 1e3,
-                event_rate / dense_rate,
-                stats.dense_slots,
-                stats.fast_forwarded_slots,
-                stats.spans
+                event_rate / dense_rate
             ));
         }
         let registry = PolicySpec::default_registry().len() as f64;
         let aggregate = dense_total_s / event_total_s;
         println!(
-            "{:<42} {:>14.0} {:>14.0} {aggregate:>8.1}x",
+            "{:<42} {:>14.0} {:>16.0} {aggregate:>8.1}x",
             format!("{name}/AGGREGATE"),
             registry * slots as f64 / dense_total_s,
             registry * slots as f64 / event_total_s,
@@ -175,40 +171,33 @@ fn main() {
         ));
     }
 
-    // Scale sweep: the struct-of-arrays arena plus span fast-forward at
-    // city scale and beyond. Event driver only (a dense million-user run
-    // would dominate the whole benchmark), Online policy, `city-scale`
-    // preset geometry, reported as fleet-aggregate **user-slots per
-    // second**.
+    // Scale sweep: the struct-of-arrays arena and the indexed phases at
+    // city scale and beyond. `run` only (a million-user scan run would
+    // dominate the whole benchmark), Online policy, `city-scale` preset
+    // geometry, reported as fleet-aggregate **user-slots per second**.
     //
     // Knobs: `FEDCO_BENCH_SCALE_USERS` (comma list), `FEDCO_BENCH_SCALE_SLOTS`.
     let scale_users = env_list("FEDCO_BENCH_SCALE_USERS", &[20_000, 100_000, 1_000_000]);
     let scale_slots = env_u64("FEDCO_BENCH_SCALE_SLOTS", 200);
     micro::group(&format!(
-        "engine scale — city-scale preset, Online, event driver, {scale_slots} slots, \
-best of {reps}"
+        "engine scale — city-scale preset, Online, {scale_slots} slots, best of {reps}"
     ));
-    println!(
-        "{:<42} {:>18} {:>12} {:>8}",
-        "users", "user-slots/s", "wall ms", "skipped"
-    );
+    println!("{:<42} {:>18} {:>12}", "users", "user-slots/s", "wall ms");
     for &scale in &scale_users {
         let config =
             scenario("city-scale", None, scale, scale_slots).with_policy(PolicyKind::Online);
-        let (wall, _, stats) = time_run(&config, false, reps);
+        let (wall, _, _) = time_run(&config, false, reps);
         let slot_rate = scale_slots as f64 / wall;
         let user_slot_rate = (scale * scale_slots) as f64 / wall;
         println!(
-            "{:<42} {user_slot_rate:>18.0} {:>12.1} {:>7.1}%",
+            "{:<42} {user_slot_rate:>18.0} {:>12.1}",
             format!("scale/{scale}"),
-            wall * 1e3,
-            stats.skip_fraction() * 100.0
+            wall * 1e3
         );
         micro::append_json_line(&format!(
             "{{\"name\":\"engine/scale/{scale}\",\"slots_per_sec\":{slot_rate:.0},\
-\"user_slots_per_sec\":{user_slot_rate:.0},\"wall_ms\":{:.3},\"fast_forwarded_slots\":{}}}",
-            wall * 1e3,
-            stats.fast_forwarded_slots
+\"user_slots_per_sec\":{user_slot_rate:.0},\"wall_ms\":{:.3}}}",
+            wall * 1e3
         ));
     }
 
@@ -219,28 +208,27 @@ best of {reps}"
     let config =
         scenario("city-scale", None, city_users, city_slots).with_policy(PolicyKind::Online);
     let (wall, _, stats) = time_run(&config, false, reps);
-    let ns_per_dense_user_slot = wall * 1e9 / (stats.dense_slots * city_users) as f64;
+    let user_slots = (city_slots * city_users) as f64;
+    let ns_per_user_slot = wall * 1e9 / user_slots;
     micro::group(&format!(
         "engine city-online — city-scale preset, {city_users} users x {city_slots} slots, \
-Online, event driver, best of {reps}"
+Online, best of {reps}"
     ));
     println!(
-        "{:<42} {:>12.1} ms {:>8.2} ns/dense user-slot {:>10} visits ({:.1}% of users x dense slots)",
+        "{:<42} {:>12.1} ms {:>8.2} ns/user-slot {:>10} visits ({:.1}% of users x slots)",
         format!("city-online/{city_users}"),
         wall * 1e3,
-        ns_per_dense_user_slot,
+        ns_per_user_slot,
         stats.user_visits,
-        stats.user_visits as f64 * 100.0 / (stats.dense_slots * city_users) as f64
+        stats.user_visits as f64 * 100.0 / user_slots
     );
+    // (`ns_per_dense_user_slot` keeps the key of the recorded trajectory;
+    // every slot is stepped, so it is nanoseconds per user-slot.)
     micro::append_json_line(&format!(
         "{{\"name\":\"engine/city-online/{city_users}\",\"slots_per_sec\":{:.0},\
-\"wall_ms\":{:.3},\"ns_per_dense_user_slot\":{ns_per_dense_user_slot:.2},\"dense_slots\":{},\
-\"fast_forwarded_slots\":{},\"spans\":{},\"user_visits\":{}}}",
+\"wall_ms\":{:.3},\"ns_per_dense_user_slot\":{ns_per_user_slot:.2},\"user_visits\":{}}}",
         city_slots as f64 / wall,
         wall * 1e3,
-        stats.dense_slots,
-        stats.fast_forwarded_slots,
-        stats.spans,
         stats.user_visits
     ));
 }

@@ -94,7 +94,7 @@ fn provenance() -> &'static str {
         let nproc = std::thread::available_parallelism().map_or(0, usize::from);
         format!(
             "\"nproc\":{nproc},\"commit\":\"{}\"",
-            fedco_fleet::report::json_escape(&commit)
+            fedco_telemetry::export::json_escape(&commit)
         )
     })
 }
@@ -103,7 +103,7 @@ fn provenance() -> &'static str {
 fn json_line(name: &str, median: f64, mean: f64, min: f64, samples: usize) -> String {
     format!(
         "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},{}}}",
-        fedco_fleet::report::json_escape(name),
+        fedco_telemetry::export::json_escape(name),
         median,
         mean,
         min,

@@ -224,6 +224,13 @@ impl SimConfig {
     /// scenario `users=` field — instead of reaching the allocator.
     pub const MAX_USERS: usize = 10_000_000;
 
+    /// Shortest slot one simulation accepts, in seconds. Durations are
+    /// converted to slots by dividing by the slot length, so a vanishing
+    /// slot is rejected by [`SimConfig::validate`] — and by the scenario
+    /// `slot_seconds=` field — instead of being clamped by the clock while
+    /// energy accounting keeps the configured value.
+    pub const MIN_SLOT_SECONDS: f64 = 1e-9;
+
     /// The paper's main evaluation setting (Section VII-B) for a given
     /// policy: 25 users, 3 hours, arrival probability 0.001, V = 4000,
     /// L_b = 1000.
@@ -331,7 +338,7 @@ impl SimConfig {
         if self.total_slots == 0 {
             return Err(ConfigError::ZeroSlots);
         }
-        if self.slot_seconds <= 0.0 || !self.slot_seconds.is_finite() {
+        if !(self.slot_seconds >= SimConfig::MIN_SLOT_SECONDS && self.slot_seconds.is_finite()) {
             return Err(ConfigError::NonPositiveSlotSeconds(self.slot_seconds));
         }
         if !(0.0..=1.0).contains(&self.arrival_probability) {
@@ -366,7 +373,8 @@ pub enum ConfigError {
     TooManyUsers(usize),
     /// `total_slots` is zero.
     ZeroSlots,
-    /// `slot_seconds` is not strictly positive (value attached).
+    /// `slot_seconds` is not a finite number of at least
+    /// [`SimConfig::MIN_SLOT_SECONDS`] (value attached).
     NonPositiveSlotSeconds(f64),
     /// `arrival_probability` is outside `[0, 1]` (value attached).
     ArrivalProbabilityOutOfRange(f64),
@@ -396,7 +404,11 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroSlots => f.write_str("total_slots must be at least 1 (got 0)"),
             ConfigError::NonPositiveSlotSeconds(v) => {
-                write!(f, "slot_seconds must be positive (got {v})")
+                write!(
+                    f,
+                    "slot_seconds must be finite and at least MIN_SLOT_SECONDS = {:e} (got {v})",
+                    SimConfig::MIN_SLOT_SECONDS
+                )
             }
             ConfigError::ArrivalProbabilityOutOfRange(v) => {
                 write!(f, "arrival_probability must lie in [0, 1] (got {v})")
@@ -502,6 +514,25 @@ mod tests {
         };
         assert_eq!(c.validate(), Err(ConfigError::NonPositiveSlotSeconds(-0.5)));
         assert!(c.validate().unwrap_err().to_string().contains("-0.5"));
+        // Shorter than the clock can divide by: rejected, naming the floor.
+        let tiny = SimConfig {
+            slot_seconds: 1e-300,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            tiny.validate(),
+            Err(ConfigError::NonPositiveSlotSeconds(1e-300))
+        );
+        let message = tiny.validate().unwrap_err().to_string();
+        assert!(
+            message.starts_with("slot_seconds") && message.contains("MIN_SLOT_SECONDS = 1e-9"),
+            "{message}"
+        );
+        let floor = SimConfig {
+            slot_seconds: SimConfig::MIN_SLOT_SECONDS,
+            ..SimConfig::default()
+        };
+        assert_eq!(floor.validate(), Ok(()));
         let inf = SimConfig {
             slot_seconds: f64::INFINITY,
             ..SimConfig::default()

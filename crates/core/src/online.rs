@@ -44,6 +44,7 @@ pub struct OnlineDecisionInput {
 
 impl OnlineDecisionInput {
     /// Builds the input from a device profile and the staleness estimates.
+    #[inline]
     pub fn from_profile(
         profile: &DeviceProfile,
         app_status: AppStatus,
@@ -92,41 +93,6 @@ impl DecisionObjectives {
             SlotDecision::Idle
         }
     }
-}
-
-/// Everything the engine certifies about a candidate *waiting span*: a run
-/// of slots in which nothing engine-observable happens (no arrivals, app
-/// expiries, training completions, requeues, or recording boundaries), yet
-/// waiting users keep asking the policy for decisions every slot.
-///
-/// A policy given this probe may commit any prefix of the span in bulk —
-/// replaying its own queue evolution exactly as the dense loop would — and
-/// must stop *before* the first virtual slot in which any waiting user's
-/// decision would flip to `Schedule` (that slot then runs densely).
-///
-/// During the span the engine guarantees: every waiting user's application
-/// status is frozen, no user enters or leaves the waiting set, the
-/// momentum-predicted gap is constant, and each waiting user's accumulated
-/// gap grows by exactly `epsilon` per slot (by repeated addition).
-#[derive(Debug)]
-pub struct WaitingSpanProbe<'a> {
-    /// First slot of the candidate span.
-    pub start_slot: u64,
-    /// Maximum number of slots the engine allows the span to cover.
-    pub limit: u64,
-    /// Per-idle-slot gap increment `ε` (Eq. 12).
-    pub epsilon: f64,
-    /// Every user's accumulated gap at span start, in user order. Only the
-    /// entries listed in [`waiting`](Self::waiting) evolve during the span.
-    pub gaps: &'a [f64],
-    /// Indices (into [`gaps`](Self::gaps)) of the waiting users, ascending —
-    /// the exact order the dense loop decides them in.
-    pub waiting: &'a [usize],
-    /// One decision input per waiting user (same order as
-    /// [`waiting`](Self::waiting)), valid for every slot of the span except
-    /// for `accumulated_gap_if_idle`, which the policy must refresh from the
-    /// evolving gap before each virtual decision.
-    pub inputs: &'a [OnlineDecisionInput],
 }
 
 /// Summary of a completed slot, used to advance the queues.
@@ -221,62 +187,6 @@ impl OnlineScheduler {
             self.config.staleness_bound,
         );
         self.slots_elapsed += 1;
-    }
-
-    /// Replays a waiting span in bulk (the event-driven engine's satellite
-    /// of Eq. 15/16): commits virtual slots — advancing the Lyapunov queues
-    /// exactly as the dense per-slot loop would — until either the probe's
-    /// limit is reached or some waiting user's decision flips to
-    /// `Schedule`, and returns the number of committed slots (the flip slot
-    /// itself is *not* committed; the engine re-runs it densely).
-    ///
-    /// Bit-identical to the dense loop by construction: decisions are
-    /// evaluated in the same user order against `g + ε`, gaps advance by
-    /// repeated `+ ε` additions, the per-slot gap sum is a fixed-order
-    /// fold over the full user vector, and `queue_sum`/`vq_sum` accumulate
-    /// the post-step backlogs slot by slot on the engine's own accumulators.
-    pub fn fast_forward_waiting(
-        &mut self,
-        probe: &WaitingSpanProbe<'_>,
-        queue_sum: &mut f64,
-        vq_sum: &mut f64,
-    ) -> u64 {
-        // The evolving gaps. Most probes end at the very first flip test
-        // with nothing committed, so the fleet-sized copy is only made once
-        // a slot commits; until then the probe's own gaps are read.
-        let mut evolved: Option<Vec<f64>> = None;
-        let mut committed = 0u64;
-        while committed < probe.limit {
-            // Decisions first, in dense user order; stop before the first
-            // slot in which any waiting user schedules. `decide` is pure,
-            // so probing the flip slot leaves no trace.
-            let gaps = evolved.as_deref().unwrap_or(probe.gaps);
-            for (k, &u) in probe.waiting.iter().enumerate() {
-                let mut input = probe.inputs[k];
-                input.accumulated_gap_if_idle = GradientGap(gaps[u] + probe.epsilon);
-                if self.decide(&input) == SlotDecision::Schedule {
-                    return committed;
-                }
-            }
-            // Every waiting user idles: commit the slot. Idle gaps accrue
-            // first (as the dense decision loop does), then the end-of-slot
-            // queue step sees the updated gap sum.
-            let gaps = evolved.get_or_insert_with(|| probe.gaps.to_vec());
-            for &u in probe.waiting {
-                gaps[u] += probe.epsilon;
-            }
-            // fedco-audit: allow(float-reduction): fixed-order reduction over the full gap lane — deterministic by construction
-            let gap_sum: f64 = gaps.iter().sum();
-            self.end_of_slot(&SlotOutcome {
-                arrivals: probe.waiting.len(),
-                scheduled: 0,
-                gap_sum,
-            });
-            *queue_sum += self.queue_backlog();
-            *vq_sum += self.virtual_backlog();
-            committed += 1;
-        }
-        committed
     }
 
     /// The current Lyapunov function value `L(Θ(t))`.

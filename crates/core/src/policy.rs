@@ -20,7 +20,7 @@ use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
 
 use crate::config::SchedulerConfig;
-use crate::online::{OnlineDecisionInput, OnlineScheduler, SlotOutcome, WaitingSpanProbe};
+use crate::online::{OnlineDecisionInput, OnlineScheduler, SlotOutcome};
 
 /// Identifies one of the four built-in scheduling schemes of the paper.
 ///
@@ -145,6 +145,12 @@ impl WindowPlan {
 /// * [`decision_energy_overhead`](SchedulingPolicy::decision_energy_overhead)
 ///   — a fraction of the device's measured decision-computation power
 ///   (Table III) is charged for every decision the policy makes.
+/// * [`quiescent_while_waiting`](SchedulingPolicy::quiescent_while_waiting)
+///   — the policy keeps no queues, so the slot loop skips the per-slot gap
+///   fold that would feed them.
+///
+/// Every slot of a run is stepped, and every waiting user is decided in
+/// every slot: there is no hook through which a policy could be skipped.
 pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// Decides for one waiting user in the current slot.
     fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision;
@@ -195,87 +201,25 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// decision-computation power (Table III) that each decision of this
     /// policy costs. The engine charges
     /// `fraction × (P_decision − P_idle) × t_d` per decided slot when
-    /// decision-overhead accounting is enabled. Defaults to `0.0` (free
+    /// decision-overhead accounting is enabled, and reads the fraction once
+    /// per slot, before that slot's decisions. Defaults to `0.0` (free
     /// decisions, as for the paper's baselines).
     fn decision_energy_overhead(&self) -> f64 {
         0.0
     }
 
-    /// Event-engine capability: the next slot *strictly after* `slot` at
-    /// which this policy may need to act on its own initiative — because
-    /// [`wants_replanning`](SchedulingPolicy::wants_replanning) may return
-    /// `true` there, or because a waiting user's decision may flip from idle
-    /// to schedule even though nothing engine-observable (arrivals, app
-    /// expiries, training completions, requeues) changed in between. As long
-    /// as every engine-side event is stepped densely, the engine may skip
-    /// the policy entirely on the slots strictly between `slot` and the
-    /// returned wakeup.
+    /// Declares that this policy keeps no queues: its
+    /// [`end_of_slot`](SchedulingPolicy::end_of_slot) is a no-op and both
+    /// [`queue_backlog`](SchedulingPolicy::queue_backlog) and
+    /// [`virtual_backlog`](SchedulingPolicy::virtual_backlog) are
+    /// identically zero. The slot loop then skips the O(users) gap fold
+    /// that feeds `end_of_slot` and the two `+= 0.0` backlog accumulations —
+    /// exact no-ops, so the result is the same bit for bit.
     ///
-    /// Returning `None` promises the policy never needs such a self-driven
-    /// visit. The conservative default, `Some(slot + 1)`, asks to be visited
-    /// every slot and keeps the engine stepping densely — always correct,
-    /// and what custom policies written before this hook existed get.
-    fn next_wakeup_after(&self, slot: u64) -> Option<u64> {
-        Some(slot + 1)
-    }
-
-    /// Event-engine capability: declares that this policy is *quiescent
-    /// while users wait*, allowing the engine to fast-forward spans in which
-    /// waiting users keep idling. Returning `true` certifies all of:
-    ///
-    /// * [`decide`](SchedulingPolicy::decide) is a pure function of its
-    ///   context with no internal side effects (no private RNG draws, no
-    ///   mutated state), so skipping calls cannot change later behaviour;
-    /// * between the wakeups declared by
-    ///   [`next_wakeup_after`](SchedulingPolicy::next_wakeup_after), a
-    ///   waiting user's decision cannot change while that user's application
-    ///   status is unchanged;
-    /// * [`end_of_slot`](SchedulingPolicy::end_of_slot) is a no-op and both
-    ///   [`queue_backlog`](SchedulingPolicy::queue_backlog) and
-    ///   [`virtual_backlog`](SchedulingPolicy::virtual_backlog) are
-    ///   identically zero;
-    /// * [`decision_energy_overhead`](SchedulingPolicy::decision_energy_overhead)
-    ///   is zero (skipped decisions must not owe energy).
-    ///
-    /// Defaults to `false` (the dense-stepping, always-correct answer).
-    /// Policies with per-slot queue dynamics (like the online controller) or
-    /// per-decision randomness (like the coin-flip baseline) must keep it
-    /// `false`.
+    /// Defaults to `false`, which is always correct; a policy with per-slot
+    /// queue dynamics (like the online controller) must keep it `false`.
     fn quiescent_while_waiting(&self) -> bool {
         false
-    }
-
-    /// Event-engine capability: whether this policy, despite *not* being
-    /// quiescent while users wait, can commit waiting spans in bulk through
-    /// [`fast_forward_waiting`](SchedulingPolicy::fast_forward_waiting).
-    /// Returning `true` certifies that
-    /// [`decide`](SchedulingPolicy::decide) is a pure, deterministic
-    /// function of its input and the policy's queue state (no private RNG,
-    /// no per-call side effects), so the policy can *predict* its own
-    /// decisions over a span in which the engine guarantees the only input
-    /// change is the `+ ε` idle-gap accrual. Defaults to `false` (dense
-    /// stepping, always correct).
-    fn can_fast_forward_waiting(&self) -> bool {
-        false
-    }
-
-    /// Commits up to `probe.limit` virtual slots of an engine-certified
-    /// waiting span (see [`WaitingSpanProbe`]): the policy replays its own
-    /// per-slot queue evolution exactly as the dense loop would — including
-    /// accumulating the post-step backlogs into `queue_sum`/`vq_sum` — and
-    /// returns how many slots it committed. It must stop *before* the first
-    /// slot in which any waiting user's decision would flip to schedule;
-    /// returning `0` keeps the engine dense. Only called when
-    /// [`can_fast_forward_waiting`](SchedulingPolicy::can_fast_forward_waiting)
-    /// returned `true` at run start.
-    fn fast_forward_waiting(
-        &mut self,
-        probe: &WaitingSpanProbe<'_>,
-        queue_sum: &mut f64,
-        vq_sum: &mut f64,
-    ) -> u64 {
-        let _ = (probe, queue_sum, vq_sum);
-        0
     }
 }
 
@@ -296,10 +240,6 @@ impl SchedulingPolicy for ImmediatePolicy {
     }
 
     fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
-
-    fn next_wakeup_after(&self, _slot: u64) -> Option<u64> {
-        None
-    }
 
     fn quiescent_while_waiting(&self) -> bool {
         true
@@ -332,10 +272,6 @@ impl SchedulingPolicy for SyncSgdPolicy {
         true
     }
 
-    fn next_wakeup_after(&self, _slot: u64) -> Option<u64> {
-        None
-    }
-
     fn quiescent_while_waiting(&self) -> bool {
         true
     }
@@ -355,13 +291,6 @@ pub struct OfflinePolicy {
     /// The planned start slot of each user, indexed by user id (grown on
     /// demand; `None` = no entry).
     start_of: Vec<Option<u64>>,
-    /// Every planned `(start, user)` pair in ascending order. An entry whose
-    /// user was since cleared or re-planned is stale: `start_of` no longer
-    /// agrees with it, and it is skipped.
-    by_start: Vec<(u64, usize)>,
-    /// Index into `by_start` of the earliest live entry (`by_start.len()`
-    /// when none is left), so the earliest pending start is read in O(1).
-    head: usize,
     /// Number of users holding an entry.
     planned: usize,
     window_slots: u64,
@@ -383,21 +312,8 @@ impl OfflinePolicy {
         }
     }
 
-    /// Whether `by_start[k]` still is its user's planned start.
-    fn is_live(&self, k: usize) -> bool {
-        let (start, user_id) = self.by_start[k];
-        self.start_of[user_id] == Some(start)
-    }
-
-    /// Moves `head` past stale entries.
-    fn advance_head(&mut self) {
-        while self.head < self.by_start.len() && !self.is_live(self.head) {
-            self.head += 1;
-        }
-    }
-
-    /// Records `slot` as `user_id`'s start without touching `by_start`.
-    fn record_start(&mut self, user_id: usize, slot: u64) {
+    /// Installs (or replaces) the start slot planned for a user.
+    pub fn set_start_slot(&mut self, user_id: usize, slot: u64) {
         if user_id >= self.start_of.len() {
             self.start_of.resize(user_id + 1, None);
         }
@@ -406,31 +322,18 @@ impl OfflinePolicy {
         }
     }
 
-    /// Installs (or replaces) the start slot planned for a user.
-    pub fn set_start_slot(&mut self, user_id: usize, slot: u64) {
-        self.record_start(user_id, slot);
-        let at = self.by_start.partition_point(|&e| e < (slot, user_id));
-        self.by_start.insert(at, (slot, user_id));
-        self.head = self.head.min(at);
-        self.advance_head();
-    }
-
     /// Removes a user's plan entry (after their training started).
     pub fn clear_user(&mut self, user_id: usize) {
         if let Some(entry) = self.start_of.get_mut(user_id) {
             if entry.take().is_some() {
                 self.planned -= 1;
-                self.advance_head();
             }
         }
     }
 
     /// Clears the whole plan (at window boundaries).
     pub fn clear(&mut self) {
-        for (_, user_id) in self.by_start.drain(..) {
-            self.start_of[user_id] = None;
-        }
-        self.head = 0;
+        self.start_of.clear();
         self.planned = 0;
     }
 
@@ -461,39 +364,14 @@ impl SchedulingPolicy for OfflinePolicy {
 
     fn install_plan(&mut self, plan: &WindowPlan) {
         self.clear();
-        // One sort per window instead of one sorted insert per user; a user
-        // listed twice keeps its last start and leaves a stale first entry.
+        // A user listed twice keeps its last start.
         for (user_id, slot) in plan.iter() {
-            self.record_start(user_id, slot);
-            self.by_start.push((slot, user_id));
+            self.set_start_slot(user_id, slot);
         }
-        self.by_start.sort_unstable();
-        self.advance_head();
     }
 
     fn notify_scheduled(&mut self, user_id: usize) {
         self.clear_user(user_id);
-    }
-
-    fn next_wakeup_after(&self, slot: u64) -> Option<u64> {
-        // The policy acts on its own at the next replanning boundary and at
-        // the earliest still-pending planned start. Entries at or before
-        // `slot` belong to users that already flipped to Schedule (they are
-        // cleared the moment the user is scheduled) or that cannot be
-        // decided at all (a planned device that went dark), so only future
-        // starts can change a waiting user's decision — almost always the
-        // entry at `head` itself.
-        let boundary = slot
-            .checked_div(self.window_slots)
-            .map(|w| (w + 1) * self.window_slots);
-        let next_start = (self.head..self.by_start.len())
-            .find(|&k| self.by_start[k].0 > slot && self.is_live(k))
-            .map(|k| self.by_start[k].0);
-        match (boundary, next_start) {
-            (Some(b), Some(s)) => Some(b.min(s)),
-            (Some(b), None) => Some(b),
-            (None, s) => s,
-        }
     }
 
     fn quiescent_while_waiting(&self) -> bool {
@@ -543,32 +421,6 @@ impl SchedulingPolicy for OnlinePolicy {
         // measures the full decision-computation power for it.
         1.0
     }
-
-    fn next_wakeup_after(&self, _slot: u64) -> Option<u64> {
-        // The controller never replans and never schedules out of its own
-        // clock — but its queues evolve every slot, so it must NOT declare
-        // `quiescent_while_waiting`: instead it commits waiting spans
-        // itself through `fast_forward_waiting`, replaying the Eq.-15/16
-        // queue steps slot by slot.
-        None
-    }
-
-    fn can_fast_forward_waiting(&self) -> bool {
-        // Eq. 21 is a pure function of the decision input and the queue
-        // backlogs, so the controller can predict its own flips over a
-        // span whose only input change is the `+ ε` gap accrual.
-        true
-    }
-
-    fn fast_forward_waiting(
-        &mut self,
-        probe: &WaitingSpanProbe<'_>,
-        queue_sum: &mut f64,
-        vq_sum: &mut f64,
-    ) -> u64 {
-        self.scheduler
-            .fast_forward_waiting(probe, queue_sum, vq_sum)
-    }
 }
 
 /// A seeded coin-flip baseline: every waiting user is scheduled this slot
@@ -606,13 +458,6 @@ impl SchedulingPolicy for RandomPolicy {
     }
 
     fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
-
-    fn next_wakeup_after(&self, _slot: u64) -> Option<u64> {
-        // Never replans — but every decision draws from the private coin
-        // stream, so `quiescent_while_waiting` must stay `false`: skipping a
-        // waiting user's decision would desynchronise the RNG.
-        None
-    }
 }
 
 /// A battery-conscious power-threshold baseline (in the spirit of
@@ -657,13 +502,7 @@ impl SchedulingPolicy for PowerThresholdPolicy {
 
     fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
 
-    fn next_wakeup_after(&self, _slot: u64) -> Option<u64> {
-        None
-    }
-
     fn quiescent_while_waiting(&self) -> bool {
-        // The decision is a pure function of the device profile and the
-        // current app status, both constant between engine events.
         true
     }
 }
@@ -885,63 +724,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_capability_defaults_are_dense() {
-        // A policy that overrides nothing keeps the conservative contract:
-        // visit me every slot, never skip my waiting decisions.
-        #[derive(Debug)]
-        struct Legacy;
-        impl SchedulingPolicy for Legacy {
-            fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
-                SlotDecision::Idle
-            }
-            fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
-        }
-        let p = Legacy;
-        assert_eq!(p.next_wakeup_after(0), Some(1));
-        assert_eq!(p.next_wakeup_after(41), Some(42));
-        assert!(!p.quiescent_while_waiting());
-    }
-
-    #[test]
-    fn builtin_fast_forward_capabilities() {
-        assert_eq!(ImmediatePolicy::new().next_wakeup_after(7), None);
+    fn only_queueless_policies_certify_quiescence() {
+        // The certificate lets the slot loop drop the per-slot gap fold, so
+        // it is exactly the policies whose `end_of_slot` does nothing.
         assert!(ImmediatePolicy::new().quiescent_while_waiting());
-        assert_eq!(SyncSgdPolicy::new().next_wakeup_after(7), None);
         assert!(SyncSgdPolicy::new().quiescent_while_waiting());
-        assert_eq!(
-            OnlinePolicy::new(SchedulerConfig::default()).next_wakeup_after(7),
-            None
-        );
-        assert!(!OnlinePolicy::new(SchedulerConfig::default()).quiescent_while_waiting());
-        assert_eq!(RandomPolicy::new(0.5, 1).next_wakeup_after(7), None);
-        assert!(!RandomPolicy::new(0.5, 1).quiescent_while_waiting());
-        assert_eq!(PowerThresholdPolicy::new(0.7).next_wakeup_after(7), None);
+        assert!(OfflinePolicy::with_window(500).quiescent_while_waiting());
         assert!(PowerThresholdPolicy::new(0.7).quiescent_while_waiting());
-    }
-
-    #[test]
-    fn offline_next_wakeup_tracks_boundaries_and_plan_starts() {
-        let mut p = OfflinePolicy::with_window(500);
-        assert!(p.quiescent_while_waiting());
-        // No plan: only the window boundaries wake the policy.
-        assert_eq!(p.next_wakeup_after(0), Some(500));
-        assert_eq!(p.next_wakeup_after(499), Some(500));
-        assert_eq!(p.next_wakeup_after(500), Some(1000));
-        // Pending future starts wake it earlier; past starts are ignored
-        // (their users were already scheduled and cleared, or will be
-        // re-decided densely at the next engine event).
-        p.set_start_slot(3, 120);
-        p.set_start_slot(4, 80);
-        p.set_start_slot(5, 10);
-        assert_eq!(p.next_wakeup_after(40), Some(80));
-        assert_eq!(p.next_wakeup_after(80), Some(120));
-        assert_eq!(p.next_wakeup_after(130), Some(500));
-        // A windowless policy with no plan never wakes on its own.
-        let mut q = OfflinePolicy::new();
-        assert_eq!(q.next_wakeup_after(0), None);
-        q.set_start_slot(1, 30);
-        assert_eq!(q.next_wakeup_after(0), Some(30));
-        assert_eq!(q.next_wakeup_after(30), None);
+        assert!(!OnlinePolicy::new(SchedulerConfig::default()).quiescent_while_waiting());
+        // The conservative default, which custom policies inherit.
+        assert!(!RandomPolicy::new(0.5, 1).quiescent_while_waiting());
     }
 
     #[test]
@@ -952,15 +744,10 @@ mod tests {
         p.set_start_slot(7, 30);
         assert_eq!(p.planned_len(), 2);
         assert_eq!(p.planned_slot(2), Some(20));
-        assert_eq!(p.next_wakeup_after(0), Some(20));
-        assert_eq!(p.next_wakeup_after(20), Some(30));
-        assert_eq!(p.next_wakeup_after(30), None, "the stale 50 never wakes");
-        // Clearing the earliest entry moves the earliest pending start on.
         p.clear_user(2);
         p.clear_user(2);
         p.clear_user(99);
         assert_eq!(p.planned_len(), 1);
-        assert_eq!(p.next_wakeup_after(0), Some(30));
         assert_eq!(p.decide(&ctx(2, 60)), SlotDecision::Idle);
         // An installed plan replaces everything; a user listed twice keeps
         // its last start.
@@ -972,12 +759,8 @@ mod tests {
         assert_eq!(p.planned_len(), 2);
         assert_eq!(p.planned_slot(7), None);
         assert_eq!(p.planned_slot(1), Some(10));
-        assert_eq!(p.next_wakeup_after(0), Some(10));
-        assert_eq!(p.next_wakeup_after(10), Some(25));
-        assert_eq!(p.next_wakeup_after(25), None);
-        // A past start that was never cleared (its device went dark) does
-        // not hide the future ones behind it.
-        assert_eq!(p.next_wakeup_after(12), Some(25));
+        assert_eq!(p.decide(&ctx(0, 24)), SlotDecision::Idle);
+        assert_eq!(p.decide(&ctx(0, 25)), SlotDecision::Schedule);
     }
 
     #[test]

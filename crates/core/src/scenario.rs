@@ -662,8 +662,11 @@ impl ScenarioSpec {
             }
             "slot_seconds" => {
                 let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(bad("must be a finite positive number of seconds".into()));
+                if !(x.is_finite() && x >= SimConfig::MIN_SLOT_SECONDS) {
+                    return Err(bad(format!(
+                        "must be a finite positive number of seconds, at least MIN_SLOT_SECONDS = {:e}",
+                        SimConfig::MIN_SLOT_SECONDS
+                    )));
                 }
                 *self = self.clone().with_slot_seconds(x);
             }
@@ -1158,6 +1161,7 @@ mod tests {
             ("smoke:arrival_p=nan", "[0, 1]"),
             ("smoke:slot_seconds=0", "positive"),
             ("smoke:slot_seconds=inf", "positive"),
+            ("smoke:slot_seconds=1e-300", "MIN_SLOT_SECONDS = 1e-9"),
             ("smoke:v=-1", "non-negative"),
             ("smoke:lb=nan", "non-negative"),
             ("smoke:epsilon=-0.1", "non-negative"),

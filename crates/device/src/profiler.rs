@@ -133,9 +133,9 @@ impl EnergyProfiler {
     /// power state, bit-identically to calling
     /// [`record`](EnergyProfiler::record) that many times: energy and time
     /// accumulate by repeated addition — never by a single
-    /// `slots × energy` multiply, which would round differently — so a
-    /// fast-forwarding simulation engine reproduces the dense per-slot
-    /// loop's floating-point totals exactly. When segments are kept, the
+    /// `slots × energy` multiply, which would round differently — so an
+    /// engine that batches a user's unchanged power state into one span
+    /// reproduces per-slot recording's floating-point totals exactly. When segments are kept, the
     /// whole span is stored as one merged segment.
     ///
     /// Returns the energy the span consumed (also accumulated by repeated
@@ -185,7 +185,7 @@ impl EnergyProfiler {
     /// `slot × slots` product — its final bits can differ from per-slot
     /// accrual when the slot length is not exactly representable — and no
     /// span-energy tally is kept. Two independent addition chains instead
-    /// of four roughly double fast-forward throughput.
+    /// of four roughly double span throughput.
     pub fn record_span_lean(&mut self, state: PowerState, slot: Seconds, slots: u64) {
         if slots == 0 {
             return;

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use fedco_device::profiler::EnergyComponent;
-use fedco_sim::engine::{run_simulation_summary, run_simulation_summary_traced};
+use fedco_sim::engine::{run_simulation, run_simulation_traced};
 use fedco_sim::trace::SimResult;
 use fedco_telemetry::event::{Event, EventKind};
 use fedco_telemetry::metrics::MetricsRegistry;
@@ -346,10 +346,11 @@ fn run_grid_impl(
                     let job_watch = Stopwatch::start();
                     // Summary mode is enforced here, at the execution site,
                     // so even hand-built FleetJobs never materialize traces.
+                    let config = job.config.clone().summary_only();
                     let (result, events) = if traced {
-                        run_simulation_summary_traced(job.config.clone())
+                        run_simulation_traced(config)
                     } else {
-                        (run_simulation_summary(job.config.clone()), Vec::new())
+                        (run_simulation(config), Vec::new())
                     };
                     let wall_ms = job_watch.elapsed_ms();
                     let summary = JobSummary::from_result(&job, &result, wall_ms);

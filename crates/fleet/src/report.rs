@@ -5,6 +5,8 @@
 //! Rust's shortest round-trip `Display` formatting, so parsing the files
 //! back recovers the exact `f64` bits and reports diff cleanly between runs.
 
+use fedco_telemetry::export::{csv_escape, json_escape};
+
 use crate::executor::{FleetReport, JobSummary};
 
 /// The CSV header, one column per [`JobSummary`] field. Rows are keyed by
@@ -13,34 +15,6 @@ use crate::executor::{FleetReport, JobSummary};
 pub const CSV_HEADER: &str = "job,scenario,policy,arrival_p,devices,link,seed,\
 energy_j,radio_j,updates,corun_epochs,mean_lag,max_lag,mean_queue,\
 mean_virtual_queue,accuracy,wall_ms,slots_per_sec";
-
-/// Escapes one CSV field: quotes it when it contains a comma, quote or
-/// newline, doubling embedded quotes (RFC 4180).
-pub fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-/// Escapes a string for a JSON string literal (quotes, backslashes and
-/// control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One CSV row for a job.
 pub fn csv_row(job: &JobSummary) -> String {
@@ -293,13 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escaping_quotes_embedded_commas() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
     fn jsonl_is_one_parseable_object_per_job() {
         let mut report = sample_report();
         report.jobs[0].final_accuracy = Some(0.625);
@@ -318,11 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_null_accuracy_and_escaping() {
+    fn jsonl_null_accuracy() {
         let jsonl = to_jsonl(&sample_report());
         assert!(jsonl.contains("\"accuracy\":null"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -10,11 +10,17 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// Creates a clock with the given slot length and horizon.
+    /// Creates a clock with the given slot length and horizon. The slot
+    /// length is taken as given: [`SimConfig::validate`] rejects anything
+    /// shorter than [`SimConfig::MIN_SLOT_SECONDS`], so the engine's clock
+    /// and its energy accounting always run on the same slot length.
+    ///
+    /// [`SimConfig::validate`]: crate::experiment::SimConfig::validate
+    /// [`SimConfig::MIN_SLOT_SECONDS`]: crate::experiment::SimConfig::MIN_SLOT_SECONDS
     pub fn new(slot_seconds: f64, total_slots: u64) -> Self {
         SimClock {
             slot: 0,
-            slot_seconds: slot_seconds.max(1e-9),
+            slot_seconds,
             total_slots,
         }
     }
@@ -59,28 +65,6 @@ impl SimClock {
         self.slot += 1;
     }
 
-    /// Jumps the clock forward to `slot` — how the event-driven engine
-    /// fast-forwards over a quiescent span. Advancing to exactly
-    /// `total_slots` finishes the horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` lies behind the current slot (the clock never
-    /// rewinds) or beyond the horizon.
-    pub fn advance_to(&mut self, slot: u64) {
-        assert!(
-            slot >= self.slot,
-            "clock cannot rewind: {} -> {slot}",
-            self.slot
-        );
-        assert!(
-            slot <= self.total_slots,
-            "clock cannot advance past the horizon: {slot} > {}",
-            self.total_slots
-        );
-        self.slot = slot;
-    }
-
     /// Converts a duration in seconds into a (rounded-up) number of slots,
     /// at least one.
     pub fn slots_for(&self, seconds: f64) -> u64 {
@@ -121,41 +105,5 @@ mod tests {
         assert_eq!(c.slots_for(0.0), 1);
         let c2 = SimClock::new(10.0, 100);
         assert_eq!(c2.slots_for(25.0), 3);
-    }
-
-    #[test]
-    fn zero_slot_length_is_clamped() {
-        let c = SimClock::new(0.0, 10);
-        assert!(c.slot_seconds() > 0.0);
-    }
-
-    #[test]
-    fn advance_to_fast_forwards() {
-        let mut c = SimClock::new(2.0, 100);
-        c.tick();
-        c.advance_to(50);
-        assert_eq!(c.slot(), 50);
-        assert_eq!(c.now_s(), 100.0);
-        // Advancing to the current slot is a no-op.
-        c.advance_to(50);
-        assert_eq!(c.slot(), 50);
-        // Advancing to the horizon finishes the clock.
-        c.advance_to(100);
-        assert!(c.finished());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rewind")]
-    fn advance_to_rejects_rewinds() {
-        let mut c = SimClock::new(1.0, 100);
-        c.advance_to(10);
-        c.advance_to(9);
-    }
-
-    #[test]
-    #[should_panic(expected = "past the horizon")]
-    fn advance_to_rejects_overshoot() {
-        let mut c = SimClock::new(1.0, 100);
-        c.advance_to(101);
     }
 }

@@ -9,15 +9,16 @@
 //!
 //! # The slot loop
 //!
-//! A slot runs world check → planning → arrivals → census → decisions →
-//! power → timer expiry → completions → round barrier → queue dynamics →
-//! recording ([`Simulation::run_dense`] steps every slot this way, each
-//! per-user phase a plain scan of the fleet). Algorithm 2 of the paper only
+//! A run steps every slot of the horizon, and a slot runs world check →
+//! planning → arrivals → census → decisions → power → timer expiry →
+//! completions → round barrier → queue dynamics → recording. There is one
+//! loop; [`Simulation::run`] and [`Simulation::run_dense`] differ only in
+//! how the per-user phases find their users. `run_dense` is the reference:
+//! each phase is a plain scan of the fleet. Algorithm 2 of the paper only
 //! ever acts on devices *holding a pending task*, and a device that is
 //! mid-epoch, or whose application timer is running down, does nothing
-//! until its next event — so [`Simulation::run`] drives the same slot from
-//! event indices and a dense slot costs what happens in it, not the size
-//! of the fleet:
+//! until its next event — so `run` drives the same phases from event
+//! indices and a slot costs what happens in it, not the size of the fleet:
 //!
 //! * arrivals are bucketed by slot once, at construction
 //!   ([`ArrivalIndex`]);
@@ -26,18 +27,26 @@
 //!   the arena, so a device that went dark leaves only a stale entry;
 //! * the arena counts training / waiting / online users at every phase
 //!   transition and keeps the waiting users as an ascending set, which
-//!   drives the decision loop, the skip-horizon scan and the span replay;
+//!   drives the decision loop;
 //! * power is *state since slot S* per user, written to a profiler only
 //!   when the state changes or something else is charged.
 //!
 //! What stays per waiting user per slot is what the paper's controller
 //! really does — the Eq. 21 decision, its Table III energy overhead, the
-//! `+ε` gap step — and what stays per user per slot is the fixed-order
-//! `gap_sum` fold that feeds Eq. 16 (and, inside the profilers, the
-//! repeated-addition energy chains): both define the bits. The `phases`
+//! `+ε` gap step — and what stays per user is the fixed-order `gap_sum`
+//! fold that feeds Eq. 16, redone in every slot that changed a gap (and,
+//! inside the profilers, the repeated-addition energy chains): both define
+//! the bits. Two values are held until the one thing that can change them
+//! happens, as the deleted spans held them: the server's momentum norm
+//! (until the next update) and the gap sum (until the next gap write, so
+//! slots in which the whole fleet trains fold nothing). The `phases`
 //! module holds the two implementations of each phase and the argument for
-//! why they agree bit for bit; between dense slots, quiescent spans are
-//! fast-forwarded (see [`Simulation::run`]).
+//! why they agree bit for bit.
+//!
+//! Slots in which nothing happens are stepped like any other: an empty
+//! slot costs a few index lookups, and fast-forwarding over runs of them
+//! stopped buying wall time once it did (EXPERIMENTS.md, "Why there is no
+//! span fast-forward").
 
 use std::sync::Arc;
 
@@ -45,7 +54,7 @@ use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
 
 use fedco_core::offline::{OfflineScheduler, OfflineUser};
-use fedco_core::online::{OnlineDecisionInput, SlotOutcome, WaitingSpanProbe};
+use fedco_core::online::{OnlineDecisionInput, SlotOutcome};
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
 use fedco_core::spec::PolicyBuildContext;
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
@@ -70,7 +79,7 @@ use fedco_world::CHECK_EVERY_SLOTS;
 use crate::arrivals::{ArrivalCursor, ArrivalIndex, ArrivalSchedule};
 use crate::clock::SimClock;
 use crate::experiment::{ConfigError, SimConfig};
-use crate::index::{Calendar, Deadline, Due};
+use crate::index::{Calendar, Deadline};
 use crate::phases::NOT_ACCRUING;
 use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
 use crate::user::{TrainingPhase, UserArena};
@@ -79,45 +88,29 @@ use crate::user::{TrainingPhase, UserArena};
 /// policy-private random streams never alias the engine's own streams.
 const POLICY_SEED_SALT: u64 = 0x706F_6C69_6379_5EED;
 
-/// Execution statistics of one run: how much of the horizon the
-/// event-driven engine stepped through the full dense slot machinery versus
-/// fast-forwarded in bulk. Purely diagnostic — never feeds back into the
-/// simulation itself.
+/// Execution statistics of one run. Purely diagnostic — never feeds back
+/// into the simulation itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Slots executed through the full dense per-slot machinery.
+    /// Slots stepped: the whole horizon, since every slot is.
     pub dense_slots: u64,
-    /// Slots covered by fast-forwarded quiescent spans.
+    /// Always 0: no slot is fast-forwarded. Kept, with
+    /// [`spans`](Self::spans), for the readers of these counters.
     pub fast_forwarded_slots: u64,
-    /// Number of fast-forwarded spans.
+    /// Always 0: there are no fast-forwarded spans.
     pub spans: u64,
-    /// Per-user state touches made by the phases of dense slots and by the
-    /// application of spans: one for every user a phase looks at or updates
-    /// (a decision, an arrival, a deadline, a power settlement, an idle
-    /// replay, a fleet-wide flush or world check). The plain scans of
-    /// [`Simulation::run_dense`] pay `users` per phase per slot; the
-    /// event-indexed [`Simulation::run`] pays for what happens. The
-    /// read-only look-ahead between dense slots (one pass over the waiting
-    /// users to bound the next span) is not included. Deterministic — a
-    /// count, not a timing.
+    /// Per-user state touches made by the phases: one for every user a
+    /// phase looks at or updates (a decision, an arrival, a deadline, a
+    /// power settlement, a fleet-wide flush or world check). The plain
+    /// scans of [`Simulation::run_dense`] pay `users` per phase per slot;
+    /// the indexed [`Simulation::run`] pays for what happens.
+    /// Deterministic — a count, not a timing.
     pub user_visits: u64,
-}
-
-impl EngineStats {
-    /// Fraction of the horizon that was fast-forwarded (0 for a dense run).
-    pub fn skip_fraction(&self) -> f64 {
-        let total = self.dense_slots + self.fast_forwarded_slots;
-        if total == 0 {
-            0.0
-        } else {
-            self.fast_forwarded_slots as f64 / total as f64
-        }
-    }
 }
 
 /// The engine's telemetry attachment: the shared sink, the slot clock it
 /// advances for downstream emitters (the FL server), the sampling cadence of
-/// the cumulative energy events, and the running dense-span counters of the
+/// the cumulative energy events, and the idle-decision counter of the
 /// driver channel.
 #[derive(Debug)]
 struct SimTelemetry {
@@ -127,16 +120,13 @@ struct SimTelemetry {
     /// cadence of the configuration, fixed at attach time so summary-only
     /// fleet jobs still sample).
     sample_every: u64,
-    /// Dense slots executed since the last dense-span flush.
-    dense_span: u64,
-    /// Idle `decide()` outcomes since the last dense-span flush. Counted
-    /// into the driver channel (not emitted per-slot) because the
-    /// event-driven driver elides repeated idle decisions wholesale.
+    /// Idle `decide()` outcomes of the run. They repeat every waiting slot,
+    /// so they are counted into the one driver-channel event that closes
+    /// the run instead of being emitted per slot.
     idle_decisions: u64,
 }
 
-/// Mutable per-run accumulators threaded through the slot loop, so the dense
-/// and event-driven drivers share one slot implementation.
+/// Mutable per-run accumulators threaded through the slot loop.
 #[derive(Debug, Default)]
 struct RunAccum {
     trace: Vec<TracePoint>,
@@ -158,6 +148,8 @@ struct DecisionTally {
     /// The backlog those users had accumulated while waiting, in
     /// user-slots.
     drained_wait_slots: usize,
+    /// Users left idle this slot.
+    idle: u64,
 }
 
 /// Per-user battery bookkeeping of a world-enabled run, advanced only at
@@ -177,8 +169,7 @@ struct BatteryRuntime {
 /// Engine-side state of the `fedco-world` environment models that need slot
 /// bookkeeping (battery lifecycles and churn). Lives on the driving thread
 /// only; every transition happens at a world check slot — a multiple of
-/// [`CHECK_EVERY_SLOTS`], forced dense in the event driver — in ascending
-/// user order, so results are byte-identical across drivers. `None` when
+/// [`CHECK_EVERY_SLOTS`] — in ascending user order. `None` when
 /// the configured world needs no check slots (the paper-default world).
 #[derive(Debug)]
 struct WorldRuntime {
@@ -232,21 +223,20 @@ pub struct Simulation {
     sync_buffer: Vec<LocalUpdate>,
     pub(crate) stats: EngineStats,
     /// `true` while driven by [`Simulation::run`]: the slot phases run from
-    /// the event indices instead of scanning the arena, power accounting is
-    /// kept as open per-user spans (closed on every state change,
-    /// extra-energy charge, trace snapshot, and at the end of the run) and
-    /// per-slot work that a quiescence-certified policy makes unobservable
-    /// is elided. `run_dense` keeps the plain-scan, eager reference
-    /// behaviour.
-    pub(crate) event_mode: bool,
+    /// the event indices instead of scanning the arena, and power accounting
+    /// is kept as open per-user spans (closed on every state change,
+    /// extra-energy charge, trace snapshot, and at the end of the run).
+    /// `run_dense` keeps the plain-scan, eager reference behaviour.
+    pub(crate) indexed: bool,
     /// Cached [`SchedulingPolicy::quiescent_while_waiting`] for this run.
     policy_quiescent: bool,
-    /// Cached [`SchedulingPolicy::can_fast_forward_waiting`] for this run:
-    /// a non-quiescent policy that can still commit waiting spans in bulk
-    /// (the Online controller's closed-form Lyapunov evolution).
-    policy_waiting_capable: bool,
+    /// The server's momentum norm, as last asked for: an O(params) pass in
+    /// ML mode and a round trip on a remote service, so it is held until
+    /// the engine next hands the server an update — the only thing that can
+    /// change it.
+    momentum_norm: Option<f32>,
     /// Application expiries and epoch completions by the slot they fall
-    /// due (event mode only; a dense run files nothing).
+    /// due (indexed loop only; the scan reference files nothing).
     pub(crate) calendar: Calendar,
     /// The power state each user has been accruing in since
     /// `power_since[i]`, not yet recorded in its profiler.
@@ -262,10 +252,6 @@ pub struct Simulation {
     /// The users whose epoch completed in the current slot's tick,
     /// ascending, with their co-running flag.
     pub(crate) completed: Vec<(usize, bool)>,
-    /// Reused buffers of [`Simulation::fast_forward`]: the waiting users
-    /// and their decision inputs handed to the policy's span probe.
-    probe_waiting: Vec<usize>,
-    probe_inputs: Vec<OnlineDecisionInput>,
     /// World-model runtime (`None` when the configured world needs no check
     /// slots — the paper-default world, which keeps this path zero-cost).
     world: Option<WorldRuntime>,
@@ -458,17 +444,15 @@ impl Simulation {
             base_params,
             sync_buffer: Vec::new(),
             stats: EngineStats::default(),
-            event_mode: false,
+            indexed: false,
             policy_quiescent: false,
-            policy_waiting_capable: false,
+            momentum_norm: None,
             calendar: Calendar::default(),
             power_state,
             power_since,
             accrued_to: 0,
             dirty: Vec::new(),
             completed: Vec::new(),
-            probe_waiting: Vec::new(),
-            probe_inputs: Vec::new(),
             world,
             telemetry: None,
         };
@@ -509,6 +493,7 @@ impl Simulation {
             momentum_beta: self.config.scheduler.momentum_beta,
         };
         self.server = factory(init);
+        self.momentum_norm = None;
         self
     }
 
@@ -523,8 +508,8 @@ impl Simulation {
     /// schedules, merges, rounds, barrier arrivals, sampled per-component
     /// energy, driver spans — is recorded into it; the FL server shares the
     /// sink via the engine's [`SlotClock`]. Attaching telemetry never
-    /// changes the simulation result: sampling slots are forced dense in the
-    /// event-driven driver, and reading profiler totals is side-effect-free.
+    /// changes the simulation result: reading profiler totals is
+    /// side-effect-free.
     ///
     /// A disabled sink (e.g. [`fedco_telemetry::sink::NullSink`]) is
     /// discarded outright, keeping the disabled path zero-cost.
@@ -539,35 +524,15 @@ impl Simulation {
             sink,
             clock,
             sample_every: self.config.record_every_slots.max(1),
-            dense_span: 0,
             idle_decisions: 0,
         });
         self
     }
 
-    /// Flushes the running dense-span counters as a driver-channel event at
-    /// `slot` (the first slot *not* covered by the span).
-    fn flush_telemetry_span(&mut self, slot: u64) {
-        if let Some(t) = self.telemetry.as_mut() {
-            if t.dense_span > 0 {
-                let event = Event::new(
-                    slot,
-                    EventKind::DenseSpan {
-                        slots: t.dense_span,
-                        idle_decisions: t.idle_decisions,
-                    },
-                );
-                t.dense_span = 0;
-                t.idle_decisions = 0;
-                t.sink.record(event);
-            }
-        }
-    }
-
     /// Emits cumulative per-component energy totals at `slot`. Pending power
-    /// spans are flushed first so the totals match what a dense run would
-    /// read — flush boundaries never change the repeated-addition sums, so
-    /// sampling is bit-identical across drivers and cannot perturb results.
+    /// spans are flushed first so the totals match what the scan reference
+    /// reads — flush boundaries never change the repeated-addition sums, so
+    /// sampling cannot perturb results.
     fn emit_telemetry_energy(&mut self, slot: u64) {
         if self.telemetry.is_none() {
             return;
@@ -592,14 +557,16 @@ impl Simulation {
         }
     }
 
-    fn velocity_norm(&self) -> f32 {
-        if self.ml.is_some() {
-            let norm = self.server.momentum_norm();
-            if norm > 0.0 {
-                norm
-            } else {
-                self.config.synthetic_velocity_norm
-            }
+    fn velocity_norm(&mut self) -> f32 {
+        if self.ml.is_none() {
+            return self.config.synthetic_velocity_norm;
+        }
+        let server = &self.server;
+        let norm = *self
+            .momentum_norm
+            .get_or_insert_with(|| server.momentum_norm());
+        if norm > 0.0 {
+            norm
         } else {
             self.config.synthetic_velocity_norm
         }
@@ -804,9 +771,7 @@ impl Simulation {
 
     /// The world check: battery accounting, churn transitions and the
     /// resulting offline/online flips, in ascending user order on the
-    /// driving thread. Runs at every multiple of [`CHECK_EVERY_SLOTS`] —
-    /// forced dense in the event driver — so both drivers see byte-identical
-    /// world dynamics.
+    /// driving thread. Runs at every multiple of [`CHECK_EVERY_SLOTS`].
     fn world_check(&mut self, slot: u64) {
         let Some(mut w) = self.world.take() else {
             return;
@@ -818,7 +783,7 @@ impl Simulation {
             if let Some(b) = w.battery.as_mut() {
                 // Debit exactly the energy accrued since the last check
                 // (pending spans land first so the profiler total is the
-                // dense-run value), then credit the charging window.
+                // scan-reference value), then credit the charging window.
                 self.flush_pending(i);
                 let total = self.profilers[i].total_energy().value();
                 let drain = total - b.last_total_j[i];
@@ -893,34 +858,24 @@ impl Simulation {
         fedco_fl::client::evaluate_network(&mut ml.eval_net, &ml.test_set, n).ok()
     }
 
-    /// Runs the simulation to the end of the horizon and returns the result.
-    ///
-    /// This is the event-driven driver: every "interesting" slot (an
-    /// arrival, an application expiry of a waiting user, a training
-    /// completion, a barrier release, a replanning or trace-recording
-    /// boundary, or any slot a non-fast-forwardable policy must see) runs
-    /// the full dense machinery, and the quiescent spans in between are
-    /// fast-forwarded in bulk — bit-identically to [`Simulation::run_dense`]
-    /// (all bulk accrual happens by repeated addition, never by closed-form
-    /// multiplies that would round differently). See
-    /// [`Simulation::engine_stats`] for how much was skipped.
+    /// Runs the simulation to the end of the horizon and returns the result:
+    /// the slot loop with its per-user phases driven from the event indices
+    /// (see the module docs). Bit-identical to [`Simulation::run_dense`].
     pub fn run(&mut self) -> SimResult {
-        self.begin_run(true);
-        let mut acc = RunAccum::default();
-        while !self.clock.finished() {
-            self.step_slot(&mut acc);
-            self.stats.dense_slots += 1;
-            self.fast_forward(&mut acc);
-        }
-        self.finish(acc)
+        self.run_slots(true)
     }
 
-    /// Runs the simulation stepping *every* slot through the dense
-    /// machinery, with no fast-forwarding. This is the reference
-    /// implementation the event-driven [`Simulation::run`] is tested and
-    /// benchmarked against; results are bit-identical between the two.
+    /// Runs the simulation with every per-user phase a plain scan of the
+    /// fleet. This is the reference implementation [`Simulation::run`] is
+    /// tested and benchmarked against; results and telemetry are
+    /// bit-identical between the two.
     pub fn run_dense(&mut self) -> SimResult {
-        self.begin_run(false);
+        self.run_slots(false)
+    }
+
+    /// The slot loop: every slot of the horizon, one after the other.
+    fn run_slots(&mut self, indexed: bool) -> SimResult {
+        self.begin_run(indexed);
         let mut acc = RunAccum::default();
         while !self.clock.finished() {
             self.step_slot(&mut acc);
@@ -929,18 +884,17 @@ impl Simulation {
         self.finish(acc)
     }
 
-    /// Dense/fast-forward statistics of the most recent run.
+    /// Statistics of the most recent run.
     pub fn engine_stats(&self) -> EngineStats {
         self.stats
     }
 
     /// Resets the per-run driver state.
-    fn begin_run(&mut self, event_mode: bool) {
+    fn begin_run(&mut self, indexed: bool) {
         self.stats = EngineStats::default();
-        self.event_mode = event_mode;
+        self.indexed = indexed;
         self.policy_quiescent = self.policy.quiescent_while_waiting();
-        self.policy_waiting_capable = self.policy.can_fast_forward_waiting();
-        if event_mode {
+        if indexed {
             // Every user starts accruing at the first power phase, which
             // looks at all of them once; nothing is due yet.
             self.calendar = Calendar::new(self.config.total_slots);
@@ -958,7 +912,6 @@ impl Simulation {
             }
         }
         if let Some(t) = self.telemetry.as_mut() {
-            t.dense_span = 0;
             t.idle_decisions = 0;
             t.clock.set(0);
             t.sink.record(Event::new(
@@ -973,17 +926,23 @@ impl Simulation {
     }
 
     /// Slot phase 2 for one waiting user: the policy's decision, its energy
-    /// overhead, and the outcome — training starts, or one more idle slot.
+    /// overhead (`overhead_fraction` of Table III's, zero when free), and
+    /// the outcome — training starts, or one more idle slot.
+    ///
+    /// This is what a fleet that mostly waits spends its run in, so it is
+    /// forced into both decision loops: as a call it costs the
+    /// waiting-heavy cells of `--bench engine` a quarter of their time.
+    #[inline(always)]
     fn decide_user(
         &mut self,
         i: usize,
         slot: u64,
         predicted: GradientGap,
+        overhead_fraction: f64,
         tally: &mut DecisionTally,
     ) {
         let status = self.users.app_status(i);
-        self.users.last_decision_app[i] = Some(status);
-        let idle_gap = GradientGap(self.users.gap[i] + self.config.scheduler.epsilon);
+        let idle_gap = GradientGap(self.users.gap_value(i).0 + self.config.scheduler.epsilon);
         let input =
             OnlineDecisionInput::from_profile(self.users.profile(i), status, predicted, idle_gap);
         let ctx = UserSlotContext {
@@ -996,8 +955,7 @@ impl Simulation {
         // Charge the decision-computation overhead the policy declares
         // (Table III measures it for the online controller; the baselines
         // decide for free).
-        let overhead_fraction = self.policy.decision_energy_overhead();
-        if self.config.decision_overhead && overhead_fraction > 0.0 {
+        if overhead_fraction > 0.0 {
             let extra = self.decision_overhead(i, overhead_fraction);
             self.flush_pending(i);
             self.profilers[i].record_extra(EnergyComponent::Idle, extra);
@@ -1016,8 +974,6 @@ impl Simulation {
                 self.users.gap_schedule(i, predicted);
                 tally.scheduled += 1;
                 self.policy.notify_scheduled(i);
-                // Schedule outcomes always happen at dense slots in both
-                // drivers, so they are semantic events.
                 if let Some(t) = &self.telemetry {
                     t.sink.record(Event::new(
                         slot,
@@ -1032,36 +988,27 @@ impl Simulation {
                 // Still waiting at the end of this slot: the gap grows by
                 // `ε` and the slot counts as waited.
                 self.users.idle_slot(i);
-                // Idle outcomes repeat every waiting slot and are elided
-                // wholesale by event-driven skips: counted into the driver
-                // channel, never emitted per slot.
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.idle_decisions += 1;
-                }
+                tally.idle += 1;
             }
         }
     }
 
-    /// Executes one full dense slot (the reference per-slot semantics) and
-    /// advances the clock by one.
+    /// Executes one slot and advances the clock by one.
     fn step_slot(&mut self, acc: &mut RunAccum) {
         {
             let slot = self.clock.slot();
             let now_s = self.clock.now_s();
 
             // Advance the shared slot clock so everything this slot executes
-            // (including server-side merge/round events) is stamped with it,
-            // and count the dense slot into the driver channel.
-            if let Some(t) = self.telemetry.as_mut() {
+            // (including server-side merge/round events) is stamped with it.
+            if let Some(t) = &self.telemetry {
                 t.clock.set(slot);
-                t.dense_span += 1;
             }
 
             // (world) Battery accounting, churn transitions and the
             // resulting offline/online flips, at every check-cadence slot.
             // Runs before planning and arrivals so the rest of the slot
-            // sees the post-transition fleet. `skip_horizon` forces these
-            // slots dense, so both drivers check at exactly the same slots.
+            // sees the post-transition fleet.
             if self.world.is_some() && slot % CHECK_EVERY_SLOTS == 0 {
                 self.world_check(slot);
             }
@@ -1087,8 +1034,7 @@ impl Simulation {
             // the total outstanding waiting work in user-slots, which is what
             // the Eq.-22 threshold `Q ≥ V·t_d·ΔP` acts on.
             // The momentum norm only feeds the decision inputs of waiting
-            // users; with nobody waiting it is dead weight (an O(params)
-            // norm every slot in ML mode).
+            // users; with nobody waiting it is not asked for.
             let velocity = if waiting_at_start > 0 {
                 self.velocity_norm()
             } else {
@@ -1104,26 +1050,39 @@ impl Simulation {
             // (the reference) filtered out of a scan of the fleet. A user
             // leaves the set when it is scheduled; none joins mid-loop.
             let mut tally = DecisionTally::default();
-            if self.event_mode {
+            // What each decision of this slot costs, read once: zero when
+            // overhead accounting is off or the policy decides for free.
+            let overhead = if self.config.decision_overhead {
+                self.policy.decision_energy_overhead()
+            } else {
+                0.0
+            };
+            if self.indexed {
                 self.stats.user_visits += waiting_at_start as u64;
-                let mut next = self.users.next_waiting(0);
-                while let Some(i) = next {
-                    self.decide_user(i, slot, predicted, &mut tally);
-                    next = self.users.next_waiting(i + 1);
+                for b in 0..self.users.waiting_blocks() {
+                    for i in self.users.waiting_block(b) {
+                        self.decide_user(i, slot, predicted, overhead, &mut tally);
+                    }
                 }
             } else {
                 self.stats.user_visits += self.users.len() as u64;
                 for i in 0..self.users.len() {
                     if self.users.is_waiting(i) {
-                        self.decide_user(i, slot, predicted, &mut tally);
+                        self.decide_user(i, slot, predicted, overhead, &mut tally);
                     }
                 }
             }
 
-            // (3) Energy accounting and (4) timer expiry. The event driver
+            // Idle outcomes repeat every waiting slot: counted into the
+            // driver channel, never emitted per slot.
+            if let Some(t) = self.telemetry.as_mut() {
+                t.idle_decisions += tally.idle;
+            }
+
+            // (3) Energy accounting and (4) timer expiry. The indexed loop
             // keeps each user's power as an open span closed on state
             // changes (batching the identical per-slot additions) and pops
-            // the slot's deadlines off the calendar; the dense reference
+            // the slot's deadlines off the calendar; the scan reference
             // records and checks every user, every slot.
             self.phase_power(slot);
             self.phase_tick(slot);
@@ -1169,6 +1128,7 @@ impl Simulation {
                     } else {
                         0.0
                     };
+                    self.momentum_norm = None;
                     let lag = self
                         .server
                         .apply_async(&update)
@@ -1214,6 +1174,7 @@ impl Simulation {
                 } else {
                     0.0
                 };
+                self.momentum_norm = None;
                 self.server
                     .apply_sync_round(&buffer)
                     // fedco-audit: allow(panic-surface): round updates come from clients sharing the server's architecture
@@ -1237,12 +1198,17 @@ impl Simulation {
 
             // (7) Queue dynamics. A quiescence-certified policy's
             // `end_of_slot` is a no-op and both backlogs are exactly zero,
-            // so in event mode the gap fold, the call and the two `+= 0.0`
-            // accumulations (exact no-ops on non-negative sums) are elided
-            // wholesale; the dense reference keeps them.
-            if !(self.event_mode && self.policy_quiescent) {
-                // fedco-audit: allow(float-reduction): fixed-order reduction over the gap lane — deterministic by construction
-                let gap_sum: f64 = self.users.gap.iter().sum();
+            // so the indexed loop elides the gap fold, the call and the two
+            // `+= 0.0` accumulations (exact no-ops on non-negative sums)
+            // wholesale; the scan reference keeps them.
+            if !(self.indexed && self.policy_quiescent) {
+                // The fold over the gap lane: the arena's, which it holds
+                // while no gap changes, or (the reference) afresh.
+                let gap_sum = if self.indexed {
+                    self.users.gap_sum()
+                } else {
+                    self.users.fold_gaps()
+                };
                 let arrivals = waiting_at_start.saturating_sub(tally.scheduled);
                 self.policy.end_of_slot(&SlotOutcome {
                     arrivals,
@@ -1261,7 +1227,7 @@ impl Simulation {
             // skipping it cannot change any other stream.
             if self.config.collect_traces && slot % self.config.record_every_slots == 0 {
                 // Trace points read profiler totals, so pending spans must
-                // land first (a no-op in dense mode).
+                // land first (a no-op in the scan reference).
                 self.flush_all_pending();
                 if let Some(ml) = &self.ml {
                     if slot % ml.eval_every_slots == 0 {
@@ -1270,9 +1236,8 @@ impl Simulation {
                         }
                     }
                 }
-                let gaps: &[f64] = &self.users.gap;
-                // fedco-audit: allow(float-reduction): fixed-order reduction over the gap lane — deterministic by construction
-                let mean_gap = gaps.iter().sum::<f64>() / gaps.len().max(1) as f64;
+                let gaps = self.users.gaps();
+                let mean_gap = self.users.fold_gaps() / gaps.len().max(1) as f64;
                 // fedco-audit: allow(float-reduction): max is order-insensitive over the user vector
                 let max_gap = gaps.iter().copied().fold(0.0f64, f64::max);
                 let total_energy_j: f64 = self
@@ -1296,7 +1261,7 @@ impl Simulation {
                     },
                 });
                 if self.config.record_user_gaps {
-                    for (i, gap) in self.users.gap.iter().enumerate() {
+                    for (i, gap) in self.users.gaps().iter().enumerate() {
                         acc.user_gaps.push(UserGapPoint {
                             t_s: now_s,
                             user_id: i,
@@ -1307,9 +1272,7 @@ impl Simulation {
             }
 
             // (9) Telemetry energy sampling. Independent of trace
-            // collection so summary-only fleet jobs still sample; the
-            // cadence slots are forced dense by `skip_horizon`, so the
-            // sampled totals are bit-identical across drivers.
+            // collection so summary-only fleet jobs still sample.
             if self
                 .telemetry
                 .as_ref()
@@ -1320,241 +1283,6 @@ impl Simulation {
 
             self.clock.tick();
         }
-    }
-
-    /// Fast-forwards over the quiescent span (if any) that starts at the
-    /// current slot, applying its effects in bulk, bit-identically to
-    /// stepping it densely.
-    fn fast_forward(&mut self, acc: &mut RunAccum) {
-        if self.clock.finished() {
-            return;
-        }
-        let cur = self.clock.slot();
-        let horizon = self.skip_horizon(cur);
-        if horizon <= cur {
-            return;
-        }
-        let mut n = horizon - cur;
-        let mut policy_replayed = false;
-        if !self.policy_quiescent {
-            // Non-quiescent policies reach a span either with nobody
-            // waiting (the generic replay below covers it) or because they
-            // advertised `can_fast_forward_waiting`: the policy itself
-            // predicts how many idle slots it would commit before any
-            // waiting user's decision flips, and replays its queue
-            // evolution over exactly that prefix. The flip slot runs
-            // densely afterwards.
-            if self.users.waiting_count() > 0 {
-                debug_assert!(self.policy_waiting_capable);
-                // Frozen for the whole span: no completion reaches the
-                // server before the horizon, so the momentum norm — and
-                // with it the predicted gap — cannot change mid-span.
-                let velocity = self.velocity_norm();
-                let predicted = self
-                    .predictor
-                    .predict_gap(Lag(self.users.training_count().max(1)), velocity);
-                self.probe_waiting.clear();
-                self.probe_inputs.clear();
-                for i in self.users.waiting() {
-                    self.probe_waiting.push(i);
-                    self.probe_inputs.push(OnlineDecisionInput::from_profile(
-                        self.users.profile(i),
-                        self.users.app_status(i),
-                        predicted,
-                        GradientGap(0.0),
-                    ));
-                }
-                let probe = WaitingSpanProbe {
-                    start_slot: cur,
-                    limit: n,
-                    epsilon: self.config.scheduler.epsilon,
-                    gaps: &self.users.gap,
-                    waiting: &self.probe_waiting,
-                    inputs: &self.probe_inputs,
-                };
-                let committed =
-                    self.policy
-                        .fast_forward_waiting(&probe, &mut acc.queue_sum, &mut acc.vq_sum);
-                if committed == 0 {
-                    return;
-                }
-                n = committed;
-                policy_replayed = true;
-            }
-        }
-        self.apply_span(cur, n, acc, policy_replayed);
-        self.stats.fast_forwarded_slots += n;
-        self.stats.spans += 1;
-        if self.telemetry.is_some() {
-            self.flush_telemetry_span(cur);
-            if let Some(t) = &self.telemetry {
-                t.sink
-                    .record(Event::new(cur, EventKind::SkipSpan { slots: n }));
-            }
-        }
-    }
-
-    /// The first slot at or after `cur` that must run densely. Returning
-    /// `cur` itself means no span can be skipped. Called with `cur >= 1`
-    /// (slot 0 always runs densely first) and `cur < total_slots`.
-    ///
-    /// A slot is quiescent when nothing observable can happen in it:
-    ///
-    /// * the policy certified (via `next_wakeup_after`, anchored at the last
-    ///   dense slot) that it neither replans nor flips a waiting user's
-    ///   decision before the horizon;
-    /// * it is not a trace-recording slot (when traces are collected);
-    /// * no training epoch completes in it (completions mutate the server);
-    /// * no *waiting* user sees an application arrival or expiry in it
-    ///   (those change both the power state and the decision input), every
-    ///   waiting user was already decided idle — under its *current* app
-    ///   status — at a previous dense slot, and the policy certified
-    ///   `quiescent_while_waiting` with free decisions. Application
-    ///   arrivals and expiries of *non-waiting* users are handled inside
-    ///   the span by [`Simulation::apply_span`], segment by segment.
-    fn skip_horizon(&mut self, cur: u64) -> u64 {
-        let mut h = self.config.total_slots;
-
-        // Policy-driven wakeups, anchored at the last dense slot.
-        match self.policy.next_wakeup_after(cur - 1) {
-            Some(wakeup) if wakeup <= cur => return cur,
-            Some(wakeup) => h = h.min(wakeup),
-            None => {}
-        }
-
-        // Trace-recording slots stay dense (they evaluate the ML model and
-        // snapshot engine state).
-        if self.config.collect_traces {
-            let every = self.config.record_every_slots;
-            let rem = cur % every;
-            if rem == 0 {
-                return cur;
-            }
-            h = h.min(cur + (every - rem));
-        }
-
-        // Telemetry energy-sampling slots stay dense too, so the sampled
-        // cumulative totals exist (and match) in both drivers.
-        if let Some(t) = &self.telemetry {
-            let every = t.sample_every;
-            let rem = cur % every;
-            if rem == 0 {
-                return cur;
-            }
-            h = h.min(cur + (every - rem));
-        }
-
-        // World check slots stay dense: battery and churn transitions only
-        // happen there, so both drivers must step them.
-        if self.world.is_some() {
-            let rem = cur % CHECK_EVERY_SLOTS;
-            if rem == 0 {
-                return cur;
-            }
-            h = h.min(cur + (CHECK_EVERY_SLOTS - rem));
-        }
-
-        // Waiting users. Skipping their decisions needs the policy's
-        // certification, and the certificate only covers an unchanged app
-        // status: a user requeued during the last dense slot has not been
-        // decided at all, and one whose app expired (or arrived) since its
-        // last decision must be re-decided densely.
-        if self.users.waiting_count() > 0 {
-            if self.policy_quiescent {
-                let overhead_charged =
-                    self.config.decision_overhead && self.policy.decision_energy_overhead() > 0.0;
-                if overhead_charged {
-                    return cur;
-                }
-            } else if !self.policy_waiting_capable {
-                return cur;
-            }
-            for i in self.users.waiting() {
-                match self.users.last_decision_app[i] {
-                    Some(status) if status == self.users.app_status(i) => {}
-                    _ => return cur,
-                }
-                if self.users.app_running(i) {
-                    // The idle decision may flip when the app expires
-                    // (first visible at its deadline).
-                    h = h.min(self.users.app_until[i]);
-                } else if let Some(a) =
-                    self.arrival_cursors[i].next_at_or_after(&self.arrivals, i, cur)
-                {
-                    // ... or when a new application arrives.
-                    h = h.min(a.slot);
-                }
-                if h <= cur {
-                    return cur;
-                }
-            }
-        }
-
-        // Training users: an epoch due at `until` completes inside slot
-        // `until - 1`, which must run densely. The earliest live one in the
-        // calendar is the bound; users at the round barrier or offline are
-        // inert until a world check flips them — and those slots are
-        // already forced dense above.
-        if self.users.training_count() > 0 {
-            let users = &self.users;
-            let epoch_done = |until, d: Due| {
-                d.what == Deadline::EpochDone
-                    && users.epoch_done_at(d.user as usize, until).is_some()
-            };
-            if let Some(until) = self.calendar.first_slot_with(cur + 1, h, epoch_done) {
-                h = until - 1;
-            }
-        }
-        h
-    }
-
-    /// Applies `n` skipped slots starting at `cur` in bulk: per-user power
-    /// accounting (with in-span app starts/expiries for non-waiting users),
-    /// timer bookkeeping, idle-gap accrual, and — for policies without the
-    /// quiescence certificate — a per-slot replay of the queue dynamics.
-    /// When `policy_replayed` is set, the policy already replayed its own
-    /// queue evolution (and backlog accumulation) inside
-    /// [`SchedulingPolicy::fast_forward_waiting`], so the generic replay is
-    /// skipped; waiting users then also replay their per-slot decision
-    /// energy overhead, interleaved exactly as the dense loop charges it.
-    /// Every accumulation is by repeated addition, so the result is
-    /// bit-identical to stepping the span densely.
-    fn apply_span(&mut self, cur: u64, n: u64, acc: &mut RunAccum, policy_replayed: bool) {
-        let end = cur + n;
-        let quiescent = self.policy_quiescent;
-        let overhead_fraction = self.policy.decision_energy_overhead();
-        let replay_overhead = self.config.decision_overhead && overhead_fraction > 0.0;
-        // Per-user span work: applications opening and leaving on users
-        // that are not waiting, then the waiting users' idle slots with
-        // their per-slot overhead replay.
-        self.span_events(cur, end);
-        self.span_waiting(cur, n, replay_overhead.then_some(overhead_fraction));
-
-        // Queue dynamics. A quiescence-certifying policy promised a no-op
-        // `end_of_slot` with both backlogs exactly zero, so the dense loop's
-        // per-slot `queue_sum += 0.0` adds are exact no-ops and the calls
-        // can be skipped wholesale. A policy that fast-forwarded a waiting
-        // span already replayed its queues (and the backlog accumulation)
-        // itself. Any other policy reaches a span only with no user waiting
-        // (the outcome is then the same every slot: zero arrivals, zero
-        // scheduled, a constant gap sum), and its queue evolution is
-        // replayed call by call.
-        if !quiescent && !policy_replayed {
-            // fedco-audit: allow(float-reduction): fixed-order reduction over the gap lane — deterministic by construction
-            let gap_sum: f64 = self.users.gap.iter().sum();
-            let outcome = SlotOutcome {
-                arrivals: 0,
-                scheduled: 0,
-                gap_sum,
-            };
-            for _ in 0..n {
-                self.policy.end_of_slot(&outcome);
-                acc.queue_sum += self.policy.queue_backlog();
-                acc.vq_sum += self.policy.virtual_backlog();
-            }
-        }
-
-        self.clock.advance_to(end);
     }
 
     /// Assembles the result summary once the horizon is reached.
@@ -1575,29 +1303,34 @@ impl Simulation {
             .map(|p| p.total_energy().value())
             // fedco-audit: allow(float-reduction): fixed-order reduction over users in index order
             .sum();
-        // Close out the trace: flush the trailing dense span, then emit the
-        // final per-component totals and the run-end marker at the horizon.
-        if self.telemetry.is_some() {
+        // Close out the trace: the driver channel's one event (every slot
+        // was stepped), then the final per-component totals and the run-end
+        // marker at the horizon.
+        if let Some(t) = &self.telemetry {
             let end = self.config.total_slots;
-            self.flush_telemetry_span(end);
-            if let Some(t) = &self.telemetry {
-                for (component, joules) in &by_component {
-                    t.sink.record(Event::new(
-                        end,
-                        EventKind::Energy {
-                            component: component.label().to_string(),
-                            joules: *joules,
-                        },
-                    ));
-                }
+            t.sink.record(Event::new(
+                end,
+                EventKind::DenseSpan {
+                    slots: self.stats.dense_slots,
+                    idle_decisions: t.idle_decisions,
+                },
+            ));
+            for (component, joules) in &by_component {
                 t.sink.record(Event::new(
                     end,
-                    EventKind::RunEnd {
-                        updates: total_updates,
-                        energy_j: total_energy_j,
+                    EventKind::Energy {
+                        component: component.label().to_string(),
+                        joules: *joules,
                     },
                 ));
             }
+            t.sink.record(Event::new(
+                end,
+                EventKind::RunEnd {
+                    updates: total_updates,
+                    energy_j: total_energy_j,
+                },
+            ));
         }
         let final_accuracy = if self.ml.is_some() {
             self.evaluate_global()
@@ -1628,78 +1361,29 @@ impl Simulation {
     }
 }
 
-/// Convenience function: build and run a simulation in one call.
-///
-/// # Panics
-///
-/// Panics with the specific [`ConfigError`] if the configuration is invalid;
-/// [`try_run_simulation`] is the non-panicking path.
-pub fn run_simulation(config: SimConfig) -> SimResult {
-    Simulation::new(config).run()
-}
-
-/// Builds and runs a simulation, rejecting invalid configurations with a
-/// typed [`ConfigError`] instead of panicking.
-pub fn try_run_simulation(config: SimConfig) -> Result<SimResult, ConfigError> {
-    Ok(Simulation::try_new(config)?.run())
-}
-
-/// Builds and runs a simulation in summary-only mode: no time series, no
-/// per-user gap samples, no power segments (see
-/// [`SimConfig::summary_only`]). This is the entry point the fleet runtime
-/// dispatches to worker threads — [`Simulation`] is `Send`, so whole runs
-/// can move across threads, and every run is a pure function of its config.
-///
-/// # Panics
-///
-/// Panics with the specific [`ConfigError`] if the configuration is invalid;
-/// [`try_run_simulation_summary`] is the non-panicking path.
-pub fn run_simulation_summary(config: SimConfig) -> SimResult {
-    Simulation::new(config.summary_only()).run()
-}
-
-/// Summary-only twin of [`try_run_simulation`].
-pub fn try_run_simulation_summary(config: SimConfig) -> Result<SimResult, ConfigError> {
-    Ok(Simulation::try_new(config.summary_only())?.run())
-}
-
-/// Builds and runs a simulation with tracing enabled, returning the result
-/// together with the recorded event stream. The trace is a pure function of
-/// the configuration: bit-identical across runs, and identical on the
-/// semantic channel between [`Simulation::run`] and
-/// [`Simulation::run_dense`].
-///
-/// # Panics
-///
-/// Panics with the specific [`ConfigError`] if the configuration is invalid;
-/// [`try_run_simulation_traced`] is the non-panicking path.
-pub fn run_simulation_traced(config: SimConfig) -> (SimResult, Vec<Event>) {
-    let sink = BufferSink::shared();
-    let mut sim = Simulation::new(config).with_telemetry(sink.clone());
-    let result = sim.run();
-    (result, sink.drain())
-}
-
-/// Traced twin of [`try_run_simulation`].
-pub fn try_run_simulation_traced(
-    config: SimConfig,
-) -> Result<(SimResult, Vec<Event>), ConfigError> {
-    let sink = BufferSink::shared();
-    let mut sim = Simulation::try_new(config)?.with_telemetry(sink.clone());
-    let result = sim.run();
-    Ok((result, sink.drain()))
-}
-
-/// Traced twin of [`run_simulation_summary`]: summary-only results (what the
-/// fleet dispatches) plus the full event stream — telemetry sampling does
-/// not depend on trace collection.
+/// Builds and runs a simulation in one call. For summary-only results (what
+/// the fleet dispatches) pass [`SimConfig::summary_only`]; the fallible path
+/// is `Simulation::try_new(config)?.run()`.
 ///
 /// # Panics
 ///
 /// Panics with the specific [`ConfigError`] if the configuration is invalid.
-pub fn run_simulation_summary_traced(config: SimConfig) -> (SimResult, Vec<Event>) {
+pub fn run_simulation(config: SimConfig) -> SimResult {
+    Simulation::new(config).run()
+}
+
+/// Builds and runs a simulation with tracing enabled, returning the result
+/// together with the recorded event stream. The trace is a pure function of
+/// the configuration: bit-identical across runs, and the same stream
+/// [`Simulation::run_dense`] records. Telemetry sampling does not depend on
+/// trace collection, so a [`SimConfig::summary_only`] run records it too.
+///
+/// # Panics
+///
+/// Panics with the specific [`ConfigError`] if the configuration is invalid.
+pub fn run_simulation_traced(config: SimConfig) -> (SimResult, Vec<Event>) {
     let sink = BufferSink::shared();
-    let mut sim = Simulation::new(config.summary_only()).with_telemetry(sink.clone());
+    let mut sim = Simulation::new(config).with_telemetry(sink.clone());
     let result = sim.run();
     (result, sink.drain())
 }
@@ -1839,19 +1523,13 @@ mod tests {
         let mut config = small(PolicyKind::Online);
         config.num_users = 0;
         assert_eq!(
-            Simulation::try_new(config.clone()).err(),
-            Some(ConfigError::ZeroUsers)
-        );
-        assert_eq!(
-            try_run_simulation(config.clone()).err(),
-            Some(ConfigError::ZeroUsers)
-        );
-        assert_eq!(
-            try_run_simulation_summary(config).err(),
+            Simulation::try_new(config).err(),
             Some(ConfigError::ZeroUsers)
         );
         // A valid config runs exactly like the panicking path.
-        let ok = try_run_simulation(small(PolicyKind::Immediate)).expect("valid config");
+        let ok = Simulation::try_new(small(PolicyKind::Immediate))
+            .expect("valid config")
+            .run();
         let direct = run_simulation(small(PolicyKind::Immediate));
         assert_eq!(ok.total_energy_j.to_bits(), direct.total_energy_j.to_bits());
     }
@@ -1893,7 +1571,7 @@ mod tests {
     fn summary_mode_is_bit_identical_to_recording_mode() {
         for policy in PolicyKind::ALL {
             let full = run_simulation(small(policy));
-            let lean = run_simulation_summary(small(policy));
+            let lean = run_simulation(small(policy).summary_only());
             assert_eq!(
                 full.total_energy_j.to_bits(),
                 lean.total_energy_j.to_bits(),
@@ -1920,46 +1598,35 @@ mod tests {
         config.total_slots = 600;
         config.ml = Some(MlConfig::tiny());
         let full = run_simulation(config.clone());
-        let lean = run_simulation_summary(config);
+        let lean = run_simulation(config.summary_only());
         assert_eq!(full.final_accuracy, lean.final_accuracy);
         assert_eq!(full.total_updates, lean.total_updates);
         assert_eq!(full.total_energy_j.to_bits(), lean.total_energy_j.to_bits());
     }
 
     #[test]
-    fn telemetry_semantic_channel_is_identical_dense_vs_event() {
-        use fedco_telemetry::analysis::diff;
+    fn telemetry_is_identical_scan_vs_indexed() {
         use fedco_telemetry::event::Channel;
 
         for policy in PolicyKind::ALL {
-            let sink_event = BufferSink::shared();
-            let mut event_sim = Simulation::new(small(policy)).with_telemetry(sink_event.clone());
-            let event_result = event_sim.run();
-            let event_trace = sink_event.drain();
-
-            let sink_dense = BufferSink::shared();
-            let mut dense_sim = Simulation::new(small(policy)).with_telemetry(sink_dense.clone());
-            let dense_result = dense_sim.run_dense();
-            let dense_trace = sink_dense.drain();
-
-            // Results are bit-identical between drivers, traced or not.
+            let traced = |indexed: bool| {
+                let sink = BufferSink::shared();
+                let mut sim = Simulation::new(small(policy)).with_telemetry(sink.clone());
+                let result = if indexed { sim.run() } else { sim.run_dense() };
+                (result, sink.drain())
+            };
+            let (indexed_result, indexed_trace) = traced(true);
+            let (scan_result, scan_trace) = traced(false);
             assert_eq!(
-                event_result.total_energy_j.to_bits(),
-                dense_result.total_energy_j.to_bits(),
+                indexed_result.total_energy_j.to_bits(),
+                scan_result.total_energy_j.to_bits(),
                 "energy diverged for {policy:?}"
             );
-            // The semantic channel is identical; the driver channel differs
-            // whenever anything was fast-forwarded.
-            let report = diff(&dense_trace, &event_trace, false);
-            assert!(
-                report.identical(),
-                "semantic trace diverged for {policy:?}: {report}"
-            );
-            assert!(event_trace.iter().any(|e| e.channel() == Channel::Semantic));
-            if event_sim.engine_stats().fast_forwarded_slots > 0 {
-                let full = diff(&dense_trace, &event_trace, true);
-                assert!(!full.identical(), "driver channel should differ");
-            }
+            // Every channel agrees: both step every slot.
+            assert_eq!(scan_trace, indexed_trace, "trace diverged for {policy:?}");
+            assert!(indexed_trace
+                .iter()
+                .any(|e| e.channel() == Channel::Semantic));
         }
     }
 
@@ -2016,7 +1683,7 @@ mod tests {
             );
         }
         // Summary-only tracing still samples energy identically.
-        let (_, lean_events) = run_simulation_summary_traced(small(PolicyKind::Immediate));
+        let (_, lean_events) = run_simulation_traced(small(PolicyKind::Immediate).summary_only());
         let lean_energy: Vec<&Event> = lean_events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Energy { .. }))

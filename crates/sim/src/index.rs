@@ -80,18 +80,6 @@ impl Calendar {
         due.dedup();
         due
     }
-
-    /// The first slot in `from..=to` holding an entry for which
-    /// `wanted(slot, entry)` holds. Nothing is consumed.
-    pub(crate) fn first_slot_with(
-        &self,
-        from: u64,
-        to: u64,
-        wanted: impl Fn(u64, Due) -> bool,
-    ) -> Option<u64> {
-        let end = to.saturating_add(1).min(self.buckets.len() as u64);
-        (from..end).find(|&slot| self.buckets[slot as usize].iter().any(|&d| wanted(slot, d)))
-    }
 }
 
 /// A set of user ids that iterates in ascending order: one bit per user.
@@ -133,20 +121,24 @@ impl UserSet {
         self.words[i / 64] &= !bit;
     }
 
-    /// The smallest member `>= from`, if any.
-    pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        let mut word = *self.words.get(w)? & (u64::MAX << (from % 64));
-        while word == 0 {
-            w += 1;
-            word = *self.words.get(w)?;
-        }
-        Some(w * 64 + word.trailing_zeros() as usize)
+    /// Number of 64-user blocks the set spans.
+    pub(crate) fn blocks(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The members among users `64·b .. 64·(b + 1)`, ascending, as they
+    /// stand now: the iterator holds a copy of the block, so members may
+    /// leave the set while it is walked (none may join).
+    pub(crate) fn block(&self, b: usize) -> impl Iterator<Item = usize> {
+        let word = self.words[b];
+        std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
+            .take_while(|&w| w != 0)
+            .map(move |w| b * 64 + w.trailing_zeros() as usize)
     }
 
     /// The members, ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_at_or_after(0), |&i| self.next_at_or_after(i + 1))
+        (0..self.blocks()).flat_map(|b| self.block(b))
     }
 }
 
@@ -194,12 +186,6 @@ mod tests {
             Deadline::AppExpiry => app_until[d.user as usize] == slot,
             Deadline::EpochDone => epoch_until[d.user as usize] == slot,
         };
-        // The scan sees through stale entries, without consuming anything.
-        assert_eq!(c.first_slot_with(0, 20, live), Some(7));
-        assert_eq!(c.first_slot_with(8, 20, live), Some(12));
-        let epoch_done = |slot, d: Due| d.what == Deadline::EpochDone && live(slot, d);
-        assert_eq!(c.first_slot_with(0, 20, epoch_done), Some(7));
-        assert_eq!(c.first_slot_with(8, 20, epoch_done), None);
         assert_eq!(c.take_due(7, |d| live(7, d)), [due(5, Deadline::EpochDone)]);
         assert_eq!(
             c.take_due(12, |d| live(12, d)),
@@ -212,12 +198,11 @@ mod tests {
         let mut c = Calendar::new(3);
         assert!((0..=5).all(|s| c.take_due(s, |_| true).is_empty()));
         assert!(c.take_due(2, |_| true).is_empty());
-        assert_eq!(c.first_slot_with(0, 99, |_, _| true), None);
         // A deadline past the horizon never falls due.
         c.push(4, 0, Deadline::EpochDone);
         c.push(3, 0, Deadline::EpochDone);
         assert!(c.take_due(4, |_| true).is_empty());
-        assert_eq!(c.first_slot_with(0, 99, |_, _| true), Some(3));
+        assert_eq!(c.take_due(3, |_| true), [due(0, Deadline::EpochDone)]);
         // The default calendar (a dense run's) files nothing.
         let mut none = Calendar::default();
         none.push(0, 0, Deadline::AppExpiry);
@@ -230,7 +215,7 @@ mod tests {
             let mut set = UserSet::full(n);
             assert_eq!(set.len(), n);
             assert!(set.iter().eq(0..n), "n={n}");
-            assert_eq!(set.next_at_or_after(n), None);
+            assert_eq!(set.blocks(), n.div_ceil(64));
             // Keep only the word-edge members.
             for i in 0..n {
                 if !(i % 64 == 0 || i % 64 == 63) {
@@ -243,8 +228,8 @@ mod tests {
             assert!(set.iter().eq(edges.iter().copied()), "n={n}");
             set.insert(n - 1);
             set.insert(n - 1);
-            assert_eq!(set.next_at_or_after(n - 1), Some(n - 1));
+            assert_eq!(set.block((n - 1) / 64).last(), Some(n - 1));
         }
-        assert_eq!(UserSet::full(0).next_at_or_after(0), None);
+        assert_eq!(UserSet::full(0).iter().next(), None);
     }
 }

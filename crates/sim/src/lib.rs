@@ -36,11 +36,7 @@ pub mod user;
 pub mod prelude {
     pub use crate::arrivals::{AppArrival, ArrivalCursor, ArrivalIndex, ArrivalSchedule};
     pub use crate::clock::SimClock;
-    pub use crate::engine::{
-        run_simulation, run_simulation_summary, run_simulation_summary_traced,
-        run_simulation_traced, try_run_simulation, try_run_simulation_summary,
-        try_run_simulation_traced, EngineStats, Simulation,
-    };
+    pub use crate::engine::{run_simulation, run_simulation_traced, EngineStats, Simulation};
     pub use crate::experiment::{
         ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
     };

@@ -1,12 +1,12 @@
 //! The per-user phases of a slot — application arrivals, the phase census,
-//! power accounting, timer expiry — and the per-user half of a fast-forward.
+//! power accounting, timer expiry.
 //!
-//! Each dense-slot phase exists twice. The `*_scan` functions are the
-//! reference: a plain walk over every user of the arena, recording power
-//! eagerly slot by slot; [`Simulation::run_dense`] uses nothing else, and
-//! the equivalence suite holds [`Simulation::run`] to its bits. The
-//! `*_indexed` functions do the same work from the event indices and touch
-//! only the users to whom something happens:
+//! Each phase exists twice. The `*_scan` functions are the reference: a
+//! plain walk over every user of the arena, recording power eagerly slot by
+//! slot; [`Simulation::run_dense`] uses nothing else, and the equivalence
+//! suite holds [`Simulation::run`] to its bits. The indexed implementations
+//! do the same work from the event indices and touch only the users to whom
+//! something happens:
 //!
 //! * arrivals come from the slot's bucket of the
 //!   [`ArrivalIndex`](crate::arrivals::ArrivalIndex);
@@ -27,33 +27,27 @@
 //! the only thing that could move a bit is the sequence of operations *one*
 //! user's accumulators see, and the indexed loop keeps that sequence:
 //!
-//! * A user's open power span is closed at exactly the boundaries the
-//!   per-slot deferral closed it — when the user's power state differs at
-//!   the next slot that accrues (`settle_power`, comparing against the
-//!   state that was accruing, so an application that expires and is
-//!   re-opened in the same kind merges just as it did), before any extra
-//!   energy lands (`flush_pending`), at trace and telemetry samples, at
-//!   world checks that read battery drain, and at the end of the run. Each
-//!   profiler therefore receives the same `record_span_lean` /
-//!   `record_extra` calls with the same arguments in the same order.
-//! * Inside a fast-forwarded span the order in which *different* users are
-//!   brought up to date is free — no accumulator is shared — but one user's
-//!   events must apply in slot order (an arrival is only accepted once the
-//!   previous application has expired), which walking the span's buckets
-//!   slot by slot guarantees.
-//! * Gaps and energy still grow by repeated addition, one slot at a time.
+//! * A user's open power span is closed when the user's power state
+//!   differs at the next slot that accrues (`settle_power`, comparing
+//!   against the state that was accruing, so an application that expires
+//!   and is re-opened in the same kind merges), before any extra energy
+//!   lands (`flush_pending`), at trace and telemetry samples, at world
+//!   checks that read battery drain, and at the end of the run. Inside a
+//!   span the profiler adds one slot of energy at a time
+//!   (`record_span_lean`), so each accumulator receives the additions the
+//!   scan's per-slot `record` makes, in the same order.
+//! * Gaps grow by one `+ ε` addition per idle slot in both loops.
 
 use fedco_device::apps::AppKind;
 use fedco_device::energy::{Joules, Seconds};
-use fedco_device::profiler::EnergyComponent;
 
 use crate::engine::Simulation;
 use crate::index::Deadline;
 use crate::user::TrainingPhase;
 
 /// `power_since` of a user that accrues nothing (an offline device, and
-/// every user of a dense run, which records eagerly): no boundary lies past
-/// it, so flushing sees an empty span.
+/// every user of the scan reference, which records eagerly): no boundary
+/// lies past it, so flushing sees an empty span.
 pub(crate) const NOT_ACCRUING: u64 = u64::MAX;
 
 impl Simulation {
@@ -81,9 +75,10 @@ impl Simulation {
     }
 
     /// Files the deadline user `i` just acquired in the calendar, and marks
-    /// the user for the next power settlement (a dense run keeps no indices).
+    /// the user for the next power settlement (the scan reference keeps no
+    /// indices).
     pub(crate) fn file_deadline(&mut self, i: usize, until: u64, what: Deadline) {
-        if self.event_mode {
+        if self.indexed {
             self.calendar.push(until, i, what);
             self.dirty.push(i as u32);
         }
@@ -153,7 +148,7 @@ impl Simulation {
 
     /// Slot phase 1: application arrivals of `slot`.
     pub(crate) fn phase_arrivals(&mut self, slot: u64) {
-        if !self.event_mode {
+        if !self.indexed {
             self.stats.user_visits += self.users.len() as u64;
             return self.phase_arrivals_scan(slot);
         }
@@ -168,7 +163,7 @@ impl Simulation {
     /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet.
     pub(crate) fn phase_census(&mut self) -> (u64, usize) {
         let counted = (self.users.training_count(), self.users.waiting_count());
-        if self.event_mode {
+        if self.indexed {
             debug_assert_eq!(counted, self.phase_census_scan(), "census drifted");
             return counted;
         }
@@ -179,7 +174,7 @@ impl Simulation {
     /// Number of users that are not offline (the participants of a
     /// synchronous round).
     pub(crate) fn online_users(&self) -> usize {
-        if self.event_mode {
+        if self.indexed {
             return self.users.online_count();
         }
         (0..self.users.len())
@@ -189,7 +184,7 @@ impl Simulation {
 
     /// Slot phase 3: power accounting of `slot`.
     pub(crate) fn phase_power(&mut self, slot: u64) {
-        if !self.event_mode {
+        if !self.indexed {
             self.stats.user_visits += self.users.len() as u64;
             return self.phase_power_scan();
         }
@@ -201,7 +196,7 @@ impl Simulation {
     /// end of `slot`. Completed users land in `self.completed`, ascending,
     /// with their co-running flag.
     pub(crate) fn phase_tick(&mut self, slot: u64) {
-        if !self.event_mode {
+        if !self.indexed {
             self.stats.user_visits += self.users.len() as u64;
             return self.phase_tick_scan(slot);
         }
@@ -246,11 +241,11 @@ impl Simulation {
         }
     }
 
-    /// Lands user `i`'s open power span in its profiler (a no-op in a dense
-    /// run, which records eagerly).
+    /// Lands user `i`'s open power span in its profiler (a no-op in the scan
+    /// reference, which records eagerly).
     ///
     /// Flushing *before* any other energy lands in the profiler keeps each
-    /// user's accumulation stream in exactly the dense order, so deferral
+    /// user's accumulation stream in exactly the scan's order, so deferral
     /// never changes the floating-point result.
     pub(crate) fn flush_pending(&mut self, i: usize) {
         self.flush_to(i, self.accrued_to);
@@ -259,7 +254,7 @@ impl Simulation {
     /// Flushes every user's open span (before trace snapshots and at the
     /// end of a run).
     pub(crate) fn flush_all_pending(&mut self) {
-        if !self.event_mode {
+        if !self.indexed {
             return;
         }
         self.stats.user_visits += self.users.len() as u64;
@@ -276,7 +271,7 @@ impl Simulation {
 
     /// Marks user `i` for the next [`settle_power`](Self::settle_power).
     pub(crate) fn mark_dirty(&mut self, i: usize) {
-        if self.event_mode {
+        if self.indexed {
             self.dirty.push(i as u32);
         }
     }
@@ -303,51 +298,6 @@ impl Simulation {
                 }
             }
             self.dirty.push(d.user);
-        }
-    }
-
-    /// The per-user half of fast-forwarding `cur..end`, for users that are
-    /// not waiting: applications open and leave inside the span, each
-    /// closing the user's power span at its own slot. Nothing else can
-    /// happen to them — `skip_horizon` ends the span before the first
-    /// completion.
-    pub(crate) fn span_events(&mut self, cur: u64, end: u64) {
-        for slot in cur..end {
-            // Deadlines of `cur` itself fired in the tick of `cur - 1`.
-            if slot > cur {
-                self.fire_deadlines(slot);
-            }
-            self.phase_arrivals(slot);
-            if !self.dirty.is_empty() {
-                self.settle_power(slot);
-            }
-        }
-        // The tick of the span's last slot; whoever it touches settles at
-        // the next accrual.
-        self.fire_deadlines(end);
-        debug_assert!(self.completed.is_empty(), "completion inside a span");
-        self.accrued_to = end;
-    }
-
-    /// The per-user half of fast-forwarding `n` slots from `cur`, for the
-    /// waiting users: `n` idle slots each (their application status is
-    /// frozen in-span, certified by `skip_horizon`). With
-    /// `replay_overhead`, the decision energy the dense loop charges them
-    /// every slot — flush, extra, then the slot's power — is replayed slot
-    /// by slot, never as one `n ×` multiply.
-    pub(crate) fn span_waiting(&mut self, cur: u64, n: u64, replay_overhead: Option<f64>) {
-        self.stats.user_visits += self.users.waiting_count() as u64;
-        let mut next = self.users.next_waiting(0);
-        while let Some(i) = next {
-            if let Some(overhead_fraction) = replay_overhead {
-                let extra = self.decision_overhead(i, overhead_fraction);
-                for k in 0..n {
-                    self.flush_to(i, cur + k);
-                    self.profilers[i].record_extra(EnergyComponent::Idle, extra);
-                }
-            }
-            self.users.idle_slots(i, n);
-            next = self.users.next_waiting(i + 1);
         }
     }
 }

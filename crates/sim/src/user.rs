@@ -19,9 +19,9 @@
 //!
 //! Timers are absolute deadlines (the slot an application leaves the
 //! foreground, the slot an epoch is complete), so nothing about a user
-//! changes between its events: the dense reference loop finds the users due
-//! in a slot by scanning ([`UserArena::tick`]), the event-indexed loop by
-//! popping a calendar. The arena also keeps the census of the fleet —
+//! changes between its events: the scan reference finds the users due in a
+//! slot by scanning ([`UserArena::tick`]), the indexed slot loop by popping a
+//! calendar. The arena also keeps the census of the fleet —
 //! training, offline and waiting counts plus the ascending set of waiting
 //! users — current at every phase transition, which is why the phase lane
 //! is private and only changes through the transition methods.
@@ -68,8 +68,6 @@ pub struct UserSideTable {
     pub device: Vec<DeviceKind>,
     /// Number of local epochs each user has completed.
     pub epochs_completed: Vec<u64>,
-    /// Number of slots each user spent waiting (lifetime total).
-    pub waiting_slots: Vec<u64>,
     /// Number of epochs each user started as co-runs.
     pub corun_epochs: Vec<u64>,
 }
@@ -106,19 +104,15 @@ pub struct UserArena {
     pub current_app: Vec<Option<AppKind>>,
     /// Version of the global model each user last downloaded.
     pub base_version: Vec<ModelVersion>,
-    /// Accumulated gradient gap `g_i(t)` (Eq. 12). Always advanced by
-    /// repeated `+ ε` additions, never an `n × ε` multiply, so bulk
-    /// fast-forwards reproduce the dense per-slot loop bit-for-bit.
-    pub gap: Vec<f64>,
+    /// Accumulated gradient gap `g_i(t)` (Eq. 12), advanced by one `+ ε`
+    /// addition per idle slot. Private: [`set_gap`](Self::set_gap) drops
+    /// the held sum below with every write.
+    gap: Vec<f64>,
+    /// `Σ_i g_i`, folded in index order, while no gap has changed since.
+    gap_sum: Option<f64>,
     /// Slots spent waiting since the user last became ready (its current
     /// contribution to the task-queue backlog; reset when training starts).
     pub current_wait_slots: Vec<u64>,
-    /// The application status each user was last handed to the policy under
-    /// (`None` until the first decision after becoming ready). The event
-    /// engine may only fast-forward past a waiting user while this matches
-    /// the current status: an app expiry or arrival — or a fresh requeue —
-    /// invalidates the last decision and forces a dense slot.
-    pub last_decision_app: Vec<Option<AppStatus>>,
     /// Cold per-user counters.
     pub cold: Box<UserSideTable>,
 }
@@ -160,12 +154,11 @@ impl UserArena {
             current_app: vec![None; num_users],
             base_version: vec![ModelVersion::INITIAL; num_users],
             gap: vec![0.0; num_users],
+            gap_sum: None,
             current_wait_slots: vec![0; num_users],
-            last_decision_app: vec![None; num_users],
             cold: Box::new(UserSideTable {
                 device,
                 epochs_completed: vec![0; num_users],
-                waiting_slots: vec![0; num_users],
                 corun_epochs: vec![0; num_users],
             }),
         }
@@ -243,18 +236,23 @@ impl UserArena {
         self.len() - self.offline
     }
 
-    /// The waiting users in ascending order — the order the dense scan
+    /// The waiting users in ascending order — the order the reference scan
     /// decides them in.
     pub fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
         self.waiting.iter()
     }
 
-    /// The first waiting user with id `>= from`, if any. Stepping with
-    /// `next_waiting(i + 1)` is [`waiting`](Self::waiting) for loops that
-    /// change the arena as they go: it tolerates the current user leaving
-    /// the set in between.
-    pub fn next_waiting(&self, from: usize) -> Option<usize> {
-        self.waiting.next_at_or_after(from)
+    /// Number of 64-user blocks of the waiting set.
+    pub fn waiting_blocks(&self) -> usize {
+        self.waiting.blocks()
+    }
+
+    /// The waiting users among `64·b .. 64·(b + 1)`, ascending, as they
+    /// stood when the block was read. Walking block after block is
+    /// [`waiting`](Self::waiting) for loops that change the arena as they
+    /// go: a user may leave the set once visited (none may join).
+    pub fn waiting_block(&self, b: usize) -> impl Iterator<Item = usize> {
+        self.waiting.block(b)
     }
 
     /// Whether a foreground application is currently running for user `i`.
@@ -349,7 +347,7 @@ impl UserArena {
     }
 
     /// The end-of-slot timer check of user `i` for slot `slot`, as the
-    /// dense reference loop runs it for every user: the application expires
+    /// scan reference runs it for every user: the application expires
     /// and the epoch completes when their deadline is `slot + 1`. Returns
     /// the co-running flag of an epoch that completed during this slot.
     pub fn tick(&mut self, i: usize, slot: u64) -> Option<bool> {
@@ -368,9 +366,8 @@ impl UserArena {
     pub fn become_waiting(&mut self, i: usize, new_base: ModelVersion) {
         self.set_phase(i, TrainingPhase::Waiting);
         self.base_version[i] = new_base;
-        self.gap[i] = 0.0;
+        self.set_gap(i, 0.0);
         self.current_wait_slots[i] = 0;
-        self.last_decision_app[i] = None;
     }
 
     /// Parks user `i` at the synchronous round barrier.
@@ -383,9 +380,8 @@ impl UserArena {
     pub fn go_offline(&mut self, i: usize) {
         self.set_phase(i, TrainingPhase::Offline);
         self.current_app[i] = None;
-        self.gap[i] = 0.0;
+        self.set_gap(i, 0.0);
         self.current_wait_slots[i] = 0;
-        self.last_decision_app[i] = None;
     }
 
     /// The accumulated gradient gap of user `i`.
@@ -396,25 +392,44 @@ impl UserArena {
     /// Applies one slot in which the policy left waiting user `i` idle: the
     /// gap grows, `g(t) = g(t−1) + ε`, and the slot counts as waited.
     pub fn idle_slot(&mut self, i: usize) {
-        self.idle_slots(i, 1);
-    }
-
-    /// Applies `slots` consecutive idle slots to waiting user `i`,
-    /// bit-identically to calling [`idle_slot`](Self::idle_slot) that many
-    /// times — by construction: the gap grows by repeated addition, never a
-    /// `slots × ε` multiply, which would round differently.
-    pub fn idle_slots(&mut self, i: usize, slots: u64) {
-        for _ in 0..slots {
-            self.gap[i] += self.epsilon;
-        }
-        self.cold.waiting_slots[i] += slots;
-        self.current_wait_slots[i] += slots;
+        self.set_gap(i, self.gap[i] + self.epsilon);
+        self.current_wait_slots[i] += 1;
     }
 
     /// Applies a scheduling decision to user `i`'s gap: it becomes the
     /// momentum-predicted value for the lag expected over training.
     pub fn gap_schedule(&mut self, i: usize, predicted: GradientGap) {
-        self.gap[i] = predicted.0;
+        self.set_gap(i, predicted.0);
+    }
+
+    fn set_gap(&mut self, i: usize, gap: f64) {
+        self.gap[i] = gap;
+        self.gap_sum = None;
+    }
+
+    /// Every user's accumulated gap, by user id.
+    pub fn gaps(&self) -> &[f64] {
+        &self.gap
+    }
+
+    /// `Σ_i g_i(t)`, the sum that feeds Eq. 16, folded afresh in index
+    /// order.
+    pub fn fold_gaps(&self) -> f64 {
+        // fedco-audit: allow(float-reduction): fixed-order reduction over the gap lane — deterministic by construction
+        self.gap.iter().sum()
+    }
+
+    /// [`fold_gaps`](Self::fold_gaps), folded again only after a gap
+    /// changed: a slot in which nobody waits, uploads or goes dark costs no
+    /// pass over the fleet.
+    pub fn gap_sum(&mut self) -> f64 {
+        let sum = match self.gap_sum {
+            Some(sum) => sum,
+            None => self.fold_gaps(),
+        };
+        debug_assert_eq!(sum.to_bits(), self.fold_gaps().to_bits(), "stale sum");
+        self.gap_sum = Some(sum);
+        sum
     }
 }
 
@@ -486,12 +501,24 @@ mod tests {
         let mut u = arena();
         u.idle_slot(0);
         u.idle_slot(0);
-        assert_eq!(u.cold.waiting_slots[0], 2);
         assert_eq!(u.current_wait_slots[0], 2);
         u.start_training(0, 2, 1, false);
         assert_eq!(u.current_wait_slots[0], 0);
-        u.tick(0, 2);
-        assert_eq!(u.cold.waiting_slots[0], 2);
+    }
+
+    #[test]
+    fn held_gap_sum_follows_every_gap_write() {
+        let mut u = UserArena::build(3, 0.25, |_| DeviceKind::Pixel2);
+        assert_eq!(u.gap_sum(), 0.0);
+        u.idle_slot(0);
+        u.idle_slot(2);
+        assert_eq!(u.gap_sum(), 0.5);
+        u.gap_schedule(1, GradientGap(2.0));
+        assert_eq!(u.gap_sum(), 2.5);
+        u.become_waiting(1, ModelVersion(1));
+        u.go_offline(2);
+        assert_eq!(u.gap_sum(), 0.25);
+        assert_eq!(u.gap_sum().to_bits(), u.fold_gaps().to_bits());
     }
 
     #[test]
@@ -528,7 +555,7 @@ mod tests {
             (u.waiting_count(), u.training_count(), u.online_count()),
             (130, 0, 130)
         );
-        assert_eq!(u.next_waiting(0), Some(0));
+        assert_eq!(u.waiting().next(), Some(0));
         u.start_training(0, 0, 5, false);
         u.start_training(64, 0, 5, false);
         u.go_offline(65);
@@ -537,25 +564,26 @@ mod tests {
             (u.waiting_count(), u.training_count(), u.online_count()),
             (127, 1, 128)
         );
-        assert_eq!(u.next_waiting(0), Some(1));
-        assert_eq!(u.next_waiting(64), Some(66));
+        assert_eq!(u.waiting_block(1).next(), Some(66));
         assert!(u.waiting().eq((1..130).filter(|i| ![64, 65].contains(i))));
         u.enter_barrier(0);
         assert_eq!(u.training_count(), 0);
         u.become_waiting(0, ModelVersion(1));
         u.become_waiting(65, ModelVersion(1));
         assert_eq!((u.waiting_count(), u.online_count()), (129, 129));
-        assert_eq!(u.next_waiting(64), Some(65));
-        // Ascending iteration tolerates the current user leaving the set.
-        let mut seen = 0;
-        let mut next = u.next_waiting(0);
-        while let Some(i) = next {
-            u.start_training(i, 0, 1, false);
-            seen += 1;
-            next = u.next_waiting(i + 1);
+        assert_eq!(u.waiting_block(1).next(), Some(65));
+        // Block-by-block iteration is ascending and tolerates the visited
+        // user leaving the set.
+        let mut seen = Vec::new();
+        for b in 0..u.waiting_blocks() {
+            for i in u.waiting_block(b) {
+                u.start_training(i, 0, 1, false);
+                seen.push(i);
+            }
         }
-        assert_eq!((seen, u.waiting_count(), u.training_count()), (129, 0, 129));
-        assert_eq!(u.next_waiting(0), None);
+        assert!(seen.iter().copied().eq((0..130).filter(|&i| i != 64)));
+        assert_eq!((u.waiting_count(), u.training_count()), (0, 129));
+        assert_eq!(u.waiting().next(), None);
     }
 
     #[test]
@@ -596,20 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn gap_bulk_update_matches_repeated_additions() {
-        let mut a = arena();
-        let mut b = arena();
-        for _ in 0..1000 {
-            a.idle_slot(0);
-        }
-        b.idle_slots(0, 1000);
-        assert_eq!(a.gap[0].to_bits(), b.gap[0].to_bits());
-        assert_eq!(a.cold.waiting_slots[0], b.cold.waiting_slots[0]);
-        assert_eq!(a.current_wait_slots[0], b.current_wait_slots[0]);
-        // A negative epsilon clamps to zero exactly like GapAccumulator.
+    fn negative_epsilon_clamps_to_zero() {
+        // Exactly like `GapAccumulator::new`.
         let mut c = UserArena::build(1, -0.5, |_| DeviceKind::Pixel2);
-        c.idle_slots(0, 10);
-        assert_eq!(c.gap[0], 0.0);
+        for _ in 0..10 {
+            c.idle_slot(0);
+        }
+        assert_eq!(c.gap_value(0), GradientGap(0.0));
         assert_eq!(c.epsilon(), 0.0);
     }
 }

@@ -180,9 +180,9 @@ impl std::fmt::Display for DiffReport {
 /// Diffs two traces down to the first divergence.
 ///
 /// By default only the **semantic** and **fleet** channels are compared —
-/// the driver channel (dense/skip spans) legitimately differs between the
-/// dense and event-driven engine drivers. Pass `include_driver` to compare
-/// everything (e.g. two runs of the *same* driver).
+/// the driver channel (dense/skip spans) differs between a trace recorded
+/// while the engine fast-forwarded quiescent spans and one of the same
+/// scenario recorded since. Pass `include_driver` to compare everything.
 pub fn diff(left: &[Event], right: &[Event], include_driver: bool) -> DiffReport {
     let keep = |e: &&Event| include_driver || e.channel() != Channel::Driver;
     let left: Vec<&Event> = left.iter().filter(keep).collect();

@@ -8,8 +8,9 @@
 //!   timeline (optionally restricted to one fleet job).
 //! * `diff <left.jsonl> <right.jsonl> [--all]` — compare two traces down to
 //!   the first divergence. The driver channel (dense/skip spans) is excluded
-//!   unless `--all` is given, so dense vs event-driven runs of the same
-//!   scenario compare identical. Exits 1 on divergence.
+//!   unless `--all` is given, so a trace recorded while the engine still
+//!   fast-forwarded compares identical to a current one of the same
+//!   scenario. Exits 1 on divergence.
 //! * `csv <trace.jsonl>` — re-export a trace as CSV on stdout.
 
 use std::process::ExitCode;
@@ -26,8 +27,8 @@ USAGE:
     fedco-trace csv       <trace.jsonl>
 
 `diff` compares the semantic + fleet channels by default; pass --all to also
-compare the driver channel (dense/skip spans, which legitimately differ
-between the dense and event-driven engine drivers). Exit codes: 0 identical
+compare the driver channel (dense/skip spans, which differ between traces
+recorded before and after the engine stopped fast-forwarding). Exit codes: 0 identical
 or success, 1 divergence, 2 usage or parse error.
 ";
 

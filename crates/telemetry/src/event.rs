@@ -2,16 +2,15 @@
 //!
 //! Every event carries the **slot** it happened in — the simulated clock,
 //! never wall time — so a trace is a pure function of the configuration and
-//! bit-identical across runs, drivers and worker counts. Events fall into
-//! three channels:
+//! bit-identical across runs and worker counts. Events fall into four
+//! channels:
 //!
 //! * **semantic** — what the simulated system did (schedules, merges,
-//!   rounds, barrier depths, energy accrual). Identical between the dense
-//!   and the event-driven engine drivers by the engine's equivalence
-//!   contract.
-//! * **driver** — how the engine executed it (dense-slot spans,
-//!   fast-forwarded skip spans). Deliberately *different* between drivers;
-//!   trace diffs exclude this channel by default.
+//!   rounds, barrier depths, energy accrual).
+//! * **driver** — how the engine executed it. The engine steps every slot
+//!   and closes a run with one dense span; traces recorded while it still
+//!   fast-forwarded quiescent spans hold alternating dense and skip spans.
+//!   Trace diffs exclude this channel by default, so both kinds compare.
 //! * **fleet** — job lifecycle markers the sweep merge inserts around each
 //!   job's stream, deterministic because the merge happens in job order.
 //! * **server** — session lifecycle and aggregation decisions of the
@@ -23,9 +22,10 @@
 /// The comparison channel an event belongs to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Channel {
-    /// Simulated-system behaviour: identical across engine drivers.
+    /// Simulated-system behaviour.
     Semantic,
-    /// Engine execution mechanics: differs between drivers by design.
+    /// Engine execution mechanics (how many slots were stepped, or — in
+    /// older traces — skipped).
     Driver,
     /// Sweep job lifecycle markers inserted by the deterministic merge.
     Fleet,
@@ -71,8 +71,7 @@ pub enum EventKind {
     },
     /// A policy `decide()` returned `Schedule` for a waiting user
     /// (semantic). Idle outcomes are counted per dense span instead — they
-    /// repeat every slot a user waits and are elided wholesale by the
-    /// event-driven driver, so they belong to the driver channel.
+    /// repeat every slot a user waits, so they belong to the driver channel.
     Schedule {
         /// The user that starts training this slot.
         user: u64,
@@ -119,14 +118,17 @@ pub enum EventKind {
         /// Total device energy of the run, in joules.
         energy_j: f64,
     },
-    /// A contiguous stretch of densely-executed slots ended (driver).
+    /// A contiguous stretch of stepped slots ended (driver). The engine
+    /// emits one per run, covering the horizon.
     DenseSpan {
         /// Dense slots in the stretch.
         slots: u64,
         /// Idle `decide()` outcomes inside the stretch.
         idle_decisions: u64,
     },
-    /// The event-driven driver fast-forwarded a quiescent span (driver).
+    /// A quiescent span was fast-forwarded (driver). No longer emitted —
+    /// the engine steps every slot — but still parsed, so traces recorded
+    /// before the fast-forward was deleted load.
     SkipSpan {
         /// Slots skipped in bulk.
         slots: u64,

@@ -3,8 +3,8 @@
 //!
 //! The primary clock of every trace is the **simulation slot**, never wall
 //! time, so a trace is a pure function of the scenario configuration:
-//! bit-identical across runs, across the dense and event-driven engine
-//! drivers (on the semantic channel), and across fleet worker counts. The
+//! bit-identical across runs, between the engine's indexed slot loop and
+//! its plain-scan reference, and across fleet worker counts. The
 //! one place wall time exists is the [`profiling`] module, whose
 //! measurements are wrapped in [`profiling::Measured`] and therefore never
 //! participate in equality comparisons.

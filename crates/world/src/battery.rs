@@ -8,7 +8,8 @@
 //! rejoin threshold. The engine evaluates the lifecycle at world check slots
 //! (see [`CHECK_EVERY_SLOTS`](crate::CHECK_EVERY_SLOTS)), reading per-user
 //! profiler totals in ascending user order — no cross-user float
-//! reductions, so results are byte-identical across engine drivers.
+//! reductions, so results are byte-identical between the engine's indexed
+//! slot loop and its plain-scan reference.
 
 use fedco_device::battery::Battery;
 use fedco_device::profiles::DeviceKind;

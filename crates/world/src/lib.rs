@@ -24,9 +24,9 @@
 //! Every model here is a pure function of `(spec, seed, user, slot)`:
 //! no entropy, no wall clock, no unordered iteration. The engine consults
 //! the world at fixed **check slots** (every
-//! [`CHECK_EVERY_SLOTS`] slots) which both engine drivers execute densely,
-//! so battery and churn transitions are byte-identical between the dense and
-//! the event-driven driver.
+//! [`CHECK_EVERY_SLOTS`] slots), in ascending user order, so battery and
+//! churn transitions are byte-identical between the engine's indexed slot
+//! loop and its plain-scan reference.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,10 +42,9 @@ use churn::ChurnSpec;
 use compress::CompressionSpec;
 
 /// Cadence (in slots) of the engine's world check: battery accounting and
-/// churn transitions happen at slots that are multiples of this, which the
-/// event-driven driver pins dense. One check a simulated minute keeps the
-/// fast-forward machinery effective while bounding how stale a battery
-/// reading can get.
+/// churn transitions happen at slots that are multiples of this. A check
+/// walks the whole fleet, so one a simulated minute keeps the slot loop
+/// cheap while bounding how stale a battery reading can get.
 pub const CHECK_EVERY_SLOTS: u64 = 60;
 
 /// The full environment-dynamics configuration of one run. The default is
@@ -117,8 +116,8 @@ mod tests {
             ..WorldConfig::default()
         };
         assert!(churn.needs_check_slots());
-        // Compression alone needs no dense cadence: it acts at completion
-        // slots, which are dense in both drivers already.
+        // Compression alone needs no check cadence: it acts when an epoch
+        // completes.
         let compress = WorldConfig {
             compression: CompressionSpec::Ratio(0.5),
             ..WorldConfig::default()

@@ -1,18 +1,18 @@
-//! Dense-vs-event equivalence suite for the simulation engine.
+//! Scan-vs-indexed equivalence suite for the simulation engine.
 //!
-//! `Simulation::run` fast-forwards quiescent spans; `Simulation::run_dense`
-//! steps every slot. The two must be **bit-identical** — same energy bits,
-//! same queues, same traces — for every policy in the default registry,
-//! across seeds, arrival probabilities (including the p = 0 and p = 1
-//! extremes), trace collection modes, ML mode, and custom policies that
-//! still use the conservative dense-stepping capability defaults.
+//! There is one slot loop and it steps every slot. `Simulation::run_dense`
+//! runs each per-user phase as a plain scan of the fleet; `Simulation::run`
+//! runs the same phases from event indices (arrival buckets, a deadline
+//! calendar, a waiting set, maintained counts). The two must be
+//! **bit-identical** — same energy bits, same queues, same traces, the same
+//! telemetry stream on every channel — for every policy in the default
+//! registry, across seeds, arrival probabilities (including the p = 0 and
+//! p = 1 extremes), trace collection modes, world dynamics, ML mode, and
+//! custom policies.
 //!
-//! `run` also executes its dense slots from event indices (arrival buckets,
-//! a deadline calendar, a waiting set, maintained counts) where `run_dense`
-//! scans the fleet; the second half of the suite aims at what an index can
-//! get wrong and a scan cannot — stale deadlines, slot-boundary meetings,
-//! hand-out order, the round census, bitset word edges — and at
-//! `EngineStats::user_visits`.
+//! The second half of the suite aims at what an index can get wrong and a
+//! scan cannot — stale deadlines, slot-boundary meetings, hand-out order,
+//! the round census, bitset word edges — and at `EngineStats::user_visits`.
 
 use fedco::prelude::*;
 
@@ -126,9 +126,9 @@ fn user_gap_recording_and_transport_are_preserved() {
 
 #[test]
 fn world_dynamics_are_bit_identical_between_drivers() {
-    // Battery + churn + MMPP in one scenario: the event driver is forced
-    // dense across world-check slots, so both drivers must agree bit for
-    // bit — for every registry policy, traced and summary-only.
+    // Battery + churn + MMPP in one scenario: both loops run the world
+    // check at the same slots and must agree bit for bit — for every
+    // registry policy, traced and summary-only.
     let spec: ScenarioSpec = "battery-constrained:arrival=mmpp:users=5:slots=700"
         .parse()
         .expect("world spec parses");
@@ -183,11 +183,10 @@ fn ml_mode_is_bit_identical() {
     assert!(event.final_accuracy.is_some());
 }
 
-/// A custom policy that forwards to the online controller but keeps the
-/// conservative dense-stepping defaults for the fast-forward hooks
-/// (`next_wakeup_after`, `quiescent_while_waiting`) — exactly what a policy
-/// written against the PR-3 trait looks like. The event engine must fall
-/// back to dense stepping for it and stay bit-identical to the built-in.
+/// A custom policy that forwards to the online controller through the
+/// mandatory methods and the queue read-outs only, leaving every other hook
+/// at its default — exactly what a policy written against the PR-3 trait
+/// looks like. It must stay bit-identical to the built-in.
 #[derive(Debug)]
 struct LegacyOnline(Box<dyn SchedulingPolicy>);
 
@@ -207,8 +206,6 @@ impl SchedulingPolicy for LegacyOnline {
     fn decision_energy_overhead(&self) -> f64 {
         self.0.decision_energy_overhead()
     }
-    // next_wakeup_after / quiescent_while_waiting deliberately NOT forwarded:
-    // this policy predates the fast-forward capabilities.
 }
 
 #[derive(Debug)]
@@ -225,17 +222,10 @@ impl PolicyFactory for LegacyOnlineFactory {
 
 #[test]
 fn custom_policy_with_default_hooks_stays_dense_and_correct() {
-    let config = base_config(PolicySpec::custom(LegacyOnlineFactory));
-    let (dense, event) = run_both(config.clone());
+    let (dense, event) = run_both(base_config(PolicySpec::custom(LegacyOnlineFactory)));
     assert_identical("legacy custom online", &dense, &event);
 
-    // The conservative default keeps the event engine fully dense ...
-    let mut sim = Simulation::try_new(config.clone()).expect("valid");
-    let _ = sim.run();
-    assert_eq!(sim.engine_stats().fast_forwarded_slots, 0);
-    assert_eq!(sim.engine_stats().dense_slots, config.total_slots);
-
-    // ... and the numbers match the genuine built-in online controller.
+    // The numbers match the genuine built-in online controller.
     let builtin = run_simulation(base_config(PolicyKind::Online));
     assert_eq!(
         event.total_energy_j.to_bits(),
@@ -245,72 +235,53 @@ fn custom_policy_with_default_hooks_stays_dense_and_correct() {
 }
 
 #[test]
-fn event_engine_actually_fast_forwards() {
-    // Paper-like sparsity: the vast majority of slots are quiescent.
-    let config = SimConfig {
-        num_users: 8,
-        total_slots: 3000,
-        arrival_probability: 0.001,
-        ..SimConfig::default()
+fn every_slot_is_stepped_and_both_loops_emit_the_same_stream() {
+    // Paper-like sparsity, where most slots are empty: they are stepped all
+    // the same, and with nothing skipped the driver channel has nothing to
+    // differ in — the full telemetry stream is byte-equal, not just the
+    // semantic channel.
+    for spec in PolicySpec::default_registry() {
+        let config = SimConfig {
+            num_users: 8,
+            total_slots: 3000,
+            arrival_probability: 0.001,
+            ..SimConfig::default()
+        }
+        .with_policy(spec.clone())
+        .summary_only();
+        let traced = |indexed: bool| {
+            let sink = BufferSink::shared();
+            let mut sim = Simulation::try_new(config.clone())
+                .expect("valid config")
+                .with_telemetry(sink.clone());
+            let _ = if indexed { sim.run() } else { sim.run_dense() };
+            (sim.engine_stats(), events_to_jsonl(&sink.drain()))
+        };
+        let (stats, stream) = traced(true);
+        let (scan_stats, scan_stream) = traced(false);
+        for stats in [stats, scan_stats] {
+            assert_eq!(stats.dense_slots, config.total_slots, "{spec}");
+            assert_eq!((stats.fast_forwarded_slots, stats.spans), (0, 0), "{spec}");
+        }
+        assert!(
+            stream == scan_stream,
+            "{spec}: full-channel telemetry differs between run and run_dense"
+        );
+        assert_eq!(
+            stream.matches("\"event\":\"dense-span\"").count(),
+            1,
+            "{spec}"
+        );
     }
-    .with_policy(PolicyKind::Immediate)
-    .summary_only();
-    let mut sim = Simulation::try_new(config.clone()).expect("valid");
-    let _ = sim.run();
-    let stats = sim.engine_stats();
-    assert_eq!(
-        stats.dense_slots + stats.fast_forwarded_slots,
-        config.total_slots,
-        "every slot is accounted exactly once"
-    );
-    assert!(stats.spans > 0);
-    assert!(
-        stats.fast_forwarded_slots > stats.dense_slots,
-        "expected mostly-skipped horizon, got {stats:?}"
-    );
-    assert!(stats.skip_fraction() > 0.5, "{stats:?}");
-
-    // A dense run reports zero skipping.
-    let mut dense = Simulation::try_new(config).expect("valid");
-    let _ = dense.run_dense();
-    assert_eq!(dense.engine_stats().fast_forwarded_slots, 0);
-    assert_eq!(dense.engine_stats().skip_fraction(), 0.0);
-}
-
-#[test]
-fn zero_arrivals_fast_forward_to_the_horizon_for_blocked_users() {
-    // Every Hikey970 user refuses to train under a strict power threshold,
-    // so with p = 0 the fleet idles forever: the quiescence certificate lets
-    // the engine jump straight through the idle horizon.
-    let config = SimConfig {
-        num_users: 4,
-        total_slots: 5000,
-        arrival_probability: 0.0,
-        ..SimConfig::default()
-    }
-    .with_policy(PolicySpec::PowerThreshold {
-        max_extra_watts: 0.0,
-    })
-    .summary_only();
-    let (dense, event) = run_both(config.clone());
-    assert_identical("threshold p=0", &dense, &event);
-    assert_eq!(event.total_updates, 0, "nobody ever trains");
-    let mut sim = Simulation::try_new(config).expect("valid");
-    let _ = sim.run();
-    assert!(
-        sim.engine_stats().skip_fraction() > 0.99,
-        "{:?}",
-        sim.engine_stats()
-    );
 }
 
 // ---------------------------------------------------------------------
 // What an event index can get wrong and a scan of the fleet cannot.
 // ---------------------------------------------------------------------
 
-/// Runs `config` under both drivers with telemetry attached and returns
+/// Runs `config` under both loops with telemetry attached and returns
 /// `(dense result, event result, event trace)` after checking the results
-/// and the semantic telemetry channel agree.
+/// and the telemetry streams agree.
 fn run_both_traced(label: &str, config: SimConfig) -> (SimResult, SimResult, Vec<Event>) {
     let traced = |dense: bool| {
         let sink = BufferSink::shared();
@@ -323,11 +294,8 @@ fn run_both_traced(label: &str, config: SimConfig) -> (SimResult, SimResult, Vec
     let (dense, dense_trace) = traced(true);
     let (event, event_trace) = traced(false);
     assert_identical(label, &dense, &event);
-    let report = diff(&dense_trace, &event_trace, false);
-    assert!(
-        report.identical(),
-        "{label}: semantic trace diverged: {report}"
-    );
+    let report = diff(&dense_trace, &event_trace, true);
+    assert!(report.identical(), "{label}: trace diverged: {report}");
     (dense, event, event_trace)
 }
 
@@ -405,8 +373,8 @@ fn an_expiry_and_an_arrival_meet_on_a_slot_boundary() {
     // without one — an expiry applied a slot late, an arrival refused
     // because the old application still counted as running — would show up
     // as background-training or idle energy. Under Immediate scheduling
-    // epochs and applications end together, at dense slots; under Sync-SGD
-    // users parked at the barrier swap applications inside spans.
+    // epochs and applications end together; under Sync-SGD users parked at
+    // the barrier swap applications while nothing else happens to them.
     use fedco::device::profiler::EnergyComponent;
     for (policy, fleets, expected) in [
         (
@@ -487,7 +455,7 @@ fn same_slot_completions_reach_the_server_in_ascending_user_order() {
 fn a_sync_round_closes_over_the_online_users_only() {
     // Sync-SGD under heavy churn: a round must close as soon as every user
     // the world left standing has uploaded — counted from the maintained
-    // census in the event driver, by a scan in the dense one.
+    // census in the indexed loop, by a scan in the reference.
     let spec: ScenarioSpec = "smoke:churn=heavy:users=12:slots=3000"
         .parse()
         .expect("spec parses");
@@ -544,8 +512,8 @@ fn fleet_sizes_at_the_waiting_set_word_edges_are_bit_identical() {
 fn user_visits_track_events_not_fleet_size() {
     // An all-training fleet with no arrivals: between the slot everyone is
     // scheduled in and the slot the first epoch completes in, nothing
-    // happens to anyone — so stepping those slots (kept dense here by a
-    // policy that asks to be woken every slot) must touch no user at all.
+    // happens to anyone — so stepping those slots must touch no user at
+    // all.
     let stats_of = |config: SimConfig, dense: bool| {
         let mut sim = Simulation::try_new(config).expect("valid config");
         let result = if dense { sim.run_dense() } else { sim.run() };
@@ -558,15 +526,15 @@ fn user_visits_track_events_not_fleet_size() {
             arrival_probability: 0.0,
             ..SimConfig::default()
         }
-        .with_policy(PolicySpec::custom(AlwaysAwakeImmediateFactory))
+        .with_policy(PolicySpec::custom(PlainImmediateFactory))
         .summary_only()
     };
     // One slot: everyone is decided, scheduled and starts accruing.
     let (first_slot, _) = stats_of(quiet(1), false);
     assert_eq!(first_slot.dense_slots, 1);
     assert!(first_slot.user_visits >= 40);
-    // Fifty slots, all dense (the policy asks to be woken every slot), none
-    // of them completing anything: only the end-of-run flush is added.
+    // Fifty slots, none of them completing anything: only the end-of-run
+    // flush is added.
     let (fifty, result) = stats_of(quiet(50), false);
     assert_eq!((fifty.dense_slots, fifty.fast_forwarded_slots), (50, 0));
     assert_eq!(
@@ -578,15 +546,15 @@ fn user_visits_track_events_not_fleet_size() {
     let (scanned, _) = stats_of(quiet(50), true);
     assert!(scanned.user_visits >= 50 * 40 * 4, "{scanned:?}");
 
-    // The `city-online` shape of the benchmark at 300 users: most of the
-    // horizon is dense, a tenth of the fleet is waiting at any time.
+    // The `city-online` shape of the benchmark at 300 users: a tenth of the
+    // fleet is waiting at any time.
     let spec: ScenarioSpec = "city-scale:users=300".parse().expect("spec parses");
     let config = spec
         .build_with_policy(PolicyKind::Online)
         .expect("builds")
         .summary_only();
     let (stats, _) = stats_of(config.clone(), false);
-    assert!(stats.dense_slots > stats.fast_forwarded_slots, "{stats:?}");
+    assert_eq!(stats.dense_slots, config.total_slots);
     assert!(
         stats.user_visits < 300 * stats.dense_slots / 4,
         "visits {} vs users x dense slots {}",
@@ -598,12 +566,12 @@ fn user_visits_track_events_not_fleet_size() {
     assert_eq!(stats_of(config, false).0, stats);
 }
 
-/// Immediate scheduling that keeps the conservative "wake me every slot"
-/// default, so the event driver steps every slot densely.
+/// Immediate scheduling as a custom policy with every hook at its default
+/// (so the per-slot gap fold stays on; it is not a user visit).
 #[derive(Debug)]
-struct AlwaysAwakeImmediate;
+struct PlainImmediate;
 
-impl SchedulingPolicy for AlwaysAwakeImmediate {
+impl SchedulingPolicy for PlainImmediate {
     fn decide(&mut self, _ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
         fedco::device::power::SlotDecision::Schedule
     }
@@ -611,13 +579,13 @@ impl SchedulingPolicy for AlwaysAwakeImmediate {
 }
 
 #[derive(Debug)]
-struct AlwaysAwakeImmediateFactory;
+struct PlainImmediateFactory;
 
-impl PolicyFactory for AlwaysAwakeImmediateFactory {
+impl PolicyFactory for PlainImmediateFactory {
     fn label(&self) -> String {
-        "AlwaysAwakeImmediate".to_string()
+        "PlainImmediate".to_string()
     }
     fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
-        Box::new(AlwaysAwakeImmediate)
+        Box::new(PlainImmediate)
     }
 }

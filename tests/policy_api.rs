@@ -40,7 +40,7 @@ fn every_registry_spec_is_deterministic_and_summary_faithful() {
         assert_eq!(a.updates, b.updates, "{spec}");
 
         // Summary-only mode changes what is stored, never what happens.
-        let lean = run_simulation_summary(small(spec.clone()));
+        let lean = run_simulation(small(spec.clone()).summary_only());
         assert_eq!(
             a.total_energy_j.to_bits(),
             lean.total_energy_j.to_bits(),

@@ -6,7 +6,6 @@
 
 use fedco::core::scenario::FIELD_KEYS;
 use fedco::prelude::*;
-use fedco::sim::engine::run_simulation_summary;
 
 /// Scaled-down overrides so a full-registry scan stays fast.
 fn scaled(spec: &ScenarioSpec) -> ScenarioSpec {
@@ -54,7 +53,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
     // built config must give the same bits as running a config assembled
     // by hand, field by field.
     let spec = scaled(&ScenarioSpec::preset("lte-uplink").expect("preset"));
-    let declarative = run_simulation_summary(
+    let declarative = run_simulation(
         spec.build_with_policy(PolicyKind::Online)
             .expect("builds")
             .summary_only(),
@@ -64,7 +63,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
         config.num_users = 4;
         config.total_slots = 400;
         config.transport = Some(TransportModel::lte());
-        run_simulation_summary(config)
+        run_simulation(config)
     };
     assert_eq!(
         declarative.total_energy_j.to_bits(),
@@ -82,7 +81,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
 
     // The same holds for a device-mix preset against an explicit list.
     let hetero = scaled(&ScenarioSpec::preset("hetero-devices").expect("preset"));
-    let declarative = run_simulation_summary(
+    let declarative = run_simulation(
         hetero
             .build_with_policy(PolicyKind::Offline)
             .expect("builds")
@@ -101,7 +100,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
             DeviceKind::Hikey970,
         ])
         .expect("non-empty");
-        run_simulation_summary(config)
+        run_simulation(config)
     };
     assert_eq!(
         declarative.total_energy_j.to_bits(),
@@ -126,7 +125,7 @@ v = 1000
     let specs = parse_scenario_file(text).expect("parses");
     assert_eq!(specs.len(), 1);
     assert_eq!(specs[0].label(), "busy-lte-phones");
-    let declarative = run_simulation_summary(
+    let declarative = run_simulation(
         specs[0]
             .build_with_policy(PolicyKind::Online)
             .expect("builds")
@@ -141,7 +140,7 @@ v = 1000
         config.arrival_probability = 0.01;
         config.devices = DeviceAssignment::Uniform(DeviceKind::Pixel2);
         config.transport = Some(TransportModel::lte());
-        run_simulation_summary(config)
+        run_simulation(config)
     };
     assert_eq!(
         declarative.total_energy_j.to_bits(),
@@ -284,6 +283,36 @@ fn absurd_user_counts_are_rejected_before_any_allocation() {
     config = SimConfig::small(PolicyKind::Online);
     config.num_users = SimConfig::MAX_USERS;
     assert!(config.is_valid());
+}
+
+#[test]
+fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
+    // `smoke:slot_seconds=1e-300` used to be accepted: the clock clamped the
+    // slot to 1e-9 s for durations while energy accrued on 1e-300 s. Both
+    // ways into a slot length now stop at `SimConfig::MIN_SLOT_SECONDS`.
+    let err = "smoke:slot_seconds=1e-300"
+        .parse::<ScenarioSpec>()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("slot_seconds=1e-300"), "{err}");
+    assert!(err.contains("MIN_SLOT_SECONDS = 1e-9"), "{err}");
+    let mut config = SimConfig::small(PolicyKind::Online);
+    config.slot_seconds = 1e-300;
+    let expected = ConfigError::NonPositiveSlotSeconds(1e-300);
+    assert_eq!(config.validate(), Err(expected.clone()));
+    assert_eq!(Simulation::try_new(config).err(), Some(expected.clone()));
+    assert!(expected.to_string().contains("slot_seconds"), "{expected}");
+    assert!(expected.to_string().contains("MIN_SLOT_SECONDS = 1e-9"));
+    let built = ScenarioSpec::preset("smoke")
+        .expect("preset")
+        .with_slot_seconds(1e-300)
+        .build();
+    assert_eq!(built.err(), Some(expected));
+    // The floor itself is accepted, and the engine's clock runs on it.
+    let floor: ScenarioSpec = "smoke:slots=50:slot_seconds=1e-9".parse().expect("parses");
+    let config = floor.build().expect("builds");
+    assert_eq!(config.slot_seconds, SimConfig::MIN_SLOT_SECONDS);
+    assert!(run_simulation(config).total_energy_j > 0.0);
 }
 
 #[test]

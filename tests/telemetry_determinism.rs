@@ -6,8 +6,8 @@
 //!
 //! 1. a traced `paper-default` sweep produces byte-identical serialized
 //!    traces and metrics on 1, 2 and 4 fleet workers;
-//! 2. the dense and event-driven simulation drivers emit identical
-//!    semantic event streams (only the driver channel may differ);
+//! 2. `Simulation::run` and its plain-scan reference `run_dense` emit
+//!    identical event streams;
 //! 3. the JSONL trace and metrics schemas round-trip byte-identically.
 //!
 //! The horizon here is scaled down so debug-mode tests stay fast; `ci.sh`
@@ -77,11 +77,8 @@ fn dense_and_event_drivers_emit_identical_semantic_traces() {
             dense_result.total_energy_j.to_bits(),
             "results diverged between drivers for {label}"
         );
-        let report = diff(&dense_trace, &event_trace, false);
-        assert!(
-            report.identical(),
-            "semantic trace diverged for {label}: {report}"
-        );
+        let report = diff(&dense_trace, &event_trace, true);
+        assert!(report.identical(), "trace diverged for {label}: {report}");
     }
 }
 

@@ -8,9 +8,14 @@
 //! before the world subsystem landed; if any of these assertions fires, the
 //! paper-default world is no longer the identity.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use fedco::fl::server::ServerStats;
+use fedco::fl::service::ModelService;
+use fedco::fl::staleness::Lag;
+use fedco::neural::tensor::TensorError;
 use fedco::prelude::*;
-use fedco::sim::engine::{run_simulation, run_simulation_traced};
-use fedco_telemetry::export::events_to_jsonl;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -24,7 +29,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn paper_default_world_reproduces_pre_world_goldens() {
     // (policy, energy bits, updates, mean-queue bits, max lag) captured
-    // pre-world on the event-driven driver.
+    // pre-world on `Simulation::run`.
     let goldens = [
         (
             PolicyKind::Online,
@@ -65,10 +70,29 @@ fn paper_default_world_reproduces_pre_world_goldens() {
 fn paper_default_world_reproduces_the_pre_world_telemetry_stream() {
     let (result, events) = run_simulation_traced(SimConfig::paper_default(PolicyKind::Online));
     assert_eq!(result.total_energy_j.to_bits(), 0x411b_05b1_4395_809e);
-    assert_eq!(events.len(), 3917, "event count drifted");
+    // The stream that matters — every semantic event, in order. Captured at
+    // the commit before span fast-forwarding was deleted, with this filter,
+    // and unchanged by the deletion.
+    let semantic: Vec<Event> = events
+        .iter()
+        .filter(|e| e.channel() == Channel::Semantic)
+        .cloned()
+        .collect();
+    assert_eq!(semantic.len(), 2381, "semantic event count drifted");
+    assert_eq!(
+        fnv1a(events_to_jsonl(&semantic).as_bytes()),
+        0xa1c2_65f6_6c09_0941,
+        "serialized semantic telemetry drifted"
+    );
+    // The full stream adds the driver channel. Re-pinned (from 3917 events,
+    // 0x2d30_d395_d4dd_ec78) when the fast-forward went: the 1536
+    // `skip-span` / `dense-span` events that described what `run` skipped
+    // became the one `dense-span` that closes a run stepping every slot —
+    // exactly the stream `run_dense` emitted at that commit.
+    assert_eq!(events.len(), 2382, "event count drifted");
     assert_eq!(
         fnv1a(events_to_jsonl(&events).as_bytes()),
-        0x2d30_d395_d4dd_ec78,
+        0x4928_20a2_d3c5_9cf2,
         "serialized telemetry drifted"
     );
 }
@@ -83,6 +107,60 @@ fn paper_default_world_reproduces_pre_world_model_bits() {
     assert_eq!(result.total_energy_j.to_bits(), 0x40cd_63e8_1062_4db4);
     assert_eq!(result.final_accuracy.map(f32::to_bits), Some(0x3daa_aaab));
     assert_eq!(result.total_updates, 9);
+}
+
+/// Forwards to the in-process server and counts the momentum-norm queries.
+#[derive(Debug)]
+struct CountingService {
+    inner: ParameterServer,
+    norm_queries: Arc<AtomicU64>,
+}
+
+impl ModelService for CountingService {
+    fn download(&self) -> ModelSnapshot {
+        self.inner.download()
+    }
+    fn momentum_norm(&self) -> f32 {
+        self.norm_queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.momentum_norm()
+    }
+    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
+        self.inner.apply_async(update)
+    }
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
+        self.inner.apply_sync_round(updates)
+    }
+    fn stats(&self) -> ServerStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn the_momentum_norm_is_asked_for_once_per_server_update() {
+    // An O(params) pass in ML mode, a round trip on a remote service: the
+    // engine holds the value until it next hands the server an update, so
+    // 2000 slots of waiting users cost `total_updates + 1` queries at most —
+    // and the run is the pinned `ml-smoke` run, bit for bit.
+    let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
+    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let slots = config.total_slots;
+    let norm_queries = Arc::new(AtomicU64::new(0));
+    let counter = norm_queries.clone();
+    let mut sim = Simulation::new(config).with_model_service(move |init| {
+        Box::new(CountingService {
+            inner: init.into_parameter_server(),
+            norm_queries: counter,
+        })
+    });
+    let result = sim.run();
+    assert_eq!(result.total_energy_j.to_bits(), 0x40cd_63e8_1062_4db4);
+    assert_eq!(result.total_updates, 9);
+    let asked = norm_queries.load(Ordering::Relaxed);
+    assert!(
+        (1..=result.total_updates + 1).contains(&asked),
+        "momentum_norm asked {asked} times over {slots} slots and {} updates",
+        result.total_updates
+    );
 }
 
 #[test]
