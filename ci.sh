@@ -22,8 +22,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace >/dev/null
 echo "==> fedco-audit static-analysis gate (determinism & panic-safety rules)"
 cargo run --release --offline -q -p fedco-audit -- --workspace
 
-echo "==> code size per crate (fedco-audit --loc; should fall, see EXPERIMENTS.md)"
-cargo run --release --offline -q -p fedco-audit -- --loc
+echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS.md)"
+# The ceiling is the total at the last change. A change that adds code raises
+# it here, in its own diff, the way a golden is re-pinned.
+LOC_CEILING=19414
+LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
+echo "$LOC_TABLE"
+LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
+[ "$LOC_TOTAL" -le "$LOC_CEILING" ] \
+    || { echo "code size rose: total $LOC_TOTAL > ceiling $LOC_CEILING"; exit 1; }
 
 echo "==> engine equivalence suite (scan vs indexed phases of the one slot loop)"
 cargo test -q --offline --test engine_equivalence
@@ -153,6 +160,15 @@ if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- 
 fi
 grep -q "users=99999999999999.*MAX_USERS" /tmp/fleet_sweep_err \
     || { echo "absurd users= error does not name the field and MAX_USERS"; exit 1; }
+# So is an absurd horizon: the arrival index and the deadline calendar hold
+# an entry per slot (it used to spin in the arrival generator first).
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --scenario smoke:users=1:slots=99999999999999 --replicates 1 --policies online \
+    >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "absurd slots= unexpectedly succeeded"; exit 1
+fi
+grep -q "slots=99999999999999.*MAX_SLOTS" /tmp/fleet_sweep_err \
+    || { echo "absurd slots= error does not name the field and MAX_SLOTS"; exit 1; }
 # So is a slot shorter than the clock can divide by (it used to be clamped
 # by the clock alone, with energy still accrued on the configured length).
 if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \

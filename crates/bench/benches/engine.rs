@@ -184,8 +184,8 @@ fn main() {
     ));
     println!("{:<42} {:>18} {:>12}", "users", "user-slots/s", "wall ms");
     for &scale in &scale_users {
-        let config =
-            scenario("city-scale", None, scale, scale_slots).with_policy(PolicyKind::Online);
+        let config = scenario("city-scale", None, scale, scale_slots)
+            .with_policy(PolicySpec::Online { v: None });
         let (wall, _, _) = time_run(&config, false, reps);
         let slot_rate = scale_slots as f64 / wall;
         let user_slot_rate = (scale * scale_slots) as f64 / wall;
@@ -205,8 +205,8 @@ fn main() {
     // by the smoke knobs), so the recorded trajectory and the CI gate see
     // the same cell the end-to-end benchmark times.
     let (city_users, city_slots) = (7_500u64, 3_600u64);
-    let config =
-        scenario("city-scale", None, city_users, city_slots).with_policy(PolicyKind::Online);
+    let config = scenario("city-scale", None, city_users, city_slots)
+        .with_policy(PolicySpec::Online { v: None });
     let (wall, _, stats) = time_run(&config, false, reps);
     let user_slots = (city_slots * city_users) as f64;
     let ns_per_user_slot = wall * 1e9 / user_slots;

@@ -10,10 +10,10 @@ use fedco_sim::prelude::*;
 fn main() {
     micro::group("simulation_1800_slots_25_users");
     for policy in [
-        PolicyKind::Immediate,
-        PolicyKind::Online,
-        PolicyKind::Offline,
-        PolicyKind::SyncSgd,
+        PolicySpec::Immediate,
+        PolicySpec::Online { v: None },
+        PolicySpec::Offline,
+        PolicySpec::SyncSgd,
     ] {
         micro::bench(
             &format!("simulation_1800_slots_25_users/{}", policy.label()),
@@ -22,7 +22,7 @@ fn main() {
                     num_users: 25,
                     total_slots: 1800,
                     arrival_probability: 0.002,
-                    policy: policy.into(),
+                    policy: policy.clone(),
                     ..SimConfig::default()
                 };
                 black_box(run_simulation(cfg));

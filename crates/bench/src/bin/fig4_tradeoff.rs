@@ -14,9 +14,9 @@ fn main() {
     println!("Reproduction of Fig. 4 (energy-only simulation, 25 users).\n");
 
     // Baselines.
-    let immediate = run_simulation(paper_config(PolicyKind::Immediate));
-    let sync = run_simulation(paper_config(PolicyKind::SyncSgd));
-    let offline = run_simulation(paper_config(PolicyKind::Offline));
+    let immediate = run_simulation(paper_config(PolicySpec::Immediate));
+    let sync = run_simulation(paper_config(PolicySpec::SyncSgd));
+    let offline = run_simulation(paper_config(PolicySpec::Offline));
     println!("Baselines:");
     println!("  {}", summarize(&immediate));
     println!("  {}", summarize(&sync));
@@ -31,7 +31,7 @@ fn main() {
     let mut frontier: Vec<(f64, f64, f64)> = Vec::new();
     for &lb in &lb_values {
         for &v in &v_values {
-            let cfg = paper_config(PolicyKind::Online)
+            let cfg = paper_config(PolicySpec::Online { v: None })
                 .with_v(v)
                 .with_staleness_bound(lb);
             let r = run_simulation(cfg);

@@ -7,7 +7,7 @@
 use fedco_bench::paper_config;
 use fedco_sim::prelude::*;
 
-fn config(policy: PolicyKind) -> SimConfig {
+fn config(policy: PolicySpec) -> SimConfig {
     let mut cfg = paper_config(policy)
         .with_v(4000.0)
         .with_staleness_bound(500.0);
@@ -20,14 +20,14 @@ fn config(policy: PolicyKind) -> SimConfig {
 fn main() {
     println!("Reproduction of Fig. 5 (real LeNet training on synthetic CIFAR-like data).\n");
     let policies = [
-        PolicyKind::Online,
-        PolicyKind::Offline,
-        PolicyKind::Immediate,
-        PolicyKind::SyncSgd,
+        PolicySpec::Online { v: None },
+        PolicySpec::Offline,
+        PolicySpec::Immediate,
+        PolicySpec::SyncSgd,
     ];
     let results: Vec<SimResult> = policies
         .iter()
-        .map(|&p| run_simulation(config(p)))
+        .map(|p| run_simulation(config(p.clone())))
         .collect();
 
     for r in &results {

@@ -15,10 +15,10 @@ fn main() {
         "arrival p", "Online", "Immediate", "Offline"
     );
     for p in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2] {
-        let online = run_simulation(paper_config(PolicyKind::Online).with_arrival_probability(p));
-        let immediate =
-            run_simulation(paper_config(PolicyKind::Immediate).with_arrival_probability(p));
-        let offline = run_simulation(paper_config(PolicyKind::Offline).with_arrival_probability(p));
+        let run = |policy| run_simulation(paper_config(policy).with_arrival_probability(p));
+        let online = run(PolicySpec::Online { v: None });
+        let immediate = run(PolicySpec::Immediate);
+        let offline = run(PolicySpec::Offline);
         println!(
             "{:>12.4} {:>12.1} {:>12.1} {:>12.1}",
             p,
@@ -39,9 +39,9 @@ fn main() {
     for p in [1e-4, 5e-4, 1e-3] {
         let mut accs = Vec::new();
         for policy in [
-            PolicyKind::Online,
-            PolicyKind::Immediate,
-            PolicyKind::Offline,
+            PolicySpec::Online { v: None },
+            PolicySpec::Immediate,
+            PolicySpec::Offline,
         ] {
             let mut cfg = paper_config(policy).with_arrival_probability(p);
             cfg.num_users = 10;

@@ -34,7 +34,7 @@ pub fn horizon_slots() -> u64 {
 
 /// The paper's evaluation configuration for a policy, scaled by
 /// [`horizon_slots`].
-pub fn paper_config(policy: PolicyKind) -> SimConfig {
+pub fn paper_config(policy: PolicySpec) -> SimConfig {
     SimConfig {
         total_slots: horizon_slots(),
         ..SimConfig::paper_default(policy)
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn paper_config_uses_scaled_horizon() {
-        let c = paper_config(PolicyKind::Online);
+        let c = paper_config(PolicySpec::Online { v: None });
         assert_eq!(c.total_slots, horizon_slots());
         assert_eq!(c.num_users, 25);
         assert!(c.is_valid());

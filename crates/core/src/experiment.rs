@@ -150,10 +150,9 @@ pub struct SimConfig {
     pub slot_seconds: f64,
     /// Per-slot Bernoulli application-arrival probability (paper: 0.001).
     pub arrival_probability: f64,
-    /// Which scheduling policy drives the run. Any [`PolicyKind`] converts
-    /// into a spec, so `config.policy = PolicyKind::Offline.into()` works.
-    ///
-    /// [`PolicyKind`]: crate::policy::PolicyKind
+    /// Which scheduling policy drives the run: a built-in
+    /// (`PolicySpec::Offline`), a parameterized one (`"online:v=1000"`
+    /// parsed) or a custom factory.
     pub policy: PolicySpec,
     /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β).
     pub scheduler: SchedulerConfig,
@@ -231,23 +230,31 @@ impl SimConfig {
     /// energy accounting keeps the configured value.
     pub const MIN_SLOT_SECONDS: f64 = 1e-9;
 
+    /// Longest horizon one simulation accepts: ~1 000× the paper's 10 800
+    /// slots. The arrival index and the deadline calendar hold one entry
+    /// per slot, so an absurd horizon is rejected by
+    /// [`SimConfig::validate`] — and by the scenario `slots=` field —
+    /// instead of spinning in the arrival generator and then reaching the
+    /// allocator.
+    pub const MAX_SLOTS: u64 = 10_000_000;
+
     /// The paper's main evaluation setting (Section VII-B) for a given
     /// policy: 25 users, 3 hours, arrival probability 0.001, V = 4000,
     /// L_b = 1000.
-    pub fn paper_default(policy: impl Into<PolicySpec>) -> Self {
+    pub fn paper_default(policy: PolicySpec) -> Self {
         SimConfig {
-            policy: policy.into(),
+            policy,
             ..SimConfig::default()
         }
     }
 
     /// A fast, small configuration for tests: 6 users, 20 minutes.
-    pub fn small(policy: impl Into<PolicySpec>) -> Self {
+    pub fn small(policy: PolicySpec) -> Self {
         SimConfig {
             num_users: 6,
             total_slots: 1200,
             arrival_probability: 0.005,
-            policy: policy.into(),
+            policy,
             record_every_slots: 30,
             ..SimConfig::default()
         }
@@ -255,8 +262,8 @@ impl SimConfig {
 
     /// Returns a copy driven by a different policy.
     #[must_use]
-    pub fn with_policy(mut self, policy: impl Into<PolicySpec>) -> Self {
-        self.policy = policy.into();
+    pub fn with_policy(mut self, policy: PolicySpec) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -274,10 +281,11 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with a different arrival probability.
+    /// Returns a copy with a different arrival probability. The value is
+    /// stored as given; [`SimConfig::validate`] rejects one outside `[0, 1]`.
     #[must_use]
     pub fn with_arrival_probability(mut self, p: f64) -> Self {
-        self.arrival_probability = p.clamp(0.0, 1.0);
+        self.arrival_probability = p;
         self
     }
 
@@ -338,6 +346,9 @@ impl SimConfig {
         if self.total_slots == 0 {
             return Err(ConfigError::ZeroSlots);
         }
+        if self.total_slots > SimConfig::MAX_SLOTS {
+            return Err(ConfigError::TooManySlots(self.total_slots));
+        }
         if !(self.slot_seconds >= SimConfig::MIN_SLOT_SECONDS && self.slot_seconds.is_finite()) {
             return Err(ConfigError::NonPositiveSlotSeconds(self.slot_seconds));
         }
@@ -373,6 +384,8 @@ pub enum ConfigError {
     TooManyUsers(usize),
     /// `total_slots` is zero.
     ZeroSlots,
+    /// `total_slots` exceeds [`SimConfig::MAX_SLOTS`] (value attached).
+    TooManySlots(u64),
     /// `slot_seconds` is not a finite number of at least
     /// [`SimConfig::MIN_SLOT_SECONDS`] (value attached).
     NonPositiveSlotSeconds(f64),
@@ -403,6 +416,11 @@ impl std::fmt::Display for ConfigError {
                 SimConfig::MAX_USERS
             ),
             ConfigError::ZeroSlots => f.write_str("total_slots must be at least 1 (got 0)"),
+            ConfigError::TooManySlots(n) => write!(
+                f,
+                "total_slots must be at most MAX_SLOTS = {} (got {n})",
+                SimConfig::MAX_SLOTS
+            ),
             ConfigError::NonPositiveSlotSeconds(v) => {
                 write!(
                     f,
@@ -440,7 +458,6 @@ impl std::error::Error for ConfigError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
 
     #[test]
     fn default_matches_paper_evaluation() {
@@ -454,26 +471,34 @@ mod tests {
 
     #[test]
     fn builders_produce_valid_configs() {
-        let c = SimConfig::paper_default(PolicyKind::Offline)
+        let c = SimConfig::paper_default(PolicySpec::Offline)
             .with_v(1000.0)
             .with_staleness_bound(500.0)
             .with_arrival_probability(0.01)
             .with_seed(7)
             .with_ml(MlConfig::tiny());
-        assert_eq!(c.policy, PolicyKind::Offline);
+        assert_eq!(c.policy, PolicySpec::Offline);
         assert_eq!(c.scheduler.v, 1000.0);
         assert_eq!(c.scheduler.staleness_bound, 500.0);
         assert_eq!(c.arrival_probability, 0.01);
         assert_eq!(c.seed, 7);
         assert!(c.ml.is_some());
         assert!(c.is_valid());
-        assert!(SimConfig::small(PolicyKind::Online).is_valid());
+        assert!(SimConfig::small(PolicySpec::Online { v: None }).is_valid());
     }
 
     #[test]
-    fn arrival_probability_is_clamped() {
+    fn out_of_range_arrival_probability_is_rejected_not_clamped() {
         let c = SimConfig::default().with_arrival_probability(7.0);
-        assert_eq!(c.arrival_probability, 1.0);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ArrivalProbabilityOutOfRange(7.0))
+        );
+        let nan = SimConfig::default().with_arrival_probability(f64::NAN);
+        assert!(matches!(
+            nan.validate(),
+            Err(ConfigError::ArrivalProbabilityOutOfRange(v)) if v.is_nan()
+        ));
     }
 
     #[test]
@@ -507,6 +532,19 @@ mod tests {
             }
             .validate(),
             Err(ConfigError::ZeroSlots)
+        );
+        let long = SimConfig {
+            total_slots: SimConfig::MAX_SLOTS + 1,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            long.validate(),
+            Err(ConfigError::TooManySlots(SimConfig::MAX_SLOTS + 1))
+        );
+        let message = long.validate().unwrap_err().to_string();
+        assert!(
+            message.starts_with("total_slots") && message.contains("MAX_SLOTS = 10000000"),
+            "{message}"
         );
         let c = SimConfig {
             slot_seconds: -0.5,
@@ -598,9 +636,9 @@ mod tests {
     }
 
     #[test]
-    fn with_policy_accepts_kinds_and_specs() {
-        let c = SimConfig::default().with_policy(PolicyKind::Offline);
-        assert_eq!(c.policy, PolicyKind::Offline);
+    fn with_policy_replaces_the_spec() {
+        let c = SimConfig::default().with_policy(PolicySpec::Offline);
+        assert_eq!(c.policy, PolicySpec::Offline);
         let c2 = SimConfig::default().with_policy(PolicySpec::online_with_v(1000.0));
         assert_eq!(c2.policy.label(), "Online(V=1000)");
     }
@@ -664,7 +702,7 @@ mod tests {
 
     #[test]
     fn summary_only_and_transport_builders() {
-        let c = SimConfig::small(PolicyKind::Online)
+        let c = SimConfig::small(PolicySpec::Online { v: None })
             .summary_only()
             .with_transport(TransportModel::lte());
         assert!(!c.collect_traces);

@@ -64,9 +64,8 @@ pub mod prelude {
         DecisionObjectives, OnlineDecisionInput, OnlineScheduler, SlotOutcome,
     };
     pub use crate::policy::{
-        build_policy, ImmediatePolicy, OfflinePolicy, OnlinePolicy, PolicyKind,
-        PowerThresholdPolicy, RandomPolicy, SchedulingPolicy, SyncSgdPolicy, UserSlotContext,
-        WindowPlan,
+        ImmediatePolicy, OfflinePolicy, OnlinePolicy, PowerThresholdPolicy, RandomPolicy,
+        SchedulingPolicy, SyncSgdPolicy, UserSlotContext, WindowPlan,
     };
     pub use crate::queues::{QueueState, TaskQueue, VirtualQueue};
     pub use crate::scenario::{

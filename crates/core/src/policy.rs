@@ -22,58 +22,6 @@ use fedco_rng::{Rng, SeedableRng};
 use crate::config::SchedulerConfig;
 use crate::online::{OnlineDecisionInput, OnlineScheduler, SlotOutcome};
 
-/// Identifies one of the four built-in scheduling schemes of the paper.
-///
-/// This enum is kept as a thin convenience over
-/// [`PolicySpec`](crate::spec::PolicySpec) (the open, parameterized policy
-/// description that the engine and the fleet runtime actually consume): it
-/// converts into a spec via `From`/[`PolicyKind::spec`], and its labels are
-/// the specs' labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// Run training immediately whenever a device is available, regardless of
-    /// application arrivals (the paper's energy upper bound).
-    Immediate,
-    /// Synchronous FedAvg rounds (all devices train immediately, the server
-    /// waits for every participant before aggregating).
-    SyncSgd,
-    /// The offline knapsack scheduler with a look-ahead window (Section IV).
-    Offline,
-    /// The online Lyapunov scheduler (Section V).
-    Online,
-}
-
-impl PolicyKind {
-    /// All policy kinds, in the order the paper's figures compare them.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Immediate,
-        PolicyKind::SyncSgd,
-        PolicyKind::Offline,
-        PolicyKind::Online,
-    ];
-
-    /// A short label used in reports and figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Immediate => "Immediate",
-            PolicyKind::SyncSgd => "Sync-SGD",
-            PolicyKind::Offline => "Offline",
-            PolicyKind::Online => "Online",
-        }
-    }
-
-    /// The [`PolicySpec`](crate::spec::PolicySpec) of this built-in.
-    pub fn spec(self) -> crate::spec::PolicySpec {
-        self.into()
-    }
-}
-
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// The per-user, per-slot context handed to a policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserSlotContext {
@@ -507,15 +455,6 @@ impl SchedulingPolicy for PowerThresholdPolicy {
     }
 }
 
-/// Builds a boxed built-in policy of the given kind with the given
-/// configuration. Thin convenience over
-/// [`PolicySpec::build`](crate::spec::PolicySpec::build); prefer specs for
-/// parameterized or custom policies.
-pub fn build_policy(kind: PolicyKind, config: SchedulerConfig) -> Box<dyn SchedulingPolicy> {
-    kind.spec()
-        .build(&crate::spec::PolicyBuildContext::new(config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,24 +491,6 @@ mod tests {
                 GradientGap(1.0),
                 GradientGap(0.5),
             ),
-        }
-    }
-
-    #[test]
-    fn labels_and_display() {
-        assert_eq!(PolicyKind::Immediate.label(), "Immediate");
-        assert_eq!(PolicyKind::SyncSgd.to_string(), "Sync-SGD");
-        assert_eq!(PolicyKind::Offline.to_string(), "Offline");
-        assert_eq!(PolicyKind::Online.label(), "Online");
-    }
-
-    #[test]
-    fn all_lists_each_kind_once() {
-        assert_eq!(PolicyKind::ALL.len(), 4);
-        for (i, a) in PolicyKind::ALL.iter().enumerate() {
-            for b in &PolicyKind::ALL[i + 1..] {
-                assert_ne!(a, b);
-            }
         }
     }
 
@@ -708,22 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn build_policy_constructs_each_kind() {
-        for kind in PolicyKind::ALL {
-            let mut p = build_policy(kind, SchedulerConfig::default());
-            // Capabilities identify the kinds without any enum in the trait.
-            assert_eq!(p.round_barrier(), kind == PolicyKind::SyncSgd, "{kind}");
-            assert_eq!(p.wants_replanning(0), kind == PolicyKind::Offline, "{kind}");
-            assert_eq!(
-                p.decision_energy_overhead(),
-                if kind == PolicyKind::Online { 1.0 } else { 0.0 },
-                "{kind}"
-            );
-            let _ = p.decide(&ctx(0, 0));
-        }
-    }
-
-    #[test]
     fn only_queueless_policies_certify_quiescence() {
         // The certificate lets the slot loop drop the per-slot gap fold, so
         // it is exactly the policies whose `end_of_slot` does nothing.
@@ -761,13 +666,5 @@ mod tests {
         assert_eq!(p.planned_slot(1), Some(10));
         assert_eq!(p.decide(&ctx(0, 24)), SlotDecision::Idle);
         assert_eq!(p.decide(&ctx(0, 25)), SlotDecision::Schedule);
-    }
-
-    #[test]
-    fn build_policy_offline_window_matches_scheduler_config() {
-        // 500 s look-ahead at 1 s slots -> replanning every 500 slots.
-        let p = build_policy(PolicyKind::Offline, SchedulerConfig::default());
-        assert!(p.wants_replanning(500));
-        assert!(!p.wants_replanning(250));
     }
 }

@@ -658,6 +658,12 @@ impl ScenarioSpec {
                 if n == 0 {
                     return Err(bad("must be at least 1".into()));
                 }
+                if n > SimConfig::MAX_SLOTS {
+                    return Err(bad(format!(
+                        "must be at most MAX_SLOTS = {}",
+                        SimConfig::MAX_SLOTS
+                    )));
+                }
                 *self = self.clone().with_slots(n);
             }
             "slot_seconds" => {
@@ -758,16 +764,13 @@ impl ScenarioSpec {
     /// Resolves the spec into a full [`SimConfig`] driven by the given
     /// policy, flowing through [`SimConfig::validate`] so declarative
     /// scenarios obey exactly the rules of hand-built configurations.
-    pub fn build_with_policy(
-        &self,
-        policy: impl Into<PolicySpec>,
-    ) -> Result<SimConfig, ConfigError> {
+    pub fn build_with_policy(&self, policy: PolicySpec) -> Result<SimConfig, ConfigError> {
         let config = SimConfig {
             num_users: self.users,
             total_slots: self.slots,
             slot_seconds: self.slot_seconds,
             arrival_probability: self.arrival_p,
-            policy: policy.into(),
+            policy,
             scheduler: self.scheduler,
             seed: self.seed,
             devices: self.devices.clone(),
@@ -1047,7 +1050,6 @@ pick a different name"
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
 
     #[test]
     fn presets_cover_the_registry_and_build_valid_configs() {
@@ -1065,14 +1067,19 @@ mod tests {
     #[test]
     fn paper_default_build_matches_hand_built_config() {
         let spec = ScenarioSpec::preset("paper-default").expect("preset");
-        let built = spec.build_with_policy(PolicyKind::Online).expect("builds");
-        assert_eq!(built, SimConfig::paper_default(PolicyKind::Online));
+        let built = spec
+            .build_with_policy(PolicySpec::Online { v: None })
+            .expect("builds");
+        assert_eq!(
+            built,
+            SimConfig::paper_default(PolicySpec::Online { v: None })
+        );
         let smoke = ScenarioSpec::preset("smoke").expect("preset");
         assert_eq!(
             smoke
-                .build_with_policy(PolicyKind::Offline)
+                .build_with_policy(PolicySpec::Offline)
                 .expect("builds"),
-            SimConfig::small(PolicyKind::Offline)
+            SimConfig::small(PolicySpec::Offline)
         );
     }
 
@@ -1342,7 +1349,7 @@ traces = off
     #[test]
     fn build_with_policy_crosses_policies_into_the_config() {
         let spec = ScenarioSpec::preset("smoke").expect("preset");
-        let offline = spec.build_with_policy(PolicyKind::Offline).expect("builds");
+        let offline = spec.build_with_policy(PolicySpec::Offline).expect("builds");
         assert_eq!(offline.policy.label(), "Offline");
         let v = spec
             .build_with_policy(PolicySpec::online_with_v(1000.0))

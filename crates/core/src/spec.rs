@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use crate::config::SchedulerConfig;
 use crate::policy::{
-    ImmediatePolicy, OfflinePolicy, OnlinePolicy, PolicyKind, PowerThresholdPolicy, RandomPolicy,
+    ImmediatePolicy, OfflinePolicy, OnlinePolicy, PowerThresholdPolicy, RandomPolicy,
     SchedulingPolicy, SyncSgdPolicy,
 };
 
@@ -91,11 +91,10 @@ pub trait PolicyFactory: std::fmt::Debug + Send + Sync {
 
 /// A named, parameterized policy description.
 ///
-/// `PolicySpec` replaces [`PolicyKind`] as the system's currency: the
-/// simulation engine builds its policy from a spec, the fleet grid sweeps
-/// vectors of specs, and every report row is keyed by
-/// [`PolicySpec::label`]. [`PolicyKind`] remains as a convenience for the
-/// four built-ins and converts into a spec via `From`.
+/// `PolicySpec` is the system's only policy type, from config to report:
+/// the simulation engine builds its policy from a spec, the fleet grid
+/// sweeps vectors of specs, and every report row is keyed by
+/// [`PolicySpec::label`].
 #[derive(Debug, Clone)]
 pub enum PolicySpec {
     /// Immediate scheduling (the paper's energy upper bound).
@@ -141,35 +140,41 @@ impl PolicySpec {
         PolicySpec::Custom(Arc::new(factory))
     }
 
-    /// The default spec registry: the four built-ins of the paper plus the
-    /// two extra baselines at their default parameters. This is the set the
+    /// The paper's four schemes, in the order its figures compare them.
+    /// The fleet's per-job seeds and report row order follow this order.
+    pub const PAPER: [PolicySpec; 4] = [
+        PolicySpec::Immediate,
+        PolicySpec::SyncSgd,
+        PolicySpec::Offline,
+        PolicySpec::Online { v: None },
+    ];
+
+    /// The default spec registry: [`PolicySpec::PAPER`] plus the two extra
+    /// baselines at their default parameters. This is the set the
     /// cross-policy regression tests and the `decide()` micro-benchmarks
     /// iterate over.
     pub fn default_registry() -> Vec<PolicySpec> {
-        vec![
-            PolicySpec::Immediate,
-            PolicySpec::SyncSgd,
-            PolicySpec::Offline,
-            PolicySpec::Online { v: None },
+        let mut registry = PolicySpec::PAPER.to_vec();
+        registry.extend([
             PolicySpec::Random { p: 0.5, salt: 0 },
             PolicySpec::PowerThreshold {
                 max_extra_watts: 0.7,
             },
-        ]
+        ]);
+        registry
     }
 
     /// The stable label that keys reports and rollups.
     ///
-    /// Built-in labels match [`PolicyKind::label`]; parameterized specs
-    /// embed their parameters (e.g. `Online(V=1000)`,
+    /// Parameterized specs embed their parameters (e.g. `Online(V=1000)`,
     /// `Random(p=0.5, salt=0)`), so the CSV/JSONL writers must — and do —
     /// escape them.
     pub fn label(&self) -> String {
         match self {
-            PolicySpec::Immediate => PolicyKind::Immediate.label().to_string(),
-            PolicySpec::SyncSgd => PolicyKind::SyncSgd.label().to_string(),
-            PolicySpec::Offline => PolicyKind::Offline.label().to_string(),
-            PolicySpec::Online { v: None } => PolicyKind::Online.label().to_string(),
+            PolicySpec::Immediate => "Immediate".to_string(),
+            PolicySpec::SyncSgd => "Sync-SGD".to_string(),
+            PolicySpec::Offline => "Offline".to_string(),
+            PolicySpec::Online { v: None } => "Online".to_string(),
             PolicySpec::Online { v: Some(v) } => format!("Online(V={v})"),
             PolicySpec::Random { p, salt } => format!("Random(p={p}, salt={salt})"),
             PolicySpec::PowerThreshold { max_extra_watts } => {
@@ -216,18 +221,6 @@ impl PolicySpec {
         }
     }
 
-    /// The built-in kind of this spec, when it is one of the paper's four
-    /// unparameterized schemes.
-    pub fn kind(&self) -> Option<PolicyKind> {
-        match self {
-            PolicySpec::Immediate => Some(PolicyKind::Immediate),
-            PolicySpec::SyncSgd => Some(PolicyKind::SyncSgd),
-            PolicySpec::Offline => Some(PolicyKind::Offline),
-            PolicySpec::Online { v: None } => Some(PolicyKind::Online),
-            _ => None,
-        }
-    }
-
     /// Builds a fresh policy instance for one run.
     pub fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
         match self {
@@ -255,28 +248,10 @@ impl PolicySpec {
     }
 }
 
-impl From<PolicyKind> for PolicySpec {
-    fn from(kind: PolicyKind) -> Self {
-        match kind {
-            PolicyKind::Immediate => PolicySpec::Immediate,
-            PolicyKind::SyncSgd => PolicySpec::SyncSgd,
-            PolicyKind::Offline => PolicySpec::Offline,
-            PolicyKind::Online => PolicySpec::Online { v: None },
-        }
-    }
-}
-
 /// Specs are equal iff their labels are equal: the label *is* the identity
 /// that keys reports, rollups and sweep dimensions.
 impl PartialEq for PolicySpec {
     fn eq(&self, other: &Self) -> bool {
-        self.label() == other.label()
-    }
-}
-
-/// Convenience comparison against the built-in kinds (by label).
-impl PartialEq<PolicyKind> for PolicySpec {
-    fn eq(&self, other: &PolicyKind) -> bool {
         self.label() == other.label()
     }
 }
@@ -469,18 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn kinds_roundtrip_through_specs() {
-        for kind in PolicyKind::ALL {
-            let spec = kind.spec();
-            assert_eq!(spec.label(), kind.label());
-            assert_eq!(spec.kind(), Some(kind));
-            assert_eq!(spec, kind, "PartialEq<PolicyKind>");
-        }
-        assert_eq!(PolicySpec::online_with_v(7.0).kind(), None);
-        assert_eq!(PolicySpec::Random { p: 0.1, salt: 0 }.kind(), None);
-    }
-
-    #[test]
     fn equality_is_by_label() {
         assert_eq!(
             PolicySpec::Online { v: None },
@@ -501,9 +464,10 @@ mod tests {
         let registry = PolicySpec::default_registry();
         assert_eq!(registry.len(), 6);
         let labels: Vec<String> = registry.iter().map(PolicySpec::label).collect();
-        for kind in PolicyKind::ALL {
-            assert!(labels.iter().any(|l| l == kind.label()), "{kind}");
-        }
+        // The paper's four lead, in the order job seeds and report rows
+        // depend on.
+        assert_eq!(registry[..4], PolicySpec::PAPER);
+        assert_eq!(labels[..4], ["Immediate", "Sync-SGD", "Offline", "Online"]);
         assert!(labels.iter().any(|l| l.starts_with("Random(")));
         assert!(labels.iter().any(|l| l.starts_with("Threshold(")));
         // All labels distinct.
@@ -532,6 +496,28 @@ mod tests {
         // (Behavioural check lives in the engine tests; here we only assert
         // the build succeeds and the overhead capability is kept.)
         assert_eq!(_small.decision_energy_overhead(), 1.0);
+    }
+
+    #[test]
+    fn build_gives_each_builtin_its_capabilities() {
+        // Capabilities tell the built-ins apart; the trait carries no tag.
+        let ctx = PolicyBuildContext::new(SchedulerConfig::default());
+        for spec in PolicySpec::default_registry() {
+            let mut p = spec.build(&ctx);
+            assert_eq!(p.round_barrier(), spec == PolicySpec::SyncSgd, "{spec}");
+            assert_eq!(p.wants_replanning(0), spec == PolicySpec::Offline, "{spec}");
+            let overhead = if spec == (PolicySpec::Online { v: None }) {
+                1.0
+            } else {
+                0.0
+            };
+            assert_eq!(p.decision_energy_overhead(), overhead, "{spec}");
+            let _ = p.decide(&sample_ctx());
+        }
+        // 500 s look-ahead at 1 s slots -> replanning every 500 slots.
+        let offline = PolicySpec::Offline.build(&ctx);
+        assert!(offline.wants_replanning(500));
+        assert!(!offline.wants_replanning(250));
     }
 
     #[test]
@@ -594,7 +580,6 @@ mod tests {
     fn custom_factories_plug_in() {
         let spec = PolicySpec::custom(AlwaysIdleFactory);
         assert_eq!(spec.label(), "AlwaysIdle(\"noop\", v2)");
-        assert_eq!(spec.kind(), None);
         let ctx = PolicyBuildContext::new(SchedulerConfig::default());
         let mut p = spec.build(&ctx);
         assert_eq!(p.decide(&sample_ctx()), SlotDecision::Idle);

@@ -114,7 +114,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         seed: 42,
         scenarios: Vec::new(),
         axes: Vec::new(),
-        policies: PolicyKind::ALL.iter().map(|&k| k.into()).collect(),
+        policies: PolicySpec::PAPER.to_vec(),
         csv: None,
         jsonl: None,
         trace: None,

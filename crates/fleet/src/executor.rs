@@ -427,7 +427,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedco_core::policy::PolicyKind;
     use fedco_core::scenario::ScenarioSpec;
     use fedco_core::spec::PolicySpec;
 
@@ -603,7 +602,10 @@ mod tests {
 
     #[test]
     fn duplicate_grid_policies_fold_into_one_rollup() {
-        let grid = tiny_grid().with_policies(vec![PolicyKind::Online, PolicyKind::Online]);
+        let grid = tiny_grid().with_policy_specs(vec![
+            PolicySpec::Online { v: None },
+            PolicySpec::Online { v: None },
+        ]);
         let report = run_grid(&grid, 2);
         assert_eq!(report.jobs.len(), grid.len());
         assert_eq!(
@@ -618,7 +620,7 @@ mod tests {
 
     #[test]
     fn parameterized_specs_get_their_own_rollups() {
-        let mut specs: Vec<PolicySpec> = vec![PolicyKind::Online.into()];
+        let mut specs: Vec<PolicySpec> = vec![PolicySpec::Online { v: None }];
         specs.extend([1000.0, 16000.0].map(PolicySpec::online_with_v));
         let grid = tiny_grid().with_policy_specs(specs);
         let report = run_grid(&grid, 2);

@@ -20,7 +20,6 @@
 //! axis overrides applied to that cell (e.g. `smoke:users=100`).
 
 use fedco_core::experiment::{ConfigError, SimConfig};
-use fedco_core::policy::PolicyKind;
 use fedco_core::scenario::{ParseScenarioError, ScenarioSpec};
 use fedco_core::spec::{PolicySpec, PolicySpecError};
 use fedco_rng::rngs::SplitMix64;
@@ -138,7 +137,7 @@ impl ScenarioGrid {
         ScenarioGrid {
             scenarios,
             axes: Vec::new(),
-            policies: PolicyKind::ALL.iter().map(|&k| k.into()).collect(),
+            policies: PolicySpec::PAPER.to_vec(),
             seeds: vec![seed],
             base_seed: seed,
         }
@@ -189,13 +188,6 @@ impl ScenarioGrid {
     pub fn with_axes(mut self, axes: Vec<FieldAxis>) -> Self {
         self.axes = axes;
         self
-    }
-
-    /// Replaces the policy dimension with built-in kinds (convenience
-    /// wrapper over [`ScenarioGrid::with_policy_specs`]).
-    #[must_use]
-    pub fn with_policies(self, policies: Vec<PolicyKind>) -> Self {
-        self.with_policy_specs(policies.into_iter().map(PolicySpec::from).collect())
     }
 
     /// Replaces the policy dimension with arbitrary specs, so one sweep can
@@ -502,6 +494,8 @@ mod tests {
         let single = ScenarioGrid::new(ScenarioSpec::preset("smoke").expect("preset"));
         assert_eq!(single.base_seed, 42);
         assert_eq!(single.seeds, vec![42]);
+        // The default policy axis is the paper's four, in report order.
+        assert_eq!(single.policies, PolicySpec::PAPER);
     }
 
     #[test]
@@ -622,7 +616,7 @@ mod tests {
 
     #[test]
     fn empty_dimensions_invalidate_the_grid() {
-        let g = grid().with_policies(vec![]);
+        let g = grid().with_policy_specs(vec![]);
         assert!(!g.is_valid());
         assert!(g.is_empty());
         assert_eq!(g.validate(), Err(GridError::EmptyDimension("policies")));
@@ -683,7 +677,7 @@ mod tests {
 
     #[test]
     fn policy_dimension_takes_parameterized_specs() {
-        let mut specs: Vec<PolicySpec> = PolicyKind::ALL.iter().map(|&k| k.into()).collect();
+        let mut specs = PolicySpec::PAPER.to_vec();
         specs.extend([1000.0, 4000.0, 16000.0].map(PolicySpec::online_with_v));
         let g = ScenarioGrid::preset("smoke").with_policy_specs(specs.clone());
         assert_eq!(g.len(), specs.len());

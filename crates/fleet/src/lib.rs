@@ -65,7 +65,6 @@ pub mod prelude {
     pub use crate::report::{bench_json_lines, record_bench_json, rollup_table, to_csv, to_jsonl};
     pub use crate::stats::{CellRollup, Streaming};
     pub use fedco_core::experiment::{ConfigError, DeviceAssignment, SimConfig};
-    pub use fedco_core::policy::PolicyKind;
     pub use fedco_core::scenario::{parse_scenario_file, MlMode, ParseScenarioError, ScenarioSpec};
     pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
     pub use fedco_telemetry::event::{Channel, Event, EventKind};

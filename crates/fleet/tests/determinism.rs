@@ -19,7 +19,7 @@ fn grid() -> ScenarioGrid {
             .with_arrival_p(0.005),
     ];
     ScenarioGrid::from_scenarios(scenarios)
-        .with_policies(PolicyKind::ALL.to_vec())
+        .with_policy_specs(PolicySpec::PAPER.to_vec())
         .with_axis("devices", &["testbed", "hikey970"])
         .with_axis("link", &["ideal", "wifi"])
         .with_replicates(2)
@@ -66,15 +66,15 @@ fn every_cell_contributes_to_the_rollups() {
         assert_eq!(rollup.runs(), 2, "{} / {}", rollup.scenario, rollup.policy);
         assert!(rollup.energy_j.mean() > 0.0);
     }
-    for policy in PolicyKind::ALL {
-        assert_eq!(report.rollups_for_policy(policy.label()).count(), 8);
+    for policy in PolicySpec::PAPER {
+        assert_eq!(report.rollups_for_policy(&policy.label()).count(), 8);
     }
     // Grid-wide invariant from the paper: Immediate is the energy upper
     // bound, so its mean energy dominates the online controller's in every
     // scenario cell.
-    for immediate in report.rollups_for_policy(PolicyKind::Immediate.label()) {
+    for immediate in report.rollups_for_policy(&PolicySpec::Immediate.label()) {
         let online = report
-            .rollup(&immediate.scenario, PolicyKind::Online.label())
+            .rollup(&immediate.scenario, &PolicySpec::Online { v: None }.label())
             .expect("online cell");
         assert!(
             immediate.energy_j.mean() > online.energy_j.mean(),
@@ -128,7 +128,7 @@ fn ml_cells_are_deterministic_across_workers() {
             .with_users(3)
             .with_slots(300),
     )
-    .with_policies(vec![PolicyKind::Immediate, PolicyKind::Online])
+    .with_policy_specs(vec![PolicySpec::Immediate, PolicySpec::Online { v: None }])
     .with_replicates(2);
     let seq = run_grid_sequential(&grid);
     let par = run_grid(&grid, 4);

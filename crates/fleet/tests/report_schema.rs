@@ -197,7 +197,7 @@ fn real_sweep_reports_satisfy_the_schema_end_to_end() {
     )
     .with_axis("link", &["ideal", "lte"])
     .with_policy_specs(vec![
-        PolicyKind::Immediate.into(),
+        PolicySpec::Immediate,
         PolicySpec::online_with_v(1000.0),
         PolicySpec::Random { p: 0.5, salt: 1 },
     ]);

@@ -6,66 +6,28 @@
 //! representative ones of Table II. Arrivals are pre-generated for the whole
 //! horizon so that the offline scheduler can be given oracle access to them.
 
-use fedco_rng::rngs::SmallRng;
-use fedco_rng::{Rng, SeedableRng};
-
 use fedco_device::apps::AppKind;
-
-/// One application arrival event for one user.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AppArrival {
-    /// The slot in which the application is opened.
-    pub slot: u64,
-    /// Which application it is.
-    pub app: AppKind,
-}
+use fedco_world::arrival::{ArrivalEvent, ArrivalModel};
 
 /// The pre-generated arrival schedule of every user over the full horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalSchedule {
-    per_user: Vec<Vec<AppArrival>>,
+    per_user: Vec<Vec<ArrivalEvent>>,
     probability: f64,
 }
 
 impl ArrivalSchedule {
-    /// Generates the schedule.
-    ///
-    /// `probability` is the per-slot Bernoulli arrival probability; arrivals
-    /// that would overlap a previous one of the same user are still recorded
-    /// (the engine ignores them — see [`ArrivalIndex`]).
-    pub fn generate(num_users: usize, total_slots: u64, probability: f64, seed: u64) -> Self {
-        let probability = probability.clamp(0.0, 1.0);
-        let mut per_user = Vec::with_capacity(num_users);
-        for user in 0..num_users {
-            let mut rng = SmallRng::seed_from_u64(
-                seed ^ (0xA441 + user as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
-            let mut events = Vec::new();
-            for slot in 0..total_slots {
-                if rng.gen::<f64>() < probability {
-                    let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
-                    events.push(AppArrival { slot, app });
-                }
-            }
-            per_user.push(events);
-        }
-        ArrivalSchedule {
-            per_user,
-            probability,
-        }
-    }
-
-    /// Generates the schedule from a world arrival model
-    /// ([`fedco_world::arrival::ArrivalModel`]).
+    /// Generates the schedule from a world arrival model.
     ///
     /// `probability` is the base per-slot rate the model shapes (constant
-    /// for Bernoulli, a curve for diurnal/MMPP/flash-crowd). For
+    /// for Bernoulli, a curve for diurnal/MMPP/flash-crowd). Arrivals that
+    /// would overlap a previous one of the same user are still recorded (the
+    /// engine ignores them — see [`ArrivalIndex`]). For
     /// [`ArrivalSpec::Bernoulli`](fedco_world::arrival::ArrivalSpec) the
-    /// result is **bit-identical** to [`ArrivalSchedule::generate`] — the
-    /// world crate replicates the engine's historical per-user RNG stream —
+    /// result is **bit-identical** to the engine's historical generator,
     /// which the `bernoulli_model_matches_historical_generator` test pins.
     pub fn from_model(
-        model: &dyn fedco_world::arrival::ArrivalModel,
+        model: &dyn ArrivalModel,
         num_users: usize,
         total_slots: u64,
         probability: f64,
@@ -73,16 +35,7 @@ impl ArrivalSchedule {
     ) -> Self {
         let probability = probability.clamp(0.0, 1.0);
         let per_user = (0..num_users)
-            .map(|user| {
-                model
-                    .sample_user(seed, user, total_slots, probability)
-                    .into_iter()
-                    .map(|e| AppArrival {
-                        slot: e.slot,
-                        app: e.app,
-                    })
-                    .collect()
-            })
+            .map(|user| model.sample_user(seed, user, total_slots, probability))
             .collect();
         ArrivalSchedule {
             per_user,
@@ -101,13 +54,13 @@ impl ArrivalSchedule {
     }
 
     /// All arrivals of one user.
-    pub fn arrivals_for(&self, user: usize) -> &[AppArrival] {
+    pub fn arrivals_for(&self, user: usize) -> &[ArrivalEvent] {
         self.per_user.get(user).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The first arrival of `user` at or after `slot`, by binary search
     /// (per-user arrival lists are generated in increasing slot order).
-    pub fn first_at_or_after(&self, user: usize, slot: u64) -> Option<AppArrival> {
+    pub fn first_at_or_after(&self, user: usize, slot: u64) -> Option<ArrivalEvent> {
         let arrivals = self.arrivals_for(user);
         let idx = arrivals.partition_point(|a| a.slot < slot);
         arrivals.get(idx).copied()
@@ -115,10 +68,10 @@ impl ArrivalSchedule {
 
     /// The arrival of `user` at exactly `slot`, if any.
     ///
-    /// O(log arrivals) per call; the simulation engine's hot loop uses an
-    /// [`ArrivalCursor`] instead, which is amortized O(1) over a forward
-    /// scan of the horizon.
-    pub fn arrival_at(&self, user: usize, slot: u64) -> Option<AppArrival> {
+    /// O(log arrivals) per call; the slot loop reads an [`ArrivalIndex`]
+    /// bucket instead, and its scan reference (`run_dense`) an
+    /// [`ArrivalCursor`].
+    pub fn arrival_at(&self, user: usize, slot: u64) -> Option<ArrivalEvent> {
         self.first_at_or_after(user, slot)
             .filter(|a| a.slot == slot)
     }
@@ -130,7 +83,7 @@ impl ArrivalSchedule {
         user: usize,
         from: u64,
         window: u64,
-    ) -> Option<AppArrival> {
+    ) -> Option<ArrivalEvent> {
         self.first_at_or_after(user, from)
             .filter(|a| a.slot < from.saturating_add(window))
     }
@@ -167,7 +120,7 @@ impl ArrivalIndex {
     /// counting sort, so each bucket lists its users in ascending order.
     pub fn build(schedule: &ArrivalSchedule, total_slots: u64) -> Self {
         let slots = total_slots as usize;
-        let in_horizon = |a: &&AppArrival| a.slot < total_slots;
+        let in_horizon = |a: &&ArrivalEvent| a.slot < total_slots;
         let mut offsets = vec![0usize; slots + 1];
         for user in 0..schedule.num_users() {
             for a in schedule.arrivals_for(user).iter().filter(in_horizon) {
@@ -223,11 +176,11 @@ impl ArrivalIndex {
 
 /// A monotone per-user position into an [`ArrivalSchedule`].
 ///
-/// The dense slot loop used to rescan a user's whole arrival vector every
-/// slot (`O(arrivals)` per slot); a cursor remembers where the previous
-/// query ended, so a forward sweep over the horizon touches each arrival
-/// once — amortized O(1) per query. Queries must be non-decreasing in
-/// `slot`; the cursor never rewinds.
+/// The cursor of the scan reference `run_dense` only — the slot loop proper
+/// reads an [`ArrivalIndex`] bucket per slot. A cursor remembers where the
+/// previous query ended, so a forward sweep over the horizon touches each
+/// arrival once — amortized O(1) per query. Queries must be non-decreasing
+/// in `slot`; the cursor never rewinds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArrivalCursor {
     index: usize,
@@ -247,7 +200,7 @@ impl ArrivalCursor {
         schedule: &ArrivalSchedule,
         user: usize,
         slot: u64,
-    ) -> Option<AppArrival> {
+    ) -> Option<ArrivalEvent> {
         let arrivals = schedule.arrivals_for(user);
         while let Some(a) = arrivals.get(self.index) {
             if a.slot >= slot {
@@ -262,10 +215,44 @@ impl ArrivalCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedco_rng::Rng;
+    use fedco_world::arrival::{user_rng, ArrivalSpec, Bernoulli};
+
+    /// The engine's historical Bernoulli generator, kept as the oracle of
+    /// `bernoulli_model_matches_historical_generator`.
+    fn generate(
+        num_users: usize,
+        total_slots: u64,
+        probability: f64,
+        seed: u64,
+    ) -> ArrivalSchedule {
+        let probability = probability.clamp(0.0, 1.0);
+        let per_user = (0..num_users)
+            .map(|user| {
+                let mut rng = user_rng(seed, user);
+                let mut events = Vec::new();
+                for slot in 0..total_slots {
+                    if rng.gen::<f64>() < probability {
+                        let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
+                        events.push(ArrivalEvent { slot, app });
+                    }
+                }
+                events
+            })
+            .collect();
+        ArrivalSchedule {
+            per_user,
+            probability,
+        }
+    }
+
+    fn bernoulli(num_users: usize, total_slots: u64, p: f64, seed: u64) -> ArrivalSchedule {
+        ArrivalSchedule::from_model(&Bernoulli, num_users, total_slots, p, seed)
+    }
 
     #[test]
     fn arrival_rate_is_close_to_probability() {
-        let sched = ArrivalSchedule::generate(20, 10_000, 0.01, 7);
+        let sched = bernoulli(20, 10_000, 0.01, 7);
         let total = sched.total_arrivals() as f64;
         let expected = 20.0 * 10_000.0 * 0.01;
         assert!(
@@ -278,7 +265,7 @@ mod tests {
 
     #[test]
     fn zero_probability_means_no_arrivals() {
-        let sched = ArrivalSchedule::generate(5, 1000, 0.0, 1);
+        let sched = bernoulli(5, 1000, 0.0, 1);
         assert_eq!(sched.total_arrivals(), 0);
         assert!(sched.arrival_at(0, 10).is_none());
         assert!(sched.first_arrival_in_window(0, 0, 1000).is_none());
@@ -286,10 +273,10 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_per_seed_and_differs_across_users() {
-        let a = ArrivalSchedule::generate(3, 5000, 0.01, 9);
-        let b = ArrivalSchedule::generate(3, 5000, 0.01, 9);
+        let a = bernoulli(3, 5000, 0.01, 9);
+        let b = bernoulli(3, 5000, 0.01, 9);
         assert_eq!(a, b);
-        let c = ArrivalSchedule::generate(3, 5000, 0.01, 10);
+        let c = bernoulli(3, 5000, 0.01, 10);
         assert_ne!(a, c);
         // Different users see different arrival patterns.
         assert_ne!(a.arrivals_for(0), a.arrivals_for(1));
@@ -297,7 +284,7 @@ mod tests {
 
     #[test]
     fn window_lookup_finds_first_arrival() {
-        let sched = ArrivalSchedule::generate(2, 20_000, 0.005, 3);
+        let sched = bernoulli(2, 20_000, 0.005, 3);
         let all = sched.arrivals_for(0);
         assert!(!all.is_empty());
         let first = all[0];
@@ -313,7 +300,7 @@ mod tests {
 
     #[test]
     fn cursor_matches_exhaustive_scan() {
-        let sched = ArrivalSchedule::generate(3, 20_000, 0.004, 11);
+        let sched = bernoulli(3, 20_000, 0.004, 11);
         for user in 0..3 {
             let mut cursor = ArrivalCursor::new();
             for slot in 0..20_000 {
@@ -332,7 +319,7 @@ mod tests {
 
     #[test]
     fn cursor_skips_over_unqueried_spans() {
-        let sched = ArrivalSchedule::generate(1, 50_000, 0.002, 5);
+        let sched = bernoulli(1, 50_000, 0.002, 5);
         let all = sched.arrivals_for(0);
         assert!(all.len() >= 3, "need a few arrivals for this test");
         let mut cursor = ArrivalCursor::new();
@@ -354,7 +341,6 @@ mod tests {
 
     #[test]
     fn index_lists_every_arrival_once_in_slot_then_user_order() {
-        use fedco_world::arrival::ArrivalSpec;
         for spec in ArrivalSpec::ALL {
             let (users, slots) = (70, 2_000);
             let sched = ArrivalSchedule::from_model(spec.model().as_ref(), users, slots, 0.02, 5);
@@ -363,14 +349,14 @@ mod tests {
             assert!(!index.is_empty());
             // Walking the buckets in slot order yields (slot, user) strictly
             // ascending, and exactly the per-user lists when regrouped.
-            let mut regrouped: Vec<Vec<AppArrival>> = vec![Vec::new(); users];
+            let mut regrouped: Vec<Vec<ArrivalEvent>> = vec![Vec::new(); users];
             let mut last = None;
             for slot in 0..slots {
                 for at in index.bucket(slot) {
                     let (user, app) = index.get(at);
                     assert!(last < Some((slot, user)), "{spec:?}: order broke");
                     last = Some((slot, user));
-                    regrouped[user].push(AppArrival { slot, app });
+                    regrouped[user].push(ArrivalEvent { slot, app });
                 }
             }
             for (user, arrivals) in regrouped.iter().enumerate() {
@@ -380,7 +366,7 @@ mod tests {
         }
         // Arrivals at or past the indexed horizon are left out; no arrivals
         // at all is an empty index.
-        let sched = ArrivalSchedule::generate(3, 400, 0.05, 2);
+        let sched = bernoulli(3, 400, 0.05, 2);
         let cut = ArrivalIndex::build(&sched, 100);
         let kept: usize = (0..3)
             .map(|u| {
@@ -392,12 +378,12 @@ mod tests {
             })
             .sum();
         assert_eq!(cut.len(), kept);
-        assert!(ArrivalIndex::build(&ArrivalSchedule::generate(3, 400, 0.0, 2), 400).is_empty());
+        assert!(ArrivalIndex::build(&bernoulli(3, 400, 0.0, 2), 400).is_empty());
     }
 
     #[test]
     fn first_at_or_after_is_binary_search_over_sorted_arrivals() {
-        let sched = ArrivalSchedule::generate(2, 30_000, 0.003, 9);
+        let sched = bernoulli(2, 30_000, 0.003, 9);
         let all = sched.arrivals_for(1);
         assert!(!all.is_empty());
         assert_eq!(sched.first_at_or_after(1, 0), Some(all[0]));
@@ -414,7 +400,6 @@ mod tests {
         // The world crate's Bernoulli model must replay the engine's
         // historical arrival stream bit-for-bit: this is the contract that
         // keeps `paper-default` runs byte-identical under `fedco-world`.
-        use fedco_world::arrival::{ArrivalSpec, Bernoulli};
         for (users, slots, p, seed) in [
             (25, 10_800, 0.001, 42),
             (6, 1200, 0.005, 42),
@@ -422,7 +407,7 @@ mod tests {
             (2, 300, 0.0, 1),
             (2, 300, 1.0, 1),
         ] {
-            let legacy = ArrivalSchedule::generate(users, slots, p, seed);
+            let legacy = generate(users, slots, p, seed);
             let world = ArrivalSchedule::from_model(&Bernoulli, users, slots, p, seed);
             assert_eq!(legacy, world, "users={users} slots={slots} p={p}");
             let via_spec = ArrivalSchedule::from_model(
@@ -438,7 +423,6 @@ mod tests {
 
     #[test]
     fn shaped_models_produce_sorted_per_user_streams() {
-        use fedco_world::arrival::ArrivalSpec;
         for spec in ArrivalSpec::ALL {
             let sched = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
             for user in 0..8 {
@@ -455,7 +439,7 @@ mod tests {
 
     #[test]
     fn probability_is_clamped() {
-        let sched = ArrivalSchedule::generate(1, 100, 5.0, 1);
+        let sched = bernoulli(1, 100, 5.0, 1);
         assert_eq!(sched.probability(), 1.0);
         assert_eq!(sched.arrivals_for(0).len(), 100);
     }

@@ -1404,23 +1404,22 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::experiment::MlConfig;
-    use fedco_core::policy::PolicyKind;
     use fedco_core::spec::PolicySpec;
 
-    fn small(policy: PolicyKind) -> SimConfig {
+    fn small(policy: PolicySpec) -> SimConfig {
         SimConfig::small(policy)
     }
 
     #[test]
     fn immediate_policy_trains_continuously() {
-        let result = run_simulation(small(PolicyKind::Immediate));
+        let result = run_simulation(small(PolicySpec::Immediate));
         assert!(
             result.total_updates > 10,
             "updates {}",
             result.total_updates
         );
         assert!(result.total_energy_j > 0.0);
-        assert_eq!(result.policy, PolicyKind::Immediate);
+        assert_eq!(result.policy, PolicySpec::Immediate);
         // Training components dominate the energy mix.
         let training: f64 = result
             .energy_by_component
@@ -1438,8 +1437,8 @@ mod tests {
 
     #[test]
     fn online_policy_saves_energy_versus_immediate() {
-        let immediate = run_simulation(small(PolicyKind::Immediate));
-        let online = run_simulation(small(PolicyKind::Online));
+        let immediate = run_simulation(small(PolicySpec::Immediate));
+        let online = run_simulation(small(PolicySpec::Online { v: None }));
         assert!(
             online.total_energy_j < immediate.total_energy_j,
             "online {} >= immediate {}",
@@ -1452,7 +1451,7 @@ mod tests {
 
     #[test]
     fn sync_policy_runs_rounds_with_zero_lag() {
-        let result = run_simulation(small(PolicyKind::SyncSgd));
+        let result = run_simulation(small(PolicySpec::SyncSgd));
         assert!(result.total_updates >= 1);
         assert_eq!(result.max_lag, 0);
         assert_eq!(result.mean_lag, 0.0);
@@ -1460,16 +1459,16 @@ mod tests {
 
     #[test]
     fn offline_policy_waits_for_corunning() {
-        let mut config = small(PolicyKind::Offline);
+        let mut config = small(PolicySpec::Offline);
         config.arrival_probability = 0.01;
         let result = run_simulation(config);
-        let immediate = run_simulation(small(PolicyKind::Immediate));
+        let immediate = run_simulation(small(PolicySpec::Immediate));
         assert!(result.total_energy_j < immediate.total_energy_j);
     }
 
     #[test]
     fn ml_mode_produces_accuracy_curve() {
-        let mut config = small(PolicyKind::Immediate);
+        let mut config = small(PolicySpec::Immediate);
         config.num_users = 3;
         config.total_slots = 900;
         config.ml = Some(MlConfig::tiny());
@@ -1483,7 +1482,7 @@ mod tests {
 
     #[test]
     fn trace_energy_is_monotonic() {
-        let result = run_simulation(small(PolicyKind::Online));
+        let result = run_simulation(small(PolicySpec::Online { v: None }));
         for pair in result.trace.windows(2) {
             assert!(pair[1].total_energy_j >= pair[0].total_energy_j);
             assert!(pair[1].t_s > pair[0].t_s);
@@ -1493,7 +1492,7 @@ mod tests {
 
     #[test]
     fn user_gap_recording_can_be_enabled() {
-        let mut config = small(PolicyKind::Online);
+        let mut config = small(PolicySpec::Online { v: None });
         config.record_user_gaps = true;
         let result = run_simulation(config);
         assert!(!result.user_gaps.is_empty());
@@ -1501,18 +1500,18 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_given_seed() {
-        let a = run_simulation(small(PolicyKind::Online));
-        let b = run_simulation(small(PolicyKind::Online));
+        let a = run_simulation(small(PolicySpec::Online { v: None }));
+        let b = run_simulation(small(PolicySpec::Online { v: None }));
         assert_eq!(a.total_energy_j, b.total_energy_j);
         assert_eq!(a.total_updates, b.total_updates);
-        let c = run_simulation(small(PolicyKind::Online).with_seed(99));
+        let c = run_simulation(small(PolicySpec::Online { v: None }).with_seed(99));
         assert!(c.total_energy_j != a.total_energy_j || c.total_updates != a.total_updates);
     }
 
     #[test]
     #[should_panic(expected = "invalid simulation configuration: num_users")]
     fn invalid_config_panics_naming_the_field() {
-        let mut config = small(PolicyKind::Online);
+        let mut config = small(PolicySpec::Online { v: None });
         config.num_users = 0;
         let _ = Simulation::new(config);
     }
@@ -1520,17 +1519,17 @@ mod tests {
     #[test]
     fn try_new_returns_typed_errors_instead_of_panicking() {
         use crate::experiment::ConfigError;
-        let mut config = small(PolicyKind::Online);
+        let mut config = small(PolicySpec::Online { v: None });
         config.num_users = 0;
         assert_eq!(
             Simulation::try_new(config).err(),
             Some(ConfigError::ZeroUsers)
         );
         // A valid config runs exactly like the panicking path.
-        let ok = Simulation::try_new(small(PolicyKind::Immediate))
+        let ok = Simulation::try_new(small(PolicySpec::Immediate))
             .expect("valid config")
             .run();
-        let direct = run_simulation(small(PolicyKind::Immediate));
+        let direct = run_simulation(small(PolicySpec::Immediate));
         assert_eq!(ok.total_energy_j.to_bits(), direct.total_energy_j.to_bits());
     }
 
@@ -1538,7 +1537,7 @@ mod tests {
     fn parameterized_online_specs_trade_energy_for_staleness() {
         // Smaller V weights the queues more, so the controller schedules
         // sooner: mean queue shrinks while energy grows towards Immediate.
-        let base = small(PolicyKind::Online);
+        let base = small(PolicySpec::Online { v: None });
         let eager = run_simulation(base.clone().with_policy(PolicySpec::online_with_v(100.0)));
         let patient = run_simulation(base.with_policy(PolicySpec::online_with_v(50_000.0)));
         assert!(eager.total_updates >= patient.total_updates);
@@ -1550,11 +1549,12 @@ mod tests {
     #[test]
     fn random_and_threshold_policies_run_through_the_engine() {
         let random = run_simulation(
-            small(PolicyKind::Online).with_policy(PolicySpec::Random { p: 0.2, salt: 0 }),
+            small(PolicySpec::Online { v: None })
+                .with_policy(PolicySpec::Random { p: 0.2, salt: 0 }),
         );
         assert!(random.total_updates > 0);
         assert!(random.total_energy_j > 0.0);
-        let threshold = run_simulation(small(PolicyKind::Online).with_policy(
+        let threshold = run_simulation(small(PolicySpec::Online { v: None }).with_policy(
             PolicySpec::PowerThreshold {
                 max_extra_watts: 0.65,
             },
@@ -1569,9 +1569,9 @@ mod tests {
     /// every scalar of the result stays bit-identical to a recording run.
     #[test]
     fn summary_mode_is_bit_identical_to_recording_mode() {
-        for policy in PolicyKind::ALL {
-            let full = run_simulation(small(policy));
-            let lean = run_simulation(small(policy).summary_only());
+        for policy in PolicySpec::PAPER {
+            let full = run_simulation(small(policy.clone()));
+            let lean = run_simulation(small(policy.clone()).summary_only());
             assert_eq!(
                 full.total_energy_j.to_bits(),
                 lean.total_energy_j.to_bits(),
@@ -1593,7 +1593,7 @@ mod tests {
 
     #[test]
     fn summary_mode_with_ml_matches_recording_accuracy() {
-        let mut config = small(PolicyKind::Immediate);
+        let mut config = small(PolicySpec::Immediate);
         config.num_users = 3;
         config.total_slots = 600;
         config.ml = Some(MlConfig::tiny());
@@ -1608,10 +1608,10 @@ mod tests {
     fn telemetry_is_identical_scan_vs_indexed() {
         use fedco_telemetry::event::Channel;
 
-        for policy in PolicyKind::ALL {
+        for policy in PolicySpec::PAPER {
             let traced = |indexed: bool| {
                 let sink = BufferSink::shared();
-                let mut sim = Simulation::new(small(policy)).with_telemetry(sink.clone());
+                let mut sim = Simulation::new(small(policy.clone())).with_telemetry(sink.clone());
                 let result = if indexed { sim.run() } else { sim.run_dense() };
                 (result, sink.drain())
             };
@@ -1632,9 +1632,9 @@ mod tests {
 
     #[test]
     fn attaching_telemetry_does_not_change_results() {
-        for policy in PolicyKind::ALL {
-            let plain = run_simulation(small(policy));
-            let (traced, events) = run_simulation_traced(small(policy));
+        for policy in PolicySpec::PAPER {
+            let plain = run_simulation(small(policy.clone()));
+            let (traced, events) = run_simulation_traced(small(policy.clone()));
             assert_eq!(
                 plain.total_energy_j.to_bits(),
                 traced.total_energy_j.to_bits(),
@@ -1643,7 +1643,7 @@ mod tests {
             assert_eq!(plain.total_updates, traced.total_updates);
             assert!(!events.is_empty());
             // The trace itself is deterministic across runs.
-            let (_, again) = run_simulation_traced(small(policy));
+            let (_, again) = run_simulation_traced(small(policy.clone()));
             assert_eq!(events, again, "trace not reproducible for {policy:?}");
             // RunStart opens and RunEnd closes every trace.
             assert!(matches!(events[0].kind, EventKind::RunStart { .. }));
@@ -1657,13 +1657,14 @@ mod tests {
     #[test]
     fn null_sink_telemetry_is_discarded() {
         use fedco_telemetry::sink::NullSink;
-        let sim = Simulation::new(small(PolicyKind::Online)).with_telemetry(Arc::new(NullSink));
+        let sim = Simulation::new(small(PolicySpec::Online { v: None }))
+            .with_telemetry(Arc::new(NullSink));
         assert!(sim.telemetry.is_none(), "disabled sink must be discarded");
     }
 
     #[test]
     fn traced_energy_samples_are_cumulative_and_final() {
-        let (result, events) = run_simulation_traced(small(PolicyKind::Immediate));
+        let (result, events) = run_simulation_traced(small(PolicySpec::Immediate));
         // Per-component samples are non-decreasing over slots...
         let mut last: std::collections::BTreeMap<String, f64> = Default::default();
         let mut finals: std::collections::BTreeMap<String, f64> = Default::default();
@@ -1683,7 +1684,7 @@ mod tests {
             );
         }
         // Summary-only tracing still samples energy identically.
-        let (_, lean_events) = run_simulation_traced(small(PolicyKind::Immediate).summary_only());
+        let (_, lean_events) = run_simulation_traced(small(PolicySpec::Immediate).summary_only());
         let lean_energy: Vec<&Event> = lean_events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Energy { .. }))
@@ -1694,7 +1695,7 @@ mod tests {
     #[test]
     fn transport_charges_radio_energy_per_exchange() {
         use fedco_fl::transport::TransportModel;
-        let base = small(PolicyKind::Immediate);
+        let base = small(PolicySpec::Immediate);
         let without = run_simulation(base.clone());
         let with = run_simulation(base.clone().with_transport(TransportModel::lte()));
         // Same schedule (the link does not change decisions)...

@@ -15,7 +15,7 @@
 //! ```no_run
 //! use fedco_sim::prelude::*;
 //!
-//! let result = run_simulation(SimConfig::small(PolicyKind::Online));
+//! let result = run_simulation(SimConfig::small(PolicySpec::Online { v: None }));
 //! println!("{}", summarize(&result));
 //! ```
 
@@ -34,7 +34,7 @@ pub mod user;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::arrivals::{AppArrival, ArrivalCursor, ArrivalIndex, ArrivalSchedule};
+    pub use crate::arrivals::{ArrivalCursor, ArrivalIndex, ArrivalSchedule};
     pub use crate::clock::SimClock;
     pub use crate::engine::{run_simulation, run_simulation_traced, EngineStats, Simulation};
     pub use crate::experiment::{
@@ -43,7 +43,6 @@ pub mod prelude {
     pub use crate::report::{render_breakdown, render_series, render_table, summarize};
     pub use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
     pub use crate::user::{TrainingPhase, UserArena};
-    pub use fedco_core::policy::PolicyKind;
     pub use fedco_core::scenario::{parse_scenario_file, LinkKind, MlMode, ScenarioSpec};
     pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
 }

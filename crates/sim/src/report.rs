@@ -68,7 +68,7 @@ mod tests {
     use super::*;
     use crate::engine::run_simulation;
     use crate::experiment::SimConfig;
-    use fedco_core::policy::PolicyKind;
+    use fedco_core::spec::PolicySpec;
 
     #[test]
     fn table_renders_all_rows() {
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn summary_and_breakdown_mention_policy() {
-        let mut config = SimConfig::small(PolicyKind::Immediate);
+        let mut config = SimConfig::small(PolicySpec::Immediate);
         config.total_slots = 400;
         config.num_users = 3;
         let result = run_simulation(config);

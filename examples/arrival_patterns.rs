@@ -23,15 +23,15 @@ fn main() {
     );
     for p in [0.0005, 0.002, 0.01, 0.05, 0.1] {
         let point = base.clone().with_arrival_p(p);
-        let run = |policy: PolicyKind| {
+        let run = |policy: PolicySpec| {
             run_simulation(point.build_with_policy(policy).expect("valid scenario"))
         };
         println!(
             "{:>12.4}  {:>14.1}  {:>14.1}  {:>14.1}",
             p,
-            run(PolicyKind::Online).total_energy_kj(),
-            run(PolicyKind::Immediate).total_energy_kj(),
-            run(PolicyKind::Offline).total_energy_kj()
+            run(PolicySpec::Online { v: None }).total_energy_kj(),
+            run(PolicySpec::Immediate).total_energy_kj(),
+            run(PolicySpec::Offline).total_energy_kj()
         );
     }
 
@@ -44,10 +44,10 @@ fn main() {
     let mut total_immediate = 0.0;
     for (name, p) in phases {
         let phase = base.clone().with_slots(800).with_arrival_p(p);
-        let online = run_simulation(phase.build_with_policy(PolicyKind::Online).expect("valid"));
+        let online = run_simulation(phase.build().expect("valid"));
         let immediate = run_simulation(
             phase
-                .build_with_policy(PolicyKind::Immediate)
+                .build_with_policy(PolicySpec::Immediate)
                 .expect("valid"),
         );
         total_online += online.total_energy_kj();

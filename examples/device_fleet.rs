@@ -52,7 +52,7 @@ fn main() {
         .expect("registry scenario");
     let result = run_simulation(
         scenario
-            .build_with_policy(PolicyKind::Online)
+            .build_with_policy(PolicySpec::Online { v: None })
             .expect("valid scenario"),
     );
     println!("\nHeterogeneous fleet ({}), online controller:", scenario);

@@ -55,11 +55,11 @@ fn main() {
     // The two baselines bracketing the online controller: same scenario,
     // different policy axis.
     let immediate = run_simulation(
-        base.build_with_policy(PolicyKind::Immediate)
+        base.build_with_policy(PolicySpec::Immediate)
             .expect("valid scenario"),
     );
     let offline = run_simulation(
-        base.build_with_policy(PolicyKind::Offline)
+        base.build_with_policy(PolicySpec::Offline)
             .expect("valid scenario"),
     );
     println!("baselines:");

@@ -29,7 +29,6 @@ fn main() {
             .with_slots(900),
     ];
     let grid = ScenarioGrid::from_scenarios(scenarios)
-        .with_policies(PolicyKind::ALL.to_vec())
         .with_axis("arrival_p", &["0.0002", "0.005"])
         .with_axis("link", &["ideal", "lte"])
         .with_replicates(2);
@@ -75,7 +74,7 @@ fn main() {
     // Second sweep: the open policy API in action. One grid compares the
     // online controller's energy–staleness trade-off at three V values
     // against all four built-in baselines, with one rollup row per spec.
-    let mut specs: Vec<PolicySpec> = PolicyKind::ALL.iter().map(|&k| k.into()).collect();
+    let mut specs = PolicySpec::PAPER.to_vec();
     specs.extend([1000.0, 4000.0, 16000.0].map(PolicySpec::online_with_v));
     let v_grid = ScenarioGrid::new(
         ScenarioSpec::preset("smoke")

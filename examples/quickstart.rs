@@ -27,12 +27,12 @@ fn main() {
 
     let immediate = run_simulation(
         scenario
-            .build_with_policy(PolicyKind::Immediate)
+            .build_with_policy(PolicySpec::Immediate)
             .expect("valid scenario"),
     );
     let online = run_simulation(
         scenario
-            .build_with_policy(PolicyKind::Online)
+            .build_with_policy(PolicySpec::Online { v: None })
             .expect("valid scenario"),
     );
 

@@ -28,7 +28,7 @@
 //! use fedco::prelude::*;
 //!
 //! // Run the paper's main setting with the online controller.
-//! let result = run_simulation(SimConfig::small(PolicyKind::Online));
+//! let result = run_simulation(SimConfig::small(PolicySpec::Online { v: None }));
 //! println!("total energy: {:.1} kJ", result.total_energy_kj());
 //! ```
 //!

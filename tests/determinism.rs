@@ -5,12 +5,12 @@
 
 use fedco::prelude::*;
 
-fn config(policy: PolicyKind) -> SimConfig {
+fn config(policy: PolicySpec) -> SimConfig {
     SimConfig {
         num_users: 6,
         total_slots: 600,
         arrival_probability: 0.01,
-        policy: policy.into(),
+        policy,
         record_every_slots: 25,
         record_user_gaps: true,
         ..SimConfig::default()
@@ -21,14 +21,9 @@ fn config(policy: PolicyKind) -> SimConfig {
 /// energy, same staleness traces, same per-update lags and gaps.
 #[test]
 fn same_seed_is_bit_identical_for_every_policy() {
-    for policy in [
-        PolicyKind::Immediate,
-        PolicyKind::SyncSgd,
-        PolicyKind::Offline,
-        PolicyKind::Online,
-    ] {
-        let a = run_simulation(config(policy).with_seed(7));
-        let b = run_simulation(config(policy).with_seed(7));
+    for policy in PolicySpec::PAPER {
+        let a = run_simulation(config(policy.clone()).with_seed(7));
+        let b = run_simulation(config(policy.clone()).with_seed(7));
         assert_eq!(
             a.total_energy_j.to_bits(),
             b.total_energy_j.to_bits(),
@@ -60,7 +55,7 @@ fn same_seed_is_bit_identical_for_every_policy() {
 #[test]
 fn ml_mode_is_bit_identical_given_seed() {
     let make = || {
-        let mut c = config(PolicyKind::Immediate).with_seed(11);
+        let mut c = config(PolicySpec::Immediate).with_seed(11);
         c.num_users = 3;
         c.total_slots = 400;
         c.ml = Some(MlConfig::tiny());
@@ -81,8 +76,8 @@ fn ml_mode_is_bit_identical_given_seed() {
 /// "determinism" above would be vacuous.
 #[test]
 fn different_seeds_differ() {
-    let a = run_simulation(config(PolicyKind::Online).with_seed(1));
-    let b = run_simulation(config(PolicyKind::Online).with_seed(2));
+    let a = run_simulation(config(PolicySpec::Online { v: None }).with_seed(1));
+    let b = run_simulation(config(PolicySpec::Online { v: None }).with_seed(2));
     assert!(
         a.total_energy_j != b.total_energy_j || a.updates != b.updates,
         "seeds 1 and 2 produced identical runs"

@@ -3,12 +3,12 @@
 
 use fedco::prelude::*;
 
-fn small(policy: PolicyKind) -> SimConfig {
+fn small(policy: PolicySpec) -> SimConfig {
     SimConfig {
         num_users: 8,
         total_slots: 1500,
         arrival_probability: 0.004,
-        policy: policy.into(),
+        policy,
         record_every_slots: 50,
         ..SimConfig::default()
     }
@@ -18,9 +18,9 @@ fn small(policy: PolicyKind) -> SimConfig {
 fn online_saves_energy_over_immediate_and_sync() {
     // The headline claim: the online controller consumes substantially less
     // energy than immediate scheduling and Sync-SGD.
-    let immediate = run_simulation(small(PolicyKind::Immediate));
-    let sync = run_simulation(small(PolicyKind::SyncSgd));
-    let online = run_simulation(small(PolicyKind::Online));
+    let immediate = run_simulation(small(PolicySpec::Immediate));
+    let sync = run_simulation(small(PolicySpec::SyncSgd));
+    let online = run_simulation(small(PolicySpec::Online { v: None }));
     assert!(online.total_energy_j < immediate.total_energy_j);
     assert!(online.total_energy_j < sync.total_energy_j);
     // And it still makes training progress.
@@ -31,9 +31,9 @@ fn online_saves_energy_over_immediate_and_sync() {
 fn offline_is_the_energy_lower_envelope_under_relaxed_budget() {
     // Fig. 4a: with L_b = 1000 the offline knapsack acts like a greedy
     // co-running waiter and sits below the online controller in energy.
-    let offline = run_simulation(small(PolicyKind::Offline));
-    let online = run_simulation(small(PolicyKind::Online));
-    let immediate = run_simulation(small(PolicyKind::Immediate));
+    let offline = run_simulation(small(PolicySpec::Offline));
+    let online = run_simulation(small(PolicySpec::Online { v: None }));
+    let immediate = run_simulation(small(PolicySpec::Immediate));
     assert!(offline.total_energy_j <= online.total_energy_j * 1.10);
     assert!(offline.total_energy_j < immediate.total_energy_j);
     // But the offline scheme makes far fewer updates (slow convergence).
@@ -42,18 +42,18 @@ fn offline_is_the_energy_lower_envelope_under_relaxed_budget() {
 
 #[test]
 fn immediate_makes_the_most_updates() {
-    let immediate = run_simulation(small(PolicyKind::Immediate));
-    let online = run_simulation(small(PolicyKind::Online));
-    let offline = run_simulation(small(PolicyKind::Offline));
+    let immediate = run_simulation(small(PolicySpec::Immediate));
+    let online = run_simulation(small(PolicySpec::Online { v: None }));
+    let offline = run_simulation(small(PolicySpec::Offline));
     assert!(immediate.total_updates >= online.total_updates);
     assert!(immediate.total_updates >= offline.total_updates);
 }
 
 #[test]
 fn sync_sgd_has_zero_lag_and_async_does_not() {
-    let sync = run_simulation(small(PolicyKind::SyncSgd));
+    let sync = run_simulation(small(PolicySpec::SyncSgd));
     assert_eq!(sync.max_lag, 0);
-    let immediate = run_simulation(small(PolicyKind::Immediate));
+    let immediate = run_simulation(small(PolicySpec::Immediate));
     // Asynchronous immediate scheduling with several users produces lag.
     assert!(
         immediate.max_lag > 0,
@@ -67,8 +67,8 @@ fn sync_sgd_has_zero_lag_and_async_does_not() {
 fn larger_v_trades_staleness_for_energy() {
     // Theorem 1: energy decreases (towards the optimum) while queues grow as
     // V increases.
-    let low_v = run_simulation(small(PolicyKind::Online).with_v(100.0));
-    let high_v = run_simulation(small(PolicyKind::Online).with_v(50_000.0));
+    let low_v = run_simulation(small(PolicySpec::Online { v: None }).with_v(100.0));
+    let high_v = run_simulation(small(PolicySpec::Online { v: None }).with_v(50_000.0));
     assert!(high_v.total_energy_j <= low_v.total_energy_j);
     assert!(high_v.mean_queue >= low_v.mean_queue);
 }
@@ -77,7 +77,7 @@ fn larger_v_trades_staleness_for_energy() {
 fn lag_and_gradient_gap_are_positively_correlated() {
     // Fig. 5a (lower subplot): the simple count of updates (lag) correlates
     // with the norm-based gradient gap.
-    let mut config = small(PolicyKind::Immediate);
+    let mut config = small(PolicySpec::Immediate);
     config.num_users = 6;
     config.ml = Some(MlConfig::tiny());
     let result = run_simulation(config);
@@ -92,7 +92,7 @@ fn lag_and_gradient_gap_are_positively_correlated() {
 #[test]
 fn federated_training_improves_accuracy_over_time() {
     // Fig. 5b: test accuracy rises as updates accumulate.
-    let mut config = small(PolicyKind::Immediate);
+    let mut config = small(PolicySpec::Immediate);
     config.num_users = 4;
     config.total_slots = 2500;
     config.ml = Some(MlConfig::tiny());
@@ -117,7 +117,7 @@ fn federated_training_improves_accuracy_over_time() {
 fn online_controller_respects_the_staleness_budget_on_average() {
     // Eq. (14): the time-averaged sum of gradient gaps stays near or below
     // L_b, which manifests as a virtual queue that does not blow up linearly.
-    let result = run_simulation(small(PolicyKind::Online));
+    let result = run_simulation(small(PolicySpec::Online { v: None }));
     let horizon = 1500.0;
     assert!(
         result.final_virtual_queue < horizon,
@@ -128,7 +128,7 @@ fn online_controller_respects_the_staleness_budget_on_average() {
 
 #[test]
 fn energy_accounting_is_consistent_with_components() {
-    let result = run_simulation(small(PolicyKind::Online));
+    let result = run_simulation(small(PolicySpec::Online { v: None }));
     let sum: f64 = result.energy_by_component.iter().map(|(_, e)| *e).sum();
     let relative = (sum - result.total_energy_j).abs() / result.total_energy_j;
     assert!(
@@ -179,10 +179,10 @@ fn knapsack_scheduler_integrates_with_device_profiles() {
 
 #[test]
 fn different_seeds_change_the_arrival_realisation_not_the_trends() {
-    let a = run_simulation(small(PolicyKind::Online).with_seed(1));
-    let b = run_simulation(small(PolicyKind::Online).with_seed(2));
-    let imm_a = run_simulation(small(PolicyKind::Immediate).with_seed(1));
-    let imm_b = run_simulation(small(PolicyKind::Immediate).with_seed(2));
+    let a = run_simulation(small(PolicySpec::Online { v: None }).with_seed(1));
+    let b = run_simulation(small(PolicySpec::Online { v: None }).with_seed(2));
+    let imm_a = run_simulation(small(PolicySpec::Immediate).with_seed(1));
+    let imm_b = run_simulation(small(PolicySpec::Immediate).with_seed(2));
     // Realisations differ...
     assert!(a.total_energy_j != b.total_energy_j || a.total_updates != b.total_updates);
     // ...but the ordering (online below immediate) holds for both seeds.

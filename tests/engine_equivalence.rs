@@ -16,7 +16,7 @@
 
 use fedco::prelude::*;
 
-fn base_config(policy: impl Into<PolicySpec>) -> SimConfig {
+fn base_config(policy: PolicySpec) -> SimConfig {
     SimConfig {
         num_users: 5,
         total_slots: 700,
@@ -117,7 +117,8 @@ fn summary_mode_is_bit_identical_too() {
 #[test]
 fn user_gap_recording_and_transport_are_preserved() {
     use fedco::fl::transport::TransportModel;
-    let mut config = base_config(PolicyKind::Online).with_transport(TransportModel::lte());
+    let mut config =
+        base_config(PolicySpec::Online { v: None }).with_transport(TransportModel::lte());
     config.record_user_gaps = true;
     let (dense, event) = run_both(config);
     assert_identical("online+gaps+lte", &dense, &event);
@@ -149,7 +150,9 @@ fn compressed_uplink_is_bit_identical_between_drivers() {
     let spec: ScenarioSpec = "compressed-uplink:users=5:slots=700"
         .parse()
         .expect("compressed spec parses");
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     let (dense, event) = run_both(config.clone());
     assert_identical("compressed-uplink", &dense, &event);
     assert!(event.total_updates > 0, "compressed runs still train");
@@ -161,7 +164,7 @@ fn compressed_uplink_is_bit_identical_between_drivers() {
         .expect("plain spec parses");
     let plain = run_simulation(
         plain_spec
-            .build_with_policy(PolicyKind::Online)
+            .build_with_policy(PolicySpec::Online { v: None })
             .expect("builds"),
     );
     assert_ne!(
@@ -173,7 +176,7 @@ fn compressed_uplink_is_bit_identical_between_drivers() {
 
 #[test]
 fn ml_mode_is_bit_identical() {
-    let mut config = base_config(PolicyKind::Immediate);
+    let mut config = base_config(PolicySpec::Immediate);
     config.num_users = 3;
     config.total_slots = 600;
     config.ml = Some(MlConfig::tiny());
@@ -226,7 +229,7 @@ fn custom_policy_with_default_hooks_stays_dense_and_correct() {
     assert_identical("legacy custom online", &dense, &event);
 
     // The numbers match the genuine built-in online controller.
-    let builtin = run_simulation(base_config(PolicyKind::Online));
+    let builtin = run_simulation(base_config(PolicySpec::Online { v: None }));
     assert_eq!(
         event.total_energy_j.to_bits(),
         builtin.total_energy_j.to_bits()
@@ -309,8 +312,8 @@ fn devices_going_dark_mid_epoch_leave_only_stale_deadlines() {
     let spec: ScenarioSpec = "battery-constrained:churn=heavy:users=24:slots=3000:arrival_p=0.05"
         .parse()
         .expect("spec parses");
-    for policy in PolicyKind::ALL {
-        let config = spec.build_with_policy(policy).expect("builds");
+    for policy in PolicySpec::PAPER {
+        let config = spec.build_with_policy(policy.clone()).expect("builds");
         let label = format!("dark mid-epoch {policy}");
         let (_, event, trace) = run_both_traced(&label, config.clone());
         let (dense, summary) = run_both(config.summary_only());
@@ -319,7 +322,7 @@ fn devices_going_dark_mid_epoch_leave_only_stale_deadlines() {
             event.total_energy_j.to_bits(),
             summary.total_energy_j.to_bits()
         );
-        if policy != PolicyKind::Immediate {
+        if policy != PolicySpec::Immediate {
             continue;
         }
         // The scenario really exercises the case: some user was taken dark
@@ -378,12 +381,12 @@ fn an_expiry_and_an_arrival_meet_on_a_slot_boundary() {
     use fedco::device::profiler::EnergyComponent;
     for (policy, fleets, expected) in [
         (
-            PolicyKind::Immediate,
+            PolicySpec::Immediate,
             &[1, 5, 70][..],
             &[EnergyComponent::CoRunning][..],
         ),
         (
-            PolicyKind::SyncSgd,
+            PolicySpec::SyncSgd,
             &[5, 70][..],
             &[EnergyComponent::CoRunning, EnergyComponent::AppOnly][..],
         ),
@@ -395,7 +398,7 @@ fn an_expiry_and_an_arrival_meet_on_a_slot_boundary() {
                 arrival_probability: 1.0,
                 ..SimConfig::default()
             }
-            .with_policy(policy);
+            .with_policy(policy.clone());
             for config in [config.clone(), config.summary_only()] {
                 let (dense, event) = run_both(config);
                 assert_identical(&format!("{policy} p=1 users={users}"), &dense, &event);
@@ -418,7 +421,7 @@ fn same_slot_completions_reach_the_server_in_ascending_user_order() {
         .parse()
         .expect("spec parses");
     let config = spec
-        .build_with_policy(PolicyKind::Immediate)
+        .build_with_policy(PolicySpec::Immediate)
         .expect("builds");
     let (_, event, trace) = run_both_traced("same-slot completions", config);
 
@@ -459,7 +462,7 @@ fn a_sync_round_closes_over_the_online_users_only() {
     let spec: ScenarioSpec = "smoke:churn=heavy:users=12:slots=3000"
         .parse()
         .expect("spec parses");
-    let config = spec.build_with_policy(PolicyKind::SyncSgd).expect("builds");
+    let config = spec.build_with_policy(PolicySpec::SyncSgd).expect("builds");
     let (_, event, trace) = run_both_traced("sync round under churn", config.clone());
     let (dense, summary) = run_both(config.summary_only());
     assert_identical("sync round under churn (summary)", &dense, &summary);
@@ -485,7 +488,7 @@ fn fleet_sizes_at_the_waiting_set_word_edges_are_bit_identical() {
     // a word, exactly a word, one over, and several words with a ragged
     // tail.
     for users in [1, 63, 64, 65, 300] {
-        for policy in PolicyKind::ALL {
+        for policy in PolicySpec::PAPER {
             let config = SimConfig {
                 num_users: users,
                 total_slots: 600,
@@ -493,7 +496,7 @@ fn fleet_sizes_at_the_waiting_set_word_edges_are_bit_identical() {
                 record_every_slots: 60,
                 ..SimConfig::default()
             }
-            .with_policy(policy);
+            .with_policy(policy.clone());
             let (dense, event) = run_both(config.clone());
             assert_identical(&format!("{policy} users={users}"), &dense, &event);
             let (dense, event) = run_both(config.summary_only());
@@ -550,7 +553,7 @@ fn user_visits_track_events_not_fleet_size() {
     // fleet is waiting at any time.
     let spec: ScenarioSpec = "city-scale:users=300".parse().expect("spec parses");
     let config = spec
-        .build_with_policy(PolicyKind::Online)
+        .build_with_policy(PolicySpec::Online { v: None })
         .expect("builds")
         .summary_only();
     let (stats, _) = stats_of(config.clone(), false);

@@ -11,7 +11,7 @@
 
 use fedco::prelude::*;
 
-fn small(policy: impl Into<PolicySpec>) -> SimConfig {
+fn small(policy: PolicySpec) -> SimConfig {
     SimConfig {
         num_users: 4,
         total_slots: 500,
@@ -68,32 +68,32 @@ fn every_registry_spec_is_deterministic_and_summary_faithful() {
     }
 }
 
-/// A custom factory that mirrors one of the built-ins purely through the
-/// public capability hooks. If the engine treated built-ins specially in any
-/// way, the mirror would diverge from the genuine article.
+/// A custom factory that mirrors one of the registry specs purely through
+/// the public capability hooks. If the engine treated built-ins specially in
+/// any way, the mirror would diverge from the genuine article.
 #[derive(Debug)]
 struct MirrorFactory {
-    kind: PolicyKind,
+    spec: PolicySpec,
 }
 
 impl PolicyFactory for MirrorFactory {
     fn label(&self) -> String {
-        format!("Mirror({})", self.kind)
+        format!("Mirror({})", self.spec)
     }
 
     fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
         // Build the same concrete policies a spec would, but registered
         // exclusively through PolicySpec::Custom.
-        PolicySpec::from(self.kind).build(ctx)
+        self.spec.build(ctx)
     }
 }
 
 #[test]
 fn custom_policies_get_full_engine_semantics() {
-    for kind in PolicyKind::ALL {
-        let custom = PolicySpec::custom(MirrorFactory { kind });
+    for kind in PolicySpec::default_registry() {
+        let custom = PolicySpec::custom(MirrorFactory { spec: kind.clone() });
         let mirrored = run_simulation(small(custom));
-        let builtin = run_simulation(small(kind));
+        let builtin = run_simulation(small(kind.clone()));
         assert_eq!(
             mirrored.total_energy_j.to_bits(),
             builtin.total_energy_j.to_bits(),
@@ -149,7 +149,7 @@ fn sync_semantics_come_from_the_barrier_capability() {
 
 #[test]
 fn one_grid_sweep_compares_online_variants_against_all_baselines() {
-    let mut specs: Vec<PolicySpec> = PolicyKind::ALL.iter().map(|&k| k.into()).collect();
+    let mut specs = PolicySpec::PAPER.to_vec();
     specs.extend([1000.0, 4000.0, 16000.0].map(PolicySpec::online_with_v));
     let scenario = ScenarioSpec::preset("smoke")
         .expect("preset")

@@ -16,18 +16,18 @@ fn scaled(spec: &ScenarioSpec) -> ScenarioSpec {
 fn every_preset_builds_the_equivalent_hand_built_config() {
     // The two presets with documented hand-built equivalents are equal as
     // whole structs, so every run of them is trivially bit-identical.
-    for kind in PolicyKind::ALL {
+    for kind in PolicySpec::PAPER {
         assert_eq!(
             ScenarioSpec::preset("paper-default")
                 .expect("preset")
-                .build_with_policy(kind)
+                .build_with_policy(kind.clone())
                 .expect("builds"),
-            SimConfig::paper_default(kind)
+            SimConfig::paper_default(kind.clone())
         );
         assert_eq!(
             ScenarioSpec::preset("smoke")
                 .expect("preset")
-                .build_with_policy(kind)
+                .build_with_policy(kind.clone())
                 .expect("builds"),
             SimConfig::small(kind)
         );
@@ -54,12 +54,12 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
     // by hand, field by field.
     let spec = scaled(&ScenarioSpec::preset("lte-uplink").expect("preset"));
     let declarative = run_simulation(
-        spec.build_with_policy(PolicyKind::Online)
+        spec.build_with_policy(PolicySpec::Online { v: None })
             .expect("builds")
             .summary_only(),
     );
     let hand_built = {
-        let mut config = SimConfig::paper_default(PolicyKind::Online).summary_only();
+        let mut config = SimConfig::paper_default(PolicySpec::Online { v: None }).summary_only();
         config.num_users = 4;
         config.total_slots = 400;
         config.transport = Some(TransportModel::lte());
@@ -83,12 +83,12 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
     let hetero = scaled(&ScenarioSpec::preset("hetero-devices").expect("preset"));
     let declarative = run_simulation(
         hetero
-            .build_with_policy(PolicyKind::Offline)
+            .build_with_policy(PolicySpec::Offline)
             .expect("builds")
             .summary_only(),
     );
     let hand_built = {
-        let mut config = SimConfig::paper_default(PolicyKind::Offline).summary_only();
+        let mut config = SimConfig::paper_default(PolicySpec::Offline).summary_only();
         config.num_users = 4;
         config.total_slots = 400;
         config.devices = DeviceAssignment::custom(vec![
@@ -127,12 +127,12 @@ v = 1000
     assert_eq!(specs[0].label(), "busy-lte-phones");
     let declarative = run_simulation(
         specs[0]
-            .build_with_policy(PolicyKind::Online)
+            .build_with_policy(PolicySpec::Online { v: None })
             .expect("builds")
             .summary_only(),
     );
     let hand_built = {
-        let mut config = SimConfig::small(PolicyKind::Online)
+        let mut config = SimConfig::small(PolicySpec::Online { v: None })
             .summary_only()
             .with_v(1000.0);
         config.num_users = 5;
@@ -231,8 +231,8 @@ fn scale_presets_are_registered_with_pinned_shapes() {
         );
         let reparsed: ScenarioSpec = spec.label().parse().expect("label parses");
         assert_eq!(reparsed, spec);
-        for policy in PolicyKind::ALL {
-            let config = spec.build_with_policy(policy).expect("builds");
+        for policy in PolicySpec::PAPER {
+            let config = spec.build_with_policy(policy.clone()).expect("builds");
             assert!(config.is_valid(), "{name} x {policy:?}");
             assert!(!config.collect_traces, "{name} builds summary-only");
         }
@@ -267,7 +267,7 @@ fn absurd_user_counts_are_rejected_before_any_allocation() {
     assert!(err.contains("users=99999999999999"), "{err}");
     assert!(err.contains("MAX_USERS = 10000000"), "{err}");
     // ...and so does a hand-built (or builder-built) config.
-    let mut config = SimConfig::small(PolicyKind::Online);
+    let mut config = SimConfig::small(PolicySpec::Online { v: None });
     config.num_users = SimConfig::MAX_USERS + 1;
     let expected = ConfigError::TooManyUsers(SimConfig::MAX_USERS + 1);
     assert_eq!(config.validate(), Err(expected.clone()));
@@ -280,8 +280,37 @@ fn absurd_user_counts_are_rejected_before_any_allocation() {
         .build();
     assert_eq!(built.err(), Some(expected));
     // The bound itself is accepted.
-    config = SimConfig::small(PolicyKind::Online);
+    config = SimConfig::small(PolicySpec::Online { v: None });
     config.num_users = SimConfig::MAX_USERS;
+    assert!(config.is_valid());
+}
+
+#[test]
+fn absurd_horizons_are_rejected_before_any_allocation() {
+    // The arrival index and the deadline calendar hold an entry per slot,
+    // and the arrival generator draws per slot: both ways into a horizon
+    // stop at `SimConfig::MAX_SLOTS` before either is sized.
+    let err = "smoke:users=1:slots=99999999999999"
+        .parse::<ScenarioSpec>()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("slots=99999999999999"), "{err}");
+    assert!(err.contains("MAX_SLOTS = 10000000"), "{err}");
+    let mut config = SimConfig::small(PolicySpec::Online { v: None });
+    config.total_slots = SimConfig::MAX_SLOTS + 1;
+    let expected = ConfigError::TooManySlots(SimConfig::MAX_SLOTS + 1);
+    assert_eq!(config.validate(), Err(expected.clone()));
+    assert_eq!(Simulation::try_new(config).err(), Some(expected.clone()));
+    assert!(expected.to_string().contains("total_slots"), "{expected}");
+    assert!(expected.to_string().contains("MAX_SLOTS"), "{expected}");
+    let built = ScenarioSpec::preset("smoke")
+        .expect("preset")
+        .with_slots(SimConfig::MAX_SLOTS + 1)
+        .build();
+    assert_eq!(built.err(), Some(expected));
+    // The bound itself is accepted.
+    config = SimConfig::small(PolicySpec::Online { v: None });
+    config.total_slots = SimConfig::MAX_SLOTS;
     assert!(config.is_valid());
 }
 
@@ -296,7 +325,7 @@ fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
         .to_string();
     assert!(err.contains("slot_seconds=1e-300"), "{err}");
     assert!(err.contains("MIN_SLOT_SECONDS = 1e-9"), "{err}");
-    let mut config = SimConfig::small(PolicyKind::Online);
+    let mut config = SimConfig::small(PolicySpec::Online { v: None });
     config.slot_seconds = 1e-300;
     let expected = ConfigError::NonPositiveSlotSeconds(1e-300);
     assert_eq!(config.validate(), Err(expected.clone()));
@@ -334,8 +363,8 @@ fn world_presets_are_registered_and_round_trip() {
         );
         let reparsed: ScenarioSpec = spec.label().parse().expect("label parses");
         assert_eq!(reparsed, spec, "{name} label does not round-trip");
-        for policy in PolicyKind::ALL {
-            let config = spec.build_with_policy(policy).expect("builds");
+        for policy in PolicySpec::PAPER {
+            let config = spec.build_with_policy(policy.clone()).expect("builds");
             assert!(config.is_valid(), "{name} x {policy:?}");
             assert!(
                 !config.world.is_paper_default(),
@@ -372,7 +401,9 @@ fn world_fields_parse_build_and_round_trip() {
     let reparsed: ScenarioSpec = spec.label().parse().expect("label parses");
     assert_eq!(reparsed, spec);
 
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     assert!(!config.world.is_paper_default());
     assert_eq!(config.world.battery, BatterySpec::Standard);
     assert_eq!(config.world.churn, ChurnSpec::Heavy);

@@ -99,7 +99,7 @@ fn assert_bit_identical(label: &str, config: SimConfig) {
 fn paper_default_served_run_matches_batch_bit_for_bit() {
     let config = ScenarioSpec::preset("paper-default")
         .expect("registry preset")
-        .build_with_policy(PolicyKind::Online)
+        .build_with_policy(PolicySpec::Online { v: None })
         .expect("builds");
     assert_bit_identical("paper-default/online", config);
 }

@@ -55,8 +55,15 @@ fn dense_and_event_drivers_emit_identical_semantic_traces() {
     let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
         .parse()
         .expect("world spec parses");
-    let mut configs: Vec<SimConfig> = PolicyKind::ALL.into_iter().map(SimConfig::small).collect();
-    configs.push(world.build_with_policy(PolicyKind::Online).expect("builds"));
+    let mut configs: Vec<SimConfig> = PolicySpec::PAPER
+        .into_iter()
+        .map(SimConfig::small)
+        .collect();
+    configs.push(
+        world
+            .build_with_policy(PolicySpec::Online { v: None })
+            .expect("builds"),
+    );
     for config in configs {
         let label = format!("{} on {} users", config.policy.label(), config.num_users);
 
@@ -108,8 +115,8 @@ fn trace_and_metrics_schemas_round_trip_byte_identically() {
 #[test]
 fn traced_facade_run_matches_untraced_results() {
     // Attaching telemetry must never perturb simulation results.
-    let plain = run_simulation(SimConfig::small(PolicyKind::Online));
-    let (traced, events) = run_simulation_traced(SimConfig::small(PolicyKind::Online));
+    let plain = run_simulation(SimConfig::small(PolicySpec::Online { v: None }));
+    let (traced, events) = run_simulation_traced(SimConfig::small(PolicySpec::Online { v: None }));
     assert_eq!(
         plain.total_energy_j.to_bits(),
         traced.total_energy_j.to_bits()

@@ -29,7 +29,7 @@ fn constrained_batteries_deplete_and_recharge() {
         .parse()
         .expect("spec parses");
     let config = spec
-        .build_with_policy(PolicyKind::Immediate)
+        .build_with_policy(PolicySpec::Immediate)
         .expect("builds");
     let (result, events) = traced_run(config);
     let deaths = count_kind(&events, "battery-depleted");
@@ -46,7 +46,7 @@ fn constrained_batteries_deplete_and_recharge() {
             .expect("spec parses");
     let plain = run_simulation(
         immortal
-            .build_with_policy(PolicyKind::Immediate)
+            .build_with_policy(PolicySpec::Immediate)
             .expect("builds"),
     );
     assert!(
@@ -62,7 +62,9 @@ fn churn_takes_users_offline_and_brings_them_back() {
     let spec: ScenarioSpec = "smoke:users=12:slots=1500:churn=heavy"
         .parse()
         .expect("spec parses");
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     let (_, events) = traced_run(config.clone());
     let offline = events
         .iter()
@@ -97,7 +99,7 @@ fn compression_cuts_radio_energy_and_dampens_updates() {
         .parse()
         .expect("spec parses");
     let compressed_config = compressed_spec
-        .build_with_policy(PolicyKind::Immediate)
+        .build_with_policy(PolicySpec::Immediate)
         .expect("builds");
     let (compressed, events) = traced_run(compressed_config);
     let plain_spec: ScenarioSpec = "compressed-uplink:users=8:slots=1500:compress=off"
@@ -105,7 +107,7 @@ fn compression_cuts_radio_energy_and_dampens_updates() {
         .expect("spec parses");
     let plain = run_simulation(
         plain_spec
-            .build_with_policy(PolicyKind::Immediate)
+            .build_with_policy(PolicySpec::Immediate)
             .expect("builds"),
     );
 

@@ -32,17 +32,17 @@ fn paper_default_world_reproduces_pre_world_goldens() {
     // pre-world on `Simulation::run`.
     let goldens = [
         (
-            PolicyKind::Online,
+            PolicySpec::Online { v: None },
             0x411b_05b1_4395_809e_u64,
             821_u64,
             0x40b7_1e79_3882_7716_u64,
             434_u64,
         ),
-        (PolicyKind::Immediate, 0x4129_ad54_23d7_0893, 1189, 0, 108),
-        (PolicyKind::SyncSgd, 0x411e_824a_4083_1293, 18, 0, 0),
+        (PolicySpec::Immediate, 0x4129_ad54_23d7_0893, 1189, 0, 108),
+        (PolicySpec::SyncSgd, 0x411e_824a_4083_1293, 18, 0, 0),
     ];
     for (kind, energy_bits, updates, queue_bits, max_lag) in goldens {
-        let config = SimConfig::paper_default(kind);
+        let config = SimConfig::paper_default(kind.clone());
         assert!(
             config.world.is_paper_default(),
             "paper_default must carry the paper-default world"
@@ -68,7 +68,8 @@ fn paper_default_world_reproduces_pre_world_goldens() {
 
 #[test]
 fn paper_default_world_reproduces_the_pre_world_telemetry_stream() {
-    let (result, events) = run_simulation_traced(SimConfig::paper_default(PolicyKind::Online));
+    let (result, events) =
+        run_simulation_traced(SimConfig::paper_default(PolicySpec::Online { v: None }));
     assert_eq!(result.total_energy_j.to_bits(), 0x411b_05b1_4395_809e);
     // The stream that matters — every semantic event, in order. Captured at
     // the commit before span fast-forwarding was deleted, with this filter,
@@ -101,7 +102,9 @@ fn paper_default_world_reproduces_the_pre_world_telemetry_stream() {
 fn paper_default_world_reproduces_pre_world_model_bits() {
     // An ML-mode run covers the model/accuracy bits too.
     let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     assert!(config.world.is_paper_default());
     let result = run_simulation(config);
     assert_eq!(result.total_energy_j.to_bits(), 0x40cd_63e8_1062_4db4);
@@ -142,7 +145,9 @@ fn the_momentum_norm_is_asked_for_once_per_server_update() {
     // 2000 slots of waiting users cost `total_updates + 1` queries at most —
     // and the run is the pinned `ml-smoke` run, bit for bit.
     let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     let slots = config.total_slots;
     let norm_queries = Arc::new(AtomicU64::new(0));
     let counter = norm_queries.clone();
@@ -170,7 +175,9 @@ fn compact_lenet_run_reproduces_the_pre_fast_kernel_bits() {
     // the contiguous conv kernels landed: a kernel that reorders one
     // reduction changes every constant below.
     let spec: ScenarioSpec = "paper-default:ml=full:slots=1200".parse().expect("parses");
-    let config = spec.build_with_policy(PolicyKind::Online).expect("builds");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
     let mut sim = Simulation::new(config);
     let result = sim.run();
     let params = sim.model_snapshot().params;
