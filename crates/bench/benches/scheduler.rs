@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the paper's schedulers: the per-slot online decision
-//! rule (Table III argues it is lightweight) and the offline knapsack DP,
-//! whose cost scales as O(n · L_b) (Algorithm 1).
+//! rule (Table III argues it is lightweight), the offline knapsack DP, whose
+//! cost scales as O(n · L_b) (Algorithm 1), and the offline planner's two
+//! halves — Lemma-1 item build, knapsack — on one look-ahead window.
 
 use std::hint::black_box;
 
@@ -63,21 +64,29 @@ fn bench_offline_knapsack() {
             black_box(scheduler.solve(black_box(&items)));
         });
     }
+}
 
-    // Lemma-1 lag bound over a realistic window description.
-    let users: Vec<OfflineUser> = (0..100)
-        .map(|i| OfflineUser {
-            id: i,
-            ready_time_s: (i as f64 * 7.0) % 500.0,
-            app_arrival_s: if i % 3 == 0 {
-                Some((i as f64 * 11.0) % 500.0)
-            } else {
-                None
-            },
-            duration_s: 200.0 + (i as f64 * 3.0) % 100.0,
-            energy_saving_j: 100.0,
-        })
-        .collect();
+/// The planner on the synthetic window `benchmark/`'s `probe_offline_planner`
+/// times (every second user has an arrival): the Lemma-1 bound of all of 100
+/// users by the per-user scan, next to the item build — the same bounds in
+/// one batch — across window sizes (its growth rate is the recorded number),
+/// and the knapsack at 2 500 users under the default budget (1 000 units
+/// against 1 250 one-unit candidates: the two-row + take-bit DP) and ten
+/// times it (every candidate fits: no rows).
+fn bench_offline_window() {
+    let config = SchedulerConfig::default();
+    let window = |users: usize| -> Vec<OfflineUser> {
+        (0..users)
+            .map(|i| OfflineUser {
+                id: i,
+                ready_time_s: 0.0,
+                app_arrival_s: (i % 2 == 0).then(|| (i as f64 * 37.0) % config.lookahead_window_s),
+                duration_s: 200.0 + (i as f64 * 3.0) % 100.0,
+                energy_saving_j: 100.0 + (i as f64 * 37.0) % 400.0,
+            })
+            .collect()
+    };
+    let users = window(100);
     micro::bench("lemma1_lag_bound_100_users", || {
         let mut total = 0u64;
         for i in 0..users.len() {
@@ -85,9 +94,27 @@ fn bench_offline_knapsack() {
         }
         black_box(total);
     });
+
+    let predictor = WeightPredictor::new(config.learning_rate, config.momentum_beta);
+    let planner = OfflineScheduler::new(config.staleness_bound, predictor);
+    micro::group("offline_window");
+    for users in [100usize, 2_500, 20_000] {
+        let window = window(users);
+        micro::bench(&format!("offline_window/build_items/{users}"), || {
+            black_box(planner.build_items(black_box(&window), 2.0));
+        });
+    }
+    let items = planner.build_items(&window(2_500), 2.0);
+    for (regime, scale) in [("relaxed", 10.0), ("tight", 1.0)] {
+        let planner = OfflineScheduler::new(config.staleness_bound * scale, predictor);
+        micro::bench(&format!("offline_window/solve/2500-{regime}"), || {
+            black_box(planner.solve(black_box(&items)));
+        });
+    }
 }
 
 fn main() {
     bench_online_decision();
     bench_offline_knapsack();
+    bench_offline_window();
 }

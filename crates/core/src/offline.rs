@@ -8,6 +8,13 @@
 //! training separately (`x_i = 0`, earning nothing), subject to the sum of
 //! gradient gaps of the co-runners staying within the staleness budget `L_b`
 //! (Eq. 5–7).
+//!
+//! One window of `n` users costs `O(n log n)` for the items — every Lemma-1
+//! bound comes out of one sort-and-sweep, `lag_bounds`, which is held to the
+//! per-user definition [`lag_bound`] — plus Algorithm 1's `O(n · L_b)` cell
+//! updates on two `L_b`-long rows, with one take-bit per cell
+//! (`n · L_b / 64` words) kept for the back-trace. A window whose
+//! candidates all fit the budget at once skips the rows altogether.
 
 use fedco_fl::staleness::{Lag, WeightPredictor};
 
@@ -39,13 +46,10 @@ impl OfflineUser {
         }
     }
 
-    /// The candidate end times of this user's training (Lemma 1).
+    /// The candidate end times of this user's training (Lemma 1): where its
+    /// two intervals stop.
     fn end_times(&self) -> [f64; 2] {
-        let e1 = self.ready_time_s + self.duration_s;
-        match self.app_arrival_s {
-            Some(ta) => [e1, ta + self.duration_s],
-            None => [e1, e1],
-        }
+        self.intervals().map(|(_, stop)| stop)
     }
 }
 
@@ -56,24 +60,135 @@ pub fn lag_bound(users: &[OfflineUser], i: usize) -> Lag {
     if i >= users.len() {
         return Lag::ZERO;
     }
-    let me = &users[i];
-    let my_intervals = me.intervals();
-    let mut count = 0u64;
-    for (j, other) in users.iter().enumerate() {
-        if j == i {
-            continue;
-        }
-        let ends = other.end_times();
-        let overlaps = ends.iter().any(|&e| {
-            my_intervals
-                .iter()
-                .any(|&(start, stop)| e >= start && e <= stop)
+    let my_intervals = users[i].intervals();
+    let count = users
+        .iter()
+        .enumerate()
+        .filter(|&(j, other)| j != i && ends_inside(&my_intervals, other.end_times()))
+        .count();
+    Lag(count as u64)
+}
+
+/// Whether one of `ends` lies inside one of the closed `intervals`.
+fn ends_inside(intervals: &[(f64, f64); 2], ends: [f64; 2]) -> bool {
+    ends.iter().any(|&e| {
+        intervals
+            .iter()
+            .any(|&(start, stop)| e >= start && e <= stop)
+    })
+}
+
+/// [`lag_bound`] of every user of the window, in `O(n log n)`.
+///
+/// User `i` counts the users with a first end time in `U` plus those with a
+/// second end time in `U`, minus those with both (counted twice) and minus
+/// itself, where `U` is the union of its two intervals. With the end times
+/// sorted once, "in `U`" is at most two disjoint rank ranges per sort order
+/// (`partition_point` on the scan's own closed comparisons), so the first
+/// two terms are range lengths, and the third is a dominance count over the
+/// points `(rank by first end, rank by second end)`: one sweep in first-end
+/// order over a Fenwick tree of second-end ranks answers it for everyone.
+fn lag_bounds(users: &[OfflineUser]) -> Vec<Lag> {
+    let n = users.len();
+    // (end time, user) in ascending order; NaN — inside no interval — sorts
+    // last, where no partition point below reaches it.
+    let ascending = |which: usize| {
+        let ends = users.iter().map(|u| u.end_times()[which]);
+        let mut order: Vec<(f64, usize)> = ends.zip(0..).collect();
+        order.sort_unstable_by(|(x, _), (y, _)| {
+            x.partial_cmp(y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
         });
-        if overlaps {
-            count += 1;
+        order
+    };
+    let (by_first, by_second) = (ascending(0), ascending(1));
+    let mut second_rank = vec![0usize; n];
+    for (rank, &(_, j)) in by_second.iter().enumerate() {
+        second_rank[j] = rank;
+    }
+
+    let mut counts = Vec::with_capacity(n);
+    let mut second_ranges = Vec::with_capacity(n);
+    // (sweep position, user, lower edge of a range): the users with both end
+    // times in `U` are those seen between the edges of a first-end range.
+    let mut edges = Vec::new();
+    for (i, me) in users.iter().enumerate() {
+        let intervals = me.intervals();
+        let first = rank_ranges(&by_first, &intervals);
+        let second = rank_ranges(&by_second, &intervals);
+        let len = |[r, s]: [(usize, usize); 2]| r.1 - r.0 + s.1 - s.0;
+        let myself = usize::from(ends_inside(&intervals, me.end_times()));
+        counts.push(len(first) + len(second) - myself);
+        for (lo, hi) in first {
+            if lo < hi {
+                edges.push((lo, i, true));
+                edges.push((hi, i, false));
+            }
+        }
+        second_ranges.push(second);
+    }
+    edges.sort_unstable();
+    // Fenwick tree over second-end ranks of the users swept so far.
+    let mut tree = vec![0usize; n + 1];
+    let mut swept = 0;
+    for (at, i, lower) in edges {
+        for &(_, j) in &by_first[swept..at] {
+            let mut node = second_rank[j] + 1;
+            while node <= n {
+                tree[node] += 1;
+                node += node & node.wrapping_neg();
+            }
+        }
+        swept = at;
+        let below = |mut node: usize| {
+            let mut seen = 0;
+            while node > 0 {
+                seen += tree[node];
+                node &= node - 1;
+            }
+            seen
+        };
+        let [r, s] = second_ranges[i];
+        let both = below(r.1) - below(r.0) + below(s.1) - below(s.0);
+        // A range's lower edge is swept before its upper one, so the count
+        // never dips below zero on the way.
+        if lower {
+            counts[i] += both;
+        } else {
+            counts[i] -= both;
         }
     }
-    Lag(count)
+    counts.into_iter().map(|c| Lag(c as u64)).collect()
+}
+
+/// The positions of `sorted` (end times ascending, NaN last) holding a value
+/// inside one of the closed `intervals`, as two disjoint half-open ranges
+/// either of which may be empty (`lo == hi`).
+fn rank_ranges(sorted: &[(f64, usize)], intervals: &[(f64, f64); 2]) -> [(usize, usize); 2] {
+    let range = |(start, stop): (f64, f64)| {
+        // An interval that ends before it starts, or has a NaN bound, is empty.
+        if start <= stop {
+            (
+                sorted.partition_point(|&(e, _)| e < start),
+                sorted.partition_point(|&(e, _)| e <= stop),
+            )
+        } else {
+            (0, 0)
+        }
+    };
+    let a = range(intervals[0]);
+    // Without an arrival the two intervals are one: search once.
+    let b = if intervals[1] == intervals[0] {
+        a
+    } else {
+        range(intervals[1])
+    };
+    // Ranges that overlap or touch are one range.
+    if a.0.max(b.0) <= a.1.min(b.1) {
+        [(a.0.min(b.0), a.1.max(b.1)), (0, 0)]
+    } else {
+        [a, b]
+    }
 }
 
 /// A knapsack item: one co-running opportunity.
@@ -90,7 +205,8 @@ pub struct KnapsackItem {
 /// The solution of the offline problem for one window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OfflineSolution {
-    /// Users selected to co-run (`x_i = 1`), by user id.
+    /// Users selected to co-run (`x_i = 1`), by user id, in ascending order
+    /// ([`OfflineScheduler::solve`] and [`greedy_solution`] sort it).
     pub selected: Vec<usize>,
     /// Total energy saving of the selected set (J).
     pub total_saving_j: f64,
@@ -101,7 +217,7 @@ pub struct OfflineSolution {
 impl OfflineSolution {
     /// Whether a user was selected to co-run.
     pub fn is_selected(&self, user_id: usize) -> bool {
-        self.selected.contains(&user_id)
+        self.selected.binary_search(&user_id).is_ok()
     }
 
     /// An empty solution (nothing selected).
@@ -119,8 +235,8 @@ impl OfflineSolution {
 pub struct OfflineScheduler {
     /// Staleness budget `L_b`.
     pub staleness_bound: f64,
-    /// Gap discretisation step used by the DP table (the paper indexes the
-    /// table directly by integer gap units).
+    /// Gap discretisation step: the DP indexes its row by integer gap units
+    /// of this size (the paper uses the gap itself, i.e. a step of 1).
     pub gap_resolution: f64,
     /// Weight predictor used to turn lag bounds into gradient gaps (Eq. 4).
     pub predictor: WeightPredictor,
@@ -137,7 +253,7 @@ impl OfflineScheduler {
     }
 
     /// Overrides the DP discretisation resolution (finer = more precise,
-    /// larger table). Values ≤ 0 are clamped to a small positive step.
+    /// longer row). Values ≤ 0 are clamped to a small positive step.
     #[must_use]
     pub fn with_gap_resolution(mut self, resolution: f64) -> Self {
         self.gap_resolution = if resolution > 0.0 { resolution } else { 1e-3 };
@@ -150,15 +266,12 @@ impl OfflineScheduler {
     pub fn build_items(&self, users: &[OfflineUser], velocity_norm: f32) -> Vec<KnapsackItem> {
         users
             .iter()
-            .enumerate()
-            .filter(|(_, u)| u.app_arrival_s.is_some())
-            .map(|(i, u)| KnapsackItem {
+            .zip(lag_bounds(users))
+            .filter(|(u, _)| u.app_arrival_s.is_some())
+            .map(|(u, lag)| KnapsackItem {
                 user_id: u.id,
                 value: u.energy_saving_j,
-                weight: self
-                    .predictor
-                    .predict_gap(lag_bound(users, i), velocity_norm)
-                    .value(),
+                weight: self.predictor.predict_gap(lag, velocity_norm).value(),
             })
             .collect()
     }
@@ -166,47 +279,78 @@ impl OfflineScheduler {
     /// Solves the 0-1 knapsack with dynamic programming (Algorithm 1):
     /// maximise total value subject to the total weight staying within
     /// `L_b`. Items with non-positive value are never selected (co-running
-    /// them would waste energy — the Nexus 6 / Candy Crush case); items with
+    /// them would waste energy — the Nexus 6 / Candy Crush case), nor are
+    /// items whose weight is negative or not finite; items with
     /// (numerically) zero weight and positive value are always selected.
+    ///
+    /// Of Eq. (8)'s `S_k(y)` — the best value over the first `k` candidates
+    /// with gap budget `y` — only the rows `k - 1` and `k` are alive at a
+    /// time; all that is kept per `(k, y)` is whether taking candidate `k`
+    /// changed the cell, which is what the back-trace asks. That is
+    /// `O(n · L_b)` time and `n · L_b / 64` words, and neither when the
+    /// candidates' units sum to no more than the budget: then every cell
+    /// the back-trace visits holds the running value over all candidates so
+    /// far, so no row is built and `L_b` can be arbitrarily large.
     pub fn solve(&self, items: &[KnapsackItem]) -> OfflineSolution {
         let capacity_units = (self.staleness_bound / self.gap_resolution).floor() as usize;
-        let mut zero_weight: Vec<usize> = Vec::new();
+        let mut selected_idx: Vec<usize> = Vec::new();
         let mut dp_items: Vec<(usize, f64, usize)> = Vec::new(); // (index, value, weight_units)
+        let mut total_units = 0usize;
         for (idx, item) in items.iter().enumerate() {
-            if item.value <= 0.0 {
+            if item.value <= 0.0 || !(0.0..f64::INFINITY).contains(&item.weight) {
                 continue;
             }
             let units = (item.weight / self.gap_resolution).ceil() as usize;
             if units == 0 {
-                zero_weight.push(idx);
+                selected_idx.push(idx);
             } else if units <= capacity_units {
                 dp_items.push((idx, item.value, units));
+                total_units = total_units.saturating_add(units);
             }
         }
-        // DP table S_k(y) of Eq. (8): best value over the first k items with
-        // gap budget y. Stored row-major as (k, y) -> value.
-        let n = dp_items.len();
-        let width = capacity_units + 1;
-        let mut table = vec![0.0f64; (n + 1) * width];
-        for k in 1..=n {
-            let (_, value, weight) = dp_items[k - 1];
-            for y in 0..=capacity_units {
-                let without = table[(k - 1) * width + y];
-                let with = if y >= weight {
-                    table[(k - 1) * width + (y - weight)] + value
-                } else {
-                    f64::NEG_INFINITY
-                };
-                table[k * width + y] = without.max(with);
+        if total_units <= capacity_units {
+            // Everything fits at once: S_k(y) at the back-trace's `y` is the
+            // running value, with the comparison and the test of the DP.
+            let mut best = 0.0f64;
+            for &(idx, value, _) in &dp_items {
+                let without = best;
+                best = without.max(without + value);
+                if best != without {
+                    selected_idx.push(idx);
+                }
             }
-        }
-        // Backtrack through the table to recover the selected set.
-        let mut selected_idx: Vec<usize> = zero_weight.clone();
-        let mut y = capacity_units;
-        for k in (1..=n).rev() {
-            if table[k * width + y] != table[(k - 1) * width + y] {
-                selected_idx.push(dp_items[k - 1].0);
-                y -= dp_items[k - 1].2;
+        } else {
+            let width = capacity_units + 1;
+            let words = width.div_ceil(64);
+            // S_{k-1} and S_k: two rows that swap roles, so the update reads
+            // one slice and writes another and the compiler can vectorise it.
+            let mut before = vec![0.0f64; width];
+            let mut after = before.clone();
+            // Bit `y` of candidate `k`'s words: S_k(y) != S_{k-1}(y).
+            let mut taken = vec![0u64; dp_items.len() * words];
+            for (&(_, value, weight), bits) in dp_items.iter().zip(taken.chunks_exact_mut(words)) {
+                let (unreachable, reachable) = after.split_at_mut(weight);
+                unreachable.copy_from_slice(&before[..weight]);
+                for ((cell, &without), &lighter) in
+                    reachable.iter_mut().zip(&before[weight..]).zip(&before)
+                {
+                    *cell = without.max(lighter + value);
+                }
+                for ((mask, old), new) in
+                    bits.iter_mut().zip(before.chunks(64)).zip(after.chunks(64))
+                {
+                    for (bit, (a, b)) in old.iter().zip(new).enumerate() {
+                        *mask |= u64::from(a != b) << bit;
+                    }
+                }
+                std::mem::swap(&mut before, &mut after);
+            }
+            let mut y = capacity_units;
+            for (&(idx, _, weight), bits) in dp_items.iter().zip(taken.chunks_exact(words)).rev() {
+                if bits[y / 64] >> (y % 64) & 1 == 1 {
+                    selected_idx.push(idx);
+                    y -= weight;
+                }
             }
         }
         selected_idx.sort_unstable();
@@ -214,8 +358,10 @@ impl OfflineScheduler {
         let total_saving_j: f64 = selected_idx.iter().map(|&i| items[i].value).sum();
         // fedco-audit: allow(float-reduction): fixed-order reduction over the sorted selection — deterministic by construction
         let total_gap: f64 = selected_idx.iter().map(|&i| items[i].weight).sum();
+        let mut selected: Vec<usize> = selected_idx.into_iter().map(|i| items[i].user_id).collect();
+        selected.sort_unstable();
         OfflineSolution {
-            selected: selected_idx.into_iter().map(|i| items[i].user_id).collect(),
+            selected,
             total_saving_j,
             total_gap,
         }
@@ -257,21 +403,67 @@ pub fn greedy_solution(items: &[KnapsackItem], budget: f64) -> OfflineSolution {
     }
 }
 
-/// The number of updates within a window observed by an exhaustive check of
-/// all decision combinations would be exponential; the DP solution instead
-/// runs in `O(n · L_b)` as stated after Algorithm 1. This helper exposes the
-/// DP table size for the complexity benchmarks.
-pub fn dp_table_cells(num_items: usize, staleness_bound: f64, gap_resolution: f64) -> usize {
-    let capacity_units = (staleness_bound / gap_resolution.max(1e-12)).floor() as usize;
-    num_items * (capacity_units + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
 
     fn predictor() -> WeightPredictor {
         WeightPredictor::new(0.05, 0.9)
+    }
+
+    /// `OfflineScheduler::solve` as it was with the full `(n + 1) × width`
+    /// table, verbatim: the reference the row + take-bit version is held to.
+    fn solve_full_table(sched: &OfflineScheduler, items: &[KnapsackItem]) -> OfflineSolution {
+        let capacity_units = (sched.staleness_bound / sched.gap_resolution).floor() as usize;
+        let mut zero_weight: Vec<usize> = Vec::new();
+        let mut dp_items: Vec<(usize, f64, usize)> = Vec::new(); // (index, value, weight_units)
+        for (idx, item) in items.iter().enumerate() {
+            if item.value <= 0.0 {
+                continue;
+            }
+            let units = (item.weight / sched.gap_resolution).ceil() as usize;
+            if units == 0 {
+                zero_weight.push(idx);
+            } else if units <= capacity_units {
+                dp_items.push((idx, item.value, units));
+            }
+        }
+        // DP table S_k(y) of Eq. (8): best value over the first k items with
+        // gap budget y. Stored row-major as (k, y) -> value.
+        let n = dp_items.len();
+        let width = capacity_units + 1;
+        let mut table = vec![0.0f64; (n + 1) * width];
+        for k in 1..=n {
+            let (_, value, weight) = dp_items[k - 1];
+            for y in 0..=capacity_units {
+                let without = table[(k - 1) * width + y];
+                let with = if y >= weight {
+                    table[(k - 1) * width + (y - weight)] + value
+                } else {
+                    f64::NEG_INFINITY
+                };
+                table[k * width + y] = without.max(with);
+            }
+        }
+        // Backtrack through the table to recover the selected set.
+        let mut selected_idx: Vec<usize> = zero_weight.clone();
+        let mut y = capacity_units;
+        for k in (1..=n).rev() {
+            if table[k * width + y] != table[(k - 1) * width + y] {
+                selected_idx.push(dp_items[k - 1].0);
+                y -= dp_items[k - 1].2;
+            }
+        }
+        selected_idx.sort_unstable();
+        let total_saving_j: f64 = selected_idx.iter().map(|&i| items[i].value).sum();
+        let total_gap: f64 = selected_idx.iter().map(|&i| items[i].weight).sum();
+        OfflineSolution {
+            selected: selected_idx.into_iter().map(|i| items[i].user_id).collect(),
+            total_saving_j,
+            total_gap,
+        }
     }
 
     fn user(id: usize, ready: f64, arrival: Option<f64>, dur: f64, saving: f64) -> OfflineUser {
@@ -437,12 +629,116 @@ mod tests {
     }
 
     #[test]
-    fn resolution_and_table_size() {
+    fn resolution_is_clamped_positive() {
         let sched = OfflineScheduler::new(10.0, predictor()).with_gap_resolution(0.5);
         assert_eq!(sched.gap_resolution, 0.5);
         let clamped = OfflineScheduler::new(10.0, predictor()).with_gap_resolution(-1.0);
         assert!(clamped.gap_resolution > 0.0);
-        assert_eq!(dp_table_cells(10, 1000.0, 1.0), 10 * 1001);
         assert_eq!(OfflineSolution::empty().selected.len(), 0);
+    }
+
+    #[test]
+    fn batch_lag_bounds_match_the_per_user_scan() {
+        // Times on a coarse grid, so ties are the rule: end times equal to
+        // interval bounds (closed on both sides), duplicate end times,
+        // arrivals before the ready time, zero and negative durations, and
+        // now and then an infinite or NaN time — whatever the scan answers
+        // is the answer.
+        const ODD: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0];
+        let mut rng = SmallRng::seed_from_u64(0x1e44a);
+        for n in [0usize, 1, 2, 63, 64, 65, 300] {
+            for round in 0..60 {
+                let steps = [4i64, 12, 40, 400][round % 4];
+                let time = |rng: &mut SmallRng, lowest: i64| {
+                    if rng.gen_range(0..24) == 0 {
+                        ODD[rng.gen_range(0..ODD.len())]
+                    } else {
+                        rng.gen_range(lowest..steps) as f64 * 5.0
+                    }
+                };
+                let users: Vec<OfflineUser> = (0..n)
+                    .map(|id| {
+                        let ready = time(&mut rng, 0);
+                        let arrival = rng.gen_bool(0.6).then(|| time(&mut rng, 0));
+                        let duration = time(&mut rng, -2);
+                        user(id, ready, arrival, duration, 1.0)
+                    })
+                    .collect();
+                let scan: Vec<Lag> = (0..n).map(|i| lag_bound(&users, i)).collect();
+                assert_eq!(lag_bounds(&users), scan, "n {n} round {round}: {users:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_matches_the_full_table_reference() {
+        // Few distinct values (equal values exercise the `!=` back-trace tie
+        // rule, 1e-18 is absorbed by any sum it joins), zero-weight,
+        // non-positive-value and heavier-than-any-budget items; budgets at
+        // 0, just below / at / just above the summed units, and in between.
+        const VALUES: [f64; 7] = [-3.0, 0.0, 1e-18, 5.0, 5.0, 7.5, 10.0];
+        const WEIGHTS: [f64; 9] = [0.0, 0.3, 1.0, 1.0, 1.5, 2.0, 3.0, 1e9, f64::INFINITY];
+        let mut rng = SmallRng::seed_from_u64(0x50_17e);
+        for round in 0..300 {
+            let resolution = if round % 3 == 0 { 0.5 } else { 1.0 };
+            let items: Vec<KnapsackItem> = (0..rng.gen_range(0..40usize))
+                .map(|user_id| KnapsackItem {
+                    user_id,
+                    value: VALUES[rng.gen_range(0..VALUES.len())],
+                    weight: WEIGHTS[rng.gen_range(0..WEIGHTS.len())],
+                })
+                .collect();
+            let total_units: usize = items
+                .iter()
+                .filter(|item| item.value > 0.0 && item.weight < 1e9)
+                .map(|item| (item.weight / resolution).ceil() as usize)
+                .sum();
+            let budgets = [
+                0,
+                total_units.saturating_sub(1),
+                total_units,
+                total_units + 1,
+                rng.gen_range(0..=total_units),
+                rng.gen_range(0..=total_units),
+            ];
+            for units in budgets {
+                let sched = OfflineScheduler::new(units as f64 * resolution, predictor())
+                    .with_gap_resolution(resolution);
+                let (got, want) = (sched.solve(&items), solve_full_table(&sched, &items));
+                let context = format!("round {round} budget {units} units: {items:?}");
+                assert_eq!(got.selected, want.selected, "{context}");
+                assert_eq!(
+                    got.total_saving_j.to_bits(),
+                    want.total_saving_j.to_bits(),
+                    "{context}"
+                );
+                assert_eq!(
+                    got.total_gap.to_bits(),
+                    want.total_gap.to_bits(),
+                    "{context}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn negative_and_non_finite_weights_are_never_selected() {
+        // NaN and negative weights used to round to zero units — "free",
+        // selected under any budget, and NaN poisoned `total_gap`.
+        let sched = OfflineScheduler::new(2.0, predictor());
+        let weights = [f64::NAN, -1.0, f64::NEG_INFINITY, f64::INFINITY, 1.0];
+        let items: Vec<KnapsackItem> = weights
+            .iter()
+            .enumerate()
+            .map(|(user_id, &weight)| KnapsackItem {
+                user_id,
+                value: 10.0,
+                weight,
+            })
+            .collect();
+        let sol = sched.solve(&items);
+        assert_eq!(sol.selected, vec![4]);
+        assert_eq!(sol.total_gap, 1.0);
+        assert_eq!(sol.total_saving_j, 10.0);
     }
 }

@@ -63,6 +63,42 @@ fn knapsack_respects_budget_and_dominates_greedy() {
     });
 }
 
+/// The knapsack DP is optimal, checked the way Pilla's minimal-energy FL
+/// schedulers are (PAPERS.md): on small instances with integer-unit weights
+/// an independent `2ⁿ` enumeration finds no better value, and the budget
+/// holds. Values are multiples of ¼ so every sum is exact and ties are
+/// common.
+#[test]
+fn knapsack_matches_exhaustive_enumeration() {
+    for_each_case(0xA2, |rng| {
+        let n = rng.gen_range(0..=12usize);
+        let items: Vec<KnapsackItem> = (0..n)
+            .map(|user_id| KnapsackItem {
+                user_id,
+                value: f64::from(rng.gen_range(-4..40i32)) * 0.25,
+                weight: f64::from(rng.gen_range(0..9u32)),
+            })
+            .collect();
+        let total: f64 = items.iter().map(|item| item.weight).sum();
+        let budget = f64::from(rng.gen_range(0..=total as u32 + 2));
+        let best = (0..1u32 << n)
+            .filter_map(|subset| {
+                let chosen = || {
+                    items
+                        .iter()
+                        .enumerate()
+                        .filter(move |(i, _)| subset >> i & 1 == 1)
+                };
+                let weight: f64 = chosen().map(|(_, item)| item.weight).sum();
+                (weight <= budget).then(|| chosen().map(|(_, item)| item.value).sum::<f64>())
+            })
+            .fold(0.0, f64::max);
+        let dp = OfflineScheduler::new(budget, WeightPredictor::new(0.05, 0.9)).solve(&items);
+        assert_eq!(dp.total_saving_j, best, "budget {budget}: {items:?}");
+        assert!(dp.total_gap <= budget, "budget {budget}: {items:?}");
+    });
+}
+
 /// Task-queue and virtual-queue backlogs never go negative and follow
 /// the max(·, 0) dynamics exactly.
 #[test]

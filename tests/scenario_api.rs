@@ -315,6 +315,19 @@ fn absurd_horizons_are_rejected_before_any_allocation() {
 }
 
 #[test]
+fn an_absurd_staleness_budget_plans_without_a_table() {
+    // `lb=` is only checked finite and non-negative, and the offline planner
+    // used to size its DP table from it: `paper-default:lb=1e13` aborted in
+    // the allocator. A budget beyond the candidates' summed gap units needs
+    // no DP at all, so the two budgets below plan — and run — alike.
+    let run = |scenario: &str| {
+        let spec: ScenarioSpec = scenario.parse().expect("parses");
+        run_simulation(spec.build_with_policy(PolicySpec::Offline).expect("builds"))
+    };
+    assert_eq!(run("paper-default:lb=1e13"), run("paper-default:lb=1e6"));
+}
+
+#[test]
 fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
     // `smoke:slot_seconds=1e-300` used to be accepted: the clock clamped the
     // slot to 1e-9 s for durations while energy accrued on 1e-300 s. Both
