@@ -89,7 +89,7 @@ fn bench_param_vector() {
     let cfg = LeNetConfig::lenet5();
     let net = cfg.build(&mut rng);
     let params = net.parameters();
-    let other = params.scale(0.99);
+    let other = fedco_neural::ParamVector::new(params.values().iter().map(|v| v * 0.99).collect());
     micro::group("param_vector");
     micro::bench("param_vector_distance_lenet5", || {
         black_box(params.distance_l2(black_box(&other)).unwrap());

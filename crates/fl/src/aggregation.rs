@@ -1,7 +1,7 @@
 //! Aggregation rules for asynchronous updates.
 
-use fedco_neural::model::ParamVector;
-use fedco_neural::tensor::TensorError;
+#[cfg(test)]
+use fedco_neural::{model::ParamVector, tensor::TensorError};
 
 use crate::staleness::Lag;
 
@@ -24,18 +24,32 @@ pub enum AsyncUpdateRule {
 }
 
 impl AsyncUpdateRule {
-    /// Merges `local` into `global` given the observed `lag`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the vectors differ in
-    /// length.
-    pub fn merge(
+    /// The weight `w` an upload arriving with `lag` gets: the merged value of
+    /// a global `g` and an uploaded `l` is `g·(1−w) + w·l`. `None` is
+    /// [`AsyncUpdateRule::Replace`], whose merged value is the upload itself,
+    /// bit for bit — which no weight expresses (`∞·0` is not `0`).
+    pub fn upload_weight(&self, lag: Lag) -> Option<f32> {
+        match *self {
+            AsyncUpdateRule::Replace => None,
+            AsyncUpdateRule::StalenessWeighted { alpha } => {
+                Some(alpha.clamp(0.0, 1.0) / (1.0 + lag.value() as f32))
+            }
+        }
+    }
+}
+
+/// The clone-based merge [`AsyncUpdateRule::upload_weight`] and the fused
+/// server apply replaced, kept as the oracle the `reference_bits` suite holds
+/// them to.
+#[cfg(test)]
+impl AsyncUpdateRule {
+    pub(crate) fn merge(
         &self,
         global: &ParamVector,
         local: &ParamVector,
         lag: Lag,
     ) -> Result<ParamVector, TensorError> {
+        use crate::momentum::cloning::scale;
         if global.len() != local.len() {
             return Err(TensorError::ShapeMismatch {
                 lhs: vec![global.len()],
@@ -48,7 +62,7 @@ impl AsyncUpdateRule {
             AsyncUpdateRule::StalenessWeighted { alpha } => {
                 let alpha = alpha.clamp(0.0, 1.0);
                 let weight = alpha / (1.0 + lag.value() as f32);
-                let mut out = global.scale(1.0 - weight);
+                let mut out = scale(global, 1.0 - weight);
                 out.add_scaled(local, weight)?;
                 Ok(out)
             }
@@ -90,6 +104,14 @@ mod tests {
         let fresh = rule.merge(&g, &l, Lag(0)).unwrap();
         let stale = rule.merge(&g, &l, Lag(10)).unwrap();
         assert!(fresh.norm_l2() > stale.norm_l2());
+    }
+
+    #[test]
+    fn upload_weight_decays_with_lag_and_clamps_alpha() {
+        assert_eq!(AsyncUpdateRule::Replace.upload_weight(Lag(7)), None);
+        let rule = AsyncUpdateRule::StalenessWeighted { alpha: 3.0 };
+        assert_eq!(rule.upload_weight(Lag(0)), Some(1.0));
+        assert_eq!(rule.upload_weight(Lag(3)), Some(0.25));
     }
 
     #[test]

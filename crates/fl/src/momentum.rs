@@ -56,22 +56,39 @@ impl MomentumTracker {
         self.velocity.as_ref().map(|v| v.norm_l2()).unwrap_or(0.0)
     }
 
-    /// Observes a transition of the global model from `old` to `new`
-    /// parameters and updates `v_t` per Eq. (1). The implied step is
-    /// `s_t = (old − new) / η`, i.e. the gradient-like direction the update
-    /// moved along.
+    /// Moves the global model to `merge(g, l)` element by element — `g` the
+    /// current global value, `l` the uploaded one — and folds the implied
+    /// step `s_t = (g − merged) / η` into `v_t` per Eq. (1), walking global,
+    /// upload and velocity once and allocating nothing after the first
+    /// update. Per element these are the operations, in the order, of merging
+    /// into a copy, subtracting, scaling by `1/η` and observing the step as a
+    /// vector (the `cloning` module keeps that form; every bit is held to it).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the two vectors (or the
-    /// running velocity) have different lengths.
-    pub fn observe_transition(
+    /// running velocity) have different lengths; nothing has moved then.
+    pub fn observe_merge(
         &mut self,
-        old: &ParamVector,
-        new: &ParamVector,
+        global: &mut ParamVector,
+        local: &ParamVector,
+        merge: impl Fn(f32, f32) -> f32,
     ) -> Result<(), TensorError> {
-        let step = old.sub(new)?.scale(1.0 / self.learning_rate);
-        self.observe_step(&step)
+        if global.len() != local.len() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![global.len()],
+                rhs: vec![local.len()],
+                op: "momentum_observe",
+            });
+        }
+        let per_lr = 1.0 / self.learning_rate;
+        let pairs = global.values_mut().iter_mut().zip(local.values());
+        self.fold_steps(pairs.map(|(g, &l)| {
+            let merged = merge(*g, l);
+            let step = (*g - merged) * per_lr;
+            *g = merged;
+            step
+        }))
     }
 
     /// Observes a raw gradient-like step `s_t` directly.
@@ -81,22 +98,27 @@ impl MomentumTracker {
     /// Returns [`TensorError::ShapeMismatch`] when the step length differs
     /// from the running velocity.
     pub fn observe_step(&mut self, step: &ParamVector) -> Result<(), TensorError> {
+        self.fold_steps(step.values().iter().copied())
+    }
+
+    /// Eq. (1), in place: `v ← β·v + (1 − β)·s` over the steps as they are
+    /// produced. A length mismatch is refused before the first one is.
+    fn fold_steps(&mut self, steps: impl ExactSizeIterator<Item = f32>) -> Result<(), TensorError> {
+        let (beta, gain) = (self.beta, 1.0 - self.beta);
         match &mut self.velocity {
-            None => {
-                // v_1 = (1 - beta) * s_1  (v_0 = 0)
-                self.velocity = Some(step.scale(1.0 - self.beta));
-            }
+            // v_1 = (1 - beta) * s_1  (v_0 = 0)
+            None => self.velocity = Some(ParamVector::new(steps.map(|s| s * gain).collect())),
             Some(v) => {
-                if v.len() != step.len() {
+                if v.len() != steps.len() {
                     return Err(TensorError::ShapeMismatch {
                         lhs: vec![v.len()],
-                        rhs: vec![step.len()],
+                        rhs: vec![steps.len()],
                         op: "momentum_observe",
                     });
                 }
-                let mut next = v.scale(self.beta);
-                next.add_scaled(step, 1.0 - self.beta)?;
-                *v = next;
+                for (v, s) in v.values_mut().iter_mut().zip(steps) {
+                    *v = *v * beta + gain * s;
+                }
             }
         }
         self.updates += 1;
@@ -107,6 +129,65 @@ impl MomentumTracker {
     pub fn reset(&mut self) {
         self.velocity = None;
         self.updates = 0;
+    }
+}
+
+/// The copying forms [`MomentumTracker::observe_merge`] and the in-place
+/// [`MomentumTracker::observe_step`] replaced — `ParamVector::{sub, scale}`
+/// and the transition built from them — kept, bodies unchanged, as the oracle
+/// of the `reference_bits` suite in `server.rs`.
+#[cfg(test)]
+pub(crate) mod cloning {
+    use super::*;
+
+    pub(crate) fn sub(a: &ParamVector, b: &ParamVector) -> Result<ParamVector, TensorError> {
+        if a.len() != b.len() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![a.len()],
+                rhs: vec![b.len()],
+                op: "param_vector_sub",
+            });
+        }
+        let (a, b) = (a.values().iter(), b.values());
+        Ok(ParamVector::new(a.zip(b).map(|(a, b)| a - b).collect()))
+    }
+
+    pub(crate) fn scale(v: &ParamVector, factor: f32) -> ParamVector {
+        ParamVector::new(v.values().iter().map(|v| v * factor).collect())
+    }
+
+    impl MomentumTracker {
+        pub(crate) fn observe_transition(
+            &mut self,
+            old: &ParamVector,
+            new: &ParamVector,
+        ) -> Result<(), TensorError> {
+            let step = scale(&sub(old, new)?, 1.0 / self.learning_rate);
+            self.observe_step_cloning(&step)
+        }
+
+        fn observe_step_cloning(&mut self, step: &ParamVector) -> Result<(), TensorError> {
+            match &mut self.velocity {
+                None => {
+                    // v_1 = (1 - beta) * s_1  (v_0 = 0)
+                    self.velocity = Some(scale(step, 1.0 - self.beta));
+                }
+                Some(v) => {
+                    if v.len() != step.len() {
+                        return Err(TensorError::ShapeMismatch {
+                            lhs: vec![v.len()],
+                            rhs: vec![step.len()],
+                            op: "momentum_observe",
+                        });
+                    }
+                    let mut next = scale(v, self.beta);
+                    next.add_scaled(step, 1.0 - self.beta)?;
+                    *v = next;
+                }
+            }
+            self.updates += 1;
+            Ok(())
+        }
     }
 }
 
@@ -141,11 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn transition_divides_by_learning_rate() {
+    fn merge_moves_the_model_and_divides_the_step_by_the_learning_rate() {
         let mut m = MomentumTracker::new(0.0, 0.1);
-        let old = ParamVector::new(vec![1.0, 1.0]);
+        let mut global = ParamVector::new(vec![1.0, 1.0]);
         let new = ParamVector::new(vec![0.9, 1.1]);
-        m.observe_transition(&old, &new).unwrap();
+        m.observe_merge(&mut global, &new, |_, l| l).unwrap();
+        assert_eq!(global, new);
         let v = m.velocity().unwrap();
         // step = (old - new)/eta = [1.0, -1.0]; beta=0 keeps it as-is.
         assert!((v.values()[0] - 1.0).abs() < 1e-5);
@@ -157,12 +239,15 @@ mod tests {
         let mut m = MomentumTracker::new(0.9, 0.1);
         m.observe_step(&ParamVector::new(vec![1.0, 2.0])).unwrap();
         assert!(m.observe_step(&ParamVector::new(vec![1.0])).is_err());
+        // Neither an upload nor a velocity of another length moves the model.
+        let mut global = ParamVector::new(vec![1.0]);
+        let two = ParamVector::new(vec![5.0, 6.0]);
+        assert!(m.observe_merge(&mut global, &two, |_, l| l).is_err());
         assert!(m
-            .observe_transition(
-                &ParamVector::new(vec![1.0]),
-                &ParamVector::new(vec![1.0, 2.0])
-            )
+            .observe_merge(&mut global, &ParamVector::new(vec![5.0]), |_, l| l)
             .is_err());
+        assert_eq!(global.values(), &[1.0]);
+        assert_eq!(m.updates(), 1);
     }
 
     #[test]

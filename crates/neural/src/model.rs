@@ -78,29 +78,6 @@ impl ParamVector {
             .sqrt())
     }
 
-    /// Elementwise difference `self - other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the lengths differ.
-    pub fn sub(&self, other: &ParamVector) -> Result<ParamVector, TensorError> {
-        if self.len() != other.len() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![self.len()],
-                rhs: vec![other.len()],
-                op: "param_vector_sub",
-            });
-        }
-        Ok(ParamVector {
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| a - b)
-                .collect(),
-        })
-    }
-
     /// In-place axpy: `self += other * scale`.
     ///
     /// # Errors
@@ -120,40 +97,41 @@ impl ParamVector {
         Ok(())
     }
 
-    /// Returns a scaled copy.
-    pub fn scale(&self, factor: f32) -> ParamVector {
-        ParamVector {
-            values: self.values.iter().map(|v| v * factor).collect(),
-        }
-    }
-
     /// Averages a non-empty set of vectors with the given non-negative
-    /// weights (FedAvg-style aggregation).
+    /// weights (FedAvg-style aggregation). The vectors are read where they
+    /// are — a slice of vectors, or references picked out of a round's
+    /// updates — and the only allocation is the result.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the inputs are empty,
     /// lengths differ, or the weights do not match the number of vectors.
-    pub fn weighted_average(
-        vectors: &[ParamVector],
-        weights: &[f32],
-    ) -> Result<ParamVector, TensorError> {
-        if vectors.is_empty() || vectors.len() != weights.len() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![vectors.len()],
-                rhs: vec![weights.len()],
-                op: "weighted_average",
-            });
-        }
+    pub fn weighted_average<'a, I>(vectors: I, weights: &[f32]) -> Result<ParamVector, TensorError>
+    where
+        I: IntoIterator<Item = &'a ParamVector>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut vectors = vectors.into_iter().peekable();
+        let count = vectors.len();
+        let len = match vectors.peek() {
+            Some(first) if count == weights.len() => first.len(),
+            _ => {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: vec![count],
+                    rhs: vec![weights.len()],
+                    op: "weighted_average",
+                })
+            }
+        };
         let total: f32 = weights.iter().sum();
-        let mut out = ParamVector::zeros(vectors[0].len());
-        for (v, &w) in vectors.iter().zip(weights) {
+        let mut out = ParamVector::zeros(len);
+        for (v, &w) in vectors.zip(weights) {
             out.add_scaled(
                 v,
                 if total > 0.0 {
                     w / total
                 } else {
-                    1.0 / vectors.len() as f32
+                    1.0 / count as f32
                 },
             )?;
         }
@@ -523,7 +501,6 @@ mod tests {
     fn param_vector_arithmetic() {
         let a = ParamVector::new(vec![1.0, 2.0, 3.0]);
         let b = ParamVector::new(vec![0.0, 2.0, 5.0]);
-        assert_eq!(a.sub(&b).unwrap().values(), &[1.0, 0.0, -2.0]);
         assert!((a.distance_l2(&b).unwrap() - (1.0f32 + 4.0).sqrt()).abs() < 1e-6);
         assert!((a.norm_l2() - 14.0f32.sqrt()).abs() < 1e-6);
         let avg = ParamVector::weighted_average(&[a.clone(), b.clone()], &[1.0, 1.0]).unwrap();
@@ -532,7 +509,7 @@ mod tests {
         let mut c = ParamVector::zeros(3);
         c.add_scaled(&a, 2.0).unwrap();
         assert_eq!(c.values(), &[2.0, 4.0, 6.0]);
-        assert!(a.sub(&ParamVector::zeros(2)).is_err());
+        assert!(c.add_scaled(&ParamVector::zeros(2), 1.0).is_err());
         assert!(ParamVector::weighted_average(&[], &[]).is_err());
     }
 

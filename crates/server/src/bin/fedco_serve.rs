@@ -27,18 +27,27 @@
 //! stops the accept loop — a clean, in-protocol exit. The process itself
 //! stays on wall-clock only for socket waits; every decision the core makes
 //! runs on its logical tick.
+//!
+//! Nothing polls: `accept` blocks and the ticker waits on a channel. The
+//! connection that answers `ShutdownOk` sets the stop flag, sends the ticker
+//! its stop message, and makes one loopback connection to the listener to
+//! wake the acceptor, so neither start-up nor exit waits out an interval.
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fedco_neural::model::ParamVector;
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
-use fedco_server::protocol::{read_frame, write_frame, Message, WireError};
+use fedco_server::protocol::{
+    write_frame, FrameReader, Message, WireError, MAX_FRAME_LEN, MAX_MODEL_LEN,
+};
 use fedco_server::service::{ServerCore, ServerCoreConfig};
 use fedco_server::session::SessionConfig;
 use fedco_telemetry::export::events_to_jsonl;
@@ -142,12 +151,46 @@ fn initial_model(len: usize, seed: u64) -> ParamVector {
     }
 }
 
+/// How long a connection thread blocks in a read before it looks at the stop
+/// signal again.
+const READ_POLL: Duration = Duration::from_millis(250);
+
+/// What every thread of the service shares.
+#[derive(Debug)]
+struct Shared {
+    core: Mutex<ServerCore>,
+    /// Set once, by the connection that answered `ShutdownOk`.
+    stop: AtomicBool,
+    /// Ends the ticker's timed wait (nobody listens when there is no ticker).
+    stop_ticker: Sender<()>,
+    /// Where the listener is bound (the acceptor's wake-up call goes there).
+    local: SocketAddr,
+}
+
+impl Shared {
+    /// Stops the service: the flag for the connection threads, a message
+    /// for the ticker, and for the acceptor one connection to its own
+    /// listener (through loopback when it is bound to an unspecified
+    /// address, which cannot be connected to).
+    fn shut_down(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = self.stop_ticker.send(());
+        let ip = match self.local.ip() {
+            ip if !ip.is_unspecified() => ip,
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        let wake = SocketAddr::new(ip, self.local.port());
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            eprintln!("fedco-serve: could not wake the acceptor at {wake}: {e}");
+        }
+    }
+}
+
 /// Serves one connection until the peer disconnects or shutdown begins.
-fn serve_connection(stream: TcpStream, core: Arc<Mutex<ServerCore>>, stop: Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut stream = stream;
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(250)))
-        .is_err()
+    if stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream
             .set_write_timeout(Some(Duration::from_secs(5)))
             .is_err()
@@ -155,12 +198,15 @@ fn serve_connection(stream: TcpStream, core: Arc<Mutex<ServerCore>>, stop: Arc<A
     {
         return;
     }
+    let mut reader = FrameReader::default();
     loop {
-        let msg = match read_frame(&mut stream) {
+        let msg = match reader.read_from(&mut stream) {
             Ok(msg) => msg,
             Err(WireError::TimedOut) => {
-                // Idle poll: keep waiting unless the service is going down.
-                if stop.load(Ordering::SeqCst) {
+                // Idle, or a peer pausing inside a frame (the reader keeps
+                // what arrived): keep waiting unless the service is going
+                // down.
+                if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
@@ -173,7 +219,7 @@ fn serve_connection(stream: TcpStream, core: Arc<Mutex<ServerCore>>, stop: Arc<A
             }
         };
         let reply = {
-            let mut core = match core.lock() {
+            let mut core = match shared.core.lock() {
                 Ok(core) => core,
                 Err(_) => return,
             };
@@ -183,15 +229,83 @@ fn serve_connection(stream: TcpStream, core: Arc<Mutex<ServerCore>>, stop: Arc<A
             return;
         }
         if reply == Message::ShutdownOk {
-            stop.store(true, Ordering::SeqCst);
+            shared.shut_down();
             return;
         }
+    }
+}
+
+/// The accept side: the listener and the connection threads still running.
+#[derive(Debug)]
+struct Acceptor {
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Binds the listener; the receiver is the ticker's end of the stop
+    /// channel.
+    fn bind(listen: &str, core: ServerCore) -> Result<(Acceptor, Receiver<()>), String> {
+        let listener = TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| format!("local_addr: {e}"))?;
+        let (stop_ticker, ticker_stopped) = channel();
+        let shared = Arc::new(Shared {
+            core: Mutex::new(core),
+            stop: AtomicBool::new(false),
+            stop_ticker,
+            local,
+        });
+        let acceptor = Acceptor {
+            listener,
+            shared,
+            workers: Vec::new(),
+        };
+        Ok((acceptor, ticker_stopped))
+    }
+
+    /// Blocks for the next connection and gives it a thread. Threads that
+    /// have finished are dropped first (a finished thread's handle has
+    /// nothing left to join), so a long-running server holds one handle per
+    /// open connection, not one per connection it ever accepted.
+    fn accept_one(&mut self) -> Result<(), String> {
+        let (stream, _peer) = self.listener.accept().map_err(|e| format!("accept: {e}"))?;
+        self.workers.retain(|worker| !worker.is_finished());
+        // Once stopped, what arrives is the wake-up call (or a client too
+        // late to be served): drop it.
+        if !self.shared.stop.load(Ordering::SeqCst) {
+            let shared = self.shared.clone();
+            self.workers.push(std::thread::spawn(move || {
+                serve_connection(stream, &shared);
+            }));
+        }
+        Ok(())
+    }
+
+    /// Accepts until the stop signal is raised, then joins what is left.
+    fn run(mut self) -> Result<(), String> {
+        while !self.shared.stop.load(Ordering::SeqCst) {
+            self.accept_one()?;
+        }
+        for worker in self.workers {
+            let _ = worker.join();
+        }
+        Ok(())
     }
 }
 
 fn run(args: Args) -> Result<(), String> {
     if args.tick_ms == 0 && args.tick_every == 0 {
         return Err("a live server needs a clock: set --tick-ms or --tick-every".to_string());
+    }
+    if args.model_len > MAX_MODEL_LEN {
+        return Err(format!(
+            "--model-len {}: no frame can carry that model; MAX_FRAME_LEN ({MAX_FRAME_LEN} \
+             bytes) holds at most {MAX_MODEL_LEN} parameters",
+            args.model_len
+        ));
     }
     let sink = BufferSink::shared();
     let mut core = ServerCore::new(ServerCoreConfig {
@@ -210,64 +324,34 @@ fn run(args: Args) -> Result<(), String> {
     if args.trace.is_some() {
         core.attach_telemetry(sink.clone());
     }
-    let core = Arc::new(Mutex::new(core));
-    let stop = Arc::new(AtomicBool::new(false));
 
-    let listener =
-        TcpListener::bind(&args.listen).map_err(|e| format!("bind {}: {e}", args.listen))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    println!("listening={local}");
+    let (acceptor, ticker_stopped) = Acceptor::bind(&args.listen, core)?;
+    let shared = acceptor.shared.clone();
+    println!("listening={}", shared.local);
     // Make sure a parent process polling our stdout sees the address now.
     let _ = std::io::stdout().flush();
 
     // The wall-time ticker: heartbeat expiry and queue draining keep
     // happening on a live server even when no frames are arriving.
-    let ticker = if args.tick_ms > 0 {
-        let core = core.clone();
-        let stop = stop.clone();
+    let ticker = (args.tick_ms > 0).then(|| {
+        let shared = shared.clone();
         let every = Duration::from_millis(args.tick_ms);
-        Some(std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(every);
-                if let Ok(mut core) = core.lock() {
+        std::thread::spawn(move || {
+            while ticker_stopped.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
+                if let Ok(mut core) = shared.core.lock() {
                     core.advance_tick();
                 }
             }
-        }))
-    } else {
-        None
-    };
+        })
+    });
 
-    let mut workers = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let core = core.clone();
-                let stop = stop.clone();
-                workers.push(std::thread::spawn(move || {
-                    serve_connection(stream, core, stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(format!("accept: {e}")),
-        }
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
+    acceptor.run()?;
     if let Some(ticker) = ticker {
         let _ = ticker.join();
     }
 
     let (counters, stats, version) = {
-        let core = match core.lock() {
+        let core = match shared.core.lock() {
             Ok(core) => core,
             Err(poisoned) => poisoned.into_inner(),
         };
@@ -306,5 +390,111 @@ fn main() -> ExitCode {
             eprintln!("fedco-serve: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedco_server::deadline::Deadline;
+    use fedco_server::protocol::{read_frame, WireUpdate, HEADER_LEN};
+    use std::io::Write;
+
+    fn bound() -> (Acceptor, Receiver<()>) {
+        let core = ServerCore::new(ServerCoreConfig::inline_with_model(ParamVector::zeros(4)));
+        Acceptor::bind("127.0.0.1:0", core).unwrap()
+    }
+
+    fn acceptor() -> Acceptor {
+        bound().0
+    }
+
+    fn connect(acceptor: &mut Acceptor) -> TcpStream {
+        let client = TcpStream::connect(acceptor.shared.local).unwrap();
+        acceptor.accept_one().unwrap();
+        client
+    }
+
+    #[test]
+    fn the_acceptor_holds_one_handle_per_open_connection() {
+        let mut acceptor = acceptor();
+        let held: Vec<TcpStream> = (0..3).map(|_| connect(&mut acceptor)).collect();
+        for _ in 0..300 {
+            drop(connect(&mut acceptor));
+            assert_eq!(acceptor.workers.len(), held.len() + 1);
+            // The closed connection's thread ends on the EOF it reads; the
+            // next accept must then let go of its handle.
+            let patience = Deadline::starting_now(Duration::from_secs(20));
+            while !acceptor.workers[held.len()].is_finished() {
+                assert!(!patience.expired(), "a closed connection kept its thread");
+                std::thread::yield_now();
+            }
+        }
+        drop(held);
+    }
+
+    /// Writes `frame` with a pause longer than the server's read timeout
+    /// after its first `cut` bytes.
+    fn write_with_a_stall(client: &mut TcpStream, frame: &[u8], cut: usize) {
+        client.write_all(&frame[..cut]).unwrap();
+        client.flush().unwrap();
+        std::thread::sleep(READ_POLL + Duration::from_millis(150));
+        client.write_all(&frame[cut..]).unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_stalls_inside_a_frame_is_resumed_not_dropped() {
+        let mut acceptor = acceptor();
+        let mut client = connect(&mut acceptor);
+        client.set_nodelay(true).unwrap();
+        write_frame(&mut client, &Message::Hello { client: 1 }).unwrap();
+        let Message::Welcome { session, .. } = read_frame(&mut client).unwrap() else {
+            panic!("Hello was not welcomed");
+        };
+        let push = Message::PushUpdate {
+            session,
+            update: WireUpdate {
+                client: 1,
+                base_version: 0,
+                num_samples: 32,
+                train_loss_bits: 0,
+                train_accuracy_bits: 0,
+                params: vec![1.0, 2.0, 3.0, 4.0],
+            },
+        }
+        .to_frame();
+        // The header and half the payload, a pause, the rest.
+        let half = HEADER_LEN + (push.len() - HEADER_LEN) / 2;
+        write_with_a_stall(&mut client, &push, half);
+        assert_eq!(
+            read_frame(&mut client),
+            Ok(Message::PushApplied { lag: 0, version: 1 })
+        );
+        // A pause inside the header itself.
+        write_with_a_stall(&mut client, &Message::Heartbeat { session }.to_frame(), 3);
+        assert_eq!(
+            read_frame(&mut client),
+            Ok(Message::HeartbeatAck { tick: 0 })
+        );
+        assert_eq!(
+            acceptor.shared.core.lock().unwrap().model().1.values(),
+            &[1.0, 2.0, 3.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_the_acceptor_and_the_ticker_without_another_client() {
+        let (acceptor, ticker_stopped) = bound();
+        let shared = acceptor.shared.clone();
+        let ticker =
+            std::thread::spawn(move || ticker_stopped.recv_timeout(Duration::from_secs(3600)));
+        let mut client = TcpStream::connect(shared.local).unwrap();
+        let serving = std::thread::spawn(move || acceptor.run());
+        write_frame(&mut client, &Message::Shutdown).unwrap();
+        assert_eq!(read_frame(&mut client), Ok(Message::ShutdownOk));
+        // Both joins hang (and the test times out) if shutdown wakes nobody.
+        serving.join().unwrap().unwrap();
+        assert_eq!(ticker.join().unwrap(), Ok(()));
+        assert!(shared.stop.load(Ordering::SeqCst));
     }
 }

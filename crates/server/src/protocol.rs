@@ -56,7 +56,10 @@ pub enum WireError {
     TrailingBytes,
     /// The peer closed the connection mid-frame.
     Disconnected,
-    /// A read or write timed out (the socket is still healthy).
+    /// A read or write timed out. The stream is still in step only if the
+    /// timeout fell on a frame boundary: a read that had already consumed
+    /// part of a frame must be resumed by the same [`FrameReader`], which
+    /// keeps the partial frame for exactly that.
     TimedOut,
     /// An OS-level I/O failure.
     Io(String),
@@ -336,15 +339,44 @@ impl Message {
     }
 
     /// Encodes the message as one complete frame (header + payload).
+    ///
+    /// Infallible: a payload above [`MAX_FRAME_LEN`] still encodes (its length
+    /// field wraps) and every decoder rejects it; [`write_frame`] is where
+    /// the cap is enforced on the sending side.
     pub fn to_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        frame.push(self.tag());
-        frame.push(0); // reserved
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
         frame
+    }
+
+    /// Replaces the contents of `out` with the message's frame: one
+    /// reservation (exact whenever it matters, see `payload_len`), the header
+    /// with a placeholder length, the payload written in place behind it, and
+    /// the length patched from the bytes that landed.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve_exact(HEADER_LEN + self.payload_len());
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        out.push(self.tag());
+        out.push(0); // reserved
+        self.put_payload(out);
+        let len = (out.len() - HEADER_LEN) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// The payload size in bytes: exact for the three kinds that carry
+    /// vectors (the only ones that can be large), and for the fixed-size rest
+    /// the largest of them (`StatsIs`, 32 bytes).
+    fn payload_len(&self) -> usize {
+        match self {
+            Message::Model { params, .. } => 8 + f32s_len(params),
+            Message::PushUpdate { update, .. } => 8 + update_len(update),
+            Message::PushRound { updates, .. } => {
+                8 + 4 + updates.iter().map(update_len).sum::<usize>()
+            }
+            _ => 32,
+        }
     }
 
     /// Decodes exactly one frame from `bytes`, rejecting trailing bytes.
@@ -375,62 +407,60 @@ impl Message {
         Message::decode_payload(tag, payload)
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Message::Hello { client } => put_u64(&mut out, *client),
+            Message::Hello { client } => put_u64(out, *client),
             Message::Welcome {
                 session,
                 model_version,
                 model_len,
             } => {
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *model_version);
-                put_u64(&mut out, *model_len);
+                put_u64(out, *session);
+                put_u64(out, *model_version);
+                put_u64(out, *model_len);
             }
             Message::JoinRefused { reason } => out.push(reason.code()),
-            Message::PullModel { session } => put_u64(&mut out, *session),
+            Message::PullModel { session } => put_u64(out, *session),
             Message::Model { version, params } => {
-                put_u64(&mut out, *version);
-                put_f32s(&mut out, params);
+                put_u64(out, *version);
+                put_f32s(out, params);
             }
             Message::PushUpdate { session, update } => {
-                put_u64(&mut out, *session);
-                put_update(&mut out, update);
+                put_u64(out, *session);
+                put_update(out, update);
             }
             Message::PushApplied { lag, version } => {
-                put_u64(&mut out, *lag);
-                put_u64(&mut out, *version);
+                put_u64(out, *lag);
+                put_u64(out, *version);
             }
-            Message::PushQueued { depth } => put_u64(&mut out, *depth),
+            Message::PushQueued { depth } => put_u64(out, *depth),
             Message::PushRefused { reason } => out.push(reason.code()),
             Message::PushRound { session, updates } => {
-                put_u64(&mut out, *session);
-                put_u32(&mut out, updates.len() as u32);
+                put_u64(out, *session);
+                put_u32(out, updates.len() as u32);
                 for u in updates {
-                    put_update(&mut out, u);
+                    put_update(out, u);
                 }
             }
-            Message::RoundOk { version } => put_u64(&mut out, *version),
-            Message::Heartbeat { session } => put_u64(&mut out, *session),
-            Message::HeartbeatAck { tick } => put_u64(&mut out, *tick),
-            Message::Leave { session } => put_u64(&mut out, *session),
+            Message::RoundOk { version } => put_u64(out, *version),
+            Message::Heartbeat { session } => put_u64(out, *session),
+            Message::HeartbeatAck { tick } => put_u64(out, *tick),
+            Message::Leave { session } => put_u64(out, *session),
             Message::LeaveOk | Message::QueryNorm | Message::QueryStats => {}
-            Message::NormIs { bits } => put_u32(&mut out, *bits),
+            Message::NormIs { bits } => put_u32(out, *bits),
             Message::StatsIs {
                 async_updates,
                 sync_rounds,
                 total_lag,
                 max_lag,
             } => {
-                put_u64(&mut out, *async_updates);
-                put_u64(&mut out, *sync_rounds);
-                put_u64(&mut out, *total_lag);
-                put_u64(&mut out, *max_lag);
+                put_u64(out, *async_updates);
+                put_u64(out, *sync_rounds);
+                put_u64(out, *total_lag);
+                put_u64(out, *max_lag);
             }
             Message::Shutdown | Message::ShutdownOk => {}
         }
-        out
     }
 
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
@@ -520,10 +550,22 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Wire size of a counted `f32` vector.
+fn f32s_len(values: &[f32]) -> usize {
+    4 + 4 * values.len()
+}
+
+/// Wire size of one [`WireUpdate`]: 32 fixed bytes, then the parameters.
+fn update_len(u: &WireUpdate) -> usize {
+    32 + f32s_len(&u.params)
+}
+
 fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     put_u32(out, values.len() as u32);
-    for v in values {
-        put_u32(out, v.to_bits());
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (bytes, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -584,10 +626,15 @@ impl<'a> Cursor<'a> {
                 self.remaining()
             )));
         }
+        let floats = self
+            .take(4 * count)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        // `extend` into a sized vector compiles to a block copy; `collect`
+        // on the same iterator converts an element at a time (4× slower on a
+        // LeNet-5 model, EXPERIMENTS.md "Data plane").
         let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(f32::from_bits(self.u32()?));
-        }
+        out.extend(floats);
         Ok(out)
     }
 
@@ -603,40 +650,94 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The longest parameter vector one frame can carry in either direction: a
+/// `PushUpdate` (session, the update's 32 fixed bytes and the vector's count
+/// around its parameters) is the larger of the two single-model frames, so a
+/// model this long also fits a `Model` reply.
+pub const MAX_MODEL_LEN: usize = (MAX_FRAME_LEN as usize - (8 + 32 + 4)) / 4;
+
 /// Writes one frame to a stream.
 ///
 /// # Errors
 ///
-/// Maps OS failures to [`WireError::Io`] / [`WireError::Disconnected`].
+/// A payload above [`MAX_FRAME_LEN`] is [`WireError::Oversized`] before a
+/// byte is sent — the peer's decoder would reject it unread. OS failures map
+/// to [`WireError::Io`] / [`WireError::Disconnected`].
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
-    let frame = msg.to_frame();
-    w.write_all(&frame).map_err(map_io)?;
+    let len = msg.payload_len();
+    if len > MAX_FRAME_LEN as usize {
+        return Err(WireError::Oversized {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+        });
+    }
+    w.write_all(&msg.to_frame()).map_err(map_io)?;
     w.flush().map_err(map_io)
 }
 
-/// Reads exactly one frame from a stream.
+/// Reads exactly one frame from a stream that never times out mid-frame (a
+/// byte slice, a blocking socket). A stream with a read timeout needs a
+/// [`FrameReader`] that outlives the call.
 ///
 /// # Errors
 ///
-/// An EOF at a frame boundary is [`WireError::Disconnected`]; mid-frame it
-/// is also `Disconnected` (the peer vanished, nothing was truncated on our
-/// side). Header defects surface as their typed variants before the payload
-/// is read, so an oversized announcement never allocates.
+/// See [`FrameReader::read_from`].
 pub fn read_frame(r: &mut impl Read) -> Result<Message, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header).map_err(map_io)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len });
+    FrameReader::default().read_from(r)
+}
+
+/// Reads frames off one stream, keeping a partly read frame across a
+/// [`WireError::TimedOut`] so the next call resumes it where the bytes
+/// stopped instead of parsing the rest of a payload as a header.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// The bytes of the current frame read so far, header first.
+    frame: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Reads (or finishes reading) exactly one frame.
+    ///
+    /// # Errors
+    ///
+    /// An EOF at a frame boundary is [`WireError::Disconnected`]; mid-frame it
+    /// is also `Disconnected` (the peer vanished, nothing was truncated on our
+    /// side). Header defects surface as their typed variants before the payload
+    /// is read, so an oversized announcement never allocates. After
+    /// [`WireError::TimedOut`] the bytes that did arrive are kept and the next
+    /// call continues from them; the timeout was an idle one only if the
+    /// reader was at a frame boundary.
+    pub fn read_from(&mut self, r: &mut impl Read) -> Result<Message, WireError> {
+        self.fill(r, HEADER_LEN)?;
+        let h = &self.frame;
+        let len = u32::from_le_bytes([h[0], h[1], h[2], h[3]]);
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::Oversized { len });
+        }
+        let version = u16::from_le_bytes([h[4], h[5]]);
+        if version != PROTOCOL_VERSION {
+            return Err(WireError::BadVersion { got: version });
+        }
+        let tag = h[6];
+        self.fill(r, HEADER_LEN + len as usize)?;
+        let frame = std::mem::take(&mut self.frame);
+        Message::decode_payload(tag, &frame[HEADER_LEN..])
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::BadVersion { got: version });
+
+    /// Reads until the frame buffer holds `upto` bytes, straight into its
+    /// spare capacity (nothing is zero-filled first). `read_to_end` leaves
+    /// what it read in the buffer when it fails, which is what makes a
+    /// timed-out read resumable.
+    fn fill(&mut self, r: &mut impl Read, upto: usize) -> Result<(), WireError> {
+        let missing = upto.saturating_sub(self.frame.len());
+        self.frame.reserve_exact(missing);
+        r.take(missing as u64)
+            .read_to_end(&mut self.frame)
+            .map_err(map_io)?;
+        if self.frame.len() < upto {
+            return Err(WireError::Disconnected);
+        }
+        Ok(())
     }
-    let tag = header[6];
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(map_io)?;
-    Message::decode_payload(tag, &payload)
 }
 
 fn map_io(e: std::io::Error) -> WireError {
@@ -653,16 +754,22 @@ fn map_io(e: std::io::Error) -> WireError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
 
-    pub(crate) fn one_of_each() -> Vec<Message> {
-        let update = WireUpdate {
+    fn one_update() -> WireUpdate {
+        WireUpdate {
             client: 3,
             base_version: 41,
             num_samples: 128,
             train_loss_bits: 1.25_f32.to_bits(),
             train_accuracy_bits: 0.5_f32.to_bits(),
             params: vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0, -0.0],
-        };
+        }
+    }
+
+    pub(crate) fn one_of_each() -> Vec<Message> {
+        let update = one_update();
         vec![
             Message::Hello { client: 7 },
             Message::Welcome {
@@ -790,5 +897,312 @@ mod tests {
         assert_eq!(frame[6], 1); // Hello tag
         assert_eq!(frame[7], 0); // reserved
         assert_eq!(&frame[8..16], &0x0102u64.to_le_bytes());
+    }
+
+    /// The rewritten codec against the one it replaced. `ci.sh` runs this
+    /// module in `--release` too: the bulk conversions only vectorise there.
+    mod reference_bits {
+        use super::*;
+
+        /// The encoder as it was before `encode_into`: the payload built four
+        /// bytes at a time in an unreserved `Vec`, then copied behind its header.
+        /// Bodies unchanged — the oracle the single-buffer codec is held to.
+        fn reference_frame(msg: &Message) -> Vec<u8> {
+            fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+                put_u32(out, values.len() as u32);
+                for v in values {
+                    put_u32(out, v.to_bits());
+                }
+            }
+            fn put_update(out: &mut Vec<u8>, u: &WireUpdate) {
+                put_u64(out, u.client);
+                put_u64(out, u.base_version);
+                put_u64(out, u.num_samples);
+                put_u32(out, u.train_loss_bits);
+                put_u32(out, u.train_accuracy_bits);
+                put_f32s(out, &u.params);
+            }
+            let mut out = Vec::new();
+            match msg {
+                Message::Hello { client } => put_u64(&mut out, *client),
+                Message::Welcome {
+                    session,
+                    model_version,
+                    model_len,
+                } => {
+                    put_u64(&mut out, *session);
+                    put_u64(&mut out, *model_version);
+                    put_u64(&mut out, *model_len);
+                }
+                Message::JoinRefused { reason } => out.push(reason.code()),
+                Message::PullModel { session } => put_u64(&mut out, *session),
+                Message::Model { version, params } => {
+                    put_u64(&mut out, *version);
+                    put_f32s(&mut out, params);
+                }
+                Message::PushUpdate { session, update } => {
+                    put_u64(&mut out, *session);
+                    put_update(&mut out, update);
+                }
+                Message::PushApplied { lag, version } => {
+                    put_u64(&mut out, *lag);
+                    put_u64(&mut out, *version);
+                }
+                Message::PushQueued { depth } => put_u64(&mut out, *depth),
+                Message::PushRefused { reason } => out.push(reason.code()),
+                Message::PushRound { session, updates } => {
+                    put_u64(&mut out, *session);
+                    put_u32(&mut out, updates.len() as u32);
+                    for u in updates {
+                        put_update(&mut out, u);
+                    }
+                }
+                Message::RoundOk { version } => put_u64(&mut out, *version),
+                Message::Heartbeat { session } => put_u64(&mut out, *session),
+                Message::HeartbeatAck { tick } => put_u64(&mut out, *tick),
+                Message::Leave { session } => put_u64(&mut out, *session),
+                Message::LeaveOk | Message::QueryNorm | Message::QueryStats => {}
+                Message::NormIs { bits } => put_u32(&mut out, *bits),
+                Message::StatsIs {
+                    async_updates,
+                    sync_rounds,
+                    total_lag,
+                    max_lag,
+                } => {
+                    put_u64(&mut out, *async_updates);
+                    put_u64(&mut out, *sync_rounds);
+                    put_u64(&mut out, *total_lag);
+                    put_u64(&mut out, *max_lag);
+                }
+                Message::Shutdown | Message::ShutdownOk => {}
+            }
+            let payload = out;
+            let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+            frame.push(msg.tag());
+            frame.push(0); // reserved
+            frame.extend_from_slice(&payload);
+            frame
+        }
+
+        /// Any bit pattern at all: NaNs with payloads, subnormals, infinities.
+        fn random_floats(rng: &mut SmallRng, len: usize) -> Vec<f32> {
+            (0..len)
+                .map(|_| f32::from_bits(rng.gen_range(0..=u64::from(u32::MAX)) as u32))
+                .collect()
+        }
+
+        fn random_update(rng: &mut SmallRng, len: usize) -> WireUpdate {
+            WireUpdate {
+                client: rng.gen_range(0..1u64 << 40),
+                base_version: rng.gen_range(0..1u64 << 40),
+                num_samples: rng.gen_range(0..4096u64),
+                train_loss_bits: rng.gen_range(0..=u64::from(u32::MAX)) as u32,
+                train_accuracy_bits: rng.gen_range(0..=u64::from(u32::MAX)) as u32,
+                params: random_floats(rng, len),
+            }
+        }
+
+        /// The vector-carrying samples of `tests/protocol_fuzz.rs`, LeNet-5-sized
+        /// frames of all three vector kinds, and the empty vectors.
+        fn vector_frames() -> Vec<Message> {
+            const LENET5: usize = 62_006;
+            let mut rng = SmallRng::seed_from_u64(0xC0DEC);
+            let fuzz_update = |seed: u64| WireUpdate {
+                client: seed,
+                base_version: seed.wrapping_mul(3),
+                num_samples: 16 + seed,
+                train_loss_bits: (0.25f32 * seed as f32).to_bits(),
+                train_accuracy_bits: (0.125f32 * seed as f32).to_bits(),
+                params: vec![1.5, -0.0, f32::MIN_POSITIVE, 3.25e7],
+            };
+            vec![
+                Message::Model {
+                    version: 9,
+                    params: vec![0.5, -2.0, -0.0, f32::INFINITY],
+                },
+                Message::PushUpdate {
+                    session: 1,
+                    update: fuzz_update(2),
+                },
+                Message::PushRound {
+                    session: 1,
+                    updates: vec![fuzz_update(1), fuzz_update(9)],
+                },
+                Message::Model {
+                    version: u64::MAX,
+                    params: random_floats(&mut rng, LENET5),
+                },
+                Message::PushUpdate {
+                    session: 7,
+                    update: random_update(&mut rng, LENET5),
+                },
+                Message::PushRound {
+                    session: 7,
+                    updates: (0..3).map(|_| random_update(&mut rng, LENET5)).collect(),
+                },
+                Message::Model {
+                    version: 0,
+                    params: Vec::new(),
+                },
+                Message::PushRound {
+                    session: 0,
+                    updates: vec![random_update(&mut rng, 0)],
+                },
+            ]
+        }
+
+        #[test]
+        fn encode_into_matches_the_per_element_encoder() {
+            let mut reused = Vec::new();
+            let mut longest_first = one_of_each();
+            longest_first.extend(vector_frames());
+            // Longest frame first, so every later encode lands in a buffer that
+            // still holds more bytes than it needs.
+            longest_first.sort_by_key(|msg| std::cmp::Reverse(msg.payload_len()));
+            for msg in &longest_first {
+                let expected = reference_frame(msg);
+                let frame = msg.to_frame();
+                assert!(frame == expected, "{}: frame bytes moved", msg.name());
+                let reserved = HEADER_LEN + msg.payload_len();
+                match msg {
+                    Message::Model { .. }
+                    | Message::PushUpdate { .. }
+                    | Message::PushRound { .. } => assert_eq!(frame.len(), reserved),
+                    _ => assert!(frame.len() <= reserved, "{} outgrew 32", msg.name()),
+                }
+                msg.encode_into(&mut reused);
+                assert!(reused == expected, "{}: reused buffer", msg.name());
+                match Message::from_frame(&frame) {
+                    // `==` on the messages would call every NaN different.
+                    Ok(back) => assert!(back.to_frame() == expected, "{}: decode", msg.name()),
+                    Err(e) => panic!("{} did not decode: {e}", msg.name()),
+                }
+            }
+        }
+
+        #[test]
+        fn sampled_truncations_of_the_big_frames_are_typed_errors() {
+            // Every cut of the small frames is in `tests/protocol_fuzz.rs`; the
+            // 248 KB ones are cut every few KB and at every byte of both ends.
+            for msg in vector_frames() {
+                let frame = msg.to_frame();
+                let cuts = (0..frame.len())
+                    .filter(|cut| cut % 4_099 == 0 || *cut < 64 || frame.len() - cut <= 64);
+                for cut in cuts {
+                    let err = Message::from_frame(&frame[..cut])
+                        .expect_err(&format!("{}[..{cut}] decoded", msg.name()));
+                    assert!(
+                        matches!(err, WireError::Truncated | WireError::BadPayload(_)),
+                        "{}[..{cut}] gave {err:?}",
+                        msg.name()
+                    );
+                    let mut reader = &frame[..cut];
+                    assert_eq!(read_frame(&mut reader), Err(WireError::Disconnected));
+                }
+            }
+            // A count the remaining bytes cannot hold is refused before anything
+            // is sized from it.
+            let mut lying = Message::Model {
+                version: 1,
+                params: vec![1.0; 4],
+            }
+            .to_frame();
+            lying[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                Message::from_frame(&lying),
+                Err(WireError::BadPayload(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn the_encoder_refuses_what_the_decoder_would() {
+        // Nothing below touches the vectors, so they stay untouched zero pages.
+        let fits = Message::PushUpdate {
+            session: 1,
+            update: WireUpdate {
+                params: vec![0.0; MAX_MODEL_LEN],
+                ..one_update()
+            },
+        };
+        assert!(fits.payload_len() <= MAX_FRAME_LEN as usize);
+        let too_long = Message::Model {
+            version: 1,
+            params: vec![0.0; MAX_FRAME_LEN as usize / 4],
+        };
+        let len = too_long.payload_len();
+        assert!(len > MAX_FRAME_LEN as usize);
+        let mut sent = Vec::new();
+        assert_eq!(
+            write_frame(&mut sent, &too_long),
+            Err(WireError::Oversized { len: len as u32 })
+        );
+        assert!(sent.is_empty(), "refused before a byte is sent");
+        let one_more = Message::PushUpdate {
+            session: 1,
+            update: WireUpdate {
+                params: vec![0.0; MAX_MODEL_LEN + 1],
+                ..one_update()
+            },
+        };
+        assert!(write_frame(&mut sent, &one_more).is_err());
+    }
+
+    /// A stream that hands out its script in order: `Some` bytes are read
+    /// (in as many calls as the caller's buffers need), `None` is one timeout.
+    struct Scripted<'a>(std::collections::VecDeque<Option<&'a [u8]>>);
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            loop {
+                match self.0.front_mut() {
+                    None => return Ok(0),
+                    Some(None) => {
+                        self.0.pop_front();
+                        return Err(std::io::ErrorKind::WouldBlock.into());
+                    }
+                    Some(Some([])) => {
+                        self.0.pop_front();
+                    }
+                    Some(Some(bytes)) => {
+                        let n = bytes.len().min(buf.len());
+                        buf[..n].copy_from_slice(&bytes[..n]);
+                        *bytes = &bytes[n..];
+                        return Ok(n);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_at_any_byte_of_a_frame_is_resumed() {
+        let mut messages = one_of_each();
+        messages.push(Message::Model {
+            version: 3,
+            params: vec![0.5; 300],
+        });
+        for msg in messages {
+            let frame = msg.to_frame();
+            for cut in 0..frame.len() {
+                // `cut` bytes, a timeout, the rest, then the next frame whole.
+                let script = [Some(&frame[..cut]), None, Some(&frame[cut..]), Some(&frame)];
+                let mut stream = Scripted(script.into());
+                let mut reader = FrameReader::default();
+                assert_eq!(
+                    reader.read_from(&mut stream),
+                    Err(WireError::TimedOut),
+                    "{} cut at {cut}",
+                    msg.name()
+                );
+                for _ in 0..2 {
+                    let back = reader.read_from(&mut stream);
+                    assert_eq!(back.as_ref(), Ok(&msg), "{} cut at {cut}", msg.name());
+                }
+                assert_eq!(reader.read_from(&mut stream), Err(WireError::Disconnected));
+            }
+        }
     }
 }

@@ -5,13 +5,15 @@
 //! format, so it exercises the exact bytes a socket would carry — this is
 //! the deterministic transport every test and the soak determinism check
 //! use. [`TcpTransport`] speaks the same frames over a `std::net` loopback
-//! stream with read/write timeouts for real soak runs.
+//! stream with read/write timeouts for real soak runs; its [`FrameReader`]
+//! keeps a reply that timed out half-read, so a slow link delays a frame
+//! instead of desynchronising the stream.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, Message, WireError};
+use crate::protocol::{write_frame, FrameReader, Message, WireError};
 use crate::service::ServerCore;
 
 /// A synchronous request/reply channel to a server.
@@ -59,6 +61,7 @@ impl Transport for ChannelTransport {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    reader: FrameReader,
 }
 
 impl TcpTransport {
@@ -87,20 +90,24 @@ impl TcpTransport {
         stream
             .set_nodelay(true)
             .map_err(|e| WireError::Io(e.to_string()))?;
-        Ok(TcpTransport { stream })
+        Ok(TcpTransport {
+            stream,
+            reader: FrameReader::default(),
+        })
     }
 }
 
 impl Transport for TcpTransport {
     fn request(&mut self, msg: &Message) -> Result<Message, WireError> {
         write_frame(&mut self.stream, msg)?;
-        read_frame(&mut self.stream)
+        self.reader.read_from(&mut self.stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame;
     use crate::service::ServerCoreConfig;
     use fedco_neural::model::ParamVector;
 
@@ -160,5 +167,47 @@ mod tests {
         ));
         assert_eq!(t.request(&Message::Shutdown).unwrap(), Message::ShutdownOk);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_that_times_out_is_finished_by_the_next_read_not_misparsed() {
+        use std::io::Write;
+        use std::net::TcpListener;
+        use std::sync::mpsc::channel;
+
+        let late = Message::Model {
+            version: 4,
+            params: vec![0.25; 64],
+        };
+        // The reply stalls before its first byte (an idle timeout) and in the
+        // middle of its payload.
+        for cut in [0, late.to_frame().len() / 2] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let (resume, resumed) = channel::<()>();
+            let frame = late.to_frame();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_frame(&mut stream).unwrap();
+                stream.write_all(&frame[..cut]).unwrap();
+                resumed.recv().unwrap();
+                stream.write_all(&frame[cut..]).unwrap();
+                read_frame(&mut stream).unwrap();
+                write_frame(&mut stream, &Message::LeaveOk).unwrap();
+                read_frame(&mut stream).unwrap();
+            });
+            let mut t = TcpTransport::connect(&addr, Duration::from_millis(50)).unwrap();
+            let ask = Message::QueryStats;
+            assert_eq!(t.request(&ask), Err(WireError::TimedOut), "cut {cut}");
+            resume.send(()).unwrap();
+            // The stream is still in step: frames arrive whole and in order,
+            // one request late.
+            t.stream
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            assert_eq!(t.request(&ask).as_ref(), Ok(&late), "cut {cut}");
+            assert_eq!(t.request(&ask), Ok(Message::LeaveOk), "cut {cut}");
+            server.join().unwrap();
+        }
     }
 }
