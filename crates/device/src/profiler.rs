@@ -239,13 +239,18 @@ impl EnergyProfiler {
         self.by_component[component as usize]
     }
 
-    /// The full per-component breakdown, sorted by component.
-    pub fn breakdown(&self) -> Vec<(EnergyComponent, Joules)> {
+    /// The touched components and their energy, in component order, without
+    /// allocating (what a per-sample fold over many profilers iterates).
+    pub fn components(&self) -> impl Iterator<Item = (EnergyComponent, Joules)> + '_ {
         EnergyComponent::ALL
             .into_iter()
             .filter(|&c| self.touched & (1 << c as usize) != 0)
             .map(|c| (c, self.by_component[c as usize]))
-            .collect()
+    }
+
+    /// The full per-component breakdown, sorted by component.
+    pub fn breakdown(&self) -> Vec<(EnergyComponent, Joules)> {
+        self.components().collect()
     }
 
     /// The recorded segments.

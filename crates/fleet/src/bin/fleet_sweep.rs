@@ -20,9 +20,10 @@
 //!   --seed N              base seed of the per-job derivation (default 42)
 //!   --csv PATH            write per-job rows as CSV
 //!   --jsonl PATH          write per-job rows as JSON lines
-//!   --trace PATH          trace every job; write the merged telemetry
-//!                         event stream as JSON lines (slot-stamped,
-//!                         bit-identical for any worker count)
+//!   --trace PATH          trace every job; stream the merged telemetry
+//!                         event stream out as JSON lines while the sweep
+//!                         runs (slot-stamped, in job order, bit-identical
+//!                         for any worker count)
 //!   --metrics PATH        trace every job; write the metrics derived from
 //!                         the merged stream as JSON lines
 //!   --verify              also run on 1 worker; check bit-identical
@@ -38,18 +39,25 @@
 //!
 //! Invalid flags and bad specs are reported on stderr with the offending
 //! token named and the valid choices listed — the binary never panics on
-//! bad input.
+//! bad input. All four output files are opened before the first job runs, so
+//! a mistyped directory exits 1 at once, naming the flag and the path.
+//!
+//! Telemetry never gathers in one place: each worker renders its job's
+//! trace lines and folds its job's metrics, and the main thread writes them
+//! out in job order while the sweep runs, so `--trace`/`--metrics` cost the
+//! memory of the jobs in flight, not of the whole sweep.
 //!
 //! With `FEDCO_BENCH_JSON=<path>` set, one throughput line per cell
 //! (`{"name":"fleet_sweep/<scenario>/<policy>",…}`) is appended to that
 //! file, so sweep runs record the same benchmark trajectories as
 //! `cargo bench`.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use fedco_core::scenario::FIELD_KEYS;
 use fedco_fleet::prelude::*;
-use fedco_telemetry::export::events_to_jsonl;
 
 struct Args {
     workers: usize,
@@ -249,22 +257,87 @@ fn build_grid(args: &Args) -> ScenarioGrid {
         .with_replicates(args.replicates)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+/// Opens (and truncates) one output file. The label it returns names the
+/// flag and the path in any later error about it.
+fn open_output(flag: &str, path: &Option<String>) -> Result<Option<(String, File)>, String> {
+    let Some(path) = path else {
+        return Ok(None);
     };
-    let grid = build_grid(&args);
+    let label = format!("{flag} {path}");
+    match File::create(path) {
+        Ok(file) => Ok(Some((label, file))),
+        Err(e) => Err(format!("{label}: {e}")),
+    }
+}
+
+/// Writes a whole report into its file, if the flag was given.
+fn write_output(output: Option<(String, File)>, text: impl Fn() -> String) -> Result<(), String> {
+    match output {
+        Some((label, mut file)) => file
+            .write_all(text().as_bytes())
+            .map_err(|e| format!("failed to write {label}: {e}")),
+        None => Ok(()),
+    }
+}
+
+/// What passes through to the trace file, with its length and FNV-1a kept
+/// only when `--verify` will compare them against the 1-worker re-run's
+/// (whose bytes go nowhere) — so neither stream is ever held.
+struct TraceStream<W: Write> {
+    inner: W,
+    digest: Option<(u64, u64)>,
+}
+
+impl<W: Write> TraceStream<W> {
+    fn new(inner: W, verify: bool) -> Self {
+        let digest = verify.then_some((0, 0xcbf2_9ce4_8422_2325));
+        TraceStream { inner, digest }
+    }
+}
+
+impl<W: Write> Write for TraceStream<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.inner.write(buf)?;
+        if let Some((bytes, hash)) = &mut self.digest {
+            *bytes += written as u64;
+            for &byte in &buf[..written] {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Runs the sweep: through the streaming path when a telemetry output was
+/// requested, otherwise with telemetry disabled (near-zero cost).
+fn sweep(
+    grid: &ScenarioGrid,
+    workers: usize,
+    trace: Option<&mut dyn Write>,
+    metrics: bool,
+) -> io::Result<StreamedSweep> {
+    if trace.is_some() || metrics {
+        return run_grid_streamed(grid, workers, trace, metrics);
+    }
+    Ok(StreamedSweep {
+        report: run_grid(grid, workers),
+        events: 0,
+        metrics: None,
+    })
+}
+
+/// Runs the sweep the arguments describe; `Ok(false)` is a failed
+/// `--verify`, which has already said so on stdout.
+fn run(args: &Args) -> Result<bool, String> {
+    let grid = build_grid(args);
     // A bad flag combination surfaces as a typed error on stderr, never as
     // a panic inside the sweep.
-    if let Err(e) = grid.validate() {
-        eprintln!("invalid sweep configuration: {e}");
-        return ExitCode::FAILURE;
-    }
+    grid.validate()
+        .map_err(|e| format!("invalid sweep configuration: {e}"))?;
     let workers = resolve_workers(args.workers);
     let axis_cells: usize = grid.axes.iter().map(|a| a.values.len()).product();
     println!(
@@ -285,16 +358,26 @@ fn main() -> ExitCode {
     let labels: Vec<String> = args.policies.iter().map(PolicySpec::label).collect();
     println!("policies: {}\n", labels.join(", "));
 
-    // Tracing is only wired in when a sink for it was requested; otherwise
-    // the sweep runs with telemetry disabled (near-zero cost).
-    let tracing = args.trace.is_some() || args.metrics.is_some();
-    let (report, trace) = if tracing {
-        let (report, trace) = run_grid_traced(&grid, args.workers);
-        (report, Some(trace))
-    } else {
-        (run_grid(&grid, args.workers), None)
-    };
-    print!("{}", rollup_table(&report));
+    // Every output is opened before the first job, so a path that cannot be
+    // written is reported now and not after the whole sweep has run.
+    let csv = open_output("--csv", &args.csv)?;
+    let jsonl = open_output("--jsonl", &args.jsonl)?;
+    let trace_file = open_output("--trace", &args.trace)?;
+    let metrics = open_output("--metrics", &args.metrics)?;
+
+    // Tracing is only wired in when an output for it was requested. The
+    // trace is on its way to the file while the sweep runs; an error of that
+    // stream ends its output and is the one thing reported.
+    let mut trace = trace_file
+        .as_ref()
+        .map(|(_, file)| TraceStream::new(BufWriter::new(file), args.verify));
+    let trace_out = trace.as_mut().map(|stream| stream as &mut dyn Write);
+    let swept = sweep(&grid, args.workers, trace_out, metrics.is_some()).map_err(|e| {
+        let label = trace_file.as_ref().map_or("--trace", |(label, _)| label);
+        format!("failed to write {label}: {e}")
+    })?;
+    let report = &swept.report;
+    print!("{}", rollup_table(report));
     let throughput = report.jobs.len() as f64 / report.wall_s.max(1e-9);
     println!(
         "\n{} jobs in {:.2} s on {} worker(s) ({:.1} jobs/s)",
@@ -305,71 +388,69 @@ fn main() -> ExitCode {
     );
     // With FEDCO_BENCH_JSON set, append one throughput line per cell so
     // sweeps double as benchmark trajectories.
-    record_bench_json(&report, "fleet_sweep");
+    record_bench_json(report, "fleet_sweep");
 
+    write_output(csv, || to_csv(report))?;
     if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, to_csv(&report)) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
         println!("wrote {path} ({} rows)", report.jobs.len());
     }
+    write_output(jsonl, || to_jsonl(report))?;
     if let Some(path) = &args.jsonl {
-        if let Err(e) = std::fs::write(path, to_jsonl(&report)) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
         println!("wrote {path} ({} lines)", report.jobs.len());
     }
-    if let Some(trace) = &trace {
-        if let Some(path) = &args.trace {
-            if let Err(e) = std::fs::write(path, events_to_jsonl(&trace.events)) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path} ({} events)", trace.events.len());
-        }
-        if let Some(path) = &args.metrics {
-            if let Err(e) = std::fs::write(path, trace.metrics.to_jsonl()) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path} ({} metrics)", trace.metrics.len());
-        }
+    if let Some(path) = &args.trace {
+        println!("wrote {path} ({} events)", swept.events);
+    }
+    if let (Some(path), Some(registry)) = (&args.metrics, &swept.metrics) {
+        write_output(metrics, || registry.to_jsonl())?;
+        println!("wrote {path} ({} metrics)", registry.len());
     }
 
-    if args.verify {
-        println!("\nverify: re-running the grid on 1 worker ...");
-        let (sequential, sequential_trace) = if tracing {
-            let (report, trace) = run_grid_traced(&grid, 1);
-            (report, Some(trace))
-        } else {
-            (run_grid_sequential(&grid), None)
-        };
-        let mut identical = deterministic_view(&report) == deterministic_view(&sequential)
-            && report.rollups == sequential.rollups;
+    if !args.verify {
+        return Ok(true);
+    }
+    println!("\nverify: re-running the grid on 1 worker ...");
+    let mut resink = trace.as_ref().map(|_| TraceStream::new(io::sink(), true));
+    let resink_out = resink.as_mut().map(|stream| stream as &mut dyn Write);
+    let sequential = sweep(&grid, 1, resink_out, swept.metrics.is_some())
+        .map_err(|e| format!("verify re-run: {e}"))?;
+    let mut identical = deterministic_view(report) == deterministic_view(&sequential.report)
+        && report.rollups == sequential.report.rollups;
+    println!(
+        "verify: merged statistics bit-identical across worker counts: {}",
+        if identical { "yes" } else { "NO" }
+    );
+    if trace.is_some() || swept.metrics.is_some() {
+        let metrics_text = |swept: &StreamedSweep| swept.metrics.as_ref().map(|m| m.to_jsonl());
+        let trace_identical = swept.events == sequential.events
+            && trace.map(|stream| stream.digest) == resink.map(|stream| stream.digest)
+            && metrics_text(&swept) == metrics_text(&sequential);
         println!(
-            "verify: merged statistics bit-identical across worker counts: {}",
-            if identical { "yes" } else { "NO" }
+            "verify: telemetry trace and metrics byte-identical across worker counts: {}",
+            if trace_identical { "yes" } else { "NO" }
         );
-        if let (Some(trace), Some(sequential_trace)) = (&trace, &sequential_trace) {
-            let trace_identical = events_to_jsonl(&trace.events)
-                == events_to_jsonl(&sequential_trace.events)
-                && trace.metrics.to_jsonl() == sequential_trace.metrics.to_jsonl();
-            println!(
-                "verify: telemetry trace and metrics byte-identical across worker counts: {}",
-                if trace_identical { "yes" } else { "NO" }
-            );
-            identical = identical && trace_identical;
-        }
-        let speedup = *sequential.wall_s / report.wall_s.max(1e-9);
-        println!(
-            "verify: {} workers {:.2} s vs 1 worker {:.2} s -> speedup {:.2}x",
-            report.workers, report.wall_s, sequential.wall_s, speedup
-        );
-        if !identical {
-            return ExitCode::FAILURE;
+        identical = identical && trace_identical;
+    }
+    let speedup = *sequential.report.wall_s / report.wall_s.max(1e-9);
+    println!(
+        "verify: {} workers {:.2} s vs 1 worker {:.2} s -> speedup {:.2}x",
+        report.workers, report.wall_s, sequential.report.wall_s, speedup
+    );
+    Ok(identical)
+}
+
+fn main() -> ExitCode {
+    let outcome = match parse_args() {
+        Ok(Some(args)) => run(&args),
+        Ok(None) => Ok(true),
+        Err(msg) => Err(msg),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -3,21 +3,33 @@
 //! Workers pull jobs from a shared [`JobQueue`] (a `Mutex`-guarded deque
 //! with a `Condvar` for wakeups — the std-only stand-in for a work-stealing
 //! deque: idle workers steal the next job the moment they finish their
-//! own), run each simulation in summary-only mode, and deposit the result
-//! into its grid slot. Because every job's seed is derived from its grid
-//! coordinates and the final rollup folds results in job order, the merged
-//! statistics are bit-identical for any worker count and any completion
-//! order.
+//! own), run each simulation in summary-only mode, and send the result to
+//! the calling thread, which takes results in ascending job id while the
+//! workers keep going (one that arrives ahead of its turn waits in its grid
+//! slot). Because every job's seed is derived from its grid coordinates and
+//! results are folded in job order, the merged statistics are bit-identical
+//! for any worker count and any completion order.
+//!
+//! A traced sweep hands each job's events to a `finish` step **on the
+//! worker** and its outcome to a `deliver` step **on the caller, in job
+//! order** ([`run_grid_with`]), so what a sweep holds at once is what its
+//! workers have in flight, not the events of every job:
+//! [`run_grid_traced`] keeps the events, [`run_grid_streamed`] renders and
+//! folds them on the worker and streams the bytes out.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::io::{self, Write};
+use std::sync::{mpsc, Condvar, Mutex};
 
+use fedco_core::experiment::SimConfig;
 use fedco_device::profiler::EnergyComponent;
-use fedco_sim::engine::{run_simulation, run_simulation_traced};
+use fedco_sim::engine::{run_simulation, Simulation};
 use fedco_sim::trace::SimResult;
 use fedco_telemetry::event::{Event, EventKind};
+use fedco_telemetry::export::events_to_jsonl;
 use fedco_telemetry::metrics::MetricsRegistry;
 use fedco_telemetry::profiling::{Measured, Stopwatch};
+use fedco_telemetry::sink::{BufferSink, Telemetry};
 
 use crate::grid::{FleetJob, LinkKind, ScenarioGrid};
 use crate::stats::CellRollup;
@@ -256,23 +268,50 @@ pub fn resolve_workers(requested: usize) -> usize {
 ///
 /// Determinism contract: the report's `jobs` and `rollups` are bit-identical
 /// for every `workers` value, because job seeds depend only on grid
-/// coordinates and the fold happens in job order after all workers join.
-/// Only the `wall_ms`/`wall_s` timings vary between runs.
+/// coordinates and the fold happens in job order, whichever worker finished
+/// first. Only the `wall_ms`/`wall_s` timings vary between runs.
 ///
 /// # Panics
 ///
 /// Panics if the grid is invalid or a worker thread panics.
 pub fn run_grid(grid: &ScenarioGrid, workers: usize) -> FleetReport {
-    run_grid_impl(grid, workers, false).0
+    execute::<()>(grid, workers, None)
+}
+
+/// Runs the grid like [`run_grid`] while tracing every job, with a hand-off
+/// per job instead of a merged trace.
+///
+/// `finish` runs **on the worker**, right after the job's simulation, with
+/// the job's event stream already wrapped in its `job-start`/`job-end`
+/// lifecycle markers; whatever it returns waits in the job's slot.
+/// `deliver` runs **on the calling thread**, exactly once per job and in
+/// ascending job id, while the workers keep going. What `deliver` sees is
+/// therefore the same for every `workers` value, and a `finish` that reduces
+/// the events (renders them, folds them) keeps the sweep's memory at what
+/// its workers have in flight rather than at the sum of all jobs.
+///
+/// # Panics
+///
+/// Panics if the grid is invalid or a worker thread panics.
+pub fn run_grid_with<T: Send>(
+    grid: &ScenarioGrid,
+    workers: usize,
+    finish: impl Fn(&FleetJob, Vec<Event>) -> T + Sync,
+    mut deliver: impl FnMut(&JobSummary, T),
+) -> FleetReport {
+    let sink = JobSink {
+        finish: &finish,
+        deliver: &mut deliver,
+    };
+    execute(grid, workers, Some(sink))
 }
 
 /// The merged telemetry of a traced sweep.
 ///
 /// Every job's event stream is wrapped in `job-start`/`job-end` lifecycle
-/// markers and concatenated **in job order** after all workers join — the
-/// same per-shard/fixed-merge discipline the result slots use — so both the
-/// event stream and the metrics derived from it are bit-identical for any
-/// worker count.
+/// markers and concatenated **in job order** — the same fixed-order
+/// discipline the result slots use — so both the event stream and the
+/// metrics derived from it are bit-identical for any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepTrace {
     /// The merged event stream, in job order.
@@ -283,7 +322,8 @@ pub struct SweepTrace {
 }
 
 /// Runs the grid like [`run_grid`] while tracing every job, and merges the
-/// per-job event streams into one deterministic [`SweepTrace`].
+/// per-job event streams into one deterministic [`SweepTrace`] — the
+/// [`run_grid_with`] whose `finish` keeps the events as they are.
 ///
 /// The report is identical to an untraced run of the same grid (tracing
 /// buffers events per job; it never perturbs simulation state), and the
@@ -293,36 +333,129 @@ pub struct SweepTrace {
 ///
 /// Panics if the grid is invalid or a worker thread panics.
 pub fn run_grid_traced(grid: &ScenarioGrid, workers: usize) -> (FleetReport, SweepTrace) {
-    let (report, traces) = run_grid_impl(grid, workers, true);
     let mut events = Vec::new();
-    for (job, trace) in report.jobs.iter().zip(traces) {
-        events.push(Event::new(
-            0,
-            EventKind::JobStart {
-                job: job.id as u64,
-                scenario: job.scenario.clone(),
-                policy: job.policy.clone(),
-            },
-        ));
-        let end_slot = trace.last().map(|e| e.slot).unwrap_or(0);
-        events.extend(trace);
-        events.push(Event::new(
-            end_slot,
-            EventKind::JobEnd { job: job.id as u64 },
-        ));
-    }
+    let report = run_grid_with(
+        grid,
+        workers,
+        |_, job_events| job_events,
+        |_, mut job_events| events.append(&mut job_events),
+    );
     let metrics = MetricsRegistry::from_trace(&events);
     (report, SweepTrace { events, metrics })
 }
 
-/// One completed job's deposit: the summary plus its (possibly empty) trace.
-type JobSlot = Option<(JobSummary, Vec<Event>)>;
+/// What [`run_grid_streamed`] returns: the report plus the telemetry that
+/// was not written out on the way.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamedSweep {
+    /// The sweep's report, identical to an untraced run's.
+    pub report: FleetReport,
+    /// How many events the merged trace holds.
+    pub events: u64,
+    /// The metrics of the merged trace, when asked for.
+    pub metrics: Option<MetricsRegistry>,
+}
 
-fn run_grid_impl(
+/// Runs the grid like [`run_grid_traced`] without ever holding the merged
+/// trace: each worker renders its job's JSONL chunk and folds its job's
+/// [`MetricsRegistry`] (each only when asked for) and drops the events; the
+/// calling thread writes the chunks to `trace` and
+/// [`append`](MetricsRegistry::append)s the registries in job order, and
+/// flushes `trace` at the end. The bytes written equal
+/// `events_to_jsonl(&run_grid_traced(..).1.events)` and the metrics equal
+/// its `metrics`, for every `workers` value.
+///
+/// # Errors
+///
+/// The first error of `trace`: nothing is written after it, the sweep still
+/// runs to its end, and the error is returned in place of the result.
+///
+/// # Panics
+///
+/// Panics if the grid is invalid or a worker thread panics.
+pub fn run_grid_streamed(
     grid: &ScenarioGrid,
     workers: usize,
-    traced: bool,
-) -> (FleetReport, Vec<Vec<Event>>) {
+    mut trace: Option<&mut dyn Write>,
+    metrics: bool,
+) -> io::Result<StreamedSweep> {
+    let render = trace.is_some();
+    let mut events = 0;
+    let mut merged = metrics.then(MetricsRegistry::new);
+    let mut failed = None;
+    let report = run_grid_with(
+        grid,
+        workers,
+        |_, job_events| {
+            (
+                job_events.len() as u64,
+                render.then(|| events_to_jsonl(&job_events)),
+                metrics.then(|| MetricsRegistry::from_trace(&job_events)),
+            )
+        },
+        |_, (job_events, chunk, job_metrics)| {
+            events += job_events;
+            if let (Some(trace), Some(chunk)) = (trace.as_mut(), chunk) {
+                if failed.is_none() {
+                    failed = trace.write_all(chunk.as_bytes()).err();
+                }
+            }
+            if let (Some(merged), Some(job_metrics)) = (merged.as_mut(), job_metrics) {
+                merged.append(job_metrics);
+            }
+        },
+    );
+    if let (Some(trace), None) = (trace, &failed) {
+        failed = trace.flush().err();
+    }
+    match failed {
+        Some(error) => Err(error),
+        None => Ok(StreamedSweep {
+            report,
+            events,
+            metrics: merged,
+        }),
+    }
+}
+
+/// What a traced sweep does with each job's telemetry (see
+/// [`run_grid_with`]).
+struct JobSink<'a, T> {
+    finish: &'a (dyn Fn(&FleetJob, Vec<Event>) -> T + Sync),
+    deliver: &'a mut dyn FnMut(&JobSummary, T),
+}
+
+/// Runs one job with tracing on, its event stream wrapped in the
+/// `job-start`/`job-end` lifecycle markers. The start marker goes into the
+/// sink before the run does, so the job's events are never moved to make
+/// room for it.
+fn run_job_traced(job: &FleetJob, config: SimConfig) -> (SimResult, Vec<Event>) {
+    let sink = BufferSink::shared();
+    sink.record(Event::new(
+        0,
+        EventKind::JobStart {
+            job: job.id as u64,
+            scenario: job.scenario_label.clone(),
+            policy: config.policy.label(),
+        },
+    ));
+    let result = Simulation::new(config).with_telemetry(sink.clone()).run();
+    let mut events = sink.drain();
+    let end_slot = events.last().map_or(0, |e| e.slot);
+    events.push(Event::new(
+        end_slot,
+        EventKind::JobEnd { job: job.id as u64 },
+    ));
+    (result, events)
+}
+
+/// The one executor body behind [`run_grid`] (no sink: nothing is traced)
+/// and [`run_grid_with`].
+fn execute<T: Send>(
+    grid: &ScenarioGrid,
+    workers: usize,
+    mut sink: Option<JobSink<'_, T>>,
+) -> FleetReport {
     let sweep_watch = Stopwatch::start();
     let jobs = grid.expand();
     let n_jobs = jobs.len();
@@ -334,41 +467,50 @@ fn run_grid_impl(
     }
     queue.close();
 
-    // Each slot is filled exactly once, keyed by job id, so completion order
-    // cannot affect the fold below. Traced runs deposit the job's event
-    // stream in the same slot: one shard per job, merged in job order.
-    let slots: Mutex<Vec<JobSlot>> = Mutex::new((0..n_jobs).map(|_| None).collect());
+    let finish = sink.as_ref().map(|sink| sink.finish);
+    let (done, finished_jobs) = mpsc::channel();
+    let mut jobs = Vec::with_capacity(n_jobs);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
+            let (queue, done) = (&queue, done.clone());
+            scope.spawn(move || {
                 while let Some(job) = queue.pop() {
                     let job_watch = Stopwatch::start();
                     // Summary mode is enforced here, at the execution site,
                     // so even hand-built FleetJobs never materialize traces.
                     let config = job.config.clone().summary_only();
-                    let (result, events) = if traced {
-                        run_simulation_traced(config)
-                    } else {
-                        (run_simulation(config), Vec::new())
+                    let (result, events) = match finish {
+                        Some(_) => run_job_traced(&job, config),
+                        None => (run_simulation(config), Vec::new()),
                     };
                     let wall_ms = job_watch.elapsed_ms();
                     let summary = JobSummary::from_result(&job, &result, wall_ms);
-                    // fedco-audit: allow(panic-surface): poisoned lock means a sibling worker already panicked; propagate
-                    slots.lock().expect("result lock poisoned")[job.id] = Some((summary, events));
+                    let finished = finish.map(|finish| finish(&job, events));
+                    // Nobody listens once the calling thread is unwinding.
+                    if done.send((job.id, summary, finished)).is_err() {
+                        return;
+                    }
                 }
             });
         }
+        drop(done);
+        // The calling thread drains while the workers run: a job that
+        // finished ahead of its turn waits in its slot, and each job is
+        // handed on exactly once, in job order, so completion order cannot
+        // affect anything downstream. The channel closes when every worker
+        // has left — also by a panic, which the scope then propagates.
+        let mut slots: Vec<Option<(JobSummary, Option<T>)>> = (0..n_jobs).map(|_| None).collect();
+        for (id, summary, finished) in finished_jobs {
+            slots[id] = Some((summary, finished));
+            while let Some((summary, finished)) = slots.get_mut(jobs.len()).and_then(Option::take) {
+                if let (Some(sink), Some(finished)) = (sink.as_mut(), finished) {
+                    (sink.deliver)(&summary, finished);
+                }
+                jobs.push(summary);
+            }
+        }
     });
-
-    let (jobs, traces): (Vec<JobSummary>, Vec<Vec<Event>>) = slots
-        .into_inner()
-        // fedco-audit: allow(panic-surface): poisoned lock means a worker already panicked; propagate
-        .expect("result lock poisoned")
-        .into_iter()
-        // fedco-audit: allow(panic-surface): thread::scope joined every worker, and each worker fills exactly the slots of the jobs it popped
-        .map(|s| s.expect("every job slot filled"))
-        .unzip();
 
     // Fold rollups in job order: deterministic regardless of worker count.
     // One rollup per *distinct* (scenario, policy) label pair — a grid
@@ -389,13 +531,12 @@ fn run_grid_impl(
         }
     }
 
-    let report = FleetReport {
+    FleetReport {
         jobs,
         rollups,
         workers,
         wall_s: Measured(sweep_watch.elapsed_s()),
-    };
-    (report, traces)
+    }
 }
 
 /// Runs the grid sequentially (one worker). Useful as the determinism and
@@ -592,6 +733,78 @@ mod tests {
                 rollup.policy
             );
         }
+    }
+
+    #[test]
+    fn deliver_runs_once_per_job_in_ascending_id_whatever_finishes_first() {
+        use std::sync::Barrier;
+
+        let grid = tiny_grid();
+        let last = grid.len() - 1;
+        // Job 0 is held on its worker until the last job has been run on
+        // another one, so every other job finishes first and has to wait in
+        // its slot for the drain to reach it.
+        let gate = Barrier::new(2);
+        let mut delivered = Vec::new();
+        let report = run_grid_with(
+            &grid,
+            3,
+            |job, events| {
+                if job.id == 0 || job.id == last {
+                    gate.wait();
+                }
+                (job.id, events.len())
+            },
+            |summary, (id, events)| {
+                assert_eq!(summary.id, id, "a job is delivered with its own summary");
+                assert!(events > 2, "events arrive wrapped in their markers");
+                delivered.push(id);
+            },
+        );
+        assert_eq!(delivered, (0..grid.len()).collect::<Vec<_>>());
+        assert_eq!(report.jobs, run_grid(&grid, 1).jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_job_propagates_instead_of_stalling_the_drain() {
+        run_grid_with(
+            &tiny_grid(),
+            2,
+            |job, _| assert_ne!(job.id, 1, "job 1 fails on its worker"),
+            |_, ()| {},
+        );
+    }
+
+    #[test]
+    fn a_failing_trace_writer_ends_the_stream_and_is_reported() {
+        /// Accepts `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+            writes_after_failure: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.room == 0 {
+                    self.writes_after_failure += 1;
+                    return Err(io::Error::other("disk full"));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut full = Full {
+            room: 1000,
+            writes_after_failure: 0,
+        };
+        let error = run_grid_streamed(&tiny_grid(), 2, Some(&mut full), true)
+            .expect_err("the writer fails mid-stream");
+        assert_eq!(error.to_string(), "disk full");
+        assert_eq!(full.writes_after_failure, 1, "nothing is written after it");
     }
 
     #[test]

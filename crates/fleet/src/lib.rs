@@ -16,7 +16,8 @@
 //!   a [`PolicySpec`] dimension and replicate seeds, each job seeded by
 //!   SplitMix64 of its grid coordinates;
 //! * [`executor`] — a std-only thread pool (`Mutex`/`Condvar` job queue,
-//!   one worker per core by default) running jobs in summary-only mode;
+//!   one worker per core by default) running jobs in summary-only mode,
+//!   drained by the caller in job order while the workers keep going;
 //! * [`stats`] — mergeable streaming count/mean/M2/min/max accumulators and
 //!   per-`(scenario, policy)` rollups, so sweeps never materialize traces;
 //! * [`report`] — hand-rolled CSV and JSON-lines writers (the workspace is
@@ -26,11 +27,15 @@
 //! Results are **bit-identical for any worker count**: job seeds depend only
 //! on grid coordinates, and rollups fold finished jobs in grid order.
 //!
-//! Sweeps are observable: [`executor::run_grid_traced`] buffers each job's
-//! `fedco-telemetry` event stream in its own shard, wraps it in
-//! `job-start`/`job-end` lifecycle markers and concatenates the shards in
-//! job order, so the merged [`executor::SweepTrace`] (events + derived
-//! metrics) inherits the same any-worker-count determinism contract.
+//! Sweeps are observable: a traced job's `fedco-telemetry` event stream is
+//! wrapped in `job-start`/`job-end` lifecycle markers and handed over in job
+//! order ([`executor::run_grid_with`]), so everything derived from it
+//! inherits the same any-worker-count determinism contract.
+//! [`executor::run_grid_traced`] concatenates the streams into one
+//! [`executor::SweepTrace`] (events + derived metrics);
+//! [`executor::run_grid_streamed`] renders and folds each job on its worker
+//! and writes the same bytes out as the sweep runs, holding only the jobs in
+//! flight.
 //! Wall-clock timings (`wall_ms`, `slots_per_sec`, `wall_s`) are
 //! [`fedco_telemetry::profiling::Measured`] profiling values:
 //! they never participate in equality, so report comparisons are the
@@ -58,8 +63,9 @@ pub mod stats;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::executor::{
-        deterministic_view, resolve_workers, run_grid, run_grid_sequential, run_grid_traced,
-        FleetReport, JobQueue, JobSummary, SweepTrace,
+        deterministic_view, resolve_workers, run_grid, run_grid_sequential, run_grid_streamed,
+        run_grid_traced, run_grid_with, FleetReport, JobQueue, JobSummary, StreamedSweep,
+        SweepTrace,
     };
     pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, LinkKind, ScenarioGrid};
     pub use crate::report::{bench_json_lines, record_bench_json, rollup_table, to_csv, to_jsonl};

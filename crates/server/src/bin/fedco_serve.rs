@@ -397,7 +397,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use fedco_server::deadline::Deadline;
-    use fedco_server::protocol::{read_frame, WireUpdate, HEADER_LEN};
+    use fedco_server::protocol::{read_frame, Refusal, WireUpdate, HEADER_LEN};
     use std::io::Write;
 
     fn bound() -> (Acceptor, Receiver<()>) {
@@ -479,6 +479,43 @@ mod tests {
         assert_eq!(
             acceptor.shared.core.lock().unwrap().model().1.values(),
             &[1.0, 2.0, 3.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn the_frame_clock_expires_a_silent_session_over_tcp() {
+        // No ticker thread: `--tick-ms 0 --tick-every 1`, a tick per frame.
+        let core = ServerCore::new(ServerCoreConfig {
+            session: SessionConfig {
+                heartbeat_timeout_ticks: 3,
+                max_sessions: 8,
+            },
+            tick_every: 1,
+            ..ServerCoreConfig::inline_with_model(ParamVector::zeros(4))
+        });
+        let (mut acceptor, _ticker_stopped) = Acceptor::bind("127.0.0.1:0", core).unwrap();
+        let mut silent = connect(&mut acceptor);
+        write_frame(&mut silent, &Message::Hello { client: 1 }).unwrap();
+        let Message::Welcome { session, .. } = read_frame(&mut silent).unwrap() else {
+            panic!("Hello was not welcomed");
+        };
+        // Another client's frames are all the clock there is.
+        let mut busy = connect(&mut acceptor);
+        for _ in 0..6 {
+            write_frame(&mut busy, &Message::QueryStats).unwrap();
+            assert!(matches!(read_frame(&mut busy), Ok(Message::StatsIs { .. })));
+        }
+        {
+            let core = acceptor.shared.core.lock().unwrap();
+            assert_eq!(core.tick(), 7, "one tick per frame handled over TCP");
+            assert_eq!(core.counters().expired, 1);
+        }
+        write_frame(&mut silent, &Message::Heartbeat { session }).unwrap();
+        assert_eq!(
+            read_frame(&mut silent),
+            Ok(Message::PushRefused {
+                reason: Refusal::UnknownSession
+            })
         );
     }
 

@@ -48,8 +48,9 @@ pub struct ServerCoreConfig {
     pub queue_capacity: usize,
     /// Queued updates applied per tick (ignored in inline mode).
     pub drain_per_tick: usize,
-    /// Auto-advance the tick after this many handled frames (`0` = the
-    /// owner advances ticks manually — the deterministic in-process mode).
+    /// Auto-advance the tick after this many handled frames, over either
+    /// transport (`0` = the owner advances ticks manually — the
+    /// deterministic in-process mode).
     pub tick_every: u64,
 }
 
@@ -228,8 +229,20 @@ impl ServerCore {
         }
     }
 
-    /// Handles one decoded request, producing the reply to send back.
+    /// Handles one decoded request, producing the reply to send back, and
+    /// counts it towards the frame clock (`tick_every`) — here, where the
+    /// TCP connection threads and [`handle_bytes`](Self::handle_bytes) both
+    /// pass, so the clock runs whichever transport carried the frame.
     pub fn handle(&mut self, msg: Message) -> Message {
+        let reply = self.dispatch(msg);
+        self.frames_handled += 1;
+        if self.tick_every > 0 && self.frames_handled % self.tick_every == 0 {
+            self.advance_tick();
+        }
+        reply
+    }
+
+    fn dispatch(&mut self, msg: Message) -> Message {
         match msg {
             Message::Hello { client } => self.handle_hello(client),
             Message::PullModel { session } => {
@@ -425,12 +438,7 @@ impl ServerCore {
     /// (connection handler) decides whether to drop the connection.
     pub fn handle_bytes(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         let msg = Message::from_frame(frame)?;
-        let reply = self.handle(msg);
-        self.frames_handled += 1;
-        if self.tick_every > 0 && self.frames_handled % self.tick_every == 0 {
-            self.advance_tick();
-        }
-        Ok(reply.to_frame())
+        Ok(self.handle(msg).to_frame())
     }
 }
 

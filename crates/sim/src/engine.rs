@@ -538,23 +538,33 @@ impl Simulation {
             return;
         }
         self.flush_all_pending();
-        let mut by_component = std::collections::BTreeMap::new();
-        for p in &self.profilers {
-            for (component, energy) in p.breakdown() {
-                *by_component.entry(component).or_insert(0.0) += energy.value();
-            }
-        }
         if let Some(t) = &self.telemetry {
-            for (component, joules) in by_component {
+            for (component, joules) in self.energy_by_component() {
                 t.sink.record(Event::new(
                     slot,
                     EventKind::Energy {
-                        component: component.label().to_string(),
+                        component: component.label().into(),
                         joules,
                     },
                 ));
             }
         }
+    }
+
+    /// Cumulative energy of every component any user has touched, summed
+    /// over users in index order, in component order — a fixed array like
+    /// [`EnergyProfiler`]'s own, so a telemetry sample allocates nothing.
+    fn energy_by_component(&self) -> impl Iterator<Item = (EnergyComponent, f64)> {
+        let mut totals = [None; EnergyComponent::ALL.len()];
+        for p in &self.profilers {
+            for (component, energy) in p.components() {
+                *totals[component as usize].get_or_insert(0.0) += energy.value();
+            }
+        }
+        EnergyComponent::ALL
+            .into_iter()
+            .zip(totals)
+            .filter_map(|(component, total)| Some((component, total?)))
     }
 
     fn velocity_norm(&mut self) -> f32 {
@@ -1291,12 +1301,7 @@ impl Simulation {
         let total_slots = self.config.total_slots.max(1) as f64;
         let stats = self.server.stats();
         let total_updates = stats.async_updates + stats.sync_rounds;
-        let mut by_component = std::collections::BTreeMap::new();
-        for p in &self.profilers {
-            for (component, energy) in p.breakdown() {
-                *by_component.entry(component).or_insert(0.0) += energy.value();
-            }
-        }
+        let by_component: Vec<(EnergyComponent, f64)> = self.energy_by_component().collect();
         let total_energy_j: f64 = self
             .profilers
             .iter()
@@ -1319,7 +1324,7 @@ impl Simulation {
                 t.sink.record(Event::new(
                     end,
                     EventKind::Energy {
-                        component: component.label().to_string(),
+                        component: component.label().into(),
                         joules: *joules,
                     },
                 ));
@@ -1340,7 +1345,7 @@ impl Simulation {
         SimResult {
             policy: self.config.policy.clone(),
             total_energy_j,
-            energy_by_component: by_component.into_iter().collect(),
+            energy_by_component: by_component,
             total_updates,
             corun_epochs: acc.corun_epochs,
             mean_lag: if total_updates > 0 {
@@ -1670,9 +1675,9 @@ mod tests {
         let mut finals: std::collections::BTreeMap<String, f64> = Default::default();
         for e in &events {
             if let EventKind::Energy { component, joules } = &e.kind {
-                let prev = last.insert(component.clone(), *joules).unwrap_or(0.0);
+                let prev = last.insert(component.to_string(), *joules).unwrap_or(0.0);
                 assert!(*joules >= prev, "{component} decreased");
-                finals.insert(component.clone(), *joules);
+                finals.insert(component.to_string(), *joules);
             }
         }
         // ...and the final samples reproduce the result's breakdown exactly.

@@ -278,7 +278,7 @@ mod tests {
             Event::new(
                 slot,
                 EventKind::Energy {
-                    component: component.to_string(),
+                    component: component.to_string().into(),
                     joules,
                 },
             )

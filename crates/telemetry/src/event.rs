@@ -19,6 +19,8 @@
 //!   Byte-stable over the in-process transport, where the fleet driver
 //!   advances ticks in lock-step.
 
+use std::borrow::Cow;
+
 /// The comparison channel an event belongs to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Channel {
@@ -84,8 +86,9 @@ pub enum EventKind {
     /// [`EnergyComponent`]: https://docs.rs/fedco-device
     Energy {
         /// The component label (`co-running`, `training`, `app`, `idle`,
-        /// `radio`).
-        component: String,
+        /// `radio`): borrowed from the emitter's static table — a sample
+        /// costs no allocation — and owned only when parsed from a file.
+        component: Cow<'static, str>,
         /// Cumulative joules accrued into the component so far.
         joules: f64,
     },

@@ -6,6 +6,8 @@
 //! is **byte-identical** — the schema round-trip test pins this down, and
 //! trace diffs can safely compare serialized lines.
 
+use std::fmt::Write as _;
+
 use crate::event::{Event, EventKind};
 
 /// Escapes one CSV field: quotes it when it contains a comma, quote or
@@ -18,10 +20,9 @@ pub fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Escapes a string for a JSON string literal (quotes, backslashes and
-/// control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out`, escaped for a JSON string literal (quotes,
+/// backslashes and control characters).
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -29,102 +30,185 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+}
+
+/// Escapes a string for a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
     out
 }
 
-/// One canonical JSONL line for an event (no trailing newline).
-pub fn event_line(event: &Event) -> String {
-    let head = format!(
-        "{{\"slot\":{},\"event\":\"{}\"",
-        event.slot,
-        event.kind.name()
-    );
-    let tail = match &event.kind {
+/// Appends the decimal digits of `value` (what `Display` prints, without
+/// going through `core::fmt`: most of a trace is integers).
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[at..] {
+        out.push(digit as char);
+    }
+}
+
+/// The fields of one event line, appended to the caller's buffer as
+/// `,"key":value` in call order.
+struct LineFields<'a>(&'a mut String);
+
+impl LineFields<'_> {
+    fn key(&mut self, key: &str) {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+
+    fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        self.key(key);
+        push_u64(self.0, value);
+        self
+    }
+
+    /// Rust's shortest round-trip `Display`, like every number of the schema.
+    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        self.key(key);
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.0, "{value}");
+        self
+    }
+
+    fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key);
+        self.0.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        self.0.push('"');
+        push_json_escaped(self.0, value);
+        self.0.push('"');
+        self
+    }
+}
+
+/// Appends one canonical JSONL line for an event (no trailing newline)
+/// straight into `out`, with no temporary per line or per field — the one
+/// renderer behind [`event_line`] and [`events_to_jsonl`].
+pub fn write_event_line(out: &mut String, event: &Event) {
+    out.push_str("{\"slot\":");
+    push_u64(out, event.slot);
+    out.push_str(",\"event\":\"");
+    out.push_str(event.kind.name());
+    out.push('"');
+    let mut line = LineFields(out);
+    match &event.kind {
         EventKind::RunStart {
             users,
             slots,
             policy,
-        } => format!(
-            ",\"users\":{users},\"slots\":{slots},\"policy\":\"{}\"",
-            json_escape(policy)
-        ),
-        EventKind::Schedule { user, corun } => format!(",\"user\":{user},\"corun\":{corun}"),
-        EventKind::Energy { component, joules } => format!(
-            ",\"component\":\"{}\",\"joules\":{joules}",
-            json_escape(component)
-        ),
-        EventKind::Merge { user, lag, version } => {
-            format!(",\"user\":{user},\"lag\":{lag},\"version\":{version}")
+        } => line
+            .u64("users", *users)
+            .u64("slots", *slots)
+            .str("policy", policy),
+        EventKind::Schedule { user, corun } => line.u64("user", *user).bool("corun", *corun),
+        EventKind::Energy { component, joules } => {
+            line.str("component", component).f64("joules", *joules)
         }
+        EventKind::Merge { user, lag, version } => line
+            .u64("user", *user)
+            .u64("lag", *lag)
+            .u64("version", *version),
         EventKind::Round {
             participants,
             version,
-        } => format!(",\"participants\":{participants},\"version\":{version}"),
-        EventKind::Barrier { depth } => format!(",\"depth\":{depth}"),
+        } => line
+            .u64("participants", *participants)
+            .u64("version", *version),
+        EventKind::Barrier { depth } => line.u64("depth", *depth),
         EventKind::RunEnd { updates, energy_j } => {
-            format!(",\"updates\":{updates},\"energy_j\":{energy_j}")
+            line.u64("updates", *updates).f64("energy_j", *energy_j)
         }
         EventKind::DenseSpan {
             slots,
             idle_decisions,
-        } => format!(",\"slots\":{slots},\"idle_decisions\":{idle_decisions}"),
-        EventKind::SkipSpan { slots } => format!(",\"slots\":{slots}"),
+        } => line
+            .u64("slots", *slots)
+            .u64("idle_decisions", *idle_decisions),
+        EventKind::SkipSpan { slots } => line.u64("slots", *slots),
         EventKind::JobStart {
             job,
             scenario,
             policy,
-        } => format!(
-            ",\"job\":{job},\"scenario\":\"{}\",\"policy\":\"{}\"",
-            json_escape(scenario),
-            json_escape(policy)
-        ),
-        EventKind::JobEnd { job } => format!(",\"job\":{job}"),
+        } => line
+            .u64("job", *job)
+            .str("scenario", scenario)
+            .str("policy", policy),
+        EventKind::JobEnd { job } => line.u64("job", *job),
         EventKind::JoinAccepted { session, client } => {
-            format!(",\"session\":{session},\"client\":{client}")
+            line.u64("session", *session).u64("client", *client)
         }
         EventKind::JoinRejected { client, reason } => {
-            format!(
-                ",\"client\":{client},\"reason\":\"{}\"",
-                json_escape(reason)
-            )
+            line.u64("client", *client).str("reason", reason)
         }
-        EventKind::SessionExpired { session } => format!(",\"session\":{session}"),
+        EventKind::SessionExpired { session } => line.u64("session", *session),
         EventKind::PushApplied {
             session,
             lag,
             version,
-        } => format!(",\"session\":{session},\"lag\":{lag},\"version\":{version}"),
+        } => line
+            .u64("session", *session)
+            .u64("lag", *lag)
+            .u64("version", *version),
         EventKind::PushRefused { session, reason } => {
-            format!(
-                ",\"session\":{session},\"reason\":\"{}\"",
-                json_escape(reason)
-            )
+            line.u64("session", *session).str("reason", reason)
         }
         EventKind::RoundAdvance {
             version,
             participants,
-        } => format!(",\"version\":{version},\"participants\":{participants}"),
-        EventKind::BatteryDepleted { user, soc } => format!(",\"user\":{user},\"soc\":{soc}"),
-        EventKind::Recharged { user, soc } => format!(",\"user\":{user},\"soc\":{soc}"),
+        } => line
+            .u64("version", *version)
+            .u64("participants", *participants),
+        EventKind::BatteryDepleted { user, soc } | EventKind::Recharged { user, soc } => {
+            line.u64("user", *user).f64("soc", *soc)
+        }
         EventKind::UserChurned { user, offline } => {
-            format!(",\"user\":{user},\"offline\":{offline}")
+            line.u64("user", *user).bool("offline", *offline)
         }
-        EventKind::CompressedUpload { user, bytes, ratio } => {
-            format!(",\"user\":{user},\"bytes\":{bytes},\"ratio\":{ratio}")
-        }
+        EventKind::CompressedUpload { user, bytes, ratio } => line
+            .u64("user", *user)
+            .u64("bytes", *bytes)
+            .f64("ratio", *ratio),
     };
-    format!("{head}{tail}}}")
+    out.push('}');
+}
+
+/// One canonical JSONL line for an event (no trailing newline).
+pub fn event_line(event: &Event) -> String {
+    let mut out = String::new();
+    write_event_line(&mut out, event);
+    out
 }
 
 /// A whole trace as JSON lines, one event per line, in stream order.
 pub fn events_to_jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 64);
+    // 80 bytes covers the mean line of the recorded traces (64 to 66), so
+    // the buffer is sized once instead of doubling near the end.
+    let mut out = String::with_capacity(events.len() * 80);
     for event in events {
-        out.push_str(&event_line(event));
+        write_event_line(&mut out, event);
         out.push('\n');
     }
     out
@@ -513,7 +597,7 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
             corun: fields.bool("corun")?,
         },
         "energy" => EventKind::Energy {
-            component: fields.str("component")?,
+            component: fields.str("component")?.into(),
             joules: fields.f64("joules")?,
         },
         "merge" => EventKind::Merge {
@@ -608,10 +692,10 @@ pub fn parse_events_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn one_of_each() -> Vec<Event> {
+    pub(crate) fn one_of_each() -> Vec<Event> {
         vec![
             Event::new(
                 0,
@@ -639,7 +723,7 @@ mod tests {
             Event::new(
                 60,
                 EventKind::Energy {
-                    component: "co-running".to_string(),
+                    component: "co-running".into(),
                     joules: 1.0 / 3.0,
                 },
             ),
@@ -785,6 +869,228 @@ mod tests {
         // The quoted scenario cell contains commas; count on a plain row.
         assert_eq!(lines[1].split(',').count(), columns);
         assert!(lines[3].starts_with("5,schedule,3,true,"));
+    }
+
+    /// The renderer this module had before [`write_event_line`]: a `head`
+    /// and a `tail` `format!` per line, one `json_escape` temporary per
+    /// string. Kept as the oracle the buffer writer must match byte for byte.
+    mod reference_bits {
+        use super::*;
+
+        fn json_escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn reference_line(event: &Event) -> String {
+            let head = format!(
+                "{{\"slot\":{},\"event\":\"{}\"",
+                event.slot,
+                event.kind.name()
+            );
+            let tail = match &event.kind {
+                EventKind::RunStart {
+                    users,
+                    slots,
+                    policy,
+                } => format!(
+                    ",\"users\":{users},\"slots\":{slots},\"policy\":\"{}\"",
+                    json_escape(policy)
+                ),
+                EventKind::Schedule { user, corun } => {
+                    format!(",\"user\":{user},\"corun\":{corun}")
+                }
+                EventKind::Energy { component, joules } => format!(
+                    ",\"component\":\"{}\",\"joules\":{joules}",
+                    json_escape(component)
+                ),
+                EventKind::Merge { user, lag, version } => {
+                    format!(",\"user\":{user},\"lag\":{lag},\"version\":{version}")
+                }
+                EventKind::Round {
+                    participants,
+                    version,
+                } => format!(",\"participants\":{participants},\"version\":{version}"),
+                EventKind::Barrier { depth } => format!(",\"depth\":{depth}"),
+                EventKind::RunEnd { updates, energy_j } => {
+                    format!(",\"updates\":{updates},\"energy_j\":{energy_j}")
+                }
+                EventKind::DenseSpan {
+                    slots,
+                    idle_decisions,
+                } => format!(",\"slots\":{slots},\"idle_decisions\":{idle_decisions}"),
+                EventKind::SkipSpan { slots } => format!(",\"slots\":{slots}"),
+                EventKind::JobStart {
+                    job,
+                    scenario,
+                    policy,
+                } => format!(
+                    ",\"job\":{job},\"scenario\":\"{}\",\"policy\":\"{}\"",
+                    json_escape(scenario),
+                    json_escape(policy)
+                ),
+                EventKind::JobEnd { job } => format!(",\"job\":{job}"),
+                EventKind::JoinAccepted { session, client } => {
+                    format!(",\"session\":{session},\"client\":{client}")
+                }
+                EventKind::JoinRejected { client, reason } => {
+                    format!(
+                        ",\"client\":{client},\"reason\":\"{}\"",
+                        json_escape(reason)
+                    )
+                }
+                EventKind::SessionExpired { session } => format!(",\"session\":{session}"),
+                EventKind::PushApplied {
+                    session,
+                    lag,
+                    version,
+                } => format!(",\"session\":{session},\"lag\":{lag},\"version\":{version}"),
+                EventKind::PushRefused { session, reason } => {
+                    format!(
+                        ",\"session\":{session},\"reason\":\"{}\"",
+                        json_escape(reason)
+                    )
+                }
+                EventKind::RoundAdvance {
+                    version,
+                    participants,
+                } => format!(",\"version\":{version},\"participants\":{participants}"),
+                EventKind::BatteryDepleted { user, soc } => {
+                    format!(",\"user\":{user},\"soc\":{soc}")
+                }
+                EventKind::Recharged { user, soc } => format!(",\"user\":{user},\"soc\":{soc}"),
+                EventKind::UserChurned { user, offline } => {
+                    format!(",\"user\":{user},\"offline\":{offline}")
+                }
+                EventKind::CompressedUpload { user, bytes, ratio } => {
+                    format!(",\"user\":{user},\"bytes\":{bytes},\"ratio\":{ratio}")
+                }
+            };
+            format!("{head}{tail}}}")
+        }
+
+        /// Every float field of the schema set to `x`, every integer field
+        /// to `n`, every string field to `s`.
+        fn extremes(n: u64, x: f64, s: &str) -> Vec<Event> {
+            let text = || s.to_string();
+            vec![
+                Event::new(
+                    n,
+                    EventKind::RunStart {
+                        users: n,
+                        slots: n,
+                        policy: text(),
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::Energy {
+                        component: text().into(),
+                        joules: x,
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::Merge {
+                        user: n,
+                        lag: n,
+                        version: n,
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::RunEnd {
+                        updates: n,
+                        energy_j: x,
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::JobStart {
+                        job: n,
+                        scenario: text(),
+                        policy: text(),
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::JoinRejected {
+                        client: n,
+                        reason: text(),
+                    },
+                ),
+                Event::new(
+                    n,
+                    EventKind::PushRefused {
+                        session: n,
+                        reason: text(),
+                    },
+                ),
+                Event::new(n, EventKind::BatteryDepleted { user: n, soc: x }),
+                Event::new(n, EventKind::Recharged { user: n, soc: x }),
+                Event::new(
+                    n,
+                    EventKind::CompressedUpload {
+                        user: n,
+                        bytes: n,
+                        ratio: x,
+                    },
+                ),
+            ]
+        }
+
+        #[test]
+        fn the_buffer_writer_matches_the_format_renderer_byte_for_byte() {
+            let mut events = one_of_each();
+            let floats = [
+                0.0,
+                -0.0,
+                1e-7,
+                1e21,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                1.0 / 3.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            let strings = [
+                "",
+                "plain",
+                "quote\" backslash\\ newline\n return\r tab\t ctrl\u{1}\u{1f} é ☃",
+            ];
+            for (i, x) in floats.into_iter().enumerate() {
+                let n = [0, 9, 10, 12_345, u64::MAX][i % 5];
+                events.extend(extremes(n, x, strings[i % strings.len()]));
+            }
+            // One line at a time, into a fresh and into a reused buffer...
+            let mut reused = String::from("kept");
+            let mut expected = String::from("kept");
+            for event in &events {
+                let reference = reference_line(event);
+                assert_eq!(event_line(event), reference);
+                write_event_line(&mut reused, event);
+                expected.push_str(&reference);
+            }
+            assert_eq!(reused, expected, "the writer only appends");
+            // ...and the whole stream.
+            let whole: String = events.iter().map(|e| reference_line(e) + "\n").collect();
+            assert_eq!(events_to_jsonl(&events), whole);
+            for s in strings {
+                assert_eq!(super::super::json_escape(s), json_escape(s));
+            }
+        }
     }
 
     #[test]

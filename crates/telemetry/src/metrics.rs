@@ -8,7 +8,7 @@
 //! registry stores everything in a `BTreeMap`, so serialization order is
 //! deterministic too.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::event::{Event, EventKind};
 use crate::export::{json_escape, parse_object, Fields, ParseError};
@@ -119,8 +119,9 @@ pub enum MetricValue {
     Counter(u64),
     /// A float accumulator (added across merges).
     Sum(f64),
-    /// A last-value-wins observation stamped with its slot. On merge, the
-    /// larger slot wins; on a tie, the later-merged side wins.
+    /// A last-value-wins observation stamped with its slot: the latest
+    /// write of the walk wins, whatever its slot (a later job of the same
+    /// cell restarts the slot clock).
     Gauge {
         /// The slot of the observation.
         slot: u64,
@@ -142,26 +143,116 @@ impl MetricValue {
         }
     }
 
-    fn merge_from(&mut self, other: &MetricValue) {
-        match (self, other) {
+    /// Folds in what the events after this value's own made of the same
+    /// metric: counts, sums and samples add up, a gauge is overwritten.
+    fn continue_with(&mut self, later: MetricValue) {
+        match (self, later) {
             (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
             (MetricValue::Sum(a), MetricValue::Sum(b)) => *a += b,
-            (
-                MetricValue::Gauge { slot, value },
-                MetricValue::Gauge {
-                    slot: other_slot,
-                    value: other_value,
-                },
-            ) => {
-                if *other_slot >= *slot {
-                    *slot = *other_slot;
-                    *value = *other_value;
-                }
-            }
-            (MetricValue::SlotHistogram(a), MetricValue::SlotHistogram(b)) => a.merge(b),
+            (MetricValue::SlotHistogram(a), MetricValue::SlotHistogram(b)) => a.merge(&b),
+            (mine, gauge @ MetricValue::Gauge { .. }) => *mine = gauge,
             // A name never changes type within one schema version; if two
-            // traces disagree, keep the left side rather than guessing.
+            // traces disagree, keep the earlier side, as the walk does with
+            // a count or a sample that meets a value of another type.
             (_, _) => {}
+        }
+    }
+}
+
+/// Declares the fixed metric names of the schema once: the index a walk
+/// keeps an accumulator under, and the wire name it is serialized as.
+macro_rules! fixed_names {
+    ($($id:ident = $label:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum Name { $($id,)* }
+        const NAME_LABELS: &[&str] = &[$($label,)*];
+    };
+}
+
+fixed_names! {
+    RunsTotal = "runs_total",
+    SchedulesTotal = "schedules_total",
+    CorunSchedulesTotal = "corun_schedules_total",
+    MergesTotal = "merges_total",
+    MergeLag = "merge_lag",
+    ModelVersion = "model_version",
+    SyncRoundsTotal = "sync_rounds_total",
+    BarrierDepth = "barrier_depth",
+    UpdatesTotal = "updates_total",
+    TotalEnergyJ = "total_energy_j",
+    DenseSlotsTotal = "dense_slots_total",
+    IdleDecisionsTotal = "idle_decisions_total",
+    SkippedSlotsTotal = "skipped_slots_total",
+    SkipSpansTotal = "skip_spans_total",
+    JobsTotal = "jobs_total",
+    JoinsAcceptedTotal = "joins_accepted_total",
+    JoinsRejectedTotal = "joins_rejected_total",
+    SessionsExpiredTotal = "sessions_expired_total",
+    PushesAppliedTotal = "pushes_applied_total",
+    PushLag = "push_lag",
+    PushesRefusedTotal = "pushes_refused_total",
+    RoundAdvancesTotal = "round_advances_total",
+    BatteryDeathsTotal = "battery_deaths_total",
+    RechargesTotal = "recharges_total",
+    ChurnDeparturesTotal = "churn_departures_total",
+    ChurnRejoinsTotal = "churn_rejoins_total",
+    CompressedUploadsTotal = "compressed_uploads_total",
+    CompressedBytesTotal = "compressed_bytes_total",
+}
+
+/// The metrics of one `(scenario, policy)` cell while a trace is walked: a
+/// slot per fixed name, so an event costs an array index instead of a
+/// three-`String` key and a map search. Keys are built once per cell and
+/// name, when the walk ends.
+struct CellMetrics {
+    fixed: Vec<Option<MetricValue>>,
+    /// The `energy_j/<component>` gauges, by component label (a handful).
+    energy: Vec<(String, MetricValue)>,
+}
+
+impl CellMetrics {
+    fn new() -> Self {
+        CellMetrics {
+            fixed: vec![None; NAME_LABELS.len()],
+            energy: Vec::new(),
+        }
+    }
+
+    fn count(&mut self, name: Name, delta: u64) {
+        if let MetricValue::Counter(v) =
+            self.fixed[name as usize].get_or_insert(MetricValue::Counter(0))
+        {
+            *v += delta;
+        }
+    }
+
+    fn sum(&mut self, name: Name, delta: f64) {
+        if let MetricValue::Sum(v) = self.fixed[name as usize].get_or_insert(MetricValue::Sum(0.0))
+        {
+            *v += delta;
+        }
+    }
+
+    fn gauge(&mut self, name: Name, slot: u64, value: f64) {
+        self.fixed[name as usize] = Some(MetricValue::Gauge { slot, value });
+    }
+
+    fn sample(&mut self, name: Name, value: u64) {
+        if let MetricValue::SlotHistogram(h) = self.fixed[name as usize]
+            .get_or_insert_with(|| MetricValue::SlotHistogram(SlotHistogram::default()))
+        {
+            h.record(value);
+        }
+    }
+
+    fn energy(&mut self, component: &str, slot: u64, joules: f64) {
+        let gauge = MetricValue::Gauge {
+            slot,
+            value: joules,
+        };
+        match self.energy.iter_mut().find(|(c, _)| c == component) {
+            Some((_, held)) => *held = gauge,
+            None => self.energy.push((component.to_string(), gauge)),
         }
     }
 }
@@ -188,191 +279,140 @@ impl MetricsRegistry {
     /// Derives metrics from a trace with initial labels (used for a single
     /// run whose cell labels are known to the caller).
     pub fn from_labeled_trace(scenario: &str, policy: &str, events: &[Event]) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let mut scenario = scenario.to_string();
-        let mut policy = policy.to_string();
+        use Name::*;
+        // The cell the walk is in is held apart from the cells it has left,
+        // which wait under their labels in case a later job returns to them.
+        let mut parked: BTreeMap<(String, String), CellMetrics> = BTreeMap::new();
+        let mut labels = (scenario.to_string(), policy.to_string());
+        let mut cell = CellMetrics::new();
+        let mut enter = |labels: &mut (String, String), cell: &mut CellMetrics, next| {
+            let entered = parked.remove(&next).unwrap_or_else(CellMetrics::new);
+            let left = std::mem::replace(cell, entered);
+            parked.insert(std::mem::replace(labels, next), left);
+        };
         for event in events {
+            let slot = event.slot;
             match &event.kind {
                 EventKind::JobStart {
                     scenario: s,
                     policy: p,
                     ..
                 } => {
-                    scenario = s.clone();
-                    policy = p.clone();
-                }
-                EventKind::RunStart { policy: p, .. } => {
-                    policy = p.clone();
-                    registry.add_counter(&scenario, &policy, "runs_total", 1);
-                }
-                EventKind::Schedule { corun, .. } => {
-                    registry.add_counter(&scenario, &policy, "schedules_total", 1);
-                    if *corun {
-                        registry.add_counter(&scenario, &policy, "corun_schedules_total", 1);
+                    if labels.0 != *s || labels.1 != *p {
+                        enter(&mut labels, &mut cell, (s.clone(), p.clone()));
                     }
                 }
-                EventKind::Energy { component, joules } => {
-                    registry.set_gauge(
-                        &scenario,
-                        &policy,
-                        &format!("energy_j/{component}"),
-                        event.slot,
-                        *joules,
-                    );
+                EventKind::RunStart { policy: p, .. } => {
+                    if labels.1 != *p {
+                        let next = (labels.0.clone(), p.clone());
+                        enter(&mut labels, &mut cell, next);
+                    }
+                    cell.count(RunsTotal, 1);
                 }
+                EventKind::Schedule { corun, .. } => {
+                    cell.count(SchedulesTotal, 1);
+                    if *corun {
+                        cell.count(CorunSchedulesTotal, 1);
+                    }
+                }
+                EventKind::Energy { component, joules } => cell.energy(component, slot, *joules),
                 EventKind::Merge { lag, version, .. } => {
-                    registry.add_counter(&scenario, &policy, "merges_total", 1);
-                    registry.record_histogram(&scenario, &policy, "merge_lag", *lag);
-                    registry.set_gauge(
-                        &scenario,
-                        &policy,
-                        "model_version",
-                        event.slot,
-                        *version as f64,
-                    );
+                    cell.count(MergesTotal, 1);
+                    cell.sample(MergeLag, *lag);
+                    cell.gauge(ModelVersion, slot, *version as f64);
                 }
                 EventKind::Round { version, .. } => {
-                    registry.add_counter(&scenario, &policy, "sync_rounds_total", 1);
-                    registry.set_gauge(
-                        &scenario,
-                        &policy,
-                        "model_version",
-                        event.slot,
-                        *version as f64,
-                    );
+                    cell.count(SyncRoundsTotal, 1);
+                    cell.gauge(ModelVersion, slot, *version as f64);
                 }
-                EventKind::Barrier { depth } => {
-                    registry.record_histogram(&scenario, &policy, "barrier_depth", *depth);
-                }
+                EventKind::Barrier { depth } => cell.sample(BarrierDepth, *depth),
                 EventKind::RunEnd { updates, energy_j } => {
-                    registry.add_counter(&scenario, &policy, "updates_total", *updates);
-                    registry.add_sum(&scenario, &policy, "total_energy_j", *energy_j);
+                    cell.count(UpdatesTotal, *updates);
+                    cell.sum(TotalEnergyJ, *energy_j);
                 }
                 EventKind::DenseSpan {
                     slots,
                     idle_decisions,
                 } => {
-                    registry.add_counter(&scenario, &policy, "dense_slots_total", *slots);
-                    registry.add_counter(
-                        &scenario,
-                        &policy,
-                        "idle_decisions_total",
-                        *idle_decisions,
-                    );
+                    cell.count(DenseSlotsTotal, *slots);
+                    cell.count(IdleDecisionsTotal, *idle_decisions);
                 }
                 EventKind::SkipSpan { slots } => {
-                    registry.add_counter(&scenario, &policy, "skipped_slots_total", *slots);
-                    registry.add_counter(&scenario, &policy, "skip_spans_total", 1);
+                    cell.count(SkippedSlotsTotal, *slots);
+                    cell.count(SkipSpansTotal, 1);
                 }
-                EventKind::JobEnd { .. } => {
-                    registry.add_counter(&scenario, &policy, "jobs_total", 1);
-                }
-                EventKind::JoinAccepted { .. } => {
-                    registry.add_counter(&scenario, &policy, "joins_accepted_total", 1);
-                }
-                EventKind::JoinRejected { .. } => {
-                    registry.add_counter(&scenario, &policy, "joins_rejected_total", 1);
-                }
-                EventKind::SessionExpired { .. } => {
-                    registry.add_counter(&scenario, &policy, "sessions_expired_total", 1);
-                }
+                EventKind::JobEnd { .. } => cell.count(JobsTotal, 1),
+                EventKind::JoinAccepted { .. } => cell.count(JoinsAcceptedTotal, 1),
+                EventKind::JoinRejected { .. } => cell.count(JoinsRejectedTotal, 1),
+                EventKind::SessionExpired { .. } => cell.count(SessionsExpiredTotal, 1),
                 EventKind::PushApplied { lag, version, .. } => {
-                    registry.add_counter(&scenario, &policy, "pushes_applied_total", 1);
-                    registry.record_histogram(&scenario, &policy, "push_lag", *lag);
-                    registry.set_gauge(
-                        &scenario,
-                        &policy,
-                        "model_version",
-                        event.slot,
-                        *version as f64,
-                    );
+                    cell.count(PushesAppliedTotal, 1);
+                    cell.sample(PushLag, *lag);
+                    cell.gauge(ModelVersion, slot, *version as f64);
                 }
-                EventKind::PushRefused { .. } => {
-                    registry.add_counter(&scenario, &policy, "pushes_refused_total", 1);
-                }
+                EventKind::PushRefused { .. } => cell.count(PushesRefusedTotal, 1),
                 EventKind::RoundAdvance { version, .. } => {
-                    registry.add_counter(&scenario, &policy, "round_advances_total", 1);
-                    registry.set_gauge(
-                        &scenario,
-                        &policy,
-                        "model_version",
-                        event.slot,
-                        *version as f64,
-                    );
+                    cell.count(RoundAdvancesTotal, 1);
+                    cell.gauge(ModelVersion, slot, *version as f64);
                 }
-                EventKind::BatteryDepleted { .. } => {
-                    registry.add_counter(&scenario, &policy, "battery_deaths_total", 1);
-                }
-                EventKind::Recharged { .. } => {
-                    registry.add_counter(&scenario, &policy, "recharges_total", 1);
-                }
+                EventKind::BatteryDepleted { .. } => cell.count(BatteryDeathsTotal, 1),
+                EventKind::Recharged { .. } => cell.count(RechargesTotal, 1),
                 EventKind::UserChurned { offline, .. } => {
-                    if *offline {
-                        registry.add_counter(&scenario, &policy, "churn_departures_total", 1);
-                    } else {
-                        registry.add_counter(&scenario, &policy, "churn_rejoins_total", 1);
-                    }
+                    cell.count(
+                        if *offline {
+                            ChurnDeparturesTotal
+                        } else {
+                            ChurnRejoinsTotal
+                        },
+                        1,
+                    );
                 }
                 EventKind::CompressedUpload { bytes, .. } => {
-                    registry.add_counter(&scenario, &policy, "compressed_uploads_total", 1);
-                    registry.add_counter(&scenario, &policy, "compressed_bytes_total", *bytes);
+                    cell.count(CompressedUploadsTotal, 1);
+                    cell.count(CompressedBytesTotal, *bytes);
                 }
             }
         }
-        registry
-    }
+        parked.insert(labels, cell);
 
-    /// Adds `delta` to a counter.
-    pub fn add_counter(&mut self, scenario: &str, policy: &str, name: &str, delta: u64) {
-        if let MetricValue::Counter(v) = self
-            .metrics
-            .entry(MetricKey::new(scenario, policy, name))
-            .or_insert(MetricValue::Counter(0))
-        {
-            *v += delta;
-        }
-    }
-
-    /// Adds `delta` to a float sum.
-    pub fn add_sum(&mut self, scenario: &str, policy: &str, name: &str, delta: f64) {
-        if let MetricValue::Sum(v) = self
-            .metrics
-            .entry(MetricKey::new(scenario, policy, name))
-            .or_insert(MetricValue::Sum(0.0))
-        {
-            *v += delta;
-        }
-    }
-
-    /// Sets a gauge observation (last write within a walk wins).
-    pub fn set_gauge(&mut self, scenario: &str, policy: &str, name: &str, slot: u64, value: f64) {
-        self.metrics.insert(
-            MetricKey::new(scenario, policy, name),
-            MetricValue::Gauge { slot, value },
-        );
-    }
-
-    /// Records one histogram sample.
-    pub fn record_histogram(&mut self, scenario: &str, policy: &str, name: &str, value: u64) {
-        if let MetricValue::SlotHistogram(h) = self
-            .metrics
-            .entry(MetricKey::new(scenario, policy, name))
-            .or_insert_with(|| MetricValue::SlotHistogram(SlotHistogram::default()))
-        {
-            h.record(value);
-        }
-    }
-
-    /// Merges another registry into this one (counters/sums add, gauges take
-    /// the larger slot with later-merge tiebreak, histograms combine). Call
-    /// in a fixed order — job order in the fleet — for determinism.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (key, value) in &other.metrics {
-            match self.metrics.get_mut(key) {
-                Some(mine) => mine.merge_from(value),
-                None => {
-                    self.metrics.insert(key.clone(), value.clone());
+        let mut metrics = BTreeMap::new();
+        for ((scenario, policy), cell) in parked {
+            let mut insert = |name: String, value| {
+                let key = MetricKey {
+                    scenario: scenario.clone(),
+                    policy: policy.clone(),
+                    name,
+                };
+                metrics.insert(key, value);
+            };
+            for (label, value) in NAME_LABELS.iter().zip(cell.fixed) {
+                if let Some(value) = value {
+                    insert(label.to_string(), value);
                 }
+            }
+            for (component, gauge) in cell.energy {
+                insert(format!("energy_j/{component}"), gauge);
+            }
+        }
+        MetricsRegistry { metrics }
+    }
+
+    /// Continues this registry's walk with `later`, the registry of the
+    /// events that came next: counters, sums and histograms add, a gauge of
+    /// `later` overwrites — the later job wins, whatever its slot, exactly
+    /// as one walk over the concatenated stream has it. Folding per-job
+    /// registries in job order therefore reproduces
+    /// [`from_trace`](MetricsRegistry::from_trace) of the merged stream,
+    /// every bit of it as long as each appended registry holds one addend
+    /// per float sum (a job has one `run-end`); with more, the sum is
+    /// associated differently and may differ in its last bits.
+    pub fn append(&mut self, later: MetricsRegistry) {
+        for (key, value) in later.metrics {
+            match self.metrics.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().continue_with(value),
             }
         }
     }
@@ -607,53 +647,361 @@ mod tests {
         );
     }
 
+    /// One job's stream as the fleet merge wraps it: `merges` merge events
+    /// ending at slot `horizon`, one energy sample per component, one
+    /// `run-end` carrying `energy_j`.
+    fn job(id: u64, cell: (&str, &str), horizon: u64, merges: u64, energy_j: f64) -> Vec<Event> {
+        let mut events = vec![
+            Event::new(
+                0,
+                EventKind::JobStart {
+                    job: id,
+                    scenario: cell.0.into(),
+                    policy: cell.1.into(),
+                },
+            ),
+            Event::new(
+                0,
+                EventKind::RunStart {
+                    users: 3,
+                    slots: horizon,
+                    policy: cell.1.into(),
+                },
+            ),
+        ];
+        for i in 0..merges {
+            let slot = horizon - (merges - i);
+            events.push(Event::new(
+                slot,
+                EventKind::Schedule {
+                    user: i,
+                    corun: i % 2 == 0,
+                },
+            ));
+            events.push(Event::new(slot, EventKind::Barrier { depth: i }));
+            events.push(Event::new(
+                slot,
+                EventKind::Merge {
+                    user: i,
+                    lag: i * id,
+                    version: i + 1,
+                },
+            ));
+        }
+        for component in ["idle", "radio"] {
+            events.push(Event::new(
+                horizon,
+                EventKind::Energy {
+                    component: component.into(),
+                    joules: energy_j / 2.0,
+                },
+            ));
+        }
+        events.push(Event::new(
+            horizon,
+            EventKind::RunEnd {
+                updates: merges,
+                energy_j,
+            },
+        ));
+        events.push(Event::new(horizon, EventKind::JobEnd { job: id }));
+        events
+    }
+
     #[test]
-    fn merge_adds_counters_and_keeps_latest_gauge() {
-        let mut a = MetricsRegistry::new();
-        a.add_counter("s", "p", "merges_total", 2);
-        a.set_gauge("s", "p", "model_version", 10, 4.0);
-        a.add_sum("s", "p", "total_energy_j", 1.5);
-        let mut b = MetricsRegistry::new();
-        b.add_counter("s", "p", "merges_total", 3);
-        b.set_gauge("s", "p", "model_version", 10, 9.0);
-        b.add_sum("s", "p", "total_energy_j", 2.5);
-        b.add_counter("s", "q", "merges_total", 1);
-        a.merge(&b);
+    fn appending_per_job_registries_continues_the_walk_byte_for_byte() {
+        // Three seeds of one cell whose float energies do not add
+        // associatively, a second cell in between, and a last job that is
+        // *shorter* than the first: its gauges carry smaller slots and must
+        // still win, as they do in one walk over the merged stream.
+        let jobs = [
+            job(0, ("smoke", "Online"), 400, 9, 0.1),
+            job(1, ("smoke", "Online"), 400, 5, 0.2),
+            job(2, ("smoke", "Offline"), 400, 2, 7.5),
+            job(3, ("smoke", "Online"), 100, 3, 0.3),
+            job(4, ("smoke", "Offline"), 400, 0, 1e-9),
+        ];
+        let whole = MetricsRegistry::from_trace(&jobs.concat());
+        let mut folded = MetricsRegistry::new();
+        for events in &jobs {
+            folded.append(MetricsRegistry::from_trace(events));
+        }
+        assert_eq!(folded.to_jsonl(), whole.to_jsonl());
+        assert_eq!(folded, whole);
         assert_eq!(
-            a.get("s", "p", "merges_total"),
-            Some(&MetricValue::Counter(5))
-        );
-        // Equal slot: the later-merged side wins.
-        assert_eq!(
-            a.get("s", "p", "model_version"),
+            folded.get("smoke", "Online", "model_version"),
             Some(&MetricValue::Gauge {
-                slot: 10,
-                value: 9.0
+                slot: 99,
+                value: 3.0
+            }),
+            "the later job wins, not the larger slot"
+        );
+        assert_eq!(
+            folded.get("smoke", "Online", "total_energy_j"),
+            Some(&MetricValue::Sum(0.0 + 0.1 + 0.2 + 0.3))
+        );
+        assert_eq!(
+            folded.get("smoke", "Online", "jobs_total"),
+            Some(&MetricValue::Counter(3))
+        );
+        match folded.get("smoke", "Online", "merge_lag") {
+            Some(MetricValue::SlotHistogram(h)) => assert_eq!((h.count, h.max), (17, 6)),
+            other => panic!("unexpected merge_lag {other:?}"),
+        }
+        // A metric only the later side has is taken as it is.
+        assert_eq!(
+            folded.get("smoke", "Offline", "energy_j/radio"),
+            Some(&MetricValue::Gauge {
+                slot: 400,
+                value: 5e-10
             })
         );
-        assert_eq!(
-            a.get("s", "p", "total_energy_j"),
-            Some(&MetricValue::Sum(4.0))
-        );
-        assert_eq!(
-            a.get("s", "q", "merges_total"),
-            Some(&MetricValue::Counter(1))
-        );
+    }
+
+    /// The walk this module had before the per-cell slots: a [`MetricKey`]
+    /// of three `String`s and a map search per event. Kept as the oracle
+    /// the slot walk must match on every event kind and label change.
+    mod reference_bits {
+        use super::*;
+        use crate::export::tests::one_of_each;
+
+        struct Keyed(MetricsRegistry);
+
+        impl Keyed {
+            /// Adds `delta` to a counter.
+            fn add_counter(&mut self, scenario: &str, policy: &str, name: &str, delta: u64) {
+                if let MetricValue::Counter(v) = self
+                    .0
+                    .metrics
+                    .entry(MetricKey::new(scenario, policy, name))
+                    .or_insert(MetricValue::Counter(0))
+                {
+                    *v += delta;
+                }
+            }
+
+            /// Adds `delta` to a float sum.
+            fn add_sum(&mut self, scenario: &str, policy: &str, name: &str, delta: f64) {
+                if let MetricValue::Sum(v) = self
+                    .0
+                    .metrics
+                    .entry(MetricKey::new(scenario, policy, name))
+                    .or_insert(MetricValue::Sum(0.0))
+                {
+                    *v += delta;
+                }
+            }
+
+            /// Sets a gauge observation (last write within a walk wins).
+            fn set_gauge(
+                &mut self,
+                scenario: &str,
+                policy: &str,
+                name: &str,
+                slot: u64,
+                value: f64,
+            ) {
+                self.0.metrics.insert(
+                    MetricKey::new(scenario, policy, name),
+                    MetricValue::Gauge { slot, value },
+                );
+            }
+
+            /// Records one histogram sample.
+            fn record_histogram(&mut self, scenario: &str, policy: &str, name: &str, value: u64) {
+                if let MetricValue::SlotHistogram(h) = self
+                    .0
+                    .metrics
+                    .entry(MetricKey::new(scenario, policy, name))
+                    .or_insert_with(|| MetricValue::SlotHistogram(SlotHistogram::default()))
+                {
+                    h.record(value);
+                }
+            }
+        }
+
+        fn walk(scenario: &str, policy: &str, events: &[Event]) -> MetricsRegistry {
+            let mut registry = Keyed(MetricsRegistry::new());
+            let mut scenario = scenario.to_string();
+            let mut policy = policy.to_string();
+            for event in events {
+                match &event.kind {
+                    EventKind::JobStart {
+                        scenario: s,
+                        policy: p,
+                        ..
+                    } => {
+                        scenario = s.clone();
+                        policy = p.clone();
+                    }
+                    EventKind::RunStart { policy: p, .. } => {
+                        policy = p.clone();
+                        registry.add_counter(&scenario, &policy, "runs_total", 1);
+                    }
+                    EventKind::Schedule { corun, .. } => {
+                        registry.add_counter(&scenario, &policy, "schedules_total", 1);
+                        if *corun {
+                            registry.add_counter(&scenario, &policy, "corun_schedules_total", 1);
+                        }
+                    }
+                    EventKind::Energy { component, joules } => {
+                        registry.set_gauge(
+                            &scenario,
+                            &policy,
+                            &format!("energy_j/{component}"),
+                            event.slot,
+                            *joules,
+                        );
+                    }
+                    EventKind::Merge { lag, version, .. } => {
+                        registry.add_counter(&scenario, &policy, "merges_total", 1);
+                        registry.record_histogram(&scenario, &policy, "merge_lag", *lag);
+                        registry.set_gauge(
+                            &scenario,
+                            &policy,
+                            "model_version",
+                            event.slot,
+                            *version as f64,
+                        );
+                    }
+                    EventKind::Round { version, .. } => {
+                        registry.add_counter(&scenario, &policy, "sync_rounds_total", 1);
+                        registry.set_gauge(
+                            &scenario,
+                            &policy,
+                            "model_version",
+                            event.slot,
+                            *version as f64,
+                        );
+                    }
+                    EventKind::Barrier { depth } => {
+                        registry.record_histogram(&scenario, &policy, "barrier_depth", *depth);
+                    }
+                    EventKind::RunEnd { updates, energy_j } => {
+                        registry.add_counter(&scenario, &policy, "updates_total", *updates);
+                        registry.add_sum(&scenario, &policy, "total_energy_j", *energy_j);
+                    }
+                    EventKind::DenseSpan {
+                        slots,
+                        idle_decisions,
+                    } => {
+                        registry.add_counter(&scenario, &policy, "dense_slots_total", *slots);
+                        registry.add_counter(
+                            &scenario,
+                            &policy,
+                            "idle_decisions_total",
+                            *idle_decisions,
+                        );
+                    }
+                    EventKind::SkipSpan { slots } => {
+                        registry.add_counter(&scenario, &policy, "skipped_slots_total", *slots);
+                        registry.add_counter(&scenario, &policy, "skip_spans_total", 1);
+                    }
+                    EventKind::JobEnd { .. } => {
+                        registry.add_counter(&scenario, &policy, "jobs_total", 1);
+                    }
+                    EventKind::JoinAccepted { .. } => {
+                        registry.add_counter(&scenario, &policy, "joins_accepted_total", 1);
+                    }
+                    EventKind::JoinRejected { .. } => {
+                        registry.add_counter(&scenario, &policy, "joins_rejected_total", 1);
+                    }
+                    EventKind::SessionExpired { .. } => {
+                        registry.add_counter(&scenario, &policy, "sessions_expired_total", 1);
+                    }
+                    EventKind::PushApplied { lag, version, .. } => {
+                        registry.add_counter(&scenario, &policy, "pushes_applied_total", 1);
+                        registry.record_histogram(&scenario, &policy, "push_lag", *lag);
+                        registry.set_gauge(
+                            &scenario,
+                            &policy,
+                            "model_version",
+                            event.slot,
+                            *version as f64,
+                        );
+                    }
+                    EventKind::PushRefused { .. } => {
+                        registry.add_counter(&scenario, &policy, "pushes_refused_total", 1);
+                    }
+                    EventKind::RoundAdvance { version, .. } => {
+                        registry.add_counter(&scenario, &policy, "round_advances_total", 1);
+                        registry.set_gauge(
+                            &scenario,
+                            &policy,
+                            "model_version",
+                            event.slot,
+                            *version as f64,
+                        );
+                    }
+                    EventKind::BatteryDepleted { .. } => {
+                        registry.add_counter(&scenario, &policy, "battery_deaths_total", 1);
+                    }
+                    EventKind::Recharged { .. } => {
+                        registry.add_counter(&scenario, &policy, "recharges_total", 1);
+                    }
+                    EventKind::UserChurned { offline, .. } => {
+                        if *offline {
+                            registry.add_counter(&scenario, &policy, "churn_departures_total", 1);
+                        } else {
+                            registry.add_counter(&scenario, &policy, "churn_rejoins_total", 1);
+                        }
+                    }
+                    EventKind::CompressedUpload { bytes, .. } => {
+                        registry.add_counter(&scenario, &policy, "compressed_uploads_total", 1);
+                        registry.add_counter(&scenario, &policy, "compressed_bytes_total", *bytes);
+                    }
+                }
+            }
+            registry.0
+        }
+
+        #[test]
+        fn the_slot_walk_matches_the_keyed_walk_on_every_kind_and_label_change() {
+            // Every kind once (one job plus server events under its labels),
+            // then jobs that switch cells, return to an earlier one, restart
+            // the slot clock, and a run whose policy differs from its job's.
+            let mut events = one_of_each();
+            events.extend(job(1, ("smoke", "Online"), 400, 9, 0.1));
+            events.extend(job(2, ("smoke", "Offline"), 400, 2, 7.5));
+            events.extend(job(3, ("smoke", "Online"), 100, 3, 0.3));
+            events.extend(job(4, ("sparse", "Online"), 100, 1, 2.0));
+            events.push(Event::new(
+                0,
+                EventKind::RunStart {
+                    users: 1,
+                    slots: 1,
+                    policy: "Immediate".into(),
+                },
+            ));
+            events.extend(one_of_each().into_iter().skip(2));
+            for (scenario, policy) in [("-", "-"), ("smoke:users=3", "Online(V=1000)")] {
+                let slots = MetricsRegistry::from_labeled_trace(scenario, policy, &events);
+                let keyed = walk(scenario, policy, &events);
+                assert_eq!(slots.to_jsonl(), keyed.to_jsonl());
+                assert_eq!(slots, keyed);
+            }
+            assert_eq!(MetricsRegistry::from_trace(&[]), walk("-", "-", &[]));
+        }
     }
 
     #[test]
     fn jsonl_round_trip_is_byte_identical() {
-        let mut m = MetricsRegistry::new();
-        m.add_counter("paper-default", "Online", "merges_total", 41);
-        m.set_gauge("paper-default", "Online", "energy_j/radio", 600, 1.0 / 3.0);
-        m.add_sum(
-            "paper-default",
-            "Online",
-            "total_energy_j",
+        let mut events = job(
+            0,
+            ("paper-default \"quoted\"", "Online"),
+            600,
+            6,
             98765.4321098765,
         );
-        m.record_histogram("paper-default", "Online", "merge_lag", 0);
-        m.record_histogram("paper-default", "Online", "merge_lag", 5);
+        events.push(Event::new(
+            600,
+            EventKind::Energy {
+                component: "radio".into(),
+                joules: 1.0 / 3.0,
+            },
+        ));
+        let m = MetricsRegistry::from_trace(&events);
+        assert_eq!(m.len(), 12);
         let first = m.to_jsonl();
         let parsed = MetricsRegistry::parse_jsonl(&first).expect("parses");
         assert_eq!(parsed, m);
