@@ -191,3 +191,189 @@ fn compact_lenet_run_reproduces_the_pre_fast_kernel_bits() {
     assert_eq!(result.total_updates, 60);
     assert_eq!(fnv1a(&bytes), 0x0d0e_16fc_a533_a46a, "global model drifted");
 }
+
+/// What a run's telemetry says about local epochs the world interrupted:
+/// lower bounds, read off the semantic stream alone.
+#[derive(Debug, Default)]
+struct Interruptions {
+    /// Epochs scheduled and never uploaded because the device went dark
+    /// mid-training: a user scheduled twice with no merge (or closed round)
+    /// of its own in between.
+    aborted_mid_training: usize,
+    /// Users that went dark while holding a downloaded model they had not
+    /// started training on, and later came back for a fresh one.
+    rejoined_after_waiting: usize,
+    /// Updates that reached the server from a user one of whose earlier
+    /// epochs was aborted: what carries a leaked optimiser state, if an
+    /// aborted epoch leaves one, into the pinned model bits.
+    uploads_after_an_abort: usize,
+}
+
+fn interruptions(events: &[Event], users: usize) -> Interruptions {
+    let mut out = Interruptions::default();
+    // Scheduled, and neither merged nor closed by a round since.
+    let mut open_epoch = vec![false; users];
+    let mut aborted_before = vec![false; users];
+    let (mut dead, mut churned) = (vec![false; users], vec![false; users]);
+    let mut dark_from_waiting = vec![false; users];
+    for event in events {
+        let world_flip = match &event.kind {
+            EventKind::Schedule { user, .. } => {
+                let u = *user as usize;
+                out.aborted_mid_training += usize::from(open_epoch[u]);
+                aborted_before[u] |= open_epoch[u];
+                open_epoch[u] = true;
+                None
+            }
+            EventKind::Merge { user, .. } => {
+                let u = *user as usize;
+                out.uploads_after_an_abort += usize::from(aborted_before[u]);
+                open_epoch[u] = false;
+                None
+            }
+            EventKind::Round { .. } => {
+                // Whoever is scheduled and not dark when a round closes is
+                // parked at its barrier: its update is in the round.
+                for u in 0..users {
+                    let in_round = open_epoch[u] && !dead[u] && !churned[u];
+                    out.uploads_after_an_abort += usize::from(in_round && aborted_before[u]);
+                    open_epoch[u] = false;
+                }
+                None
+            }
+            EventKind::BatteryDepleted { user, .. } => Some((*user as usize, Some(true), None)),
+            EventKind::Recharged { user, .. } => Some((*user as usize, Some(false), None)),
+            EventKind::UserChurned { user, offline } => {
+                Some((*user as usize, None, Some(*offline)))
+            }
+            _ => None,
+        };
+        if let Some((u, battery, churn)) = world_flip {
+            let was_dark = dead[u] || churned[u];
+            dead[u] = battery.unwrap_or(dead[u]);
+            churned[u] = churn.unwrap_or(churned[u]);
+            let is_dark = dead[u] || churned[u];
+            if !was_dark && is_dark && !open_epoch[u] {
+                dark_from_waiting[u] = true;
+            } else if was_dark && !is_dark && std::mem::take(&mut dark_from_waiting[u]) {
+                out.rejoined_after_waiting += 1;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn ml_under_world_dynamics_reproduces_the_serial_training_bits() {
+    // Real training with devices dying and churning mid-epoch. Captured on
+    // the commit before local epochs moved off the slot-loop thread, where
+    // every epoch ran inside `make_update` at its completion slot: an epoch
+    // the world aborts must leave no trace in the client's optimiser, and a
+    // device that rejoins must train on the model it rejoined with.
+    // (scenario, policy, energy bits, accuracy bits, updates, FNV of the
+    // final global parameters).
+    let goldens: [(&str, PolicySpec, u64, u32, u64, u64); 8] = [
+        (
+            "",
+            PolicySpec::Online { v: None },
+            0x40c0_e9fa_9fbe_76b7,
+            0x3daa_aaab,
+            2,
+            0x36fe_661f_d309_06f6,
+        ),
+        (
+            "",
+            PolicySpec::SyncSgd,
+            0x40ce_154e_5604_1880,
+            0x3daa_aaab,
+            2,
+            0x8063_a2d6_9b96_3b97,
+        ),
+        (
+            ":compress=0.5",
+            PolicySpec::Online { v: None },
+            0x40c0_e9fa_9fbe_76b7,
+            0x3daa_aaab,
+            2,
+            0x5d68_0f38_f064_8bde,
+        ),
+        (
+            ":compress=0.5",
+            PolicySpec::SyncSgd,
+            0x40ce_154e_5604_1880,
+            0x3daa_aaab,
+            2,
+            0x0f1f_9bfb_652d_a325,
+        ),
+        (
+            ":slots=6000:users=10",
+            PolicySpec::Online { v: None },
+            0x40f2_cc0a_4189_3796,
+            0x3e80_0000,
+            63,
+            0x0a06_72b4_b14a_8877,
+        ),
+        (
+            ":slots=6000:users=10",
+            PolicySpec::SyncSgd,
+            0x40f6_a042_147a_e1d0,
+            0x3e55_5555,
+            9,
+            0xb21f_45d4_bed4_c3be,
+        ),
+        (
+            ":slots=6000:users=10:compress=0.5",
+            PolicySpec::Online { v: None },
+            0x40f2_cc0a_4189_3796,
+            0x3e80_0000,
+            63,
+            0xafb0_cedc_e2ba_9702,
+        ),
+        (
+            ":slots=6000:users=10:compress=0.5",
+            PolicySpec::SyncSgd,
+            0x40f6_a042_147a_e1d0,
+            0x3daa_aaab,
+            9,
+            0x8a6f_e696_6295_f74b,
+        ),
+    ];
+    for (suffix, policy, energy_bits, accuracy_bits, updates, model_fnv) in goldens {
+        let scenario = format!("ml-smoke:churn=heavy:battery=constrained{suffix}");
+        let spec: ScenarioSpec = scenario.parse().expect("parses");
+        let config = spec.build_with_policy(policy.clone()).expect("builds");
+        let users = config.num_users;
+        let sink = BufferSink::shared();
+        let mut sim = Simulation::new(config).with_telemetry(sink.clone());
+        let result = sim.run();
+        let bytes: Vec<u8> = sim
+            .model_snapshot()
+            .params
+            .values()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        let seen = interruptions(&sink.drain(), users);
+        let run = format!("{scenario} under {policy:?}");
+        assert_eq!(result.total_energy_j.to_bits(), energy_bits, "{run}");
+        assert_eq!(
+            result.final_accuracy.map(f32::to_bits),
+            Some(accuracy_bits),
+            "{run}"
+        );
+        assert_eq!(result.total_updates, updates, "{run}");
+        assert_eq!(fnv1a(&bytes), model_fnv, "global model drifted: {run}");
+        // The runs are only worth pinning while the world really does cut
+        // into training: every one aborts an epoch mid-flight, the
+        // asynchronous ones also lose devices that were waiting with a
+        // downloaded model, and the long ones upload from a device that was
+        // cut off before.
+        assert!(seen.aborted_mid_training >= 1, "{run}: {seen:?}");
+        if !matches!(policy, PolicySpec::SyncSgd) {
+            assert!(seen.rejoined_after_waiting >= 1, "{run}: {seen:?}");
+        }
+        if updates > 2 {
+            assert!(seen.uploads_after_an_abort >= 1, "{run}: {seen:?}");
+        }
+    }
+}
