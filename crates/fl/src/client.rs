@@ -1,22 +1,41 @@
 //! The on-device federated-learning client.
 //!
-//! A client owns a local replica of the network, a shard of the training
-//! data and an SGD-with-momentum optimiser. A *local epoch* (the unit of work
-//! scheduled by the paper's controller) is one pass over the local shard in
-//! mini-batches; it produces a [`LocalUpdate`] that is uploaded to the
-//! parameter server when the epoch finishes.
+//! A client holds a local replica of the model parameters, the mini-batches
+//! of its data shard and the state of an SGD-with-momentum optimiser. A
+//! *local epoch* (the unit of work scheduled by the paper's controller) is one
+//! pass over the shard in mini-batches; it produces a [`LocalUpdate`] that is
+//! uploaded to the parameter server when the epoch finishes.
+//!
+//! # The purity contract
+//!
+//! A device trains on its own between download and upload, so an epoch is a
+//! pure function, [`EpochTask::run`], of what [`FlClient::epoch_task`]
+//! captures: the replica's parameters, the shard's batches (built once,
+//! shared read-only) and a copy of the optimiser state. It draws no random
+//! number, shuffles nothing and reads nothing else — not the client, not the
+//! server, not a clock — and it runs on a scratch network that belongs to
+//! the executing thread, every parameter of which it overwrites first. Any
+//! thread may therefore run it at any time after the task is taken, and
+//! running it, or dropping its result, changes nothing anywhere.
+//! [`FlClient::commit`] is the only mutation: it installs the trained replica
+//! and the optimiser state the epoch ended with, and counts the epoch.
+//! [`FlClient::local_epoch`] is the two in a row on the calling thread.
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::SeedableRng;
 
-use fedco_neural::data::Dataset;
+use fedco_neural::data::{Batch, Dataset};
 use fedco_neural::lenet::LeNetConfig;
 use fedco_neural::loss::SoftmaxCrossEntropy;
-use fedco_neural::model::Sequential;
+use fedco_neural::model::{ParamVector, Sequential};
 use fedco_neural::optimizer::{LrSchedule, Sgd, SgdConfig};
 use fedco_neural::tensor::TensorError;
 
 use crate::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
+use crate::pool::Job;
 
 /// Configuration of a federated client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,37 +61,145 @@ impl Default for ClientConfig {
     }
 }
 
-/// A federated client with its local model replica and data shard.
+thread_local! {
+    /// The executing thread's scratch network and the architecture it was
+    /// built for. Nothing survives in it from one use to the next: every
+    /// parameter is overwritten before a pass, gradients are zeroed by each
+    /// training step and the activation caches by each forward pass.
+    static SCRATCH: RefCell<Option<(LeNetConfig, Sequential)>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on this thread's scratch network of the given architecture,
+/// building it on first use (and again when the architecture changes).
+fn with_scratch<R>(architecture: LeNetConfig, f: impl FnOnce(&mut Sequential) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        if slot
+            .as_ref()
+            .is_some_and(|(built, _)| *built != architecture)
+        {
+            *slot = None;
+        }
+        let (_, network) = slot.get_or_insert_with(|| {
+            let mut rng = SmallRng::seed_from_u64(0);
+            (architecture, architecture.build(&mut rng))
+        });
+        f(network)
+    })
+}
+
+/// What never changes about a client — who it is, how it trains and on what —
+/// shared read-only between the client and the epochs it hands out.
+#[derive(Debug)]
+struct Shard {
+    client_id: usize,
+    config: ClientConfig,
+    architecture: LeNetConfig,
+    /// The mini-batches of one pass, or why the shard has none.
+    batches: Result<Vec<Batch>, TensorError>,
+    len: usize,
+}
+
+/// Everything one local epoch reads, captured by [`FlClient::epoch_task`].
+#[derive(Debug, Clone)]
+pub struct EpochTask {
+    shard: Arc<Shard>,
+    /// The parameters training starts from.
+    params: ParamVector,
+    base_version: ModelVersion,
+    /// The optimiser state training starts from.
+    optimizer: Sgd,
+}
+
+/// What one local epoch produces, installed by [`FlClient::commit`].
+#[derive(Debug, Clone)]
+pub struct EpochOutcome {
+    /// The update to upload.
+    pub update: LocalUpdate,
+    /// The optimiser state the epoch ended with.
+    optimizer: Sgd,
+}
+
+impl Job for EpochTask {
+    type Output = Result<EpochOutcome, TensorError>;
+
+    /// Trains the epoch on the executing thread's scratch network: the pure
+    /// function of the module docs. Fails with the shape error of the
+    /// training loop (dataset geometry against architecture) or of cutting
+    /// the shard into batches (images that disagree in shape).
+    fn run(self) -> Self::Output {
+        let EpochTask {
+            shard,
+            params,
+            base_version,
+            mut optimizer,
+        } = self;
+        let batches = shard.batches.as_ref().map_err(Clone::clone)?;
+        let passes = shard.config.local_passes.max(1);
+        with_scratch(shard.architecture, |network| {
+            network.set_parameters(&params)?;
+            let loss = SoftmaxCrossEntropy::new();
+            let mut total_loss = 0.0f32;
+            let mut total_acc = 0.0f32;
+            let mut steps = 0usize;
+            for _ in 0..passes {
+                for (images, labels) in batches {
+                    let step = network.train_batch(images, labels, &loss, &mut optimizer)?;
+                    total_loss += step.loss;
+                    total_acc += step.accuracy;
+                    steps += 1;
+                }
+            }
+            let denom = steps.max(1) as f32;
+            Ok(EpochOutcome {
+                update: LocalUpdate {
+                    client_id: shard.client_id,
+                    params: network.parameters(),
+                    base_version,
+                    num_samples: shard.len * passes,
+                    train_loss: total_loss / denom,
+                    train_accuracy: total_acc / denom,
+                },
+                optimizer,
+            })
+        })
+    }
+}
+
+/// A federated client: its model replica, its data shard and its optimiser
+/// state.
 #[derive(Debug)]
 pub struct FlClient {
-    id: usize,
-    config: ClientConfig,
-    network: Sequential,
+    shard: Arc<Shard>,
+    params: ParamVector,
     optimizer: Sgd,
-    shard: Dataset,
     base_version: ModelVersion,
     epochs_completed: usize,
 }
 
 impl FlClient {
-    /// Creates a client with a freshly initialised network of the given
-    /// architecture. The initial parameters are immediately overwritten by
-    /// the first [`FlClient::receive_model`] call in normal operation.
+    /// Creates a client with freshly initialised parameters of the given
+    /// architecture, which the first [`FlClient::receive_model`] call
+    /// overwrites in normal operation. The shard is cut into its mini-batches
+    /// here, once; a shard whose images disagree in shape is reported by the
+    /// first epoch.
     pub fn new(id: usize, architecture: LeNetConfig, shard: Dataset, config: ClientConfig) -> Self {
         let mut rng = SmallRng::seed_from_u64(0xF3DC0 ^ id as u64);
-        let network = architecture.build(&mut rng);
-        let optimizer = Sgd::new(SgdConfig {
-            learning_rate: config.learning_rate,
-            momentum: config.momentum,
-            weight_decay: 0.0,
-            schedule: LrSchedule::Constant,
-        });
         FlClient {
-            id,
-            config,
-            network,
-            optimizer,
-            shard,
+            params: architecture.build(&mut rng).parameters(),
+            optimizer: Sgd::new(SgdConfig {
+                learning_rate: config.learning_rate,
+                momentum: config.momentum,
+                weight_decay: 0.0,
+                schedule: LrSchedule::Constant,
+            }),
+            shard: Arc::new(Shard {
+                client_id: id,
+                config,
+                architecture,
+                batches: shard.epoch_batches(config.batch_size),
+                len: shard.len(),
+            }),
             base_version: ModelVersion::INITIAL,
             epochs_completed: 0,
         }
@@ -80,17 +207,17 @@ impl FlClient {
 
     /// The client identifier.
     pub fn id(&self) -> usize {
-        self.id
+        self.shard.client_id
     }
 
     /// The client configuration.
     pub fn config(&self) -> &ClientConfig {
-        &self.config
+        &self.shard.config
     }
 
     /// Number of examples in the local shard.
     pub fn shard_size(&self) -> usize {
-        self.shard.len()
+        self.shard.len
     }
 
     /// Number of local epochs completed so far.
@@ -111,43 +238,50 @@ impl FlClient {
     /// Returns [`TensorError::LengthMismatch`] when the snapshot does not
     /// match the client's architecture.
     pub fn receive_model(&mut self, snapshot: &ModelSnapshot) -> Result<(), TensorError> {
-        self.network.set_parameters(&snapshot.params)?;
+        if snapshot.params.len() != self.params.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: self.params.len(),
+                actual: snapshot.params.len(),
+            });
+        }
+        self.params
+            .values_mut()
+            .copy_from_slice(snapshot.params.values());
         self.base_version = snapshot.version;
         Ok(())
     }
 
-    /// Runs one scheduled local epoch over the local shard and returns the
-    /// resulting update, ready to be uploaded.
+    /// Captures the next local epoch: everything it reads, copied or shared
+    /// read-only, so the client is free to change (or not) while it trains.
+    pub fn epoch_task(&self) -> EpochTask {
+        EpochTask {
+            shard: self.shard.clone(),
+            params: self.params.clone(),
+            base_version: self.base_version,
+            optimizer: self.optimizer.clone(),
+        }
+    }
+
+    /// Makes a trained epoch the client's own — the trained parameters become
+    /// the replica, the optimiser continues from where the epoch left it, the
+    /// epoch is counted — and returns its update, ready to be uploaded. An
+    /// outcome that is dropped instead leaves the client exactly as it was.
+    pub fn commit(&mut self, outcome: EpochOutcome) -> LocalUpdate {
+        self.params.clone_from(&outcome.update.params);
+        self.optimizer = outcome.optimizer;
+        self.epochs_completed += 1;
+        outcome.update
+    }
+
+    /// Runs one scheduled local epoch over the local shard on the calling
+    /// thread and returns the resulting update, ready to be uploaded.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the training loop (which indicate a
-    /// mismatch between the dataset geometry and the architecture).
+    /// As [`EpochTask::run`]; a failed epoch commits nothing.
     pub fn local_epoch(&mut self) -> Result<LocalUpdate, TensorError> {
-        let loss = SoftmaxCrossEntropy::new();
-        let mut total_loss = 0.0f32;
-        let mut total_acc = 0.0f32;
-        let mut batches = 0usize;
-        for _ in 0..self.config.local_passes.max(1) {
-            for (images, labels) in self.shard.epoch_batches(self.config.batch_size) {
-                let step =
-                    self.network
-                        .train_batch(&images, &labels, &loss, &mut self.optimizer)?;
-                total_loss += step.loss;
-                total_acc += step.accuracy;
-                batches += 1;
-            }
-        }
-        let denom = batches.max(1) as f32;
-        self.epochs_completed += 1;
-        Ok(LocalUpdate {
-            client_id: self.id,
-            params: self.network.parameters(),
-            base_version: self.base_version,
-            num_samples: self.shard.len() * self.config.local_passes.max(1),
-            train_loss: total_loss / denom,
-            train_accuracy: total_acc / denom,
-        })
+        let outcome = self.epoch_task().run()?;
+        Ok(self.commit(outcome))
     }
 
     /// Evaluates the *current local replica* on an external test set,
@@ -156,12 +290,11 @@ impl FlClient {
     /// # Errors
     ///
     /// Propagates shape errors when the test set geometry mismatches.
-    pub fn evaluate(
-        &mut self,
-        test_set: &Dataset,
-        max_examples: usize,
-    ) -> Result<f32, TensorError> {
-        evaluate_network(&mut self.network, test_set, max_examples)
+    pub fn evaluate(&self, test_set: &Dataset, max_examples: usize) -> Result<f32, TensorError> {
+        with_scratch(self.shard.architecture, |network| {
+            network.set_parameters(&self.params)?;
+            evaluate_network(network, test_set, max_examples)
+        })
     }
 }
 
@@ -186,12 +319,19 @@ pub fn evaluate_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedco_neural::data::SyntheticCifarConfig;
-    use fedco_neural::model::ParamVector;
+    use fedco_neural::data::{Example, SyntheticCifarConfig};
+    use fedco_neural::tensor::Tensor;
 
-    fn tiny_setup() -> (FlClient, Dataset) {
+    const TINY: ClientConfig = ClientConfig {
+        batch_size: 8,
+        learning_rate: 0.05,
+        momentum: 0.9,
+        local_passes: 1,
+    };
+
+    fn tiny_split() -> (Dataset, Dataset) {
         let arch = LeNetConfig::tiny();
-        let data = SyntheticCifarConfig {
+        SyntheticCifarConfig {
             image_size: arch.image_size,
             channels: arch.channels,
             classes: arch.classes,
@@ -199,20 +339,148 @@ mod tests {
             noise_std: 0.3,
             seed: 5,
         }
-        .generate();
-        let (train, test) = data.train_test_split(0.25);
-        let client = FlClient::new(
-            3,
-            arch,
-            train,
-            ClientConfig {
-                batch_size: 8,
-                learning_rate: 0.05,
-                momentum: 0.9,
-                local_passes: 1,
-            },
+        .generate()
+        .train_test_split(0.25)
+    }
+
+    fn tiny_setup() -> (FlClient, Dataset) {
+        let (train, test) = tiny_split();
+        (FlClient::new(3, LeNetConfig::tiny(), train, TINY), test)
+    }
+
+    /// The client as it was before an epoch became a task and a commit: it
+    /// owned a network and trained it in place, cutting its shard into fresh
+    /// batches every epoch.
+    struct ReferenceClient {
+        network: Sequential,
+        optimizer: Sgd,
+        shard: Dataset,
+    }
+
+    impl ReferenceClient {
+        fn twin_of(client: &FlClient, shard: Dataset) -> Self {
+            let mut rng = SmallRng::seed_from_u64(0xF3DC0 ^ client.id() as u64);
+            ReferenceClient {
+                network: client.shard.architecture.build(&mut rng),
+                optimizer: client.optimizer.clone(),
+                shard,
+            }
+        }
+
+        fn local_epoch(&mut self, config: &ClientConfig) -> (ParamVector, f32, f32) {
+            let loss = SoftmaxCrossEntropy::new();
+            let (mut total_loss, mut total_acc, mut batches) = (0.0f32, 0.0f32, 0usize);
+            for _ in 0..config.local_passes.max(1) {
+                let mut offset = 0;
+                while offset < self.shard.len() {
+                    let size = config.batch_size.min(self.shard.len() - offset);
+                    let (images, labels) = self.shard.batch(offset, size).unwrap();
+                    let step = self
+                        .network
+                        .train_batch(&images, &labels, &loss, &mut self.optimizer)
+                        .unwrap();
+                    total_loss += step.loss;
+                    total_acc += step.accuracy;
+                    batches += 1;
+                    offset += size;
+                }
+            }
+            let denom = batches.max(1) as f32;
+            (
+                self.network.parameters(),
+                total_loss / denom,
+                total_acc / denom,
+            )
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn committed_epochs_match_the_in_place_reference_bits() {
+        for local_passes in [1, 2] {
+            let config = ClientConfig {
+                local_passes,
+                ..TINY
+            };
+            let (train, _) = tiny_split();
+            let mut client = FlClient::new(3, LeNetConfig::tiny(), train.clone(), config);
+            let mut reference = ReferenceClient::twin_of(&client, train);
+            for epoch in 0..6 {
+                // Continue from the local replica twice, then from a
+                // download, and so on.
+                if epoch % 3 == 2 {
+                    let params = ParamVector::new(
+                        (0..client.params.len())
+                            .map(|i| ((epoch * 31 + i) as f32 * 0.37).sin() * 0.1)
+                            .collect(),
+                    );
+                    let snapshot = ModelSnapshot::new(params, ModelVersion(epoch as u64));
+                    client.receive_model(&snapshot).unwrap();
+                    reference.network.set_parameters(&snapshot.params).unwrap();
+                }
+                let update = client.local_epoch().unwrap();
+                let (params, loss, accuracy) = reference.local_epoch(&config);
+                assert_eq!(bits(update.params.values()), bits(params.values()));
+                assert_eq!(update.train_loss.to_bits(), loss.to_bits());
+                assert_eq!(update.train_accuracy.to_bits(), accuracy.to_bits());
+                assert_eq!(update.num_samples, 36 * local_passes);
+                assert_eq!(
+                    bits(&client.optimizer.velocity_flat()),
+                    bits(&reference.optimizer.velocity_flat())
+                );
+                assert_eq!(
+                    client.optimizer.step_count(),
+                    reference.optimizer.step_count()
+                );
+                assert_eq!(client.epochs_completed(), epoch + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_discarded_epoch_leaves_the_client_untouched() {
+        let (mut client, _) = tiny_setup();
+        let (mut twin, _) = tiny_setup();
+        client.local_epoch().unwrap();
+        twin.local_epoch().unwrap();
+        let velocity = client.optimizer.velocity_flat();
+        // An epoch the world aborts: trained, perhaps, but never committed.
+        let outcome = client.epoch_task().run().unwrap();
+        assert_ne!(
+            bits(&outcome.optimizer.velocity_flat()),
+            bits(&velocity),
+            "the epoch did train"
         );
-        (client, test)
+        drop(outcome);
+        assert_eq!(bits(&client.optimizer.velocity_flat()), bits(&velocity));
+        assert_eq!(client.optimizer.step_count(), 5);
+        assert_eq!(client.epochs_completed(), 1);
+        // What it trains next is what a client that never started the
+        // aborted epoch trains.
+        let (next, want) = (client.local_epoch().unwrap(), twin.local_epoch().unwrap());
+        assert_eq!(bits(next.params.values()), bits(want.params.values()));
+        assert_eq!(next.train_loss.to_bits(), want.train_loss.to_bits());
+    }
+
+    #[test]
+    fn a_malformed_shard_is_an_error_not_a_shorter_epoch() {
+        let (train, _) = tiny_split();
+        let mut examples: Vec<Example> = train.examples()[..32].to_vec();
+        examples[19].image = Tensor::zeros(&[1, 6, 6]);
+        let shard = Dataset::new(examples, train.classes());
+        let mut client = FlClient::new(0, LeNetConfig::tiny(), shard, TINY);
+        assert_eq!(client.shard_size(), 32);
+        assert!(matches!(
+            client.local_epoch(),
+            Err(TensorError::ShapeMismatch {
+                op: "dataset_batch",
+                ..
+            })
+        ));
+        assert_eq!(client.epochs_completed(), 0);
     }
 
     #[test]
@@ -273,7 +541,7 @@ mod tests {
 
     #[test]
     fn evaluate_on_empty_test_set_is_zero() {
-        let (mut client, _) = tiny_setup();
+        let (client, _) = tiny_setup();
         assert_eq!(client.evaluate(&Dataset::default(), 10).unwrap(), 0.0);
         let (_, test) = tiny_setup();
         assert_eq!(client.evaluate(&test, 0).unwrap(), 0.0);

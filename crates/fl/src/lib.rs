@@ -10,7 +10,9 @@
 //!   asynchronous replace-on-receive rule the paper implements and FedAvg
 //!   aggregation for the Sync-SGD baseline,
 //! * [`FlClient`] — an on-device trainer running local
-//!   epochs of LeNet on its data shard,
+//!   epochs of LeNet on its data shard, each a pure function of what the
+//!   client captured for it, and the [`TrainingPool`] that computes them
+//!   beside the simulation's slot loop,
 //! * the staleness machinery of Section III: lag (Definition 1), gradient
 //!   gap (Definition 2), momentum tracking (Eq. 1) and the linear weight
 //!   prediction of Eq. (3)–(4),
@@ -25,16 +27,18 @@ pub mod client;
 pub mod model_state;
 pub mod momentum;
 pub mod partition;
+pub mod pool;
 pub mod server;
 pub mod service;
 pub mod staleness;
 pub mod transport;
 
 pub use aggregation::AsyncUpdateRule;
-pub use client::{ClientConfig, FlClient};
+pub use client::{ClientConfig, EpochOutcome, EpochTask, FlClient};
 pub use model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 pub use momentum::MomentumTracker;
 pub use partition::{partition_dataset, PartitionStrategy};
+pub use pool::TrainingPool;
 pub use server::{ParameterServer, ServerStats, ServerTelemetry};
 pub use service::{ModelService, ModelServiceInit};
 pub use staleness::{GapAccumulator, GradientGap, Lag, WeightPredictor};

@@ -29,7 +29,7 @@ pub enum PartitionStrategy {
 /// The split is deterministic given `seed`. Every example is assigned to
 /// exactly one shard.
 pub fn partition_dataset(
-    dataset: &Dataset,
+    dataset: Dataset,
     num_users: usize,
     strategy: PartitionStrategy,
     seed: u64,
@@ -38,7 +38,7 @@ pub fn partition_dataset(
     match strategy {
         PartitionStrategy::Iid => dataset.partition(num_users),
         PartitionStrategy::LabelSkew { labels_per_user } => {
-            label_skew_partition(dataset, num_users, labels_per_user.max(1), seed)
+            label_skew_partition(&dataset, num_users, labels_per_user.max(1), seed)
         }
     }
 }
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn iid_partition_is_equal_and_complete() {
         let ds = dataset();
-        let shards = partition_dataset(&ds, 25, PartitionStrategy::Iid, 0);
+        let shards = partition_dataset(ds, 25, PartitionStrategy::Iid, 0);
         assert_eq!(shards.len(), 25);
         assert_eq!(shards.iter().map(Dataset::len).sum::<usize>(), 200);
         assert!(shards.iter().all(|s| s.len() == 8));
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn iid_shards_cover_many_classes() {
         let ds = dataset();
-        let shards = partition_dataset(&ds, 10, PartitionStrategy::Iid, 0);
+        let shards = partition_dataset(ds, 10, PartitionStrategy::Iid, 0);
         for s in &shards {
             let covered = s.class_histogram().iter().filter(|&&c| c > 0).count();
             assert!(covered >= 5, "shard covers only {covered} classes");
@@ -129,7 +129,7 @@ mod tests {
     fn label_skew_concentrates_classes() {
         let ds = dataset();
         let shards = partition_dataset(
-            &ds,
+            ds,
             5,
             PartitionStrategy::LabelSkew { labels_per_user: 2 },
             7,
@@ -145,15 +145,14 @@ mod tests {
 
     #[test]
     fn label_skew_is_deterministic_per_seed() {
-        let ds = dataset();
         let a = partition_dataset(
-            &ds,
+            dataset(),
             5,
             PartitionStrategy::LabelSkew { labels_per_user: 2 },
             9,
         );
         let b = partition_dataset(
-            &ds,
+            dataset(),
             5,
             PartitionStrategy::LabelSkew { labels_per_user: 2 },
             9,
@@ -166,10 +165,9 @@ mod tests {
 
     #[test]
     fn zero_users_clamps_to_one() {
-        let ds = dataset();
-        let shards = partition_dataset(&ds, 0, PartitionStrategy::Iid, 0);
+        let shards = partition_dataset(dataset(), 0, PartitionStrategy::Iid, 0);
         assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].len(), ds.len());
+        assert_eq!(shards[0].len(), 200);
         assert_eq!(PartitionStrategy::default(), PartitionStrategy::Iid);
     }
 }

@@ -24,6 +24,9 @@ pub struct Example {
     pub label: usize,
 }
 
+/// A mini-batch: the stacked image tensor `[b, c, h, w]` and its labels.
+pub type Batch = (Tensor, Vec<usize>);
+
 /// An in-memory labelled dataset.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
@@ -64,12 +67,13 @@ impl Dataset {
 
     /// Splits the dataset into `parts` near-equal shards (the paper's "equal
     /// partition of the CIFAR10 dataset" across 25 users). Examples are dealt
-    /// round-robin so every shard sees every class.
-    pub fn partition(&self, parts: usize) -> Vec<Dataset> {
+    /// round-robin so every shard sees every class, and moved, not copied:
+    /// the shards are the dataset.
+    pub fn partition(self, parts: usize) -> Vec<Dataset> {
         let parts = parts.max(1);
         let mut shards: Vec<Vec<Example>> = vec![Vec::new(); parts];
-        for (i, ex) in self.examples.iter().enumerate() {
-            shards[i % parts].push(ex.clone());
+        for (i, ex) in self.examples.into_iter().enumerate() {
+            shards[i % parts].push(ex);
         }
         shards
             .into_iter()
@@ -77,14 +81,14 @@ impl Dataset {
             .collect()
     }
 
-    /// Splits off the last `fraction` of examples as a held-out test set.
-    pub fn train_test_split(&self, test_fraction: f32) -> (Dataset, Dataset) {
+    /// Splits off the last `fraction` of examples as a held-out test set,
+    /// moving every example into one half or the other.
+    pub fn train_test_split(mut self, test_fraction: f32) -> (Dataset, Dataset) {
         let test_fraction = test_fraction.clamp(0.0, 1.0);
         let test_len = ((self.len() as f32) * test_fraction).round() as usize;
         let split = self.len().saturating_sub(test_len);
-        let train = Dataset::new(self.examples[..split].to_vec(), self.classes);
-        let test = Dataset::new(self.examples[split..].to_vec(), self.classes);
-        (train, test)
+        let test = Dataset::new(self.examples.split_off(split), self.classes);
+        (self, test)
     }
 
     /// Assembles a mini-batch starting at `offset` with up to `batch_size`
@@ -95,11 +99,7 @@ impl Dataset {
     ///
     /// Returns [`TensorError`] if the dataset is empty or images disagree in
     /// shape.
-    pub fn batch(
-        &self,
-        offset: usize,
-        batch_size: usize,
-    ) -> Result<(Tensor, Vec<usize>), TensorError> {
+    pub fn batch(&self, offset: usize, batch_size: usize) -> Result<Batch, TensorError> {
         if self.examples.is_empty() {
             return Err(TensorError::LengthMismatch {
                 expected: 1,
@@ -107,9 +107,9 @@ impl Dataset {
             });
         }
         let start = offset % self.examples.len();
-        let mut images = Vec::new();
-        let mut labels = Vec::with_capacity(batch_size);
         let shape = self.examples[0].image.shape().to_vec();
+        let mut images = Vec::with_capacity(batch_size * self.examples[0].image.len());
+        let mut labels = Vec::with_capacity(batch_size);
         let mut count = 0usize;
         while count < batch_size {
             let ex = &self.examples[(start + count) % self.examples.len()];
@@ -129,21 +129,20 @@ impl Dataset {
         Ok((Tensor::from_vec(images, &batch_shape)?, labels))
     }
 
-    /// Iterates the dataset as consecutive mini-batches covering one epoch.
-    pub fn epoch_batches(&self, batch_size: usize) -> Vec<(Tensor, Vec<usize>)> {
+    /// The dataset as the consecutive mini-batches of one epoch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] if images disagree in shape: an epoch is
+    /// every example or none.
+    pub fn epoch_batches(&self, batch_size: usize) -> Result<Vec<Batch>, TensorError> {
         if self.is_empty() || batch_size == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        while offset < self.len() {
-            let size = batch_size.min(self.len() - offset);
-            if let Ok(batch) = self.batch(offset, size) {
-                out.push(batch);
-            }
-            offset += size;
-        }
-        out
+        (0..self.len())
+            .step_by(batch_size)
+            .map(|offset| self.batch(offset, batch_size.min(self.len() - offset)))
+            .collect()
     }
 
     /// Class histogram (counts per label).
@@ -306,11 +305,10 @@ mod tests {
 
     #[test]
     fn partition_is_near_equal_and_covers_all() {
-        let ds = small_config().generate();
-        let shards = ds.partition(7);
+        let shards = small_config().generate().partition(7);
         assert_eq!(shards.len(), 7);
         let total: usize = shards.iter().map(|s| s.len()).sum();
-        assert_eq!(total, ds.len());
+        assert_eq!(total, 40);
         let max = shards.iter().map(|s| s.len()).max().unwrap();
         let min = shards.iter().map(|s| s.len()).min().unwrap();
         assert!(max - min <= 1);
@@ -319,11 +317,12 @@ mod tests {
     #[test]
     fn train_test_split_fractions() {
         let ds = small_config().generate();
+        let last = ds.examples()[39].image.clone();
         let (train, test) = ds.train_test_split(0.25);
-        assert_eq!(train.len() + test.len(), ds.len());
-        assert_eq!(test.len(), 10);
-        let (all, none) = ds.train_test_split(0.0);
-        assert_eq!(all.len(), ds.len());
+        assert_eq!((train.len(), test.len()), (30, 10));
+        assert_eq!(test.examples()[9].image, last, "the tail is held out");
+        let (all, none) = small_config().generate().train_test_split(0.0);
+        assert_eq!(all.len(), 40);
         assert!(none.is_empty());
     }
 
@@ -338,11 +337,25 @@ mod tests {
     #[test]
     fn epoch_batches_cover_dataset() {
         let ds = small_config().generate();
-        let batches = ds.epoch_batches(16);
+        let batches = ds.epoch_batches(16).unwrap();
         let total: usize = batches.iter().map(|(_, l)| l.len()).sum();
         assert_eq!(total, ds.len());
         assert_eq!(batches.len(), 3);
-        assert!(ds.epoch_batches(0).is_empty());
+        assert!(ds.epoch_batches(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn epoch_batches_refuse_a_malformed_example() {
+        let mut examples = small_config().generate().examples().to_vec();
+        examples[17].image = Tensor::zeros(&[2, 4, 4]);
+        let ds = Dataset::new(examples, 4);
+        assert!(matches!(
+            ds.epoch_batches(16),
+            Err(TensorError::ShapeMismatch {
+                op: "dataset_batch",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -47,6 +47,21 @@
 //! slot costs a few index lookups, and fast-forwarding over runs of them
 //! stopped buying wall time once it did (EXPERIMENTS.md, "Why there is no
 //! span fast-forward").
+//!
+//! # Where the devices train
+//!
+//! The slot loop runs on one thread; with real training on, the devices'
+//! local epochs do not. An epoch is a pure function of the model the device
+//! downloaded, its shard and its optimiser state ([`fedco_fl::client`]), so
+//! the engine submits it to the process-wide [`TrainingPool`] with the
+//! download — the constructor's hand-out, a requeue after an upload, a
+//! rejoin — and claims the result at the slot the simulated epoch completes,
+//! where it used to compute it. The slots in between are the overlap. A
+//! device that goes dark mid-epoch drops its ticket, and nothing of that
+//! epoch is ever committed to its client; what the horizon cuts short is
+//! dropped the same way. Updates reach the server in the order they always
+//! did, so every bit and every telemetry event is the same for any number of
+//! helper threads, zero included.
 
 use std::sync::Arc;
 
@@ -60,9 +75,10 @@ use fedco_core::spec::PolicyBuildContext;
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
 use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
 use fedco_fl::aggregation::AsyncUpdateRule;
-use fedco_fl::client::{ClientConfig, FlClient};
-use fedco_fl::model_state::LocalUpdate;
+use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
+use fedco_fl::model_state::{LocalUpdate, ModelSnapshot};
 use fedco_fl::partition::{partition_dataset, PartitionStrategy};
+use fedco_fl::pool::{Job, Ticket, TrainingPool};
 use fedco_fl::server::ServerTelemetry;
 use fedco_fl::service::{ModelService, ModelServiceInit};
 use fedco_fl::staleness::{GradientGap, Lag, WeightPredictor};
@@ -196,10 +212,31 @@ impl WorldRuntime {
 #[derive(Debug)]
 struct MlState {
     clients: Vec<FlClient>,
+    /// Where the devices train: beside the slot loop, see
+    /// [`fedco_fl::pool`].
+    pool: Arc<TrainingPool>,
+    /// Per user, the local epoch on the model it last downloaded: submitted
+    /// with the download, claimed when the epoch completes, dropped — and
+    /// with it everything the epoch would have changed — when the device
+    /// goes dark first or downloads again.
+    epochs: Vec<Option<Ticket<EpochTask>>>,
     test_set: Dataset,
     eval_net: Sequential,
     eval_every_slots: u64,
     eval_examples: usize,
+}
+
+impl MlState {
+    /// Hands a downloaded model to user `i`'s client and submits the epoch
+    /// it will train on it.
+    fn hand_model(&mut self, i: usize, snapshot: &ModelSnapshot) {
+        let client = &mut self.clients[i];
+        client
+            .receive_model(snapshot)
+            // fedco-audit: allow(panic-surface): clients and server share the LeNet architecture built by the constructor
+            .expect("architectures match");
+        self.epochs[i] = Some(self.pool.submit(client.epoch_task()));
+    }
 }
 
 /// The simulation engine.
@@ -280,6 +317,16 @@ impl Simulation {
     /// Builds a simulation from a configuration, rejecting invalid
     /// configurations with a typed [`ConfigError`] instead of panicking.
     pub fn try_new(config: SimConfig) -> Result<Self, ConfigError> {
+        Self::with_training_pool(config, TrainingPool::global)
+    }
+
+    /// [`Simulation::try_new`] on the training pool `pool` returns, asked for
+    /// only when the configuration trains a real model. The tests that hold
+    /// results to be the same for any helper count come in here.
+    pub(crate) fn with_training_pool(
+        config: SimConfig,
+        pool: impl FnOnce() -> Arc<TrainingPool>,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let clock = SimClock::new(config.slot_seconds, config.total_slots);
         // Arrivals come from the configured world model. The Bernoulli model
@@ -335,12 +382,8 @@ impl Simulation {
                 }
                 .generate();
                 let (train, test) = data.train_test_split(mlcfg.test_fraction);
-                let shards = partition_dataset(
-                    &train,
-                    config.num_users,
-                    PartitionStrategy::Iid,
-                    config.seed,
-                );
+                let shards =
+                    partition_dataset(train, config.num_users, PartitionStrategy::Iid, config.seed);
                 let client_cfg = ClientConfig {
                     batch_size: mlcfg.batch_size,
                     learning_rate: config.scheduler.learning_rate,
@@ -358,7 +401,9 @@ impl Simulation {
                 (
                     initial,
                     Some(MlState {
+                        epochs: clients.iter().map(|_| None).collect(),
                         clients,
+                        pool: pool(),
                         test_set: test,
                         eval_net,
                         eval_every_slots: mlcfg.eval_every_slots.max(1),
@@ -457,13 +502,10 @@ impl Simulation {
             telemetry: None,
         };
         // Hand the initial global model to every ML client.
-        if sim.ml.is_some() {
+        if let Some(ml) = sim.ml.as_mut() {
             let snapshot = sim.server.download();
-            if let Some(ml) = sim.ml.as_mut() {
-                for c in ml.clients.iter_mut() {
-                    // fedco-audit: allow(panic-surface): clients and server share the LeNet architecture built by this constructor
-                    c.receive_model(&snapshot).expect("architectures match");
-                }
+            for i in 0..ml.clients.len() {
+                ml.hand_model(i, &snapshot);
             }
         }
         Ok(sim)
@@ -652,10 +694,18 @@ impl Simulation {
     /// Produces the local update of a completed epoch.
     fn make_update(&mut self, user_id: usize) -> LocalUpdate {
         match self.ml.as_mut() {
-            Some(ml) => ml.clients[user_id]
-                .local_epoch()
+            Some(ml) => {
+                let client = &mut ml.clients[user_id];
+                let outcome = match ml.epochs[user_id].take() {
+                    Some(epoch) => epoch.claim(),
+                    // Nothing downloaded since the last upload: the epoch
+                    // continues from the client's own replica, here.
+                    None => client.epoch_task().run(),
+                }
                 // fedco-audit: allow(panic-surface): client datasets and model are sized together by the constructor
-                .expect("training geometry matches"),
+                .expect("training geometry matches");
+                client.commit(outcome)
+            }
             None => {
                 // Energy-only mode: a synthetic update that moves the dummy
                 // global parameters by a step whose magnitude decays with the
@@ -744,10 +794,7 @@ impl Simulation {
         }
         let snapshot = self.server.download();
         if let Some(ml) = self.ml.as_mut() {
-            ml.clients[user_id]
-                .receive_model(&snapshot)
-                // fedco-audit: allow(panic-surface): clients and server share the LeNet architecture built by the constructor
-                .expect("architectures match");
+            ml.hand_model(user_id, &snapshot);
         }
         self.base_params[user_id] = snapshot.params;
         self.users.become_waiting(user_id, snapshot.version);
@@ -761,6 +808,9 @@ impl Simulation {
     fn go_offline(&mut self, i: usize) {
         self.stop_accruing(i);
         self.users.go_offline(i);
+        if let Some(ml) = self.ml.as_mut() {
+            ml.epochs[i] = None;
+        }
     }
 
     /// Brings user `i` back online: a fresh download of the current global
@@ -769,10 +819,7 @@ impl Simulation {
     fn come_online(&mut self, i: usize) {
         let snapshot = self.server.download();
         if let Some(ml) = self.ml.as_mut() {
-            ml.clients[i]
-                .receive_model(&snapshot)
-                // fedco-audit: allow(panic-surface): clients and server share the LeNet architecture built by the constructor
-                .expect("architectures match");
+            ml.hand_model(i, &snapshot);
         }
         self.base_params[i] = snapshot.params;
         self.users.become_waiting(i, snapshot.version);
@@ -1297,6 +1344,10 @@ impl Simulation {
 
     /// Assembles the result summary once the horizon is reached.
     fn finish(&mut self, acc: RunAccum) -> SimResult {
+        // Epochs the horizon cut short are never uploaded: not run either.
+        if let Some(ml) = self.ml.as_mut() {
+            ml.epochs.iter_mut().for_each(|epoch| *epoch = None);
+        }
         self.flush_all_pending();
         let total_slots = self.config.total_slots.max(1) as f64;
         let stats = self.server.stats();
@@ -1726,5 +1777,96 @@ mod tests {
         let wifi = run_simulation(base.with_transport(TransportModel::wifi()));
         assert!(wifi.total_energy_j < with.total_energy_j);
         assert!(wifi.total_energy_j > without.total_energy_j);
+    }
+
+    /// A run is the same run on any training pool: however many helper
+    /// threads compute the devices' epochs, and whatever else shares them.
+    mod training_pool {
+        use super::*;
+        use fedco_core::scenario::ScenarioSpec;
+
+        const WORLD_DYNAMICS: &str = "ml-smoke:churn=heavy:battery=constrained:slots=6000:users=10";
+
+        /// Everything a run leaves behind: the result, the final global model and
+        /// the telemetry stream.
+        fn run_on(
+            pool: &Arc<TrainingPool>,
+            scenario: &str,
+            policy: PolicySpec,
+        ) -> (SimResult, ParamVector, Vec<Event>) {
+            let spec: ScenarioSpec = scenario.parse().expect("parses");
+            let config = spec.build_with_policy(policy).expect("builds");
+            let sink = BufferSink::shared();
+            let mut sim = Simulation::with_training_pool(config, || pool.clone())
+                .expect("valid")
+                .with_telemetry(sink.clone());
+            let result = sim.run();
+            (result, sim.model_snapshot().params, sink.drain())
+        }
+
+        fn assert_same_for_any_helper_count(scenario: &str, policy: PolicySpec) {
+            let serial = run_on(
+                &Arc::new(TrainingPool::with_helpers(0)),
+                scenario,
+                policy.clone(),
+            );
+            assert!(serial.0.total_updates > 0, "{scenario} trains nothing");
+            for helpers in [1, 4] {
+                let pool = Arc::new(TrainingPool::with_helpers(helpers));
+                let run = run_on(&pool, scenario, policy.clone());
+                assert!(
+                    run == serial,
+                    "{scenario} under {policy:?} differs with {helpers} helper(s)"
+                );
+            }
+        }
+
+        #[test]
+        fn zero_one_and_four_helpers_run_the_same_bits() {
+            for policy in [
+                PolicySpec::Online { v: None },
+                PolicySpec::SyncSgd,
+                PolicySpec::Immediate,
+                PolicySpec::Offline,
+            ] {
+                assert_same_for_any_helper_count("ml-smoke", policy);
+            }
+            // Epochs aborted mid-training and devices rejoining (what
+            // `tests/world_regression.rs` checks these scenarios do), with and
+            // without a compressed uplink.
+            for policy in [PolicySpec::Online { v: None }, PolicySpec::SyncSgd] {
+                assert_same_for_any_helper_count(WORLD_DYNAMICS, policy.clone());
+                assert_same_for_any_helper_count(&format!("{WORLD_DYNAMICS}:compress=0.5"), policy);
+            }
+        }
+
+        #[test]
+        fn helper_counts_agree_on_the_network_fig5_trains() {
+            assert_same_for_any_helper_count(
+                "paper-default:ml=full:slots=1200",
+                PolicySpec::Online { v: None },
+            );
+        }
+
+        #[test]
+        fn dropping_a_simulation_mid_training_leaves_the_pool_to_the_next() {
+            let pool = Arc::new(TrainingPool::with_helpers(1));
+            let spec: ScenarioSpec = "paper-default:ml=full:slots=1200".parse().expect("parses");
+            for _ in 0..3 {
+                // Construction submits an epoch per device; the helper is in the
+                // middle of one and the rest are queued when the simulation goes.
+                let config = spec
+                    .build_with_policy(PolicySpec::Immediate)
+                    .expect("builds");
+                drop(Simulation::with_training_pool(config, || pool.clone()).expect("valid"));
+            }
+            let after = run_on(&pool, WORLD_DYNAMICS, PolicySpec::Online { v: None });
+            let fresh = run_on(
+                &Arc::new(TrainingPool::with_helpers(1)),
+                WORLD_DYNAMICS,
+                PolicySpec::Online { v: None },
+            );
+            assert!(after == fresh);
+        }
     }
 }
