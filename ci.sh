@@ -22,6 +22,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace >/dev/null
 echo "==> fedco-audit static-analysis gate (determinism & panic-safety rules)"
 cargo run --release --offline -q -p fedco-audit -- --workspace
 
+echo "==> audit allow annotations (ceilings, like the code size below: they fall, they do not rise)"
+# 34 -> 32 `panic-surface` with the training pool: the three
+# `receive_model(..).expect(..)` sites of the engine are one (`hand_model`), and
+# the pool takes its lock without one. No `wall-clock` allow was added.
+for ceiling in panic-surface:32 wall-clock:21; do
+    rule="${ceiling%%:*}"
+    allows="$(grep -rn --include='*.rs' "allow($rule)" crates src | wc -l)"
+    [ "$allows" -le "${ceiling##*:}" ] \
+        || { echo "$rule allows rose: $allows > ${ceiling##*:}"; exit 1; }
+done
+
 echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS.md)"
 # The ceiling is the total at the last change. A change that adds code raises
 # it here, in its own diff, the way a golden is re-pinned.
@@ -57,7 +68,21 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # if the deleted `merge` and `format!` temporaries pay for the ordered drain"
 # did not hold: they paid for the metrics walk only. Three `panic-surface`
 # allows went with the result mutex (37 -> 34).
-LOC_CEILING=19841
+# 19841 -> 20116 with the devices training beside the slot loop (+275):
+# fedco-fl +263 — pool.rs +180, new (the queue, the helper loop, a claimant
+# that runs queued jobs instead of sleeping, tickets that discard on drop, the
+# lazily started process-wide instance), client.rs +81 (`EpochTask` /
+# `EpochOutcome` / the shared `Shard` around the one training loop, `commit`,
+# the per-thread scratch network that replaces the 25 per-client ones), lib.rs
+# +2; fedco-sim +22 (`hand_model` over the three `receive_model` sites, the
+# per-user tickets and where they are dropped, `with_training_pool`);
+# fedco-neural -10 (the cloning split / partition and the error-swallowing
+# `epoch_batches` loop). The issue's "only if the deleted per-client networks,
+# the up-front batch copies and the cloning split/partition do not pay for
+# the pool" did not hold: they were fields and `.clone()`s, a dozen lines; a
+# thread pool with its discard and panic paths is code that had no
+# predecessor. It bought 0.53x `wall_s` and -1.4 MiB on `fig5-ml`.
+LOC_CEILING=20116
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -97,6 +122,31 @@ cargo test -q --offline --release -p fedco-neural reference_bits
 
 echo "==> fused apply_async + single-buffer codec bit-equivalence in release (same reason)"
 cargo test -q --offline --release -p fedco-fl -p fedco-server reference_bits
+
+echo "==> training pool, ML-under-world-dynamics goldens and the Fig. 5 claims in release"
+# The pool's own interleavings, an epoch as task + commit against the old
+# in-place body (`reference_bits`, run above), the same bits for 0 / 1 / 4
+# helpers, two simulations sharing the pool from two threads, no thread
+# without `ml`, the goldens that abort epochs mid-training, and Fig. 5 as
+# assertions (ignored in debug: minutes there, seconds here).
+cargo test -q --offline --release -p fedco-fl pool
+cargo test -q --offline --release -p fedco-sim training_pool
+cargo test -q --offline --release --test training_pool --test energy_only_threads \
+    --test world_regression --test paper_claims
+
+echo "==> fig5_convergence: zero helpers (one CPU) vs this box's helpers, through the shipped path"
+# `available_parallelism()` honours the affinity mask, so under `taskset -c 0`
+# the pool has no helper and every epoch runs at its claim — the serial order.
+if command -v taskset >/dev/null 2>&1; then
+    FIG5_SERIAL="$(mktemp)"; FIG5_POOLED="$(mktemp)"
+    timeout 300 taskset -c 0 cargo run --release --offline -q -p fedco-bench --bin fig5_convergence >"$FIG5_SERIAL"
+    timeout 300 cargo run --release --offline -q -p fedco-bench --bin fig5_convergence >"$FIG5_POOLED"
+    cmp "$FIG5_SERIAL" "$FIG5_POOLED" \
+        || { echo "fig5_convergence prints differ between one CPU and all of them"; exit 1; }
+    rm -f "$FIG5_SERIAL" "$FIG5_POOLED"
+else
+    echo "(no taskset here: skipped)"
+fi
 
 echo "==> bench_neural smoke + bench_compare gate (smoke run vs BENCH_neural.json)"
 NEURAL_SMOKE_JSON="$(mktemp)"

@@ -114,8 +114,7 @@ pub struct EpochTask {
 /// What one local epoch produces, installed by [`FlClient::commit`].
 #[derive(Debug, Clone)]
 pub struct EpochOutcome {
-    /// The update to upload.
-    pub update: LocalUpdate,
+    update: LocalUpdate,
     /// The optimiser state the epoch ended with.
     optimizer: Sgd,
 }

@@ -78,7 +78,7 @@ use fedco_fl::aggregation::AsyncUpdateRule;
 use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
 use fedco_fl::model_state::{LocalUpdate, ModelSnapshot};
 use fedco_fl::partition::{partition_dataset, PartitionStrategy};
-use fedco_fl::pool::{Job, Ticket, TrainingPool};
+use fedco_fl::pool::{Ticket, TrainingPool};
 use fedco_fl::server::ServerTelemetry;
 use fedco_fl::service::{ModelService, ModelServiceInit};
 use fedco_fl::staleness::{GradientGap, Lag, WeightPredictor};
@@ -696,14 +696,14 @@ impl Simulation {
         match self.ml.as_mut() {
             Some(ml) => {
                 let client = &mut ml.clients[user_id];
-                let outcome = match ml.epochs[user_id].take() {
-                    Some(epoch) => epoch.claim(),
-                    // Nothing downloaded since the last upload: the epoch
-                    // continues from the client's own replica, here.
-                    None => client.epoch_task().run(),
-                }
-                // fedco-audit: allow(panic-surface): client datasets and model are sized together by the constructor
-                .expect("training geometry matches");
+                let outcome = ml.epochs[user_id]
+                    .take()
+                    // An epoch nobody submitted continues from the client's
+                    // own replica: submitted now, it runs at this claim.
+                    .unwrap_or_else(|| ml.pool.submit(client.epoch_task()))
+                    .claim()
+                    // fedco-audit: allow(panic-surface): client datasets and model are sized together by the constructor
+                    .expect("training geometry matches");
                 client.commit(outcome)
             }
             None => {
