@@ -82,7 +82,20 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # the pool" did not hold: they were fields and `.clone()`s, a dozen lines; a
 # thread pool with its discard and panic paths is code that had no
 # predecessor. It bought 0.53x `wall_s` and -1.4 MiB on `fig5-ml`.
-LOC_CEILING=20116
+# 20116 -> 20225 with one arrival store and the parallel cut (+109): fedco-world
+# +157 — `FleetArrivals` (the CSR lanes, `concat`, the counting-sort
+# `transposed`, row access) is +78 of it, the out-of-line two-stream `scan`
+# under `sample_curve` with the integer `threshold` +62 over the 16-line float
+# loop they replace, the four models' `sample_fleet` bodies (Diurnal's
+# per-period table, the MMPP's chain as thresholds) +17; fedco-sim -62
+# (`ArrivalIndex`, `ArrivalCursor`, the cursor lane, `arrivals_for` /
+# `first_at_or_after` / `arrival_at` / `probability` / `num_users` and the
+# per-user `Vec`s gone; `from_model_cut` with its scoped threads is +23 of what
+# came back); fedco-bench +14 (the three `arrivals/fleet/*` ledger cells). The
+# issue allowed +80 (its prototype: +68 with no ledger cells); the store's
+# accessors and the by-value `scan` that keeps both generators in registers
+# are the 29 lines over. It bought 0.39-0.43x `setup_s` and -4 MiB on `wide-sync`.
+LOC_CEILING=20225
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -123,6 +136,20 @@ cargo test -q --offline --release -p fedco-neural reference_bits
 echo "==> fused apply_async + single-buffer codec bit-equivalence in release (same reason)"
 cargo test -q --offline --release -p fedco-fl -p fedco-server reference_bits
 
+echo "==> arrival sampler + one-store schedule bit-equivalence and cut invariance in release"
+# The two-stream integer-threshold loop against the old per-user float loops
+# (`fedco-world`), both orders of the schedule against the per-user lists and
+# the slot index copied out of them, and 1 / 2 / 3 / 7 runs against one
+# (`fedco-sim`).
+cargo test -q --offline --release -p fedco-world -p fedco-sim -- reference_bits cut_invariance
+
+echo "==> threads start at the one sampling site of the simulation path"
+# The training pool lives in fedco-fl; below it, the only code that starts a
+# thread is `ArrivalSchedule::from_model_cut`, through this one import.
+THREAD_SITES="$(git grep -n "thread::" -- crates/sim/src crates/world/src crates/core/src crates/device/src crates/rng/src)"
+[ "$(echo "$THREAD_SITES" | wc -l)" -eq 1 ] && [[ "$THREAD_SITES" == crates/sim/src/arrivals.rs:* ]] \
+    || { echo "std::thread is used outside the arrival sampling site:"; echo "$THREAD_SITES"; exit 1; }
+
 echo "==> training pool, ML-under-world-dynamics goldens and the Fig. 5 claims in release"
 # The pool's own interleavings, an epoch as task + commit against the old
 # in-place body (`reference_bits`, run above), the same bits for 0 / 1 / 4
@@ -134,7 +161,7 @@ cargo test -q --offline --release -p fedco-sim training_pool
 cargo test -q --offline --release --test training_pool --test energy_only_threads \
     --test world_regression --test paper_claims
 
-echo "==> fig5_convergence: zero helpers (one CPU) vs this box's helpers, through the shipped path"
+echo "==> one CPU vs all of this box's, through the shipped paths: fig5_convergence (training pool), mega:users=4000 (sampling cut)"
 # `available_parallelism()` honours the affinity mask, so under `taskset -c 0`
 # the pool has no helper and every epoch runs at its claim — the serial order.
 if command -v taskset >/dev/null 2>&1; then
@@ -144,6 +171,20 @@ if command -v taskset >/dev/null 2>&1; then
     cmp "$FIG5_SERIAL" "$FIG5_POOLED" \
         || { echo "fig5_convergence prints differ between one CPU and all of them"; exit 1; }
     rm -f "$FIG5_SERIAL" "$FIG5_POOLED"
+    # The same for the arrival sampler's cut: 43 M draws are two runs on two
+    # CPUs and one run, on the calling thread, on one.
+    CUT_ONE="$(mktemp)"; CUT_ALL="$(mktemp)"
+    cut_trace() { # <trace file> [command prefix]
+        timeout 300 "${@:2}" cargo run --release --offline -q -p fedco-fleet --bin fleet_sweep -- \
+            --scenario mega:users=4000 --policies sync-sgd,online --replicates 1 \
+            --trace "$1" >/dev/null
+    }
+    cut_trace "$CUT_ONE" taskset -c 0
+    cut_trace "$CUT_ALL"
+    test -s "$CUT_ONE" || { echo "fleet_sweep --trace wrote an empty file"; exit 1; }
+    cmp "$CUT_ONE" "$CUT_ALL" \
+        || { echo "mega:users=4000 traces differ between one sampling run and the cut"; exit 1; }
+    rm -f "$CUT_ONE" "$CUT_ALL"
 else
     echo "(no taskset here: skipped)"
 fi

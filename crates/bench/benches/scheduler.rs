@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the paper's schedulers: the per-slot online decision
 //! rule (Table III argues it is lightweight), the offline knapsack DP, whose
-//! cost scales as O(n · L_b) (Algorithm 1), and the offline planner's two
-//! halves — Lemma-1 item build, knapsack — on one look-ahead window.
+//! cost scales as O(n · L_b) (Algorithm 1), the offline planner's two
+//! halves — Lemma-1 item build, knapsack — on one look-ahead window, and the
+//! arrival sampler that hands the planner its oracle.
 
 use std::hint::black_box;
 
@@ -9,6 +10,7 @@ use fedco_bench::micro;
 use fedco_core::prelude::*;
 use fedco_device::prelude::*;
 use fedco_fl::staleness::{GradientGap, WeightPredictor};
+use fedco_world::arrival::ArrivalSpec;
 
 fn bench_online_decision() {
     let scheduler = OnlineScheduler::new(SchedulerConfig::default());
@@ -113,8 +115,26 @@ fn bench_offline_window() {
     }
 }
 
+/// The fleet sampler over 2 000 users × the paper's 10 800 slots at its
+/// rate of 0.001, as one run on this thread: it times the two-stream loop
+/// (a constant threshold, a per-period table, a regime chain with a second
+/// draw per slot), not the CPU count of the box.
+fn bench_arrival_sampling() {
+    micro::group("arrivals");
+    for spec in &ArrivalSpec::ALL[..3] {
+        let model = spec.model();
+        micro::bench(
+            &format!("arrivals/fleet/{}/2000x10800", spec.label()),
+            || {
+                black_box(model.sample_fleet(black_box(42), 0..2_000, 10_800, 0.001));
+            },
+        );
+    }
+}
+
 fn main() {
     bench_online_decision();
     bench_offline_knapsack();
     bench_offline_window();
+    bench_arrival_sampling();
 }

@@ -1,31 +1,68 @@
-//! The application-arrival process.
+//! The application-arrival schedule of a run.
 //!
 //! The paper models application usage as a Bernoulli arrival per slot with
 //! probability `p` (0.001 in the main evaluation, i.e. one app per ~1000 s
 //! per user), with the application chosen uniformly from the eight
 //! representative ones of Table II. Arrivals are pre-generated for the whole
 //! horizon so that the offline scheduler can be given oracle access to them.
+//!
+//! An [`ArrivalSchedule`] is one store in two orders
+//! ([`FleetArrivals`]): user-major, as the world's model samples it and as
+//! the offline planner looks ahead per user, and its slot-major transpose,
+//! which the slot loop reads a row of per slot instead of asking every user
+//! whether it has an arrival. A user's arrivals are a pure function of
+//! `(seed, user)`, so [`ArrivalSchedule::from_model`] cuts a fleet big
+//! enough to be worth it into contiguous runs of users, samples the runs on
+//! as many threads as the machine has CPUs and appends them in user order;
+//! the schedule is the same bytes for any cut, one run included.
+//!
+//! **Which arrivals count** is decided where a slot's row is consumed, and
+//! it is the one rule of the whole engine: an arrival is *ignored* — not
+//! queued, not swapped in — while the user's previous application is still
+//! in the foreground, and while the device is offline (a dark phone launches
+//! nothing). The schedule therefore lists every generated arrival, exactly
+//! once, and the engine drops the ones that find the device busy.
 
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::thread::{available_parallelism, scope};
+
+use fedco_core::experiment::SimConfig;
 use fedco_device::apps::AppKind;
-use fedco_world::arrival::{ArrivalEvent, ArrivalModel};
+use fedco_world::arrival::{ArrivalEvent, ArrivalModel, FleetArrivals};
+
+// Users and slots are the `u32` keys of the store.
+const _: () = assert!(SimConfig::MAX_SLOTS <= u32::MAX as u64);
+const _: () = assert!(SimConfig::MAX_USERS <= u32::MAX as usize);
+
+/// The fewest per-slot draws worth a run of their own: some 10 ms of
+/// sampling, against which starting a thread is under 1 %. A fleet is cut
+/// into no more runs than it has this many draws, so the small jobs of a
+/// sweep — whose workers already fill the machine — start no thread.
+const DRAWS_PER_RUN: u64 = 8 << 20;
 
 /// The pre-generated arrival schedule of every user over the full horizon.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalSchedule {
-    per_user: Vec<Vec<ArrivalEvent>>,
-    probability: f64,
+    /// A row of `(slot, app)` per user.
+    by_user: FleetArrivals,
+    /// The same arrivals, a row of `(user, app)` per slot.
+    by_slot: FleetArrivals,
 }
 
 impl ArrivalSchedule {
-    /// Generates the schedule from a world arrival model.
+    /// Generates the schedule from a world arrival model, on every CPU when
+    /// the fleet is big enough: one run of users per CPU, but never more than
+    /// one per `DRAWS_PER_RUN` draws.
     ///
     /// `probability` is the base per-slot rate the model shapes (constant
     /// for Bernoulli, a curve for diurnal/MMPP/flash-crowd). Arrivals that
     /// would overlap a previous one of the same user are still recorded (the
-    /// engine ignores them — see [`ArrivalIndex`]). For
+    /// engine ignores them — see the module docs). For
     /// [`ArrivalSpec::Bernoulli`](fedco_world::arrival::ArrivalSpec) the
     /// result is **bit-identical** to the engine's historical generator,
-    /// which the `bernoulli_model_matches_historical_generator` test pins.
+    /// which `reference_bits::bernoulli_model_matches_historical_generator`
+    /// pins.
     pub fn from_model(
         model: &dyn ArrivalModel,
         num_users: usize,
@@ -33,218 +70,91 @@ impl ArrivalSchedule {
         probability: f64,
         seed: u64,
     ) -> Self {
-        let probability = probability.clamp(0.0, 1.0);
-        let per_user = (0..num_users)
-            .map(|user| model.sample_user(seed, user, total_slots, probability))
-            .collect();
+        let cpus = available_parallelism().map_or(1, |n| n.get());
+        let draws = (num_users as u64).saturating_mul(total_slots);
+        let runs = cpus.min((draws / DRAWS_PER_RUN) as usize);
+        Self::from_model_cut(model, num_users, total_slots, probability, seed, runs)
+    }
+
+    /// [`from_model`](Self::from_model) with the fleet cut into `runs`
+    /// contiguous runs of users (one if zero), each sampled on a thread of
+    /// its own but the first, which the caller samples. The tests that hold
+    /// the schedule to be the same for any cut come in here.
+    pub(crate) fn from_model_cut(
+        model: &dyn ArrivalModel,
+        num_users: usize,
+        total_slots: u64,
+        probability: f64,
+        seed: u64,
+        runs: usize,
+    ) -> Self {
+        // Runs start at even users, so only the fleet's last user can be
+        // left without a partner in the sampler's two-stream loop.
+        let per_run = num_users.div_ceil(runs.max(1)).next_multiple_of(2);
+        let sample = |run: usize| {
+            let users = (run * per_run).min(num_users)..((run + 1) * per_run).min(num_users);
+            model.sample_fleet(seed, users, total_slots, probability)
+        };
+        let by_user = FleetArrivals::concat(scope(|threads| {
+            let spawned: Vec<_> = (1..runs)
+                .map(|run| threads.spawn(move || sample(run)))
+                .collect();
+            // A sampler's panic is the caller's, payload and all.
+            let joined = spawned
+                .into_iter()
+                .map(|run| run.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            std::iter::once(sample(0)).chain(joined).collect::<Vec<_>>()
+        }));
         ArrivalSchedule {
-            per_user,
-            probability,
+            by_slot: by_user.transposed(),
+            by_user,
         }
     }
 
-    /// The configured arrival probability.
-    pub fn probability(&self) -> f64 {
-        self.probability
+    /// All arrivals of one user, in slot order (none for a user out of
+    /// range).
+    pub fn of_user(&self, user: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
+        self.by_user.events(user)
     }
 
-    /// Number of users covered by the schedule.
-    pub fn num_users(&self) -> usize {
-        self.per_user.len()
+    /// The positions of the arrivals of `slot`, ascending by user (none past
+    /// the horizon); resolve each with [`at`](Self::at).
+    pub fn at_slot(&self, slot: u64) -> Range<usize> {
+        self.by_slot.row(slot as usize)
     }
 
-    /// All arrivals of one user.
-    pub fn arrivals_for(&self, user: usize) -> &[ArrivalEvent] {
-        self.per_user.get(user).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The first arrival of `user` at or after `slot`, by binary search
-    /// (per-user arrival lists are generated in increasing slot order).
-    pub fn first_at_or_after(&self, user: usize, slot: u64) -> Option<ArrivalEvent> {
-        let arrivals = self.arrivals_for(user);
-        let idx = arrivals.partition_point(|a| a.slot < slot);
-        arrivals.get(idx).copied()
-    }
-
-    /// The arrival of `user` at exactly `slot`, if any.
-    ///
-    /// O(log arrivals) per call; the slot loop reads an [`ArrivalIndex`]
-    /// bucket instead, and its scan reference (`run_dense`) an
-    /// [`ArrivalCursor`].
-    pub fn arrival_at(&self, user: usize, slot: u64) -> Option<ArrivalEvent> {
-        self.first_at_or_after(user, slot)
-            .filter(|a| a.slot == slot)
+    /// The `(user, application)` of the arrival at position `at` of the
+    /// slot-major order.
+    pub fn at(&self, at: usize) -> (usize, AppKind) {
+        self.by_slot.get(at)
     }
 
     /// The first arrival of `user` in the half-open slot window
-    /// `[from, from + window)`, if any — what the offline scheduler inspects.
+    /// `[from, from + window)`, if any — what the offline scheduler
+    /// inspects: a binary search of the user's row.
     pub fn first_arrival_in_window(
         &self,
         user: usize,
         from: u64,
         window: u64,
     ) -> Option<ArrivalEvent> {
-        self.first_at_or_after(user, from)
+        let before = |&slot: &u32| u64::from(slot) < from;
+        let next = self.by_user.keys(user).partition_point(before);
+        self.of_user(user)
+            .nth(next)
             .filter(|a| a.slot < from.saturating_add(window))
     }
 
     /// Total number of arrivals across all users.
     pub fn total_arrivals(&self) -> usize {
-        self.per_user.iter().map(Vec::len).sum()
-    }
-}
-
-/// The arrivals of an [`ArrivalSchedule`] bucketed by slot: a compressed
-/// sparse row index over the per-user lists (which stay, because the offline
-/// planner looks ahead per user). The event-indexed slot loop reads one
-/// bucket per slot instead of asking every user whether it has an arrival.
-///
-/// **Which arrivals count** is decided where a bucket is consumed, and it
-/// is the one rule of the whole engine: an arrival is *ignored* — not
-/// queued, not swapped in — while the user's previous application is still
-/// in the foreground, and while the device is offline (a dark phone
-/// launches nothing). The index therefore lists every generated arrival,
-/// exactly once, and the engine drops the ones that find the device busy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivalIndex {
-    /// `offsets[s]..offsets[s + 1]` is the bucket of slot `s`.
-    offsets: Vec<usize>,
-    /// Arrival users, bucket by bucket, ascending within a bucket.
-    users: Vec<u32>,
-    /// The application of each arrival, parallel to `users`.
-    apps: Vec<AppKind>,
-}
-
-impl ArrivalIndex {
-    /// Buckets every arrival of `schedule` before `total_slots` by slot — a
-    /// counting sort, so each bucket lists its users in ascending order.
-    pub fn build(schedule: &ArrivalSchedule, total_slots: u64) -> Self {
-        let slots = total_slots as usize;
-        let in_horizon = |a: &&ArrivalEvent| a.slot < total_slots;
-        let mut offsets = vec![0usize; slots + 1];
-        for user in 0..schedule.num_users() {
-            for a in schedule.arrivals_for(user).iter().filter(in_horizon) {
-                offsets[a.slot as usize + 1] += 1;
-            }
-        }
-        for s in 0..slots {
-            offsets[s + 1] += offsets[s];
-        }
-        let total = offsets[slots];
-        let mut users = vec![0u32; total];
-        let mut apps = vec![AppKind::ALL[0]; total];
-        let mut fill = offsets.clone();
-        for user in 0..schedule.num_users() {
-            for a in schedule.arrivals_for(user).iter().filter(in_horizon) {
-                let at = &mut fill[a.slot as usize];
-                users[*at] = user as u32;
-                apps[*at] = a.app;
-                *at += 1;
-            }
-        }
-        ArrivalIndex {
-            offsets,
-            users,
-            apps,
-        }
-    }
-
-    /// Number of indexed arrivals.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Whether no arrival is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// The positions of the arrivals of `slot` (empty past the horizon);
-    /// resolve each with [`get`](Self::get).
-    pub fn bucket(&self, slot: u64) -> std::ops::Range<usize> {
-        match self.offsets.get(slot as usize..slot as usize + 2) {
-            Some(&[from, to]) => from..to,
-            _ => 0..0,
-        }
-    }
-
-    /// The `(user, application)` of the arrival at position `at`.
-    pub fn get(&self, at: usize) -> (usize, AppKind) {
-        (self.users[at] as usize, self.apps[at])
-    }
-}
-
-/// A monotone per-user position into an [`ArrivalSchedule`].
-///
-/// The cursor of the scan reference `run_dense` only — the slot loop proper
-/// reads an [`ArrivalIndex`] bucket per slot. A cursor remembers where the
-/// previous query ended, so a forward sweep over the horizon touches each
-/// arrival once — amortized O(1) per query. Queries must be non-decreasing
-/// in `slot`; the cursor never rewinds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArrivalCursor {
-    index: usize,
-}
-
-impl ArrivalCursor {
-    /// A cursor parked before the first arrival.
-    pub fn new() -> Self {
-        ArrivalCursor::default()
-    }
-
-    /// The first arrival of `user` at or after `slot`, advancing the cursor
-    /// past earlier arrivals. Arrivals skipped over (e.g. those that fell
-    /// while an application was already running) are never revisited.
-    pub fn next_at_or_after(
-        &mut self,
-        schedule: &ArrivalSchedule,
-        user: usize,
-        slot: u64,
-    ) -> Option<ArrivalEvent> {
-        let arrivals = schedule.arrivals_for(user);
-        while let Some(a) = arrivals.get(self.index) {
-            if a.slot >= slot {
-                return Some(*a);
-            }
-            self.index += 1;
-        }
-        None
+        self.by_user.total()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedco_rng::Rng;
-    use fedco_world::arrival::{user_rng, ArrivalSpec, Bernoulli};
-
-    /// The engine's historical Bernoulli generator, kept as the oracle of
-    /// `bernoulli_model_matches_historical_generator`.
-    fn generate(
-        num_users: usize,
-        total_slots: u64,
-        probability: f64,
-        seed: u64,
-    ) -> ArrivalSchedule {
-        let probability = probability.clamp(0.0, 1.0);
-        let per_user = (0..num_users)
-            .map(|user| {
-                let mut rng = user_rng(seed, user);
-                let mut events = Vec::new();
-                for slot in 0..total_slots {
-                    if rng.gen::<f64>() < probability {
-                        let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
-                        events.push(ArrivalEvent { slot, app });
-                    }
-                }
-                events
-            })
-            .collect();
-        ArrivalSchedule {
-            per_user,
-            probability,
-        }
-    }
+    use fedco_world::arrival::{ArrivalSpec, Bernoulli};
 
     fn bernoulli(num_users: usize, total_slots: u64, p: f64, seed: u64) -> ArrivalSchedule {
         ArrivalSchedule::from_model(&Bernoulli, num_users, total_slots, p, seed)
@@ -259,15 +169,13 @@ mod tests {
             (total - expected).abs() / expected < 0.15,
             "total {total}, expected {expected}"
         );
-        assert_eq!(sched.num_users(), 20);
-        assert_eq!(sched.probability(), 0.01);
     }
 
     #[test]
     fn zero_probability_means_no_arrivals() {
         let sched = bernoulli(5, 1000, 0.0, 1);
         assert_eq!(sched.total_arrivals(), 0);
-        assert!(sched.arrival_at(0, 10).is_none());
+        assert!(sched.at_slot(10).is_empty());
         assert!(sched.first_arrival_in_window(0, 0, 1000).is_none());
     }
 
@@ -279,120 +187,138 @@ mod tests {
         let c = bernoulli(3, 5000, 0.01, 10);
         assert_ne!(a, c);
         // Different users see different arrival patterns.
-        assert_ne!(a.arrivals_for(0), a.arrivals_for(1));
+        assert!(a.of_user(0).ne(a.of_user(1)));
     }
 
     #[test]
-    fn window_lookup_finds_first_arrival() {
-        let sched = bernoulli(2, 20_000, 0.005, 3);
-        let all = sched.arrivals_for(0);
-        assert!(!all.is_empty());
-        let first = all[0];
-        assert_eq!(sched.arrival_at(0, first.slot), Some(first));
-        assert_eq!(
-            sched.first_arrival_in_window(0, 0, first.slot + 1),
-            Some(first)
-        );
-        assert_eq!(sched.first_arrival_in_window(0, first.slot + 1, 0), None);
-        // Out-of-range user is empty.
-        assert!(sched.arrivals_for(99).is_empty());
-    }
-
-    #[test]
-    fn cursor_matches_exhaustive_scan() {
-        let sched = bernoulli(3, 20_000, 0.004, 11);
-        for user in 0..3 {
-            let mut cursor = ArrivalCursor::new();
-            for slot in 0..20_000 {
-                let via_cursor = cursor
-                    .next_at_or_after(&sched, user, slot)
-                    .filter(|a| a.slot == slot);
-                assert_eq!(
-                    via_cursor,
-                    sched.arrival_at(user, slot),
-                    "user {user} slot {slot}"
-                );
-            }
-            assert_eq!(cursor.next_at_or_after(&sched, user, 20_000), None);
-        }
-    }
-
-    #[test]
-    fn cursor_skips_over_unqueried_spans() {
-        let sched = bernoulli(1, 50_000, 0.002, 5);
-        let all = sched.arrivals_for(0);
-        assert!(all.len() >= 3, "need a few arrivals for this test");
-        let mut cursor = ArrivalCursor::new();
-        // Jump straight past the first two arrivals: the cursor lands on the
-        // third without revisiting the skipped ones.
-        let target = all[2];
-        assert_eq!(
-            cursor.next_at_or_after(&sched, 0, all[1].slot + 1),
-            Some(target)
-        );
-        // A later query never rewinds.
-        assert_eq!(
-            cursor.next_at_or_after(&sched, 0, target.slot),
-            Some(target)
-        );
-        // Out-of-range users are empty.
-        assert_eq!(ArrivalCursor::new().next_at_or_after(&sched, 9, 0), None);
-    }
-
-    #[test]
-    fn index_lists_every_arrival_once_in_slot_then_user_order() {
+    fn window_lookup_is_the_first_arrival_of_a_linear_scan() {
         for spec in ArrivalSpec::ALL {
-            let (users, slots) = (70, 2_000);
-            let sched = ArrivalSchedule::from_model(spec.model().as_ref(), users, slots, 0.02, 5);
-            let index = ArrivalIndex::build(&sched, slots);
-            assert_eq!(index.len(), sched.total_arrivals(), "{spec:?}");
-            assert!(!index.is_empty());
-            // Walking the buckets in slot order yields (slot, user) strictly
-            // ascending, and exactly the per-user lists when regrouped.
-            let mut regrouped: Vec<Vec<ArrivalEvent>> = vec![Vec::new(); users];
-            let mut last = None;
-            for slot in 0..slots {
-                for at in index.bucket(slot) {
-                    let (user, app) = index.get(at);
-                    assert!(last < Some((slot, user)), "{spec:?}: order broke");
-                    last = Some((slot, user));
-                    regrouped[user].push(ArrivalEvent { slot, app });
+            let sched = ArrivalSchedule::from_model(spec.model().as_ref(), 3, 4_000, 0.01, 3);
+            for user in 0..3 {
+                let all: Vec<ArrivalEvent> = sched.of_user(user).collect();
+                assert!(
+                    all.len() >= 3,
+                    "{spec:?}: need a few arrivals for this test"
+                );
+                for from in (0..4_100).step_by(7).chain(all.iter().map(|a| a.slot)) {
+                    for window in [0, 1, 2, 50, 4_000, u64::MAX] {
+                        let scanned = all
+                            .iter()
+                            .find(|a| a.slot >= from && a.slot - from < window)
+                            .copied();
+                        assert_eq!(
+                            sched.first_arrival_in_window(user, from, window),
+                            scanned,
+                            "{spec:?} user {user} from {from} window {window}"
+                        );
+                    }
                 }
             }
-            for (user, arrivals) in regrouped.iter().enumerate() {
-                assert_eq!(arrivals, sched.arrivals_for(user), "{spec:?} user {user}");
-            }
-            assert!(index.bucket(slots).is_empty() && index.bucket(slots + 9).is_empty());
+            // An out-of-range user is empty, as is a slot past the horizon.
+            assert_eq!(sched.of_user(99).count(), 0);
+            assert!(sched.first_arrival_in_window(99, 0, u64::MAX).is_none());
+            assert!(sched.at_slot(4_000).is_empty() && sched.at_slot(u64::MAX).is_empty());
         }
-        // Arrivals at or past the indexed horizon are left out; no arrivals
-        // at all is an empty index.
-        let sched = bernoulli(3, 400, 0.05, 2);
-        let cut = ArrivalIndex::build(&sched, 100);
-        let kept: usize = (0..3)
-            .map(|u| {
-                sched
-                    .arrivals_for(u)
-                    .iter()
-                    .filter(|a| a.slot < 100)
-                    .count()
-            })
-            .sum();
-        assert_eq!(cut.len(), kept);
-        assert!(ArrivalIndex::build(&bernoulli(3, 400, 0.0, 2), 400).is_empty());
     }
 
     #[test]
-    fn first_at_or_after_is_binary_search_over_sorted_arrivals() {
-        let sched = bernoulli(2, 30_000, 0.003, 9);
-        let all = sched.arrivals_for(1);
-        assert!(!all.is_empty());
-        assert_eq!(sched.first_at_or_after(1, 0), Some(all[0]));
-        assert_eq!(sched.first_at_or_after(1, all[0].slot), Some(all[0]));
+    fn shaped_models_produce_sorted_per_user_streams() {
+        for spec in ArrivalSpec::ALL {
+            let sched = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
+            for user in 0..8 {
+                let slots: Vec<u64> = sched.of_user(user).map(|a| a.slot).collect();
+                assert!(
+                    slots.windows(2).all(|w| w[0] < w[1]),
+                    "{spec:?} user {user} not strictly sorted"
+                );
+            }
+            let again = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
+            assert_eq!(sched, again, "{spec:?} not deterministic");
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_rate_is_the_models_to_clamp() {
+        let sched = bernoulli(1, 100, 5.0, 1);
+        assert_eq!(sched.of_user(0).count(), 100);
+    }
+}
+
+/// The schedule against what it replaced: per-user lists filled by a float
+/// draw per slot, and a slot index copied out of them.
+#[cfg(test)]
+mod reference_bits {
+    use super::*;
+    use fedco_rng::Rng;
+    use fedco_world::arrival::{user_rng, ArrivalSpec, Bernoulli};
+
+    /// The engine's historical Bernoulli generator.
+    fn generate(
+        num_users: usize,
+        total_slots: u64,
+        probability: f64,
+        seed: u64,
+    ) -> Vec<Vec<ArrivalEvent>> {
+        let probability = probability.clamp(0.0, 1.0);
+        (0..num_users)
+            .map(|user| {
+                let mut rng = user_rng(seed, user);
+                let mut events = Vec::new();
+                for slot in 0..total_slots {
+                    if rng.gen::<f64>() < probability {
+                        let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
+                        events.push(ArrivalEvent { slot, app });
+                    }
+                }
+                events
+            })
+            .collect()
+    }
+
+    /// The old slot index: every arrival of the per-user lists bucketed by
+    /// slot with a counting sort — `(offsets, users, apps)`.
+    fn index(per_user: &[Vec<ArrivalEvent>], slots: usize) -> (Vec<usize>, Vec<u32>, Vec<AppKind>) {
+        let mut offsets = vec![0usize; slots + 1];
+        for a in per_user.iter().flatten() {
+            offsets[a.slot as usize + 1] += 1;
+        }
+        for s in 0..slots {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut users = vec![0u32; offsets[slots]];
+        let mut apps = vec![AppKind::ALL[0]; offsets[slots]];
+        let mut fill = offsets.clone();
+        for (user, arrivals) in per_user.iter().enumerate() {
+            for a in arrivals {
+                let at = &mut fill[a.slot as usize];
+                users[*at] = user as u32;
+                apps[*at] = a.app;
+                *at += 1;
+            }
+        }
+        (offsets, users, apps)
+    }
+
+    fn assert_schedule_is(sched: &ArrivalSchedule, per_user: &[Vec<ArrivalEvent>], slots: u64) {
+        assert_eq!(sched.of_user(per_user.len()).count(), 0);
         assert_eq!(
-            sched.first_at_or_after(1, all[0].slot + 1).as_ref(),
-            all.get(1)
+            sched.total_arrivals(),
+            per_user.iter().map(Vec::len).sum::<usize>()
         );
-        assert_eq!(sched.first_at_or_after(1, 30_000), None);
+        for (user, arrivals) in per_user.iter().enumerate() {
+            assert!(
+                sched.of_user(user).eq(arrivals.iter().copied()),
+                "user {user}"
+            );
+        }
+        let (offsets, users, apps) = index(per_user, slots as usize);
+        for slot in 0..slots {
+            let row = sched.at_slot(slot);
+            assert_eq!(row, offsets[slot as usize]..offsets[slot as usize + 1]);
+            for at in row {
+                assert_eq!(sched.at(at), (users[at] as usize, apps[at]), "slot {slot}");
+            }
+        }
     }
 
     #[test]
@@ -409,7 +335,7 @@ mod tests {
         ] {
             let legacy = generate(users, slots, p, seed);
             let world = ArrivalSchedule::from_model(&Bernoulli, users, slots, p, seed);
-            assert_eq!(legacy, world, "users={users} slots={slots} p={p}");
+            assert_schedule_is(&world, &legacy, slots);
             let via_spec = ArrivalSchedule::from_model(
                 ArrivalSpec::Bernoulli.model().as_ref(),
                 users,
@@ -417,30 +343,93 @@ mod tests {
                 p,
                 seed,
             );
-            assert_eq!(legacy, via_spec);
+            assert_eq!(world, via_spec);
         }
     }
 
     #[test]
-    fn shaped_models_produce_sorted_per_user_streams() {
+    fn both_orders_are_the_per_user_lists_and_the_index_over_them() {
         for spec in ArrivalSpec::ALL {
-            let sched = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
-            for user in 0..8 {
-                let arrivals = sched.arrivals_for(user);
-                assert!(
-                    arrivals.windows(2).all(|w| w[0].slot < w[1].slot),
-                    "{spec:?} user {user} not strictly sorted"
-                );
+            let (users, slots) = (70, 2_000);
+            let model = spec.model();
+            let per_user: Vec<Vec<ArrivalEvent>> = (0..users)
+                .map(|user| model.sample_user(5, user, slots, 0.02))
+                .collect();
+            let sched = ArrivalSchedule::from_model(model.as_ref(), users, slots, 0.02, 5);
+            assert!(sched.total_arrivals() > 0, "{spec:?}");
+            assert_schedule_is(&sched, &per_user, slots);
+        }
+    }
+}
+
+/// The schedule is the same bytes however the fleet is cut into runs.
+#[cfg(test)]
+mod cut_invariance {
+    use super::*;
+    use fedco_world::arrival::ArrivalSpec;
+
+    fn cut(spec: ArrivalSpec, users: usize, runs: usize) -> ArrivalSchedule {
+        ArrivalSchedule::from_model_cut(spec.model().as_ref(), users, 1_500, 0.01, 42, runs)
+    }
+
+    #[test]
+    fn any_run_count_builds_the_single_run_schedule() {
+        for spec in ArrivalSpec::ALL {
+            // 23 users: runs of 12 + 11, 8 + 8 + 7, 4 × 5 + 3 + two empty.
+            let single = cut(spec, 23, 1);
+            assert!(single.total_arrivals() > 0);
+            for runs in [0, 2, 3, 7] {
+                assert_eq!(cut(spec, 23, runs), single, "{spec:?} in {runs} runs");
             }
-            let again = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
-            assert_eq!(sched, again, "{spec:?} not deterministic");
         }
     }
 
     #[test]
-    fn probability_is_clamped() {
-        let sched = bernoulli(1, 100, 5.0, 1);
-        assert_eq!(sched.probability(), 1.0);
-        assert_eq!(sched.arrivals_for(0).len(), 100);
+    fn more_runs_than_users_and_a_fleet_of_one_or_none() {
+        for spec in ArrivalSpec::ALL {
+            for users in [0, 1, 2, 5] {
+                let single = cut(spec, users, 1);
+                for runs in [2, 7, 40] {
+                    assert_eq!(cut(spec, users, runs), single, "{spec:?} {users} users");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_shipped_entry_is_the_single_run_schedule() {
+        // Whatever this machine's CPU count makes of it.
+        let model = ArrivalSpec::Bernoulli.model();
+        let shipped = ArrivalSchedule::from_model(model.as_ref(), 23, 1_500, 0.01, 42);
+        assert_eq!(shipped, cut(ArrivalSpec::Bernoulli, 23, 1));
+    }
+
+    /// Samples like Bernoulli, except that a run holding user 9 panics.
+    struct Exploding;
+
+    impl ArrivalModel for Exploding {
+        fn sample_fleet(
+            &self,
+            seed: u64,
+            users: Range<usize>,
+            total_slots: u64,
+            base_p: f64,
+        ) -> FleetArrivals {
+            assert!(!users.contains(&9), "user 9 cannot be sampled");
+            fedco_world::arrival::Bernoulli.sample_fleet(seed, users, total_slots, base_p)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "user 9 cannot be sampled")]
+    fn a_panic_inside_a_spawned_run_is_raised_on_the_caller() {
+        // Runs of 4: user 9 is in the third, on a thread of its own.
+        let _ = ArrivalSchedule::from_model_cut(&Exploding, 12, 200, 0.01, 1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "user 9 cannot be sampled")]
+    fn a_panic_inside_the_callers_run_waits_for_the_others() {
+        let _ = ArrivalSchedule::from_model_cut(&Exploding, 24, 200, 0.01, 1, 2);
     }
 }

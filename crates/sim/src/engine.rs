@@ -20,8 +20,8 @@
 //! until its next event — so `run` drives the same phases from event
 //! indices and a slot costs what happens in it, not the size of the fleet:
 //!
-//! * arrivals are bucketed by slot once, at construction
-//!   ([`ArrivalIndex`]);
+//! * arrivals are read a slot's row at a time from the slot-major order of
+//!   the one store they are sampled into ([`ArrivalSchedule`]);
 //! * application expiries and epoch completions are absolute deadlines in
 //!   one calendar, popped in `(slot, user)` order and checked against
 //!   the arena, so a device that went dark leaves only a stale entry;
@@ -92,7 +92,7 @@ use fedco_world::battery::BatteryParams;
 use fedco_world::churn::ChurnSpec;
 use fedco_world::CHECK_EVERY_SLOTS;
 
-use crate::arrivals::{ArrivalCursor, ArrivalIndex, ArrivalSchedule};
+use crate::arrivals::ArrivalSchedule;
 use crate::clock::SimClock;
 use crate::experiment::{ConfigError, SimConfig};
 use crate::index::{Calendar, Deadline};
@@ -245,9 +245,6 @@ pub struct Simulation {
     pub(crate) config: SimConfig,
     pub(crate) clock: SimClock,
     pub(crate) arrivals: ArrivalSchedule,
-    /// The same arrivals bucketed by slot, for the event-indexed loop.
-    pub(crate) arrival_index: ArrivalIndex,
-    pub(crate) arrival_cursors: Vec<ArrivalCursor>,
     pub(crate) users: UserArena,
     pub(crate) profilers: Vec<EnergyProfiler>,
     policy: Box<dyn SchedulingPolicy>,
@@ -329,9 +326,11 @@ impl Simulation {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let clock = SimClock::new(config.slot_seconds, config.total_slots);
-        // Arrivals come from the configured world model. The Bernoulli model
-        // replays the historical generator's RNG streams bit-for-bit (pinned
-        // by `arrivals::tests::bernoulli_model_matches_historical_generator`),
+        // Arrivals come from the configured world model, sampled once into
+        // the one store both orders of the schedule are (on every CPU when
+        // the fleet is wide). The Bernoulli model replays the historical
+        // generator's RNG streams bit-for-bit (pinned by
+        // `arrivals::reference_bits::bernoulli_model_matches_historical_generator`),
         // so the paper-default world changes nothing.
         let arrivals = ArrivalSchedule::from_model(
             config.world.arrival.model().as_ref(),
@@ -340,7 +339,6 @@ impl Simulation {
             config.arrival_probability,
             config.seed,
         );
-        let arrival_index = ArrivalIndex::build(&arrivals, config.total_slots);
         // Struct-of-arrays user state; one shared DeviceProfile allocation
         // per distinct device kind instead of one copy per user.
         let users = UserArena::build(config.num_users, config.scheduler.epsilon, |i| {
@@ -469,15 +467,12 @@ impl Simulation {
             None
         };
 
-        let arrival_cursors = vec![ArrivalCursor::new(); users.len()];
         let power_state = vec![PowerState::Idle; users.len()];
         let power_since = vec![NOT_ACCRUING; users.len()];
         let mut sim = Simulation {
             config,
             clock,
             arrivals,
-            arrival_index,
-            arrival_cursors,
             users,
             profilers,
             policy,
@@ -1077,8 +1072,8 @@ impl Simulation {
                 self.plan_offline_window(slot);
             }
 
-            // (1) Application arrivals (ignored while another app runs),
-            // then the phase census.
+            // (1) Application arrivals — the slot's row of the schedule
+            // (ignored while another app runs) — then the phase census.
             self.phase_arrivals(slot);
             let (training_now, waiting_at_start) = self.phase_census();
 

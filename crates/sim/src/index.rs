@@ -4,14 +4,14 @@
 //! [`Calendar`] holds the two deadlines a device can have — its foreground
 //! application leaving, its training epoch completing — bucketed by the
 //! absolute slot at which they fall due. [`UserSet`] is an ascending set of
-//! user ids (the waiting users). The third index, the per-slot arrival
-//! buckets, lives next to the schedule it indexes:
-//! [`ArrivalIndex`](crate::arrivals::ArrivalIndex).
+//! user ids (the waiting users). The third index, the arrivals of a slot,
+//! is the schedule itself in its slot-major order:
+//! [`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot).
 
 use crate::experiment::SimConfig;
 
-// The indices store user ids as `u32` (half the calendar's and the arrival
-// index's footprint at a million users); every fleet fits.
+// The indices store user ids as `u32` (half the calendar's footprint at a
+// million users); every fleet fits.
 const _: () = assert!(SimConfig::MAX_USERS <= u32::MAX as usize);
 
 /// What a calendar entry announces for its user.

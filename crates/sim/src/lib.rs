@@ -34,7 +34,7 @@ pub mod user;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::arrivals::{ArrivalCursor, ArrivalIndex, ArrivalSchedule};
+    pub use crate::arrivals::ArrivalSchedule;
     pub use crate::clock::SimClock;
     pub use crate::engine::{run_simulation, run_simulation_traced, EngineStats, Simulation};
     pub use crate::experiment::{

@@ -8,8 +8,8 @@
 //! do the same work from the event indices and touch only the users to whom
 //! something happens:
 //!
-//! * arrivals come from the slot's bucket of the
-//!   [`ArrivalIndex`](crate::arrivals::ArrivalIndex);
+//! * arrivals come from the slot's row of the schedule's slot-major order
+//!   ([`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot));
 //! * expiring applications and completing epochs come from the slot's
 //!   bucket of the [`Calendar`](crate::index::Calendar), live entries only,
 //!   ascending by user — the order the scan reports completions in;
@@ -60,7 +60,7 @@ impl Simulation {
         matches!(self.users.phase(i), TrainingPhase::Offline)
     }
 
-    /// The one arrival rule (see [`ArrivalIndex`](crate::arrivals::ArrivalIndex)):
+    /// The one arrival rule (see the [`arrivals`](crate::arrivals) module):
     /// `app` opens on user `i` at `slot` unless an application is already in
     /// the foreground or the device is offline.
     fn accept_arrival(&mut self, i: usize, app: AppKind, slot: u64) {
@@ -96,14 +96,11 @@ impl Simulation {
     // Reference scans: every phase walks the whole arena.
     // ----------------------------------------------------------------
 
-    /// Slot phase 1: application arrivals, from each user's cursor into its
-    /// own arrival list.
+    /// Slot phase 1: application arrivals, every user asked for its own —
+    /// a stateless search of its row of the user-major order.
     fn phase_arrivals_scan(&mut self, slot: u64) {
         for i in 0..self.users.len() {
-            let arrival = self.arrival_cursors[i]
-                .next_at_or_after(&self.arrivals, i, slot)
-                .filter(|a| a.slot == slot);
-            if let Some(arrival) = arrival {
+            if let Some(arrival) = self.arrivals.first_arrival_in_window(i, slot, 1) {
                 self.accept_arrival(i, arrival.app, slot);
             }
         }
@@ -152,10 +149,10 @@ impl Simulation {
             self.stats.user_visits += self.users.len() as u64;
             return self.phase_arrivals_scan(slot);
         }
-        let bucket = self.arrival_index.bucket(slot);
-        self.stats.user_visits += bucket.len() as u64;
-        for at in bucket {
-            let (i, app) = self.arrival_index.get(at);
+        let row = self.arrivals.at_slot(slot);
+        self.stats.user_visits += row.len() as u64;
+        for at in row {
+            let (i, app) = self.arrivals.at(at);
             self.accept_arrival(i, app, slot);
         }
     }

@@ -290,9 +290,9 @@ impl UserArena {
 
     /// Puts `app` in user `i`'s foreground from slot `now` for the given
     /// number of slots, and returns the slot it leaves again. The caller
-    /// decides whether an arrival is accepted at all (see
-    /// [`ArrivalIndex`](crate::arrivals::ArrivalIndex)); calling this while
-    /// an application runs replaces it.
+    /// decides whether an arrival is accepted at all (see the
+    /// [`arrivals`](crate::arrivals) module); calling this while an
+    /// application runs replaces it.
     pub fn start_app(&mut self, i: usize, app: AppKind, now: u64, duration_slots: u64) -> u64 {
         self.current_app[i] = Some(app);
         self.app_until[i] = now + duration_slots.max(1);

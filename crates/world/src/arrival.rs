@@ -3,21 +3,37 @@
 //! The paper models app usage as an i.i.d. Bernoulli arrival per slot
 //! (probability 0.001 in the main evaluation). Real fleets are burstier:
 //! usage follows the day, flash events synchronise users, and activity
-//! alternates between calm and busy regimes. Each model here pre-generates a
-//! per-user arrival list for the whole horizon — the same oracle interface
-//! the offline scheduler already relies on — as a pure function of
-//! `(seed, user)`, so schedules are byte-identical across runs, drivers
-//! and worker counts.
+//! alternates between calm and busy regimes. Each model here pre-generates
+//! the arrivals of a run of users over the whole horizon — the oracle the
+//! offline scheduler relies on — as a pure function of `(seed, user)`, so
+//! schedules are byte-identical across runs, drivers, worker counts and
+//! however a fleet is cut into runs.
 //!
-//! All models draw from the same per-user seeded stream
-//! ([`user_rng`]), one `f64` per slot plus one app pick per arrival (the
-//! MMPP adds one regime draw per slot). [`Bernoulli`] consumes that stream
-//! in exactly the order the engine's historical generator did, so the
-//! default world reproduces pre-world schedules bit for bit.
+//! # The draw
+//!
+//! Every model consumes the same per-user seeded stream ([`user_rng`]): one
+//! draw per slot plus one app pick per arrival (the MMPP adds one regime draw
+//! per slot), in exactly the order the engine's historical generator did, so
+//! the default world reproduces pre-world schedules bit for bit. At the
+//! paper's rate nearly every (user, slot) pair is a non-event, so the draw is
+//! what sampling costs. A uniform `f64` is `u = x · 2⁻⁵³` for the 53-bit
+//! integer `x = next_u64() >> 11`, and `u < r` holds exactly when
+//! `x < ceil(r · 2⁵³)`: a rate becomes an integer `threshold` once, and the
+//! one loop (`scan`) compares raw generator words against it — no float per
+//! slot — advancing two users' independent streams per iteration so that one
+//! generator's latency chain hides behind the other's.
+//!
+//! # The store
+//!
+//! The result is a [`FleetArrivals`]: one compressed-sparse-row store in flat
+//! lanes, user-major as sampled; [`FleetArrivals::transposed`] is the same
+//! arrivals slot-major, the order a slot loop reads.
+
+use std::ops::Range;
 
 use fedco_device::apps::AppKind;
 use fedco_rng::rngs::SmallRng;
-use fedco_rng::{Rng, SeedableRng};
+use fedco_rng::{Rng, RngCore, SeedableRng};
 
 /// One application arrival for one user.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,6 +44,128 @@ pub struct ArrivalEvent {
     pub app: AppKind,
 }
 
+/// Every arrival of a fleet in one compressed-sparse-row store of flat
+/// lanes: a row per user listing `(slot, app)` as sampled, or — after
+/// [`transposed`](Self::transposed) — a row per slot listing `(user, app)`.
+/// Keys ascend within a row and are `u32` (with the application, 5 bytes an
+/// arrival), which is why neither a fleet nor a horizon may exceed 2³².
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FleetArrivals {
+    /// `offsets[r]..offsets[r + 1]` are the positions of row `r`.
+    offsets: Vec<usize>,
+    /// The other coordinate of each arrival, row by row.
+    keys: Vec<u32>,
+    /// The application of each arrival, parallel to `keys`.
+    apps: Vec<AppKind>,
+    /// How many keys there are to have: the row count of the transpose.
+    width: usize,
+}
+
+impl FleetArrivals {
+    /// A store of no rows yet (`rows` to come) whose keys are below `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` keys do not fit `u32`.
+    fn with_width(width: u64, rows: usize) -> Self {
+        assert!(width <= 1 << 32, "{width} arrival keys do not fit u32");
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        FleetArrivals {
+            offsets,
+            keys: Vec::new(),
+            apps: Vec::new(),
+            width: width as usize,
+        }
+    }
+
+    /// The runs of one fleet, sampled apart, appended in the order given
+    /// into one exactly-sized store. The runs share a horizon.
+    pub fn concat(runs: Vec<FleetArrivals>) -> FleetArrivals {
+        let width = runs.first().map_or(0, |run| run.width);
+        let mut all = FleetArrivals::with_width(width as u64, runs.iter().map(Self::rows).sum());
+        let total = runs.iter().map(Self::total).sum();
+        all.keys.reserve_exact(total);
+        all.apps.reserve_exact(total);
+        for run in runs {
+            debug_assert_eq!(run.width, width, "runs of different horizons");
+            let ends = run.offsets[1..].iter().map(|end| all.keys.len() + end);
+            all.offsets.extend(ends);
+            all.keys.extend_from_slice(&run.keys);
+            all.apps.extend_from_slice(&run.apps);
+        }
+        all
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of arrivals.
+    pub fn total(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The positions of the arrivals of row `r` (none past the last row);
+    /// resolve each with [`get`](Self::get).
+    pub fn row(&self, r: usize) -> Range<usize> {
+        match self.offsets.get(r..) {
+            Some(&[from, to, ..]) => from..to,
+            _ => 0..0,
+        }
+    }
+
+    /// The keys of row `r`, ascending.
+    pub fn keys(&self, r: usize) -> &[u32] {
+        &self.keys[self.row(r)]
+    }
+
+    /// The `(key, application)` of the arrival at position `at`.
+    pub fn get(&self, at: usize) -> (usize, AppKind) {
+        (self.keys[at] as usize, self.apps[at])
+    }
+
+    /// Row `r` of the user-major order as events.
+    pub fn events(&self, r: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
+        let event = |(slot, app)| ArrivalEvent {
+            slot: slot as u64,
+            app,
+        };
+        self.row(r).map(move |at| event(self.get(at)))
+    }
+
+    /// The same arrivals keyed the other way round — slot-major from
+    /// user-major, and back: a counting sort, so keys still ascend within a
+    /// row, and transposing twice is the identity.
+    pub fn transposed(&self) -> FleetArrivals {
+        let mut offsets = vec![0usize; self.width + 1];
+        for &key in &self.keys {
+            offsets[key as usize + 1] += 1;
+        }
+        for r in 0..self.width {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut fill = offsets.clone();
+        let mut keys = vec![0u32; self.total()];
+        let mut apps = self.apps.clone();
+        for r in 0..self.rows() {
+            for at in self.row(r) {
+                let to = &mut fill[self.keys[at] as usize];
+                keys[*to] = r as u32;
+                apps[*to] = self.apps[at];
+                *to += 1;
+            }
+        }
+        FleetArrivals {
+            offsets,
+            keys,
+            apps,
+            width: self.rows(),
+        }
+    }
+}
+
 /// The per-user arrival stream: the exact seeding formula the engine has
 /// always used, exposed so every model (and the engine's own generator)
 /// shares one definition.
@@ -35,41 +173,148 @@ pub fn user_rng(seed: u64, user: usize) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ (0xA441 + user as u64).wrapping_mul(0x9E3779B97F4A7C15))
 }
 
-/// A seeded application-arrival process: generates one user's arrivals over
-/// the whole horizon. `base_p` is the scenario's `arrival_p` field — every
-/// model treats it as its baseline per-slot rate, so sweeping `arrival_p`
-/// scales any process.
-pub trait ArrivalModel {
-    /// The arrivals of `user` over `[0, total_slots)`, in increasing slot
-    /// order. Must be a pure function of the arguments.
+/// A seeded application-arrival process: generates the arrivals of a run of
+/// users over the whole horizon. `base_p` is the scenario's `arrival_p`
+/// field — every model treats it as its baseline per-slot rate, so sweeping
+/// `arrival_p` scales any process.
+///
+/// # Purity
+///
+/// A user's arrivals must depend on `(seed, user, total_slots, base_p)`
+/// alone — never on which other users are sampled in the same call, nor on
+/// the thread that makes it. The engine relies on this: it cuts a large
+/// fleet into contiguous runs, samples them on several threads at once
+/// through one shared `&self` (hence the `Sync` supertrait) and appends the
+/// runs, and the schedule must be the same bytes for any cut.
+pub trait ArrivalModel: Sync {
+    /// The arrivals of the users `users` over `[0, total_slots)`, a row per
+    /// user (row 0 is `users.start`), in increasing slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_slots` slots do not fit the store's `u32` keys.
+    fn sample_fleet(
+        &self,
+        seed: u64,
+        users: Range<usize>,
+        total_slots: u64,
+        base_p: f64,
+    ) -> FleetArrivals;
+
+    /// The arrivals of `user` over `[0, total_slots)`: its row of any fleet
+    /// that contains it.
     fn sample_user(
         &self,
         seed: u64,
         user: usize,
         total_slots: u64,
         base_p: f64,
-    ) -> Vec<ArrivalEvent>;
+    ) -> Vec<ArrivalEvent> {
+        let row = self.sample_fleet(seed, user..user + 1, total_slots, base_p);
+        row.events(0).collect()
+    }
 }
 
-/// Shared per-slot sampling loop: one uniform draw per slot against a
-/// slot-dependent rate, one app pick per arrival — the exact stream shape of
-/// the historical generator, so any rate curve that is constant at `base_p`
-/// is bit-identical to it.
-fn sample_rate_curve(
-    seed: u64,
-    user: usize,
+/// What a [`threshold`] is compared against: the 53 bits `gen::<f64>()`
+/// keeps of a generator word.
+const DRAW_SHIFT: u32 = 11;
+
+/// `rng.gen::<f64>() < rate` as a compare of integers: the draw is
+/// `x · 2⁻⁵³` for `x = next_u64() >> DRAW_SHIFT`, scaling either side by a
+/// power of two is exact, and an integer is below a real exactly when it is
+/// below its ceiling — so the draw fires when `x < threshold(rate)`. The
+/// cast saturates: a NaN or negative rate never fires and a rate above 1
+/// always does, which is what the float compare did.
+fn threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One user's stream inside the sampling loop: its generator and the regime
+/// its process is in.
+struct Stream {
+    rng: SmallRng,
+    in_burst: bool,
+}
+
+/// The one sampling loop: two users' streams advanced side by side (the
+/// second stands still unless `paired`) from `slot` to the first slot in
+/// which either fires — returned with who fired — or to `total_slots`. The
+/// streams are independent, so one generator's serial dependency chain
+/// overlaps the other's.
+///
+/// Out of line and by value so that the loop holds no call and no pointer:
+/// both generators then stay in registers — inlined next to the `push` of an
+/// arrival, they spill, and two streams read slower than one.
+#[inline(never)]
+fn scan(
+    [mut a, mut b]: [Stream; 2],
+    paired: bool,
+    mut slot: u64,
     total_slots: u64,
-    mut rate_at: impl FnMut(u64) -> f64,
-) -> Vec<ArrivalEvent> {
-    let mut rng = user_rng(seed, user);
-    let mut events = Vec::new();
-    for slot in 0..total_slots {
-        if rng.gen::<f64>() < rate_at(slot).clamp(0.0, 1.0) {
-            let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
-            events.push(ArrivalEvent { slot, app });
+    threshold: &impl Fn(u64, bool) -> u64,
+    regime: &impl Fn(&mut SmallRng, bool) -> bool,
+) -> ([Stream; 2], u64, [bool; 2]) {
+    while slot < total_slots {
+        let fired = [
+            a.rng.next_u64() >> DRAW_SHIFT < threshold(slot, a.in_burst),
+            paired && b.rng.next_u64() >> DRAW_SHIFT < threshold(slot, b.in_burst),
+        ];
+        if fired[0] | fired[1] {
+            return ([a, b], slot, fired);
+        }
+        a.in_burst = regime(&mut a.rng, a.in_burst);
+        if paired {
+            b.in_burst = regime(&mut b.rng, b.in_burst);
+        }
+        slot += 1;
+    }
+    ([a, b], slot, [false; 2])
+}
+
+/// Samples `users` two at a time (an odd last one alone) into one store.
+/// Either stream of a pair is consumed exactly as the historical one-user
+/// generator consumed it: per slot one draw against `threshold(slot,
+/// in_burst)`, one app pick if it fires, then the process's `regime` step.
+fn sample_curve(
+    seed: u64,
+    users: Range<usize>,
+    total_slots: u64,
+    threshold: impl Fn(u64, bool) -> u64,
+    regime: impl Fn(&mut SmallRng, bool) -> bool,
+) -> FleetArrivals {
+    let mut fleet = FleetArrivals::with_width(total_slots, users.len());
+    let mut rows = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
+    for user in users.clone().step_by(2) {
+        let paired = user + 1 < users.end;
+        let mut lanes = [user, user + 1].map(|user| Stream {
+            rng: user_rng(seed, user),
+            in_burst: false,
+        });
+        let mut slot = 0;
+        loop {
+            let fired;
+            (lanes, slot, fired) = scan(lanes, paired, slot, total_slots, &threshold, &regime);
+            if slot == total_slots {
+                break;
+            }
+            for ((stream, row), fired) in lanes.iter_mut().zip(&mut rows).zip(fired) {
+                if fired {
+                    row.0.push(slot as u32);
+                    row.1
+                        .push(AppKind::ALL[stream.rng.gen_range(0..AppKind::ALL.len())]);
+                }
+                // (An unpaired second stream steps too: nobody reads it.)
+                stream.in_burst = regime(&mut stream.rng, stream.in_burst);
+            }
+            slot += 1;
+        }
+        for (keys, apps) in &mut rows[..1 + usize::from(paired)] {
+            fleet.keys.append(keys);
+            fleet.apps.append(apps);
+            fleet.offsets.push(fleet.keys.len());
         }
     }
-    events
+    fleet
 }
 
 /// The paper's process: i.i.d. Bernoulli(`base_p`) per slot. Bit-identical
@@ -78,15 +323,15 @@ fn sample_rate_curve(
 pub struct Bernoulli;
 
 impl ArrivalModel for Bernoulli {
-    fn sample_user(
+    fn sample_fleet(
         &self,
         seed: u64,
-        user: usize,
+        users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> Vec<ArrivalEvent> {
-        let p = base_p.clamp(0.0, 1.0);
-        sample_rate_curve(seed, user, total_slots, |_| p)
+    ) -> FleetArrivals {
+        let fires = threshold(base_p.clamp(0.0, 1.0));
+        sample_curve(seed, users, total_slots, move |_, _| fires, |_, calm| calm)
     }
 }
 
@@ -114,20 +359,35 @@ impl Diurnal {
 }
 
 impl ArrivalModel for Diurnal {
-    fn sample_user(
+    fn sample_fleet(
         &self,
         seed: u64,
-        user: usize,
+        users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> Vec<ArrivalEvent> {
-        let period = self.period_slots.max(1) as f64;
+    ) -> FleetArrivals {
+        let period = self.period_slots.max(1);
         let depth = self.depth.clamp(0.0, 1.0);
         let base = base_p.clamp(0.0, 1.0);
-        sample_rate_curve(seed, user, total_slots, |slot| {
-            let phase = (slot % self.period_slots.max(1)) as f64 / period;
-            base * (1.0 - depth * (std::f64::consts::TAU * phase).cos())
-        })
+        let fires = |slot: u64| {
+            let phase = (slot % period) as f64 / period as f64;
+            threshold(base * (1.0 - depth * (std::f64::consts::TAU * phase).cos()))
+        };
+        // The curve is every user's: past one pair of them a table of one
+        // period costs fewer cosines than it saves.
+        if users.len() <= 2 {
+            return sample_curve(
+                seed,
+                users,
+                total_slots,
+                |slot, _| fires(slot),
+                |_, calm| calm,
+            );
+        }
+        let table: Vec<u64> = (0..period.min(total_slots)).map(fires).collect();
+        let period = table.len() as u64;
+        let fires = |slot, _| table[(if slot < period { slot } else { slot % period }) as usize];
+        sample_curve(seed, users, total_slots, fires, |_, calm| calm)
     }
 }
 
@@ -158,36 +418,29 @@ impl Mmpp {
 }
 
 impl ArrivalModel for Mmpp {
-    fn sample_user(
+    fn sample_fleet(
         &self,
         seed: u64,
-        user: usize,
+        users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> Vec<ArrivalEvent> {
+    ) -> FleetArrivals {
         let base = base_p.clamp(0.0, 1.0);
-        let burst = (base * self.burst_multiplier).clamp(0.0, 1.0);
-        let mut rng = user_rng(seed, user);
-        let mut events = Vec::new();
-        let mut in_burst = false;
-        for slot in 0..total_slots {
-            let rate = if in_burst { burst } else { base };
-            if rng.gen::<f64>() < rate {
-                let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
-                events.push(ArrivalEvent { slot, app });
-            }
-            // One regime draw per slot keeps the chain independent of how
-            // many arrivals fired.
-            let flip = rng.gen::<f64>();
+        let calm = threshold(base);
+        let burst = threshold((base * self.burst_multiplier).clamp(0.0, 1.0));
+        let (enter, exit) = (threshold(self.enter_burst_p), threshold(self.exit_burst_p));
+        let fires = move |_, in_burst| if in_burst { burst } else { calm };
+        // One regime draw per slot keeps the chain independent of how many
+        // arrivals fired.
+        let regime = move |rng: &mut SmallRng, in_burst: bool| {
+            let flip = rng.next_u64() >> DRAW_SHIFT;
             if in_burst {
-                if flip < self.exit_burst_p {
-                    in_burst = false;
-                }
-            } else if flip < self.enter_burst_p {
-                in_burst = true;
+                flip >= exit
+            } else {
+                flip < enter
             }
-        }
-        events
+        };
+        sample_curve(seed, users, total_slots, fires, regime)
     }
 }
 
@@ -217,24 +470,20 @@ impl FlashCrowd {
 }
 
 impl ArrivalModel for FlashCrowd {
-    fn sample_user(
+    fn sample_fleet(
         &self,
         seed: u64,
-        user: usize,
+        users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> Vec<ArrivalEvent> {
+    ) -> FleetArrivals {
         let base = base_p.clamp(0.0, 1.0);
         let start = (total_slots as f64 * self.start_frac.clamp(0.0, 1.0)) as u64;
         let end = start.saturating_add((total_slots as f64 * self.width_frac.max(0.0)) as u64);
-        let spiked = (base * self.multiplier).clamp(0.0, 1.0);
-        sample_rate_curve(seed, user, total_slots, |slot| {
-            if (start..end).contains(&slot) {
-                spiked
-            } else {
-                base
-            }
-        })
+        let spiked = threshold((base * self.multiplier).clamp(0.0, 1.0));
+        let base = threshold(base);
+        let fires = move |slot, _| [base, spiked][usize::from((start..end).contains(&slot))];
+        sample_curve(seed, users, total_slots, fires, |_, calm| calm)
     }
 }
 
@@ -442,5 +691,283 @@ mod tests {
         assert_eq!(fleet[0].len(), 50);
         let none = sample_fleet(ArrivalSpec::FlashCrowd, 1, 50, 0.0, 1);
         assert_eq!(total(&none), 0);
+    }
+}
+
+/// The sampler and the store against what they replaced: the per-user,
+/// float-compare-per-slot loops this module used to be, kept here as the
+/// oracle.
+#[cfg(test)]
+mod reference_bits {
+    use super::*;
+
+    /// The old shared loop: one `f64` draw per slot against a clamped rate.
+    fn sample_rate_curve(
+        seed: u64,
+        user: usize,
+        total_slots: u64,
+        mut rate_at: impl FnMut(u64) -> f64,
+    ) -> Vec<ArrivalEvent> {
+        let mut rng = user_rng(seed, user);
+        let mut events = Vec::new();
+        for slot in 0..total_slots {
+            if rng.gen::<f64>() < rate_at(slot).clamp(0.0, 1.0) {
+                let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
+                events.push(ArrivalEvent { slot, app });
+            }
+        }
+        events
+    }
+
+    /// The old `sample_user` bodies of the four models.
+    fn reference_user(
+        model: Model,
+        seed: u64,
+        user: usize,
+        total_slots: u64,
+        base_p: f64,
+    ) -> Vec<ArrivalEvent> {
+        let base = base_p.clamp(0.0, 1.0);
+        match model {
+            Model::Bernoulli => sample_rate_curve(seed, user, total_slots, |_| base),
+            Model::Diurnal(d) => {
+                let period = d.period_slots.max(1) as f64;
+                let depth = d.depth.clamp(0.0, 1.0);
+                sample_rate_curve(seed, user, total_slots, |slot| {
+                    let phase = (slot % d.period_slots.max(1)) as f64 / period;
+                    base * (1.0 - depth * (std::f64::consts::TAU * phase).cos())
+                })
+            }
+            Model::Mmpp(m) => {
+                let burst = (base * m.burst_multiplier).clamp(0.0, 1.0);
+                let mut rng = user_rng(seed, user);
+                let mut events = Vec::new();
+                let mut in_burst = false;
+                for slot in 0..total_slots {
+                    let rate = if in_burst { burst } else { base };
+                    if rng.gen::<f64>() < rate {
+                        let app = AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())];
+                        events.push(ArrivalEvent { slot, app });
+                    }
+                    let flip = rng.gen::<f64>();
+                    if in_burst {
+                        if flip < m.exit_burst_p {
+                            in_burst = false;
+                        }
+                    } else if flip < m.enter_burst_p {
+                        in_burst = true;
+                    }
+                }
+                events
+            }
+            Model::FlashCrowd(f) => {
+                let start = (total_slots as f64 * f.start_frac.clamp(0.0, 1.0)) as u64;
+                let end = start.saturating_add((total_slots as f64 * f.width_frac.max(0.0)) as u64);
+                let spiked = (base * f.multiplier).clamp(0.0, 1.0);
+                sample_rate_curve(seed, user, total_slots, |slot| {
+                    if (start..end).contains(&slot) {
+                        spiked
+                    } else {
+                        base
+                    }
+                })
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Model {
+        Bernoulli,
+        Diurnal(Diurnal),
+        Mmpp(Mmpp),
+        FlashCrowd(FlashCrowd),
+    }
+
+    impl Model {
+        /// The four presets behind [`ArrivalSpec`], then shapes they leave
+        /// out: a diurnal period shorter than the horizon (the table wraps)
+        /// and of zero slots, a chain whose probabilities are out of range.
+        fn all() -> Vec<Model> {
+            let diurnal = |period_slots| {
+                Model::Diurnal(Diurnal {
+                    period_slots,
+                    depth: 0.9,
+                })
+            };
+            vec![
+                Model::Bernoulli,
+                Model::Diurnal(Diurnal::day()),
+                Model::Mmpp(Mmpp::bursty()),
+                Model::FlashCrowd(FlashCrowd::spike()),
+                diurnal(97),
+                diurnal(0),
+                Model::Mmpp(Mmpp {
+                    burst_multiplier: 40.0,
+                    enter_burst_p: 1.5,
+                    exit_burst_p: f64::NAN,
+                }),
+            ]
+        }
+
+        fn sampler(&self) -> Box<dyn ArrivalModel> {
+            match *self {
+                Model::Bernoulli => Box::new(Bernoulli),
+                Model::Diurnal(d) => Box::new(d),
+                Model::Mmpp(m) => Box::new(m),
+                Model::FlashCrowd(f) => Box::new(f),
+            }
+        }
+    }
+
+    const SEEDS: [u64; 3] = [0, 7, 42];
+    const SLOTS: u64 = 300;
+
+    fn rates() -> [f64; 9] {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        [0.0, 1e-300, ulp, 0.001, 0.5, 1.0, 7.0, -1.0, f64::NAN]
+    }
+
+    fn row_events(fleet: &FleetArrivals, r: usize) -> Vec<ArrivalEvent> {
+        fleet.events(r).collect()
+    }
+
+    #[test]
+    fn presets_are_the_specs_models() {
+        // `Model::all` starts with what `ArrivalSpec::model` hands out.
+        for (spec, model) in ArrivalSpec::ALL.into_iter().zip(Model::all()) {
+            let (by_spec, by_model) = (spec.model(), model.sampler());
+            let sample = |m: &dyn ArrivalModel| m.sample_fleet(5, 0..4, 2_000, 0.01);
+            assert_eq!(sample(by_spec.as_ref()), sample(by_model.as_ref()));
+        }
+    }
+
+    #[test]
+    fn fleet_sampler_matches_the_float_loops_event_for_event() {
+        for model in Model::all() {
+            let sampler = model.sampler();
+            for seed in SEEDS {
+                for p in rates() {
+                    // Odd sizes leave an unpaired last user; a fleet from an
+                    // odd user pairs (1, 2), (3, 4), … instead.
+                    for users in [0..0, 0..1, 0..2, 0..3, 0..64, 0..65, 7..12] {
+                        let fleet = sampler.sample_fleet(seed, users.clone(), SLOTS, p);
+                        assert_eq!(fleet.rows(), users.len());
+                        let mut total = 0;
+                        for (r, user) in users.enumerate() {
+                            let expected = reference_user(model, seed, user, SLOTS, p);
+                            total += expected.len();
+                            assert_eq!(
+                                row_events(&fleet, r),
+                                expected,
+                                "{model:?} seed {seed} p {p} user {user}"
+                            );
+                        }
+                        assert_eq!(fleet.total(), total);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_user_is_its_row_of_the_fleet() {
+        for model in Model::all() {
+            let sampler = model.sampler();
+            let fleet = sampler.sample_fleet(42, 0..9, 4_000, 0.01);
+            for user in 0..9 {
+                let alone = sampler.sample_user(42, user, 4_000, 0.01);
+                assert!(!alone.is_empty(), "{model:?} user {user}");
+                assert_eq!(alone, row_events(&fleet, user), "{model:?} user {user}");
+                assert_eq!(alone, reference_user(model, 42, user, 4_000, 0.01));
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_is_the_float_compare_on_either_side_of_the_rate() {
+        let draws = 1u64 << 53;
+        for rate in rates()
+            .into_iter()
+            .chain([0.25, 1.0 - 1e-16, 1e300, f64::INFINITY])
+        {
+            let fires_below = threshold(rate);
+            let around = fires_below.saturating_sub(2)..=fires_below.saturating_add(2);
+            for x in around.chain([0, 1, draws - 1]).filter(|&x| x < draws) {
+                // `x` is what `next_u64() >> 11` yields; this is `gen::<f64>()`.
+                let u = x as f64 * (1.0 / draws as f64);
+                assert_eq!(x < fires_below, u < rate, "rate {rate} draw {x}");
+                assert_eq!(u < rate, u < rate.clamp(0.0, 1.0), "rate {rate} draw {x}");
+            }
+        }
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(-1.0), 0);
+        assert_eq!(threshold(1.0), draws);
+    }
+
+    #[test]
+    fn transpose_lists_every_arrival_once_in_slot_then_user_order() {
+        for spec in ArrivalSpec::ALL {
+            let (users, slots) = (70, 2_000);
+            let by_user = spec.model().sample_fleet(5, 0..users, slots, 0.02);
+            let by_slot = by_user.transposed();
+            assert_eq!(by_slot.rows(), slots as usize);
+            assert_eq!(by_slot.total(), by_user.total());
+            // Walking the slot rows yields (slot, user) strictly ascending,
+            // and exactly the user rows when regrouped.
+            let mut regrouped = vec![Vec::new(); users];
+            let mut last = None;
+            for slot in 0..by_slot.rows() {
+                for (user, app) in by_slot.row(slot).map(|at| by_slot.get(at)) {
+                    assert!(last < Some((slot, user)), "{spec:?}: order broke");
+                    last = Some((slot, user));
+                    regrouped[user].push(ArrivalEvent {
+                        slot: slot as u64,
+                        app,
+                    });
+                }
+            }
+            for (user, arrivals) in regrouped.iter().enumerate() {
+                assert_eq!(
+                    arrivals,
+                    &row_events(&by_user, user),
+                    "{spec:?} user {user}"
+                );
+            }
+            assert_eq!(by_slot.transposed(), by_user, "{spec:?}: not an involution");
+            assert!(by_slot.row(slots as usize).is_empty());
+            assert!(by_user.row(users + 9).is_empty());
+        }
+        let none = Bernoulli.sample_fleet(2, 0..3, 400, 0.0);
+        assert_eq!((none.total(), none.transposed().total()), (0, 0));
+        assert_eq!(none.transposed().transposed(), none);
+        let nobody = Bernoulli.sample_fleet(2, 0..0, 400, 0.5);
+        assert_eq!(nobody.transposed().rows(), 400);
+        assert_eq!(nobody.transposed().transposed(), nobody);
+    }
+
+    #[test]
+    fn runs_sampled_apart_concatenate_into_the_fleet() {
+        for spec in ArrivalSpec::ALL {
+            let model = spec.model();
+            let whole = model.sample_fleet(7, 0..11, 3_000, 0.01);
+            for cuts in [vec![0, 11], vec![0, 4, 11], vec![0, 1, 1, 6, 11]] {
+                let runs = cuts
+                    .windows(2)
+                    .map(|w| model.sample_fleet(7, w[0]..w[1], 3_000, 0.01))
+                    .collect();
+                assert_eq!(FleetArrivals::concat(runs), whole, "{spec:?} {cuts:?}");
+            }
+            for user in 0..11 {
+                let keys = whole.keys(user);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{spec:?} user {user}");
+            }
+        }
+        assert_eq!(FleetArrivals::concat(Vec::new()).rows(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn a_horizon_past_the_key_lane_is_refused() {
+        let _ = Bernoulli.sample_fleet(1, 0..0, (1 << 32) + 1, 0.0);
     }
 }

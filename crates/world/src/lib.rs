@@ -80,7 +80,8 @@ impl WorldConfig {
 /// The world's prelude: every spec type plus the model trait.
 pub mod prelude {
     pub use crate::arrival::{
-        ArrivalEvent, ArrivalModel, ArrivalSpec, Bernoulli, Diurnal, FlashCrowd, Mmpp,
+        ArrivalEvent, ArrivalModel, ArrivalSpec, Bernoulli, Diurnal, FlashCrowd, FleetArrivals,
+        Mmpp,
     };
     pub use crate::battery::{BatteryParams, BatterySpec};
     pub use crate::churn::ChurnSpec;

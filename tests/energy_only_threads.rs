@@ -1,6 +1,7 @@
-//! An energy-only run is single-threaded: the training pool starts with the
-//! first simulation that trains a real model, not before. Alone in its test
-//! binary, so nothing else here can have started a thread.
+//! An energy-only run leaves no thread behind: the training pool starts with
+//! the first simulation that trains a real model, not before, and the threads
+//! that sample a wide fleet's arrivals are joined inside `try_new`. Alone in
+//! its test binary, so nothing else here can have started a thread.
 
 use fedco::prelude::*;
 
@@ -24,6 +25,23 @@ fn an_energy_only_run_spawns_no_thread() {
         threads(),
         Some(before),
         "an energy-only run started a thread"
+    );
+    // A fleet wide enough for its arrival sampling to be cut into runs (43 M
+    // draws) does start threads, and has joined them all by the time the
+    // constructor returns.
+    let wide: ScenarioSpec = "mega:users=4000".parse().expect("parses");
+    let config = wide.build_with_policy(PolicySpec::SyncSgd).expect("builds");
+    let mut sim = Simulation::try_new(config.summary_only()).expect("valid");
+    assert_eq!(
+        threads(),
+        Some(before),
+        "a sampling thread outlived try_new"
+    );
+    assert!(sim.run().total_energy_j > 0.0);
+    assert_eq!(
+        threads(),
+        Some(before),
+        "a wide energy-only run left a thread"
     );
     // The same process does start helpers once a model is trained, if the
     // machine has a CPU to spare for one.
