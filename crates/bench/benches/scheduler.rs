@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the paper's schedulers: the per-slot online decision
 //! rule (Table III argues it is lightweight), the offline knapsack DP, whose
 //! cost scales as O(n · L_b) (Algorithm 1), the offline planner's two
-//! halves — Lemma-1 item build, knapsack — on one look-ahead window, and the
-//! arrival sampler that hands the planner its oracle.
+//! halves — Lemma-1 item build, knapsack — on one look-ahead window, the
+//! arrival sampler that hands the planner its oracle, and the span accrual
+//! every user's power lands through.
 
 use std::hint::black_box;
 
@@ -132,9 +133,24 @@ fn bench_arrival_sampling() {
     }
 }
 
+/// One closed power span into a lean profiler, as the slot loop lands it: a
+/// 100-slot span (`benchmark/`'s `record_span` probe) and a device parked
+/// for the paper's whole 10 800-slot horizon. The profiler keeps growing, as
+/// a user's does over a run.
+fn bench_profiler_span() {
+    micro::group("profiler");
+    for slots in [100u64, 10_800] {
+        let mut profiler = EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
+        micro::bench(&format!("profiler/record_span/{slots}"), || {
+            black_box(profiler.record_span(PowerState::Idle, Seconds(1.0), black_box(slots)));
+        });
+    }
+}
+
 fn main() {
     bench_online_decision();
     bench_offline_knapsack();
     bench_offline_window();
     bench_arrival_sampling();
+    bench_profiler_span();
 }

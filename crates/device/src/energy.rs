@@ -2,6 +2,46 @@
 //!
 //! Newtypes keep Watts, Joules and seconds from being mixed up in the energy
 //! accounting: `Watts * Seconds = Joules` is the only way to produce energy.
+//!
+//! # Repeated addition in closed form
+//!
+//! An accumulator that receives the same amount slot after slot must end on
+//! the bits of the per-slot additions, not of one `n × step` multiply, which
+//! rounds differently. [`repeated_add`] returns those bits in O(binades
+//! crossed) instead of O(`n`):
+//!
+//! * The doubles of one binade `[2^E, 2^(E+1))` are the multiples of its ulp
+//!   `u = 2^(E−52)`, and their bit patterns are consecutive integers, so a
+//!   difference of bit patterns inside a binade counts ulps.
+//! * For a positive `acc` in that binade and a positive `step` whose exact
+//!   sum stays below `2^(E+1)`, round-to-nearest picks the multiple of `u`
+//!   nearest the sum: `acc + d`, with `d` the multiple of `u` nearest
+//!   `step` — the same `d` from every accumulator of the binade, unless
+//!   `step` is an odd multiple of `u/2` (a tie, broken towards the even
+//!   significand, which depends on `acc`).
+//! * So one real step that stays inside the binade shows the increment
+//!   `du = bits(next) − bits(acc)` (`= d/u`). The tie test
+//!   `|step − d|·2 == u` is exact: `d = next − acc` by Sterbenz's lemma (both
+//!   in one binade), and `step − d` too, since `d/2 ≤ step ≤ 2d` once
+//!   `du ≥ 1`.
+//! * Without a tie `step < (du + ½)·u`, so a step from any `a` of the binade
+//!   with `bits(a) + du ≤ top − 1` (`top` = the bits of `2^(E+1)`) has its
+//!   exact sum below `2^(E+1)` and adds `du` again. From `next`, the next
+//!   `m ≤ (top − 1 − bits(next)) / du` steps land on
+//!   `from_bits(bits(next) + m·du)`, which never leaves the binade, so the
+//!   `u64` arithmetic cannot overflow.
+//! * Everything else takes single real steps: binade crossings, subnormal
+//!   accumulators, ties, a step that is not positive and finite, and a
+//!   negative or `−0.0` accumulator. A step that leaves the bits unchanged
+//!   (an absorbed step, `du == 0`) leaves them unchanged for ever, so the
+//!   result is returned at once.
+//!
+//! Each binade spans twice the one below it, so `n` positive steps from
+//! `acc` cross about `log₂((acc + n·step) / acc)` binades, each costing two
+//! or three real steps and one jump. A tie binade is the exception: it is
+//! walked step by step, and a tie needs the bits of `step` below `u` to be
+//! exactly `10…0`. The plain loop lives on as the `reference_bits` oracle of
+//! this module's tests.
 
 use std::fmt;
 use std::iter::Sum;
@@ -200,6 +240,42 @@ impl Sum for Seconds {
     }
 }
 
+/// Adds `step` to `acc` `times` times and returns the bits
+/// `for _ in 0..times { acc += step }` leaves, jumping a binade at a time
+/// (see [the module docs](self#repeated-addition-in-closed-form)).
+pub fn repeated_add(mut acc: f64, step: f64, mut times: u64) -> f64 {
+    while times > 0 {
+        let next = acc + step;
+        times -= 1;
+        let (from, to) = (acc.to_bits(), next.to_bits());
+        // Done, or absorbed: a step that leaves the bits alone always will.
+        if times == 0 || to == from {
+            return next;
+        }
+        // Sign and exponent field: 1..0x7ff is a positive normal number,
+        // whose ulp `2^E · 2^−52` is exact even where it is subnormal.
+        let binade = from >> 52;
+        let ulp = f64::from_bits(binade << 52) * f64::EPSILON;
+        if step > 0.0
+            && (1..0x7ff).contains(&binade)
+            && to >> 52 == binade
+            && (step - (next - acc)).abs() * 2.0 != ulp
+        {
+            let (du, room) = (to - from, ((binade + 1) << 52) - 1 - to);
+            let jump = if times.saturating_mul(du) <= room {
+                times
+            } else {
+                room / du
+            };
+            acc = f64::from_bits(to + jump * du);
+            times -= jump;
+        } else {
+            acc = next;
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,5 +332,180 @@ mod tests {
         assert_eq!(Seconds(3.0).value(), 3.0);
         assert_eq!(Seconds(2.0) * 3.0, Seconds(6.0));
         assert_eq!(Watts(2.0) * 3.0, Watts(6.0));
+    }
+}
+
+/// [`repeated_add`] against the loop it replaces: every shape the rounding
+/// argument tells apart, then a seeded fuzz.
+#[cfg(test)]
+mod reference_bits {
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
+
+    use super::repeated_add;
+
+    /// The span body the kernel replaced: one rounded addition per step.
+    fn plain_loop(mut acc: f64, step: f64, times: u64) -> f64 {
+        for _ in 0..times {
+            acc += step;
+        }
+        acc
+    }
+
+    /// The kernel leaves the loop's bits (NaN payloads folded: Rust leaves
+    /// them unspecified).
+    fn check(acc: f64, step: f64, times: u64) {
+        let (got, want) = (repeated_add(acc, step, times), plain_loop(acc, step, times));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{acc:e} + {step:e} x {times}: {got:e} ({:#x}), the loop {want:e} ({:#x})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    /// After how many steps the loop from `acc` has left `acc`'s binade, if
+    /// within `cap` steps.
+    fn binade_edge(acc: f64, step: f64, cap: u64) -> Option<u64> {
+        let binade = acc.to_bits() >> 52;
+        let mut x = acc;
+        (1..=cap).find(|_| {
+            x += step;
+            x.to_bits() >> 52 != binade
+        })
+    }
+
+    /// `j + ½` ulps of the binade of a positive normal `acc`: an exact tie.
+    fn tie(acc: f64, j: u32) -> f64 {
+        let floor = f64::from_bits(acc.to_bits() >> 52 << 52);
+        (f64::from(j) + 0.5) * (f64::from_bits(floor.to_bits() + 1) - floor)
+    }
+
+    /// `0`, `1`, `2`, the binade edge ± 1, and span lengths of a run.
+    fn times_for(acc: f64, step: f64) -> Vec<u64> {
+        let mut times = vec![0, 1, 2, 977, 10_800];
+        if let Some(edge) = binade_edge(acc, step, 100_000) {
+            times.extend([edge - 1, edge, edge + 1]);
+        }
+        times
+    }
+
+    #[test]
+    fn structured_shapes_match_the_loop() {
+        let two_52 = 4_503_599_627_370_496.0;
+        let accs = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_fff0),
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-9,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            1e5,
+            1e9 + 0.25,
+            1e15,
+            two_52,
+            two_52 + 1.0,
+            2.0 * two_52,
+            -7.5,
+            f64::MAX / 3.0,
+        ];
+        for &acc in &accs {
+            let mut steps = vec![
+                0.689,
+                0.1,
+                1.0 / 3.0,
+                f64::from_bits(1),
+                0.0,
+                -0.0,
+                -0.25,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            if acc != 0.0 {
+                let a = acc.abs();
+                // Larger than, equal to, a fraction of, and absorbed by it.
+                steps.extend([3.7 * a, a, 0.37 * a, 1e-3 * a, a / 2f64.powi(40), 1e-17 * a]);
+            }
+            if acc >= 1e-300 {
+                steps.extend((0..4).map(|j| tie(acc, j)));
+            }
+            for step in steps {
+                for times in times_for(acc, step) {
+                    check(acc, step, times);
+                }
+            }
+        }
+        // Ties from an even and an odd significand, at several binades.
+        for acc in [1.0, 1e-300, 1e5, 1e9, two_52] {
+            for acc in [acc, f64::from_bits(acc.to_bits() | 1)] {
+                for j in [0, 1, 2, 5, 1000] {
+                    for times in times_for(acc, tie(acc, j)) {
+                        check(acc, tie(acc, j), times);
+                    }
+                }
+            }
+        }
+        // A million steps where a run's accumulators live.
+        for acc in [0.0, 1e5, 1e9] {
+            for step in [0.689, 0.1, 1.0 / 3.0, 2.75 / 3.0] {
+                check(acc, step, 1_000_000);
+            }
+        }
+        check(two_52, 1.5, 1_000_000);
+    }
+
+    /// A positive normal, subnormal, zero or negative accumulator; a step
+    /// from absorbed to larger than it, an exact tie, or any bit pattern at
+    /// all; a span length around a binade edge or drawn small and large.
+    #[test]
+    fn seeded_fuzz_matches_the_loop() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mantissa = |rng: &mut SmallRng| rng.gen::<u64>() >> 12;
+        for _ in 0..212_000 {
+            let exponent = match rng.gen_range(0..10u32) {
+                0 => 0,
+                1 => rng.gen_range(2030..2047u64),
+                _ => rng.gen_range(1..1077u64),
+            };
+            let mut acc = f64::from_bits(exponent << 52 | mantissa(&mut rng));
+            match rng.gen_range(0..20u32) {
+                0 => acc = -acc,
+                1 => acc = [0.0, -0.0, 1.0, 4_503_599_627_370_496.0][rng.gen_range(0..4usize)],
+                // Just below the top of its binade.
+                2 => acc = f64::from_bits(acc.to_bits() | 0x000f_ffff_ffff_ff00),
+                _ => {}
+            }
+            let step = match rng.gen_range(0..16u32) {
+                0 => f64::from_bits(rng.gen()),
+                1 => [
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                    -0.0,
+                    -0.689,
+                ][rng.gen_range(0..6usize)],
+                2 | 3 if acc.is_normal() && acc > 0.0 => tie(acc, rng.gen_range(0..64u32)),
+                _ => {
+                    let scale = (acc.to_bits() >> 52 & 0x7ff) as i64 - rng.gen_range(-3..62i64);
+                    f64::from_bits((scale.clamp(0, 2046) as u64) << 52 | mantissa(&mut rng))
+                }
+            };
+            let times = match rng.gen_range(0..100u32) {
+                0..=69 => rng.gen_range(0..64u64),
+                70..=96 => rng.gen_range(0..1024u64),
+                _ => match binade_edge(acc, step, 4096) {
+                    Some(edge) => edge - 1 + rng.gen_range(0..3u64),
+                    None => rng.gen_range(0..16_384u64),
+                },
+            };
+            check(acc, step, times);
+        }
     }
 }

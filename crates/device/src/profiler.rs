@@ -6,7 +6,7 @@
 //! keeping a per-state breakdown so figures like Fig. 1 (separate vs
 //! co-running energy) can be reproduced.
 
-use crate::energy::{Joules, Seconds, Watts};
+use crate::energy::{repeated_add, Joules, Seconds, Watts};
 use crate::power::{PowerModel, PowerState};
 
 /// One measured segment: a power state held for a duration.
@@ -130,86 +130,32 @@ impl EnergyProfiler {
     }
 
     /// Records `slots` consecutive slots of `slot` duration spent in one
-    /// power state, bit-identically to calling
-    /// [`record`](EnergyProfiler::record) that many times: energy and time
-    /// accumulate by repeated addition — never by a single
+    /// power state. Total and per-component energy end on the bits `slots`
+    /// calls of [`record`](EnergyProfiler::record) would leave — repeated
+    /// addition, in closed form ([`repeated_add`]), never one
     /// `slots × energy` multiply, which would round differently — so an
     /// engine that batches a user's unchanged power state into one span
-    /// reproduces per-slot recording's floating-point totals exactly. When segments are kept, the
-    /// whole span is stored as one merged segment.
+    /// reproduces per-slot recording's energy exactly. The recorded *time* is
+    /// one `slot × slots` product: its bits can differ from per-slot accrual
+    /// when the slot length is not exactly representable. When segments are
+    /// kept, the whole span is stored as one merged segment.
     ///
-    /// Returns the energy the span consumed (also accumulated by repeated
-    /// addition).
+    /// Returns the total energy recorded so far (the span's own energy is
+    /// not tallied: a third sum from zero would cost a jump per binade).
     pub fn record_span(&mut self, state: PowerState, slot: Seconds, slots: u64) -> Joules {
         if slots == 0 {
-            return Joules::ZERO;
+            return self.total;
         }
-        let energy = self.model.slot_energy(state, slot);
-        let component = EnergyComponent::of(state);
-        // Accumulate in locals so the four independent dependency chains
-        // stay in registers and pipeline, instead of round-tripping through
-        // memory every iteration; each chain is still slot-by-slot repeated
-        // addition, as required for bit-identity with `record`.
-        let (mut total, mut time, mut comp, mut span) = (
-            self.total.value(),
-            self.total_time.value(),
-            self.by_component[component as usize].value(),
-            0.0f64,
-        );
-        let (e, s) = (energy.value(), slot.value());
-        for _ in 0..slots {
-            total += e;
-            time += s;
-            comp += e;
-            span += e;
-        }
-        self.total = Joules(total);
-        self.total_time = Seconds(time);
-        *self.component_mut(component) = Joules(comp);
-        let span_energy = Joules(span);
+        let energy = self.model.slot_energy(state, slot).value();
+        self.total = Joules(repeated_add(self.total.value(), energy, slots));
+        let component = self.component_mut(EnergyComponent::of(state));
+        *component = Joules(repeated_add(component.value(), energy, slots));
+        let duration = Seconds(slot.value() * slots as f64);
+        self.total_time += duration;
         if self.keep_segments {
-            self.segments.push(PowerSegment {
-                state,
-                duration: Seconds(slot.value() * slots as f64),
-            });
+            self.segments.push(PowerSegment { state, duration });
         }
-        span_energy
-    }
-
-    /// The maximum-throughput sibling of
-    /// [`record_span`](EnergyProfiler::record_span) for engines that need
-    /// *result-level* bit-identity: total energy and the per-component
-    /// breakdown still accumulate by slot-by-slot repeated addition
-    /// (bit-identical to calling [`record`](EnergyProfiler::record) `slots`
-    /// times), but the recorded *time* is accrued as a single
-    /// `slot × slots` product — its final bits can differ from per-slot
-    /// accrual when the slot length is not exactly representable — and no
-    /// span-energy tally is kept. Two independent addition chains instead
-    /// of four roughly double span throughput.
-    pub fn record_span_lean(&mut self, state: PowerState, slot: Seconds, slots: u64) {
-        if slots == 0 {
-            return;
-        }
-        let energy = self.model.slot_energy(state, slot);
-        let component = EnergyComponent::of(state);
-        let (mut total, mut comp) = (
-            self.total.value(),
-            self.by_component[component as usize].value(),
-        );
-        let e = energy.value();
-        for _ in 0..slots {
-            total += e;
-            comp += e;
-        }
-        self.total = Joules(total);
-        *self.component_mut(component) = Joules(comp);
-        self.total_time += Seconds(slot.value() * slots as f64);
-        if self.keep_segments {
-            self.segments.push(PowerSegment {
-                state,
-                duration: Seconds(slot.value() * slots as f64),
-            });
-        }
+        self.total
     }
 
     /// Records an extra, explicitly-computed energy amount (e.g. the online
@@ -358,7 +304,7 @@ mod tests {
         // Recorded out of enum order, one of them at zero energy: a touched
         // component is listed even when it holds nothing.
         p.record_extra(EnergyComponent::Radio, Joules::ZERO);
-        p.record_span_lean(PowerState::Idle, Seconds(1.0), 3);
+        p.record_span(PowerState::Idle, Seconds(1.0), 3);
         p.record(PowerState::CoRunning(AppKind::Map), Seconds(1.0));
         let listed: Vec<EnergyComponent> = p.breakdown().into_iter().map(|(c, _)| c).collect();
         assert_eq!(
@@ -373,7 +319,6 @@ mod tests {
         assert_eq!(p.component_energy(EnergyComponent::AppOnly), Joules::ZERO);
         // A zero-slot span touches nothing.
         p.record_span(PowerState::TrainingOnly, Seconds(1.0), 0);
-        p.record_span_lean(PowerState::TrainingOnly, Seconds(1.0), 0);
         assert_eq!(p.breakdown().len(), 3);
     }
 
@@ -395,54 +340,48 @@ mod tests {
         assert_eq!(EnergyComponent::Radio.label(), "radio");
     }
 
-    #[test]
-    fn record_span_is_bitwise_identical_to_repeated_records() {
-        // Idle power 0.689 W over 1-second slots: the per-slot energy is not
-        // exactly representable, so repeated addition and n×e differ — the
-        // span path must reproduce the repeated addition exactly.
-        for slots in [0u64, 1, 3, 1000, 10_800] {
-            let mut dense = profiler();
-            for _ in 0..slots {
-                dense.record(PowerState::Idle, Seconds(1.0));
-            }
-            let mut span = profiler();
-            let energy = span.record_span(PowerState::Idle, Seconds(1.0), slots);
-            assert_eq!(
-                span.total_energy().value().to_bits(),
-                dense.total_energy().value().to_bits(),
-                "energy diverged at {slots} slots"
-            );
-            assert_eq!(
-                span.total_time().value().to_bits(),
-                dense.total_time().value().to_bits(),
-                "time diverged at {slots} slots"
-            );
-            assert_eq!(
-                energy.value().to_bits(),
-                dense.total_energy().value().to_bits()
-            );
-            assert_eq!(span.breakdown(), dense.breakdown());
-        }
+    /// The total and every touched component, as bits.
+    fn energy_bits(p: &EnergyProfiler) -> Vec<(Option<EnergyComponent>, u64)> {
+        let total = (None, p.total_energy().value().to_bits());
+        let parts = p.components().map(|(c, e)| (Some(c), e.value().to_bits()));
+        std::iter::once(total).chain(parts).collect()
     }
 
+    /// `record_span` against `slots` calls of `record` (what the engine's
+    /// scan reference runs), from a fresh profiler and from one already
+    /// holding ~1e9 J, at slot lengths whose per-slot energies are not
+    /// representable: repeated addition and `slots × e` differ there.
     #[test]
-    fn record_span_lean_matches_energy_bits_of_repeated_records() {
-        for slots in [0u64, 1, 977, 10_800] {
-            let mut dense = profiler();
-            for _ in 0..slots {
-                dense.record(PowerState::TrainingOnly, Seconds(1.0));
+    fn reference_bits_record_span_equals_repeated_records() {
+        let states = [
+            PowerState::Idle,
+            PowerState::TrainingOnly,
+            PowerState::CoRunning(AppKind::Youtube),
+            PowerState::Idle,
+        ];
+        for slot in [1.0, 0.1, 1.0 / 3.0] {
+            for preload in [0.0, 1.0e9 + 0.377] {
+                for slots in [0u64, 1, 3, 977, 10_800, 100_000] {
+                    let mut dense =
+                        EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
+                    dense.record_extra(EnergyComponent::Idle, Joules(preload));
+                    let mut span = dense.clone();
+                    for state in states {
+                        for _ in 0..slots {
+                            dense.record(state, Seconds(slot));
+                        }
+                        let total = span.record_span(state, Seconds(slot), slots);
+                        assert_eq!(total, span.total_energy());
+                    }
+                    let at = format!("slot {slot}, {preload} J before, {slots} slots");
+                    assert_eq!(energy_bits(&span), energy_bits(&dense), "{at}");
+                    // A 1-second slot is exactly representable, so even the
+                    // one time product matches there.
+                    if slot == 1.0 {
+                        assert_eq!(span.total_time(), dense.total_time(), "{at}");
+                    }
+                }
             }
-            let mut lean = profiler();
-            lean.record_span_lean(PowerState::TrainingOnly, Seconds(1.0), slots);
-            assert_eq!(
-                lean.total_energy().value().to_bits(),
-                dense.total_energy().value().to_bits(),
-                "energy diverged at {slots} slots"
-            );
-            assert_eq!(lean.breakdown(), dense.breakdown());
-            // A 1-second slot length is exactly representable, so even the
-            // bulk time product matches here.
-            assert_eq!(lean.total_time(), dense.total_time());
         }
     }
 
@@ -454,10 +393,9 @@ mod tests {
         assert_eq!(full.segments()[0].duration, Seconds(10.0));
         assert_eq!(full.segments()[0].state, PowerState::TrainingOnly);
         // Zero-length spans record nothing at all.
-        assert_eq!(
-            full.record_span(PowerState::Idle, Seconds(1.0), 0),
-            Joules::ZERO
-        );
+        let before = full.total_energy();
+        assert_eq!(full.record_span(PowerState::Idle, Seconds(1.0), 0), before);
+        assert_eq!(full.total_energy(), before);
         assert_eq!(full.segments().len(), 1);
         let mut lean = EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
         lean.record_span(PowerState::TrainingOnly, Seconds(2.0), 5);

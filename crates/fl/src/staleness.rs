@@ -1,6 +1,7 @@
 //! Staleness metrics: lag (Definition 1) and gradient gap (Definition 2),
 //! with the linear weight prediction of Eq. (3)–(4).
 
+use fedco_device::energy::repeated_add;
 use fedco_neural::model::ParamVector;
 use fedco_neural::tensor::TensorError;
 
@@ -176,9 +177,7 @@ impl GapAccumulator {
     /// a fast-forwarding simulation engine reproduces the dense per-slot
     /// loop exactly.
     pub fn idle_slots(&mut self, slots: u64) -> GradientGap {
-        for _ in 0..slots {
-            self.idle_slot();
-        }
+        self.current = GradientGap(repeated_add(self.current.0, self.epsilon, slots));
         self.current
     }
 

@@ -32,10 +32,12 @@
 //!   against the state that was accruing, so an application that expires
 //!   and is re-opened in the same kind merges), before any extra energy
 //!   lands (`flush_pending`), at trace and telemetry samples, at world
-//!   checks that read battery drain, and at the end of the run. Inside a
-//!   span the profiler adds one slot of energy at a time
-//!   (`record_span_lean`), so each accumulator receives the additions the
-//!   scan's per-slot `record` makes, in the same order.
+//!   checks that read battery drain, and at the end of the run. A closed
+//!   span lands as `slots` additions of one slot's energy to each
+//!   accumulator (`record_span`), made in closed form by
+//!   [`repeated_add`](fedco_device::energy::repeated_add) — the bits of the
+//!   scan's per-slot `record`s, in the same order, at the cost of the
+//!   binades the accumulator crosses rather than of the span's length.
 //! * Gaps grow by one `+ ε` addition per idle slot in both loops.
 
 use fedco_device::apps::AppKind;
@@ -233,7 +235,7 @@ impl Simulation {
         let slots = to.saturating_sub(self.power_since[i]);
         if slots > 0 {
             let slot_len = self.slot_len();
-            self.profilers[i].record_span_lean(self.power_state[i], slot_len, slots);
+            self.profilers[i].record_span(self.power_state[i], slot_len, slots);
             self.power_since[i] = to;
         }
     }

@@ -512,6 +512,32 @@ fn fleet_sizes_at_the_waiting_set_word_edges_are_bit_identical() {
 }
 
 #[test]
+fn long_power_spans_at_unrepresentable_slot_energies_are_bit_identical() {
+    // Rare arrivals leave devices parked at the Sync-SGD barrier, or idle
+    // between epochs, for thousands of slots: the indexed loop lands each of
+    // those spans in one `record_span`, in closed form, where the scan adds
+    // slot by slot (summary mode: no trace sample cuts a span short). Slot
+    // lengths of 0.1 s and 1/3 s make every per-slot energy unrepresentable,
+    // and the fleet's accumulators run past 1e5 J.
+    for policy in [PolicySpec::SyncSgd, PolicySpec::Immediate] {
+        for slot_seconds in [1.0, 0.1, 1.0 / 3.0] {
+            let config = SimConfig {
+                num_users: 300,
+                total_slots: 20_000,
+                arrival_probability: 0.0005,
+                slot_seconds,
+                ..SimConfig::default()
+            }
+            .with_policy(policy.clone())
+            .summary_only();
+            let (dense, event) = run_both(config);
+            assert_identical(&format!("{policy} slot={slot_seconds}"), &dense, &event);
+            assert!(event.total_energy_j > 1e5, "{}", event.total_energy_j);
+        }
+    }
+}
+
+#[test]
 fn user_visits_track_events_not_fleet_size() {
     // An all-training fleet with no arrivals: between the slot everyone is
     // scheduled in and the slot the first epoch completes in, nothing

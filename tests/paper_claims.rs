@@ -1,6 +1,72 @@
-//! The paper's claims as assertions. So far: Fig. 5 and Observation 1.
+//! The paper's claims as assertions. So far: Fig. 4 with Theorem 1, Fig. 5
+//! and Observation 1.
 
 use fedco::prelude::*;
+
+/// Fig. 4 and Theorem 1 on the runs `fig4_tradeoff` prints: `paper-default`
+/// over its 3 600-slot horizon, the online controller along the `V` ladder at
+/// three staleness budgets, and the three baselines. Seconds optimised,
+/// minutes not, hence release only like Fig. 5 (`ci.sh` runs it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes without optimisation; ci.sh runs it in --release"
+)]
+fn fig4_energy_falls_and_backlog_grows_with_v_between_offline_and_sync() {
+    let config = |policy: PolicySpec| SimConfig {
+        total_slots: 3_600,
+        ..SimConfig::paper_default(policy)
+    };
+    let energy = |policy| run_simulation(config(policy)).total_energy_j;
+    let (immediate, sync) = (energy(PolicySpec::Immediate), energy(PolicySpec::SyncSgd));
+    let offline = energy(PolicySpec::Offline);
+    // What `fig4_tradeoff` prints, in kJ:
+    //   Offline 108.1 <= every Online point with V >= 1e3 (112.0 .. 174.0)
+    //   < Sync-SGD 177.3 < Immediate 280.9
+    //   L_b = 100: 280.1 174.0 166.2 162.4 159.0 156.4 | 158.2 at V = 1e5
+    //   L_b = 1000: 280.1 165.4 156.7 144.7 126.0 115.8 | 112.0 at V = 1e5
+    //   mean Q(t) at L_b = 100: 0.1 .. 1729.6, at L_b = 1000: 0.1 .. 16298.2
+    assert!(
+        offline < sync && sync < immediate,
+        "{offline} {sync} {immediate}"
+    );
+    let ladder = [0.0, 1e3, 2e3, 4e3, 1e4, 4e4, 1e5];
+    for lb in [100.0, 500.0, 1000.0] {
+        let points: Vec<(f64, f64)> = ladder
+            .iter()
+            .map(|&v| {
+                let online = config(PolicySpec::Online { v: None })
+                    .with_v(v)
+                    .with_staleness_bound(lb);
+                let r = run_simulation(online);
+                (r.total_energy_j, r.mean_queue)
+            })
+            .collect();
+        let at = |i: usize| format!("L_b = {lb}, V = {}: {:?}", ladder[i], points[i]);
+        for i in 1..ladder.len() {
+            // Theorem 1: the backlog bound is O(V) ...
+            assert!(points[i].1 >= points[i - 1].1, "Q(t) fell at {}", at(i));
+            // ... and the energy gap O(1/V).
+            if ladder[i] <= 4e4 {
+                assert!(points[i].0 <= points[i - 1].0, "energy rose at {}", at(i));
+            }
+            // Fig. 4(a): Online between the offline envelope and Sync-SGD.
+            assert!(
+                offline <= points[i].0 && points[i].0 < sync,
+                "{} outside [{offline}, {sync})",
+                at(i)
+            );
+        }
+        // By V = 4e4 the O(1/V) gap is spent: the last rung may rise, by at
+        // most 2 % (L_b = 100 reads +1.2 %; L_b = 1000 still falls 3.3 %).
+        assert!(
+            points[6].0 <= 1.02 * points[5].0,
+            "{} rose over 2 % above {:?}",
+            at(6),
+            points[5]
+        );
+    }
+}
 
 /// Fig. 5 on `paper-default:ml=full` at seed 42 — the benchmark's `fig5-ml`
 /// run, which takes seconds optimised and minutes not, hence release only
