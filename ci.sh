@@ -100,7 +100,18 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # `record_span` out), fedco-fl -1 (`GapAccumulator::idle_slots` calls the
 # kernel instead of looping), fedco-bench +10 (the two `profiler/record_span/*`
 # ledger cells of `--bench scheduler`).
-LOC_CEILING=20222
+# 20222 -> 19082 with one flat parameter buffer and only what LeNet training
+# runs (-1140): fedco-neural -919 — the per-tensor plumbing of the `Layer`
+# trait (`params` / `params_mut` / `grads` / `params_with_grads` /
+# `zero_grads` in every layer, `ParamPair`, the per-batch `unzip`, the
+# per-tensor velocities) gave way to two `Vec<f32>` in `Sequential` cut with
+# `split_at`, and `metrics.rs`, `Dropout`, the `Softmax` layer,
+# `MeanSquaredError` with the `Loss` trait, tanh / sigmoid, `LrSchedule`,
+# weight decay, the unused initialisers and tensor ops went with no caller but
+# their own tests; fedco-device -225 (`thermal.rs`, `jobscheduler.rs`,
+# `CpuUtilization`); fedco-fl -2; fedco-bench +6 (the conv2d cells draw their
+# parameters into a slice).
+LOC_CEILING=19082
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -137,6 +148,9 @@ rm -f "$BENCH_SMOKE_JSON"
 
 echo "==> fedco-neural kernel bit-equivalence in release (the vectorised code only exists there)"
 cargo test -q --offline --release -p fedco-neural reference_bits
+# The LeNet training golden (tiny / compact / lenet5 steps and client epochs),
+# for the same reason.
+cargo test -q --offline --release --test training_golden
 
 echo "==> fused apply_async + single-buffer codec bit-equivalence in release (same reason)"
 cargo test -q --offline --release -p fedco-fl -p fedco-server reference_bits

@@ -62,7 +62,10 @@ fn bench_conv2d() {
         [("compact-c1", 3, 4, 16), ("compact-c2", 4, 8, 7)]
     {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut conv = Conv2d::new(in_channels, out_channels, 3, 1, 0, &mut rng);
+        let mut conv = Conv2d::new(in_channels, out_channels, 3, 1, 0);
+        let mut params = vec![0.0; conv.param_len()];
+        conv.init(&mut rng, &mut params);
+        let mut grads = vec![0.0; params.len()];
         let mut uniform = |shape: &[usize]| {
             let len = shape.iter().product();
             let data = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
@@ -70,7 +73,7 @@ fn bench_conv2d() {
         };
         let x = uniform(&[20, in_channels, side, side]);
         micro::bench(&format!("conv2d/forward/{name}"), || {
-            black_box(conv.forward(black_box(&x), true).unwrap());
+            black_box(conv.forward(&params, black_box(&x), true).unwrap());
         });
         let mut grad = uniform(&[20, out_channels, side - 2, side - 2]);
         for (i, g) in grad.data_mut().iter_mut().enumerate() {
@@ -79,7 +82,10 @@ fn bench_conv2d() {
             }
         }
         micro::bench(&format!("conv2d/backward/{name}"), || {
-            black_box(conv.backward(black_box(&grad)).unwrap());
+            black_box(
+                conv.backward(&params, &mut grads, black_box(&grad))
+                    .unwrap(),
+            );
         });
     }
 }

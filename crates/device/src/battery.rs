@@ -2,9 +2,8 @@
 //!
 //! The paper motivates energy minimisation with battery lifetime: intense
 //! neural computation drains the battery and frequent charge/discharge cycles
-//! age it. The simulator uses this model to track per-device state of charge
-//! and to gate training on the "charging / sufficient battery" conditions of
-//! the Android `JobScheduler`.
+//! age it. This model tracks one device's state of charge; the per-user
+//! battery lifecycles of `fedco-world` are built on it.
 
 use crate::energy::Joules;
 use crate::profiles::DeviceKind;

@@ -1,14 +1,11 @@
-//! big.LITTLE CPU topology and utilisation model.
+//! big.LITTLE CPU topology.
 //!
 //! The paper's energy saving stems from the asymmetric ARM microarchitecture:
 //! background training threads are dispatched by the kernel scheduler to the
 //! LITTLE cores (the cpuset in `/dev/cpuset/background/cpus`), while the
 //! foreground application occupies the big cores. This module models the
-//! cluster layout of each testbed device and the utilisation figures reported
-//! in Observation 1 (95–98 % on the little cores during training, 30–50 % on
-//! the big cores depending on the application).
+//! cluster layout of each testbed device.
 
-use crate::apps::AppKind;
 use crate::profiles::DeviceKind;
 
 /// A CPU cluster (one half of a big.LITTLE pair, or the single cluster of a
@@ -122,40 +119,6 @@ impl CpuTopology {
     }
 }
 
-/// Utilisation snapshot of the two clusters, as a fraction in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CpuUtilization {
-    /// Utilisation of the big cluster.
-    pub big: f64,
-    /// Utilisation of the little cluster.
-    pub little: f64,
-}
-
-impl CpuUtilization {
-    /// Utilisation while training runs in the background and `app` (if any)
-    /// runs in the foreground, following Observation 1: the little cores
-    /// designated for training sit at 95–98 %, the big cores at 30–50 %
-    /// depending on the foreground application.
-    pub fn during(training: bool, app: Option<AppKind>) -> Self {
-        let little = if training { 0.965 } else { 0.05 };
-        let big = match app {
-            None => 0.03,
-            Some(a) if a.is_intensive() => 0.50,
-            Some(AppKind::Youtube) | Some(AppKind::Tiktok) | Some(AppKind::Zoom) => 0.42,
-            Some(_) => 0.32,
-        };
-        CpuUtilization { big, little }
-    }
-
-    /// Clamps both utilisations into `[0, 1]`.
-    pub fn clamped(self) -> Self {
-        CpuUtilization {
-            big: self.big.clamp(0.0, 1.0),
-            little: self.little.clamp(0.0, 1.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,33 +155,5 @@ mod tests {
         let t2 = CpuTopology::for_device(DeviceKind::Pixel2);
         assert!(t2.heterogeneous);
         assert_eq!(t2.total_cores(), 8);
-    }
-
-    #[test]
-    fn training_utilisation_matches_observation_1() {
-        let u = CpuUtilization::during(true, Some(AppKind::News));
-        assert!(u.little > 0.95 && u.little < 0.98);
-        assert!(u.big >= 0.3 && u.big <= 0.5);
-        let idle = CpuUtilization::during(false, None);
-        assert!(idle.little < 0.1);
-        assert!(idle.big < 0.1);
-    }
-
-    #[test]
-    fn intensive_apps_load_big_cores_more() {
-        let game = CpuUtilization::during(true, Some(AppKind::Angrybird));
-        let news = CpuUtilization::during(true, Some(AppKind::News));
-        assert!(game.big > news.big);
-    }
-
-    #[test]
-    fn clamping_works() {
-        let u = CpuUtilization {
-            big: 1.5,
-            little: -0.2,
-        }
-        .clamped();
-        assert_eq!(u.big, 1.0);
-        assert_eq!(u.little, 0.0);
     }
 }

@@ -11,10 +11,10 @@
 //! four-device testbed (Nexus 6/6P, HiKey 970, Pixel 2) with Trepn /
 //! Snapdragon Profiler / Monsoon hardware; this crate re-encodes the
 //! published Table II/III calibration and adds the surrounding device
-//! models: big.LITTLE CPU topology, a four-state power model (Eq. 10), a
-//! foreground FPS model (Fig. 2), batteries, thermal throttling, the Android
-//! JobScheduler constraint gate, and an energy profiler that integrates
-//! power over simulated schedules.
+//! models the simulation and the figure binaries read: big.LITTLE CPU
+//! topology, a four-state power model (Eq. 10), a foreground FPS model
+//! (Fig. 2), batteries, and an energy profiler that integrates power over
+//! simulated schedules bit for bit.
 //!
 //! ```
 //! use fedco_device::prelude::*;
@@ -33,24 +33,20 @@ pub mod battery;
 pub mod cpu;
 pub mod energy;
 pub mod fps;
-pub mod jobscheduler;
 pub mod power;
 pub mod profiler;
 pub mod profiles;
-pub mod thermal;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::apps::{AppKind, AppMeasurement};
     pub use crate::battery::Battery;
-    pub use crate::cpu::{CpuTopology, CpuUtilization};
+    pub use crate::cpu::CpuTopology;
     pub use crate::energy::{Joules, Seconds, Watts};
     pub use crate::fps::{FpsModel, FpsSample};
-    pub use crate::jobscheduler::{BackgroundJob, DeviceConditions, JobConstraints, NetworkState};
     pub use crate::power::{AppStatus, PowerModel, PowerState, SlotDecision};
     pub use crate::profiler::{EnergyComponent, EnergyProfiler, ScheduleComparison};
     pub use crate::profiles::{DeviceKind, DeviceProfile};
-    pub use crate::thermal::{ThermalConfig, ThermalState};
 }
 
 pub use prelude::*;

@@ -31,7 +31,7 @@ use fedco_neural::data::{Batch, Dataset};
 use fedco_neural::lenet::LeNetConfig;
 use fedco_neural::loss::SoftmaxCrossEntropy;
 use fedco_neural::model::{ParamVector, Sequential};
-use fedco_neural::optimizer::{LrSchedule, Sgd, SgdConfig};
+use fedco_neural::optimizer::{Sgd, SgdConfig};
 use fedco_neural::tensor::TensorError;
 
 use crate::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
@@ -189,8 +189,6 @@ impl FlClient {
             optimizer: Sgd::new(SgdConfig {
                 learning_rate: config.learning_rate,
                 momentum: config.momentum,
-                weight_decay: 0.0,
-                schedule: LrSchedule::Constant,
             }),
             shard: Arc::new(Shard {
                 client_id: id,
@@ -427,12 +425,8 @@ mod tests {
                 assert_eq!(update.train_accuracy.to_bits(), accuracy.to_bits());
                 assert_eq!(update.num_samples, 36 * local_passes);
                 assert_eq!(
-                    bits(&client.optimizer.velocity_flat()),
-                    bits(&reference.optimizer.velocity_flat())
-                );
-                assert_eq!(
-                    client.optimizer.step_count(),
-                    reference.optimizer.step_count()
+                    bits(client.optimizer.velocity()),
+                    bits(reference.optimizer.velocity())
                 );
                 assert_eq!(client.epochs_completed(), epoch + 1);
             }
@@ -445,17 +439,16 @@ mod tests {
         let (mut twin, _) = tiny_setup();
         client.local_epoch().unwrap();
         twin.local_epoch().unwrap();
-        let velocity = client.optimizer.velocity_flat();
+        let velocity = client.optimizer.velocity().to_vec();
         // An epoch the world aborts: trained, perhaps, but never committed.
         let outcome = client.epoch_task().run().unwrap();
         assert_ne!(
-            bits(&outcome.optimizer.velocity_flat()),
+            bits(outcome.optimizer.velocity()),
             bits(&velocity),
             "the epoch did train"
         );
         drop(outcome);
-        assert_eq!(bits(&client.optimizer.velocity_flat()), bits(&velocity));
-        assert_eq!(client.optimizer.step_count(), 5);
+        assert_eq!(bits(client.optimizer.velocity()), bits(&velocity));
         assert_eq!(client.epochs_completed(), 1);
         // What it trains next is what a client that never started the
         // aborted epoch trains.

@@ -188,18 +188,6 @@ impl Default for SyntheticCifarConfig {
 }
 
 impl SyntheticCifarConfig {
-    /// A small configuration matched to [`LeNetConfig::compact`](crate::lenet::LeNetConfig::compact).
-    pub fn compact(examples: usize, seed: u64) -> Self {
-        SyntheticCifarConfig {
-            image_size: 16,
-            channels: 3,
-            classes: 10,
-            examples,
-            noise_std: 0.35,
-            seed,
-        }
-    }
-
     /// Generates the dataset.
     pub fn generate(&self) -> Dataset {
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -383,7 +371,8 @@ mod tests {
         let ex = ds.examples();
         for i in 0..ex.len() {
             for j in (i + 1)..ex.len() {
-                let d = ex[i].image.distance_l2(&ex[j].image).unwrap();
+                let pairs = ex[i].image.data().iter().zip(ex[j].image.data());
+                let d = pairs.map(|(a, b)| (a - b) * (a - b)).sum::<f32>().sqrt();
                 if ex[i].label == ex[j].label {
                     within.push(d);
                 } else {

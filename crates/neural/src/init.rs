@@ -1,61 +1,26 @@
-//! Weight initialisation schemes.
+//! Weight initialisation: Xavier for dense layers, He for convolutions.
 
-use fedco_rng::distributions::Distribution;
+use fedco_rng::distributions::{Distribution, Uniform};
 use fedco_rng::Rng;
 
-use crate::tensor::Tensor;
-
-/// Supported weight-initialisation schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Initializer {
-    /// All weights set to zero (used for biases).
-    Zeros,
-    /// All weights set to a constant value.
-    Constant(f32),
-    /// Uniform in `[-limit, limit]` with `limit = sqrt(6 / (fan_in + fan_out))`.
-    #[default]
-    XavierUniform,
-    /// Gaussian with standard deviation `sqrt(2 / fan_in)` (He / Kaiming).
-    HeNormal,
-    /// Uniform in `[-scale, scale]`.
-    Uniform(f32),
+/// Fills `weights` uniformly in `[-limit, limit]` with
+/// `limit = sqrt(6 / (fan_in + fan_out))`, one draw per element in order.
+pub fn xavier_uniform<R: Rng + ?Sized>(
+    rng: &mut R,
+    weights: &mut [f32],
+    fan_in: usize,
+    fan_out: usize,
+) {
+    let limit = (6.0 / (fan_in.max(1) + fan_out.max(1)) as f32).sqrt();
+    let dist = Uniform::new_inclusive(-limit, limit);
+    weights.fill_with(|| dist.sample(rng));
 }
 
-impl Initializer {
-    /// Creates a tensor of the given shape initialised by this scheme.
-    ///
-    /// `fan_in`/`fan_out` drive the scale of the Xavier and He schemes; for
-    /// dense layers they are the input/output widths, for convolutions they
-    /// are `in_channels * k * k` and `out_channels * k * k`.
-    pub fn init<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        shape: &[usize],
-        fan_in: usize,
-        fan_out: usize,
-    ) -> Tensor {
-        let len: usize = shape.iter().product();
-        let data: Vec<f32> = match *self {
-            Initializer::Zeros => vec![0.0; len],
-            Initializer::Constant(c) => vec![c; len],
-            Initializer::XavierUniform => {
-                let limit = (6.0 / (fan_in.max(1) + fan_out.max(1)) as f32).sqrt();
-                let dist = fedco_rng::distributions::Uniform::new_inclusive(-limit, limit);
-                (0..len).map(|_| dist.sample(rng)).collect()
-            }
-            Initializer::HeNormal => {
-                let std = (2.0 / fan_in.max(1) as f32).sqrt();
-                (0..len).map(|_| sample_gaussian(rng) * std).collect()
-            }
-            Initializer::Uniform(scale) => {
-                let s = scale.abs().max(f32::MIN_POSITIVE);
-                let dist = fedco_rng::distributions::Uniform::new_inclusive(-s, s);
-                (0..len).map(|_| dist.sample(rng)).collect()
-            }
-        };
-        // fedco-audit: allow(panic-surface): data length is the product of shape dims computed above
-        Tensor::from_vec(data, shape).expect("length computed from shape")
-    }
+/// Fills `weights` from a Gaussian with standard deviation
+/// `sqrt(2 / fan_in)` (He / Kaiming), in order.
+pub fn he_normal<R: Rng + ?Sized>(rng: &mut R, weights: &mut [f32], fan_in: usize) {
+    let std = (2.0 / fan_in.max(1) as f32).sqrt();
+    weights.fill_with(|| sample_gaussian(rng) * std);
 }
 
 /// Samples a standard Gaussian using the Box-Muller transform.
@@ -84,36 +49,24 @@ mod tests {
     use fedco_rng::SeedableRng;
 
     #[test]
-    fn zeros_and_constant() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let z = Initializer::Zeros.init(&mut rng, &[4, 4], 4, 4);
-        assert!(z.data().iter().all(|&v| v == 0.0));
-        let c = Initializer::Constant(0.7).init(&mut rng, &[3], 3, 3);
-        assert!(c.data().iter().all(|&v| (v - 0.7).abs() < 1e-9));
-    }
-
-    #[test]
     fn xavier_respects_limit() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let t = Initializer::XavierUniform.init(&mut rng, &[100, 100], 100, 100);
+        let mut w = vec![0.0; 100 * 100];
+        xavier_uniform(&mut rng, &mut w, 100, 100);
         let limit = (6.0f32 / 200.0).sqrt();
-        assert!(t.data().iter().all(|v| v.abs() <= limit + 1e-6));
+        assert!(w.iter().all(|v| v.abs() <= limit + 1e-6));
         // Should not be degenerate.
-        assert!(t.data().iter().any(|v| v.abs() > 1e-4));
+        assert!(w.iter().any(|v| v.abs() > 1e-4));
     }
 
     #[test]
     fn he_normal_has_reasonable_spread() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let t = Initializer::HeNormal.init(&mut rng, &[10_000], 100, 100);
+        let mut w = vec![0.0; 10_000];
+        he_normal(&mut rng, &mut w, 100);
         let std_expected = (2.0f32 / 100.0).sqrt();
-        let mean = t.mean();
-        let var = t
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / t.len() as f32;
+        let mean = w.iter().sum::<f32>() / w.len() as f32;
+        let var = w.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / w.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!(
             (var.sqrt() - std_expected).abs() < 0.03,
@@ -123,19 +76,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_scale_bounds() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let t = Initializer::Uniform(0.05).init(&mut rng, &[1000], 1, 1);
-        assert!(t.data().iter().all(|v| v.abs() <= 0.05 + 1e-7));
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let mut a = SmallRng::seed_from_u64(9);
-        let mut b = SmallRng::seed_from_u64(9);
-        let ta = Initializer::XavierUniform.init(&mut a, &[8, 8], 8, 8);
-        let tb = Initializer::XavierUniform.init(&mut b, &[8, 8], 8, 8);
-        assert_eq!(ta, tb);
+        let draw = |seed| {
+            let mut w = vec![0.0; 64];
+            xavier_uniform(&mut SmallRng::seed_from_u64(seed), &mut w, 8, 8);
+            w
+        };
+        assert_eq!(draw(9), draw(9));
     }
 
     #[test]

@@ -14,17 +14,18 @@
 //! `0·w`: adding `±0` would turn a `-0.0` accumulator into `+0.0` and
 //! `0·inf` into NaN.
 
-use fedco_rng::Rng;
+use fedco_rng::RngCore;
 
-use crate::init::Initializer;
-use crate::layer::{cache_for_backward, Layer, ParamPair};
+use crate::init::he_normal;
+use crate::layer::{cache_for_backward, without_forward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
 /// 2-D convolution over `[batch, in_channels, height, width]` inputs.
 ///
-/// Weights have shape `[out_channels, in_channels, kernel, kernel]`, biases
-/// `[out_channels]`. Square kernels, symmetric zero padding and a single
-/// stride value cover the LeNet-5 configuration used by the paper.
+/// The parameters are the weights, `[out_channels, in_channels, kernel,
+/// kernel]` row-major, then the `out_channels` biases. Square kernels,
+/// symmetric zero padding and a single stride value cover the LeNet-5
+/// configuration used by the paper.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
@@ -32,7 +33,6 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    params: ParamPair,
     cached_input: Option<Tensor>,
     /// `forward`'s accumulator for one output plane, kept between calls.
     rows: Vec<f32>,
@@ -66,52 +66,49 @@ fn axpy(dst: &mut [f32], src: &[f32], step: usize, weight: f32) {
 }
 
 impl Conv2d {
-    /// Creates a convolution layer with He-initialised weights.
+    /// Creates a convolution layer; [`Layer::init`] draws He-initialised
+    /// weights and zero biases.
     ///
     /// # Panics
     ///
     /// Panics if `kernel` or `stride` is zero.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut R,
     ) -> Self {
         assert!(kernel > 0, "kernel size must be positive");
         assert!(stride > 0, "stride must be positive");
-        let fan_in = in_channels * kernel * kernel;
-        let fan_out = out_channels * kernel * kernel;
-        let weight = Initializer::HeNormal.init(
-            rng,
-            &[out_channels, in_channels, kernel, kernel],
-            fan_in,
-            fan_out,
-        );
-        let bias = Tensor::zeros(&[out_channels]);
         Conv2d {
             in_channels,
             out_channels,
             kernel,
             stride,
             padding,
-            params: ParamPair::new(weight, bias),
             cached_input: None,
             rows: Vec::new(),
         }
     }
 
+    /// Number of weights; the biases follow them.
+    fn weight_len(&self) -> usize {
+        self.out_channels * self.in_channels * self.kernel * self.kernel
+    }
+
     /// The backward pass; the input gradient is left empty unless wanted.
-    fn backprop(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Tensor, TensorError> {
+    fn backprop(
+        &self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_output: &Tensor,
+        input_grad: bool,
+    ) -> Result<Tensor, TensorError> {
         let input = self
             .cached_input
             .as_ref()
-            .ok_or(TensorError::ShapeMismatch {
-                lhs: vec![],
-                rhs: vec![],
-                op: "conv2d_backward_without_forward",
-            })?;
+            .ok_or_else(|| without_forward("conv2d_backward_without_forward"))?;
         let (batch, in_channels, oh, ow) = self.check_input(input.shape())?;
         if grad_output.shape() != [batch, self.out_channels, oh, ow] {
             return Err(TensorError::ShapeMismatch {
@@ -138,9 +135,8 @@ impl Conv2d {
         let mut grad_input = Tensor::zeros(if input_grad { input.shape() } else { &[0] });
         let gi = grad_input.data_mut();
         let x = input.data();
-        let weight = self.params.weight.data();
-        let gb = self.params.grad_bias.data_mut();
-        let grad_weight = self.params.grad_weight.data_mut();
+        let weight = &params[..self.weight_len()];
+        let (grad_weight, gb) = grads.split_at_mut(weight.len());
         // Pooling and ReLU leave most of `grad_output` exactly zero, so this
         // is a scalar walk over the non-zero positions. The terms of one
         // position go to distinct gradient elements, so only the order of
@@ -212,29 +208,25 @@ impl Conv2d {
         })?;
         Ok((shape[0], shape[1], oh, ow))
     }
-
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Zero padding applied on each border.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
 }
 
 impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
+    fn param_len(&self) -> usize {
+        self.weight_len() + self.out_channels
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
+    fn init(&self, rng: &mut dyn RngCore, params: &mut [f32]) {
+        let (weight, bias) = params.split_at_mut(self.weight_len());
+        he_normal(rng, weight, self.in_channels * self.kernel * self.kernel);
+        bias.fill(0.0);
+    }
+
+    fn forward(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        train: bool,
+    ) -> Result<Tensor, TensorError> {
         let (batch, in_channels, oh, ow) = self.check_input(input.shape())?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let (k, s, p) = (self.kernel, self.stride, self.padding);
@@ -277,7 +269,7 @@ impl Layer for Conv2d {
             });
         }
         let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        let (weight, bias) = (self.params.weight.data(), self.params.bias.data());
+        let (weight, bias) = params.split_at(self.weight_len());
         for (plane, out_plane) in out.data_mut().chunks_mut(oh * ow).enumerate() {
             let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
             let x_b = &input.data()[b * in_channels * h * w..][..in_channels * h * w];
@@ -298,33 +290,22 @@ impl Layer for Conv2d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        self.backprop(grad_output, true)
+    fn backward(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_output: &Tensor,
+    ) -> Result<Tensor, TensorError> {
+        self.backprop(params, grads, grad_output, true)
     }
 
-    fn accumulate_grads(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
-        self.backprop(grad_output, false).map(drop)
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.params.weight, &self.params.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.params.grad_weight, &self.params.grad_bias]
-    }
-
-    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        self.params.with_grads()
-    }
-
-    fn zero_grads(&mut self) {
-        self.params.zero_grads();
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, TensorError> {
-        let (batch, _c, oh, ow) = self.check_input(input_shape)?;
-        Ok(vec![batch, self.out_channels, oh, ow])
+    fn accumulate_grads(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_output: &Tensor,
+    ) -> Result<(), TensorError> {
+        self.backprop(params, grads, grad_output, false).map(drop)
     }
 }
 
@@ -332,18 +313,17 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use fedco_rng::rngs::SmallRng;
-    use fedco_rng::SeedableRng;
+    use fedco_rng::{Rng, SeedableRng};
 
     /// The textbook seven-deep loop this layer used to run: the oracle that
     /// fixes every output element's summation order.
-    fn reference_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
+    fn reference_forward(conv: &Conv2d, params: &[f32], input: &Tensor) -> Tensor {
         let (batch, _c, oh, ow) = conv.check_input(input.shape()).unwrap();
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let k = conv.kernel;
         let mut out = Tensor::zeros(&[batch, conv.out_channels, oh, ow]);
         let in_data = input.data();
-        let w_data = conv.params.weight.data();
-        let b_data = conv.params.bias.data();
+        let (w_data, b_data) = params.split_at(conv.weight_len());
         let out_data = out.data_mut();
         for b in 0..batch {
             for oc in 0..conv.out_channels {
@@ -385,6 +365,7 @@ mod tests {
     /// returns the input gradient.
     fn reference_backward(
         conv: &Conv2d,
+        params: &[f32],
         input: &Tensor,
         grad_output: &Tensor,
         gw: &mut [f32],
@@ -395,7 +376,7 @@ mod tests {
         let k = conv.kernel;
         let mut grad_input = Tensor::zeros(input.shape());
         let in_data = input.data();
-        let w_data = conv.params.weight.data();
+        let w_data = &params[..conv.weight_len()];
         let go = grad_output.data();
         let gi = grad_input.data_mut();
         for b in 0..batch {
@@ -440,6 +421,18 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// A layer with its parameters drawn from `seed`.
+    fn conv_with_params(
+        shape: (usize, usize, usize, usize, usize),
+        seed: u64,
+    ) -> (Conv2d, Vec<f32>) {
+        let (ic, oc, k, s, p) = shape;
+        let conv = Conv2d::new(ic, oc, k, s, p);
+        let mut params = vec![0.0; conv.param_len()];
+        conv.init(&mut SmallRng::seed_from_u64(seed), &mut params);
+        (conv, params)
+    }
+
     #[test]
     fn kernels_match_reference_bits() {
         let mut rng = SmallRng::seed_from_u64(2022);
@@ -467,37 +460,37 @@ mod tests {
                         cases += 1;
                         let label =
                             format!("k{kernel} s{stride} p{padding} b{batch} {ic}->{oc} {h}x{w}");
-                        let bias = uniform(&[oc], 0.0);
-                        let build = || {
-                            let mut rng = SmallRng::seed_from_u64(cases as u64);
-                            let mut conv = Conv2d::new(ic, oc, kernel, stride, padding, &mut rng);
-                            *conv.params_mut()[1] = bias.clone();
-                            conv
-                        };
-                        let (mut conv, mut eval, mut params_only) = (build(), build(), build());
+                        let shape = (ic, oc, kernel, stride, padding);
+                        let (mut conv, mut params) = conv_with_params(shape, cases as u64);
+                        let at = params.len() - oc;
+                        params[at..].copy_from_slice(uniform(&[oc], 0.0).data());
+                        let new = || Conv2d::new(ic, oc, kernel, stride, padding);
+                        let (mut eval, mut params_only) = (new(), new());
                         let x = uniform(&[batch, ic, h, w], 0.1);
-                        let y = conv.forward(&x, true).unwrap();
-                        let want = reference_forward(&conv, &x);
+                        let y = conv.forward(&params, &x, true).unwrap();
+                        let want = reference_forward(&conv, &params, &x);
                         assert_eq!(bits(y.data()), bits(want.data()), "forward {label}");
-                        let y_eval = eval.forward(&x, false).unwrap();
+                        let y_eval = eval.forward(&params, &x, false).unwrap();
                         assert_eq!(bits(y_eval.data()), bits(want.data()), "eval {label}");
 
                         // Two backward passes without zeroing in between: the
                         // second accumulates into non-zero gradients. Skipping
                         // the input gradient changes no parameter gradient.
-                        let mut gw = vec![0.0; conv.params()[0].len()];
+                        let (mut grads, mut grads_only) = (vec![0.0; at + oc], vec![0.0; at + oc]);
+                        let mut gw = vec![0.0; at];
                         let mut gb = vec![0.0; oc];
-                        params_only.forward(&x, true).unwrap();
+                        params_only.forward(&params, &x, true).unwrap();
                         for zero_share in [0.75, 0.4] {
                             let g = uniform(y.shape(), zero_share);
-                            let gi = conv.backward(&g).unwrap();
-                            params_only.accumulate_grads(&g).unwrap();
-                            let want = reference_backward(&conv, &x, &g, &mut gw, &mut gb);
+                            let gi = conv.backward(&params, &mut grads, &g).unwrap();
+                            params_only
+                                .accumulate_grads(&params, &mut grads_only, &g)
+                                .unwrap();
+                            let want = reference_backward(&conv, &params, &x, &g, &mut gw, &mut gb);
                             assert_eq!(bits(gi.data()), bits(want.data()), "grad_input {label}");
-                            for layer in [&conv, &params_only] {
-                                let (gw_got, gb_got) = (layer.grads()[0], layer.grads()[1]);
-                                assert_eq!(bits(gw_got.data()), bits(&gw), "grad_weight {label}");
-                                assert_eq!(bits(gb_got.data()), bits(&gb), "grad_bias {label}");
+                            for got in [&grads, &grads_only] {
+                                assert_eq!(bits(&got[..at]), bits(&gw), "grad_weight {label}");
+                                assert_eq!(bits(&got[at..]), bits(&gb), "grad_bias {label}");
                             }
                         }
                     }
@@ -509,85 +502,72 @@ mod tests {
 
     #[test]
     fn identity_kernel_passes_input_through() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
-        *conv.params_mut()[0] = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]).unwrap();
+        let mut conv = Conv2d::new(1, 1, 1, 1, 0);
         let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 1, 3, 3]).unwrap();
-        let y = conv.forward(&x, true).unwrap();
+        let y = conv.forward(&[1.0, 0.0], &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn known_3x3_convolution() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0, &mut rng);
+        let mut conv = Conv2d::new(1, 1, 2, 1, 0);
         // Kernel [[1, 0], [0, 1]] sums the main diagonal of each 2x2 patch.
-        *conv.params_mut()[0] = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[1, 1, 2, 2]).unwrap();
+        let params = [1.0, 0.0, 0.0, 1.0, 0.0];
         let x = Tensor::from_vec(
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             &[1, 1, 3, 3],
         )
         .unwrap();
-        let y = conv.forward(&x, true).unwrap();
+        let y = conv.forward(&params, &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[1.0 + 5.0, 2.0 + 6.0, 4.0 + 8.0, 5.0 + 9.0]);
     }
 
     #[test]
-    fn padding_expands_output() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
-        assert_eq!(conv.output_shape(&[4, 1, 8, 8]).unwrap(), vec![4, 2, 8, 8]);
-        let conv2 = Conv2d::new(1, 2, 5, 1, 0, &mut rng);
+    fn padding_and_stride_set_the_output_size() {
+        let out = |conv: Conv2d, shape: &[usize]| conv.check_input(shape).unwrap();
+        assert_eq!(out(Conv2d::new(1, 2, 3, 1, 1), &[4, 1, 8, 8]), (4, 1, 8, 8));
         assert_eq!(
-            conv2.output_shape(&[1, 1, 32, 32]).unwrap(),
-            vec![1, 2, 28, 28]
+            out(Conv2d::new(1, 2, 5, 1, 0), &[1, 1, 32, 32]),
+            (1, 1, 28, 28)
         );
-    }
-
-    #[test]
-    fn stride_reduces_output() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let conv = Conv2d::new(3, 4, 3, 2, 0, &mut rng);
-        assert_eq!(conv.output_shape(&[2, 3, 9, 9]).unwrap(), vec![2, 4, 4, 4]);
-        assert_eq!(conv.kernel(), 3);
-        assert_eq!(conv.stride(), 2);
-        assert_eq!(conv.padding(), 0);
+        assert_eq!(out(Conv2d::new(3, 4, 3, 2, 0), &[2, 3, 9, 9]), (2, 3, 4, 4));
     }
 
     #[test]
     fn rejects_bad_shapes() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(3, 4, 3, 1, 0, &mut rng);
-        assert!(conv.forward(&Tensor::ones(&[1, 2, 8, 8]), true).is_err());
-        assert!(conv.forward(&Tensor::ones(&[1, 3, 2, 2]), true).is_err());
-        assert!(conv.forward(&Tensor::ones(&[3, 8, 8]), true).is_err());
+        let (mut conv, params) = conv_with_params((3, 4, 3, 1, 0), 0);
+        let mut forward = |shape: &[usize]| conv.forward(&params, &Tensor::zeros(shape), true);
+        assert!(forward(&[1, 2, 8, 8]).is_err());
+        assert!(forward(&[1, 3, 2, 2]).is_err());
+        assert!(forward(&[3, 8, 8]).is_err());
     }
 
     #[test]
     fn gradient_check_weights_and_input() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut conv = Conv2d::new(2, 2, 2, 1, 1, &mut rng);
-        let x = Initializer::Uniform(1.0).init(&mut rng, &[1, 2, 3, 3], 1, 1);
-        let y = conv.forward(&x, true).unwrap();
-        let g = Tensor::ones(y.shape());
-        let gx = conv.backward(&g).unwrap();
-        let gw = conv.grads()[0].clone();
+        let (mut conv, mut params) = conv_with_params((2, 2, 2, 1, 1), 11);
+        let mut rng = SmallRng::seed_from_u64(12);
+        let x = (0..18).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+        let x = Tensor::from_vec(x, &[1, 2, 3, 3]).unwrap();
+        let y = conv.forward(&params, &x, true).unwrap();
+        let g = Tensor::from_vec(vec![1.0; y.len()], y.shape()).unwrap();
+        let mut gw = vec![0.0; params.len()];
+        let gx = conv.backward(&params, &mut gw, &g).unwrap();
         let eps = 1e-2f32;
         // Check a sample of weight gradients.
         for idx in [0usize, 3, 7, 12, 15] {
-            let orig = conv.params()[0].data()[idx];
-            conv.params_mut()[0].data_mut()[idx] = orig + eps;
-            let fp = conv.forward(&x, true).unwrap().sum();
-            conv.params_mut()[0].data_mut()[idx] = orig - eps;
-            let fm = conv.forward(&x, true).unwrap().sum();
-            conv.params_mut()[0].data_mut()[idx] = orig;
+            let orig = params[idx];
+            params[idx] = orig + eps;
+            let fp = conv.forward(&params, &x, true).unwrap().sum();
+            params[idx] = orig - eps;
+            let fm = conv.forward(&params, &x, true).unwrap().sum();
+            params[idx] = orig;
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
-                (numeric - gw.data()[idx]).abs() < 2e-2,
+                (numeric - gw[idx]).abs() < 2e-2,
                 "weight {idx}: numeric {numeric} vs {}",
-                gw.data()[idx]
+                gw[idx]
             );
         }
         // Check a sample of input gradients.
@@ -596,8 +576,8 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let fp = conv.forward(&xp, true).unwrap().sum();
-            let fm = conv.forward(&xm, true).unwrap().sum();
+            let fp = conv.forward(&params, &xp, true).unwrap().sum();
+            let fm = conv.forward(&params, &xm, true).unwrap().sum();
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
                 (numeric - gx.data()[idx]).abs() < 2e-2,
@@ -609,19 +589,18 @@ mod tests {
 
     #[test]
     fn bias_gradient_counts_output_elements() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0, &mut rng);
-        let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, true).unwrap();
-        conv.backward(&Tensor::ones(y.shape())).unwrap();
+        let (mut conv, params) = conv_with_params((1, 1, 2, 1, 0), 1);
+        let x = Tensor::from_vec(vec![1.0; 9], &[1, 1, 3, 3]).unwrap();
+        let y = conv.forward(&params, &x, true).unwrap();
+        let mut grads = vec![0.0; params.len()];
+        let g = Tensor::from_vec(vec![1.0; y.len()], y.shape()).unwrap();
+        conv.backward(&params, &mut grads, &g).unwrap();
         // 2x2 output positions each contribute 1.
-        assert_eq!(conv.grads()[1].data(), &[4.0]);
+        assert_eq!(grads[4], 4.0);
     }
 
     #[test]
-    fn param_count_is_correct() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
-        assert_eq!(conv.param_count(), 6 * 3 * 5 * 5 + 6);
+    fn param_len_is_correct() {
+        assert_eq!(Conv2d::new(3, 6, 5, 1, 0).param_len(), 6 * 3 * 5 * 5 + 6);
     }
 }

@@ -1,6 +1,6 @@
 //! 2-D max-pooling layer.
 
-use crate::layer::Layer;
+use crate::layer::{without_forward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
 /// Max pooling over non-overlapping (or strided) square windows of a
@@ -28,16 +28,6 @@ impl MaxPool2d {
             stride,
             cached: None,
         }
-    }
-
-    /// Window size.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     fn out_spatial(&self, dim: usize) -> Option<usize> {
@@ -74,11 +64,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn name(&self) -> &'static str {
-        "maxpool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
+    fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let (batch, channels, oh, ow) = self.check(input.shape())?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let (k, s) = (self.kernel, self.stride);
@@ -119,12 +105,16 @@ impl Layer for MaxPool2d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let (shape, argmax) = self.cached.as_ref().ok_or(TensorError::ShapeMismatch {
-            lhs: vec![],
-            rhs: vec![],
-            op: "maxpool2d_backward_without_forward",
-        })?;
+    fn backward(
+        &mut self,
+        _: &[f32],
+        _: &mut [f32],
+        grad_output: &Tensor,
+    ) -> Result<Tensor, TensorError> {
+        let (shape, argmax) = self
+            .cached
+            .as_ref()
+            .ok_or_else(|| without_forward("maxpool2d_backward_without_forward"))?;
         if grad_output.len() != argmax.len() {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_output.shape().to_vec(),
@@ -138,25 +128,6 @@ impl Layer for MaxPool2d {
             gi[src] += g;
         }
         Ok(grad_input)
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_with_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        Vec::new()
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, TensorError> {
-        let (b, c, oh, ow) = self.check(input_shape)?;
-        Ok(vec![b, c, oh, ow])
     }
 }
 
@@ -175,7 +146,7 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let y = pool.forward(&x, true).unwrap();
+        let y = pool.forward(&[], &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4.0, 8.0, 12.0, 16.0]);
     }
@@ -184,9 +155,9 @@ mod tests {
     fn backward_routes_gradient_to_argmax() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        pool.forward(&x, true).unwrap();
+        pool.forward(&[], &x, true).unwrap();
         let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
-        let gx = pool.backward(&g).unwrap();
+        let gx = pool.backward(&[], &mut [], &g).unwrap();
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 
@@ -195,8 +166,10 @@ mod tests {
         let mut pool = MaxPool2d::new(2, 2);
         let nan = f32::NAN;
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan], &[2, 1, 2, 2]);
-        pool.forward(&x.unwrap(), true).unwrap();
-        let gx = pool.backward(&Tensor::ones(&[2, 1, 1, 1])).unwrap();
+        pool.forward(&[], &x.unwrap(), true).unwrap();
+        let gx = pool
+            .backward(&[], &mut [], &Tensor::ones(&[2, 1, 1, 1]))
+            .unwrap();
         // Example 0 sees only its own window's gradient; the NaN window's
         // goes to that window's first element, not to element 0.
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
@@ -205,24 +178,20 @@ mod tests {
     #[test]
     fn output_shape_matches_lenet_stages() {
         let pool = MaxPool2d::new(2, 2);
-        assert_eq!(
-            pool.output_shape(&[1, 6, 28, 28]).unwrap(),
-            vec![1, 6, 14, 14]
-        );
-        assert_eq!(
-            pool.output_shape(&[1, 16, 10, 10]).unwrap(),
-            vec![1, 16, 5, 5]
-        );
-        assert_eq!(pool.kernel(), 2);
-        assert_eq!(pool.stride(), 2);
+        assert_eq!(pool.check(&[1, 6, 28, 28]).unwrap(), (1, 6, 14, 14));
+        assert_eq!(pool.check(&[1, 16, 10, 10]).unwrap(), (1, 16, 5, 5));
     }
 
     #[test]
     fn rejects_small_inputs_and_wrong_rank() {
         let mut pool = MaxPool2d::new(3, 3);
-        assert!(pool.forward(&Tensor::ones(&[1, 1, 2, 2]), true).is_err());
-        assert!(pool.forward(&Tensor::ones(&[1, 2, 2]), true).is_err());
-        assert!(pool.backward(&Tensor::ones(&[1, 1, 1, 1])).is_err());
+        assert!(pool
+            .forward(&[], &Tensor::ones(&[1, 1, 2, 2]), true)
+            .is_err());
+        assert!(pool.forward(&[], &Tensor::ones(&[1, 2, 2]), true).is_err());
+        assert!(pool
+            .backward(&[], &mut [], &Tensor::ones(&[1, 1, 1, 1]))
+            .is_err());
     }
 
     #[test]
@@ -234,10 +203,10 @@ mod tests {
             &[1, 1, 3, 3],
         )
         .unwrap();
-        let y = pool.forward(&x, true).unwrap();
+        let y = pool.forward(&[], &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         let g = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = pool.backward(&g).unwrap();
+        let gx = pool.backward(&[], &mut [], &g).unwrap();
         // 9.0 at flat index 3 is the max of the two top windows.
         assert_eq!(gx.data()[3], 2.0);
         assert_eq!(gx.sum(), 4.0);

@@ -1,8 +1,9 @@
 //! LeNet-5 model builders — the training workload used by the paper.
 
-use fedco_rng::Rng;
+use fedco_rng::RngCore;
 
-use crate::layers::{Activation, Conv2d, Dense, Flatten, MaxPool2d};
+use crate::layer::Layer;
+use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use crate::model::Sequential;
 
 /// Configuration of a LeNet-style convolutional classifier.
@@ -98,51 +99,31 @@ impl LeNetConfig {
         self.conv2_channels * side * side
     }
 
-    /// Shape of a single input example, `[channels, size, size]`.
-    pub fn input_shape(&self) -> [usize; 3] {
-        [self.channels, self.image_size, self.image_size]
-    }
-
-    /// Builds the network with ReLU activations.
-    pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Sequential {
+    /// Builds the network with ReLU activations, drawing the weights of
+    /// the two convolutions and then of the three dense layers from `rng`.
+    pub fn build<R: RngCore>(&self, rng: &mut R) -> Sequential {
         let k = self.conv_kernel();
-        Sequential::new()
-            .with_layer(Box::new(Conv2d::new(
-                self.channels,
-                self.conv1_channels,
-                k,
-                1,
-                0,
-                rng,
-            )))
-            .with_layer(Box::new(Activation::relu()))
-            .with_layer(Box::new(MaxPool2d::new(2, 2)))
-            .with_layer(Box::new(Conv2d::new(
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Conv2d::new(self.channels, self.conv1_channels, k, 1, 0)),
+            Box::new(Relu::default()),
+            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(Conv2d::new(
                 self.conv1_channels,
                 self.conv2_channels,
                 k,
                 1,
                 0,
-                rng,
-            )))
-            .with_layer(Box::new(Activation::relu()))
-            .with_layer(Box::new(MaxPool2d::new(2, 2)))
-            .with_layer(Box::new(Flatten::new()))
-            .with_layer(Box::new(Dense::new(
-                self.flattened_features(),
-                self.fc1,
-                rng,
-            )))
-            .with_layer(Box::new(Activation::relu()))
-            .with_layer(Box::new(Dense::new(self.fc1, self.fc2, rng)))
-            .with_layer(Box::new(Activation::relu()))
-            .with_layer(Box::new(Dense::new(self.fc2, self.classes, rng)))
-    }
-}
-
-impl Default for LeNetConfig {
-    fn default() -> Self {
-        LeNetConfig::lenet5()
+            )),
+            Box::new(Relu::default()),
+            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(Flatten::default()),
+            Box::new(Dense::new(self.flattened_features(), self.fc1)),
+            Box::new(Relu::default()),
+            Box::new(Dense::new(self.fc1, self.fc2)),
+            Box::new(Relu::default()),
+            Box::new(Dense::new(self.fc2, self.classes)),
+        ];
+        Sequential::new(layers, rng)
     }
 }
 
@@ -160,7 +141,6 @@ mod tests {
         assert_eq!(cfg.conv_kernel(), 5);
         assert_eq!(cfg.feature_map_side(), 5);
         assert_eq!(cfg.flattened_features(), 16 * 5 * 5);
-        assert_eq!(cfg.input_shape(), [3, 32, 32]);
     }
 
     #[test]
@@ -200,10 +180,5 @@ mod tests {
         let x = Tensor::ones(&[1, 1, 12, 12]);
         b.set_parameters(&a.parameters()).unwrap();
         assert_eq!(a.forward(&x, false).unwrap(), b.forward(&x, false).unwrap());
-    }
-
-    #[test]
-    fn default_is_lenet5() {
-        assert_eq!(LeNetConfig::default(), LeNetConfig::lenet5());
     }
 }

@@ -6,11 +6,13 @@
 //! Application Co-running"* (ICDCS 2022).
 //!
 //! The paper runs LeNet-5 on CIFAR-10 with DL4J/OpenBLAS on Android; this
-//! crate provides the same ingredients in pure Rust: dense tensors, the
-//! layers needed by LeNet-5 (convolution, max-pooling, dense, activations),
-//! softmax cross-entropy, SGD with momentum (whose velocity vector feeds the
-//! paper's gradient-gap estimator), a synthetic CIFAR-like dataset and
-//! evaluation metrics.
+//! crate is what that training needs and nothing else, in pure Rust: dense
+//! tensors, the five LeNet-5 layers (convolution, max-pooling, ReLU, flatten,
+//! dense), a [`Sequential`] network that owns every parameter and gradient in
+//! one flat buffer each (each layer reads its slice), softmax cross-entropy,
+//! Eq. (1) SGD with momentum in one fused loop over those buffers (its
+//! velocity feeds the paper's gradient-gap estimator), flat parameter vectors
+//! for the model exchange and a synthetic CIFAR-like dataset.
 //!
 //! ## Quick example
 //!
@@ -51,7 +53,6 @@ pub mod layer;
 pub mod layers;
 pub mod lenet;
 pub mod loss;
-pub mod metrics;
 pub mod model;
 pub mod optimizer;
 pub mod tensor;
@@ -59,7 +60,7 @@ pub mod tensor;
 pub use data::{Dataset, Example, SyntheticCifarConfig};
 pub use layer::Layer;
 pub use lenet::LeNetConfig;
-pub use loss::{Loss, SoftmaxCrossEntropy};
+pub use loss::SoftmaxCrossEntropy;
 pub use model::{ParamVector, Sequential, TrainStep};
 pub use optimizer::{Sgd, SgdConfig};
 pub use tensor::{Tensor, TensorError};

@@ -1,30 +1,15 @@
-//! Loss functions.
+//! The training loss: softmax cross-entropy.
 
-use crate::layers::Softmax;
 use crate::tensor::{Tensor, TensorError};
 
-/// Result of evaluating a loss: the scalar loss value averaged over the batch
-/// and the gradient with respect to the network output (logits).
+/// Result of evaluating the loss: the scalar loss value averaged over the
+/// batch and the gradient with respect to the network output (logits).
 #[derive(Debug, Clone)]
 pub struct LossOutput {
     /// Mean loss over the batch.
     pub loss: f32,
     /// Gradient of the mean loss with respect to the logits.
     pub grad: Tensor,
-}
-
-/// A differentiable loss over batched predictions and integer class labels
-/// (for classification) or target tensors (for regression).
-pub trait Loss: std::fmt::Debug + Send {
-    /// Computes the loss and its gradient for classification targets.
-    ///
-    /// `logits` has shape `[batch, classes]`, `targets` holds one class index
-    /// per batch element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`] when shapes are inconsistent with the targets.
-    fn forward(&self, logits: &Tensor, targets: &[usize]) -> Result<LossOutput, TensorError>;
 }
 
 /// Softmax followed by cross-entropy, fused for numerical stability.
@@ -38,10 +23,14 @@ impl SoftmaxCrossEntropy {
     pub fn new() -> Self {
         SoftmaxCrossEntropy
     }
-}
 
-impl Loss for SoftmaxCrossEntropy {
-    fn forward(&self, logits: &Tensor, targets: &[usize]) -> Result<LossOutput, TensorError> {
+    /// Computes the loss and its gradient: `logits` has shape
+    /// `[batch, classes]`, `targets` holds one class index per batch element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] when shapes are inconsistent with the targets.
+    pub fn forward(&self, logits: &Tensor, targets: &[usize]) -> Result<LossOutput, TensorError> {
         if logits.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -65,7 +54,7 @@ impl Loss for SoftmaxCrossEntropy {
                 });
             }
         }
-        let probs = Softmax::apply(logits)?;
+        let probs = softmax(logits, classes);
         let mut loss = 0.0f32;
         let mut grad = probs.clone();
         for (b, &t) in targets.iter().enumerate() {
@@ -82,63 +71,23 @@ impl Loss for SoftmaxCrossEntropy {
     }
 }
 
-/// Mean-squared error against a one-hot encoding of the targets.
-///
-/// Provided mainly for tests and ablations; the paper's workload uses
-/// cross-entropy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MeanSquaredError;
-
-impl MeanSquaredError {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        MeanSquaredError
-    }
-
-    /// MSE between two arbitrary tensors of identical shape, with gradient
-    /// with respect to `prediction`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn between(prediction: &Tensor, target: &Tensor) -> Result<LossOutput, TensorError> {
-        let diff = prediction.sub(target)?;
-        let n = diff.len().max(1) as f32;
-        let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / n;
-        let grad = diff.scale(2.0 / n);
-        Ok(LossOutput { loss, grad })
-    }
-}
-
-impl Loss for MeanSquaredError {
-    fn forward(&self, logits: &Tensor, targets: &[usize]) -> Result<LossOutput, TensorError> {
-        if logits.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: logits.rank(),
-                op: "mse",
-            });
+/// A numerically stable softmax of each `classes`-long row.
+fn softmax(logits: &Tensor, classes: usize) -> Tensor {
+    let mut out = logits.clone();
+    for row in out.data_mut().chunks_mut(classes.max(1)) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
         }
-        let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-        if targets.len() != batch {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![targets.len()],
-                rhs: vec![batch],
-                op: "mse_targets",
-            });
-        }
-        let mut onehot = Tensor::zeros(&[batch, classes]);
-        for (b, &t) in targets.iter().enumerate() {
-            if t >= classes {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: vec![t],
-                    shape: vec![classes],
-                });
+        if sum > 0.0 {
+            for v in row.iter_mut() {
+                *v /= sum;
             }
-            onehot.data_mut()[b * classes + t] = 1.0;
         }
-        Self::between(logits, &onehot)
     }
+    out
 }
 
 #[cfg(test)]
@@ -201,39 +150,15 @@ mod tests {
     }
 
     #[test]
-    fn mse_between_identical_tensors_is_zero() {
-        let a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let out = MeanSquaredError::between(&a, &a).unwrap();
-        assert_eq!(out.loss, 0.0);
-        assert!(out.grad.data().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn mse_classification_path() {
-        let loss = MeanSquaredError::new();
-        let logits = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]).unwrap();
-        let out = loss.forward(&logits, &[0]).unwrap();
-        assert_eq!(out.loss, 0.0);
-        let out2 = loss.forward(&logits, &[1]).unwrap();
-        assert!(out2.loss > 0.0);
-        assert!(loss.forward(&logits, &[2]).is_err());
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let pred = Tensor::from_slice(&[0.2, -0.5, 1.4]);
-        let target = Tensor::from_slice(&[0.0, 0.0, 1.0]);
-        let out = MeanSquaredError::between(&pred, &target).unwrap();
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut pp = pred.clone();
-            pp.data_mut()[i] += eps;
-            let mut pm = pred.clone();
-            pm.data_mut()[i] -= eps;
-            let fp = MeanSquaredError::between(&pp, &target).unwrap().loss;
-            let fm = MeanSquaredError::between(&pm, &target).unwrap().loss;
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!((numeric - out.grad.data()[i]).abs() < 1e-3);
+    fn softmax_rows_sum_to_one_and_survive_large_logits() {
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0], &[2, 3]).unwrap();
+        let y = softmax(&x, 3);
+        for row in y.data().chunks(3) {
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
+        assert!(y.data().iter().all(|&v| v > 0.0 && v < 1.0));
+        let big = softmax(&Tensor::from_vec(vec![1000.0, 1001.0], &[1, 2]).unwrap(), 2);
+        assert!(big.is_finite());
+        assert!(big.data()[1] > big.data()[0]);
     }
 }

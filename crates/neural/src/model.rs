@@ -1,7 +1,9 @@
 //! The [`Sequential`] network container and flat parameter vectors.
 
+use fedco_rng::RngCore;
+
 use crate::layer::Layer;
-use crate::loss::{Loss, LossOutput};
+use crate::loss::{LossOutput, SoftmaxCrossEntropy};
 use crate::optimizer::Sgd;
 use crate::tensor::{Tensor, TensorError};
 
@@ -150,12 +152,6 @@ impl ParamVector {
     }
 }
 
-impl From<Vec<f32>> for ParamVector {
-    fn from(values: Vec<f32>) -> Self {
-        ParamVector::new(values)
-    }
-}
-
 /// Outcome of training on one mini-batch.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainStep {
@@ -165,43 +161,38 @@ pub struct TrainStep {
     pub accuracy: f32,
 }
 
-/// A feed-forward network: an ordered stack of [`Layer`]s.
+/// A feed-forward network: an ordered stack of [`Layer`]s over one flat
+/// parameter buffer and one flat gradient buffer, of which each layer reads
+/// its own [`Layer::param_len`]-long slice, in layer order.
 #[derive(Debug)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
 }
 
 impl Sequential {
-    /// Creates an empty network.
-    pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
-    /// Appends a layer (builder style).
-    #[must_use]
-    pub fn with_layer(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
-    }
-
-    /// Appends a layer in place.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Layer names in order, useful for debugging and reports.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
+    /// A network of `layers`, each drawing its initial parameters from `rng`
+    /// in turn.
+    pub fn new<R: RngCore>(layers: Vec<Box<dyn Layer>>, rng: &mut R) -> Self {
+        let len = layers.iter().map(|l| l.param_len()).sum();
+        let mut params = vec![0.0; len];
+        let mut rest = &mut params[..];
+        for layer in &layers {
+            let (own, tail) = rest.split_at_mut(layer.param_len());
+            layer.init(rng, own);
+            rest = tail;
+        }
+        Sequential {
+            layers,
+            params,
+            grads: vec![0.0; len],
+        }
     }
 
     /// Total number of scalar trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.params.len()
     }
 
     /// Runs the forward pass through every layer.
@@ -211,41 +202,13 @@ impl Sequential {
     /// Propagates shape errors from any layer.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let mut x: Option<Tensor> = None;
+        let mut rest = &self.params[..];
         for layer in &mut self.layers {
-            x = Some(layer.forward(x.as_ref().unwrap_or(input), train)?);
+            let (own, tail) = rest.split_at(layer.param_len());
+            rest = tail;
+            x = Some(layer.forward(own, x.as_ref().unwrap_or(input), train)?);
         }
         Ok(x.unwrap_or_else(|| input.clone()))
-    }
-
-    /// Backpropagates `grad_output` through `layers`, last to first; `None`
-    /// when there are none.
-    fn backward_through(
-        layers: &mut [Box<dyn Layer>],
-        grad_output: &Tensor,
-    ) -> Result<Option<Tensor>, TensorError> {
-        let mut g: Option<Tensor> = None;
-        for layer in layers.iter_mut().rev() {
-            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
-        }
-        Ok(g)
-    }
-
-    /// Runs the backward pass through every layer (in reverse), accumulating
-    /// parameter gradients.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from any layer.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let g = Self::backward_through(&mut self.layers, grad_output)?;
-        Ok(g.unwrap_or_else(|| grad_output.clone()))
-    }
-
-    /// Zeroes all accumulated parameter gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
     }
 
     /// Trains on one mini-batch: forward, loss, backward, optimiser step.
@@ -257,61 +220,34 @@ impl Sequential {
         &mut self,
         input: &Tensor,
         targets: &[usize],
-        loss: &dyn Loss,
+        loss: &SoftmaxCrossEntropy,
         optimizer: &mut Sgd,
     ) -> Result<TrainStep, TensorError> {
-        self.zero_grads();
+        self.grads.fill(0.0);
         let logits = self.forward(input, true)?;
         let LossOutput {
             loss: loss_value,
             grad,
         } = loss.forward(&logits, targets)?;
-        // Nobody reads the gradient with respect to the images, so the first
-        // layer is only asked for its parameter gradients.
-        if let Some((first, rest)) = self.layers.split_first_mut() {
-            let g = Self::backward_through(rest, &grad)?;
-            first.accumulate_grads(g.as_ref().unwrap_or(&grad))?;
+        // Last layer to first. Nobody reads the gradient with respect to the
+        // images, so the first layer is only asked for its parameter
+        // gradients.
+        let (mut g, mut end) = (grad, self.params.len());
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let own = end - layer.param_len()..end;
+            end = own.start;
+            let (params, grads) = (&self.params[own.clone()], &mut self.grads[own]);
+            if i == 0 {
+                layer.accumulate_grads(params, grads, &g)?;
+            } else {
+                g = layer.backward(params, grads, &g)?;
+            }
         }
-        let (mut params, grads): (Vec<_>, Vec<_>) = self
-            .layers
-            .iter_mut()
-            .flat_map(|layer| layer.params_with_grads())
-            .unzip();
-        optimizer.step(&mut params, &grads)?;
-        let accuracy = batch_accuracy(&logits, targets);
+        optimizer.step(&mut self.params, &self.grads)?;
         Ok(TrainStep {
             loss: loss_value,
-            accuracy,
+            accuracy: batch_accuracy(&logits, targets),
         })
-    }
-
-    /// Computes class predictions (argmax of the logits) for a batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn predict(&mut self, input: &Tensor) -> Result<Vec<usize>, TensorError> {
-        let logits = self.forward(input, false)?;
-        if logits.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: logits.rank(),
-                op: "predict",
-            });
-        }
-        let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-        let mut preds = Vec::with_capacity(batch);
-        for b in 0..batch {
-            let row = &logits.data()[b * classes..(b + 1) * classes];
-            let mut best = 0usize;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            preds.push(best);
-        }
-        Ok(preds)
     }
 
     /// Evaluates classification accuracy on a batch.
@@ -320,23 +256,20 @@ impl Sequential {
     ///
     /// Propagates shape errors from the layers.
     pub fn evaluate(&mut self, input: &Tensor, targets: &[usize]) -> Result<f32, TensorError> {
-        let preds = self.predict(input)?;
-        if preds.is_empty() {
-            return Ok(0.0);
+        let logits = self.forward(input, false)?;
+        if logits.rank() != 2 {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: logits.rank(),
+                op: "evaluate",
+            });
         }
-        let correct = preds.iter().zip(targets).filter(|(p, t)| p == t).count();
-        Ok(correct as f32 / preds.len() as f32)
+        Ok(batch_accuracy(&logits, targets))
     }
 
-    /// Extracts all parameters as a single flat vector.
+    /// Copies all parameters out as one flat vector.
     pub fn parameters(&self) -> ParamVector {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
-        }
-        ParamVector::new(out)
+        ParamVector::new(self.params.clone())
     }
 
     /// Loads all parameters from a flat vector produced by
@@ -347,83 +280,63 @@ impl Sequential {
     /// Returns [`TensorError::LengthMismatch`] if the vector length differs
     /// from the network's parameter count.
     pub fn set_parameters(&mut self, params: &ParamVector) -> Result<(), TensorError> {
-        let expected = self.param_count();
-        if params.len() != expected {
+        if params.len() != self.params.len() {
             return Err(TensorError::LengthMismatch {
-                expected,
+                expected: self.params.len(),
                 actual: params.len(),
             });
         }
-        let mut offset = 0usize;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                let len = p.len();
-                p.data_mut()
-                    .copy_from_slice(&params.values()[offset..offset + len]);
-                offset += len;
-            }
-        }
+        self.params.copy_from_slice(params.values());
         Ok(())
     }
 }
 
-impl Default for Sequential {
-    fn default() -> Self {
-        Sequential::new()
-    }
-}
-
-/// Fraction of rows of `logits` whose argmax equals the target label.
-pub fn batch_accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
-    if logits.rank() != 2 || targets.is_empty() {
+/// Fraction of rows of `logits` whose argmax (first index on ties) equals
+/// the target label; zero unless `logits` is rank 2 with a row per target.
+fn batch_accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
+    if logits.rank() != 2 || targets.is_empty() || logits.shape()[0] != targets.len() {
         return 0.0;
     }
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-    if batch != targets.len() {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for (b, &t) in targets.iter().enumerate() {
-        let row = &logits.data()[b * classes..(b + 1) * classes];
+    let rows = logits.data().chunks(logits.shape()[1].max(1));
+    let argmax = |row: &[f32]| {
         let mut best = 0usize;
         for (i, &v) in row.iter().enumerate() {
             if v > row[best] {
                 best = i;
             }
         }
-        if best == t {
-            correct += 1;
-        }
-    }
-    correct as f32 / batch as f32
+        best
+    };
+    let correct = rows
+        .zip(targets)
+        .filter(|(row, &t)| argmax(row) == t)
+        .count();
+    correct as f32 / targets.len() as f32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Dense};
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optimizer::LrSchedule;
-    use crate::optimizer::{Sgd, SgdConfig};
+    use crate::layers::{Dense, Relu};
+    use crate::optimizer::SgdConfig;
     use fedco_rng::rngs::SmallRng;
     use fedco_rng::SeedableRng;
 
     fn small_mlp(seed: u64) -> Sequential {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        Sequential::new()
-            .with_layer(Box::new(Dense::new(4, 16, &mut rng)))
-            .with_layer(Box::new(Activation::relu()))
-            .with_layer(Box::new(Dense::new(16, 3, &mut rng)))
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Dense::new(4, 16)),
+            Box::new(Relu::default()),
+            Box::new(Dense::new(16, 3)),
+        ];
+        Sequential::new(layers, &mut SmallRng::seed_from_u64(seed))
     }
 
     #[test]
     fn forward_shapes_flow_through() {
         let mut net = small_mlp(0);
-        let x = Tensor::ones(&[5, 4]);
-        let y = net.forward(&x, false).unwrap();
+        let y = net.forward(&Tensor::ones(&[5, 4]), false).unwrap();
         assert_eq!(y.shape(), &[5, 3]);
-        assert_eq!(net.num_layers(), 3);
-        assert_eq!(net.layer_names(), vec!["dense", "relu", "dense"]);
+        assert_eq!(net.param_count(), 4 * 16 + 16 + 16 * 3 + 3);
     }
 
     #[test]
@@ -462,8 +375,6 @@ mod tests {
         let mut opt = Sgd::new(SgdConfig {
             learning_rate: 0.5,
             momentum: 0.9,
-            weight_decay: 0.0,
-            schedule: LrSchedule::Constant,
         });
         let first = net.train_batch(&x, &y, &loss, &mut opt).unwrap();
         let mut last = first;
@@ -478,15 +389,7 @@ mod tests {
         );
         assert!(last.accuracy > 0.99, "accuracy {}", last.accuracy);
         assert_eq!(net.evaluate(&x, &y).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn predict_returns_argmax() {
-        let mut net = small_mlp(6);
-        let x = Tensor::ones(&[2, 4]);
-        let preds = net.predict(&x).unwrap();
-        assert_eq!(preds.len(), 2);
-        assert!(preds.iter().all(|&p| p < 3));
+        assert_eq!(opt.velocity().len(), net.param_count());
     }
 
     #[test]

@@ -81,9 +81,8 @@ impl std::error::Error for TensorError {}
 /// use fedco_neural::tensor::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-/// let b = Tensor::ones(&[2, 2]);
-/// let c = a.add(&b).unwrap();
-/// assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
+/// assert_eq!(a.map(|v| v * 2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
+/// assert!(Tensor::from_vec(vec![1.0], &[2, 2]).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -98,24 +97,6 @@ impl Tensor {
         Tensor {
             shape: shape.to_vec(),
             data: vec![0.0; len],
-        }
-    }
-
-    /// Creates a tensor filled with ones.
-    pub fn ones(shape: &[usize]) -> Self {
-        let len = shape.iter().product();
-        Tensor {
-            shape: shape.to_vec(),
-            data: vec![1.0; len],
-        }
-    }
-
-    /// Creates a tensor filled with a constant value.
-    pub fn full(shape: &[usize], value: f32) -> Self {
-        let len = shape.iter().product();
-        Tensor {
-            shape: shape.to_vec(),
-            data: vec![value; len],
         }
     }
 
@@ -137,14 +118,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data,
         })
-    }
-
-    /// Creates a rank-1 tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Tensor {
-            shape: vec![data.len()],
-            data: data.to_vec(),
-        }
     }
 
     /// The shape of the tensor.
@@ -177,11 +150,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Errors
@@ -201,137 +169,6 @@ impl Tensor {
         })
     }
 
-    fn flat_index(&self, index: &[usize]) -> Result<usize, TensorError> {
-        if index.len() != self.shape.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.shape.clone(),
-            });
-        }
-        let mut flat = 0usize;
-        for (i, (&idx, &dim)) in index.iter().zip(self.shape.iter()).enumerate() {
-            if idx >= dim {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.shape.clone(),
-                });
-            }
-            flat = flat * dim + idx;
-            let _ = i;
-        }
-        Ok(flat)
-    }
-
-    /// Reads the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when the index is invalid.
-    pub fn get(&self, index: &[usize]) -> Result<f32, TensorError> {
-        Ok(self.data[self.flat_index(index)?])
-    }
-
-    /// Writes the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when the index is invalid.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
-        let flat = self.flat_index(index)?;
-        self.data[flat] = value;
-        Ok(())
-    }
-
-    fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op,
-            });
-        }
-        Ok(())
-    }
-
-    /// Elementwise addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_same_shape(other, "add")?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
-    }
-
-    /// Elementwise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_same_shape(other, "sub")?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_same_shape(other, "mul")?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
-    }
-
-    /// In-place addition of `other * scale` (axpy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) -> Result<(), TensorError> {
-        self.check_same_shape(other, "add_scaled")?;
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-        Ok(())
-    }
-
-    /// Returns a new tensor scaled by a scalar.
-    pub fn scale(&self, factor: f32) -> Tensor {
-        let data = self.data.iter().map(|a| a * factor).collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
     /// Scales the tensor in place.
     pub fn scale_in_place(&mut self, factor: f32) {
         for a in &mut self.data {
@@ -347,180 +184,25 @@ impl Tensor {
             data,
         }
     }
+}
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+/// Conveniences the tests of this crate share.
+#[cfg(test)]
+impl Tensor {
+    pub(crate) fn ones(shape: &[usize]) -> Self {
+        Tensor::zeros(shape).map(|_| 1.0)
+    }
+
+    pub(crate) fn from_slice(data: &[f32]) -> Self {
+        Tensor::from_vec(data.to_vec(), &[data.len()]).unwrap()
+    }
+
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements; zero for an empty tensor.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Maximum element; negative infinity for an empty tensor.
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element; positive infinity for an empty tensor.
-    pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element (first occurrence); `None` when empty.
-    pub fn argmax(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
-
-    /// Dot product between two tensors viewed as flat vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the element counts differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32, TensorError> {
-        if self.data.len() != other.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "dot",
-            });
-        }
-        Ok(self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum())
-    }
-
-    /// Euclidean (L2) norm of the tensor viewed as a flat vector.
-    pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
-    }
-
-    /// L1 norm of the tensor viewed as a flat vector.
-    pub fn norm_l1(&self) -> f32 {
-        self.data.iter().map(|a| a.abs()).sum::<f32>()
-    }
-
-    /// L2 norm of the elementwise difference with another tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn distance_l2(&self, other: &Tensor) -> Result<f32, TensorError> {
-        self.check_same_shape(other, "distance_l2")?;
-        let sum: f32 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum();
-        Ok(sum.sqrt())
-    }
-
-    /// Matrix multiplication between two rank-2 tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if either operand is not rank 2
-    /// and [`TensorError::ShapeMismatch`] if the inner dimensions differ.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul",
-            });
-        }
-        if other.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: other.rank(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "matmul",
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &other.data[p * n..(p + 1) * n];
-                let dst = &mut out[i * n..(i + 1) * n];
-                for (d, &b) in dst.iter_mut().zip(row) {
-                    *d += a * b;
-                }
-            }
-        }
-        Ok(Tensor {
-            shape: vec![m, n],
-            data: out,
-        })
-    }
-
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] when the tensor is not rank 2.
-    pub fn transpose(&self) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "transpose",
-            });
-        }
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Ok(Tensor {
-            shape: vec![n, m],
-            data: out,
-        })
-    }
-
-    /// Clips every element into `[lo, hi]`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.map(|v| v.clamp(lo, hi))
-    }
-
-    /// Returns `true` when every element is finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-}
-
-impl fmt::Display for Tensor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor(shape={:?}, len={})", self.shape, self.data.len())
     }
 }
 
@@ -529,20 +211,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_ones_full() {
-        let z = Tensor::zeros(&[2, 3]);
-        assert_eq!(z.len(), 6);
-        assert!(z.data().iter().all(|&v| v == 0.0));
-        let o = Tensor::ones(&[3]);
-        assert_eq!(o.sum(), 3.0);
-        let f = Tensor::full(&[2, 2], 2.5);
-        assert_eq!(f.sum(), 10.0);
-    }
-
-    #[test]
     fn from_vec_checks_length() {
         assert!(Tensor::from_vec(vec![1.0, 2.0], &[3]).is_err());
         assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).is_ok());
+        let z = Tensor::zeros(&[2, 3]);
+        assert_eq!((z.len(), z.rank()), (6, 2));
+        assert!(z.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -554,97 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn get_set_roundtrip() {
-        let mut t = Tensor::zeros(&[2, 3]);
-        t.set(&[1, 2], 7.0).unwrap();
-        assert_eq!(t.get(&[1, 2]).unwrap(), 7.0);
-        assert_eq!(t.data()[5], 7.0);
-        assert!(t.get(&[2, 0]).is_err());
-        assert!(t.get(&[0]).is_err());
-    }
-
-    #[test]
     fn elementwise_ops() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-        let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
-        assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-        let c = Tensor::zeros(&[2]);
-        assert!(a.add(&c).is_err());
+        let mut a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
+        assert_eq!(a.map(|v| v - 1.0).data(), &[0.0, 1.0, 2.0]);
+        a.scale_in_place(2.0);
+        assert_eq!(a.data(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]
-    fn add_scaled_is_axpy() {
-        let mut a = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap();
-        a.add_scaled(&b, 0.5).unwrap();
-        assert_eq!(a.data(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn dot_and_norms() {
-        let a = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        assert_eq!(a.dot(&b).unwrap(), 11.0);
-        assert!((a.norm_l2() - 5.0).abs() < 1e-6);
-        assert_eq!(a.norm_l1(), 7.0);
-        assert!((a.distance_l2(&b).unwrap() - (4.0f32 + 4.0).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn matmul_small() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        assert!(a.matmul(&b).is_err());
-        let v = Tensor::zeros(&[3]);
-        assert!(v.matmul(&a).is_err());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let t = a.transpose().unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.get(&[2, 1]).unwrap(), 6.0);
-        assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn argmax_and_stats() {
-        let a = Tensor::from_vec(vec![0.5, 3.0, -1.0, 2.0], &[4]).unwrap();
-        assert_eq!(a.argmax(), Some(1));
-        assert_eq!(a.max(), 3.0);
-        assert_eq!(a.min(), -1.0);
-        assert!((a.mean() - 1.125).abs() < 1e-6);
-        let empty = Tensor::zeros(&[0]);
-        assert_eq!(empty.argmax(), None);
-        assert_eq!(empty.mean(), 0.0);
-    }
-
-    #[test]
-    fn clamp_and_finite() {
-        let a = Tensor::from_vec(vec![-2.0, 0.5, 9.0], &[3]).unwrap();
-        assert_eq!(a.clamp(-1.0, 1.0).data(), &[-1.0, 0.5, 1.0]);
-        assert!(a.is_finite());
-        let b = Tensor::from_vec(vec![f32::NAN], &[1]).unwrap();
-        assert!(!b.is_finite());
-    }
-
-    #[test]
-    fn display_mentions_shape() {
-        let a = Tensor::zeros(&[2, 2]);
-        let s = format!("{a}");
-        assert!(s.contains("[2, 2]"));
+    fn errors_display_their_operation() {
+        let e = TensorError::RankMismatch {
+            expected: 2,
+            actual: 1,
+            op: "evaluate",
+        };
+        assert_eq!(e.to_string(), "evaluate expects rank 2, got rank 1");
     }
 }

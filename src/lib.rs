@@ -13,8 +13,8 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`neural`] | tensors, LeNet-5 layers, SGD with momentum, synthetic CIFAR-like data |
-//! | [`device`] | device/app power calibration (Table II/III), big.LITTLE, battery, FPS, JobScheduler |
+//! | [`neural`] | LeNet-5 training over one flat parameter buffer: tensors, its five layers, softmax cross-entropy, SGD with momentum, synthetic CIFAR-like data |
+//! | [`device`] | device/app power calibration (Table II/III), big.LITTLE topology, battery, FPS, power model, energy profiler |
 //! | [`fl`] | parameter server, async/sync aggregation, lag and gradient-gap staleness metrics |
 //! | [`core`] | the paper's schedulers: offline knapsack DP and online drift-plus-penalty |
 //! | [`sim`] | the slotted simulator reproducing the paper's 3-hour, 25-user evaluation |
