@@ -500,6 +500,85 @@ mod tests {
         assert_eq!(cases, 48);
     }
 
+    /// A stride-1, unpadded layer (the convolutions LeNet builds) with its
+    /// parameters drawn from `seed`.
+    fn lenet_conv(ic: usize, oc: usize, k: usize, seed: u64) -> (Conv2d, Vec<f32>) {
+        conv_with_params((ic, oc, k, 1, 0), seed)
+    }
+
+    #[test]
+    fn pool_shaped_gradients_match_reference_bits() {
+        // What max-pooling and ReLU hand a convolution: at most one non-zero
+        // per 2×2 window, some of them `-0.0`. The last example also has hits
+        // all along its last output row and column, where a read wider than
+        // the kernel would pass the end of the input.
+        let mut rng = SmallRng::seed_from_u64(27);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (ic, oc, k, batch, h, w) in [
+            (3, 4, 3, 2, 16, 16),
+            (4, 8, 3, 3, 7, 7),
+            (1, 2, 3, 2, 12, 12),
+            (2, 4, 3, 2, 5, 5),
+            (3, 6, 5, 1, 32, 32),
+            (6, 16, 5, 2, 14, 14),
+            (2, 3, 1, 2, 5, 6),
+            (1, 2, 2, 3, 6, 5),
+            (2, 2, 4, 1, 9, 7),
+        ] {
+            let label = format!("k{k} b{batch} {ic}->{oc} {h}x{w}");
+            let (mut conv, params) = lenet_conv(ic, oc, k, (h * w) as u64);
+            let x = (0..batch * ic * h * w)
+                .map(|_| rng.gen::<f32>() - 0.5)
+                .collect();
+            let x = Tensor::from_vec(x, &[batch, ic, h, w]).unwrap();
+            let y = conv.forward(&params, &x, true).unwrap();
+            assert_eq!(
+                bits(y.data()),
+                bits(reference_forward(&conv, &params, &x).data())
+            );
+            let (oh, ow) = (y.shape()[2], y.shape()[3]);
+            let mut g = Tensor::zeros(y.shape());
+            for (plane, go) in g.data_mut().chunks_mut(oh * ow).enumerate() {
+                for (wy, wx) in (0..oh / 2).flat_map(|wy| (0..ow / 2).map(move |wx| (wy, wx))) {
+                    let at = (2 * wy + rng.gen_range(0..2)) * ow + 2 * wx + rng.gen_range(0..2);
+                    go[at] = match rng.gen_range(0..10) {
+                        0..=3 => 0.0,
+                        4 => -0.0,
+                        _ => rng.gen::<f32>() - 0.5,
+                    };
+                }
+                if plane / oc == batch - 1 {
+                    for at in (0..ow)
+                        .map(|ox| (oh - 1) * ow + ox)
+                        .chain((0..oh).map(|oy| oy * ow + ow - 1))
+                    {
+                        go[at] = rng.gen::<f32>() - 0.5;
+                    }
+                }
+            }
+            let mut grads = vec![0.0; params.len()];
+            let at = params.len() - oc;
+            let (mut gw, mut gb) = (vec![0.0; at], vec![0.0; oc]);
+            let gi = conv.backward(&params, &mut grads, &g).unwrap();
+            let want = reference_backward(&conv, &params, &x, &g, &mut gw, &mut gb);
+            assert_eq!(bits(gi.data()), bits(want.data()), "grad_input {label}");
+            assert_eq!(bits(&grads[..at]), bits(&gw), "grad_weight {label}");
+            assert_eq!(bits(&grads[at..]), bits(&gb), "grad_bias {label}");
+            conv.accumulate_grads(&params, &mut grads, &g).unwrap();
+            reference_backward(&conv, &params, &x, &g, &mut gw, &mut gb);
+            assert_eq!(
+                bits(&grads[..at]),
+                bits(&gw),
+                "accumulated grad_weight {label}"
+            );
+            assert_eq!(
+                bits(&grads[at..]),
+                bits(&gb),
+                "accumulated grad_bias {label}"
+            );
+        }
+    }
+
     #[test]
     fn identity_kernel_passes_input_through() {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0);

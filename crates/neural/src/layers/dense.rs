@@ -302,6 +302,62 @@ mod tests {
     }
 
     #[test]
+    fn signed_zero_gradients_match_reference_bits() {
+        // Inputs, weights and `g` hold exact `0.0` and `-0.0` entries, and the
+        // gradients start from a mix of both zeros, so a zero term that is
+        // skipped where it was added (or the reverse) shows in a sign bit.
+        let mut rng = SmallRng::seed_from_u64(28);
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    _ => rng.gen::<f32>() - 0.5,
+                })
+                .collect()
+        };
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (batch, n_in, n_out) in [(1, 1, 1), (3, 5, 7), (20, 32, 48), (20, 48, 24), (4, 9, 2)] {
+            let mut d = Dense::new(n_in, n_out);
+            let params = draw(d.param_len());
+            let weight = &params[..n_in * n_out];
+            let x = draw(batch * n_in);
+            let x_tensor = Tensor::from_vec(x.clone(), &[batch, n_in]).unwrap();
+            d.forward(&params, &x_tensor, true).unwrap();
+            let mut grads: Vec<f32> = (draw(params.len()).iter())
+                .map(|v| if v.is_sign_negative() { -0.0 } else { 0.0 })
+                .collect();
+            let (mut gw, mut gb) = (
+                grads[..weight.len()].to_vec(),
+                grads[weight.len()..].to_vec(),
+            );
+            for _ in 0..2 {
+                let g = draw(batch * n_out);
+                let gt = Tensor::from_vec(g.clone(), &[batch, n_out]).unwrap();
+                let gx = d.backward(&params, &mut grads, &gt).unwrap();
+                let product = matmul(&transpose(&x, (batch, n_in)), &g, (n_in, batch, n_out));
+                for (acc, &v) in gw.iter_mut().zip(&product) {
+                    *acc += 1.0 * v;
+                }
+                for row in g.chunks(n_out) {
+                    for (acc, &v) in gb.iter_mut().zip(row) {
+                        *acc += v;
+                    }
+                }
+                let want = matmul(&g, &transpose(weight, (n_in, n_out)), (batch, n_out, n_in));
+                let label = format!("{batch}x{n_in}x{n_out}");
+                assert_eq!(bits(gx.data()), bits(&want), "grad_input {label}");
+                assert_eq!(
+                    bits(&grads[..weight.len()]),
+                    bits(&gw),
+                    "grad_weight {label}"
+                );
+                assert_eq!(bits(&grads[weight.len()..]), bits(&gb), "grad_bias {label}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_wrong_input_width() {
         let mut d = Dense::new(4, 2);
         let params = vec![0.0; d.param_len()];

@@ -134,6 +134,90 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
+
+    /// The pooling LeNet builds: 2×2 windows with stride 2.
+    fn lenet_pool() -> MaxPool2d {
+        MaxPool2d::new(2, 2)
+    }
+
+    /// The generic window loop (`k`×`k` windows, stride `s`) this layer
+    /// used to run: the oracle for every output bit and argmax index.
+    fn reference_forward(input: &Tensor, k: usize, s: usize) -> (Vec<f32>, Vec<usize>) {
+        let &[batch, channels, h, w] = input.shape() else {
+            panic!("rank 4 input expected");
+        };
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let (mut out, mut argmax) = (Vec::new(), Vec::new());
+        for plane in 0..batch * channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let first = (plane * h + oy * s) * w + ox * s;
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+                    for at in (first..).step_by(w).take(k) {
+                        for (i, &v) in input.data()[at..at + k].iter().enumerate() {
+                            if v > best {
+                                (best, best_idx) = (v, at + i);
+                            }
+                        }
+                    }
+                    out.push(best);
+                    argmax.push(best_idx);
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    #[test]
+    fn forward_matches_reference_bits() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let specials = [0.0, -0.0, f32::NEG_INFINITY, f32::NAN, 1.0];
+        let mut inputs = Vec::new();
+        // Every window of four specials: ties, ±0, −∞ and NaN in each order.
+        let every = (0..specials.len().pow(4)).flat_map(|t| {
+            (0..4).map(move |i| specials[t / specials.len().pow(i) % specials.len()])
+        });
+        inputs.push(Tensor::from_vec(
+            every.collect(),
+            &[1, specials.len().pow(4), 2, 2],
+        ));
+        // Random planes, odd sides included, with a growing share of specials.
+        let mut rng = SmallRng::seed_from_u64(26);
+        for (i, shape) in [
+            [1, 1, 2, 2],
+            [2, 3, 7, 7],
+            [3, 4, 14, 14],
+            [20, 8, 5, 5],
+            [1, 2, 6, 9],
+        ]
+        .iter()
+        .enumerate()
+        {
+            let data = (0..shape.iter().product())
+                .map(|_| {
+                    if rng.gen_range(0..4) < i {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen::<f32>() - 0.5
+                    }
+                })
+                .collect();
+            inputs.push(Tensor::from_vec(data, shape));
+        }
+        for x in inputs {
+            let x = x.unwrap();
+            let (want, want_argmax) = reference_forward(&x, 2, 2);
+            let mut pool = lenet_pool();
+            let y = pool.forward(&[], &x, true).unwrap();
+            assert_eq!(bits(y.data()), bits(&want), "output {:?}", x.shape());
+            let (shape, argmax) = pool.cached.as_ref().unwrap();
+            assert_eq!((shape.as_slice(), argmax), (x.shape(), &want_argmax));
+            let y = lenet_pool().forward(&[], &x, false).unwrap();
+            assert_eq!(bits(y.data()), bits(&want), "eval {:?}", x.shape());
+        }
+    }
 
     #[test]
     fn pools_maximum_of_each_window() {
