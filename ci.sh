@@ -111,7 +111,16 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # their own tests; fedco-device -225 (`thermal.rs`, `jobscheduler.rs`,
 # `CpuUtilization`); fedco-fl -2; fedco-bench +6 (the conv2d cells draw their
 # parameters into a slice).
-LOC_CEILING=19082
+# 19082 -> 19070 with cheaper LeNet training steps (-12): fedco-neural -50 —
+# conv2d.rs -24 (stride, padding, the clipped-tap handling, `Tap` and the two
+# tap-range closures out; the per-plane hit list, `channel_walk` / `add_rows`
+# with their per-kernel table and a forward over one tap-offset table in),
+# maxpool2d.rs -28 (kernel, stride, `new` and `out_spatial` out; the 2x2
+# selects in), lenet.rs -6 (the two constructor calls), dense.rs +8 (the
+# transposed weight copy); fedco-bench +38 (the
+# `conv2d/accumulate_grads/compact-c1`, `maxpool2d/forward/compact-p1` and
+# `dense/backward/compact-fc1` ledger cells of `--bench neural`).
+LOC_CEILING=19070
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -147,6 +156,9 @@ cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
 rm -f "$BENCH_SMOKE_JSON"
 
 echo "==> fedco-neural kernel bit-equivalence in release (the vectorised code only exists there)"
+# Every layer's kernels against its old loops: the conv2d forward and hit-list
+# walk (pool-shaped gradients included), the 2x2 max-pool's selects (ties, ±0,
+# -inf, NaN), dense over signed zeros, Sgd.
 cargo test -q --offline --release -p fedco-neural reference_bits
 # The LeNet training golden (tiny / compact / lenet5 steps and client epochs),
 # for the same reason.
@@ -219,6 +231,9 @@ FEDCO_BENCH_MS=5 FEDCO_BENCH_JSON="$NEURAL_SMOKE_JSON" \
     timeout 300 cargo bench -q --offline -p fedco-bench --bench neural
 grep -q '"name":"conv2d/forward/compact-c1"' "$NEURAL_SMOKE_JSON" \
     || { echo "bench_neural wrote no conv2d JSON lines"; exit 1; }
+# The cell that times what training runs on conv1 (parameter gradients only).
+grep -q '"name":"conv2d/accumulate_grads/compact-c1"' "$NEURAL_SMOKE_JSON" \
+    || { echo "bench_neural wrote no conv2d/accumulate_grads/compact-c1 line"; exit 1; }
 cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
     --baseline BENCH_neural.json --current "$NEURAL_SMOKE_JSON" --threshold 0.3
 rm -f "$NEURAL_SMOKE_JSON"

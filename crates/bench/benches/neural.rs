@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the on-device training substrate: LeNet forward /
-//! forward+backward throughput, the two convolutions of the compact LeNet
-//! that Fig. 5 trains (the hot kernels), a hundred-example evaluation, and
+//! forward+backward throughput, the two convolutions, the first max-pool and
+//! the first dense layer of the compact LeNet that Fig. 5 trains (the hot
+//! kernels), a hundred-example evaluation, and
 //! the parameter arithmetic used for the 2.5 MB model exchange and the
 //! gradient-gap metric. `BENCH_neural.json` records one session per commit.
 
@@ -9,7 +10,7 @@ use std::hint::black_box;
 use fedco_bench::micro;
 use fedco_neural::data::SyntheticCifarConfig;
 use fedco_neural::layer::Layer;
-use fedco_neural::layers::Conv2d;
+use fedco_neural::layers::{Conv2d, Dense, MaxPool2d};
 use fedco_neural::lenet::LeNetConfig;
 use fedco_neural::loss::SoftmaxCrossEntropy;
 use fedco_neural::optimizer::Sgd;
@@ -53,29 +54,34 @@ fn bench_lenet() {
     }
 }
 
+/// `shape` filled with uniform draws from `[-0.5, 0.5)`.
+fn uniform(rng: &mut SmallRng, shape: &[usize]) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| rng.gen::<f32>() - 0.5)
+        .collect();
+    Tensor::from_vec(data, shape).unwrap()
+}
+
 /// The two convolutions of the compact LeNet on a batch of 20. The backward
 /// cells see a `grad_output` that is three-quarters exact zeros, which is
 /// what max-pooling followed by ReLU hands a convolution.
+/// `accumulate_grads/compact-c1` is what a training step runs on conv1: the
+/// parameter gradients only, at ≈ 15 % pool-shaped density.
 fn bench_conv2d() {
     micro::group("conv2d");
     for (name, in_channels, out_channels, side) in
         [("compact-c1", 3, 4, 16), ("compact-c2", 4, 8, 7)]
     {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut conv = Conv2d::new(in_channels, out_channels, 3, 1, 0);
+        let mut conv = Conv2d::new(in_channels, out_channels, 3);
         let mut params = vec![0.0; conv.param_len()];
         conv.init(&mut rng, &mut params);
         let mut grads = vec![0.0; params.len()];
-        let mut uniform = |shape: &[usize]| {
-            let len = shape.iter().product();
-            let data = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
-            Tensor::from_vec(data, shape).unwrap()
-        };
-        let x = uniform(&[20, in_channels, side, side]);
+        let x = uniform(&mut rng, &[20, in_channels, side, side]);
         micro::bench(&format!("conv2d/forward/{name}"), || {
             black_box(conv.forward(&params, black_box(&x), true).unwrap());
         });
-        let mut grad = uniform(&[20, out_channels, side - 2, side - 2]);
+        let mut grad = uniform(&mut rng, &[20, out_channels, side - 2, side - 2]);
         for (i, g) in grad.data_mut().iter_mut().enumerate() {
             if i % 4 != 0 {
                 *g = 0.0;
@@ -87,7 +93,50 @@ fn bench_conv2d() {
                     .unwrap(),
             );
         });
+        if name == "compact-c1" {
+            // What training hands conv1: a real pool backward's gradient, at
+            // most one non-zero per 2×2 window, in 60 % of them.
+            let mut pool = MaxPool2d::default();
+            pool.forward(&[], &uniform(&mut rng, grad.shape()), true)
+                .unwrap();
+            let upstream = uniform(&mut rng, &[20, out_channels, 7, 7]);
+            let upstream = upstream.map(|g| if g < 0.1 { g } else { 0.0 });
+            let grad = pool.backward(&[], &mut [], &upstream).unwrap();
+            micro::bench("conv2d/accumulate_grads/compact-c1", || {
+                conv.accumulate_grads(&params, &mut grads, black_box(&grad))
+                    .unwrap();
+            });
+        }
     }
+}
+
+/// The first max-pool and the first dense layer of the compact LeNet on a
+/// batch of 20: the pool's training forward (the one that records the
+/// argmax) on conv1's output, and fc1's backward with half of
+/// `grad_output` exact zeros, as ReLU leaves it.
+fn bench_pool_and_dense() {
+    micro::group("maxpool2d + dense");
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut pool = MaxPool2d::default();
+    let x = uniform(&mut rng, &[20, 4, 14, 14]);
+    micro::bench("maxpool2d/forward/compact-p1", || {
+        black_box(pool.forward(&[], black_box(&x), true).unwrap());
+    });
+    let mut dense = Dense::new(32, 48);
+    let mut params = vec![0.0; dense.param_len()];
+    dense.init(&mut rng, &mut params);
+    let mut grads = vec![0.0; params.len()];
+    dense
+        .forward(&params, &uniform(&mut rng, &[20, 32]), true)
+        .unwrap();
+    let grad = uniform(&mut rng, &[20, 48]).map(|g| g.max(0.0));
+    micro::bench("dense/backward/compact-fc1", || {
+        black_box(
+            dense
+                .backward(&params, &mut grads, black_box(&grad))
+                .unwrap(),
+        );
+    });
 }
 
 fn bench_param_vector() {
@@ -114,5 +163,6 @@ fn bench_param_vector() {
 fn main() {
     bench_lenet();
     bench_conv2d();
+    bench_pool_and_dense();
     bench_param_vector();
 }

@@ -6,13 +6,22 @@
 //! the `#[cfg(test)]` reference below): an output element is
 //! `acc = bias; acc += x·w` over the taps `(ic, ky, kx)` in ascending order,
 //! and a gradient element receives its `g·x` / `g·w` terms in ascending
-//! `(b, oc, oy, ox)` then `(ic, ky, kx)` order. The kernels may therefore be
-//! vectorised **across output positions** — `forward` applies one tap to a
-//! whole run of outputs at a time — but never across a reduction: no
-//! element's own sum is split, reassociated or fused into a multiply-add.
-//! A tap that falls into the zero padding is **skipped**, not added as
-//! `0·w`: adding `±0` would turn a `-0.0` accumulator into `+0.0` and
-//! `0·inf` into NaN.
+//! `(b, oc, oy, ox)` order, over the positions whose `g` is not zero. Each
+//! term is one multiply and one add: no element's own sum is split,
+//! reassociated or fused into a multiply-add. The kernels reorder only work
+//! that lands in different elements:
+//!
+//! - `forward` applies one tap to a whole output plane at a time.
+//! - The backward pass first collects a `(b, oc)` plane's non-zero
+//!   `grad_output` positions, its hit list (pooling and ReLU leave most of
+//!   the plane zero), and the bias sums over it. Then, per input channel,
+//!   the `K` rows of that channel's weight gradient stay in `K` local
+//!   `[f32; PW]` accumulators for the whole list (`PW` is `K` rounded up to
+//!   4): each hit adds `g` times a `PW`-wide read of an input row to each
+//!   row, and only the `K` real lanes are stored back. A hit whose last
+//!   `PW`-wide read would pass the end of the input reads its rows `K`
+//!   wide. The input gradient walks the same list, one `K`-wide kernel row
+//!   at a time beside the weight rows.
 
 use fedco_rng::RngCore;
 
@@ -20,75 +29,117 @@ use crate::init::he_normal;
 use crate::layer::{cache_for_backward, without_forward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
-/// 2-D convolution over `[batch, in_channels, height, width]` inputs.
+/// 2-D convolution with stride 1 and no padding over `[batch, in_channels,
+/// height, width]` inputs, as LeNet-5 uses it.
 ///
 /// The parameters are the weights, `[out_channels, in_channels, kernel,
-/// kernel]` row-major, then the `out_channels` biases. Square kernels,
-/// symmetric zero padding and a single stride value cover the LeNet-5
-/// configuration used by the paper.
+/// kernel]` row-major, then the `out_channels` biases.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    stride: usize,
-    padding: usize,
     cached_input: Option<Tensor>,
     /// `forward`'s accumulator for one output plane, kept between calls.
     rows: Vec<f32>,
+    /// The backward pass's hit list for one plane, kept between calls: the
+    /// input offset of each non-zero `grad_output` position, and its value.
+    hits: Vec<(usize, f32)>,
 }
 
-/// One kernel tap's share of `forward`: `runs` runs of `len` accumulators
-/// from `rows_at` (one `pitch` apart), fed from `input_at` within the
-/// example's planes (one strided input row apart).
-struct Tap {
-    weight_at: usize,
-    input_at: usize,
-    rows_at: usize,
-    runs: usize,
-    len: usize,
+/// `dst[i] += src[i] * weight`. Elements are independent, so the compiler is
+/// free to vectorise; each one still sees a single multiply followed by a
+/// single add.
+fn axpy(dst: &mut [f32], src: &[f32], weight: f32) {
+    let src = &src[..dst.len()];
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d += x * weight;
+    }
 }
 
-/// `dst[i] += src[i * step] * weight`. Elements are independent, so the
-/// compiler is free to vectorise; each one still sees a single multiply
-/// followed by a single add.
-fn axpy(dst: &mut [f32], src: &[f32], step: usize, weight: f32) {
-    let src = &src[..(dst.len() - 1) * step + 1];
-    if step == 1 {
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d += x * weight;
-        }
-    } else {
-        for (d, &x) in dst.iter_mut().zip(src.iter().step_by(step)) {
-            *d += x * weight;
+/// The input gradient of one channel and that channel's weights.
+type InputGrad<'a> = Option<(&'a mut [f32], &'a [f32])>;
+
+/// One input channel's share of a plane's backward pass.
+type ChannelWalk = fn(&mut [f32], &[f32], InputGrad, usize, &[(usize, f32)]);
+
+/// [`channel_walk`] for each kernel size a `Conv2d` takes, 1 to 5.
+const WALKS: [ChannelWalk; 5] = [
+    channel_walk::<1, 4>,
+    channel_walk::<2, 4>,
+    channel_walk::<3, 4>,
+    channel_walk::<4, 4>,
+    channel_walk::<5, 8>,
+];
+
+/// One input channel's share of a plane's backward pass, for a `K`×`K`
+/// kernel read `PW` lanes wide (see the module doc): `gw[ky·K + kx] += g ·
+/// x[at + ky·w + kx]` for every hit `(at, g)` in order, and, given the
+/// channel's input gradient and weights, `gi[at + ky·w + kx] += g ·
+/// w_c[ky·K + kx]`.
+fn channel_walk<const K: usize, const PW: usize>(
+    gw: &mut [f32],
+    x: &[f32],
+    mut input_grad: InputGrad,
+    w: usize,
+    hits: &[(usize, f32)],
+) {
+    let mut acc = [[0.0f32; PW]; K];
+    for (lanes, row) in acc.iter_mut().zip(gw.chunks_exact(K)) {
+        lanes[..K].copy_from_slice(row);
+    }
+    // Hits ascend in input offset, so those whose last row cannot be read
+    // `PW` wide are a tail.
+    let wide = hits.partition_point(|&(at, _)| at + (K - 1) * w + PW <= x.len());
+    add_rows::<K, PW, PW>(&mut acc, x, &mut input_grad, w, &hits[..wide]);
+    add_rows::<K, PW, K>(&mut acc, x, &mut input_grad, w, &hits[wide..]);
+    for (lanes, row) in acc.iter().zip(gw.chunks_exact_mut(K)) {
+        row.copy_from_slice(&lanes[..K]);
+    }
+}
+
+/// [`channel_walk`]'s loop over `hits`, reading the input rows `W` wide.
+fn add_rows<const K: usize, const PW: usize, const W: usize>(
+    acc: &mut [[f32; PW]; K],
+    x: &[f32],
+    input_grad: &mut InputGrad,
+    w: usize,
+    hits: &[(usize, f32)],
+) {
+    for &(at, g) in hits {
+        for (ky, lanes) in acc.iter_mut().enumerate() {
+            let row = at + ky * w;
+            for (a, &v) in lanes.iter_mut().zip(&x[row..][..W]) {
+                *a += g * v;
+            }
+            if let Some((gi, w_c)) = input_grad {
+                for (d, &wv) in gi[row..][..K].iter_mut().zip(&w_c[ky * K..][..K]) {
+                    *d += g * wv;
+                }
+            }
         }
     }
 }
 
 impl Conv2d {
-    /// Creates a convolution layer; [`Layer::init`] draws He-initialised
-    /// weights and zero biases.
+    /// Creates a convolution layer with a `kernel`×`kernel` window;
+    /// [`Layer::init`] draws He-initialised weights and zero biases.
     ///
     /// # Panics
     ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-    ) -> Self {
-        assert!(kernel > 0, "kernel size must be positive");
-        assert!(stride > 0, "stride must be positive");
+    /// Panics unless `kernel` is 1 to 5.
+    pub fn new(in_channels: usize, out_channels: usize, kernel: usize) -> Self {
+        assert!(
+            (1..=WALKS.len()).contains(&kernel),
+            "kernel size must be 1 to 5"
+        );
         Conv2d {
             in_channels,
             out_channels,
             kernel,
-            stride,
-            padding,
             cached_input: None,
             rows: Vec::new(),
+            hits: Vec::new(),
         }
     }
 
@@ -99,7 +150,7 @@ impl Conv2d {
 
     /// The backward pass; the input gradient is left empty unless wanted.
     fn backprop(
-        &self,
+        &mut self,
         params: &[f32],
         grads: &mut [f32],
         grad_output: &Tensor,
@@ -117,67 +168,41 @@ impl Conv2d {
                 op: "conv2d_backward",
             });
         }
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        // The taps of output position `o` that read real input rather than
-        // padding: `p <= o * s + tap < len + p`.
-        let taps_inside = |o: usize, len: usize| {
-            let hi = (len + p).saturating_sub(o * s).min(k);
-            p.saturating_sub(o * s).min(hi)..hi
-        };
-        // Every tap in weight order: its input offset from an output
-        // position's (padded) top-left corner, and its kernel row and column.
-        let taps: Vec<(usize, usize, usize)> = (0..in_channels * k * k)
-            .map(|t| (t / (k * k), t / k % k, t % k))
-            .map(|(ic, ky, kx)| ((ic * h + ky) * w + kx, ky, kx))
-            .collect();
-        let corner_to_origin = p * w + p;
-        let mut grad_input = Tensor::zeros(if input_grad { input.shape() } else { &[0] });
-        let gi = grad_input.data_mut();
-        let x = input.data();
-        let weight = &params[..self.weight_len()];
+        let (k, w, walk) = (self.kernel, input.shape()[3], WALKS[self.kernel - 1]);
+        let (plane_len, taps) = (input.shape()[2] * w, in_channels * k * k);
+        let mut grad_input = input_grad.then(|| Tensor::zeros(input.shape()));
+        let (x, weight) = (input.data(), &params[..self.weight_len()]);
         let (grad_weight, gb) = grads.split_at_mut(weight.len());
-        // Pooling and ReLU leave most of `grad_output` exactly zero, so this
-        // is a scalar walk over the non-zero positions. The terms of one
-        // position go to distinct gradient elements, so only the order of
-        // the positions is significant.
+        let hits = &mut self.hits;
+        hits.resize(oh * ow, (0, 0.0));
         for (plane, go) in grad_output.data().chunks(oh * ow).enumerate() {
             let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
-            let w_oc = &weight[oc * taps.len()..][..taps.len()];
-            let gw_oc = &mut grad_weight[oc * taps.len()..][..taps.len()];
+            // Every position is written and only a hit is kept, so the list
+            // takes no branch per position.
+            let mut n = 0;
             for (oy, go_row) in go.chunks(ow).enumerate() {
-                let kys = taps_inside(oy, h);
                 for (ox, &g) in go_row.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    gb[oc] += g;
-                    let kxs = taps_inside(ox, w);
-                    let clipped = kys.len() < k || kxs.len() < k;
-                    let corner = (b * in_channels * h + oy * s) * w + ox * s;
-                    for ((gw, &wv), &(offset, ky, kx)) in gw_oc.iter_mut().zip(w_oc).zip(&taps) {
-                        if clipped && !(kys.contains(&ky) && kxs.contains(&kx)) {
-                            continue;
-                        }
-                        let at = corner + offset - corner_to_origin;
-                        *gw += g * x[at];
-                        if input_grad {
-                            gi[at] += g * wv;
-                        }
-                    }
+                    hits[n] = (oy * w + ox, g);
+                    n += usize::from(g != 0.0);
                 }
             }
+            for &(_, g) in &hits[..n] {
+                gb[oc] += g;
+            }
+            let at = b * in_channels * plane_len;
+            let mut gi_b = grad_input.as_mut().map(|gi| &mut gi.data_mut()[at..]);
+            let gw_oc = grad_weight[oc * taps..][..taps].chunks_exact_mut(k * k);
+            let w_oc = weight[oc * taps..][..taps].chunks_exact(k * k);
+            for (ic, (gw, w_c)) in gw_oc.zip(w_oc).enumerate() {
+                let gi = gi_b
+                    .as_deref_mut()
+                    .map(|gi| (&mut gi[ic * plane_len..], w_c));
+                // The input on from the channel's plane: a wide read past its
+                // last row lands in lanes that are never stored.
+                walk(gw, &x[at + ic * plane_len..], gi, w, &hits[..n]);
+            }
         }
-        Ok(grad_input)
-    }
-
-    /// Output spatial size for an input spatial size.
-    fn out_dim(&self, input: usize) -> Option<usize> {
-        let padded = input + 2 * self.padding;
-        if padded < self.kernel {
-            return None;
-        }
-        Some((padded - self.kernel) / self.stride + 1)
+        Ok(grad_input.unwrap_or_else(|| Tensor::zeros(&[0])))
     }
 
     fn check_input(&self, shape: &[usize]) -> Result<(usize, usize, usize, usize), TensorError> {
@@ -195,17 +220,14 @@ impl Conv2d {
                 op: "conv2d_channels",
             });
         }
-        let (h, w) = (shape[2], shape[3]);
-        let oh = self.out_dim(h).ok_or(TensorError::ShapeMismatch {
-            lhs: shape.to_vec(),
-            rhs: vec![self.kernel],
-            op: "conv2d_kernel_larger_than_input",
-        })?;
-        let ow = self.out_dim(w).ok_or(TensorError::ShapeMismatch {
-            lhs: shape.to_vec(),
-            rhs: vec![self.kernel],
-            op: "conv2d_kernel_larger_than_input",
-        })?;
+        let out_dim = |len: usize| len.checked_sub(self.kernel).map(|d| d + 1);
+        let (Some(oh), Some(ow)) = (out_dim(shape[2]), out_dim(shape[3])) else {
+            return Err(TensorError::ShapeMismatch {
+                lhs: shape.to_vec(),
+                rhs: vec![self.kernel],
+                op: "conv2d_kernel_larger_than_input",
+            });
+        };
         Ok((shape[0], shape[1], oh, ow))
     }
 }
@@ -228,61 +250,26 @@ impl Layer for Conv2d {
         train: bool,
     ) -> Result<Tensor, TensorError> {
         let (batch, in_channels, oh, ow) = self.check_input(input.shape())?;
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        // The output positions along an axis whose tap `tap` reads real input
-        // rather than padding: `p <= o * s + tap < len + p`.
-        let outputs_inside = |tap: usize, len: usize, out_len: usize| {
-            let hi = (len + p).saturating_sub(tap).div_ceil(s).min(out_len);
-            p.saturating_sub(tap).div_ceil(s).min(hi)..hi
-        };
-        // One output plane is accumulated in rows `pitch` apart. With
-        // `pitch == w` the input element under a tap sits at a fixed offset
-        // plus `s` times the accumulator index, across row ends too.
-        let pitch = w.max(ow);
-        self.rows.resize((oh - 1) * pitch + ow, 0.0);
-        // Where each tap that reads any input lands, in weight order.
-        let mut taps = Vec::with_capacity(in_channels * k * k);
-        for (t, (ic, ky, kx)) in (0..in_channels * k * k)
-            .map(|t| (t / (k * k), t / k % k, t % k))
-            .enumerate()
-        {
-            let (oys, oxs) = (outputs_inside(ky, h, oh), outputs_inside(kx, w, ow));
-            if oys.is_empty() || oxs.is_empty() {
-                continue;
-            }
-            // A tap inside the input at every column covers its rows in one
-            // run, computing the never-copied-out columns `ow..w` on the way
-            // (such a tap implies `(ow - 1) * s < w`, so `pitch == w`); a
-            // clipped tap goes row by row.
-            let (runs, len) = if oxs.len() == ow {
-                (1, (oys.len() - 1) * pitch + ow)
-            } else {
-                (oys.len(), oxs.len())
-            };
-            taps.push(Tap {
-                weight_at: t,
-                input_at: (ic * h + oys.start * s + ky - p) * w + (oxs.start * s + kx - p),
-                rows_at: oys.start * pitch + oxs.start,
-                runs,
-                len,
-            });
-        }
+        let (h, w, k) = (input.shape()[2], input.shape()[3], self.kernel);
+        // One output plane is accumulated in rows `w` apart, so the input
+        // element under a tap sits at a fixed offset plus the accumulator
+        // index, across row ends too (computing the never-copied-out columns
+        // `ow..w` on the way).
+        self.rows.resize((oh - 1) * w + ow, 0.0);
+        // Each tap's offset into an example's planes, in weight order.
+        let taps: Vec<usize> = (0..in_channels * k)
+            .flat_map(|row| (0..k).map(move |kx| (row / k * h + row % k) * w + kx))
+            .collect();
         let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
         let (weight, bias) = params.split_at(self.weight_len());
         for (plane, out_plane) in out.data_mut().chunks_mut(oh * ow).enumerate() {
             let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
             let x_b = &input.data()[b * in_channels * h * w..][..in_channels * h * w];
-            let w_oc = &weight[oc * in_channels * k * k..][..in_channels * k * k];
             self.rows.fill(bias[oc]);
-            for tap in &taps {
-                for run in 0..tap.runs {
-                    let dst = &mut self.rows[tap.rows_at + run * pitch..][..tap.len];
-                    let src = &x_b[tap.input_at + run * s * w..];
-                    axpy(dst, src, s, w_oc[tap.weight_at]);
-                }
+            for (&at, &wv) in taps.iter().zip(&weight[oc * taps.len()..]) {
+                axpy(&mut self.rows, &x_b[at..], wv);
             }
-            for (out_row, row) in out_plane.chunks_mut(ow).zip(self.rows.chunks(pitch)) {
+            for (out_row, row) in out_plane.chunks_mut(ow).zip(self.rows.chunks(w)) {
                 out_row.copy_from_slice(&row[..ow]);
             }
         }
@@ -330,21 +317,11 @@ mod tests {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut acc = b_data[oc];
-                        let iy0 = oy * conv.stride;
-                        let ix0 = ox * conv.stride;
                         for ic in 0..conv.in_channels {
                             for ky in 0..k {
-                                let iy = iy0 + ky;
-                                if iy < conv.padding || iy >= h + conv.padding {
-                                    continue;
-                                }
-                                let iy = iy - conv.padding;
+                                let iy = oy + ky;
                                 for kx in 0..k {
-                                    let ix = ix0 + kx;
-                                    if ix < conv.padding || ix >= w + conv.padding {
-                                        continue;
-                                    }
-                                    let ix = ix - conv.padding;
+                                    let ix = ox + kx;
                                     let xin =
                                         in_data[((b * conv.in_channels + ic) * h + iy) * w + ix];
                                     let wv =
@@ -388,21 +365,11 @@ mod tests {
                             continue;
                         }
                         gb[oc] += g;
-                        let iy0 = oy * conv.stride;
-                        let ix0 = ox * conv.stride;
                         for ic in 0..conv.in_channels {
                             for ky in 0..k {
-                                let iy = iy0 + ky;
-                                if iy < conv.padding || iy >= h + conv.padding {
-                                    continue;
-                                }
-                                let iy = iy - conv.padding;
+                                let iy = oy + ky;
                                 for kx in 0..k {
-                                    let ix = ix0 + kx;
-                                    if ix < conv.padding || ix >= w + conv.padding {
-                                        continue;
-                                    }
-                                    let ix = ix - conv.padding;
+                                    let ix = ox + kx;
                                     let in_idx = ((b * conv.in_channels + ic) * h + iy) * w + ix;
                                     let w_idx = ((oc * conv.in_channels + ic) * k + ky) * k + kx;
                                     gw[w_idx] += g * in_data[in_idx];
@@ -419,18 +386,6 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// A layer with its parameters drawn from `seed`.
-    fn conv_with_params(
-        shape: (usize, usize, usize, usize, usize),
-        seed: u64,
-    ) -> (Conv2d, Vec<f32>) {
-        let (ic, oc, k, s, p) = shape;
-        let conv = Conv2d::new(ic, oc, k, s, p);
-        let mut params = vec![0.0; conv.param_len()];
-        conv.init(&mut SmallRng::seed_from_u64(seed), &mut params);
-        (conv, params)
     }
 
     #[test]
@@ -452,46 +407,42 @@ mod tests {
         };
         let mut cases = 0;
         for kernel in [1usize, 2, 3, 5] {
-            for stride in [1usize, 2] {
-                for padding in [0usize, 1, 2] {
-                    for batch in [1usize, 3] {
-                        let (ic, oc) = (1 + cases % 4, 1 + (cases / 4 + kernel) % 4);
-                        let (h, w) = (6 + cases % 3, 10 - cases % 2);
-                        cases += 1;
-                        let label =
-                            format!("k{kernel} s{stride} p{padding} b{batch} {ic}->{oc} {h}x{w}");
-                        let shape = (ic, oc, kernel, stride, padding);
-                        let (mut conv, mut params) = conv_with_params(shape, cases as u64);
-                        let at = params.len() - oc;
-                        params[at..].copy_from_slice(uniform(&[oc], 0.0).data());
-                        let new = || Conv2d::new(ic, oc, kernel, stride, padding);
-                        let (mut eval, mut params_only) = (new(), new());
-                        let x = uniform(&[batch, ic, h, w], 0.1);
-                        let y = conv.forward(&params, &x, true).unwrap();
-                        let want = reference_forward(&conv, &params, &x);
-                        assert_eq!(bits(y.data()), bits(want.data()), "forward {label}");
-                        let y_eval = eval.forward(&params, &x, false).unwrap();
-                        assert_eq!(bits(y_eval.data()), bits(want.data()), "eval {label}");
+            for _ in 0..6 {
+                for batch in [1usize, 3] {
+                    let (ic, oc) = (1 + cases % 4, 1 + (cases / 4 + kernel) % 4);
+                    let (h, w) = (6 + cases % 3, 10 - cases % 2);
+                    cases += 1;
+                    let label = format!("k{kernel} b{batch} {ic}->{oc} {h}x{w}");
+                    let (mut conv, mut params) = lenet_conv(ic, oc, kernel, cases as u64);
+                    let at = params.len() - oc;
+                    params[at..].copy_from_slice(uniform(&[oc], 0.0).data());
+                    let new = || Conv2d::new(ic, oc, kernel);
+                    let (mut eval, mut params_only) = (new(), new());
+                    let x = uniform(&[batch, ic, h, w], 0.1);
+                    let y = conv.forward(&params, &x, true).unwrap();
+                    let want = reference_forward(&conv, &params, &x);
+                    assert_eq!(bits(y.data()), bits(want.data()), "forward {label}");
+                    let y_eval = eval.forward(&params, &x, false).unwrap();
+                    assert_eq!(bits(y_eval.data()), bits(want.data()), "eval {label}");
 
-                        // Two backward passes without zeroing in between: the
-                        // second accumulates into non-zero gradients. Skipping
-                        // the input gradient changes no parameter gradient.
-                        let (mut grads, mut grads_only) = (vec![0.0; at + oc], vec![0.0; at + oc]);
-                        let mut gw = vec![0.0; at];
-                        let mut gb = vec![0.0; oc];
-                        params_only.forward(&params, &x, true).unwrap();
-                        for zero_share in [0.75, 0.4] {
-                            let g = uniform(y.shape(), zero_share);
-                            let gi = conv.backward(&params, &mut grads, &g).unwrap();
-                            params_only
-                                .accumulate_grads(&params, &mut grads_only, &g)
-                                .unwrap();
-                            let want = reference_backward(&conv, &params, &x, &g, &mut gw, &mut gb);
-                            assert_eq!(bits(gi.data()), bits(want.data()), "grad_input {label}");
-                            for got in [&grads, &grads_only] {
-                                assert_eq!(bits(&got[..at]), bits(&gw), "grad_weight {label}");
-                                assert_eq!(bits(&got[at..]), bits(&gb), "grad_bias {label}");
-                            }
+                    // Two backward passes without zeroing in between: the
+                    // second accumulates into non-zero gradients. Skipping
+                    // the input gradient changes no parameter gradient.
+                    let (mut grads, mut grads_only) = (vec![0.0; at + oc], vec![0.0; at + oc]);
+                    let mut gw = vec![0.0; at];
+                    let mut gb = vec![0.0; oc];
+                    params_only.forward(&params, &x, true).unwrap();
+                    for zero_share in [0.75, 0.4] {
+                        let g = uniform(y.shape(), zero_share);
+                        let gi = conv.backward(&params, &mut grads, &g).unwrap();
+                        params_only
+                            .accumulate_grads(&params, &mut grads_only, &g)
+                            .unwrap();
+                        let want = reference_backward(&conv, &params, &x, &g, &mut gw, &mut gb);
+                        assert_eq!(bits(gi.data()), bits(want.data()), "grad_input {label}");
+                        for got in [&grads, &grads_only] {
+                            assert_eq!(bits(&got[..at]), bits(&gw), "grad_weight {label}");
+                            assert_eq!(bits(&got[at..]), bits(&gb), "grad_bias {label}");
                         }
                     }
                 }
@@ -500,10 +451,12 @@ mod tests {
         assert_eq!(cases, 48);
     }
 
-    /// A stride-1, unpadded layer (the convolutions LeNet builds) with its
-    /// parameters drawn from `seed`.
+    /// A layer with its parameters drawn from `seed`.
     fn lenet_conv(ic: usize, oc: usize, k: usize, seed: u64) -> (Conv2d, Vec<f32>) {
-        conv_with_params((ic, oc, k, 1, 0), seed)
+        let conv = Conv2d::new(ic, oc, k);
+        let mut params = vec![0.0; conv.param_len()];
+        conv.init(&mut SmallRng::seed_from_u64(seed), &mut params);
+        (conv, params)
     }
 
     #[test]
@@ -581,7 +534,7 @@ mod tests {
 
     #[test]
     fn identity_kernel_passes_input_through() {
-        let mut conv = Conv2d::new(1, 1, 1, 1, 0);
+        let mut conv = Conv2d::new(1, 1, 1);
         let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 1, 3, 3]).unwrap();
         let y = conv.forward(&[1.0, 0.0], &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
@@ -590,7 +543,7 @@ mod tests {
 
     #[test]
     fn known_3x3_convolution() {
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0);
+        let mut conv = Conv2d::new(1, 1, 2);
         // Kernel [[1, 0], [0, 1]] sums the main diagonal of each 2x2 patch.
         let params = [1.0, 0.0, 0.0, 1.0, 0.0];
         let x = Tensor::from_vec(
@@ -604,19 +557,16 @@ mod tests {
     }
 
     #[test]
-    fn padding_and_stride_set_the_output_size() {
+    fn kernel_sets_the_output_size() {
         let out = |conv: Conv2d, shape: &[usize]| conv.check_input(shape).unwrap();
-        assert_eq!(out(Conv2d::new(1, 2, 3, 1, 1), &[4, 1, 8, 8]), (4, 1, 8, 8));
-        assert_eq!(
-            out(Conv2d::new(1, 2, 5, 1, 0), &[1, 1, 32, 32]),
-            (1, 1, 28, 28)
-        );
-        assert_eq!(out(Conv2d::new(3, 4, 3, 2, 0), &[2, 3, 9, 9]), (2, 3, 4, 4));
+        assert_eq!(out(Conv2d::new(1, 2, 3), &[4, 1, 8, 8]), (4, 1, 6, 6));
+        assert_eq!(out(Conv2d::new(1, 2, 5), &[1, 1, 32, 32]), (1, 1, 28, 28));
+        assert_eq!(out(Conv2d::new(3, 4, 3), &[2, 3, 9, 7]), (2, 3, 7, 5));
     }
 
     #[test]
     fn rejects_bad_shapes() {
-        let (mut conv, params) = conv_with_params((3, 4, 3, 1, 0), 0);
+        let (mut conv, params) = lenet_conv(3, 4, 3, 0);
         let mut forward = |shape: &[usize]| conv.forward(&params, &Tensor::zeros(shape), true);
         assert!(forward(&[1, 2, 8, 8]).is_err());
         assert!(forward(&[1, 3, 2, 2]).is_err());
@@ -625,7 +575,7 @@ mod tests {
 
     #[test]
     fn gradient_check_weights_and_input() {
-        let (mut conv, mut params) = conv_with_params((2, 2, 2, 1, 1), 11);
+        let (mut conv, mut params) = lenet_conv(2, 2, 2, 11);
         let mut rng = SmallRng::seed_from_u64(12);
         let x = (0..18).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
         let x = Tensor::from_vec(x, &[1, 2, 3, 3]).unwrap();
@@ -668,7 +618,7 @@ mod tests {
 
     #[test]
     fn bias_gradient_counts_output_elements() {
-        let (mut conv, params) = conv_with_params((1, 1, 2, 1, 0), 1);
+        let (mut conv, params) = lenet_conv(1, 1, 2, 1);
         let x = Tensor::from_vec(vec![1.0; 9], &[1, 1, 3, 3]).unwrap();
         let y = conv.forward(&params, &x, true).unwrap();
         let mut grads = vec![0.0; params.len()];
@@ -680,6 +630,6 @@ mod tests {
 
     #[test]
     fn param_len_is_correct() {
-        assert_eq!(Conv2d::new(3, 6, 5, 1, 0).param_len(), 6 * 3 * 5 * 5 + 6);
+        assert_eq!(Conv2d::new(3, 6, 5).param_len(), 6 * 3 * 5 * 5 + 6);
     }
 }

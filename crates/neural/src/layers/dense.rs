@@ -34,6 +34,8 @@ pub struct Dense {
     cached_input: Option<Tensor>,
     /// `backward`'s accumulator for one row of `xᵀ g`.
     row: Vec<f32>,
+    /// `backward`'s copy of `Wᵀ`, `[out_features, in_features]` row-major.
+    weight_t: Vec<f32>,
 }
 
 impl Dense {
@@ -45,6 +47,7 @@ impl Dense {
             out_features,
             cached_input: None,
             row: vec![0.0; out_features],
+            weight_t: vec![0.0; in_features * out_features],
         }
     }
 }
@@ -135,16 +138,22 @@ impl Layer for Dense {
                 *gw += acc;
             }
         }
-        // grad_bias += column sums of g; grad_input = g Wᵀ, reading W down
-        // its columns and skipping zero gradients.
+        // grad_bias += column sums of g; grad_input = g Wᵀ, reading a row of
+        // Wᵀ (a column of W) per gradient and skipping zero gradients.
+        for i in 0..n_in {
+            for j in 0..n_out {
+                self.weight_t[j * n_in + i] = weight[i * n_out + j];
+            }
+        }
         let mut grad_input = Tensor::zeros(&[batch, n_in]);
         for b in 0..batch {
             let gi_row = &mut grad_input.data_mut()[b * n_in..(b + 1) * n_in];
             for (j, &gv) in g[b * n_out..(b + 1) * n_out].iter().enumerate() {
                 grad_bias[j] += gv;
                 if gv != 0.0 {
-                    for (i, gi) in gi_row.iter_mut().enumerate() {
-                        *gi += gv * weight[i * n_out + j];
+                    let wt_row = &self.weight_t[j * n_in..(j + 1) * n_in];
+                    for (gi, &wv) in gi_row.iter_mut().zip(wt_row) {
+                        *gi += gv * wv;
                     }
                 }
             }

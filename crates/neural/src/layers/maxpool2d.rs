@@ -3,71 +3,38 @@
 use crate::layer::{without_forward, Layer};
 use crate::tensor::{Tensor, TensorError};
 
-/// Max pooling over non-overlapping (or strided) square windows of a
-/// `[batch, channels, height, width]` tensor.
-#[derive(Debug)]
+/// Max pooling over the 2×2 windows, stride 2, of a `[batch, channels,
+/// height, width]` tensor, as LeNet-5 uses it; an odd last row or column is
+/// left out. It has no parameters: build it with `MaxPool2d::default()`.
+#[derive(Debug, Default)]
 pub struct MaxPool2d {
-    kernel: usize,
-    stride: usize,
     /// The input shape and, per output element, the flat input index of its
     /// maximum, as left by the last training forward.
     cached: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
-    /// Creates a max-pooling layer with a square window and the given stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0, "kernel must be positive");
-        assert!(stride > 0, "stride must be positive");
-        MaxPool2d {
-            kernel,
-            stride,
-            cached: None,
-        }
-    }
-
-    fn out_spatial(&self, dim: usize) -> Option<usize> {
-        if dim < self.kernel {
-            return None;
-        }
-        Some((dim - self.kernel) / self.stride + 1)
-    }
-
-    fn check(&self, shape: &[usize]) -> Result<(usize, usize, usize, usize), TensorError> {
-        if shape.len() != 4 {
-            return Err(TensorError::RankMismatch {
+    fn check(shape: &[usize]) -> Result<(usize, usize, usize, usize), TensorError> {
+        match *shape {
+            [batch, channels, h, w] if h >= 2 && w >= 2 => Ok((batch, channels, h / 2, w / 2)),
+            [_, _, _, _] => Err(TensorError::ShapeMismatch {
+                lhs: shape.to_vec(),
+                rhs: vec![2],
+                op: "maxpool2d_window_too_large",
+            }),
+            _ => Err(TensorError::RankMismatch {
                 expected: 4,
                 actual: shape.len(),
                 op: "maxpool2d",
-            });
+            }),
         }
-        let oh = self
-            .out_spatial(shape[2])
-            .ok_or(TensorError::ShapeMismatch {
-                lhs: shape.to_vec(),
-                rhs: vec![self.kernel],
-                op: "maxpool2d_window_too_large",
-            })?;
-        let ow = self
-            .out_spatial(shape[3])
-            .ok_or(TensorError::ShapeMismatch {
-                lhs: shape.to_vec(),
-                rhs: vec![self.kernel],
-                op: "maxpool2d_window_too_large",
-            })?;
-        Ok((shape[0], shape[1], oh, ow))
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Result<Tensor, TensorError> {
-        let (batch, channels, oh, ow) = self.check(input.shape())?;
+        let (batch, channels, oh, ow) = Self::check(input.shape())?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
-        let (k, s) = (self.kernel, self.stride);
         let mut out = Tensor::zeros(&[batch, channels, oh, ow]);
         // A training pass reuses the last one's buffers; evaluation keeps none.
         let mut cached = train.then(|| self.cached.take().unwrap_or_default());
@@ -76,28 +43,28 @@ impl Layer for MaxPool2d {
             shape.extend_from_slice(input.shape());
             argmax.resize(out.len(), 0);
         }
-        let (data, out_data) = (input.data(), out.data_mut());
-        let mut o = 0;
-        for plane in 0..batch * channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    // A window with no value above -inf (all NaN, say) keeps
-                    // its own first element as the argmax, not element 0 of
-                    // the tensor, which is another example's.
-                    let first = (plane * h + oy * s) * w + ox * s;
-                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
-                    for at in (first..).step_by(w).take(k) {
-                        for (i, &v) in data[at..at + k].iter().enumerate() {
-                            if v > best {
-                                (best, best_idx) = (v, at + i);
-                            }
-                        }
-                    }
-                    out_data[o] = best;
-                    if let Some((_, argmax)) = cached.as_mut() {
-                        argmax[o] = best_idx;
-                    }
-                    o += 1;
+        for (r, out_row) in out.data_mut().chunks_mut(ow).enumerate() {
+            let top = (r / oh * h + r % oh * 2) * w;
+            let (upper, lower) = input.data()[top..][..2 * w].split_at(w);
+            let windows = upper.chunks_exact(2).zip(lower.chunks_exact(2));
+            for (ox, (out_v, (a, b))) in out_row.iter_mut().zip(windows).enumerate() {
+                // The four candidates in the window's row-major order, taken
+                // by select, not branch: `v > best` keeps the first maximum,
+                // and a window with nothing above -inf (all NaN, say) keeps
+                // its own first element as the argmax.
+                let at = top + 2 * ox;
+                let mut best = (f32::NEG_INFINITY, at);
+                for (v, i) in [
+                    (a[0], at),
+                    (a[1], at + 1),
+                    (b[0], at + w),
+                    (b[1], at + w + 1),
+                ] {
+                    best = if v > best.0 { (v, i) } else { best };
+                }
+                *out_v = best.0;
+                if let Some((_, argmax)) = cached.as_mut() {
+                    argmax[r * ow + ox] = best.1;
                 }
             }
         }
@@ -139,7 +106,7 @@ mod tests {
 
     /// The pooling LeNet builds: 2×2 windows with stride 2.
     fn lenet_pool() -> MaxPool2d {
-        MaxPool2d::new(2, 2)
+        MaxPool2d::default()
     }
 
     /// The generic window loop (`k`×`k` windows, stride `s`) this layer
@@ -221,7 +188,7 @@ mod tests {
 
     #[test]
     fn pools_maximum_of_each_window() {
-        let mut pool = MaxPool2d::new(2, 2);
+        let mut pool = MaxPool2d::default();
         let x = Tensor::from_vec(
             vec![
                 1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0, 9.0, 10.0, 13.0, 14.0, 11.0, 12.0, 15.0,
@@ -237,7 +204,7 @@ mod tests {
 
     #[test]
     fn backward_routes_gradient_to_argmax() {
-        let mut pool = MaxPool2d::new(2, 2);
+        let mut pool = MaxPool2d::default();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
         pool.forward(&[], &x, true).unwrap();
         let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
@@ -247,7 +214,7 @@ mod tests {
 
     #[test]
     fn all_nan_window_keeps_its_gradient_in_its_own_example() {
-        let mut pool = MaxPool2d::new(2, 2);
+        let mut pool = MaxPool2d::default();
         let nan = f32::NAN;
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan], &[2, 1, 2, 2]);
         pool.forward(&[], &x.unwrap(), true).unwrap();
@@ -261,38 +228,21 @@ mod tests {
 
     #[test]
     fn output_shape_matches_lenet_stages() {
-        let pool = MaxPool2d::new(2, 2);
-        assert_eq!(pool.check(&[1, 6, 28, 28]).unwrap(), (1, 6, 14, 14));
-        assert_eq!(pool.check(&[1, 16, 10, 10]).unwrap(), (1, 16, 5, 5));
+        let check = |shape: &[usize]| MaxPool2d::check(shape).unwrap();
+        assert_eq!(check(&[1, 6, 28, 28]), (1, 6, 14, 14));
+        assert_eq!(check(&[1, 16, 10, 10]), (1, 16, 5, 5));
+        assert_eq!(check(&[1, 8, 5, 5]), (1, 8, 2, 2));
     }
 
     #[test]
     fn rejects_small_inputs_and_wrong_rank() {
-        let mut pool = MaxPool2d::new(3, 3);
+        let mut pool = MaxPool2d::default();
         assert!(pool
-            .forward(&[], &Tensor::ones(&[1, 1, 2, 2]), true)
+            .forward(&[], &Tensor::ones(&[1, 1, 1, 2]), true)
             .is_err());
         assert!(pool.forward(&[], &Tensor::ones(&[1, 2, 2]), true).is_err());
         assert!(pool
             .backward(&[], &mut [], &Tensor::ones(&[1, 1, 1, 1]))
             .is_err());
-    }
-
-    #[test]
-    fn overlapping_stride_accumulates_gradients() {
-        let mut pool = MaxPool2d::new(2, 1);
-        // Max element (4.0) is in every window.
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 9.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-            &[1, 1, 3, 3],
-        )
-        .unwrap();
-        let y = pool.forward(&[], &x, true).unwrap();
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        let g = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = pool.backward(&[], &mut [], &g).unwrap();
-        // 9.0 at flat index 3 is the max of the two top windows.
-        assert_eq!(gx.data()[3], 2.0);
-        assert_eq!(gx.sum(), 4.0);
     }
 }

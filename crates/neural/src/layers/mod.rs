@@ -23,8 +23,8 @@ mod tests {
         let image = Tensor::ones(&[2, 1, 4, 4]);
         let row = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]).unwrap();
         let cases: Vec<(&str, Box<dyn Layer>, &Tensor)> = vec![
-            ("conv2d", Box::new(Conv2d::new(1, 2, 3, 1, 0)), &image),
-            ("maxpool2d", Box::new(MaxPool2d::new(2, 2)), &image),
+            ("conv2d", Box::new(Conv2d::new(1, 2, 3)), &image),
+            ("maxpool2d", Box::new(MaxPool2d::default()), &image),
             ("flatten", Box::new(Flatten::default()), &image),
             ("dense", Box::new(Dense::new(3, 2)), &row),
             ("relu", Box::new(Relu::default()), &row),

@@ -104,18 +104,12 @@ impl LeNetConfig {
     pub fn build<R: RngCore>(&self, rng: &mut R) -> Sequential {
         let k = self.conv_kernel();
         let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new(self.channels, self.conv1_channels, k, 1, 0)),
+            Box::new(Conv2d::new(self.channels, self.conv1_channels, k)),
             Box::new(Relu::default()),
-            Box::new(MaxPool2d::new(2, 2)),
-            Box::new(Conv2d::new(
-                self.conv1_channels,
-                self.conv2_channels,
-                k,
-                1,
-                0,
-            )),
+            Box::new(MaxPool2d::default()),
+            Box::new(Conv2d::new(self.conv1_channels, self.conv2_channels, k)),
             Box::new(Relu::default()),
-            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(MaxPool2d::default()),
             Box::new(Flatten::default()),
             Box::new(Dense::new(self.flattened_features(), self.fc1)),
             Box::new(Relu::default()),
