@@ -3,6 +3,9 @@
 //! heartbeat expiries and backpressure refusals — and the whole run,
 //! including the server's telemetry stream, is **byte-identical** across
 //! repeats. This is the determinism acceptance gate for the service stack.
+//! The goldens pin what those runs produce: the preset at seeds 42 and 7, the
+//! 7 500-device fleet `srv-churn` drives, and a queue far longer than its
+//! drain, where graceful leavers still hold queued updates.
 
 use fedco::prelude::*;
 use fedco::server::driver::{run_in_process, FleetDriverConfig};
@@ -94,6 +97,69 @@ fn world_churn_flows_from_scenario_into_the_soak_counters() {
     let calm = FleetDriverConfig::from_scenario(&calm_spec);
     let (calm_report, _) = run_in_process(&calm).expect("calm soak");
     assert_eq!(calm_report.world_dropouts, 0);
+}
+
+/// FNV-1a over `report.render()` followed by `events_to_jsonl(&events)`: the
+/// report, the model checksum and every server event of one in-process run.
+fn soak_hash(cfg: &FleetDriverConfig) -> u64 {
+    let (report, events) = run_in_process(cfg).expect("soak run");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in report
+        .render()
+        .bytes()
+        .chain(events_to_jsonl(&events).bytes())
+    {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn scenario_config(spec: &str) -> FleetDriverConfig {
+    let spec: ScenarioSpec = spec.parse().expect("soak spec");
+    FleetDriverConfig::from_scenario(&spec)
+}
+
+#[test]
+fn server_soak_preset_reproduces_its_golden() {
+    // The preset runs at seed 42.
+    let specs = ["server-soak", "server-soak:seed=7"];
+    let got = specs.map(|spec| soak_hash(&scenario_config(spec)));
+    assert_eq!(
+        got,
+        [0xd945_6daa_5072_0d2f, 0x64cc_9926_d6a8_55ca],
+        "{specs:?}: {got:#018x?}"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "seconds without optimisation; ci.sh runs it in --release"
+)]
+fn server_soak_at_7500_devices_reproduces_its_golden() {
+    let got = soak_hash(&scenario_config("server-soak:users=7500:seed=42"));
+    assert_eq!(got, 0x4e80_91af_af43_d710, "{got:#018x}");
+}
+
+#[test]
+fn a_queue_longer_than_its_drain_reproduces_its_golden() {
+    // 64 queued updates drained one a tick: an update waits far longer than
+    // a device lingers, so most graceful leavers still hold queued work.
+    let cfg = FleetDriverConfig {
+        devices: 400,
+        ticks: 600,
+        arrival_p: 0.05,
+        seed: 42,
+        model_len: 8,
+        max_sessions: 96,
+        queue_capacity: 64,
+        drain_per_tick: 1,
+        heartbeat_timeout_ticks: 12,
+        churn: ChurnSpec::Off,
+    };
+    let got = soak_hash(&cfg);
+    assert_eq!(got, 0xe335_82d7_7c9c_867c, "{got:#018x}");
 }
 
 #[test]
