@@ -38,7 +38,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -159,7 +159,8 @@ const READ_POLL: Duration = Duration::from_millis(250);
 #[derive(Debug)]
 struct Shared {
     core: Mutex<ServerCore>,
-    /// Set once, by the connection that answered `ShutdownOk`.
+    /// Set by the connection that answered `ShutdownOk`, or by the first
+    /// thread to find the core poisoned.
     stop: AtomicBool,
     /// Ends the ticker's timed wait (nobody listens when there is no ticker).
     stop_ticker: Sender<()>,
@@ -184,6 +185,18 @@ impl Shared {
         if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
             eprintln!("fedco-serve: could not wake the acceptor at {wake}: {e}");
         }
+    }
+
+    /// The core, or `None` once a thread has panicked holding it. The first
+    /// thread to find it poisoned says so and stops the service, which then
+    /// exits through its summary.
+    fn lock_core(&self) -> Option<MutexGuard<'_, ServerCore>> {
+        let core = self.core.lock().ok();
+        if core.is_none() && !self.stop.swap(true, Ordering::SeqCst) {
+            eprintln!("fedco-serve: a thread panicked holding the server core; shutting down");
+            self.shut_down();
+        }
+        core
     }
 }
 
@@ -218,12 +231,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let reply = {
-            let mut core = match shared.core.lock() {
-                Ok(core) => core,
-                Err(_) => return,
-            };
-            core.handle(msg)
+        let Some(reply) = shared.lock_core().map(|mut core| core.handle(msg)) else {
+            return;
         };
         if write_frame(&mut stream, &reply).is_err() {
             return;
@@ -338,8 +347,9 @@ fn run(args: Args) -> Result<(), String> {
         let every = Duration::from_millis(args.tick_ms);
         std::thread::spawn(move || {
             while ticker_stopped.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
-                if let Ok(mut core) = shared.core.lock() {
-                    core.advance_tick();
+                match shared.lock_core() {
+                    Some(mut core) => core.advance_tick(),
+                    None => break,
                 }
             }
         })
@@ -532,6 +542,27 @@ mod tests {
         // Both joins hang (and the test times out) if shutdown wakes nobody.
         serving.join().unwrap().unwrap();
         assert_eq!(ticker.join().unwrap(), Ok(()));
+        assert!(shared.stop.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_poisoned_core_closes_the_connection_and_stops_the_service() {
+        let mut acceptor = acceptor();
+        let shared = acceptor.shared.clone();
+        let poisoner = shared.clone();
+        let panicked = std::thread::spawn(move || {
+            let _core = poisoner.core.lock().unwrap();
+            panic!("a handler panicked holding the core");
+        })
+        .join();
+        assert!(panicked.is_err() && shared.core.is_poisoned());
+        let mut client = connect(&mut acceptor);
+        client
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        write_frame(&mut client, &Message::Hello { client: 1 }).unwrap();
+        // No reply: the connection closes, after the stop signal is raised.
+        assert!(read_frame(&mut client).is_err());
         assert!(shared.stop.load(Ordering::SeqCst));
     }
 }

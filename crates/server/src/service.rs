@@ -17,6 +17,14 @@
 //!   are drained (at most `drain_per_tick`) by [`ServerCore::advance_tick`];
 //!   a full queue sheds load with an explicit backpressure refusal instead
 //!   of buffering unboundedly.
+//!
+//! A request costs the same however much other sessions have queued: each
+//! session counts its own queued updates ([`Session::queued`]), and a
+//! `Leave` walks the queue to apply the leaver's work only when that count
+//! is above zero. A session that expires keeps its entries in the queue;
+//! they drain later as `unknown-session` refusals.
+//!
+//! [`Session::queued`]: crate::session::Session::queued
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -180,8 +188,10 @@ impl ServerCore {
         }
     }
 
-    /// Applies every queued update belonging to `session`, preserving the
-    /// queue order of everyone else's.
+    /// Applies every queued update belonging to `session` in queue order,
+    /// preserving the queue order of everyone else's. It rebuilds the whole
+    /// queue, so a `Leave` calls it only for a session whose `queued` count
+    /// says it has work there.
     fn flush_queued_for(&mut self, session: u64) {
         let mut mine = Vec::new();
         let drained = std::mem::take(&mut self.queue);
@@ -272,21 +282,22 @@ impl ServerCore {
                     }
                 }
             }
-            Message::Leave { session } => {
-                if self.registry.get(session).is_some() {
+            Message::Leave { session } => match self.registry.get(session).map(|s| s.queued) {
+                Some(queued) => {
                     // A graceful goodbye flushes the client's queued work
                     // first: accepted updates are only ever dropped when a
                     // session *vanishes* (expiry), never when it leaves.
-                    self.flush_queued_for(session);
+                    if queued > 0 {
+                        self.flush_queued_for(session);
+                    }
                     self.registry.leave(session);
                     self.counters.left += 1;
                     Message::LeaveOk
-                } else {
-                    Message::PushRefused {
-                        reason: Refusal::UnknownSession,
-                    }
                 }
-            }
+                None => Message::PushRefused {
+                    reason: Refusal::UnknownSession,
+                },
+            },
             Message::QueryNorm => Message::NormIs {
                 bits: self.server.momentum_norm().to_bits(),
             },
@@ -390,7 +401,7 @@ impl ServerCore {
         } else if self.queue.len() >= self.queue_capacity {
             self.refuse_push(session, Refusal::Backpressure)
         } else {
-            self.registry.touch(session, self.tick);
+            self.registry.record_queued(session, self.tick);
             self.queue.push_back((session, local));
             self.counters.pushes_queued += 1;
             Message::PushQueued {
@@ -428,17 +439,18 @@ impl ServerCore {
         }
     }
 
-    /// Decodes one frame, handles it, and encodes the reply — the whole
-    /// request path of both transports, so even the in-process channel
-    /// exercises the wire format end to end.
+    /// Decodes one frame, handles it, and encodes the reply into `reply`
+    /// (replacing what it held, reusing its allocation) — the in-process
+    /// channel's request path, so it exercises the wire format end to end.
     ///
     /// # Errors
     ///
-    /// Returns the [`WireError`] of a malformed request frame; the caller
-    /// (connection handler) decides whether to drop the connection.
-    pub fn handle_bytes(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+    /// Returns the [`WireError`] of a malformed request frame, leaving
+    /// `reply` untouched; the caller decides whether to drop the connection.
+    pub fn handle_bytes(&mut self, frame: &[u8], reply: &mut Vec<u8>) -> Result<(), WireError> {
         let msg = Message::from_frame(frame)?;
-        Ok(self.handle(msg).to_frame())
+        self.handle(msg).encode_into(reply);
+        Ok(())
     }
 }
 
@@ -456,6 +468,8 @@ fn wire_to_local(update: WireUpdate) -> LocalUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
     use fedco_telemetry::sink::BufferSink;
 
     fn core(queue_capacity: usize, drain: usize, max_sessions: usize) -> ServerCore {
@@ -702,22 +716,159 @@ mod tests {
         );
     }
 
+    /// [`ServerCore::handle`] with the `Leave` arm as it was before sessions
+    /// counted their queued updates: every graceful leave rebuilds the queue.
+    fn handle_reference(c: &mut ServerCore, msg: Message) -> Message {
+        let Message::Leave { session } = msg else {
+            return c.handle(msg);
+        };
+        let reply = if c.registry.get(session).is_some() {
+            c.flush_queued_for(session);
+            c.registry.leave(session);
+            c.counters.left += 1;
+            Message::LeaveOk
+        } else {
+            Message::PushRefused {
+                reason: Refusal::UnknownSession,
+            }
+        };
+        c.frames_handled += 1;
+        if c.tick_every > 0 && c.frames_handled % c.tick_every == 0 {
+            c.advance_tick();
+        }
+        reply
+    }
+
+    /// Every live session's `queued` count equals its entries in the queue.
+    fn assert_counts_match_the_queue(c: &ServerCore, live: &[u64], at: &str) {
+        for &id in live {
+            if let Some(s) = c.registry.get(id) {
+                let held = c.queue.iter().filter(|(owner, _)| *owner == id).count();
+                assert_eq!(s.queued, held as u64, "{at}: session {id}");
+            }
+        }
+    }
+
+    /// One request of the oracle's random mix, or `None` for a tick. The
+    /// session is one of the 16 most recent ids (404 is never a session);
+    /// `Shutdown` comes only `late`.
+    fn random_request(rng: &mut SmallRng, known: &[u64], late: bool) -> Option<Message> {
+        let session = known[known.len() - 1 - rng.gen_range(0..known.len().min(16))];
+        Some(match rng.gen_range(0..100u32) {
+            0..=14 => Message::Hello {
+                client: rng.gen_range(0..64u64),
+            },
+            15..=24 => Message::PullModel { session },
+            25..=54 => {
+                let len = if rng.gen_bool(0.05) { 3 } else { 4 };
+                Message::PushUpdate {
+                    session,
+                    update: WireUpdate {
+                        client: rng.gen_range(0..64u64),
+                        base_version: rng.gen_range(0..8u64),
+                        num_samples: rng.gen_range(1..64u64),
+                        train_loss_bits: rng.gen_range(0.0..4.0f32).to_bits(),
+                        train_accuracy_bits: rng.gen_range(0.0..1.0f32).to_bits(),
+                        params: (0..len).map(|_| rng.gen_range(-1.0..1.0f32)).collect(),
+                    },
+                }
+            }
+            55..=64 => Message::Heartbeat { session },
+            65..=79 => Message::Leave { session },
+            80..=84 => Message::QueryNorm,
+            99 if late => Message::Shutdown,
+            _ => return None,
+        })
+    }
+
+    #[test]
+    fn leave_flush_reference_bits() {
+        let (mut with_work, mut without_work) = (0u32, 0u32);
+        for seed in 0..6u64 {
+            // A queue far longer than its drain: updates wait dozens of
+            // ticks, so leavers often still hold some of them.
+            let [mut new, mut old] = [(); 2].map(|()| {
+                let mut c = ServerCore::new(ServerCoreConfig {
+                    session: SessionConfig {
+                        heartbeat_timeout_ticks: 6,
+                        max_sessions: 12,
+                    },
+                    queue_capacity: 48,
+                    drain_per_tick: 1,
+                    ..ServerCoreConfig::inline_with_model(ParamVector::zeros(4))
+                });
+                let sink = BufferSink::shared();
+                c.attach_telemetry(sink.clone());
+                (c, sink)
+            });
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut known, mut live) = (vec![404], Vec::new());
+            for step in 0..4_000 {
+                let at = format!("seed {seed} step {step}");
+                match random_request(&mut rng, &known, step >= 3_800) {
+                    None => {
+                        new.0.advance_tick();
+                        old.0.advance_tick();
+                    }
+                    Some(msg) => {
+                        if let Message::Leave { session } = msg {
+                            if new.0.registry.get(session).is_some() {
+                                match new.0.queue.iter().any(|(owner, _)| *owner == session) {
+                                    true => with_work += 1,
+                                    false => without_work += 1,
+                                }
+                            }
+                        }
+                        let reply = new.0.handle(msg.clone());
+                        assert_eq!(reply, handle_reference(&mut old.0, msg), "{at}");
+                        if let Message::Welcome { session, .. } = reply {
+                            known.push(session);
+                            live.push(session);
+                        }
+                    }
+                }
+                assert_eq!(new.0.counters(), old.0.counters(), "{at}");
+                assert_eq!(new.0.stats(), old.0.stats(), "{at}");
+                assert_eq!(new.0.queue_depth(), old.0.queue_depth(), "{at}");
+                assert_eq!(new.1.drain(), old.1.drain(), "{at}");
+                let [(v_new, p_new), (v_old, p_old)] = [&new.0, &old.0].map(ServerCore::model);
+                assert_eq!(v_new, v_old, "{at}");
+                let bits = |p: &ParamVector| p.values().iter().map(|v| v.to_bits()).collect();
+                let (b_new, b_old): (Vec<u32>, Vec<u32>) = (bits(&p_new), bits(&p_old));
+                assert_eq!(b_new, b_old, "{at}: model bits");
+                live.retain(|id| new.0.registry.get(*id).is_some());
+                assert_counts_match_the_queue(&new.0, &live, &at);
+                assert_counts_match_the_queue(&old.0, &live, &at);
+            }
+        }
+        assert!(with_work > 100, "only {with_work} leaves held queued work");
+        assert!(without_work > 100, "only {without_work} leaves held none");
+    }
+
     #[test]
     fn handle_bytes_round_trips_the_wire_and_auto_ticks() {
         let mut c = ServerCore::new(ServerCoreConfig {
             tick_every: 2,
             ..ServerCoreConfig::inline_with_model(ParamVector::zeros(2))
         });
-        let reply = c
-            .handle_bytes(&Message::Hello { client: 1 }.to_frame())
+        let mut reply = Vec::new();
+        c.handle_bytes(&Message::Hello { client: 1 }.to_frame(), &mut reply)
             .unwrap();
         assert!(matches!(
             Message::from_frame(&reply).unwrap(),
             Message::Welcome { .. }
         ));
         assert_eq!(c.tick(), 0);
-        c.handle_bytes(&Message::QueryStats.to_frame()).unwrap();
+        // A shorter reply replaces the longer one in the same buffer.
+        c.handle_bytes(&Message::QueryNorm.to_frame(), &mut reply)
+            .unwrap();
+        assert!(matches!(
+            Message::from_frame(&reply).unwrap(),
+            Message::NormIs { .. }
+        ));
         assert_eq!(c.tick(), 1, "auto-tick after every 2 frames");
-        assert!(c.handle_bytes(&[1, 2, 3]).is_err());
+        let before = reply.clone();
+        assert!(c.handle_bytes(&[1, 2, 3], &mut reply).is_err());
+        assert_eq!(reply, before, "a malformed frame leaves the reply alone");
     }
 }

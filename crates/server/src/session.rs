@@ -43,6 +43,11 @@ pub struct Session {
     pub last_pull_version: u64,
     /// Updates this session has had applied.
     pub pushes_applied: u64,
+    /// Updates of this session waiting in the service's ingress queue:
+    /// [`record_queued`](SessionRegistry::record_queued) counts one in,
+    /// [`record_drained`](SessionRegistry::record_drained) one out. A
+    /// `Leave` walks the queue only when this is above zero.
+    pub queued: u64,
 }
 
 /// Counters over the whole life of a registry/service — the soak report's
@@ -115,6 +120,7 @@ impl SessionRegistry {
                 last_seen_tick: now,
                 last_pull_version: model_version,
                 pushes_applied: 0,
+                queued: 0,
             },
         );
         Ok(id)
@@ -160,6 +166,18 @@ impl SessionRegistry {
         }
     }
 
+    /// Records a push entering the ingress queue (touches the session too).
+    pub fn record_queued(&mut self, session: u64, now: u64) -> bool {
+        match self.sessions.get_mut(&session) {
+            Some(s) => {
+                s.last_seen_tick = now;
+                s.queued += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Records a push applied from the ingress queue **without** touching
     /// the session: backlog drained by the server is not evidence the
     /// client is still alive, so it must not postpone heartbeat expiry.
@@ -167,6 +185,7 @@ impl SessionRegistry {
         match self.sessions.get_mut(&session) {
             Some(s) => {
                 s.pushes_applied += 1;
+                s.queued = s.queued.saturating_sub(1);
                 true
             }
             None => false,
@@ -252,5 +271,14 @@ mod tests {
         assert!(!r.record_pull(999, 0, 0));
         assert!(!r.record_push(999, 0));
         assert!(!r.touch(999, 0));
+        // A queued push touches the session; its drain does not.
+        assert!(r.record_queued(s, 5) && r.record_queued(s, 6));
+        assert!(r.record_drained(s));
+        let sess = r.get(s).unwrap();
+        assert_eq!(
+            (sess.queued, sess.pushes_applied, sess.last_seen_tick),
+            (1, 2, 6)
+        );
+        assert!(!r.record_queued(999, 0));
     }
 }

@@ -27,33 +27,41 @@ pub trait Transport: Send + std::fmt::Debug {
 }
 
 /// The deterministic in-process transport: requests go straight to a shared
-/// [`ServerCore`] as encoded frames.
+/// [`ServerCore`] as encoded frames. It keeps its last request frame and
+/// last reply frame and encodes the next ones into them, so a request
+/// allocates no frame.
 #[derive(Debug, Clone)]
 pub struct ChannelTransport {
     core: Arc<Mutex<ServerCore>>,
+    request: Vec<u8>,
+    reply: Vec<u8>,
 }
 
 impl ChannelTransport {
     /// Wraps a shared core.
     pub fn new(core: Arc<Mutex<ServerCore>>) -> Self {
-        ChannelTransport { core }
+        ChannelTransport {
+            core,
+            request: Vec::new(),
+            reply: Vec::new(),
+        }
     }
 
     /// The shared core (for owners that also drive ticks).
     pub fn core(&self) -> Arc<Mutex<ServerCore>> {
         self.core.clone()
     }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, ServerCore> {
-        // fedco-audit: allow(panic-surface): poisoned core mutex means a handler already panicked; propagate
-        self.core.lock().expect("server core mutex poisoned")
-    }
 }
 
 impl Transport for ChannelTransport {
     fn request(&mut self, msg: &Message) -> Result<Message, WireError> {
-        let reply = self.locked().handle_bytes(&msg.to_frame())?;
-        Message::from_frame(&reply)
+        msg.encode_into(&mut self.request);
+        self.core
+            .lock()
+            // fedco-audit: allow(panic-surface): poisoned core mutex means a handler already panicked; propagate
+            .expect("server core mutex poisoned")
+            .handle_bytes(&self.request, &mut self.reply)?;
+        Message::from_frame(&self.reply)
     }
 }
 
