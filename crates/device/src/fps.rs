@@ -178,6 +178,31 @@ mod tests {
     }
 
     #[test]
+    fn traces_reproduce_their_golden_bits() {
+        // FNV-1a of the `fps` bits of `FpsModel::new(app, 42).trace(250,
+        // corun)`, per app in `AppKind::ALL` order, alone then co-running.
+        // Captured before the jitter and dip parameters became constants.
+        // The model reads only the target FPS: 60 FPS apps share a pair.
+        const FPS_60: [u64; 2] = [0x22bc_3aab_6010_cadd, 0x9d43_5d39_927d_7087];
+        const FPS_30: [u64; 2] = [0x3910_ec88_cc1f_915d, 0x27f0_168c_18e6_9ae7];
+        const GOLDEN: [[u64; 2]; 8] = [
+            FPS_60, FPS_60, FPS_60, FPS_30, FPS_30, FPS_30, FPS_60, FPS_60,
+        ];
+        let actual = AppKind::ALL.map(|app| {
+            [false, true].map(|corun| {
+                FpsModel::new(app, 42)
+                    .trace(250, corun)
+                    .iter()
+                    .flat_map(|s| s.fps.to_bits().to_le_bytes())
+                    .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+            })
+        });
+        assert_eq!(actual, GOLDEN, "{actual:#x?}");
+    }
+
+    #[test]
     fn custom_config_is_respected() {
         let cfg = FpsModelConfig {
             base_jitter: 0.0,

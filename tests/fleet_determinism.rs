@@ -41,6 +41,43 @@ fn facade_sweep_is_worker_count_invariant() {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn mixed_axis_outputs_reproduce_their_golden_bytes() {
+    // FNV-1a of `to_csv` and `to_jsonl` of the untraced report (its
+    // wall-clock columns zeroed), then of the traced sweep's JSONL and its
+    // metrics JSONL. Captured before the executor's job queue became an
+    // atomic cursor.
+    const GOLDEN: [u64; 4] = [
+        0x7b51_349d_72fc_191c,
+        0x1ebd_96d1_f339_648c,
+        0xbb10_bb46_3465_7d1f,
+        0x74d7_583e_2764_71bd,
+    ];
+    let grid = grid();
+    for workers in [1, 3] {
+        let mut report = run_grid(&grid, workers);
+        for job in &mut report.jobs {
+            job.wall_ms = Measured(0.0);
+            job.slots_per_sec = Measured(0.0);
+        }
+        let (_, trace) = run_grid_traced(&grid, workers);
+        let actual = [
+            to_csv(&report),
+            to_jsonl(&report),
+            events_to_jsonl(&trace.events),
+            trace.metrics.to_jsonl(),
+        ]
+        .map(|bytes| fnv1a(bytes.as_bytes()));
+        assert_eq!(actual, GOLDEN, "{workers} worker(s): {actual:#x?}");
+    }
+}
+
 #[test]
 fn fleet_jobs_agree_with_direct_engine_runs() {
     // A fleet job is nothing more than `run_simulation` of its resolved
