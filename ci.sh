@@ -26,7 +26,10 @@ echo "==> audit allow annotations (ceilings, like the code size below: they fall
 # 34 -> 32 `panic-surface` with the training pool: the three
 # `receive_model(..).expect(..)` sites of the engine are one (`hand_model`), and
 # the pool takes its lock without one. No `wall-clock` allow was added.
-for ceiling in panic-surface:32 wall-clock:21; do
+# 32 -> 28 with the second copies gone (31 were in use): the fleet's
+# `JobQueue` took its two lock `expect`s with it (an atomic cursor needs no
+# lock) and `ShardedSink` its shard index.
+for ceiling in panic-surface:28 wall-clock:21; do
     rule="${ceiling%%:*}"
     allows="$(grep -rn --include='*.rs' "allow($rule)" crates src | wc -l)"
     [ "$allows" -le "${ceiling##*:}" ] \
@@ -128,7 +131,24 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # service.rs +2 (the `Leave` arm's `queued > 0` test, `handle_bytes` encoding
 # into the caller's buffer). The unconditional-flush `Leave` arm lives on
 # under `#[cfg(test)]` as the oracle, which this count skips.
-LOC_CEILING=19097
+# 19097 -> 18477 with one implementation of each model (-620): fedco-device
+# -268 (`cpu.rs` and `DeviceProfile::topology`, the `Battery` model down to
+# `capacity`, `FpsModelConfig` as four constants, `PowerSegment` and the
+# profiler's second constructor, time total and `reset`, six unused
+# `PowerState` / `PowerModel` / `AppKind` / `DeviceProfile` methods),
+# fedco-core -141 (`drift.rs`, `drift_for`, the queue and scheduler `reset`s
+# and `slots_elapsed`, ten `ScenarioSpec::with_*` builders that `set` now
+# inlines, `SimConfig::{with_world, with_ml}` and `synthetic_velocity_norm`),
+# fedco-telemetry -105 (`ShardedSink`, the metrics parser with its array
+# values, `SkipSpan`; the `fedco-trace` output through one locked stdout),
+# fedco-fl -53 (`GapAccumulator`, `predict_parameters`, `lag_since`,
+# `shard_size`, `MomentumTracker::reset`), fedco-sim -22 (the `experiment.rs`
+# re-export, `horizon_s`, `mean_update_gap`, `distinct_profiles`; the velocity
+# norm as an engine constant), fedco-server -17 (`retry_until`), fedco-fleet -14
+# (`JobQueue` for an atomic cursor, `run_grid_sequential`,
+# `rollups_for_scenario`, `with_scenarios`, `with_seeds`: -81; +68 in
+# `fleet_sweep` for a stdout whose closed reader ends the output, not the run).
+LOC_CEILING=18477
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -335,7 +355,16 @@ timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace
 timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace -- \
     diff "$TRACE_A" "$TRACE_B" >/dev/null \
     || { echo "fedco-trace diff found a divergence"; exit 1; }
-rm -f "$TRACE_A" "$TRACE_B" "$METRICS_A" "$METRICS_B"
+# A reader that stops early must end the output without a panic. Eight copies
+# of the trace make a CSV larger than a pipe holds, so the writer does meet the
+# closed pipe.
+TRACE_BIG=/tmp/fedco_trace_big.jsonl
+for _ in 1 2 3 4 5 6 7 8; do cat "$TRACE_A"; done >"$TRACE_BIG"
+( set -o pipefail
+  timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace -- \
+      csv "$TRACE_BIG" | head -n 1 >/dev/null ) \
+    || { echo "fedco-trace csv | head -n 1 failed"; exit 1; }
+rm -f "$TRACE_A" "$TRACE_B" "$METRICS_A" "$METRICS_B" "$TRACE_BIG"
 
 echo "==> fleet_sweep registry listings + bad-spec error paths"
 SCENARIO_LIST="$(timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- --list-scenarios)"

@@ -31,7 +31,7 @@ fn main() {
 
     micro::group("fleet_executor_32_jobs_5_users_300_slots");
     micro::bench("fleet_executor/sequential", || {
-        black_box(run_grid_sequential(&grid));
+        black_box(run_grid(&grid, 1));
     });
     micro::bench("fleet_executor/parallel_all_cores", || {
         black_box(run_grid(&grid, 0));

@@ -4,8 +4,7 @@
 //! It lives here in `fedco-core` (rather than in the simulator crate) so
 //! that declarative scenario descriptions ([`ScenarioSpec`](crate::scenario::ScenarioSpec))
 //! can [`build`](crate::scenario::ScenarioSpec::build) one without a
-//! dependency cycle; `fedco_sim::experiment` re-exports everything from
-//! here, so existing import paths keep working.
+//! dependency cycle.
 
 use crate::config::{SchedulerConfig, SchedulerConfigError};
 use crate::spec::{PolicySpec, PolicySpecError};
@@ -163,20 +162,17 @@ pub struct SimConfig {
     /// Record a trace point every this many slots.
     pub record_every_slots: u64,
     /// Optional real ML workload; when `None` the run is energy-only and the
-    /// gradient-gap dynamics use `synthetic_velocity_norm`.
+    /// gap predictor assumes a fixed momentum-vector norm.
     pub ml: Option<MlConfig>,
-    /// Momentum-vector norm assumed by the gap predictor in energy-only runs.
-    pub synthetic_velocity_norm: f32,
     /// Whether to charge the online controller's decision-computation energy
     /// (Table III) to the devices.
     pub decision_overhead: bool,
     /// Whether to record per-user gap traces (Fig. 5d).
     pub record_user_gaps: bool,
     /// Whether to materialize the time series (`trace`, `updates`,
-    /// `user_gaps`) and per-slot power segments. Disable for fleet-scale
-    /// sweeps: the run then keeps only O(users) state and the returned
-    /// `SimResult` carries empty series while all
-    /// scalar summaries (energy, updates, lag, accuracy, queues) are
+    /// `user_gaps`). Disable for fleet-scale sweeps: the run then keeps only
+    /// O(users) state and the returned `SimResult` carries empty series while
+    /// all scalar summaries (energy, updates, lag, accuracy, queues) are
     /// bit-identical to a recording run.
     pub collect_traces: bool,
     /// Optional transport link between the devices and the parameter
@@ -206,7 +202,6 @@ impl Default for SimConfig {
             devices: DeviceAssignment::RoundRobinTestbed,
             record_every_slots: 60,
             ml: None,
-            synthetic_velocity_norm: 2.0,
             decision_overhead: true,
             record_user_gaps: false,
             collect_traces: true,
@@ -289,13 +284,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with the ML workload enabled.
-    #[must_use]
-    pub fn with_ml(mut self, ml: MlConfig) -> Self {
-        self.ml = Some(ml);
-        self
-    }
-
     /// Returns a copy with a different seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -310,17 +298,9 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy living in a different world (arrival model, battery
-    /// lifecycles, churn, uplink compression).
-    #[must_use]
-    pub fn with_world(mut self, world: WorldConfig) -> Self {
-        self.world = world;
-        self
-    }
-
-    /// Returns a copy configured for summary-only execution: no time series,
-    /// no per-user gap samples, no power segments. This is what the fleet
-    /// runtime uses so sweeps never materialize traces.
+    /// Returns a copy configured for summary-only execution: no time series
+    /// and no per-user gap samples. This is what the fleet runtime uses so
+    /// sweeps never materialize traces.
     #[must_use]
     pub fn summary_only(mut self) -> Self {
         self.collect_traces = false;
@@ -475,14 +455,12 @@ mod tests {
             .with_v(1000.0)
             .with_staleness_bound(500.0)
             .with_arrival_probability(0.01)
-            .with_seed(7)
-            .with_ml(MlConfig::tiny());
+            .with_seed(7);
         assert_eq!(c.policy, PolicySpec::Offline);
         assert_eq!(c.scheduler.v, 1000.0);
         assert_eq!(c.scheduler.staleness_bound, 500.0);
         assert_eq!(c.arrival_probability, 0.01);
         assert_eq!(c.seed, 7);
-        assert!(c.ml.is_some());
         assert!(c.is_valid());
         assert!(SimConfig::small(PolicySpec::Online { v: None }).is_valid());
     }
@@ -720,16 +698,22 @@ mod tests {
         use fedco_world::prelude::*;
         let c = SimConfig::default();
         assert!(c.world.is_paper_default());
-        let compressed = SimConfig::default().with_world(WorldConfig {
-            compression: CompressionSpec::Ratio(0.25),
-            ..WorldConfig::default()
-        });
+        let compressed = SimConfig {
+            world: WorldConfig {
+                compression: CompressionSpec::Ratio(0.25),
+                ..WorldConfig::default()
+            },
+            ..SimConfig::default()
+        };
         assert!(compressed.is_valid());
         for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-            let c = SimConfig::default().with_world(WorldConfig {
-                compression: CompressionSpec::Ratio(bad),
-                ..WorldConfig::default()
-            });
+            let c = SimConfig {
+                world: WorldConfig {
+                    compression: CompressionSpec::Ratio(bad),
+                    ..WorldConfig::default()
+                },
+                ..SimConfig::default()
+            };
             match c.validate() {
                 Err(ConfigError::CompressionRatioOutOfRange(v)) => {
                     assert!(v.is_nan() == bad.is_nan() && (v.is_nan() || v == bad));

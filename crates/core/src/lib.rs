@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod drift;
 pub mod experiment;
 pub mod offline;
 pub mod online;
@@ -53,7 +52,6 @@ pub mod spec;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::config::{SchedulerConfig, SchedulerConfigError};
-    pub use crate::drift::DriftBound;
     pub use crate::experiment::{
         ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
     };

@@ -111,7 +111,6 @@ pub struct SlotOutcome {
 pub struct OnlineScheduler {
     config: SchedulerConfig,
     queues: QueueState,
-    slots_elapsed: u64,
 }
 
 impl OnlineScheduler {
@@ -120,7 +119,6 @@ impl OnlineScheduler {
         OnlineScheduler {
             config,
             queues: QueueState::new(),
-            slots_elapsed: 0,
         }
     }
 
@@ -137,11 +135,6 @@ impl OnlineScheduler {
     /// Current virtual-queue backlog `H(t)`.
     pub fn virtual_backlog(&self) -> f64 {
         self.queues.staleness.backlog()
-    }
-
-    /// Number of completed slots.
-    pub fn slots_elapsed(&self) -> u64 {
-        self.slots_elapsed
     }
 
     /// Evaluates the Eq.-21 objective for both candidate decisions.
@@ -186,18 +179,11 @@ impl OnlineScheduler {
             outcome.gap_sum,
             self.config.staleness_bound,
         );
-        self.slots_elapsed += 1;
     }
 
     /// The current Lyapunov function value `L(Θ(t))`.
     pub fn lyapunov(&self) -> f64 {
         self.queues.lyapunov()
-    }
-
-    /// Resets the queues and the slot counter.
-    pub fn reset(&mut self) {
-        self.queues = QueueState::new();
-        self.slots_elapsed = 0;
     }
 }
 
@@ -336,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn end_of_slot_advances_queues_and_counter() {
+    fn end_of_slot_advances_queues() {
         let mut sched = OnlineScheduler::new(SchedulerConfig::default());
         sched.end_of_slot(&SlotOutcome {
             arrivals: 3,
@@ -345,11 +331,7 @@ mod tests {
         });
         assert_eq!(sched.queue_backlog(), 3.0);
         assert_eq!(sched.virtual_backlog(), 200.0);
-        assert_eq!(sched.slots_elapsed(), 1);
         assert!(sched.lyapunov() > 0.0);
-        sched.reset();
-        assert_eq!(sched.slots_elapsed(), 0);
-        assert_eq!(sched.lyapunov(), 0.0);
         assert!(sched.config().is_valid());
     }
 

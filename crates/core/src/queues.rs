@@ -35,11 +35,6 @@ impl TaskQueue {
         self.backlog = (self.backlog - services).max(0.0) + arrivals;
         self.backlog
     }
-
-    /// Resets the queue to empty.
-    pub fn reset(&mut self) {
-        self.backlog = 0.0;
-    }
 }
 
 /// The virtual staleness queue `H(t)` of Eq. (16).
@@ -66,11 +61,6 @@ impl VirtualQueue {
         self.backlog = (self.backlog + gap_sum.max(0.0) - staleness_bound.max(0.0)).max(0.0);
         self.backlog
     }
-
-    /// Resets the queue to empty.
-    pub fn reset(&mut self) {
-        self.backlog = 0.0;
-    }
 }
 
 /// The concatenated queue state `Θ(t) = [Q(t), H(t)]` with its Lyapunov
@@ -95,22 +85,6 @@ impl QueueState {
     /// The Lyapunov function `L(Θ(t)) = ½(Q(t)² + H(t)²)`.
     pub fn lyapunov(&self) -> f64 {
         0.5 * (self.task.backlog().powi(2) + self.staleness.backlog().powi(2))
-    }
-
-    /// The one-slot Lyapunov drift produced by applying the given arrivals,
-    /// services and gap sum (Eq. 18, evaluated on realised values rather than
-    /// expectations).
-    pub fn drift_for(
-        &self,
-        arrivals: f64,
-        services: f64,
-        gap_sum: f64,
-        staleness_bound: f64,
-    ) -> f64 {
-        let mut next = *self;
-        next.task.step(arrivals, services);
-        next.staleness.step(gap_sum, staleness_bound);
-        next.lyapunov() - self.lyapunov()
     }
 
     /// Advances both queues one slot and returns the new `(Q, H)`.
@@ -143,8 +117,6 @@ mod tests {
         // Service in excess of backlog clamps at zero before arrivals.
         q.step(5.0, 100.0);
         assert_eq!(q.backlog(), 5.0);
-        q.reset();
-        assert_eq!(q.backlog(), 0.0);
     }
 
     #[test]
@@ -168,8 +140,6 @@ mod tests {
         assert_eq!(h.backlog(), 0.0);
         h.step(500.0, 100.0);
         assert_eq!(h.backlog(), 400.0);
-        h.reset();
-        assert_eq!(h.backlog(), 0.0);
     }
 
     #[test]
@@ -182,25 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn lyapunov_function_and_drift() {
+    fn lyapunov_function() {
         let mut s = QueueState::new();
         assert_eq!(s.lyapunov(), 0.0);
         s.step(3.0, 0.0, 200.0, 100.0);
         // Q = 3, H = 100 -> L = 0.5*(9 + 10000)
         assert!((s.lyapunov() - 0.5 * (9.0 + 10_000.0)).abs() < 1e-9);
-        // Drift of a hypothetical slot is L(next) - L(now).
-        let drift = s.drift_for(0.0, 3.0, 0.0, 100.0);
-        assert!(drift < 0.0, "serving and draining should reduce congestion");
-    }
-
-    #[test]
-    fn drift_matches_manual_computation() {
-        let mut s = QueueState::new();
-        s.step(2.0, 0.0, 120.0, 100.0); // Q=2, H=20
-        let before = s.lyapunov();
-        let drift = s.drift_for(1.0, 1.0, 150.0, 100.0);
-        let mut copy = s;
-        copy.step(1.0, 1.0, 150.0, 100.0);
-        assert!((drift - (copy.lyapunov() - before)).abs() < 1e-9);
     }
 }

@@ -191,10 +191,10 @@ pub const FIELD_KEYS: [&str; 18] = [
 /// independent sweep axes, and [`ScenarioSpec::build_with_policy`] crosses
 /// them at the last moment. Construct specs from the registry
 /// ([`ScenarioSpec::preset`], `FromStr`), from a scenario file
-/// ([`parse_scenario_file`]) or via the `with_*` builders; the field
-/// values themselves are read-only accessors so the recorded overrides —
-/// and with them the [`label`](ScenarioSpec::label) that keys every report
-/// row — can never drift out of sync with the fields.
+/// ([`parse_scenario_file`]) or via [`ScenarioSpec::set`] and the `with_*`
+/// builders; the field values themselves are read-only accessors so the
+/// recorded overrides — and with them the [`label`](ScenarioSpec::label)
+/// that keys every report row — can never drift out of sync with the fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     name: String,
@@ -515,54 +515,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Returns a copy with a different arrival process.
-    #[must_use]
-    pub fn with_arrival(mut self, arrival: ArrivalSpec) -> Self {
-        self.arrival = arrival;
-        self.record("arrival", arrival.label().to_string());
-        self
-    }
-
-    /// Returns a copy with a different battery lifecycle.
-    #[must_use]
-    pub fn with_battery(mut self, battery: BatterySpec) -> Self {
-        self.battery = battery;
-        self.record("battery", battery.label().to_string());
-        self
-    }
-
-    /// Returns a copy with a different churn model.
-    #[must_use]
-    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = churn;
-        self.record("churn", churn.label().to_string());
-        self
-    }
-
-    /// Returns a copy with a different uplink-compression policy.
-    #[must_use]
-    pub fn with_compress(mut self, compress: CompressionSpec) -> Self {
-        self.compress = compress;
-        self.record("compress", compress.label());
-        self
-    }
-
-    /// Returns a copy with a different device assignment.
-    #[must_use]
-    pub fn with_devices(mut self, devices: DeviceAssignment) -> Self {
-        self.record("devices", devices_token(&devices));
-        self.devices = devices;
-        self
-    }
-
-    /// Returns a copy with a different transport link.
-    #[must_use]
-    pub fn with_link(mut self, link: LinkKind) -> Self {
-        self.link = link;
-        self.record("link", link.label().to_string());
-        self
-    }
-
     /// Returns a copy with a different base seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -592,38 +544,6 @@ impl ScenarioSpec {
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.scheduler.epsilon = epsilon;
         self.record("epsilon", epsilon.to_string());
-        self
-    }
-
-    /// Returns a copy with a different ML workload mode.
-    #[must_use]
-    pub fn with_ml(mut self, ml: MlMode) -> Self {
-        self.ml = ml;
-        self.record("ml", ml.label().to_string());
-        self
-    }
-
-    /// Returns a copy with a different trace-recording cadence.
-    #[must_use]
-    pub fn with_record_every(mut self, record_every: u64) -> Self {
-        self.record_every = record_every;
-        self.record("record_every", record_every.to_string());
-        self
-    }
-
-    /// Returns a copy with trace materialization switched on or off.
-    #[must_use]
-    pub fn with_traces(mut self, traces: bool) -> Self {
-        self.traces = traces;
-        self.record("traces", on_off(traces).to_string());
-        self
-    }
-
-    /// Returns a copy with the decision-energy overhead switched on or off.
-    #[must_use]
-    pub fn with_decision_overhead(mut self, overhead: bool) -> Self {
-        self.overhead = overhead;
-        self.record("overhead", on_off(overhead).to_string());
         self
     }
 
@@ -684,29 +604,29 @@ impl ScenarioSpec {
                 *self = self.clone().with_arrival_p(x);
             }
             "arrival" => {
-                let arrival = ArrivalSpec::parse(value).map_err(bad)?;
-                *self = self.clone().with_arrival(arrival);
+                self.arrival = ArrivalSpec::parse(value).map_err(bad)?;
+                self.record("arrival", self.arrival.label().to_string());
             }
             "battery" => {
-                let battery = BatterySpec::parse(value).map_err(bad)?;
-                *self = self.clone().with_battery(battery);
+                self.battery = BatterySpec::parse(value).map_err(bad)?;
+                self.record("battery", self.battery.label().to_string());
             }
             "churn" => {
-                let churn = ChurnSpec::parse(value).map_err(bad)?;
-                *self = self.clone().with_churn(churn);
+                self.churn = ChurnSpec::parse(value).map_err(bad)?;
+                self.record("churn", self.churn.label().to_string());
             }
             "compress" => {
-                let compress = CompressionSpec::parse(value).map_err(bad)?;
-                *self = self.clone().with_compress(compress);
+                self.compress = CompressionSpec::parse(value).map_err(bad)?;
+                self.record("compress", self.compress.label());
             }
             "devices" => {
-                let devices = parse_devices(value).map_err(bad)?;
-                *self = self.clone().with_devices(devices);
+                self.devices = parse_devices(value).map_err(bad)?;
+                self.record("devices", devices_token(&self.devices));
             }
             "link" => {
-                let link = LinkKind::by_name(value)
+                self.link = LinkKind::by_name(value)
                     .ok_or_else(|| bad("valid links: ideal, wifi, lte".into()))?;
-                *self = self.clone().with_link(link);
+                self.record("link", self.link.label().to_string());
             }
             "seed" => {
                 let n = value.parse::<u64>().map_err(|e| bad(e.to_string()))?;
@@ -734,22 +654,25 @@ impl ScenarioSpec {
                 *self = self.clone().with_epsilon(x);
             }
             "ml" => {
-                let ml = MlMode::by_name(value)
+                self.ml = MlMode::by_name(value)
                     .ok_or_else(|| bad("valid modes: off, tiny, full".into()))?;
-                *self = self.clone().with_ml(ml);
+                self.record("ml", self.ml.label().to_string());
             }
             "record_every" => {
                 let n = value.parse::<u64>().map_err(|e| bad(e.to_string()))?;
                 if n == 0 {
                     return Err(bad("must be at least 1".into()));
                 }
-                *self = self.clone().with_record_every(n);
+                self.record_every = n;
+                self.record("record_every", n.to_string());
             }
-            "traces" => *self = self.clone().with_traces(parse_on_off(value).map_err(bad)?),
+            "traces" => {
+                self.traces = parse_on_off(value).map_err(bad)?;
+                self.record("traces", on_off(self.traces).to_string());
+            }
             "overhead" => {
-                *self = self
-                    .clone()
-                    .with_decision_overhead(parse_on_off(value).map_err(bad)?)
+                self.overhead = parse_on_off(value).map_err(bad)?;
+                self.record("overhead", on_off(self.overhead).to_string());
             }
             other => {
                 return Err(ParseScenarioError(format!(
@@ -776,7 +699,6 @@ impl ScenarioSpec {
             devices: self.devices.clone(),
             record_every_slots: self.record_every,
             ml: self.ml.config(),
-            synthetic_velocity_norm: 2.0,
             decision_overhead: self.overhead,
             record_user_gaps: false,
             collect_traces: self.traces,
@@ -1085,11 +1007,11 @@ mod tests {
 
     #[test]
     fn builders_record_overrides_in_the_label() {
-        let spec = ScenarioSpec::preset("paper-default")
+        let mut spec = ScenarioSpec::preset("paper-default")
             .expect("preset")
             .with_users(50)
-            .with_arrival_p(0.005)
-            .with_link(LinkKind::Lte);
+            .with_arrival_p(0.005);
+        spec.set("link", "lte").expect("valid link");
         assert_eq!(
             spec.label(),
             "paper-default:users=50:arrival_p=0.005:link=lte"

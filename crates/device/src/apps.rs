@@ -53,15 +53,6 @@ impl AppKind {
         }
     }
 
-    /// Whether the application is a compute-intensive game.
-    ///
-    /// Observation 2 in the paper: intensive applications (gaming) slow the
-    /// training task by 10–15 % due to resource contention, while lightweight
-    /// applications (news, browsing) do not.
-    pub fn is_intensive(self) -> bool {
-        matches!(self, AppKind::CandyCrush | AppKind::Angrybird)
-    }
-
     /// Nominal foreground frame-rate target in frames per second, used by
     /// the FPS model (Fig. 2: Angry Birds renders at ~60 FPS, TikTok at ~30).
     pub fn target_fps(self) -> f64 {
@@ -129,14 +120,6 @@ mod tests {
     fn names_match_table_ii() {
         assert_eq!(AppKind::Map.name(), "Map");
         assert_eq!(AppKind::CandyCrush.to_string(), "CandyCrush");
-    }
-
-    #[test]
-    fn games_are_intensive() {
-        assert!(AppKind::CandyCrush.is_intensive());
-        assert!(AppKind::Angrybird.is_intensive());
-        assert!(!AppKind::News.is_intensive());
-        assert!(!AppKind::Zoom.is_intensive());
     }
 
     #[test]

@@ -12,30 +12,15 @@ use fedco_rng::{Rng, SeedableRng};
 
 use crate::apps::AppKind;
 
-/// Configuration of the FPS trace generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FpsModelConfig {
-    /// Standard deviation of per-second jitter as a fraction of target FPS
-    /// when the app runs alone.
-    pub base_jitter: f64,
-    /// Additional jitter fraction while co-running with training.
-    pub corun_extra_jitter: f64,
-    /// Probability of a transient dropped-frame dip in any given second.
-    pub dip_probability: f64,
-    /// Depth of a dip as a fraction of the target FPS.
-    pub dip_depth: f64,
-}
-
-impl Default for FpsModelConfig {
-    fn default() -> Self {
-        FpsModelConfig {
-            base_jitter: 0.04,
-            corun_extra_jitter: 0.03,
-            dip_probability: 0.02,
-            dip_depth: 0.5,
-        }
-    }
-}
+/// Half-width of the per-second jitter as a fraction of the target FPS when
+/// the app runs alone.
+const BASE_JITTER: f64 = 0.04;
+/// Additional jitter fraction while co-running with training.
+const CORUN_EXTRA_JITTER: f64 = 0.03;
+/// Probability of a transient dropped-frame dip in any given second.
+const DIP_PROBABILITY: f64 = 0.02;
+/// Depth of a dip as a fraction of the target FPS.
+const DIP_DEPTH: f64 = 0.5;
 
 /// A per-second FPS sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +35,6 @@ pub struct FpsSample {
 #[derive(Debug, Clone)]
 pub struct FpsModel {
     app: AppKind,
-    config: FpsModelConfig,
     rng: SmallRng,
 }
 
@@ -59,16 +43,6 @@ impl FpsModel {
     pub fn new(app: AppKind, seed: u64) -> Self {
         FpsModel {
             app,
-            config: FpsModelConfig::default(),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Creates a model with a custom configuration.
-    pub fn with_config(app: AppKind, config: FpsModelConfig, seed: u64) -> Self {
-        FpsModel {
-            app,
-            config,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -84,16 +58,16 @@ impl FpsModel {
     pub fn trace(&mut self, duration_s: usize, corunning: bool) -> Vec<FpsSample> {
         let target = self.app.target_fps();
         let jitter = if corunning {
-            self.config.base_jitter + self.config.corun_extra_jitter
+            BASE_JITTER + CORUN_EXTRA_JITTER
         } else {
-            self.config.base_jitter
+            BASE_JITTER
         };
         (0..duration_s)
             .map(|t| {
                 let noise: f64 = (self.rng.gen::<f64>() - 0.5) * 2.0 * jitter * target;
                 let mut fps = target + noise;
-                if self.rng.gen::<f64>() < self.config.dip_probability {
-                    fps *= 1.0 - self.config.dip_depth;
+                if self.rng.gen::<f64>() < DIP_PROBABILITY {
+                    fps *= 1.0 - DIP_DEPTH;
                 }
                 FpsSample {
                     t: t as f64,
@@ -109,17 +83,6 @@ impl FpsModel {
             return 0.0;
         }
         trace.iter().map(|s| s.fps).sum::<f64>() / trace.len() as f64
-    }
-
-    /// Relative difference between mean FPS with and without co-running, as
-    /// observed by the user: `(alone - corun) / alone`.
-    pub fn perceived_slowdown(&mut self, duration_s: usize) -> f64 {
-        let alone = Self::mean_fps(&self.trace(duration_s, false));
-        let corun = Self::mean_fps(&self.trace(duration_s, true));
-        if alone <= 0.0 {
-            return 0.0;
-        }
-        (alone - corun) / alone
     }
 }
 
@@ -147,15 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn perceived_slowdown_is_negligible() {
-        let mut model = FpsModel::new(AppKind::Angrybird, 7);
-        let slowdown = model.perceived_slowdown(200);
-        assert!(slowdown.abs() < 0.05, "slowdown {slowdown}");
-    }
-
-    #[test]
     fn trace_has_requested_length_and_valid_values() {
         let mut model = FpsModel::new(AppKind::Tiktok, 3);
+        assert_eq!(model.app(), AppKind::Tiktok);
         let trace = model.trace(100, true);
         assert_eq!(trace.len(), 100);
         for (i, s) in trace.iter().enumerate() {
@@ -200,21 +157,5 @@ mod tests {
             })
         });
         assert_eq!(actual, GOLDEN, "{actual:#x?}");
-    }
-
-    #[test]
-    fn custom_config_is_respected() {
-        let cfg = FpsModelConfig {
-            base_jitter: 0.0,
-            corun_extra_jitter: 0.0,
-            dip_probability: 0.0,
-            dip_depth: 0.0,
-        };
-        let mut model = FpsModel::with_config(AppKind::Zoom, cfg, 5);
-        let trace = model.trace(10, true);
-        for s in trace {
-            assert_eq!(s.fps, AppKind::Zoom.target_fps());
-        }
-        assert_eq!(model.app(), AppKind::Zoom);
     }
 }

@@ -11,10 +11,10 @@
 //! four-device testbed (Nexus 6/6P, HiKey 970, Pixel 2) with Trepn /
 //! Snapdragon Profiler / Monsoon hardware; this crate re-encodes the
 //! published Table II/III calibration and adds the surrounding device
-//! models the simulation and the figure binaries read: big.LITTLE CPU
-//! topology, a four-state power model (Eq. 10), a foreground FPS model
-//! (Fig. 2), batteries, and an energy profiler that integrates power over
-//! simulated schedules bit for bit.
+//! models the simulation and the figure binaries read: a four-state power
+//! model (Eq. 10), a foreground FPS model (Fig. 2), battery capacities, and
+//! an energy profiler that integrates power over simulated schedules bit for
+//! bit.
 //!
 //! ```
 //! use fedco_device::prelude::*;
@@ -30,7 +30,6 @@
 
 pub mod apps;
 pub mod battery;
-pub mod cpu;
 pub mod energy;
 pub mod fps;
 pub mod power;
@@ -40,8 +39,6 @@ pub mod profiles;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::apps::{AppKind, AppMeasurement};
-    pub use crate::battery::Battery;
-    pub use crate::cpu::CpuTopology;
     pub use crate::energy::{Joules, Seconds, Watts};
     pub use crate::fps::{FpsModel, FpsSample};
     pub use crate::power::{AppStatus, PowerModel, PowerState, SlotDecision};

@@ -65,24 +65,6 @@ pub enum PowerState {
     Idle,
 }
 
-impl PowerState {
-    /// Resolves the power state from a decision and an application status,
-    /// i.e. the case analysis of Eq. (10).
-    pub fn from_decision(decision: SlotDecision, status: AppStatus) -> Self {
-        match (decision, status) {
-            (SlotDecision::Schedule, AppStatus::App(a)) => PowerState::CoRunning(a),
-            (SlotDecision::Schedule, AppStatus::NoApp) => PowerState::TrainingOnly,
-            (SlotDecision::Idle, AppStatus::App(a)) => PowerState::AppOnly(a),
-            (SlotDecision::Idle, AppStatus::NoApp) => PowerState::Idle,
-        }
-    }
-
-    /// Whether training makes progress in this state.
-    pub fn training_active(self) -> bool {
-        matches!(self, PowerState::CoRunning(_) | PowerState::TrainingOnly)
-    }
-}
-
 /// The power model of one device: maps power states to average power draw and
 /// slot energy.
 ///
@@ -121,45 +103,10 @@ impl PowerModel {
         }
     }
 
-    /// Power for a decision/status pair.
-    pub fn power_for(&self, decision: SlotDecision, status: AppStatus) -> Watts {
-        self.power(PowerState::from_decision(decision, status))
-    }
-
     /// Energy consumed over a slot of length `slot` in a given state,
     /// `P_i(t) · t_d`.
     pub fn slot_energy(&self, state: PowerState, slot: Seconds) -> Joules {
         self.power(state) * slot
-    }
-
-    /// Energy of the *training component only* over a slot: the marginal
-    /// energy attributable to the training task on top of what the device
-    /// would have consumed anyway (app or idle). This is what the paper's
-    /// objective P2 minimises ("energy consumption of training tasks").
-    pub fn training_marginal_energy(&self, state: PowerState, slot: Seconds) -> Joules {
-        let baseline = match state {
-            PowerState::CoRunning(app) => self.profile.app_power(app),
-            PowerState::TrainingOnly => self.profile.idle_power(),
-            PowerState::AppOnly(app) => self.profile.app_power(app),
-            PowerState::Idle => self.profile.idle_power(),
-        };
-        ((self.power(state) - baseline).max_zero()) * slot
-    }
-
-    /// Per-slot energy saving of co-running with `app` instead of running
-    /// training and the app separately: `s_i = P_b + P_a − P_a'` (Eq. 5).
-    pub fn corun_saving(&self, app: AppKind) -> Watts {
-        self.profile.corun_saving_power(app)
-    }
-
-    /// Verifies the ordering `P_a' > P_a > P_b > P_d` claimed after Eq. (10),
-    /// returning `true` when it holds for the given application.
-    pub fn ordering_holds(&self, app: AppKind) -> bool {
-        let pa_prime = self.profile.corun_power(app).value();
-        let pa = self.profile.app_power(app).value();
-        let pb = self.profile.training_power().value();
-        let pd = self.profile.idle_power().value();
-        pa_prime > pa && pb > pd
     }
 }
 
@@ -170,30 +117,6 @@ mod tests {
 
     fn pixel2() -> PowerModel {
         PowerModel::new(DeviceKind::Pixel2.profile())
-    }
-
-    #[test]
-    fn power_state_case_analysis() {
-        assert_eq!(
-            PowerState::from_decision(SlotDecision::Schedule, AppStatus::App(AppKind::Map)),
-            PowerState::CoRunning(AppKind::Map)
-        );
-        assert_eq!(
-            PowerState::from_decision(SlotDecision::Schedule, AppStatus::NoApp),
-            PowerState::TrainingOnly
-        );
-        assert_eq!(
-            PowerState::from_decision(SlotDecision::Idle, AppStatus::App(AppKind::Zoom)),
-            PowerState::AppOnly(AppKind::Zoom)
-        );
-        assert_eq!(
-            PowerState::from_decision(SlotDecision::Idle, AppStatus::NoApp),
-            PowerState::Idle
-        );
-        assert!(PowerState::TrainingOnly.training_active());
-        assert!(PowerState::CoRunning(AppKind::Map).training_active());
-        assert!(!PowerState::Idle.training_active());
-        assert!(!PowerState::AppOnly(AppKind::Map).training_active());
     }
 
     #[test]
@@ -214,11 +137,6 @@ mod tests {
             pm.power(PowerState::CoRunning(AppKind::Tiktok)).value(),
             2.52
         );
-        assert_eq!(
-            pm.power_for(SlotDecision::Schedule, AppStatus::App(AppKind::Tiktok))
-                .value(),
-            2.52
-        );
     }
 
     #[test]
@@ -226,41 +144,5 @@ mod tests {
         let pm = pixel2();
         let e = pm.slot_energy(PowerState::TrainingOnly, Seconds(10.0));
         assert!((e.value() - 13.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn marginal_training_energy_is_cheaper_when_corunning() {
-        let pm = pixel2();
-        let slot = Seconds(1.0);
-        let corun = pm.training_marginal_energy(PowerState::CoRunning(AppKind::Map), slot);
-        let alone = pm.training_marginal_energy(PowerState::TrainingOnly, slot);
-        // Marginal cost of training on top of Map (2.20-1.60=0.6 W) is less
-        // than on top of idle (1.35-0.689=0.661 W).
-        assert!(corun.value() < alone.value());
-        // Non-training states have zero marginal training energy.
-        assert_eq!(
-            pm.training_marginal_energy(PowerState::Idle, slot),
-            Joules::ZERO
-        );
-        assert_eq!(
-            pm.training_marginal_energy(PowerState::AppOnly(AppKind::Map), slot),
-            Joules::ZERO
-        );
-    }
-
-    #[test]
-    fn ordering_mostly_holds_on_modern_devices() {
-        let pm = pixel2();
-        for app in AppKind::ALL {
-            assert!(pm.ordering_holds(app), "{app:?}");
-        }
-    }
-
-    #[test]
-    fn corun_saving_positive_on_pixel2() {
-        let pm = pixel2();
-        for app in AppKind::ALL {
-            assert!(pm.corun_saving(app).value() > 0.0);
-        }
     }
 }

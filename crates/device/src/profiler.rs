@@ -6,17 +6,8 @@
 //! keeping a per-state breakdown so figures like Fig. 1 (separate vs
 //! co-running energy) can be reproduced.
 
-use crate::energy::{repeated_add, Joules, Seconds, Watts};
+use crate::energy::{repeated_add, Joules, Seconds};
 use crate::power::{PowerModel, PowerState};
-
-/// One measured segment: a power state held for a duration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSegment {
-    /// The state the device was in.
-    pub state: PowerState,
-    /// How long the state was held.
-    pub duration: Seconds,
-}
 
 /// A label used in energy breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,44 +56,27 @@ impl EnergyComponent {
     }
 }
 
-/// Accumulates energy from power segments for a single device.
+/// Accumulates the energy of a single device: a total and a per-component
+/// breakdown, in constant memory whatever the horizon.
 #[derive(Debug, Clone)]
 pub struct EnergyProfiler {
     model: PowerModel,
     total: Joules,
-    total_time: Seconds,
     /// Energy per component, indexed by `EnergyComponent as usize`.
     by_component: [Joules; EnergyComponent::ALL.len()],
     /// Bit `c as usize` is set once anything was recorded under component
     /// `c`: the breakdown lists touched components only, even at zero energy.
     touched: u8,
-    segments: Vec<PowerSegment>,
-    keep_segments: bool,
 }
 
 impl EnergyProfiler {
-    /// Creates a profiler bound to a device power model.
-    pub fn new(model: PowerModel) -> Self {
+    /// Creates an empty profiler bound to a device power model.
+    pub fn lean(model: PowerModel) -> Self {
         EnergyProfiler {
             model,
             total: Joules::ZERO,
-            total_time: Seconds(0.0),
             by_component: [Joules::ZERO; EnergyComponent::ALL.len()],
             touched: 0,
-            segments: Vec::new(),
-            keep_segments: true,
-        }
-    }
-
-    /// Creates a profiler that accumulates totals and the per-component
-    /// breakdown but discards individual segments, so memory stays constant
-    /// regardless of horizon length. Fleet-scale sweeps running thousands of
-    /// simulations concurrently use this; [`segments`](Self::segments)
-    /// returns an empty slice.
-    pub fn lean(model: PowerModel) -> Self {
-        EnergyProfiler {
-            keep_segments: false,
-            ..EnergyProfiler::new(model)
         }
     }
 
@@ -117,15 +91,12 @@ impl EnergyProfiler {
         &self.model
     }
 
-    /// Records a segment and returns the energy it consumed.
+    /// Records a power state held for `duration` and returns the energy it
+    /// consumed.
     pub fn record(&mut self, state: PowerState, duration: Seconds) -> Joules {
         let energy = self.model.slot_energy(state, duration);
         self.total += energy;
-        self.total_time += duration;
         *self.component_mut(EnergyComponent::of(state)) += energy;
-        if self.keep_segments {
-            self.segments.push(PowerSegment { state, duration });
-        }
         energy
     }
 
@@ -135,10 +106,7 @@ impl EnergyProfiler {
     /// addition, in closed form ([`repeated_add`]), never one
     /// `slots × energy` multiply, which would round differently — so an
     /// engine that batches a user's unchanged power state into one span
-    /// reproduces per-slot recording's energy exactly. The recorded *time* is
-    /// one `slot × slots` product: its bits can differ from per-slot accrual
-    /// when the slot length is not exactly representable. When segments are
-    /// kept, the whole span is stored as one merged segment.
+    /// reproduces per-slot recording's energy exactly.
     ///
     /// Returns the total energy recorded so far (the span's own energy is
     /// not tallied: a third sum from zero would cost a jump per binade).
@@ -150,11 +118,6 @@ impl EnergyProfiler {
         self.total = Joules(repeated_add(self.total.value(), energy, slots));
         let component = self.component_mut(EnergyComponent::of(state));
         *component = Joules(repeated_add(component.value(), energy, slots));
-        let duration = Seconds(slot.value() * slots as f64);
-        self.total_time += duration;
-        if self.keep_segments {
-            self.segments.push(PowerSegment { state, duration });
-        }
         self.total
     }
 
@@ -168,16 +131,6 @@ impl EnergyProfiler {
     /// Total energy recorded so far.
     pub fn total_energy(&self) -> Joules {
         self.total
-    }
-
-    /// Total time recorded so far.
-    pub fn total_time(&self) -> Seconds {
-        self.total_time
-    }
-
-    /// Mean power over the recorded period.
-    pub fn mean_power(&self) -> Watts {
-        self.total / self.total_time
     }
 
     /// Energy attributed to one component.
@@ -197,20 +150,6 @@ impl EnergyProfiler {
     /// The full per-component breakdown, sorted by component.
     pub fn breakdown(&self) -> Vec<(EnergyComponent, Joules)> {
         self.components().collect()
-    }
-
-    /// The recorded segments.
-    pub fn segments(&self) -> &[PowerSegment] {
-        &self.segments
-    }
-
-    /// Clears all recorded data (the model is kept).
-    pub fn reset(&mut self) {
-        self.total = Joules::ZERO;
-        self.total_time = Seconds(0.0);
-        self.by_component = [Joules::ZERO; EnergyComponent::ALL.len()];
-        self.touched = 0;
-        self.segments.clear();
     }
 }
 
@@ -263,19 +202,17 @@ mod tests {
     use crate::profiles::DeviceKind;
 
     fn profiler() -> EnergyProfiler {
-        EnergyProfiler::new(PowerModel::new(DeviceKind::Pixel2.profile()))
+        EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()))
     }
 
     #[test]
-    fn records_accumulate_energy_and_time() {
+    fn records_accumulate_energy() {
         let mut p = profiler();
         let e1 = p.record(PowerState::TrainingOnly, Seconds(10.0));
         assert!((e1.value() - 13.5).abs() < 1e-9);
         p.record(PowerState::Idle, Seconds(10.0));
         assert!((p.total_energy().value() - (13.5 + 6.89)).abs() < 1e-9);
-        assert_eq!(p.total_time(), Seconds(20.0));
-        assert!((p.mean_power().value() - (13.5 + 6.89) / 20.0).abs() < 1e-9);
-        assert_eq!(p.segments().len(), 2);
+        assert_eq!(p.model().profile().kind, DeviceKind::Pixel2);
     }
 
     #[test]
@@ -322,24 +259,6 @@ mod tests {
         assert_eq!(p.breakdown().len(), 3);
     }
 
-    #[test]
-    fn lean_profiler_accumulates_without_segments() {
-        let mut full = profiler();
-        let mut lean = EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
-        for p in [&mut full, &mut lean] {
-            p.record(PowerState::TrainingOnly, Seconds(10.0));
-            p.record(PowerState::Idle, Seconds(5.0));
-            p.record_extra(EnergyComponent::Radio, Joules(1.5));
-        }
-        assert_eq!(full.total_energy(), lean.total_energy());
-        assert_eq!(full.breakdown(), lean.breakdown());
-        assert_eq!(full.total_time(), lean.total_time());
-        assert_eq!(full.segments().len(), 2);
-        assert!(lean.segments().is_empty());
-        assert_eq!(lean.component_energy(EnergyComponent::Radio), Joules(1.5));
-        assert_eq!(EnergyComponent::Radio.label(), "radio");
-    }
-
     /// The total and every touched component, as bits.
     fn energy_bits(p: &EnergyProfiler) -> Vec<(Option<EnergyComponent>, u64)> {
         let total = (None, p.total_energy().value().to_bits());
@@ -375,54 +294,28 @@ mod tests {
                     }
                     let at = format!("slot {slot}, {preload} J before, {slots} slots");
                     assert_eq!(energy_bits(&span), energy_bits(&dense), "{at}");
-                    // A 1-second slot is exactly representable, so even the
-                    // one time product matches there.
-                    if slot == 1.0 {
-                        assert_eq!(span.total_time(), dense.total_time(), "{at}");
-                    }
                 }
             }
         }
     }
 
     #[test]
-    fn record_span_merges_segments_and_respects_lean_mode() {
-        let mut full = profiler();
-        full.record_span(PowerState::TrainingOnly, Seconds(2.0), 5);
-        assert_eq!(full.segments().len(), 1, "one merged segment per span");
-        assert_eq!(full.segments()[0].duration, Seconds(10.0));
-        assert_eq!(full.segments()[0].state, PowerState::TrainingOnly);
-        // Zero-length spans record nothing at all.
-        let before = full.total_energy();
-        assert_eq!(full.record_span(PowerState::Idle, Seconds(1.0), 0), before);
-        assert_eq!(full.total_energy(), before);
-        assert_eq!(full.segments().len(), 1);
-        let mut lean = EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
-        lean.record_span(PowerState::TrainingOnly, Seconds(2.0), 5);
-        assert!(lean.segments().is_empty());
-        assert_eq!(lean.total_energy(), full.total_energy());
+    fn zero_length_spans_record_nothing() {
+        let mut p = profiler();
+        p.record_span(PowerState::TrainingOnly, Seconds(2.0), 5);
+        let before = p.total_energy();
+        assert_eq!(p.record_span(PowerState::Idle, Seconds(1.0), 0), before);
+        assert_eq!(p.total_energy(), before);
+        assert_eq!(p.breakdown().len(), 1);
     }
 
     #[test]
     fn record_extra_adds_overhead() {
         let mut p = profiler();
-        p.record_extra(EnergyComponent::Idle, Joules(2.0));
-        assert_eq!(p.total_energy(), Joules(2.0));
-        assert_eq!(p.component_energy(EnergyComponent::Idle), Joules(2.0));
-        // Time is unaffected by extras.
-        assert_eq!(p.total_time(), Seconds(0.0));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut p = profiler();
-        p.record(PowerState::Idle, Seconds(5.0));
-        p.reset();
-        assert_eq!(p.total_energy(), Joules::ZERO);
-        assert_eq!(p.total_time(), Seconds(0.0));
-        assert!(p.segments().is_empty());
-        assert!(p.breakdown().is_empty());
-        assert_eq!(p.model().profile().kind, DeviceKind::Pixel2);
+        p.record_extra(EnergyComponent::Radio, Joules(1.5));
+        assert_eq!(p.total_energy(), Joules(1.5));
+        assert_eq!(p.component_energy(EnergyComponent::Radio), Joules(1.5));
+        assert_eq!(EnergyComponent::Radio.label(), "radio");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! Table II (`P_a`, `P_a'`, co-run time).
 
 use crate::apps::{AppKind, AppMeasurement};
-use crate::cpu::CpuTopology;
 use crate::energy::{Seconds, Watts};
 
 /// The device models of the paper's testbed.
@@ -109,8 +108,6 @@ pub struct DeviceProfile {
     pub idle_power_w: f64,
     /// Power while evaluating the online decision rule (Table III), in W.
     pub decision_power_w: f64,
-    /// CPU topology (big.LITTLE clusters and background cpuset).
-    pub topology: CpuTopology,
     /// Per-application measurements in [`AppKind::ALL`] order.
     app_measurements: [AppMeasurement; 8],
 }
@@ -178,7 +175,6 @@ impl DeviceProfile {
             training_time_s,
             idle_power_w,
             decision_power_w,
-            topology: CpuTopology::for_device(kind),
             app_measurements,
         }
     }
@@ -216,12 +212,6 @@ impl DeviceProfile {
     /// Training duration when co-running with `app` (Table II "time" column).
     pub fn corun_time(&self, app: AppKind) -> Seconds {
         Seconds(self.app_measurement(app).corun_time_s)
-    }
-
-    /// Relative slowdown of training caused by co-running with `app`
-    /// (Observation 2): `corun_time / training_time - 1`, clamped at zero.
-    pub fn corun_slowdown(&self, app: AppKind) -> f64 {
-        (self.corun_time(app).value() / self.training_time_s - 1.0).max(0.0)
     }
 
     /// Energy-saving percentage of co-running versus separate execution,
@@ -351,14 +341,6 @@ mod tests {
             .sum::<f64>()
             / 8.0;
         assert!(mean_pixel2 > 0.25 && mean_pixel2 < 0.40, "{mean_pixel2}");
-    }
-
-    #[test]
-    fn corun_slowdown_is_bounded_for_light_apps() {
-        let p = DeviceKind::Pixel2.profile();
-        assert!(p.corun_slowdown(AppKind::News) < 0.05);
-        // Angrybird on Pixel2: 285 s vs 223 s => ~28 % slowdown.
-        assert!(p.corun_slowdown(AppKind::Angrybird) > 0.2);
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl FlClient {
         &self.shard.config
     }
 
-    /// Number of examples in the local shard.
-    pub fn shard_size(&self) -> usize {
-        self.shard.len
-    }
-
     /// Number of local epochs completed so far.
     pub fn epochs_completed(&self) -> usize {
         self.epochs_completed
@@ -464,7 +459,7 @@ mod tests {
         examples[19].image = Tensor::zeros(&[1, 6, 6]);
         let shard = Dataset::new(examples, train.classes());
         let mut client = FlClient::new(0, LeNetConfig::tiny(), shard, TINY);
-        assert_eq!(client.shard_size(), 32);
+        assert_eq!(client.shard.len, 32);
         assert!(matches!(
             client.local_epoch(),
             Err(TensorError::ShapeMismatch {
@@ -479,7 +474,7 @@ mod tests {
     fn client_reports_identity_and_shard() {
         let (client, _) = tiny_setup();
         assert_eq!(client.id(), 3);
-        assert_eq!(client.shard_size(), 36);
+        assert_eq!(client.shard.len, 36);
         assert_eq!(client.epochs_completed(), 0);
         assert_eq!(client.base_version(), ModelVersion::INITIAL);
         assert_eq!(client.config().batch_size, 8);

@@ -41,5 +41,5 @@ pub use partition::{partition_dataset, PartitionStrategy};
 pub use pool::TrainingPool;
 pub use server::{ParameterServer, ServerStats, ServerTelemetry};
 pub use service::{ModelService, ModelServiceInit};
-pub use staleness::{GapAccumulator, GradientGap, Lag, WeightPredictor};
+pub use staleness::{GradientGap, Lag, WeightPredictor};
 pub use transport::{TransportModel, PAPER_MODEL_BYTES};

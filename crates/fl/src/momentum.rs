@@ -124,12 +124,6 @@ impl MomentumTracker {
         self.updates += 1;
         Ok(())
     }
-
-    /// Resets the tracker to its initial state.
-    pub fn reset(&mut self) {
-        self.velocity = None;
-        self.updates = 0;
-    }
 }
 
 /// The copying forms [`MomentumTracker::observe_merge`] and the in-place
@@ -251,13 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_accessors() {
-        let mut m = MomentumTracker::new(2.0, 0.0);
+    fn accessors_clamp_their_knobs() {
+        let m = MomentumTracker::new(2.0, 0.0);
         // beta clamped, lr floored above zero
         assert!(m.beta() <= 0.999);
         assert!(m.learning_rate() > 0.0);
-        m.observe_step(&ParamVector::new(vec![1.0])).unwrap();
-        m.reset();
         assert_eq!(m.updates(), 0);
         assert!(m.velocity().is_none());
     }

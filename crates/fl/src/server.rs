@@ -127,13 +127,6 @@ impl ParameterServer {
         ModelSnapshot::new(inner.params.clone(), inner.version)
     }
 
-    /// The lag a device that downloaded version `base` would incur if it
-    /// uploaded right now (Definition 1). Supplied to devices by the server
-    /// in the distributed implementation of the online algorithm.
-    pub fn lag_since(&self, base: ModelVersion) -> Lag {
-        Lag::between(base, self.locked().version)
-    }
-
     /// The L2 norm of the server-side momentum vector `v_t` (Eq. 1), used by
     /// devices to evaluate the gradient-gap prediction of Eq. (4).
     pub fn momentum_norm(&self) -> f32 {
@@ -280,7 +273,7 @@ mod tests {
             .unwrap();
         s.apply_async(&update(2, vec![0.0, 1.0, 0.0], s.version(), 10))
             .unwrap();
-        assert_eq!(s.lag_since(base_i), Lag(2));
+        assert_eq!(Lag::between(base_i, s.version()), Lag(2));
         let lag_i = s
             .apply_async(&update(0, vec![0.0, 0.0, 1.0], base_i, 10))
             .unwrap();

@@ -1,7 +1,6 @@
 //! Staleness metrics: lag (Definition 1) and gradient gap (Definition 2),
 //! with the linear weight prediction of Eq. (3)–(4).
 
-use fedco_device::energy::repeated_add;
 use fedco_neural::model::ParamVector;
 use fedco_neural::tensor::TensorError;
 
@@ -113,85 +112,11 @@ impl WeightPredictor {
     pub fn predict_gap(&self, lag: Lag, velocity_norm: f32) -> GradientGap {
         GradientGap(self.learning_rate as f64 * self.amplification(lag) * velocity_norm as f64)
     }
-
-    /// Predicts the *future global parameters* `θ_{t+τ}` from the current
-    /// ones and the momentum vector (Eq. 3):
-    /// `θ_{t+τ} = θ_t − η (1−β^{l_τ})/(1−β) v_t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when vector lengths differ.
-    pub fn predict_parameters(
-        &self,
-        theta_t: &ParamVector,
-        velocity: &ParamVector,
-        lag: Lag,
-    ) -> Result<ParamVector, TensorError> {
-        let mut out = theta_t.clone();
-        let scale = -(self.learning_rate as f64 * self.amplification(lag)) as f32;
-        out.add_scaled(velocity, scale)?;
-        Ok(out)
-    }
 }
 
 impl Default for WeightPredictor {
     fn default() -> Self {
         WeightPredictor::new(0.01, 0.9)
-    }
-}
-
-/// Per-device gradient-gap evolution (Eq. 12): while a device idles the gap
-/// accumulates by a small increment `ε` per slot; once training is scheduled
-/// the gap is re-estimated from the momentum-based prediction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GapAccumulator {
-    /// Per-idle-slot increment `ε`.
-    pub epsilon: f64,
-    current: GradientGap,
-}
-
-impl GapAccumulator {
-    /// Creates an accumulator with idle increment `epsilon`.
-    pub fn new(epsilon: f64) -> Self {
-        GapAccumulator {
-            epsilon: epsilon.max(0.0),
-            current: GradientGap::ZERO,
-        }
-    }
-
-    /// The current accumulated gap.
-    pub fn current(&self) -> GradientGap {
-        self.current
-    }
-
-    /// Applies one idle slot: `g(t) = g(t−1) + ε`.
-    pub fn idle_slot(&mut self) -> GradientGap {
-        self.current = GradientGap(self.current.0 + self.epsilon);
-        self.current
-    }
-
-    /// Applies `slots` consecutive idle slots, bit-identically to calling
-    /// [`idle_slot`](GapAccumulator::idle_slot) that many times — by
-    /// construction: the backlog is accumulated by repeated addition, never
-    /// by a single `slots × ε` multiply, which would round differently, so
-    /// a fast-forwarding simulation engine reproduces the dense per-slot
-    /// loop exactly.
-    pub fn idle_slots(&mut self, slots: u64) -> GradientGap {
-        self.current = GradientGap(repeated_add(self.current.0, self.epsilon, slots));
-        self.current
-    }
-
-    /// Applies a scheduling decision: the gap becomes the momentum-predicted
-    /// value for the lag expected over the training duration.
-    pub fn schedule(&mut self, predicted: GradientGap) -> GradientGap {
-        self.current = predicted;
-        self.current
-    }
-
-    /// Resets the gap to zero (after the update is applied to the global
-    /// model).
-    pub fn reset(&mut self) {
-        self.current = GradientGap::ZERO;
     }
 }
 
@@ -239,18 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn predicted_parameters_match_predicted_gap() {
-        let p = WeightPredictor::new(0.05, 0.8);
-        let theta = ParamVector::new(vec![1.0, -2.0, 0.5]);
-        let velocity = ParamVector::new(vec![0.3, 0.1, -0.2]);
-        let lag = Lag(3);
-        let predicted = p.predict_parameters(&theta, &velocity, lag).unwrap();
-        let measured = GradientGap::measured(&theta, &predicted).unwrap();
-        let estimated = p.predict_gap(lag, velocity.norm_l2());
-        assert!((measured.value() - estimated.value()).abs() < 1e-5);
-    }
-
-    #[test]
     fn measured_gap_is_symmetric_norm_difference() {
         let a = ParamVector::new(vec![0.0, 3.0]);
         let b = ParamVector::new(vec![4.0, 0.0]);
@@ -263,40 +176,5 @@ mod tests {
         assert!(GradientGap::measured(&a, &ParamVector::zeros(3)).is_err());
         assert_eq!(GradientGap(1.5).plus(GradientGap(2.5)).value(), 4.0);
         assert_eq!(format!("{}", GradientGap(1.0)), "gap=1.0000");
-    }
-
-    #[test]
-    fn accumulator_follows_eq_12() {
-        let mut acc = GapAccumulator::new(0.5);
-        assert_eq!(acc.current(), GradientGap::ZERO);
-        acc.idle_slot();
-        acc.idle_slot();
-        assert!((acc.current().value() - 1.0).abs() < 1e-9);
-        acc.schedule(GradientGap(3.0));
-        assert_eq!(acc.current(), GradientGap(3.0));
-        acc.reset();
-        assert_eq!(acc.current(), GradientGap::ZERO);
-        // Negative epsilon is clamped.
-        let acc2 = GapAccumulator::new(-1.0);
-        assert_eq!(acc2.epsilon, 0.0);
-    }
-
-    #[test]
-    fn bulk_idle_slots_match_repeated_single_slots_bitwise() {
-        // ε = 0.1 is not exactly representable, so repeated addition and
-        // n×ε genuinely differ — the bulk path must take the former.
-        for n in [0u64, 1, 7, 1000, 10_800] {
-            let mut one_by_one = GapAccumulator::new(0.1);
-            for _ in 0..n {
-                one_by_one.idle_slot();
-            }
-            let mut bulk = GapAccumulator::new(0.1);
-            bulk.idle_slots(n);
-            assert_eq!(
-                bulk.current().value().to_bits(),
-                one_by_one.current().value().to_bits(),
-                "diverged at n = {n}"
-            );
-        }
     }
 }

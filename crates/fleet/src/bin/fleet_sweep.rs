@@ -40,7 +40,10 @@
 //! Invalid flags and bad specs are reported on stderr with the offending
 //! token named and the valid choices listed — the binary never panics on
 //! bad input. All four output files are opened before the first job runs, so
-//! a mistyped directory exits 1 at once, naming the flag and the path.
+//! a mistyped directory exits 1 at once, naming the flag and the path. A
+//! reader of stdout that stops early (`fleet_sweep … | head`) ends the
+//! output, not the run: the files are still written and the status is the
+//! run's own.
 //!
 //! Telemetry never gathers in one place: each worker renders its job's
 //! trace lines and folds its job's metrics, and the main thread writes them
@@ -58,6 +61,64 @@ use std::process::ExitCode;
 
 use fedco_core::scenario::FIELD_KEYS;
 use fedco_fleet::prelude::*;
+
+/// Why a run stopped before its end.
+enum Stop {
+    /// Bad input or an output file that failed: reported on stderr.
+    Error(String),
+    /// Writing to stdout failed (other than its reader going away).
+    Stdout(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Error(message)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(error: io::Error) -> Self {
+        Stop::Stdout(error)
+    }
+}
+
+/// Stdout, locked once for the whole run. Once the reader has gone away
+/// (`ErrorKind::BrokenPipe`) whatever is left to print is dropped, so the
+/// run goes on to write its files and ends with its own status.
+struct Stdout {
+    out: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn unless_closed<T>(&mut self, result: io::Result<T>, closed: T) -> io::Result<T> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(closed)
+            }
+            result => result,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let written = self.out.write(buf);
+        self.unless_closed(written, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.out.flush();
+        self.unless_closed(flushed, ())
+    }
+}
 
 struct Args {
     workers: usize,
@@ -80,10 +141,14 @@ const USAGE: &str = "usage: fleet_sweep [--workers N] [--scenario SPEC,SPEC,...]
 [--users N] [--slots N] [--replicates N] [--seed N] [--csv PATH] [--jsonl PATH] \
 [--trace PATH] [--metrics PATH] [--verify] [--list-scenarios] [--list-policies]";
 
-fn list_scenarios() {
-    println!("scenario presets (see EXPERIMENTS.md for the regime each maps to):");
+fn list_scenarios(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "scenario presets (see EXPERIMENTS.md for the regime each maps to):"
+    )?;
     for spec in ScenarioSpec::default_registry() {
-        println!(
+        writeln!(
+            out,
             "  {:<16} {} users x {} slots, arrival_p={}, devices={}, link={}, ml={}",
             spec.label(),
             spec.users(),
@@ -92,28 +157,30 @@ fn list_scenarios() {
             spec.devices().label(),
             spec.link().label(),
             spec.ml().label(),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nspec syntax: name[:key=value...] with keys: {}",
         FIELD_KEYS.join(", ")
-    );
+    )
 }
 
-fn list_policies() {
-    println!("policy registry (default parameters shown):");
+fn list_policies(out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "policy registry (default parameters shown):")?;
     for spec in PolicySpec::default_registry() {
-        println!("  {}", spec.label());
+        writeln!(out, "  {}", spec.label())?;
     }
-    println!(
+    writeln!(
+        out,
         "\nspec syntax: immediate | sync-sgd | offline | online[:v=N] | \
 random:p=P[:salt=N] | threshold:w=W"
-    );
+    )
 }
 
 /// Parses the command line: `Ok(None)` means `--help`/`--list-*` handled
 /// everything already.
-fn parse_args() -> Result<Option<Args>, String> {
+fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
     let mut args = Args {
         workers: 0,
         users: None,
@@ -143,7 +210,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .parse()
                     .map_err(|e| format!("--users: {e}"))?;
                 if n == 0 {
-                    return Err("--users must be at least 1".to_string());
+                    return Err(Stop::Error("--users must be at least 1".to_string()));
                 }
                 args.users = Some(n);
             }
@@ -152,7 +219,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .parse()
                     .map_err(|e| format!("--slots: {e}"))?;
                 if n == 0 {
-                    return Err("--slots must be at least 1".to_string());
+                    return Err(Stop::Error("--slots must be at least 1".to_string()));
                 }
                 args.slots = Some(n);
             }
@@ -191,7 +258,9 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let axis = FieldAxis::parse(&token)
                     .map_err(|e| format!("--axis `{token}`: {e}\n(axis syntax: KEY=V1,V2,...)"))?;
                 if axis.values.is_empty() {
-                    return Err(format!("--axis `{token}` must list at least one value"));
+                    return Err(Stop::Error(format!(
+                        "--axis `{token}` must list at least one value"
+                    )));
                 }
                 args.axes.push(axis);
             }
@@ -207,7 +276,9 @@ fn parse_args() -> Result<Option<Args>, String> {
                     })?);
                 }
                 if specs.is_empty() {
-                    return Err("--policies must name at least one policy".to_string());
+                    return Err(Stop::Error(
+                        "--policies must name at least one policy".to_string(),
+                    ));
                 }
                 args.policies = specs;
             }
@@ -217,22 +288,22 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--metrics" => args.metrics = Some(value("--metrics")?),
             "--verify" => args.verify = true,
             "--list-scenarios" => {
-                list_scenarios();
+                list_scenarios(out)?;
                 return Ok(None);
             }
             "--list-policies" => {
-                list_policies();
+                list_policies(out)?;
                 return Ok(None);
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                writeln!(out, "{USAGE}")?;
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+            other => return Err(Stop::Error(format!("unknown flag `{other}`\n{USAGE}"))),
         }
     }
     if args.replicates == 0 {
-        return Err("--replicates must be at least 1".to_string());
+        return Err(Stop::Error("--replicates must be at least 1".to_string()));
     }
     if args.scenarios.is_empty() {
         args.scenarios = vec![ScenarioSpec::preset("smoke").expect("registry preset")];
@@ -332,7 +403,7 @@ fn sweep(
 
 /// Runs the sweep the arguments describe; `Ok(false)` is a failed
 /// `--verify`, which has already said so on stdout.
-fn run(args: &Args) -> Result<bool, String> {
+fn run(args: &Args, out: &mut impl Write) -> Result<bool, Stop> {
     let grid = build_grid(args);
     // A bad flag combination surfaces as a typed error on stderr, never as
     // a panic inside the sweep.
@@ -340,7 +411,8 @@ fn run(args: &Args) -> Result<bool, String> {
         .map_err(|e| format!("invalid sweep configuration: {e}"))?;
     let workers = resolve_workers(args.workers);
     let axis_cells: usize = grid.axes.iter().map(|a| a.values.len()).product();
-    println!(
+    writeln!(
+        out,
         "fleet_sweep: {} jobs ({} scenarios x {} axis cells x {} policies x {} seeds), \
 {} worker(s)",
         grid.len(),
@@ -349,14 +421,14 @@ fn run(args: &Args) -> Result<bool, String> {
         grid.policies.len(),
         grid.seeds.len(),
         workers
-    );
+    )?;
     let scenario_labels: Vec<String> = grid.scenarios.iter().map(ScenarioSpec::label).collect();
-    println!("scenarios: {}", scenario_labels.join(", "));
+    writeln!(out, "scenarios: {}", scenario_labels.join(", "))?;
     for axis in &grid.axes {
-        println!("axis: {} = {}", axis.key, axis.values.join(", "));
+        writeln!(out, "axis: {} = {}", axis.key, axis.values.join(", "))?;
     }
     let labels: Vec<String> = args.policies.iter().map(PolicySpec::label).collect();
-    println!("policies: {}\n", labels.join(", "));
+    writeln!(out, "policies: {}\n", labels.join(", "))?;
 
     // Every output is opened before the first job, so a path that cannot be
     // written is reported now and not after the whole sweep has run.
@@ -377,78 +449,90 @@ fn run(args: &Args) -> Result<bool, String> {
         format!("failed to write {label}: {e}")
     })?;
     let report = &swept.report;
-    print!("{}", rollup_table(report));
+    write!(out, "{}", rollup_table(report))?;
     let throughput = report.jobs.len() as f64 / report.wall_s.max(1e-9);
-    println!(
+    writeln!(
+        out,
         "\n{} jobs in {:.2} s on {} worker(s) ({:.1} jobs/s)",
         report.jobs.len(),
         report.wall_s,
         report.workers,
         throughput
-    );
+    )?;
     // With FEDCO_BENCH_JSON set, append one throughput line per cell so
     // sweeps double as benchmark trajectories.
     record_bench_json(report, "fleet_sweep");
 
     write_output(csv, || to_csv(report))?;
     if let Some(path) = &args.csv {
-        println!("wrote {path} ({} rows)", report.jobs.len());
+        writeln!(out, "wrote {path} ({} rows)", report.jobs.len())?;
     }
     write_output(jsonl, || to_jsonl(report))?;
     if let Some(path) = &args.jsonl {
-        println!("wrote {path} ({} lines)", report.jobs.len());
+        writeln!(out, "wrote {path} ({} lines)", report.jobs.len())?;
     }
     if let Some(path) = &args.trace {
-        println!("wrote {path} ({} events)", swept.events);
+        writeln!(out, "wrote {path} ({} events)", swept.events)?;
     }
     if let (Some(path), Some(registry)) = (&args.metrics, &swept.metrics) {
         write_output(metrics, || registry.to_jsonl())?;
-        println!("wrote {path} ({} metrics)", registry.len());
+        writeln!(out, "wrote {path} ({} metrics)", registry.len())?;
     }
 
     if !args.verify {
         return Ok(true);
     }
-    println!("\nverify: re-running the grid on 1 worker ...");
+    writeln!(out, "\nverify: re-running the grid on 1 worker ...")?;
     let mut resink = trace.as_ref().map(|_| TraceStream::new(io::sink(), true));
     let resink_out = resink.as_mut().map(|stream| stream as &mut dyn Write);
     let sequential = sweep(&grid, 1, resink_out, swept.metrics.is_some())
         .map_err(|e| format!("verify re-run: {e}"))?;
     let mut identical = deterministic_view(report) == deterministic_view(&sequential.report)
         && report.rollups == sequential.report.rollups;
-    println!(
+    writeln!(
+        out,
         "verify: merged statistics bit-identical across worker counts: {}",
         if identical { "yes" } else { "NO" }
-    );
+    )?;
     if trace.is_some() || swept.metrics.is_some() {
         let metrics_text = |swept: &StreamedSweep| swept.metrics.as_ref().map(|m| m.to_jsonl());
         let trace_identical = swept.events == sequential.events
             && trace.map(|stream| stream.digest) == resink.map(|stream| stream.digest)
             && metrics_text(&swept) == metrics_text(&sequential);
-        println!(
+        writeln!(
+            out,
             "verify: telemetry trace and metrics byte-identical across worker counts: {}",
             if trace_identical { "yes" } else { "NO" }
-        );
+        )?;
         identical = identical && trace_identical;
     }
     let speedup = *sequential.report.wall_s / report.wall_s.max(1e-9);
-    println!(
+    writeln!(
+        out,
         "verify: {} workers {:.2} s vs 1 worker {:.2} s -> speedup {:.2}x",
         report.workers, report.wall_s, sequential.report.wall_s, speedup
-    );
+    )?;
     Ok(identical)
 }
 
 fn main() -> ExitCode {
-    let outcome = match parse_args() {
-        Ok(Some(args)) => run(&args),
+    let mut out = Stdout {
+        out: io::stdout().lock(),
+        closed: false,
+    };
+    let outcome = match parse_args(&mut out) {
+        Ok(Some(args)) => run(&args, &mut out),
         Ok(None) => Ok(true),
-        Err(msg) => Err(msg),
+        Err(stop) => Err(stop),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
-        Err(msg) => {
+        Err(Stop::Stdout(e)) => {
+            eprintln!("failed to write stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Stop::Error(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }

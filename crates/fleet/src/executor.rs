@@ -1,14 +1,13 @@
 //! The std-only thread-pool executor.
 //!
-//! Workers pull jobs from a shared [`JobQueue`] (a `Mutex`-guarded deque
-//! with a `Condvar` for wakeups — the std-only stand-in for a work-stealing
-//! deque: idle workers steal the next job the moment they finish their
-//! own), run each simulation in summary-only mode, and send the result to
-//! the calling thread, which takes results in ascending job id while the
-//! workers keep going (one that arrives ahead of its turn waits in its grid
-//! slot). Because every job's seed is derived from its grid coordinates and
-//! results are folded in job order, the merged statistics are bit-identical
-//! for any worker count and any completion order.
+//! Workers claim jobs in grid order through one shared atomic cursor over
+//! the expanded job list (an idle worker takes the next job the moment it
+//! finishes its own), run each simulation in summary-only mode, and send the
+//! result to the calling thread, which takes results in ascending job id
+//! while the workers keep going (one that arrives ahead of its turn waits in
+//! its grid slot). Because every job's seed is derived from its grid
+//! coordinates and results are folded in job order, the merged statistics
+//! are bit-identical for any worker count and any completion order.
 //!
 //! A traced sweep hands each job's events to a `finish` step **on the
 //! worker** and its outcome to a `deliver` step **on the caller, in job
@@ -17,9 +16,9 @@
 //! [`run_grid_traced`] keeps the events, [`run_grid_streamed`] renders and
 //! folds them on the worker and streams the bytes out.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use fedco_core::experiment::SimConfig;
 use fedco_device::profiler::EnergyComponent;
@@ -33,92 +32,6 @@ use fedco_telemetry::sink::{BufferSink, Telemetry};
 
 use crate::grid::{FleetJob, LinkKind, ScenarioGrid};
 use crate::stats::CellRollup;
-
-/// A closeable multi-producer/multi-consumer job queue on
-/// `Mutex` + `Condvar`.
-#[derive(Debug)]
-pub struct JobQueue<T> {
-    state: Mutex<QueueState<T>>,
-    available: Condvar,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> Default for JobQueue<T> {
-    fn default() -> Self {
-        JobQueue::new()
-    }
-}
-
-impl<T> JobQueue<T> {
-    /// An empty, open queue.
-    pub fn new() -> Self {
-        JobQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// The single audited lock acquisition: poisoning means a worker thread
-    /// already panicked mid-job, so the sweep's results are gone either way
-    /// and propagating the panic is the only honest response.
-    fn locked(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        // fedco-audit: allow(panic-surface): poisoned lock means a worker already panicked; propagate
-        self.state.lock().expect("queue lock poisoned")
-    }
-
-    /// Enqueues one job and wakes one waiting worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is already closed.
-    pub fn push(&self, item: T) {
-        let mut state = self.locked();
-        assert!(!state.closed, "push on closed JobQueue");
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
-    }
-
-    /// Closes the queue: once drained, `pop` returns `None` forever.
-    pub fn close(&self) {
-        self.locked().closed = true;
-        self.available.notify_all();
-    }
-
-    /// Blocks until a job is available (returning it) or the queue is both
-    /// closed and empty (returning `None`).
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.locked();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            // fedco-audit: allow(panic-surface): poisoned lock means a worker already panicked; propagate
-            state = self.available.wait(state).expect("queue lock poisoned");
-        }
-    }
-
-    /// Number of jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.locked().items.len()
-    }
-
-    /// Whether no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// The scalar outcome of one finished job, keyed by the pair
 /// `(scenario label, policy label)`.
@@ -240,15 +153,6 @@ impl FleetReport {
         policy: &'a str,
     ) -> impl Iterator<Item = &'a CellRollup> + 'a {
         self.rollups.iter().filter(move |r| r.policy == policy)
-    }
-
-    /// The rollups of one scenario label across every policy of the sweep,
-    /// in report order.
-    pub fn rollups_for_scenario<'a>(
-        &'a self,
-        scenario: &'a str,
-    ) -> impl Iterator<Item = &'a CellRollup> + 'a {
-        self.rollups.iter().filter(move |r| r.scenario == scenario)
     }
 }
 
@@ -457,36 +361,34 @@ fn execute<T: Send>(
     mut sink: Option<JobSink<'_, T>>,
 ) -> FleetReport {
     let sweep_watch = Stopwatch::start();
-    let jobs = grid.expand();
-    let n_jobs = jobs.len();
+    let grid_jobs = grid.expand();
+    let n_jobs = grid_jobs.len();
     let workers = resolve_workers(workers).min(n_jobs.max(1));
 
-    let queue: JobQueue<FleetJob> = JobQueue::new();
-    for job in jobs {
-        queue.push(job);
-    }
-    queue.close();
-
+    // The next job to claim: workers take jobs in grid order. `Relaxed` is
+    // enough: the cursor hands out indices and publishes nothing, and the
+    // jobs it indexes were built before the workers started.
+    let cursor = AtomicUsize::new(0);
     let finish = sink.as_ref().map(|sink| sink.finish);
     let (done, finished_jobs) = mpsc::channel();
     let mut jobs = Vec::with_capacity(n_jobs);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let (queue, done) = (&queue, done.clone());
+            let (grid_jobs, cursor, done) = (&grid_jobs, &cursor, done.clone());
             scope.spawn(move || {
-                while let Some(job) = queue.pop() {
+                while let Some(job) = grid_jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     let job_watch = Stopwatch::start();
                     // Summary mode is enforced here, at the execution site,
                     // so even hand-built FleetJobs never materialize traces.
                     let config = job.config.clone().summary_only();
                     let (result, events) = match finish {
-                        Some(_) => run_job_traced(&job, config),
+                        Some(_) => run_job_traced(job, config),
                         None => (run_simulation(config), Vec::new()),
                     };
                     let wall_ms = job_watch.elapsed_ms();
-                    let summary = JobSummary::from_result(&job, &result, wall_ms);
-                    let finished = finish.map(|finish| finish(&job, events));
+                    let summary = JobSummary::from_result(job, &result, wall_ms);
+                    let finished = finish.map(|finish| finish(job, events));
                     // Nobody listens once the calling thread is unwinding.
                     if done.send((job.id, summary, finished)).is_err() {
                         return;
@@ -539,12 +441,6 @@ fn execute<T: Send>(
     }
 }
 
-/// Runs the grid sequentially (one worker). Useful as the determinism and
-/// speedup baseline.
-pub fn run_grid_sequential(grid: &ScenarioGrid) -> FleetReport {
-    run_grid(grid, 1)
-}
-
 /// The deterministic slice of a report: its job summaries, whose equality
 /// already ignores timing because the wall-clock fields are [`Measured`].
 ///
@@ -583,39 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_delivers_all_items_then_none() {
-        let q: JobQueue<u32> = JobQueue::new();
-        assert!(q.is_empty());
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.len(), 2);
-        q.close();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn closed_empty_queue_unblocks_waiting_workers() {
-        let q: JobQueue<u32> = JobQueue::new();
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| q.pop());
-            // The worker blocks on the condvar until close() wakes it.
-            q.close();
-            assert_eq!(handle.join().expect("worker finished"), None);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "push on closed")]
-    fn push_after_close_panics() {
-        let q: JobQueue<u32> = JobQueue::new();
-        q.close();
-        q.push(1);
-    }
-
-    #[test]
     fn report_covers_every_job_in_order() {
         let grid = tiny_grid();
         let report = run_grid(&grid, 2);
@@ -631,18 +494,12 @@ mod tests {
             .rollup("smoke:users=3:slots=240:link=wifi", "Online")
             .is_some());
         assert_eq!(report.rollups_for_policy("Online").count(), 2);
-        assert_eq!(
-            report
-                .rollups_for_scenario("smoke:users=3:slots=240:link=ideal")
-                .count(),
-            4
-        );
         assert!(*report.wall_s > 0.0);
     }
 
     #[test]
     fn wifi_cells_record_radio_energy() {
-        let report = run_grid_sequential(&tiny_grid());
+        let report = run_grid(&tiny_grid(), 1);
         for job in &report.jobs {
             if job.link == "wifi" && job.total_updates > 0 {
                 assert!(job.radio_energy_j > 0.0, "job {}", job.id);

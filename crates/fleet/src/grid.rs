@@ -157,13 +157,6 @@ impl ScenarioGrid {
         )
     }
 
-    /// Replaces the scenario dimension.
-    #[must_use]
-    pub fn with_scenarios(mut self, scenarios: Vec<ScenarioSpec>) -> Self {
-        self.scenarios = scenarios;
-        self
-    }
-
     /// Appends one open field axis (applied to every scenario).
     ///
     /// ```
@@ -205,13 +198,6 @@ impl ScenarioGrid {
         self.seeds = (0..count as u64)
             .map(|i| self.base_seed.wrapping_add(i))
             .collect();
-        self
-    }
-
-    /// Replaces the replicate-seed dimension with explicit seeds.
-    #[must_use]
-    pub fn with_seeds(mut self, seeds: Vec<u64>) -> Self {
-        self.seeds = seeds;
         self
     }
 
@@ -620,9 +606,9 @@ mod tests {
         assert!(!g.is_valid());
         assert!(g.is_empty());
         assert_eq!(g.validate(), Err(GridError::EmptyDimension("policies")));
-        let g2 = grid().with_scenarios(vec![]);
+        let g2 = ScenarioGrid::from_scenarios(vec![]);
         assert_eq!(g2.validate(), Err(GridError::EmptyDimension("scenarios")));
-        let g3 = grid().with_seeds(vec![]);
+        let g3 = grid().with_replicates(0);
         assert_eq!(g3.validate(), Err(GridError::EmptyDimension("seeds")));
         let g4 = grid().with_axes(vec![FieldAxis::new("users", vec![])]);
         assert_eq!(g4.validate(), Err(GridError::EmptyAxis("users".into())));

@@ -15,9 +15,10 @@
 //!   of open [`FieldAxis`] dimensions (every scenario field is sweepable),
 //!   a [`PolicySpec`] dimension and replicate seeds, each job seeded by
 //!   SplitMix64 of its grid coordinates;
-//! * [`executor`] — a std-only thread pool (`Mutex`/`Condvar` job queue,
-//!   one worker per core by default) running jobs in summary-only mode,
-//!   drained by the caller in job order while the workers keep going;
+//! * [`executor`] — a std-only thread pool (one worker per core by
+//!   default, claiming jobs in grid order through an atomic cursor) running
+//!   jobs in summary-only mode, drained by the caller in job order while the
+//!   workers keep going;
 //! * [`stats`] — mergeable streaming count/mean/M2/min/max accumulators and
 //!   per-`(scenario, policy)` rollups, so sweeps never materialize traces;
 //! * [`report`] — hand-rolled CSV and JSON-lines writers (the workspace is
@@ -63,9 +64,8 @@ pub mod stats;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::executor::{
-        deterministic_view, resolve_workers, run_grid, run_grid_sequential, run_grid_streamed,
-        run_grid_traced, run_grid_with, FleetReport, JobQueue, JobSummary, StreamedSweep,
-        SweepTrace,
+        deterministic_view, resolve_workers, run_grid, run_grid_streamed, run_grid_traced,
+        run_grid_with, FleetReport, JobSummary, StreamedSweep, SweepTrace,
     };
     pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, LinkKind, ScenarioGrid};
     pub use crate::report::{bench_json_lines, record_bench_json, rollup_table, to_csv, to_jsonl};

@@ -29,7 +29,7 @@ fn grid() -> ScenarioGrid {
 fn parallel_shards_match_single_worker_bit_for_bit() {
     let grid = grid();
     assert_eq!(grid.len(), 64, "2 scenarios x 2 x 2 axes x 4 policies x 2");
-    let baseline = run_grid_sequential(&grid);
+    let baseline = run_grid(&grid, 1);
     for workers in [2, 3, 8] {
         let parallel = run_grid(&grid, workers);
         assert_eq!(parallel.jobs.len(), baseline.jobs.len());
@@ -130,7 +130,7 @@ fn ml_cells_are_deterministic_across_workers() {
     )
     .with_policy_specs(vec![PolicySpec::Immediate, PolicySpec::Online { v: None }])
     .with_replicates(2);
-    let seq = run_grid_sequential(&grid);
+    let seq = run_grid(&grid, 1);
     let par = run_grid(&grid, 4);
     for (a, b) in seq.jobs.iter().zip(&par.jobs) {
         let acc_a = a.final_accuracy.expect("ml cells evaluate");

@@ -84,3 +84,41 @@ fn library_outputs_for_ci() {
         std::fs::write(metrics, library.metrics.to_jsonl()).expect("metrics file");
     }
 }
+
+/// `fleet_sweep … | head -1`: the reader goes away while the sweep still has
+/// a rollup table of 1 200 cells (over 64 KiB, more than a pipe holds) to
+/// print. The run ends as a finished one, with its `--csv` file written.
+#[test]
+fn a_closed_stdout_ends_the_sweep_without_a_panic() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+
+    let seeds: Vec<String> = (1..=300).map(|seed| seed.to_string()).collect();
+    let csv = std::env::temp_dir().join(format!("fleet_sweep_closed_{}.csv", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+        .args("--users 1 --slots 10 --replicates 1 --workers 2".split(' '))
+        .args(["--axis", &format!("seed={}", seeds.join(","))])
+        .arg("--csv")
+        .arg(&csv)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fleet_sweep");
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    let _ = child
+        .stderr
+        .take()
+        .map(|mut e| e.read_to_string(&mut stderr));
+    let status = child.wait().expect("fleet_sweep exits");
+    let rows = std::fs::read_to_string(&csv).map(|text| text.lines().count());
+    let _ = std::fs::remove_file(&csv);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert!(status.success(), "{status}: {stderr}");
+    assert_eq!(
+        rows.ok(),
+        Some(1 + 4 * 300),
+        "the header and one row per job"
+    );
+}

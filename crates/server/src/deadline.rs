@@ -40,30 +40,6 @@ impl Deadline {
     }
 }
 
-/// Calls `attempt` until it succeeds or the deadline expires, sleeping
-/// `retry_every` between failures. Returns the last error on timeout.
-///
-/// # Errors
-///
-/// The error of the final failed attempt.
-pub fn retry_until<T, E>(
-    deadline: Deadline,
-    retry_every: Duration,
-    mut attempt: impl FnMut() -> Result<T, E>,
-) -> Result<T, E> {
-    loop {
-        match attempt() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if deadline.expired() {
-                    return Err(e);
-                }
-                std::thread::sleep(retry_every.min(deadline.remaining()));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,30 +52,5 @@ mod tests {
         let z = Deadline::starting_now(Duration::ZERO);
         assert!(z.expired());
         assert_eq!(z.remaining(), Duration::ZERO);
-    }
-
-    #[test]
-    fn retry_until_returns_first_success_or_last_error() {
-        let mut calls = 0;
-        let ok: Result<u32, &str> = retry_until(
-            Deadline::starting_now(Duration::from_secs(5)),
-            Duration::from_millis(1),
-            || {
-                calls += 1;
-                if calls >= 3 {
-                    Ok(7)
-                } else {
-                    Err("not yet")
-                }
-            },
-        );
-        assert_eq!(ok, Ok(7));
-        assert_eq!(calls, 3);
-        let err: Result<u32, &str> = retry_until(
-            Deadline::starting_now(Duration::ZERO),
-            Duration::from_millis(1),
-            || Err("always"),
-        );
-        assert_eq!(err, Err("always"));
     }
 }

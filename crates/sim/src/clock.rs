@@ -15,8 +15,8 @@ impl SimClock {
     /// shorter than [`SimConfig::MIN_SLOT_SECONDS`], so the engine's clock
     /// and its energy accounting always run on the same slot length.
     ///
-    /// [`SimConfig::validate`]: crate::experiment::SimConfig::validate
-    /// [`SimConfig::MIN_SLOT_SECONDS`]: crate::experiment::SimConfig::MIN_SLOT_SECONDS
+    /// [`SimConfig::validate`]: fedco_core::experiment::SimConfig::validate
+    /// [`SimConfig::MIN_SLOT_SECONDS`]: fedco_core::experiment::SimConfig::MIN_SLOT_SECONDS
     pub fn new(slot_seconds: f64, total_slots: u64) -> Self {
         SimClock {
             slot: 0,
@@ -50,11 +50,6 @@ impl SimClock {
         self.total_slots
     }
 
-    /// The horizon in seconds.
-    pub fn horizon_s(&self) -> f64 {
-        self.total_slots as f64 * self.slot_seconds
-    }
-
     /// Whether the horizon has been reached.
     pub fn finished(&self) -> bool {
         self.slot >= self.total_slots
@@ -81,7 +76,6 @@ mod tests {
         let c = SimClock::paper_default();
         assert_eq!(c.total_slots(), 10_800);
         assert_eq!(c.slot_seconds(), 1.0);
-        assert_eq!(c.horizon_s(), 10_800.0);
     }
 
     #[test]

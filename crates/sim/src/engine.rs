@@ -68,6 +68,7 @@ use std::sync::Arc;
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
 
+use fedco_core::experiment::{ConfigError, SimConfig};
 use fedco_core::offline::{OfflineScheduler, OfflineUser};
 use fedco_core::online::{OnlineDecisionInput, SlotOutcome};
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
@@ -94,7 +95,6 @@ use fedco_world::CHECK_EVERY_SLOTS;
 
 use crate::arrivals::ArrivalSchedule;
 use crate::clock::SimClock;
-use crate::experiment::{ConfigError, SimConfig};
 use crate::index::{Calendar, Deadline};
 use crate::phases::NOT_ACCRUING;
 use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
@@ -103,6 +103,10 @@ use crate::user::{TrainingPhase, UserArena};
 /// Salt folded into the run seed before it is handed to the policy build, so
 /// policy-private random streams never alias the engine's own streams.
 const POLICY_SEED_SALT: u64 = 0x706F_6C69_6379_5EED;
+
+/// Momentum-vector norm the gap predictor assumes in energy-only runs, and
+/// in ML runs while the server's momentum is still zero.
+const SYNTHETIC_VELOCITY_NORM: f32 = 2.0;
 
 /// Execution statistics of one run. Purely diagnostic — never feeds back
 /// into the simulation itself.
@@ -345,14 +349,7 @@ impl Simulation {
             config.devices.device_for(i)
         });
         let profilers: Vec<EnergyProfiler> = (0..users.len())
-            .map(|i| {
-                let model = PowerModel::shared(users.shared_profile(i));
-                if config.collect_traces {
-                    EnergyProfiler::new(model)
-                } else {
-                    EnergyProfiler::lean(model)
-                }
-            })
+            .map(|i| EnergyProfiler::lean(PowerModel::shared(users.shared_profile(i))))
             .collect();
         let policy = config.policy.build(
             &PolicyBuildContext::new(config.scheduler)
@@ -606,7 +603,7 @@ impl Simulation {
 
     fn velocity_norm(&mut self) -> f32 {
         if self.ml.is_none() {
-            return self.config.synthetic_velocity_norm;
+            return SYNTHETIC_VELOCITY_NORM;
         }
         let server = &self.server;
         let norm = *self
@@ -615,7 +612,7 @@ impl Simulation {
         if norm > 0.0 {
             norm
         } else {
-            self.config.synthetic_velocity_norm
+            SYNTHETIC_VELOCITY_NORM
         }
     }
 
@@ -1454,7 +1451,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::MlConfig;
+    use fedco_core::experiment::MlConfig;
     use fedco_core::spec::PolicySpec;
 
     fn small(policy: PolicySpec) -> SimConfig {
@@ -1569,7 +1566,7 @@ mod tests {
 
     #[test]
     fn try_new_returns_typed_errors_instead_of_panicking() {
-        use crate::experiment::ConfigError;
+        use fedco_core::experiment::ConfigError;
         let mut config = small(PolicySpec::Online { v: None });
         config.num_users = 0;
         assert_eq!(

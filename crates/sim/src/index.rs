@@ -8,7 +8,7 @@
 //! is the schedule itself in its slot-major order:
 //! [`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot).
 
-use crate::experiment::SimConfig;
+use fedco_core::experiment::SimConfig;
 
 // The indices store user ids as `u32` (half the calendar's footprint at a
 // million users); every fleet fits.

@@ -25,7 +25,6 @@
 pub mod arrivals;
 pub mod clock;
 pub mod engine;
-pub mod experiment;
 mod index;
 mod phases;
 pub mod report;
@@ -37,12 +36,12 @@ pub mod prelude {
     pub use crate::arrivals::ArrivalSchedule;
     pub use crate::clock::SimClock;
     pub use crate::engine::{run_simulation, run_simulation_traced, EngineStats, Simulation};
-    pub use crate::experiment::{
-        ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
-    };
     pub use crate::report::{render_breakdown, render_series, render_table, summarize};
     pub use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
     pub use crate::user::{TrainingPhase, UserArena};
+    pub use fedco_core::experiment::{
+        ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
+    };
     pub use fedco_core::scenario::{parse_scenario_file, LinkKind, MlMode, ScenarioSpec};
     pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
 }

@@ -67,7 +67,7 @@ pub fn render_breakdown(result: &SimResult) -> String {
 mod tests {
     use super::*;
     use crate::engine::run_simulation;
-    use crate::experiment::SimConfig;
+    use fedco_core::experiment::SimConfig;
     use fedco_core::spec::PolicySpec;
 
     #[test]

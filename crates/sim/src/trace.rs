@@ -120,15 +120,6 @@ impl SimResult {
             })
     }
 
-    /// Mean gradient gap across applied updates.
-    pub fn mean_update_gap(&self) -> f64 {
-        if self.updates.is_empty() {
-            return 0.0;
-        }
-        // fedco-audit: allow(float-reduction): fixed-order reduction over the update trace — deterministic by construction
-        self.updates.iter().map(|u| u.gap).sum::<f64>() / self.updates.len() as f64
-    }
-
     /// Pearson correlation between lag and gap across applied updates
     /// (Fig. 5a, lower subplot shows this is positive).
     pub fn lag_gap_correlation(&self) -> f64 {
@@ -251,7 +242,6 @@ mod tests {
             .collect();
         let r = result_with(vec![], updates);
         assert!(r.lag_gap_correlation() > 0.99);
-        assert!(r.mean_update_gap() > 0.0);
     }
 
     #[test]
@@ -269,7 +259,6 @@ mod tests {
         assert_eq!(r.lag_gap_correlation(), 0.0);
         let r2 = result_with(vec![], vec![]);
         assert_eq!(r2.lag_gap_correlation(), 0.0);
-        assert_eq!(r2.mean_update_gap(), 0.0);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct UserSideTable {
 #[derive(Debug, Clone)]
 pub struct UserArena {
     /// Per-idle-slot gradient-gap increment `ε` (Eq. 12), clamped to `≥ 0`
-    /// once at construction exactly like `GapAccumulator::new`.
+    /// once at construction.
     epsilon: f64,
     /// One shared profile per *distinct* device kind, in first-seen order.
     profiles: Vec<Arc<DeviceProfile>>,
@@ -177,11 +177,6 @@ impl UserArena {
     /// The idle gap increment `ε` (already clamped to `≥ 0`).
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// Number of distinct shared device profiles in the arena.
-    pub fn distinct_profiles(&self) -> usize {
-        self.profiles.len()
     }
 
     /// The device kind of user `i`.
@@ -615,7 +610,7 @@ mod tests {
             DeviceKind::Pixel2,
         ];
         let u = UserArena::build(kinds.len(), 0.1, |i| kinds[i]);
-        assert_eq!(u.distinct_profiles(), 2);
+        assert_eq!(u.profiles.len(), 2);
         assert!(Arc::ptr_eq(&u.shared_profile(0), &u.shared_profile(2)));
         assert!(Arc::ptr_eq(&u.shared_profile(1), &u.shared_profile(3)));
         assert!(!Arc::ptr_eq(&u.shared_profile(0), &u.shared_profile(1)));
@@ -625,7 +620,6 @@ mod tests {
 
     #[test]
     fn negative_epsilon_clamps_to_zero() {
-        // Exactly like `GapAccumulator::new`.
         let mut c = UserArena::build(1, -0.5, |_| DeviceKind::Pixel2);
         for _ in 0..10 {
             c.idle_slot(0);

@@ -179,10 +179,10 @@ impl std::fmt::Display for DiffReport {
 
 /// Diffs two traces down to the first divergence.
 ///
-/// By default only the **semantic** and **fleet** channels are compared —
-/// the driver channel (dense/skip spans) differs between a trace recorded
-/// while the engine fast-forwarded quiescent spans and one of the same
-/// scenario recorded since. Pass `include_driver` to compare everything.
+/// By default only the **semantic** and **fleet** channels are compared:
+/// the driver channel (the dense span that closes each run) describes how
+/// the engine executed a run, not what the simulated system did. Pass
+/// `include_driver` to compare everything.
 pub fn diff(left: &[Event], right: &[Event], include_driver: bool) -> DiffReport {
     let keep = |e: &&Event| include_driver || e.channel() != Channel::Driver;
     let left: Vec<&Event> = left.iter().filter(keep).collect();
@@ -228,7 +228,13 @@ mod tests {
         ];
         let right = vec![
             semantic(1, 1),
-            Event::new(5, EventKind::SkipSpan { slots: 4 }),
+            Event::new(
+                5,
+                EventKind::DenseSpan {
+                    slots: 4,
+                    idle_decisions: 2,
+                },
+            ),
             semantic(9, 2),
         ];
         let report = diff(&left, &right, false);
@@ -262,14 +268,20 @@ mod tests {
         let events = vec![
             semantic(1, 1),
             semantic(2, 2),
-            Event::new(10, EventKind::SkipSpan { slots: 8 }),
+            Event::new(
+                10,
+                EventKind::DenseSpan {
+                    slots: 8,
+                    idle_decisions: 0,
+                },
+            ),
         ];
         let text = summarize(&events);
         assert!(text.contains("3 events"));
         assert!(text.contains("last slot 10"));
         assert!(text.contains("semantic"));
         assert!(text.contains("barrier      2"));
-        assert!(text.contains("skip-span    1"));
+        assert!(text.contains("dense-span   1"));
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! * `timeline <trace.jsonl> [--job N]` — per-component cumulative energy
 //!   timeline (optionally restricted to one fleet job).
 //! * `diff <left.jsonl> <right.jsonl> [--all]` — compare two traces down to
-//!   the first divergence. The driver channel (dense/skip spans) is excluded
-//!   unless `--all` is given, so a trace recorded while the engine still
-//!   fast-forwarded compares identical to a current one of the same
-//!   scenario. Exits 1 on divergence.
+//!   the first divergence. The driver channel (the dense span that closes
+//!   each run) is excluded unless `--all` is given. Exits 1 on divergence.
 //! * `csv <trace.jsonl>` — re-export a trace as CSV on stdout.
+//!
+//! A reader that stops early (`fedco-trace csv big.jsonl | head`) is not an
+//! error: the output ends there and the exit status is the command's own.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use fedco_telemetry::prelude::*;
@@ -27,9 +29,8 @@ USAGE:
     fedco-trace csv       <trace.jsonl>
 
 `diff` compares the semantic + fleet channels by default; pass --all to also
-compare the driver channel (dense/skip spans, which differ between traces
-recorded before and after the engine stopped fast-forwarding). Exit codes: 0 identical
-or success, 1 divergence, 2 usage or parse error.
+compare the driver channel (the dense span that closes each run). Exit codes:
+0 identical or success, 1 divergence, 2 usage or parse error.
 ";
 
 fn load(path: &str) -> Result<Vec<Event>, String> {
@@ -37,15 +38,15 @@ fn load(path: &str) -> Result<Vec<Event>, String> {
     parse_events_jsonl(&text).map_err(|e| format!("`{path}`: {e}"))
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+/// Runs one subcommand: what it prints on stdout and its exit status.
+fn run(args: &[String]) -> Result<(String, ExitCode), String> {
     let command = args.first().map(String::as_str);
     match command {
         Some("summarize") => {
             let [path] = &args[1..] else {
                 return Err("summarize takes exactly one trace file".to_string());
             };
-            print!("{}", summarize(&load(path)?));
-            Ok(ExitCode::SUCCESS)
+            Ok((summarize(&load(path)?), ExitCode::SUCCESS))
         }
         Some("timeline") => {
             let (path, job) = match &args[1..] {
@@ -70,8 +71,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 None => events,
             };
-            print!("{}", timeline(&events));
-            Ok(ExitCode::SUCCESS)
+            Ok((timeline(&events), ExitCode::SUCCESS))
         }
         Some("diff") => {
             let (left, right, all) = match &args[1..] {
@@ -82,24 +82,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             };
             let report = diff(&load(left)?, &load(right)?, all);
-            println!("{report}");
-            Ok(if report.identical() {
+            let code = if report.identical() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            })
+            };
+            Ok((format!("{report}\n"), code))
         }
         Some("csv") => {
             let [path] = &args[1..] else {
                 return Err("csv takes exactly one trace file".to_string());
             };
-            print!("{}", events_to_csv(&load(path)?));
-            Ok(ExitCode::SUCCESS)
+            Ok((events_to_csv(&load(path)?), ExitCode::SUCCESS))
         }
-        Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
+        Some("--help" | "-h" | "help") | None => Ok((USAGE.to_string(), ExitCode::SUCCESS)),
         Some(other) => Err(format!("unknown subcommand `{other}`")),
     }
 }
@@ -107,7 +103,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(code) => code,
+        Ok((text, code)) => match io::stdout().lock().write_all(text.as_bytes()) {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                eprintln!("fedco-trace: cannot write to stdout: {e}");
+                ExitCode::from(2)
+            }
+            _ => code,
+        },
         Err(message) => {
             eprintln!("fedco-trace: {message}");
             eprintln!();

@@ -8,9 +8,8 @@
 //! * **semantic** — what the simulated system did (schedules, merges,
 //!   rounds, barrier depths, energy accrual).
 //! * **driver** — how the engine executed it. The engine steps every slot
-//!   and closes a run with one dense span; traces recorded while it still
-//!   fast-forwarded quiescent spans hold alternating dense and skip spans.
-//!   Trace diffs exclude this channel by default, so both kinds compare.
+//!   and closes a run with one dense span. Trace diffs exclude this channel
+//!   by default.
 //! * **fleet** — job lifecycle markers the sweep merge inserts around each
 //!   job's stream, deterministic because the merge happens in job order.
 //! * **server** — session lifecycle and aggregation decisions of the
@@ -26,8 +25,7 @@ use std::borrow::Cow;
 pub enum Channel {
     /// Simulated-system behaviour.
     Semantic,
-    /// Engine execution mechanics (how many slots were stepped, or — in
-    /// older traces — skipped).
+    /// Engine execution mechanics (how many slots were stepped).
     Driver,
     /// Sweep job lifecycle markers inserted by the deterministic merge.
     Fleet,
@@ -128,13 +126,6 @@ pub enum EventKind {
         slots: u64,
         /// Idle `decide()` outcomes inside the stretch.
         idle_decisions: u64,
-    },
-    /// A quiescent span was fast-forwarded (driver). No longer emitted —
-    /// the engine steps every slot — but still parsed, so traces recorded
-    /// before the fast-forward was deleted load.
-    SkipSpan {
-        /// Slots skipped in bulk.
-        slots: u64,
     },
     /// A fleet job's event stream begins (fleet).
     JobStart {
@@ -240,7 +231,6 @@ impl EventKind {
             EventKind::Barrier { .. } => "barrier",
             EventKind::RunEnd { .. } => "run-end",
             EventKind::DenseSpan { .. } => "dense-span",
-            EventKind::SkipSpan { .. } => "skip-span",
             EventKind::JobStart { .. } => "job-start",
             EventKind::JobEnd { .. } => "job-end",
             EventKind::JoinAccepted { .. } => "join-accepted",
@@ -259,7 +249,7 @@ impl EventKind {
     /// The comparison channel of the kind.
     pub fn channel(&self) -> Channel {
         match self {
-            EventKind::DenseSpan { .. } | EventKind::SkipSpan { .. } => Channel::Driver,
+            EventKind::DenseSpan { .. } => Channel::Driver,
             EventKind::JobStart { .. } | EventKind::JobEnd { .. } => Channel::Fleet,
             EventKind::JoinAccepted { .. }
             | EventKind::JoinRejected { .. }
@@ -280,7 +270,13 @@ mod tests {
     fn channels_partition_the_kinds() {
         let semantic = Event::new(3, EventKind::Barrier { depth: 2 });
         assert_eq!(semantic.channel(), Channel::Semantic);
-        let driver = Event::new(3, EventKind::SkipSpan { slots: 40 });
+        let driver = Event::new(
+            3,
+            EventKind::DenseSpan {
+                slots: 40,
+                idle_decisions: 2,
+            },
+        );
         assert_eq!(driver.channel(), Channel::Driver);
         let fleet = Event::new(0, EventKind::JobEnd { job: 7 });
         assert_eq!(fleet.channel(), Channel::Fleet);
@@ -307,7 +303,14 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(EventKind::SkipSpan { slots: 1 }.name(), "skip-span");
+        assert_eq!(
+            EventKind::DenseSpan {
+                slots: 1,
+                idle_decisions: 0
+            }
+            .name(),
+            "dense-span"
+        );
         assert_eq!(
             EventKind::Merge {
                 user: 0,

@@ -147,7 +147,6 @@ pub fn write_event_line(out: &mut String, event: &Event) {
         } => line
             .u64("slots", *slots)
             .u64("idle_decisions", *idle_decisions),
-        EventKind::SkipSpan { slots } => line.u64("slots", *slots),
         EventKind::JobStart {
             job,
             scenario,
@@ -271,7 +270,6 @@ pub fn events_to_csv(events: &[Event]) -> String {
                 cols[12] = slots.to_string();
                 cols[13] = idle_decisions.to_string();
             }
-            EventKind::SkipSpan { slots } => cols[12] = slots.to_string(),
             EventKind::JobStart {
                 job,
                 scenario,
@@ -331,7 +329,7 @@ pub fn events_to_csv(events: &[Event]) -> String {
     out
 }
 
-/// Error parsing a trace or metrics JSONL document.
+/// Error parsing a JSONL trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line number of the offending line.
@@ -350,7 +348,7 @@ impl std::error::Error for ParseError {}
 
 /// One parsed value of the flat JSON-object subset the exporters emit.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
+enum JsonValue {
     /// A (unescaped) string literal.
     Str(String),
     /// A number, kept as its raw token so the caller parses it into the
@@ -358,14 +356,12 @@ pub(crate) enum JsonValue {
     Num(String),
     /// A boolean.
     Bool(bool),
-    /// An array of raw number tokens (histogram buckets).
-    NumArray(Vec<String>),
 }
 
 /// Parses one flat JSON object line into its key/value pairs, in document
-/// order. Only the subset the exporters emit is supported: string, number,
-/// boolean and number-array values.
-pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+/// order. Only the subset the exporters emit is supported: string, number
+/// and boolean values.
+fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut chars = line.trim().char_indices().peekable();
     let text = line.trim();
     let mut pairs = Vec::new();
@@ -412,25 +408,6 @@ fn parse_value(
         Some((_, 'f')) => {
             expect_word(text, chars, "false")?;
             Ok(JsonValue::Bool(false))
-        }
-        Some((_, '[')) => {
-            chars.next();
-            let mut items = Vec::new();
-            loop {
-                match chars.peek().copied() {
-                    Some((_, ']')) => {
-                        chars.next();
-                        break;
-                    }
-                    Some((_, ',')) if !items.is_empty() => {
-                        chars.next();
-                    }
-                    Some(_) if items.is_empty() => {}
-                    _ => return Err("expected `,` or `]` in array".to_string()),
-                }
-                items.push(parse_number(text, chars)?);
-            }
-            Ok(JsonValue::NumArray(items))
         }
         Some(_) => Ok(JsonValue::Num(parse_number(text, chars)?)),
         None => Err("unexpected end of line".to_string()),
@@ -517,12 +494,12 @@ fn parse_string(
 }
 
 /// Typed access to the key/value pairs of one parsed object line.
-pub(crate) struct Fields<'a> {
+struct Fields<'a> {
     pairs: &'a [(String, JsonValue)],
 }
 
 impl<'a> Fields<'a> {
-    pub(crate) fn new(pairs: &'a [(String, JsonValue)]) -> Self {
+    fn new(pairs: &'a [(String, JsonValue)]) -> Self {
         Fields { pairs }
     }
 
@@ -534,7 +511,7 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| format!("missing field `{key}`"))
     }
 
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
+    fn u64(&self, key: &str) -> Result<u64, String> {
         match self.get(key)? {
             JsonValue::Num(raw) => raw
                 .parse()
@@ -543,7 +520,7 @@ impl<'a> Fields<'a> {
         }
     }
 
-    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
+    fn f64(&self, key: &str) -> Result<f64, String> {
         match self.get(key)? {
             JsonValue::Num(raw) => raw
                 .parse()
@@ -552,30 +529,17 @@ impl<'a> Fields<'a> {
         }
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<String, String> {
+    fn str(&self, key: &str) -> Result<String, String> {
         match self.get(key)? {
             JsonValue::Str(s) => Ok(s.clone()),
             _ => Err(format!("field `{key}` is not a string")),
         }
     }
 
-    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
+    fn bool(&self, key: &str) -> Result<bool, String> {
         match self.get(key)? {
             JsonValue::Bool(b) => Ok(*b),
             _ => Err(format!("field `{key}` is not a boolean")),
-        }
-    }
-
-    pub(crate) fn u64_array(&self, key: &str) -> Result<Vec<u64>, String> {
-        match self.get(key)? {
-            JsonValue::NumArray(raws) => raws
-                .iter()
-                .map(|raw| {
-                    raw.parse()
-                        .map_err(|e| format!("field `{key}`: {e} (`{raw}`)"))
-                })
-                .collect(),
-            _ => Err(format!("field `{key}` is not an array")),
         }
     }
 }
@@ -619,9 +583,6 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
         "dense-span" => EventKind::DenseSpan {
             slots: fields.u64("slots")?,
             idle_decisions: fields.u64("idle_decisions")?,
-        },
-        "skip-span" => EventKind::SkipSpan {
-            slots: fields.u64("slots")?,
         },
         "job-start" => EventKind::JobStart {
             job: fields.u64("job")?,
@@ -750,7 +711,6 @@ pub(crate) mod tests {
                     idle_decisions: 13,
                 },
             ),
-            Event::new(100, EventKind::SkipSpan { slots: 500 }),
             Event::new(
                 10800,
                 EventKind::RunEnd {
@@ -930,7 +890,6 @@ pub(crate) mod tests {
                     slots,
                     idle_decisions,
                 } => format!(",\"slots\":{slots},\"idle_decisions\":{idle_decisions}"),
-                EventKind::SkipSpan { slots } => format!(",\"slots\":{slots}"),
                 EventKind::JobStart {
                     job,
                     scenario,

@@ -12,9 +12,8 @@
 //! Modules:
 //!
 //! * [`event`] — typed events and their semantic/driver/fleet channels.
-//! * [`sink`] — the [`sink::Telemetry`] trait, [`sink::NullSink`],
-//!   [`sink::BufferSink`] and the deterministically-merged
-//!   [`sink::ShardedSink`].
+//! * [`sink`] — the [`sink::Telemetry`] trait, [`sink::NullSink`] and
+//!   [`sink::BufferSink`].
 //! * [`clock`] — the shared [`clock::SlotClock`] the engine advances.
 //! * [`metrics`] — counters/sums/gauges/slot-histograms derived purely from
 //!   traces, keyed by `(scenario, policy)`.
@@ -44,7 +43,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{MetricKey, MetricValue, MetricsRegistry, SlotHistogram};
     pub use crate::profiling::{Measured, Stopwatch};
-    pub use crate::sink::{BufferSink, NullSink, ShardedSink, Telemetry};
+    pub use crate::sink::{BufferSink, NullSink, Telemetry};
 }
 
 pub use prelude::*;

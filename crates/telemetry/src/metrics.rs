@@ -11,7 +11,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::event::{Event, EventKind};
-use crate::export::{json_escape, parse_object, Fields, ParseError};
+use crate::export::json_escape;
 
 /// The label triple a metric is keyed by.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -182,8 +182,6 @@ fixed_names! {
     TotalEnergyJ = "total_energy_j",
     DenseSlotsTotal = "dense_slots_total",
     IdleDecisionsTotal = "idle_decisions_total",
-    SkippedSlotsTotal = "skipped_slots_total",
-    SkipSpansTotal = "skip_spans_total",
     JobsTotal = "jobs_total",
     JoinsAcceptedTotal = "joins_accepted_total",
     JoinsRejectedTotal = "joins_rejected_total",
@@ -337,10 +335,6 @@ impl MetricsRegistry {
                     cell.count(DenseSlotsTotal, *slots);
                     cell.count(IdleDecisionsTotal, *idle_decisions);
                 }
-                EventKind::SkipSpan { slots } => {
-                    cell.count(SkippedSlotsTotal, *slots);
-                    cell.count(SkipSpansTotal, 1);
-                }
                 EventKind::JobEnd { .. } => cell.count(JobsTotal, 1),
                 EventKind::JoinAccepted { .. } => cell.count(JoinsAcceptedTotal, 1),
                 EventKind::JoinRejected { .. } => cell.count(JoinsRejectedTotal, 1),
@@ -438,7 +432,7 @@ impl MetricsRegistry {
     }
 
     /// Serializes the registry as JSON lines, one metric per line, in key
-    /// order. Round-trips byte-identically through [`MetricsRegistry::parse_jsonl`].
+    /// order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (key, value) in &self.metrics {
@@ -470,47 +464,6 @@ impl MetricsRegistry {
             out.push_str("}\n");
         }
         out
-    }
-
-    /// Parses the output of [`MetricsRegistry::to_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] with the offending line number on malformed
-    /// input.
-    pub fn parse_jsonl(text: &str) -> Result<Self, ParseError> {
-        let mut registry = MetricsRegistry::new();
-        for (i, line) in text.lines().enumerate() {
-            let parse = |message: String| ParseError {
-                line: i + 1,
-                message,
-            };
-            let pairs = parse_object(line).map_err(parse)?;
-            let fields = Fields::new(&pairs);
-            let key = MetricKey {
-                scenario: fields.str("scenario").map_err(parse)?,
-                policy: fields.str("policy").map_err(parse)?,
-                name: fields.str("metric").map_err(parse)?,
-            };
-            let value = match fields.str("type").map_err(parse)?.as_str() {
-                "counter" => MetricValue::Counter(fields.u64("value").map_err(parse)?),
-                "sum" => MetricValue::Sum(fields.f64("value").map_err(parse)?),
-                "gauge" => MetricValue::Gauge {
-                    slot: fields.u64("slot").map_err(parse)?,
-                    value: fields.f64("value").map_err(parse)?,
-                },
-                "slot-histogram" => MetricValue::SlotHistogram(SlotHistogram {
-                    count: fields.u64("count").map_err(parse)?,
-                    min: fields.u64("min").map_err(parse)?,
-                    max: fields.u64("max").map_err(parse)?,
-                    sum: fields.u64("sum").map_err(parse)?,
-                    buckets: fields.u64_array("buckets").map_err(parse)?,
-                }),
-                other => return Err(parse(format!("unknown metric type `{other}`"))),
-            };
-            registry.metrics.insert(key, value);
-        }
-        Ok(registry)
     }
 }
 
@@ -607,7 +560,6 @@ mod tests {
                     idle_decisions: 11,
                 },
             ),
-            Event::new(100, EventKind::SkipSpan { slots: 40 }),
             Event::new(
                 100,
                 EventKind::RunEnd {
@@ -634,8 +586,8 @@ mod tests {
             })
         );
         assert_eq!(
-            m.get("smoke", "Online", "skipped_slots_total"),
-            Some(&MetricValue::Counter(40))
+            m.get("smoke", "Online", "dense_slots_total"),
+            Some(&MetricValue::Counter(60))
         );
         match m.get("smoke", "Online", "merge_lag") {
             Some(MetricValue::SlotHistogram(h)) => assert_eq!((h.count, h.max), (1, 3)),
@@ -893,10 +845,6 @@ mod tests {
                             *idle_decisions,
                         );
                     }
-                    EventKind::SkipSpan { slots } => {
-                        registry.add_counter(&scenario, &policy, "skipped_slots_total", *slots);
-                        registry.add_counter(&scenario, &policy, "skip_spans_total", 1);
-                    }
                     EventKind::JobEnd { .. } => {
                         registry.add_counter(&scenario, &policy, "jobs_total", 1);
                     }
@@ -985,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip_is_byte_identical() {
+    fn jsonl_is_one_escaped_line_per_metric_in_key_order() {
         let mut events = job(
             0,
             ("paper-default \"quoted\"", "Online"),
@@ -1002,10 +950,14 @@ mod tests {
         ));
         let m = MetricsRegistry::from_trace(&events);
         assert_eq!(m.len(), 12);
-        let first = m.to_jsonl();
-        let parsed = MetricsRegistry::parse_jsonl(&first).expect("parses");
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.to_jsonl(), first);
-        assert!(MetricsRegistry::parse_jsonl("{\"bad\":1}\n").is_err());
+        let jsonl = m.to_jsonl();
+        assert_eq!(jsonl.lines().count(), m.len());
+        let first = jsonl.lines().next().expect("one line per metric");
+        assert_eq!(
+            first,
+            "{\"scenario\":\"paper-default \\\"quoted\\\"\",\"policy\":\"Online\",\
+\"metric\":\"barrier_depth\",\"type\":\"slot-histogram\",\
+\"count\":6,\"min\":0,\"max\":5,\"sum\":15,\"buckets\":[1,1,2,2]}"
+        );
     }
 }

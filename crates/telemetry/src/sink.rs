@@ -1,10 +1,10 @@
 //! Telemetry sinks: where events go.
 //!
 //! A sink is shared behind `Arc<dyn Telemetry>` so the engine, FL server and
-//! fleet executor can all write to the same buffer. Determinism discipline
-//! mirrors `crates/fleet/src/stats.rs`: concurrent producers each write to
-//! their **own** shard and shards are merged in a fixed order afterwards, so
-//! the merged stream never depends on thread interleaving.
+//! fleet executor can all write to the same buffer. Concurrent producers each
+//! write to their **own** buffer, and the buffers are merged in a fixed order
+//! afterwards (the fleet executor: one per job, in job order), so the merged
+//! stream never depends on thread interleaving.
 
 use std::sync::{Arc, Mutex};
 
@@ -93,52 +93,6 @@ impl Telemetry for BufferSink {
     }
 }
 
-/// A fixed set of per-shard buffers with a deterministic merge.
-///
-/// Each concurrent producer writes to its own shard (`shard(i)`); after all
-/// producers finish, [`ShardedSink::merged`] concatenates the shards in
-/// shard-index order. The merged stream is therefore a pure function of what
-/// each producer wrote, never of how threads interleaved — the same
-/// discipline `fleet::run_grid` uses for its result slots.
-#[derive(Debug)]
-pub struct ShardedSink {
-    shards: Vec<Arc<BufferSink>>,
-}
-
-impl ShardedSink {
-    /// Creates `shards` independent buffers.
-    pub fn new(shards: usize) -> Self {
-        ShardedSink {
-            shards: (0..shards).map(|_| BufferSink::shared()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The sink for shard `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range — shard handles are acquired at
-    /// setup time, so an out-of-range index is a construction bug.
-    pub fn shard(&self, index: usize) -> Arc<BufferSink> {
-        // fedco-audit: allow(panic-surface): out-of-range shard index is a setup bug, not a runtime condition
-        self.shards[index].clone()
-    }
-
-    /// Drains all shards in shard-index order into one stream.
-    pub fn merged(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.drain());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,39 +118,5 @@ mod tests {
         assert!(sink.is_empty());
         let slots: Vec<u64> = events.iter().map(|e| e.slot).collect();
         assert_eq!(slots, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sharded_merge_is_shard_order_not_thread_order() {
-        let sink = ShardedSink::new(3);
-        assert_eq!(sink.shard_count(), 3);
-        // Write to shards out of order, as racing threads would.
-        sink.shard(2)
-            .record(Event::new(20, EventKind::Barrier { depth: 2 }));
-        sink.shard(0)
-            .record(Event::new(0, EventKind::Barrier { depth: 0 }));
-        sink.shard(1)
-            .record(Event::new(10, EventKind::Barrier { depth: 1 }));
-        let slots: Vec<u64> = sink.merged().iter().map(|e| e.slot).collect();
-        assert_eq!(slots, vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn sharded_merge_under_real_threads_is_deterministic() {
-        let run = || {
-            let sink = ShardedSink::new(4);
-            std::thread::scope(|scope| {
-                for i in 0..4 {
-                    let shard = sink.shard(i);
-                    scope.spawn(move || {
-                        for slot in 0..50u64 {
-                            shard.record(Event::new(slot, EventKind::Barrier { depth: i as u64 }));
-                        }
-                    });
-                }
-            });
-            sink.merged()
-        };
-        assert_eq!(run(), run());
     }
 }

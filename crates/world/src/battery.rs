@@ -5,13 +5,16 @@
 //! `EnergyProfiler` accrues drains the user's battery; a drained device goes
 //! dark (it stops training, running apps and consuming energy) until its
 //! deterministic charging schedule brings the state of charge back over the
-//! rejoin threshold. The engine evaluates the lifecycle at world check slots
+//! rejoin threshold. A spec fixes the capacity (the device's nominal
+//! [`capacity`](fedco_device::battery::capacity), scaled) and the charging
+//! schedule; the charge itself is the engine's one per-user battery state.
+//! The engine evaluates the lifecycle at world check slots
 //! (see [`CHECK_EVERY_SLOTS`](crate::CHECK_EVERY_SLOTS)), reading per-user
 //! profiler totals in ascending user order — no cross-user float
 //! reductions, so results are byte-identical between the engine's indexed
 //! slot loop and its plain-scan reference.
 
-use fedco_device::battery::Battery;
+use fedco_device::battery;
 use fedco_device::profiles::DeviceKind;
 
 /// The declarative battery-lifecycle choice of a scenario (`battery=`
@@ -109,7 +112,7 @@ impl BatterySpec {
     /// `None` when batteries are off.
     pub fn capacity_j(&self, device: DeviceKind) -> Option<f64> {
         let params = self.params()?;
-        Some(Battery::for_device(device).capacity().value() * params.capacity_scale)
+        Some(battery::capacity(device).value() * params.capacity_scale)
     }
 }
 

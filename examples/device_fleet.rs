@@ -33,14 +33,14 @@ fn main() {
     println!("\nBattery impact of one background training epoch:");
     for device in DeviceKind::ALL {
         let profile = device.profile();
-        let mut battery = Battery::for_device(device);
+        let capacity = fedco::device::battery::capacity(device).value();
         let energy = profile.training_power() * profile.training_time();
-        battery.drain(energy);
+        let state_of_charge = ((capacity - energy.value()) / capacity).clamp(0.0, 1.0);
         println!(
             "{:<10} epoch energy {:>8.1} J  state of charge after one epoch: {:>6.2} %",
             device.name(),
             energy.value(),
-            battery.state_of_charge() * 100.0
+            state_of_charge * 100.0
         );
     }
 

@@ -14,7 +14,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`neural`] | LeNet-5 training over one flat parameter buffer: tensors, its five layers, softmax cross-entropy, SGD with momentum, synthetic CIFAR-like data |
-//! | [`device`] | device/app power calibration (Table II/III), big.LITTLE topology, battery, FPS, power model, energy profiler |
+//! | [`device`] | device/app power calibration (Table II/III), battery capacities, FPS, power model, energy profiler |
 //! | [`fl`] | parameter server, async/sync aggregation, lag and gradient-gap staleness metrics |
 //! | [`core`] | the paper's schedulers: offline knapsack DP and online drift-plus-penalty |
 //! | [`sim`] | the slotted simulator reproducing the paper's 3-hour, 25-user evaluation |
@@ -55,14 +55,14 @@ pub mod prelude {
     pub use fedco_core::prelude::*;
     pub use fedco_device::prelude::*;
     pub use fedco_fl::{
-        AsyncUpdateRule, ClientConfig, FlClient, GapAccumulator, GradientGap, Lag, LocalUpdate,
-        ModelSnapshot, ModelVersion, MomentumTracker, ParameterServer, PartitionStrategy,
-        TransportModel, WeightPredictor,
+        AsyncUpdateRule, ClientConfig, FlClient, GradientGap, Lag, LocalUpdate, ModelSnapshot,
+        ModelVersion, MomentumTracker, ParameterServer, PartitionStrategy, TransportModel,
+        WeightPredictor,
     };
     pub use fedco_fleet::prelude::{
-        deterministic_view, resolve_workers, rollup_table, run_grid, run_grid_sequential,
-        run_grid_traced, to_csv, to_jsonl, CellRollup, FieldAxis, FleetJob, FleetReport, GridError,
-        JobCoord, JobQueue, JobSummary, LinkKind, ScenarioGrid, Streaming, SweepTrace,
+        deterministic_view, resolve_workers, rollup_table, run_grid, run_grid_traced, to_csv,
+        to_jsonl, CellRollup, FieldAxis, FleetJob, FleetReport, GridError, JobCoord, JobSummary,
+        LinkKind, ScenarioGrid, Streaming, SweepTrace,
     };
     pub use fedco_neural::{
         Dataset, LeNetConfig, ParamVector, Sequential, Sgd, SgdConfig, SoftmaxCrossEntropy,
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use fedco_telemetry::prelude::{
         diff, events_to_jsonl, parse_events_jsonl, summarize as summarize_trace, BufferSink,
         Channel, Event, EventKind, Measured, MetricKey, MetricValue, MetricsRegistry, NullSink,
-        ShardedSink, SlotClock, Stopwatch, Telemetry,
+        SlotClock, Stopwatch, Telemetry,
     };
     pub use fedco_world::prelude::{
         ArrivalModel, ArrivalSpec, BatterySpec, ChurnSpec, CompressionSpec, WorldConfig,

@@ -27,7 +27,7 @@ fn grid() -> ScenarioGrid {
 fn facade_sweep_is_worker_count_invariant() {
     let grid = grid();
     assert_eq!(grid.len(), 32, "2 scenarios x 2 links x 4 policies x 2");
-    let seq = run_grid_sequential(&grid);
+    let seq = run_grid(&grid, 1);
     let par = run_grid(&grid, 4);
     assert_eq!(deterministic_view(&seq), deterministic_view(&par));
     assert_eq!(seq.rollups, par.rollups);

@@ -179,7 +179,7 @@ fn one_grid_sweep_compares_online_variants_against_all_baselines() {
         assert!(table.contains(label), "table missing {label}");
     }
     // Sweeping is still worker-count invariant with parameterized specs.
-    let seq = run_grid_sequential(&grid);
+    let seq = run_grid(&grid, 1);
     assert_eq!(deterministic_view(&seq), deterministic_view(&report));
     assert_eq!(seq.rollups, report.rollups);
 }

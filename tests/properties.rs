@@ -159,7 +159,7 @@ fn power_model_energy_is_consistent() {
                 let corun = model.slot_energy(PowerState::CoRunning(app), slot);
                 let separate = model.slot_energy(PowerState::TrainingOnly, slot)
                     + model.slot_energy(PowerState::AppOnly(app), slot);
-                let saving_power = model.corun_saving(app).value();
+                let saving_power = model.profile().corun_saving_power(app).value();
                 // s_i > 0 iff separate per-slot energy exceeds co-running energy.
                 assert_eq!(saving_power > 0.0, separate.value() > corun.value());
                 // Idle is always the cheapest state.

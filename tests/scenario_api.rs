@@ -166,11 +166,9 @@ fn registry_labels_round_trip_with_overrides() {
         assert_eq!(reparsed.label(), spec.label());
         assert_eq!(reparsed, spec);
 
-        let tweaked = spec
-            .with_users(9)
-            .with_arrival_p(0.25)
-            .with_link(LinkKind::Wifi)
-            .with_traces(false);
+        let mut tweaked = spec.with_users(9).with_arrival_p(0.25);
+        tweaked.set("link", "wifi").expect("valid link");
+        tweaked.set("traces", "off").expect("valid flag");
         let reparsed: ScenarioSpec = tweaked.label().parse().expect("label parses");
         assert_eq!(reparsed.label(), tweaked.label());
         assert_eq!(reparsed, tweaked);
@@ -422,11 +420,10 @@ fn world_fields_parse_build_and_round_trip() {
     assert_eq!(config.world.churn, ChurnSpec::Heavy);
     assert_eq!(config.world.compression, CompressionSpec::Ratio(0.5));
 
-    // The builder methods record the same labels the parser accepts.
-    let built = ScenarioSpec::preset("smoke")
-        .expect("preset")
-        .with_arrival(ArrivalSpec::FlashCrowd)
-        .with_churn(ChurnSpec::Light);
+    // `set` records the same labels the parser accepts.
+    let mut built = ScenarioSpec::preset("smoke").expect("preset");
+    built.set("arrival", "flash-crowd").expect("valid model");
+    built.set("churn", "light").expect("valid model");
     assert_eq!(
         built.label().parse::<ScenarioSpec>().expect("parses"),
         built

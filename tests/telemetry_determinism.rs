@@ -8,7 +8,8 @@
 //!    traces and metrics on 1, 2 and 4 fleet workers;
 //! 2. `Simulation::run` and its plain-scan reference `run_dense` emit
 //!    identical event streams;
-//! 3. the JSONL trace and metrics schemas round-trip byte-identically.
+//! 3. the JSONL trace schema round-trips byte-identically, and so do the
+//!    metrics derived from the round-tripped trace.
 //!
 //! The horizon here is scaled down so debug-mode tests stay fast; `ci.sh`
 //! exercises the full-scale path in release mode through
@@ -102,12 +103,11 @@ fn trace_and_metrics_schemas_round_trip_byte_identically() {
         "trace serialization is byte-stable across a round trip"
     );
 
-    let metrics_jsonl = trace.metrics.to_jsonl();
-    let metrics = MetricsRegistry::parse_jsonl(&metrics_jsonl).expect("metrics JSONL parses back");
+    let metrics = MetricsRegistry::from_trace(&parsed);
     assert_eq!(metrics, trace.metrics, "metrics round-trip structurally");
     assert_eq!(
         metrics.to_jsonl(),
-        metrics_jsonl,
+        trace.metrics.to_jsonl(),
         "metrics serialization is byte-stable across a round trip"
     );
 }
