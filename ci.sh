@@ -148,7 +148,16 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # (`JobQueue` for an atomic cursor, `run_grid_sequential`,
 # `rollups_for_scenario`, `with_scenarios`, `with_seeds`: -81; +68 in
 # `fleet_sweep` for a stdout whose closed reader ends the output, not the run).
-LOC_CEILING=18477
+# 18477 -> 18483 with 40-byte telemetry events (+6): fedco-telemetry +21 —
+# event.rs (the two closed label tables and `resolve_label`, `JobLabels`, the
+# `run_start` / `job_start` constructors that box the free text, the size
+# assertion), export.rs (`CsvRow`, which writes a CSV row straight into the
+# output, over the `[String; 25]` join it replaces, now the `reference_bits`
+# oracle under `#[cfg(test)]`; `Fields::label`); fedco-core -9
+# (`OfflinePolicy::planned_len` and the count it read), fedco-server -3
+# (`ServerCore::is_shutting_down`), fedco-device -3
+# (`EnergyProfiler::component_energy`): test-only public items.
+LOC_CEILING=18483
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -198,6 +207,11 @@ echo "==> fused apply_async + single-buffer codec + leave flush bit-equivalence 
 cargo test -q --offline --release -p fedco-fl -p fedco-server reference_bits
 # The soak goldens, the 7 500-device one included (ignored in debug).
 cargo test -q --offline --release --test server_soak
+
+echo "==> telemetry exporters bit-equivalence in release (the JSONL line writer and the CSV row writer)"
+# Each against the renderer it replaced, kept under `#[cfg(test)]`; the
+# metrics slot walk against the old keyed walk.
+cargo test -q --offline --release -p fedco-telemetry reference_bits
 
 echo "==> closed-form repeated addition bit-equivalence in release (the debug run above checks its u64 overflow)"
 # `repeated_add` against the plain addition loop, and `record_span` against
@@ -365,6 +379,22 @@ for _ in 1 2 3 4 5 6 7 8; do cat "$TRACE_A"; done >"$TRACE_BIG"
       csv "$TRACE_BIG" | head -n 1 >/dev/null ) \
     || { echo "fedco-trace csv | head -n 1 failed"; exit 1; }
 rm -f "$TRACE_A" "$TRACE_B" "$METRICS_A" "$METRICS_B" "$TRACE_BIG"
+# Every label an emitter writes goes back through the release-mode parser,
+# which resolves it through its closed table: these presets carry every
+# energy component (the uplink ones `radio`) under the four paper policies.
+# The refusal labels go through it in the server soak smoke below.
+LABEL_TRACE=/tmp/fedco_label_trace.jsonl
+timeout 120 cargo run --release --offline -q -p fedco-fleet --bin fleet_sweep -- \
+    --scenario battery-constrained,compressed-uplink,lte-uplink \
+    --policies immediate,sync-sgd,offline,online --replicates 1 \
+    --trace "$LABEL_TRACE" >/dev/null
+timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace -- \
+    diff "$LABEL_TRACE" "$LABEL_TRACE" >/dev/null \
+    || { echo "fedco-trace diff did not read the sweep trace back"; exit 1; }
+timeout 60 cargo run --release --offline -q -p fedco-telemetry --bin fedco-trace -- \
+    csv "$LABEL_TRACE" >/dev/null \
+    || { echo "fedco-trace csv did not read the sweep trace back"; exit 1; }
+rm -f "$LABEL_TRACE"
 
 echo "==> fleet_sweep registry listings + bad-spec error paths"
 SCENARIO_LIST="$(timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- --list-scenarios)"

@@ -239,8 +239,6 @@ pub struct OfflinePolicy {
     /// The planned start slot of each user, indexed by user id (grown on
     /// demand; `None` = no entry).
     start_of: Vec<Option<u64>>,
-    /// Number of users holding an entry.
-    planned: usize,
     window_slots: u64,
 }
 
@@ -265,34 +263,24 @@ impl OfflinePolicy {
         if user_id >= self.start_of.len() {
             self.start_of.resize(user_id + 1, None);
         }
-        if self.start_of[user_id].replace(slot).is_none() {
-            self.planned += 1;
-        }
+        self.start_of[user_id] = Some(slot);
     }
 
     /// Removes a user's plan entry (after their training started).
     pub fn clear_user(&mut self, user_id: usize) {
         if let Some(entry) = self.start_of.get_mut(user_id) {
-            if entry.take().is_some() {
-                self.planned -= 1;
-            }
+            *entry = None;
         }
     }
 
     /// Clears the whole plan (at window boundaries).
     pub fn clear(&mut self) {
         self.start_of.clear();
-        self.planned = 0;
     }
 
     /// The planned start slot for a user, if any.
     pub fn planned_slot(&self, user_id: usize) -> Option<u64> {
         self.start_of.get(user_id).copied().flatten()
-    }
-
-    /// Number of planned users.
-    pub fn planned_len(&self) -> usize {
-        self.planned
     }
 }
 
@@ -525,7 +513,6 @@ mod tests {
         assert_eq!(p.decide(&ctx(4, 10)), SlotDecision::Idle);
         p.set_start_slot(4, 20);
         assert_eq!(p.planned_slot(4), Some(20));
-        assert_eq!(p.planned_len(), 1);
         assert_eq!(p.decide(&ctx(4, 10)), SlotDecision::Idle);
         assert_eq!(p.decide(&ctx(4, 20)), SlotDecision::Schedule);
         assert_eq!(p.decide(&ctx(4, 30)), SlotDecision::Schedule);
@@ -533,7 +520,7 @@ mod tests {
         assert_eq!(p.decide(&ctx(4, 30)), SlotDecision::Idle);
         p.set_start_slot(5, 1);
         p.clear();
-        assert_eq!(p.planned_len(), 0);
+        assert_eq!(p.decide(&ctx(5, 1)), SlotDecision::Idle);
         p.end_of_slot(&SlotOutcome::default());
     }
 
@@ -567,7 +554,7 @@ mod tests {
         assert_eq!(p.planned_slot(5), None);
         // Installing a new plan replaces the old one wholesale.
         p.install_plan(&WindowPlan::new());
-        assert_eq!(p.planned_len(), 0);
+        assert_eq!(p.decide(&ctx(2, 30)), SlotDecision::Idle);
     }
 
     #[test]
@@ -647,13 +634,12 @@ mod tests {
         p.set_start_slot(2, 50);
         p.set_start_slot(2, 20); // re-planned: the later call wins
         p.set_start_slot(7, 30);
-        assert_eq!(p.planned_len(), 2);
         assert_eq!(p.planned_slot(2), Some(20));
         p.clear_user(2);
         p.clear_user(2);
         p.clear_user(99);
-        assert_eq!(p.planned_len(), 1);
         assert_eq!(p.decide(&ctx(2, 60)), SlotDecision::Idle);
+        assert_eq!(p.decide(&ctx(7, 30)), SlotDecision::Schedule);
         // An installed plan replaces everything; a user listed twice keeps
         // its last start.
         let mut plan = WindowPlan::new();
@@ -661,9 +647,10 @@ mod tests {
         plan.set_start_slot(1, 10);
         plan.set_start_slot(0, 25);
         p.install_plan(&plan);
-        assert_eq!(p.planned_len(), 2);
+        assert_eq!(p.decide(&ctx(7, 30)), SlotDecision::Idle);
         assert_eq!(p.planned_slot(7), None);
         assert_eq!(p.planned_slot(1), Some(10));
+        assert_eq!(p.decide(&ctx(1, 10)), SlotDecision::Schedule);
         assert_eq!(p.decide(&ctx(0, 24)), SlotDecision::Idle);
         assert_eq!(p.decide(&ctx(0, 25)), SlotDecision::Schedule);
     }

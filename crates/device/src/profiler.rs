@@ -133,11 +133,6 @@ impl EnergyProfiler {
         self.total
     }
 
-    /// Energy attributed to one component.
-    pub fn component_energy(&self, component: EnergyComponent) -> Joules {
-        self.by_component[component as usize]
-    }
-
     /// The touched components and their energy, in component order, without
     /// allocating (what a per-sample fold over many profilers iterates).
     pub fn components(&self) -> impl Iterator<Item = (EnergyComponent, Joules)> + '_ {
@@ -205,6 +200,13 @@ mod tests {
         EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()))
     }
 
+    /// The energy `components()` lists for `component` (`None` untouched).
+    fn energy_of(p: &EnergyProfiler, component: EnergyComponent) -> Option<Joules> {
+        p.components()
+            .find(|&(c, _)| c == component)
+            .map(|(_, energy)| energy)
+    }
+
     #[test]
     fn records_accumulate_energy() {
         let mut p = profiler();
@@ -223,11 +225,10 @@ mod tests {
         p.record(PowerState::TrainingOnly, Seconds(5.0));
         p.record(PowerState::Idle, Seconds(5.0));
         assert_eq!(p.breakdown().len(), 4);
-        assert!(p.component_energy(EnergyComponent::CoRunning).value() > 0.0);
-        assert!(
-            p.component_energy(EnergyComponent::CoRunning).value()
-                > p.component_energy(EnergyComponent::Idle).value()
-        );
+        let corun = energy_of(&p, EnergyComponent::CoRunning).expect("co-running recorded");
+        let idle = energy_of(&p, EnergyComponent::Idle).expect("idle recorded");
+        assert!(corun.value() > 0.0);
+        assert!(corun.value() > idle.value());
         assert_eq!(EnergyComponent::CoRunning.label(), "co-running");
     }
 
@@ -252,8 +253,8 @@ mod tests {
                 EnergyComponent::Radio
             ]
         );
-        assert_eq!(p.component_energy(EnergyComponent::Radio), Joules::ZERO);
-        assert_eq!(p.component_energy(EnergyComponent::AppOnly), Joules::ZERO);
+        assert_eq!(energy_of(&p, EnergyComponent::Radio), Some(Joules::ZERO));
+        assert_eq!(energy_of(&p, EnergyComponent::AppOnly), None);
         // A zero-slot span touches nothing.
         p.record_span(PowerState::TrainingOnly, Seconds(1.0), 0);
         assert_eq!(p.breakdown().len(), 3);
@@ -314,7 +315,7 @@ mod tests {
         let mut p = profiler();
         p.record_extra(EnergyComponent::Radio, Joules(1.5));
         assert_eq!(p.total_energy(), Joules(1.5));
-        assert_eq!(p.component_energy(EnergyComponent::Radio), Joules(1.5));
+        assert_eq!(p.breakdown(), [(EnergyComponent::Radio, Joules(1.5))]);
         assert_eq!(EnergyComponent::Radio.label(), "radio");
     }
 

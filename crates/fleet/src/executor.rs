@@ -337,11 +337,11 @@ fn run_job_traced(job: &FleetJob, config: SimConfig) -> (SimResult, Vec<Event>) 
     let sink = BufferSink::shared();
     sink.record(Event::new(
         0,
-        EventKind::JobStart {
-            job: job.id as u64,
-            scenario: job.scenario_label.clone(),
-            policy: config.policy.label(),
-        },
+        EventKind::job_start(
+            job.id as u64,
+            job.scenario_label.clone(),
+            config.policy.label(),
+        ),
     ));
     let result = Simulation::new(config).with_telemetry(sink.clone()).run();
     let mut events = sink.drain();

@@ -888,6 +888,24 @@ mod tests {
         assert!(Refusal::from_code(200).is_err());
     }
 
+    /// The labels the service puts in `join-rejected` / `push-refused`
+    /// events are the table the trace parser resolves them through, in
+    /// wire-code order: every trace the service writes parses back.
+    #[test]
+    fn every_refusal_label_resolves_through_the_telemetry_table() {
+        use fedco_telemetry::event::{resolve_label, REFUSAL_REASONS};
+        let mut known = 0;
+        for code in 0..=u8::MAX {
+            if let Ok(reason) = Refusal::from_code(code) {
+                let label = reason.label();
+                assert_eq!(resolve_label(REFUSAL_REASONS, label), Some(label));
+                assert_eq!(REFUSAL_REASONS[usize::from(code) - 1], label);
+                known += 1;
+            }
+        }
+        assert_eq!(known, REFUSAL_REASONS.len(), "a label no refusal has");
+    }
+
     #[test]
     fn header_layout_is_pinned() {
         let frame = Message::Hello { client: 0x0102 }.to_frame();

@@ -160,11 +160,6 @@ impl ServerCore {
         self.queue.len()
     }
 
-    /// Whether a `Shutdown` frame has been processed.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down
-    }
-
     /// The current global model (version + parameters).
     pub fn model(&self) -> (u64, ParamVector) {
         let snap = self.server.download();
@@ -215,7 +210,7 @@ impl ServerCore {
             self.counters.pushes_refused += 1;
             self.emit(EventKind::PushRefused {
                 session,
-                reason: Refusal::UnknownSession.label().to_string(),
+                reason: Refusal::UnknownSession.label(),
             });
             return;
         }
@@ -233,7 +228,7 @@ impl ServerCore {
                 self.counters.pushes_refused += 1;
                 self.emit(EventKind::PushRefused {
                     session,
-                    reason: Refusal::WrongModelLen.label().to_string(),
+                    reason: Refusal::WrongModelLen.label(),
                 });
             }
         }
@@ -332,7 +327,7 @@ impl ServerCore {
             self.counters.joins_rejected += 1;
             self.emit(EventKind::JoinRejected {
                 client,
-                reason: Refusal::ShuttingDown.label().to_string(),
+                reason: Refusal::ShuttingDown.label(),
             });
             return Message::JoinRefused {
                 reason: Refusal::ShuttingDown,
@@ -353,7 +348,7 @@ impl ServerCore {
                 self.counters.joins_rejected += 1;
                 self.emit(EventKind::JoinRejected {
                     client,
-                    reason: reason.label().to_string(),
+                    reason: reason.label(),
                 });
                 Message::JoinRefused { reason }
             }
@@ -364,7 +359,7 @@ impl ServerCore {
         self.counters.pushes_refused += 1;
         self.emit(EventKind::PushRefused {
             session,
-            reason: reason.label().to_string(),
+            reason: reason.label(),
         });
         Message::PushRefused { reason }
     }
@@ -643,7 +638,6 @@ mod tests {
             Message::PushQueued { .. }
         ));
         assert_eq!(c.handle(Message::Shutdown), Message::ShutdownOk);
-        assert!(c.is_shutting_down());
         assert_eq!(c.stats().async_updates, 1, "queued work applied on drain");
         assert_eq!(
             c.handle(Message::Hello { client: 7 }),

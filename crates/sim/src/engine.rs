@@ -577,7 +577,7 @@ impl Simulation {
                 t.sink.record(Event::new(
                     slot,
                     EventKind::Energy {
-                        component: component.label().into(),
+                        component: component.label(),
                         joules,
                     },
                 ));
@@ -965,11 +965,11 @@ impl Simulation {
             t.clock.set(0);
             t.sink.record(Event::new(
                 0,
-                EventKind::RunStart {
-                    users: self.config.num_users as u64,
-                    slots: self.config.total_slots,
-                    policy: self.config.policy.label(),
-                },
+                EventKind::run_start(
+                    self.config.num_users as u64,
+                    self.config.total_slots,
+                    self.config.policy.label(),
+                ),
             ));
         }
     }
@@ -1367,7 +1367,7 @@ impl Simulation {
                 t.sink.record(Event::new(
                     end,
                     EventKind::Energy {
-                        component: component.label().into(),
+                        component: component.label(),
                         joules: *joules,
                     },
                 ));
@@ -1700,6 +1700,19 @@ mod tests {
                 Some(EventKind::RunEnd { .. })
             ));
         }
+    }
+
+    /// The labels of the `energy` samples are the table the trace parser
+    /// resolves them through: every trace the engine writes parses back.
+    #[test]
+    fn every_energy_component_label_resolves_through_the_telemetry_table() {
+        use fedco_telemetry::event::{resolve_label, ENERGY_COMPONENTS};
+        for component in EnergyComponent::ALL {
+            let label = component.label();
+            assert_eq!(resolve_label(ENERGY_COMPONENTS, label), Some(label));
+            assert_eq!(ENERGY_COMPONENTS[component as usize], label);
+        }
+        assert_eq!(ENERGY_COMPONENTS.len(), EnergyComponent::ALL.len());
     }
 
     #[test]

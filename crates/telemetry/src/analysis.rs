@@ -286,14 +286,8 @@ mod tests {
 
     #[test]
     fn timeline_carries_components_forward() {
-        let energy = |slot: u64, component: &str, joules: f64| {
-            Event::new(
-                slot,
-                EventKind::Energy {
-                    component: component.to_string().into(),
-                    joules,
-                },
-            )
+        let energy = |slot: u64, component: &'static str, joules: f64| {
+            Event::new(slot, EventKind::Energy { component, joules })
         };
         let events = vec![
             energy(30, "idle", 1.0),
@@ -316,24 +310,10 @@ mod tests {
     #[test]
     fn job_slice_extracts_one_job() {
         let events = vec![
-            Event::new(
-                0,
-                EventKind::JobStart {
-                    job: 0,
-                    scenario: "a".into(),
-                    policy: "p".into(),
-                },
-            ),
+            Event::new(0, EventKind::job_start(0, "a".into(), "p".into())),
             semantic(1, 1),
             Event::new(5, EventKind::JobEnd { job: 0 }),
-            Event::new(
-                0,
-                EventKind::JobStart {
-                    job: 1,
-                    scenario: "b".into(),
-                    policy: "p".into(),
-                },
-            ),
+            Event::new(0, EventKind::job_start(1, "b".into(), "p".into())),
             semantic(2, 2),
             Event::new(9, EventKind::JobEnd { job: 1 }),
         ];
@@ -341,7 +321,7 @@ mod tests {
         assert_eq!(one.len(), 3);
         assert!(matches!(
             &one[0].kind,
-            EventKind::JobStart { scenario, .. } if scenario == "b"
+            EventKind::JobStart { labels, .. } if labels.scenario == "b"
         ));
         assert!(job_slice(&events[1..2], 0).len() == 1);
         assert!(job_slice(&events[1..2], 3).is_empty());

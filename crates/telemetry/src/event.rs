@@ -17,8 +17,22 @@
 //!   pushes, round advances), stamped with the server's logical tick.
 //!   Byte-stable over the in-process transport, where the fleet driver
 //!   advances ticks in lock-step.
-
-use std::borrow::Cow;
+//!
+//! # Size
+//!
+//! A traced run holds every event in memory until it is written (a
+//! `srv-churn` pass: 275 450 of them), so an [`Event`] is held to 40 bytes:
+//! the slot and an [`EventKind`] whose largest payload is 24 bytes. The rule
+//! for a new or grown variant follows from it:
+//!
+//! * A label from a closed set is a `&'static str` out of that set's table
+//!   ([`ENERGY_COMPONENTS`], [`REFUSAL_REASONS`]): emitting it allocates
+//!   nothing, and the parser resolves a label it reads through the same
+//!   table, rejecting one it does not know.
+//! * A payload over 24 bytes goes behind one `Box`. That is affordable only
+//!   for an event a run emits a handful of times ([`EventKind::RunStart`],
+//!   [`EventKind::JobStart`] with their free-text labels), never for one it
+//!   emits per slot, user or request.
 
 /// The comparison channel an event belongs to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +46,28 @@ pub enum Channel {
     /// Session churn and aggregation decisions of the `fedco-server`
     /// service, on the server's logical tick clock.
     Server,
+}
+
+/// Every `component` label an [`EventKind::Energy`] may carry: the labels of
+/// `fedco-device`'s `EnergyComponent`, in its order.
+pub const ENERGY_COMPONENTS: &[&str] = &["co-running", "training", "app", "idle", "radio"];
+
+/// Every `reason` label an [`EventKind::JoinRejected`] or
+/// [`EventKind::PushRefused`] may carry: the labels of `fedco-server`'s
+/// `Refusal`, in wire-code order.
+pub const REFUSAL_REASONS: &[&str] = &[
+    "server-full",
+    "unknown-session",
+    "backpressure",
+    "wrong-model-len",
+    "shutting-down",
+    "bad-request",
+];
+
+/// The entry of `table` equal to `label`, as the `'static` string an event
+/// holds; `None` for a label the table does not know.
+pub fn resolve_label(table: &[&'static str], label: &str) -> Option<&'static str> {
+    table.iter().copied().find(|&known| known == label)
 }
 
 /// One telemetry event, stamped with the simulation slot it happened in.
@@ -55,6 +91,19 @@ impl Event {
     }
 }
 
+// The size rule of the module docs.
+const _: () = assert!(size_of::<Event>() <= 40);
+
+/// The free-text labels of a [`EventKind::JobStart`], behind the variant's
+/// one `Box`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobLabels {
+    /// The scenario label of the cell.
+    pub scenario: String,
+    /// The policy label of the cell.
+    pub policy: String,
+}
+
 /// The typed payload of an [`Event`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -64,10 +113,11 @@ pub enum EventKind {
         users: u64,
         /// Horizon length in slots.
         slots: u64,
-        /// The policy label ([`PolicySpec::label`]-style).
+        /// The policy label ([`PolicySpec::label`]-style), boxed: free text
+        /// once per run (see the module docs).
         ///
         /// [`PolicySpec::label`]: https://docs.rs/fedco-core
-        policy: String,
+        policy: Box<String>,
     },
     /// A policy `decide()` returned `Schedule` for a waiting user
     /// (semantic). Idle outcomes are counted per dense span instead — they
@@ -83,10 +133,8 @@ pub enum EventKind {
     ///
     /// [`EnergyComponent`]: https://docs.rs/fedco-device
     Energy {
-        /// The component label (`co-running`, `training`, `app`, `idle`,
-        /// `radio`): borrowed from the emitter's static table — a sample
-        /// costs no allocation — and owned only when parsed from a file.
-        component: Cow<'static, str>,
+        /// The component label, one of [`ENERGY_COMPONENTS`].
+        component: &'static str,
         /// Cumulative joules accrued into the component so far.
         joules: f64,
     },
@@ -131,10 +179,8 @@ pub enum EventKind {
     JobStart {
         /// Linear job index in grid order.
         job: u64,
-        /// The scenario label of the cell.
-        scenario: String,
-        /// The policy label of the cell.
-        policy: String,
+        /// The scenario and policy labels of the cell.
+        labels: Box<JobLabels>,
     },
     /// A fleet job's event stream ends (fleet).
     JobEnd {
@@ -152,8 +198,8 @@ pub enum EventKind {
     JoinRejected {
         /// The client's self-declared id.
         client: u64,
-        /// The stable refusal label (`server-full`, `shutting-down`, …).
-        reason: String,
+        /// The refusal label, one of [`REFUSAL_REASONS`].
+        reason: &'static str,
     },
     /// A session missed its heartbeat deadline and was evicted (server).
     SessionExpired {
@@ -173,8 +219,8 @@ pub enum EventKind {
     PushRefused {
         /// The pushing session (0 when the session is unknown).
         session: u64,
-        /// The stable refusal label (`backpressure`, `unknown-session`, …).
-        reason: String,
+        /// The refusal label, one of [`REFUSAL_REASONS`].
+        reason: &'static str,
     },
     /// The service applied a synchronous aggregation round (server).
     RoundAdvance {
@@ -219,6 +265,23 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// A [`EventKind::RunStart`], its policy label boxed.
+    pub fn run_start(users: u64, slots: u64, policy: String) -> Self {
+        EventKind::RunStart {
+            users,
+            slots,
+            policy: Box::new(policy),
+        }
+    }
+
+    /// A [`EventKind::JobStart`], its labels boxed.
+    pub fn job_start(job: u64, scenario: String, policy: String) -> Self {
+        EventKind::JobStart {
+            job,
+            labels: Box::new(JobLabels { scenario, policy }),
+        }
+    }
+
     /// The stable wire name of the event kind (the `"event"` field of the
     /// JSONL schema).
     pub fn name(&self) -> &'static str {
@@ -323,7 +386,7 @@ mod tests {
         assert_eq!(
             EventKind::PushRefused {
                 session: 1,
-                reason: "backpressure".to_string()
+                reason: "backpressure"
             }
             .name(),
             "push-refused"

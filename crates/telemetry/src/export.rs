@@ -8,16 +8,30 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{Event, EventKind};
+use crate::event::{resolve_label, Event, EventKind, ENERGY_COMPONENTS, REFUSAL_REASONS};
+
+/// Appends `field` to `out`, escaped as [`csv_escape`] does.
+fn push_csv_escaped(out: &mut String, field: &str) {
+    if !field.contains([',', '"', '\n', '\r']) {
+        out.push_str(field);
+        return;
+    }
+    out.push('"');
+    for c in field.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
+}
 
 /// Escapes one CSV field: quotes it when it contains a comma, quote or
 /// newline, doubling embedded quotes (RFC 4180).
 pub fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
+    let mut out = String::with_capacity(field.len());
+    push_csv_escaped(&mut out, field);
+    out
 }
 
 /// Appends `s` to `out`, escaped for a JSON string literal (quotes,
@@ -147,14 +161,10 @@ pub fn write_event_line(out: &mut String, event: &Event) {
         } => line
             .u64("slots", *slots)
             .u64("idle_decisions", *idle_decisions),
-        EventKind::JobStart {
-            job,
-            scenario,
-            policy,
-        } => line
+        EventKind::JobStart { job, labels } => line
             .u64("job", *job)
-            .str("scenario", scenario)
-            .str("policy", policy),
+            .str("scenario", &labels.scenario)
+            .str("policy", &labels.policy),
         EventKind::JobEnd { job } => line.u64("job", *job),
         EventKind::JoinAccepted { session, client } => {
             line.u64("session", *session).u64("client", *client)
@@ -219,112 +229,109 @@ pub const EVENT_CSV_HEADER: &str = "slot,event,user,corun,component,joules,lag,v
 participants,depth,updates,energy_j,slots,idle_decisions,job,users,scenario,policy,\
 session,client,reason,soc,offline,bytes,ratio";
 
+/// The columns of [`EVENT_CSV_HEADER`].
+const CSV_COLUMNS: usize = 25;
+
+/// One row of [`events_to_csv`], written straight into the output: a field
+/// goes to its column of [`EVENT_CSV_HEADER`] (columns in increasing order),
+/// and the commas of the blank columns before it are written on the way.
+struct CsvRow<'a> {
+    out: &'a mut String,
+    column: usize,
+}
+
+impl CsvRow<'_> {
+    /// The output, moved on to `column`.
+    fn at(&mut self, column: usize) -> &mut String {
+        while self.column < column {
+            self.out.push(',');
+            self.column += 1;
+        }
+        self.out
+    }
+
+    fn u64(&mut self, column: usize, value: u64) -> &mut Self {
+        push_u64(self.at(column), value);
+        self
+    }
+
+    fn f64(&mut self, column: usize, value: f64) -> &mut Self {
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.at(column), "{value}");
+        self
+    }
+
+    fn bool(&mut self, column: usize, value: bool) -> &mut Self {
+        self.at(column)
+            .push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    fn str(&mut self, column: usize, value: &str) -> &mut Self {
+        push_csv_escaped(self.at(column), value);
+        self
+    }
+}
+
 /// A whole trace as CSV (wide layout: one column per possible field).
 pub fn events_to_csv(events: &[Event]) -> String {
     let mut out = String::with_capacity((events.len() + 1) * 48);
     out.push_str(EVENT_CSV_HEADER);
     out.push('\n');
     for event in events {
-        let mut cols: [String; 25] = Default::default();
-        cols[0] = event.slot.to_string();
-        cols[1] = event.kind.name().to_string();
+        let mut row = CsvRow {
+            out: &mut out,
+            column: 0,
+        };
+        row.u64(0, event.slot).str(1, event.kind.name());
         match &event.kind {
             EventKind::RunStart {
                 users,
                 slots,
                 policy,
-            } => {
-                cols[15] = users.to_string();
-                cols[12] = slots.to_string();
-                cols[17] = csv_escape(policy);
-            }
-            EventKind::Schedule { user, corun } => {
-                cols[2] = user.to_string();
-                cols[3] = corun.to_string();
-            }
-            EventKind::Energy { component, joules } => {
-                cols[4] = csv_escape(component);
-                cols[5] = joules.to_string();
-            }
+            } => row.u64(12, *slots).u64(15, *users).str(17, policy),
+            EventKind::Schedule { user, corun } => row.u64(2, *user).bool(3, *corun),
+            EventKind::Energy { component, joules } => row.str(4, component).f64(5, *joules),
             EventKind::Merge { user, lag, version } => {
-                cols[2] = user.to_string();
-                cols[6] = lag.to_string();
-                cols[7] = version.to_string();
+                row.u64(2, *user).u64(6, *lag).u64(7, *version)
             }
             EventKind::Round {
                 participants,
                 version,
-            } => {
-                cols[8] = participants.to_string();
-                cols[7] = version.to_string();
             }
-            EventKind::Barrier { depth } => cols[9] = depth.to_string(),
-            EventKind::RunEnd { updates, energy_j } => {
-                cols[10] = updates.to_string();
-                cols[11] = energy_j.to_string();
-            }
+            | EventKind::RoundAdvance {
+                version,
+                participants,
+            } => row.u64(7, *version).u64(8, *participants),
+            EventKind::Barrier { depth } => row.u64(9, *depth),
+            EventKind::RunEnd { updates, energy_j } => row.u64(10, *updates).f64(11, *energy_j),
             EventKind::DenseSpan {
                 slots,
                 idle_decisions,
-            } => {
-                cols[12] = slots.to_string();
-                cols[13] = idle_decisions.to_string();
-            }
-            EventKind::JobStart {
-                job,
-                scenario,
-                policy,
-            } => {
-                cols[14] = job.to_string();
-                cols[16] = csv_escape(scenario);
-                cols[17] = csv_escape(policy);
-            }
-            EventKind::JobEnd { job } => cols[14] = job.to_string(),
-            EventKind::JoinAccepted { session, client } => {
-                cols[18] = session.to_string();
-                cols[19] = client.to_string();
-            }
-            EventKind::JoinRejected { client, reason } => {
-                cols[19] = client.to_string();
-                cols[20] = csv_escape(reason);
-            }
-            EventKind::SessionExpired { session } => cols[18] = session.to_string(),
+            } => row.u64(12, *slots).u64(13, *idle_decisions),
+            EventKind::JobStart { job, labels } => row
+                .u64(14, *job)
+                .str(16, &labels.scenario)
+                .str(17, &labels.policy),
+            EventKind::JobEnd { job } => row.u64(14, *job),
+            EventKind::JoinAccepted { session, client } => row.u64(18, *session).u64(19, *client),
+            EventKind::JoinRejected { client, reason } => row.u64(19, *client).str(20, reason),
+            EventKind::SessionExpired { session } => row.u64(18, *session),
             EventKind::PushApplied {
                 session,
                 lag,
                 version,
-            } => {
-                cols[18] = session.to_string();
-                cols[6] = lag.to_string();
-                cols[7] = version.to_string();
-            }
-            EventKind::PushRefused { session, reason } => {
-                cols[18] = session.to_string();
-                cols[20] = csv_escape(reason);
-            }
-            EventKind::RoundAdvance {
-                version,
-                participants,
-            } => {
-                cols[7] = version.to_string();
-                cols[8] = participants.to_string();
-            }
+            } => row.u64(6, *lag).u64(7, *version).u64(18, *session),
+            EventKind::PushRefused { session, reason } => row.u64(18, *session).str(20, reason),
             EventKind::BatteryDepleted { user, soc } | EventKind::Recharged { user, soc } => {
-                cols[2] = user.to_string();
-                cols[21] = soc.to_string();
+                row.u64(2, *user).f64(21, *soc)
             }
-            EventKind::UserChurned { user, offline } => {
-                cols[2] = user.to_string();
-                cols[22] = offline.to_string();
-            }
+            EventKind::UserChurned { user, offline } => row.u64(2, *user).bool(22, *offline),
             EventKind::CompressedUpload { user, bytes, ratio } => {
-                cols[2] = user.to_string();
-                cols[23] = bytes.to_string();
-                cols[24] = ratio.to_string();
+                row.u64(2, *user).u64(23, *bytes).f64(24, *ratio)
             }
-        }
-        out.push_str(&cols.join(","));
-        out.push('\n');
+        };
+        row.at(CSV_COLUMNS - 1).push('\n');
     }
     out
 }
@@ -503,7 +510,7 @@ impl<'a> Fields<'a> {
         Fields { pairs }
     }
 
-    fn get(&self, key: &str) -> Result<&JsonValue, String> {
+    fn get(&self, key: &str) -> Result<&'a JsonValue, String> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -529,11 +536,17 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn str(&self, key: &str) -> Result<String, String> {
+    fn str(&self, key: &str) -> Result<&'a str, String> {
         match self.get(key)? {
-            JsonValue::Str(s) => Ok(s.clone()),
+            JsonValue::Str(s) => Ok(s),
             _ => Err(format!("field `{key}` is not a string")),
         }
+    }
+
+    /// A string field that must be one of `table`'s labels.
+    fn label(&self, key: &str, table: &[&'static str]) -> Result<&'static str, String> {
+        let value = self.str(key)?;
+        resolve_label(table, value).ok_or_else(|| format!("field `{key}`: unknown label `{value}`"))
     }
 
     fn bool(&self, key: &str) -> Result<bool, String> {
@@ -549,19 +562,18 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
     let pairs = parse_object(line)?;
     let fields = Fields::new(&pairs);
     let slot = fields.u64("slot")?;
-    let name = fields.str("event")?;
-    let kind = match name.as_str() {
-        "run-start" => EventKind::RunStart {
-            users: fields.u64("users")?,
-            slots: fields.u64("slots")?,
-            policy: fields.str("policy")?,
-        },
+    let kind = match fields.str("event")? {
+        "run-start" => EventKind::run_start(
+            fields.u64("users")?,
+            fields.u64("slots")?,
+            fields.str("policy")?.to_string(),
+        ),
         "schedule" => EventKind::Schedule {
             user: fields.u64("user")?,
             corun: fields.bool("corun")?,
         },
         "energy" => EventKind::Energy {
-            component: fields.str("component")?.into(),
+            component: fields.label("component", ENERGY_COMPONENTS)?,
             joules: fields.f64("joules")?,
         },
         "merge" => EventKind::Merge {
@@ -584,11 +596,11 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
             slots: fields.u64("slots")?,
             idle_decisions: fields.u64("idle_decisions")?,
         },
-        "job-start" => EventKind::JobStart {
-            job: fields.u64("job")?,
-            scenario: fields.str("scenario")?,
-            policy: fields.str("policy")?,
-        },
+        "job-start" => EventKind::job_start(
+            fields.u64("job")?,
+            fields.str("scenario")?.to_string(),
+            fields.str("policy")?.to_string(),
+        ),
         "job-end" => EventKind::JobEnd {
             job: fields.u64("job")?,
         },
@@ -598,7 +610,7 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
         },
         "join-rejected" => EventKind::JoinRejected {
             client: fields.u64("client")?,
-            reason: fields.str("reason")?,
+            reason: fields.label("reason", REFUSAL_REASONS)?,
         },
         "session-expired" => EventKind::SessionExpired {
             session: fields.u64("session")?,
@@ -610,7 +622,7 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
         },
         "push-refused" => EventKind::PushRefused {
             session: fields.u64("session")?,
-            reason: fields.str("reason")?,
+            reason: fields.label("reason", REFUSAL_REASONS)?,
         },
         "round-advance" => EventKind::RoundAdvance {
             version: fields.u64("version")?,
@@ -660,19 +672,11 @@ pub(crate) mod tests {
         vec![
             Event::new(
                 0,
-                EventKind::RunStart {
-                    users: 25,
-                    slots: 10800,
-                    policy: "Online(V=1000)".to_string(),
-                },
+                EventKind::run_start(25, 10800, "Online(V=1000)".to_string()),
             ),
             Event::new(
                 0,
-                EventKind::JobStart {
-                    job: 0,
-                    scenario: "smoke:users=3".to_string(),
-                    policy: "Online".to_string(),
-                },
+                EventKind::job_start(0, "smoke:users=3".to_string(), "Online".to_string()),
             ),
             Event::new(
                 5,
@@ -684,7 +688,7 @@ pub(crate) mod tests {
             Event::new(
                 60,
                 EventKind::Energy {
-                    component: "co-running".into(),
+                    component: "co-running",
                     joules: 1.0 / 3.0,
                 },
             ),
@@ -730,7 +734,7 @@ pub(crate) mod tests {
                 7,
                 EventKind::JoinRejected {
                     client: 4,
-                    reason: "server-full".to_string(),
+                    reason: "server-full",
                 },
             ),
             Event::new(31, EventKind::SessionExpired { session: 11 }),
@@ -746,7 +750,7 @@ pub(crate) mod tests {
                 33,
                 EventKind::PushRefused {
                     session: 13,
-                    reason: "backpressure".to_string(),
+                    reason: "backpressure",
                 },
             ),
             Event::new(
@@ -796,11 +800,11 @@ pub(crate) mod tests {
     fn string_escapes_round_trip() {
         let event = Event::new(
             1,
-            EventKind::JobStart {
-                job: 9,
-                scenario: "odd \"name\",\\ with\ttabs\nand\u{1}ctrl".to_string(),
-                policy: "Online".to_string(),
-            },
+            EventKind::job_start(
+                9,
+                "odd \"name\",\\ with\ttabs\nand\u{1}ctrl".to_string(),
+                "Online".to_string(),
+            ),
         );
         let line = event_line(&event);
         assert_eq!(parse_event_line(&line).expect("parses"), event);
@@ -890,14 +894,10 @@ pub(crate) mod tests {
                     slots,
                     idle_decisions,
                 } => format!(",\"slots\":{slots},\"idle_decisions\":{idle_decisions}"),
-                EventKind::JobStart {
-                    job,
-                    scenario,
-                    policy,
-                } => format!(
+                EventKind::JobStart { job, labels } => format!(
                     ",\"job\":{job},\"scenario\":\"{}\",\"policy\":\"{}\"",
-                    json_escape(scenario),
-                    json_escape(policy)
+                    json_escape(&labels.scenario),
+                    json_escape(&labels.policy)
                 ),
                 EventKind::JobEnd { job } => format!(",\"job\":{job}"),
                 EventKind::JoinAccepted { session, client } => {
@@ -940,22 +940,15 @@ pub(crate) mod tests {
         }
 
         /// Every float field of the schema set to `x`, every integer field
-        /// to `n`, every string field to `s`.
+        /// to `n`, every free-text field to `s`.
         fn extremes(n: u64, x: f64, s: &str) -> Vec<Event> {
             let text = || s.to_string();
             vec![
-                Event::new(
-                    n,
-                    EventKind::RunStart {
-                        users: n,
-                        slots: n,
-                        policy: text(),
-                    },
-                ),
+                Event::new(n, EventKind::run_start(n, n, text())),
                 Event::new(
                     n,
                     EventKind::Energy {
-                        component: text().into(),
+                        component: "idle",
                         joules: x,
                     },
                 ),
@@ -974,26 +967,19 @@ pub(crate) mod tests {
                         energy_j: x,
                     },
                 ),
-                Event::new(
-                    n,
-                    EventKind::JobStart {
-                        job: n,
-                        scenario: text(),
-                        policy: text(),
-                    },
-                ),
+                Event::new(n, EventKind::job_start(n, text(), text())),
                 Event::new(
                     n,
                     EventKind::JoinRejected {
                         client: n,
-                        reason: text(),
+                        reason: "shutting-down",
                     },
                 ),
                 Event::new(
                     n,
                     EventKind::PushRefused {
                         session: n,
-                        reason: text(),
+                        reason: "wrong-model-len",
                     },
                 ),
                 Event::new(n, EventKind::BatteryDepleted { user: n, soc: x }),
@@ -1009,9 +995,141 @@ pub(crate) mod tests {
             ]
         }
 
-        #[test]
-        fn the_buffer_writer_matches_the_format_renderer_byte_for_byte() {
+        fn csv_escape(field: &str) -> String {
+            if field.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", field.replace('"', "\"\""))
+            } else {
+                field.to_string()
+            }
+        }
+
+        /// The CSV exporter this module had before [`CsvRow`]: a
+        /// `[String; 25]` of `to_string` / `csv_escape` temporaries per
+        /// event, joined. Kept as the oracle the row writer must match byte
+        /// for byte.
+        fn reference_csv(events: &[Event]) -> String {
+            let mut out = String::with_capacity((events.len() + 1) * 48);
+            out.push_str(EVENT_CSV_HEADER);
+            out.push('\n');
+            for event in events {
+                let mut cols: [String; 25] = Default::default();
+                cols[0] = event.slot.to_string();
+                cols[1] = event.kind.name().to_string();
+                match &event.kind {
+                    EventKind::RunStart {
+                        users,
+                        slots,
+                        policy,
+                    } => {
+                        cols[15] = users.to_string();
+                        cols[12] = slots.to_string();
+                        cols[17] = csv_escape(policy);
+                    }
+                    EventKind::Schedule { user, corun } => {
+                        cols[2] = user.to_string();
+                        cols[3] = corun.to_string();
+                    }
+                    EventKind::Energy { component, joules } => {
+                        cols[4] = csv_escape(component);
+                        cols[5] = joules.to_string();
+                    }
+                    EventKind::Merge { user, lag, version } => {
+                        cols[2] = user.to_string();
+                        cols[6] = lag.to_string();
+                        cols[7] = version.to_string();
+                    }
+                    EventKind::Round {
+                        participants,
+                        version,
+                    } => {
+                        cols[8] = participants.to_string();
+                        cols[7] = version.to_string();
+                    }
+                    EventKind::Barrier { depth } => cols[9] = depth.to_string(),
+                    EventKind::RunEnd { updates, energy_j } => {
+                        cols[10] = updates.to_string();
+                        cols[11] = energy_j.to_string();
+                    }
+                    EventKind::DenseSpan {
+                        slots,
+                        idle_decisions,
+                    } => {
+                        cols[12] = slots.to_string();
+                        cols[13] = idle_decisions.to_string();
+                    }
+                    EventKind::JobStart { job, labels } => {
+                        cols[14] = job.to_string();
+                        cols[16] = csv_escape(&labels.scenario);
+                        cols[17] = csv_escape(&labels.policy);
+                    }
+                    EventKind::JobEnd { job } => cols[14] = job.to_string(),
+                    EventKind::JoinAccepted { session, client } => {
+                        cols[18] = session.to_string();
+                        cols[19] = client.to_string();
+                    }
+                    EventKind::JoinRejected { client, reason } => {
+                        cols[19] = client.to_string();
+                        cols[20] = csv_escape(reason);
+                    }
+                    EventKind::SessionExpired { session } => cols[18] = session.to_string(),
+                    EventKind::PushApplied {
+                        session,
+                        lag,
+                        version,
+                    } => {
+                        cols[18] = session.to_string();
+                        cols[6] = lag.to_string();
+                        cols[7] = version.to_string();
+                    }
+                    EventKind::PushRefused { session, reason } => {
+                        cols[18] = session.to_string();
+                        cols[20] = csv_escape(reason);
+                    }
+                    EventKind::RoundAdvance {
+                        version,
+                        participants,
+                    } => {
+                        cols[7] = version.to_string();
+                        cols[8] = participants.to_string();
+                    }
+                    EventKind::BatteryDepleted { user, soc }
+                    | EventKind::Recharged { user, soc } => {
+                        cols[2] = user.to_string();
+                        cols[21] = soc.to_string();
+                    }
+                    EventKind::UserChurned { user, offline } => {
+                        cols[2] = user.to_string();
+                        cols[22] = offline.to_string();
+                    }
+                    EventKind::CompressedUpload { user, bytes, ratio } => {
+                        cols[2] = user.to_string();
+                        cols[23] = bytes.to_string();
+                        cols[24] = ratio.to_string();
+                    }
+                }
+                out.push_str(&cols.join(","));
+                out.push('\n');
+            }
+            out
+        }
+
+        /// [`one_of_each`], every label of both tables, and [`extremes`] at
+        /// every float and string edge.
+        fn corpus() -> Vec<Event> {
             let mut events = one_of_each();
+            for &component in ENERGY_COMPONENTS {
+                events.push(Event::new(
+                    1,
+                    EventKind::Energy {
+                        component,
+                        joules: 2.5,
+                    },
+                ));
+            }
+            for &reason in REFUSAL_REASONS {
+                events.push(Event::new(2, EventKind::JoinRejected { client: 3, reason }));
+                events.push(Event::new(2, EventKind::PushRefused { session: 4, reason }));
+            }
             let floats = [
                 0.0,
                 -0.0,
@@ -1024,15 +1142,22 @@ pub(crate) mod tests {
                 f64::INFINITY,
                 f64::NEG_INFINITY,
             ];
-            let strings = [
-                "",
-                "plain",
-                "quote\" backslash\\ newline\n return\r tab\t ctrl\u{1}\u{1f} é ☃",
-            ];
             for (i, x) in floats.into_iter().enumerate() {
                 let n = [0, 9, 10, 12_345, u64::MAX][i % 5];
-                events.extend(extremes(n, x, strings[i % strings.len()]));
+                events.extend(extremes(n, x, STRINGS[i % STRINGS.len()]));
             }
+            events
+        }
+
+        const STRINGS: [&str; 3] = [
+            "",
+            "plain",
+            "quote\" backslash\\ newline\n return\r tab\t comma, ctrl\u{1}\u{1f} é ☃",
+        ];
+
+        #[test]
+        fn the_buffer_writer_matches_the_format_renderer_byte_for_byte() {
+            let events = corpus();
             // One line at a time, into a fresh and into a reused buffer...
             let mut reused = String::from("kept");
             let mut expected = String::from("kept");
@@ -1046,10 +1171,52 @@ pub(crate) mod tests {
             // ...and the whole stream.
             let whole: String = events.iter().map(|e| reference_line(e) + "\n").collect();
             assert_eq!(events_to_jsonl(&events), whole);
-            for s in strings {
+            for s in STRINGS {
                 assert_eq!(super::super::json_escape(s), json_escape(s));
             }
         }
+
+        #[test]
+        fn the_row_writer_matches_the_joined_columns_byte_for_byte() {
+            let events = corpus();
+            assert_eq!(events_to_csv(&events), reference_csv(&events));
+            assert_eq!(events_to_csv(&[]), reference_csv(&[]));
+            for s in STRINGS {
+                assert_eq!(super::super::csv_escape(s), csv_escape(s));
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_labels_are_parse_errors_naming_the_field_and_the_value() {
+        for (line, field, value) in [
+            (
+                r#"{"slot":1,"event":"energy","component":"warp","joules":1}"#,
+                "component",
+                "warp",
+            ),
+            (
+                r#"{"slot":1,"event":"join-rejected","client":4,"reason":"Server-Full"}"#,
+                "reason",
+                "Server-Full",
+            ),
+            (
+                r#"{"slot":1,"event":"push-refused","session":4,"reason":""}"#,
+                "reason",
+                "",
+            ),
+        ] {
+            let message = parse_event_line(line).expect_err(line);
+            assert_eq!(message, format!("field `{field}`: unknown label `{value}`"));
+        }
+        let err = parse_events_jsonl(
+            "{\"slot\":1,\"event\":\"energy\",\"component\":\"co_running\",\"joules\":1}\n",
+        )
+        .expect_err("unknown component");
+        assert_eq!(
+            err.to_string(),
+            "line 1: field `component`: unknown label `co_running`"
+        );
     }
 
     #[test]

@@ -291,18 +291,15 @@ impl MetricsRegistry {
         for event in events {
             let slot = event.slot;
             match &event.kind {
-                EventKind::JobStart {
-                    scenario: s,
-                    policy: p,
-                    ..
-                } => {
-                    if labels.0 != *s || labels.1 != *p {
-                        enter(&mut labels, &mut cell, (s.clone(), p.clone()));
+                EventKind::JobStart { labels: job, .. } => {
+                    if labels.0 != job.scenario || labels.1 != job.policy {
+                        let next = (job.scenario.clone(), job.policy.clone());
+                        enter(&mut labels, &mut cell, next);
                     }
                 }
                 EventKind::RunStart { policy: p, .. } => {
-                    if labels.1 != *p {
-                        let next = (labels.0.clone(), p.clone());
+                    if labels.1 != **p {
+                        let next = (labels.0.clone(), (**p).clone());
                         enter(&mut labels, &mut cell, next);
                     }
                     cell.count(RunsTotal, 1);
@@ -501,22 +498,8 @@ mod tests {
     fn trace_derivation_counts_the_expected_metrics() {
         use crate::event::{Event, EventKind};
         let events = vec![
-            Event::new(
-                0,
-                EventKind::JobStart {
-                    job: 0,
-                    scenario: "smoke".into(),
-                    policy: "Online".into(),
-                },
-            ),
-            Event::new(
-                0,
-                EventKind::RunStart {
-                    users: 3,
-                    slots: 100,
-                    policy: "Online".into(),
-                },
-            ),
+            Event::new(0, EventKind::job_start(0, "smoke".into(), "Online".into())),
+            Event::new(0, EventKind::run_start(3, 100, "Online".into())),
             Event::new(
                 2,
                 EventKind::Schedule {
@@ -542,14 +525,14 @@ mod tests {
             Event::new(
                 30,
                 EventKind::Energy {
-                    component: "radio".into(),
+                    component: "radio",
                     joules: 1.5,
                 },
             ),
             Event::new(
                 60,
                 EventKind::Energy {
-                    component: "radio".into(),
+                    component: "radio",
                     joules: 2.5,
                 },
             ),
@@ -604,22 +587,8 @@ mod tests {
     /// `run-end` carrying `energy_j`.
     fn job(id: u64, cell: (&str, &str), horizon: u64, merges: u64, energy_j: f64) -> Vec<Event> {
         let mut events = vec![
-            Event::new(
-                0,
-                EventKind::JobStart {
-                    job: id,
-                    scenario: cell.0.into(),
-                    policy: cell.1.into(),
-                },
-            ),
-            Event::new(
-                0,
-                EventKind::RunStart {
-                    users: 3,
-                    slots: horizon,
-                    policy: cell.1.into(),
-                },
-            ),
+            Event::new(0, EventKind::job_start(id, cell.0.into(), cell.1.into())),
+            Event::new(0, EventKind::run_start(3, horizon, cell.1.into())),
         ];
         for i in 0..merges {
             let slot = horizon - (merges - i);
@@ -644,7 +613,7 @@ mod tests {
             events.push(Event::new(
                 horizon,
                 EventKind::Energy {
-                    component: component.into(),
+                    component,
                     joules: energy_j / 2.0,
                 },
             ));
@@ -778,16 +747,12 @@ mod tests {
             let mut policy = policy.to_string();
             for event in events {
                 match &event.kind {
-                    EventKind::JobStart {
-                        scenario: s,
-                        policy: p,
-                        ..
-                    } => {
-                        scenario = s.clone();
-                        policy = p.clone();
+                    EventKind::JobStart { labels, .. } => {
+                        scenario = labels.scenario.clone();
+                        policy = labels.policy.clone();
                     }
                     EventKind::RunStart { policy: p, .. } => {
-                        policy = p.clone();
+                        policy = p.to_string();
                         registry.add_counter(&scenario, &policy, "runs_total", 1);
                     }
                     EventKind::Schedule { corun, .. } => {
@@ -915,11 +880,7 @@ mod tests {
             events.extend(job(4, ("sparse", "Online"), 100, 1, 2.0));
             events.push(Event::new(
                 0,
-                EventKind::RunStart {
-                    users: 1,
-                    slots: 1,
-                    policy: "Immediate".into(),
-                },
+                EventKind::run_start(1, 1, "Immediate".into()),
             ));
             events.extend(one_of_each().into_iter().skip(2));
             for (scenario, policy) in [("-", "-"), ("smoke:users=3", "Online(V=1000)")] {
@@ -944,7 +905,7 @@ mod tests {
         events.push(Event::new(
             600,
             EventKind::Energy {
-                component: "radio".into(),
+                component: "radio",
                 joules: 1.0 / 3.0,
             },
         ));
