@@ -157,7 +157,16 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # (`OfflinePolicy::planned_len` and the count it read), fedco-server -3
 # (`ServerCore::is_shutting_down`), fedco-device -3
 # (`EnergyProfiler::component_energy`): test-only public items.
-LOC_CEILING=18483
+# 18483 -> 18595 with sleeping users (+112): fedco-sim +105 — user.rs +57 (the
+# asleep set with its owed-from and wake lanes, `sleep` / `wake` / `wakes_at`
+# / `wake_all` / `settle_all_idle` / `settle_idle`, the awake walk, the
+# `set_phase` arm that wakes; the dead ε clamp out), engine.rs +24
+# (`ask_next_decision` at requeue, rejoin and after a plan, the overhead wake,
+# the settles before the fold and a trace sample; `DecisionTally::idle` out),
+# index.rs +19 (`Deadline::Wake`, `UserSet::{empty, contains, clear,
+# block_without}` over one `members` walk), phases.rs +5 (the wake arm);
+# fedco-core +7 (`next_decision_slot` and Offline's answer).
+LOC_CEILING=18595
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -165,7 +174,14 @@ LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
     || { echo "code size rose: total $LOC_TOTAL > ceiling $LOC_CEILING"; exit 1; }
 
 echo "==> engine equivalence suite (scan vs indexed phases of the one slot loop)"
+# Its last three cases hold sleeping users to the scan: Offline under battery
+# + churn with trace samples mid-sleep, a custom every-k-th-slot policy, and
+# the `user_visits` bound on Offline decisions.
 cargo test -q --offline --test engine_equivalence
+
+echo "==> sleeping users: the next_decision_slot contract and the arena's owed idle slots"
+cargo test -q --offline -p fedco-core next_decision_slot
+cargo test -q --offline -p fedco-sim sleeper
 
 echo "==> bench_engine throughput smoke (scan vs indexed slots/sec)"
 BENCH_SMOKE_JSON="$(mktemp)"

@@ -96,9 +96,15 @@ impl WindowPlan {
 /// * [`quiescent_while_waiting`](SchedulingPolicy::quiescent_while_waiting)
 ///   — the policy keeps no queues, so the slot loop skips the per-slot gap
 ///   fold that would feed them.
+/// * [`next_decision_slot`](SchedulingPolicy::next_decision_slot) — the
+///   first slot at which a waiting user could be scheduled, so the slot loop
+///   decides that user only from then on.
 ///
-/// Every slot of a run is stepped, and every waiting user is decided in
-/// every slot: there is no hook through which a policy could be skipped.
+/// Every slot of a run is stepped. A waiting user is decided in every slot
+/// from the one `next_decision_slot` names; the idle slots before it, in
+/// which `decide` could only answer `Idle`, are applied without asking. By
+/// default that is the current slot, so every waiting user is decided in
+/// every slot.
 pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// Decides for one waiting user in the current slot.
     fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision;
@@ -168,6 +174,28 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// queue dynamics (like the online controller) must keep it `false`.
     fn quiescent_while_waiting(&self) -> bool {
         false
+    }
+
+    /// The first slot `≥ slot` at which [`decide`](SchedulingPolicy::decide)
+    /// could return [`SlotDecision::Schedule`] for the waiting user
+    /// `user_id`, or `None` if none could before the next
+    /// [`install_plan`](SchedulingPolicy::install_plan).
+    ///
+    /// The contract: before that slot `decide` would return
+    /// [`SlotDecision::Idle`] for the user whatever the context, and calling
+    /// it would change nothing. The engine then does not call it there: it
+    /// applies those idle slots (their `+ ε` gap steps) itself. It asks when
+    /// the user starts waiting and, for every waiting user, after each
+    /// `install_plan`; a slot that charges
+    /// [`decision_energy_overhead`](SchedulingPolicy::decision_energy_overhead)
+    /// decides every waiting user regardless.
+    ///
+    /// Defaults to `Some(slot)`: the user is decided in every slot, which is
+    /// always correct. A policy whose `decide` draws randomness or keeps
+    /// state must keep the default.
+    fn next_decision_slot(&self, user_id: usize, slot: u64) -> Option<u64> {
+        let _ = user_id;
+        Some(slot)
     }
 }
 
@@ -312,6 +340,10 @@ impl SchedulingPolicy for OfflinePolicy {
 
     fn quiescent_while_waiting(&self) -> bool {
         true
+    }
+
+    fn next_decision_slot(&self, user_id: usize, slot: u64) -> Option<u64> {
+        self.planned_slot(user_id).map(|start| start.max(slot))
     }
 }
 
@@ -653,5 +685,56 @@ mod tests {
         assert_eq!(p.decide(&ctx(1, 10)), SlotDecision::Schedule);
         assert_eq!(p.decide(&ctx(0, 24)), SlotDecision::Idle);
         assert_eq!(p.decide(&ctx(0, 25)), SlotDecision::Schedule);
+    }
+
+    #[test]
+    fn next_decision_slot_is_where_offline_first_schedules() {
+        // Seeded plans over one window, with starts before and after every
+        // slot asked from, and users without an entry: from every slot, the
+        // hook names the first slot `decide` schedules at — `Idle` before it
+        // with or without an application — and `None` exactly when it
+        // schedules nowhere in the window.
+        const WINDOW: u64 = 64;
+        let mut rng = SmallRng::seed_from_u64(0x51ee9);
+        for _ in 0..20 {
+            let mut p = OfflinePolicy::with_window(WINDOW);
+            let mut plan = WindowPlan::new();
+            for user in 0..12 {
+                if rng.gen_bool(0.75) {
+                    plan.set_start_slot(user, rng.gen_range(0..WINDOW));
+                }
+            }
+            p.install_plan(&plan);
+            for user in 0..12 {
+                for context in [ctx, idle_ctx] {
+                    let decisions: Vec<SlotDecision> =
+                        (0..WINDOW).map(|s| p.decide(&context(user, s))).collect();
+                    for slot in 0..WINDOW {
+                        let first = (slot..WINDOW)
+                            .find(|&s| decisions[s as usize] == SlotDecision::Schedule);
+                        assert_eq!(
+                            p.next_decision_slot(user, slot),
+                            first,
+                            "user {user} from slot {slot}: {plan:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_decision_slot_of_every_other_registry_policy_is_the_current_slot() {
+        use crate::spec::{PolicyBuildContext, PolicySpec};
+        let build = PolicyBuildContext::new(SchedulerConfig::default());
+        for spec in PolicySpec::default_registry() {
+            if spec == PolicySpec::Offline {
+                continue;
+            }
+            let policy = spec.build(&build);
+            for (user, slot) in [(0, 0), (3, 17), (99, 10_799)] {
+                assert_eq!(policy.next_decision_slot(user, slot), Some(slot), "{spec}");
+            }
+        }
     }
 }

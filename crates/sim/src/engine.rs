@@ -22,18 +22,27 @@
 //!
 //! * arrivals are read a slot's row at a time from the slot-major order of
 //!   the one store they are sampled into ([`ArrivalSchedule`]);
-//! * application expiries and epoch completions are absolute deadlines in
-//!   one calendar, popped in `(slot, user)` order and checked against
-//!   the arena, so a device that went dark leaves only a stale entry;
+//! * application expiries, epoch completions and wakes are absolute
+//!   deadlines in one calendar, popped in `(slot, user)` order and checked
+//!   against the arena, so a device that went dark leaves only a stale
+//!   entry;
 //! * the arena counts training / waiting / online users at every phase
 //!   transition and keeps the waiting users as an ascending set, which
-//!   drives the decision loop;
+//!   drives the decision loop — less those asleep: a waiting user its
+//!   policy cannot schedule before a later slot
+//!   ([`SchedulingPolicy::next_decision_slot`]; the offline plan fixes
+//!   every start) sleeps until a wake the calendar holds;
 //! * power is *state since slot S* per user, written to a profiler only
 //!   when the state changes or something else is charged.
 //!
-//! What stays per waiting user per slot is what the paper's controller
-//! really does — the Eq. 21 decision, its Table III energy overhead, the
-//! `+ε` gap step — and what stays per user is the fixed-order `gap_sum`
+//! What stays per awake waiting user per slot is what the paper's
+//! controller really does — the Eq. 21 decision, its Table III energy
+//! overhead, the `+ε` gap step. A sleeper owes its `+ε` steps, which land
+//! as one [`repeated_add`](fedco_device::energy::repeated_add) — the bits
+//! of the single additions — at its wake and before anything reads its gap
+//! (the [`user`](crate::user) module states the invariants); a slot that
+//! charges decision overhead wakes every sleeper, since the scan charges
+//! every waiting user. What stays per user is the fixed-order `gap_sum`
 //! fold that feeds Eq. 16, redone in every slot that changed a gap (and,
 //! inside the profilers, the repeated-addition energy chains): both define
 //! the bits. Two values are held until the one thing that can change them
@@ -120,8 +129,9 @@ pub struct EngineStats {
     /// Always 0: there are no fast-forwarded spans.
     pub spans: u64,
     /// Per-user state touches made by the phases: one for every user a
-    /// phase looks at or updates (a decision, an arrival, a deadline, a
-    /// power settlement, a fleet-wide flush or world check). The plain
+    /// phase looks at or updates (a decision, an arrival, a deadline or
+    /// wake, a power settlement, a sleeper's owed idle slots, a fleet-wide
+    /// flush or world check). The plain
     /// scans of [`Simulation::run_dense`] pay `users` per phase per slot;
     /// the indexed [`Simulation::run`] pays for what happens.
     /// Deterministic — a count, not a timing.
@@ -168,8 +178,6 @@ struct DecisionTally {
     /// The backlog those users had accumulated while waiting, in
     /// user-slots.
     drained_wait_slots: usize,
-    /// Users left idle this slot.
-    idle: u64,
 }
 
 /// Per-user battery bookkeeping of a world-enabled run, advanced only at
@@ -681,6 +689,10 @@ impl Simulation {
             }
         }
         self.policy.install_plan(&plan);
+        // The plan moved every waiting user's first possible start.
+        for wu in &window_users {
+            self.ask_next_decision(wu.id, slot);
+        }
     }
 
     /// Produces the local update of a completed epoch.
@@ -790,6 +802,8 @@ impl Simulation {
         }
         self.base_params[user_id] = snapshot.params;
         self.users.become_waiting(user_id, snapshot.version);
+        // The upload lands after this slot's decisions.
+        self.ask_next_decision(user_id, slot + 1);
     }
 
     /// Takes user `i` dark: its open power span lands first (the last
@@ -805,10 +819,10 @@ impl Simulation {
         }
     }
 
-    /// Brings user `i` back online: a fresh download of the current global
-    /// model (radio-free — the rejoin handshake is not a model exchange) and
-    /// back into the waiting pool.
-    fn come_online(&mut self, i: usize) {
+    /// Brings user `i` back online at `slot`: a fresh download of the
+    /// current global model (radio-free — the rejoin handshake is not a
+    /// model exchange) and back into the waiting pool.
+    fn come_online(&mut self, i: usize, slot: u64) {
         let snapshot = self.server.download();
         if let Some(ml) = self.ml.as_mut() {
             ml.hand_model(i, &snapshot);
@@ -816,6 +830,27 @@ impl Simulation {
         self.base_params[i] = snapshot.params;
         self.users.become_waiting(i, snapshot.version);
         self.mark_dirty(i);
+        self.ask_next_decision(i, slot);
+    }
+
+    /// Asks the policy from which slot on waiting user `i` could be
+    /// scheduled, counting from slot `from`, and lets the user sleep until
+    /// then (until the policy's next plan for `None`) behind a wake in the
+    /// calendar. The scan reference decides every waiting user in every
+    /// slot and asks nothing.
+    fn ask_next_decision(&mut self, i: usize, from: u64) {
+        if !self.indexed {
+            return;
+        }
+        match self.policy.next_decision_slot(i, from) {
+            Some(wake) if wake <= from => self.users.wake(i, from),
+            next => {
+                let wake = next.unwrap_or(u64::MAX);
+                self.users.sleep(i, from, wake);
+                // A wake past the horizon is never filed.
+                self.calendar.push(wake, i, Deadline::Wake);
+            }
+        }
     }
 
     /// The world check: battery accounting, churn transitions and the
@@ -892,7 +927,7 @@ impl Simulation {
                     self.go_offline(i);
                 }
             } else if !wants_offline && is_offline {
-                self.come_online(i);
+                self.come_online(i, slot);
             }
         }
         self.world = Some(w);
@@ -991,7 +1026,7 @@ impl Simulation {
         tally: &mut DecisionTally,
     ) {
         let status = self.users.app_status(i);
-        let idle_gap = GradientGap(self.users.gap_value(i).0 + self.config.scheduler.epsilon);
+        let idle_gap = GradientGap(self.users.gap_value(i).0 + self.users.epsilon());
         let input =
             OnlineDecisionInput::from_profile(self.users.profile(i), status, predicted, idle_gap);
         let ctx = UserSlotContext {
@@ -1037,7 +1072,6 @@ impl Simulation {
                 // Still waiting at the end of this slot: the gap grows by
                 // `ε` and the slot counts as waited.
                 self.users.idle_slot(i);
-                tally.idle += 1;
             }
         }
     }
@@ -1095,9 +1129,10 @@ impl Simulation {
             let predicted = self
                 .predictor
                 .predict_gap(Lag(training_now.max(1)), velocity);
-            // The waiting users, ascending: read off the waiting set, or
-            // (the reference) filtered out of a scan of the fleet. A user
-            // leaves the set when it is scheduled; none joins mid-loop.
+            // The waiting users, ascending: the awake ones read off the
+            // waiting set, or (the reference) all of them filtered out of a
+            // scan of the fleet. A user leaves the set when it is
+            // scheduled; none joins or wakes mid-loop.
             let mut tally = DecisionTally::default();
             // What each decision of this slot costs, read once: zero when
             // overhead accounting is off or the policy decides for free.
@@ -1107,10 +1142,18 @@ impl Simulation {
                 0.0
             };
             if self.indexed {
-                self.stats.user_visits += waiting_at_start as u64;
-                for b in 0..self.users.waiting_blocks() {
-                    for i in self.users.waiting_block(b) {
-                        self.decide_user(i, slot, predicted, overhead, &mut tally);
+                // The scan charges every waiting user for its decision, so
+                // nobody sleeps through a slot that costs one.
+                if overhead > 0.0 {
+                    self.stats.user_visits += self.users.wake_all(slot) as u64;
+                }
+                let awake = self.users.awake_count();
+                self.stats.user_visits += awake as u64;
+                if awake > 0 {
+                    for b in 0..self.users.waiting_blocks() {
+                        for i in self.users.awake_block(b) {
+                            self.decide_user(i, slot, predicted, overhead, &mut tally);
+                        }
                     }
                 }
             } else {
@@ -1122,10 +1165,10 @@ impl Simulation {
                 }
             }
 
-            // Idle outcomes repeat every waiting slot: counted into the
-            // driver channel, never emitted per slot.
+            // Idle outcomes repeat every waiting slot, a sleeper's too:
+            // counted into the driver channel, never emitted per slot.
             if let Some(t) = self.telemetry.as_mut() {
-                t.idle_decisions += tally.idle;
+                t.idle_decisions += (waiting_at_start - tally.scheduled) as u64;
             }
 
             // (3) Energy accounting and (4) timer expiry. The indexed loop
@@ -1254,6 +1297,7 @@ impl Simulation {
                 // The fold over the gap lane: the arena's, which it holds
                 // while no gap changes, or (the reference) afresh.
                 let gap_sum = if self.indexed {
+                    self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
                     self.users.gap_sum()
                 } else {
                     self.users.fold_gaps()
@@ -1275,9 +1319,11 @@ impl Simulation {
             // net's parameters are overwritten before every use — so
             // skipping it cannot change any other stream.
             if self.config.collect_traces && slot % self.config.record_every_slots == 0 {
-                // Trace points read profiler totals, so pending spans must
-                // land first (a no-op in the scan reference).
+                // Trace points read profiler totals and the gap lane, so
+                // pending spans and owed idle slots land first (no-ops in
+                // the scan reference).
                 self.flush_all_pending();
+                self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
                 if let Some(ml) = &self.ml {
                     if slot % ml.eval_every_slots == 0 {
                         if let Some(accuracy) = self.evaluate_global() {

@@ -1,10 +1,11 @@
 //! The event indices of the slot loop: which users are due in a slot, and
 //! which users are waiting, without walking the fleet to find out.
 //!
-//! [`Calendar`] holds the two deadlines a device can have — its foreground
-//! application leaving, its training epoch completing — bucketed by the
-//! absolute slot at which they fall due. [`UserSet`] is an ascending set of
-//! user ids (the waiting users). The third index, the arrivals of a slot,
+//! [`Calendar`] holds the deadlines a device can have — its foreground
+//! application leaving, its training epoch completing, its sleep ending —
+//! bucketed by the absolute slot at which they fall due. [`UserSet`] is an
+//! ascending set of user ids (the waiting users, and the asleep ones among
+//! them). The third index, the arrivals of a slot,
 //! is the schedule itself in its slot-major order:
 //! [`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot).
 
@@ -21,6 +22,9 @@ pub(crate) enum Deadline {
     AppExpiry,
     /// The training epoch is complete.
     EpochDone,
+    /// A sleeping waiting user can be scheduled again (see the
+    /// [`user`](crate::user) module).
+    Wake,
 }
 
 /// One calendar entry. Ordered by user, then deadline kind — the order a
@@ -102,9 +106,22 @@ impl UserSet {
         }
     }
 
+    /// The empty set over users `0..num_users`.
+    pub(crate) fn empty(num_users: usize) -> Self {
+        UserSet {
+            words: vec![0; num_users.div_ceil(64)],
+            len: 0,
+        }
+    }
+
     /// Number of users in the set.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether user `i` is a member.
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Adds user `i` (a no-op if present).
@@ -121,6 +138,12 @@ impl UserSet {
         self.words[i / 64] &= !bit;
     }
 
+    /// Removes every member.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
     /// Number of 64-user blocks the set spans.
     pub(crate) fn blocks(&self) -> usize {
         self.words.len()
@@ -130,16 +153,26 @@ impl UserSet {
     /// stand now: the iterator holds a copy of the block, so members may
     /// leave the set while it is walked (none may join).
     pub(crate) fn block(&self, b: usize) -> impl Iterator<Item = usize> {
-        let word = self.words[b];
-        std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
-            .take_while(|&w| w != 0)
-            .map(move |w| b * 64 + w.trailing_zeros() as usize)
+        members(b, self.words[b])
+    }
+
+    /// The members among users `64·b .. 64·(b + 1)` that are not members of
+    /// `other` (a set over as many users), ascending, as they stand now.
+    pub(crate) fn block_without(&self, b: usize, other: &UserSet) -> impl Iterator<Item = usize> {
+        members(b, self.words[b] & !other.words[b])
     }
 
     /// The members, ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.blocks()).flat_map(|b| self.block(b))
     }
+}
+
+/// The users of block `b` whose bits are set in `word`, ascending.
+fn members(b: usize, word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
+        .take_while(|&w| w != 0)
+        .map(move |w| b * 64 + w.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -185,6 +218,7 @@ mod tests {
         let live = |slot: u64, d: Due| match d.what {
             Deadline::AppExpiry => app_until[d.user as usize] == slot,
             Deadline::EpochDone => epoch_until[d.user as usize] == slot,
+            Deadline::Wake => false,
         };
         assert_eq!(c.take_due(7, |d| live(7, d)), [due(5, Deadline::EpochDone)]);
         assert_eq!(

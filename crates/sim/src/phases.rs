@@ -10,9 +10,10 @@
 //!
 //! * arrivals come from the slot's row of the schedule's slot-major order
 //!   ([`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot));
-//! * expiring applications and completing epochs come from the slot's
-//!   bucket of the [`Calendar`](crate::index::Calendar), live entries only,
-//!   ascending by user — the order the scan reports completions in;
+//! * expiring applications, completing epochs and waking sleepers come from
+//!   the slot's bucket of the [`Calendar`](crate::index::Calendar), live
+//!   entries only, ascending by user — the order the scan reports
+//!   completions in;
 //! * the census is read off the counts the arena keeps at every phase
 //!   transition;
 //! * power is kept per user as *state `power_state[i]` since slot
@@ -38,7 +39,11 @@
 //!   [`repeated_add`](fedco_device::energy::repeated_add) — the bits of the
 //!   scan's per-slot `record`s, in the same order, at the cost of the
 //!   binades the accumulator crosses rather than of the span's length.
-//! * Gaps grow by one `+ ε` addition per idle slot in both loops.
+//! * Gaps grow by one `+ ε` addition per idle slot in the scan. In the
+//!   indexed loop an asleep user owes its idle slots and lands them as one
+//!   [`repeated_add`](fedco_device::energy::repeated_add) — the bits of the
+//!   single additions — at its wake and before the gap lane is read; the
+//!   [`user`](crate::user) module states the invariants.
 
 use fedco_device::apps::AppKind;
 use fedco_device::energy::{Joules, Seconds};
@@ -277,12 +282,14 @@ impl Simulation {
 
     /// Fires the live calendar entries of `until`: applications whose last
     /// slot was `until - 1` leave the foreground, epochs complete into
-    /// `self.completed` (ascending by user).
+    /// `self.completed` (ascending by user), and sleepers due at `until`
+    /// wake with the idle slots they owe before it applied.
     fn fire_deadlines(&mut self, until: u64) {
         let users = &self.users;
         let due = self.calendar.take_due(until, |d| match d.what {
             Deadline::AppExpiry => users.app_expires_at(d.user as usize, until),
             Deadline::EpochDone => users.epoch_done_at(d.user as usize, until).is_some(),
+            Deadline::Wake => users.wakes_at(d.user as usize, until),
         });
         self.stats.user_visits += due.len() as u64;
         for d in due {
@@ -294,6 +301,11 @@ impl Simulation {
                         self.users.count_epoch(i);
                         self.completed.push((i, corunning));
                     }
+                }
+                // Its power state is what it was: nothing to settle.
+                Deadline::Wake => {
+                    self.users.wake(i, until);
+                    continue;
                 }
             }
             self.dirty.push(d.user);

@@ -25,10 +25,32 @@
 //! training, offline and waiting counts plus the ascending set of waiting
 //! users — current at every phase transition, which is why the phase lane
 //! is private and only changes through the transition methods.
+//!
+//! # Sleeping users
+//!
+//! A waiting user its policy cannot schedule before some later slot
+//! ([`SchedulingPolicy::next_decision_slot`]) is *asleep* until then: the
+//! indexed slot loop does not decide it, and the idle slots it waits through
+//! — one `+ ε` gap step and one waited slot each — are owed instead of
+//! applied. Three invariants keep that out of the results:
+//!
+//! * an asleep user is waiting, and owes exactly the slots from the one it
+//!   fell asleep at up to the slot boundary being read;
+//! * nothing reads its gap or wait count while it owes any: the engine
+//!   settles at its wake and before every read of the gap lane — the Eq. 16
+//!   fold, a trace sample, the user-gap series — and settling lands `n` owed
+//!   steps as one [`repeated_add`], the bits of `n` single `+ ε` additions,
+//!   and adds `n` to the wait count;
+//! * an asleep user leaves the waiting phase only by going dark or entering
+//!   it afresh, which wakes it and drops what it owed: both overwrite the
+//!   gap and the wait count.
+//!
+//! [`SchedulingPolicy::next_decision_slot`]: fedco_core::policy::SchedulingPolicy::next_decision_slot
 
 use std::sync::Arc;
 
 use fedco_device::apps::AppKind;
+use fedco_device::energy::repeated_add;
 use fedco_device::power::{AppStatus, PowerState};
 use fedco_device::profiles::{DeviceKind, DeviceProfile};
 use fedco_fl::model_state::ModelVersion;
@@ -80,8 +102,8 @@ pub struct UserSideTable {
 /// …) and behave bit-identically to it.
 #[derive(Debug, Clone)]
 pub struct UserArena {
-    /// Per-idle-slot gradient-gap increment `ε` (Eq. 12), clamped to `≥ 0`
-    /// once at construction.
+    /// Per-idle-slot gradient-gap increment `ε` (Eq. 12): finite and `≥ 0`,
+    /// as `SchedulerConfig::validate` holds it.
     epsilon: f64,
     /// One shared profile per *distinct* device kind, in first-seen order.
     profiles: Vec<Arc<DeviceProfile>>,
@@ -96,6 +118,12 @@ pub struct UserArena {
     offline: usize,
     /// The users in [`TrainingPhase::Waiting`], ascending.
     waiting: UserSet,
+    /// The waiting users that are asleep (see the module docs), ascending.
+    asleep: UserSet,
+    /// Per asleep user, the first slot whose idle step it still owes.
+    idle_from: Vec<u64>,
+    /// Per asleep user, the slot it wakes at.
+    wake_at: Vec<u64>,
     /// The first slot at which the current foreground application is no
     /// longer running (it expires in the tick of slot `app_until - 1`).
     /// Meaningful only while [`current_app`](Self::current_app) is set.
@@ -143,13 +171,16 @@ impl UserArena {
             device.push(kind);
         }
         UserArena {
-            epsilon: epsilon.max(0.0),
+            epsilon,
             profiles,
             profile_ix,
             phase: vec![TrainingPhase::Waiting; num_users],
             training: 0,
             offline: 0,
             waiting: UserSet::full(num_users),
+            asleep: UserSet::empty(num_users),
+            idle_from: vec![0; num_users],
+            wake_at: vec![0; num_users],
             app_until: vec![0; num_users],
             current_app: vec![None; num_users],
             base_version: vec![ModelVersion::INITIAL; num_users],
@@ -174,7 +205,7 @@ impl UserArena {
         self.phase.is_empty()
     }
 
-    /// The idle gap increment `ε` (already clamped to `≥ 0`).
+    /// The idle gap increment `ε`.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
@@ -202,7 +233,12 @@ impl UserArena {
     /// Moves user `i` to `next`, keeping the census current.
     fn set_phase(&mut self, i: usize, next: TrainingPhase) {
         match self.phase[i] {
-            TrainingPhase::Waiting => self.waiting.remove(i),
+            // Leaving the waiting phase, or entering it afresh, wakes the
+            // user (see the module docs).
+            TrainingPhase::Waiting => {
+                self.waiting.remove(i);
+                self.asleep.remove(i);
+            }
             TrainingPhase::Training { .. } => self.training -= 1,
             TrainingPhase::Offline => self.offline -= 1,
             TrainingPhase::RoundBarrier => {}
@@ -248,6 +284,18 @@ impl UserArena {
     /// go: a user may leave the set once visited (none may join).
     pub fn waiting_block(&self, b: usize) -> impl Iterator<Item = usize> {
         self.waiting.block(b)
+    }
+
+    /// Number of waiting users that are awake: those a slot decides.
+    pub(crate) fn awake_count(&self) -> usize {
+        self.waiting.len() - self.asleep.len()
+    }
+
+    /// The awake waiting users among `64·b .. 64·(b + 1)`, ascending, as
+    /// they stood when the block was read (see
+    /// [`waiting_block`](Self::waiting_block)).
+    pub(crate) fn awake_block(&self, b: usize) -> impl Iterator<Item = usize> {
+        self.waiting.block_without(b, &self.asleep)
     }
 
     /// Whether a foreground application is currently running for user `i`.
@@ -425,6 +473,66 @@ impl UserArena {
         debug_assert_eq!(sum.to_bits(), self.fold_gaps().to_bits(), "stale sum");
         self.gap_sum = Some(sum);
         sum
+    }
+
+    /// Puts waiting user `i` to sleep until slot `wake`, owing its idle
+    /// slots from slot `from` on. A user already asleep keeps owing from
+    /// where it did and only moves its wake.
+    pub(crate) fn sleep(&mut self, i: usize, from: u64, wake: u64) {
+        if !self.asleep.contains(i) {
+            self.asleep.insert(i);
+            self.idle_from[i] = from;
+        }
+        self.wake_at[i] = wake;
+    }
+
+    /// Whether user `i` is asleep until exactly `slot` (a wake filed for it
+    /// is live).
+    pub(crate) fn wakes_at(&self, i: usize, slot: u64) -> bool {
+        self.asleep.contains(i) && self.wake_at[i] == slot
+    }
+
+    /// Wakes user `i` at `slot`, with the idle slots it owes before it
+    /// applied (a no-op for an awake user).
+    pub(crate) fn wake(&mut self, i: usize, slot: u64) {
+        if self.asleep.contains(i) {
+            self.settle_idle(i, slot);
+            self.asleep.remove(i);
+        }
+    }
+
+    /// Wakes every asleep user at `slot`; returns how many there were.
+    pub(crate) fn wake_all(&mut self, slot: u64) -> usize {
+        let woken = self.settle_all_idle(slot);
+        if woken > 0 {
+            self.asleep.clear();
+        }
+        woken
+    }
+
+    /// Applies the idle slots every asleep user owes before slot `to`, and
+    /// returns how many users are asleep (they stay so).
+    pub(crate) fn settle_all_idle(&mut self, to: u64) -> usize {
+        if self.asleep.len() > 0 {
+            for b in 0..self.asleep.blocks() {
+                for i in self.asleep.block(b) {
+                    self.settle_idle(i, to);
+                }
+            }
+        }
+        self.asleep.len()
+    }
+
+    /// Applies the idle slots asleep user `i` owes before slot `to`: its
+    /// gap steps as one `repeated_add`, the bits of as many single `+ ε`
+    /// additions, and as many waited slots.
+    fn settle_idle(&mut self, i: usize, to: u64) {
+        let owed = to - self.idle_from[i];
+        if owed > 0 {
+            self.set_gap(i, repeated_add(self.gap[i], self.epsilon, owed));
+            self.current_wait_slots[i] += owed;
+            self.idle_from[i] = to;
+        }
     }
 }
 
@@ -619,12 +727,38 @@ mod tests {
     }
 
     #[test]
-    fn negative_epsilon_clamps_to_zero() {
-        let mut c = UserArena::build(1, -0.5, |_| DeviceKind::Pixel2);
-        for _ in 0..10 {
-            c.idle_slot(0);
+    fn a_sleeper_owes_exactly_the_idle_slots_it_slept_through() {
+        // User 0 idles slot by slot; user 1 sleeps through the same slots
+        // and settles on the same bits and wait count.
+        let mut u = UserArena::build(2, 0.1, |_| DeviceKind::Pixel2);
+        let same = |u: &UserArena| {
+            u.gap_value(0).0.to_bits() == u.gap_value(1).0.to_bits()
+                && u.current_wait_slots[0] == u.current_wait_slots[1]
+        };
+        u.sleep(1, 0, 40);
+        assert_eq!(u.awake_count(), 1);
+        assert!(u.awake_block(0).eq([0]));
+        for _ in 0..37 {
+            u.idle_slot(0);
         }
-        assert_eq!(c.gap_value(0), GradientGap(0.0));
-        assert_eq!(c.epsilon(), 0.0);
+        assert_eq!(u.settle_all_idle(37), 1);
+        assert!(same(&u) && u.current_wait_slots[1] == 37);
+        // Asked again, it moves its wake and keeps owing from slot 37.
+        u.sleep(1, 37, 50);
+        assert!(u.wakes_at(1, 50) && !u.wakes_at(1, 40));
+        for _ in 37..45 {
+            u.idle_slot(0);
+        }
+        u.wake(1, 45);
+        assert!(same(&u) && u.awake_count() == 2 && !u.wakes_at(1, 50));
+        assert_eq!(u.gap_sum().to_bits(), u.fold_gaps().to_bits());
+        // Going dark drops the debt, and a rejoin comes back awake.
+        u.sleep(1, 45, 60);
+        u.go_offline(1);
+        assert_eq!(u.gap_value(1), GradientGap(0.0));
+        assert!(!u.wakes_at(1, 60));
+        u.become_waiting(1, ModelVersion(1));
+        assert_eq!(u.awake_count(), 2);
+        assert_eq!(u.wake_all(60), 0);
     }
 }

@@ -13,6 +13,9 @@
 //! The second half of the suite aims at what an index can get wrong and a
 //! scan cannot — stale deadlines, slot-boundary meetings, hand-out order,
 //! the round census, bitset word edges — and at `EngineStats::user_visits`.
+//! The last cases hold sleeping users to the scan: a waiting user its policy
+//! cannot schedule before a later slot is not decided until then, and owes
+//! its idle slots.
 
 use fedco::prelude::*;
 
@@ -617,4 +620,156 @@ impl PolicyFactory for PlainImmediateFactory {
     fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
         Box::new(PlainImmediate)
     }
+}
+
+// ---------------------------------------------------------------------
+// Sleeping users: a waiting user its policy cannot schedule before a later
+// slot is not decided until then, and owes its idle slots meanwhile.
+// ---------------------------------------------------------------------
+
+#[test]
+fn offline_sleepers_owe_their_idle_slots_through_samples_churn_and_replans() {
+    // Small batteries and heavy churn take sleeping users dark and bring
+    // them back; a trace sample every 7 slots and the per-user gap series
+    // read the gap lane in the middle of their sleep; 2 000 slots are four
+    // 500-slot planning windows.
+    let spec: ScenarioSpec =
+        "battery-constrained:churn=heavy:users=24:slots=2000:arrival_p=0.01:record_every=7"
+            .parse()
+            .expect("spec parses");
+    let mut config = spec.build_with_policy(PolicySpec::Offline).expect("builds");
+    config.record_user_gaps = true;
+    let (_, event, trace) = run_both_traced("offline sleepers", config.clone());
+    let (dense, summary) = run_both(config.summary_only());
+    assert_identical("offline sleepers (summary)", &dense, &summary);
+    // The subject is there: users trained, went dark and came back.
+    assert!(event.total_updates > 0);
+    let churned = |dark: bool| {
+        trace
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::UserChurned { offline, .. } if offline == dark))
+    };
+    assert!(churned(true) && churned(false));
+    assert!(!event.user_gaps.is_empty());
+}
+
+/// Schedules a waiting user only in slots that are multiples of `k` and says
+/// so through `next_decision_slot`, so its users sleep in between. It reports
+/// the gap sum it is handed as its backlog, so the Eq. 16 fold — fed the
+/// sleepers' owed steps — reaches the results, and every fifth slot charges
+/// decision overhead, which wakes every sleeper.
+#[derive(Debug)]
+struct EveryKth {
+    k: u64,
+    slot: u64,
+    gap_sum: f64,
+}
+
+impl SchedulingPolicy for EveryKth {
+    fn decide(&mut self, ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
+        use fedco::device::power::SlotDecision;
+        if ctx.slot % self.k == 0 {
+            SlotDecision::Schedule
+        } else {
+            SlotDecision::Idle
+        }
+    }
+    fn end_of_slot(&mut self, outcome: &SlotOutcome) {
+        self.slot += 1;
+        self.gap_sum = outcome.gap_sum;
+    }
+    fn queue_backlog(&self) -> f64 {
+        self.gap_sum
+    }
+    fn decision_energy_overhead(&self) -> f64 {
+        if self.slot % 5 == 0 {
+            0.5
+        } else {
+            0.0
+        }
+    }
+    fn next_decision_slot(&self, _user_id: usize, slot: u64) -> Option<u64> {
+        Some(slot.next_multiple_of(self.k))
+    }
+}
+
+#[derive(Debug)]
+struct EveryKthFactory(u64);
+
+impl PolicyFactory for EveryKthFactory {
+    fn label(&self) -> String {
+        format!("EveryKth({})", self.0)
+    }
+    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+        Box::new(EveryKth {
+            k: self.0,
+            slot: 0,
+            gap_sum: 0.0,
+        })
+    }
+}
+
+#[test]
+fn a_custom_policy_that_names_its_next_slot_is_bit_identical() {
+    for k in [7, 50] {
+        let mut config = SimConfig {
+            num_users: 70,
+            total_slots: 1500,
+            arrival_probability: 0.01,
+            record_every_slots: 13,
+            ..SimConfig::default()
+        }
+        .with_policy(PolicySpec::custom(EveryKthFactory(k)));
+        config.record_user_gaps = true;
+        let label = format!("every {k}th slot");
+        let (_, event, trace) = run_both_traced(&label, config.clone());
+        let (dense, summary) = run_both(config.summary_only());
+        assert_identical(&format!("{label} (summary)"), &dense, &summary);
+        assert!(event.total_updates > 0, "{label}");
+        assert!(
+            trace
+                .iter()
+                .all(|e| !matches!(e.kind, EventKind::Schedule { .. }) || e.slot % k == 0),
+            "{label}: a schedule off a multiple of k"
+        );
+    }
+}
+
+#[test]
+fn offline_decisions_do_not_scale_with_waiting_user_slots() {
+    // Offline holds every user it did not select: the scan decides each of
+    // them in every slot, the indexed loop only at its planned start.
+    let spec: ScenarioSpec = "city-scale:users=300".parse().expect("spec parses");
+    let config = spec.build_with_policy(PolicySpec::Offline).expect("builds");
+    let traced = || {
+        let sink = BufferSink::shared();
+        let mut sim = Simulation::try_new(config.clone())
+            .expect("valid config")
+            .with_telemetry(sink.clone());
+        let _ = sim.run();
+        (sim.engine_stats(), sink.drain())
+    };
+    let (stats, trace) = traced();
+    let idle = trace
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::DenseSpan { idle_decisions, .. } => Some(idle_decisions),
+            _ => None,
+        })
+        .expect("one dense-span event");
+    let schedules = trace
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Schedule { .. }))
+        .count() as u64;
+    let waiting_user_slots = idle + schedules;
+    assert!(
+        waiting_user_slots > 300 * config.total_slots / 4,
+        "{waiting_user_slots}"
+    );
+    assert!(
+        stats.user_visits * 10 < waiting_user_slots,
+        "visits {} vs waiting user-slots {waiting_user_slots}",
+        stats.user_visits
+    );
+    assert_eq!(traced().0, stats, "user_visits repeat exactly");
 }
