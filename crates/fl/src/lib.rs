@@ -39,7 +39,7 @@ pub use model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 pub use momentum::MomentumTracker;
 pub use partition::{partition_dataset, PartitionStrategy};
 pub use pool::TrainingPool;
-pub use server::{ParameterServer, ServerStats, ServerTelemetry};
+pub use server::{ParameterServer, ServerStats};
 pub use service::{ModelService, ModelServiceInit};
 pub use staleness::{GradientGap, Lag, WeightPredictor};
 pub use transport::{TransportModel, PAPER_MODEL_BYTES};

@@ -7,14 +7,15 @@
 //! supplies each device with its current lag, which is the only piece of
 //! cross-device information the distributed online scheduler needs
 //! (Algorithm 2, line 4).
+//!
+//! The server only stores and merges. Each apply returns the version it
+//! produced, and the caller records what happened: the simulation engine
+//! traces the merges and rounds of a run, the `fedco-server` core its pushes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use fedco_neural::model::ParamVector;
 use fedco_neural::tensor::TensorError;
-use fedco_telemetry::clock::SlotClock;
-use fedco_telemetry::event::{Event, EventKind};
-use fedco_telemetry::sink::Telemetry;
 
 use crate::aggregation::AsyncUpdateRule;
 use crate::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
@@ -51,28 +52,6 @@ pub struct ParameterServer {
     inner: Mutex<ServerInner>,
 }
 
-/// The server's telemetry attachment: a sink plus the slot clock the engine
-/// advances, so merge/round events carry the simulation slot they happened
-/// in even though the server itself has no notion of simulated time.
-#[derive(Debug, Clone)]
-pub struct ServerTelemetry {
-    sink: Arc<dyn Telemetry>,
-    clock: SlotClock,
-}
-
-impl ServerTelemetry {
-    /// Bundles a sink with the engine's slot clock.
-    pub fn new(sink: Arc<dyn Telemetry>, clock: SlotClock) -> Self {
-        ServerTelemetry { sink, clock }
-    }
-
-    fn emit(&self, kind: EventKind) {
-        if self.sink.enabled() {
-            self.sink.record(Event::new(self.clock.now(), kind));
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ServerInner {
     params: ParamVector,
@@ -80,7 +59,6 @@ struct ServerInner {
     rule: AsyncUpdateRule,
     momentum: MomentumTracker,
     stats: ServerStats,
-    telemetry: Option<ServerTelemetry>,
 }
 
 impl ParameterServer {
@@ -104,15 +82,8 @@ impl ParameterServer {
                 rule,
                 momentum: MomentumTracker::new(beta, learning_rate),
                 stats: ServerStats::default(),
-                telemetry: None,
             }),
         }
-    }
-
-    /// Attaches a telemetry sink (and the engine's slot clock) so applied
-    /// updates and aggregation rounds are traced on the simulation clock.
-    pub fn attach_telemetry(&self, telemetry: ServerTelemetry) {
-        self.locked().telemetry = Some(telemetry);
     }
 
     /// The current global version.
@@ -137,13 +108,13 @@ impl ParameterServer {
     /// replaced (or staleness-weighted mixed) with the uploaded parameters
     /// and the version is bumped.
     ///
-    /// Returns the lag the update experienced.
+    /// Returns the lag the update experienced and the version it produced.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the uploaded vector has the
     /// wrong length.
-    pub fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
+    pub fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError> {
         let mut inner = self.locked();
         if update.params.len() != inner.params.len() {
             return Err(TensorError::ShapeMismatch {
@@ -165,24 +136,18 @@ impl ParameterServer {
         inner.stats.async_updates += 1;
         inner.stats.total_lag += lag.value();
         inner.stats.max_lag = inner.stats.max_lag.max(lag.value());
-        if let Some(telemetry) = &inner.telemetry {
-            telemetry.emit(EventKind::Merge {
-                user: update.client_id as u64,
-                lag: lag.value(),
-                version: inner.version.0,
-            });
-        }
-        Ok(lag)
+        Ok((lag, inner.version))
     }
 
     /// Applies one synchronous aggregation round (FedAvg): the global model
     /// becomes the sample-weighted average of the submitted local models.
+    /// Returns the version the round produced.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError`] when no updates are supplied or lengths
     /// mismatch.
-    pub fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
+    pub fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
         if updates.is_empty() {
             return Err(TensorError::LengthMismatch {
                 expected: 1,
@@ -208,13 +173,7 @@ impl ParameterServer {
             .observe_merge(&mut inner.params, &averaged, |_, a| a)?;
         inner.version = inner.version.next();
         inner.stats.sync_rounds += 1;
-        if let Some(telemetry) = &inner.telemetry {
-            telemetry.emit(EventKind::Round {
-                participants: updates.len() as u64,
-                version: inner.version.0,
-            });
-        }
-        Ok(())
+        Ok(inner.version)
     }
 
     /// A copy of the current statistics.
@@ -255,10 +214,10 @@ mod tests {
     fn async_update_replaces_and_bumps_version() {
         let s = server();
         let base = s.version();
-        let lag = s
+        let applied = s
             .apply_async(&update(0, vec![1.0, 2.0, 3.0], base, 10))
             .unwrap();
-        assert_eq!(lag, Lag::ZERO);
+        assert_eq!(applied, (Lag::ZERO, ModelVersion(1)));
         assert_eq!(s.version(), ModelVersion(1));
         assert_eq!(s.download().params.values(), &[1.0, 2.0, 3.0]);
         assert!(s.momentum_norm() > 0.0);
@@ -274,10 +233,10 @@ mod tests {
         s.apply_async(&update(2, vec![0.0, 1.0, 0.0], s.version(), 10))
             .unwrap();
         assert_eq!(Lag::between(base_i, s.version()), Lag(2));
-        let lag_i = s
+        let applied_i = s
             .apply_async(&update(0, vec![0.0, 0.0, 1.0], base_i, 10))
             .unwrap();
-        assert_eq!(lag_i, Lag(2));
+        assert_eq!(applied_i, (Lag(2), ModelVersion(3)));
         let stats = s.stats();
         assert_eq!(stats.async_updates, 3);
         assert_eq!(stats.max_lag, 2);
@@ -288,12 +247,14 @@ mod tests {
     fn sync_round_averages_by_samples() {
         let s = server();
         let base = s.version();
-        s.apply_sync_round(&[
-            update(0, vec![0.0, 0.0, 0.0], base, 10),
-            update(1, vec![4.0, 4.0, 4.0], base, 30),
-        ])
-        .unwrap();
+        let version = s
+            .apply_sync_round(&[
+                update(0, vec![0.0, 0.0, 0.0], base, 10),
+                update(1, vec![4.0, 4.0, 4.0], base, 30),
+            ])
+            .unwrap();
         assert_eq!(s.download().params.values(), &[3.0, 3.0, 3.0]);
+        assert_eq!(version, ModelVersion(1));
         assert_eq!(s.version(), ModelVersion(1));
         assert_eq!(s.stats().sync_rounds, 1);
     }
@@ -315,42 +276,6 @@ mod tests {
     #[test]
     fn stats_default_mean_lag_is_zero() {
         assert_eq!(ServerStats::default().mean_lag(), 0.0);
-    }
-
-    #[test]
-    fn telemetry_traces_merges_and_rounds_on_the_slot_clock() {
-        use fedco_telemetry::event::EventKind;
-        use fedco_telemetry::sink::BufferSink;
-
-        let s = server();
-        let sink = BufferSink::shared();
-        let clock = SlotClock::new();
-        s.attach_telemetry(ServerTelemetry::new(sink.clone(), clock.clone()));
-        clock.set(17);
-        s.apply_async(&update(2, vec![1.0, 2.0, 3.0], s.version(), 10))
-            .unwrap();
-        clock.set(40);
-        s.apply_sync_round(&[update(0, vec![0.0; 3], s.version(), 10)])
-            .unwrap();
-        let events = sink.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].slot, 17);
-        assert_eq!(
-            events[0].kind,
-            EventKind::Merge {
-                user: 2,
-                lag: 0,
-                version: 1
-            }
-        );
-        assert_eq!(events[1].slot, 40);
-        assert_eq!(
-            events[1].kind,
-            EventKind::Round {
-                participants: 1,
-                version: 2
-            }
-        );
     }
 
     /// The fused apply against the clone-based one it replaced. `ci.sh` runs
@@ -565,14 +490,17 @@ mod tests {
                         let what = format!("{rule:?} len {len} update {k}");
                         assert_eq!(
                             fused.apply_async(&upload),
-                            oracle.apply_async(&upload),
+                            oracle.apply_async(&upload).map(|lag| (lag, oracle.version)),
                             "{what}: lag"
                         );
                         assert_same_state(&fused, &oracle, &what);
                     }
                     assert_eq!(oracle.stats.max_lag, 9);
                     let wrong = update(0, vec![1.0; len + 1], ModelVersion(0), 1);
-                    assert_eq!(fused.apply_async(&wrong), oracle.apply_async(&wrong));
+                    assert_eq!(
+                        fused.apply_async(&wrong),
+                        oracle.apply_async(&wrong).map(|lag| (lag, oracle.version))
+                    );
                     assert!(fused.apply_async(&wrong).is_err());
                     assert_same_state(&fused, &oracle, "after a refused upload");
                 }
@@ -597,12 +525,15 @@ mod tests {
                         .collect();
                     assert_eq!(
                         fused.apply_sync_round(&updates),
-                        oracle.apply_sync_round(&updates)
+                        oracle.apply_sync_round(&updates).map(|()| oracle.version)
                     );
                     assert_same_state(&fused, &oracle, &format!("len {len} round {round}"));
                     // An asynchronous update between rounds shares the velocity.
                     let upload = update(9, awkward_values(&mut rng, len), oracle.version, 8);
-                    assert_eq!(fused.apply_async(&upload), oracle.apply_async(&upload));
+                    assert_eq!(
+                        fused.apply_async(&upload),
+                        oracle.apply_async(&upload).map(|lag| (lag, oracle.version))
+                    );
                     assert_same_state(&fused, &oracle, &format!("len {len} after round {round}"));
                 }
                 let base = oracle.version;
@@ -614,7 +545,10 @@ mod tests {
                 for refused in [&ragged[..], &too_long[..], &[]] {
                     let err = fused.apply_sync_round(refused);
                     assert!(err.is_err());
-                    assert_eq!(err, oracle.apply_sync_round(refused));
+                    assert_eq!(
+                        err,
+                        oracle.apply_sync_round(refused).map(|()| oracle.version)
+                    );
                 }
                 assert_same_state(&fused, &oracle, "after refused rounds");
             }
@@ -633,7 +567,10 @@ mod tests {
             let moved: Vec<f32> = (0..8).map(|_| rng.gen_range(0.5..2.0f32)).collect();
             for k in 0..1_400 {
                 let upload = update(0, moved.clone(), oracle.version, 32);
-                assert_eq!(fused.apply_async(&upload), oracle.apply_async(&upload));
+                assert_eq!(
+                    fused.apply_async(&upload),
+                    oracle.apply_async(&upload).map(|lag| (lag, oracle.version))
+                );
                 if k % 100 == 0 {
                     assert_same_state(&fused, &oracle, &format!("repeat {k}"));
                 }

@@ -1,19 +1,18 @@
 //! The aggregation-service seam between the engine and a parameter server.
 //!
-//! The simulation engine only ever talks to the server through a handful of
-//! calls — download the model, query the momentum norm, apply an update (or
-//! a synchronous round), read the stats. [`ModelService`] captures exactly
-//! that surface so the in-process [`ParameterServer`] and a remote service
-//! (the `fedco-server` crate's wire-protocol client) are interchangeable:
-//! the engine is compiled against the trait and a scenario can be replayed
-//! against a live service bit-for-bit.
-
-use std::sync::Arc;
+//! The simulation engine only ever talks to the server through four calls —
+//! download the model, query the momentum norm, apply an update (or a
+//! synchronous round). [`ModelService`] captures exactly that surface so the
+//! in-process [`ParameterServer`] and a remote service (the `fedco-server`
+//! crate's wire-protocol client) are interchangeable: the engine is compiled
+//! against the trait and a scenario can be replayed against a live service
+//! bit-for-bit. The service only stores and merges; what a run records about
+//! its merges and rounds, and how many it made, is the engine's.
 
 use fedco_neural::tensor::TensorError;
 
-use crate::model_state::{LocalUpdate, ModelSnapshot};
-use crate::server::{ParameterServer, ServerStats, ServerTelemetry};
+use crate::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
+use crate::server::ParameterServer;
 use crate::staleness::Lag;
 
 use fedco_neural::model::ParamVector;
@@ -59,29 +58,22 @@ pub trait ModelService: Send + Sync + std::fmt::Debug {
     /// The L2 norm of the server-side momentum vector (Eq. 1).
     fn momentum_norm(&self) -> f32;
 
-    /// Applies one asynchronous update; returns the lag it experienced.
+    /// Applies one asynchronous update; returns the lag it experienced and
+    /// the version it produced.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError`] when the uploaded vector has the wrong length.
-    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError>;
+    fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError>;
 
-    /// Applies one synchronous aggregation round (FedAvg).
+    /// Applies one synchronous aggregation round (FedAvg); returns the
+    /// version it produced.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError`] when no updates are supplied or lengths
     /// mismatch.
-    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError>;
-
-    /// A copy of the current statistics.
-    fn stats(&self) -> ServerStats;
-
-    /// Attaches a telemetry sink; implementations without server-side
-    /// telemetry ignore it.
-    fn attach_telemetry(&self, telemetry: ServerTelemetry) {
-        let _ = telemetry;
-    }
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError>;
 }
 
 impl ModelService for ParameterServer {
@@ -93,53 +85,18 @@ impl ModelService for ParameterServer {
         ParameterServer::momentum_norm(self)
     }
 
-    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
+    fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError> {
         ParameterServer::apply_async(self, update)
     }
 
-    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
         ParameterServer::apply_sync_round(self, updates)
-    }
-
-    fn stats(&self) -> ServerStats {
-        ParameterServer::stats(self)
-    }
-
-    fn attach_telemetry(&self, telemetry: ServerTelemetry) {
-        ParameterServer::attach_telemetry(self, telemetry)
-    }
-}
-
-impl<S: ModelService + ?Sized> ModelService for Arc<S> {
-    fn download(&self) -> ModelSnapshot {
-        (**self).download()
-    }
-
-    fn momentum_norm(&self) -> f32 {
-        (**self).momentum_norm()
-    }
-
-    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
-        (**self).apply_async(update)
-    }
-
-    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
-        (**self).apply_sync_round(updates)
-    }
-
-    fn stats(&self) -> ServerStats {
-        (**self).stats()
-    }
-
-    fn attach_telemetry(&self, telemetry: ServerTelemetry) {
-        (**self).attach_telemetry(telemetry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model_state::ModelVersion;
 
     fn init() -> ModelServiceInit {
         ModelServiceInit {
@@ -162,32 +119,10 @@ mod tests {
             train_loss: 1.0,
             train_accuracy: 0.5,
         };
-        let lag_direct = direct.apply_async(&update).unwrap();
-        let lag_boxed = boxed.apply_async(&update).unwrap();
-        assert_eq!(lag_direct, lag_boxed);
+        let applied_direct = direct.apply_async(&update).unwrap();
+        let applied_boxed = boxed.apply_async(&update).unwrap();
+        assert_eq!(applied_direct, applied_boxed);
         assert_eq!(direct.download(), boxed.download());
-        assert_eq!(
-            ParameterServer::stats(&direct).async_updates,
-            boxed.stats().async_updates
-        );
         assert_eq!(direct.momentum_norm(), boxed.momentum_norm());
-    }
-
-    #[test]
-    fn arc_forwarding_shares_one_server() {
-        let shared = Arc::new(init().into_parameter_server());
-        let service: Box<dyn ModelService> = Box::new(shared.clone());
-        service
-            .apply_async(&LocalUpdate {
-                client_id: 0,
-                params: ParamVector::new(vec![4.0, 5.0, 6.0]),
-                base_version: ModelVersion::INITIAL,
-                num_samples: 1,
-                train_loss: 0.0,
-                train_accuracy: 0.0,
-            })
-            .unwrap();
-        assert_eq!(shared.stats().async_updates, 1);
-        assert_eq!(shared.download().params.values(), &[4.0, 5.0, 6.0]);
     }
 }

@@ -84,6 +84,31 @@ impl RemoteModelService {
         }
     }
 
+    /// The server's aggregation statistics.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadPayload`] when the reply is not the statistics.
+    pub fn stats(&self) -> Result<ServerStats, WireError> {
+        match self.request(&Message::QueryStats) {
+            Message::StatsIs {
+                async_updates,
+                sync_rounds,
+                total_lag,
+                max_lag,
+            } => Ok(ServerStats {
+                async_updates,
+                sync_rounds,
+                total_lag,
+                max_lag,
+            }),
+            other => Err(WireError::BadPayload(format!(
+                "unexpected stats reply `{}`",
+                other.name()
+            ))),
+        }
+    }
+
     /// Closes the session.
     ///
     /// # Errors
@@ -139,13 +164,13 @@ impl ModelService for RemoteModelService {
         }
     }
 
-    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
+    fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError> {
         let reply = self.request(&Message::PushUpdate {
             session: self.session,
             update: local_to_wire(update),
         });
         match reply {
-            Message::PushApplied { lag, .. } => Ok(Lag(lag)),
+            Message::PushApplied { lag, version } => Ok((Lag(lag), ModelVersion(version))),
             Message::PushRefused {
                 reason: Refusal::WrongModelLen,
             } => Err(TensorError::ShapeMismatch {
@@ -160,13 +185,13 @@ impl ModelService for RemoteModelService {
         }
     }
 
-    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
         let reply = self.request(&Message::PushRound {
             session: self.session,
             updates: updates.iter().map(local_to_wire).collect(),
         });
         match reply {
-            Message::RoundOk { .. } => Ok(()),
+            Message::RoundOk { version } => Ok(ModelVersion(version)),
             Message::PushRefused {
                 reason: Refusal::BadRequest,
             } => Err(TensorError::LengthMismatch {
@@ -182,24 +207,6 @@ impl ModelService for RemoteModelService {
             }),
             // fedco-audit: allow(panic-surface): protocol violation by the server is terminal for the engine seam
             other => panic!("unexpected round reply `{}`", other.name()),
-        }
-    }
-
-    fn stats(&self) -> ServerStats {
-        match self.request(&Message::QueryStats) {
-            Message::StatsIs {
-                async_updates,
-                sync_rounds,
-                total_lag,
-                max_lag,
-            } => ServerStats {
-                async_updates,
-                sync_rounds,
-                total_lag,
-                max_lag,
-            },
-            // fedco-audit: allow(panic-surface): protocol violation by the server is terminal for the engine seam
-            other => panic!("unexpected stats reply `{}`", other.name()),
         }
     }
 }
@@ -256,9 +263,9 @@ mod tests {
                 -(step as f32),
                 1.0 / (step + 1) as f32,
             ]);
-            let lag_remote = remote.apply_async(&u).unwrap();
-            let lag_local = local.apply_async(&u).unwrap();
-            assert_eq!(lag_remote, lag_local);
+            let applied_remote = remote.apply_async(&u).unwrap();
+            let applied_local = local.apply_async(&u).unwrap();
+            assert_eq!(applied_remote, applied_local);
         }
         let a = remote.download();
         let b = local.download();
@@ -270,7 +277,7 @@ mod tests {
             remote.momentum_norm().to_bits(),
             local.momentum_norm().to_bits()
         );
-        assert_eq!(remote.stats(), local.stats());
+        assert_eq!(remote.stats().expect("stats reply"), local.stats());
     }
 
     #[test]
@@ -284,10 +291,37 @@ mod tests {
             remote.apply_sync_round(&[]),
             Err(TensorError::LengthMismatch { .. })
         ));
-        remote
+        let version = remote
             .apply_sync_round(&[update(vec![1.0, 2.0, 3.0])])
             .unwrap();
-        assert_eq!(remote.stats().sync_rounds, 1);
+        assert_eq!(version, ModelVersion(1));
+        assert_eq!(remote.stats().expect("stats reply").sync_rounds, 1);
+    }
+
+    /// Welcomes the client, then answers every other request with a norm.
+    #[derive(Debug)]
+    struct WrongStatsReply;
+
+    impl Transport for WrongStatsReply {
+        fn request(&mut self, msg: &Message) -> Result<Message, WireError> {
+            Ok(match msg {
+                Message::Hello { .. } => Message::Welcome {
+                    session: 1,
+                    model_version: 0,
+                    model_len: 3,
+                },
+                _ => Message::NormIs { bits: 0 },
+            })
+        }
+    }
+
+    #[test]
+    fn an_unexpected_stats_reply_is_a_typed_error() {
+        let remote = RemoteModelService::connect(Box::new(WrongStatsReply), 0).unwrap();
+        match remote.stats() {
+            Err(WireError::BadPayload(why)) => assert!(why.contains("stats"), "{why}"),
+            other => panic!("expected BadPayload, got {other:?}"),
+        }
     }
 
     #[test]

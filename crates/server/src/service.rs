@@ -215,13 +215,13 @@ impl ServerCore {
             return;
         }
         match self.server.apply_async(&update) {
-            Ok(lag) => {
+            Ok((lag, ModelVersion(version))) => {
                 self.registry.record_drained(session);
                 self.counters.pushes_applied += 1;
                 self.emit(EventKind::PushApplied {
                     session,
                     lag: lag.value(),
-                    version: self.server.version().0,
+                    version,
                 });
             }
             Err(_) => {
@@ -377,10 +377,9 @@ impl ServerCore {
         let local = wire_to_local(update);
         if self.queue_capacity == 0 {
             match self.server.apply_async(&local) {
-                Ok(lag) => {
+                Ok((lag, ModelVersion(version))) => {
                     self.registry.record_push(session, self.tick);
                     self.counters.pushes_applied += 1;
-                    let version = self.server.version().0;
                     self.emit(EventKind::PushApplied {
                         session,
                         lag: lag.value(),
@@ -420,10 +419,9 @@ impl ServerCore {
         }
         let locals: Vec<LocalUpdate> = updates.into_iter().map(wire_to_local).collect();
         match self.server.apply_sync_round(&locals) {
-            Ok(()) => {
+            Ok(ModelVersion(version)) => {
                 self.registry.record_push(session, self.tick);
                 self.counters.rounds_applied += 1;
-                let version = self.server.version().0;
                 self.emit(EventKind::RoundAdvance {
                     version,
                     participants: locals.len() as u64,

@@ -89,13 +89,11 @@ use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
 use fedco_fl::model_state::{LocalUpdate, ModelSnapshot};
 use fedco_fl::partition::{partition_dataset, PartitionStrategy};
 use fedco_fl::pool::{Ticket, TrainingPool};
-use fedco_fl::server::ServerTelemetry;
 use fedco_fl::service::{ModelService, ModelServiceInit};
 use fedco_fl::staleness::{GradientGap, Lag, WeightPredictor};
 use fedco_fl::transport::PAPER_MODEL_BYTES;
 use fedco_neural::data::{Dataset, SyntheticCifarConfig};
 use fedco_neural::model::{ParamVector, Sequential};
-use fedco_telemetry::clock::SlotClock;
 use fedco_telemetry::event::{Event, EventKind};
 use fedco_telemetry::sink::{BufferSink, Telemetry};
 use fedco_world::battery::BatteryParams;
@@ -138,14 +136,12 @@ pub struct EngineStats {
     pub user_visits: u64,
 }
 
-/// The engine's telemetry attachment: the shared sink, the slot clock it
-/// advances for downstream emitters (the FL server), the sampling cadence of
-/// the cumulative energy events, and the idle-decision counter of the
+/// The engine's telemetry attachment: the shared sink, the sampling cadence
+/// of the cumulative energy events, and the idle-decision counter of the
 /// driver channel.
 #[derive(Debug)]
 struct SimTelemetry {
     sink: Arc<dyn Telemetry>,
-    clock: SlotClock,
     /// Energy events are sampled every this many slots (the trace-recording
     /// cadence of the configuration, fixed at attach time so summary-only
     /// fleet jobs still sample).
@@ -281,6 +277,9 @@ pub struct Simulation {
     /// the engine next hands the server an update — the only thing that can
     /// change it.
     momentum_norm: Option<f32>,
+    /// Updates and rounds the engine has handed the server: the server's
+    /// version count, so reset when the server is replaced, not per run.
+    applied: u64,
     /// Application expiries and epoch completions by the slot they fall
     /// due (indexed loop only; the scan reference files nothing).
     pub(crate) calendar: Calendar,
@@ -492,6 +491,7 @@ impl Simulation {
             indexed: false,
             policy_quiescent: false,
             momentum_norm: None,
+            applied: 0,
             calendar: Calendar::default(),
             power_state,
             power_since,
@@ -521,9 +521,11 @@ impl Simulation {
     /// wire-protocol client). The factory receives everything needed to
     /// start from the exact state the default server would: the initial
     /// global model, the merge rule, and the momentum hyperparameters. Call
-    /// this straight after construction, before telemetry attachment or the
-    /// first slot — the engine's aggregation calls are otherwise identical,
-    /// so a faithful service reproduces the batch run bit-for-bit.
+    /// this before the first slot — the engine's aggregation calls are
+    /// otherwise identical, so a faithful service reproduces the batch run
+    /// bit-for-bit, trace included: the engine records every merge and
+    /// round itself, whichever of this and
+    /// [`with_telemetry`](Self::with_telemetry) comes first.
     pub fn with_model_service<F>(mut self, factory: F) -> Self
     where
         F: FnOnce(ModelServiceInit) -> Box<dyn ModelService>,
@@ -536,6 +538,7 @@ impl Simulation {
         };
         self.server = factory(init);
         self.momentum_norm = None;
+        self.applied = 0;
         self
     }
 
@@ -548,10 +551,11 @@ impl Simulation {
 
     /// Attaches a telemetry sink. Every slot-clocked event of the run —
     /// schedules, merges, rounds, barrier arrivals, sampled per-component
-    /// energy, driver spans — is recorded into it; the FL server shares the
-    /// sink via the engine's [`SlotClock`]. Attaching telemetry never
-    /// changes the simulation result: reading profiler totals is
-    /// side-effect-free.
+    /// energy, driver spans — is recorded into it by the engine, stamped with
+    /// the slot it is stepping; the model service records nothing, so the
+    /// order of this and [`with_model_service`](Self::with_model_service)
+    /// does not matter. Attaching telemetry never changes the simulation
+    /// result: reading profiler totals is side-effect-free.
     ///
     /// A disabled sink (e.g. [`fedco_telemetry::sink::NullSink`]) is
     /// discarded outright, keeping the disabled path zero-cost.
@@ -559,12 +563,8 @@ impl Simulation {
         if !sink.enabled() {
             return self;
         }
-        let clock = SlotClock::new();
-        self.server
-            .attach_telemetry(ServerTelemetry::new(sink.clone(), clock.clone()));
         self.telemetry = Some(SimTelemetry {
             sink,
-            clock,
             sample_every: self.config.record_every_slots.max(1),
             idle_decisions: 0,
         });
@@ -716,8 +716,7 @@ impl Simulation {
                 // number of applied updates, so the momentum norm behaves
                 // like a converging run.
                 let snapshot = self.server.download();
-                let applied = self.server.stats().async_updates + self.server.stats().sync_rounds;
-                let magnitude = 1.0 / (1.0 + applied as f32 / 50.0);
+                let magnitude = 1.0 / (1.0 + self.applied as f32 / 50.0);
                 let mut values = snapshot.params.values().to_vec();
                 let scale = magnitude / (values.len() as f32).sqrt();
                 for v in values.iter_mut() {
@@ -997,7 +996,6 @@ impl Simulation {
         }
         if let Some(t) = self.telemetry.as_mut() {
             t.idle_decisions = 0;
-            t.clock.set(0);
             t.sink.record(Event::new(
                 0,
                 EventKind::run_start(
@@ -1081,12 +1079,6 @@ impl Simulation {
         {
             let slot = self.clock.slot();
             let now_s = self.clock.now_s();
-
-            // Advance the shared slot clock so everything this slot executes
-            // (including server-side merge/round events) is stamped with it.
-            if let Some(t) = &self.telemetry {
-                t.clock.set(slot);
-            }
 
             // (world) Battery accounting, churn transitions and the
             // resulting offline/online flips, at every check-cadence slot.
@@ -1221,11 +1213,24 @@ impl Simulation {
                         0.0
                     };
                     self.momentum_norm = None;
-                    let lag = self
+                    let (lag, version) = self
                         .server
                         .apply_async(&update)
                         // fedco-audit: allow(panic-surface): updates come from clients sharing the server's architecture
                         .expect("update length matches global model");
+                    self.applied += 1;
+                    // Recorded before the requeue, which may record the
+                    // user's compressed upload.
+                    if let Some(t) = &self.telemetry {
+                        t.sink.record(Event::new(
+                            slot,
+                            EventKind::Merge {
+                                user: user_id as u64,
+                                lag: lag.value(),
+                                version: version.0,
+                            },
+                        ));
+                    }
                     acc.total_lag += lag.value();
                     acc.max_lag = acc.max_lag.max(lag.value());
                     if self.config.collect_traces {
@@ -1267,10 +1272,21 @@ impl Simulation {
                     0.0
                 };
                 self.momentum_norm = None;
-                self.server
+                let version = self
+                    .server
                     .apply_sync_round(&buffer)
                     // fedco-audit: allow(panic-surface): round updates come from clients sharing the server's architecture
                     .expect("round updates match global model");
+                self.applied += 1;
+                if let Some(t) = &self.telemetry {
+                    t.sink.record(Event::new(
+                        slot,
+                        EventKind::Round {
+                            participants: buffer.len() as u64,
+                            version: version.0,
+                        },
+                    ));
+                }
                 if self.config.collect_traces {
                     acc.updates.push(UpdateEvent {
                         t_s: now_s,
@@ -1348,7 +1364,7 @@ impl Simulation {
                     virtual_queue: self.policy.virtual_backlog(),
                     mean_gap,
                     max_gap,
-                    updates: (self.server.stats().async_updates + self.server.stats().sync_rounds),
+                    updates: self.applied,
                     accuracy: if self.ml.is_some() {
                         acc.last_accuracy
                     } else {
@@ -1388,8 +1404,7 @@ impl Simulation {
         }
         self.flush_all_pending();
         let total_slots = self.config.total_slots.max(1) as f64;
-        let stats = self.server.stats();
-        let total_updates = stats.async_updates + stats.sync_rounds;
+        let total_updates = self.applied;
         let by_component: Vec<(EnergyComponent, f64)> = self.energy_by_component().collect();
         let total_energy_j: f64 = self
             .profilers
@@ -1745,6 +1760,44 @@ mod tests {
                 events.last().map(|e| &e.kind),
                 Some(EventKind::RunEnd { .. })
             ));
+        }
+    }
+
+    /// The engine records every merge and round the server applies: their
+    /// versions count 1, 2, … in stream order up to the run's update count,
+    /// on the slots the engine stepped them in.
+    #[test]
+    fn merges_and_rounds_are_traced_in_version_order_within_the_horizon() {
+        use fedco_core::scenario::ScenarioSpec;
+
+        let spec: ScenarioSpec = "paper-default:users=5:slots=700".parse().expect("parses");
+        for policy in [PolicySpec::Online { v: None }, PolicySpec::SyncSgd] {
+            let config = spec.build_with_policy(policy.clone()).expect("builds");
+            let horizon = config.total_slots;
+            let (result, events) = run_simulation_traced(config);
+            let mut versions = Vec::new();
+            let mut max_merge_lag = 0;
+            let mut last_slot = 0;
+            for e in &events {
+                let version = match e.kind {
+                    EventKind::Merge { lag, version, .. } => {
+                        max_merge_lag = max_merge_lag.max(lag);
+                        version
+                    }
+                    EventKind::Round { version, .. } => version,
+                    _ => continue,
+                };
+                assert!(e.slot >= last_slot && e.slot < horizon, "{policy:?}: {e:?}");
+                last_slot = e.slot;
+                versions.push(version);
+            }
+            assert!(result.total_updates > 0, "{policy:?} applies nothing");
+            assert_eq!(
+                versions,
+                (1..=result.total_updates).collect::<Vec<_>>(),
+                "{policy:?}"
+            );
+            assert_eq!(max_merge_lag, result.max_lag, "{policy:?}");
         }
     }
 

@@ -14,7 +14,6 @@
 //! * [`event`] — typed events and their semantic/driver/fleet channels.
 //! * [`sink`] — the [`sink::Telemetry`] trait, [`sink::NullSink`] and
 //!   [`sink::BufferSink`].
-//! * [`clock`] — the shared [`clock::SlotClock`] the engine advances.
 //! * [`metrics`] — counters/sums/gauges/slot-histograms derived purely from
 //!   traces, keyed by `(scenario, policy)`.
 //! * [`export`] — byte-stable JSONL/CSV exporters and the matching parser.
@@ -26,7 +25,6 @@
 #![deny(missing_docs)]
 
 pub mod analysis;
-pub mod clock;
 pub mod event;
 pub mod export;
 pub mod metrics;
@@ -36,7 +34,6 @@ pub mod sink;
 /// The common imports: `use fedco_telemetry::prelude::*;`.
 pub mod prelude {
     pub use crate::analysis::{diff, job_slice, summarize, timeline, DiffReport};
-    pub use crate::clock::SlotClock;
     pub use crate::event::{Channel, Event, EventKind};
     pub use crate::export::{
         event_line, events_to_csv, events_to_jsonl, parse_events_jsonl, ParseError,

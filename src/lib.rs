@@ -72,7 +72,7 @@ pub mod prelude {
     pub use fedco_telemetry::prelude::{
         diff, events_to_jsonl, parse_events_jsonl, summarize as summarize_trace, BufferSink,
         Channel, Event, EventKind, Measured, MetricKey, MetricValue, MetricsRegistry, NullSink,
-        SlotClock, Stopwatch, Telemetry,
+        Stopwatch, Telemetry,
     };
     pub use fedco_world::prelude::{
         ArrivalModel, ArrivalSpec, BatterySpec, ChurnSpec, CompressionSpec, WorldConfig,

@@ -1,7 +1,8 @@
 //! Served-vs-batch equivalence: running the simulation engine against a
 //! `fedco-server` core over the channel transport must reproduce the batch
 //! run **bit for bit** — same final model bits, same model version (the
-//! round count), same result scalars.
+//! round count), same result scalars, same JSONL trace (the engine records
+//! every merge and round, whichever service applied it).
 //!
 //! This is the contract that makes the service a drop-in aggregation
 //! backend: every `apply_async`/`apply_sync_round`/`download` call crosses
@@ -17,11 +18,13 @@ use fedco::server::service::{ServerCore, ServerCoreConfig};
 use fedco::server::transport::ChannelTransport;
 use fedco_fl::service::ModelService;
 
-/// Runs a config against an inline-ingress served core; returns the result
-/// and the final served model snapshot.
-fn run_served(config: SimConfig) -> (SimResult, ModelSnapshot) {
+/// Runs a config against an inline-ingress served core; returns the result,
+/// the final served model snapshot and the JSONL trace.
+fn run_served(config: SimConfig) -> (SimResult, ModelSnapshot, String) {
+    let sink = BufferSink::shared();
     let mut sim = Simulation::try_new(config)
         .expect("valid config")
+        .with_telemetry(sink.clone())
         .with_model_service(|init| {
             let core = Arc::new(Mutex::new(ServerCore::new(ServerCoreConfig {
                 initial: init.initial,
@@ -36,19 +39,22 @@ fn run_served(config: SimConfig) -> (SimResult, ModelSnapshot) {
         });
     let result = sim.run();
     let snapshot = sim.model_snapshot();
-    (result, snapshot)
+    (result, snapshot, events_to_jsonl(&sink.drain()))
 }
 
-fn run_batch(config: SimConfig) -> (SimResult, ModelSnapshot) {
-    let mut sim = Simulation::try_new(config).expect("valid config");
+fn run_batch(config: SimConfig) -> (SimResult, ModelSnapshot, String) {
+    let sink = BufferSink::shared();
+    let mut sim = Simulation::try_new(config)
+        .expect("valid config")
+        .with_telemetry(sink.clone());
     let result = sim.run();
     let snapshot = sim.model_snapshot();
-    (result, snapshot)
+    (result, snapshot, events_to_jsonl(&sink.drain()))
 }
 
 fn assert_bit_identical(label: &str, config: SimConfig) {
-    let (batch_result, batch_model) = run_batch(config.clone());
-    let (served_result, served_model) = run_served(config);
+    let (batch_result, batch_model, batch_trace) = run_batch(config.clone());
+    let (served_result, served_model, served_trace) = run_served(config);
     assert_eq!(
         batch_model.version, served_model.version,
         "{label}: round count (model version) diverged"
@@ -93,6 +99,11 @@ fn assert_bit_identical(label: &str, config: SimConfig) {
         batch_result.final_accuracy, served_result.final_accuracy,
         "{label}: accuracy diverged"
     );
+    assert!(
+        batch_trace.contains(r#""event":"merge""#) || batch_trace.contains(r#""event":"round""#),
+        "{label}: the batch trace records no merge or round"
+    );
+    assert!(batch_trace == served_trace, "{label}: trace diverged");
 }
 
 #[test]
@@ -139,7 +150,11 @@ fn served_stats_match_the_local_server_during_a_run() {
         };
         remote.apply_async(&update).expect("remote apply");
         local.apply_async(&update).expect("local apply");
-        assert_eq!(remote.stats(), local.stats(), "step {step}");
+        assert_eq!(
+            remote.stats().expect("stats reply"),
+            local.stats(),
+            "step {step}"
+        );
         assert_eq!(
             remote.momentum_norm().to_bits(),
             local.momentum_norm().to_bits(),

@@ -11,7 +11,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fedco::fl::server::ServerStats;
 use fedco::fl::service::ModelService;
 use fedco::fl::staleness::Lag;
 use fedco::neural::tensor::TensorError;
@@ -127,14 +126,11 @@ impl ModelService for CountingService {
         self.norm_queries.fetch_add(1, Ordering::Relaxed);
         self.inner.momentum_norm()
     }
-    fn apply_async(&self, update: &LocalUpdate) -> Result<Lag, TensorError> {
+    fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError> {
         self.inner.apply_async(update)
     }
-    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<(), TensorError> {
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
         self.inner.apply_sync_round(updates)
-    }
-    fn stats(&self) -> ServerStats {
-        self.inner.stats()
     }
 }
 
