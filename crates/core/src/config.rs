@@ -13,7 +13,9 @@ pub struct SchedulerConfig {
     pub staleness_bound: f64,
     /// Per-idle-slot gradient-gap increment `ε` of Eq. (12).
     pub epsilon: f64,
-    /// Slot length `t_d` in seconds.
+    /// Slot length `t_d` in seconds: the run's one slot length. The
+    /// simulation clock, the energy profilers, the look-ahead window in slots
+    /// and the `V·P·t_d` terms of Eq. (21)/(22) all read it.
     pub slot_seconds: f64,
     /// Look-ahead window (seconds) between offline knapsack invocations.
     pub lookahead_window_s: f64,
@@ -69,27 +71,37 @@ impl SchedulerConfig {
     /// Validates the configuration, naming the offending field and its value
     /// on failure.
     pub fn validate(&self) -> Result<(), SchedulerConfigError> {
-        let reject = |field: &'static str, value: f64| Err(SchedulerConfigError { field, value });
+        const NON_NEGATIVE: &str = "must be a finite non-negative number";
+        const POSITIVE: &str = "must be a finite positive number";
+        let reject = |field, value, requirement| {
+            Err(SchedulerConfigError {
+                field,
+                value,
+                requirement,
+            })
+        };
         if self.v < 0.0 || !self.v.is_finite() {
-            return reject("v", self.v);
+            return reject("v", self.v, NON_NEGATIVE);
         }
         if self.staleness_bound < 0.0 || !self.staleness_bound.is_finite() {
-            return reject("staleness_bound", self.staleness_bound);
+            return reject("staleness_bound", self.staleness_bound, NON_NEGATIVE);
         }
         if self.epsilon < 0.0 || !self.epsilon.is_finite() {
-            return reject("epsilon", self.epsilon);
+            return reject("epsilon", self.epsilon, NON_NEGATIVE);
         }
         if self.slot_seconds <= 0.0 || !self.slot_seconds.is_finite() {
-            return reject("slot_seconds", self.slot_seconds);
+            return reject("slot_seconds", self.slot_seconds, POSITIVE);
         }
         if self.lookahead_window_s <= 0.0 || !self.lookahead_window_s.is_finite() {
-            return reject("lookahead_window_s", self.lookahead_window_s);
+            return reject("lookahead_window_s", self.lookahead_window_s, POSITIVE);
         }
         if self.learning_rate <= 0.0 || !self.learning_rate.is_finite() {
-            return reject("learning_rate", f32_as_written(self.learning_rate));
+            let value = f32_as_written(self.learning_rate);
+            return reject("learning_rate", value, POSITIVE);
         }
         if !(0.0..1.0).contains(&self.momentum_beta) {
-            return reject("momentum_beta", f32_as_written(self.momentum_beta));
+            let value = f32_as_written(self.momentum_beta);
+            return reject("momentum_beta", value, "must lie in [0, 1)");
         }
         Ok(())
     }
@@ -109,14 +121,16 @@ pub struct SchedulerConfigError {
     pub field: &'static str,
     /// The rejected value.
     pub value: f64,
+    /// Human-readable statement of the allowed range.
+    pub requirement: &'static str,
 }
 
 impl std::fmt::Display for SchedulerConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "scheduler config field `{}` is out of range (got {})",
-            self.field, self.value
+            "scheduler config field `{}` {} (got {})",
+            self.field, self.requirement, self.value
         )
     }
 }

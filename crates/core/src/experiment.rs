@@ -145,15 +145,14 @@ pub struct SimConfig {
     pub num_users: usize,
     /// Horizon in slots (the paper: 10 800 one-second slots, i.e. 3 hours).
     pub total_slots: u64,
-    /// Slot length in seconds.
-    pub slot_seconds: f64,
     /// Per-slot Bernoulli application-arrival probability (paper: 0.001).
     pub arrival_probability: f64,
     /// Which scheduling policy drives the run: a built-in
     /// (`PolicySpec::Offline`), a parameterized one (`"online:v=1000"`
     /// parsed) or a custom factory.
     pub policy: PolicySpec,
-    /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β).
+    /// Scheduler parameters (V, L_b, ε, the slot length `t_d`, look-ahead
+    /// window, η, β). `scheduler.slot_seconds` is the run's slot length.
     pub scheduler: SchedulerConfig,
     /// Master RNG seed.
     pub seed: u64,
@@ -194,7 +193,6 @@ impl Default for SimConfig {
         SimConfig {
             num_users: 25,
             total_slots: 10_800,
-            slot_seconds: 1.0,
             arrival_probability: 0.001,
             policy: PolicySpec::Online { v: None },
             scheduler: SchedulerConfig::default(),
@@ -243,7 +241,8 @@ impl SimConfig {
         }
     }
 
-    /// A fast, small configuration for tests: 6 users, 20 minutes.
+    /// A fast, small configuration for tests: 6 users, 20 minutes. The
+    /// `smoke` and `ml-smoke` scenario presets start from it.
     pub fn small(policy: PolicySpec) -> Self {
         SimConfig {
             num_users: 6,
@@ -329,8 +328,9 @@ impl SimConfig {
         if self.total_slots > SimConfig::MAX_SLOTS {
             return Err(ConfigError::TooManySlots(self.total_slots));
         }
-        if !(self.slot_seconds >= SimConfig::MIN_SLOT_SECONDS && self.slot_seconds.is_finite()) {
-            return Err(ConfigError::NonPositiveSlotSeconds(self.slot_seconds));
+        let slot_seconds = self.scheduler.slot_seconds;
+        if !(slot_seconds >= SimConfig::MIN_SLOT_SECONDS && slot_seconds.is_finite()) {
+            return Err(ConfigError::NonPositiveSlotSeconds(slot_seconds));
         }
         if !(0.0..=1.0).contains(&self.arrival_probability) {
             return Err(ConfigError::ArrivalProbabilityOutOfRange(
@@ -366,7 +366,7 @@ pub enum ConfigError {
     ZeroSlots,
     /// `total_slots` exceeds [`SimConfig::MAX_SLOTS`] (value attached).
     TooManySlots(u64),
-    /// `slot_seconds` is not a finite number of at least
+    /// `scheduler.slot_seconds` is not a finite number of at least
     /// [`SimConfig::MIN_SLOT_SECONDS`] (value attached).
     NonPositiveSlotSeconds(f64),
     /// `arrival_probability` is outside `[0, 1]` (value attached).
@@ -404,7 +404,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveSlotSeconds(v) => {
                 write!(
                     f,
-                    "slot_seconds must be finite and at least MIN_SLOT_SECONDS = {:e} (got {v})",
+                    "slot_seconds must be a finite positive number of seconds, \
+at least MIN_SLOT_SECONDS = {:e} (got {v})",
                     SimConfig::MIN_SLOT_SECONDS
                 )
             }
@@ -524,17 +525,13 @@ mod tests {
             message.starts_with("total_slots") && message.contains("MAX_SLOTS = 10000000"),
             "{message}"
         );
-        let c = SimConfig {
-            slot_seconds: -0.5,
-            ..SimConfig::default()
-        };
+        let mut c = SimConfig::default();
+        c.scheduler.slot_seconds = -0.5;
         assert_eq!(c.validate(), Err(ConfigError::NonPositiveSlotSeconds(-0.5)));
         assert!(c.validate().unwrap_err().to_string().contains("-0.5"));
         // Shorter than the clock can divide by: rejected, naming the floor.
-        let tiny = SimConfig {
-            slot_seconds: 1e-300,
-            ..SimConfig::default()
-        };
+        let mut tiny = SimConfig::default();
+        tiny.scheduler.slot_seconds = 1e-300;
         assert_eq!(
             tiny.validate(),
             Err(ConfigError::NonPositiveSlotSeconds(1e-300))
@@ -544,15 +541,11 @@ mod tests {
             message.starts_with("slot_seconds") && message.contains("MIN_SLOT_SECONDS = 1e-9"),
             "{message}"
         );
-        let floor = SimConfig {
-            slot_seconds: SimConfig::MIN_SLOT_SECONDS,
-            ..SimConfig::default()
-        };
+        let mut floor = SimConfig::default();
+        floor.scheduler.slot_seconds = SimConfig::MIN_SLOT_SECONDS;
         assert_eq!(floor.validate(), Ok(()));
-        let inf = SimConfig {
-            slot_seconds: f64::INFINITY,
-            ..SimConfig::default()
-        };
+        let mut inf = SimConfig::default();
+        inf.scheduler.slot_seconds = f64::INFINITY;
         assert_eq!(
             inf.validate(),
             Err(ConfigError::NonPositiveSlotSeconds(f64::INFINITY))

@@ -2,28 +2,33 @@
 //! simulator, the fleet runtime and the report writers exchange when they
 //! talk about "which workload".
 //!
-//! A spec is a *named, validated, fully-declarative description* of a
-//! simulation scenario: the user population, horizon and slot length, the
-//! Bernoulli application-arrival model, the device assignment, the
-//! transport link, the trace/summary mode and the FL/training knobs.
-//! It plays the same role for workloads that [`PolicySpec`] plays for
-//! policies:
+//! A spec is a *name plus recorded overrides over one held [`SimConfig`]*:
+//! the user population, horizon and slot length, the application-arrival
+//! model, the device assignment, the transport link, the trace/summary mode
+//! and the FL/training knobs are that config's fields, stated once. The spec
+//! itself keeps only what a `SimConfig` cannot say: its name, the overrides
+//! its label prints, and the [`LinkKind`] / [`MlMode`] names behind
+//! `transport` and `ml`. It plays the same role for workloads that
+//! [`PolicySpec`] plays for policies:
 //!
 //! * a stable [`label`](ScenarioSpec::label) keys every report row — the
 //!   preset name plus any recorded field overrides (`paper-default`,
 //!   `sparse:users=50`);
 //! * `FromStr` parses the CLI syntax `name[:key=value…]`, rejecting
-//!   unknown names, unknown/duplicate keys and out-of-range values with
-//!   errors that name the offending token and list the valid choices;
+//!   unknown names and unknown/duplicate keys with errors that name the
+//!   offending token and list the valid choices;
+//! * [`set`](ScenarioSpec::set) has no range rules of its own: it writes a
+//!   value into a copy and runs [`SimConfig::validate`] on it, so an
+//!   out-of-range value is rejected with the validator's reason after a
+//!   `scenario field key=value:` prefix, and the spec stays untouched;
 //! * [`parse_scenario_file`] reads a whole catalogue of named scenarios
 //!   from a hand-rolled section/`key=value` text format (the workspace is
 //!   offline — no serde);
 //! * [`default_registry`](ScenarioSpec::default_registry) enumerates the
 //!   built-in presets (`paper-default`, `sparse`, `dense-burst`,
 //!   `hetero-devices`, `lte-uplink`, …);
-//! * [`build`](ScenarioSpec::build) resolves the spec into a full
-//!   [`SimConfig`], flowing through [`SimConfig::validate`] so every
-//!   existing validation rule applies to declarative scenarios too.
+//! * [`build_with_policy`](ScenarioSpec::build_with_policy) clones the held
+//!   config, sets the policy and validates it.
 //!
 //! ```
 //! use fedco_core::scenario::ScenarioSpec;
@@ -185,63 +190,56 @@ pub const FIELD_KEYS: [&str; 18] = [
 ];
 
 /// A named, validated, fully-declarative description of a simulation
-/// scenario.
+/// scenario: a name and the field overrides recorded against it, over the
+/// one [`SimConfig`] they describe.
 ///
-/// A spec deliberately carries **no policy**: scenarios and policies are
-/// independent sweep axes, and [`ScenarioSpec::build_with_policy`] crosses
-/// them at the last moment. Construct specs from the registry
+/// A spec deliberately carries **no policy** choice: scenarios and policies
+/// are independent sweep axes, and [`ScenarioSpec::build_with_policy`]
+/// crosses them at the last moment. Construct specs from the registry
 /// ([`ScenarioSpec::preset`], `FromStr`), from a scenario file
 /// ([`parse_scenario_file`]) or via [`ScenarioSpec::set`] and the `with_*`
 /// builders; the field values themselves are read-only accessors so the
 /// recorded overrides — and with them the [`label`](ScenarioSpec::label)
 /// that keys every report row — can never drift out of sync with the fields.
+///
+/// Every spec from the registry, a string or a file holds a valid config:
+/// [`set`](ScenarioSpec::set) writes a value into a copy, runs
+/// [`SimConfig::validate`] on it and only then commits. The typed `with_*`
+/// builders write through unchecked, and [`build`](ScenarioSpec::build)
+/// validates again, so an out-of-range builder value is reported there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     name: String,
     /// Overrides recorded against the name, in first-set order, with
     /// canonical value formatting; the label appends them as `:key=value`.
     overrides: Vec<(&'static str, String)>,
-    users: usize,
-    slots: u64,
-    slot_seconds: f64,
-    arrival_p: f64,
-    arrival: ArrivalSpec,
-    battery: BatterySpec,
-    churn: ChurnSpec,
-    compress: CompressionSpec,
-    devices: DeviceAssignment,
+    /// The link and workload names the label prints; `resolve` writes their
+    /// models into `config.transport` and `config.ml`.
     link: LinkKind,
-    seed: u64,
-    scheduler: SchedulerConfig,
     ml: MlMode,
-    record_every: u64,
-    traces: bool,
-    overhead: bool,
+    /// The run, driven by the default policy until a build crosses it with
+    /// another.
+    config: SimConfig,
 }
 
 impl ScenarioSpec {
-    /// The paper's main-evaluation field values under a caller-chosen name.
+    /// The paper's main evaluation ([`SimConfig::default`]) under a
+    /// caller-chosen name.
     fn base(name: impl Into<String>) -> Self {
         ScenarioSpec {
             name: name.into(),
             overrides: Vec::new(),
-            users: 25,
-            slots: 10_800,
-            slot_seconds: 1.0,
-            arrival_p: 0.001,
-            arrival: ArrivalSpec::Bernoulli,
-            battery: BatterySpec::Off,
-            churn: ChurnSpec::Off,
-            compress: CompressionSpec::Off,
-            devices: DeviceAssignment::RoundRobinTestbed,
             link: LinkKind::Ideal,
-            seed: 42,
-            scheduler: SchedulerConfig::default(),
             ml: MlMode::Off,
-            record_every: 60,
-            traces: true,
-            overhead: true,
+            config: SimConfig::default(),
         }
+    }
+
+    /// Writes the models of the `link` and `ml` names into the held config:
+    /// the one place those two names become configuration.
+    fn resolve(&mut self) {
+        self.config.transport = self.link.model();
+        self.config.ml = self.ml.config();
     }
 
     /// The built-in preset of the given name, if it exists. The presets:
@@ -265,29 +263,22 @@ impl ScenarioSpec {
     /// | `compressed-uplink` | LTE exchanges with 4× upload compression trading radio energy against update quality |
     pub fn preset(name: &str) -> Option<ScenarioSpec> {
         let mut s = ScenarioSpec::base(name);
+        let c = &mut s.config;
         match name {
             "paper-default" => {}
-            "smoke" => {
-                s.users = 6;
-                s.slots = 1200;
-                s.arrival_p = 0.005;
-                s.record_every = 30;
-            }
+            "smoke" => *c = SimConfig::small(c.policy.clone()),
             "ml-smoke" => {
-                s.users = 6;
-                s.slots = 1200;
-                s.arrival_p = 0.005;
-                s.record_every = 30;
+                *c = SimConfig::small(c.policy.clone());
                 s.ml = MlMode::Tiny;
             }
-            "sparse" => s.arrival_p = 0.0002,
+            "sparse" => c.arrival_probability = 0.0002,
             "dense-burst" => {
-                s.users = 40;
-                s.slots = 3600;
-                s.arrival_p = 0.01;
+                c.num_users = 40;
+                c.total_slots = 3600;
+                c.arrival_probability = 0.01;
             }
             "hetero-devices" => {
-                s.devices = DeviceAssignment::Custom(vec![
+                c.devices = DeviceAssignment::Custom(vec![
                     DeviceKind::Pixel2,
                     DeviceKind::Pixel2,
                     DeviceKind::Pixel2,
@@ -298,46 +289,46 @@ impl ScenarioSpec {
             }
             "lte-uplink" => s.link = LinkKind::Lte,
             "wifi-fleet" => {
-                s.users = 100;
+                c.num_users = 100;
                 s.link = LinkKind::Wifi;
-                s.traces = false;
+                c.collect_traces = false;
             }
             "server-soak" => {
-                s.users = 1200;
-                s.slots = 1200;
-                s.arrival_p = 0.02;
-                s.traces = false;
+                c.num_users = 1200;
+                c.total_slots = 1200;
+                c.arrival_probability = 0.02;
+                c.collect_traces = false;
             }
             "city-scale" => {
-                s.users = 120_000;
-                s.slots = 3600;
-                s.traces = false;
+                c.num_users = 120_000;
+                c.total_slots = 3600;
+                c.collect_traces = false;
             }
             "mega" => {
-                s.users = 1_000_000;
-                s.slots = 10_800;
-                s.traces = false;
+                c.num_users = 1_000_000;
+                c.collect_traces = false;
             }
             "diurnal-day" => {
-                s.arrival = ArrivalSpec::Diurnal;
-                s.arrival_p = 0.002;
+                c.world.arrival = ArrivalSpec::Diurnal;
+                c.arrival_probability = 0.002;
             }
             "flash-crowd" => {
-                s.users = 40;
-                s.slots = 3600;
-                s.arrival = ArrivalSpec::FlashCrowd;
+                c.num_users = 40;
+                c.total_slots = 3600;
+                c.world.arrival = ArrivalSpec::FlashCrowd;
             }
             "battery-constrained" => {
-                s.arrival_p = 0.005;
-                s.battery = BatterySpec::Constrained;
-                s.churn = ChurnSpec::Light;
+                c.arrival_probability = 0.005;
+                c.world.battery = BatterySpec::Constrained;
+                c.world.churn = ChurnSpec::Light;
             }
             "compressed-uplink" => {
                 s.link = LinkKind::Lte;
-                s.compress = CompressionSpec::Ratio(0.25);
+                c.world.compression = CompressionSpec::Ratio(0.25);
             }
             _ => return None,
         }
+        s.resolve();
         Some(s)
     }
 
@@ -386,57 +377,52 @@ impl ScenarioSpec {
 
     /// User population.
     pub fn users(&self) -> usize {
-        self.users
+        self.config.num_users
     }
 
     /// Horizon in slots.
     pub fn slots(&self) -> u64 {
-        self.slots
+        self.config.total_slots
     }
 
-    /// Slot length in seconds.
+    /// Slot length in seconds (the scheduler's `t_d`).
     pub fn slot_seconds(&self) -> f64 {
-        self.slot_seconds
+        self.config.scheduler.slot_seconds
     }
 
     /// Per-slot Bernoulli application-arrival probability.
     pub fn arrival_p(&self) -> f64 {
-        self.arrival_p
+        self.config.arrival_probability
     }
 
     /// Application-arrival process (`arrival_p` is its base rate).
     pub fn arrival(&self) -> ArrivalSpec {
-        self.arrival
+        self.config.world.arrival
     }
 
     /// Battery/charging lifecycle model.
     pub fn battery(&self) -> BatterySpec {
-        self.battery
+        self.config.world.battery
     }
 
     /// Mid-horizon dropout/rejoin model.
     pub fn churn(&self) -> ChurnSpec {
-        self.churn
+        self.config.world.churn
     }
 
     /// Uplink-compression policy.
     pub fn compress(&self) -> CompressionSpec {
-        self.compress
+        self.config.world.compression
     }
 
     /// The resolved environment-dynamics configuration of the scenario.
     pub fn world(&self) -> WorldConfig {
-        WorldConfig {
-            arrival: self.arrival,
-            battery: self.battery,
-            churn: self.churn,
-            compression: self.compress,
-        }
+        self.config.world.clone()
     }
 
     /// Device assignment across users.
     pub fn devices(&self) -> &DeviceAssignment {
-        &self.devices
+        &self.config.devices
     }
 
     /// Transport link.
@@ -446,12 +432,12 @@ impl ScenarioSpec {
 
     /// Base RNG seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.config.seed
     }
 
-    /// Scheduler parameters (V, L_b, ε, …).
+    /// Scheduler parameters (V, L_b, ε, the slot length, …).
     pub fn scheduler(&self) -> &SchedulerConfig {
-        &self.scheduler
+        &self.config.scheduler
     }
 
     /// Machine-learning workload mode.
@@ -461,226 +447,153 @@ impl ScenarioSpec {
 
     /// Trace-recording cadence in slots.
     pub fn record_every(&self) -> u64 {
-        self.record_every
+        self.config.record_every_slots
     }
 
     /// Whether time series are materialized (`false` = summary-only).
     pub fn traces(&self) -> bool {
-        self.traces
+        self.config.collect_traces
     }
 
     /// Whether the online controller's decision energy is charged.
     pub fn decision_overhead(&self) -> bool {
-        self.overhead
+        self.config.decision_overhead
     }
 
-    /// Records an override with canonical formatting: an existing entry for
-    /// the key is replaced in place, so the label order is first-set order.
-    fn record(&mut self, key: &'static str, value: String) {
+    /// The canonical value text of one of the [`FIELD_KEYS`], as the label
+    /// records it.
+    fn value_of(&self, key: &str) -> String {
+        let c = &self.config;
+        match key {
+            "users" => c.num_users.to_string(),
+            "slots" => c.total_slots.to_string(),
+            "slot_seconds" => c.scheduler.slot_seconds.to_string(),
+            "arrival_p" => c.arrival_probability.to_string(),
+            "arrival" => c.world.arrival.label().to_string(),
+            "battery" => c.world.battery.label().to_string(),
+            "churn" => c.world.churn.label().to_string(),
+            "compress" => c.world.compression.label(),
+            "devices" => devices_token(&c.devices),
+            "link" => self.link.label().to_string(),
+            "seed" => c.seed.to_string(),
+            "v" => c.scheduler.v.to_string(),
+            "lb" => c.scheduler.staleness_bound.to_string(),
+            "epsilon" => c.scheduler.epsilon.to_string(),
+            "ml" => self.ml.label().to_string(),
+            "record_every" => c.record_every_slots.to_string(),
+            "traces" => on_off(c.collect_traces).to_string(),
+            // `overhead`, the last of the FIELD_KEYS (the only keys passed).
+            _ => on_off(c.decision_overhead).to_string(),
+        }
+    }
+
+    /// Records the current value of a field as an override with canonical
+    /// formatting: an existing entry for the key is replaced in place, so
+    /// the label order is first-set order.
+    fn record(&mut self, key: &'static str) {
+        let value = self.value_of(key);
         match self.overrides.iter_mut().find(|(k, _)| *k == key) {
             Some(entry) => entry.1 = value,
             None => self.overrides.push((key, value)),
         }
     }
 
+    /// Writes one field of the held config and records it (the typed
+    /// builders below; unchecked until [`build`](ScenarioSpec::build)).
+    fn with(mut self, key: &'static str, write: impl FnOnce(&mut SimConfig)) -> Self {
+        write(&mut self.config);
+        self.record(key);
+        self
+    }
+
     /// Returns a copy with a different user population.
     #[must_use]
-    pub fn with_users(mut self, users: usize) -> Self {
-        self.users = users;
-        self.record("users", users.to_string());
-        self
+    pub fn with_users(self, users: usize) -> Self {
+        self.with("users", |c| c.num_users = users)
     }
 
     /// Returns a copy with a different horizon.
     #[must_use]
-    pub fn with_slots(mut self, slots: u64) -> Self {
-        self.slots = slots;
-        self.record("slots", slots.to_string());
-        self
+    pub fn with_slots(self, slots: u64) -> Self {
+        self.with("slots", |c| c.total_slots = slots)
     }
 
     /// Returns a copy with a different slot length.
     #[must_use]
-    pub fn with_slot_seconds(mut self, slot_seconds: f64) -> Self {
-        self.slot_seconds = slot_seconds;
-        self.record("slot_seconds", slot_seconds.to_string());
-        self
+    pub fn with_slot_seconds(self, slot_seconds: f64) -> Self {
+        self.with("slot_seconds", |c| c.scheduler.slot_seconds = slot_seconds)
     }
 
     /// Returns a copy with a different arrival probability.
     #[must_use]
-    pub fn with_arrival_p(mut self, p: f64) -> Self {
-        self.arrival_p = p;
-        self.record("arrival_p", p.to_string());
-        self
+    pub fn with_arrival_p(self, p: f64) -> Self {
+        self.with("arrival_p", |c| c.arrival_probability = p)
     }
 
     /// Returns a copy with a different base seed.
     #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self.record("seed", seed.to_string());
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        self.with("seed", |c| c.seed = seed)
     }
 
     /// Returns a copy with a different Lyapunov knob `V`.
     #[must_use]
-    pub fn with_v(mut self, v: f64) -> Self {
-        self.scheduler.v = v;
-        self.record("v", v.to_string());
-        self
-    }
-
-    /// Returns a copy with a different staleness bound `L_b`.
-    #[must_use]
-    pub fn with_staleness_bound(mut self, lb: f64) -> Self {
-        self.scheduler.staleness_bound = lb;
-        self.record("lb", lb.to_string());
-        self
-    }
-
-    /// Returns a copy with a different idle-gap increment `ε`.
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.scheduler.epsilon = epsilon;
-        self.record("epsilon", epsilon.to_string());
-        self
+    pub fn with_v(self, v: f64) -> Self {
+        self.with("v", |c| c.scheduler.v = v)
     }
 
     /// Sets one field from its textual `key=value` form — the single entry
     /// point the CLI parser, the scenario-file parser and the fleet's sweep
     /// axes all share, so each of the [`FIELD_KEYS`] is uniformly
-    /// sweepable. Unknown keys and out-of-range or malformed values are
-    /// rejected with an error naming the offending token and, for unknown
+    /// sweepable. The value is parsed, written into a copy of the spec and
+    /// checked by [`SimConfig::validate`]; only a valid copy is committed,
+    /// so a rejected value leaves the spec untouched. Unknown keys and
+    /// malformed or out-of-range values are rejected with an error naming
+    /// the offending token (and the validator's reason) and, for unknown
     /// keys, listing the valid ones.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ParseScenarioError> {
         let key = key.trim().to_ascii_lowercase();
-        let key = key.as_str();
         let value = value.trim();
+        let Some(&key) = FIELD_KEYS.iter().find(|k| **k == key) else {
+            return Err(ParseScenarioError(format!(
+                "unknown scenario field `{key}` (valid fields: {})",
+                FIELD_KEYS.join(", ")
+            )));
+        };
         let bad =
             |detail: String| ParseScenarioError(format!("scenario field {key}={value}: {detail}"));
+        let mut next = self.clone();
+        let c = &mut next.config;
         match key {
-            "users" => {
-                let n = value.parse::<usize>().map_err(|e| bad(e.to_string()))?;
-                if n == 0 {
-                    return Err(bad("must be at least 1".into()));
-                }
-                if n > SimConfig::MAX_USERS {
-                    return Err(bad(format!(
-                        "must be at most MAX_USERS = {}",
-                        SimConfig::MAX_USERS
-                    )));
-                }
-                *self = self.clone().with_users(n);
-            }
-            "slots" => {
-                let n = value.parse::<u64>().map_err(|e| bad(e.to_string()))?;
-                if n == 0 {
-                    return Err(bad("must be at least 1".into()));
-                }
-                if n > SimConfig::MAX_SLOTS {
-                    return Err(bad(format!(
-                        "must be at most MAX_SLOTS = {}",
-                        SimConfig::MAX_SLOTS
-                    )));
-                }
-                *self = self.clone().with_slots(n);
-            }
-            "slot_seconds" => {
-                let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !(x.is_finite() && x >= SimConfig::MIN_SLOT_SECONDS) {
-                    return Err(bad(format!(
-                        "must be a finite positive number of seconds, at least MIN_SLOT_SECONDS = {:e}",
-                        SimConfig::MIN_SLOT_SECONDS
-                    )));
-                }
-                *self = self.clone().with_slot_seconds(x);
-            }
-            "arrival_p" => {
-                let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !x.is_finite() || !(0.0..=1.0).contains(&x) {
-                    return Err(bad("must lie in [0, 1]".into()));
-                }
-                *self = self.clone().with_arrival_p(x);
-            }
-            "arrival" => {
-                self.arrival = ArrivalSpec::parse(value).map_err(bad)?;
-                self.record("arrival", self.arrival.label().to_string());
-            }
-            "battery" => {
-                self.battery = BatterySpec::parse(value).map_err(bad)?;
-                self.record("battery", self.battery.label().to_string());
-            }
-            "churn" => {
-                self.churn = ChurnSpec::parse(value).map_err(bad)?;
-                self.record("churn", self.churn.label().to_string());
-            }
-            "compress" => {
-                self.compress = CompressionSpec::parse(value).map_err(bad)?;
-                self.record("compress", self.compress.label());
-            }
-            "devices" => {
-                self.devices = parse_devices(value).map_err(bad)?;
-                self.record("devices", devices_token(&self.devices));
-            }
+            "users" => c.num_users = number(value).map_err(bad)?,
+            "slots" => c.total_slots = number(value).map_err(bad)?,
+            "slot_seconds" => c.scheduler.slot_seconds = number(value).map_err(bad)?,
+            "arrival_p" => c.arrival_probability = number(value).map_err(bad)?,
+            "arrival" => c.world.arrival = ArrivalSpec::parse(value).map_err(bad)?,
+            "battery" => c.world.battery = BatterySpec::parse(value).map_err(bad)?,
+            "churn" => c.world.churn = ChurnSpec::parse(value).map_err(bad)?,
+            "compress" => c.world.compression = CompressionSpec::parse(value).map_err(bad)?,
+            "devices" => c.devices = parse_devices(value).map_err(bad)?,
             "link" => {
-                self.link = LinkKind::by_name(value)
+                next.link = LinkKind::by_name(value)
                     .ok_or_else(|| bad("valid links: ideal, wifi, lte".into()))?;
-                self.record("link", self.link.label().to_string());
             }
-            "seed" => {
-                let n = value.parse::<u64>().map_err(|e| bad(e.to_string()))?;
-                *self = self.clone().with_seed(n);
-            }
-            "v" => {
-                let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(bad("must be a finite non-negative number".into()));
-                }
-                *self = self.clone().with_v(x);
-            }
-            "lb" => {
-                let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(bad("must be a finite non-negative number".into()));
-                }
-                *self = self.clone().with_staleness_bound(x);
-            }
-            "epsilon" => {
-                let x = value.parse::<f64>().map_err(|e| bad(e.to_string()))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(bad("must be a finite non-negative number".into()));
-                }
-                *self = self.clone().with_epsilon(x);
-            }
+            "seed" => c.seed = number(value).map_err(bad)?,
+            "v" => c.scheduler.v = number(value).map_err(bad)?,
+            "lb" => c.scheduler.staleness_bound = number(value).map_err(bad)?,
+            "epsilon" => c.scheduler.epsilon = number(value).map_err(bad)?,
             "ml" => {
-                self.ml = MlMode::by_name(value)
+                next.ml = MlMode::by_name(value)
                     .ok_or_else(|| bad("valid modes: off, tiny, full".into()))?;
-                self.record("ml", self.ml.label().to_string());
             }
-            "record_every" => {
-                let n = value.parse::<u64>().map_err(|e| bad(e.to_string()))?;
-                if n == 0 {
-                    return Err(bad("must be at least 1".into()));
-                }
-                self.record_every = n;
-                self.record("record_every", n.to_string());
-            }
-            "traces" => {
-                self.traces = parse_on_off(value).map_err(bad)?;
-                self.record("traces", on_off(self.traces).to_string());
-            }
-            "overhead" => {
-                self.overhead = parse_on_off(value).map_err(bad)?;
-                self.record("overhead", on_off(self.overhead).to_string());
-            }
-            other => {
-                return Err(ParseScenarioError(format!(
-                    "unknown scenario field `{other}` (valid fields: {})",
-                    FIELD_KEYS.join(", ")
-                )))
-            }
+            "record_every" => c.record_every_slots = number(value).map_err(bad)?,
+            "traces" => c.collect_traces = parse_on_off(value).map_err(bad)?,
+            _ => c.decision_overhead = parse_on_off(value).map_err(bad)?,
         }
+        next.resolve();
+        next.config.validate().map_err(|e| bad(e.to_string()))?;
+        next.record(key);
+        *self = next;
         Ok(())
     }
 
@@ -688,23 +601,7 @@ impl ScenarioSpec {
     /// policy, flowing through [`SimConfig::validate`] so declarative
     /// scenarios obey exactly the rules of hand-built configurations.
     pub fn build_with_policy(&self, policy: PolicySpec) -> Result<SimConfig, ConfigError> {
-        let config = SimConfig {
-            num_users: self.users,
-            total_slots: self.slots,
-            slot_seconds: self.slot_seconds,
-            arrival_probability: self.arrival_p,
-            policy,
-            scheduler: self.scheduler,
-            seed: self.seed,
-            devices: self.devices.clone(),
-            record_every_slots: self.record_every,
-            ml: self.ml.config(),
-            decision_overhead: self.overhead,
-            record_user_gaps: false,
-            collect_traces: self.traces,
-            transport: self.link.model(),
-            world: self.world(),
-        };
+        let config = self.config.clone().with_policy(policy);
         config.validate()?;
         Ok(config)
     }
@@ -821,6 +718,14 @@ fn parse_devices(value: &str) -> Result<DeviceAssignment, String> {
     }
 }
 
+/// Parses a numeric field value, keeping the parser's own message.
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e: T::Err| e.to_string())
+}
+
 fn on_off(value: bool) -> &'static str {
     if value {
         "on"
@@ -912,8 +817,7 @@ pick a different name"
             finish(&mut specs, current.take());
             current = Some((
                 name.to_string(),
-                // fedco-audit: allow(panic-surface): "paper-default" is a preset by construction (covered by registry tests)
-                ScenarioSpec::preset("paper-default").expect("registry preset"),
+                ScenarioSpec::base("paper-default"),
                 Vec::new(),
             ));
             continue;
@@ -1256,11 +1160,38 @@ traces = off
     }
 
     #[test]
+    fn a_rejected_set_leaves_the_label_and_the_config_unchanged() {
+        // `set` writes into a copy and commits only what validates.
+        let spec: ScenarioSpec = "smoke:users=3:v=100".parse().expect("parses");
+        let config = spec.build().expect("builds");
+        for (key, value) in [
+            ("users", "0"),
+            ("users", "99999999999999"),
+            ("slot_seconds", "1e-300"),
+            ("slot_seconds", "-1"),
+            ("v", "-1"),
+            ("v", "inf"),
+            ("record_every", "0"),
+            ("devices", "pixel2+warpphone"),
+        ] {
+            let mut tried = spec.clone();
+            let err = tried.set(key, value).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("scenario field {key}={value}: ")),
+                "{err}"
+            );
+            assert_eq!(tried.label(), spec.label(), "{key}={value}");
+            assert_eq!(tried.build(), Ok(config.clone()), "{key}={value}");
+            assert_eq!(tried, spec, "{key}={value}");
+        }
+    }
+
+    #[test]
     fn build_flows_through_sim_config_validation() {
         // `set` guards the parse path; a programmatically-broken scheduler
         // is still caught at build time by SimConfig::validate.
         let mut spec = ScenarioSpec::preset("smoke").expect("preset");
-        spec.scheduler.momentum_beta = 2.0;
+        spec.config.scheduler.momentum_beta = 2.0;
         match spec.build() {
             Err(ConfigError::Scheduler(e)) => assert_eq!(e.field, "momentum_beta"),
             other => panic!("expected scheduler error, got {other:?}"),

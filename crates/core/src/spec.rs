@@ -31,32 +31,19 @@ use crate::policy::{
 /// Everything a policy factory can draw on when building an instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyBuildContext {
-    /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β).
+    /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β), including
+    /// the run's slot length `scheduler.slot_seconds` (used, e.g., to convert
+    /// the look-ahead window into slots).
     pub scheduler: SchedulerConfig,
-    /// The simulation slot length in seconds (used, e.g., to convert the
-    /// look-ahead window into slots). Defaults to the scheduler's own
-    /// `slot_seconds`.
-    pub slot_seconds: f64,
     /// Seed for any private randomness of the policy. Two builds with the
     /// same context must behave identically.
     pub seed: u64,
 }
 
 impl PolicyBuildContext {
-    /// A context with the scheduler's own slot length and seed `0`.
+    /// A context over the given scheduler parameters with seed `0`.
     pub fn new(scheduler: SchedulerConfig) -> Self {
-        PolicyBuildContext {
-            scheduler,
-            slot_seconds: scheduler.slot_seconds,
-            seed: 0,
-        }
-    }
-
-    /// Returns a copy with a different simulation slot length.
-    #[must_use]
-    pub fn with_slot_seconds(mut self, slot_seconds: f64) -> Self {
-        self.slot_seconds = slot_seconds;
-        self
+        PolicyBuildContext { scheduler, seed: 0 }
     }
 
     /// Returns a copy with a different policy seed.
@@ -68,7 +55,7 @@ impl PolicyBuildContext {
 
     /// The look-ahead window expressed in slots (at least 1).
     pub fn window_slots(&self) -> u64 {
-        ((self.scheduler.lookahead_window_s / self.slot_seconds).ceil() as u64).max(1)
+        ((self.scheduler.lookahead_window_s / self.scheduler.slot_seconds).ceil() as u64).max(1)
     }
 }
 
@@ -481,7 +468,10 @@ mod tests {
     fn build_context_window_slots() {
         let ctx = PolicyBuildContext::new(SchedulerConfig::default());
         assert_eq!(ctx.window_slots(), 500);
-        let coarse = ctx.with_slot_seconds(60.0);
+        let coarse = PolicyBuildContext::new(SchedulerConfig {
+            slot_seconds: 60.0,
+            ..SchedulerConfig::default()
+        });
         assert_eq!(coarse.window_slots(), 9); // ceil(500/60)
         assert_eq!(coarse.with_seed(9).seed, 9);
     }

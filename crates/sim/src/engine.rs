@@ -336,7 +336,7 @@ impl Simulation {
         pool: impl FnOnce() -> Arc<TrainingPool>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let clock = SimClock::new(config.slot_seconds, config.total_slots);
+        let clock = SimClock::new(config.scheduler.slot_seconds, config.total_slots);
         // Arrivals come from the configured world model, sampled once into
         // the one store both orders of the schedule are (on every CPU when
         // the fleet is wide). The Bernoulli model replays the historical
@@ -359,9 +359,7 @@ impl Simulation {
             .map(|i| EnergyProfiler::lean(PowerModel::shared(users.shared_profile(i))))
             .collect();
         let policy = config.policy.build(
-            &PolicyBuildContext::new(config.scheduler)
-                .with_slot_seconds(config.slot_seconds)
-                .with_seed(config.seed ^ POLICY_SEED_SALT),
+            &PolicyBuildContext::new(config.scheduler).with_seed(config.seed ^ POLICY_SEED_SALT),
         );
         let predictor = WeightPredictor::new(
             config.scheduler.learning_rate,
@@ -628,9 +626,7 @@ impl Simulation {
     /// uses, so the replanning cadence a policy derives from its build
     /// context can never drift from the window the engine actually plans.
     fn window_slots(&self) -> u64 {
-        PolicyBuildContext::new(self.config.scheduler)
-            .with_slot_seconds(self.config.slot_seconds)
-            .window_slots()
+        PolicyBuildContext::new(self.config.scheduler).window_slots()
     }
 
     /// Computes the offline knapsack plan for the window starting at `slot`
@@ -638,7 +634,7 @@ impl Simulation {
     /// [`SchedulingPolicy::install_plan`].
     fn plan_offline_window(&mut self, slot: u64) {
         let window = self.window_slots();
-        let now_s = slot as f64 * self.config.slot_seconds;
+        let now_s = slot as f64 * self.config.scheduler.slot_seconds;
         let velocity = self.velocity_norm();
         // Per waiting user, ascending: its planner description and the slot
         // of its first arrival in the window, if any.
@@ -655,7 +651,7 @@ impl Simulation {
                         + profile.app_power(a.app).value() * t_corun;
                     let corun = profile.corun_power(a.app).value() * t_corun;
                     (
-                        Some(a.slot as f64 * self.config.slot_seconds),
+                        Some(a.slot as f64 * self.config.scheduler.slot_seconds),
                         separate - corun,
                     )
                 }
@@ -873,7 +869,9 @@ impl Simulation {
                 b.last_total_j[i] = total;
                 b.stored_j[i] = (b.stored_j[i] - drain).max(0.0);
                 if elapsed > 0 && b.params.is_charging(i, slot) {
-                    let added = b.params.charge_added_j(elapsed, self.config.slot_seconds);
+                    let added = b
+                        .params
+                        .charge_added_j(elapsed, self.config.scheduler.slot_seconds);
                     b.stored_j[i] = (b.stored_j[i] + added).min(b.capacity_j[i]);
                 }
                 let soc = b.stored_j[i] / b.capacity_j[i];

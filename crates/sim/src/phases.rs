@@ -60,7 +60,7 @@ pub(crate) const NOT_ACCRUING: u64 = u64::MAX;
 impl Simulation {
     /// Duration of one slot.
     pub(crate) fn slot_len(&self) -> Seconds {
-        Seconds(self.config.slot_seconds)
+        Seconds(self.config.scheduler.slot_seconds)
     }
 
     fn is_offline(&self, i: usize) -> bool {

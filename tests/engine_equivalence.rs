@@ -528,7 +528,10 @@ fn long_power_spans_at_unrepresentable_slot_energies_are_bit_identical() {
                 num_users: 300,
                 total_slots: 20_000,
                 arrival_probability: 0.0005,
-                slot_seconds,
+                scheduler: SchedulerConfig {
+                    slot_seconds,
+                    ..SchedulerConfig::default()
+                },
                 ..SimConfig::default()
             }
             .with_policy(policy.clone())

@@ -337,7 +337,7 @@ fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
     assert!(err.contains("slot_seconds=1e-300"), "{err}");
     assert!(err.contains("MIN_SLOT_SECONDS = 1e-9"), "{err}");
     let mut config = SimConfig::small(PolicySpec::Online { v: None });
-    config.slot_seconds = 1e-300;
+    config.scheduler.slot_seconds = 1e-300;
     let expected = ConfigError::NonPositiveSlotSeconds(1e-300);
     assert_eq!(config.validate(), Err(expected.clone()));
     assert_eq!(Simulation::try_new(config).err(), Some(expected.clone()));
@@ -351,7 +351,7 @@ fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
     // The floor itself is accepted, and the engine's clock runs on it.
     let floor: ScenarioSpec = "smoke:slots=50:slot_seconds=1e-9".parse().expect("parses");
     let config = floor.build().expect("builds");
-    assert_eq!(config.slot_seconds, SimConfig::MIN_SLOT_SECONDS);
+    assert_eq!(config.scheduler.slot_seconds, SimConfig::MIN_SLOT_SECONDS);
     assert!(run_simulation(config).total_energy_j > 0.0);
 }
 
