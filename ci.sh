@@ -193,7 +193,25 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # (`SchedulerConfigError::requirement` and the two range sentences);
 # fedco-sim -2 (the engine reads `scheduler.slot_seconds` and builds its two
 # contexts without `with_slot_seconds`).
-LOC_CEILING=18399
+# 18399 -> 18592 with the arrival schedule streamed beside the slot loop
+# (+193): fedco-sim +144 — arrivals.rs +141 (the chunk window: `Chunk`,
+# `hold`, `pull`, the O(1) `chunk` of a slot, the window-wide `at_slot` /
+# `at` and `first_arrival_in_window`, the planner's one-pass
+# `first_arrivals_in_window`; the feed: `Run` and its `Debug`, `cut`'s named
+# sampler threads over bounded channels with the refused-thread fallback and
+# the chunk length from `DRAWS_PER_RUN`, `MIN_CHUNK_SLOTS` and `MIN_CHUNKS`, the
+# panic hand-off through `JoinHandle::join`, the `Drop` that hangs up and
+# joins; `start` beside `from_model`; `from_model_cut`'s scoped threads and
+# `of_user` (now test-only) out), engine.rs +2 (the planner's hold and its
+# lookup), phases.rs +1 (the slot's hold); fedco-world +49 — arrival.rs (the
+# `ArrivalSampler` trait and the resumable `Curve` that keeps every pair's
+# streams between chunks over the one `scan`, the four models handing out
+# samplers, `sample_fleet` as a sampler drained to the horizon,
+# `FleetArrivals::beside` for slot-major runs; `concat` and Diurnal's
+# one-pair cosine path out). It bought 0.81x `wall_s` and -2 MiB on
+# `wide-sync`, and 0.67-0.77x / -14 MiB on `mega:users=250000` (EXPERIMENTS.md,
+# "Streamed arrivals").
+LOC_CEILING=18592
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -261,16 +279,21 @@ echo "==> closed-form repeated addition bit-equivalence in release (the debug ru
 # `slots` calls of `record`.
 cargo test -q --offline --release -p fedco-device reference_bits
 
-echo "==> arrival sampler + one-store schedule bit-equivalence and cut invariance in release"
-# The two-stream integer-threshold loop against the old per-user float loops
-# (`fedco-world`), both orders of the schedule against the per-user lists and
-# the slot index copied out of them, and 1 / 2 / 3 / 7 runs against one
-# (`fedco-sim`).
+echo "==> arrival sampler + streamed schedule bit-equivalence and cut invariance in release"
+# The two-stream integer-threshold loop against the old per-user float loops,
+# a horizon sampled in chunks against one sampled at once, the horizon-prefix
+# relation (`fedco-world`); both orders of the schedule against the per-user
+# lists and the slot index copied out of them, and 1 / 2 / 3 / 7 sampler
+# threads at 1 / 7 / 512 / horizon-long chunks, read whole and through the
+# window the slot loop and the offline planner advance, against the eager
+# single run; a sampler's panic in a later chunk, and samplers that stop when
+# their schedule is dropped (`fedco-sim`).
 cargo test -q --offline --release -p fedco-world -p fedco-sim -- reference_bits cut_invariance
 
 echo "==> threads start at the one sampling site of the simulation path"
 # The training pool lives in fedco-fl; below it, the only code that starts a
-# thread is `ArrivalSchedule::from_model_cut`, through this one import.
+# thread is `ArrivalSchedule::cut`, which starts a run's `fedco-arrivals-{run}`
+# sampler, through this one import.
 THREAD_SITES="$(git grep -n "thread::" -- crates/sim/src crates/world/src crates/core/src crates/device/src crates/rng/src)"
 [ "$(echo "$THREAD_SITES" | wc -l)" -eq 1 ] && [[ "$THREAD_SITES" == crates/sim/src/arrivals.rs:* ]] \
     || { echo "std::thread is used outside the arrival sampling site:"; echo "$THREAD_SITES"; exit 1; }
@@ -296,12 +319,14 @@ if command -v taskset >/dev/null 2>&1; then
     cmp "$FIG5_SERIAL" "$FIG5_POOLED" \
         || { echo "fig5_convergence prints differ between one CPU and all of them"; exit 1; }
     rm -f "$FIG5_SERIAL" "$FIG5_POOLED"
-    # The same for the arrival sampler's cut: 43 M draws are two runs on two
-    # CPUs and one run, on the calling thread, on one.
+    # The same for the arrival sampler's cut: 43 M draws are a sampler thread
+    # per CPU (at most five), each handing over chunks of at most 8 M draws
+    # and an eighth of the horizon (1 350 slots), and Offline's 500-slot
+    # look-ahead crosses their edges.
     CUT_ONE="$(mktemp)"; CUT_ALL="$(mktemp)"
     cut_trace() { # <trace file> [command prefix]
         timeout 300 "${@:2}" cargo run --release --offline -q -p fedco-fleet --bin fleet_sweep -- \
-            --scenario mega:users=4000 --policies sync-sgd,online --replicates 1 \
+            --scenario mega:users=4000 --policies sync-sgd,online,offline --replicates 1 \
             --trace "$1" >/dev/null
     }
     cut_trace "$CUT_ONE" taskset -c 0

@@ -3,18 +3,25 @@
 //! The paper models application usage as a Bernoulli arrival per slot with
 //! probability `p` (0.001 in the main evaluation, i.e. one app per ~1000 s
 //! per user), with the application chosen uniformly from the eight
-//! representative ones of Table II. Arrivals are pre-generated for the whole
-//! horizon so that the offline scheduler can be given oracle access to them.
+//! representative ones of Table II. The slot loop reads one slot's arrivals
+//! at a time, and the offline scheduler is given oracle access to those of
+//! its look-ahead window — so that window is all a run holds.
 //!
-//! An [`ArrivalSchedule`] is one store in two orders
-//! ([`FleetArrivals`]): user-major, as the world's model samples it and as
-//! the offline planner looks ahead per user, and its slot-major transpose,
-//! which the slot loop reads a row of per slot instead of asking every user
-//! whether it has an arrival. A user's arrivals are a pure function of
-//! `(seed, user)`, so [`ArrivalSchedule::from_model`] cuts a fleet big
-//! enough to be worth it into contiguous runs of users, samples the runs on
-//! as many threads as the machine has CPUs and appends them in user order;
-//! the schedule is the same bytes for any cut, one run included.
+//! An [`ArrivalSchedule`] is a queue of chunks, each the arrivals of a span
+//! of slots in one slot-major store ([`FleetArrivals`]), of which the slot
+//! loop reads a row per slot instead of asking every user whether it has an
+//! arrival, and the offline planner the rows of its window once per plan.
+//! The engine advances the window once per slot, pulling the chunks that
+//! reach it and dropping those it has passed.
+//!
+//! A user's arrivals are a pure function of `(seed, user)`, so a fleet big
+//! enough to be worth it is cut into contiguous runs of users, one per CPU,
+//! each advanced a chunk at a time on a thread of its own
+//! (`fedco-arrivals-{run}`), which transposes the chunk its model samples
+//! user-major and hands it into a bounded channel beside the slot loop; the
+//! loop lays the runs' chunks side by side. A smaller fleet is sampled whole
+//! on the caller. The schedule is the same bytes for any cut and any chunk
+//! length.
 //!
 //! **Which arrivals count** is decided where a slot's row is consumed, and
 //! it is the one rule of the whole engine: an arrival is *ignored* — not
@@ -23,13 +30,15 @@
 //! nothing). The schedule therefore lists every generated arrival, exactly
 //! once, and the engine drops the ones that find the device busy.
 
+use std::fmt;
 use std::ops::Range;
 use std::panic::resume_unwind;
-use std::thread::{available_parallelism, scope};
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::thread::{available_parallelism, Builder, JoinHandle};
 
 use fedco_core::experiment::SimConfig;
 use fedco_device::apps::AppKind;
-use fedco_world::arrival::{ArrivalEvent, ArrivalModel, FleetArrivals};
+use fedco_world::arrival::{ArrivalEvent, ArrivalModel, ArrivalSampler, FleetArrivals};
 
 // Users and slots are the `u32` keys of the store.
 const _: () = assert!(SimConfig::MAX_SLOTS <= u32::MAX as u64);
@@ -38,31 +47,104 @@ const _: () = assert!(SimConfig::MAX_USERS <= u32::MAX as usize);
 /// The fewest per-slot draws worth a run of their own: some 10 ms of
 /// sampling, against which starting a thread is under 1 %. A fleet is cut
 /// into no more runs than it has this many draws, so the small jobs of a
-/// sweep — whose workers already fill the machine — start no thread.
+/// sweep — whose workers already fill the machine — start no thread. A run
+/// hands its chunks over this many draws at a time.
 const DRAWS_PER_RUN: u64 = 8 << 20;
 
-/// The pre-generated arrival schedule of every user over the full horizon.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivalSchedule {
-    /// A row of `(slot, app)` per user.
-    by_user: FleetArrivals,
-    /// The same arrivals, a row of `(user, app)` per slot.
+/// The fewest slots in a chunk. A chunk costs every user of a run a stream
+/// restart, an offset and a visit when the chunk is transposed — some ten
+/// draws' worth — so a wide fleet, whose `DRAWS_PER_RUN` would be few slots
+/// a user, gets longer chunks.
+const MIN_CHUNK_SLOTS: u64 = 512;
+
+/// The fewest chunks a horizon is cut into: the slot loop waits for every
+/// run's first chunk before slot 0, so that wait is at most this share of
+/// the sampling the rest overlaps.
+const MIN_CHUNKS: u64 = 8;
+
+/// Chunks a run may have sampled ahead of the slot loop.
+const CHUNKS_AHEAD: usize = 2;
+
+/// The arrivals of the slots `slots`, a row of `(user, app)` per slot.
+#[derive(Debug)]
+struct Chunk {
+    slots: Range<u64>,
+    /// The position of its first arrival in the slot-major order.
+    first: usize,
     by_slot: FleetArrivals,
 }
 
+/// Where a run's chunks come from.
+enum Run {
+    /// Sampled by the consumer as it pulls: a fleet sampled whole on the
+    /// caller, or a run whose thread the system refused.
+    Local(Box<dyn ArrivalSampler>),
+    /// Sampled ahead on a thread of its own (taken to raise its panic).
+    Spawned(Receiver<FleetArrivals>, Option<JoinHandle<()>>),
+}
+
+impl fmt::Debug for Run {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Run::Local(_) => "Local",
+            Run::Spawned(..) => "Spawned",
+        })
+    }
+}
+
+/// The arrivals of a run's users, held a window of chunks at a time.
+#[derive(Debug)]
+pub struct ArrivalSchedule {
+    /// The held chunks, oldest first.
+    chunks: Vec<Chunk>,
+    /// The runs of users, in user order.
+    runs: Vec<Run>,
+    users: usize,
+    chunk_slots: u64,
+    /// The first slot not pulled yet, and the position of its first arrival.
+    next: (u64, usize),
+    total_slots: u64,
+}
+
 impl ArrivalSchedule {
-    /// Generates the schedule from a world arrival model, on every CPU when
-    /// the fleet is big enough: one run of users per CPU, but never more than
-    /// one per `DRAWS_PER_RUN` draws.
+    /// The schedule of a run, nothing held yet: on every CPU when the fleet
+    /// is big enough — one run of users per CPU, but never more than one per
+    /// `DRAWS_PER_RUN` draws, each a thread that hands over `DRAWS_PER_RUN`
+    /// draws a chunk, or less to cut the horizon into `MIN_CHUNKS` — and
+    /// otherwise sampled whole here, on the caller.
     ///
-    /// `probability` is the base per-slot rate the model shapes (constant
-    /// for Bernoulli, a curve for diurnal/MMPP/flash-crowd). Arrivals that
-    /// would overlap a previous one of the same user are still recorded (the
+    /// `p` is the base per-slot rate the model shapes (constant for
+    /// Bernoulli, a curve for diurnal/MMPP/flash-crowd). Arrivals that would
+    /// overlap a previous one of the same user are still recorded (the
     /// engine ignores them — see the module docs). For
     /// [`ArrivalSpec::Bernoulli`](fedco_world::arrival::ArrivalSpec) the
     /// result is **bit-identical** to the engine's historical generator,
     /// which `reference_bits::bernoulli_model_matches_historical_generator`
     /// pins.
+    pub(crate) fn start(
+        model: &dyn ArrivalModel,
+        users: usize,
+        slots: u64,
+        p: f64,
+        seed: u64,
+    ) -> Self {
+        let cpus = available_parallelism().map_or(1, |n| n.get());
+        let runs = cpus.min(((users as u64).saturating_mul(slots) / DRAWS_PER_RUN) as usize);
+        let chunk = match runs {
+            0 => slots,
+            runs => (DRAWS_PER_RUN / per_run(users, runs) as u64)
+                .max(MIN_CHUNK_SLOTS)
+                .min(slots.div_ceil(MIN_CHUNKS)),
+        };
+        let mut schedule = Self::cut(model, users, slots, p, seed, runs, chunk);
+        if runs == 0 {
+            schedule.hold(0, slots);
+        }
+        schedule
+    }
+
+    /// The whole schedule at once: the feed a run reads, drained into one
+    /// held store.
     pub fn from_model(
         model: &dyn ArrivalModel,
         num_users: usize,
@@ -70,85 +152,224 @@ impl ArrivalSchedule {
         probability: f64,
         seed: u64,
     ) -> Self {
-        let cpus = available_parallelism().map_or(1, |n| n.get());
-        let draws = (num_users as u64).saturating_mul(total_slots);
-        let runs = cpus.min((draws / DRAWS_PER_RUN) as usize);
-        Self::from_model_cut(model, num_users, total_slots, probability, seed, runs)
+        let mut schedule = Self::start(model, num_users, total_slots, probability, seed);
+        schedule.hold(0, total_slots);
+        schedule
     }
 
-    /// [`from_model`](Self::from_model) with the fleet cut into `runs`
-    /// contiguous runs of users (one if zero), each sampled on a thread of
-    /// its own but the first, which the caller samples. The tests that hold
-    /// the schedule to be the same for any cut come in here.
-    pub(crate) fn from_model_cut(
+    /// The schedule with the fleet cut into `runs` contiguous runs of users,
+    /// each sampled `chunk_slots` at a time on a thread of its own — or, if
+    /// `runs` is zero, one run the consumer samples as it pulls. Nothing is
+    /// held yet. The tests that hold the schedule to be the same for any cut
+    /// and chunk length come in here.
+    pub(crate) fn cut(
         model: &dyn ArrivalModel,
         num_users: usize,
         total_slots: u64,
         probability: f64,
         seed: u64,
         runs: usize,
+        chunk_slots: u64,
     ) -> Self {
-        // Runs start at even users, so only the fleet's last user can be
-        // left without a partner in the sampler's two-stream loop.
-        let per_run = num_users.div_ceil(runs.max(1)).next_multiple_of(2);
-        let sample = |run: usize| {
+        let (per_run, chunk_slots) = (per_run(num_users, runs), chunk_slots.max(1));
+        let sampler = |run: usize| {
             let users = (run * per_run).min(num_users)..((run + 1) * per_run).min(num_users);
-            model.sample_fleet(seed, users, total_slots, probability)
+            model.sampler(seed, users, total_slots, probability)
         };
-        let by_user = FleetArrivals::concat(scope(|threads| {
-            let spawned: Vec<_> = (1..runs)
-                .map(|run| threads.spawn(move || sample(run)))
-                .collect();
-            // A sampler's panic is the caller's, payload and all.
-            let joined = spawned
-                .into_iter()
-                .map(|run| run.join().unwrap_or_else(|panic| resume_unwind(panic)));
-            std::iter::once(sample(0)).chain(joined).collect::<Vec<_>>()
-        }));
+        let spawn = |run: usize| {
+            let (send, chunks) = sync_channel(CHUNKS_AHEAD);
+            let mut ahead = sampler(run);
+            let sample = move || {
+                // Until the horizon, or until the consumer hangs up.
+                let ends =
+                    (1..=total_slots.div_ceil(chunk_slots)).map(|c| c.saturating_mul(chunk_slots));
+                let _ = ends
+                    .map(|end| send.send(ahead.sample_to(end).transposed()))
+                    .find(Result::is_err);
+            };
+            match Builder::new()
+                .name(format!("fedco-arrivals-{run}"))
+                .spawn(sample)
+            {
+                Ok(thread) => Run::Spawned(chunks, Some(thread)),
+                Err(_) => Run::Local(sampler(run)),
+            }
+        };
+        let runs = match runs {
+            0 => vec![Run::Local(sampler(0))],
+            runs => (0..num_users.div_ceil(per_run).clamp(1, runs))
+                .map(spawn)
+                .collect(),
+        };
         ArrivalSchedule {
-            by_slot: by_user.transposed(),
-            by_user,
+            chunks: Vec::new(),
+            runs,
+            users: num_users,
+            chunk_slots,
+            next: (0, 0),
+            total_slots,
         }
     }
 
-    /// All arrivals of one user, in slot order (none for a user out of
-    /// range).
-    pub fn of_user(&self, user: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
-        self.by_user.events(user)
+    /// Holds the arrivals of the slots `[from, to)`, pulling the chunks that
+    /// reach them, and drops the chunks that end by `from`: the slot loop
+    /// holds its slot, the offline planner its look-ahead window.
+    pub(crate) fn hold(&mut self, from: u64, to: u64) {
+        while self.next.0 < to.min(self.total_slots) {
+            self.pull();
+        }
+        if self.chunks.first().is_some_and(|c| c.slots.end <= from) {
+            let passed = self.chunks.iter().take_while(|c| c.slots.end <= from);
+            self.chunks.drain(..passed.count());
+        }
     }
 
-    /// The positions of the arrivals of `slot`, ascending by user (none past
-    /// the horizon); resolve each with [`at`](Self::at).
+    /// Pulls the next chunk from every run and lays them side by side.
+    fn pull(&mut self) {
+        let (start, first) = self.next;
+        let end = start.saturating_add(self.chunk_slots).min(self.total_slots);
+        let parts: Vec<_> = (self.runs.iter_mut())
+            .map(|run| match run {
+                Run::Local(sampler) => sampler.sample_to(end).transposed(),
+                Run::Spawned(chunks, thread) => chunks.recv().unwrap_or_else(|_| {
+                    // A sampler stops short of the horizon only by
+                    // panicking: its panic is the consumer's, payload and all.
+                    match thread.take().map(JoinHandle::join) {
+                        Some(Err(panic)) => resume_unwind(panic),
+                        _ => unreachable!("an arrival sampler hung up before the horizon"),
+                    }
+                }),
+            })
+            .collect();
+        let by_slot = FleetArrivals::beside(parts);
+        self.next = (end, first + by_slot.total());
+        let slots = start..end;
+        self.chunks.push(Chunk {
+            slots,
+            first,
+            by_slot,
+        });
+    }
+
+    /// The held chunk of `slot`: the front one, which the slot loop reads,
+    /// or one the planner's window reaches. Chunks are `chunk_slots` long.
+    fn chunk(&self, slot: u64) -> Option<&Chunk> {
+        let front = self.chunks.first()?;
+        let k = match slot.checked_sub(front.slots.end) {
+            None => 0,
+            Some(past) => 1 + past / self.chunk_slots,
+        };
+        self.chunks
+            .get(k as usize)
+            .filter(|c| c.slots.contains(&slot))
+    }
+
+    /// The positions of the arrivals of `slot`, ascending by user (none
+    /// unless held); resolve each with [`at`](Self::at).
     pub fn at_slot(&self, slot: u64) -> Range<usize> {
-        self.by_slot.row(slot as usize)
+        self.chunk(slot).map_or(0..0, |c| {
+            let row = c.by_slot.row((slot - c.slots.start) as usize);
+            c.first + row.start..c.first + row.end
+        })
     }
 
-    /// The `(user, application)` of the arrival at position `at` of the
-    /// slot-major order.
+    /// The `(user, application)` of the held arrival at position `at` of
+    /// the slot-major order.
     pub fn at(&self, at: usize) -> (usize, AppKind) {
-        self.by_slot.get(at)
+        let ends_by = |c: &Chunk| c.first + c.by_slot.total() <= at;
+        let k = match self.chunks.first() {
+            Some(front) if !ends_by(front) => 0,
+            _ => self.chunks.partition_point(ends_by),
+        };
+        let c = &self.chunks[k];
+        c.by_slot.get(at - c.first)
     }
 
-    /// The first arrival of `user` in the half-open slot window
-    /// `[from, from + window)`, if any — what the offline scheduler
-    /// inspects: a binary search of the user's row.
+    /// The first held arrival of `user` in the half-open slot window
+    /// `[from, from + window)`, if any: a binary search of each slot's row.
     pub fn first_arrival_in_window(
         &self,
         user: usize,
         from: u64,
         window: u64,
     ) -> Option<ArrivalEvent> {
-        let before = |&slot: &u32| u64::from(slot) < from;
-        let next = self.by_user.keys(user).partition_point(before);
-        self.of_user(user)
-            .nth(next)
-            .filter(|a| a.slot < from.saturating_add(window))
+        let to = from.saturating_add(window).min(self.next.0);
+        (from..to).find_map(|slot| {
+            let c = self.chunk(slot)?;
+            let row = (slot - c.slots.start) as usize;
+            let at = c.by_slot.keys(row).binary_search(&(user as u32)).ok()?;
+            let (_, app) = c.by_slot.get(c.by_slot.row(row).start + at);
+            Some(ArrivalEvent { slot, app })
+        })
     }
 
-    /// Total number of arrivals across all users.
-    pub fn total_arrivals(&self) -> usize {
-        self.by_user.total()
+    /// The first held arrival of every user in the half-open slot window
+    /// `[from, from + window)`, indexed by user — what the offline scheduler
+    /// inspects: one pass over the window's rows.
+    pub fn first_arrivals_in_window(&self, from: u64, window: u64) -> Vec<Option<ArrivalEvent>> {
+        let mut first = vec![None; self.users];
+        for slot in from..from.saturating_add(window).min(self.next.0) {
+            for at in self.at_slot(slot) {
+                let (user, app) = self.at(at);
+                first[user].get_or_insert(ArrivalEvent { slot, app });
+            }
+        }
+        first
     }
+
+    /// Number of held arrivals across all users.
+    pub fn total_arrivals(&self) -> usize {
+        self.chunks.iter().map(|c| c.by_slot.total()).sum()
+    }
+}
+
+/// Users per run when `num_users` are cut into `runs` (one if zero). Runs
+/// start at even users, so only the fleet's last user can be left without a
+/// partner in the sampler's two-stream loop.
+fn per_run(num_users: usize, runs: usize) -> usize {
+    num_users.div_ceil(runs.max(1)).next_multiple_of(2).max(2)
+}
+
+impl Drop for ArrivalSchedule {
+    /// Hangs up on each run, then waits for its thread: a sampler notices
+    /// at its next chunk, so a schedule dropped early never waits for the
+    /// horizon, and no sampler outlives it.
+    fn drop(&mut self) {
+        for run in self.runs.drain(..) {
+            if let Run::Spawned(chunks, Some(thread)) = run {
+                drop(chunks);
+                // A sampler's panic in a chunk nobody pulled has nobody to
+                // reach; its message was printed where it happened.
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+/// Both orders of what `schedule` holds of `users` users over `slots`
+/// slots (and one past each), for comparing schedules built apart.
+#[cfg(test)]
+type Orders = (Vec<Vec<ArrivalEvent>>, Vec<Vec<(usize, AppKind)>>);
+
+#[cfg(test)]
+impl ArrivalSchedule {
+    /// The held arrivals of one user, in slot order (none for a user out of
+    /// range).
+    pub(crate) fn of_user(&self, user: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let arrival = self.first_arrival_in_window(user, from, u64::MAX)?;
+            from = arrival.slot + 1;
+            Some(arrival)
+        })
+    }
+}
+
+#[cfg(test)]
+fn orders(schedule: &ArrivalSchedule, users: usize, slots: u64) -> Orders {
+    let by_user = (0..=users).map(|user| schedule.of_user(user).collect());
+    let row = |slot| schedule.at_slot(slot).map(|at| schedule.at(at)).collect();
+    (by_user.collect(), (0..=slots).map(row).collect())
 }
 
 #[cfg(test)]
@@ -183,9 +404,9 @@ mod tests {
     fn schedule_is_deterministic_per_seed_and_differs_across_users() {
         let a = bernoulli(3, 5000, 0.01, 9);
         let b = bernoulli(3, 5000, 0.01, 9);
-        assert_eq!(a, b);
+        assert_eq!(orders(&a, 3, 5000), orders(&b, 3, 5000));
         let c = bernoulli(3, 5000, 0.01, 10);
-        assert_ne!(a, c);
+        assert_ne!(orders(&a, 3, 5000), orders(&c, 3, 5000));
         // Different users see different arrival patterns.
         assert!(a.of_user(0).ne(a.of_user(1)));
     }
@@ -233,7 +454,8 @@ mod tests {
                 );
             }
             let again = ArrivalSchedule::from_model(spec.model().as_ref(), 8, 10_800, 0.01, 7);
-            assert_eq!(sched, again, "{spec:?} not deterministic");
+            let (a, b) = (orders(&sched, 8, 10_800), orders(&again, 8, 10_800));
+            assert_eq!(a, b, "{spec:?} not deterministic");
         }
     }
 
@@ -343,7 +565,10 @@ mod reference_bits {
                 p,
                 seed,
             );
-            assert_eq!(world, via_spec);
+            assert_eq!(
+                orders(&world, users, slots),
+                orders(&via_spec, users, slots)
+            );
         }
     }
 
@@ -362,24 +587,87 @@ mod reference_bits {
     }
 }
 
-/// The schedule is the same bytes however the fleet is cut into runs.
+/// The schedule is the same bytes however the fleet is cut into runs and
+/// the horizon into chunks, read whole or through the window the engine
+/// advances.
 #[cfg(test)]
 mod cut_invariance {
     use super::*;
-    use fedco_world::arrival::ArrivalSpec;
+    use fedco_world::arrival::{ArrivalSpec, Bernoulli};
+    use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
 
-    fn cut(spec: ArrivalSpec, users: usize, runs: usize) -> ArrivalSchedule {
-        ArrivalSchedule::from_model_cut(spec.model().as_ref(), users, 1_500, 0.01, 42, runs)
+    const SLOTS: u64 = 1_500;
+
+    fn cut(model: &dyn ArrivalModel, users: usize, runs: usize, chunk: u64) -> ArrivalSchedule {
+        ArrivalSchedule::cut(model, users, SLOTS, 0.01, 42, runs, chunk)
+    }
+
+    /// The eager single-run schedule: one chunk, sampled on the caller.
+    fn eager(model: &dyn ArrivalModel, users: usize) -> ArrivalSchedule {
+        let mut whole = cut(model, users, 0, SLOTS);
+        whole.hold(0, SLOTS);
+        whole
+    }
+
+    /// Every slot's row, read as the slot loop reads it: holding one slot
+    /// at a time, so the chunks it has passed are dropped.
+    fn streamed_rows(schedule: &mut ArrivalSchedule) -> Vec<Vec<(usize, AppKind)>> {
+        (0..=SLOTS)
+            .map(|slot| {
+                schedule.hold(slot, slot + 1);
+                let row = schedule.at_slot(slot).map(|at| schedule.at(at)).collect();
+                assert!(schedule.chunks.len() <= 1, "a passed chunk is still held");
+                row
+            })
+            .collect()
     }
 
     #[test]
-    fn any_run_count_builds_the_single_run_schedule() {
+    fn any_run_count_and_chunk_length_reads_the_eager_schedule() {
         for spec in ArrivalSpec::ALL {
-            // 23 users: runs of 12 + 11, 8 + 8 + 7, 4 × 5 + 3 + two empty.
-            let single = cut(spec, 23, 1);
-            assert!(single.total_arrivals() > 0);
-            for runs in [0, 2, 3, 7] {
-                assert_eq!(cut(spec, 23, runs), single, "{spec:?} in {runs} runs");
+            let model = spec.model();
+            // 23 users: runs of 12 + 11, 8 + 8 + 7, 4 × 5 + 3.
+            let single = orders(&eager(model.as_ref(), 23), 23, SLOTS);
+            assert!(single.1.iter().any(|row| !row.is_empty()), "{spec:?}");
+            for runs in [0, 1, 2, 3, 7] {
+                for chunk in [1, 7, 512, SLOTS, 4 * SLOTS] {
+                    let mut whole = cut(model.as_ref(), 23, runs, chunk);
+                    whole.hold(0, SLOTS);
+                    let why = format!("{spec:?} in {runs} runs of {chunk}-slot chunks");
+                    assert_eq!(orders(&whole, 23, SLOTS), single, "{why}");
+                    let mut streamed = cut(model.as_ref(), 23, runs, chunk);
+                    assert_eq!(streamed_rows(&mut streamed), single.1, "{why}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn look_ahead_windows_that_straddle_chunk_edges_find_the_eager_arrival() {
+        for spec in ArrivalSpec::ALL {
+            let model = spec.model();
+            let single = eager(model.as_ref(), 9);
+            for (runs, chunk) in [(0, 7), (1, 1), (2, 7), (3, 512), (7, 64)] {
+                let mut streamed = cut(model.as_ref(), 9, runs, chunk);
+                for from in (0..SLOTS + 3).step_by(5) {
+                    // The planner's hold: its window from its slot on.
+                    streamed.hold(from, from + 600);
+                    for window in [1, 6, 7, 8, 64, 513, 600] {
+                        let eager = |user| single.first_arrival_in_window(user, from, window);
+                        for user in 0..10 {
+                            assert_eq!(
+                                streamed.first_arrival_in_window(user, from, window),
+                                eager(user),
+                                "{spec:?} {runs} runs of {chunk}: user {user} [{from}, +{window})"
+                            );
+                        }
+                        // The planner's one pass over the same window.
+                        let first = streamed.first_arrivals_in_window(from, window);
+                        assert!(first.into_iter().eq((0..9).map(eager)), "{spec:?}");
+                    }
+                }
             }
         }
     }
@@ -387,49 +675,166 @@ mod cut_invariance {
     #[test]
     fn more_runs_than_users_and_a_fleet_of_one_or_none() {
         for spec in ArrivalSpec::ALL {
+            let model = spec.model();
             for users in [0, 1, 2, 5] {
-                let single = cut(spec, users, 1);
+                let single = orders(&eager(model.as_ref(), users), users, SLOTS);
                 for runs in [2, 7, 40] {
-                    assert_eq!(cut(spec, users, runs), single, "{spec:?} {users} users");
+                    let mut whole = cut(model.as_ref(), users, runs, 100);
+                    whole.hold(0, SLOTS);
+                    let orders = orders(&whole, users, SLOTS);
+                    assert_eq!(orders, single, "{spec:?} {users} users");
                 }
             }
         }
     }
 
     #[test]
-    fn the_shipped_entry_is_the_single_run_schedule() {
-        // Whatever this machine's CPU count makes of it.
-        let model = ArrivalSpec::Bernoulli.model();
-        let shipped = ArrivalSchedule::from_model(model.as_ref(), 23, 1_500, 0.01, 42);
-        assert_eq!(shipped, cut(ArrivalSpec::Bernoulli, 23, 1));
+    fn the_shipped_entries_are_the_eager_schedule() {
+        // Whatever this machine's CPU count makes of them.
+        let single = orders(&eager(&Bernoulli, 23), 23, SLOTS);
+        let shipped = ArrivalSchedule::from_model(&Bernoulli, 23, SLOTS, 0.01, 42);
+        assert_eq!(orders(&shipped, 23, SLOTS), single);
+        let mut started = ArrivalSchedule::start(&Bernoulli, 23, SLOTS, 0.01, 42);
+        assert_eq!(streamed_rows(&mut started), single.1);
     }
 
-    /// Samples like Bernoulli, except that a run holding user 9 panics.
-    struct Exploding;
+    #[test]
+    fn a_run_is_the_same_through_any_feed() {
+        use crate::engine::Simulation;
+        use fedco_core::scenario::ScenarioSpec;
+        use fedco_core::spec::PolicySpec;
+        use fedco_telemetry::sink::BufferSink;
+        // Offline's 500-slot look-ahead reaches across chunks; churn takes
+        // devices dark mid-horizon, so some arrivals find them offline.
+        let spec: ScenarioSpec = "paper-default:users=9:slots=2000:arrival_p=0.01:churn=heavy"
+            .parse()
+            .expect("parses");
+        for policy in PolicySpec::PAPER {
+            let config = spec.build_with_policy(policy.clone()).expect("builds");
+            let run = |feed: Option<(usize, u64)>, indexed: bool| {
+                let sink = BufferSink::shared();
+                let sim = Simulation::try_new(config.clone()).expect("valid");
+                let mut sim = sim.with_telemetry(sink.clone());
+                if let Some((runs, chunk)) = feed {
+                    let c = &config;
+                    let model = c.world.arrival.model();
+                    sim.arrivals = ArrivalSchedule::cut(
+                        model.as_ref(),
+                        c.num_users,
+                        c.total_slots,
+                        c.arrival_probability,
+                        c.seed,
+                        runs,
+                        chunk,
+                    );
+                }
+                let result = if indexed { sim.run() } else { sim.run_dense() };
+                (result, sink.drain())
+            };
+            let eager = run(None, true);
+            assert!(eager.0.total_updates > 0, "{policy}");
+            for (runs, chunk) in [(0, 64), (1, 1), (2, 64), (3, 7), (7, 512)] {
+                for indexed in [true, false] {
+                    assert!(
+                        run(Some((runs, chunk)), indexed) == eager,
+                        "{policy} on {runs} runs of {chunk}-slot chunks, indexed {indexed}"
+                    );
+                }
+            }
+        }
+    }
 
-    impl ArrivalModel for Exploding {
-        fn sample_fleet(
+    /// Samples like Bernoulli, counting its live samplers and the chunks
+    /// they sampled; a sampler holding user 9 panics with `Boom` at the
+    /// first chunk that ends past slot 600.
+    #[derive(Default)]
+    struct Counting {
+        live: Arc<AtomicUsize>,
+        chunks: Arc<AtomicUsize>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Boom(usize);
+
+    struct Sampler {
+        inner: Box<dyn ArrivalSampler>,
+        explodes: bool,
+        live: Arc<AtomicUsize>,
+        chunks: Arc<AtomicUsize>,
+    }
+
+    impl ArrivalModel for Counting {
+        fn sampler(
             &self,
             seed: u64,
             users: Range<usize>,
             total_slots: u64,
             base_p: f64,
-        ) -> FleetArrivals {
-            assert!(!users.contains(&9), "user 9 cannot be sampled");
-            fedco_world::arrival::Bernoulli.sample_fleet(seed, users, total_slots, base_p)
+        ) -> Box<dyn ArrivalSampler> {
+            self.live.fetch_add(1, SeqCst);
+            Box::new(Sampler {
+                explodes: users.contains(&9),
+                inner: Bernoulli.sampler(seed, users, total_slots, base_p),
+                live: self.live.clone(),
+                chunks: self.chunks.clone(),
+            })
+        }
+    }
+
+    impl ArrivalSampler for Sampler {
+        fn sample_to(&mut self, end: u64) -> FleetArrivals {
+            if self.explodes && end > 600 {
+                panic_any(Boom(9));
+            }
+            self.chunks.fetch_add(1, SeqCst);
+            self.inner.sample_to(end)
+        }
+    }
+
+    impl Drop for Sampler {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, SeqCst);
         }
     }
 
     #[test]
-    #[should_panic(expected = "user 9 cannot be sampled")]
-    fn a_panic_inside_a_spawned_run_is_raised_on_the_caller() {
-        // Runs of 4: user 9 is in the third, on a thread of its own.
-        let _ = ArrivalSchedule::from_model_cut(&Exploding, 12, 200, 0.01, 1, 3);
+    fn a_sampler_that_panics_in_a_later_chunk_panics_the_consumer_with_its_payload() {
+        for runs in [0, 1, 3] {
+            let model = Counting::default();
+            // Runs of 4 (of 12 if none): user 9 is in the last.
+            let mut schedule = cut(&model, 12, runs, 100);
+            schedule.hold(0, 600);
+            assert!(schedule.total_arrivals() > 0);
+            let panic = catch_unwind(AssertUnwindSafe(|| schedule.hold(0, SLOTS)))
+                .expect_err("the sampler's panic reaches the consumer");
+            assert_eq!(panic.downcast_ref::<Boom>(), Some(&Boom(9)), "{runs} runs");
+            drop(schedule);
+            assert_eq!(model.live.load(SeqCst), 0, "{runs} runs");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "user 9 cannot be sampled")]
-    fn a_panic_inside_the_callers_run_waits_for_the_others() {
-        let _ = ArrivalSchedule::from_model_cut(&Exploding, 24, 200, 0.01, 1, 2);
+    fn a_schedule_dropped_early_stops_its_samplers_without_sampling_the_horizon() {
+        // 7 runs of 64-slot chunks over the longest horizon a run may have.
+        let slots = SimConfig::MAX_SLOTS;
+        for pulled in [0, 1, 5] {
+            let model = Counting::default();
+            let mut schedule = ArrivalSchedule::cut(&model, 14, slots, 0.01, 42, 7, 64);
+            schedule.hold(0, pulled * 64);
+            assert_eq!(model.live.load(SeqCst), 7);
+            drop(schedule);
+            assert_eq!(
+                model.live.load(SeqCst),
+                0,
+                "a sampler outlived its schedule"
+            );
+            // What was pulled, what the channels hold and the chunk each
+            // run was sampling when it noticed the hang-up.
+            let sampled = model.chunks.load(SeqCst) as u64;
+            assert!(
+                sampled <= 7 * (pulled + CHUNKS_AHEAD as u64 + 1),
+                "{sampled}"
+            );
+        }
     }
 }

@@ -337,13 +337,14 @@ impl Simulation {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let clock = SimClock::new(config.scheduler.slot_seconds, config.total_slots);
-        // Arrivals come from the configured world model, sampled once into
-        // the one store both orders of the schedule are (on every CPU when
-        // the fleet is wide). The Bernoulli model replays the historical
+        // Arrivals come from the configured world model: a wide fleet's
+        // runs start sampling here, on threads of their own, and the slot
+        // loop pulls their chunks as it reaches them; a narrow one is
+        // sampled whole now. The Bernoulli model replays the historical
         // generator's RNG streams bit-for-bit (pinned by
         // `arrivals::reference_bits::bernoulli_model_matches_historical_generator`),
         // so the paper-default world changes nothing.
-        let arrivals = ArrivalSchedule::from_model(
+        let arrivals = ArrivalSchedule::start(
             config.world.arrival.model().as_ref(),
             config.num_users,
             config.total_slots,
@@ -640,9 +641,11 @@ impl Simulation {
         // of its first arrival in the window, if any.
         let mut window_users = Vec::new();
         let mut arrival_slots = Vec::new();
+        self.arrivals.hold(slot, slot.saturating_add(window));
+        let first_arrivals = self.arrivals.first_arrivals_in_window(slot, window);
         for i in self.users.waiting() {
             let profile = self.users.profile(i);
-            let arrival = self.arrivals.first_arrival_in_window(i, slot, window);
+            let arrival = first_arrivals[i];
             let (arrival_s, saving_j) = match arrival {
                 Some(a) => {
                     let t_train = profile.training_time().value();

@@ -104,7 +104,7 @@ impl Simulation {
     // ----------------------------------------------------------------
 
     /// Slot phase 1: application arrivals, every user asked for its own —
-    /// a stateless search of its row of the user-major order.
+    /// a stateless binary search of the slot's row.
     fn phase_arrivals_scan(&mut self, slot: u64) {
         for i in 0..self.users.len() {
             if let Some(arrival) = self.arrivals.first_arrival_in_window(i, slot, 1) {
@@ -150,8 +150,10 @@ impl Simulation {
     // The phases as the slot loop calls them.
     // ----------------------------------------------------------------
 
-    /// Slot phase 1: application arrivals of `slot`.
+    /// Slot phase 1: application arrivals of `slot`, the slot the schedule
+    /// holds from now on.
     pub(crate) fn phase_arrivals(&mut self, slot: u64) {
+        self.arrivals.hold(slot, slot + 1);
         if !self.indexed {
             self.stats.user_visits += self.users.len() as u64;
             return self.phase_arrivals_scan(slot);

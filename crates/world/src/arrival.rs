@@ -3,11 +3,14 @@
 //! The paper models app usage as an i.i.d. Bernoulli arrival per slot
 //! (probability 0.001 in the main evaluation). Real fleets are burstier:
 //! usage follows the day, flash events synchronise users, and activity
-//! alternates between calm and busy regimes. Each model here pre-generates
-//! the arrivals of a run of users over the whole horizon — the oracle the
-//! offline scheduler relies on — as a pure function of `(seed, user)`, so
-//! schedules are byte-identical across runs, drivers, worker counts and
-//! however a fleet is cut into runs.
+//! alternates between calm and busy regimes. Each model hands out an
+//! [`ArrivalSampler`] per run of users, which advances the run's streams a
+//! chunk of slots at a time, so a consumer holds only the window of
+//! arrivals it reads — the offline scheduler's oracle is its look-ahead
+//! window, not the horizon. A user's arrivals are a pure function of
+//! `(seed, user)`, so schedules are byte-identical across runs, drivers,
+//! worker counts, however a fleet is cut into runs and however a horizon is
+//! cut into chunks.
 //!
 //! # The draw
 //!
@@ -21,13 +24,16 @@
 //! `x < ceil(r · 2⁵³)`: a rate becomes an integer `threshold` once, and the
 //! one loop (`scan`) compares raw generator words against it — no float per
 //! slot — advancing two users' independent streams per iteration so that one
-//! generator's latency chain hides behind the other's.
+//! generator's latency chain hides behind the other's. `scan` is compiled
+//! once per model; a sampler is called through `dyn` once per chunk.
 //!
 //! # The store
 //!
-//! The result is a [`FleetArrivals`]: one compressed-sparse-row store in flat
+//! A chunk is a [`FleetArrivals`]: one compressed-sparse-row store in flat
 //! lanes, user-major as sampled; [`FleetArrivals::transposed`] is the same
-//! arrivals slot-major, the order a slot loop reads.
+//! arrivals slot-major, the order a slot loop reads, and
+//! [`FleetArrivals::beside`] lays the slot-major chunks of several runs of
+//! users side by side.
 
 use std::ops::Range;
 
@@ -77,24 +83,6 @@ impl FleetArrivals {
             apps: Vec::new(),
             width: width as usize,
         }
-    }
-
-    /// The runs of one fleet, sampled apart, appended in the order given
-    /// into one exactly-sized store. The runs share a horizon.
-    pub fn concat(runs: Vec<FleetArrivals>) -> FleetArrivals {
-        let width = runs.first().map_or(0, |run| run.width);
-        let mut all = FleetArrivals::with_width(width as u64, runs.iter().map(Self::rows).sum());
-        let total = runs.iter().map(Self::total).sum();
-        all.keys.reserve_exact(total);
-        all.apps.reserve_exact(total);
-        for run in runs {
-            debug_assert_eq!(run.width, width, "runs of different horizons");
-            let ends = run.offsets[1..].iter().map(|end| all.keys.len() + end);
-            all.offsets.extend(ends);
-            all.keys.extend_from_slice(&run.keys);
-            all.apps.extend_from_slice(&run.apps);
-        }
-        all
     }
 
     /// Number of rows.
@@ -164,6 +152,35 @@ impl FleetArrivals {
             width: self.rows(),
         }
     }
+
+    /// The slot-major stores of consecutive runs of one fleet's users, side
+    /// by side: row `r` is row `r` of every part in order, each part's keys
+    /// shifted past the users of the parts before it — one part is itself.
+    /// The parts share a row count.
+    pub fn beside(mut parts: Vec<FleetArrivals>) -> FleetArrivals {
+        if parts.len() == 1 {
+            return parts.swap_remove(0);
+        }
+        let rows = parts.first().map_or(0, Self::rows);
+        let users = parts.iter().map(|part| part.width as u64).sum();
+        let mut all = FleetArrivals::with_width(users, rows);
+        let total = parts.iter().map(Self::total).sum();
+        all.keys.reserve_exact(total);
+        all.apps.reserve_exact(total);
+        for r in 0..rows {
+            let mut shift = 0;
+            for part in &parts {
+                debug_assert_eq!(part.rows(), rows, "parts of different lengths");
+                let row = part.row(r);
+                all.keys
+                    .extend(part.keys[row.clone()].iter().map(|user| user + shift));
+                all.apps.extend_from_slice(&part.apps[row]);
+                shift += part.width as u32;
+            }
+            all.offsets.push(all.keys.len());
+        }
+        all
+    }
 }
 
 /// The per-user arrival stream: the exact seeding formula the engine has
@@ -173,22 +190,47 @@ pub fn user_rng(seed: u64, user: usize) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ (0xA441 + user as u64).wrapping_mul(0x9E3779B97F4A7C15))
 }
 
-/// A seeded application-arrival process: generates the arrivals of a run of
-/// users over the whole horizon. `base_p` is the scenario's `arrival_p`
-/// field — every model treats it as its baseline per-slot rate, so sweeping
+/// A run of users' arrival streams, advanced a chunk of slots at a time:
+/// the resumable form of [`ArrivalModel::sample_fleet`]. It owns everything
+/// it reads, so it can be moved to the thread that drives it.
+pub trait ArrivalSampler: Send {
+    /// The arrivals of the run's users from where the last call stopped
+    /// (slot 0 at first) to `end` (at most the horizon), a row per user
+    /// keyed by slot from that start, in increasing slot order. A user's
+    /// arrivals are the same however the horizon is cut into calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk's slots do not fit the store's `u32` keys.
+    fn sample_to(&mut self, end: u64) -> FleetArrivals;
+}
+
+/// A seeded application-arrival process: hands out the sampler of a run of
+/// users over a horizon. `base_p` is the scenario's `arrival_p` field —
+/// every model treats it as its baseline per-slot rate, so sweeping
 /// `arrival_p` scales any process.
 ///
 /// # Purity
 ///
 /// A user's arrivals must depend on `(seed, user, total_slots, base_p)`
-/// alone — never on which other users are sampled in the same call, nor on
-/// the thread that makes it. The engine relies on this: it cuts a large
-/// fleet into contiguous runs, samples them on several threads at once
-/// through one shared `&self` (hence the `Sync` supertrait) and appends the
-/// runs, and the schedule must be the same bytes for any cut.
-pub trait ArrivalModel: Sync {
-    /// The arrivals of the users `users` over `[0, total_slots)`, a row per
-    /// user (row 0 is `users.start`), in increasing slot order.
+/// alone — never on which other users a sampler holds, on how its horizon
+/// is cut into chunks, nor on the thread that drives it. The engine relies
+/// on this: it cuts a large fleet into contiguous runs, advances each a
+/// chunk at a time on a thread of its own, and the schedule must be the
+/// same bytes for any cut.
+pub trait ArrivalModel {
+    /// The sampler of the users `users` (row 0 is `users.start`) over
+    /// `[0, total_slots)`.
+    fn sampler(
+        &self,
+        seed: u64,
+        users: Range<usize>,
+        total_slots: u64,
+        base_p: f64,
+    ) -> Box<dyn ArrivalSampler>;
+
+    /// The arrivals of the users `users` over `[0, total_slots)` in one
+    /// store: their sampler drained to the horizon.
     ///
     /// # Panics
     ///
@@ -199,7 +241,10 @@ pub trait ArrivalModel: Sync {
         users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> FleetArrivals;
+    ) -> FleetArrivals {
+        self.sampler(seed, users, total_slots, base_p)
+            .sample_to(total_slots)
+    }
 
     /// The arrivals of `user` over `[0, total_slots)`: its row of any fleet
     /// that contains it.
@@ -231,6 +276,7 @@ fn threshold(rate: f64) -> u64 {
 
 /// One user's stream inside the sampling loop: its generator and the regime
 /// its process is in.
+#[derive(Clone)]
 struct Stream {
     rng: SmallRng,
     in_burst: bool,
@@ -238,9 +284,9 @@ struct Stream {
 
 /// The one sampling loop: two users' streams advanced side by side (the
 /// second stands still unless `paired`) from `slot` to the first slot in
-/// which either fires — returned with who fired — or to `total_slots`. The
-/// streams are independent, so one generator's serial dependency chain
-/// overlaps the other's.
+/// which either fires — returned with who fired — or to `end`. The streams
+/// are independent, so one generator's serial dependency chain overlaps the
+/// other's.
 ///
 /// Out of line and by value so that the loop holds no call and no pointer:
 /// both generators then stay in registers — inlined next to the `push` of an
@@ -250,11 +296,11 @@ fn scan(
     [mut a, mut b]: [Stream; 2],
     paired: bool,
     mut slot: u64,
-    total_slots: u64,
+    end: u64,
     threshold: &impl Fn(u64, bool) -> u64,
     regime: &impl Fn(&mut SmallRng, bool) -> bool,
 ) -> ([Stream; 2], u64, [bool; 2]) {
-    while slot < total_slots {
+    while slot < end {
         let fired = [
             a.rng.next_u64() >> DRAW_SHIFT < threshold(slot, a.in_burst),
             paired && b.rng.next_u64() >> DRAW_SHIFT < threshold(slot, b.in_burst),
@@ -271,50 +317,88 @@ fn scan(
     ([a, b], slot, [false; 2])
 }
 
-/// Samples `users` two at a time (an odd last one alone) into one store.
-/// Either stream of a pair is consumed exactly as the historical one-user
-/// generator consumed it: per slot one draw against `threshold(slot,
-/// in_burst)`, one app pick if it fires, then the process's `regime` step.
-fn sample_curve(
+/// The one sampler: its users two at a time (an odd last one alone), each
+/// pair's streams where the last chunk left them. Either stream of a pair
+/// is consumed exactly as the historical one-user generator consumed it:
+/// per slot one draw against `threshold(slot, in_burst)`, one app pick if
+/// it fires, then the process's `regime` step.
+struct Curve<T, R> {
+    pairs: Vec<[Stream; 2]>,
+    users: usize,
+    /// The first slot not sampled yet.
+    slot: u64,
+    total_slots: u64,
+    threshold: T,
+    regime: R,
+}
+
+fn curve<T, R>(
     seed: u64,
     users: Range<usize>,
     total_slots: u64,
-    threshold: impl Fn(u64, bool) -> u64,
-    regime: impl Fn(&mut SmallRng, bool) -> bool,
-) -> FleetArrivals {
-    let mut fleet = FleetArrivals::with_width(total_slots, users.len());
-    let mut rows = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
-    for user in users.clone().step_by(2) {
-        let paired = user + 1 < users.end;
-        let mut lanes = [user, user + 1].map(|user| Stream {
-            rng: user_rng(seed, user),
-            in_burst: false,
-        });
-        let mut slot = 0;
-        loop {
-            let fired;
-            (lanes, slot, fired) = scan(lanes, paired, slot, total_slots, &threshold, &regime);
-            if slot == total_slots {
-                break;
-            }
-            for ((stream, row), fired) in lanes.iter_mut().zip(&mut rows).zip(fired) {
-                if fired {
-                    row.0.push(slot as u32);
-                    row.1
-                        .push(AppKind::ALL[stream.rng.gen_range(0..AppKind::ALL.len())]);
+    threshold: T,
+    regime: R,
+) -> Box<dyn ArrivalSampler>
+where
+    T: Fn(u64, bool) -> u64 + Send + 'static,
+    R: Fn(&mut SmallRng, bool) -> bool + Send + 'static,
+{
+    let stream = |user| Stream {
+        rng: user_rng(seed, user),
+        in_burst: false,
+    };
+    Box::new(Curve {
+        pairs: (users.clone().step_by(2))
+            .map(|user| [stream(user), stream(user + 1)])
+            .collect(),
+        users: users.len(),
+        slot: 0,
+        total_slots,
+        threshold,
+        regime,
+    })
+}
+
+impl<T, R> ArrivalSampler for Curve<T, R>
+where
+    T: Fn(u64, bool) -> u64 + Send,
+    R: Fn(&mut SmallRng, bool) -> bool + Send,
+{
+    fn sample_to(&mut self, end: u64) -> FleetArrivals {
+        let (start, end) = (self.slot, end.clamp(self.slot, self.total_slots));
+        let mut chunk = FleetArrivals::with_width(end - start, self.users);
+        let mut rows = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
+        for (p, pair) in self.pairs.iter_mut().enumerate() {
+            let paired = 2 * p + 1 < self.users;
+            let (mut lanes, mut slot) = (pair.clone(), start);
+            loop {
+                let fired;
+                (lanes, slot, fired) =
+                    scan(lanes, paired, slot, end, &self.threshold, &self.regime);
+                if slot == end {
+                    break;
                 }
-                // (An unpaired second stream steps too: nobody reads it.)
-                stream.in_burst = regime(&mut stream.rng, stream.in_burst);
+                for ((stream, row), fired) in lanes.iter_mut().zip(&mut rows).zip(fired) {
+                    if fired {
+                        row.0.push((slot - start) as u32);
+                        row.1
+                            .push(AppKind::ALL[stream.rng.gen_range(0..AppKind::ALL.len())]);
+                    }
+                    // (An unpaired second stream steps too: nobody reads it.)
+                    stream.in_burst = (self.regime)(&mut stream.rng, stream.in_burst);
+                }
+                slot += 1;
             }
-            slot += 1;
+            *pair = lanes;
+            for (keys, apps) in &mut rows[..1 + usize::from(paired)] {
+                chunk.keys.append(keys);
+                chunk.apps.append(apps);
+                chunk.offsets.push(chunk.keys.len());
+            }
         }
-        for (keys, apps) in &mut rows[..1 + usize::from(paired)] {
-            fleet.keys.append(keys);
-            fleet.apps.append(apps);
-            fleet.offsets.push(fleet.keys.len());
-        }
+        self.slot = end;
+        chunk
     }
-    fleet
 }
 
 /// The paper's process: i.i.d. Bernoulli(`base_p`) per slot. Bit-identical
@@ -323,15 +407,15 @@ fn sample_curve(
 pub struct Bernoulli;
 
 impl ArrivalModel for Bernoulli {
-    fn sample_fleet(
+    fn sampler(
         &self,
         seed: u64,
         users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> FleetArrivals {
+    ) -> Box<dyn ArrivalSampler> {
         let fires = threshold(base_p.clamp(0.0, 1.0));
-        sample_curve(seed, users, total_slots, move |_, _| fires, |_, calm| calm)
+        curve(seed, users, total_slots, move |_, _| fires, |_, calm| calm)
     }
 }
 
@@ -359,35 +443,26 @@ impl Diurnal {
 }
 
 impl ArrivalModel for Diurnal {
-    fn sample_fleet(
+    fn sampler(
         &self,
         seed: u64,
         users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> FleetArrivals {
+    ) -> Box<dyn ArrivalSampler> {
         let period = self.period_slots.max(1);
         let depth = self.depth.clamp(0.0, 1.0);
         let base = base_p.clamp(0.0, 1.0);
-        let fires = |slot: u64| {
+        let fires = move |slot: u64| {
             let phase = (slot % period) as f64 / period as f64;
             threshold(base * (1.0 - depth * (std::f64::consts::TAU * phase).cos()))
         };
-        // The curve is every user's: past one pair of them a table of one
-        // period costs fewer cosines than it saves.
-        if users.len() <= 2 {
-            return sample_curve(
-                seed,
-                users,
-                total_slots,
-                |slot, _| fires(slot),
-                |_, calm| calm,
-            );
-        }
+        // The curve is every user's: a table of one period.
         let table: Vec<u64> = (0..period.min(total_slots)).map(fires).collect();
         let period = table.len() as u64;
-        let fires = |slot, _| table[(if slot < period { slot } else { slot % period }) as usize];
-        sample_curve(seed, users, total_slots, fires, |_, calm| calm)
+        let fires =
+            move |slot, _| table[(if slot < period { slot } else { slot % period }) as usize];
+        curve(seed, users, total_slots, fires, |_, calm| calm)
     }
 }
 
@@ -418,13 +493,13 @@ impl Mmpp {
 }
 
 impl ArrivalModel for Mmpp {
-    fn sample_fleet(
+    fn sampler(
         &self,
         seed: u64,
         users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> FleetArrivals {
+    ) -> Box<dyn ArrivalSampler> {
         let base = base_p.clamp(0.0, 1.0);
         let calm = threshold(base);
         let burst = threshold((base * self.burst_multiplier).clamp(0.0, 1.0));
@@ -440,7 +515,7 @@ impl ArrivalModel for Mmpp {
                 flip < enter
             }
         };
-        sample_curve(seed, users, total_slots, fires, regime)
+        curve(seed, users, total_slots, fires, regime)
     }
 }
 
@@ -470,20 +545,20 @@ impl FlashCrowd {
 }
 
 impl ArrivalModel for FlashCrowd {
-    fn sample_fleet(
+    fn sampler(
         &self,
         seed: u64,
         users: Range<usize>,
         total_slots: u64,
         base_p: f64,
-    ) -> FleetArrivals {
+    ) -> Box<dyn ArrivalSampler> {
         let base = base_p.clamp(0.0, 1.0);
         let start = (total_slots as f64 * self.start_frac.clamp(0.0, 1.0)) as u64;
         let end = start.saturating_add((total_slots as f64 * self.width_frac.max(0.0)) as u64);
         let spiked = threshold((base * self.multiplier).clamp(0.0, 1.0));
         let base = threshold(base);
         let fires = move |slot, _| [base, spiked][usize::from((start..end).contains(&slot))];
-        sample_curve(seed, users, total_slots, fires, |_, calm| calm)
+        curve(seed, users, total_slots, fires, |_, calm| calm)
     }
 }
 
@@ -809,7 +884,7 @@ mod reference_bits {
             ]
         }
 
-        fn sampler(&self) -> Box<dyn ArrivalModel> {
+        fn model(&self) -> Box<dyn ArrivalModel> {
             match *self {
                 Model::Bernoulli => Box::new(Bernoulli),
                 Model::Diurnal(d) => Box::new(d),
@@ -835,7 +910,7 @@ mod reference_bits {
     fn presets_are_the_specs_models() {
         // `Model::all` starts with what `ArrivalSpec::model` hands out.
         for (spec, model) in ArrivalSpec::ALL.into_iter().zip(Model::all()) {
-            let (by_spec, by_model) = (spec.model(), model.sampler());
+            let (by_spec, by_model) = (spec.model(), model.model());
             let sample = |m: &dyn ArrivalModel| m.sample_fleet(5, 0..4, 2_000, 0.01);
             assert_eq!(sample(by_spec.as_ref()), sample(by_model.as_ref()));
         }
@@ -844,7 +919,7 @@ mod reference_bits {
     #[test]
     fn fleet_sampler_matches_the_float_loops_event_for_event() {
         for model in Model::all() {
-            let sampler = model.sampler();
+            let sampler = model.model();
             for seed in SEEDS {
                 for p in rates() {
                     // Odd sizes leave an unpaired last user; a fleet from an
@@ -872,7 +947,7 @@ mod reference_bits {
     #[test]
     fn sample_user_is_its_row_of_the_fleet() {
         for model in Model::all() {
-            let sampler = model.sampler();
+            let sampler = model.model();
             let fleet = sampler.sample_fleet(42, 0..9, 4_000, 0.01);
             for user in 0..9 {
                 let alone = sampler.sample_user(42, user, 4_000, 0.01);
@@ -945,24 +1020,85 @@ mod reference_bits {
         assert_eq!(nobody.transposed().transposed(), nobody);
     }
 
+    /// The user-major rows of `chunks` (keys from each chunk's start) laid
+    /// end to end, as events.
+    fn joined(chunks: &[(u64, FleetArrivals)], users: usize) -> Vec<Vec<ArrivalEvent>> {
+        (0..users)
+            .map(|user| {
+                let rows = chunks.iter().map(|(start, chunk)| {
+                    chunk.events(user).map(move |a| ArrivalEvent {
+                        slot: start + a.slot,
+                        app: a.app,
+                    })
+                });
+                rows.flatten().collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn runs_sampled_apart_concatenate_into_the_fleet() {
-        for spec in ArrivalSpec::ALL {
-            let model = spec.model();
+    fn a_horizon_sampled_in_chunks_is_the_horizon_sampled_at_once() {
+        for model in Model::all() {
+            let model = model.model();
             let whole = model.sample_fleet(7, 0..11, 3_000, 0.01);
-            for cuts in [vec![0, 11], vec![0, 4, 11], vec![0, 1, 1, 6, 11]] {
-                let runs = cuts
-                    .windows(2)
-                    .map(|w| model.sample_fleet(7, w[0]..w[1], 3_000, 0.01))
+            let whole: Vec<_> = (0..11).map(|user| row_events(&whole, user)).collect();
+            for ends in [
+                vec![3_000],
+                vec![1, 2, 9, 1_500, 2_999, 3_000],
+                vec![512, 5_000],
+            ] {
+                let mut sampler = model.sampler(7, 0..11, 3_000, 0.01);
+                let mut start = 0;
+                let chunks: Vec<_> = (ends.iter())
+                    .map(|&end| {
+                        let chunk = (start, sampler.sample_to(end));
+                        start = end.min(3_000);
+                        chunk
+                    })
                     .collect();
-                assert_eq!(FleetArrivals::concat(runs), whole, "{spec:?} {cuts:?}");
-            }
-            for user in 0..11 {
-                let keys = whole.keys(user);
-                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{spec:?} user {user}");
+                assert_eq!(joined(&chunks, 11), whole, "chunk ends {ends:?}");
+                // Past the horizon there is nothing left, in no slot.
+                assert_eq!(sampler.sample_to(u64::MAX).rows(), 11);
+                assert_eq!(sampler.sample_to(u64::MAX).total(), 0);
             }
         }
-        assert_eq!(FleetArrivals::concat(Vec::new()).rows(), 0);
+    }
+
+    #[test]
+    fn runs_transposed_apart_and_laid_side_by_side_are_the_fleet_transposed() {
+        for spec in ArrivalSpec::ALL {
+            let model = spec.model();
+            let whole = model.sample_fleet(7, 0..11, 3_000, 0.01).transposed();
+            for cuts in [vec![0, 11], vec![0, 4, 11], vec![0, 1, 1, 6, 11]] {
+                let runs: Vec<_> = (cuts.windows(2))
+                    .map(|w| model.sample_fleet(7, w[0]..w[1], 3_000, 0.01).transposed())
+                    .collect();
+                assert_eq!(FleetArrivals::beside(runs), whole, "{spec:?} {cuts:?}");
+            }
+        }
+        assert_eq!(FleetArrivals::beside(Vec::new()).rows(), 0);
+    }
+
+    /// ROADMAP item 6's horizon-prefix relation, at the arrival layer: a
+    /// user's draws do not depend on the horizon, so the first `T` slots of a
+    /// `2T` horizon are the `T` horizon — except under a flash crowd, whose
+    /// window is a fraction of the horizon.
+    #[test]
+    fn a_horizon_is_the_prefix_of_a_longer_one_except_for_the_flash_crowd() {
+        let (users, short) = (9, 2_000);
+        for model in Model::all() {
+            let sample = |slots| model.model().sample_fleet(11, 0..users, slots, 0.01);
+            let (whole, half) = (sample(2 * short), sample(short));
+            let prefix = (0..users).all(|user| {
+                let head = whole.events(user).take_while(|a| a.slot < short);
+                head.eq(half.events(user))
+            });
+            assert_eq!(
+                prefix,
+                !matches!(model, Model::FlashCrowd(_)),
+                "{model:?}: horizon prefix"
+            );
+        }
     }
 
     #[test]

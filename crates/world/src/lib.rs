@@ -4,8 +4,10 @@
 //! process, immortal devices and uncompressed model uploads. This crate owns
 //! everything that varies *underneath* the scheduler in a real deployment:
 //!
-//! * [`arrival`] — the [`ArrivalModel`](arrival::ArrivalModel) trait with
-//!   seeded [`Bernoulli`](arrival::Bernoulli) (the paper's process,
+//! * [`arrival`] — the [`ArrivalModel`](arrival::ArrivalModel) trait, whose
+//!   resumable [`ArrivalSampler`](arrival::ArrivalSampler)s advance a run of
+//!   users a chunk of slots at a time, with seeded
+//!   [`Bernoulli`](arrival::Bernoulli) (the paper's process,
 //!   bit-identical to the engine's historical generator),
 //!   [`Diurnal`](arrival::Diurnal) (slot-of-day rate curve),
 //!   [`Mmpp`](arrival::Mmpp) (2-state Markov-modulated burst process) and
@@ -80,8 +82,8 @@ impl WorldConfig {
 /// The world's prelude: every spec type plus the model trait.
 pub mod prelude {
     pub use crate::arrival::{
-        ArrivalEvent, ArrivalModel, ArrivalSpec, Bernoulli, Diurnal, FlashCrowd, FleetArrivals,
-        Mmpp,
+        ArrivalEvent, ArrivalModel, ArrivalSampler, ArrivalSpec, Bernoulli, Diurnal, FlashCrowd,
+        FleetArrivals, Mmpp,
     };
     pub use crate::battery::{BatteryParams, BatterySpec};
     pub use crate::churn::ChurnSpec;
