@@ -211,7 +211,18 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # one-pair cosine path out). It bought 0.81x `wall_s` and -2 MiB on
 # `wide-sync`, and 0.67-0.77x / -14 MiB on `mega:users=250000` (EXPERIMENTS.md,
 # "Streamed arrivals").
-LOC_CEILING=18592
+# 18592 -> 18471 with one declaration per event kind (-121): fedco-telemetry
+# -105 — event.rs (the `event_kinds!` table generates the enum, `name()`,
+# `channel()`, the field visitor and the parser's per-kind construction; the
+# two hand-written 20-arm matches out), export.rs (the JSONL and CSV writers
+# drive the one visitor through `LineFields` / `CsvRow`, the parser calls
+# `EventKind::parse_fields`; the three per-kind matches and `Fields::{u64,
+# f64}` out; `Key` with its compile-time CSV column, `Value`, the
+# `FieldVisitor` / `WireField` traits and their five field-type impls in);
+# fedco-sim -16 (the engine's ten `if let Some(t) = &self.telemetry` record
+# blocks are one `emit`, and `begin_run`'s world/battery reset went with the
+# second `run`, which now returns the finished run's summary).
+LOC_CEILING=18471
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"

@@ -302,6 +302,9 @@ pub struct Simulation {
     world: Option<WorldRuntime>,
     /// Telemetry attachment (`None` when disabled — the zero-cost default).
     telemetry: Option<SimTelemetry>,
+    /// The scalars of the finished run, its series left out: what a second
+    /// [`Simulation::run`] returns, stepping and recording nothing.
+    finished: Option<SimResult>,
 }
 
 impl Simulation {
@@ -499,6 +502,7 @@ impl Simulation {
             completed: Vec::new(),
             world,
             telemetry: None,
+            finished: None,
         };
         // Hand the initial global model to every ML client.
         if let Some(ml) = sim.ml.as_mut() {
@@ -570,6 +574,15 @@ impl Simulation {
         self
     }
 
+    /// Records `kind` at `slot` when telemetry is attached. Inlined, so an
+    /// untraced run builds no event.
+    #[inline]
+    fn emit(&self, slot: u64, kind: EventKind) {
+        if let Some(t) = &self.telemetry {
+            t.sink.record(Event::new(slot, kind));
+        }
+    }
+
     /// Emits cumulative per-component energy totals at `slot`. Pending power
     /// spans are flushed first so the totals match what the scan reference
     /// reads — flush boundaries never change the repeated-addition sums, so
@@ -579,16 +592,14 @@ impl Simulation {
             return;
         }
         self.flush_all_pending();
-        if let Some(t) = &self.telemetry {
-            for (component, joules) in self.energy_by_component() {
-                t.sink.record(Event::new(
-                    slot,
-                    EventKind::Energy {
-                        component: component.label(),
-                        joules,
-                    },
-                ));
-            }
+        for (component, joules) in self.energy_by_component() {
+            self.emit(
+                slot,
+                EventKind::Energy {
+                    component: component.label(),
+                    joules,
+                },
+            );
         }
     }
 
@@ -775,16 +786,14 @@ impl Simulation {
                         .world
                         .compression
                         .upload_bytes(PAPER_MODEL_BYTES as u64);
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::CompressedUpload {
-                                user: user_id as u64,
-                                bytes: upload,
-                                ratio,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::CompressedUpload {
+                            user: user_id as u64,
+                            bytes: upload,
+                            ratio,
+                        },
+                    );
                     link.radio_energy(
                         link.compressed_exchange_time(PAPER_MODEL_BYTES, upload as usize),
                     )
@@ -880,41 +889,35 @@ impl Simulation {
                 let soc = b.stored_j[i] / b.capacity_j[i];
                 if !w.battery_dead[i] && soc <= b.params.die_soc {
                     w.battery_dead[i] = true;
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::BatteryDepleted {
-                                user: i as u64,
-                                soc,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::BatteryDepleted {
+                            user: i as u64,
+                            soc,
+                        },
+                    );
                 } else if w.battery_dead[i] && soc >= b.params.rejoin_soc {
                     w.battery_dead[i] = false;
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::Recharged {
-                                user: i as u64,
-                                soc,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::Recharged {
+                            user: i as u64,
+                            soc,
+                        },
+                    );
                 }
             }
             if let Some(intervals) = w.churn_intervals.as_ref() {
                 let offline = ChurnSpec::is_offline(&intervals[i], slot);
                 if offline != w.churned[i] {
                     w.churned[i] = offline;
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::UserChurned {
-                                user: i as u64,
-                                offline,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::UserChurned {
+                            user: i as u64,
+                            offline,
+                        },
+                    );
                 }
             }
             // Reconcile the phase with the world's verdict. Users parked at
@@ -945,6 +948,10 @@ impl Simulation {
     /// Runs the simulation to the end of the horizon and returns the result:
     /// the slot loop with its per-user phases driven from the event indices
     /// (see the module docs). Bit-identical to [`Simulation::run_dense`].
+    ///
+    /// A simulation runs once: calling this or [`Simulation::run_dense`]
+    /// again steps nothing, records no event and returns the first run's
+    /// result without its series (`trace`, `user_gaps`, `updates`).
     pub fn run(&mut self) -> SimResult {
         self.run_slots(true)
     }
@@ -959,6 +966,9 @@ impl Simulation {
 
     /// The slot loop: every slot of the horizon, one after the other.
     fn run_slots(&mut self, indexed: bool) -> SimResult {
+        if let Some(summary) = &self.finished {
+            return summary.clone();
+        }
         self.begin_run(indexed);
         let mut acc = RunAccum::default();
         while !self.clock.finished() {
@@ -973,9 +983,8 @@ impl Simulation {
         self.stats
     }
 
-    /// Resets the per-run driver state.
+    /// Sets up the driver state of the one run.
     fn begin_run(&mut self, indexed: bool) {
-        self.stats = EngineStats::default();
         self.indexed = indexed;
         self.policy_quiescent = self.policy.quiescent_while_waiting();
         if indexed {
@@ -984,28 +993,14 @@ impl Simulation {
             self.calendar = Calendar::new(self.config.total_slots);
             self.dirty = (0..self.users.len() as u32).collect();
         }
-        if let Some(w) = self.world.as_mut() {
-            w.last_check_slot = 0;
-            w.battery_dead.iter_mut().for_each(|d| *d = false);
-            w.churned.iter_mut().for_each(|c| *c = false);
-            if let Some(b) = w.battery.as_mut() {
-                for i in 0..b.stored_j.len() {
-                    b.stored_j[i] = b.capacity_j[i] * b.params.initial_soc;
-                    b.last_total_j[i] = 0.0;
-                }
-            }
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.idle_decisions = 0;
-            t.sink.record(Event::new(
-                0,
-                EventKind::run_start(
-                    self.config.num_users as u64,
-                    self.config.total_slots,
-                    self.config.policy.label(),
-                ),
-            ));
-        }
+        self.emit(
+            0,
+            EventKind::run_start(
+                self.config.num_users as u64,
+                self.config.total_slots,
+                self.config.policy.label(),
+            ),
+        );
     }
 
     /// Slot phase 2 for one waiting user: the policy's decision, its energy
@@ -1057,15 +1052,13 @@ impl Simulation {
                 self.users.gap_schedule(i, predicted);
                 tally.scheduled += 1;
                 self.policy.notify_scheduled(i);
-                if let Some(t) = &self.telemetry {
-                    t.sink.record(Event::new(
-                        slot,
-                        EventKind::Schedule {
-                            user: i as u64,
-                            corun: corunning,
-                        },
-                    ));
-                }
+                self.emit(
+                    slot,
+                    EventKind::Schedule {
+                        user: i as u64,
+                        corun: corunning,
+                    },
+                );
             }
             SlotDecision::Idle => {
                 // Still waiting at the end of this slot: the gap grows by
@@ -1197,14 +1190,12 @@ impl Simulation {
                 if self.policy.round_barrier() {
                     self.sync_buffer.push(update);
                     self.users.enter_barrier(user_id);
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::Barrier {
-                                depth: self.sync_buffer.len() as u64,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::Barrier {
+                            depth: self.sync_buffer.len() as u64,
+                        },
+                    );
                 } else {
                     // The per-update gap only feeds the UpdateEvent
                     // series; skip the O(params) distance in summary mode.
@@ -1222,16 +1213,14 @@ impl Simulation {
                     self.applied += 1;
                     // Recorded before the requeue, which may record the
                     // user's compressed upload.
-                    if let Some(t) = &self.telemetry {
-                        t.sink.record(Event::new(
-                            slot,
-                            EventKind::Merge {
-                                user: user_id as u64,
-                                lag: lag.value(),
-                                version: version.0,
-                            },
-                        ));
-                    }
+                    self.emit(
+                        slot,
+                        EventKind::Merge {
+                            user: user_id as u64,
+                            lag: lag.value(),
+                            version: version.0,
+                        },
+                    );
                     acc.total_lag += lag.value();
                     acc.max_lag = acc.max_lag.max(lag.value());
                     if self.config.collect_traces {
@@ -1279,15 +1268,13 @@ impl Simulation {
                     // fedco-audit: allow(panic-surface): round updates come from clients sharing the server's architecture
                     .expect("round updates match global model");
                 self.applied += 1;
-                if let Some(t) = &self.telemetry {
-                    t.sink.record(Event::new(
-                        slot,
-                        EventKind::Round {
-                            participants: buffer.len() as u64,
-                            version: version.0,
-                        },
-                    ));
-                }
+                self.emit(
+                    slot,
+                    EventKind::Round {
+                        participants: buffer.len() as u64,
+                        version: version.0,
+                    },
+                );
                 if self.config.collect_traces {
                     acc.updates.push(UpdateEvent {
                         t_s: now_s,
@@ -1416,38 +1403,37 @@ impl Simulation {
         // Close out the trace: the driver channel's one event (every slot
         // was stepped), then the final per-component totals and the run-end
         // marker at the horizon.
-        if let Some(t) = &self.telemetry {
-            let end = self.config.total_slots;
-            t.sink.record(Event::new(
+        let end = self.config.total_slots;
+        let idle_decisions = self.telemetry.as_ref().map_or(0, |t| t.idle_decisions);
+        self.emit(
+            end,
+            EventKind::DenseSpan {
+                slots: self.stats.dense_slots,
+                idle_decisions,
+            },
+        );
+        for &(component, joules) in &by_component {
+            self.emit(
                 end,
-                EventKind::DenseSpan {
-                    slots: self.stats.dense_slots,
-                    idle_decisions: t.idle_decisions,
+                EventKind::Energy {
+                    component: component.label(),
+                    joules,
                 },
-            ));
-            for (component, joules) in &by_component {
-                t.sink.record(Event::new(
-                    end,
-                    EventKind::Energy {
-                        component: component.label(),
-                        joules: *joules,
-                    },
-                ));
-            }
-            t.sink.record(Event::new(
-                end,
-                EventKind::RunEnd {
-                    updates: total_updates,
-                    energy_j: total_energy_j,
-                },
-            ));
+            );
         }
+        self.emit(
+            end,
+            EventKind::RunEnd {
+                updates: total_updates,
+                energy_j: total_energy_j,
+            },
+        );
         let final_accuracy = if self.ml.is_some() {
             self.evaluate_global()
         } else {
             None
         };
-        SimResult {
+        let summary = SimResult {
             policy: self.config.policy.clone(),
             total_energy_j,
             energy_by_component: by_component,
@@ -1464,9 +1450,16 @@ impl Simulation {
             final_virtual_queue: self.policy.virtual_backlog(),
             mean_queue: acc.queue_sum / total_slots,
             mean_virtual_queue: acc.vq_sum / total_slots,
+            trace: Vec::new(),
+            user_gaps: Vec::new(),
+            updates: Vec::new(),
+        };
+        self.finished = Some(summary.clone());
+        SimResult {
             trace: acc.trace,
             user_gaps: acc.user_gaps,
             updates: acc.updates,
+            ..summary
         }
     }
 }
@@ -1813,6 +1806,28 @@ mod tests {
             assert_eq!(ENERGY_COMPONENTS[component as usize], label);
         }
         assert_eq!(ENERGY_COMPONENTS.len(), EnergyComponent::ALL.len());
+    }
+
+    #[test]
+    fn a_finished_simulation_runs_no_further() {
+        let sink = BufferSink::shared();
+        let mut sim =
+            Simulation::new(small(PolicySpec::Online { v: None })).with_telemetry(sink.clone());
+        let first = sim.run();
+        assert!(first.corun_epochs > 0 && first.mean_queue > 0.0 && !first.trace.is_empty());
+        assert!(!sink.drain().is_empty());
+        let stats = sim.engine_stats();
+        let scalars = SimResult {
+            trace: Vec::new(),
+            user_gaps: Vec::new(),
+            updates: Vec::new(),
+            ..first
+        };
+        for again in [sim.run(), sim.run_dense()] {
+            assert_eq!(again, scalars);
+        }
+        assert!(sink.drain().is_empty(), "a finished run recorded events");
+        assert_eq!(sim.engine_stats(), stats);
     }
 
     #[test]

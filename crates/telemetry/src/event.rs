@@ -18,21 +18,38 @@
 //!   Byte-stable over the in-process transport, where the fleet driver
 //!   advances ticks in lock-step.
 //!
+//! # One table
+//!
+//! Each kind is declared once, as a row of the `event_kinds!` table below:
+//! its variant and docs, its wire name (the `"event"` field of a JSONL line),
+//! its channel, and its fields in JSON order with their types. The
+//! [`EventKind`] enum, [`EventKind::name`], [`EventKind::channel`], the JSONL
+//! and CSV writers and the parser of [`crate::export`] all come from it, so a
+//! new kind is one row here plus its arm in `metrics.rs`'s fold (what the
+//! event means, which no table can say). A new field key needs its column in
+//! [`EVENT_CSV_HEADER`](crate::export::EVENT_CSV_HEADER) too; the export
+//! tests fail until it has one.
+//!
 //! # Size
 //!
 //! A traced run holds every event in memory until it is written (a
 //! `srv-churn` pass: 275 450 of them), so an [`Event`] is held to 40 bytes:
 //! the slot and an [`EventKind`] whose largest payload is 24 bytes. The rule
-//! for a new or grown variant follows from it:
+//! for a new or grown row follows from it:
 //!
-//! * A label from a closed set is a `&'static str` out of that set's table
-//!   ([`ENERGY_COMPONENTS`], [`REFUSAL_REASONS`]): emitting it allocates
-//!   nothing, and the parser resolves a label it reads through the same
-//!   table, rejecting one it does not know.
+//! * A label from a closed set is a `&'static str` field that names its
+//!   table (`component in ENERGY_COMPONENTS: &'static str`): emitting it
+//!   allocates nothing, and the parser resolves a label it reads through the
+//!   same table ([`ENERGY_COMPONENTS`], [`REFUSAL_REASONS`]), rejecting one
+//!   it does not know.
 //! * A payload over 24 bytes goes behind one `Box`. That is affordable only
 //!   for an event a run emits a handful of times ([`EventKind::RunStart`],
 //!   [`EventKind::JobStart`] with their free-text labels), never for one it
-//!   emits per slot, user or request.
+//!   emits per slot, user or request. A boxed field is written and read as
+//!   its `WireField` implementation in `export.rs` says (`Box<JobLabels>` as
+//!   its two keys, `scenario` and `policy`).
+
+use crate::export::{FieldVisitor, Fields, Key, Value, WireField};
 
 /// The comparison channel an event belongs to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,11 +121,90 @@ pub struct JobLabels {
     pub policy: String,
 }
 
-/// The typed payload of an [`Event`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// Builds [`EventKind`] and everything that reads or writes its fields from
+/// the one table of kinds (see the module docs). A row is
+/// `Variant = "wire-name" on Channel { field: Type, .. }`; a closed-set label
+/// is `field in TABLE: &'static str`.
+macro_rules! event_kinds {
+    (@key $field:ident) => {{
+        const KEY: Key = Key::new(stringify!($field));
+        KEY
+    }};
+    (@visit $out:ident $field:ident) => {
+        WireField::visit($field, event_kinds!(@key $field), $out)
+    };
+    (@visit $out:ident $field:ident in $labels:ident) => {
+        $out.field(event_kinds!(@key $field), Value::Str($field))
+    };
+    (@read $fields:ident $field:ident $ty:ty) => {
+        <$ty as WireField>::read($fields, event_kinds!(@key $field))?
+    };
+    (@read $fields:ident $field:ident $ty:ty, $labels:ident) => {
+        $fields.label(stringify!($field), $labels)?
+    };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal on $channel:ident {
+            $($(#[$field_doc:meta])* $field:ident $(in $labels:ident)?: $ty:ty,)*
+        }
+    )*) => {
+        /// The typed payload of an [`Event`].
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        impl EventKind {
+            /// The stable wire name of the event kind (the `"event"` field of
+            /// the JSONL schema).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $name,)*
+                }
+            }
+
+            /// The comparison channel of the kind.
+            pub fn channel(&self) -> Channel {
+                match self {
+                    $(EventKind::$variant { .. } => Channel::$channel,)*
+                }
+            }
+
+            /// Hands every field of the kind to `out`, in JSON order, under
+            /// its wire key. Inlined into each writer's one call site, where
+            /// every key and value type becomes a constant of the line it
+            /// writes (the JSONL writer is the trace export's hot loop).
+            #[inline(always)]
+            pub(crate) fn visit_fields(&self, out: &mut impl FieldVisitor) {
+                match self {
+                    $(EventKind::$variant { $($field),* } => {
+                        $(event_kinds!(@visit out $field $(in $labels)?);)*
+                    })*
+                }
+            }
+
+            /// The kind whose wire name is `name`, its fields read from
+            /// `fields` in JSON order (the first missing or mistyped one is
+            /// the error).
+            pub(crate) fn parse_fields(name: &str, fields: &Fields<'_>) -> Result<Self, String> {
+                Ok(match name {
+                    $($name => EventKind::$variant {
+                        $($field: event_kinds!(@read fields $field $ty $(, $labels)?),)*
+                    },)*
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
+            }
+        }
+
+        /// Every wire name of the table, in table order.
+        #[cfg(test)]
+        pub(crate) const KIND_NAMES: &[&str] = &[$($name),*];
+    };
+}
+
+event_kinds! {
     /// A run began (semantic).
-    RunStart {
+    RunStart = "run-start" on Semantic {
         /// Number of simulated users.
         users: u64,
         /// Horizon length in slots.
@@ -118,150 +214,150 @@ pub enum EventKind {
         ///
         /// [`PolicySpec::label`]: https://docs.rs/fedco-core
         policy: Box<String>,
-    },
+    }
     /// A policy `decide()` returned `Schedule` for a waiting user
     /// (semantic). Idle outcomes are counted per dense span instead — they
     /// repeat every slot a user waits, so they belong to the driver channel.
-    Schedule {
+    Schedule = "schedule" on Semantic {
         /// The user that starts training this slot.
         user: u64,
         /// Whether the epoch co-runs with a foreground application.
         corun: bool,
-    },
+    }
     /// Cumulative energy of one [`EnergyComponent`] across all users,
     /// sampled at a telemetry sampling slot (semantic).
     ///
     /// [`EnergyComponent`]: https://docs.rs/fedco-device
-    Energy {
+    Energy = "energy" on Semantic {
         /// The component label, one of [`ENERGY_COMPONENTS`].
-        component: &'static str,
+        component in ENERGY_COMPONENTS: &'static str,
         /// Cumulative joules accrued into the component so far.
         joules: f64,
-    },
+    }
     /// The parameter server applied one asynchronous update (semantic).
-    Merge {
+    Merge = "merge" on Semantic {
         /// The uploading user.
         user: u64,
         /// Model staleness (lag) of the update at merge time.
         lag: u64,
         /// The global model version after the merge.
         version: u64,
-    },
+    }
     /// The parameter server applied one synchronous aggregation round
     /// (semantic).
-    Round {
+    Round = "round" on Semantic {
         /// Number of participating updates.
         participants: u64,
         /// The global model version after the round.
         version: u64,
-    },
+    }
     /// A user entered the synchronous round barrier (semantic).
-    Barrier {
+    Barrier = "barrier" on Semantic {
         /// Depth of the server's sync buffer after the arrival.
         depth: u64,
-    },
+    }
     /// A run finished (semantic).
-    RunEnd {
+    RunEnd = "run-end" on Semantic {
         /// Total updates applied to the global model.
         updates: u64,
         /// Total device energy of the run, in joules.
         energy_j: f64,
-    },
+    }
     /// A contiguous stretch of stepped slots ended (driver). The engine
     /// emits one per run, covering the horizon.
-    DenseSpan {
+    DenseSpan = "dense-span" on Driver {
         /// Dense slots in the stretch.
         slots: u64,
         /// Idle `decide()` outcomes inside the stretch.
         idle_decisions: u64,
-    },
+    }
     /// A fleet job's event stream begins (fleet).
-    JobStart {
+    JobStart = "job-start" on Fleet {
         /// Linear job index in grid order.
         job: u64,
         /// The scenario and policy labels of the cell.
         labels: Box<JobLabels>,
-    },
+    }
     /// A fleet job's event stream ends (fleet).
-    JobEnd {
+    JobEnd = "job-end" on Fleet {
         /// Linear job index in grid order.
         job: u64,
-    },
+    }
     /// The service admitted a client and opened a session (server).
-    JoinAccepted {
+    JoinAccepted = "join-accepted" on Server {
         /// The session id handed to the client.
         session: u64,
         /// The client's self-declared id.
         client: u64,
-    },
+    }
     /// The service refused a client's join (server).
-    JoinRejected {
+    JoinRejected = "join-rejected" on Server {
         /// The client's self-declared id.
         client: u64,
         /// The refusal label, one of [`REFUSAL_REASONS`].
-        reason: &'static str,
-    },
+        reason in REFUSAL_REASONS: &'static str,
+    }
     /// A session missed its heartbeat deadline and was evicted (server).
-    SessionExpired {
+    SessionExpired = "session-expired" on Server {
         /// The expired session.
         session: u64,
-    },
+    }
     /// The service drained one queued update into the global model (server).
-    PushApplied {
+    PushApplied = "push-applied" on Server {
         /// The pushing session.
         session: u64,
         /// Model staleness (lag) of the update at apply time.
         lag: u64,
         /// The global model version after the apply.
         version: u64,
-    },
+    }
     /// The service refused a pushed update (server).
-    PushRefused {
+    PushRefused = "push-refused" on Server {
         /// The pushing session (0 when the session is unknown).
         session: u64,
         /// The refusal label, one of [`REFUSAL_REASONS`].
-        reason: &'static str,
-    },
+        reason in REFUSAL_REASONS: &'static str,
+    }
     /// The service applied a synchronous aggregation round (server).
-    RoundAdvance {
+    RoundAdvance = "round-advance" on Server {
         /// The global model version after the round.
         version: u64,
         /// Number of participating updates.
         participants: u64,
-    },
+    }
     /// A user's battery drained to the death threshold and the device went
     /// dark (semantic).
-    BatteryDepleted {
+    BatteryDepleted = "battery-depleted" on Semantic {
         /// The user whose device died.
         user: u64,
         /// State of charge at death, in `[0, 1]`.
         soc: f64,
-    },
+    }
     /// A dead user's battery recharged past the rejoin threshold and the
     /// device came back online (semantic).
-    Recharged {
+    Recharged = "recharged" on Semantic {
         /// The user whose device rejoined.
         user: u64,
         /// State of charge at rejoin, in `[0, 1]`.
         soc: f64,
-    },
+    }
     /// A user's world churn state flipped (semantic).
-    UserChurned {
+    UserChurned = "user-churned" on Semantic {
         /// The user that churned.
         user: u64,
         /// `true` when the user dropped out, `false` when it rejoined.
         offline: bool,
-    },
+    }
     /// A model update was uploaded through the compressed uplink
     /// (semantic).
-    CompressedUpload {
+    CompressedUpload = "compressed-upload" on Semantic {
         /// The uploading user.
         user: u64,
         /// Bytes actually sent over the air.
         bytes: u64,
         /// The compression ratio applied.
         ratio: f64,
-    },
+    }
 }
 
 impl EventKind {
@@ -279,48 +375,6 @@ impl EventKind {
         EventKind::JobStart {
             job,
             labels: Box::new(JobLabels { scenario, policy }),
-        }
-    }
-
-    /// The stable wire name of the event kind (the `"event"` field of the
-    /// JSONL schema).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::RunStart { .. } => "run-start",
-            EventKind::Schedule { .. } => "schedule",
-            EventKind::Energy { .. } => "energy",
-            EventKind::Merge { .. } => "merge",
-            EventKind::Round { .. } => "round",
-            EventKind::Barrier { .. } => "barrier",
-            EventKind::RunEnd { .. } => "run-end",
-            EventKind::DenseSpan { .. } => "dense-span",
-            EventKind::JobStart { .. } => "job-start",
-            EventKind::JobEnd { .. } => "job-end",
-            EventKind::JoinAccepted { .. } => "join-accepted",
-            EventKind::JoinRejected { .. } => "join-rejected",
-            EventKind::SessionExpired { .. } => "session-expired",
-            EventKind::PushApplied { .. } => "push-applied",
-            EventKind::PushRefused { .. } => "push-refused",
-            EventKind::RoundAdvance { .. } => "round-advance",
-            EventKind::BatteryDepleted { .. } => "battery-depleted",
-            EventKind::Recharged { .. } => "recharged",
-            EventKind::UserChurned { .. } => "user-churned",
-            EventKind::CompressedUpload { .. } => "compressed-upload",
-        }
-    }
-
-    /// The comparison channel of the kind.
-    pub fn channel(&self) -> Channel {
-        match self {
-            EventKind::DenseSpan { .. } => Channel::Driver,
-            EventKind::JobStart { .. } | EventKind::JobEnd { .. } => Channel::Fleet,
-            EventKind::JoinAccepted { .. }
-            | EventKind::JoinRejected { .. }
-            | EventKind::SessionExpired { .. }
-            | EventKind::PushApplied { .. }
-            | EventKind::PushRefused { .. }
-            | EventKind::RoundAdvance { .. } => Channel::Server,
-            _ => Channel::Semantic,
         }
     }
 }

@@ -6,9 +6,10 @@
 //! is **byte-identical** — the schema round-trip test pins this down, and
 //! trace diffs can safely compare serialized lines.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
-use crate::event::{resolve_label, Event, EventKind, ENERGY_COMPONENTS, REFUSAL_REASONS};
+use crate::event::{resolve_label, Event, EventKind, JobLabels};
 
 /// Appends `field` to `out`, escaped as [`csv_escape`] does.
 fn push_csv_escaped(out: &mut String, field: &str) {
@@ -78,43 +79,142 @@ fn push_u64(out: &mut String, mut value: u64) {
     }
 }
 
+/// A field's wire key and its column of [`EVENT_CSV_HEADER`].
+pub(crate) struct Key {
+    name: &'static str,
+    column: usize,
+}
+
+impl Key {
+    /// The key `name` at its column of [`EVENT_CSV_HEADER`], or at
+    /// [`CSV_COLUMNS`] when the header has none (the name of a field written
+    /// under keys of its own, like `labels`). Evaluated into a `const`.
+    pub(crate) const fn new(name: &'static str) -> Key {
+        let (header, wanted) = (EVENT_CSV_HEADER.as_bytes(), name.as_bytes());
+        let (mut at, mut column) = (0, 0);
+        while at < header.len() {
+            let mut len = 0;
+            while at + len < header.len() && header[at + len] != b',' {
+                len += 1;
+            }
+            let mut same = len == wanted.len();
+            let mut i = 0;
+            while same && i < len {
+                same = header[at + i] == wanted[i];
+                i += 1;
+            }
+            if same {
+                return Key { name, column };
+            }
+            at += len + 1;
+            column += 1;
+        }
+        Key { name, column }
+    }
+}
+
+/// One field's value, as the writers see it.
+pub(crate) enum Value<'a> {
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+impl Value<'_> {
+    /// Appends the value as every writer spells it: an integer without
+    /// `core::fmt`, a float in Rust's shortest round-trip `Display`, and a
+    /// string through `push_str`, the format's own escaping.
+    #[inline(always)]
+    fn push_to(self, out: &mut String, push_str: impl FnOnce(&mut String, &str)) {
+        match self {
+            Value::U64(value) => push_u64(out, value),
+            Value::F64(value) => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{value}");
+            }
+            Value::Bool(value) => out.push_str(if value { "true" } else { "false" }),
+            Value::Str(value) => push_str(out, value),
+        }
+    }
+}
+
+/// Where [`EventKind::visit_fields`] hands an event's fields, in JSON order:
+/// the JSONL and the CSV writer.
+pub(crate) trait FieldVisitor {
+    fn field(&mut self, key: Key, value: Value<'_>);
+}
+
+/// How a field type of the event table is written and read: the type of
+/// every field but a closed-set label, which the table resolves itself.
+pub(crate) trait WireField: Sized {
+    fn visit(&self, key: Key, out: &mut impl FieldVisitor);
+    fn read(fields: &Fields<'_>, key: Key) -> Result<Self, String>;
+}
+
+/// The scalar field types: each one [`Value`] variant and one reader.
+macro_rules! scalar_fields {
+    ($($ty:ty => $variant:ident, $read:ident;)*) => {$(
+        impl WireField for $ty {
+            fn visit(&self, key: Key, out: &mut impl FieldVisitor) {
+                out.field(key, Value::$variant(*self));
+            }
+            fn read(fields: &Fields<'_>, key: Key) -> Result<Self, String> {
+                fields.$read(key.name)
+            }
+        }
+    )*};
+}
+
+scalar_fields! {
+    u64 => U64, number;
+    f64 => F64, number;
+    bool => Bool, bool;
+}
+
+impl WireField for Box<String> {
+    fn visit(&self, key: Key, out: &mut impl FieldVisitor) {
+        out.field(key, Value::Str(self));
+    }
+    fn read(fields: &Fields<'_>, key: Key) -> Result<Self, String> {
+        Ok(Box::new(fields.str(key.name)?.to_string()))
+    }
+}
+
+const SCENARIO: Key = Key::new("scenario");
+const POLICY: Key = Key::new("policy");
+
+/// Two keys of its own, `scenario` and `policy`, whatever the field's name.
+impl WireField for Box<JobLabels> {
+    fn visit(&self, _: Key, out: &mut impl FieldVisitor) {
+        out.field(SCENARIO, Value::Str(&self.scenario));
+        out.field(POLICY, Value::Str(&self.policy));
+    }
+    fn read(fields: &Fields<'_>, _: Key) -> Result<Self, String> {
+        Ok(Box::new(JobLabels {
+            scenario: fields.str(SCENARIO.name)?.to_string(),
+            policy: fields.str(POLICY.name)?.to_string(),
+        }))
+    }
+}
+
 /// The fields of one event line, appended to the caller's buffer as
-/// `,"key":value` in call order.
+/// `,"key":value` in visiting order.
 struct LineFields<'a>(&'a mut String);
 
-impl LineFields<'_> {
-    fn key(&mut self, key: &str) {
+impl FieldVisitor for LineFields<'_> {
+    // Inlined into each field of `visit_fields`, where key and variant are
+    // constants.
+    #[inline(always)]
+    fn field(&mut self, key: Key, value: Value<'_>) {
         self.0.push_str(",\"");
-        self.0.push_str(key);
+        self.0.push_str(key.name);
         self.0.push_str("\":");
-    }
-
-    fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        push_u64(self.0, value);
-        self
-    }
-
-    /// Rust's shortest round-trip `Display`, like every number of the schema.
-    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        // Writing into a `String` cannot fail.
-        let _ = write!(self.0, "{value}");
-        self
-    }
-
-    fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.0.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        self.0.push('"');
-        push_json_escaped(self.0, value);
-        self.0.push('"');
-        self
+        value.push_to(self.0, |out, value| {
+            out.push('"');
+            push_json_escaped(out, value);
+            out.push('"');
+        });
     }
 }
 
@@ -127,80 +227,7 @@ pub fn write_event_line(out: &mut String, event: &Event) {
     out.push_str(",\"event\":\"");
     out.push_str(event.kind.name());
     out.push('"');
-    let mut line = LineFields(out);
-    match &event.kind {
-        EventKind::RunStart {
-            users,
-            slots,
-            policy,
-        } => line
-            .u64("users", *users)
-            .u64("slots", *slots)
-            .str("policy", policy),
-        EventKind::Schedule { user, corun } => line.u64("user", *user).bool("corun", *corun),
-        EventKind::Energy { component, joules } => {
-            line.str("component", component).f64("joules", *joules)
-        }
-        EventKind::Merge { user, lag, version } => line
-            .u64("user", *user)
-            .u64("lag", *lag)
-            .u64("version", *version),
-        EventKind::Round {
-            participants,
-            version,
-        } => line
-            .u64("participants", *participants)
-            .u64("version", *version),
-        EventKind::Barrier { depth } => line.u64("depth", *depth),
-        EventKind::RunEnd { updates, energy_j } => {
-            line.u64("updates", *updates).f64("energy_j", *energy_j)
-        }
-        EventKind::DenseSpan {
-            slots,
-            idle_decisions,
-        } => line
-            .u64("slots", *slots)
-            .u64("idle_decisions", *idle_decisions),
-        EventKind::JobStart { job, labels } => line
-            .u64("job", *job)
-            .str("scenario", &labels.scenario)
-            .str("policy", &labels.policy),
-        EventKind::JobEnd { job } => line.u64("job", *job),
-        EventKind::JoinAccepted { session, client } => {
-            line.u64("session", *session).u64("client", *client)
-        }
-        EventKind::JoinRejected { client, reason } => {
-            line.u64("client", *client).str("reason", reason)
-        }
-        EventKind::SessionExpired { session } => line.u64("session", *session),
-        EventKind::PushApplied {
-            session,
-            lag,
-            version,
-        } => line
-            .u64("session", *session)
-            .u64("lag", *lag)
-            .u64("version", *version),
-        EventKind::PushRefused { session, reason } => {
-            line.u64("session", *session).str("reason", reason)
-        }
-        EventKind::RoundAdvance {
-            version,
-            participants,
-        } => line
-            .u64("version", *version)
-            .u64("participants", *participants),
-        EventKind::BatteryDepleted { user, soc } | EventKind::Recharged { user, soc } => {
-            line.u64("user", *user).f64("soc", *soc)
-        }
-        EventKind::UserChurned { user, offline } => {
-            line.u64("user", *user).bool("offline", *offline)
-        }
-        EventKind::CompressedUpload { user, bytes, ratio } => line
-            .u64("user", *user)
-            .u64("bytes", *bytes)
-            .f64("ratio", *ratio),
-    };
+    event.kind.visit_fields(&mut LineFields(out));
     out.push('}');
 }
 
@@ -232,106 +259,63 @@ session,client,reason,soc,offline,bytes,ratio";
 /// The columns of [`EVENT_CSV_HEADER`].
 const CSV_COLUMNS: usize = 25;
 
-/// One row of [`events_to_csv`], written straight into the output: a field
-/// goes to its column of [`EVENT_CSV_HEADER`] (columns in increasing order),
-/// and the commas of the blank columns before it are written on the way.
-struct CsvRow<'a> {
-    out: &'a mut String,
-    column: usize,
+/// One row of [`events_to_csv`]: each field rendered into `text` as it is
+/// visited, with its key's column of [`EVENT_CSV_HEADER`] and its span (a
+/// kind visits its fields in JSON order, not column order).
+struct CsvRow {
+    text: String,
+    cells: Vec<(usize, usize, usize)>,
 }
 
-impl CsvRow<'_> {
-    /// The output, moved on to `column`.
-    fn at(&mut self, column: usize) -> &mut String {
-        while self.column < column {
-            self.out.push(',');
-            self.column += 1;
+impl FieldVisitor for CsvRow {
+    #[inline(always)]
+    fn field(&mut self, key: Key, value: Value<'_>) {
+        let start = self.text.len();
+        value.push_to(&mut self.text, push_csv_escaped);
+        self.cells.push((key.column, start, self.text.len()));
+    }
+}
+
+impl CsvRow {
+    /// Appends the row to `out`, its cells in column order with the commas
+    /// of the blank columns between them, and starts the next. Every key a
+    /// field is written under has a column (`every_key_has_a_csv_column`).
+    fn write_to(&mut self, out: &mut String) {
+        self.cells.sort_unstable();
+        let mut at = 0;
+        for &(column, start, end) in &self.cells {
+            while at < column {
+                out.push(',');
+                at += 1;
+            }
+            out.push_str(&self.text[start..end]);
         }
-        self.out
-    }
-
-    fn u64(&mut self, column: usize, value: u64) -> &mut Self {
-        push_u64(self.at(column), value);
-        self
-    }
-
-    fn f64(&mut self, column: usize, value: f64) -> &mut Self {
-        // Writing into a `String` cannot fail.
-        let _ = write!(self.at(column), "{value}");
-        self
-    }
-
-    fn bool(&mut self, column: usize, value: bool) -> &mut Self {
-        self.at(column)
-            .push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn str(&mut self, column: usize, value: &str) -> &mut Self {
-        push_csv_escaped(self.at(column), value);
-        self
+        while at < CSV_COLUMNS - 1 {
+            out.push(',');
+            at += 1;
+        }
+        out.push('\n');
+        self.text.clear();
+        self.cells.clear();
     }
 }
 
 /// A whole trace as CSV (wide layout: one column per possible field).
 pub fn events_to_csv(events: &[Event]) -> String {
+    const SLOT: Key = Key::new("slot");
+    const EVENT: Key = Key::new("event");
     let mut out = String::with_capacity((events.len() + 1) * 48);
     out.push_str(EVENT_CSV_HEADER);
     out.push('\n');
+    let mut row = CsvRow {
+        text: String::new(),
+        cells: Vec::new(),
+    };
     for event in events {
-        let mut row = CsvRow {
-            out: &mut out,
-            column: 0,
-        };
-        row.u64(0, event.slot).str(1, event.kind.name());
-        match &event.kind {
-            EventKind::RunStart {
-                users,
-                slots,
-                policy,
-            } => row.u64(12, *slots).u64(15, *users).str(17, policy),
-            EventKind::Schedule { user, corun } => row.u64(2, *user).bool(3, *corun),
-            EventKind::Energy { component, joules } => row.str(4, component).f64(5, *joules),
-            EventKind::Merge { user, lag, version } => {
-                row.u64(2, *user).u64(6, *lag).u64(7, *version)
-            }
-            EventKind::Round {
-                participants,
-                version,
-            }
-            | EventKind::RoundAdvance {
-                version,
-                participants,
-            } => row.u64(7, *version).u64(8, *participants),
-            EventKind::Barrier { depth } => row.u64(9, *depth),
-            EventKind::RunEnd { updates, energy_j } => row.u64(10, *updates).f64(11, *energy_j),
-            EventKind::DenseSpan {
-                slots,
-                idle_decisions,
-            } => row.u64(12, *slots).u64(13, *idle_decisions),
-            EventKind::JobStart { job, labels } => row
-                .u64(14, *job)
-                .str(16, &labels.scenario)
-                .str(17, &labels.policy),
-            EventKind::JobEnd { job } => row.u64(14, *job),
-            EventKind::JoinAccepted { session, client } => row.u64(18, *session).u64(19, *client),
-            EventKind::JoinRejected { client, reason } => row.u64(19, *client).str(20, reason),
-            EventKind::SessionExpired { session } => row.u64(18, *session),
-            EventKind::PushApplied {
-                session,
-                lag,
-                version,
-            } => row.u64(6, *lag).u64(7, *version).u64(18, *session),
-            EventKind::PushRefused { session, reason } => row.u64(18, *session).str(20, reason),
-            EventKind::BatteryDepleted { user, soc } | EventKind::Recharged { user, soc } => {
-                row.u64(2, *user).f64(21, *soc)
-            }
-            EventKind::UserChurned { user, offline } => row.u64(2, *user).bool(22, *offline),
-            EventKind::CompressedUpload { user, bytes, ratio } => {
-                row.u64(2, *user).u64(23, *bytes).f64(24, *ratio)
-            }
-        };
-        row.at(CSV_COLUMNS - 1).push('\n');
+        row.field(SLOT, Value::U64(event.slot));
+        row.field(EVENT, Value::Str(event.kind.name()));
+        event.kind.visit_fields(&mut row);
+        row.write_to(&mut out);
     }
     out
 }
@@ -501,7 +485,7 @@ fn parse_string(
 }
 
 /// Typed access to the key/value pairs of one parsed object line.
-struct Fields<'a> {
+pub(crate) struct Fields<'a> {
     pairs: &'a [(String, JsonValue)],
 }
 
@@ -518,7 +502,12 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| format!("missing field `{key}`"))
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
+    /// A number field, parsed into the exact target type (`u64` stays
+    /// exact, `f64` round-trips its bits).
+    pub(crate) fn number<T: FromStr>(&self, key: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
         match self.get(key)? {
             JsonValue::Num(raw) => raw
                 .parse()
@@ -527,16 +516,7 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            JsonValue::Num(raw) => raw
-                .parse()
-                .map_err(|e| format!("field `{key}`: {e} (`{raw}`)")),
-            _ => Err(format!("field `{key}` is not a number")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&'a str, String> {
+    pub(crate) fn str(&self, key: &str) -> Result<&'a str, String> {
         match self.get(key)? {
             JsonValue::Str(s) => Ok(s),
             _ => Err(format!("field `{key}` is not a string")),
@@ -544,12 +524,12 @@ impl<'a> Fields<'a> {
     }
 
     /// A string field that must be one of `table`'s labels.
-    fn label(&self, key: &str, table: &[&'static str]) -> Result<&'static str, String> {
+    pub(crate) fn label(&self, key: &str, table: &[&'static str]) -> Result<&'static str, String> {
         let value = self.str(key)?;
         resolve_label(table, value).ok_or_else(|| format!("field `{key}`: unknown label `{value}`"))
     }
 
-    fn bool(&self, key: &str) -> Result<bool, String> {
+    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
         match self.get(key)? {
             JsonValue::Bool(b) => Ok(*b),
             _ => Err(format!("field `{key}` is not a boolean")),
@@ -561,92 +541,8 @@ impl<'a> Fields<'a> {
 pub fn parse_event_line(line: &str) -> Result<Event, String> {
     let pairs = parse_object(line)?;
     let fields = Fields::new(&pairs);
-    let slot = fields.u64("slot")?;
-    let kind = match fields.str("event")? {
-        "run-start" => EventKind::run_start(
-            fields.u64("users")?,
-            fields.u64("slots")?,
-            fields.str("policy")?.to_string(),
-        ),
-        "schedule" => EventKind::Schedule {
-            user: fields.u64("user")?,
-            corun: fields.bool("corun")?,
-        },
-        "energy" => EventKind::Energy {
-            component: fields.label("component", ENERGY_COMPONENTS)?,
-            joules: fields.f64("joules")?,
-        },
-        "merge" => EventKind::Merge {
-            user: fields.u64("user")?,
-            lag: fields.u64("lag")?,
-            version: fields.u64("version")?,
-        },
-        "round" => EventKind::Round {
-            participants: fields.u64("participants")?,
-            version: fields.u64("version")?,
-        },
-        "barrier" => EventKind::Barrier {
-            depth: fields.u64("depth")?,
-        },
-        "run-end" => EventKind::RunEnd {
-            updates: fields.u64("updates")?,
-            energy_j: fields.f64("energy_j")?,
-        },
-        "dense-span" => EventKind::DenseSpan {
-            slots: fields.u64("slots")?,
-            idle_decisions: fields.u64("idle_decisions")?,
-        },
-        "job-start" => EventKind::job_start(
-            fields.u64("job")?,
-            fields.str("scenario")?.to_string(),
-            fields.str("policy")?.to_string(),
-        ),
-        "job-end" => EventKind::JobEnd {
-            job: fields.u64("job")?,
-        },
-        "join-accepted" => EventKind::JoinAccepted {
-            session: fields.u64("session")?,
-            client: fields.u64("client")?,
-        },
-        "join-rejected" => EventKind::JoinRejected {
-            client: fields.u64("client")?,
-            reason: fields.label("reason", REFUSAL_REASONS)?,
-        },
-        "session-expired" => EventKind::SessionExpired {
-            session: fields.u64("session")?,
-        },
-        "push-applied" => EventKind::PushApplied {
-            session: fields.u64("session")?,
-            lag: fields.u64("lag")?,
-            version: fields.u64("version")?,
-        },
-        "push-refused" => EventKind::PushRefused {
-            session: fields.u64("session")?,
-            reason: fields.label("reason", REFUSAL_REASONS)?,
-        },
-        "round-advance" => EventKind::RoundAdvance {
-            version: fields.u64("version")?,
-            participants: fields.u64("participants")?,
-        },
-        "battery-depleted" => EventKind::BatteryDepleted {
-            user: fields.u64("user")?,
-            soc: fields.f64("soc")?,
-        },
-        "recharged" => EventKind::Recharged {
-            user: fields.u64("user")?,
-            soc: fields.f64("soc")?,
-        },
-        "user-churned" => EventKind::UserChurned {
-            user: fields.u64("user")?,
-            offline: fields.bool("offline")?,
-        },
-        "compressed-upload" => EventKind::CompressedUpload {
-            user: fields.u64("user")?,
-            bytes: fields.u64("bytes")?,
-            ratio: fields.f64("ratio")?,
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
+    let slot = fields.number("slot")?;
+    let kind = EventKind::parse_fields(fields.str("event")?, &fields)?;
     Ok(Event { slot, kind })
 }
 
@@ -667,6 +563,7 @@ pub fn parse_events_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::event::{ENERGY_COMPONENTS, KIND_NAMES, REFUSAL_REASONS};
 
     pub(crate) fn one_of_each() -> Vec<Event> {
         vec![
@@ -1226,5 +1123,75 @@ pub(crate) mod tests {
         assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn one_of_each_holds_every_kind_of_the_table() {
+        let mut names: Vec<&str> = one_of_each().iter().map(|e| e.kind.name()).collect();
+        names.sort_unstable();
+        let mut table = KIND_NAMES.to_vec();
+        table.sort_unstable();
+        assert_eq!(names, table);
+    }
+
+    /// The keys [`EventKind::visit_fields`] hands out.
+    struct Keys(Vec<Key>);
+
+    impl FieldVisitor for Keys {
+        fn field(&mut self, key: Key, _: Value<'_>) {
+            self.0.push(key);
+        }
+    }
+
+    #[test]
+    fn every_key_has_a_csv_column() {
+        let columns: Vec<&str> = EVENT_CSV_HEADER.split(',').collect();
+        assert_eq!(columns.len(), CSV_COLUMNS);
+        for event in one_of_each() {
+            let mut keys = Keys(Vec::new());
+            event.kind.visit_fields(&mut keys);
+            assert!(!keys.0.is_empty(), "{}", event.kind.name());
+            for key in keys.0 {
+                let column = columns.get(key.column);
+                assert_eq!(column, Some(&key.name), "{}", event.kind.name());
+            }
+        }
+    }
+
+    /// A line of `pairs`, written back as the exporters would.
+    fn object_line(pairs: &[(String, JsonValue)]) -> String {
+        let fields: Vec<String> = pairs
+            .iter()
+            .map(|(key, value)| match value {
+                JsonValue::Str(s) => format!("\"{key}\":\"{}\"", json_escape(s)),
+                JsonValue::Num(raw) => format!("\"{key}\":{raw}"),
+                JsonValue::Bool(b) => format!("\"{key}\":{b}"),
+            })
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+
+    #[test]
+    fn a_missing_or_mistyped_field_is_a_parse_error_naming_it() {
+        for event in one_of_each() {
+            let line = event_line(&event);
+            let pairs = parse_object(&line).expect("an exported line is an object");
+            assert_eq!(object_line(&pairs), line);
+            for (at, (key, value)) in pairs.iter().enumerate() {
+                let mut missing = pairs.clone();
+                missing.remove(at);
+                let message = parse_event_line(&object_line(&missing)).expect_err(key);
+                assert!(message.contains(&format!("`{key}`")), "{line}: {message}");
+
+                let wrong = match value {
+                    JsonValue::Str(_) => JsonValue::Num("7".to_string()),
+                    JsonValue::Num(_) | JsonValue::Bool(_) => JsonValue::Str("7".to_string()),
+                };
+                let mut mistyped = pairs.clone();
+                mistyped[at].1 = wrong;
+                let message = parse_event_line(&object_line(&mistyped)).expect_err(key);
+                assert!(message.contains(&format!("`{key}`")), "{line}: {message}");
+            }
+        }
     }
 }
