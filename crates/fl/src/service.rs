@@ -8,6 +8,13 @@
 //! against the trait and a scenario can be replayed against a live service
 //! bit-for-bit. The service only stores and merges; what a run records about
 //! its merges and rounds, and how many it made, is the engine's.
+//!
+//! The engine reads the model once per version: it keeps one copy, which it
+//! refreshes through [`ModelService::download_into`] only after it has
+//! applied an update or a round since the last refresh. That holds because
+//! the engine is its service's only writer — nothing else moves the version
+//! under it — and a service swapped in through `with_model_service` starts
+//! without a held copy.
 
 use fedco_neural::tensor::TensorError;
 
@@ -55,6 +62,12 @@ pub trait ModelService: Send + Sync + std::fmt::Debug {
     /// Downloads the current global model.
     fn download(&self) -> ModelSnapshot;
 
+    /// Downloads the current global model into `into`. Override it to reuse
+    /// the buffer `into` holds.
+    fn download_into(&self, into: &mut ModelSnapshot) {
+        *into = self.download();
+    }
+
     /// The L2 norm of the server-side momentum vector (Eq. 1).
     fn momentum_norm(&self) -> f32;
 
@@ -79,6 +92,10 @@ pub trait ModelService: Send + Sync + std::fmt::Debug {
 impl ModelService for ParameterServer {
     fn download(&self) -> ModelSnapshot {
         ParameterServer::download(self)
+    }
+
+    fn download_into(&self, into: &mut ModelSnapshot) {
+        ParameterServer::download_into(self, into)
     }
 
     fn momentum_norm(&self) -> f32 {
@@ -123,6 +140,9 @@ mod tests {
         let applied_boxed = boxed.apply_async(&update).unwrap();
         assert_eq!(applied_direct, applied_boxed);
         assert_eq!(direct.download(), boxed.download());
+        let mut held = ModelSnapshot::new(ParamVector::zeros(0), ModelVersion::INITIAL);
+        boxed.download_into(&mut held);
+        assert_eq!(held, direct.download());
         assert_eq!(direct.momentum_norm(), boxed.momentum_norm());
     }
 }

@@ -12,9 +12,21 @@ use crate::tensor::{Tensor, TensorError};
 /// This is the "model" that federated clients upload to / download from the
 /// parameter server (2.5 MB for LeNet-5 in the paper). Norm arithmetic on
 /// these vectors backs the gradient-gap staleness metric.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ParamVector {
     values: Vec<f32>,
+}
+
+/// `clone_from` copies into the existing buffer (the derived one drops it
+/// and allocates a new one).
+impl Clone for ParamVector {
+    fn clone(&self) -> Self {
+        ParamVector::new(self.values.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl ParamVector {
@@ -143,12 +155,6 @@ impl ParamVector {
     /// Consumes the vector and returns the raw values.
     pub fn into_values(self) -> Vec<f32> {
         self.values
-    }
-
-    /// Approximate serialised size in bytes (4 bytes per `f32`), used by the
-    /// transport model.
-    pub fn size_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -340,6 +346,17 @@ mod tests {
     }
 
     #[test]
+    fn clone_from_reuses_the_buffer() {
+        let source = ParamVector::new(vec![1.5, -0.0, f32::MIN_POSITIVE]);
+        let mut into = ParamVector::zeros(3);
+        let buffer = into.values().as_ptr();
+        into.clone_from(&source);
+        assert_eq!(into.values().as_ptr(), buffer);
+        let bits = |p: &ParamVector| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&into), bits(&source));
+    }
+
+    #[test]
     fn parameter_roundtrip() {
         let net = small_mlp(1);
         let params = net.parameters();
@@ -408,7 +425,6 @@ mod tests {
         assert!((a.norm_l2() - 14.0f32.sqrt()).abs() < 1e-6);
         let avg = ParamVector::weighted_average(&[a.clone(), b.clone()], &[1.0, 1.0]).unwrap();
         assert_eq!(avg.values(), &[0.5, 2.0, 4.0]);
-        assert_eq!(a.size_bytes(), 12);
         let mut c = ParamVector::zeros(3);
         c.add_scaled(&a, 2.0).unwrap();
         assert_eq!(c.values(), &[2.0, 4.0, 6.0]);

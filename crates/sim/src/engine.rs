@@ -86,7 +86,7 @@ use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
 use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
 use fedco_fl::aggregation::AsyncUpdateRule;
 use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
-use fedco_fl::model_state::{LocalUpdate, ModelSnapshot};
+use fedco_fl::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 use fedco_fl::partition::{partition_dataset, PartitionStrategy};
 use fedco_fl::pool::{Ticket, TrainingPool};
 use fedco_fl::service::{ModelService, ModelServiceInit};
@@ -261,7 +261,17 @@ pub struct Simulation {
     predictor: WeightPredictor,
     ml: Option<MlState>,
     rng: SmallRng,
+    /// The engine's one copy of the global model: the initial model it built
+    /// the server from, then downloaded at the [`applied`](Self::applied)
+    /// count `model_at` holds (`None` after a service swap). The engine is
+    /// its service's only writer, so the copy is current until it applies
+    /// something.
+    model: ModelSnapshot,
+    model_at: Option<u64>,
+    /// Per user, the model its current epoch started from — kept only in
+    /// runs that read it (traces on, or a compressed uplink), else empty.
     base_params: Vec<ParamVector>,
+    /// The round's updates, reserved for the whole fleet once per run.
     sync_buffer: Vec<LocalUpdate>,
     pub(crate) stats: EngineStats,
     /// `true` while driven by [`Simulation::run`]: the slot phases run from
@@ -430,7 +440,9 @@ impl Simulation {
             }
             .into_parameter_server(),
         );
-        let base_params = vec![initial_params; config.num_users];
+        let reads_base = config.collect_traces || config.world.compression.ratio().is_some();
+        let base_params =
+            vec![initial_params.clone(); if reads_base { config.num_users } else { 0 }];
 
         // World runtime: battery state and churn outages, materialised once
         // (both are pure functions of the config) when any model needs slot
@@ -487,6 +499,8 @@ impl Simulation {
             predictor,
             ml,
             rng,
+            model: ModelSnapshot::new(initial_params, ModelVersion::INITIAL),
+            model_at: Some(0),
             base_params,
             sync_buffer: Vec::new(),
             stats: EngineStats::default(),
@@ -506,9 +520,8 @@ impl Simulation {
         };
         // Hand the initial global model to every ML client.
         if let Some(ml) = sim.ml.as_mut() {
-            let snapshot = sim.server.download();
             for i in 0..ml.clients.len() {
-                ml.hand_model(i, &snapshot);
+                ml.hand_model(i, &sim.model);
             }
         }
         Ok(sim)
@@ -542,6 +555,7 @@ impl Simulation {
         self.server = factory(init);
         self.momentum_norm = None;
         self.applied = 0;
+        self.model_at = None;
         self
     }
 
@@ -617,6 +631,15 @@ impl Simulation {
             .into_iter()
             .zip(totals)
             .filter_map(|(component, total)| Some((component, total?)))
+    }
+
+    /// Downloads the global model into the held copy if the engine applied
+    /// anything since the last download.
+    fn refresh_model(&mut self) {
+        if self.model_at != Some(self.applied) {
+            self.server.download_into(&mut self.model);
+            self.model_at = Some(self.applied);
+        }
     }
 
     fn velocity_norm(&mut self) -> f32 {
@@ -725,9 +748,9 @@ impl Simulation {
                 // global parameters by a step whose magnitude decays with the
                 // number of applied updates, so the momentum norm behaves
                 // like a converging run.
-                let snapshot = self.server.download();
+                self.refresh_model();
                 let magnitude = 1.0 / (1.0 + self.applied as f32 / 50.0);
-                let mut values = snapshot.params.values().to_vec();
+                let mut values = self.model.params.values().to_vec();
                 let scale = magnitude / (values.len() as f32).sqrt();
                 for v in values.iter_mut() {
                     *v += if self.rng.gen::<bool>() {
@@ -751,10 +774,10 @@ impl Simulation {
     /// Measured gradient gap of an update: the L2 distance between the global
     /// parameters the user started from and the global parameters at upload
     /// time (Definition 2).
-    fn measured_gap(&self, user_id: usize) -> f64 {
-        let current = self.server.download().params;
+    fn measured_gap(&mut self, user_id: usize) -> f64 {
+        self.refresh_model();
         self.base_params[user_id]
-            .distance_l2(&current)
+            .distance_l2(&self.model.params)
             .map(|d| d as f64)
             .unwrap_or(0.0)
     }
@@ -803,14 +826,22 @@ impl Simulation {
             self.flush_pending(user_id);
             self.profilers[user_id].record_extra(EnergyComponent::Radio, energy);
         }
-        let snapshot = self.server.download();
-        if let Some(ml) = self.ml.as_mut() {
-            ml.hand_model(user_id, &snapshot);
-        }
-        self.base_params[user_id] = snapshot.params;
-        self.users.become_waiting(user_id, snapshot.version);
+        self.hand_out_model(user_id);
         // The upload lands after this slot's decisions.
         self.ask_next_decision(user_id, slot + 1);
+    }
+
+    /// Hands user `i` the current global model — its client's next epoch and
+    /// its base copy, where those are kept — and puts it in the waiting pool.
+    fn hand_out_model(&mut self, i: usize) {
+        self.refresh_model();
+        if let Some(ml) = self.ml.as_mut() {
+            ml.hand_model(i, &self.model);
+        }
+        if let Some(base) = self.base_params.get_mut(i) {
+            base.clone_from(&self.model.params);
+        }
+        self.users.become_waiting(i, self.model.version);
     }
 
     /// Takes user `i` dark: its open power span lands first (the last
@@ -830,12 +861,7 @@ impl Simulation {
     /// current global model (radio-free — the rejoin handshake is not a
     /// model exchange) and back into the waiting pool.
     fn come_online(&mut self, i: usize, slot: u64) {
-        let snapshot = self.server.download();
-        if let Some(ml) = self.ml.as_mut() {
-            ml.hand_model(i, &snapshot);
-        }
-        self.base_params[i] = snapshot.params;
-        self.users.become_waiting(i, snapshot.version);
+        self.hand_out_model(i);
         self.mark_dirty(i);
         self.ask_next_decision(i, slot);
     }
@@ -938,9 +964,9 @@ impl Simulation {
 
     /// Evaluates the current global model on the held-out test set.
     fn evaluate_global(&mut self) -> Option<f32> {
-        let snapshot = self.server.download();
+        self.refresh_model();
         let ml = self.ml.as_mut()?;
-        ml.eval_net.set_parameters(&snapshot.params).ok()?;
+        ml.eval_net.set_parameters(&self.model.params).ok()?;
         let n = ml.eval_examples;
         fedco_fl::client::evaluate_network(&mut ml.eval_net, &ml.test_set, n).ok()
     }
@@ -987,6 +1013,9 @@ impl Simulation {
     fn begin_run(&mut self, indexed: bool) {
         self.indexed = indexed;
         self.policy_quiescent = self.policy.quiescent_while_waiting();
+        if self.policy.round_barrier() {
+            self.sync_buffer.reserve_exact(self.users.len());
+        }
         if indexed {
             // Every user starts accruing at the first power phase, which
             // looks at all of them once; nothing is due yet.
@@ -1245,7 +1274,7 @@ impl Simulation {
                 && !self.sync_buffer.is_empty()
                 && self.sync_buffer.len() == self.online_users();
             if barrier_ready {
-                let buffer = std::mem::take(&mut self.sync_buffer);
+                let buffer = &self.sync_buffer;
                 let mean_gap: f64 = if self.config.collect_traces {
                     buffer
                         .iter()
@@ -1264,7 +1293,7 @@ impl Simulation {
                 self.momentum_norm = None;
                 let version = self
                     .server
-                    .apply_sync_round(&buffer)
+                    .apply_sync_round(buffer)
                     // fedco-audit: allow(panic-surface): round updates come from clients sharing the server's architecture
                     .expect("round updates match global model");
                 self.applied += 1;
@@ -1275,6 +1304,7 @@ impl Simulation {
                         version: version.0,
                     },
                 );
+                self.sync_buffer.clear();
                 if self.config.collect_traces {
                     acc.updates.push(UpdateEvent {
                         t_s: now_s,
@@ -1502,6 +1532,10 @@ const _: () = {
     assert_sync::<SimConfig>();
     assert_send::<SimResult>();
 };
+
+// The engine holds one profiler per device: a million-device run pays every
+// byte of it a million times.
+const _: () = assert!(std::mem::size_of::<EnergyProfiler>() <= 64);
 
 #[cfg(test)]
 mod tests {
@@ -1828,6 +1862,28 @@ mod tests {
         }
         assert!(sink.drain().is_empty(), "a finished run recorded events");
         assert_eq!(sim.engine_stats(), stats);
+    }
+
+    /// Only a run that reads a device's base copy of the model keeps one —
+    /// the traced Definition-2 gap and the compressed uplink — and every run
+    /// holds one copy of the global model, not one per device.
+    #[test]
+    fn base_copies_are_kept_only_where_they_are_read() {
+        use fedco_world::compress::CompressionSpec;
+        for policy in PolicySpec::PAPER {
+            let traced = small(policy.clone());
+            let summary = traced.clone().summary_only();
+            let mut compressed = summary.clone();
+            compressed.world.compression = CompressionSpec::Ratio(0.25);
+            for (config, kept) in [(traced, true), (summary, false), (compressed, true)] {
+                let users = config.num_users;
+                let mut sim = Simulation::new(config);
+                sim.run();
+                let expected = if kept { users } else { 0 };
+                assert_eq!(sim.base_params.len(), expected, "{policy:?}");
+                assert_eq!(sim.model.version.0, sim.applied, "{policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -111,16 +111,23 @@ fn paper_default_world_reproduces_pre_world_model_bits() {
     assert_eq!(result.total_updates, 9);
 }
 
-/// Forwards to the in-process server and counts the momentum-norm queries.
+/// Forwards to the in-process server and counts the momentum-norm queries
+/// and the downloads.
 #[derive(Debug)]
 struct CountingService {
     inner: ParameterServer,
     norm_queries: Arc<AtomicU64>,
+    downloads: Arc<AtomicU64>,
 }
 
 impl ModelService for CountingService {
     fn download(&self) -> ModelSnapshot {
+        self.downloads.fetch_add(1, Ordering::Relaxed);
         self.inner.download()
+    }
+    fn download_into(&self, into: &mut ModelSnapshot) {
+        self.downloads.fetch_add(1, Ordering::Relaxed);
+        self.inner.download_into(into)
     }
     fn momentum_norm(&self) -> f32 {
         self.norm_queries.fetch_add(1, Ordering::Relaxed);
@@ -131,6 +138,39 @@ impl ModelService for CountingService {
     }
     fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
         self.inner.apply_sync_round(updates)
+    }
+}
+
+/// What a run on a [`CountingService`] leaves: the result, the final global
+/// model, and the momentum-norm queries and downloads the run made.
+struct CountedRun {
+    result: SimResult,
+    model: ModelSnapshot,
+    norm_queries: u64,
+    downloads: u64,
+}
+
+fn run_counted(config: SimConfig) -> CountedRun {
+    let norm_queries = Arc::new(AtomicU64::new(0));
+    let downloads = Arc::new(AtomicU64::new(0));
+    let counters = (norm_queries.clone(), downloads.clone());
+    let mut sim = Simulation::new(config).with_model_service(move |init| {
+        Box::new(CountingService {
+            inner: init.into_parameter_server(),
+            norm_queries: counters.0,
+            downloads: counters.1,
+        })
+    });
+    let result = sim.run();
+    let (norm_queries, downloads) = (
+        norm_queries.load(Ordering::Relaxed),
+        downloads.load(Ordering::Relaxed),
+    );
+    CountedRun {
+        result,
+        model: sim.model_snapshot(),
+        norm_queries,
+        downloads,
     }
 }
 
@@ -145,23 +185,64 @@ fn the_momentum_norm_is_asked_for_once_per_server_update() {
         .build_with_policy(PolicySpec::Online { v: None })
         .expect("builds");
     let slots = config.total_slots;
-    let norm_queries = Arc::new(AtomicU64::new(0));
-    let counter = norm_queries.clone();
-    let mut sim = Simulation::new(config).with_model_service(move |init| {
-        Box::new(CountingService {
-            inner: init.into_parameter_server(),
-            norm_queries: counter,
-        })
-    });
-    let result = sim.run();
-    assert_eq!(result.total_energy_j.to_bits(), 0x40cd_63e8_1062_4db4);
-    assert_eq!(result.total_updates, 9);
-    let asked = norm_queries.load(Ordering::Relaxed);
+    let run = run_counted(config);
+    assert_eq!(run.result.total_energy_j.to_bits(), 0x40cd_63e8_1062_4db4);
+    assert_eq!(run.result.total_updates, 9);
     assert!(
-        (1..=result.total_updates + 1).contains(&asked),
-        "momentum_norm asked {asked} times over {slots} slots and {} updates",
-        result.total_updates
+        (1..=run.result.total_updates + 1).contains(&run.norm_queries),
+        "momentum_norm asked {} times over {slots} slots and {} updates",
+        run.norm_queries,
+        run.result.total_updates
     );
+}
+
+#[test]
+fn the_model_is_downloaded_once_per_version() {
+    // The engine keeps one copy of the global model and downloads it again
+    // only after it applied an update or a round: every version is read, so
+    // a run downloads exactly `total_updates + 1` times — a Sync-SGD run
+    // once per round. (scenario, policy, downloads made by the engine that
+    // downloaded at every read: per update, per requeued device and per
+    // traced gap.)
+    let runs = [
+        ("paper-default", PolicySpec::Immediate, 3567),
+        ("paper-default", PolicySpec::SyncSgd, 900),
+        ("paper-default", PolicySpec::Offline, 501),
+        ("paper-default", PolicySpec::Online { v: None }, 2463),
+        ("mega:users=2000:slots=1200", PolicySpec::SyncSgd, 5989),
+    ];
+    for (scenario, policy, per_read) in runs {
+        let spec: ScenarioSpec = scenario.parse().expect("parses");
+        let config = spec.build_with_policy(policy.clone()).expect("builds");
+        let run = run_counted(config);
+        let updates = run.result.total_updates;
+        assert!(updates > 0, "{scenario} under {policy:?} applies nothing");
+        assert_eq!(
+            run.downloads,
+            updates + 1,
+            "{scenario} under {policy:?}: {} downloads for {updates} updates (once per read: {per_read})",
+            run.downloads
+        );
+    }
+}
+
+#[test]
+fn a_swapped_in_service_matches_the_batch_run() {
+    // The engine starts out holding the initial model it built the default
+    // server from; the swap starts the count again at 0, so a held copy keyed
+    // on that count alone would never download the new service's version 0. Traced, the run reads version 0 again at its first
+    // evaluation, so the new service sees `total_updates + 1` downloads
+    // (once per read, it saw 23 under Online and 17 under Sync-SGD).
+    let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
+    for policy in [PolicySpec::Online { v: None }, PolicySpec::SyncSgd] {
+        let config = spec.build_with_policy(policy.clone()).expect("builds");
+        let mut batch = Simulation::new(config.clone());
+        let result = batch.run();
+        let run = run_counted(config);
+        assert_eq!(run.result, result, "{policy:?}");
+        assert_eq!(run.model, batch.model_snapshot(), "{policy:?}");
+        assert_eq!(run.downloads, result.total_updates + 1, "{policy:?}");
+    }
 }
 
 #[test]
