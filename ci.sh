@@ -222,17 +222,14 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # fedco-sim -16 (the engine's ten `if let Some(t) = &self.telemetry` record
 # blocks are one `emit`, and `begin_run`'s world/battery reset went with the
 # second `run`, which now returns the finished run's summary).
-# 18471 -> 18504 with one copy of the global model (+33): fedco-sim +17 (the held `ModelSnapshot`, its `model_at` count and
-# `refresh_model`; `hand_out_model` over the requeue and rejoin bodies it
-# replaced; the base-copy lane sized by whether the run reads it; the round
-# buffer reserved once and cleared; the `EnergyProfiler` size assertion),
-# fedco-fl +11 (`ModelService::download_into` and `ParameterServer`'s override
-# +11, `ModelSnapshot`'s hand-written `Clone` +9, less
-# `ModelSnapshot::{len, is_empty, size_bytes}`, called by their own test only,
-# -9), fedco-neural +5 (`ParamVector`'s hand-written `Clone`, whose
-# `clone_from` reuses the buffer, +8; `ParamVector::size_bytes`, whose one
-# caller was `ModelSnapshot::size_bytes`, -3).
-LOC_CEILING=18504
+# 18471 -> 18498 with one copy of the global model (+27): fedco-sim +19 (the
+# held `ModelSnapshot`, its `model_at` count and `refresh_model`;
+# `hand_out_model` over the requeue and rejoin bodies it replaced; the
+# base-copy lane sized by whether the run reads it; the round buffer reserved
+# once and cleared; the debug check that each applied version is the engine's
+# own; the `EnergyProfiler` size assertion), fedco-neural +8 (`ParamVector`'s
+# hand-written `Clone`, whose `clone_from` reuses the buffer), fedco-fl 0.
+LOC_CEILING=18498
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -334,10 +331,10 @@ echo "==> one copy of the global model in release: a download per version, base 
 # The goldens of the outputs that read a device's base copy (captured before
 # the engine held one copy, never edited), the download count of every paper
 # policy and of a service swapped in, and the engine's base-copy lane and the
-# buffer-reusing `clone_from`s.
+# buffer-reusing `ParamVector::clone_from`.
 cargo test -q --offline --release --test base_copy_golden
 cargo test -q --offline --release --test world_regression -- once_per_version swapped_in
-cargo test -q --offline --release -p fedco-sim -p fedco-fl -p fedco-neural -- base_copies clone_from
+cargo test -q --offline --release -p fedco-sim -p fedco-neural -- base_copies clone_from
 
 echo "==> one CPU vs all of this box's, through the shipped paths: fig5_convergence (training pool), mega:users=4000 (sampling cut)"
 # `available_parallelism()` honours the affinity mask, so under `taskset -c 0`

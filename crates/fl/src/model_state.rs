@@ -33,7 +33,7 @@ impl std::fmt::Display for ModelVersion {
 /// A snapshot of the global model: flat parameters plus the version they
 /// correspond to. This is what a device downloads at the start of a local
 /// epoch and what it holds while waiting for a co-running opportunity.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSnapshot {
     /// The flat parameter vector.
     pub params: ParamVector,
@@ -46,17 +46,20 @@ impl ModelSnapshot {
     pub fn new(params: ParamVector, version: ModelVersion) -> Self {
         ModelSnapshot { params, version }
     }
-}
 
-/// `clone_from` copies into the existing parameter buffer.
-impl Clone for ModelSnapshot {
-    fn clone(&self) -> Self {
-        ModelSnapshot::new(self.params.clone(), self.version)
+    /// Number of scalar parameters.
+    pub fn len(&self) -> usize {
+        self.params.len()
     }
 
-    fn clone_from(&mut self, source: &Self) {
-        self.params.clone_from(&source.params);
-        self.version = source.version;
+    /// Whether the snapshot holds no parameters.
+    pub fn is_empty(&self) -> bool {
+        self.params.is_empty()
+    }
+
+    /// Serialised size in bytes (the paper's LeNet-5 snapshot is ~2.5 MB).
+    pub fn size_bytes(&self) -> usize {
+        self.params.size_bytes()
     }
 }
 
@@ -92,12 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_reuses_the_buffer() {
-        let source = ModelSnapshot::new(ParamVector::new(vec![1.0, -2.5]), ModelVersion(7));
-        let mut into = ModelSnapshot::new(ParamVector::zeros(2), ModelVersion(3));
-        let buffer = into.params.values().as_ptr();
-        into.clone_from(&source);
-        assert_eq!(into.params.values().as_ptr(), buffer);
-        assert_eq!(into, source);
+    fn snapshot_size_matches_param_count() {
+        let snap = ModelSnapshot::new(ParamVector::zeros(1000), ModelVersion(5));
+        assert_eq!(snap.len(), 1000);
+        assert_eq!(snap.size_bytes(), 4000);
+        assert!(!snap.is_empty());
+        assert!(ModelSnapshot::new(ParamVector::zeros(0), ModelVersion(0)).is_empty());
     }
 }

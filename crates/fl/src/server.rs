@@ -98,13 +98,6 @@ impl ParameterServer {
         ModelSnapshot::new(inner.params.clone(), inner.version)
     }
 
-    /// Downloads the current global model into `into`, reusing its buffer.
-    pub fn download_into(&self, into: &mut ModelSnapshot) {
-        let inner = self.locked();
-        into.params.clone_from(&inner.params);
-        into.version = inner.version;
-    }
-
     /// The L2 norm of the server-side momentum vector `v_t` (Eq. 1), used by
     /// devices to evaluate the gradient-gap prediction of Eq. (4).
     pub fn momentum_norm(&self) -> f32 {

@@ -9,12 +9,12 @@
 //! bit-for-bit. The service only stores and merges; what a run records about
 //! its merges and rounds, and how many it made, is the engine's.
 //!
-//! The engine reads the model once per version: it keeps one copy, which it
-//! refreshes through [`ModelService::download_into`] only after it has
-//! applied an update or a round since the last refresh. That holds because
-//! the engine is its service's only writer — nothing else moves the version
-//! under it — and a service swapped in through `with_model_service` starts
-//! without a held copy.
+//! The engine reads the model once per version: it keeps one copy and
+//! downloads it again only after it has applied an update or a round. That
+//! holds because the engine is its service's only writer — nothing else moves
+//! the version under it (the engine checks each returned version against its
+//! own count in debug builds) — and a service swapped in through
+//! `with_model_service` starts without a held copy.
 
 use fedco_neural::tensor::TensorError;
 
@@ -62,12 +62,6 @@ pub trait ModelService: Send + Sync + std::fmt::Debug {
     /// Downloads the current global model.
     fn download(&self) -> ModelSnapshot;
 
-    /// Downloads the current global model into `into`. Override it to reuse
-    /// the buffer `into` holds.
-    fn download_into(&self, into: &mut ModelSnapshot) {
-        *into = self.download();
-    }
-
     /// The L2 norm of the server-side momentum vector (Eq. 1).
     fn momentum_norm(&self) -> f32;
 
@@ -92,10 +86,6 @@ pub trait ModelService: Send + Sync + std::fmt::Debug {
 impl ModelService for ParameterServer {
     fn download(&self) -> ModelSnapshot {
         ParameterServer::download(self)
-    }
-
-    fn download_into(&self, into: &mut ModelSnapshot) {
-        ParameterServer::download_into(self, into)
     }
 
     fn momentum_norm(&self) -> f32 {
@@ -140,9 +130,6 @@ mod tests {
         let applied_boxed = boxed.apply_async(&update).unwrap();
         assert_eq!(applied_direct, applied_boxed);
         assert_eq!(direct.download(), boxed.download());
-        let mut held = ModelSnapshot::new(ParamVector::zeros(0), ModelVersion::INITIAL);
-        boxed.download_into(&mut held);
-        assert_eq!(held, direct.download());
         assert_eq!(direct.momentum_norm(), boxed.momentum_norm());
     }
 }

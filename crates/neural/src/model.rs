@@ -156,6 +156,12 @@ impl ParamVector {
     pub fn into_values(self) -> Vec<f32> {
         self.values
     }
+
+    /// Approximate serialised size in bytes (4 bytes per `f32`), used by the
+    /// transport model.
+    pub fn size_bytes(&self) -> usize {
+        self.values.len() * std::mem::size_of::<f32>()
+    }
 }
 
 /// Outcome of training on one mini-batch.
@@ -425,6 +431,7 @@ mod tests {
         assert!((a.norm_l2() - 14.0f32.sqrt()).abs() < 1e-6);
         let avg = ParamVector::weighted_average(&[a.clone(), b.clone()], &[1.0, 1.0]).unwrap();
         assert_eq!(avg.values(), &[0.5, 2.0, 4.0]);
+        assert_eq!(a.size_bytes(), 12);
         let mut c = ParamVector::zeros(3);
         c.add_scaled(&a, 2.0).unwrap();
         assert_eq!(c.values(), &[2.0, 4.0, 6.0]);

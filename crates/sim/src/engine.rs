@@ -542,6 +542,10 @@ impl Simulation {
     /// bit-for-bit, trace included: the engine records every merge and
     /// round itself, whichever of this and
     /// [`with_telemetry`](Self::with_telemetry) comes first.
+    ///
+    /// The engine must be the service's only writer: it re-downloads the
+    /// model only after its own applies, so a merge from another client
+    /// would go unread until the engine's next one.
     pub fn with_model_service<F>(mut self, factory: F) -> Self
     where
         F: FnOnce(ModelServiceInit) -> Box<dyn ModelService>,
@@ -637,7 +641,7 @@ impl Simulation {
     /// anything since the last download.
     fn refresh_model(&mut self) {
         if self.model_at != Some(self.applied) {
-            self.server.download_into(&mut self.model);
+            self.model = self.server.download();
             self.model_at = Some(self.applied);
         }
     }
@@ -1240,6 +1244,7 @@ impl Simulation {
                         // fedco-audit: allow(panic-surface): updates come from clients sharing the server's architecture
                         .expect("update length matches global model");
                     self.applied += 1;
+                    debug_assert_eq!(version.0, self.applied, "another writer moved the model");
                     // Recorded before the requeue, which may record the
                     // user's compressed upload.
                     self.emit(
@@ -1297,6 +1302,7 @@ impl Simulation {
                     // fedco-audit: allow(panic-surface): round updates come from clients sharing the server's architecture
                     .expect("round updates match global model");
                 self.applied += 1;
+                debug_assert_eq!(version.0, self.applied, "another writer moved the model");
                 self.emit(
                     slot,
                     EventKind::Round {

@@ -125,10 +125,6 @@ impl ModelService for CountingService {
         self.downloads.fetch_add(1, Ordering::Relaxed);
         self.inner.download()
     }
-    fn download_into(&self, into: &mut ModelSnapshot) {
-        self.downloads.fetch_add(1, Ordering::Relaxed);
-        self.inner.download_into(into)
-    }
     fn momentum_norm(&self) -> f32 {
         self.norm_queries.fetch_add(1, Ordering::Relaxed);
         self.inner.momentum_norm()
@@ -230,9 +226,10 @@ fn the_model_is_downloaded_once_per_version() {
 fn a_swapped_in_service_matches_the_batch_run() {
     // The engine starts out holding the initial model it built the default
     // server from; the swap starts the count again at 0, so a held copy keyed
-    // on that count alone would never download the new service's version 0. Traced, the run reads version 0 again at its first
-    // evaluation, so the new service sees `total_updates + 1` downloads
-    // (once per read, it saw 23 under Online and 17 under Sync-SGD).
+    // on that count alone would never download the new service's version 0.
+    // Traced, the run reads version 0 again at its first evaluation, so the
+    // new service sees `total_updates + 1` downloads (once per read, it saw
+    // 23 under Online and 17 under Sync-SGD).
     let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
     for policy in [PolicySpec::Online { v: None }, PolicySpec::SyncSgd] {
         let config = spec.build_with_policy(policy.clone()).expect("builds");
@@ -243,6 +240,44 @@ fn a_swapped_in_service_matches_the_batch_run() {
         assert_eq!(run.model, batch.model_snapshot(), "{policy:?}");
         assert_eq!(run.downloads, result.total_updates + 1, "{policy:?}");
     }
+}
+
+/// Merges every update a second time, as another client of a shared server
+/// would.
+#[cfg(debug_assertions)]
+#[derive(Debug)]
+struct SecondWriter(ParameterServer);
+
+#[cfg(debug_assertions)]
+impl ModelService for SecondWriter {
+    fn download(&self) -> ModelSnapshot {
+        self.0.download()
+    }
+    fn momentum_norm(&self) -> f32 {
+        self.0.momentum_norm()
+    }
+    fn apply_async(&self, update: &LocalUpdate) -> Result<(Lag, ModelVersion), TensorError> {
+        self.0.apply_async(update)?;
+        self.0.apply_async(update)
+    }
+    fn apply_sync_round(&self, updates: &[LocalUpdate]) -> Result<ModelVersion, TensorError> {
+        self.0.apply_sync_round(updates)
+    }
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "another writer moved the model")]
+fn a_second_writer_is_caught_at_the_engines_next_apply() {
+    // The held copy is current only while the engine is its service's one
+    // writer; a version it did not make stops a debug run at once.
+    let spec = ScenarioSpec::preset("ml-smoke").expect("preset");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
+    Simulation::new(config)
+        .with_model_service(|init| Box::new(SecondWriter(init.into_parameter_server())))
+        .run();
 }
 
 #[test]
