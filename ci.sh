@@ -229,7 +229,14 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # once and cleared; the debug check that each applied version is the engine's
 # own; the `EnergyProfiler` size assertion), fedco-neural +8 (`ParamVector`'s
 # hand-written `Clone`, whose `clone_from` reuses the buffer), fedco-fl 0.
-LOC_CEILING=18498
+# 18498 -> 18244 with one performance ruler (-254): fedco-bench -211 — the
+# `engine/<preset>/<policy>/{dense,event}` pairs of `--bench engine` with
+# their aggregate and speedup lines, the in-bench scan-vs-indexed assert and
+# the two knobs that sized them; the unrecorded `simulation`, `policy` and
+# `fleet` bench targets; `micro`'s second JSON writer and `compare`'s
+# `slots_per_sec_mean` key; fedco-fleet -43 (`bench_json_lines`,
+# `record_bench_json` and `fleet_sweep`'s `FEDCO_BENCH_JSON` hook).
+LOC_CEILING=18244
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -246,29 +253,30 @@ echo "==> sleeping users: the next_decision_slot contract and the arena's owed i
 cargo test -q --offline -p fedco-core next_decision_slot
 cargo test -q --offline -p fedco-sim sleeper
 
-echo "==> bench_engine throughput smoke (scan vs indexed slots/sec)"
+echo "==> bench_engine smoke (the engine/scale and engine/city-online cells)"
 BENCH_SMOKE_JSON="$(mktemp)"
-FEDCO_BENCH_USERS=100 FEDCO_BENCH_SLOTS=2000 FEDCO_BENCH_REPS=2 \
-FEDCO_BENCH_JSON="$BENCH_SMOKE_JSON" \
+FEDCO_BENCH_REPS=2 FEDCO_BENCH_JSON="$BENCH_SMOKE_JSON" \
     timeout 300 cargo bench -q --offline -p fedco-bench --bench engine
-grep -q '"name":"engine/paper/' "$BENCH_SMOKE_JSON" \
-    || { echo "bench_engine wrote no JSON lines"; exit 1; }
-# The mostly-dense cell (the benchmark's city-online shape) has a fixed size,
+grep -q '"name":"engine/scale/' "$BENCH_SMOKE_JSON" \
+    || { echo "bench_engine wrote no engine/scale cell"; exit 1; }
+# The city-online cell (the benchmark's city-online shape) has a fixed size,
 # so the gate below compares it like for like with the recorded trajectory.
 grep -q '"name":"engine/city-online/7500"' "$BENCH_SMOKE_JSON" \
     || { echo "bench_engine wrote no engine/city-online/7500 cell"; exit 1; }
 
-echo "==> bench_compare perf-regression gate, scan vs indexed cells (smoke run vs BENCH_engine.json)"
+echo "==> bench_compare perf-regression gate (smoke run vs BENCH_engine.json)"
 # The gate normalizes by the median current/baseline ratio, so a uniformly
 # slower CI box never trips it; only a disproportionate per-benchmark
 # collapse fails. The threshold is generous for a noisy 1-core runner.
-# One cell restarts its history here: what `engine/sparse/Offline/event` read
-# before span fast-forwarding was deleted is recorded as `…/event+spans`
-# (bench_compare lists it as "not in current run"), because it timed the
-# deleted mechanism itself — EXPERIMENTS.md, "Why there is no span
-# fast-forward".
-cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
-    --baseline BENCH_engine.json --current "$BENCH_SMOKE_JSON" --threshold 0.3
+# The smoke run produces every recorded cell, so a baseline name missing from
+# it (a renamed or deleted cell) fails the gate.
+ENGINE_GATE="$(cargo run --release --offline -q -p fedco-bench --bin bench_compare -- \
+    --baseline BENCH_engine.json --current "$BENCH_SMOKE_JSON" --threshold 0.3)" \
+    || { echo "$ENGINE_GATE"; exit 1; }
+echo "$ENGINE_GATE"
+if grep -q "not in current run" <<<"$ENGINE_GATE"; then
+    echo "bench_engine smoke is missing a recorded cell"; exit 1
+fi
 rm -f "$BENCH_SMOKE_JSON"
 
 echo "==> fedco-neural kernel bit-equivalence in release (the vectorised code only exists there)"

@@ -12,9 +12,11 @@
 //! current run to its best, normalizes by the median `current / baseline`
 //! ratio (so a uniformly slower or faster machine never trips the gate)
 //! and fails when any benchmark's normalized ratio falls below the
-//! threshold.
+//! threshold. It also fails when the two files share no benchmark name, so
+//! a renamed or deleted cell cannot disarm the gate.
 //!
-//! Exit codes: `0` pass, `1` regression detected, `2` usage or I/O error.
+//! Exit codes: `0` pass, `1` regression detected or nothing to gate, `2`
+//! usage or I/O error.
 
 use std::process::ExitCode;
 
@@ -58,7 +60,8 @@ fn run() -> Result<ExitCode, String> {
     let report = compare(&baseline_text, &current_text, threshold);
     print!("{report}");
     if report.rows.is_empty() {
-        println!("bench compare: no common benchmark names; nothing to gate");
+        println!("bench compare: FAIL (no common benchmark names; nothing to gate)");
+        return Ok(ExitCode::from(1));
     }
     if report.passed() {
         println!("bench compare: PASS");

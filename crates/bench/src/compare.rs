@@ -1,11 +1,10 @@
 //! The perf-regression gate: compare a fresh benchmark run against the
 //! recorded `BENCH_*.json` trajectory.
 //!
-//! Every benchmark sink in the workspace (`cargo bench` via
-//! `FEDCO_BENCH_JSON`, `fleet_sweep`'s per-cell rollup lines) appends flat
-//! JSON objects carrying a `"name"` and a throughput field. This module
-//! parses those lines, reduces the baseline to the **median** recorded
-//! throughput per name and the current run to its **best**, then compares
+//! `cargo bench` with `FEDCO_BENCH_JSON` set appends flat JSON objects
+//! carrying a `"name"` and a throughput field. This module parses those
+//! lines, reduces the baseline to the **median** recorded throughput per
+//! name and the current run to its **best**, then compares
 //! them with **median-ratio machine normalization**: the median of the
 //! per-name `current / baseline` ratios estimates how much faster or
 //! slower the current machine is overall, and a benchmark only counts as
@@ -24,7 +23,7 @@ use std::collections::BTreeMap;
 /// One named throughput record parsed from a `BENCH_*.json` line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// The benchmark name (e.g. `engine/paper/Online/event`).
+    /// The benchmark name (e.g. `engine/scale/20000`).
     pub name: String,
     /// Simulated slots — or, for a `median_ns` micro-benchmark line,
     /// iterations — per wall-clock second.
@@ -55,18 +54,15 @@ fn number_field(line: &str, key: &str) -> Option<f64> {
 /// Parses the throughput records of a `BENCH_*.json` file.
 ///
 /// A line contributes one record when it carries a `"name"` plus a
-/// `"slots_per_sec"` (the engine/fleet micro-benchmarks), a
-/// `"slots_per_sec_mean"` (the `fleet_sweep` rollup lines) or a
-/// `"median_ns"` (the `micro::bench` lines, read as `1e9 / median_ns`
-/// iterations per second) field. Aggregate
-/// and malformed lines are skipped — the trajectory file is append-only
-/// across commits and may mix schemas.
+/// `"slots_per_sec"` (the engine cells) or a `"median_ns"` (the
+/// `micro::bench` lines, read as `1e9 / median_ns` iterations per second)
+/// field. Aggregate and malformed lines are skipped — the trajectory file
+/// is append-only across commits and may mix schemas.
 pub fn parse_bench_lines(text: &str) -> Vec<BenchRecord> {
     text.lines()
         .filter_map(|line| {
             let name = string_field(line, "name")?;
             let slots_per_sec = number_field(line, "slots_per_sec")
-                .or_else(|| number_field(line, "slots_per_sec_mean"))
                 .or_else(|| number_field(line, "median_ns").map(|ns| 1e9 / ns))?;
             if !slots_per_sec.is_finite() || slots_per_sec <= 0.0 {
                 return None;
@@ -272,13 +268,6 @@ mod tests {
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].name, "engine/paper/Online/dense");
         assert_eq!(records[0].slots_per_sec, 400000.0);
-        // fleet_sweep rollup lines use the _mean suffix.
-        let fleet = parse_bench_lines(
-            "{\"name\":\"fleet_sweep/smoke/Online\",\"runs\":4,\"wall_ms_mean\":3.125,\
-\"slots_per_sec_mean\":76800.5,\"slots_per_sec_min\":70000.0,\"slots_per_sec_max\":80000.0}\n",
-        );
-        assert_eq!(fleet.len(), 1);
-        assert_eq!(fleet[0].slots_per_sec, 76800.5);
         // micro::bench lines carry ns per iteration.
         let micro = parse_bench_lines(
             "{\"name\":\"lenet/forward/compact\",\"median_ns\":250000.0,\"mean_ns\":1.0,\"samples\":7}\n",

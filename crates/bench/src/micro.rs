@@ -114,16 +114,10 @@ fn json_line(name: &str, median: f64, mean: f64, min: f64, samples: usize) -> St
 
 /// Appends one pre-formatted JSON line to the `FEDCO_BENCH_JSON` file, if
 /// configured (no-op otherwise). Benchmarks with result shapes that do not
-/// fit the standard ns-per-iteration schema (e.g. the engine throughput
-/// benchmark's slots-per-second lines) use this to share the same sink.
-/// I/O errors are reported to stderr but never fail the benchmark run.
+/// fit the standard ns-per-iteration schema (the engine throughput cells'
+/// slots-per-second lines) use this to share the same sink. I/O errors are
+/// reported to stderr but never fail the benchmark run.
 pub fn append_json_line(line: &str) {
-    record_json(line);
-}
-
-/// Appends one result line to the `FEDCO_BENCH_JSON` file, if configured.
-/// I/O errors are reported to stderr but never fail the benchmark run.
-fn record_json(line: &str) {
     let Ok(path) = std::env::var("FEDCO_BENCH_JSON") else {
         return;
     };
@@ -154,7 +148,7 @@ pub fn bench<F: FnMut()>(name: &str, f: F) {
         fmt_ns(mean),
         fmt_ns(min)
     );
-    record_json(&json_line(name, median, mean, min, samples.len()));
+    append_json_line(&json_line(name, median, mean, min, samples.len()));
 }
 
 /// Prints a group header, mirroring Criterion's `benchmark_group` output.

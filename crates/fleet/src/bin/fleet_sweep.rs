@@ -49,11 +49,6 @@
 //! trace lines and folds its job's metrics, and the main thread writes them
 //! out in job order while the sweep runs, so `--trace`/`--metrics` cost the
 //! memory of the jobs in flight, not of the whole sweep.
-//!
-//! With `FEDCO_BENCH_JSON=<path>` set, one throughput line per cell
-//! (`{"name":"fleet_sweep/<scenario>/<policy>",…}`) is appended to that
-//! file, so sweep runs record the same benchmark trajectories as
-//! `cargo bench`.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -459,9 +454,6 @@ fn run(args: &Args, out: &mut impl Write) -> Result<bool, Stop> {
         report.workers,
         throughput
     )?;
-    // With FEDCO_BENCH_JSON set, append one throughput line per cell so
-    // sweeps double as benchmark trajectories.
-    record_bench_json(report, "fleet_sweep");
 
     write_output(csv, || to_csv(report))?;
     if let Some(path) = &args.csv {

@@ -79,9 +79,8 @@ pub struct JobSummary {
     pub wall_ms: Measured<f64>,
     /// Simulated slots per wall-clock second this job achieved
     /// (`total_slots / wall`; a [`Measured`] profiling value, like
-    /// `wall_ms`). This is the same throughput metric the `bench_engine`
-    /// benchmark reports, so sweep reports double as benchmark
-    /// trajectories.
+    /// `wall_ms`), the same throughput metric the `bench_engine` cells
+    /// report.
     pub slots_per_sec: Measured<f64>,
 }
 

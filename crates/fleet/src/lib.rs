@@ -68,7 +68,7 @@ pub mod prelude {
         run_grid_with, FleetReport, JobSummary, StreamedSweep, SweepTrace,
     };
     pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, LinkKind, ScenarioGrid};
-    pub use crate::report::{bench_json_lines, record_bench_json, rollup_table, to_csv, to_jsonl};
+    pub use crate::report::{rollup_table, to_csv, to_jsonl};
     pub use crate::stats::{CellRollup, Streaming};
     pub use fedco_core::experiment::{ConfigError, DeviceAssignment, SimConfig};
     pub use fedco_core::scenario::{parse_scenario_file, MlMode, ParseScenarioError, ScenarioSpec};

@@ -153,60 +153,6 @@ pub fn rollup_table(report: &FleetReport) -> String {
     out
 }
 
-/// One `FEDCO_BENCH_JSON`-style line per cell rollup, carrying the sweep's
-/// throughput trajectory (`slots_per_sec` / `wall_ms` statistics). `prefix`
-/// namespaces the `name` key (e.g. `fleet_sweep`), followed by the
-/// scenario and policy labels.
-pub fn bench_json_lines(report: &FleetReport, prefix: &str) -> Vec<String> {
-    report
-        .rollups
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\":\"{}/{}/{}\",\"runs\":{},\"wall_ms_mean\":{:.3},\
-\"slots_per_sec_mean\":{:.1},\"slots_per_sec_min\":{:.1},\"slots_per_sec_max\":{:.1}}}",
-                json_escape(prefix),
-                json_escape(&r.scenario),
-                json_escape(&r.policy),
-                r.runs(),
-                r.wall_ms.mean(),
-                r.slots_per_sec.mean(),
-                r.slots_per_sec.min().unwrap_or(0.0),
-                r.slots_per_sec.max().unwrap_or(0.0),
-            )
-        })
-        .collect()
-}
-
-/// Appends one line per cell rollup to the file named by the
-/// `FEDCO_BENCH_JSON` environment variable, if set — the same sink the
-/// `fedco-bench` micro-benchmarks write to, so sweep throughput
-/// trajectories can be recorded across commits. A no-op when the variable
-/// is unset or empty; I/O errors are reported to stderr but never fail the
-/// sweep.
-pub fn record_bench_json(report: &FleetReport, prefix: &str) {
-    use std::io::Write;
-    let Ok(path) = std::env::var("FEDCO_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| {
-            for line in bench_json_lines(report, prefix) {
-                writeln!(f, "{line}")?;
-            }
-            Ok(())
-        });
-    if let Err(e) = result {
-        eprintln!("FEDCO_BENCH_JSON: cannot write {path}: {e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,22 +273,5 @@ mod tests {
         let jsonl = to_jsonl(&report);
         assert!(jsonl.contains("\"wall_ms\":7.125"));
         assert!(jsonl.contains("\"slots_per_sec\":123456.7"));
-    }
-
-    #[test]
-    fn bench_json_lines_carry_throughput_per_policy() {
-        let report = sample_report();
-        let lines = bench_json_lines(&report, "fleet_sweep");
-        assert_eq!(lines.len(), 1);
-        let line = &lines[0];
-        assert!(line.starts_with("{\"name\":\"fleet_sweep/paper-default/Online\""));
-        assert!(line.contains("\"runs\":1"));
-        assert!(line.contains("\"wall_ms_mean\":7.125"));
-        assert!(line.contains("\"slots_per_sec_mean\":123456.7"));
-        assert!(line.contains("\"slots_per_sec_min\":123456.7"));
-        assert!(line.contains("\"slots_per_sec_max\":123456.7"));
-        assert_eq!(line.matches('{').count(), line.matches('}').count());
-        // Unset env: record_bench_json is a no-op and must not error.
-        record_bench_json(&report, "fleet_sweep");
     }
 }

@@ -161,8 +161,7 @@ pub struct CellRollup {
     /// `PartialEq`).
     pub wall_ms: Measured<Streaming>,
     /// Simulated slots per wall-clock second per run (timing; [`Measured`],
-    /// so ignored by `PartialEq`). Feeds `BENCH`-style throughput
-    /// trajectories recorded straight from sweeps.
+    /// so ignored by `PartialEq`); the rollup table's throughput column.
     pub slots_per_sec: Measured<Streaming>,
 }
 

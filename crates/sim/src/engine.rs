@@ -1041,8 +1041,8 @@ impl Simulation {
     /// the outcome — training starts, or one more idle slot.
     ///
     /// This is what a fleet that mostly waits spends its run in, so it is
-    /// forced into both decision loops: as a call it costs the
-    /// waiting-heavy cells of `--bench engine` a quarter of their time.
+    /// forced into both decision loops: as a call it cost the waiting-heavy
+    /// 100-device throughput cells a quarter of their time.
     #[inline(always)]
     fn decide_user(
         &mut self,

@@ -105,13 +105,34 @@ fn registry_is_bit_identical_across_seeds_and_arrival_rates() {
 
 #[test]
 fn summary_mode_is_bit_identical_too() {
+    // The base config at the arrival extremes, then the five presets the
+    // engine's throughput cells once timed both loops on (`sparse` pushed to
+    // p = 0.0001), at their 100 users over 2 000 slots.
+    let presets = [
+        "paper-default",
+        "sparse:arrival_p=0.0001",
+        "dense-burst",
+        "lte-uplink",
+        "battery-constrained",
+    ];
     for spec in PolicySpec::default_registry() {
-        for p in [0.0, 0.002, 1.0] {
-            let config = base_config(spec.clone())
-                .with_arrival_probability(p)
-                .summary_only();
-            let (dense, event) = run_both(config);
-            assert_identical(&format!("{spec} summary p={p}"), &dense, &event);
+        let mut configs: Vec<(String, SimConfig)> = [0.0, 0.002, 1.0]
+            .iter()
+            .map(|p| {
+                let config = base_config(spec.clone()).with_arrival_probability(*p);
+                (format!("p={p}"), config)
+            })
+            .collect();
+        for preset in presets {
+            let scenario: ScenarioSpec = format!("{preset}:users=100:slots=2000")
+                .parse()
+                .expect("preset spec parses");
+            let config = scenario.build_with_policy(spec.clone()).expect("builds");
+            configs.push((preset.to_string(), config));
+        }
+        for (label, config) in configs {
+            let (dense, event) = run_both(config.summary_only());
+            assert_identical(&format!("{spec} summary {label}"), &dense, &event);
             assert!(event.trace.is_empty() && event.updates.is_empty());
         }
     }
