@@ -244,6 +244,73 @@ Immediate {immediate:.3}"
     }
 }
 
+/// Online's summary run of a scenario string.
+fn online_run(scenario: &str) -> SimResult {
+    let spec: ScenarioSpec = scenario.parse().expect("parses");
+    let config = spec
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds");
+    run_simulation(config.summary_only())
+}
+
+/// Theorem 1 assumes the virtual queue is mean-rate stable,
+/// `lim H(T)/T = 0`; over a finite horizon that reads as `H(T)/T` below a
+/// hundredth of the scenario's `L_b` (the budget per 25 devices). An
+/// infeasible controller grows `H` linearly instead: `city-scale` with the
+/// knobs unscaled ends at `H(T)/T` ≈ 5 800. Every registry preset, with
+/// `city-scale` and `mega` cut to the `city-online` and `wide-sync` fleets
+/// (7 500 and 25 000 users). Release only: `mega` takes minutes without
+/// optimisation.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes without optimisation; ci.sh runs it in --release"
+)]
+fn online_is_mean_rate_stable_on_every_registry_preset() {
+    for preset in ScenarioSpec::default_registry() {
+        let scenario = match preset.name() {
+            "city-scale" => "city-scale:users=7500".to_string(),
+            "mega" => "mega:users=25000".to_string(),
+            name => name.to_string(),
+        };
+        let result = online_run(&scenario);
+        let rate = result.final_virtual_queue / preset.slots() as f64;
+        let bound = preset.scheduler().staleness_bound / 100.0;
+        assert!(rate <= bound, "{scenario}: H(T)/T = {rate} > {bound}");
+    }
+}
+
+/// The saving per device does not collapse with the fleet: Online against
+/// Immediate on `mega` at N = 25, 2 500 and 25 000 stays within 5 points of
+/// the 25-device saving (47.2 %, 47.0 % and 48.1 % at seed 42). With `V`
+/// and `L_b` unscaled it read 47.2 %, 5.3 % and 5.0 %. Release only, like
+/// the test above.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes without optimisation; ci.sh runs it in --release"
+)]
+fn online_saves_as_much_per_device_at_every_fleet_size() {
+    let saving = |users: usize| {
+        let spec: ScenarioSpec = format!("mega:users={users}:seed=42").parse().expect("parses");
+        let energy = |policy| {
+            let config = spec.build_with_policy(policy).expect("builds");
+            run_simulation(config.summary_only()).total_energy_j
+        };
+        1.0 - energy(PolicySpec::Online { v: None }) / energy(PolicySpec::Immediate)
+    };
+    let base = saving(25);
+    for users in [2_500, 25_000] {
+        let at = saving(users);
+        assert!(
+            (at - base).abs() <= 0.05,
+            "{users} devices save {:.1} %, 25 save {:.1} %",
+            100.0 * at,
+            100.0 * base
+        );
+    }
+}
+
 /// The toy configuration of the tests below: 8 users over 1 500 slots, fast
 /// enough for the debug suite.
 fn small(policy: PolicySpec) -> SimConfig {
