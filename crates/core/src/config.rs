@@ -5,6 +5,14 @@
 /// The defaults follow the paper's evaluation settings (Section VII-B):
 /// 1-second slots, `L_b = 1000`, `V = 4000`, a 500-second look-ahead window
 /// for the offline knapsack, and a small per-slot idle gap increment `ε`.
+///
+/// `v` and `staleness_bound` hold for 25 devices, the paper's testbed. The
+/// queues of Eq. (15)/(16) add up jobs and gaps over the whole fleet while
+/// the Eq. (22) threshold `V·t_d·ΔP` is per device, so the simulation engine
+/// hands its controllers `V·N/25` and `L_b·N/25` for a fleet of `N`
+/// (exactly these values at `N = 25`); unscaled, a fleet of thousands keeps
+/// `Q(t)` above every threshold and the staleness budget out of reach. An
+/// explicit `Online(V=…)` policy sets the controller's `V` as given.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Lyapunov control knob `V` trading energy against staleness.

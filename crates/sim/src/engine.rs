@@ -77,6 +77,7 @@ use std::sync::Arc;
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
 
+use fedco_core::config::SchedulerConfig;
 use fedco_core::experiment::{ConfigError, SimConfig};
 use fedco_core::offline::{OfflineScheduler, OfflineUser};
 use fedco_core::online::{OnlineDecisionInput, SlotOutcome};
@@ -372,14 +373,20 @@ impl Simulation {
         let profilers: Vec<EnergyProfiler> = (0..users.len())
             .map(|i| EnergyProfiler::lean(PowerModel::shared(users.shared_profile(i))))
             .collect();
+        // `V` and `L_b` are set per 25 devices, the paper's testbed: the
+        // queues of Eq. 15/16 add up the whole fleet, so the controllers get
+        // them scaled to it (exactly themselves at 25 devices).
+        let fleet = config.num_users as f64 / 25.0;
+        let scheduler = SchedulerConfig {
+            v: config.scheduler.v * fleet,
+            staleness_bound: config.scheduler.staleness_bound * fleet,
+            ..config.scheduler
+        };
         let policy = config.policy.build(
-            &PolicyBuildContext::new(config.scheduler).with_seed(config.seed ^ POLICY_SEED_SALT),
+            &PolicyBuildContext::new(scheduler).with_seed(config.seed ^ POLICY_SEED_SALT),
         );
-        let predictor = WeightPredictor::new(
-            config.scheduler.learning_rate,
-            config.scheduler.momentum_beta,
-        );
-        let offline_scheduler = OfflineScheduler::new(config.scheduler.staleness_bound, predictor);
+        let predictor = WeightPredictor::new(scheduler.learning_rate, scheduler.momentum_beta);
+        let offline_scheduler = OfflineScheduler::new(scheduler.staleness_bound, predictor);
 
         // Initial global parameters and optional ML workload.
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5EED_F00D);
