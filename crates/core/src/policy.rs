@@ -99,6 +99,9 @@ impl WindowPlan {
 /// * [`next_decision_slot`](SchedulingPolicy::next_decision_slot) — the
 ///   first slot at which a waiting user could be scheduled, so the slot loop
 ///   decides that user only from then on.
+/// * [`class_decision`](SchedulingPolicy::class_decision) — one decision for
+///   every waiting user of a (device, app status) class, so the slot loop
+///   decides once per class and the users a class leaves idle sleep.
 ///
 /// Every slot of a run is stepped. A waiting user is decided in every slot
 /// from the one `next_decision_slot` names; the idle slots before it, in
@@ -196,6 +199,27 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     fn next_decision_slot(&self, user_id: usize, slot: u64) -> Option<u64> {
         let _ = user_id;
         Some(slot)
+    }
+
+    /// The decision [`decide`](SchedulingPolicy::decide) would return in
+    /// the current slot for every waiting user whose context has `input`'s
+    /// app status and powers and gaps no larger than `input`'s — its
+    /// *class* — or `None`.
+    ///
+    /// The contract: an answer holds for every such user, and asking
+    /// `decide` for them would change nothing. The engine then decides by
+    /// class, once per class and slot, and a user its class leaves idle
+    /// sleeps, owing its `+ ε` steps and decision overhead, until its class
+    /// is decided otherwise or its app status changes. In a slot where the
+    /// policy answers and [`virtual_backlog`](SchedulingPolicy::virtual_backlog)
+    /// is zero, [`end_of_slot`](SchedulingPolicy::end_of_slot) may receive
+    /// a proven upper bound on the gap sum that lies below the fleet's
+    /// staleness bound instead of the sum itself, and must then act alike.
+    ///
+    /// Defaults to `None`: every waiting user is decided on its own.
+    fn class_decision(&self, input: &OnlineDecisionInput) -> Option<SlotDecision> {
+        let _ = input;
+        None
     }
 }
 
@@ -388,6 +412,16 @@ impl SchedulingPolicy for OnlinePolicy {
         // The controller evaluates the Eq.-21 objective every slot; Table III
         // measures the full decision-computation power for it.
         1.0
+    }
+
+    /// With `H(t) = 0` the `h·g` terms of Eq. 21 are exact zeros for finite
+    /// gaps, so the objectives of a class do not depend on them. Evaluated
+    /// as `decide` evaluates them, for the same bits; and Eq. 16 leaves
+    /// `H(t + 1) = 0` for any gap sum below `L_b`.
+    fn class_decision(&self, input: &OnlineDecisionInput) -> Option<SlotDecision> {
+        let finite = input.predicted_gap_if_schedule.value().is_finite()
+            && input.accumulated_gap_if_idle.value().is_finite();
+        (self.scheduler.virtual_backlog() == 0.0 && finite).then(|| self.scheduler.decide(input))
     }
 }
 
@@ -605,6 +639,54 @@ mod tests {
         // The controller pays full decision-computation overhead.
         assert_eq!(p.decision_energy_overhead(), 1.0);
         assert!(!p.round_barrier());
+    }
+
+    /// Online answers for a class only while `H(t) = 0` and both gaps are
+    /// finite, and then as `decide` does whatever the gaps; the other
+    /// built-ins never answer.
+    #[test]
+    fn class_decision_is_decide_while_the_virtual_queue_is_empty() {
+        let mut p = OnlinePolicy::new(SchedulerConfig::default().with_v(1.0));
+        let with_gaps = |mut c: UserSlotContext, schedule: f64, idle: f64| {
+            c.input.predicted_gap_if_schedule = GradientGap(schedule);
+            c.input.accumulated_gap_if_idle = GradientGap(idle);
+            c
+        };
+        for q in [0, 1, 3] {
+            p.end_of_slot(&SlotOutcome {
+                arrivals: q,
+                scheduled: 0,
+                gap_sum: 0.0,
+            });
+            for c in [ctx(0, 0), idle_ctx(1, 0)] {
+                let answer = p.class_decision(&c.input);
+                assert_eq!(answer, Some(p.decide(&c)), "Q = {}", p.queue_backlog());
+                for (schedule, idle) in [(0.0, 0.0), (1e9, 0.0), (0.0, 1e300)] {
+                    assert_eq!(p.decide(&with_gaps(c, schedule, idle)), answer.unwrap());
+                }
+                assert_eq!(
+                    p.class_decision(&with_gaps(c, f64::INFINITY, 0.5).input),
+                    None
+                );
+                assert_eq!(p.class_decision(&with_gaps(c, 1.0, f64::NAN).input), None);
+            }
+        }
+        p.end_of_slot(&SlotOutcome {
+            arrivals: 0,
+            scheduled: 0,
+            gap_sum: 2000.0,
+        });
+        assert_eq!(p.class_decision(&ctx(0, 0).input), None, "H > 0");
+        let mut others: Vec<Box<dyn SchedulingPolicy>> = vec![
+            Box::new(ImmediatePolicy::new()),
+            Box::new(SyncSgdPolicy::new()),
+            Box::new(OfflinePolicy::new()),
+            Box::new(RandomPolicy::new(0.5, 1)),
+            Box::new(PowerThresholdPolicy::new(0.5)),
+        ];
+        for other in &mut others {
+            assert_eq!(other.class_decision(&ctx(0, 0).input), None, "{other:?}");
+        }
     }
 
     #[test]

@@ -42,6 +42,18 @@
 //! walked step by step, and a tie needs the bits of `step` below `u` to be
 //! exactly `10…0`. The plain loop lives on as the `reference_bits` oracle of
 //! this module's tests.
+//!
+//! [`repeated_add_pairs`] does the same for an accumulator that receives two
+//! amounts by turns, `first` then `then`, as a waiting device's profiler
+//! receives a decision's overhead and then its slot's energy. Inside one
+//! binade each addend moves the bits by its own increment whatever the
+//! accumulator, so a pair moves them by the sum `du` of the two; one real
+//! pair shows both increments (`mid` lies between `acc` and `next`, so all
+//! three share the binade and both differences are exact), the tie test is
+//! made for each addend, and from there the jump is the single step's.
+//! Both addends must be non-negative; a zero one has increment 0, and
+//! [`repeated_add`] is the pair with `first = −0.0`, which leaves every
+//! accumulator's bits alone.
 
 use std::fmt;
 use std::iter::Sum;
@@ -243,12 +255,23 @@ impl Sum for Seconds {
 /// Adds `step` to `acc` `times` times and returns the bits
 /// `for _ in 0..times { acc += step }` leaves, jumping a binade at a time
 /// (see [the module docs](self#repeated-addition-in-closed-form)).
-pub fn repeated_add(mut acc: f64, step: f64, mut times: u64) -> f64 {
+pub fn repeated_add(acc: f64, step: f64, times: u64) -> f64 {
+    // `−0.0` is the identity of IEEE addition, `+0.0` and `−0.0` included.
+    repeated_add_pairs(acc, -0.0, step, times)
+}
+
+/// Adds `first` and then `then` to `acc`, `times` times over, and returns
+/// the bits `for _ in 0..times { acc += first; acc += then }` leaves, a
+/// binade at a time: inside a binade a pair moves the bits by the sum of the
+/// two addends' increments, and the guard holds for each addend (see [the
+/// module docs](self#repeated-addition-in-closed-form)).
+pub fn repeated_add_pairs(mut acc: f64, first: f64, then: f64, mut times: u64) -> f64 {
     while times > 0 {
-        let next = acc + step;
+        let mid = acc + first;
+        let next = mid + then;
         times -= 1;
         let (from, to) = (acc.to_bits(), next.to_bits());
-        // Done, or absorbed: a step that leaves the bits alone always will.
+        // Done, or absorbed: a pair that leaves the bits alone always will.
         if times == 0 || to == from {
             return next;
         }
@@ -256,10 +279,14 @@ pub fn repeated_add(mut acc: f64, step: f64, mut times: u64) -> f64 {
         // whose ulp `2^E · 2^−52` is exact even where it is subnormal.
         let binade = from >> 52;
         let ulp = f64::from_bits(binade << 52) * f64::EPSILON;
-        if step > 0.0
+        // Both addends non-negative, so `mid` lies between `acc` and `next`.
+        let tie = |step: f64, lo: f64, hi: f64| (step - (hi - lo)).abs() * 2.0 == ulp;
+        if first >= 0.0
+            && then >= 0.0
             && (1..0x7ff).contains(&binade)
             && to >> 52 == binade
-            && (step - (next - acc)).abs() * 2.0 != ulp
+            && !tie(first, acc, mid)
+            && !tie(then, mid, next)
         {
             let (du, room) = (to - from, ((binade + 1) << 52) - 1 - to);
             let jump = if times.saturating_mul(du) <= room {
@@ -342,7 +369,7 @@ mod reference_bits {
     use fedco_rng::rngs::SmallRng;
     use fedco_rng::{Rng, SeedableRng};
 
-    use super::repeated_add;
+    use super::{repeated_add, repeated_add_pairs};
 
     /// The span body the kernel replaced: one rounded addition per step.
     fn plain_loop(mut acc: f64, step: f64, times: u64) -> f64 {
@@ -463,40 +490,54 @@ mod reference_bits {
     /// A positive normal, subnormal, zero or negative accumulator; a step
     /// from absorbed to larger than it, an exact tie, or any bit pattern at
     /// all; a span length around a binade edge or drawn small and large.
+    fn mantissa(rng: &mut SmallRng) -> u64 {
+        rng.gen::<u64>() >> 12
+    }
+
+    /// A positive normal, subnormal, zero or negative accumulator.
+    fn fuzz_acc(rng: &mut SmallRng) -> f64 {
+        let exponent = match rng.gen_range(0..10u32) {
+            0 => 0,
+            1 => rng.gen_range(2030..2047u64),
+            _ => rng.gen_range(1..1077u64),
+        };
+        let acc = f64::from_bits(exponent << 52 | mantissa(rng));
+        match rng.gen_range(0..20u32) {
+            0 => -acc,
+            1 => [0.0, -0.0, 1.0, 4_503_599_627_370_496.0][rng.gen_range(0..4usize)],
+            // Just below the top of its binade.
+            2 => f64::from_bits(acc.to_bits() | 0x000f_ffff_ffff_ff00),
+            _ => acc,
+        }
+    }
+
+    /// A step from absorbed by `acc` to larger than it, an exact tie, or any
+    /// bit pattern at all.
+    fn fuzz_step(rng: &mut SmallRng, acc: f64) -> f64 {
+        match rng.gen_range(0..16u32) {
+            0 => f64::from_bits(rng.gen()),
+            1 => [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                -0.689,
+            ][rng.gen_range(0..6usize)],
+            2 | 3 if acc.is_normal() && acc > 0.0 => tie(acc, rng.gen_range(0..64u32)),
+            _ => {
+                let scale = (acc.to_bits() >> 52 & 0x7ff) as i64 - rng.gen_range(-3..62i64);
+                f64::from_bits((scale.clamp(0, 2046) as u64) << 52 | mantissa(rng))
+            }
+        }
+    }
+
     #[test]
     fn seeded_fuzz_matches_the_loop() {
         let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let mantissa = |rng: &mut SmallRng| rng.gen::<u64>() >> 12;
         for _ in 0..212_000 {
-            let exponent = match rng.gen_range(0..10u32) {
-                0 => 0,
-                1 => rng.gen_range(2030..2047u64),
-                _ => rng.gen_range(1..1077u64),
-            };
-            let mut acc = f64::from_bits(exponent << 52 | mantissa(&mut rng));
-            match rng.gen_range(0..20u32) {
-                0 => acc = -acc,
-                1 => acc = [0.0, -0.0, 1.0, 4_503_599_627_370_496.0][rng.gen_range(0..4usize)],
-                // Just below the top of its binade.
-                2 => acc = f64::from_bits(acc.to_bits() | 0x000f_ffff_ffff_ff00),
-                _ => {}
-            }
-            let step = match rng.gen_range(0..16u32) {
-                0 => f64::from_bits(rng.gen()),
-                1 => [
-                    f64::NAN,
-                    f64::INFINITY,
-                    f64::NEG_INFINITY,
-                    0.0,
-                    -0.0,
-                    -0.689,
-                ][rng.gen_range(0..6usize)],
-                2 | 3 if acc.is_normal() && acc > 0.0 => tie(acc, rng.gen_range(0..64u32)),
-                _ => {
-                    let scale = (acc.to_bits() >> 52 & 0x7ff) as i64 - rng.gen_range(-3..62i64);
-                    f64::from_bits((scale.clamp(0, 2046) as u64) << 52 | mantissa(&mut rng))
-                }
-            };
+            let acc = fuzz_acc(&mut rng);
+            let step = fuzz_step(&mut rng, acc);
             let times = match rng.gen_range(0..100u32) {
                 0..=69 => rng.gen_range(0..64u64),
                 70..=96 => rng.gen_range(0..1024u64),
@@ -507,5 +548,112 @@ mod reference_bits {
             };
             check(acc, step, times);
         }
+    }
+    /// The interleaved loop [`repeated_add_pairs`] replaces.
+    fn pair_loop(mut acc: f64, first: f64, then: f64, times: u64) -> f64 {
+        for _ in 0..times {
+            acc += first;
+            acc += then;
+        }
+        acc
+    }
+
+    fn check_pairs(acc: f64, first: f64, then: f64, times: u64) {
+        let got = repeated_add_pairs(acc, first, then, times);
+        let want = pair_loop(acc, first, then, times);
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{acc:e} + ({first:e}, {then:e}) x {times}: {got:e} ({:#x}), the loop {want:e} ({:#x})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    /// `0`, `1`, `2`, span lengths of a run, and the pair that leaves
+    /// `acc`'s binade ± 1.
+    fn pair_times(acc: f64, first: f64, then: f64) -> Vec<u64> {
+        let mut times = vec![0, 1, 2, 977, 10_800];
+        let binade = acc.to_bits() >> 52;
+        let mut x = acc;
+        if let Some(edge) = (1..=20_000u64).find(|_| {
+            x = x + first + then;
+            x.to_bits() >> 52 != binade
+        }) {
+            times.extend([edge - 1, edge, edge + 1]);
+        }
+        times
+    }
+
+    /// Every pair of addends from a decision overhead's size to a slot's,
+    /// zero of either sign, a half-ulp tie on either side, negative and
+    /// non-finite ones, from zero, subnormal, normal and negative
+    /// accumulators; and a binade crossed between the two adds.
+    #[test]
+    fn pairs_match_the_interleaved_loop() {
+        let accs = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_fff0),
+            1e-300,
+            1.0,
+            f64::from_bits(1f64.to_bits() | 1),
+            1e5,
+            1e9 + 0.25,
+            4_503_599_627_370_496.0,
+            -7.5,
+        ];
+        for &acc in &accs {
+            let mut addends = vec![0.0, -0.0, 0.037_9, 0.689, 1.0 / 3.0, f64::from_bits(1)];
+            addends.extend([-0.25, f64::NAN, f64::INFINITY]);
+            if acc.is_normal() && acc > 0.0 {
+                addends.extend((0..3).map(|j| tie(acc, j)));
+                addends.extend([0.37 * acc, acc / 2f64.powi(40)]);
+            }
+            for &first in &addends {
+                for &then in &addends {
+                    for times in pair_times(acc, first, then) {
+                        check_pairs(acc, first, then, times);
+                    }
+                }
+            }
+        }
+        // The first add reaches the binade's top, the second leaves from
+        // there: `2 − ulp + ulp = 2`, then on in `[2, 4)`.
+        let below_two = 2.0 - f64::EPSILON;
+        for then in [0.1, 0.689, tie(2.0, 0)] {
+            for times in [1, 2, 3, 1_000] {
+                check_pairs(below_two, f64::EPSILON, then, times);
+                check_pairs(below_two, then, f64::EPSILON, times);
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_seeded_fuzz_matches_the_loop() {
+        let mut rng = SmallRng::seed_from_u64(0x9a1e);
+        for _ in 0..60_000 {
+            let acc = fuzz_acc(&mut rng);
+            let first = fuzz_step(&mut rng, acc);
+            let then = fuzz_step(&mut rng, acc);
+            let times = match rng.gen_range(0..10u32) {
+                0..=6 => rng.gen_range(0..64u64),
+                _ => rng.gen_range(0..2048u64),
+            };
+            check_pairs(acc, first, then, times);
+        }
+    }
+
+    /// A billion pairs — the `u64` jump arithmetic at a length no run
+    /// reaches — from where an idle profiler starts and from a loaded one.
+    /// Release only: the plain loop takes seconds optimised.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "a billion-step plain loop; ci.sh runs it in --release"
+    )]
+    fn a_billion_pairs_match_the_interleaved_loop() {
+        check_pairs(0.0, 0.037_9, 0.689, 1_000_000_000);
+        check_pairs(1e9 + 0.25, 0.0, 1.0 / 3.0, 1_000_000_000);
     }
 }

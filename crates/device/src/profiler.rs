@@ -6,7 +6,7 @@
 //! keeping a per-state breakdown so figures like Fig. 1 (separate vs
 //! co-running energy) can be reproduced.
 
-use crate::energy::{repeated_add, Joules, Seconds};
+use crate::energy::{repeated_add, repeated_add_pairs, Joules, Seconds};
 use crate::power::{PowerModel, PowerState};
 
 /// A label used in energy breakdowns.
@@ -111,13 +111,47 @@ impl EnergyProfiler {
     /// Returns the total energy recorded so far (the span's own energy is
     /// not tallied: a third sum from zero would cost a jump per binade).
     pub fn record_span(&mut self, state: PowerState, slot: Seconds, slots: u64) -> Joules {
+        self.record_decided_span(state, slot, slots, None)
+    }
+
+    /// [`record_span`](EnergyProfiler::record_span) for a device that was
+    /// also charged `overhead` under [`EnergyComponent::Idle`] at the start
+    /// of every slot of the span: the bits of `slots` turns of
+    /// [`record_extra`](EnergyProfiler::record_extra)`(Idle, overhead)` then
+    /// [`record`](EnergyProfiler::record), in closed form
+    /// ([`repeated_add_pairs`] where the two land on one accumulator).
+    /// `None` is a span without charges.
+    pub fn record_decided_span(
+        &mut self,
+        state: PowerState,
+        slot: Seconds,
+        slots: u64,
+        overhead: Option<Joules>,
+    ) -> Joules {
         if slots == 0 {
             return self.total;
         }
         let energy = self.model.slot_energy(state, slot).value();
-        self.total = Joules(repeated_add(self.total.value(), energy, slots));
-        let component = self.component_mut(EnergyComponent::of(state));
-        *component = Joules(repeated_add(component.value(), energy, slots));
+        let component = EnergyComponent::of(state);
+        // `−0.0` is the identity of IEEE addition: no charge.
+        let charge = overhead.map_or(-0.0, Joules::value);
+        self.total = Joules(repeated_add_pairs(
+            self.total.value(),
+            charge,
+            energy,
+            slots,
+        ));
+        if overhead.is_some() && component != EnergyComponent::Idle {
+            let idle = self.component_mut(EnergyComponent::Idle);
+            *idle = Joules(repeated_add(idle.value(), charge, slots));
+        }
+        let own_charge = if component == EnergyComponent::Idle {
+            charge
+        } else {
+            -0.0
+        };
+        let own = self.component_mut(component);
+        *own = Joules(repeated_add_pairs(own.value(), own_charge, energy, slots));
         self.total
     }
 
@@ -294,6 +328,43 @@ mod tests {
                         assert_eq!(total, span.total_energy());
                     }
                     let at = format!("slot {slot}, {preload} J before, {slots} slots");
+                    assert_eq!(energy_bits(&span), energy_bits(&dense), "{at}");
+                }
+            }
+        }
+    }
+
+    /// `record_decided_span` against slot-by-slot `record_extra(Idle, …)`
+    /// and `record` — what a waiting device that is decided every slot
+    /// receives — on the total and every component, in the idle state
+    /// (both amounts on one accumulator), in an app's (on two), at a zero
+    /// charge, after a span without charges and from a loaded profiler.
+    #[test]
+    fn reference_bits_decided_span_equals_charges_then_records() {
+        let states = [
+            PowerState::Idle,
+            PowerState::AppOnly(AppKind::Map),
+            PowerState::Idle,
+            PowerState::TrainingOnly,
+        ];
+        for charge in [0.0, 0.037_9, 1.0 / 3.0] {
+            for preload in [0.0, 1.0e9 + 0.377] {
+                for slots in [0u64, 1, 3, 977, 10_800, 100_000] {
+                    let mut dense =
+                        EnergyProfiler::lean(PowerModel::new(DeviceKind::Pixel2.profile()));
+                    dense.record_extra(EnergyComponent::AppOnly, Joules(preload));
+                    let mut span = dense.clone();
+                    for (k, state) in states.into_iter().enumerate() {
+                        let overhead = (k != 3).then_some(Joules(charge));
+                        for _ in 0..slots {
+                            if let Some(extra) = overhead {
+                                dense.record_extra(EnergyComponent::Idle, extra);
+                            }
+                            dense.record(state, Seconds(0.1));
+                        }
+                        span.record_decided_span(state, Seconds(0.1), slots, overhead);
+                    }
+                    let at = format!("charge {charge}, {preload} J before, {slots} slots");
                     assert_eq!(energy_bits(&span), energy_bits(&dense), "{at}");
                 }
             }

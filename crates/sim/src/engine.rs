@@ -31,7 +31,9 @@
 //!   drives the decision loop — less those asleep: a waiting user its
 //!   policy cannot schedule before a later slot
 //!   ([`SchedulingPolicy::next_decision_slot`]; the offline plan fixes
-//!   every start) sleeps until a wake the calendar holds;
+//!   every start) sleeps until a wake the calendar holds, and one its class
+//!   was decided idle for sleeps until it is woken (see "Deciding by
+//!   class");
 //! * power is *state since slot S* per user, written to a profiler only
 //!   when the state changes or something else is charged.
 //!
@@ -40,10 +42,9 @@
 //! overhead, the `+ε` gap step. A sleeper owes its `+ε` steps, which land
 //! as one [`repeated_add`](fedco_device::energy::repeated_add) — the bits
 //! of the single additions — at its wake and before anything reads its gap
-//! (the [`user`](crate::user) module states the invariants); a slot that
-//! charges decision overhead wakes every sleeper, since the scan charges
-//! every waiting user. What stays per user is the fixed-order `gap_sum`
-//! fold that feeds Eq. 16, redone in every slot that changed a gap (and,
+//! (the [`user`](crate::user) module states the invariants). What stays
+//! per user is the fixed-order `gap_sum` fold that feeds Eq. 16, redone in
+//! every slot that changed a gap unless a bound makes it moot (below; and,
 //! inside the profilers, the repeated-addition energy chains): both define
 //! the bits. Two values are held until the one thing that can change them
 //! happens, as the deleted spans held them: the server's momentum norm
@@ -51,6 +52,36 @@
 //! slots in which the whole fleet trains fold nothing). The `phases`
 //! module holds the two implementations of each phase and the argument for
 //! why they agree bit for bit.
+//!
+//! # Deciding by class
+//!
+//! A policy may answer for a whole class of waiting users — one device
+//! profile, one app status — at once
+//! ([`SchedulingPolicy::class_decision`]; the online controller does while
+//! `H(t) = 0`, when Eq. 21 no longer reads the gaps). The indexed loop asks
+//! it once per class and slot, with the slot's predicted gap and a bound
+//! on every idle gap, and holds every class to its answer:
+//!
+//! * a user its class leaves idle sleeps in its class, owing from that
+//!   slot its `+ε` steps and its decision overhead, which lands with its
+//!   power span as overhead-then-slot turns
+//!   ([`EnergyProfiler::record_decided_span`]) whenever the span closes;
+//! * it wakes when its class is answered otherwise (its class's sleepers
+//!   are walked, ascending), when its app status changes, and in a slot the
+//!   policy does not answer for, which decides every waiting user on its
+//!   own as the scan does (a slot that charges overhead also wakes any
+//!   sleeper that does not owe it);
+//! * the users of a `Schedule` class are scheduled in ascending order, so
+//!   `Schedule` events keep their order;
+//! * while `H(t) = 0` and a proven upper bound on the gap sum stays below
+//!   `L_b`, Eq. 16 gives `H(t + 1) = +0.0` whatever the exact sum is, and
+//!   the fold — with the sleepers' settling it needs — is skipped
+//!   (`Simulation::queue_gap_sum` holds the proof).
+//!
+//! So a slot of a feasible controller costs its classes, its arrivals and
+//! the users it schedules, not its waiting fleet; `run_dense` decides every
+//! waiting user in every slot and folds every slot, and the equivalence
+//! suite holds the two to the same bits and events.
 //!
 //! Slots in which nothing happens are stepped like any other: an empty
 //! slot costs a few index lookups, and fast-forwarding over runs of them
@@ -308,6 +339,17 @@ pub struct Simulation {
     /// The users whose epoch completed in the current slot's tick,
     /// ascending, with their co-running flag.
     pub(crate) completed: Vec<(usize, bool)>,
+    /// The overhead fraction the class sleepers owe per slot since their
+    /// power span opened.
+    pub(crate) owed_overhead: f64,
+    /// Per decision class, the slot (+ 1) its decision was asked for and the
+    /// policy's answer.
+    class_memo: Vec<(u64, Option<SlotDecision>)>,
+    /// An upper bound on the real sum of the gaps at the end of the last
+    /// slot (see [`queue_gap_sum`](Self::queue_gap_sum)).
+    gap_bound: f64,
+    /// The fleet's staleness bound `L_b·N/25`, as the policy was built with.
+    staleness_bound: f64,
     /// World-model runtime (`None` when the configured world needs no check
     /// slots — the paper-default world, which keeps this path zero-cost).
     world: Option<WorldRuntime>,
@@ -382,9 +424,9 @@ impl Simulation {
             staleness_bound: config.scheduler.staleness_bound * fleet,
             ..config.scheduler
         };
-        let policy = config.policy.build(
-            &PolicyBuildContext::new(scheduler).with_seed(config.seed ^ POLICY_SEED_SALT),
-        );
+        let policy = config
+            .policy
+            .build(&PolicyBuildContext::new(scheduler).with_seed(config.seed ^ POLICY_SEED_SALT));
         let predictor = WeightPredictor::new(scheduler.learning_rate, scheduler.momentum_beta);
         let offline_scheduler = OfflineScheduler::new(scheduler.staleness_bound, predictor);
 
@@ -521,6 +563,10 @@ impl Simulation {
             accrued_to: 0,
             dirty: Vec::new(),
             completed: Vec::new(),
+            owed_overhead: 0.0,
+            class_memo: Vec::new(),
+            gap_bound: 0.0,
+            staleness_bound: scheduler.staleness_bound,
             world,
             telemetry: None,
             finished: None,
@@ -887,7 +933,7 @@ impl Simulation {
             return;
         }
         match self.policy.next_decision_slot(i, from) {
-            Some(wake) if wake <= from => self.users.wake(i, from),
+            Some(wake) if wake <= from => self.wake(i, from),
             next => {
                 let wake = next.unwrap_or(u64::MAX);
                 self.users.sleep(i, from, wake);
@@ -1033,6 +1079,7 @@ impl Simulation {
             self.calendar = Calendar::new(self.config.total_slots);
             self.dirty = (0..self.users.len() as u32).collect();
         }
+        self.class_memo = vec![(0, None); self.users.classes()];
         self.emit(
             0,
             EventKind::run_start(
@@ -1050,6 +1097,10 @@ impl Simulation {
     /// This is what a fleet that mostly waits spends its run in, so it is
     /// forced into both decision loops: as a call it cost the waiting-heavy
     /// 100-device throughput cells a quarter of their time.
+    ///
+    /// With `class_gaps`, the user is decided by its class first
+    /// ([`class_decision`](Self::class_decision)); a class left idle puts
+    /// it to sleep, owing this slot's gap step and overhead.
     #[inline(always)]
     fn decide_user(
         &mut self,
@@ -1057,19 +1108,34 @@ impl Simulation {
         slot: u64,
         predicted: GradientGap,
         overhead_fraction: f64,
+        class_gaps: Option<(GradientGap, GradientGap)>,
         tally: &mut DecisionTally,
     ) {
         let status = self.users.app_status(i);
-        let idle_gap = GradientGap(self.users.gap_value(i).0 + self.users.epsilon());
-        let input =
-            OnlineDecisionInput::from_profile(self.users.profile(i), status, predicted, idle_gap);
-        let ctx = UserSlotContext {
-            user_id: i,
-            slot,
-            app_status: status,
-            input,
+        let by_class = match class_gaps {
+            Some(gaps) => self.class_decision(self.users.class(i), slot, gaps),
+            None => None,
         };
-        let decision = self.policy.decide(&ctx);
+        let decision = match by_class {
+            Some(SlotDecision::Idle) => {
+                self.flush_pending(i);
+                self.users.sleep_in_class(i, slot);
+                return;
+            }
+            Some(decision) => decision,
+            None => {
+                let idle_gap = GradientGap(self.users.gap_value(i).0 + self.users.epsilon());
+                let profile = self.users.profile(i);
+                let input = OnlineDecisionInput::from_profile(profile, status, predicted, idle_gap);
+                let ctx = UserSlotContext {
+                    user_id: i,
+                    slot,
+                    app_status: status,
+                    input,
+                };
+                self.policy.decide(&ctx)
+            }
+        };
         // Charge the decision-computation overhead the policy declares
         // (Table III measures it for the online controller; the baselines
         // decide for free).
@@ -1106,6 +1172,171 @@ impl Simulation {
                 self.users.idle_slot(i);
             }
         }
+    }
+
+    /// Slot phase 2 in the indexed loop: the awake waiting users, ascending.
+    /// While the policy answers for classes
+    /// ([`SchedulingPolicy::class_decision`], asked with the slot's predicted
+    /// gap and the bound on every idle one), each is decided by its class
+    /// and the sleepers of a class no longer left idle wake first; otherwise
+    /// each is decided on its own. Returns whether the slot went by class.
+    fn decide_awake(
+        &mut self,
+        slot: u64,
+        predicted: GradientGap,
+        overhead: f64,
+        tally: &mut DecisionTally,
+    ) -> bool {
+        // The fold bounds the sum of the gaps, so each one of them.
+        let gaps = (
+            predicted,
+            GradientGap(self.gap_bound + self.users.epsilon()),
+        );
+        let by_class = !self.policy_quiescent
+            && self.users.waiting_count() > 0
+            && self.class_decision(0, slot, gaps).is_some();
+        // The scan charges every waiting user for its decision: a sleeper
+        // that does not owe this slot's charge wakes, and a slot decided
+        // user by user wakes the class sleepers.
+        let class_sleepers = self.users.class_sleepers();
+        if (overhead > 0.0 && self.users.asleep_count() > class_sleepers)
+            || (class_sleepers > 0 && (!by_class || overhead != self.owed_overhead))
+        {
+            self.stats.user_visits += self.wake_all(slot) as u64;
+        }
+        self.owed_overhead = overhead;
+        if by_class && self.users.class_sleepers() > 0 {
+            for c in 0..self.users.classes() {
+                let sleeping = self.users.class_sleeping(c);
+                if sleeping > 0 && self.class_decision(c, slot, gaps) != Some(SlotDecision::Idle) {
+                    self.stats.user_visits += sleeping as u64;
+                    for b in 0..self.users.waiting_blocks() {
+                        for i in self.users.class_block(c, b) {
+                            self.wake(i, slot);
+                        }
+                    }
+                }
+            }
+        }
+        let awake = self.users.awake_count();
+        self.stats.user_visits += awake as u64;
+        if awake > 0 {
+            let class_gaps = by_class.then_some(gaps);
+            for b in 0..self.users.waiting_blocks() {
+                for i in self.users.awake_block(b) {
+                    self.decide_user(i, slot, predicted, overhead, class_gaps, tally);
+                }
+            }
+        }
+        by_class
+    }
+
+    /// The policy's answer for decision class `c` in `slot`, asked once per
+    /// class and slot.
+    fn class_decision(
+        &mut self,
+        c: usize,
+        slot: u64,
+        (predicted, idle): (GradientGap, GradientGap),
+    ) -> Option<SlotDecision> {
+        let (asked, answer) = self.class_memo[c];
+        if asked == slot + 1 {
+            return answer;
+        }
+        let (profile, status) = self.users.class_of(c);
+        let input = OnlineDecisionInput::from_profile(profile, status, predicted, idle);
+        let answer = self.policy.class_decision(&input);
+        self.class_memo[c] = (slot + 1, answer);
+        answer
+    }
+
+    /// The gap sum that feeds Eq. 16 at the end of `slot`: the fixed-order
+    /// fold of the gap lane, its sleepers settled first — or, in a slot
+    /// decided by class with `H(t) = 0`, an upper bound on it that lies
+    /// below `L_b`, where Eq. 16 gives `H(t + 1) = +0.0` for the fold and
+    /// the bound alike (the contract of
+    /// [`SchedulingPolicy::class_decision`]). `idle` users waited through
+    /// the slot and `scheduled` ones started training at `predicted`.
+    ///
+    /// # The bound
+    ///
+    /// `gap_bound` is at least `Σ`, the real sum of the (settled) gaps, at
+    /// the end of every slot. Every gap is non-negative: `ε ≥ 0`, and a
+    /// predicted gap is a product of non-negative factors (a NaN fails
+    /// every comparison below). With `u = 2⁻⁵³`:
+    ///
+    /// * At slot 0 every gap is 0, and so is the bound.
+    /// * From one slot's end to the next, a gap changes by one idle step
+    ///   `fl(g + ε) ≤ (g + ε)(1 + u)` for each of the `idle` users, becomes
+    ///   `predicted` for each of the `scheduled` ones, or drops to 0. So
+    ///   `Σ' ≤ (Σ + idle·ε)(1 + u) + scheduled·predicted`. The step's
+    ///   value, `B' = (B + idle·ε + scheduled·predicted)·(1 + 2⁻⁴⁰)` in
+    ///   floats, passes each of its three terms through at most four
+    ///   roundings, each losing at most a factor `(1 − u)`, and
+    ///   `(1 − u)⁴(1 + 2⁻⁴⁰) > 1 + u`, so `B' ≥ Σ'`.
+    /// * A fold `F` of `n` non-negative terms in any fixed order is within
+    ///   `γₙ₋₁·Σ` of `Σ`, `γₖ = k·u / (1 − k·u)` (Higham, *Accuracy and
+    ///   Stability of Numerical Algorithms*, §4.2), and `γ < 2⁻³⁰` for
+    ///   `n ≤ 2²²`. After a fold the bound is `fl(F·(1 + 2⁻²⁹))`, at least
+    ///   `F(1 + 2⁻²⁹)(1 − u) ≥ F / (1 − γ) ≥ Σ`.
+    /// * The fold is skipped only if `fl(B'·(1 + 2⁻²⁹)) < L_b`: then the
+    ///   fold it stands for would be `F ≤ Σ(1 + γ) ≤ B'(1 + γ) <
+    ///   B'(1 + 2⁻²⁹)(1 − u) < L_b`, and `B' < L_b` too, so `max(0 + F −
+    ///   L_b, 0)` and `max(0 + B' − L_b, 0)` are both `+0.0`. The sleepers'
+    ///   owed steps stay owed until a fold or another read settles them.
+    fn queue_gap_sum(
+        &mut self,
+        slot: u64,
+        by_class: bool,
+        idle: usize,
+        scheduled: usize,
+        predicted: GradientGap,
+    ) -> f64 {
+        const FOLD_SLACK: f64 = 1.0 + 1.0 / (1u64 << 29) as f64;
+        const STEP_SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+        let epsilon = self.users.epsilon();
+        let step = self.gap_bound + idle as f64 * epsilon + scheduled as f64 * predicted.0;
+        let bound = step * STEP_SLACK;
+        if by_class
+            && self.users.len() <= 1 << 22
+            && self.policy.virtual_backlog() == 0.0
+            && bound * FOLD_SLACK < self.staleness_bound
+        {
+            self.gap_bound = bound;
+            return bound;
+        }
+        // The fold over the gap lane: the arena's, which it holds while no
+        // gap changes, or (the reference) afresh.
+        let sum = if self.indexed {
+            self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
+            self.users.gap_sum()
+        } else {
+            self.users.fold_gaps()
+        };
+        self.gap_bound = sum * FOLD_SLACK;
+        sum
+    }
+
+    /// Wakes user `i` at `slot` (a no-op for an awake one): the decision
+    /// overhead a class sleeper owes lands with its power span, and the
+    /// idle slots it owes.
+    pub(crate) fn wake(&mut self, i: usize, slot: u64) {
+        if self.users.in_class_sleep(i) {
+            self.flush_pending(i);
+        }
+        self.users.wake(i, slot);
+    }
+
+    /// Wakes every asleep user at `slot`; returns how many there were.
+    fn wake_all(&mut self, slot: u64) -> usize {
+        if self.users.class_sleepers() > 0 {
+            for b in 0..self.users.waiting_blocks() {
+                for i in self.users.asleep_block(b) {
+                    self.flush_pending(i);
+                }
+            }
+        }
+        self.users.wake_all(slot)
     }
 
     /// Executes one slot and advances the clock by one.
@@ -1167,29 +1398,17 @@ impl Simulation {
             } else {
                 0.0
             };
-            if self.indexed {
-                // The scan charges every waiting user for its decision, so
-                // nobody sleeps through a slot that costs one.
-                if overhead > 0.0 {
-                    self.stats.user_visits += self.users.wake_all(slot) as u64;
-                }
-                let awake = self.users.awake_count();
-                self.stats.user_visits += awake as u64;
-                if awake > 0 {
-                    for b in 0..self.users.waiting_blocks() {
-                        for i in self.users.awake_block(b) {
-                            self.decide_user(i, slot, predicted, overhead, &mut tally);
-                        }
-                    }
-                }
+            let by_class = if self.indexed {
+                self.decide_awake(slot, predicted, overhead, &mut tally)
             } else {
                 self.stats.user_visits += self.users.len() as u64;
                 for i in 0..self.users.len() {
                     if self.users.is_waiting(i) {
-                        self.decide_user(i, slot, predicted, overhead, &mut tally);
+                        self.decide_user(i, slot, predicted, overhead, None, &mut tally);
                     }
                 }
-            }
+                false
+            };
 
             // Idle outcomes repeat every waiting slot, a sleeper's too:
             // counted into the driver channel, never emitted per slot.
@@ -1341,15 +1560,9 @@ impl Simulation {
             // `+= 0.0` accumulations (exact no-ops on non-negative sums)
             // wholesale; the scan reference keeps them.
             if !(self.indexed && self.policy_quiescent) {
-                // The fold over the gap lane: the arena's, which it holds
-                // while no gap changes, or (the reference) afresh.
-                let gap_sum = if self.indexed {
-                    self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
-                    self.users.gap_sum()
-                } else {
-                    self.users.fold_gaps()
-                };
                 let arrivals = waiting_at_start.saturating_sub(tally.scheduled);
+                let gap_sum =
+                    self.queue_gap_sum(slot, by_class, arrivals, tally.scheduled, predicted);
                 self.policy.end_of_slot(&SlotOutcome {
                     arrivals,
                     scheduled: tally.drained_wait_slots,

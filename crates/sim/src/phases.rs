@@ -74,6 +74,10 @@ impl Simulation {
         if self.users.app_running(i) || self.is_offline(i) {
             return;
         }
+        // Its class changes: a class sleeper wakes in the old one.
+        if self.users.in_class_sleep(i) {
+            self.wake(i, slot);
+        }
         let duration = self.users.profile(i).corun_time(app).value();
         let until = self
             .users
@@ -238,11 +242,21 @@ impl Simulation {
 
     /// Records user `i`'s open power span up to slot boundary `to` into its
     /// profiler. A no-op when the span is empty or the user accrues nothing.
+    ///
+    /// A class sleeper's span opened when it fell asleep, and it owes every
+    /// slot of it a decision's overhead where the slot loop charges one: the
+    /// scan charges it in the slot's decisions, after the slots before
+    /// accrued and before the slot's own energy. So its span lands as
+    /// charge-then-slot turns: every slot before `to` has accrued, hence
+    /// been decided, and a charge owed for slot `to` or later lands with
+    /// that slot's energy.
     fn flush_to(&mut self, i: usize, to: u64) {
         let slots = to.saturating_sub(self.power_since[i]);
         if slots > 0 {
-            let slot_len = self.slot_len();
-            self.profilers[i].record_span(self.power_state[i], slot_len, slots);
+            let owes = self.owed_overhead > 0.0 && self.users.in_class_sleep(i);
+            let overhead = owes.then(|| self.decision_overhead(i, self.owed_overhead));
+            let (state, slot_len) = (self.power_state[i], self.slot_len());
+            self.profilers[i].record_decided_span(state, slot_len, slots, overhead);
             self.power_since[i] = to;
         }
     }
@@ -297,7 +311,12 @@ impl Simulation {
         for d in due {
             let i = d.user as usize;
             match d.what {
-                Deadline::AppExpiry => self.users.end_app(i),
+                Deadline::AppExpiry => {
+                    if self.users.in_class_sleep(i) {
+                        self.wake(i, until);
+                    }
+                    self.users.end_app(i);
+                }
                 Deadline::EpochDone => {
                     if let Some(corunning) = self.users.epoch_done_at(i, until) {
                         self.users.count_epoch(i);

@@ -32,7 +32,11 @@
 //! ([`SchedulingPolicy::next_decision_slot`]) is *asleep* until then: the
 //! indexed slot loop does not decide it, and the idle slots it waits through
 //! — one `+ ε` gap step and one waited slot each — are owed instead of
-//! applied. Three invariants keep that out of the results:
+//! applied. So is a user its *class* — its device profile and app status —
+//! was decided idle for ([`SchedulingPolicy::class_decision`]): it sleeps
+//! with no wake slot, in its class's set, until the engine wakes it (its
+//! class decided otherwise, its app status changed, or a slot decided user
+//! by user). Three invariants keep that out of the results:
 //!
 //! * an asleep user is waiting, and owes exactly the slots from the one it
 //!   fell asleep at up to the slot boundary being read;
@@ -46,6 +50,7 @@
 //!   gap and the wait count.
 //!
 //! [`SchedulingPolicy::next_decision_slot`]: fedco_core::policy::SchedulingPolicy::next_decision_slot
+//! [`SchedulingPolicy::class_decision`]: fedco_core::policy::SchedulingPolicy::class_decision
 
 use std::sync::Arc;
 
@@ -57,6 +62,9 @@ use fedco_fl::model_state::ModelVersion;
 use fedco_fl::staleness::GradientGap;
 
 use crate::index::UserSet;
+
+/// App statuses a device can be in: no app, or one of [`AppKind::ALL`].
+const STATUSES: usize = 1 + AppKind::ALL.len();
 
 /// The training phase of a user.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,6 +132,11 @@ pub struct UserArena {
     idle_from: Vec<u64>,
     /// Per asleep user, the slot it wakes at.
     wake_at: Vec<u64>,
+    /// Per decision class (see [`class`](Self::class)), the asleep users that
+    /// class's decision left idle; empty until the first of them sleeps.
+    class_asleep: Vec<UserSet>,
+    /// Number of users in `class_asleep`.
+    class_sleepers: usize,
     /// The first slot at which the current foreground application is no
     /// longer running (it expires in the tick of slot `app_until - 1`).
     /// Meaningful only while [`current_app`](Self::current_app) is set.
@@ -181,6 +194,8 @@ impl UserArena {
             asleep: UserSet::empty(num_users),
             idle_from: vec![0; num_users],
             wake_at: vec![0; num_users],
+            class_asleep: Vec::new(),
+            class_sleepers: 0,
             app_until: vec![0; num_users],
             current_app: vec![None; num_users],
             base_version: vec![ModelVersion::INITIAL; num_users],
@@ -238,6 +253,7 @@ impl UserArena {
             TrainingPhase::Waiting => {
                 self.waiting.remove(i);
                 self.asleep.remove(i);
+                self.leave_class(i);
             }
             TrainingPhase::Training { .. } => self.training -= 1,
             TrainingPhase::Offline => self.offline -= 1,
@@ -296,6 +312,59 @@ impl UserArena {
     /// [`waiting_block`](Self::waiting_block)).
     pub(crate) fn awake_block(&self, b: usize) -> impl Iterator<Item = usize> {
         self.waiting.block_without(b, &self.asleep)
+    }
+
+    /// The decision class of user `i`: its device profile and app status,
+    /// as [`class_of`](Self::class_of) reads them back.
+    pub(crate) fn class(&self, i: usize) -> usize {
+        let status = self.current_app[i].map_or(0, |app| 1 + app.index());
+        self.profile_ix[i] as usize * STATUSES + status
+    }
+
+    /// Number of decision classes.
+    pub(crate) fn classes(&self) -> usize {
+        self.profiles.len() * STATUSES
+    }
+
+    /// The device profile and app status of class `c`.
+    pub(crate) fn class_of(&self, c: usize) -> (&DeviceProfile, AppStatus) {
+        let status = match c % STATUSES {
+            0 => AppStatus::NoApp,
+            app => AppStatus::App(AppKind::ALL[app - 1]),
+        };
+        (&self.profiles[c / STATUSES], status)
+    }
+
+    /// Number of users asleep in class `c`.
+    pub(crate) fn class_sleeping(&self, c: usize) -> usize {
+        self.class_asleep.get(c).map_or(0, UserSet::len)
+    }
+
+    /// The users asleep in class `c` among `64·b .. 64·(b + 1)`, as they
+    /// stood when the block was read.
+    pub(crate) fn class_block(&self, c: usize, b: usize) -> impl Iterator<Item = usize> {
+        self.class_asleep[c].block(b)
+    }
+
+    /// Whether user `i` is asleep in its class.
+    pub(crate) fn in_class_sleep(&self, i: usize) -> bool {
+        self.class_sleepers > 0 && self.class_asleep[self.class(i)].contains(i)
+    }
+
+    /// Number of users asleep in a class.
+    pub(crate) fn class_sleepers(&self) -> usize {
+        self.class_sleepers
+    }
+
+    /// Number of asleep users, in a class or not.
+    pub(crate) fn asleep_count(&self) -> usize {
+        self.asleep.len()
+    }
+
+    /// The asleep users among `64·b .. 64·(b + 1)`, as they stood when the
+    /// block was read.
+    pub(crate) fn asleep_block(&self, b: usize) -> impl Iterator<Item = usize> {
+        self.asleep.block(b)
     }
 
     /// Whether a foreground application is currently running for user `i`.
@@ -486,6 +555,27 @@ impl UserArena {
         self.wake_at[i] = wake;
     }
 
+    /// Puts awake waiting user `i` to sleep in its class, owing its idle
+    /// slots from slot `from` on, until it is woken.
+    pub(crate) fn sleep_in_class(&mut self, i: usize, from: u64) {
+        if self.class_asleep.is_empty() {
+            self.class_asleep = vec![UserSet::empty(self.len()); self.classes()];
+        }
+        let c = self.class(i);
+        self.class_asleep[c].insert(i);
+        self.class_sleepers += 1;
+        self.sleep(i, from, u64::MAX);
+    }
+
+    /// Takes user `i` out of its class's sleepers, if it is one.
+    fn leave_class(&mut self, i: usize) {
+        if self.in_class_sleep(i) {
+            let c = self.class(i);
+            self.class_asleep[c].remove(i);
+            self.class_sleepers -= 1;
+        }
+    }
+
     /// Whether user `i` is asleep until exactly `slot` (a wake filed for it
     /// is live).
     pub(crate) fn wakes_at(&self, i: usize, slot: u64) -> bool {
@@ -498,6 +588,7 @@ impl UserArena {
         if self.asleep.contains(i) {
             self.settle_idle(i, slot);
             self.asleep.remove(i);
+            self.leave_class(i);
         }
     }
 
@@ -506,6 +597,10 @@ impl UserArena {
         let woken = self.settle_all_idle(slot);
         if woken > 0 {
             self.asleep.clear();
+        }
+        if self.class_sleepers > 0 {
+            self.class_asleep.iter_mut().for_each(UserSet::clear);
+            self.class_sleepers = 0;
         }
         woken
     }
@@ -760,5 +855,35 @@ mod tests {
         u.become_waiting(1, ModelVersion(1));
         assert_eq!(u.awake_count(), 2);
         assert_eq!(u.wake_all(60), 0);
+    }
+
+    #[test]
+    fn class_sleepers_are_kept_per_class_and_leave_on_every_wake() {
+        let kinds = [DeviceKind::Pixel2, DeviceKind::Nexus6, DeviceKind::Pixel2];
+        let mut u = UserArena::build(3, 0.1, |i| kinds[i]);
+        assert_eq!(u.classes(), 2 * STATUSES);
+        u.start_app(2, AppKind::Map, 0, 10);
+        let (c0, c1, c2) = (u.class(0), u.class(1), u.class(2));
+        assert!(c0 != c1 && c0 != c2 && c1 != c2);
+        assert_eq!(u.class_of(c0).1, AppStatus::NoApp);
+        assert_eq!(u.class_of(c1).0.kind, DeviceKind::Nexus6);
+        assert_eq!(u.class_of(c2).1, AppStatus::App(AppKind::Map));
+        for i in 0..3 {
+            u.sleep_in_class(i, 5);
+        }
+        assert_eq!(
+            (u.class_sleepers(), u.asleep_count(), u.awake_count()),
+            (3, 3, 0)
+        );
+        assert!(u.class_block(c2, 0).eq([2]) && u.in_class_sleep(2));
+        // A wake settles slots 5 to 7 and takes it out of its class.
+        u.wake(2, 8);
+        assert_eq!(u.current_wait_slots[2], 3);
+        assert_eq!((u.class_sleeping(c2), u.class_sleepers()), (0, 2));
+        u.go_offline(1);
+        assert!(!u.in_class_sleep(1) && u.class_sleepers() == 1);
+        assert_eq!(u.wake_all(9), 1);
+        assert_eq!((u.class_sleepers(), u.class_sleeping(c0)), (0, 0));
+        assert_eq!(u.current_wait_slots[0], 4);
     }
 }

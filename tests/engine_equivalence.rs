@@ -656,25 +656,47 @@ fn offline_sleepers_owe_their_idle_slots_through_samples_churn_and_replans() {
     // Small batteries and heavy churn take sleeping users dark and bring
     // them back; a trace sample every 7 slots and the per-user gap series
     // read the gap lane in the middle of their sleep; 2 000 slots are four
-    // 500-slot planning windows.
-    let spec: ScenarioSpec =
-        "battery-constrained:churn=heavy:users=24:slots=2000:arrival_p=0.01:record_every=7"
-            .parse()
-            .expect("spec parses");
-    let mut config = spec.build_with_policy(PolicySpec::Offline).expect("builds");
-    config.record_user_gaps = true;
-    let (_, event, trace) = run_both_traced("offline sleepers", config.clone());
-    let (dense, summary) = run_both(config.summary_only());
-    assert_identical("offline sleepers (summary)", &dense, &summary);
-    // The subject is there: users trained, went dark and came back.
-    assert!(event.total_updates > 0);
-    let churned = |dark: bool| {
-        trace
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::UserChurned { offline, .. } if offline == dark))
-    };
-    assert!(churned(true) && churned(false));
-    assert!(!event.user_gaps.is_empty());
+    // 500-slot planning windows. Online's class sleepers owe decision
+    // overhead too (it is on): in a fleet where `H(t)` stays 0, at `lb=1`
+    // where it is positive at every sample, at `lb=100` where it crosses
+    // zero back and forth, and under the same churn and batteries, whose
+    // world checks and trace points land the owed overhead mid-sleep.
+    let churn = "battery-constrained:churn=heavy:users=24:slots=2000:arrival_p=0.01:record_every=7";
+    let city = "city-scale:users=300:slots=1500:record_every=7:traces=true";
+    let online = PolicySpec::Online { v: None };
+    // (scenario, policy, H(t) is 0 at some sample, positive at some sample)
+    let rows = [
+        (churn.to_string(), PolicySpec::Offline, true, false),
+        (city.to_string(), online.clone(), true, false),
+        (format!("{city}:lb=1"), online.clone(), false, true),
+        (format!("{city}:lb=100"), online.clone(), true, true),
+        (churn.to_string(), online, true, false),
+    ];
+    for (scenario, policy, zero, positive) in rows {
+        let spec: ScenarioSpec = scenario.parse().expect("spec parses");
+        let mut config = spec.build_with_policy(policy.clone()).expect("builds");
+        config.record_user_gaps = true;
+        let label = format!("{policy} sleepers on {scenario}");
+        let (_, event, trace) = run_both_traced(&label, config.clone());
+        let (dense, summary) = run_both(config.summary_only());
+        assert_identical(&format!("{label} (summary)"), &dense, &summary);
+        // The subject is there: users trained, and the virtual queue did
+        // what the row is for.
+        assert!(event.total_updates > 0, "{label}");
+        assert!(!event.user_gaps.is_empty(), "{label}");
+        let h = |p: &TracePoint| p.virtual_queue;
+        assert_eq!(event.trace.iter().any(|p| h(p) == 0.0), zero, "{label}");
+        assert_eq!(event.trace.iter().any(|p| h(p) > 0.0), positive, "{label}");
+        if scenario == churn {
+            // Users went dark and came back.
+            let churned = |dark: bool| {
+                trace.iter().any(
+                    |e| matches!(e.kind, EventKind::UserChurned { offline, .. } if offline == dark),
+                )
+            };
+            assert!(churned(true) && churned(false), "{label}");
+        }
+    }
 }
 
 /// Schedules a waiting user only in slots that are multiples of `k` and says

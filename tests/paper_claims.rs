@@ -256,11 +256,12 @@ fn online_run(scenario: &str) -> SimResult {
 /// Theorem 1 assumes the virtual queue is mean-rate stable,
 /// `lim H(T)/T = 0`; over a finite horizon that reads as `H(T)/T` below a
 /// hundredth of the scenario's `L_b` (the budget per 25 devices). An
-/// infeasible controller grows `H` linearly instead: `city-scale` with the
-/// knobs unscaled ends at `H(T)/T` ≈ 5 800. Every registry preset, with
-/// `city-scale` and `mega` cut to the `city-online` and `wide-sync` fleets
-/// (7 500 and 25 000 users). Release only: `mega` takes minutes without
-/// optimisation.
+/// infeasible controller grows `H` linearly instead: with `V` and `L_b`
+/// unscaled, `server-soak` ended at `H(T)/T` = 143, `city-scale` at 5 885
+/// and `mega` at 22 612; every preset reads 0 with them scaled. Every
+/// registry preset, with `city-scale` and `mega` cut to the `city-online`
+/// and `wide-sync` fleets (7 500 and 25 000 users). Release only: `mega`
+/// takes minutes without optimisation.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -282,8 +283,8 @@ fn online_is_mean_rate_stable_on_every_registry_preset() {
 
 /// The saving per device does not collapse with the fleet: Online against
 /// Immediate on `mega` at N = 25, 2 500 and 25 000 stays within 5 points of
-/// the 25-device saving (47.2 %, 47.0 % and 48.1 % at seed 42). With `V`
-/// and `L_b` unscaled it read 47.2 %, 5.3 % and 5.0 %. Release only, like
+/// the 25-device saving (47.4 %, 47.7 % and 47.7 % at seed 42). With `V`
+/// and `L_b` unscaled it read 47.4 %, 5.3 % and 5.1 %. Release only, like
 /// the test above.
 #[test]
 #[cfg_attr(
@@ -292,7 +293,9 @@ fn online_is_mean_rate_stable_on_every_registry_preset() {
 )]
 fn online_saves_as_much_per_device_at_every_fleet_size() {
     let saving = |users: usize| {
-        let spec: ScenarioSpec = format!("mega:users={users}:seed=42").parse().expect("parses");
+        let spec: ScenarioSpec = format!("mega:users={users}:seed=42")
+            .parse()
+            .expect("parses");
         let energy = |policy| {
             let config = spec.build_with_policy(policy).expect("builds");
             run_simulation(config.summary_only()).total_energy_j
