@@ -236,7 +236,18 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # `fleet` bench targets; `micro`'s second JSON writer and `compare`'s
 # `slots_per_sec_mean` key; fedco-fleet -43 (`bench_json_lines`,
 # `record_bench_json` and `fleet_sweep`'s `FEDCO_BENCH_JSON` hook).
-LOC_CEILING=18244
+# 18244 -> 18476 with Online deciding by class (+232): fedco-sim +191 (the
+# V·N/25 and L_b·N/25 scaling where the engine builds its controllers;
+# `decide_awake`, the per-class answer memo and `class_decision`;
+# `queue_gap_sum` with its gap-sum bound that skips the Eq. 16 fold; the
+# class-aware `wake` / `wake_all` and the wakes at an app's arrival and
+# expiry; the arena's per-class sleeper bitsets with `class`, `class_of`,
+# `sleep_in_class` and their accessors; a class sleeper's charged span in
+# `flush_to`), fedco-device +32 (`repeated_add_pairs`, with `repeated_add`
+# its `-0.0` case; `record_decided_span`, with `record_span` its `None`
+# case), fedco-core +9 (`SchedulingPolicy::class_decision` and Online's
+# answer).
+LOC_CEILING=18476
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -245,12 +256,14 @@ LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
 
 echo "==> engine equivalence suite (scan vs indexed phases of the one slot loop)"
 # Its last three cases hold sleeping users to the scan: Offline under battery
-# + churn with trace samples mid-sleep, a custom every-k-th-slot policy, and
+# + churn with trace samples mid-sleep and Online's class sleepers (decision
+# overhead on; H(t) = 0 throughout, positive throughout at lb=1, crossing zero
+# at lb=100, and under battery + churn), a custom every-k-th-slot policy, and
 # the `user_visits` bound on Offline decisions.
 cargo test -q --offline --test engine_equivalence
 
-echo "==> sleeping users: the next_decision_slot contract and the arena's owed idle slots"
-cargo test -q --offline -p fedco-core next_decision_slot
+echo "==> sleeping users: the next_decision_slot and class_decision contracts and the arena's owed idle slots"
+cargo test -q --offline -p fedco-core -- next_decision_slot class_decision
 cargo test -q --offline -p fedco-sim sleeper
 
 echo "==> bench_engine smoke (the engine/scale and engine/city-online cells)"
@@ -301,8 +314,10 @@ echo "==> telemetry exporters bit-equivalence in release (the JSONL line writer 
 cargo test -q --offline --release -p fedco-telemetry reference_bits
 
 echo "==> closed-form repeated addition bit-equivalence in release (the debug run above checks its u64 overflow)"
-# `repeated_add` against the plain addition loop, and `record_span` against
-# `slots` calls of `record`.
+# `repeated_add` against the plain addition loop, `repeated_add_pairs` against
+# the interleaved loop (a billion pairs, ignored in debug), `record_span`
+# against `slots` calls of `record` and `record_decided_span` against
+# `record_extra` + `record` turns.
 cargo test -q --offline --release -p fedco-device reference_bits
 
 echo "==> arrival sampler + streamed schedule bit-equivalence and cut invariance in release"
@@ -328,8 +343,9 @@ echo "==> training pool, ML-under-world-dynamics goldens and the Fig. 5 claims i
 # The pool's own interleavings, an epoch as task + commit against the old
 # in-place body (`reference_bits`, run above), the same bits for 0 / 1 / 4
 # helpers, two simulations sharing the pool from two threads, no thread
-# without `ml`, the goldens that abort epochs mid-training, and Fig. 5 as
-# assertions (ignored in debug: minutes there, seconds here).
+# without `ml`, the goldens that abort epochs mid-training, and Fig. 5, Online's
+# mean-rate stability on every preset and its per-device saving at 25 / 2 500 /
+# 25 000 devices as assertions (ignored in debug: minutes there, seconds here).
 cargo test -q --offline --release -p fedco-fl pool
 cargo test -q --offline --release -p fedco-sim training_pool
 cargo test -q --offline --release --test training_pool --test energy_only_threads \

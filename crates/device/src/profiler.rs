@@ -338,7 +338,7 @@ mod tests {
     /// and `record` — what a waiting device that is decided every slot
     /// receives — on the total and every component, in the idle state
     /// (both amounts on one accumulator), in an app's (on two), at a zero
-    /// charge, after a span without charges and from a loaded profiler.
+    /// charge and without charges, from an empty and a loaded profiler.
     #[test]
     fn reference_bits_decided_span_equals_charges_then_records() {
         let states = [
