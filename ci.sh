@@ -8,6 +8,14 @@ echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --workspace --all-targets
 
 echo "==> cargo test --offline"
+# Every member's tests. Among them: the engine equivalence suite (scan vs
+# indexed phases of the one slot loop), whose last three cases hold sleeping
+# users to the scan: Offline under battery + churn with trace samples
+# mid-sleep and Online's class sleepers (decision overhead on; H(t) = 0
+# throughout, positive throughout at lb=1, crossing zero at lb=100, and under
+# battery + churn), a custom every-k-th-slot policy, and the `user_visits`
+# bound on Offline decisions; and the sleeping users' `next_decision_slot` and
+# `class_decision` contracts and the arena's owed idle slots (`sleeper`).
 cargo test -q --offline --workspace
 
 echo "==> cargo fmt --check"
@@ -247,24 +255,19 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # its `-0.0` case; `record_decided_span`, with `record_span` its `None`
 # case), fedco-core +9 (`SchedulingPolicy::class_decision` and Online's
 # answer).
-LOC_CEILING=18476
+# 18476 -> 18370 with one wire table (-106): fedco-server -106 — protocol.rs
+# (the `messages!` table generates `Message`, `tag`, `name`, an exact
+# `payload_len`, `put_payload` and `decode_payload`, the five per-kind matches
+# out; one `Wire` codec per field type, with the round-count check in
+# `Vec<WireUpdate>`'s; `Cursor`'s typed readers, `f32s_len`, `update_len`,
+# `put_update` and the length back-patch out; `Refusal` `#[repr(u8)]` with
+# `from_code` a lookup in `ALL` and `label` an index into `REFUSAL_REASONS`).
+LOC_CEILING=18370
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
 [ "$LOC_TOTAL" -le "$LOC_CEILING" ] \
     || { echo "code size rose: total $LOC_TOTAL > ceiling $LOC_CEILING"; exit 1; }
-
-echo "==> engine equivalence suite (scan vs indexed phases of the one slot loop)"
-# Its last three cases hold sleeping users to the scan: Offline under battery
-# + churn with trace samples mid-sleep and Online's class sleepers (decision
-# overhead on; H(t) = 0 throughout, positive throughout at lb=1, crossing zero
-# at lb=100, and under battery + churn), a custom every-k-th-slot policy, and
-# the `user_visits` bound on Offline decisions.
-cargo test -q --offline --test engine_equivalence
-
-echo "==> sleeping users: the next_decision_slot and class_decision contracts and the arena's owed idle slots"
-cargo test -q --offline -p fedco-core -- next_decision_slot class_decision
-cargo test -q --offline -p fedco-sim sleeper
 
 echo "==> bench_engine smoke (the engine/scale and engine/city-online cells)"
 BENCH_SMOKE_JSON="$(mktemp)"
@@ -292,44 +295,44 @@ if grep -q "not in current run" <<<"$ENGINE_GATE"; then
 fi
 rm -f "$BENCH_SMOKE_JSON"
 
-echo "==> fedco-neural kernel bit-equivalence in release (the vectorised code only exists there)"
-# Every layer's kernels against its old loops: the conv2d forward and hit-list
-# walk (pool-shaped gradients included), the 2x2 max-pool's selects (ties, ±0,
-# -inf, NaN), dense over signed zeros, Sgd.
-cargo test -q --offline --release -p fedco-neural reference_bits
-# The LeNet training golden (tiny / compact / lenet5 steps and client epochs),
-# for the same reason.
-cargo test -q --offline --release --test training_golden
-
-echo "==> fused apply_async + single-buffer codec + leave flush bit-equivalence in release (same reason)"
-# `leave_flush_reference_bits` (fedco-server) is one of them: the `Leave` that
-# flushes only a session with queued work against the old unconditional flush.
-cargo test -q --offline --release -p fedco-fl -p fedco-server reference_bits
-# The soak goldens, the 7 500-device one included (ignored in debug).
-cargo test -q --offline --release --test server_soak
-
-echo "==> telemetry exporters bit-equivalence in release (the JSONL line writer and the CSV row writer)"
-# Each against the renderer it replaced, kept under `#[cfg(test)]`; the
-# metrics slot walk against the old keyed walk.
-cargo test -q --offline --release -p fedco-telemetry reference_bits
-
-echo "==> closed-form repeated addition bit-equivalence in release (the debug run above checks its u64 overflow)"
-# `repeated_add` against the plain addition loop, `repeated_add_pairs` against
-# the interleaved loop (a billion pairs, ignored in debug), `record_span`
-# against `slots` calls of `record` and `record_decided_span` against
-# `record_extra` + `record` turns.
-cargo test -q --offline --release -p fedco-device reference_bits
-
-echo "==> arrival sampler + streamed schedule bit-equivalence and cut invariance in release"
-# The two-stream integer-threshold loop against the old per-user float loops,
-# a horizon sampled in chunks against one sampled at once, the horizon-prefix
-# relation (`fedco-world`); both orders of the schedule against the per-user
-# lists and the slot index copied out of them, and 1 / 2 / 3 / 7 sampler
-# threads at 1 / 7 / 512 / horizon-long chunks, read whole and through the
-# window the slot loop and the offline planner advance, against the eager
-# single run; a sampler's panic in a later chunk, and samplers that stop when
-# their schedule is dropped (`fedco-sim`).
-cargo test -q --offline --release -p fedco-world -p fedco-sim -- reference_bits cut_invariance
+echo "==> every test again in release, the ones ignored in debug included"
+# Some code only exists optimised and some tests only finish there, so the
+# whole workspace runs again in release:
+# - the bit-equivalence oracles (`reference_bits`), because the vectorised
+#   code only exists in release: every fedco-neural layer's kernels against
+#   its old loops (the conv2d forward and hit-list walk with pool-shaped
+#   gradients, the 2x2 max-pool's selects over ties, ±0, -inf and NaN, dense
+#   over signed zeros, Sgd); the fused `apply_async`, the single-buffer codec
+#   and `leave_flush_reference_bits` (the `Leave` that flushes only a session
+#   with queued work against the old unconditional flush); the telemetry JSONL
+#   line writer and CSV row writer against the renderers they replaced and the
+#   metrics slot walk against the old keyed walk; `repeated_add` against the
+#   plain addition loop, `repeated_add_pairs` against the interleaved loop (a
+#   billion pairs, ignored in debug, where the run above checks their u64
+#   overflow), `record_span` against `slots` calls of `record` and
+#   `record_decided_span` against `record_extra` + `record` turns; the arrival
+#   sampler's two-stream integer-threshold loop against the old per-user float
+#   loops, a horizon sampled in chunks against one sampled at once, and both
+#   orders of the streamed schedule against the per-user lists and the slot
+#   index copied out of them at 1 / 2 / 3 / 7 sampler threads and 1 / 7 / 512 /
+#   horizon-long chunks, read whole and through the windows of the slot loop
+#   and the offline planner (`cut_invariance`), with a sampler's panic in a
+#   later chunk and samplers that stop when their schedule is dropped;
+# - the goldens, for the same reason: the LeNet training steps and client
+#   epochs (`training_golden`), the server soak with the 7 500-device one
+#   (ignored in debug), the outputs that read a device's base copy
+#   (`base_copy_golden`) and the ML runs that abort epochs mid-training
+#   (`world_regression`);
+# - the training pool's interleavings, an epoch as task + commit against the
+#   old in-place body, the same bits for 0 / 1 / 4 helpers, two simulations
+#   sharing the pool from two threads and no thread without `ml`; a download
+#   per model version of every paper policy and of a service swapped in
+#   (`once_per_version`, `swapped_in`), the engine's base-copy lane and the
+#   buffer-reusing `ParamVector::clone_from`;
+# - Fig. 5, Online's mean-rate stability on every preset and its per-device
+#   saving at 25 / 2 500 / 25 000 devices as assertions (`paper_claims`,
+#   ignored in debug: minutes there, seconds here).
+cargo test -q --offline --release --workspace -- --include-ignored
 
 echo "==> threads start at the one sampling site of the simulation path"
 # The training pool lives in fedco-fl; below it, the only code that starts a
@@ -338,27 +341,6 @@ echo "==> threads start at the one sampling site of the simulation path"
 THREAD_SITES="$(git grep -n "thread::" -- crates/sim/src crates/world/src crates/core/src crates/device/src crates/rng/src)"
 [ "$(echo "$THREAD_SITES" | wc -l)" -eq 1 ] && [[ "$THREAD_SITES" == crates/sim/src/arrivals.rs:* ]] \
     || { echo "std::thread is used outside the arrival sampling site:"; echo "$THREAD_SITES"; exit 1; }
-
-echo "==> training pool, ML-under-world-dynamics goldens and the Fig. 5 claims in release"
-# The pool's own interleavings, an epoch as task + commit against the old
-# in-place body (`reference_bits`, run above), the same bits for 0 / 1 / 4
-# helpers, two simulations sharing the pool from two threads, no thread
-# without `ml`, the goldens that abort epochs mid-training, and Fig. 5, Online's
-# mean-rate stability on every preset and its per-device saving at 25 / 2 500 /
-# 25 000 devices as assertions (ignored in debug: minutes there, seconds here).
-cargo test -q --offline --release -p fedco-fl pool
-cargo test -q --offline --release -p fedco-sim training_pool
-cargo test -q --offline --release --test training_pool --test energy_only_threads \
-    --test world_regression --test paper_claims
-
-echo "==> one copy of the global model in release: a download per version, base copies only where read"
-# The goldens of the outputs that read a device's base copy (captured before
-# the engine held one copy, never edited), the download count of every paper
-# policy and of a service swapped in, and the engine's base-copy lane and the
-# buffer-reusing `ParamVector::clone_from`.
-cargo test -q --offline --release --test base_copy_golden
-cargo test -q --offline --release --test world_regression -- once_per_version swapped_in
-cargo test -q --offline --release -p fedco-sim -p fedco-neural -- base_copies clone_from
 
 echo "==> one CPU vs all of this box's, through the shipped paths: fig5_convergence (training pool), mega:users=4000 (sampling cut)"
 # `available_parallelism()` honours the affinity mask, so under `taskset -c 0`

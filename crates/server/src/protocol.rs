@@ -1,9 +1,11 @@
 //! The hand-rolled, length-prefixed binary wire protocol.
 //!
-//! The workspace is offline and zero-dependency, so there is no serde here:
-//! every message is encoded with explicit little-endian writes and decoded
-//! by a bounds-checked cursor that returns typed [`WireError`]s — a
-//! malformed, truncated or oversized frame can never panic the server.
+//! The workspace is offline and zero-dependency, so there is no serde here.
+//! Each message kind is one row of the `messages!` table below (its tag, wire
+//! name and fields in wire order), and each field type has one codec (the
+//! private `Wire` trait): explicit little-endian writes, and a bounds-checked
+//! reader that returns typed [`WireError`]s — a malformed, truncated or
+//! oversized frame can never panic the server.
 //!
 //! A frame is an 8-byte header followed by the payload:
 //!
@@ -16,6 +18,8 @@
 //! equivalence guarantee.
 
 use std::io::{Read, Write};
+
+use fedco_telemetry::event::REFUSAL_REASONS;
 
 /// The protocol version this build speaks. A mismatched header is a typed
 /// [`WireError::BadVersion`], never a misparse.
@@ -96,59 +100,50 @@ impl std::error::Error for WireError {}
 /// Why the server refused a join or a push. The `u8` codes are part of the
 /// wire format; [`Refusal::label`] gives the stable human/telemetry string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Refusal {
     /// The session registry is at capacity.
-    ServerFull,
+    ServerFull = 1,
     /// The named session does not exist (never did, expired, or left).
-    UnknownSession,
+    UnknownSession = 2,
     /// The bounded ingress queue is full; retry later.
-    Backpressure,
+    Backpressure = 3,
     /// The pushed parameter vector has the wrong length.
-    WrongModelLen,
+    WrongModelLen = 4,
     /// The server is draining for shutdown and admits no new work.
-    ShuttingDown,
+    ShuttingDown = 5,
     /// The request was structurally valid but semantically empty/invalid.
-    BadRequest,
+    BadRequest = 6,
 }
 
+// Every refusal has a label and every label a refusal.
+const _: () = assert!(Refusal::ALL.len() == REFUSAL_REASONS.len());
+
 impl Refusal {
+    /// Every refusal in code order: `ALL[code - 1]` has that code.
+    const ALL: [Refusal; 6] = [
+        Refusal::ServerFull,
+        Refusal::UnknownSession,
+        Refusal::Backpressure,
+        Refusal::WrongModelLen,
+        Refusal::ShuttingDown,
+        Refusal::BadRequest,
+    ];
+
     fn code(self) -> u8 {
-        match self {
-            Refusal::ServerFull => 1,
-            Refusal::UnknownSession => 2,
-            Refusal::Backpressure => 3,
-            Refusal::WrongModelLen => 4,
-            Refusal::ShuttingDown => 5,
-            Refusal::BadRequest => 6,
-        }
+        self as u8
     }
 
     fn from_code(code: u8) -> Result<Refusal, WireError> {
-        Ok(match code {
-            1 => Refusal::ServerFull,
-            2 => Refusal::UnknownSession,
-            3 => Refusal::Backpressure,
-            4 => Refusal::WrongModelLen,
-            5 => Refusal::ShuttingDown,
-            6 => Refusal::BadRequest,
-            other => {
-                return Err(WireError::BadPayload(format!(
-                    "unknown refusal code {other}"
-                )))
-            }
-        })
+        code.checked_sub(1)
+            .and_then(|i| Refusal::ALL.get(usize::from(i)).copied())
+            .ok_or_else(|| WireError::BadPayload(format!("unknown refusal code {code}")))
     }
 
-    /// The stable label used in telemetry events and driver reports.
+    /// The stable label used in telemetry events and driver reports: the
+    /// refusal's entry of [`REFUSAL_REASONS`], which is in code order.
     pub fn label(self) -> &'static str {
-        match self {
-            Refusal::ServerFull => "server-full",
-            Refusal::UnknownSession => "unknown-session",
-            Refusal::Backpressure => "backpressure",
-            Refusal::WrongModelLen => "wrong-model-len",
-            Refusal::ShuttingDown => "shutting-down",
-            Refusal::BadRequest => "bad-request",
-        }
+        REFUSAL_REASONS[usize::from(self.code()) - 1]
     }
 }
 
@@ -170,105 +165,167 @@ pub struct WireUpdate {
     pub params: Vec<f32>,
 }
 
-/// Every message of the protocol. Requests and replies share the tag space;
-/// the session layer decides which direction a kind is valid in.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+/// Wire size of a [`WireUpdate`] before its parameter vector.
+const UPDATE_FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4;
+
+/// Builds [`Message`] and its codec from the one table of kinds. A row is
+/// `Variant = tag "wire-name" { field: Type, .. }` with the fields in wire
+/// order (a kind without fields has no braces); each field travels as its
+/// type's [`Wire`] codec says.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal $name:literal $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        })?
+    )*) => {
+        /// Every message of the protocol. Requests and replies share the tag
+        /// space; the session layer decides which direction a kind is valid in.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $($(#[$doc])* $variant $({ $($(#[$field_doc])* $field: $ty,)* })?,)*
+        }
+
+        impl Message {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Message::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The stable wire name of the message kind (diagnostics only).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Message::$variant { .. } => $name,)*
+                }
+            }
+
+            /// The payload size in bytes.
+            fn payload_len(&self) -> usize {
+                match self {
+                    $(Message::$variant $({ $($field),* })? => 0 $($(+ $field.wire_len())*)?,)*
+                }
+            }
+
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Message::$variant $({ $($field),* })? => { $($($field.put(out);)*)? })*
+                }
+            }
+
+            fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
+                let mut cur = Cursor::new(payload);
+                let msg = match tag {
+                    $($tag => Message::$variant $({
+                        $($field: <$ty as Wire>::get(&mut cur)?,)*
+                    })?,)*
+                    got => return Err(WireError::BadTag { got }),
+                };
+                if cur.remaining() > 0 {
+                    return Err(WireError::TrailingBytes);
+                }
+                Ok(msg)
+            }
+        }
+    };
+}
+
+messages! {
     /// Client → server: request a session.
-    Hello {
+    Hello = 1 "hello" {
         /// The client's self-declared id.
         client: u64,
-    },
+    }
     /// Server → client: session granted.
-    Welcome {
+    Welcome = 2 "welcome" {
         /// The session id to use on subsequent requests.
         session: u64,
         /// The current global model version.
         model_version: u64,
         /// The length of the global parameter vector.
         model_len: u64,
-    },
+    }
     /// Server → client: join refused.
-    JoinRefused {
+    JoinRefused = 3 "join-refused" {
         /// Why.
         reason: Refusal,
-    },
+    }
     /// Client → server: download the global model.
-    PullModel {
+    PullModel = 4 "pull-model" {
         /// The requesting session.
         session: u64,
-    },
+    }
     /// Server → client: the global model.
-    Model {
+    Model = 5 "model" {
         /// The global version of the snapshot.
         version: u64,
         /// The flat parameters.
         params: Vec<f32>,
-    },
+    }
     /// Client → server: one asynchronous update.
-    PushUpdate {
+    PushUpdate = 6 "push-update" {
         /// The pushing session.
         session: u64,
         /// The update.
         update: WireUpdate,
-    },
+    }
     /// Server → client: the update was applied inline.
-    PushApplied {
+    PushApplied = 7 "push-applied" {
         /// The staleness (lag) the update experienced.
         lag: u64,
         /// The global version after the apply.
         version: u64,
-    },
+    }
     /// Server → client: the update was queued for a later tick.
-    PushQueued {
+    PushQueued = 8 "push-queued" {
         /// Ingress-queue depth after enqueueing.
         depth: u64,
-    },
+    }
     /// Server → client: the update was refused (backpressure, bad session…).
-    PushRefused {
+    PushRefused = 9 "push-refused" {
         /// Why.
         reason: Refusal,
-    },
+    }
     /// Client → server: one synchronous aggregation round (Sync-SGD).
-    PushRound {
+    PushRound = 10 "push-round" {
         /// The pushing session.
         session: u64,
         /// The participating updates.
         updates: Vec<WireUpdate>,
-    },
+    }
     /// Server → client: the round was applied.
-    RoundOk {
+    RoundOk = 11 "round-ok" {
         /// The global version after the round.
         version: u64,
-    },
+    }
     /// Client → server: keep the session alive.
-    Heartbeat {
+    Heartbeat = 12 "heartbeat" {
         /// The session to touch.
         session: u64,
-    },
+    }
     /// Server → client: heartbeat acknowledged.
-    HeartbeatAck {
+    HeartbeatAck = 13 "heartbeat-ack" {
         /// The server's current logical tick.
         tick: u64,
-    },
+    }
     /// Client → server: close the session cleanly.
-    Leave {
+    Leave = 14 "leave" {
         /// The session to close.
         session: u64,
-    },
+    }
     /// Server → client: session closed.
-    LeaveOk,
+    LeaveOk = 15 "leave-ok"
     /// Client → server: query the momentum-vector norm (Eq. 1).
-    QueryNorm,
+    QueryNorm = 16 "query-norm"
     /// Server → client: the momentum norm as raw bits (exact round-trip).
-    NormIs {
+    NormIs = 17 "norm-is" {
         /// `f32::to_bits` of the norm.
         bits: u32,
-    },
+    }
     /// Client → server: query the aggregation statistics.
-    QueryStats,
+    QueryStats = 18 "query-stats"
     /// Server → client: the aggregation statistics.
-    StatsIs {
+    StatsIs = 19 "stats-is" {
         /// Total asynchronous updates applied.
         async_updates: u64,
         /// Total synchronous rounds applied.
@@ -277,67 +334,14 @@ pub enum Message {
         total_lag: u64,
         /// Largest lag observed.
         max_lag: u64,
-    },
+    }
     /// Client → server: drain and stop the service.
-    Shutdown,
+    Shutdown = 20 "shutdown"
     /// Server → client: shutdown acknowledged.
-    ShutdownOk,
+    ShutdownOk = 21 "shutdown-ok"
 }
 
 impl Message {
-    fn tag(&self) -> u8 {
-        match self {
-            Message::Hello { .. } => 1,
-            Message::Welcome { .. } => 2,
-            Message::JoinRefused { .. } => 3,
-            Message::PullModel { .. } => 4,
-            Message::Model { .. } => 5,
-            Message::PushUpdate { .. } => 6,
-            Message::PushApplied { .. } => 7,
-            Message::PushQueued { .. } => 8,
-            Message::PushRefused { .. } => 9,
-            Message::PushRound { .. } => 10,
-            Message::RoundOk { .. } => 11,
-            Message::Heartbeat { .. } => 12,
-            Message::HeartbeatAck { .. } => 13,
-            Message::Leave { .. } => 14,
-            Message::LeaveOk => 15,
-            Message::QueryNorm => 16,
-            Message::NormIs { .. } => 17,
-            Message::QueryStats => 18,
-            Message::StatsIs { .. } => 19,
-            Message::Shutdown => 20,
-            Message::ShutdownOk => 21,
-        }
-    }
-
-    /// The stable wire name of the message kind (diagnostics only).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "hello",
-            Message::Welcome { .. } => "welcome",
-            Message::JoinRefused { .. } => "join-refused",
-            Message::PullModel { .. } => "pull-model",
-            Message::Model { .. } => "model",
-            Message::PushUpdate { .. } => "push-update",
-            Message::PushApplied { .. } => "push-applied",
-            Message::PushQueued { .. } => "push-queued",
-            Message::PushRefused { .. } => "push-refused",
-            Message::PushRound { .. } => "push-round",
-            Message::RoundOk { .. } => "round-ok",
-            Message::Heartbeat { .. } => "heartbeat",
-            Message::HeartbeatAck { .. } => "heartbeat-ack",
-            Message::Leave { .. } => "leave",
-            Message::LeaveOk => "leave-ok",
-            Message::QueryNorm => "query-norm",
-            Message::NormIs { .. } => "norm-is",
-            Message::QueryStats => "query-stats",
-            Message::StatsIs { .. } => "stats-is",
-            Message::Shutdown => "shutdown",
-            Message::ShutdownOk => "shutdown-ok",
-        }
-    }
-
     /// Encodes the message as one complete frame (header + payload).
     ///
     /// Infallible: a payload above [`MAX_FRAME_LEN`] still encodes (its length
@@ -349,34 +353,17 @@ impl Message {
         frame
     }
 
-    /// Replaces the contents of `out` with the message's frame: one
-    /// reservation (exact whenever it matters, see `payload_len`), the header
-    /// with a placeholder length, the payload written in place behind it, and
-    /// the length patched from the bytes that landed.
+    /// Replaces the contents of `out` with the message's frame: one exact
+    /// reservation, the header, and the payload written in place behind it.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let len = self.payload_len();
         out.clear();
-        out.reserve_exact(HEADER_LEN + self.payload_len());
-        out.extend_from_slice(&[0; 4]);
+        out.reserve_exact(HEADER_LEN + len);
+        put_u32(out, len as u32);
         out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         out.push(self.tag());
         out.push(0); // reserved
         self.put_payload(out);
-        let len = (out.len() - HEADER_LEN) as u32;
-        out[..4].copy_from_slice(&len.to_le_bytes());
-    }
-
-    /// The payload size in bytes: exact for the three kinds that carry
-    /// vectors (the only ones that can be large), and for the fixed-size rest
-    /// the largest of them (`StatsIs`, 32 bytes).
-    fn payload_len(&self) -> usize {
-        match self {
-            Message::Model { params, .. } => 8 + f32s_len(params),
-            Message::PushUpdate { update, .. } => 8 + update_len(update),
-            Message::PushRound { updates, .. } => {
-                8 + 4 + updates.iter().map(update_len).sum::<usize>()
-            }
-            _ => 32,
-        }
     }
 
     /// Decodes exactly one frame from `bytes`, rejecting trailing bytes.
@@ -406,141 +393,38 @@ impl Message {
         }
         Message::decode_payload(tag, payload)
     }
-
-    fn put_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            Message::Hello { client } => put_u64(out, *client),
-            Message::Welcome {
-                session,
-                model_version,
-                model_len,
-            } => {
-                put_u64(out, *session);
-                put_u64(out, *model_version);
-                put_u64(out, *model_len);
-            }
-            Message::JoinRefused { reason } => out.push(reason.code()),
-            Message::PullModel { session } => put_u64(out, *session),
-            Message::Model { version, params } => {
-                put_u64(out, *version);
-                put_f32s(out, params);
-            }
-            Message::PushUpdate { session, update } => {
-                put_u64(out, *session);
-                put_update(out, update);
-            }
-            Message::PushApplied { lag, version } => {
-                put_u64(out, *lag);
-                put_u64(out, *version);
-            }
-            Message::PushQueued { depth } => put_u64(out, *depth),
-            Message::PushRefused { reason } => out.push(reason.code()),
-            Message::PushRound { session, updates } => {
-                put_u64(out, *session);
-                put_u32(out, updates.len() as u32);
-                for u in updates {
-                    put_update(out, u);
-                }
-            }
-            Message::RoundOk { version } => put_u64(out, *version),
-            Message::Heartbeat { session } => put_u64(out, *session),
-            Message::HeartbeatAck { tick } => put_u64(out, *tick),
-            Message::Leave { session } => put_u64(out, *session),
-            Message::LeaveOk | Message::QueryNorm | Message::QueryStats => {}
-            Message::NormIs { bits } => put_u32(out, *bits),
-            Message::StatsIs {
-                async_updates,
-                sync_rounds,
-                total_lag,
-                max_lag,
-            } => {
-                put_u64(out, *async_updates);
-                put_u64(out, *sync_rounds);
-                put_u64(out, *total_lag);
-                put_u64(out, *max_lag);
-            }
-            Message::Shutdown | Message::ShutdownOk => {}
-        }
-    }
-
-    fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
-        let mut cur = Cursor::new(payload);
-        let msg = match tag {
-            1 => Message::Hello { client: cur.u64()? },
-            2 => Message::Welcome {
-                session: cur.u64()?,
-                model_version: cur.u64()?,
-                model_len: cur.u64()?,
-            },
-            3 => Message::JoinRefused {
-                reason: Refusal::from_code(cur.u8()?)?,
-            },
-            4 => Message::PullModel {
-                session: cur.u64()?,
-            },
-            5 => Message::Model {
-                version: cur.u64()?,
-                params: cur.f32s()?,
-            },
-            6 => Message::PushUpdate {
-                session: cur.u64()?,
-                update: cur.update()?,
-            },
-            7 => Message::PushApplied {
-                lag: cur.u64()?,
-                version: cur.u64()?,
-            },
-            8 => Message::PushQueued { depth: cur.u64()? },
-            9 => Message::PushRefused {
-                reason: Refusal::from_code(cur.u8()?)?,
-            },
-            10 => {
-                let session = cur.u64()?;
-                let count = cur.u32()? as usize;
-                // Each update is at least 32 bytes on the wire; a count the
-                // remaining payload cannot possibly hold is a lie.
-                if count > cur.remaining() / 32 {
-                    return Err(WireError::BadPayload(format!(
-                        "round of {count} updates cannot fit in {} remaining bytes",
-                        cur.remaining()
-                    )));
-                }
-                let mut updates = Vec::with_capacity(count);
-                for _ in 0..count {
-                    updates.push(cur.update()?);
-                }
-                Message::PushRound { session, updates }
-            }
-            11 => Message::RoundOk {
-                version: cur.u64()?,
-            },
-            12 => Message::Heartbeat {
-                session: cur.u64()?,
-            },
-            13 => Message::HeartbeatAck { tick: cur.u64()? },
-            14 => Message::Leave {
-                session: cur.u64()?,
-            },
-            15 => Message::LeaveOk,
-            16 => Message::QueryNorm,
-            17 => Message::NormIs { bits: cur.u32()? },
-            18 => Message::QueryStats,
-            19 => Message::StatsIs {
-                async_updates: cur.u64()?,
-                sync_rounds: cur.u64()?,
-                total_lag: cur.u64()?,
-                max_lag: cur.u64()?,
-            },
-            20 => Message::Shutdown,
-            21 => Message::ShutdownOk,
-            other => return Err(WireError::BadTag { got: other }),
-        };
-        if cur.remaining() > 0 {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(msg)
-    }
 }
+
+/// One field type's codec: its size on the wire, its writer and its
+/// bounds-checked reader. Every field of a [`Message`] row is one of these.
+trait Wire: Sized {
+    fn wire_len(&self) -> usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError>;
+}
+
+/// Little-endian integers.
+macro_rules! wire_int {
+    ($($ty:ident $put:ident),*) => {$(
+        impl Wire for $ty {
+            fn wire_len(&self) -> usize {
+                size_of::<$ty>()
+            }
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
+            }
+
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let mut bytes = [0; size_of::<$ty>()];
+                bytes.copy_from_slice(cur.take(size_of::<$ty>())?);
+                Ok($ty::from_le_bytes(bytes))
+            }
+        }
+    )*};
+}
+
+wire_int!(u32 put_u32, u64 put_u64);
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -550,14 +434,52 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Wire size of a counted `f32` vector.
-fn f32s_len(values: &[f32]) -> usize {
-    4 + 4 * values.len()
+/// Its one-byte code.
+impl Wire for Refusal {
+    fn wire_len(&self) -> usize {
+        1
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.code());
+    }
+
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Refusal::from_code(cur.take(1)?[0])
+    }
 }
 
-/// Wire size of one [`WireUpdate`]: 32 fixed bytes, then the parameters.
-fn update_len(u: &WireUpdate) -> usize {
-    32 + f32s_len(&u.params)
+/// A `u32` count, then each value's bit pattern.
+impl Wire for Vec<f32> {
+    fn wire_len(&self) -> usize {
+        4 + 4 * self.len()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        // Over a slice: the same loop over `&Vec<f32>` encoded a LeNet-5
+        // frame about a third slower (EXPERIMENTS.md, "One wire table").
+        put_f32s(out, self);
+    }
+
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let count = u32::get(cur)? as usize;
+        if count > cur.remaining() / 4 {
+            return Err(WireError::BadPayload(format!(
+                "vector of {count} f32s cannot fit in {} remaining bytes",
+                cur.remaining()
+            )));
+        }
+        let floats = cur
+            .take(4 * count)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        // `extend` into a sized vector compiles to a block copy; `collect`
+        // on the same iterator converts an element at a time (4× slower on a
+        // LeNet-5 model, EXPERIMENTS.md "Data plane").
+        let mut out = Vec::with_capacity(count);
+        out.extend(floats);
+        Ok(out)
+    }
 }
 
 fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
@@ -569,84 +491,82 @@ fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
-fn put_update(out: &mut Vec<u8>, u: &WireUpdate) {
-    put_u64(out, u.client);
-    put_u64(out, u.base_version);
-    put_u64(out, u.num_samples);
-    put_u32(out, u.train_loss_bits);
-    put_u32(out, u.train_accuracy_bits);
-    put_f32s(out, &u.params);
+/// Its fields in declaration order.
+impl Wire for WireUpdate {
+    fn wire_len(&self) -> usize {
+        UPDATE_FIXED_LEN + self.params.wire_len()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.client.put(out);
+        self.base_version.put(out);
+        self.num_samples.put(out);
+        self.train_loss_bits.put(out);
+        self.train_accuracy_bits.put(out);
+        self.params.put(out);
+    }
+
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(WireUpdate {
+            client: u64::get(cur)?,
+            base_version: u64::get(cur)?,
+            num_samples: u64::get(cur)?,
+            train_loss_bits: u32::get(cur)?,
+            train_accuracy_bits: u32::get(cur)?,
+            params: Vec::get(cur)?,
+        })
+    }
 }
 
-/// A bounds-checked little-endian reader over a payload slice.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A `u32` count, then each update.
+impl Wire for Vec<WireUpdate> {
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(Wire::wire_len).sum::<usize>()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        for update in self {
+            update.put(out);
+        }
+    }
+
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let count = u32::get(cur)? as usize;
+        // A count the remaining payload cannot possibly hold is a lie.
+        if count > cur.remaining() / UPDATE_FIXED_LEN {
+            return Err(WireError::BadPayload(format!(
+                "round of {count} updates cannot fit in {} remaining bytes",
+                cur.remaining()
+            )));
+        }
+        let mut updates = Vec::with_capacity(count);
+        for _ in 0..count {
+            updates.push(WireUpdate::get(cur)?);
+        }
+        Ok(updates)
+    }
 }
+
+/// A bounds-checked reader over a payload slice: the bytes not yet taken.
+struct Cursor<'a>(&'a [u8]);
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
+        Cursor(bytes)
     }
 
     fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.0.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let count = self.u32()? as usize;
-        if count > self.remaining() / 4 {
-            return Err(WireError::BadPayload(format!(
-                "vector of {count} f32s cannot fit in {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        let floats = self
-            .take(4 * count)?
-            .chunks_exact(4)
-            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
-        // `extend` into a sized vector compiles to a block copy; `collect`
-        // on the same iterator converts an element at a time (4× slower on a
-        // LeNet-5 model, EXPERIMENTS.md "Data plane").
-        let mut out = Vec::with_capacity(count);
-        out.extend(floats);
-        Ok(out)
-    }
-
-    fn update(&mut self) -> Result<WireUpdate, WireError> {
-        Ok(WireUpdate {
-            client: self.u64()?,
-            base_version: self.u64()?,
-            num_samples: self.u64()?,
-            train_loss_bits: self.u32()?,
-            train_accuracy_bits: self.u32()?,
-            params: self.f32s()?,
-        })
+        let (taken, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(taken)
     }
 }
 
@@ -654,7 +574,7 @@ impl<'a> Cursor<'a> {
 /// `PushUpdate` (session, the update's 32 fixed bytes and the vector's count
 /// around its parameters) is the larger of the two single-model frames, so a
 /// model this long also fits a `Model` reply.
-pub const MAX_MODEL_LEN: usize = (MAX_FRAME_LEN as usize - (8 + 32 + 4)) / 4;
+pub const MAX_MODEL_LEN: usize = (MAX_FRAME_LEN as usize - (8 + UPDATE_FIXED_LEN + 4)) / 4;
 
 /// Writes one frame to a stream.
 ///
@@ -826,10 +746,36 @@ mod tests {
     fn every_message_round_trips_through_a_frame() {
         for msg in one_of_each() {
             let frame = msg.to_frame();
+            assert_eq!(
+                frame.len(),
+                HEADER_LEN + msg.payload_len(),
+                "{}",
+                msg.name()
+            );
             let back = Message::from_frame(&frame)
                 .unwrap_or_else(|e| panic!("{} failed to round-trip: {e}", msg.name()));
             assert_eq!(back, msg, "{} round-trip", msg.name());
         }
+    }
+
+    /// `one_of_each` (and so every round-trip, truncation and resume test
+    /// here) has one sample of every row of `messages!`: a row added without
+    /// a sample fails this test instead of going unexercised.
+    #[test]
+    fn the_samples_cover_every_row_of_the_table() {
+        let decoded_tags: Vec<u8> = (0..=u8::MAX)
+            .filter(|&tag| {
+                let mut frame = Message::QueryNorm.to_frame();
+                frame[6] = tag;
+                !matches!(Message::from_frame(&frame), Err(WireError::BadTag { .. }))
+            })
+            .collect();
+        let samples = one_of_each();
+        let mut sample_tags: Vec<u8> = samples.iter().map(Message::tag).collect();
+        sample_tags.sort_unstable();
+        assert_eq!(sample_tags, decoded_tags, "one sample per decodable tag");
+        let names: std::collections::HashSet<&str> = samples.iter().map(Message::name).collect();
+        assert_eq!(names.len(), samples.len(), "two kinds share a name");
     }
 
     #[test]
@@ -873,14 +819,7 @@ mod tests {
 
     #[test]
     fn refusal_codes_round_trip_and_labels_are_stable() {
-        for reason in [
-            Refusal::ServerFull,
-            Refusal::UnknownSession,
-            Refusal::Backpressure,
-            Refusal::WrongModelLen,
-            Refusal::ShuttingDown,
-            Refusal::BadRequest,
-        ] {
+        for reason in Refusal::ALL {
             assert_eq!(Refusal::from_code(reason.code()), Ok(reason));
         }
         assert_eq!(Refusal::Backpressure.label(), "backpressure");

@@ -71,7 +71,8 @@ pub const ENERGY_COMPONENTS: &[&str] = &["co-running", "training", "app", "idle"
 
 /// Every `reason` label an [`EventKind::JoinRejected`] or
 /// [`EventKind::PushRefused`] may carry: the labels of `fedco-server`'s
-/// `Refusal`, in wire-code order.
+/// `Refusal`, in wire-code order. This is the only list of them:
+/// `Refusal::label` reads a refusal's entry here (code `c` is entry `c - 1`).
 pub const REFUSAL_REASONS: &[&str] = &[
     "server-full",
     "unknown-session",
