@@ -262,7 +262,18 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # `Vec<WireUpdate>`'s; `Cursor`'s typed readers, `f32s_len`, `update_len`,
 # `put_update` and the length back-patch out; `Refusal` `#[repr(u8)]` with
 # `from_code` a lookup in `ALL` and `label` an index into `REFUSAL_REASONS`).
-LOC_CEILING=18370
+# 18370 -> 18333 with one function per figure (-37): fedco-bench -2 — the
+# seven figure binaries are each a `print!` of a `fedco_bench::figures`
+# function's text, laid out as a template of that text, and every run is a
+# scenario string (`paper_config`, `horizon_slots` with its
+# `FEDCO_FULL_SCALE` switch and the unused `pct` out; `figures.rs` with its
+# data types, `runs` and `text` in); fedco-core -25 (`SimConfig::{with_v,
+# with_staleness_bound, with_arrival_probability}` and the
+# `SchedulerConfig::{with_staleness_bound, with_epsilon}` they left without
+# a caller); fedco-device -10 (`DeviceProfile::corun_saving_fraction`, a
+# second copy of `ScheduleComparison::saving_fraction` with the same bits on
+# all 32 pairs); fedco 0 (the `device_fleet` example reads the comparison).
+LOC_CEILING=18333
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
@@ -345,6 +356,9 @@ THREAD_SITES="$(git grep -n "thread::" -- crates/sim/src crates/world/src crates
 echo "==> one CPU vs all of this box's, through the shipped paths: fig5_convergence (training pool), mega:users=4000 (sampling cut)"
 # `available_parallelism()` honours the affinity mask, so under `taskset -c 0`
 # the pool has no helper and every epoch runs at its claim — the serial order.
+# `fig5_convergence` prints `fedco_bench::figures::fig5`, the four policies on
+# `paper-default:ml=full:seed=42`: the run the Fig. 5 claim of
+# `tests/paper_claims.rs` asserts and the benchmark's `fig5-ml` trains.
 if command -v taskset >/dev/null 2>&1; then
     FIG5_SERIAL="$(mktemp)"; FIG5_POOLED="$(mktemp)"
     timeout 300 taskset -c 0 cargo run --release --offline -q -p fedco-bench --bin fig5_convergence >"$FIG5_SERIAL"

@@ -1,46 +1,7 @@
 //! Figure 1 — Power consumption of different schedules (separate training,
 //! separate application, co-running) for the eight applications on Pixel 2
-//! and on the HiKey 970 board.
-
-use fedco_device::prelude::*;
-use fedco_sim::report::render_table;
-
-fn figure_for(device: DeviceKind) -> String {
-    let model = PowerModel::new(device.profile());
-    let rows: Vec<Vec<String>> = AppKind::ALL
-        .iter()
-        .map(|&app| {
-            let cmp = ScheduleComparison::compute(&model, app);
-            vec![
-                app.name().to_string(),
-                format!("{:.0}", cmp.training_separate.value()),
-                format!("{:.0}", cmp.app_separate.value()),
-                format!("{:.0}", cmp.separate_total().value()),
-                format!("{:.0}", cmp.corun.value()),
-                format!("{:.0}%", cmp.saving_fraction() * 100.0),
-            ]
-        })
-        .collect();
-    render_table(
-        &format!("Fig. 1 — Energy of schedules on {} (J)", device.name()),
-        &[
-            "app",
-            "training (separate)",
-            "app (separate)",
-            "separate total",
-            "co-running",
-            "saving",
-        ],
-        &rows,
-    )
-}
+//! and on the HiKey 970 board ([`fedco_bench::figures::fig1`]).
 
 fn main() {
-    println!("Reproduction of Fig. 1: energy of separate vs co-running schedules.\n");
-    print!("{}", figure_for(DeviceKind::Pixel2));
-    print!("{}", figure_for(DeviceKind::Hikey970));
-    println!(
-        "Paper reference: co-running gives the system a 35-50% energy discount on\n\
-         Pixel2/HiKey970 across the eight applications (Observation 1)."
-    );
+    print!("{}", fedco_bench::figures::fig1());
 }

@@ -1,45 +1,7 @@
 //! Figure 2 — FPS of Angry Birds and TikTok when running alone versus
-//! co-running with the background training task.
-
-use fedco_device::prelude::*;
-
-fn trace_stats(samples: &[FpsSample]) -> (f64, f64, f64) {
-    let mean = FpsModel::mean_fps(samples);
-    let min = samples.iter().map(|s| s.fps).fold(f64::INFINITY, f64::min);
-    let max = samples.iter().map(|s| s.fps).fold(0.0f64, f64::max);
-    (mean, min, max)
-}
+//! co-running with the background training task
+//! ([`fedco_bench::figures::fig2`]).
 
 fn main() {
-    println!("Reproduction of Fig. 2: foreground FPS with and without co-running.\n");
-    for (app, duration) in [(AppKind::Angrybird, 250usize), (AppKind::Tiktok, 200usize)] {
-        let mut model = FpsModel::new(app, 42);
-        let alone = model.trace(duration, false);
-        let corun = model.trace(duration, true);
-        let (ma, mina, maxa) = trace_stats(&alone);
-        let (mc, minc, maxc) = trace_stats(&corun);
-        println!(
-            "{} ({} s trace, target {} FPS)",
-            app.name(),
-            duration,
-            app.target_fps()
-        );
-        println!("  running alone : mean {ma:6.1} FPS   min {mina:5.1}   max {maxa:5.1}");
-        println!("  co-running    : mean {mc:6.1} FPS   min {minc:5.1}   max {maxc:5.1}");
-        println!(
-            "  perceived slowdown of the mean: {:.1}%\n",
-            (ma - mc) / ma * 100.0
-        );
-
-        // Print a coarse per-10-second series so the trace shape is visible.
-        println!("  t(s)   alone  corun");
-        for i in (0..duration).step_by(25) {
-            println!("  {:>4}   {:>5.1}  {:>5.1}", i, alone[i].fps, corun[i].fps);
-        }
-        println!();
-    }
-    println!(
-        "Paper reference (Observation 3): average FPS stays steady around 60 and 30\n\
-         frames/s respectively; co-running has no noticeable impact on the foreground app."
-    );
+    print!("{}", fedco_bench::figures::fig2());
 }

@@ -1,66 +1,9 @@
 //! Figure 6 — Impact of the application arrival rate: (a) energy consumption
 //! of Online / Immediate / Offline across arrival probabilities; (b) test
-//! accuracy when application arrivals are scarce.
+//! accuracy when application arrivals are scarce
+//! ([`fedco_bench::figures::fig6`]).
 
-use fedco_bench::paper_config;
-use fedco_sim::prelude::*;
-
-fn main() {
-    println!("Reproduction of Fig. 6.\n");
-
-    // (a) Energy vs arrival probability.
-    println!("Fig. 6(a) — energy (kJ) vs application arrival probability:");
-    println!(
-        "{:>12} {:>12} {:>12} {:>12}",
-        "arrival p", "Online", "Immediate", "Offline"
-    );
-    for p in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2] {
-        let run = |policy| run_simulation(paper_config(policy).with_arrival_probability(p));
-        let online = run(PolicySpec::Online { v: None });
-        let immediate = run(PolicySpec::Immediate);
-        let offline = run(PolicySpec::Offline);
-        println!(
-            "{:>12.4} {:>12.1} {:>12.1} {:>12.1}",
-            p,
-            online.total_energy_kj(),
-            immediate.total_energy_kj(),
-            offline.total_energy_kj()
-        );
-    }
-    println!();
-
-    // (b) Accuracy under scarce arrivals (with the real ML workload, smaller
-    // fleet so the sweep stays fast).
-    println!("Fig. 6(b) — test accuracy with scarce application arrivals:");
-    println!(
-        "{:>12} {:>12} {:>12} {:>12}",
-        "arrival p", "Online", "Immediate", "Offline"
-    );
-    for p in [1e-4, 5e-4, 1e-3] {
-        let mut accs = Vec::new();
-        for policy in [
-            PolicySpec::Online { v: None },
-            PolicySpec::Immediate,
-            PolicySpec::Offline,
-        ] {
-            let mut cfg = paper_config(policy).with_arrival_probability(p);
-            cfg.num_users = 10;
-            cfg.ml = Some(MlConfig::default());
-            let r = run_simulation(cfg);
-            accs.push(r.best_accuracy().unwrap_or(0.0));
-        }
-        println!(
-            "{:>12.4} {:>11.1}% {:>11.1}% {:>11.1}%",
-            p,
-            accs[0] * 100.0,
-            accs[1] * 100.0,
-            accs[2] * 100.0
-        );
-    }
-    println!(
-        "\nPaper reference: energy rises with the arrival rate for all schemes and the\n\
-         online scheme degrades into immediate scheduling at high rates; with scarce\n\
-         arrivals the online scheme shows no noticeable accuracy degradation while the\n\
-         offline scheme's accuracy suffers from too few updates."
-    );
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    print!("{}", fedco_bench::figures::fig6()?);
+    Ok(())
 }

@@ -1,48 +1,8 @@
 //! Table II — Averaged energy measurements: app-only power, co-running
 //! power, co-run execution time and energy-saving percentage for every
-//! (device, application) pair, plus the training-only row.
-
-use fedco_device::prelude::*;
-use fedco_sim::report::render_table;
+//! (device, application) pair, plus the training-only row
+//! ([`fedco_bench::figures::table2`]).
 
 fn main() {
-    println!("Reproduction of Table II: per-device, per-application calibration.\n");
-    for device in DeviceKind::ALL {
-        let profile = device.profile();
-        let mut rows = vec![vec![
-            "Training".to_string(),
-            format!("{:.2}", profile.training_power_w),
-            "-".to_string(),
-            format!("{:.0}", profile.training_time_s),
-            "-".to_string(),
-        ]];
-        for app in AppKind::ALL {
-            let m = profile.app_measurement(app);
-            rows.push(vec![
-                app.name().to_string(),
-                format!("{:.2}", m.app_power_w),
-                format!("{:.2}", m.corun_power_w),
-                format!("{:.0}", m.corun_time_s),
-                format!("{:.0}%", profile.corun_saving_fraction(app) * 100.0),
-            ]);
-        }
-        print!(
-            "{}",
-            render_table(
-                &format!("Table II — {}", device.name()),
-                &[
-                    "app",
-                    "app power (W)",
-                    "co-run power (W)",
-                    "time (s)",
-                    "saving"
-                ],
-                &rows,
-            )
-        );
-    }
-    println!(
-        "Saving column is recomputed from the power model as 1 - P_a'.t_a / (P_b.t_b + P_a.t_a);\n\
-         it should match the percentages printed in the paper's Table II within rounding."
-    );
+    print!("{}", fedco_bench::figures::table2());
 }

@@ -1,60 +1,8 @@
 //! Table III — Energy overhead of the online optimisation: the extra power
 //! of evaluating the Eq.-21 decision rule each slot relative to idling, and
-//! the measured wall-clock cost of one decision on this machine.
-
-use std::time::Instant;
-
-use fedco_core::prelude::*;
-use fedco_device::prelude::*;
-use fedco_fl::staleness::GradientGap;
-use fedco_sim::report::render_table;
+//! the measured wall-clock cost of one decision on this machine
+//! ([`fedco_bench::figures::table3`]).
 
 fn main() {
-    println!("Reproduction of Table III: energy overhead of the online optimisation.\n");
-    let rows: Vec<Vec<String>> = DeviceKind::ALL
-        .iter()
-        .map(|&device| {
-            let p = device.profile();
-            vec![
-                device.name().to_string(),
-                format!("{:.3}", p.idle_power_w),
-                format!("{:.3}", p.decision_power_w),
-                format!("{:.1}%", p.decision_overhead_fraction() * 100.0),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Table III — online-controller energy overhead",
-            &["device", "power idle (W)", "power decision (W)", "overhead"],
-            &rows,
-        )
-    );
-
-    // Micro-benchmark the decision rule itself to show it is lightweight
-    // (the paper argues the computation easily fits the little cores).
-    let scheduler = OnlineScheduler::new(SchedulerConfig::default());
-    let profile = DeviceKind::Pixel2.profile();
-    let input = OnlineDecisionInput::from_profile(
-        &profile,
-        AppStatus::App(AppKind::Map),
-        GradientGap(1.0),
-        GradientGap(0.3),
-    );
-    let iterations = 1_000_000u64;
-    let start = Instant::now();
-    let mut schedule_count = 0u64;
-    for _ in 0..iterations {
-        if scheduler.decide(&input) == SlotDecision::Schedule {
-            schedule_count += 1;
-        }
-    }
-    let elapsed = start.elapsed();
-    let ns = elapsed.as_nanos() as f64 / iterations as f64;
-    println!("decision-rule micro-benchmark: {ns:.1} ns per Eq.-21 evaluation ({schedule_count} schedules)");
-    println!(
-        "\nPaper reference: overhead below 10% per slot on every device (3.0% Nexus6,\n\
-         7.4% Nexus6P, 6.3% Pixel2); the per-slot computation is a handful of flops."
-    );
+    print!("{}", fedco_bench::figures::table3());
 }

@@ -55,20 +55,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Returns a copy with a different staleness bound `L_b`.
-    #[must_use]
-    pub fn with_staleness_bound(mut self, lb: f64) -> Self {
-        self.staleness_bound = lb.max(0.0);
-        self
-    }
-
-    /// Returns a copy with a different idle increment `ε`.
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon.max(0.0);
-        self
-    }
-
     /// Basic sanity check of the configuration. Thin shim over
     /// [`SchedulerConfig::validate`], which reports *which* field is out of
     /// range.
@@ -161,13 +147,8 @@ mod tests {
 
     #[test]
     fn builders_clamp_negative_values() {
-        let c = SchedulerConfig::default()
-            .with_v(-1.0)
-            .with_staleness_bound(-2.0)
-            .with_epsilon(-3.0);
+        let c = SchedulerConfig::default().with_v(-1.0);
         assert_eq!(c.v, 0.0);
-        assert_eq!(c.staleness_bound, 0.0);
-        assert_eq!(c.epsilon, 0.0);
         assert!(c.is_valid());
     }
 

@@ -261,28 +261,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with a different Lyapunov knob `V`.
-    #[must_use]
-    pub fn with_v(mut self, v: f64) -> Self {
-        self.scheduler = self.scheduler.with_v(v);
-        self
-    }
-
-    /// Returns a copy with a different staleness bound `L_b`.
-    #[must_use]
-    pub fn with_staleness_bound(mut self, lb: f64) -> Self {
-        self.scheduler = self.scheduler.with_staleness_bound(lb);
-        self
-    }
-
-    /// Returns a copy with a different arrival probability. The value is
-    /// stored as given; [`SimConfig::validate`] rejects one outside `[0, 1]`.
-    #[must_use]
-    pub fn with_arrival_probability(mut self, p: f64) -> Self {
-        self.arrival_probability = p;
-        self
-    }
-
     /// Returns a copy with a different seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -452,15 +430,8 @@ mod tests {
 
     #[test]
     fn builders_produce_valid_configs() {
-        let c = SimConfig::paper_default(PolicySpec::Offline)
-            .with_v(1000.0)
-            .with_staleness_bound(500.0)
-            .with_arrival_probability(0.01)
-            .with_seed(7);
+        let c = SimConfig::paper_default(PolicySpec::Offline).with_seed(7);
         assert_eq!(c.policy, PolicySpec::Offline);
-        assert_eq!(c.scheduler.v, 1000.0);
-        assert_eq!(c.scheduler.staleness_bound, 500.0);
-        assert_eq!(c.arrival_probability, 0.01);
         assert_eq!(c.seed, 7);
         assert!(c.is_valid());
         assert!(SimConfig::small(PolicySpec::Online { v: None }).is_valid());
@@ -468,12 +439,18 @@ mod tests {
 
     #[test]
     fn out_of_range_arrival_probability_is_rejected_not_clamped() {
-        let c = SimConfig::default().with_arrival_probability(7.0);
+        let c = SimConfig {
+            arrival_probability: 7.0,
+            ..SimConfig::default()
+        };
         assert_eq!(
             c.validate(),
             Err(ConfigError::ArrivalProbabilityOutOfRange(7.0))
         );
-        let nan = SimConfig::default().with_arrival_probability(f64::NAN);
+        let nan = SimConfig {
+            arrival_probability: f64::NAN,
+            ..SimConfig::default()
+        };
         assert!(matches!(
             nan.validate(),
             Err(ConfigError::ArrivalProbabilityOutOfRange(v)) if v.is_nan()

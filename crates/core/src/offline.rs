@@ -721,6 +721,100 @@ mod tests {
         }
     }
 
+    /// The best value over every subset of the candidates `solve` may take
+    /// (positive value, finite non-negative weight) whose summed weight
+    /// satisfies `fits`, by walking all 2ⁿ of them; sums run in index order.
+    fn exhaustive_best(items: &[KnapsackItem], fits: &dyn Fn(f64, usize) -> bool, res: f64) -> f64 {
+        fn walk(
+            rest: &[(f64, f64, usize)],
+            (value, weight, units): (f64, f64, usize),
+            fits: &dyn Fn(f64, usize) -> bool,
+        ) -> f64 {
+            match rest.split_first() {
+                None if fits(weight, units) => value,
+                None => f64::NEG_INFINITY,
+                Some((&(v, w, u), rest)) => walk(rest, (value, weight, units), fits).max(walk(
+                    rest,
+                    (value + v, weight + w, units + u),
+                    fits,
+                )),
+            }
+        }
+        let candidates: Vec<(f64, f64, usize)> = items
+            .iter()
+            .filter(|item| item.value > 0.0 && (0.0..f64::INFINITY).contains(&item.weight))
+            .map(|item| (item.value, item.weight, (item.weight / res).ceil() as usize))
+            .collect();
+        walk(&candidates, (0.0, 0.0, 0), fits)
+    }
+
+    #[test]
+    fn solve_is_the_exhaustive_optimum_of_each_window() {
+        // Windows of up to 18 items: values from -50 to 400 J, weights from 0
+        // to 40 gap units; budgets from nothing to more than the window
+        // weighs; the paper's gap resolution and two finer ones.
+        let mut rng = SmallRng::seed_from_u64(0x0b7_1a1);
+        for round in 0..240 {
+            let n = rng.gen_range(0..=18usize);
+            let items: Vec<KnapsackItem> = (0..n)
+                .map(|user_id| KnapsackItem {
+                    user_id,
+                    value: rng.gen_range(-50_000..400_000i64) as f64 / 1000.0,
+                    weight: if rng.gen_range(0..10) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0..40_000i64) as f64 / 1000.0
+                    },
+                })
+                .collect();
+            let resolution = [1.0, 0.5, 0.125][round % 3];
+            let budget = rng.gen_range(0..(20 * n + 2) as i64) as f64 / 2.0;
+            let sched = OfflineScheduler::new(budget, predictor()).with_gap_resolution(resolution);
+            let dp = sched.solve(&items);
+            let context =
+                format!("round {round} budget {budget} resolution {resolution}: {items:?}");
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+
+            // The problem the DP solves: whole gap units within the budget's.
+            let capacity = (budget / resolution).floor() as usize;
+            let in_units = exhaustive_best(&items, &|_, units| units <= capacity, resolution);
+            assert!(
+                close(dp.total_saving_j, in_units),
+                "{} != {in_units}, {context}",
+                dp.total_saving_j
+            );
+            // It respects L_b, so the true optimum bounds it from above; a
+            // unit of rounding per item bounds it from below.
+            assert!(
+                dp.total_gap <= budget,
+                "gap {} over {budget}, {context}",
+                dp.total_gap
+            );
+            let exact =
+                |slack: f64| exhaustive_best(&items, &|w, _| w <= budget - slack, resolution);
+            assert!(dp.total_saving_j <= exact(0.0) + 1e-9, "{context}");
+            assert!(
+                dp.total_saving_j + 1e-9 >= exact(n as f64 * resolution),
+                "{context}"
+            );
+            // The greedy baseline, on the same unit-rounded weights, never
+            // beats it.
+            let rounded: Vec<KnapsackItem> = items
+                .iter()
+                .map(|item| KnapsackItem {
+                    weight: (item.weight / resolution).ceil() * resolution,
+                    ..*item
+                })
+                .collect();
+            let greedy = greedy_solution(&rounded, capacity as f64 * resolution);
+            assert!(
+                greedy.total_saving_j <= dp.total_saving_j + 1e-9,
+                "greedy {}, {context}",
+                greedy.total_saving_j
+            );
+        }
+    }
+
     #[test]
     fn negative_and_non_finite_weights_are_never_selected() {
         // NaN and negative weights used to round to zero units — "free",

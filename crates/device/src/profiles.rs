@@ -214,20 +214,6 @@ impl DeviceProfile {
         Seconds(self.app_measurement(app).corun_time_s)
     }
 
-    /// Energy-saving percentage of co-running versus separate execution,
-    /// computed exactly as in Section VII-A of the paper:
-    /// `1 − P_a'·t_a / (P_b·t_b + P_a·t_a)`.
-    pub fn corun_saving_fraction(&self, app: AppKind) -> f64 {
-        let m = self.app_measurement(app);
-        let corun = m.corun_power_w * m.corun_time_s;
-        let separate =
-            self.training_power_w * self.training_time_s + m.app_power_w * m.corun_time_s;
-        if separate <= 0.0 {
-            return 0.0;
-        }
-        1.0 - corun / separate
-    }
-
     /// Per-slot energy saving `s_i = P_b + P_a − P_a'` (W) used by the
     /// offline knapsack objective (Eq. 5). Negative values mean co-running
     /// costs more than separate execution (e.g. Nexus 6 with Candy Crush).
@@ -250,6 +236,13 @@ impl DeviceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::PowerModel;
+    use crate::profiler::ScheduleComparison;
+
+    /// The Table II "saving" cell of a pair.
+    fn saving(device: DeviceKind, app: AppKind) -> f64 {
+        ScheduleComparison::compute(&PowerModel::new(device.profile()), app).saving_fraction()
+    }
 
     #[test]
     fn all_devices_have_profiles() {
@@ -309,7 +302,7 @@ mod tests {
             (DeviceKind::Nexus6P, AppKind::Etrade, 0.27),
         ];
         for (device, app, expected) in cases {
-            let got = device.profile().corun_saving_fraction(app);
+            let got = saving(device, app);
             assert!(
                 (got - expected).abs() < 0.03,
                 "{device:?}/{app:?}: computed {got:.3}, Table II says {expected}"
@@ -321,23 +314,21 @@ mod tests {
     fn negative_savings_exist_on_old_homogeneous_chipset() {
         // Nexus 6 + Candy Crush is the paper's example of an energy surge
         // from cache contention on homogeneous cores (-39 %).
-        let p = DeviceKind::Nexus6.profile();
-        assert!(p.corun_saving_fraction(AppKind::CandyCrush) < -0.2);
+        assert!(saving(DeviceKind::Nexus6, AppKind::CandyCrush) < -0.2);
         // Nexus 6P + News is also negative (-24 %).
-        let p6p = DeviceKind::Nexus6P.profile();
-        assert!(p6p.corun_saving_fraction(AppKind::News) < -0.1);
+        assert!(saving(DeviceKind::Nexus6P, AppKind::News) < -0.1);
     }
 
     #[test]
     fn newer_devices_offer_30_to_50_percent_savings() {
         // Observation 1: newer devices save 30-50 % across applications.
         for app in AppKind::ALL {
-            let saving = DeviceKind::Hikey970.profile().corun_saving_fraction(app);
+            let saving = saving(DeviceKind::Hikey970, app);
             assert!(saving > 0.3 && saving < 0.55, "{app:?}: {saving}");
         }
         let mean_pixel2: f64 = AppKind::ALL
             .iter()
-            .map(|&a| DeviceKind::Pixel2.profile().corun_saving_fraction(a))
+            .map(|&a| saving(DeviceKind::Pixel2, a))
             .sum::<f64>()
             / 8.0;
         assert!(mean_pixel2 > 0.25 && mean_pixel2 < 0.40, "{mean_pixel2}");

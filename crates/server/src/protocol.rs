@@ -672,79 +672,20 @@ fn map_io(e: std::io::Error) -> WireError {
 }
 
 #[cfg(test)]
+#[path = "../tests/wire_samples/mod.rs"]
+mod wire_samples;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fedco_rng::rngs::SmallRng;
     use fedco_rng::{Rng, SeedableRng};
 
-    fn one_update() -> WireUpdate {
-        WireUpdate {
-            client: 3,
-            base_version: 41,
-            num_samples: 128,
-            train_loss_bits: 1.25_f32.to_bits(),
-            train_accuracy_bits: 0.5_f32.to_bits(),
-            params: vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0, -0.0],
-        }
-    }
-
-    pub(crate) fn one_of_each() -> Vec<Message> {
-        let update = one_update();
-        vec![
-            Message::Hello { client: 7 },
-            Message::Welcome {
-                session: 1,
-                model_version: 9,
-                model_len: 8,
-            },
-            Message::JoinRefused {
-                reason: Refusal::ServerFull,
-            },
-            Message::PullModel { session: 1 },
-            Message::Model {
-                version: 9,
-                params: vec![0.25, -1.0, 3.5e-12, f32::MAX],
-            },
-            Message::PushUpdate {
-                session: 1,
-                update: update.clone(),
-            },
-            Message::PushApplied {
-                lag: 2,
-                version: 10,
-            },
-            Message::PushQueued { depth: 5 },
-            Message::PushRefused {
-                reason: Refusal::Backpressure,
-            },
-            Message::PushRound {
-                session: 1,
-                updates: vec![update.clone(), update],
-            },
-            Message::RoundOk { version: 11 },
-            Message::Heartbeat { session: 1 },
-            Message::HeartbeatAck { tick: 77 },
-            Message::Leave { session: 1 },
-            Message::LeaveOk,
-            Message::QueryNorm,
-            Message::NormIs {
-                bits: 0.75_f32.to_bits(),
-            },
-            Message::QueryStats,
-            Message::StatsIs {
-                async_updates: 100,
-                sync_rounds: 2,
-                total_lag: 321,
-                max_lag: 9,
-            },
-            Message::Shutdown,
-            Message::ShutdownOk,
-        ]
-    }
+    use super::wire_samples::{one_update, samples};
 
     #[test]
     fn every_message_round_trips_through_a_frame() {
-        for msg in one_of_each() {
+        for msg in samples() {
             let frame = msg.to_frame();
             assert_eq!(
                 frame.len(),
@@ -758,9 +699,10 @@ mod tests {
         }
     }
 
-    /// `one_of_each` (and so every round-trip, truncation and resume test
-    /// here) has one sample of every row of `messages!`: a row added without
-    /// a sample fails this test instead of going unexercised.
+    /// `samples` (and so every round-trip, truncation, resume and fuzz test
+    /// over it, here and in `tests/protocol_fuzz.rs`) has a sample of every
+    /// row of `messages!`: a row added without one fails this test instead
+    /// of going unexercised.
     #[test]
     fn the_samples_cover_every_row_of_the_table() {
         let decoded_tags: Vec<u8> = (0..=u8::MAX)
@@ -770,17 +712,20 @@ mod tests {
                 !matches!(Message::from_frame(&frame), Err(WireError::BadTag { .. }))
             })
             .collect();
-        let samples = one_of_each();
-        let mut sample_tags: Vec<u8> = samples.iter().map(Message::tag).collect();
-        sample_tags.sort_unstable();
-        assert_eq!(sample_tags, decoded_tags, "one sample per decodable tag");
-        let names: std::collections::HashSet<&str> = samples.iter().map(Message::name).collect();
-        assert_eq!(names.len(), samples.len(), "two kinds share a name");
+        let mut kinds: Vec<(u8, &str)> = samples().iter().map(|m| (m.tag(), m.name())).collect();
+        kinds.dedup();
+        let sample_tags: Vec<u8> = kinds.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(
+            sample_tags, decoded_tags,
+            "a sample per decodable tag, in tag order"
+        );
+        let names: std::collections::HashSet<&str> = kinds.iter().map(|&(_, name)| name).collect();
+        assert_eq!(names.len(), kinds.len(), "two kinds share a name");
     }
 
     #[test]
     fn every_message_round_trips_through_a_stream() {
-        let messages = one_of_each();
+        let messages = samples();
         let mut stream = Vec::new();
         for msg in &messages {
             write_frame(&mut stream, msg).unwrap();
@@ -864,6 +809,9 @@ mod tests {
         /// The encoder as it was before `encode_into`: the payload built four
         /// bytes at a time in an unreserved `Vec`, then copied behind its header.
         /// Bodies unchanged — the oracle the single-buffer codec is held to.
+        /// A new `messages!` row needs a new arm here, written from the row's
+        /// wire layout: the oracle is extended for a new kind and never
+        /// changed for an existing one.
         fn reference_frame(msg: &Message) -> Vec<u8> {
             fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
                 put_u32(out, values.len() as u32);
@@ -961,32 +909,12 @@ mod tests {
             }
         }
 
-        /// The vector-carrying samples of `tests/protocol_fuzz.rs`, LeNet-5-sized
-        /// frames of all three vector kinds, and the empty vectors.
+        /// LeNet-5-sized frames of all three vector kinds, and the empty
+        /// vectors (the small ones are in `samples`).
         fn vector_frames() -> Vec<Message> {
             const LENET5: usize = 62_006;
             let mut rng = SmallRng::seed_from_u64(0xC0DEC);
-            let fuzz_update = |seed: u64| WireUpdate {
-                client: seed,
-                base_version: seed.wrapping_mul(3),
-                num_samples: 16 + seed,
-                train_loss_bits: (0.25f32 * seed as f32).to_bits(),
-                train_accuracy_bits: (0.125f32 * seed as f32).to_bits(),
-                params: vec![1.5, -0.0, f32::MIN_POSITIVE, 3.25e7],
-            };
             vec![
-                Message::Model {
-                    version: 9,
-                    params: vec![0.5, -2.0, -0.0, f32::INFINITY],
-                },
-                Message::PushUpdate {
-                    session: 1,
-                    update: fuzz_update(2),
-                },
-                Message::PushRound {
-                    session: 1,
-                    updates: vec![fuzz_update(1), fuzz_update(9)],
-                },
                 Message::Model {
                     version: u64::MAX,
                     params: random_floats(&mut rng, LENET5),
@@ -1013,7 +941,7 @@ mod tests {
         #[test]
         fn encode_into_matches_the_per_element_encoder() {
             let mut reused = Vec::new();
-            let mut longest_first = one_of_each();
+            let mut longest_first = samples();
             longest_first.extend(vector_frames());
             // Longest frame first, so every later encode lands in a buffer that
             // still holds more bytes than it needs.
@@ -1136,7 +1064,7 @@ mod tests {
 
     #[test]
     fn a_timeout_at_any_byte_of_a_frame_is_resumed() {
-        let mut messages = one_of_each();
+        let mut messages = samples();
         messages.push(Message::Model {
             version: 3,
             params: vec![0.5; 300],

@@ -13,70 +13,10 @@ use fedco_server::protocol::{
     PROTOCOL_VERSION,
 };
 
-fn sample_update(seed: u64) -> WireUpdate {
-    WireUpdate {
-        client: seed,
-        base_version: seed.wrapping_mul(3),
-        num_samples: 16 + seed,
-        train_loss_bits: (0.25f32 * seed as f32).to_bits(),
-        train_accuracy_bits: (0.125f32 * seed as f32).to_bits(),
-        params: vec![1.5, -0.0, f32::MIN_POSITIVE, 3.25e7],
-    }
-}
-
-/// One of every message kind, exercising every payload codec.
-fn samples() -> Vec<Message> {
-    vec![
-        Message::Hello { client: 7 },
-        Message::Welcome {
-            session: 1,
-            model_version: 2,
-            model_len: 4,
-        },
-        Message::JoinRefused {
-            reason: Refusal::ServerFull,
-        },
-        Message::PullModel { session: 1 },
-        Message::Model {
-            version: 9,
-            params: vec![0.5, -2.0, -0.0, f32::INFINITY],
-        },
-        Message::PushUpdate {
-            session: 1,
-            update: sample_update(2),
-        },
-        Message::PushApplied {
-            lag: 3,
-            version: 10,
-        },
-        Message::PushQueued { depth: 5 },
-        Message::PushRefused {
-            reason: Refusal::Backpressure,
-        },
-        Message::PushRound {
-            session: 1,
-            updates: vec![sample_update(1), sample_update(9)],
-        },
-        Message::RoundOk { version: 11 },
-        Message::Heartbeat { session: 1 },
-        Message::HeartbeatAck { tick: 99 },
-        Message::Leave { session: 1 },
-        Message::LeaveOk,
-        Message::QueryNorm,
-        Message::NormIs {
-            bits: 1.75f32.to_bits(),
-        },
-        Message::QueryStats,
-        Message::StatsIs {
-            async_updates: 4,
-            sync_rounds: 2,
-            total_lag: 7,
-            max_lag: 3,
-        },
-        Message::Shutdown,
-        Message::ShutdownOk,
-    ]
-}
+// `one_update` serves the unit tests of `src/protocol.rs`.
+#[allow(dead_code)]
+mod wire_samples;
+use wire_samples::samples;
 
 #[test]
 fn every_truncation_of_every_frame_is_a_typed_error() {

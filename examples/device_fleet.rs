@@ -14,9 +14,9 @@ fn main() {
         "device", "app", "P_a (W)", "P_a' (W)", "time (s)", "saving"
     );
     for device in DeviceKind::ALL {
-        let profile = device.profile();
+        let model = PowerModel::new(device.profile());
         for app in [AppKind::Map, AppKind::Youtube, AppKind::CandyCrush] {
-            let m = profile.app_measurement(app);
+            let m = model.profile().app_measurement(app);
             println!(
                 "{:<10} {:<12} {:>10.2} {:>10.2} {:>10.0} {:>8.0}%",
                 device.name(),
@@ -24,7 +24,7 @@ fn main() {
                 m.app_power_w,
                 m.corun_power_w,
                 m.corun_time_s,
-                profile.corun_saving_fraction(app) * 100.0
+                ScheduleComparison::compute(&model, app).saving_fraction() * 100.0
             );
         }
     }

@@ -93,9 +93,10 @@ fn registry_is_bit_identical_across_seeds_and_arrival_rates() {
     for spec in PolicySpec::default_registry() {
         for seed in [7u64, 42] {
             for p in [0.0, 0.001, 0.05, 1.0] {
-                let config = base_config(spec.clone())
-                    .with_seed(seed)
-                    .with_arrival_probability(p);
+                let config = SimConfig {
+                    arrival_probability: p,
+                    ..base_config(spec.clone()).with_seed(seed)
+                };
                 let (dense, event) = run_both(config);
                 assert_identical(&format!("{spec} seed={seed} p={p}"), &dense, &event);
             }
@@ -119,7 +120,10 @@ fn summary_mode_is_bit_identical_too() {
         let mut configs: Vec<(String, SimConfig)> = [0.0, 0.002, 1.0]
             .iter()
             .map(|p| {
-                let config = base_config(spec.clone()).with_arrival_probability(*p);
+                let config = SimConfig {
+                    arrival_probability: *p,
+                    ..base_config(spec.clone())
+                };
                 (format!("p={p}"), config)
             })
             .collect();

@@ -132,9 +132,8 @@ v = 1000
             .summary_only(),
     );
     let hand_built = {
-        let mut config = SimConfig::small(PolicySpec::Online { v: None })
-            .summary_only()
-            .with_v(1000.0);
+        let mut config = SimConfig::small(PolicySpec::Online { v: None }).summary_only();
+        config.scheduler.v = 1000.0;
         config.num_users = 5;
         config.total_slots = 500;
         config.arrival_probability = 0.01;
