@@ -1,6 +1,5 @@
 //! Table III — Energy overhead of the online optimisation: the extra power
-//! of evaluating the Eq.-21 decision rule each slot relative to idling, and
-//! the measured wall-clock cost of one decision on this machine
+//! of evaluating the Eq.-21 decision rule each slot relative to idling
 //! ([`fedco_bench::figures::table3`]).
 
 fn main() {

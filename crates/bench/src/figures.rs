@@ -15,11 +15,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 use fedco_core::prelude::*;
 use fedco_device::prelude::*;
-use fedco_fl::staleness::GradientGap;
 use fedco_sim::prelude::*;
 
 /// What a figure function returns when one of its scenario strings does not
@@ -441,38 +439,15 @@ impl fmt::Display for Table2 {
     }
 }
 
-/// Table III: the measured cost of one decision (the overheads are the
-/// device profiles').
+/// Table III: the energy overhead of the online optimisation, the extra
+/// power of evaluating the Eq.-21 rule each slot relative to idling. The
+/// overheads are the device profiles'; `--bench scheduler` times the rule.
 #[derive(Debug, Clone, Copy)]
-pub struct Table3 {
-    /// Wall-clock nanoseconds per Eq.-21 evaluation on this machine.
-    pub ns_per_decision: f64,
-    /// How many of the timed evaluations scheduled.
-    pub schedules: u64,
-}
+pub struct Table3;
 
-/// Table III — the energy overhead of the online optimisation: the extra
-/// power of evaluating the Eq.-21 rule each slot relative to idling (from
-/// the device profiles), and the wall-clock cost of one decision, timed over
-/// a million evaluations.
+/// Table III — the energy overhead of the online optimisation.
 pub fn table3() -> Table3 {
-    let scheduler = OnlineScheduler::new(SchedulerConfig::default());
-    let (profile, app) = (DeviceKind::Pixel2.profile(), AppStatus::App(AppKind::Map));
-    let input =
-        OnlineDecisionInput::from_profile(&profile, app, GradientGap(1.0), GradientGap(0.3));
-    let iterations = 1_000_000u64;
-    let start = Instant::now();
-    let mut schedules = 0u64;
-    for _ in 0..iterations {
-        if scheduler.decide(&input) == SlotDecision::Schedule {
-            schedules += 1;
-        }
-    }
-    let ns_per_decision = start.elapsed().as_nanos() as f64 / iterations as f64;
-    Table3 {
-        ns_per_decision,
-        schedules,
-    }
+    Table3
 }
 
 impl fmt::Display for Table3 {
@@ -483,14 +458,12 @@ impl fmt::Display for Table3 {
             let overhead = p.decision_overhead_fraction() * 100.0;
             format!("| {device} | {idle:.3} | {decision:.3} | {overhead:.1}% |\n")
         });
-        let (ns, schedules) = (self.ns_per_decision, self.schedules);
         write!(
             f,
             "Reproduction of Table III: energy overhead of the online optimisation.\n\n\
              ## Table III — online-controller energy overhead\n\n\
              | device | power idle (W) | power decision (W) | overhead |\n\
              |---|---|---|---|\n{rows}\n\
-             decision-rule micro-benchmark: {ns:.1} ns per Eq.-21 evaluation ({schedules} schedules)\n\n\
              Paper reference: overhead below 10% per slot on every device (3.0% Nexus6,\n\
              7.4% Nexus6P, 6.3% Pixel2); the per-slot computation is a handful of flops.\n"
         )

@@ -55,13 +55,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Basic sanity check of the configuration. Thin shim over
-    /// [`SchedulerConfig::validate`], which reports *which* field is out of
-    /// range.
-    pub fn is_valid(&self) -> bool {
-        self.validate().is_ok()
-    }
-
     /// Validates the configuration, naming the offending field and its value
     /// on failure.
     pub fn validate(&self) -> Result<(), SchedulerConfigError> {
@@ -142,14 +135,14 @@ mod tests {
         assert_eq!(c.staleness_bound, 1000.0);
         assert_eq!(c.slot_seconds, 1.0);
         assert_eq!(c.lookahead_window_s, 500.0);
-        assert!(c.is_valid());
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn builders_clamp_negative_values() {
         let c = SchedulerConfig::default().with_v(-1.0);
         assert_eq!(c.v, 0.0);
-        assert!(c.is_valid());
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -158,12 +151,12 @@ mod tests {
             slot_seconds: 0.0,
             ..SchedulerConfig::default()
         };
-        assert!(!c.is_valid());
+        assert!(c.validate().is_err());
         let c2 = SchedulerConfig {
             momentum_beta: 1.5,
             ..SchedulerConfig::default()
         };
-        assert!(!c2.is_valid());
+        assert!(c2.validate().is_err());
     }
 
     #[test]

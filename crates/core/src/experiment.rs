@@ -64,7 +64,7 @@ impl DeviceAssignment {
     /// # Panics
     ///
     /// Panics if the assignment is an empty `Custom` list (which
-    /// [`DeviceAssignment::custom`] and `SimConfig::is_valid` both reject).
+    /// [`DeviceAssignment::custom`] and `SimConfig::validate` both reject).
     pub fn device_for(&self, user: usize) -> DeviceKind {
         match self {
             DeviceAssignment::Uniform(kind) => *kind,
@@ -163,9 +163,6 @@ pub struct SimConfig {
     /// Optional real ML workload; when `None` the run is energy-only and the
     /// gap predictor assumes a fixed momentum-vector norm.
     pub ml: Option<MlConfig>,
-    /// Whether to charge the online controller's decision-computation energy
-    /// (Table III) to the devices.
-    pub decision_overhead: bool,
     /// Whether to record per-user gap traces (Fig. 5d).
     pub record_user_gaps: bool,
     /// Whether to materialize the time series (`trace`, `updates`,
@@ -200,7 +197,6 @@ impl Default for SimConfig {
             devices: DeviceAssignment::RoundRobinTestbed,
             record_every_slots: 60,
             ml: None,
-            decision_overhead: true,
             record_user_gaps: false,
             collect_traces: true,
             transport: None,
@@ -268,13 +264,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with a transport link charged per model exchange.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportModel) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
     /// Returns a copy configured for summary-only execution: no time series
     /// and no per-user gap samples. This is what the fleet runtime uses so
     /// sweeps never materialize traces.
@@ -283,12 +272,6 @@ impl SimConfig {
         self.collect_traces = false;
         self.record_user_gaps = false;
         self
-    }
-
-    /// Basic validity check. Thin shim over [`SimConfig::validate`], which
-    /// reports *why* a configuration is rejected.
-    pub fn is_valid(&self) -> bool {
-        self.validate().is_ok()
     }
 
     /// Validates the configuration, returning a typed [`ConfigError`] that
@@ -425,7 +408,7 @@ mod tests {
         assert_eq!(c.total_slots, 10_800);
         assert_eq!(c.arrival_probability, 0.001);
         assert_eq!(c.scheduler.v, 4000.0);
-        assert!(c.is_valid());
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -433,8 +416,10 @@ mod tests {
         let c = SimConfig::paper_default(PolicySpec::Offline).with_seed(7);
         assert_eq!(c.policy, PolicySpec::Offline);
         assert_eq!(c.seed, 7);
-        assert!(c.is_valid());
-        assert!(SimConfig::small(PolicySpec::Online { v: None }).is_valid());
+        assert!(c.validate().is_ok());
+        assert!(SimConfig::small(PolicySpec::Online { v: None })
+            .validate()
+            .is_ok());
     }
 
     #[test]
@@ -463,12 +448,12 @@ mod tests {
             num_users: 0,
             ..SimConfig::default()
         };
-        assert!(!c.is_valid());
+        assert!(c.validate().is_err());
         let c2 = SimConfig {
             record_every_slots: 0,
             ..SimConfig::default()
         };
-        assert!(!c2.is_valid());
+        assert!(c2.validate().is_err());
     }
 
     #[test]
@@ -622,7 +607,7 @@ mod tests {
             devices: DeviceAssignment::Custom(vec![]),
             ..SimConfig::default()
         };
-        assert!(!config.is_valid());
+        assert!(config.validate().is_err());
         assert_eq!(
             EmptyDeviceList.to_string(),
             "custom device assignment requires at least one device"
@@ -650,13 +635,12 @@ mod tests {
 
     #[test]
     fn summary_only_and_transport_builders() {
-        let c = SimConfig::small(PolicySpec::Online { v: None })
-            .summary_only()
-            .with_transport(TransportModel::lte());
+        let mut c = SimConfig::small(PolicySpec::Online { v: None }).summary_only();
+        c.transport = Some(TransportModel::lte());
         assert!(!c.collect_traces);
         assert!(!c.record_user_gaps);
         assert_eq!(c.transport, Some(TransportModel::lte()));
-        assert!(c.is_valid());
+        assert!(c.validate().is_ok());
         // Default keeps the paper's accounting: traces on, no radio.
         let d = SimConfig::default();
         assert!(d.collect_traces);
@@ -675,7 +659,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        assert!(compressed.is_valid());
+        assert!(compressed.validate().is_ok());
         for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             let c = SimConfig {
                 world: WorldConfig {

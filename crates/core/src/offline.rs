@@ -219,25 +219,17 @@ impl OfflineSolution {
     pub fn is_selected(&self, user_id: usize) -> bool {
         self.selected.binary_search(&user_id).is_ok()
     }
-
-    /// An empty solution (nothing selected).
-    pub fn empty() -> Self {
-        OfflineSolution {
-            selected: Vec::new(),
-            total_saving_j: 0.0,
-            total_gap: 0.0,
-        }
-    }
 }
+
+/// Gap discretisation step: the DP indexes its row by integer gap units of
+/// this size (the paper uses the gap itself, i.e. a step of 1).
+const GAP_RESOLUTION: f64 = 1.0;
 
 /// The offline knapsack scheduler (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfflineScheduler {
     /// Staleness budget `L_b`.
     pub staleness_bound: f64,
-    /// Gap discretisation step: the DP indexes its row by integer gap units
-    /// of this size (the paper uses the gap itself, i.e. a step of 1).
-    pub gap_resolution: f64,
     /// Weight predictor used to turn lag bounds into gradient gaps (Eq. 4).
     pub predictor: WeightPredictor,
 }
@@ -247,17 +239,8 @@ impl OfflineScheduler {
     pub fn new(staleness_bound: f64, predictor: WeightPredictor) -> Self {
         OfflineScheduler {
             staleness_bound: staleness_bound.max(0.0),
-            gap_resolution: 1.0,
             predictor,
         }
-    }
-
-    /// Overrides the DP discretisation resolution (finer = more precise,
-    /// longer row). Values ≤ 0 are clamped to a small positive step.
-    #[must_use]
-    pub fn with_gap_resolution(mut self, resolution: f64) -> Self {
-        self.gap_resolution = if resolution > 0.0 { resolution } else { 1e-3 };
-        self
     }
 
     /// Builds the knapsack items for a window: every user with an application
@@ -292,7 +275,7 @@ impl OfflineScheduler {
     /// the back-trace visits holds the running value over all candidates so
     /// far, so no row is built and `L_b` can be arbitrarily large.
     pub fn solve(&self, items: &[KnapsackItem]) -> OfflineSolution {
-        let capacity_units = (self.staleness_bound / self.gap_resolution).floor() as usize;
+        let capacity_units = (self.staleness_bound / GAP_RESOLUTION).floor() as usize;
         let mut selected_idx: Vec<usize> = Vec::new();
         let mut dp_items: Vec<(usize, f64, usize)> = Vec::new(); // (index, value, weight_units)
         let mut total_units = 0usize;
@@ -300,7 +283,7 @@ impl OfflineScheduler {
             if item.value <= 0.0 || !(0.0..f64::INFINITY).contains(&item.weight) {
                 continue;
             }
-            let units = (item.weight / self.gap_resolution).ceil() as usize;
+            let units = (item.weight / GAP_RESOLUTION).ceil() as usize;
             if units == 0 {
                 selected_idx.push(idx);
             } else if units <= capacity_units {
@@ -416,14 +399,14 @@ mod tests {
     /// `OfflineScheduler::solve` as it was with the full `(n + 1) × width`
     /// table, verbatim: the reference the row + take-bit version is held to.
     fn solve_full_table(sched: &OfflineScheduler, items: &[KnapsackItem]) -> OfflineSolution {
-        let capacity_units = (sched.staleness_bound / sched.gap_resolution).floor() as usize;
+        let capacity_units = (sched.staleness_bound / GAP_RESOLUTION).floor() as usize;
         let mut zero_weight: Vec<usize> = Vec::new();
         let mut dp_items: Vec<(usize, f64, usize)> = Vec::new(); // (index, value, weight_units)
         for (idx, item) in items.iter().enumerate() {
             if item.value <= 0.0 {
                 continue;
             }
-            let units = (item.weight / sched.gap_resolution).ceil() as usize;
+            let units = (item.weight / GAP_RESOLUTION).ceil() as usize;
             if units == 0 {
                 zero_weight.push(idx);
             } else if units <= capacity_units {
@@ -629,15 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn resolution_is_clamped_positive() {
-        let sched = OfflineScheduler::new(10.0, predictor()).with_gap_resolution(0.5);
-        assert_eq!(sched.gap_resolution, 0.5);
-        let clamped = OfflineScheduler::new(10.0, predictor()).with_gap_resolution(-1.0);
-        assert!(clamped.gap_resolution > 0.0);
-        assert_eq!(OfflineSolution::empty().selected.len(), 0);
-    }
-
-    #[test]
     fn batch_lag_bounds_match_the_per_user_scan() {
         // Times on a coarse grid, so ties are the rule: end times equal to
         // interval bounds (closed on both sides), duplicate end times,
@@ -680,7 +654,6 @@ mod tests {
         const WEIGHTS: [f64; 9] = [0.0, 0.3, 1.0, 1.0, 1.5, 2.0, 3.0, 1e9, f64::INFINITY];
         let mut rng = SmallRng::seed_from_u64(0x50_17e);
         for round in 0..300 {
-            let resolution = if round % 3 == 0 { 0.5 } else { 1.0 };
             let items: Vec<KnapsackItem> = (0..rng.gen_range(0..40usize))
                 .map(|user_id| KnapsackItem {
                     user_id,
@@ -691,7 +664,7 @@ mod tests {
             let total_units: usize = items
                 .iter()
                 .filter(|item| item.value > 0.0 && item.weight < 1e9)
-                .map(|item| (item.weight / resolution).ceil() as usize)
+                .map(|item| (item.weight / GAP_RESOLUTION).ceil() as usize)
                 .sum();
             let budgets = [
                 0,
@@ -702,8 +675,7 @@ mod tests {
                 rng.gen_range(0..=total_units),
             ];
             for units in budgets {
-                let sched = OfflineScheduler::new(units as f64 * resolution, predictor())
-                    .with_gap_resolution(resolution);
+                let sched = OfflineScheduler::new(units as f64 * GAP_RESOLUTION, predictor());
                 let (got, want) = (sched.solve(&items), solve_full_table(&sched, &items));
                 let context = format!("round {round} budget {units} units: {items:?}");
                 assert_eq!(got.selected, want.selected, "{context}");
@@ -724,7 +696,7 @@ mod tests {
     /// The best value over every subset of the candidates `solve` may take
     /// (positive value, finite non-negative weight) whose summed weight
     /// satisfies `fits`, by walking all 2ⁿ of them; sums run in index order.
-    fn exhaustive_best(items: &[KnapsackItem], fits: &dyn Fn(f64, usize) -> bool, res: f64) -> f64 {
+    fn exhaustive_best(items: &[KnapsackItem], fits: &dyn Fn(f64, usize) -> bool) -> f64 {
         fn walk(
             rest: &[(f64, f64, usize)],
             (value, weight, units): (f64, f64, usize),
@@ -743,7 +715,13 @@ mod tests {
         let candidates: Vec<(f64, f64, usize)> = items
             .iter()
             .filter(|item| item.value > 0.0 && (0.0..f64::INFINITY).contains(&item.weight))
-            .map(|item| (item.value, item.weight, (item.weight / res).ceil() as usize))
+            .map(|item| {
+                (
+                    item.value,
+                    item.weight,
+                    (item.weight / GAP_RESOLUTION).ceil() as usize,
+                )
+            })
             .collect();
         walk(&candidates, (0.0, 0.0, 0), fits)
     }
@@ -752,7 +730,7 @@ mod tests {
     fn solve_is_the_exhaustive_optimum_of_each_window() {
         // Windows of up to 18 items: values from -50 to 400 J, weights from 0
         // to 40 gap units; budgets from nothing to more than the window
-        // weighs; the paper's gap resolution and two finer ones.
+        // weighs.
         let mut rng = SmallRng::seed_from_u64(0x0b7_1a1);
         for round in 0..240 {
             let n = rng.gen_range(0..=18usize);
@@ -767,17 +745,15 @@ mod tests {
                     },
                 })
                 .collect();
-            let resolution = [1.0, 0.5, 0.125][round % 3];
             let budget = rng.gen_range(0..(20 * n + 2) as i64) as f64 / 2.0;
-            let sched = OfflineScheduler::new(budget, predictor()).with_gap_resolution(resolution);
+            let sched = OfflineScheduler::new(budget, predictor());
             let dp = sched.solve(&items);
-            let context =
-                format!("round {round} budget {budget} resolution {resolution}: {items:?}");
+            let context = format!("round {round} budget {budget}: {items:?}");
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
 
             // The problem the DP solves: whole gap units within the budget's.
-            let capacity = (budget / resolution).floor() as usize;
-            let in_units = exhaustive_best(&items, &|_, units| units <= capacity, resolution);
+            let capacity = (budget / GAP_RESOLUTION).floor() as usize;
+            let in_units = exhaustive_best(&items, &|_, units| units <= capacity);
             assert!(
                 close(dp.total_saving_j, in_units),
                 "{} != {in_units}, {context}",
@@ -790,11 +766,10 @@ mod tests {
                 "gap {} over {budget}, {context}",
                 dp.total_gap
             );
-            let exact =
-                |slack: f64| exhaustive_best(&items, &|w, _| w <= budget - slack, resolution);
+            let exact = |slack: f64| exhaustive_best(&items, &|w, _| w <= budget - slack);
             assert!(dp.total_saving_j <= exact(0.0) + 1e-9, "{context}");
             assert!(
-                dp.total_saving_j + 1e-9 >= exact(n as f64 * resolution),
+                dp.total_saving_j + 1e-9 >= exact(n as f64 * GAP_RESOLUTION),
                 "{context}"
             );
             // The greedy baseline, on the same unit-rounded weights, never
@@ -802,11 +777,11 @@ mod tests {
             let rounded: Vec<KnapsackItem> = items
                 .iter()
                 .map(|item| KnapsackItem {
-                    weight: (item.weight / resolution).ceil() * resolution,
+                    weight: (item.weight / GAP_RESOLUTION).ceil() * GAP_RESOLUTION,
                     ..*item
                 })
                 .collect();
-            let greedy = greedy_solution(&rounded, capacity as f64 * resolution);
+            let greedy = greedy_solution(&rounded, capacity as f64 * GAP_RESOLUTION);
             assert!(
                 greedy.total_saving_j <= dp.total_saving_j + 1e-9,
                 "greedy {}, {context}",

@@ -332,7 +332,7 @@ mod tests {
         assert_eq!(sched.queue_backlog(), 3.0);
         assert_eq!(sched.virtual_backlog(), 200.0);
         assert!(sched.lyapunov() > 0.0);
-        assert!(sched.config().is_valid());
+        assert!(sched.config().validate().is_ok());
     }
 
     #[test]

@@ -157,10 +157,9 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// The fraction (in `[0, 1]`) of the device's measured
     /// decision-computation power (Table III) that each decision of this
     /// policy costs. The engine charges
-    /// `fraction × (P_decision − P_idle) × t_d` per decided slot when
-    /// decision-overhead accounting is enabled, and reads the fraction once
-    /// per slot, before that slot's decisions. Defaults to `0.0` (free
-    /// decisions, as for the paper's baselines).
+    /// `fraction × (P_decision − P_idle) × t_d` per decided slot, and reads
+    /// the fraction once per slot, before that slot's decisions. Defaults
+    /// to `0.0` (free decisions, as for the paper's baselines).
     fn decision_energy_overhead(&self) -> f64 {
         0.0
     }
@@ -635,7 +634,7 @@ mod tests {
         });
         assert_eq!(p.queue_backlog(), 5.0);
         assert!(p.virtual_backlog() > 0.0);
-        assert!(p.scheduler().config().is_valid());
+        assert!(p.scheduler().config().validate().is_ok());
         // The controller pays full decision-computation overhead.
         assert_eq!(p.decision_energy_overhead(), 1.0);
         assert!(!p.round_barrier());

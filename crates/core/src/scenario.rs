@@ -168,7 +168,7 @@ pub const PRESET_NAMES: [&str; 15] = [
 /// The sweepable scenario fields, in canonical order. Every key is
 /// accepted by [`ScenarioSpec::set`], the `name:key=value…` CLI syntax and
 /// the scenario-file format, and any of them can back a fleet sweep axis.
-pub const FIELD_KEYS: [&str; 18] = [
+pub const FIELD_KEYS: [&str; 17] = [
     "users",
     "slots",
     "slot_seconds",
@@ -186,7 +186,6 @@ pub const FIELD_KEYS: [&str; 18] = [
     "ml",
     "record_every",
     "traces",
-    "overhead",
 ];
 
 /// A named, validated, fully-declarative description of a simulation
@@ -455,11 +454,6 @@ impl ScenarioSpec {
         self.config.collect_traces
     }
 
-    /// Whether the online controller's decision energy is charged.
-    pub fn decision_overhead(&self) -> bool {
-        self.config.decision_overhead
-    }
-
     /// The canonical value text of one of the [`FIELD_KEYS`], as the label
     /// records it.
     fn value_of(&self, key: &str) -> String {
@@ -481,9 +475,8 @@ impl ScenarioSpec {
             "epsilon" => c.scheduler.epsilon.to_string(),
             "ml" => self.ml.label().to_string(),
             "record_every" => c.record_every_slots.to_string(),
-            "traces" => on_off(c.collect_traces).to_string(),
-            // `overhead`, the last of the FIELD_KEYS (the only keys passed).
-            _ => on_off(c.decision_overhead).to_string(),
+            // `traces`, the last of the FIELD_KEYS (the only keys passed).
+            _ => on_off(c.collect_traces).to_string(),
         }
     }
 
@@ -516,12 +509,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_slots(self, slots: u64) -> Self {
         self.with("slots", |c| c.total_slots = slots)
-    }
-
-    /// Returns a copy with a different slot length.
-    #[must_use]
-    pub fn with_slot_seconds(self, slot_seconds: f64) -> Self {
-        self.with("slot_seconds", |c| c.scheduler.slot_seconds = slot_seconds)
     }
 
     /// Returns a copy with a different arrival probability.
@@ -587,8 +574,7 @@ impl ScenarioSpec {
                     .ok_or_else(|| bad("valid modes: off, tiny, full".into()))?;
             }
             "record_every" => c.record_every_slots = number(value).map_err(bad)?,
-            "traces" => c.collect_traces = parse_on_off(value).map_err(bad)?,
-            _ => c.decision_overhead = parse_on_off(value).map_err(bad)?,
+            _ => c.collect_traces = parse_on_off(value).map_err(bad)?,
         }
         next.resolve();
         next.config.validate().map_err(|e| bad(e.to_string()))?;
@@ -885,7 +871,7 @@ mod tests {
             assert_eq!(spec.name(), name);
             assert_eq!(spec.label(), name, "presets carry no overrides");
             let config = spec.build().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(config.is_valid(), "{name}");
+            assert!(config.validate().is_ok(), "{name}");
         }
         assert!(ScenarioSpec::preset("warp-speed").is_none());
     }
@@ -939,7 +925,7 @@ mod tests {
             "sparse:users=50:arrival_p=0.005",
             "hetero-devices:devices=pixel2+hikey970:seed=7",
             "lte-uplink:v=1000:lb=500:epsilon=0.1",
-            "wifi-fleet:traces=on:overhead=off:ml=tiny:record_every=10",
+            "wifi-fleet:traces=on:ml=tiny:record_every=10",
             "dense-burst:slot_seconds=0.5:slots=600",
             "paper-default:arrival=mmpp:battery=standard:churn=light",
             "diurnal-day:arrival=flash-crowd:compress=0.5",

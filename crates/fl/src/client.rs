@@ -46,8 +46,6 @@ pub struct ClientConfig {
     pub learning_rate: f32,
     /// Momentum coefficient `β`.
     pub momentum: f32,
-    /// Number of passes over the local shard per scheduled local epoch.
-    pub local_passes: usize,
 }
 
 impl Default for ClientConfig {
@@ -56,7 +54,6 @@ impl Default for ClientConfig {
             batch_size: 20,
             learning_rate: 0.05,
             momentum: 0.9,
-            local_passes: 1,
         }
     }
 }
@@ -134,28 +131,23 @@ impl Job for EpochTask {
             mut optimizer,
         } = self;
         let batches = shard.batches.as_ref().map_err(Clone::clone)?;
-        let passes = shard.config.local_passes.max(1);
         with_scratch(shard.architecture, |network| {
             network.set_parameters(&params)?;
             let loss = SoftmaxCrossEntropy::new();
             let mut total_loss = 0.0f32;
             let mut total_acc = 0.0f32;
-            let mut steps = 0usize;
-            for _ in 0..passes {
-                for (images, labels) in batches {
-                    let step = network.train_batch(images, labels, &loss, &mut optimizer)?;
-                    total_loss += step.loss;
-                    total_acc += step.accuracy;
-                    steps += 1;
-                }
+            for (images, labels) in batches {
+                let step = network.train_batch(images, labels, &loss, &mut optimizer)?;
+                total_loss += step.loss;
+                total_acc += step.accuracy;
             }
-            let denom = steps.max(1) as f32;
+            let denom = batches.len().max(1) as f32;
             Ok(EpochOutcome {
                 update: LocalUpdate {
                     client_id: shard.client_id,
                     params: network.parameters(),
                     base_version,
-                    num_samples: shard.len * passes,
+                    num_samples: shard.len,
                     train_loss: total_loss / denom,
                     train_accuracy: total_acc / denom,
                 },
@@ -318,7 +310,6 @@ mod tests {
         batch_size: 8,
         learning_rate: 0.05,
         momentum: 0.9,
-        local_passes: 1,
     };
 
     fn tiny_split() -> (Dataset, Dataset) {
@@ -362,20 +353,18 @@ mod tests {
         fn local_epoch(&mut self, config: &ClientConfig) -> (ParamVector, f32, f32) {
             let loss = SoftmaxCrossEntropy::new();
             let (mut total_loss, mut total_acc, mut batches) = (0.0f32, 0.0f32, 0usize);
-            for _ in 0..config.local_passes.max(1) {
-                let mut offset = 0;
-                while offset < self.shard.len() {
-                    let size = config.batch_size.min(self.shard.len() - offset);
-                    let (images, labels) = self.shard.batch(offset, size).unwrap();
-                    let step = self
-                        .network
-                        .train_batch(&images, &labels, &loss, &mut self.optimizer)
-                        .unwrap();
-                    total_loss += step.loss;
-                    total_acc += step.accuracy;
-                    batches += 1;
-                    offset += size;
-                }
+            let mut offset = 0;
+            while offset < self.shard.len() {
+                let size = config.batch_size.min(self.shard.len() - offset);
+                let (images, labels) = self.shard.batch(offset, size).unwrap();
+                let step = self
+                    .network
+                    .train_batch(&images, &labels, &loss, &mut self.optimizer)
+                    .unwrap();
+                total_loss += step.loss;
+                total_acc += step.accuracy;
+                batches += 1;
+                offset += size;
             }
             let denom = batches.max(1) as f32;
             (
@@ -392,39 +381,33 @@ mod tests {
 
     #[test]
     fn committed_epochs_match_the_in_place_reference_bits() {
-        for local_passes in [1, 2] {
-            let config = ClientConfig {
-                local_passes,
-                ..TINY
-            };
-            let (train, _) = tiny_split();
-            let mut client = FlClient::new(3, LeNetConfig::tiny(), train.clone(), config);
-            let mut reference = ReferenceClient::twin_of(&client, train);
-            for epoch in 0..6 {
-                // Continue from the local replica twice, then from a
-                // download, and so on.
-                if epoch % 3 == 2 {
-                    let params = ParamVector::new(
-                        (0..client.params.len())
-                            .map(|i| ((epoch * 31 + i) as f32 * 0.37).sin() * 0.1)
-                            .collect(),
-                    );
-                    let snapshot = ModelSnapshot::new(params, ModelVersion(epoch as u64));
-                    client.receive_model(&snapshot).unwrap();
-                    reference.network.set_parameters(&snapshot.params).unwrap();
-                }
-                let update = client.local_epoch().unwrap();
-                let (params, loss, accuracy) = reference.local_epoch(&config);
-                assert_eq!(bits(update.params.values()), bits(params.values()));
-                assert_eq!(update.train_loss.to_bits(), loss.to_bits());
-                assert_eq!(update.train_accuracy.to_bits(), accuracy.to_bits());
-                assert_eq!(update.num_samples, 36 * local_passes);
-                assert_eq!(
-                    bits(client.optimizer.velocity()),
-                    bits(reference.optimizer.velocity())
+        let (train, _) = tiny_split();
+        let mut client = FlClient::new(3, LeNetConfig::tiny(), train.clone(), TINY);
+        let mut reference = ReferenceClient::twin_of(&client, train);
+        for epoch in 0..6 {
+            // Continue from the local replica twice, then from a download,
+            // and so on.
+            if epoch % 3 == 2 {
+                let params = ParamVector::new(
+                    (0..client.params.len())
+                        .map(|i| ((epoch * 31 + i) as f32 * 0.37).sin() * 0.1)
+                        .collect(),
                 );
-                assert_eq!(client.epochs_completed(), epoch + 1);
+                let snapshot = ModelSnapshot::new(params, ModelVersion(epoch as u64));
+                client.receive_model(&snapshot).unwrap();
+                reference.network.set_parameters(&snapshot.params).unwrap();
             }
+            let update = client.local_epoch().unwrap();
+            let (params, loss, accuracy) = reference.local_epoch(&TINY);
+            assert_eq!(bits(update.params.values()), bits(params.values()));
+            assert_eq!(update.train_loss.to_bits(), loss.to_bits());
+            assert_eq!(update.train_accuracy.to_bits(), accuracy.to_bits());
+            assert_eq!(update.num_samples, 36);
+            assert_eq!(
+                bits(client.optimizer.velocity()),
+                bits(reference.optimizer.velocity())
+            );
+            assert_eq!(client.epochs_completed(), epoch + 1);
         }
     }
 

@@ -16,8 +16,11 @@
 //! * the staleness machinery of Section III: lag (Definition 1), gradient
 //!   gap (Definition 2), momentum tracking (Eq. 1) and the linear weight
 //!   prediction of Eq. (3)–(4),
-//! * a transport model for the 2.5 MB model uploads, and
-//! * IID / label-skew data partitioning across users.
+//! * a transport model for the 2.5 MB model uploads.
+//!
+//! The users' data shards are the equal split of
+//! [`Dataset::partition`](fedco_neural::data::Dataset::partition), the
+//! paper's setting.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,7 +29,6 @@ pub mod aggregation;
 pub mod client;
 pub mod model_state;
 pub mod momentum;
-pub mod partition;
 pub mod pool;
 pub mod server;
 pub mod service;
@@ -37,7 +39,6 @@ pub use aggregation::AsyncUpdateRule;
 pub use client::{ClientConfig, EpochOutcome, EpochTask, FlClient};
 pub use model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 pub use momentum::MomentumTracker;
-pub use partition::{partition_dataset, PartitionStrategy};
 pub use pool::TrainingPool;
 pub use server::{ParameterServer, ServerStats};
 pub use service::{ModelService, ModelServiceInit};

@@ -56,7 +56,6 @@ pub struct ParameterServer {
 struct ServerInner {
     params: ParamVector,
     version: ModelVersion,
-    rule: AsyncUpdateRule,
     momentum: MomentumTracker,
     stats: ServerStats,
 }
@@ -72,14 +71,15 @@ impl ParameterServer {
 
     /// Creates a server holding the initial global model.
     ///
+    /// `rule` is the paper's replace-on-receive, the one rule there is.
     /// `learning_rate` and `beta` parameterise the momentum tracker used for
     /// weight prediction (Eq. 3); they should match the clients' optimiser.
     pub fn new(initial: ParamVector, rule: AsyncUpdateRule, learning_rate: f32, beta: f32) -> Self {
+        let AsyncUpdateRule::Replace = rule;
         ParameterServer {
             inner: Mutex::new(ServerInner {
                 params: initial,
                 version: ModelVersion::INITIAL,
-                rule,
                 momentum: MomentumTracker::new(beta, learning_rate),
                 stats: ServerStats::default(),
             }),
@@ -105,8 +105,7 @@ impl ParameterServer {
     }
 
     /// Applies one asynchronous update (ASync-SGD): the global copy is
-    /// replaced (or staleness-weighted mixed) with the uploaded parameters
-    /// and the version is bumped.
+    /// replaced with the uploaded parameters and the version is bumped.
     ///
     /// Returns the lag the update experienced and the version it produced.
     ///
@@ -125,13 +124,9 @@ impl ParameterServer {
         }
         let lag = Lag::between(update.base_version, inner.version);
         let inner = &mut *inner;
-        let (model, upload) = (&mut inner.params, &update.params);
-        match inner.rule.upload_weight(lag) {
-            None => inner.momentum.observe_merge(model, upload, |_, l| l),
-            Some(w) => inner
-                .momentum
-                .observe_merge(model, upload, |g, l| g * (1.0 - w) + w * l),
-        }?;
+        inner
+            .momentum
+            .observe_merge(&mut inner.params, &update.params, |_, l| l)?;
         inner.version = inner.version.next();
         inner.stats.async_updates += 1;
         inner.stats.total_lag += lag.value();
@@ -349,7 +344,7 @@ mod tests {
                 }
                 let lag = Lag::between(update.base_version, inner.version);
                 let old = inner.params.clone();
-                let new_params = inner.rule.merge(&inner.params, &update.params, lag)?;
+                let new_params = inner.rule.merge(&inner.params, &update.params)?;
                 inner.params = new_params;
                 let new = inner.params.clone();
                 inner.momentum.observe_transition(&old, &new)?;
@@ -458,52 +453,46 @@ mod tests {
                 .collect()
         }
 
-        const RULES: [AsyncUpdateRule; 3] = [
-            AsyncUpdateRule::Replace,
-            AsyncUpdateRule::StalenessWeighted { alpha: 0.3 },
-            AsyncUpdateRule::StalenessWeighted { alpha: 1.0 },
-        ];
         const LENGTHS: [usize; 4] = [0, 1, 8, 3_418];
 
         #[test]
         fn apply_async_matches_the_cloning_server() {
             let mut rng = SmallRng::seed_from_u64(0xA5_1C);
-            for rule in RULES {
-                for len in LENGTHS {
-                    let initial = ParamVector::new(awkward_values(&mut rng, len));
-                    let fused = ParameterServer::new(initial.clone(), rule, 0.01, 0.9);
-                    let mut oracle = CloningServer::new(initial, rule, 0.01, 0.9);
-                    // First and later updates, at lags 0, 1 and 9 once the server
-                    // has the history for them; every fourth upload is the model
-                    // the server already holds.
-                    for (k, want_lag) in [0u64, 0, 1, 9, 1, 0, 9, 9, 1, 0, 9, 9]
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let base = ModelVersion(oracle.version.0.saturating_sub(want_lag));
-                        let params = if k % 4 == 3 {
-                            oracle.params.values().to_vec()
-                        } else {
-                            awkward_values(&mut rng, len)
-                        };
-                        let upload = update(k, params, base, 32);
-                        let what = format!("{rule:?} len {len} update {k}");
-                        assert_eq!(
-                            fused.apply_async(&upload),
-                            oracle.apply_async(&upload).map(|lag| (lag, oracle.version)),
-                            "{what}: lag"
-                        );
-                        assert_same_state(&fused, &oracle, &what);
-                    }
-                    assert_eq!(oracle.stats.max_lag, 9);
-                    let wrong = update(0, vec![1.0; len + 1], ModelVersion(0), 1);
+            let rule = AsyncUpdateRule::Replace;
+            for len in LENGTHS {
+                let initial = ParamVector::new(awkward_values(&mut rng, len));
+                let fused = ParameterServer::new(initial.clone(), rule, 0.01, 0.9);
+                let mut oracle = CloningServer::new(initial, rule, 0.01, 0.9);
+                // First and later updates, at lags 0, 1 and 9 once the server
+                // has the history for them; every fourth upload is the model
+                // the server already holds.
+                for (k, want_lag) in [0u64, 0, 1, 9, 1, 0, 9, 9, 1, 0, 9, 9]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let base = ModelVersion(oracle.version.0.saturating_sub(want_lag));
+                    let params = if k % 4 == 3 {
+                        oracle.params.values().to_vec()
+                    } else {
+                        awkward_values(&mut rng, len)
+                    };
+                    let upload = update(k, params, base, 32);
+                    let what = format!("{rule:?} len {len} update {k}");
                     assert_eq!(
-                        fused.apply_async(&wrong),
-                        oracle.apply_async(&wrong).map(|lag| (lag, oracle.version))
+                        fused.apply_async(&upload),
+                        oracle.apply_async(&upload).map(|lag| (lag, oracle.version)),
+                        "{what}: lag"
                     );
-                    assert!(fused.apply_async(&wrong).is_err());
-                    assert_same_state(&fused, &oracle, "after a refused upload");
+                    assert_same_state(&fused, &oracle, &what);
                 }
+                assert_eq!(oracle.stats.max_lag, 9);
+                let wrong = update(0, vec![1.0; len + 1], ModelVersion(0), 1);
+                assert_eq!(
+                    fused.apply_async(&wrong),
+                    oracle.apply_async(&wrong).map(|lag| (lag, oracle.version))
+                );
+                assert!(fused.apply_async(&wrong).is_err());
+                assert_same_state(&fused, &oracle, "after a refused upload");
             }
         }
 

@@ -29,13 +29,11 @@ use crate::aggregation::AsyncUpdateRule;
 /// Everything needed to construct a [`ModelService`] equivalent to the
 /// engine's default in-process [`ParameterServer`]. The engine hands this to
 /// a service factory so a remote replacement starts from the same model and
-/// aggregation rule as the server it displaces.
+/// momentum parameters as the server it displaces.
 #[derive(Debug, Clone)]
 pub struct ModelServiceInit {
     /// The initial global model.
     pub initial: ParamVector,
-    /// The asynchronous merge rule.
-    pub rule: AsyncUpdateRule,
     /// The momentum tracker's learning rate (matches the clients').
     pub learning_rate: f32,
     /// The momentum tracker's decay factor β.
@@ -47,7 +45,7 @@ impl ModelServiceInit {
     pub fn into_parameter_server(self) -> ParameterServer {
         ParameterServer::new(
             self.initial,
-            self.rule,
+            AsyncUpdateRule::Replace,
             self.learning_rate,
             self.momentum_beta,
         )
@@ -108,7 +106,6 @@ mod tests {
     fn init() -> ModelServiceInit {
         ModelServiceInit {
             initial: ParamVector::zeros(3),
-            rule: AsyncUpdateRule::Replace,
             learning_rate: 0.1,
             momentum_beta: 0.9,
         }

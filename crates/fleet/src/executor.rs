@@ -28,7 +28,7 @@ use fedco_telemetry::event::{Event, EventKind};
 use fedco_telemetry::export::events_to_jsonl;
 use fedco_telemetry::metrics::MetricsRegistry;
 use fedco_telemetry::profiling::{Measured, Stopwatch};
-use fedco_telemetry::sink::{BufferSink, Telemetry};
+use fedco_telemetry::sink::BufferSink;
 
 use crate::grid::{FleetJob, LinkKind, ScenarioGrid};
 use crate::stats::CellRollup;

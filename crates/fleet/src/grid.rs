@@ -210,13 +210,6 @@ impl ScenarioGrid {
         self
     }
 
-    /// Whether every dimension is non-empty and every cell resolves to a
-    /// valid configuration. Thin shim over [`ScenarioGrid::validate`],
-    /// which reports *why*.
-    pub fn is_valid(&self) -> bool {
-        self.validate().is_ok()
-    }
-
     /// Validates the grid: every dimension non-empty, every policy spec in
     /// range, and every `scenario × axis-value` combination both parseable
     /// and buildable — so [`ScenarioGrid::expand`] cannot fail later.
@@ -522,7 +515,7 @@ mod tests {
     fn len_is_product_of_dimensions() {
         let g = grid();
         assert_eq!(g.len(), 2 * 2 * 2 * 4 * 2);
-        assert!(g.is_valid());
+        assert!(g.validate().is_ok());
         assert!(!g.is_empty());
         assert_eq!(g.expand().len(), g.len());
     }
@@ -555,7 +548,7 @@ mod tests {
         let g = grid();
         for job in g.expand() {
             assert!(!job.config.collect_traces, "jobs are summary-only");
-            assert!(job.config.is_valid());
+            assert!(job.config.validate().is_ok());
             // The scenario label names exactly the axis values the config
             // resolved to.
             let arrival = format!("arrival_p={}", job.config.arrival_probability);
@@ -603,7 +596,7 @@ mod tests {
     #[test]
     fn empty_dimensions_invalidate_the_grid() {
         let g = grid().with_policy_specs(vec![]);
-        assert!(!g.is_valid());
+        assert!(g.validate().is_err());
         assert!(g.is_empty());
         assert_eq!(g.validate(), Err(GridError::EmptyDimension("policies")));
         let g2 = ScenarioGrid::from_scenarios(vec![]);

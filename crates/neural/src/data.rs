@@ -67,8 +67,8 @@ impl Dataset {
 
     /// Splits the dataset into `parts` near-equal shards (the paper's "equal
     /// partition of the CIFAR10 dataset" across 25 users). Examples are dealt
-    /// round-robin so every shard sees every class, and moved, not copied:
-    /// the shards are the dataset.
+    /// round-robin in their (shuffled) order, and moved, not copied: the
+    /// shards are the dataset. A small shard need not see every class.
     pub fn partition(self, parts: usize) -> Vec<Dataset> {
         let parts = parts.max(1);
         let mut shards: Vec<Vec<Example>> = vec![Vec::new(); parts];
@@ -300,6 +300,20 @@ mod tests {
         let max = shards.iter().map(|s| s.len()).max().unwrap();
         let min = shards.iter().map(|s| s.len()).min().unwrap();
         assert!(max - min <= 1);
+        // A shuffled set dealt in turn: every shard sees many classes.
+        let ten_classes = SyntheticCifarConfig {
+            classes: 10,
+            examples: 200,
+            ..small_config()
+        };
+        for shard in ten_classes.generate().partition(10) {
+            let covered = shard.class_histogram().iter().filter(|&&c| c > 0).count();
+            assert!(covered >= 5, "shard covers only {covered} classes");
+        }
+        // No parts at all is one part.
+        let whole = small_config().generate().partition(0);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].len(), 40);
     }
 
     #[test]

@@ -319,7 +319,6 @@ fn run(args: Args) -> Result<(), String> {
     let sink = BufferSink::shared();
     let mut core = ServerCore::new(ServerCoreConfig {
         initial: initial_model(args.model_len, args.seed),
-        rule: fedco_fl::aggregation::AsyncUpdateRule::Replace,
         learning_rate: 0.01,
         momentum_beta: 0.9,
         session: SessionConfig {

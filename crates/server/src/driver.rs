@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fedco_core::scenario::ScenarioSpec;
-use fedco_fl::aggregation::AsyncUpdateRule;
 use fedco_neural::model::ParamVector;
 use fedco_rng::rngs::{SmallRng, SplitMix64};
 use fedco_rng::{Rng, SeedableRng};
@@ -91,7 +90,6 @@ impl FleetDriverConfig {
     pub fn server_config(&self) -> ServerCoreConfig {
         ServerCoreConfig {
             initial: ParamVector::zeros(self.model_len),
-            rule: AsyncUpdateRule::Replace,
             learning_rate: 0.01,
             momentum_beta: 0.9,
             session: SessionConfig {

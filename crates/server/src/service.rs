@@ -34,7 +34,7 @@ use fedco_fl::model_state::{LocalUpdate, ModelVersion};
 use fedco_fl::server::{ParameterServer, ServerStats};
 use fedco_neural::model::ParamVector;
 use fedco_telemetry::event::{Event, EventKind};
-use fedco_telemetry::sink::Telemetry;
+use fedco_telemetry::sink::BufferSink;
 
 use crate::protocol::{Message, Refusal, WireError, WireUpdate};
 use crate::session::{ChurnCounters, SessionConfig, SessionRegistry};
@@ -44,8 +44,6 @@ use crate::session::{ChurnCounters, SessionConfig, SessionRegistry};
 pub struct ServerCoreConfig {
     /// The initial global model.
     pub initial: ParamVector,
-    /// The asynchronous merge rule.
-    pub rule: AsyncUpdateRule,
     /// Momentum learning rate (matches the clients' optimiser).
     pub learning_rate: f32,
     /// Momentum decay factor β.
@@ -68,7 +66,6 @@ impl ServerCoreConfig {
     pub fn inline_with_model(initial: ParamVector) -> Self {
         ServerCoreConfig {
             initial,
-            rule: AsyncUpdateRule::Replace,
             learning_rate: 0.01,
             momentum_beta: 0.9,
             session: SessionConfig::default(),
@@ -93,7 +90,7 @@ pub struct ServerCore {
     drain_per_tick: usize,
     tick_every: u64,
     shutting_down: bool,
-    telemetry: Option<Arc<dyn Telemetry>>,
+    telemetry: Option<Arc<BufferSink>>,
 }
 
 impl ServerCore {
@@ -103,7 +100,7 @@ impl ServerCore {
         ServerCore {
             server: ParameterServer::new(
                 config.initial,
-                config.rule,
+                AsyncUpdateRule::Replace,
                 config.learning_rate,
                 config.momentum_beta,
             ),
@@ -123,10 +120,8 @@ impl ServerCore {
 
     /// Attaches a telemetry sink; every session/aggregation decision is
     /// recorded as a `Server`-channel event stamped with the logical tick.
-    pub fn attach_telemetry(&mut self, sink: Arc<dyn Telemetry>) {
-        if sink.enabled() {
-            self.telemetry = Some(sink);
-        }
+    pub fn attach_telemetry(&mut self, sink: Arc<BufferSink>) {
+        self.telemetry = Some(sink);
     }
 
     fn emit(&self, kind: EventKind) {
@@ -463,12 +458,10 @@ mod tests {
     use super::*;
     use fedco_rng::rngs::SmallRng;
     use fedco_rng::{Rng, SeedableRng};
-    use fedco_telemetry::sink::BufferSink;
 
     fn core(queue_capacity: usize, drain: usize, max_sessions: usize) -> ServerCore {
         ServerCore::new(ServerCoreConfig {
             initial: ParamVector::zeros(4),
-            rule: AsyncUpdateRule::Replace,
             learning_rate: 0.1,
             momentum_beta: 0.9,
             session: SessionConfig {

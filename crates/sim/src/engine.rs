@@ -116,10 +116,8 @@ use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
 use fedco_core::spec::PolicyBuildContext;
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
 use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
-use fedco_fl::aggregation::AsyncUpdateRule;
 use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
 use fedco_fl::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
-use fedco_fl::partition::{partition_dataset, PartitionStrategy};
 use fedco_fl::pool::{Ticket, TrainingPool};
 use fedco_fl::service::{ModelService, ModelServiceInit};
 use fedco_fl::staleness::{GradientGap, Lag, WeightPredictor};
@@ -127,7 +125,7 @@ use fedco_fl::transport::PAPER_MODEL_BYTES;
 use fedco_neural::data::{Dataset, SyntheticCifarConfig};
 use fedco_neural::model::{ParamVector, Sequential};
 use fedco_telemetry::event::{Event, EventKind};
-use fedco_telemetry::sink::{BufferSink, Telemetry};
+use fedco_telemetry::sink::BufferSink;
 use fedco_world::battery::BatteryParams;
 use fedco_world::churn::ChurnSpec;
 use fedco_world::CHECK_EVERY_SLOTS;
@@ -173,7 +171,7 @@ pub struct EngineStats {
 /// driver channel.
 #[derive(Debug)]
 struct SimTelemetry {
-    sink: Arc<dyn Telemetry>,
+    sink: Arc<BufferSink>,
     /// Energy events are sampled every this many slots (the trace-recording
     /// cadence of the configuration, fixed at attach time so summary-only
     /// fleet jobs still sample).
@@ -445,13 +443,11 @@ impl Simulation {
                 }
                 .generate();
                 let (train, test) = data.train_test_split(mlcfg.test_fraction);
-                let shards =
-                    partition_dataset(train, config.num_users, PartitionStrategy::Iid, config.seed);
+                let shards = train.partition(config.num_users);
                 let client_cfg = ClientConfig {
                     batch_size: mlcfg.batch_size,
                     learning_rate: config.scheduler.learning_rate,
                     momentum: config.scheduler.momentum_beta,
-                    local_passes: 1,
                 };
                 let clients: Vec<FlClient> = shards
                     .into_iter()
@@ -483,7 +479,6 @@ impl Simulation {
         let server: Box<dyn ModelService> = Box::new(
             ModelServiceInit {
                 initial: initial_params.clone(),
-                rule: AsyncUpdateRule::Replace,
                 learning_rate: config.scheduler.learning_rate,
                 momentum_beta: config.scheduler.momentum_beta,
             }
@@ -605,7 +600,6 @@ impl Simulation {
     {
         let init = ModelServiceInit {
             initial: self.server.download().params,
-            rule: AsyncUpdateRule::Replace,
             learning_rate: self.config.scheduler.learning_rate,
             momentum_beta: self.config.scheduler.momentum_beta,
         };
@@ -629,14 +623,9 @@ impl Simulation {
     /// the slot it is stepping; the model service records nothing, so the
     /// order of this and [`with_model_service`](Self::with_model_service)
     /// does not matter. Attaching telemetry never changes the simulation
-    /// result: reading profiler totals is side-effect-free.
-    ///
-    /// A disabled sink (e.g. [`fedco_telemetry::sink::NullSink`]) is
-    /// discarded outright, keeping the disabled path zero-cost.
-    pub fn with_telemetry(mut self, sink: Arc<dyn Telemetry>) -> Self {
-        if !sink.enabled() {
-            return self;
-        }
+    /// result: reading profiler totals is side-effect-free. A run with no
+    /// sink attached builds no event.
+    pub fn with_telemetry(mut self, sink: Arc<BufferSink>) -> Self {
         self.telemetry = Some(SimTelemetry {
             sink,
             sample_every: self.config.record_every_slots.max(1),
@@ -1392,12 +1381,8 @@ impl Simulation {
             // scheduled; none joins or wakes mid-loop.
             let mut tally = DecisionTally::default();
             // What each decision of this slot costs, read once: zero when
-            // overhead accounting is off or the policy decides for free.
-            let overhead = if self.config.decision_overhead {
-                self.policy.decision_energy_overhead()
-            } else {
-                0.0
-            };
+            // the policy decides for free.
+            let overhead = self.policy.decision_energy_overhead();
             let by_class = if self.indexed {
                 self.decide_awake(slot, predicted, overhead, &mut tally)
             } else {
@@ -2113,14 +2098,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_telemetry_is_discarded() {
-        use fedco_telemetry::sink::NullSink;
-        let sim = Simulation::new(small(PolicySpec::Online { v: None }))
-            .with_telemetry(Arc::new(NullSink));
-        assert!(sim.telemetry.is_none(), "disabled sink must be discarded");
-    }
-
-    #[test]
     fn traced_energy_samples_are_cumulative_and_final() {
         let (result, events) = run_simulation_traced(small(PolicySpec::Immediate));
         // Per-component samples are non-decreasing over slots...
@@ -2155,7 +2132,10 @@ mod tests {
         use fedco_fl::transport::TransportModel;
         let base = small(PolicySpec::Immediate);
         let without = run_simulation(base.clone());
-        let with = run_simulation(base.clone().with_transport(TransportModel::lte()));
+        let with = run_simulation(SimConfig {
+            transport: Some(TransportModel::lte()),
+            ..base.clone()
+        });
         // Same schedule (the link does not change decisions)...
         assert_eq!(without.total_updates, with.total_updates);
         // ...but every async update paid one model exchange of radio energy.
@@ -2176,7 +2156,10 @@ mod tests {
         );
         assert!(with.total_energy_j > without.total_energy_j);
         // Wi-Fi is faster and lower-power than LTE, so it costs less radio.
-        let wifi = run_simulation(base.with_transport(TransportModel::wifi()));
+        let wifi = run_simulation(SimConfig {
+            transport: Some(TransportModel::wifi()),
+            ..base
+        });
         assert!(wifi.total_energy_j < with.total_energy_j);
         assert!(wifi.total_energy_j > without.total_energy_j);
     }

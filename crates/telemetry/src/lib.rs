@@ -12,8 +12,7 @@
 //! Modules:
 //!
 //! * [`event`] — typed events and their semantic/driver/fleet channels.
-//! * [`sink`] — the [`sink::Telemetry`] trait, [`sink::NullSink`] and
-//!   [`sink::BufferSink`].
+//! * [`sink`] — [`sink::BufferSink`], the one sink.
 //! * [`metrics`] — counters/sums/gauges/slot-histograms derived purely from
 //!   traces, keyed by `(scenario, policy)`.
 //! * [`export`] — byte-stable JSONL/CSV exporters and the matching parser.
@@ -40,7 +39,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{MetricKey, MetricValue, MetricsRegistry, SlotHistogram};
     pub use crate::profiling::{Measured, Stopwatch};
-    pub use crate::sink::{BufferSink, NullSink, Telemetry};
+    pub use crate::sink::BufferSink;
 }
 
 pub use prelude::*;

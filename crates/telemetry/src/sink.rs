@@ -1,7 +1,8 @@
-//! Telemetry sinks: where events go.
+//! The telemetry sink: where events go.
 //!
-//! A sink is shared behind `Arc<dyn Telemetry>` so the engine, FL server and
-//! fleet executor can all write to the same buffer. Concurrent producers each
+//! A [`BufferSink`] is shared behind an `Arc` so the engine, the service core
+//! and the fleet executor can all write to the same buffer; a run without
+//! telemetry attaches none and builds no event. Concurrent producers each
 //! write to their **own** buffer, and the buffers are merged in a fixed order
 //! afterwards (the fleet executor: one per job, in job order), so the merged
 //! stream never depends on thread interleaving.
@@ -9,33 +10,6 @@
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
-
-/// A destination for telemetry events.
-///
-/// Implementations must be cheap when disabled: call sites guard expensive
-/// payload construction behind [`Telemetry::enabled`].
-pub trait Telemetry: Send + Sync + std::fmt::Debug {
-    /// Whether this sink wants events at all. When `false`, callers skip
-    /// event construction entirely, making telemetry near-zero cost.
-    fn enabled(&self) -> bool;
-
-    /// Records one event. May be called from multiple threads; ordering
-    /// across threads is the *caller's* responsibility (use one sink per
-    /// shard and merge deterministically).
-    fn record(&self, event: Event);
-}
-
-/// The disabled sink: reports `enabled() == false` and drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Telemetry for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: Event) {}
-}
 
 /// An in-memory sink buffering events in arrival order.
 #[derive(Debug, Default)]
@@ -62,6 +36,13 @@ impl BufferSink {
         self.events.lock().expect("telemetry buffer mutex poisoned")
     }
 
+    /// Records one event. May be called from multiple threads; ordering
+    /// across threads is the *caller's* responsibility (use one sink per
+    /// producer and merge deterministically).
+    pub fn record(&self, event: Event) {
+        self.locked().push(event);
+    }
+
     /// Takes the buffered events, leaving the buffer empty.
     pub fn drain(&self) -> Vec<Event> {
         std::mem::take(&mut *self.locked())
@@ -83,32 +64,14 @@ impl BufferSink {
     }
 }
 
-impl Telemetry for BufferSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, event: Event) {
-        self.locked().push(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
 
     #[test]
-    fn null_sink_is_disabled_and_drops() {
-        let sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(Event::new(1, EventKind::Barrier { depth: 1 }));
-    }
-
-    #[test]
     fn buffer_sink_preserves_arrival_order() {
         let sink = BufferSink::new();
-        assert!(sink.enabled());
         assert!(sink.is_empty());
         for slot in 0..5 {
             sink.record(Event::new(slot, EventKind::Barrier { depth: slot }));

@@ -56,8 +56,7 @@ pub mod prelude {
     pub use fedco_device::prelude::*;
     pub use fedco_fl::{
         AsyncUpdateRule, ClientConfig, FlClient, GradientGap, Lag, LocalUpdate, ModelSnapshot,
-        ModelVersion, MomentumTracker, ParameterServer, PartitionStrategy, TransportModel,
-        WeightPredictor,
+        ModelVersion, MomentumTracker, ParameterServer, TransportModel, WeightPredictor,
     };
     pub use fedco_fleet::prelude::{
         deterministic_view, resolve_workers, rollup_table, run_grid, run_grid_traced, to_csv,
@@ -71,8 +70,7 @@ pub mod prelude {
     pub use fedco_sim::prelude::*;
     pub use fedco_telemetry::prelude::{
         diff, events_to_jsonl, parse_events_jsonl, summarize as summarize_trace, BufferSink,
-        Channel, Event, EventKind, Measured, MetricKey, MetricValue, MetricsRegistry, NullSink,
-        Stopwatch, Telemetry,
+        Channel, Event, EventKind, Measured, MetricKey, MetricValue, MetricsRegistry, Stopwatch,
     };
     pub use fedco_world::prelude::{
         ArrivalModel, ArrivalSpec, BatterySpec, ChurnSpec, CompressionSpec, WorldConfig,

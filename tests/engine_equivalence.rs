@@ -145,8 +145,8 @@ fn summary_mode_is_bit_identical_too() {
 #[test]
 fn user_gap_recording_and_transport_are_preserved() {
     use fedco::fl::transport::TransportModel;
-    let mut config =
-        base_config(PolicySpec::Online { v: None }).with_transport(TransportModel::lte());
+    let mut config = base_config(PolicySpec::Online { v: None });
+    config.transport = Some(TransportModel::lte());
     config.record_user_gaps = true;
     let (dense, event) = run_both(config);
     assert_identical("online+gaps+lte", &dense, &event);
@@ -661,7 +661,7 @@ fn offline_sleepers_owe_their_idle_slots_through_samples_churn_and_replans() {
     // them back; a trace sample every 7 slots and the per-user gap series
     // read the gap lane in the middle of their sleep; 2 000 slots are four
     // 500-slot planning windows. Online's class sleepers owe decision
-    // overhead too (it is on): in a fleet where `H(t)` stays 0, at `lb=1`
+    // overhead too (always charged): in a fleet where `H(t)` stays 0, at `lb=1`
     // where it is positive at every sample, at `lb=100` where it crosses
     // zero back and forth, and under the same churn and batteries, whose
     // world checks and trace points land the owed overhead mid-sleep.

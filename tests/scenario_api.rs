@@ -41,7 +41,7 @@ fn registry_wide_build_validity_across_policies() {
             let config = spec
                 .build_with_policy(policy.clone())
                 .unwrap_or_else(|e| panic!("{} x {policy}: {e}", spec.label()));
-            assert!(config.is_valid(), "{} x {policy}", spec.label());
+            assert!(config.validate().is_ok(), "{} x {policy}", spec.label());
             assert_eq!(config.policy.label(), policy.label());
         }
     }
@@ -230,7 +230,7 @@ fn scale_presets_are_registered_with_pinned_shapes() {
         assert_eq!(reparsed, spec);
         for policy in PolicySpec::PAPER {
             let config = spec.build_with_policy(policy.clone()).expect("builds");
-            assert!(config.is_valid(), "{name} x {policy:?}");
+            assert!(config.validate().is_ok(), "{name} x {policy:?}");
             assert!(!config.collect_traces, "{name} builds summary-only");
         }
     }
@@ -238,18 +238,30 @@ fn scale_presets_are_registered_with_pinned_shapes() {
 
 #[test]
 fn shards_field_is_gone_and_rejected_loudly() {
-    // In-simulation sharding was deleted; parallelism is across jobs
-    // (`fleet_sweep --workers`). A stale `shards=` must fail by name and
-    // list what *is* settable.
-    assert_eq!(FIELD_KEYS.len(), 18);
-    assert!(!FIELD_KEYS.contains(&"shards"));
-    let err = "smoke:shards=2"
-        .parse::<ScenarioSpec>()
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("unknown scenario field `shards`"), "{err}");
-    for key in FIELD_KEYS {
-        assert!(err.contains(key), "{key} missing from: {err}");
+    // `shards` and every field deleted after it, and why. A stale one must
+    // fail by name and list what *is* settable.
+    const REMOVED: [(&str, &str); 2] = [
+        // In-simulation sharding: parallelism is across jobs
+        // (`fleet_sweep --workers`).
+        ("shards", "2"),
+        // Decision energy off: a policy's Table III overhead is always
+        // charged (`SchedulingPolicy::decision_energy_overhead`).
+        ("overhead", "off"),
+    ];
+    assert_eq!(FIELD_KEYS.len(), 17);
+    for (key, value) in REMOVED {
+        assert!(!FIELD_KEYS.contains(&key));
+        let err = format!("smoke:{key}={value}")
+            .parse::<ScenarioSpec>()
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("unknown scenario field `{key}`")),
+            "{err}"
+        );
+        for valid in FIELD_KEYS {
+            assert!(err.contains(valid), "{valid} missing from: {err}");
+        }
     }
 }
 
@@ -279,7 +291,7 @@ fn absurd_user_counts_are_rejected_before_any_allocation() {
     // The bound itself is accepted.
     config = SimConfig::small(PolicySpec::Online { v: None });
     config.num_users = SimConfig::MAX_USERS;
-    assert!(config.is_valid());
+    assert!(config.validate().is_ok());
 }
 
 #[test]
@@ -308,7 +320,7 @@ fn absurd_horizons_are_rejected_before_any_allocation() {
     // The bound itself is accepted.
     config = SimConfig::small(PolicySpec::Online { v: None });
     config.total_slots = SimConfig::MAX_SLOTS;
-    assert!(config.is_valid());
+    assert!(config.validate().is_ok());
 }
 
 #[test]
@@ -342,11 +354,6 @@ fn vanishing_slot_lengths_are_rejected_at_both_entry_points() {
     assert_eq!(Simulation::try_new(config).err(), Some(expected.clone()));
     assert!(expected.to_string().contains("slot_seconds"), "{expected}");
     assert!(expected.to_string().contains("MIN_SLOT_SECONDS = 1e-9"));
-    let built = ScenarioSpec::preset("smoke")
-        .expect("preset")
-        .with_slot_seconds(1e-300)
-        .build();
-    assert_eq!(built.err(), Some(expected));
     // The floor itself is accepted, and the engine's clock runs on it.
     let floor: ScenarioSpec = "smoke:slots=50:slot_seconds=1e-9".parse().expect("parses");
     let config = floor.build().expect("builds");
@@ -375,7 +382,7 @@ fn world_presets_are_registered_and_round_trip() {
         assert_eq!(reparsed, spec, "{name} label does not round-trip");
         for policy in PolicySpec::PAPER {
             let config = spec.build_with_policy(policy.clone()).expect("builds");
-            assert!(config.is_valid(), "{name} x {policy:?}");
+            assert!(config.validate().is_ok(), "{name} x {policy:?}");
             assert!(
                 !config.world.is_paper_default(),
                 "{name} must carry non-default world dynamics"

@@ -28,7 +28,6 @@ fn run_served(config: SimConfig) -> (SimResult, ModelSnapshot, String) {
         .with_model_service(|init| {
             let core = Arc::new(Mutex::new(ServerCore::new(ServerCoreConfig {
                 initial: init.initial,
-                rule: init.rule,
                 learning_rate: init.learning_rate,
                 momentum_beta: init.momentum_beta,
                 ..ServerCoreConfig::inline_with_model(ParamVector::zeros(0))

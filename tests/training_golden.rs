@@ -60,7 +60,6 @@ fn two_epochs(arch: LeNetConfig, momentum: f32) -> (u64, u64) {
         batch_size: 8,
         learning_rate: 0.05,
         momentum,
-        local_passes: 1,
     };
     let mut client = FlClient::new(7, arch, dataset(arch, 24), config);
     let (mut params, mut stats) = (Vec::new(), Vec::new());
