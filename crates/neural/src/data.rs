@@ -300,20 +300,40 @@ mod tests {
         let max = shards.iter().map(|s| s.len()).max().unwrap();
         let min = shards.iter().map(|s| s.len()).min().unwrap();
         assert!(max - min <= 1);
-        // A shuffled set dealt in turn: every shard sees many classes.
-        let ten_classes = SyntheticCifarConfig {
+    }
+
+    fn ten_class_config() -> SyntheticCifarConfig {
+        SyntheticCifarConfig {
+            channels: 1,
             classes: 10,
             examples: 200,
+            seed: 1,
             ..small_config()
-        };
-        for shard in ten_classes.generate().partition(10) {
+        }
+    }
+
+    #[test]
+    fn partition_is_equal_and_complete() {
+        let shards = ten_class_config().generate().partition(25);
+        assert_eq!(shards.len(), 25);
+        assert_eq!(shards.iter().map(Dataset::len).sum::<usize>(), 200);
+        assert!(shards.iter().all(|s| s.len() == 8));
+    }
+
+    #[test]
+    fn partition_shards_cover_many_classes() {
+        // A shuffled set dealt in turn: every shard sees many classes.
+        for shard in ten_class_config().generate().partition(10) {
             let covered = shard.class_histogram().iter().filter(|&&c| c > 0).count();
             assert!(covered >= 5, "shard covers only {covered} classes");
         }
-        // No parts at all is one part.
-        let whole = small_config().generate().partition(0);
+    }
+
+    #[test]
+    fn partition_into_zero_parts_is_one_part() {
+        let whole = ten_class_config().generate().partition(0);
         assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].len(), 40);
+        assert_eq!(whole[0].len(), 200);
     }
 
     #[test]
