@@ -558,11 +558,12 @@ mod tests {
         assert!(d.validate().unwrap_err().source().is_some());
         // Out-of-range policy-spec parameters become ConfigError::Policy, so
         // try_new rejects a spec whose label misdescribes the built policy.
-        let p = SimConfig::default().with_policy(PolicySpec::Random { p: 1.5, salt: 0 });
+        let p = SimConfig::default().with_policy(PolicySpec::online_with_v(-1.0));
         match p.validate() {
             Err(ConfigError::Policy(e)) => {
-                assert_eq!(e.parameter, "p");
-                assert!(p.validate().unwrap_err().to_string().contains("[0, 1]"));
+                assert_eq!(e.parameter, "v");
+                let message = p.validate().unwrap_err().to_string();
+                assert!(message.contains("non-negative"), "{message}");
             }
             other => panic!("expected policy error, got {other:?}"),
         }

@@ -62,8 +62,8 @@ pub mod prelude {
         DecisionObjectives, OnlineDecisionInput, OnlineScheduler, SlotOutcome,
     };
     pub use crate::policy::{
-        ImmediatePolicy, OfflinePolicy, OnlinePolicy, PowerThresholdPolicy, RandomPolicy,
-        SchedulingPolicy, SyncSgdPolicy, UserSlotContext, WindowPlan,
+        ImmediatePolicy, OfflinePolicy, OnlinePolicy, SchedulingPolicy, SyncSgdPolicy,
+        UserSlotContext, WindowPlan,
     };
     pub use crate::queues::{QueueState, TaskQueue, VirtualQueue};
     pub use crate::scenario::{

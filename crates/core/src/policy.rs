@@ -1,7 +1,6 @@
-//! Scheduling policies: the paper's online controller, the three baselines
-//! it is evaluated against (immediate scheduling, Sync-SGD and the offline
-//! knapsack), and two extra baselines from the wider literature (a seeded
-//! coin-flip scheduler and a power-threshold scheduler).
+//! Scheduling policies: the paper's online controller and the three
+//! baselines it is evaluated against (immediate scheduling, Sync-SGD and the
+//! offline knapsack).
 //!
 //! The [`SchedulingPolicy`] trait is deliberately *capability-based*: besides
 //! the per-slot decision, a policy declares whether it needs a synchronous
@@ -16,8 +15,6 @@
 //! semantics as the built-ins.
 
 use fedco_device::power::{AppStatus, SlotDecision};
-use fedco_rng::rngs::SmallRng;
-use fedco_rng::{Rng, SeedableRng};
 
 use crate::config::SchedulerConfig;
 use crate::online::{OnlineDecisionInput, OnlineScheduler, SlotOutcome};
@@ -424,96 +421,26 @@ impl SchedulingPolicy for OnlinePolicy {
     }
 }
 
-/// A seeded coin-flip baseline: every waiting user is scheduled this slot
-/// with probability `p`, from a private deterministic stream. With `p = 1`
-/// it degenerates to [`ImmediatePolicy`]; with `p = 0` nobody ever trains.
-#[derive(Debug, Clone)]
-pub struct RandomPolicy {
-    p: f64,
-    rng: SmallRng,
-}
-
-impl RandomPolicy {
-    /// Creates the policy with scheduling probability `p` (clamped to
-    /// `[0, 1]`) and a seed for its private coin stream.
-    pub fn new(p: f64, seed: u64) -> Self {
-        RandomPolicy {
-            p: p.clamp(0.0, 1.0),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The scheduling probability.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-}
-
-impl SchedulingPolicy for RandomPolicy {
-    fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
-        if self.rng.gen::<f64>() < self.p {
-            SlotDecision::Schedule
-        } else {
-            SlotDecision::Idle
-        }
-    }
-
-    fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
-}
-
-/// A battery-conscious power-threshold baseline (in the spirit of
-/// battery-level-driven training control à la DEAL): a user trains only when
-/// the *incremental* power of doing so right now — co-running on top of the
-/// foreground app, or training instead of idling — stays below a threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct PowerThresholdPolicy {
-    max_extra_watts: f64,
-}
-
-impl PowerThresholdPolicy {
-    /// Creates the policy with the maximum tolerated incremental power.
-    pub fn new(max_extra_watts: f64) -> Self {
-        PowerThresholdPolicy {
-            max_extra_watts: max_extra_watts.max(0.0),
-        }
-    }
-
-    /// The incremental-power threshold in watts.
-    pub fn max_extra_watts(&self) -> f64 {
-        self.max_extra_watts
-    }
-
-    /// The incremental power of scheduling training for this context.
-    pub fn incremental_power_w(input: &OnlineDecisionInput) -> f64 {
-        match input.app_status {
-            AppStatus::App(_) => input.corun_power_w - input.app_power_w,
-            AppStatus::NoApp => input.training_power_w - input.idle_power_w,
-        }
-    }
-}
-
-impl SchedulingPolicy for PowerThresholdPolicy {
-    fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
-        if Self::incremental_power_w(&ctx.input) <= self.max_extra_watts {
-            SlotDecision::Schedule
-        } else {
-            SlotDecision::Idle
-        }
-    }
-
-    fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
-
-    fn quiescent_while_waiting(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedco_device::apps::AppKind;
     use fedco_device::profiles::DeviceKind;
     use fedco_fl::staleness::GradientGap;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
+
+    /// A policy that overrides no hook: what a custom policy inherits.
+    #[derive(Debug)]
+    struct TraitDefaults;
+
+    impl SchedulingPolicy for TraitDefaults {
+        fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
+            SlotDecision::Schedule
+        }
+
+        fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
+    }
 
     fn ctx(user_id: usize, slot: u64) -> UserSlotContext {
         let profile = DeviceKind::Pixel2.profile();
@@ -680,52 +607,11 @@ mod tests {
             Box::new(ImmediatePolicy::new()),
             Box::new(SyncSgdPolicy::new()),
             Box::new(OfflinePolicy::new()),
-            Box::new(RandomPolicy::new(0.5, 1)),
-            Box::new(PowerThresholdPolicy::new(0.5)),
+            Box::new(TraitDefaults),
         ];
         for other in &mut others {
             assert_eq!(other.class_decision(&ctx(0, 0).input), None, "{other:?}");
         }
-    }
-
-    #[test]
-    fn random_policy_is_seeded_and_respects_probability() {
-        let decisions = |p: f64, seed: u64| -> Vec<SlotDecision> {
-            let mut policy = RandomPolicy::new(p, seed);
-            (0..64).map(|s| policy.decide(&ctx(0, s))).collect()
-        };
-        // Same seed, same stream.
-        assert_eq!(decisions(0.5, 7), decisions(0.5, 7));
-        // Different seeds differ somewhere.
-        assert_ne!(decisions(0.5, 7), decisions(0.5, 8));
-        // Degenerate probabilities.
-        assert!(decisions(1.0, 3)
-            .iter()
-            .all(|d| *d == SlotDecision::Schedule));
-        assert!(decisions(0.0, 3).iter().all(|d| *d == SlotDecision::Idle));
-        // Clamping.
-        assert_eq!(RandomPolicy::new(7.0, 0).probability(), 1.0);
-        assert_eq!(RandomPolicy::new(-1.0, 0).probability(), 0.0);
-    }
-
-    #[test]
-    fn threshold_policy_gates_on_incremental_power() {
-        // Pixel2 Map: co-run 2.20 W vs app 1.60 W -> +0.60 W.
-        let corun_extra = PowerThresholdPolicy::incremental_power_w(&ctx(0, 0).input);
-        assert!((corun_extra - 0.60).abs() < 1e-9);
-        // Pixel2 no-app: training 1.35 W vs idle 0.689 W -> +0.661 W.
-        let idle_extra = PowerThresholdPolicy::incremental_power_w(&idle_ctx(0, 0).input);
-        assert!((idle_extra - 0.661).abs() < 1e-9);
-
-        let mut lenient = PowerThresholdPolicy::new(0.7);
-        assert_eq!(lenient.decide(&ctx(0, 0)), SlotDecision::Schedule);
-        assert_eq!(lenient.decide(&idle_ctx(0, 0)), SlotDecision::Schedule);
-        let mut strict = PowerThresholdPolicy::new(0.62);
-        assert_eq!(strict.decide(&ctx(0, 0)), SlotDecision::Schedule);
-        assert_eq!(strict.decide(&idle_ctx(0, 0)), SlotDecision::Idle);
-        lenient.end_of_slot(&SlotOutcome::default());
-        // Negative thresholds clamp to zero (never schedule on real devices).
-        assert_eq!(PowerThresholdPolicy::new(-3.0).max_extra_watts(), 0.0);
     }
 
     #[test]
@@ -735,10 +621,9 @@ mod tests {
         assert!(ImmediatePolicy::new().quiescent_while_waiting());
         assert!(SyncSgdPolicy::new().quiescent_while_waiting());
         assert!(OfflinePolicy::with_window(500).quiescent_while_waiting());
-        assert!(PowerThresholdPolicy::new(0.7).quiescent_while_waiting());
         assert!(!OnlinePolicy::new(SchedulerConfig::default()).quiescent_while_waiting());
         // The conservative default, which custom policies inherit.
-        assert!(!RandomPolicy::new(0.5, 1).quiescent_while_waiting());
+        assert!(!TraitDefaults.quiescent_while_waiting());
     }
 
     #[test]
@@ -808,7 +693,7 @@ mod tests {
     fn next_decision_slot_of_every_other_registry_policy_is_the_current_slot() {
         use crate::spec::{PolicyBuildContext, PolicySpec};
         let build = PolicyBuildContext::new(SchedulerConfig::default());
-        for spec in PolicySpec::default_registry() {
+        for spec in PolicySpec::PAPER {
             if spec == PolicySpec::Offline {
                 continue;
             }

@@ -1196,7 +1196,7 @@ traces = off
         assert_eq!(v.policy.label(), "Online(V=1000)");
         // Out-of-range policy specs are rejected exactly like elsewhere.
         assert!(spec
-            .build_with_policy(PolicySpec::Random { p: 1.5, salt: 0 })
+            .build_with_policy(PolicySpec::online_with_v(f64::NAN))
             .is_err());
     }
 }

@@ -3,10 +3,9 @@
 //! about "which policy".
 //!
 //! A spec is a *named, parameterized description* of a policy: the four
-//! built-ins of the paper, the two extra baselines ([`PolicySpec::Random`]
-//! and [`PolicySpec::PowerThreshold`]), a parameterized online controller
-//! ([`PolicySpec::online_with_v`]), or any user-defined policy wrapped in
-//! [`PolicySpec::Custom`]. Every spec has a stable [`label`](PolicySpec::label)
+//! schemes of the paper ([`PolicySpec::PAPER`]), the online controller at an
+//! explicit `V` ([`PolicySpec::online_with_v`]), or any user-defined policy
+//! wrapped in [`PolicySpec::Custom`]. Every spec has a stable [`label`](PolicySpec::label)
 //! that keys reports and rollups, and [`build`](PolicySpec::build)s a fresh
 //! policy instance for one run.
 //!
@@ -24,33 +23,24 @@ use std::sync::Arc;
 
 use crate::config::SchedulerConfig;
 use crate::policy::{
-    ImmediatePolicy, OfflinePolicy, OnlinePolicy, PowerThresholdPolicy, RandomPolicy,
-    SchedulingPolicy, SyncSgdPolicy,
+    ImmediatePolicy, OfflinePolicy, OnlinePolicy, SchedulingPolicy, SyncSgdPolicy,
 };
 
-/// Everything a policy factory can draw on when building an instance.
+/// Everything a policy factory can draw on when building an instance: the
+/// run's scheduler parameters. Two builds from the same context must behave
+/// identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyBuildContext {
     /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β), including
     /// the run's slot length `scheduler.slot_seconds` (used, e.g., to convert
     /// the look-ahead window into slots).
     pub scheduler: SchedulerConfig,
-    /// Seed for any private randomness of the policy. Two builds with the
-    /// same context must behave identically.
-    pub seed: u64,
 }
 
 impl PolicyBuildContext {
-    /// A context over the given scheduler parameters with seed `0`.
+    /// A context over the given scheduler parameters.
     pub fn new(scheduler: SchedulerConfig) -> Self {
-        PolicyBuildContext { scheduler, seed: 0 }
-    }
-
-    /// Returns a copy with a different policy seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        PolicyBuildContext { scheduler }
     }
 
     /// The look-ahead window expressed in slots (at least 1).
@@ -96,22 +86,6 @@ pub enum PolicySpec {
         /// Override of the Lyapunov trade-off knob `V`.
         v: Option<f64>,
     },
-    /// A seeded coin-flip baseline scheduling each waiting user with
-    /// probability `p` per slot.
-    Random {
-        /// Per-slot scheduling probability; [`PolicySpec::validate`]
-        /// rejects values outside `[0, 1]`.
-        p: f64,
-        /// Salt folded into the run seed, so one sweep can carry several
-        /// independent random baselines.
-        salt: u64,
-    },
-    /// A battery-conscious baseline that trains only when the incremental
-    /// power of doing so stays below a threshold.
-    PowerThreshold {
-        /// Maximum tolerated incremental power, in watts.
-        max_extra_watts: f64,
-    },
     /// A user-defined policy factory.
     Custom(Arc<dyn PolicyFactory>),
 }
@@ -127,8 +101,10 @@ impl PolicySpec {
         PolicySpec::Custom(Arc::new(factory))
     }
 
-    /// The paper's four schemes, in the order its figures compare them.
-    /// The fleet's per-job seeds and report row order follow this order.
+    /// The paper's four schemes, in the order its figures compare them: the
+    /// built-in policies at their configured parameters. The fleet's per-job
+    /// seeds and report row order follow this order, and the cross-policy
+    /// regression tests iterate it.
     pub const PAPER: [PolicySpec; 4] = [
         PolicySpec::Immediate,
         PolicySpec::SyncSgd,
@@ -136,26 +112,11 @@ impl PolicySpec {
         PolicySpec::Online { v: None },
     ];
 
-    /// The default spec registry: [`PolicySpec::PAPER`] plus the two extra
-    /// baselines at their default parameters. This is the set the
-    /// cross-policy regression tests and the `decide()` micro-benchmarks
-    /// iterate over.
-    pub fn default_registry() -> Vec<PolicySpec> {
-        let mut registry = PolicySpec::PAPER.to_vec();
-        registry.extend([
-            PolicySpec::Random { p: 0.5, salt: 0 },
-            PolicySpec::PowerThreshold {
-                max_extra_watts: 0.7,
-            },
-        ]);
-        registry
-    }
-
     /// The stable label that keys reports and rollups.
     ///
-    /// Parameterized specs embed their parameters (e.g. `Online(V=1000)`,
-    /// `Random(p=0.5, salt=0)`), so the CSV/JSONL writers must — and do —
-    /// escape them.
+    /// Parameterized specs embed their parameters (e.g. `Online(V=1000)`),
+    /// and a custom factory's label is free text, so the CSV/JSONL writers
+    /// must — and do — escape them.
     pub fn label(&self) -> String {
         match self {
             PolicySpec::Immediate => "Immediate".to_string(),
@@ -163,10 +124,6 @@ impl PolicySpec {
             PolicySpec::Offline => "Offline".to_string(),
             PolicySpec::Online { v: None } => "Online".to_string(),
             PolicySpec::Online { v: Some(v) } => format!("Online(V={v})"),
-            PolicySpec::Random { p, salt } => format!("Random(p={p}, salt={salt})"),
-            PolicySpec::PowerThreshold { max_extra_watts } => {
-                format!("Threshold(dW<={max_extra_watts})")
-            }
             PolicySpec::Custom(factory) => factory.label(),
         }
     }
@@ -180,29 +137,14 @@ impl PolicySpec {
     /// exactly like on the CLI parse path. Custom factories are trusted to
     /// validate their own parameters.
     pub fn validate(&self) -> Result<(), PolicySpecError> {
-        let reject = |parameter: &'static str, value: f64, requirement: &'static str| {
-            Err(PolicySpecError {
-                label: self.label(),
-                parameter,
-                value,
-                requirement,
-            })
-        };
         match self {
             PolicySpec::Online { v: Some(v) } if !v.is_finite() || *v < 0.0 => {
-                reject("v", *v, "must be a finite non-negative number")
-            }
-            PolicySpec::Random { p, .. } if !p.is_finite() || !(0.0..=1.0).contains(p) => {
-                reject("p", *p, "must lie in [0, 1]")
-            }
-            PolicySpec::PowerThreshold { max_extra_watts }
-                if !max_extra_watts.is_finite() || *max_extra_watts < 0.0 =>
-            {
-                reject(
-                    "max_extra_watts",
-                    *max_extra_watts,
-                    "must be a finite non-negative number of watts",
-                )
+                Err(PolicySpecError {
+                    label: self.label(),
+                    parameter: "v",
+                    value: *v,
+                    requirement: "must be a finite non-negative number",
+                })
             }
             _ => Ok(()),
         }
@@ -220,15 +162,6 @@ impl PolicySpec {
                     None => ctx.scheduler,
                 };
                 Box::new(OnlinePolicy::new(scheduler))
-            }
-            PolicySpec::Random { p, salt } => Box::new(RandomPolicy::new(
-                *p,
-                // Golden-ratio mix so salt 0/1/2… give well-separated
-                // streams even for identical run seeds.
-                ctx.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )),
-            PolicySpec::PowerThreshold { max_extra_watts } => {
-                Box::new(PowerThresholdPolicy::new(*max_extra_watts))
             }
             PolicySpec::Custom(factory) => factory.build(ctx),
         }
@@ -293,8 +226,6 @@ impl std::error::Error for ParsePolicyError {}
 /// * `sync-sgd` (aliases `sync`, `syncsgd`)
 /// * `offline`
 /// * `online` / `online:v=1000`
-/// * `random:p=0.5` / `random:p=0.5:salt=3`
-/// * `threshold:w=0.7`
 impl std::str::FromStr for PolicySpec {
     type Err = ParsePolicyError;
 
@@ -355,45 +286,12 @@ impl std::str::FromStr for PolicySpec {
                     v: f64_param(&params, "v")?,
                 })
             }
-            "random" => {
-                reject_unknown(&params, &["p", "salt"])?;
-                let p = f64_param(&params, "p")?.ok_or_else(|| {
-                    ParsePolicyError("policy `random` requires p=<probability>".to_string())
-                })?;
-                let salt = match params.iter().find(|(k, _)| k == "salt") {
-                    Some((_, v)) => v
-                        .parse::<u64>()
-                        .map_err(|e| ParsePolicyError(format!("policy parameter salt={v}: {e}")))?,
-                    None => 0,
-                };
-                Ok(PolicySpec::Random { p, salt })
-            }
-            "threshold" => {
-                reject_unknown(&params, &["w", "watts"])?;
-                let max_extra_watts = match (f64_param(&params, "w")?, f64_param(&params, "watts")?)
-                {
-                    (Some(_), Some(_)) => {
-                        return Err(ParsePolicyError(
-                            "policy `threshold` takes w=<watts> or watts=<watts>, not both"
-                                .to_string(),
-                        ))
-                    }
-                    (Some(w), None) | (None, Some(w)) => w,
-                    (None, None) => {
-                        return Err(ParsePolicyError(
-                            "policy `threshold` requires w=<watts>".to_string(),
-                        ))
-                    }
-                };
-                Ok(PolicySpec::PowerThreshold { max_extra_watts })
-            }
             other => Err(ParsePolicyError(format!(
-                "unknown policy `{other}` (expected immediate, sync-sgd, offline, \
-online[:v=N], random:p=P[:salt=N] or threshold:w=W)"
+                "unknown policy `{other}` (expected immediate, sync-sgd, offline or online[:v=N])"
             ))),
         }
-        // Reject out-of-range parameters rather than letting the build-time
-        // clamps run a policy the label does not describe.
+        // Reject out-of-range parameters rather than run a policy the label
+        // does not describe.
         .and_then(|spec| {
             spec.validate()
                 .map(|()| spec)
@@ -416,17 +314,6 @@ mod tests {
         assert_eq!(PolicySpec::Offline.label(), "Offline");
         assert_eq!(PolicySpec::Online { v: None }.label(), "Online");
         assert_eq!(PolicySpec::online_with_v(1000.0).label(), "Online(V=1000)");
-        assert_eq!(
-            PolicySpec::Random { p: 0.5, salt: 3 }.label(),
-            "Random(p=0.5, salt=3)"
-        );
-        assert_eq!(
-            PolicySpec::PowerThreshold {
-                max_extra_watts: 0.7
-            }
-            .label(),
-            "Threshold(dW<=0.7)"
-        );
         assert_eq!(PolicySpec::Offline.to_string(), "Offline");
     }
 
@@ -447,21 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn default_registry_covers_builtins_and_new_baselines() {
-        let registry = PolicySpec::default_registry();
-        assert_eq!(registry.len(), 6);
-        let labels: Vec<String> = registry.iter().map(PolicySpec::label).collect();
-        // The paper's four lead, in the order job seeds and report rows
-        // depend on.
-        assert_eq!(registry[..4], PolicySpec::PAPER);
-        assert_eq!(labels[..4], ["Immediate", "Sync-SGD", "Offline", "Online"]);
-        assert!(labels.iter().any(|l| l.starts_with("Random(")));
-        assert!(labels.iter().any(|l| l.starts_with("Threshold(")));
-        // All labels distinct.
-        let mut dedup = labels.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), labels.len());
+    fn paper_specs_are_in_figure_order() {
+        // The order job seeds and report rows depend on.
+        let labels = PolicySpec::PAPER.map(|spec| spec.label());
+        assert_eq!(labels, ["Immediate", "Sync-SGD", "Offline", "Online"]);
     }
 
     #[test]
@@ -473,7 +349,6 @@ mod tests {
             ..SchedulerConfig::default()
         });
         assert_eq!(coarse.window_slots(), 9); // ceil(500/60)
-        assert_eq!(coarse.with_seed(9).seed, 9);
     }
 
     #[test]
@@ -492,7 +367,7 @@ mod tests {
     fn build_gives_each_builtin_its_capabilities() {
         // Capabilities tell the built-ins apart; the trait carries no tag.
         let ctx = PolicyBuildContext::new(SchedulerConfig::default());
-        for spec in PolicySpec::default_registry() {
+        for spec in PolicySpec::PAPER {
             let mut p = spec.build(&ctx);
             assert_eq!(p.round_barrier(), spec == PolicySpec::SyncSgd, "{spec}");
             assert_eq!(p.wants_replanning(0), spec == PolicySpec::Offline, "{spec}");
@@ -508,21 +383,6 @@ mod tests {
         let offline = PolicySpec::Offline.build(&ctx);
         assert!(offline.wants_replanning(500));
         assert!(!offline.wants_replanning(250));
-    }
-
-    #[test]
-    fn random_spec_salts_separate_streams() {
-        let ctx = PolicyBuildContext::new(SchedulerConfig::default()).with_seed(42);
-        let decisions = |spec: &PolicySpec| -> Vec<SlotDecision> {
-            let mut p = spec.build(&ctx);
-            let uctx = sample_ctx();
-            (0..64).map(|_| p.decide(&uctx)).collect()
-        };
-        let a = decisions(&PolicySpec::Random { p: 0.5, salt: 0 });
-        let b = decisions(&PolicySpec::Random { p: 0.5, salt: 1 });
-        let a2 = decisions(&PolicySpec::Random { p: 0.5, salt: 0 });
-        assert_eq!(a, a2, "same seed+salt, same stream");
-        assert_ne!(a, b, "different salts, different streams");
     }
 
     fn sample_ctx() -> UserSlotContext {
@@ -603,25 +463,6 @@ mod tests {
             "online:v=1000".parse::<PolicySpec>().unwrap().label(),
             "Online(V=1000)"
         );
-        assert_eq!(
-            "random:p=0.25".parse::<PolicySpec>().unwrap().label(),
-            "Random(p=0.25, salt=0)"
-        );
-        assert_eq!(
-            "random:p=0.25:salt=7"
-                .parse::<PolicySpec>()
-                .unwrap()
-                .label(),
-            "Random(p=0.25, salt=7)"
-        );
-        assert_eq!(
-            "threshold:w=0.6".parse::<PolicySpec>().unwrap().label(),
-            "Threshold(dW<=0.6)"
-        );
-        assert_eq!(
-            "threshold:watts=0.6".parse::<PolicySpec>().unwrap().label(),
-            "Threshold(dW<=0.6)"
-        );
     }
 
     #[test]
@@ -630,71 +471,52 @@ mod tests {
         assert!("warp-drive".parse::<PolicySpec>().is_err());
         assert!("online:v".parse::<PolicySpec>().is_err());
         assert!("online:q=3".parse::<PolicySpec>().is_err());
-        assert!("random".parse::<PolicySpec>().is_err(), "p is required");
-        assert!("random:p=abc".parse::<PolicySpec>().is_err());
-        assert!("random:p=0.5:salt=-1".parse::<PolicySpec>().is_err());
-        assert!("threshold".parse::<PolicySpec>().is_err(), "w is required");
+        assert!("online:v=abc".parse::<PolicySpec>().is_err());
         let err = "warp-drive".parse::<PolicySpec>().unwrap_err();
         assert!(err.to_string().contains("unknown policy"));
     }
 
     #[test]
+    fn removed_policies_are_rejected_naming_the_four_left() {
+        // The coin-flip and power-threshold baselines are gone; a spec that
+        // names one is an unknown policy, and the error lists what exists.
+        for removed in ["random:p=0.5", "threshold:w=0.7", "threshold:watts=0.7"] {
+            let err: ParsePolicyError = removed.parse::<PolicySpec>().unwrap_err();
+            let message = err.to_string();
+            assert!(message.contains("unknown policy"), "{removed}: {message}");
+            for left in ["immediate", "sync-sgd", "offline", "online"] {
+                assert!(message.contains(left), "{removed}: {message}");
+            }
+        }
+    }
+
+    #[test]
     fn validate_rejects_out_of_range_programmatic_specs() {
-        // Everything in the default registry (and the built-ins) is valid.
-        for spec in PolicySpec::default_registry() {
+        for spec in PolicySpec::PAPER {
             assert!(spec.validate().is_ok(), "{spec}");
         }
         assert!(PolicySpec::online_with_v(0.0).validate().is_ok());
-        assert!(PolicySpec::Random { p: 1.0, salt: 9 }.validate().is_ok());
 
-        let bad_p = PolicySpec::Random { p: 1.5, salt: 0 };
-        let err = bad_p.validate().unwrap_err();
-        assert_eq!(err.parameter, "p");
-        assert_eq!(err.value, 1.5);
-        assert!(err.to_string().contains("[0, 1]"));
-        assert!(err.to_string().contains("Random(p=1.5, salt=0)"));
-        assert!(PolicySpec::Random {
-            p: f64::NAN,
-            salt: 0
+        let err = PolicySpec::online_with_v(-5.0).validate().unwrap_err();
+        assert_eq!(err.parameter, "v");
+        assert_eq!(err.value, -5.0);
+        assert!(err.to_string().contains("non-negative"));
+        assert!(err.to_string().contains("Online(V=-5)"));
+        for v in [f64::NAN, f64::INFINITY] {
+            assert!(PolicySpec::online_with_v(v).validate().is_err(), "{v}");
         }
-        .validate()
-        .is_err());
-        assert_eq!(
-            PolicySpec::online_with_v(-5.0)
-                .validate()
-                .unwrap_err()
-                .parameter,
-            "v"
-        );
-        assert_eq!(
-            PolicySpec::PowerThreshold {
-                max_extra_watts: f64::INFINITY
-            }
-            .validate()
-            .unwrap_err()
-            .parameter,
-            "max_extra_watts"
-        );
     }
 
     #[test]
     fn parse_rejects_out_of_range_parameters() {
         // A clamped or NaN-poisoned value would run a different policy than
         // the label claims, so parsing rejects instead of clamping.
-        assert!("random:p=5".parse::<PolicySpec>().is_err());
-        assert!("random:p=-0.1".parse::<PolicySpec>().is_err());
-        assert!("random:p=nan".parse::<PolicySpec>().is_err());
-        assert!("random:p=inf".parse::<PolicySpec>().is_err());
-        assert!("threshold:w=-1".parse::<PolicySpec>().is_err());
-        assert!("threshold:w=nan".parse::<PolicySpec>().is_err());
         assert!("online:v=-5".parse::<PolicySpec>().is_err());
         assert!("online:v=nan".parse::<PolicySpec>().is_err());
-        let err = "random:p=5".parse::<PolicySpec>().unwrap_err();
-        assert!(err.to_string().contains("[0, 1]"));
-        // Boundary values stay accepted.
-        assert!("random:p=0".parse::<PolicySpec>().is_ok());
-        assert!("random:p=1".parse::<PolicySpec>().is_ok());
-        assert!("threshold:w=0".parse::<PolicySpec>().is_ok());
+        assert!("online:v=inf".parse::<PolicySpec>().is_err());
+        let err = "online:v=-5".parse::<PolicySpec>().unwrap_err();
+        assert!(err.to_string().contains("non-negative"));
+        // The boundary value stays accepted.
         assert!("online:v=0".parse::<PolicySpec>().is_ok());
     }
 
@@ -702,11 +524,8 @@ mod tests {
     fn parse_rejects_duplicate_and_conflicting_parameters() {
         let err = "online:v=1000:v=2000".parse::<PolicySpec>().unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
-        assert!("random:p=0.5:p=0.9".parse::<PolicySpec>().is_err());
-        assert!("random:p=0.5:salt=1:salt=2".parse::<PolicySpec>().is_err());
-        let err = "threshold:w=0.5:watts=0.9"
-            .parse::<PolicySpec>()
-            .unwrap_err();
-        assert!(err.to_string().contains("not both"), "{err}");
+        assert!("online:V=1000:v=2000".parse::<PolicySpec>().is_err());
+        let err = "offline:v=1000:v=2000".parse::<PolicySpec>().unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "{err}");
     }
 }

@@ -13,8 +13,8 @@
 //!   --axis KEY=V1,V2,…    add one open sweep axis over any scenario field
 //!                         (repeatable), e.g. --axis users=10,100
 //!                         --axis link=ideal,lte
-//!   --policies LIST       comma-separated policy specs (default: the four
-//!                         built-ins), e.g. online:v=1000, random:p=0.5
+//!   --policies LIST       comma-separated policy specs (default: the
+//!                         paper's four), e.g. offline, online:v=1000
 //!   --users N, --slots N  shorthand: override users/slots on every scenario
 //!   --replicates N        seeds per cell (default 2)
 //!   --seed N              base seed of the per-job derivation (default 42)
@@ -29,7 +29,7 @@
 //!   --verify              also run on 1 worker; check bit-identical
 //!                         (including the trace/metrics bytes when tracing)
 //!   --list-scenarios      print the scenario preset registry and exit
-//!   --list-policies       print the policy registry and exit
+//!   --list-policies       print the paper's four policies and exit
 //! ```
 //!
 //! The grid is `scenarios × axes… × policies × replicate seeds`, and every
@@ -162,14 +162,13 @@ fn list_scenarios(out: &mut impl Write) -> io::Result<()> {
 }
 
 fn list_policies(out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "policy registry (default parameters shown):")?;
-    for spec in PolicySpec::default_registry() {
+    writeln!(out, "the paper's policies:")?;
+    for spec in PolicySpec::PAPER {
         writeln!(out, "  {}", spec.label())?;
     }
     writeln!(
         out,
-        "\nspec syntax: immediate | sync-sgd | offline | online[:v=N] | \
-random:p=P[:salt=N] | threshold:w=W"
+        "\nspec syntax: immediate | sync-sgd | offline | online[:v=N]"
     )
 }
 
@@ -265,7 +264,7 @@ fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
                 for token in list.split(',').filter(|t| !t.trim().is_empty()) {
                     specs.push(token.trim().parse::<PolicySpec>().map_err(|e| {
                         format!(
-                            "--policies `{}`: {e}\n(--list-policies prints the registry)",
+                            "--policies `{}`: {e}\n(--list-policies prints the policies)",
                             token.trim()
                         )
                     })?);

@@ -635,10 +635,10 @@ mod tests {
             .to_string()
             .contains("unknown scenario field `warp`"));
         // Out-of-range policy parameters are named too.
-        let g3 = ScenarioGrid::preset("smoke")
-            .with_policy_specs(vec![PolicySpec::Random { p: 1.5, salt: 0 }]);
+        let g3 =
+            ScenarioGrid::preset("smoke").with_policy_specs(vec![PolicySpec::online_with_v(-1.0)]);
         match g3.validate() {
-            Err(GridError::Policy(e)) => assert_eq!(e.parameter, "p"),
+            Err(GridError::Policy(e)) => assert_eq!(e.parameter, "v"),
             other => panic!("expected policy error, got {other:?}"),
         }
     }

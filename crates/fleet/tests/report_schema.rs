@@ -4,6 +4,7 @@
 //! pair that keys it — including labels with embedded commas, quotes and
 //! newlines from parameterized or custom specs.
 
+use fedco_core::policy::SchedulingPolicy;
 use fedco_fleet::executor::JobSummary;
 use fedco_fleet::prelude::*;
 use fedco_fleet::report::{csv_row, json_line, CSV_HEADER};
@@ -87,13 +88,10 @@ fn summary_with_labels(scenario: &str, policy: &str) -> JobSummary {
     }
 }
 
-/// The label corpus: every registry spec, parameterized variants, and
+/// The label corpus: the paper's specs, parameterized variants, and
 /// adversarial custom labels with CSV/JSON metacharacters.
 fn label_corpus() -> Vec<String> {
-    let mut labels: Vec<String> = PolicySpec::default_registry()
-        .iter()
-        .map(PolicySpec::label)
-        .collect();
+    let mut labels: Vec<String> = PolicySpec::PAPER.iter().map(PolicySpec::label).collect();
     labels.extend(
         [1000.0, 4000.0, 16000.0]
             .map(PolicySpec::online_with_v)
@@ -102,7 +100,6 @@ fn label_corpus() -> Vec<String> {
     );
     labels.extend(
         [
-            "Random(p=0.5, salt=3)",
             "custom,with,commas",
             "say \"hi\", twice",
             "quote\"inside",
@@ -187,6 +184,21 @@ fn every_jsonl_line_round_trips_the_label_pair() {
     }
 }
 
+/// Immediate scheduling under a label that needs CSV quoting and JSON
+/// escaping.
+#[derive(Debug)]
+struct QuotedLabel;
+
+impl PolicyFactory for QuotedLabel {
+    fn label(&self) -> String {
+        "Eager(p=1, \"now\")".to_string()
+    }
+
+    fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+        PolicySpec::Immediate.build(ctx)
+    }
+}
+
 #[test]
 fn real_sweep_reports_satisfy_the_schema_end_to_end() {
     let grid = ScenarioGrid::new(
@@ -199,7 +211,7 @@ fn real_sweep_reports_satisfy_the_schema_end_to_end() {
     .with_policy_specs(vec![
         PolicySpec::Immediate,
         PolicySpec::online_with_v(1000.0),
-        PolicySpec::Random { p: 0.5, salt: 1 },
+        PolicySpec::custom(QuotedLabel),
     ]);
     let report = run_grid(&grid, 2);
     let csv = to_csv(&report);
@@ -237,6 +249,8 @@ fn real_sweep_reports_satisfy_the_schema_end_to_end() {
     assert_eq!(csv_keys, expected);
     // The scenario labels carry the axis override of each cell.
     assert!(csv.contains("smoke:users=3:slots=200:link=lte"));
-    // The comma-bearing Random label must have been quoted in the CSV.
-    assert!(csv.contains("\"Random(p=0.5, salt=1)\""));
+    // The custom label's comma and quotes must have been quoted in the CSV
+    // and escaped in the JSONL.
+    assert!(csv.contains(r#","Eager(p=1, ""now"")","#));
+    assert!(jsonl.contains(r#""policy":"Eager(p=1, \"now\")""#));
 }

@@ -137,10 +137,6 @@ use crate::phases::NOT_ACCRUING;
 use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
 use crate::user::{TrainingPhase, UserArena};
 
-/// Salt folded into the run seed before it is handed to the policy build, so
-/// policy-private random streams never alias the engine's own streams.
-const POLICY_SEED_SALT: u64 = 0x706F_6C69_6379_5EED;
-
 /// Momentum-vector norm the gap predictor assumes in energy-only runs, and
 /// in ML runs while the server's momentum is still zero.
 const SYNTHETIC_VELOCITY_NORM: f32 = 2.0;
@@ -422,9 +418,7 @@ impl Simulation {
             staleness_bound: config.scheduler.staleness_bound * fleet,
             ..config.scheduler
         };
-        let policy = config
-            .policy
-            .build(&PolicyBuildContext::new(scheduler).with_seed(config.seed ^ POLICY_SEED_SALT));
+        let policy = config.policy.build(&PolicyBuildContext::new(scheduler));
         let predictor = WeightPredictor::new(scheduler.learning_rate, scheduler.momentum_beta);
         let offline_scheduler = OfflineScheduler::new(scheduler.staleness_bound, predictor);
 
@@ -1892,25 +1886,6 @@ mod tests {
         assert!(eager.mean_queue <= patient.mean_queue);
         assert_eq!(eager.policy.label(), "Online(V=100)");
         assert_eq!(patient.policy.label(), "Online(V=50000)");
-    }
-
-    #[test]
-    fn random_and_threshold_policies_run_through_the_engine() {
-        let random = run_simulation(
-            small(PolicySpec::Online { v: None })
-                .with_policy(PolicySpec::Random { p: 0.2, salt: 0 }),
-        );
-        assert!(random.total_updates > 0);
-        assert!(random.total_energy_j > 0.0);
-        let threshold = run_simulation(small(PolicySpec::Online { v: None }).with_policy(
-            PolicySpec::PowerThreshold {
-                max_extra_watts: 0.65,
-            },
-        ));
-        assert!(threshold.total_energy_j > 0.0);
-        // Both run without barriers: lag accrues like the async baselines.
-        assert_eq!(random.policy.label(), "Random(p=0.2, salt=0)");
-        assert_eq!(threshold.policy.label(), "Threshold(dW<=0.65)");
     }
 
     /// Summary-only mode must change *what is stored*, never *what happens*:

@@ -5,8 +5,9 @@
 //! runs the same phases from event indices (arrival buckets, a deadline
 //! calendar, a waiting set, maintained counts). The two must be
 //! **bit-identical** — same energy bits, same queues, same traces, the same
-//! telemetry stream on every channel — for every policy in the default
-//! registry, across seeds, arrival probabilities (including the p = 0 and
+//! telemetry stream on every channel — for each of the paper's policies and
+//! a coin-flip scheduler whose decisions depend on the order it is asked in,
+//! across seeds, arrival probabilities (including the p = 0 and
 //! p = 1 extremes), trace collection modes, world dynamics, ML mode, and
 //! custom policies.
 //!
@@ -17,7 +18,16 @@
 //! cannot schedule before a later slot is not decided until then, and owes
 //! its idle slots.
 
+mod coin_flip;
+
 use fedco::prelude::*;
+
+/// The paper's four policies and the test-built coin flip.
+fn policies() -> Vec<PolicySpec> {
+    let mut policies = PolicySpec::PAPER.to_vec();
+    policies.push(coin_flip::coin_flip());
+    policies
+}
 
 fn base_config(policy: PolicySpec) -> SimConfig {
     SimConfig {
@@ -90,7 +100,7 @@ fn run_both(config: SimConfig) -> (SimResult, SimResult) {
 
 #[test]
 fn registry_is_bit_identical_across_seeds_and_arrival_rates() {
-    for spec in PolicySpec::default_registry() {
+    for spec in policies() {
         for seed in [7u64, 42] {
             for p in [0.0, 0.001, 0.05, 1.0] {
                 let config = SimConfig {
@@ -116,7 +126,7 @@ fn summary_mode_is_bit_identical_too() {
         "lte-uplink",
         "battery-constrained",
     ];
-    for spec in PolicySpec::default_registry() {
+    for spec in policies() {
         let mut configs: Vec<(String, SimConfig)> = [0.0, 0.002, 1.0]
             .iter()
             .map(|p| {
@@ -157,11 +167,11 @@ fn user_gap_recording_and_transport_are_preserved() {
 fn world_dynamics_are_bit_identical_between_drivers() {
     // Battery + churn + MMPP in one scenario: both loops run the world
     // check at the same slots and must agree bit for bit — for every
-    // registry policy, traced and summary-only.
+    // policy, traced and summary-only.
     let spec: ScenarioSpec = "battery-constrained:arrival=mmpp:users=5:slots=700"
         .parse()
         .expect("world spec parses");
-    for policy in PolicySpec::default_registry() {
+    for policy in policies() {
         let config = spec.build_with_policy(policy.clone()).expect("builds");
         assert!(!config.world.is_paper_default());
         let (dense, event) = run_both(config.clone());
@@ -271,7 +281,7 @@ fn every_slot_is_stepped_and_both_loops_emit_the_same_stream() {
     // the same, and with nothing skipped the driver channel has nothing to
     // differ in — the full telemetry stream is byte-equal, not just the
     // semantic channel.
-    for spec in PolicySpec::default_registry() {
+    for spec in policies() {
         let config = SimConfig {
             num_users: 8,
             total_slots: 3000,

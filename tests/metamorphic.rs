@@ -10,6 +10,14 @@
 //! design, and only those: Offline's planning window, cut at the horizon;
 //! churn, whose intervals are drawn over the horizon; and the flash-crowd
 //! arrival curve, whose burst sits at a fraction of it.
+//!
+//! **Fleet prefix.** A user's arrivals are a function of the seed and its
+//! id, and devices are dealt round-robin, so under Immediate user `i`'s
+//! semantic events on a `users=N` run are, event for event, its events on a
+//! `users=2N` run, for every `i < N`. Users meet only in the global model's
+//! version, so the lag and version of a merge are left out.
+
+mod coin_flip;
 
 use fedco::prelude::*;
 
@@ -57,15 +65,14 @@ fn prefix_holds(scenario: &str, slots: u64, policy: &PolicySpec) -> Result<(), S
     }
 }
 
-fn policies() -> [PolicySpec; 5] {
+/// The paper's policies that are not functions of the horizon, and one
+/// whose decisions draw randomness.
+fn policies() -> [PolicySpec; 4] {
     [
         PolicySpec::Immediate,
         PolicySpec::SyncSgd,
         PolicySpec::Online { v: None },
-        PolicySpec::Random { p: 0.5, salt: 0 },
-        PolicySpec::PowerThreshold {
-            max_extra_watts: 0.7,
-        },
+        coin_flip::coin_flip(),
     ]
 }
 
@@ -101,5 +108,64 @@ fn the_exceptions_are_functions_of_the_horizon() {
         ("flash-crowd", PolicySpec::Immediate),
     ] {
         assert!(prefix_holds(scenario, 3600, &policy).is_err(), "{scenario}");
+    }
+}
+
+/// The user an event is about and the event with the fields that couple
+/// users (a merge's lag and version) zeroed; `None` for fleet-wide events.
+fn own_part(kind: &EventKind) -> Option<(u64, EventKind)> {
+    match *kind {
+        EventKind::Merge { user, .. } => Some((
+            user,
+            EventKind::Merge {
+                user,
+                lag: 0,
+                version: 0,
+            },
+        )),
+        EventKind::Schedule { user, .. }
+        | EventKind::BatteryDepleted { user, .. }
+        | EventKind::Recharged { user, .. }
+        | EventKind::UserChurned { user, .. }
+        | EventKind::CompressedUpload { user, .. } => Some((user, kind.clone())),
+        _ => None,
+    }
+}
+
+/// Each of the first `of` users' own semantic events on
+/// `scenario:users={users}` under Immediate, in stream order.
+fn per_user_events(scenario: &str, users: usize, of: usize) -> Vec<Vec<Event>> {
+    let config = format!("{scenario}:users={users}")
+        .parse::<ScenarioSpec>()
+        .unwrap_or_else(|e| panic!("{scenario}: {e}"))
+        .build_with_policy(PolicySpec::Immediate)
+        .unwrap_or_else(|e| panic!("{scenario}: {e}"));
+    let (_, events) = run_simulation_traced(config);
+    let mut per_user = vec![Vec::new(); of];
+    for event in &events {
+        if let Some((user, kind)) = own_part(&event.kind) {
+            if let Some(own) = per_user.get_mut(user as usize) {
+                own.push(Event::new(event.slot, kind));
+            }
+        }
+    }
+    per_user
+}
+
+#[test]
+fn a_fleet_is_the_prefix_of_a_larger_one() {
+    for scenario in ["paper-default", "smoke"] {
+        let n = scenario.parse::<ScenarioSpec>().expect("parses").users();
+        let small = per_user_events(scenario, n, n);
+        let large = per_user_events(scenario, 2 * n, n);
+        for (user, (a, b)) in small.iter().zip(&large).enumerate() {
+            assert!(
+                a.iter().any(|e| e.kind.name() == "merge"),
+                "{scenario}: user {user} uploads nothing"
+            );
+            if let Some(diff) = first_difference(a, b) {
+                panic!("{scenario}: user {user} at users={n} and {}: {diff}", 2 * n);
+            }
+        }
     }
 }

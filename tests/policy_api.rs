@@ -1,7 +1,6 @@
 //! Regression tests for the open policy API:
 //!
-//! * every spec in the default registry (including the two new baselines)
-//!   runs bit-identically given the same config, and summary-only mode
+//! * each of the paper's four specs runs bit-identically given the same config, and summary-only mode
 //!   matches full mode on all scalar summaries;
 //! * a policy registered only through `PolicySpec::Custom` gets the full
 //!   engine semantics (barrier, replanning, decision overhead) — proven by
@@ -24,7 +23,7 @@ fn small(policy: PolicySpec) -> SimConfig {
 
 #[test]
 fn every_registry_spec_is_deterministic_and_summary_faithful() {
-    for spec in PolicySpec::default_registry() {
+    for spec in PolicySpec::PAPER {
         let a = run_simulation(small(spec.clone()));
         let b = run_simulation(small(spec.clone()));
         assert_eq!(
@@ -68,7 +67,7 @@ fn every_registry_spec_is_deterministic_and_summary_faithful() {
     }
 }
 
-/// A custom factory that mirrors one of the registry specs purely through
+/// A custom factory that mirrors one of the paper's specs purely through
 /// the public capability hooks. If the engine treated built-ins specially in
 /// any way, the mirror would diverge from the genuine article.
 #[derive(Debug)]
@@ -90,7 +89,7 @@ impl PolicyFactory for MirrorFactory {
 
 #[test]
 fn custom_policies_get_full_engine_semantics() {
-    for kind in PolicySpec::default_registry() {
+    for kind in PolicySpec::PAPER {
         let custom = PolicySpec::custom(MirrorFactory { spec: kind.clone() });
         let mirrored = run_simulation(small(custom));
         let builtin = run_simulation(small(kind.clone()));

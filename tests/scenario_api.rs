@@ -2,7 +2,7 @@
 //! preset — and scenarios parsed from a scenario file — must produce
 //! **bit-identical** results to the equivalent hand-built `SimConfig`, the
 //! `spec → label → parse` round-trip must be exact, and the whole registry
-//! must build valid configurations for every registry policy.
+//! must build valid configurations for each of the paper's policies.
 
 use fedco::core::scenario::FIELD_KEYS;
 use fedco::prelude::*;
@@ -37,7 +37,7 @@ fn every_preset_builds_the_equivalent_hand_built_config() {
 #[test]
 fn registry_wide_build_validity_across_policies() {
     for spec in ScenarioSpec::default_registry() {
-        for policy in PolicySpec::default_registry() {
+        for policy in PolicySpec::PAPER {
             let config = spec
                 .build_with_policy(policy.clone())
                 .unwrap_or_else(|e| panic!("{} x {policy}: {e}", spec.label()));

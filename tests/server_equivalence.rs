@@ -120,7 +120,7 @@ fn every_registry_policy_matches_on_a_scaled_paper_default() {
         .expect("registry preset")
         .with_users(5)
         .with_slots(700);
-    for policy in PolicySpec::default_registry() {
+    for policy in PolicySpec::PAPER {
         let config = spec
             .build_with_policy(policy.clone())
             .unwrap_or_else(|e| panic!("{policy}: {e}"));
