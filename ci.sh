@@ -9,13 +9,16 @@ cargo build --release --offline --workspace --all-targets
 
 echo "==> cargo test --offline"
 # Every member's tests. Among them: the engine equivalence suite (scan vs
-# indexed phases of the one slot loop), whose last three cases hold sleeping
-# users to the scan: Offline under battery + churn with trace samples
-# mid-sleep and Online's class sleepers (owing decision overhead; H(t) = 0
-# throughout, positive throughout at lb=1, crossing zero at lb=100, and under
-# battery + churn), a custom every-k-th-slot policy, and the `user_visits`
-# bound on Offline decisions; and the sleeping users' `next_decision_slot` and
-# `class_decision` contracts and the arena's owed idle slots (`sleeper`).
+# indexed phases of the one slot loop), unit tests of fedco-sim in
+# crates/sim/src/scan/equivalence.rs beside the test-only scan reference
+# (crates/sim/src/scan.rs; `cargo test -p fedco-sim scan::`), whose last three
+# cases hold sleeping users to the scan: Offline under battery + churn with
+# trace samples mid-sleep and Online's class sleepers (owing decision
+# overhead; H(t) = 0 throughout, positive throughout at lb=1, crossing zero at
+# lb=100, and under battery + churn), a custom every-k-th-slot policy, and the
+# `user_visits` bound on Offline decisions; and the sleeping users'
+# `next_decision_slot` and `class_decision` contracts and the arena's owed
+# idle slots (`sleeper`).
 cargo test -q --offline --workspace
 
 echo "==> cargo fmt --check"
@@ -297,12 +300,32 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # with one arm, no closure), fedco-sim
 # -3 (`POLICY_SEED_SALT` and the seeded build call), fedco-fleet -1
 # (`--list-policies` prints `PolicySpec::PAPER` and the shorter syntax line).
-LOC_CEILING=17989
+# 17989 -> 17915 with one slot loop shipped (-74): fedco-sim -106, lines
+# *moved into test code*, not deleted — `run_dense`, the `phase_*_scan`
+# walks of arrivals, power, ticks and the decision loop, the online count,
+# `UserArena::{tick, is_waiting}` and `ArrivalSchedule::first_arrival_in_window`
+# now live in the `#[cfg(test)]` module crates/sim/src/scan.rs (and the
+# equivalence suite beside it), each branch of the slot loop on `indexed` is
+# a `#[cfg(test)]` hook, and the fold branch of `queue_gap_sum` went (the
+# held sum is the fold's bits, checked by `stale sum`); fedco-world -3
+# (`FleetArrivals::keys`, whose one caller was the scan's row search, now a
+# plain search of the row in test code); fedco-audit +35 (a
+# `#[cfg(test)]` struct field or initializer is masked through its own `,`,
+# where the region ran on to the next `;` or block and would have hidden the
+# engine's whole `impl Simulation` from this count; a file that opens with
+# `#![cfg(test)]` is test code throughout).
+LOC_CEILING=17915
+# fedco-sim's own ceiling, beside the total: the crate ROADMAP item 10 gates
+# (< 1 700) cannot grow back unseen while another crate shrinks.
+SIM_LOC_CEILING=2157
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"
 [ "$LOC_TOTAL" -le "$LOC_CEILING" ] \
     || { echo "code size rose: total $LOC_TOTAL > ceiling $LOC_CEILING"; exit 1; }
+SIM_LOC="$(echo "$LOC_TABLE" | awk '$1 == "fedco-sim" { print $2 }')"
+[ "$SIM_LOC" -le "$SIM_LOC_CEILING" ] \
+    || { echo "code size rose: fedco-sim $SIM_LOC > ceiling $SIM_LOC_CEILING"; exit 1; }
 
 echo "==> bench_engine smoke (the engine/scale and engine/city-online cells)"
 BENCH_SMOKE_JSON="$(mktemp)"

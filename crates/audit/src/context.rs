@@ -170,8 +170,15 @@ fn parse_allow(body: &str, known_rules: &[&str]) -> Result<String, String> {
 /// Marks tokens that belong to test-only items: any item annotated with an
 /// attribute mentioning `test` (e.g. `#[cfg(test)]`, `#[test]`) — except
 /// negated `cfg(not(test))` forms — is exempt, from the attribute through
-/// the end of the item (brace-matched block or terminating `;`).
+/// the end of the item (brace-matched block or terminating `;`; a struct
+/// field's or field initializer's `,`) — and a whole file that opens with
+/// `#![cfg(test)]`.
 fn mark_test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
+    // A module file that opens with `#![cfg(test)]` is test code throughout.
+    let opening = code.iter().take(8).map(|&t| tokens[t].text.as_str());
+    if opening.eq(["#", "!", "[", "cfg", "(", "test", ")", "]"]) {
+        return vec![true; tokens.len()];
+    }
     let mut mask = vec![false; tokens.len()];
     let mut k = 0usize;
     while k < code.len() {
@@ -179,7 +186,7 @@ fn mark_test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
             k += 1;
             continue;
         }
-        // Inner attributes `#![…]` are never test markers.
+        // Other inner attributes `#![…]` are never test markers.
         let open = if tokens[code[k + 1]].is_punct('[') {
             k + 1
         } else {
@@ -208,7 +215,9 @@ fn mark_test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
                 None => break,
             }
         }
-        let end = item_end(tokens, code, j).unwrap_or(code.len() - 1);
+        let end = field_end(tokens, code, j)
+            .or_else(|| item_end(tokens, code, j))
+            .unwrap_or(code.len() - 1);
         for &t in &code[k..=end.min(code.len() - 1)] {
             mask[t] = true;
         }
@@ -231,6 +240,41 @@ fn match_bracket(tokens: &[Token], code: &[usize], open: usize, o: char, c: char
         }
     }
     None
+}
+
+/// Index (into `code`) of the last token of the struct field or field
+/// initializer starting at `code[k]`, if one starts there (`[pub[(…)]] name:`
+/// or a shorthand `name,` / `name }`): its `,`, or its last token before the
+/// `}` that closes the struct. Angle brackets are not tracked, so a comma of
+/// a generic field type ends it early and leaves the tail unmarked.
+fn field_end(tokens: &[Token], code: &[usize], mut k: usize) -> Option<usize> {
+    let tok = |k: usize| code.get(k).map(|&t| &tokens[t]);
+    if tok(k)?.is_ident("pub") {
+        k += 1;
+        if tok(k)?.is_punct('(') {
+            k = match_bracket(tokens, code, k, '(', ')')? + 1;
+        }
+    }
+    let (name, next) = (tok(k)?, tok(k + 1)?);
+    let typed = next.is_punct(':') && !tok(k + 2).is_some_and(|t| t.is_punct(':'));
+    if name.kind != TokenKind::Ident || !(typed || next.is_punct(',') || next.is_punct('}')) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (j, &t) in code.iter().enumerate().skip(k) {
+        let t = &tokens[t];
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            if depth == 0 {
+                return Some(j - 1);
+            }
+            depth -= 1;
+        } else if depth == 0 && t.is_punct(',') {
+            return Some(j);
+        }
+    }
+    Some(code.len() - 1)
 }
 
 /// Index (into `code`) of the last token of the item starting at `code[k]`:
@@ -299,6 +343,32 @@ mod tests {
             .find(|&k| ctx.code_tok(k).is_ident("unwrap"))
             .expect("unwrap token");
         assert!(!ctx.in_test_code(k));
+    }
+
+    #[test]
+    fn a_file_that_opens_with_cfg_test_is_masked_whole() {
+        let f = lib_file();
+        let ctx = ctx_for(&f, "//! docs\n#![cfg(test)]\nfn helper() { x.unwrap(); }");
+        assert!((0..ctx.code_len()).all(|k| ctx.in_test_code(k)));
+        let ctx = ctx_for(&f, "#![cfg(not(test))]\nfn shipped() {}");
+        assert!((0..ctx.code_len()).all(|k| !ctx.in_test_code(k)));
+    }
+
+    #[test]
+    fn a_test_only_field_masks_itself_only() {
+        let f = lib_file();
+        let src = "struct S {\n #[cfg(test)]\n pub(crate) probe: (u8, u8),\n kept: u8,\n}\n\
+                   impl S { fn new() -> S { S { kept: 1, #[cfg(test)] probe: (0, 0) } } }";
+        let ctx = ctx_for(&f, src);
+        let masked = |name: &str| {
+            (0..ctx.code_len())
+                .filter(|&k| ctx.code_tok(k).is_ident(name))
+                .map(|k| ctx.in_test_code(k))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(masked("probe"), [true, true]);
+        assert_eq!(masked("kept"), [false, false]);
+        assert_eq!(masked("new"), [false]);
     }
 
     #[test]

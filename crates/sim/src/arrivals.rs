@@ -285,24 +285,6 @@ impl ArrivalSchedule {
         c.by_slot.get(at - c.first)
     }
 
-    /// The first held arrival of `user` in the half-open slot window
-    /// `[from, from + window)`, if any: a binary search of each slot's row.
-    pub fn first_arrival_in_window(
-        &self,
-        user: usize,
-        from: u64,
-        window: u64,
-    ) -> Option<ArrivalEvent> {
-        let to = from.saturating_add(window).min(self.next.0);
-        (from..to).find_map(|slot| {
-            let c = self.chunk(slot)?;
-            let row = (slot - c.slots.start) as usize;
-            let at = c.by_slot.keys(row).binary_search(&(user as u32)).ok()?;
-            let (_, app) = c.by_slot.get(c.by_slot.row(row).start + at);
-            Some(ArrivalEvent { slot, app })
-        })
-    }
-
     /// The first held arrival of every user in the half-open slot window
     /// `[from, from + window)`, indexed by user — what the offline scheduler
     /// inspects: one pass over the window's rows.
@@ -353,6 +335,24 @@ type Orders = (Vec<Vec<ArrivalEvent>>, Vec<Vec<(usize, AppKind)>>);
 
 #[cfg(test)]
 impl ArrivalSchedule {
+    /// The first held arrival of `user` in the half-open slot window
+    /// `[from, from + window)`, if any: a search of each slot's row. What
+    /// the reference scan of the arrival phase asks for every user.
+    pub(crate) fn first_arrival_in_window(
+        &self,
+        user: usize,
+        from: u64,
+        window: u64,
+    ) -> Option<ArrivalEvent> {
+        let to = from.saturating_add(window).min(self.next.0);
+        (from..to).find_map(|slot| {
+            let c = self.chunk(slot)?;
+            let row = c.by_slot.row((slot - c.slots.start) as usize);
+            let (_, app) = row.map(|at| c.by_slot.get(at)).find(|&(u, _)| u == user)?;
+            Some(ArrivalEvent { slot, app })
+        })
+    }
+
     /// The held arrivals of one user, in slot order (none for a user out of
     /// range).
     pub(crate) fn of_user(&self, user: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {

@@ -12,13 +12,11 @@
 //! A run steps every slot of the horizon, and a slot runs world check →
 //! planning → arrivals → census → decisions → power → timer expiry →
 //! completions → round barrier → queue dynamics → recording. There is one
-//! loop; [`Simulation::run`] and [`Simulation::run_dense`] differ only in
-//! how the per-user phases find their users. `run_dense` is the reference:
-//! each phase is a plain scan of the fleet. Algorithm 2 of the paper only
-//! ever acts on devices *holding a pending task*, and a device that is
-//! mid-epoch, or whose application timer is running down, does nothing
-//! until its next event — so `run` drives the same phases from event
-//! indices and a slot costs what happens in it, not the size of the fleet:
+//! loop, [`Simulation::run`]. Algorithm 2 of the paper only ever acts on
+//! devices *holding a pending task*, and a device that is mid-epoch, or
+//! whose application timer is running down, does nothing until its next
+//! event — so the per-user phases are driven from event indices and a slot
+//! costs what happens in it, not the size of the fleet:
 //!
 //! * arrivals are read a slot's row at a time from the slot-major order of
 //!   the one store they are sampled into ([`ArrivalSchedule`]);
@@ -50,8 +48,10 @@
 //! happens, as the deleted spans held them: the server's momentum norm
 //! (until the next update) and the gap sum (until the next gap write, so
 //! slots in which the whole fleet trains fold nothing). The `phases`
-//! module holds the two implementations of each phase and the argument for
-//! why they agree bit for bit.
+//! module holds the phases and the argument for why they agree bit for bit
+//! with a plain scan of the fleet per phase — the reference, which is test
+//! code of this crate (`run_dense` in the `scan` module, with the
+//! equivalence suite that holds `run` to it).
 //!
 //! # Deciding by class
 //!
@@ -79,9 +79,9 @@
 //!   (`Simulation::queue_gap_sum` holds the proof).
 //!
 //! So a slot of a feasible controller costs its classes, its arrivals and
-//! the users it schedules, not its waiting fleet; `run_dense` decides every
-//! waiting user in every slot and folds every slot, and the equivalence
-//! suite holds the two to the same bits and events.
+//! the users it schedules, not its waiting fleet; the reference decides
+//! every waiting user in every slot and folds every slot, and the
+//! equivalence suite holds the two to the same bits and events.
 //!
 //! Slots in which nothing happens are stepped like any other: an empty
 //! slot costs a few index lookups, and fast-forwarding over runs of them
@@ -155,9 +155,9 @@ pub struct EngineStats {
     /// Per-user state touches made by the phases: one for every user a
     /// phase looks at or updates (a decision, an arrival, a deadline or
     /// wake, a power settlement, a sleeper's owed idle slots, a fleet-wide
-    /// flush or world check). The plain
-    /// scans of [`Simulation::run_dense`] pay `users` per phase per slot;
-    /// the indexed [`Simulation::run`] pays for what happens.
+    /// flush or world check). [`Simulation::run`] pays for what happens;
+    /// the plain scans of the test-only reference pay `users` per phase
+    /// per slot.
     /// Deterministic — a count, not a timing.
     pub user_visits: u64,
 }
@@ -194,7 +194,7 @@ struct RunAccum {
 
 /// What the decisions of one slot add up to, for the queue dynamics.
 #[derive(Debug, Default)]
-struct DecisionTally {
+pub(crate) struct DecisionTally {
     /// Users whose training was scheduled this slot.
     scheduled: usize,
     /// The backlog those users had accumulated while waiting, in
@@ -300,11 +300,10 @@ pub struct Simulation {
     /// The round's updates, reserved for the whole fleet once per run.
     sync_buffer: Vec<LocalUpdate>,
     pub(crate) stats: EngineStats,
-    /// `true` while driven by [`Simulation::run`]: the slot phases run from
-    /// the event indices instead of scanning the arena, and power accounting
-    /// is kept as open per-user spans (closed on every state change,
-    /// extra-energy charge, trace snapshot, and at the end of the run).
-    /// `run_dense` keeps the plain-scan, eager reference behaviour.
+    /// `false` while the test-only `run_dense` drives the slot loop: the
+    /// phase hooks hand every per-user phase to its plain scan of the arena,
+    /// with power recorded eagerly (the `scan` module).
+    #[cfg(test)]
     pub(crate) indexed: bool,
     /// Cached [`SchedulingPolicy::quiescent_while_waiting`] for this run.
     policy_quiescent: bool,
@@ -316,8 +315,8 @@ pub struct Simulation {
     /// Updates and rounds the engine has handed the server: the server's
     /// version count, so reset when the server is replaced, not per run.
     applied: u64,
-    /// Application expiries and epoch completions by the slot they fall
-    /// due (indexed loop only; the scan reference files nothing).
+    /// Application expiries, epoch completions and wakes by the slot they
+    /// fall due.
     pub(crate) calendar: Calendar,
     /// The power state each user has been accruing in since
     /// `power_since[i]`, not yet recorded in its profiler.
@@ -542,7 +541,8 @@ impl Simulation {
             base_params,
             sync_buffer: Vec::new(),
             stats: EngineStats::default(),
-            indexed: false,
+            #[cfg(test)]
+            indexed: true,
             policy_quiescent: false,
             momentum_norm: None,
             applied: 0,
@@ -909,9 +909,9 @@ impl Simulation {
     /// Asks the policy from which slot on waiting user `i` could be
     /// scheduled, counting from slot `from`, and lets the user sleep until
     /// then (until the policy's next plan for `None`) behind a wake in the
-    /// calendar. The scan reference decides every waiting user in every
-    /// slot and asks nothing.
+    /// calendar.
     fn ask_next_decision(&mut self, i: usize, from: u64) {
+        #[cfg(test)]
         if !self.indexed {
             return;
         }
@@ -1012,30 +1012,18 @@ impl Simulation {
     }
 
     /// Runs the simulation to the end of the horizon and returns the result:
-    /// the slot loop with its per-user phases driven from the event indices
-    /// (see the module docs). Bit-identical to [`Simulation::run_dense`].
+    /// the slot loop, every slot of the horizon one after the other, with
+    /// its per-user phases driven from the event indices (see the module
+    /// docs).
     ///
-    /// A simulation runs once: calling this or [`Simulation::run_dense`]
-    /// again steps nothing, records no event and returns the first run's
-    /// result without its series (`trace`, `user_gaps`, `updates`).
+    /// A simulation runs once: calling this again steps nothing, records no
+    /// event and returns the first run's result without its series
+    /// (`trace`, `user_gaps`, `updates`).
     pub fn run(&mut self) -> SimResult {
-        self.run_slots(true)
-    }
-
-    /// Runs the simulation with every per-user phase a plain scan of the
-    /// fleet. This is the reference implementation [`Simulation::run`] is
-    /// tested and benchmarked against; results and telemetry are
-    /// bit-identical between the two.
-    pub fn run_dense(&mut self) -> SimResult {
-        self.run_slots(false)
-    }
-
-    /// The slot loop: every slot of the horizon, one after the other.
-    fn run_slots(&mut self, indexed: bool) -> SimResult {
         if let Some(summary) = &self.finished {
             return summary.clone();
         }
-        self.begin_run(indexed);
+        self.begin_run();
         let mut acc = RunAccum::default();
         while !self.clock.finished() {
             self.step_slot(&mut acc);
@@ -1050,18 +1038,20 @@ impl Simulation {
     }
 
     /// Sets up the driver state of the one run.
-    fn begin_run(&mut self, indexed: bool) {
-        self.indexed = indexed;
+    fn begin_run(&mut self) {
         self.policy_quiescent = self.policy.quiescent_while_waiting();
+        // The reference keeps every slot's queue dynamics.
+        #[cfg(test)]
+        if !self.indexed {
+            self.policy_quiescent = false;
+        }
         if self.policy.round_barrier() {
             self.sync_buffer.reserve_exact(self.users.len());
         }
-        if indexed {
-            // Every user starts accruing at the first power phase, which
-            // looks at all of them once; nothing is due yet.
-            self.calendar = Calendar::new(self.config.total_slots);
-            self.dirty = (0..self.users.len() as u32).collect();
-        }
+        // Every user starts accruing at the first power phase, which looks
+        // at all of them once; nothing is due yet.
+        self.calendar = Calendar::new(self.config.total_slots);
+        self.dirty = (0..self.users.len() as u32).collect();
         self.class_memo = vec![(0, None); self.users.classes()];
         self.emit(
             0,
@@ -1078,14 +1068,14 @@ impl Simulation {
     /// the outcome — training starts, or one more idle slot.
     ///
     /// This is what a fleet that mostly waits spends its run in, so it is
-    /// forced into both decision loops: as a call it cost the waiting-heavy
+    /// forced into the decision loop: as a call it cost the waiting-heavy
     /// 100-device throughput cells a quarter of their time.
     ///
     /// With `class_gaps`, the user is decided by its class first
     /// ([`class_decision`](Self::class_decision)); a class left idle puts
     /// it to sleep, owing this slot's gap step and overhead.
     #[inline(always)]
-    fn decide_user(
+    pub(crate) fn decide_user(
         &mut self,
         i: usize,
         slot: u64,
@@ -1157,7 +1147,8 @@ impl Simulation {
         }
     }
 
-    /// Slot phase 2 in the indexed loop: the awake waiting users, ascending.
+    /// Slot phase 2: the awake waiting users, ascending. A user leaves the
+    /// waiting set when it is scheduled; none joins or wakes mid-loop.
     /// While the policy answers for classes
     /// ([`SchedulingPolicy::class_decision`], asked with the slot's predicted
     /// gap and the bound on every idle one), each is decided by its class
@@ -1170,6 +1161,10 @@ impl Simulation {
         overhead: f64,
         tally: &mut DecisionTally,
     ) -> bool {
+        #[cfg(test)]
+        if !self.indexed {
+            return self.decide_waiting_scan(slot, predicted, overhead, tally);
+        }
         // The fold bounds the sum of the gaps, so each one of them.
         let gaps = (
             predicted,
@@ -1288,14 +1283,10 @@ impl Simulation {
             self.gap_bound = bound;
             return bound;
         }
-        // The fold over the gap lane: the arena's, which it holds while no
-        // gap changes, or (the reference) afresh.
-        let sum = if self.indexed {
-            self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
-            self.users.gap_sum()
-        } else {
-            self.users.fold_gaps()
-        };
+        // The fold over the gap lane, its sleepers settled: the arena's,
+        // which it holds while no gap changes.
+        self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
+        let sum = self.users.gap_sum();
         self.gap_bound = sum * FOLD_SLACK;
         sum
     }
@@ -1369,25 +1360,11 @@ impl Simulation {
             let predicted = self
                 .predictor
                 .predict_gap(Lag(training_now.max(1)), velocity);
-            // The waiting users, ascending: the awake ones read off the
-            // waiting set, or (the reference) all of them filtered out of a
-            // scan of the fleet. A user leaves the set when it is
-            // scheduled; none joins or wakes mid-loop.
             let mut tally = DecisionTally::default();
             // What each decision of this slot costs, read once: zero when
             // the policy decides for free.
             let overhead = self.policy.decision_energy_overhead();
-            let by_class = if self.indexed {
-                self.decide_awake(slot, predicted, overhead, &mut tally)
-            } else {
-                self.stats.user_visits += self.users.len() as u64;
-                for i in 0..self.users.len() {
-                    if self.users.is_waiting(i) {
-                        self.decide_user(i, slot, predicted, overhead, None, &mut tally);
-                    }
-                }
-                false
-            };
+            let by_class = self.decide_awake(slot, predicted, overhead, &mut tally);
 
             // Idle outcomes repeat every waiting slot, a sleeper's too:
             // counted into the driver channel, never emitted per slot.
@@ -1395,11 +1372,10 @@ impl Simulation {
                 t.idle_decisions += (waiting_at_start - tally.scheduled) as u64;
             }
 
-            // (3) Energy accounting and (4) timer expiry. The indexed loop
-            // keeps each user's power as an open span closed on state
-            // changes (batching the identical per-slot additions) and pops
-            // the slot's deadlines off the calendar; the scan reference
-            // records and checks every user, every slot.
+            // (3) Energy accounting and (4) timer expiry: each user's power
+            // is an open span closed on state changes (batching the
+            // identical per-slot additions), and the slot's deadlines are
+            // popped off the calendar.
             self.phase_power(slot);
             self.phase_tick(slot);
 
@@ -1535,10 +1511,9 @@ impl Simulation {
 
             // (7) Queue dynamics. A quiescence-certified policy's
             // `end_of_slot` is a no-op and both backlogs are exactly zero,
-            // so the indexed loop elides the gap fold, the call and the two
-            // `+= 0.0` accumulations (exact no-ops on non-negative sums)
-            // wholesale; the scan reference keeps them.
-            if !(self.indexed && self.policy_quiescent) {
+            // so the gap fold, the call and the two `+= 0.0` accumulations
+            // (exact no-ops on non-negative sums) are elided wholesale.
+            if !self.policy_quiescent {
                 let arrivals = waiting_at_start.saturating_sub(tally.scheduled);
                 let gap_sum =
                     self.queue_gap_sum(slot, by_class, arrivals, tally.scheduled, predicted);
@@ -1559,8 +1534,7 @@ impl Simulation {
             // skipping it cannot change any other stream.
             if self.config.collect_traces && slot % self.config.record_every_slots == 0 {
                 // Trace points read profiler totals and the gap lane, so
-                // pending spans and owed idle slots land first (no-ops in
-                // the scan reference).
+                // pending spans and owed idle slots land first.
                 self.flush_all_pending();
                 self.stats.user_visits += self.users.settle_all_idle(slot + 1) as u64;
                 if let Some(ml) = &self.ml {
@@ -1712,8 +1686,8 @@ pub fn run_simulation(config: SimConfig) -> SimResult {
 
 /// Builds and runs a simulation with tracing enabled, returning the result
 /// together with the recorded event stream. The trace is a pure function of
-/// the configuration: bit-identical across runs, and the same stream
-/// [`Simulation::run_dense`] records. Telemetry sampling does not depend on
+/// the configuration: bit-identical across runs, and the same stream the
+/// plain-scan reference records. Telemetry sampling does not depend on
 /// trace collection, so a [`SimConfig::summary_only`] run records it too.
 ///
 /// # Panics
@@ -1925,32 +1899,6 @@ mod tests {
         assert_eq!(full.final_accuracy, lean.final_accuracy);
         assert_eq!(full.total_updates, lean.total_updates);
         assert_eq!(full.total_energy_j.to_bits(), lean.total_energy_j.to_bits());
-    }
-
-    #[test]
-    fn telemetry_is_identical_scan_vs_indexed() {
-        use fedco_telemetry::event::Channel;
-
-        for policy in PolicySpec::PAPER {
-            let traced = |indexed: bool| {
-                let sink = BufferSink::shared();
-                let mut sim = Simulation::new(small(policy.clone())).with_telemetry(sink.clone());
-                let result = if indexed { sim.run() } else { sim.run_dense() };
-                (result, sink.drain())
-            };
-            let (indexed_result, indexed_trace) = traced(true);
-            let (scan_result, scan_trace) = traced(false);
-            assert_eq!(
-                indexed_result.total_energy_j.to_bits(),
-                scan_result.total_energy_j.to_bits(),
-                "energy diverged for {policy:?}"
-            );
-            // Every channel agrees: both step every slot.
-            assert_eq!(scan_trace, indexed_trace, "trace diverged for {policy:?}");
-            assert!(indexed_trace
-                .iter()
-                .any(|e| e.channel() == Channel::Semantic));
-        }
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub mod engine;
 mod index;
 mod phases;
 pub mod report;
+#[cfg(test)]
+mod scan;
 pub mod trace;
 pub mod user;
 

@@ -1,24 +1,24 @@
 //! The per-user phases of a slot — application arrivals, the phase census,
-//! power accounting, timer expiry.
-//!
-//! Each phase exists twice. The `*_scan` functions are the reference: a
-//! plain walk over every user of the arena, recording power eagerly slot by
-//! slot; [`Simulation::run_dense`] uses nothing else, and the equivalence
-//! suite holds [`Simulation::run`] to its bits. The indexed implementations
-//! do the same work from the event indices and touch only the users to whom
-//! something happens:
+//! power accounting, timer expiry — driven from the event indices, touching
+//! only the users to whom something happens:
 //!
 //! * arrivals come from the slot's row of the schedule's slot-major order
 //!   ([`ArrivalSchedule::at_slot`](crate::arrivals::ArrivalSchedule::at_slot));
 //! * expiring applications, completing epochs and waking sleepers come from
 //!   the slot's bucket of the [`Calendar`](crate::index::Calendar), live
-//!   entries only, ascending by user — the order the scan reports
+//!   entries only, ascending by user — the order a scan of the fleet reports
 //!   completions in;
 //! * the census is read off the counts the arena keeps at every phase
 //!   transition;
 //! * power is kept per user as *state `power_state[i]` since slot
 //!   `power_since[i]`*, and a profiler is written only when that state
 //!   changes or something else is charged to the user.
+//!
+//! Each phase has a reference: a plain walk over every user of the arena,
+//! recording power eagerly slot by slot. The references are test code of
+//! this crate (the `scan` module, behind `#[cfg(test)]`), where the
+//! equivalence suite holds the slot loop to their bits; the census walk
+//! ships, because debug builds check the maintained counts against it.
 //!
 //! # Why the indexed loop is bit-identical
 //!
@@ -53,7 +53,7 @@ use crate::index::Deadline;
 use crate::user::TrainingPhase;
 
 /// `power_since` of a user that accrues nothing (an offline device, and
-/// every user of the scan reference, which records eagerly): no boundary
+/// every user of the reference scans, which record eagerly): no boundary
 /// lies past it, so flushing sees an empty span.
 pub(crate) const NOT_ACCRUING: u64 = u64::MAX;
 
@@ -63,14 +63,14 @@ impl Simulation {
         Seconds(self.config.scheduler.slot_seconds)
     }
 
-    fn is_offline(&self, i: usize) -> bool {
+    pub(crate) fn is_offline(&self, i: usize) -> bool {
         matches!(self.users.phase(i), TrainingPhase::Offline)
     }
 
     /// The one arrival rule (see the [`arrivals`](crate::arrivals) module):
     /// `app` opens on user `i` at `slot` unless an application is already in
     /// the foreground or the device is offline.
-    fn accept_arrival(&mut self, i: usize, app: AppKind, slot: u64) {
+    pub(crate) fn accept_arrival(&mut self, i: usize, app: AppKind, slot: u64) {
         if self.users.app_running(i) || self.is_offline(i) {
             return;
         }
@@ -86,13 +86,14 @@ impl Simulation {
     }
 
     /// Files the deadline user `i` just acquired in the calendar, and marks
-    /// the user for the next power settlement (the scan reference keeps no
-    /// indices).
+    /// the user for the next power settlement.
     pub(crate) fn file_deadline(&mut self, i: usize, until: u64, what: Deadline) {
-        if self.indexed {
-            self.calendar.push(until, i, what);
-            self.dirty.push(i as u32);
+        #[cfg(test)]
+        if !self.indexed {
+            return;
         }
+        self.calendar.push(until, i, what);
+        self.dirty.push(i as u32);
     }
 
     /// The energy one decision costs user `i` (Table III), given the
@@ -103,22 +104,9 @@ impl Simulation {
         Joules(extra * self.slot_len().value())
     }
 
-    // ----------------------------------------------------------------
-    // Reference scans: every phase walks the whole arena.
-    // ----------------------------------------------------------------
-
-    /// Slot phase 1: application arrivals, every user asked for its own —
-    /// a stateless binary search of the slot's row.
-    fn phase_arrivals_scan(&mut self, slot: u64) {
-        for i in 0..self.users.len() {
-            if let Some(arrival) = self.arrivals.first_arrival_in_window(i, slot, 1) {
-                self.accept_arrival(i, arrival.app, slot);
-            }
-        }
-    }
-
-    /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet.
-    fn phase_census_scan(&self) -> (u64, usize) {
+    /// The census as a walk over the fleet: `(training_now, waiting_now)`.
+    /// Debug builds hold the maintained counts to it in every slot.
+    pub(crate) fn phase_census_scan(&self) -> (u64, usize) {
         let (mut training, mut waiting) = (0u64, 0usize);
         for i in 0..self.users.len() {
             match self.users.phase(i) {
@@ -130,36 +118,18 @@ impl Simulation {
         (training, waiting)
     }
 
-    /// Slot phase 3: one slot of power recorded for every online user.
-    /// Offline devices accrue nothing — dead phones draw no simulated power.
-    fn phase_power_scan(&mut self) {
-        let slot_len = self.slot_len();
-        for i in 0..self.users.len() {
-            if !self.is_offline(i) {
-                self.profilers[i].record(self.users.power_state(i), slot_len);
-            }
-        }
-    }
-
-    /// Slot phase 4: every user's timers checked against the end of `slot`.
-    fn phase_tick_scan(&mut self, slot: u64) {
-        for i in 0..self.users.len() {
-            if let Some(corunning) = self.users.tick(i, slot) {
-                self.completed.push((i, corunning));
-            }
-        }
-    }
-
     // ----------------------------------------------------------------
-    // The phases as the slot loop calls them.
+    // The phases as the slot loop calls them. In test builds each opens
+    // with a hook that hands the slot to its reference scan (`scan`
+    // module) while the test-only `run_dense` drives the loop.
     // ----------------------------------------------------------------
 
     /// Slot phase 1: application arrivals of `slot`, the slot the schedule
     /// holds from now on.
     pub(crate) fn phase_arrivals(&mut self, slot: u64) {
         self.arrivals.hold(slot, slot + 1);
+        #[cfg(test)]
         if !self.indexed {
-            self.stats.user_visits += self.users.len() as u64;
             return self.phase_arrivals_scan(slot);
         }
         let row = self.arrivals.at_slot(slot);
@@ -170,32 +140,32 @@ impl Simulation {
         }
     }
 
-    /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet.
+    /// Slot phase 2 census: `(training_now, waiting_now)` of the fleet, as
+    /// the arena counts them.
     pub(crate) fn phase_census(&mut self) -> (u64, usize) {
-        let counted = (self.users.training_count(), self.users.waiting_count());
-        if self.indexed {
-            debug_assert_eq!(counted, self.phase_census_scan(), "census drifted");
-            return counted;
+        #[cfg(test)]
+        if !self.indexed {
+            return self.phase_census_walk();
         }
-        self.stats.user_visits += self.users.len() as u64;
-        self.phase_census_scan()
+        let counted = (self.users.training_count(), self.users.waiting_count());
+        debug_assert_eq!(counted, self.phase_census_scan(), "census drifted");
+        counted
     }
 
     /// Number of users that are not offline (the participants of a
     /// synchronous round).
     pub(crate) fn online_users(&self) -> usize {
-        if self.indexed {
-            return self.users.online_count();
+        #[cfg(test)]
+        if !self.indexed {
+            return self.online_users_scan();
         }
-        (0..self.users.len())
-            .filter(|&i| !self.is_offline(i))
-            .count()
+        self.users.online_count()
     }
 
     /// Slot phase 3: power accounting of `slot`.
     pub(crate) fn phase_power(&mut self, slot: u64) {
+        #[cfg(test)]
         if !self.indexed {
-            self.stats.user_visits += self.users.len() as u64;
             return self.phase_power_scan();
         }
         self.settle_power(slot);
@@ -206,8 +176,8 @@ impl Simulation {
     /// end of `slot`. Completed users land in `self.completed`, ascending,
     /// with their co-running flag.
     pub(crate) fn phase_tick(&mut self, slot: u64) {
+        #[cfg(test)]
         if !self.indexed {
-            self.stats.user_visits += self.users.len() as u64;
             return self.phase_tick_scan(slot);
         }
         self.fire_deadlines(slot + 1);
@@ -261,8 +231,8 @@ impl Simulation {
         }
     }
 
-    /// Lands user `i`'s open power span in its profiler (a no-op in the scan
-    /// reference, which records eagerly).
+    /// Lands user `i`'s open power span in its profiler (a no-op for a user
+    /// that accrues nothing).
     ///
     /// Flushing *before* any other energy lands in the profiler keeps each
     /// user's accumulation stream in exactly the scan's order, so deferral
@@ -274,6 +244,7 @@ impl Simulation {
     /// Flushes every user's open span (before trace snapshots and at the
     /// end of a run).
     pub(crate) fn flush_all_pending(&mut self) {
+        #[cfg(test)]
         if !self.indexed {
             return;
         }
@@ -291,9 +262,11 @@ impl Simulation {
 
     /// Marks user `i` for the next [`settle_power`](Self::settle_power).
     pub(crate) fn mark_dirty(&mut self, i: usize) {
-        if self.indexed {
-            self.dirty.push(i as u32);
+        #[cfg(test)]
+        if !self.indexed {
+            return;
         }
+        self.dirty.push(i as u32);
     }
 
     /// Fires the live calendar entries of `until`: applications whose last

@@ -1,13 +1,13 @@
 //! Scan-vs-indexed equivalence suite for the simulation engine.
 //!
-//! There is one slot loop and it steps every slot. `Simulation::run_dense`
-//! runs each per-user phase as a plain scan of the fleet; `Simulation::run`
-//! runs the same phases from event indices (arrival buckets, a deadline
-//! calendar, a waiting set, maintained counts). The two must be
-//! **bit-identical** — same energy bits, same queues, same traces, the same
-//! telemetry stream on every channel — for each of the paper's policies and
-//! a coin-flip scheduler whose decisions depend on the order it is asked in,
-//! across seeds, arrival probabilities (including the p = 0 and
+//! There is one slot loop and it steps every slot. [`Simulation::run_dense`]
+//! runs each per-user phase as a plain scan of the fleet;
+//! [`Simulation::run`] runs the same phases from event indices (arrival
+//! buckets, a deadline calendar, a waiting set, maintained counts). The two
+//! must be **bit-identical** — same energy bits, same queues, same traces,
+//! the same telemetry stream on every channel — for each of the paper's
+//! policies and a coin-flip scheduler whose decisions depend on the order it
+//! is asked in, across seeds, arrival probabilities (including the p = 0 and
 //! p = 1 extremes), trace collection modes, world dynamics, ML mode, and
 //! custom policies.
 //!
@@ -18,9 +18,20 @@
 //! cannot schedule before a later slot is not decided until then, and owes
 //! its idle slots.
 
+#![cfg(test)]
+
+#[path = "../../../../tests/coin_flip/mod.rs"]
 mod coin_flip;
 
-use fedco::prelude::*;
+use fedco_core::config::SchedulerConfig;
+use fedco_core::online::SlotOutcome;
+use fedco_core::policy::{SchedulingPolicy, UserSlotContext};
+use fedco_device::power::SlotDecision;
+use fedco_device::profiler::EnergyComponent;
+use fedco_fl::transport::TransportModel;
+use fedco_telemetry::prelude::{diff, events_to_jsonl, BufferSink, Channel, Event, EventKind};
+
+use crate::prelude::*;
 
 /// The paper's four policies and the test-built coin flip.
 fn policies() -> Vec<PolicySpec> {
@@ -154,7 +165,6 @@ fn summary_mode_is_bit_identical_too() {
 
 #[test]
 fn user_gap_recording_and_transport_are_preserved() {
-    use fedco::fl::transport::TransportModel;
     let mut config = base_config(PolicySpec::Online { v: None });
     config.transport = Some(TransportModel::lte());
     config.record_user_gaps = true;
@@ -232,7 +242,7 @@ fn ml_mode_is_bit_identical() {
 struct LegacyOnline(Box<dyn SchedulingPolicy>);
 
 impl SchedulingPolicy for LegacyOnline {
-    fn decide(&mut self, ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
+    fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
         self.0.decide(ctx)
     }
     fn end_of_slot(&mut self, outcome: &SlotOutcome) {
@@ -275,43 +285,73 @@ fn custom_policy_with_default_hooks_stays_dense_and_correct() {
     assert_eq!(event.total_updates, builtin.total_updates);
 }
 
+/// The telemetry both loops record, for the paper's policies at the test
+/// size (`SimConfig::small`, traced), the world lane (battery + churn + MMPP
+/// arrivals), and paper-like sparsity in summary mode for every policy and
+/// the coin flip: most slots are empty, and they are stepped all the same.
+/// With nothing skipped the driver channel has nothing to differ in, so the
+/// full stream is equal and byte-equal as JSONL, not just the semantic
+/// channel.
 #[test]
-fn every_slot_is_stepped_and_both_loops_emit_the_same_stream() {
-    // Paper-like sparsity, where most slots are empty: they are stepped all
-    // the same, and with nothing skipped the driver channel has nothing to
-    // differ in — the full telemetry stream is byte-equal, not just the
-    // semantic channel.
-    for spec in policies() {
-        let config = SimConfig {
+fn telemetry_is_identical_scan_vs_indexed() {
+    let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
+        .parse()
+        .expect("world spec parses");
+    let mut configs: Vec<SimConfig> = PolicySpec::PAPER
+        .into_iter()
+        .map(SimConfig::small)
+        .collect();
+    configs.push(
+        world
+            .build_with_policy(PolicySpec::Online { v: None })
+            .expect("builds"),
+    );
+    configs.extend(policies().into_iter().map(|spec| {
+        SimConfig {
             num_users: 8,
             total_slots: 3000,
             arrival_probability: 0.001,
             ..SimConfig::default()
         }
-        .with_policy(spec.clone())
-        .summary_only();
+        .with_policy(spec)
+        .summary_only()
+    }));
+    for config in configs {
+        let label = format!(
+            "{} on {} users x {} slots",
+            config.policy.label(),
+            config.num_users,
+            config.total_slots
+        );
         let traced = |indexed: bool| {
             let sink = BufferSink::shared();
             let mut sim = Simulation::try_new(config.clone())
                 .expect("valid config")
                 .with_telemetry(sink.clone());
-            let _ = if indexed { sim.run() } else { sim.run_dense() };
-            (sim.engine_stats(), events_to_jsonl(&sink.drain()))
+            let result = if indexed { sim.run() } else { sim.run_dense() };
+            (result, sim.engine_stats(), sink.drain())
         };
-        let (stats, stream) = traced(true);
-        let (scan_stats, scan_stream) = traced(false);
+        let (result, stats, events) = traced(true);
+        let (scan_result, scan_stats, scan_events) = traced(false);
+        assert_identical(&label, &scan_result, &result);
         for stats in [stats, scan_stats] {
-            assert_eq!(stats.dense_slots, config.total_slots, "{spec}");
-            assert_eq!((stats.fast_forwarded_slots, stats.spans), (0, 0), "{spec}");
+            assert_eq!(stats.dense_slots, config.total_slots, "{label}");
+            assert_eq!((stats.fast_forwarded_slots, stats.spans), (0, 0), "{label}");
         }
+        assert!(events == scan_events, "{label}: telemetry differs");
+        let stream = events_to_jsonl(&events);
         assert!(
-            stream == scan_stream,
-            "{spec}: full-channel telemetry differs between run and run_dense"
+            stream == events_to_jsonl(&scan_events),
+            "{label}: serialized telemetry differs between run and run_dense"
         );
         assert_eq!(
             stream.matches("\"event\":\"dense-span\"").count(),
             1,
-            "{spec}"
+            "{label}"
+        );
+        assert!(
+            events.iter().any(|e| e.channel() == Channel::Semantic),
+            "{label}"
         );
     }
 }
@@ -416,7 +456,6 @@ fn an_expiry_and_an_arrival_meet_on_a_slot_boundary() {
     // as background-training or idle energy. Under Immediate scheduling
     // epochs and applications end together; under Sync-SGD users parked at
     // the barrier swap applications while nothing else happens to them.
-    use fedco::device::profiler::EnergyComponent;
     for (policy, fleets, expected) in [
         (
             PolicySpec::Immediate,
@@ -642,8 +681,8 @@ fn user_visits_track_events_not_fleet_size() {
 struct PlainImmediate;
 
 impl SchedulingPolicy for PlainImmediate {
-    fn decide(&mut self, _ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
-        fedco::device::power::SlotDecision::Schedule
+    fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
+        SlotDecision::Schedule
     }
     fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
 }
@@ -726,8 +765,7 @@ struct EveryKth {
 }
 
 impl SchedulingPolicy for EveryKth {
-    fn decide(&mut self, ctx: &UserSlotContext) -> fedco::device::power::SlotDecision {
-        use fedco::device::power::SlotDecision;
+    fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
         if ctx.slot % self.k == 0 {
             SlotDecision::Schedule
         } else {

@@ -19,9 +19,9 @@
 //!
 //! Timers are absolute deadlines (the slot an application leaves the
 //! foreground, the slot an epoch is complete), so nothing about a user
-//! changes between its events: the scan reference finds the users due in a
-//! slot by scanning ([`UserArena::tick`]), the indexed slot loop by popping a
-//! calendar. The arena also keeps the census of the fleet —
+//! changes between its events: the slot loop finds the users due in a slot
+//! by popping a calendar (the test-only reference scans for them). The
+//! arena also keeps the census of the fleet —
 //! training, offline and waiting counts plus the ascending set of waiting
 //! users — current at every phase transition, which is why the phase lane
 //! is private and only changes through the transition methods.
@@ -283,8 +283,8 @@ impl UserArena {
         self.len() - self.offline
     }
 
-    /// The waiting users in ascending order — the order the reference scan
-    /// decides them in.
+    /// The waiting users in ascending order — the order they are decided
+    /// in.
     pub fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
         self.waiting.iter()
     }
@@ -380,11 +380,6 @@ impl UserArena {
         }
     }
 
-    /// Whether user `i` is waiting for a scheduling decision.
-    pub fn is_waiting(&self, i: usize) -> bool {
-        matches!(self.phase[i], TrainingPhase::Waiting)
-    }
-
     /// Whether training is currently running for user `i`.
     pub fn is_training(&self, i: usize) -> bool {
         matches!(self.phase[i], TrainingPhase::Training { .. })
@@ -456,21 +451,6 @@ impl UserArena {
     /// Counts a completed epoch of user `i`.
     pub fn count_epoch(&mut self, i: usize) {
         self.cold.epochs_completed[i] += 1;
-    }
-
-    /// The end-of-slot timer check of user `i` for slot `slot`, as the
-    /// scan reference runs it for every user: the application expires
-    /// and the epoch completes when their deadline is `slot + 1`. Returns
-    /// the co-running flag of an epoch that completed during this slot.
-    pub fn tick(&mut self, i: usize, slot: u64) -> Option<bool> {
-        if self.app_expires_at(i, slot + 1) {
-            self.end_app(i);
-        }
-        let done = self.epoch_done_at(i, slot + 1);
-        if done.is_some() {
-            self.count_epoch(i);
-        }
-        done
     }
 
     /// Puts user `i` back into the waiting state (after its upload was

@@ -104,11 +104,6 @@ impl FleetArrivals {
         }
     }
 
-    /// The keys of row `r`, ascending.
-    pub fn keys(&self, r: usize) -> &[u32] {
-        &self.keys[self.row(r)]
-    }
-
     /// The `(key, application)` of the arrival at position `at`.
     pub fn get(&self, at: usize) -> (usize, AppKind) {
         (self.keys[at] as usize, self.apps[at])

@@ -3,11 +3,17 @@
 //! of [`SchedulingPolicy`] at its default, so it is decided every slot and
 //! certifies nothing, and what it decides depends on the order in which the
 //! engine asks.
+//!
+//! It names only the member crates that both the root package and
+//! `fedco-sim` depend on, so `tests/metamorphic.rs` and the equivalence
+//! suite of `fedco-sim` (through `#[path]`) include this one file.
 
-use fedco::device::power::SlotDecision;
-use fedco::prelude::*;
-use fedco::rng::rngs::SmallRng;
-use fedco::rng::{Rng, SeedableRng};
+use fedco_core::online::SlotOutcome;
+use fedco_core::policy::{SchedulingPolicy, UserSlotContext};
+use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
+use fedco_device::power::SlotDecision;
+use fedco_rng::rngs::SmallRng;
+use fedco_rng::{Rng, SeedableRng};
 
 #[derive(Debug)]
 struct CoinFlip(SmallRng);

@@ -1,15 +1,17 @@
 //! Facade-level observability regressions: the telemetry contract as seen
 //! through `fedco::prelude`.
 //!
-//! Three invariants, matching the acceptance criteria of the telemetry
+//! Two invariants, matching the acceptance criteria of the telemetry
 //! subsystem:
 //!
 //! 1. a traced `paper-default` sweep produces byte-identical serialized
 //!    traces and metrics on 1, 2 and 4 fleet workers;
-//! 2. `Simulation::run` and its plain-scan reference `run_dense` emit
-//!    identical event streams;
-//! 3. the JSONL trace schema round-trips byte-identically, and so do the
+//! 2. the JSONL trace schema round-trips byte-identically, and so do the
 //!    metrics derived from the round-tripped trace.
+//!
+//! That `Simulation::run` and its plain-scan reference emit the same event
+//! stream is test code of `fedco-sim`, where the reference lives
+//! (`scan::equivalence::telemetry_is_identical_scan_vs_indexed`).
 //!
 //! The horizon here is scaled down so debug-mode tests stay fast; `ci.sh`
 //! exercises the full-scale path in release mode through
@@ -46,47 +48,6 @@ fn paper_default_traced_sweep_is_worker_count_invariant() {
             base_metrics,
             "serialized metrics diverged on {workers} workers"
         );
-    }
-}
-
-#[test]
-fn dense_and_event_drivers_emit_identical_semantic_traces() {
-    // Every built-in policy on the paper world, plus battery lifecycles +
-    // churn + MMPP arrivals in one scenario (the world-check lane).
-    let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
-        .parse()
-        .expect("world spec parses");
-    let mut configs: Vec<SimConfig> = PolicySpec::PAPER
-        .into_iter()
-        .map(SimConfig::small)
-        .collect();
-    configs.push(
-        world
-            .build_with_policy(PolicySpec::Online { v: None })
-            .expect("builds"),
-    );
-    for config in configs {
-        let label = format!("{} on {} users", config.policy.label(), config.num_users);
-
-        let event_sink = BufferSink::shared();
-        let event_result = Simulation::new(config.clone())
-            .with_telemetry(event_sink.clone())
-            .run();
-        let event_trace = event_sink.drain();
-
-        let dense_sink = BufferSink::shared();
-        let dense_result = Simulation::new(config)
-            .with_telemetry(dense_sink.clone())
-            .run_dense();
-        let dense_trace = dense_sink.drain();
-
-        assert_eq!(
-            event_result.total_energy_j.to_bits(),
-            dense_result.total_energy_j.to_bits(),
-            "results diverged between drivers for {label}"
-        );
-        let report = diff(&dense_trace, &event_trace, true);
-        assert!(report.identical(), "trace diverged for {label}: {report}");
     }
 }
 

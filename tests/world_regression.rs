@@ -87,8 +87,7 @@ fn paper_default_world_reproduces_the_pre_world_telemetry_stream() {
     // The full stream adds the driver channel. Re-pinned (from 3917 events,
     // 0x2d30_d395_d4dd_ec78) when the fast-forward went: the 1536
     // `skip-span` / `dense-span` events that described what `run` skipped
-    // became the one `dense-span` that closes a run stepping every slot —
-    // exactly the stream `run_dense` emitted at that commit.
+    // became the one `dense-span` that closes a run stepping every slot.
     assert_eq!(events.len(), 2382, "event count drifted");
     assert_eq!(
         fnv1a(events_to_jsonl(&events).as_bytes()),
