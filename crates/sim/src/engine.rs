@@ -1901,6 +1901,15 @@ mod tests {
         assert_eq!(full.total_energy_j.to_bits(), lean.total_energy_j.to_bits());
     }
 
+    /// The scan-vs-indexed telemetry check on the paper's policies at the
+    /// test size.
+    #[test]
+    fn telemetry_is_identical_scan_vs_indexed() {
+        crate::scan::equivalence::assert_telemetry_identical_scan_vs_indexed(
+            PolicySpec::PAPER.into_iter().map(small),
+        );
+    }
+
     #[test]
     fn attaching_telemetry_does_not_change_results() {
         for policy in PolicySpec::PAPER {

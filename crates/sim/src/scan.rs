@@ -23,7 +23,7 @@ use crate::engine::{DecisionTally, Simulation};
 use crate::trace::SimResult;
 use crate::user::{TrainingPhase, UserArena};
 
-mod equivalence;
+pub(crate) mod equivalence;
 
 impl Simulation {
     /// Runs the simulation with every per-user phase a plain scan of the

@@ -285,37 +285,18 @@ fn custom_policy_with_default_hooks_stays_dense_and_correct() {
     assert_eq!(event.total_updates, builtin.total_updates);
 }
 
-/// The telemetry both loops record, for the paper's policies at the test
-/// size (`SimConfig::small`, traced), the world lane (battery + churn + MMPP
-/// arrivals), and paper-like sparsity in summary mode for every policy and
-/// the coin flip: most slots are empty, and they are stepped all the same.
-/// With nothing skipped the driver channel has nothing to differ in, so the
-/// full stream is equal and byte-equal as JSONL, not just the semantic
-/// channel.
-#[test]
-fn telemetry_is_identical_scan_vs_indexed() {
-    let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
-        .parse()
-        .expect("world spec parses");
-    let mut configs: Vec<SimConfig> = PolicySpec::PAPER
-        .into_iter()
-        .map(SimConfig::small)
-        .collect();
-    configs.push(
-        world
-            .build_with_policy(PolicySpec::Online { v: None })
-            .expect("builds"),
-    );
-    configs.extend(policies().into_iter().map(|spec| {
-        SimConfig {
-            num_users: 8,
-            total_slots: 3000,
-            arrival_probability: 0.001,
-            ..SimConfig::default()
-        }
-        .with_policy(spec)
-        .summary_only()
-    }));
+/// The one scan-vs-indexed telemetry check, run over a table of configs.
+/// Every slot is stepped by both loops, so the driver channel has nothing
+/// to differ in: the results are bit-identical, the full stream is equal
+/// and byte-equal as JSONL (not just the semantic channel), it holds one
+/// dense span, and it carries semantic events.
+///
+/// Its rows are split over three tests: the paper's policies at the test
+/// size (`engine::tests::telemetry_is_identical_scan_vs_indexed`), the
+/// world lane and paper-like sparsity (both below).
+pub(crate) fn assert_telemetry_identical_scan_vs_indexed(
+    configs: impl IntoIterator<Item = SimConfig>,
+) {
     for config in configs {
         let label = format!(
             "{} on {} users x {} slots",
@@ -354,6 +335,34 @@ fn telemetry_is_identical_scan_vs_indexed() {
             "{label}"
         );
     }
+}
+
+/// The world lane: battery lifecycles, churn and MMPP arrivals in one
+/// scenario.
+#[test]
+fn dense_and_event_drivers_emit_identical_semantic_traces() {
+    let world: ScenarioSpec = "battery-constrained:arrival=mmpp:users=7:slots=700"
+        .parse()
+        .expect("world spec parses");
+    assert_telemetry_identical_scan_vs_indexed([world
+        .build_with_policy(PolicySpec::Online { v: None })
+        .expect("builds")]);
+}
+
+/// Paper-like sparsity in summary mode for every policy and the coin flip:
+/// most slots are empty, and they are stepped all the same.
+#[test]
+fn every_slot_is_stepped_and_both_loops_emit_the_same_stream() {
+    assert_telemetry_identical_scan_vs_indexed(policies().into_iter().map(|spec| {
+        SimConfig {
+            num_users: 8,
+            total_slots: 3000,
+            arrival_probability: 0.001,
+            ..SimConfig::default()
+        }
+        .with_policy(spec)
+        .summary_only()
+    }));
 }
 
 // ---------------------------------------------------------------------

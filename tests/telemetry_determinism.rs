@@ -11,7 +11,7 @@
 //!
 //! That `Simulation::run` and its plain-scan reference emit the same event
 //! stream is test code of `fedco-sim`, where the reference lives
-//! (`scan::equivalence::telemetry_is_identical_scan_vs_indexed`).
+//! (`scan::equivalence::assert_telemetry_identical_scan_vs_indexed`).
 //!
 //! The horizon here is scaled down so debug-mode tests stay fast; `ci.sh`
 //! exercises the full-scale path in release mode through
