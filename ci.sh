@@ -314,7 +314,19 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # where the region ran on to the next `;` or block and would have hidden the
 # engine's whole `impl Simulation` from this count; a file that opens with
 # `#![cfg(test)]` is test code throughout).
-LOC_CEILING=17915
+# 17915 -> 17985 with the TCP data plane keeping its frames (+70):
+# fedco-server +49 — protocol.rs (`FrameWriter`, which encodes into a buffer
+# it keeps and refuses an oversized payload before a byte is sent;
+# `write_frame` a one-shot wrapper over it; `FrameReader` decodes from its
+# buffer and clears it instead of taking it), transport.rs (`TcpTransport`
+# holds one reader and one writer), bin/fedco_serve.rs (each connection holds
+# one reader and one writer; `FrameClock` drops a connection whose frame is
+# not whole `FRAME_BUDGET` after its first byte, the first use of
+# `deadline::Deadline` outside tests); fedco-audit +21 (`item_end` skips a
+# `;` inside `(…)` / `[…]`, so `#[cfg(test)] fn f() -> [u8; 3] { … }` is
+# masked through its body, and `tuple_variant_end` ends a `#[cfg(test)]`
+# tuple variant at its `,` or `}`; every other crate's count is unchanged).
+LOC_CEILING=17985
 # fedco-sim's own ceiling, beside the total: the crate ROADMAP item 10 gates
 # (< 1 700) cannot grow back unseen while another crate shrinks.
 SIM_LOC_CEILING=2157
@@ -627,6 +639,17 @@ grep -q -e "--model-len 5000000.*MAX_FRAME_LEN" /tmp/fleet_sweep_err \
 rm -f /tmp/fleet_sweep_err
 
 echo "==> fedco-server soak smoke: in-process determinism + TCP loopback lifecycle"
+# The kept frame buffers and the per-frame budget are unit-tested in the
+# workspace test run above: `protocol::tests::{one_writer_and_one_reader_carry_frames_of_every_size_with_no_stale_tail,
+# a_timeout_at_any_byte_of_a_small_frame_is_resumed_after_a_large_one,
+# an_oversized_header_after_a_large_frame_is_refused_before_its_payload,
+# the_writer_refuses_an_oversized_message_then_writes_the_next}`,
+# `transport::tests::tcp_transport_alternates_lenet5_frames_with_small_ones`
+# and `fedco_serve::tests::{a_connection_idle_between_frames_outlives_the_frame_budget,
+# a_peer_that_stops_inside_a_frame_is_dropped_after_the_frame_budget,
+# a_peer_that_trickles_a_frame_is_dropped_after_the_frame_budget,
+# a_peer_that_stalls_inside_a_frame_is_resumed_not_dropped}`; the
+# lifecycles below run both kept-buffer ends over loopback.
 # (a) Two in-process driver runs of a scaled server-soak scenario must
 #     produce byte-identical server telemetry, and fedco-trace must agree.
 SRV_TRACE_A=/tmp/fedco_server_trace_a.jsonl
@@ -650,6 +673,9 @@ rm -f "$SRV_TRACE_A" "$SRV_TRACE_B"
 #     nothing connects after it — well inside the timeout.
 SERVE_LOG=/tmp/fedco_serve.log
 serve_lifecycle() {
+    # Created here: the background job opens it only once it is scheduled,
+    # and the `sed` below must not find it missing before then.
+    : >"$SERVE_LOG"
     timeout 180 cargo run --release --offline -q -p fedco-server --bin fedco-serve -- \
         --listen 127.0.0.1:0 "$@" >"$SERVE_LOG" 2>&1 &
     SERVE_PID=$!

@@ -171,8 +171,8 @@ fn parse_allow(body: &str, known_rules: &[&str]) -> Result<String, String> {
 /// attribute mentioning `test` (e.g. `#[cfg(test)]`, `#[test]`) — except
 /// negated `cfg(not(test))` forms — is exempt, from the attribute through
 /// the end of the item (brace-matched block or terminating `;`; a struct
-/// field's or field initializer's `,`) — and a whole file that opens with
-/// `#![cfg(test)]`.
+/// field's, field initializer's or tuple variant's `,`) — and a whole file
+/// that opens with `#![cfg(test)]`.
 fn mark_test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
     // A module file that opens with `#![cfg(test)]` is test code throughout.
     let opening = code.iter().take(8).map(|&t| tokens[t].text.as_str());
@@ -216,6 +216,7 @@ fn mark_test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
             }
         }
         let end = field_end(tokens, code, j)
+            .or_else(|| tuple_variant_end(tokens, code, j))
             .or_else(|| item_end(tokens, code, j))
             .unwrap_or(code.len() - 1);
         for &t in &code[k..=end.min(code.len() - 1)] {
@@ -277,14 +278,40 @@ fn field_end(tokens: &[Token], code: &[usize], mut k: usize) -> Option<usize> {
     Some(code.len() - 1)
 }
 
+/// Index (into `code`) of the last token of the tuple variant starting at
+/// `code[k]`, if one starts there (`Name(…)` followed by `,` or `}`): its
+/// `,`, or its `)` before the `}` that closes the enum.
+fn tuple_variant_end(tokens: &[Token], code: &[usize], k: usize) -> Option<usize> {
+    let tok = |k: usize| code.get(k).map(|&t| &tokens[t]);
+    if tok(k)?.kind != TokenKind::Ident || !tok(k + 1)?.is_punct('(') {
+        return None;
+    }
+    let close = match_bracket(tokens, code, k + 1, '(', ')')?;
+    let after = tok(close + 1)?;
+    if after.is_punct(',') {
+        Some(close + 1)
+    } else if after.is_punct('}') {
+        Some(close)
+    } else {
+        None
+    }
+}
+
 /// Index (into `code`) of the last token of the item starting at `code[k]`:
-/// either a `;` before any brace opens, or the brace matching the first `{`.
+/// either a `;` before any brace opens, or the brace matching the first `{`
+/// — both outside `(…)` and `[…]`, so the `;` of an array type `[u8; 3]`
+/// does not end the item.
 fn item_end(tokens: &[Token], code: &[usize], k: usize) -> Option<usize> {
+    let mut depth = 0usize;
     for (j, &t) in code.iter().enumerate().skip(k) {
-        if tokens[t].is_punct(';') {
+        let t = &tokens[t];
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0 && t.is_punct(';') {
             return Some(j);
-        }
-        if tokens[t].is_punct('{') {
+        } else if depth == 0 && t.is_punct('{') {
             return match_bracket(tokens, code, j, '{', '}');
         }
     }
@@ -369,6 +396,42 @@ mod tests {
         assert_eq!(masked("probe"), [true, true]);
         assert_eq!(masked("kept"), [false, false]);
         assert_eq!(masked("new"), [false]);
+    }
+
+    #[test]
+    fn a_test_fn_returning_an_array_is_masked_through_its_body() {
+        let f = lib_file();
+        let src = "#[cfg(test)]\nfn f() -> [u8; 3] {\n x.unwrap();\n [0; 3]\n}\nfn tail() {}";
+        let ctx = ctx_for(&f, src);
+        let unwrap_k = (0..ctx.code_len())
+            .find(|&k| ctx.code_tok(k).is_ident("unwrap"))
+            .expect("unwrap token");
+        assert!(ctx.in_test_code(unwrap_k));
+        let tail_k = (0..ctx.code_len())
+            .find(|&k| ctx.code_tok(k).is_ident("tail"))
+            .expect("tail token");
+        assert!(!ctx.in_test_code(tail_k));
+    }
+
+    #[test]
+    fn a_test_only_tuple_variant_masks_itself_only() {
+        let f = lib_file();
+        let src = "enum E {\n #[cfg(test)]\n Probe(u8, [u8; 2]),\n Kept,\n}\n\
+                   enum F { Also, #[cfg(test)] Last(u8) }\n\
+                   fn shipped() { x.unwrap(); }";
+        let ctx = ctx_for(&f, src);
+        let masked = |name: &str| {
+            (0..ctx.code_len())
+                .filter(|&k| ctx.code_tok(k).is_ident(name))
+                .map(|k| ctx.in_test_code(k))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(masked("Probe"), [true]);
+        assert_eq!(masked("Last"), [true]);
+        assert_eq!(masked("Kept"), [false]);
+        assert_eq!(masked("F"), [false]);
+        assert_eq!(masked("shipped"), [false]);
+        assert_eq!(masked("unwrap"), [false]);
     }
 
     #[test]

@@ -32,8 +32,13 @@
 //! connection that answers `ShutdownOk` sets the stop flag, sends the ticker
 //! its stop message, and makes one loopback connection to the listener to
 //! wake the acceptor, so neither start-up nor exit waits out an interval.
+//!
+//! A connection waits as long as it likes between frames, but a frame must
+//! be whole 5 s after its first byte arrived (and a reply written within
+//! 5 s), or the connection is dropped: a peer that stops or trickles inside
+//! a frame does not hold its thread and its partial frame.
 
-use std::io::Write as _;
+use std::io::{Read, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,8 +50,9 @@ use std::time::Duration;
 use fedco_neural::model::ParamVector;
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
+use fedco_server::deadline::Deadline;
 use fedco_server::protocol::{
-    write_frame, FrameReader, Message, WireError, MAX_FRAME_LEN, MAX_MODEL_LEN,
+    FrameReader, FrameWriter, Message, WireError, MAX_FRAME_LEN, MAX_MODEL_LEN,
 };
 use fedco_server::service::{ServerCore, ServerCoreConfig};
 use fedco_server::session::SessionConfig;
@@ -155,6 +161,10 @@ fn initial_model(len: usize, seed: u64) -> ParamVector {
 /// signal again.
 const READ_POLL: Duration = Duration::from_millis(250);
 
+/// How long one frame may take: to be written out (the socket's write
+/// timeout) and, once its first byte has arrived, to arrive whole.
+const FRAME_BUDGET: Duration = Duration::from_secs(5);
+
 /// What every thread of the service shares.
 #[derive(Debug)]
 struct Shared {
@@ -200,26 +210,72 @@ impl Shared {
     }
 }
 
-/// Serves one connection until the peer disconnects or shutdown begins.
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let mut stream = stream;
+/// A connection's socket as its frame reader sees it: once the frame in
+/// flight has spent its budget, a read fails as a timeout instead of
+/// waiting, so a peer that stops or trickles inside a frame cannot hold the
+/// connection.
+struct FrameClock<'s> {
+    stream: &'s TcpStream,
+    budget: Duration,
+    /// Started by the read that brings a frame's first byte (the reader
+    /// never asks for more than the frame in flight), cleared when the frame
+    /// is whole.
+    deadline: Option<Deadline>,
+}
+
+impl FrameClock<'_> {
+    fn spent(&self) -> bool {
+        self.deadline.is_some_and(|deadline| deadline.expired())
+    }
+}
+
+impl Read for FrameClock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.spent() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Deadline::starting_now(self.budget));
+        }
+        Ok(n)
+    }
+}
+
+/// Serves one connection until the peer disconnects, shutdown begins, or a
+/// frame takes longer than `frame_budget` to arrive or to be written. The
+/// reader and the writer keep their buffers between frames: the connection
+/// holds its largest request and its largest reply until it closes.
+fn serve_connection(stream: TcpStream, shared: &Shared, frame_budget: Duration) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err()
-        || stream
-            .set_write_timeout(Some(Duration::from_secs(5)))
-            .is_err()
+        || stream.set_write_timeout(Some(frame_budget)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;
     }
+    let mut input = FrameClock {
+        stream: &stream,
+        budget: frame_budget,
+        deadline: None,
+    };
+    let mut output = &stream;
     let mut reader = FrameReader::default();
+    let mut writer = FrameWriter::default();
     loop {
-        let msg = match reader.read_from(&mut stream) {
+        let msg = match reader.read_from(&mut input) {
             Ok(msg) => msg,
             Err(WireError::TimedOut) => {
-                // Idle, or a peer pausing inside a frame (the reader keeps
-                // what arrived): keep waiting unless the service is going
-                // down.
+                // Idle at a frame boundary, or a peer pausing inside a frame
+                // (the reader keeps what arrived): keep waiting unless the
+                // service is going down or the frame's budget is spent.
                 if shared.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                if input.spent() {
+                    eprintln!(
+                        "fedco-serve: dropping connection: a frame was not whole \
+                         {frame_budget:?} after its first byte"
+                    );
                     return;
                 }
                 continue;
@@ -231,10 +287,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 return;
             }
         };
+        input.deadline = None;
         let Some(reply) = shared.lock_core().map(|mut core| core.handle(msg)) else {
             return;
         };
-        if write_frame(&mut stream, &reply).is_err() {
+        if writer.write_to(&mut output, &reply).is_err() {
             return;
         }
         if reply == Message::ShutdownOk {
@@ -287,7 +344,7 @@ impl Acceptor {
         if !self.shared.stop.load(Ordering::SeqCst) {
             let shared = self.shared.clone();
             self.workers.push(std::thread::spawn(move || {
-                serve_connection(stream, &shared);
+                serve_connection(stream, &shared, FRAME_BUDGET);
             }));
         }
         Ok(())
@@ -405,8 +462,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedco_server::deadline::Deadline;
-    use fedco_server::protocol::{read_frame, Refusal, WireUpdate, HEADER_LEN};
+    use fedco_server::protocol::{read_frame, write_frame, Refusal, WireUpdate, HEADER_LEN};
     use std::io::Write;
 
     fn bound() -> (Acceptor, Receiver<()>) {
@@ -489,6 +545,79 @@ mod tests {
             acceptor.shared.core.lock().unwrap().model().1.values(),
             &[1.0, 2.0, 3.0, 4.0]
         );
+    }
+
+    /// A connection served on its own thread with `frame_budget`.
+    fn serve_within(acceptor: &Acceptor, frame_budget: Duration) -> (TcpStream, JoinHandle<()>) {
+        let client = TcpStream::connect(acceptor.shared.local).unwrap();
+        client.set_nodelay(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let (stream, _) = acceptor.listener.accept().unwrap();
+        let shared = acceptor.shared.clone();
+        let thread = std::thread::spawn(move || serve_connection(stream, &shared, frame_budget));
+        (client, thread)
+    }
+
+    const TEST_BUDGET: Duration = Duration::from_millis(300);
+
+    #[test]
+    fn a_connection_idle_between_frames_outlives_the_frame_budget() {
+        let acceptor = acceptor();
+        let (mut client, thread) = serve_within(&acceptor, TEST_BUDGET);
+        for client_id in 0..2 {
+            std::thread::sleep(TEST_BUDGET * 2);
+            write_frame(&mut client, &Message::Hello { client: client_id }).unwrap();
+            assert!(matches!(
+                read_frame(&mut client),
+                Ok(Message::Welcome { .. })
+            ));
+        }
+        drop(client);
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_stops_inside_a_frame_is_dropped_after_the_frame_budget() {
+        let acceptor = acceptor();
+        let (mut client, thread) = serve_within(&acceptor, TEST_BUDGET);
+        write_frame(&mut client, &Message::Hello { client: 1 }).unwrap();
+        assert!(matches!(
+            read_frame(&mut client),
+            Ok(Message::Welcome { .. })
+        ));
+        let frame = Message::Heartbeat { session: 1 }.to_frame();
+        let budget = Deadline::starting_now(TEST_BUDGET);
+        client.write_all(&frame[..HEADER_LEN + 2]).unwrap();
+        // No reply: the server closes the connection, and not before the
+        // budget is spent.
+        assert_eq!(read_frame(&mut client), Err(WireError::Disconnected));
+        assert!(budget.expired());
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_trickles_a_frame_is_dropped_after_the_frame_budget() {
+        let acceptor = acceptor();
+        let (client, thread) = serve_within(&acceptor, TEST_BUDGET);
+        let mut writing = client.try_clone().unwrap();
+        // Every byte arrives well inside the socket's read timeout.
+        let trickle = std::thread::spawn(move || {
+            let frame = Message::Model {
+                version: 0,
+                params: vec![1.0; 1_000],
+            }
+            .to_frame();
+            frame.iter().all(|byte| {
+                std::thread::sleep(Duration::from_millis(20));
+                writing.write_all(&[*byte]).is_ok()
+            })
+        });
+        let mut reading = client;
+        assert_eq!(read_frame(&mut reading), Err(WireError::Disconnected));
+        thread.join().unwrap();
+        assert!(!trickle.join().unwrap(), "the whole frame was taken in");
     }
 
     #[test]

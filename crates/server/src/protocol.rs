@@ -345,8 +345,8 @@ impl Message {
     /// Encodes the message as one complete frame (header + payload).
     ///
     /// Infallible: a payload above [`MAX_FRAME_LEN`] still encodes (its length
-    /// field wraps) and every decoder rejects it; [`write_frame`] is where
-    /// the cap is enforced on the sending side.
+    /// field wraps) and every decoder rejects it; [`FrameWriter::write_to`]
+    /// is where the cap is enforced on the sending side.
     pub fn to_frame(&self) -> Vec<u8> {
         let mut frame = Vec::new();
         self.encode_into(&mut frame);
@@ -576,27 +576,21 @@ impl<'a> Cursor<'a> {
 /// model this long also fits a `Model` reply.
 pub const MAX_MODEL_LEN: usize = (MAX_FRAME_LEN as usize - (8 + UPDATE_FIXED_LEN + 4)) / 4;
 
-/// Writes one frame to a stream.
+/// Writes one frame to a stream through a [`FrameWriter`] that lives for
+/// this call only: one frame buffer allocated and freed. A stream that
+/// carries more than one frame keeps a `FrameWriter` instead.
 ///
 /// # Errors
 ///
-/// A payload above [`MAX_FRAME_LEN`] is [`WireError::Oversized`] before a
-/// byte is sent — the peer's decoder would reject it unread. OS failures map
-/// to [`WireError::Io`] / [`WireError::Disconnected`].
+/// See [`FrameWriter::write_to`].
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
-    let len = msg.payload_len();
-    if len > MAX_FRAME_LEN as usize {
-        return Err(WireError::Oversized {
-            len: u32::try_from(len).unwrap_or(u32::MAX),
-        });
-    }
-    w.write_all(&msg.to_frame()).map_err(map_io)?;
-    w.flush().map_err(map_io)
+    FrameWriter::default().write_to(w, msg)
 }
 
 /// Reads exactly one frame from a stream that never times out mid-frame (a
-/// byte slice, a blocking socket). A stream with a read timeout needs a
-/// [`FrameReader`] that outlives the call.
+/// byte slice, a blocking socket). A stream with a read timeout, or one that
+/// carries more than one frame, needs a [`FrameReader`] that outlives the
+/// call.
 ///
 /// # Errors
 ///
@@ -605,12 +599,55 @@ pub fn read_frame(r: &mut impl Read) -> Result<Message, WireError> {
     FrameReader::default().read_from(r)
 }
 
-/// Reads frames off one stream, keeping a partly read frame across a
-/// [`WireError::TimedOut`] so the next call resumes it where the bytes
-/// stopped instead of parsing the rest of a payload as a header.
+/// Writes frames to one stream, encoding each into the buffer the previous
+/// one used, so a stream of frames allocates only when a frame outgrows
+/// every earlier one.
+///
+/// Memory: the buffer holds the largest frame this writer has sent (at most
+/// [`HEADER_LEN`] + [`MAX_FRAME_LEN`] bytes) until the writer is dropped.
+#[derive(Debug, Default)]
+pub struct FrameWriter {
+    /// The last frame sent; its capacity is kept for the next.
+    frame: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// Encodes `msg` into the kept buffer, writes the whole frame and flushes.
+    ///
+    /// # Errors
+    ///
+    /// A payload above [`MAX_FRAME_LEN`] is [`WireError::Oversized`] before a
+    /// byte is sent — the peer's decoder would reject it unread. OS failures
+    /// map to [`WireError::Io`] / [`WireError::Disconnected`] /
+    /// [`WireError::TimedOut`]; a write that fails part-way leaves the stream
+    /// out of step, so its connection is done.
+    pub fn write_to(&mut self, w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
+        let len = msg.payload_len();
+        if len > MAX_FRAME_LEN as usize {
+            return Err(WireError::Oversized {
+                len: u32::try_from(len).unwrap_or(u32::MAX),
+            });
+        }
+        msg.encode_into(&mut self.frame);
+        w.write_all(&self.frame).map_err(map_io)?;
+        w.flush().map_err(map_io)
+    }
+}
+
+/// Reads frames off one stream into one buffer it keeps, so a stream of
+/// frames allocates only when a frame outgrows every earlier one. Both TCP
+/// ends (`TcpTransport` and each `fedco-serve` connection) hold one reader
+/// and one [`FrameWriter`], so neither allocates a frame. A partly
+/// read frame is kept across a [`WireError::TimedOut`], so the next call
+/// resumes it where the bytes stopped instead of parsing the rest of a
+/// payload as a header.
+///
+/// Memory: the buffer holds the largest frame this reader has read (at most
+/// [`HEADER_LEN`] + [`MAX_FRAME_LEN`] bytes) until the reader is dropped.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    /// The bytes of the current frame read so far, header first.
+    /// The bytes of the current frame read so far, header first; empty
+    /// between frames, with the capacity of the largest frame read.
     frame: Vec<u8>,
 }
 
@@ -639,8 +676,9 @@ impl FrameReader {
         }
         let tag = h[6];
         self.fill(r, HEADER_LEN + len as usize)?;
-        let frame = std::mem::take(&mut self.frame);
-        Message::decode_payload(tag, &frame[HEADER_LEN..])
+        let msg = Message::decode_payload(tag, &self.frame[HEADER_LEN..]);
+        self.frame.clear();
+        msg
     }
 
     /// Reads until the frame buffer holds `upto` bytes, straight into its
@@ -1089,5 +1127,138 @@ mod tests {
                 assert_eq!(reader.read_from(&mut stream), Err(WireError::Disconnected));
             }
         }
+    }
+
+    /// The number of floats in a LeNet-5 model, the size of the data plane's
+    /// big frames.
+    const LENET5: usize = 62_006;
+
+    fn lenet5_model() -> Message {
+        Message::Model {
+            version: 5,
+            params: (0..LENET5).map(|i| i as f32 * 0.5).collect(),
+        }
+    }
+
+    #[test]
+    fn one_writer_and_one_reader_carry_frames_of_every_size_with_no_stale_tail() {
+        let shorter = Message::Model {
+            version: 6,
+            params: (0..LENET5 / 2).map(|i| -(i as f32)).collect(),
+        };
+        let messages = [
+            lenet5_model(),
+            Message::Hello { client: 7 },
+            Message::PushUpdate {
+                session: 2,
+                update: WireUpdate {
+                    params: vec![0.25; 1_000],
+                    ..one_update()
+                },
+            },
+            shorter,
+        ];
+        let mut writer = FrameWriter::default();
+        let mut stream = Vec::new();
+        for msg in &messages {
+            writer.write_to(&mut stream, msg).unwrap();
+        }
+        let frames: Vec<u8> = messages.iter().flat_map(Message::to_frame).collect();
+        assert!(stream == frames, "the kept buffer changed a frame's bytes");
+        let mut bytes = stream.as_slice();
+        let mut reader = FrameReader::default();
+        for msg in &messages {
+            assert_eq!(
+                reader.read_from(&mut bytes).as_ref(),
+                Ok(msg),
+                "{}",
+                msg.name()
+            );
+        }
+        assert_eq!(reader.read_from(&mut bytes), Err(WireError::Disconnected));
+    }
+
+    #[test]
+    fn a_timeout_at_any_byte_of_a_small_frame_is_resumed_after_a_large_one() {
+        let large = lenet5_model();
+        let large_frame = large.to_frame();
+        let mut reader = FrameReader::default();
+        let mut stream = Scripted([Some(large_frame.as_slice())].into());
+        assert_eq!(reader.read_from(&mut stream).as_ref(), Ok(&large));
+        let held = reader.frame.capacity();
+        assert!(held >= large_frame.len());
+        let small = Message::PushUpdate {
+            session: 1,
+            update: one_update(),
+        };
+        let frame = small.to_frame();
+        for cut in 0..frame.len() {
+            let script = [Some(&frame[..cut]), None, Some(&frame[cut..]), Some(&frame)];
+            let mut stream = Scripted(script.into());
+            assert_eq!(
+                reader.read_from(&mut stream),
+                Err(WireError::TimedOut),
+                "cut at {cut}"
+            );
+            for _ in 0..2 {
+                assert_eq!(
+                    reader.read_from(&mut stream).as_ref(),
+                    Ok(&small),
+                    "cut at {cut}"
+                );
+            }
+            assert_eq!(reader.read_from(&mut stream), Err(WireError::Disconnected));
+            assert_eq!(reader.frame.capacity(), held, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_header_after_a_large_frame_is_refused_before_its_payload() {
+        let large = lenet5_model();
+        let mut stream = large.to_frame();
+        let mut lying = Message::QueryNorm.to_frame();
+        lying[..4].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        stream.extend_from_slice(&lying);
+        let payload = [0xAB; 64];
+        stream.extend_from_slice(&payload);
+        let mut bytes = stream.as_slice();
+        let mut reader = FrameReader::default();
+        assert_eq!(reader.read_from(&mut bytes).as_ref(), Ok(&large));
+        let held = reader.frame.capacity();
+        assert_eq!(
+            reader.read_from(&mut bytes),
+            Err(WireError::Oversized {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        assert_eq!(bytes, payload, "only the header was read");
+        assert_eq!(reader.frame.capacity(), held, "nothing was sized from it");
+    }
+
+    #[test]
+    fn the_writer_refuses_an_oversized_message_then_writes_the_next() {
+        let mut writer = FrameWriter::default();
+        let mut sent = Vec::new();
+        let large = lenet5_model();
+        writer.write_to(&mut sent, &large).unwrap();
+        sent.clear();
+        // Zeroes the encoder never touches stay untouched zero pages.
+        let too_long = Message::Model {
+            version: 1,
+            params: vec![0.0; MAX_FRAME_LEN as usize / 4],
+        };
+        assert_eq!(
+            writer.write_to(&mut sent, &too_long),
+            Err(WireError::Oversized {
+                len: too_long.payload_len() as u32
+            })
+        );
+        assert!(sent.is_empty(), "refused before a byte is sent");
+        let next = Message::Heartbeat { session: 3 };
+        writer.write_to(&mut sent, &next).unwrap();
+        assert!(sent == next.to_frame());
+        writer.write_to(&mut sent, &large).unwrap();
+        let both: Vec<u8> = [next, large].iter().flat_map(Message::to_frame).collect();
+        assert!(sent == both);
     }
 }

@@ -7,13 +7,14 @@
 //! use. [`TcpTransport`] speaks the same frames over a `std::net` loopback
 //! stream with read/write timeouts for real soak runs; its [`FrameReader`]
 //! keeps a reply that timed out half-read, so a slow link delays a frame
-//! instead of desynchronising the stream.
+//! instead of desynchronising the stream. Both transports keep their frame
+//! buffers from one request to the next, so a request allocates no frame.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::protocol::{write_frame, FrameReader, Message, WireError};
+use crate::protocol::{FrameReader, FrameWriter, Message, WireError};
 use crate::service::ServerCore;
 
 /// A synchronous request/reply channel to a server.
@@ -65,11 +66,19 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// A blocking loopback TCP transport with read/write timeouts.
+/// A blocking loopback TCP transport with read/write timeouts. Like
+/// [`ChannelTransport`], it keeps its frames: requests are encoded into its
+/// [`FrameWriter`]'s buffer and replies read into its [`FrameReader`]'s, so
+/// a request allocates no frame.
+///
+/// Memory: the two buffers hold the largest request and the largest reply
+/// this connection has carried (each at most the frame cap) and are freed
+/// with the transport.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
     reader: FrameReader,
+    writer: FrameWriter,
 }
 
 impl TcpTransport {
@@ -101,13 +110,14 @@ impl TcpTransport {
         Ok(TcpTransport {
             stream,
             reader: FrameReader::default(),
+            writer: FrameWriter::default(),
         })
     }
 }
 
 impl Transport for TcpTransport {
     fn request(&mut self, msg: &Message) -> Result<Message, WireError> {
-        write_frame(&mut self.stream, msg)?;
+        self.writer.write_to(&mut self.stream, msg)?;
         self.reader.read_from(&mut self.stream)
     }
 }
@@ -115,7 +125,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use crate::protocol::{read_frame, write_frame};
     use crate::service::ServerCoreConfig;
     use fedco_neural::model::ParamVector;
 
@@ -174,6 +184,76 @@ mod tests {
             Message::Welcome { .. }
         ));
         assert_eq!(t.request(&Message::Shutdown).unwrap(), Message::ShutdownOk);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_transport_alternates_lenet5_frames_with_small_ones() {
+        use crate::protocol::WireUpdate;
+        use std::net::TcpListener;
+
+        const LENET5: usize = 62_006;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let initial = ParamVector::new((0..LENET5).map(|i| i as f32).collect());
+            let mut core = ServerCore::new(ServerCoreConfig::inline_with_model(initial));
+            let (mut stream, _) = listener.accept().unwrap();
+            let (mut reader, mut writer) = (FrameReader::default(), FrameWriter::default());
+            while let Ok(msg) = reader.read_from(&mut stream) {
+                let is_shutdown = matches!(msg, Message::Shutdown);
+                writer.write_to(&mut stream, &core.handle(msg)).unwrap();
+                if is_shutdown {
+                    break;
+                }
+            }
+        });
+        let mut t = TcpTransport::connect(&addr, Duration::from_secs(20)).unwrap();
+        let Ok(Message::Welcome { session, .. }) = t.request(&Message::Hello { client: 1 }) else {
+            panic!("Hello was not welcomed");
+        };
+        let mut held: Vec<f32> = (0..LENET5).map(|i| i as f32).collect();
+        for version in 0..4u64 {
+            assert_eq!(
+                t.request(&Message::PullModel { session }),
+                Ok(Message::Model {
+                    version,
+                    params: held.clone(),
+                }),
+                "pull {version}"
+            );
+            assert_eq!(
+                t.request(&Message::Heartbeat { session }),
+                Ok(Message::HeartbeatAck { tick: 0 })
+            );
+            // Every upload differs from the last in every element.
+            held = (0..LENET5)
+                .map(|i| (i as f32 + 1.0) * -(version as f32 + 2.0))
+                .collect();
+            let push = Message::PushUpdate {
+                session,
+                update: WireUpdate {
+                    client: 1,
+                    base_version: version,
+                    num_samples: 32,
+                    train_loss_bits: 0,
+                    train_accuracy_bits: 0,
+                    params: held.clone(),
+                },
+            };
+            assert_eq!(
+                t.request(&push),
+                Ok(Message::PushApplied {
+                    lag: 0,
+                    version: version + 1
+                })
+            );
+            assert!(matches!(
+                t.request(&Message::QueryStats),
+                Ok(Message::StatsIs { async_updates, .. }) if async_updates == version + 1
+            ));
+        }
+        assert_eq!(t.request(&Message::Shutdown), Ok(Message::ShutdownOk));
         server.join().unwrap();
     }
 
