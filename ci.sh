@@ -326,7 +326,21 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # `;` inside `(…)` / `[…]`, so `#[cfg(test)] fn f() -> [u8; 3] { … }` is
 # masked through its body, and `tuple_variant_end` ends a `#[cfg(test)]`
 # tuple variant at its `,` or `}`; every other crate's count is unchanged).
-LOC_CEILING=17985
+# 17985 -> 17844 with closed choices named once (-141): fedco-world -59
+# (`ArrivalSpec`, `BatterySpec` and `ChurnSpec` each lose their hand-written
+# `ALL` / label / parse table to a `choices!` row list), fedco-core -50
+# (`LinkKind` and `MlMode` likewise; `SimConfig` holds `link: LinkKind` and
+# `ml: MlMode`, so `ScenarioSpec`'s shadow `link` / `ml` fields, `resolve()`
+# and `LinkKind::label_for` go), fedco-fl -12 (`TransportModel::by_name` and
+# its `Default`), fedco-device +0 (the `choices!` macro and the one
+# `UnknownChoice` error in, `DeviceKind`'s table and `ParseDeviceError` out),
+# fedco-sim -1 (the link model is resolved once at construction),
+# fedco-fleet -5 (a repeated sweep-axis key is refused, +6; `fleet_sweep`
+# parses its numeric flags through one helper, -10; `LinkKind` is
+# re-exported from fedco-core directly, -1), fedco-server -14
+# (`fedco-serve` caps its connections at `--max-sessions`, +9, and parses its
+# flags through one helper, -23).
+LOC_CEILING=17844
 # fedco-sim's own ceiling, beside the total: the crate ROADMAP item 10 gates
 # (< 1 700) cannot grow back unseen while another crate shrinks.
 SIM_LOC_CEILING=2157
@@ -623,6 +637,24 @@ if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- 
 fi
 grep -q "slot_seconds=1e-300.*MIN_SLOT_SECONDS" /tmp/fleet_sweep_err \
     || { echo "vanishing slot_seconds= error does not name the field and MIN_SLOT_SECONDS"; exit 1; }
+# A closed token (a device, a world preset, a link, an ML mode) that names
+# no choice fails with the one shape that names the token and every label.
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --scenario smoke:link=carrier-pigeon --replicates 1 --policies online \
+    >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "unknown link= unexpectedly succeeded"; exit 1
+fi
+grep -q 'unknown link `carrier-pigeon` (expected ideal, wifi, lte)' /tmp/fleet_sweep_err \
+    || { echo "unknown link= error does not name the token and the links"; exit 1; }
+# Two axes over one field are refused by name (the later used to win
+# silently: two cells printed, one row of twice the runs reported).
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --scenario smoke --axis users=5,6 --axis USERS=7 --policies immediate \
+    >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "repeated --axis key unexpectedly succeeded"; exit 1
+fi
+grep -q 'sweep axis `users` is given more than once' /tmp/fleet_sweep_err \
+    || { echo "repeated --axis error does not name the key"; exit 1; }
 # An absurd staleness budget is not an error at all: the offline planner no
 # longer sizes anything from `lb=` (it used to abort allocating 720 TB).
 timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \

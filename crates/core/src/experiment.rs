@@ -4,7 +4,9 @@
 //! It lives here in `fedco-core` (rather than in the simulator crate) so
 //! that declarative scenario descriptions ([`ScenarioSpec`](crate::scenario::ScenarioSpec))
 //! can [`build`](crate::scenario::ScenarioSpec::build) one without a
-//! dependency cycle.
+//! dependency cycle. A run names its transport link ([`LinkKind`]) and its
+//! ML workload ([`MlMode`]); the engine resolves each name to its model once,
+//! when it is built.
 
 use crate::config::{SchedulerConfig, SchedulerConfigError};
 use crate::spec::{PolicySpec, PolicySpecError};
@@ -138,6 +140,56 @@ impl MlConfig {
     }
 }
 
+fedco_device::choices! {
+    /// The transport link of a run: the paper's ideal (radio-free)
+    /// accounting or one of the [`TransportModel`] presets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum LinkKind: "link" {
+        /// No radio accounting (the paper's setting).
+        Ideal = "ideal",
+        /// Home Wi-Fi ([`TransportModel::wifi`]).
+        Wifi = "wifi",
+        /// Cellular LTE ([`TransportModel::lte`]).
+        Lte = "lte",
+    }
+}
+
+impl LinkKind {
+    /// The transport model of this link, if any.
+    pub fn model(self) -> Option<TransportModel> {
+        match self {
+            LinkKind::Ideal => None,
+            LinkKind::Wifi => Some(TransportModel::wifi()),
+            LinkKind::Lte => Some(TransportModel::lte()),
+        }
+    }
+}
+
+fedco_device::choices! {
+    /// The machine-learning workload of a run, by preset name.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum MlMode: "ml mode" {
+        /// Energy-only run: the gradient-gap dynamics are synthetic.
+        #[default]
+        Off = "off",
+        /// The small test workload ([`MlConfig::tiny`]).
+        Tiny = "tiny",
+        /// The full default workload ([`MlConfig::default`]).
+        Full = "full",
+    }
+}
+
+impl MlMode {
+    /// The workload configuration of this mode, if any.
+    pub fn config(self) -> Option<MlConfig> {
+        match self {
+            MlMode::Off => None,
+            MlMode::Tiny => Some(MlConfig::tiny()),
+            MlMode::Full => Some(MlConfig::default()),
+        }
+    }
+}
+
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -160,9 +212,10 @@ pub struct SimConfig {
     pub devices: DeviceAssignment,
     /// Record a trace point every this many slots.
     pub record_every_slots: u64,
-    /// Optional real ML workload; when `None` the run is energy-only and the
+    /// The real ML workload, by name ([`MlMode::config`] is its
+    /// configuration); under [`MlMode::Off`] the run is energy-only and the
     /// gap predictor assumes a fixed momentum-vector norm.
-    pub ml: Option<MlConfig>,
+    pub ml: MlMode,
     /// Whether to record per-user gap traces (Fig. 5d).
     pub record_user_gaps: bool,
     /// Whether to materialize the time series (`trace`, `updates`,
@@ -171,13 +224,15 @@ pub struct SimConfig {
     /// all scalar summaries (energy, updates, lag, accuracy, queues) are
     /// bit-identical to a recording run.
     pub collect_traces: bool,
-    /// Optional transport link between the devices and the parameter
-    /// server. When set, every model exchange (upload of a local update plus
-    /// re-download of the global model) charges radio energy for the
-    /// transfer duration to the device under
+    /// The transport link between the devices and the parameter server, by
+    /// name ([`LinkKind::model`] is its model). Over a Wi-Fi or LTE link,
+    /// every model exchange (upload of a local update plus re-download of
+    /// the global model) charges radio energy for the transfer duration to
+    /// the device under
     /// [`EnergyComponent::Radio`](fedco_device::profiler::EnergyComponent).
-    /// `None` reproduces the paper's accounting, which ignores the radio.
-    pub transport: Option<TransportModel>,
+    /// [`LinkKind::Ideal`] reproduces the paper's accounting, which ignores
+    /// the radio.
+    pub link: LinkKind,
     /// The environment dynamics of the run: arrival model, battery
     /// lifecycles, churn and uplink compression. The default is the paper's
     /// world (Bernoulli arrivals, everything else off), under which the
@@ -196,10 +251,10 @@ impl Default for SimConfig {
             seed: 42,
             devices: DeviceAssignment::RoundRobinTestbed,
             record_every_slots: 60,
-            ml: None,
+            ml: MlMode::Off,
             record_user_gaps: false,
             collect_traces: true,
-            transport: None,
+            link: LinkKind::Ideal,
             world: WorldConfig::default(),
         }
     }
@@ -637,15 +692,15 @@ mod tests {
     #[test]
     fn summary_only_and_transport_builders() {
         let mut c = SimConfig::small(PolicySpec::Online { v: None }).summary_only();
-        c.transport = Some(TransportModel::lte());
+        c.link = LinkKind::Lte;
         assert!(!c.collect_traces);
         assert!(!c.record_user_gaps);
-        assert_eq!(c.transport, Some(TransportModel::lte()));
+        assert_eq!(c.link, LinkKind::Lte);
         assert!(c.validate().is_ok());
         // Default keeps the paper's accounting: traces on, no radio.
         let d = SimConfig::default();
         assert!(d.collect_traces);
-        assert_eq!(d.transport, None);
+        assert_eq!(d.link, LinkKind::Ideal);
     }
 
     #[test]

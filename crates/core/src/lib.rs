@@ -53,7 +53,7 @@ pub mod spec;
 pub mod prelude {
     pub use crate::config::{SchedulerConfig, SchedulerConfigError};
     pub use crate::experiment::{
-        ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
+        ConfigError, DeviceAssignment, EmptyDeviceList, LinkKind, MlConfig, MlMode, SimConfig,
     };
     pub use crate::offline::{
         greedy_solution, lag_bound, KnapsackItem, OfflineScheduler, OfflineSolution, OfflineUser,
@@ -66,9 +66,7 @@ pub mod prelude {
         UserSlotContext, WindowPlan,
     };
     pub use crate::queues::{QueueState, TaskQueue, VirtualQueue};
-    pub use crate::scenario::{
-        parse_scenario_file, LinkKind, MlMode, ParseScenarioError, ScenarioSpec,
-    };
+    pub use crate::scenario::{parse_scenario_file, ParseScenarioError, ScenarioSpec};
     pub use crate::spec::{
         ParsePolicyError, PolicyBuildContext, PolicyFactory, PolicySpec, PolicySpecError,
     };

@@ -4,19 +4,21 @@
 //!
 //! A spec is a *name plus recorded overrides over one held [`SimConfig`]*:
 //! the user population, horizon and slot length, the application-arrival
-//! model, the device assignment, the transport link, the trace/summary mode
-//! and the FL/training knobs are that config's fields, stated once. The spec
-//! itself keeps only what a `SimConfig` cannot say: its name, the overrides
-//! its label prints, and the [`LinkKind`] / [`MlMode`] names behind
-//! `transport` and `ml`. It plays the same role for workloads that
-//! [`PolicySpec`] plays for policies:
+//! model, the device assignment, the transport link and ML workload (by
+//! name: [`LinkKind`], [`MlMode`]), the trace/summary mode and the
+//! FL/training knobs are that config's fields, stated once. The spec itself
+//! keeps only what a `SimConfig` cannot say: its name and the overrides its
+//! label prints. It plays the same role for workloads that [`PolicySpec`]
+//! plays for policies:
 //!
 //! * a stable [`label`](ScenarioSpec::label) keys every report row — the
 //!   preset name plus any recorded field overrides (`paper-default`,
 //!   `sparse:users=50`);
 //! * `FromStr` parses the CLI syntax `name[:key=value…]`, rejecting
 //!   unknown names and unknown/duplicate keys with errors that name the
-//!   offending token and list the valid choices;
+//!   offending token and list the valid choices (a closed token — a device,
+//!   a world preset, a link, an ML mode — fails with the one
+//!   [`UnknownChoice`](fedco_device::choices::UnknownChoice) shape);
 //! * [`set`](ScenarioSpec::set) has no range rules of its own: it writes a
 //!   value into a copy and runs [`SimConfig::validate`] on it, so an
 //!   out-of-range value is rejected with the validator's reason after a
@@ -41,110 +43,14 @@
 //! ```
 
 use crate::config::SchedulerConfig;
-use crate::experiment::{ConfigError, DeviceAssignment, MlConfig, SimConfig};
+use crate::experiment::{ConfigError, DeviceAssignment, LinkKind, MlMode, SimConfig};
 use crate::spec::PolicySpec;
 use fedco_device::profiles::DeviceKind;
-use fedco_fl::transport::TransportModel;
 use fedco_world::arrival::ArrivalSpec;
 use fedco_world::battery::BatterySpec;
 use fedco_world::churn::ChurnSpec;
 use fedco_world::compress::CompressionSpec;
 use fedco_world::WorldConfig;
-
-/// The transport link of a scenario: either the paper's ideal (radio-free)
-/// accounting or one of the named [`TransportModel`] presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkKind {
-    /// No radio accounting (the paper's setting).
-    Ideal,
-    /// Home Wi-Fi ([`TransportModel::wifi`]).
-    Wifi,
-    /// Cellular LTE ([`TransportModel::lte`]).
-    Lte,
-}
-
-impl LinkKind {
-    /// All link kinds.
-    pub const ALL: [LinkKind; 3] = [LinkKind::Ideal, LinkKind::Wifi, LinkKind::Lte];
-
-    /// The transport model of this link, if any.
-    pub fn model(self) -> Option<TransportModel> {
-        match self {
-            LinkKind::Ideal => None,
-            LinkKind::Wifi => TransportModel::by_name("wifi"),
-            LinkKind::Lte => TransportModel::by_name("lte"),
-        }
-    }
-
-    /// A short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkKind::Ideal => "ideal",
-            LinkKind::Wifi => "wifi",
-            LinkKind::Lte => "lte",
-        }
-    }
-
-    /// Looks a link up by label (case-insensitive).
-    pub fn by_name(name: &str) -> Option<LinkKind> {
-        LinkKind::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(name.trim()))
-    }
-
-    /// The label describing a resolved transport field: `ideal` for `None`,
-    /// the preset name for a recognized model, `custom` otherwise. Reports
-    /// use this to render the link column of a hand-assembled `SimConfig`.
-    pub fn label_for(transport: &Option<TransportModel>) -> &'static str {
-        match transport {
-            None => "ideal",
-            Some(model) => LinkKind::ALL
-                .into_iter()
-                .find(|k| k.model().as_ref() == Some(model))
-                .map(LinkKind::label)
-                .unwrap_or("custom"),
-        }
-    }
-}
-
-/// The (optional) machine-learning workload of a scenario, by preset name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MlMode {
-    /// Energy-only run: the gradient-gap dynamics are synthetic.
-    #[default]
-    Off,
-    /// The small test workload ([`MlConfig::tiny`]).
-    Tiny,
-    /// The full default workload ([`MlConfig::default`]).
-    Full,
-}
-
-impl MlMode {
-    /// The workload configuration of this mode, if any.
-    pub fn config(self) -> Option<MlConfig> {
-        match self {
-            MlMode::Off => None,
-            MlMode::Tiny => Some(MlConfig::tiny()),
-            MlMode::Full => Some(MlConfig::default()),
-        }
-    }
-
-    /// The canonical spec value (`off`, `tiny`, `full`).
-    pub fn label(self) -> &'static str {
-        match self {
-            MlMode::Off => "off",
-            MlMode::Tiny => "tiny",
-            MlMode::Full => "full",
-        }
-    }
-
-    /// Looks a mode up by label (case-insensitive).
-    pub fn by_name(name: &str) -> Option<MlMode> {
-        [MlMode::Off, MlMode::Tiny, MlMode::Full]
-            .into_iter()
-            .find(|m| m.label().eq_ignore_ascii_case(name.trim()))
-    }
-}
 
 /// The names of the built-in presets, in registry order.
 pub const PRESET_NAMES: [&str; 15] = [
@@ -212,10 +118,6 @@ pub struct ScenarioSpec {
     /// Overrides recorded against the name, in first-set order, with
     /// canonical value formatting; the label appends them as `:key=value`.
     overrides: Vec<(&'static str, String)>,
-    /// The link and workload names the label prints; `resolve` writes their
-    /// models into `config.transport` and `config.ml`.
-    link: LinkKind,
-    ml: MlMode,
     /// The run, driven by the default policy until a build crosses it with
     /// another.
     config: SimConfig,
@@ -228,17 +130,8 @@ impl ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
             overrides: Vec::new(),
-            link: LinkKind::Ideal,
-            ml: MlMode::Off,
             config: SimConfig::default(),
         }
-    }
-
-    /// Writes the models of the `link` and `ml` names into the held config:
-    /// the one place those two names become configuration.
-    fn resolve(&mut self) {
-        self.config.transport = self.link.model();
-        self.config.ml = self.ml.config();
     }
 
     /// The built-in preset of the given name, if it exists. The presets:
@@ -268,7 +161,7 @@ impl ScenarioSpec {
             "smoke" => *c = SimConfig::small(c.policy.clone()),
             "ml-smoke" => {
                 *c = SimConfig::small(c.policy.clone());
-                s.ml = MlMode::Tiny;
+                c.ml = MlMode::Tiny;
             }
             "sparse" => c.arrival_probability = 0.0002,
             "dense-burst" => {
@@ -286,10 +179,10 @@ impl ScenarioSpec {
                     DeviceKind::Hikey970,
                 ]);
             }
-            "lte-uplink" => s.link = LinkKind::Lte,
+            "lte-uplink" => c.link = LinkKind::Lte,
             "wifi-fleet" => {
                 c.num_users = 100;
-                s.link = LinkKind::Wifi;
+                c.link = LinkKind::Wifi;
                 c.collect_traces = false;
             }
             "server-soak" => {
@@ -322,12 +215,11 @@ impl ScenarioSpec {
                 c.world.churn = ChurnSpec::Light;
             }
             "compressed-uplink" => {
-                s.link = LinkKind::Lte;
+                c.link = LinkKind::Lte;
                 c.world.compression = CompressionSpec::Ratio(0.25);
             }
             _ => return None,
         }
-        s.resolve();
         Some(s)
     }
 
@@ -426,7 +318,7 @@ impl ScenarioSpec {
 
     /// Transport link.
     pub fn link(&self) -> LinkKind {
-        self.link
+        self.config.link
     }
 
     /// Base RNG seed.
@@ -441,7 +333,7 @@ impl ScenarioSpec {
 
     /// Machine-learning workload mode.
     pub fn ml(&self) -> MlMode {
-        self.ml
+        self.config.ml
     }
 
     /// Trace-recording cadence in slots.
@@ -468,12 +360,12 @@ impl ScenarioSpec {
             "churn" => c.world.churn.label().to_string(),
             "compress" => c.world.compression.label(),
             "devices" => devices_token(&c.devices),
-            "link" => self.link.label().to_string(),
+            "link" => c.link.label().to_string(),
             "seed" => c.seed.to_string(),
             "v" => c.scheduler.v.to_string(),
             "lb" => c.scheduler.staleness_bound.to_string(),
             "epsilon" => c.scheduler.epsilon.to_string(),
-            "ml" => self.ml.label().to_string(),
+            "ml" => c.ml.label().to_string(),
             "record_every" => c.record_every_slots.to_string(),
             // `traces`, the last of the FIELD_KEYS (the only keys passed).
             _ => on_off(c.collect_traces).to_string(),
@@ -552,31 +444,24 @@ impl ScenarioSpec {
         let mut next = self.clone();
         let c = &mut next.config;
         match key {
-            "users" => c.num_users = number(value).map_err(bad)?,
-            "slots" => c.total_slots = number(value).map_err(bad)?,
-            "slot_seconds" => c.scheduler.slot_seconds = number(value).map_err(bad)?,
-            "arrival_p" => c.arrival_probability = number(value).map_err(bad)?,
-            "arrival" => c.world.arrival = ArrivalSpec::parse(value).map_err(bad)?,
-            "battery" => c.world.battery = BatterySpec::parse(value).map_err(bad)?,
-            "churn" => c.world.churn = ChurnSpec::parse(value).map_err(bad)?,
+            "users" => c.num_users = parsed(value).map_err(bad)?,
+            "slots" => c.total_slots = parsed(value).map_err(bad)?,
+            "slot_seconds" => c.scheduler.slot_seconds = parsed(value).map_err(bad)?,
+            "arrival_p" => c.arrival_probability = parsed(value).map_err(bad)?,
+            "arrival" => c.world.arrival = parsed(value).map_err(bad)?,
+            "battery" => c.world.battery = parsed(value).map_err(bad)?,
+            "churn" => c.world.churn = parsed(value).map_err(bad)?,
             "compress" => c.world.compression = CompressionSpec::parse(value).map_err(bad)?,
             "devices" => c.devices = parse_devices(value).map_err(bad)?,
-            "link" => {
-                next.link = LinkKind::by_name(value)
-                    .ok_or_else(|| bad("valid links: ideal, wifi, lte".into()))?;
-            }
-            "seed" => c.seed = number(value).map_err(bad)?,
-            "v" => c.scheduler.v = number(value).map_err(bad)?,
-            "lb" => c.scheduler.staleness_bound = number(value).map_err(bad)?,
-            "epsilon" => c.scheduler.epsilon = number(value).map_err(bad)?,
-            "ml" => {
-                next.ml = MlMode::by_name(value)
-                    .ok_or_else(|| bad("valid modes: off, tiny, full".into()))?;
-            }
-            "record_every" => c.record_every_slots = number(value).map_err(bad)?,
+            "link" => c.link = parsed(value).map_err(bad)?,
+            "seed" => c.seed = parsed(value).map_err(bad)?,
+            "v" => c.scheduler.v = parsed(value).map_err(bad)?,
+            "lb" => c.scheduler.staleness_bound = parsed(value).map_err(bad)?,
+            "epsilon" => c.scheduler.epsilon = parsed(value).map_err(bad)?,
+            "ml" => c.ml = parsed(value).map_err(bad)?,
+            "record_every" => c.record_every_slots = parsed(value).map_err(bad)?,
             _ => c.collect_traces = parse_on_off(value).map_err(bad)?,
         }
-        next.resolve();
         next.config.validate().map_err(|e| bad(e.to_string()))?;
         next.record(key);
         *self = next;
@@ -675,7 +560,7 @@ impl std::str::FromStr for ScenarioSpec {
 /// The canonical `devices=` token of an assignment (the inverse of
 /// [`parse_devices`]).
 fn devices_token(devices: &DeviceAssignment) -> String {
-    let lower = |k: DeviceKind| k.name().to_ascii_lowercase();
+    let lower = |k: DeviceKind| k.label().to_ascii_lowercase();
     match devices {
         DeviceAssignment::RoundRobinTestbed => "testbed".to_string(),
         DeviceAssignment::Uniform(kind) => lower(*kind),
@@ -704,8 +589,8 @@ fn parse_devices(value: &str) -> Result<DeviceAssignment, String> {
     }
 }
 
-/// Parses a numeric field value, keeping the parser's own message.
-fn number<T: std::str::FromStr>(value: &str) -> Result<T, String>
+/// Parses a number or a closed choice, keeping the parser's own message.
+fn parsed<T: std::str::FromStr>(value: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -862,6 +747,8 @@ pick a different name"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::MlConfig;
+    use fedco_fl::transport::TransportModel;
 
     #[test]
     fn presets_cover_the_registry_and_build_valid_configs() {
@@ -914,7 +801,7 @@ mod tests {
         );
         let config = spec.build().expect("builds");
         assert_eq!(config.num_users, 60);
-        assert_eq!(config.transport, LinkKind::Lte.model());
+        assert_eq!(config.link, LinkKind::Lte);
     }
 
     #[test]
@@ -1022,17 +909,8 @@ mod tests {
         assert_eq!(LinkKind::Ideal.model(), None);
         assert_eq!(LinkKind::Wifi.model(), Some(TransportModel::wifi()));
         assert_eq!(LinkKind::Lte.model(), Some(TransportModel::lte()));
-        assert_eq!(LinkKind::by_name("WIFI"), Some(LinkKind::Wifi));
-        assert_eq!(LinkKind::by_name("bluetooth"), None);
-        assert_eq!(LinkKind::label_for(&None), "ideal");
-        assert_eq!(LinkKind::label_for(&Some(TransportModel::lte())), "lte");
-        let odd = TransportModel {
-            download_mbps: 1.0,
-            upload_mbps: 1.0,
-            latency_s: 0.5,
-            radio_power_w: 1.0,
-        };
-        assert_eq!(LinkKind::label_for(&Some(odd)), "custom");
+        assert_eq!("WIFI".parse(), Ok(LinkKind::Wifi));
+        assert!("bluetooth".parse::<LinkKind>().is_err());
     }
 
     #[test]
@@ -1040,9 +918,72 @@ mod tests {
         assert_eq!(MlMode::Off.config(), None);
         assert_eq!(MlMode::Tiny.config(), Some(MlConfig::tiny()));
         assert_eq!(MlMode::Full.config(), Some(MlConfig::default()));
-        assert_eq!(MlMode::by_name("tiny"), Some(MlMode::Tiny));
-        assert_eq!(MlMode::by_name("gigantic"), None);
+        assert_eq!("tiny".parse(), Ok(MlMode::Tiny));
+        assert!("gigantic".parse::<MlMode>().is_err());
         assert_eq!(MlMode::default(), MlMode::Off);
+    }
+
+    /// Every closed choice of the scenario syntax parses each of its labels
+    /// back, trimmed and in any case, and an unknown token's error names the
+    /// token and every label.
+    #[test]
+    fn every_closed_choice_parses_its_labels_and_names_them_when_unknown() {
+        use fedco_device::choices::UnknownChoice;
+        use std::fmt::{Debug, Display};
+        use std::str::FromStr;
+
+        fn check<T>(all: &[T], noun: &str, unknown: &str)
+        where
+            T: Copy + PartialEq + Debug + Display + FromStr<Err = UnknownChoice>,
+        {
+            for &value in all {
+                let label = value.to_string();
+                for token in [
+                    label.clone(),
+                    label.to_ascii_lowercase(),
+                    label.to_ascii_uppercase(),
+                    format!(" \t{label} "),
+                ] {
+                    assert_eq!(token.parse::<T>(), Ok(value), "{noun} `{token}`");
+                }
+            }
+            let err = format!("  {unknown} ")
+                .parse::<T>()
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.starts_with(&format!("unknown {noun} `{unknown}` (expected ")),
+                "{err}"
+            );
+            for value in all {
+                let label = value.to_string().to_ascii_lowercase();
+                assert!(err.contains(&label), "{err} lists {label}");
+            }
+        }
+
+        check(&DeviceKind::ALL, "device", "warpphone");
+        check(&ArrivalSpec::ALL, "arrival model", "poisson");
+        check(&BatterySpec::ALL, "battery model", "nuclear");
+        check(&ChurnSpec::ALL, "churn model", "tidal");
+        check(&LinkKind::ALL, "link", "carrier-pigeon");
+        check(&MlMode::ALL, "ml mode", "gigantic");
+        // `ALL` is declaration order; the round-robin testbed cycles it.
+        assert_eq!(
+            DeviceKind::ALL,
+            [
+                DeviceKind::Nexus6,
+                DeviceKind::Nexus6P,
+                DeviceKind::Hikey970,
+                DeviceKind::Pixel2
+            ]
+        );
+        assert_eq!(DeviceKind::Hikey970.to_string(), "Hikey970");
+        assert_eq!("flash".parse(), Ok(ArrivalSpec::FlashCrowd));
+        let err = "warpphone".parse::<DeviceKind>().unwrap_err().to_string();
+        assert!(err.contains("nexus6, nexus6p, hikey970, pixel2"), "{err}");
+        assert_eq!(ArrivalSpec::default(), ArrivalSpec::Bernoulli);
+        assert_eq!(BatterySpec::default(), BatterySpec::Off);
+        assert_eq!(ChurnSpec::default(), ChurnSpec::Off);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 pub mod apps;
 pub mod battery;
+pub mod choices;
 pub mod energy;
 pub mod fps;
 pub mod power;

@@ -10,88 +10,26 @@
 use crate::apps::{AppKind, AppMeasurement};
 use crate::energy::{Seconds, Watts};
 
-/// The device models of the paper's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    /// Nexus 6 — older chipset with four homogeneous cores.
-    Nexus6,
-    /// Nexus 6P — big.LITTLE, one little core reserved for background work.
-    Nexus6P,
-    /// HiKey 970 development board — 4×A73 + 4×A53, powered via 12 V DC.
-    Hikey970,
-    /// Pixel 2 — big.LITTLE, two little cores in the background cpuset.
-    Pixel2,
+crate::choices! {
+    /// The device models of the paper's testbed, in the order of Table II.
+    /// Their labels are the names scenario specs assign (`devices=pixel2`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DeviceKind: "device" {
+        /// Nexus 6 — older chipset with four homogeneous cores.
+        Nexus6 = "Nexus6",
+        /// Nexus 6P — big.LITTLE, one little core reserved for background work.
+        Nexus6P = "Nexus6P",
+        /// HiKey 970 development board — 4×A73 + 4×A53, powered via 12 V DC.
+        Hikey970 = "Hikey970",
+        /// Pixel 2 — big.LITTLE, two little cores in the background cpuset.
+        Pixel2 = "Pixel2",
+    }
 }
 
 impl DeviceKind {
-    /// All device kinds in the order used by Table II.
-    pub const ALL: [DeviceKind; 4] = [
-        DeviceKind::Nexus6,
-        DeviceKind::Nexus6P,
-        DeviceKind::Hikey970,
-        DeviceKind::Pixel2,
-    ];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::Nexus6 => "Nexus6",
-            DeviceKind::Nexus6P => "Nexus6P",
-            DeviceKind::Hikey970 => "Hikey970",
-            DeviceKind::Pixel2 => "Pixel2",
-        }
-    }
-
     /// The calibrated profile for this device.
     pub fn profile(self) -> DeviceProfile {
         DeviceProfile::for_device(self)
-    }
-
-    /// Looks a device up by its (case-insensitive) name — the inverse of
-    /// [`DeviceKind::name`]. This is what scenario specs use to resolve
-    /// `devices=pixel2`-style assignments.
-    pub fn by_name(name: &str) -> Option<DeviceKind> {
-        DeviceKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(name.trim()))
-    }
-}
-
-impl std::fmt::Display for DeviceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error naming the unknown device of a failed [`DeviceKind`] parse, with
-/// the valid choices spelled out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseDeviceError(String);
-
-impl std::fmt::Display for ParseDeviceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let valid: Vec<String> = DeviceKind::ALL
-            .iter()
-            .map(|k| k.name().to_ascii_lowercase())
-            .collect();
-        write!(
-            f,
-            "unknown device `{}` (valid devices: {})",
-            self.0,
-            valid.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for ParseDeviceError {}
-
-/// Parses a device by testbed name, case-insensitively: `nexus6`,
-/// `nexus6p`, `hikey970` or `pixel2`.
-impl std::str::FromStr for DeviceKind {
-    type Err = ParseDeviceError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        DeviceKind::by_name(s).ok_or_else(|| ParseDeviceError(s.trim().to_string()))
     }
 }
 
@@ -263,23 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn devices_parse_by_name() {
-        for kind in DeviceKind::ALL {
-            assert_eq!(DeviceKind::by_name(kind.name()), Some(kind));
-            assert_eq!(
-                kind.name().to_ascii_lowercase().parse::<DeviceKind>(),
-                Ok(kind),
-                "case-insensitive"
-            );
-        }
-        assert_eq!(DeviceKind::by_name(" Pixel2 "), Some(DeviceKind::Pixel2));
-        assert_eq!(DeviceKind::by_name("warpphone"), None);
-        let err = "warpphone".parse::<DeviceKind>().unwrap_err();
-        assert!(err.to_string().contains("unknown device `warpphone`"));
-        assert!(err.to_string().contains("pixel2"), "lists choices: {err}");
-    }
-
-    #[test]
     fn pixel2_map_matches_table_ii() {
         let p = DeviceKind::Pixel2.profile();
         let m = p.app_measurement(AppKind::Map);
@@ -355,11 +276,5 @@ mod tests {
                     > 0.0
             );
         }
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(DeviceKind::Hikey970.to_string(), "Hikey970");
-        assert_eq!(DeviceKind::ALL.len(), 4);
     }
 }

@@ -5,6 +5,10 @@
 //! The transport model converts payload sizes into transfer times given a
 //! bandwidth/latency profile, so the simulator can offset when updates reach
 //! the server.
+//!
+//! The presets come by constructor only ([`TransportModel::wifi`],
+//! [`TransportModel::lte`]): a run names its link with a `LinkKind` in
+//! `fedco-core`, which maps each name to one of these constructors.
 
 use fedco_device::energy::{Joules, Seconds, Watts};
 
@@ -46,18 +50,6 @@ impl TransportModel {
         }
     }
 
-    /// Looks a transport preset up by name (case-insensitive): `wifi` or
-    /// `lte`. `None` for anything else — the "no radio accounting" link is
-    /// not a transport model but the absence of one, so scenario specs
-    /// spell it `ideal` and never reach this lookup.
-    pub fn by_name(name: &str) -> Option<TransportModel> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "wifi" => Some(TransportModel::wifi()),
-            "lte" => Some(TransportModel::lte()),
-            _ => None,
-        }
-    }
-
     /// Time to download a payload of `bytes`.
     pub fn download_time(&self, bytes: usize) -> Seconds {
         Seconds(self.latency_s + transfer_seconds(bytes, self.download_mbps))
@@ -85,12 +77,6 @@ impl TransportModel {
     /// Radio energy spent transferring for the given duration.
     pub fn radio_energy(&self, duration: Seconds) -> Joules {
         Watts(self.radio_power_w) * duration
-    }
-}
-
-impl Default for TransportModel {
-    fn default() -> Self {
-        TransportModel::wifi()
     }
 }
 
@@ -129,7 +115,7 @@ mod tests {
 
     #[test]
     fn exchange_is_download_plus_upload() {
-        let t = TransportModel::default();
+        let t = TransportModel::wifi();
         let e = t.exchange_time(1_000_000);
         let sum = t.download_time(1_000_000) + t.upload_time(1_000_000);
         assert!((e.value() - sum.value()).abs() < 1e-12);
@@ -168,19 +154,5 @@ mod tests {
     fn radio_energy_scales_with_time() {
         let t = TransportModel::wifi();
         assert!((t.radio_energy(Seconds(2.0)).value() - 1.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn presets_resolve_by_name() {
-        assert_eq!(
-            TransportModel::by_name("wifi"),
-            Some(TransportModel::wifi())
-        );
-        assert_eq!(
-            TransportModel::by_name(" LTE "),
-            Some(TransportModel::lte())
-        );
-        assert_eq!(TransportModel::by_name("ideal"), None);
-        assert_eq!(TransportModel::by_name("carrier-pigeon"), None);
     }
 }

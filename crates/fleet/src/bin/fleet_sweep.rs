@@ -174,6 +174,14 @@ fn list_policies(out: &mut impl Write) -> io::Result<()> {
 
 /// Parses the command line: `Ok(None)` means `--help`/`--list-*` handled
 /// everything already.
+/// A flag's value, parsed; the error names the flag.
+fn parsed<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
     let mut args = Args {
         workers: 0,
@@ -194,39 +202,23 @@ fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
+            "--workers" => args.workers = parsed("--workers", value("--workers")?)?,
             "--users" => {
-                let n: usize = value("--users")?
-                    .parse()
-                    .map_err(|e| format!("--users: {e}"))?;
+                let n: usize = parsed("--users", value("--users")?)?;
                 if n == 0 {
                     return Err(Stop::Error("--users must be at least 1".to_string()));
                 }
                 args.users = Some(n);
             }
             "--slots" => {
-                let n: u64 = value("--slots")?
-                    .parse()
-                    .map_err(|e| format!("--slots: {e}"))?;
+                let n: u64 = parsed("--slots", value("--slots")?)?;
                 if n == 0 {
                     return Err(Stop::Error("--slots must be at least 1".to_string()));
                 }
                 args.slots = Some(n);
             }
-            "--replicates" => {
-                args.replicates = value("--replicates")?
-                    .parse()
-                    .map_err(|e| format!("--replicates: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--replicates" => args.replicates = parsed("--replicates", value("--replicates")?)?,
+            "--seed" => args.seed = parsed("--seed", value("--seed")?)?,
             "--scenario" | "--scenarios" => {
                 let list = value("--scenario")?;
                 for token in list.split(',').filter(|t| !t.trim().is_empty()) {

@@ -30,7 +30,7 @@ use fedco_telemetry::metrics::MetricsRegistry;
 use fedco_telemetry::profiling::{Measured, Stopwatch};
 use fedco_telemetry::sink::BufferSink;
 
-use crate::grid::{FleetJob, LinkKind, ScenarioGrid};
+use crate::grid::{FleetJob, ScenarioGrid};
 use crate::stats::CellRollup;
 
 /// The scalar outcome of one finished job, keyed by the pair
@@ -99,7 +99,7 @@ impl JobSummary {
             policy: result.policy.label(),
             arrival_probability: job.config.arrival_probability,
             devices: job.config.devices.label(),
-            link: LinkKind::label_for(&job.config.transport),
+            link: job.config.link.label(),
             seed: job.replicate_seed,
             total_energy_j: result.total_energy_j,
             radio_energy_j,

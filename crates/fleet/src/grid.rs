@@ -25,8 +25,6 @@ use fedco_core::spec::{PolicySpec, PolicySpecError};
 use fedco_rng::rngs::SplitMix64;
 use fedco_rng::SeedableRng;
 
-pub use fedco_core::scenario::LinkKind;
-
 /// One open sweep dimension: a scenario field key and the list of textual
 /// values it steps through. Values are applied with
 /// [`ScenarioSpec::set`], so anything the `name:key=value` CLI syntax
@@ -210,8 +208,9 @@ impl ScenarioGrid {
         self
     }
 
-    /// Validates the grid: every dimension non-empty, every policy spec in
-    /// range, and every `scenario × axis-value` combination both parseable
+    /// Validates the grid: every dimension non-empty, no field swept by two
+    /// axes (the later would silently win), every policy spec in range, and
+    /// every `scenario × axis-value` combination both parseable
     /// and buildable — so [`ScenarioGrid::expand`] cannot fail later.
     pub fn validate(&self) -> Result<(), GridError> {
         for (dim, empty) in [
@@ -223,9 +222,13 @@ impl ScenarioGrid {
                 return Err(GridError::EmptyDimension(dim));
             }
         }
-        for axis in &self.axes {
+        let key = |axis: &FieldAxis| axis.key.trim().to_ascii_lowercase();
+        for (i, axis) in self.axes.iter().enumerate() {
             if axis.values.is_empty() {
                 return Err(GridError::EmptyAxis(axis.key.clone()));
+            }
+            if self.axes[..i].iter().any(|a| key(a) == key(axis)) {
+                return Err(GridError::RepeatedAxis(key(axis)));
             }
         }
         for spec in &self.policies {
@@ -386,6 +389,9 @@ pub enum GridError {
     EmptyDimension(&'static str),
     /// The field axis over the named key has no values.
     EmptyAxis(String),
+    /// Two axes sweep the named key (compared trimmed and lowercased, as
+    /// [`ScenarioSpec::set`] reads it).
+    RepeatedAxis(String),
     /// An axis value does not apply to a scenario (key, value, scenario
     /// label and the field-naming parse error attached).
     Axis {
@@ -419,6 +425,7 @@ impl std::fmt::Display for GridError {
             GridError::EmptyAxis(key) => {
                 write!(f, "sweep axis `{key}` must list at least one value")
             }
+            GridError::RepeatedAxis(key) => write!(f, "sweep axis `{key}` is given more than once"),
             GridError::Axis {
                 key,
                 value,
@@ -442,7 +449,7 @@ impl std::error::Error for GridError {
             GridError::Axis { error, .. } => Some(error),
             GridError::Scenario { error, .. } => Some(error),
             GridError::Policy(e) => Some(e),
-            GridError::EmptyDimension(_) | GridError::EmptyAxis(_) => None,
+            _ => None,
         }
     }
 }
@@ -557,7 +564,7 @@ mod tests {
                 "{} missing {arrival}",
                 job.scenario_label
             );
-            let link = LinkKind::label_for(&job.config.transport);
+            let link = job.config.link;
             assert!(
                 job.scenario_label.contains(&format!("link={link}")),
                 "{} missing link={link}",
@@ -606,6 +613,26 @@ mod tests {
         let g4 = grid().with_axes(vec![FieldAxis::new("users", vec![])]);
         assert_eq!(g4.validate(), Err(GridError::EmptyAxis("users".into())));
         assert!(grid().validate().is_ok());
+    }
+
+    #[test]
+    fn a_repeated_axis_key_is_rejected_by_name() {
+        // Without the check the later axis silently wins: two cells print,
+        // one row of twice the runs reports.
+        let g = ScenarioGrid::preset("smoke")
+            .with_axis("users", &["5", "6"])
+            .with_axis(" Users ", &["7"]);
+        assert_eq!(g.validate(), Err(GridError::RepeatedAxis("users".into())));
+        let msg = g.validate().unwrap_err().to_string();
+        assert_eq!(msg, "sweep axis `users` is given more than once");
+        let parsed = ["users=5,6", "USERS=7"].map(|a| FieldAxis::parse(a).expect("parses"));
+        let g2 = ScenarioGrid::preset("smoke").with_axes(parsed.to_vec());
+        assert_eq!(g2.validate(), Err(GridError::RepeatedAxis("users".into())));
+        // Distinct keys still cross.
+        let g3 = ScenarioGrid::preset("smoke")
+            .with_axis("users", &["5"])
+            .with_axis("slots", &["60"]);
+        assert!(g3.validate().is_ok());
     }
 
     #[test]

@@ -67,11 +67,11 @@ pub mod prelude {
         deterministic_view, resolve_workers, run_grid, run_grid_streamed, run_grid_traced,
         run_grid_with, FleetReport, JobSummary, StreamedSweep, SweepTrace,
     };
-    pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, LinkKind, ScenarioGrid};
+    pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, ScenarioGrid};
     pub use crate::report::{rollup_table, to_csv, to_jsonl};
     pub use crate::stats::{CellRollup, Streaming};
-    pub use fedco_core::experiment::{ConfigError, DeviceAssignment, SimConfig};
-    pub use fedco_core::scenario::{parse_scenario_file, MlMode, ParseScenarioError, ScenarioSpec};
+    pub use fedco_core::experiment::{ConfigError, DeviceAssignment, LinkKind, MlMode, SimConfig};
+    pub use fedco_core::scenario::{parse_scenario_file, ParseScenarioError, ScenarioSpec};
     pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
     pub use fedco_telemetry::event::{Channel, Event, EventKind};
     pub use fedco_telemetry::export::events_to_jsonl;

@@ -33,6 +33,10 @@
 //! its stop message, and makes one loopback connection to the listener to
 //! wake the acceptor, so neither start-up nor exit waits out an interval.
 //!
+//! At most `--max-sessions` connections are served at once: one past that
+//! is closed as it is accepted, with a line on stderr, so a flood of idle
+//! connections cannot hold a thread (and its frame buffers) each.
+//!
 //! A connection waits as long as it likes between frames, but a frame must
 //! be whole 5 s after its first byte arrived (and a reply written within
 //! 5 s), or the connection is dropped: a peer that stops or trickles inside
@@ -76,6 +80,15 @@ const USAGE: &str = "usage: fedco-serve [--listen ADDR] [--model-len N] [--seed 
 [--max-sessions N] [--queue N] [--drain N] [--heartbeat-timeout N] [--tick-every N] \
 [--tick-ms N] [--trace PATH]";
 
+/// The value given after `flag`, parsed.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| format!("missing value for {flag}"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         listen: "127.0.0.1:0".to_string(),
@@ -91,53 +104,23 @@ fn parse_args() -> Result<Option<Args>, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--listen" => args.listen = value("--listen")?,
+        let f = flag.as_str();
+        match f {
+            "--listen" => args.listen = parsed(f, it.next())?,
             "--model-len" => {
-                args.model_len = value("--model-len")?
-                    .parse()
-                    .map_err(|e| format!("--model-len: {e}"))?;
+                args.model_len = parsed(f, it.next())?;
                 if args.model_len == 0 {
                     return Err("--model-len must be at least 1".to_string());
                 }
             }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--max-sessions" => {
-                args.max_sessions = value("--max-sessions")?
-                    .parse()
-                    .map_err(|e| format!("--max-sessions: {e}"))?
-            }
-            "--queue" => {
-                args.queue = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
-            "--drain" => {
-                args.drain = value("--drain")?
-                    .parse()
-                    .map_err(|e| format!("--drain: {e}"))?
-            }
-            "--heartbeat-timeout" => {
-                args.heartbeat_timeout = value("--heartbeat-timeout")?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-timeout: {e}"))?
-            }
-            "--tick-every" => {
-                args.tick_every = value("--tick-every")?
-                    .parse()
-                    .map_err(|e| format!("--tick-every: {e}"))?
-            }
-            "--tick-ms" => {
-                args.tick_ms = value("--tick-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tick-ms: {e}"))?
-            }
-            "--trace" => args.trace = Some(value("--trace")?),
+            "--seed" => args.seed = parsed(f, it.next())?,
+            "--max-sessions" => args.max_sessions = parsed(f, it.next())?,
+            "--queue" => args.queue = parsed(f, it.next())?,
+            "--drain" => args.drain = parsed(f, it.next())?,
+            "--heartbeat-timeout" => args.heartbeat_timeout = parsed(f, it.next())?,
+            "--tick-every" => args.tick_every = parsed(f, it.next())?,
+            "--tick-ms" => args.tick_ms = parsed(f, it.next())?,
+            "--trace" => args.trace = Some(parsed(f, it.next())?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(None);
@@ -307,6 +290,8 @@ struct Acceptor {
     listener: TcpListener,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// The most connections served at once: the core's session cap.
+    max_connections: usize,
 }
 
 impl Acceptor {
@@ -318,6 +303,7 @@ impl Acceptor {
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
         let (stop_ticker, ticker_stopped) = channel();
+        let max_connections = core.max_sessions();
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
             stop: AtomicBool::new(false),
@@ -328,20 +314,25 @@ impl Acceptor {
             listener,
             shared,
             workers: Vec::new(),
+            max_connections,
         };
         Ok((acceptor, ticker_stopped))
     }
 
-    /// Blocks for the next connection and gives it a thread. Threads that
-    /// have finished are dropped first (a finished thread's handle has
-    /// nothing left to join), so a long-running server holds one handle per
-    /// open connection, not one per connection it ever accepted.
+    /// Blocks for the next connection and gives it a thread, unless
+    /// `max_connections` are open already: then it closes the connection.
+    /// Threads that have finished are dropped first (a finished thread's
+    /// handle has nothing left to join), so a long-running server holds one
+    /// handle per open connection, not one per connection it ever accepted.
     fn accept_one(&mut self) -> Result<(), String> {
-        let (stream, _peer) = self.listener.accept().map_err(|e| format!("accept: {e}"))?;
+        let (stream, peer) = self.listener.accept().map_err(|e| format!("accept: {e}"))?;
         self.workers.retain(|worker| !worker.is_finished());
-        // Once stopped, what arrives is the wake-up call (or a client too
-        // late to be served): drop it.
-        if !self.shared.stop.load(Ordering::SeqCst) {
+        if self.shared.stop.load(Ordering::SeqCst) {
+            // Once stopped, what arrives is the wake-up call (or a client
+            // too late to be served): drop it.
+        } else if self.workers.len() >= self.max_connections {
+            eprintln!("fedco-serve: closing connection from {peer}: --max-sessions are open");
+        } else {
             let shared = self.shared.clone();
             self.workers.push(std::thread::spawn(move || {
                 serve_connection(stream, &shared, FRAME_BUDGET);
@@ -655,6 +646,44 @@ mod tests {
                 reason: Refusal::UnknownSession
             })
         );
+    }
+
+    #[test]
+    fn connections_past_the_session_cap_are_closed_at_accept() {
+        // `--max-sessions 1`: one connection is served at a time.
+        let core = ServerCore::new(ServerCoreConfig {
+            session: SessionConfig {
+                max_sessions: 1,
+                ..SessionConfig::default()
+            },
+            ..ServerCoreConfig::inline_with_model(ParamVector::zeros(4))
+        });
+        let (mut acceptor, _ticker_stopped) = Acceptor::bind("127.0.0.1:0", core).unwrap();
+        let mut first = connect(&mut acceptor);
+        let mut extra = connect(&mut acceptor);
+        extra
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        assert_eq!(read_frame(&mut extra), Err(WireError::Disconnected));
+        assert_eq!(acceptor.workers.len(), 1);
+        write_frame(&mut first, &Message::Hello { client: 1 }).unwrap();
+        assert!(matches!(
+            read_frame(&mut first),
+            Ok(Message::Welcome { .. })
+        ));
+        // Once the first connection closes, its slot serves the next one.
+        drop(first);
+        let patience = Deadline::starting_now(Duration::from_secs(5));
+        while !acceptor.workers[0].is_finished() {
+            assert!(!patience.expired(), "a closed connection kept its thread");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut next = connect(&mut acceptor);
+        assert_eq!(acceptor.workers.len(), 1);
+        // The first session is still live and holds the session cap, so the
+        // served connection asks for stats rather than a session.
+        write_frame(&mut next, &Message::QueryStats).unwrap();
+        assert!(matches!(read_frame(&mut next), Ok(Message::StatsIs { .. })));
     }
 
     #[test]

@@ -150,6 +150,11 @@ impl ServerCore {
         self.registry.len()
     }
 
+    /// The session admission cap (`SessionConfig::max_sessions`).
+    pub fn max_sessions(&self) -> usize {
+        self.registry.config.max_sessions
+    }
+
     /// Current ingress-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()

@@ -75,7 +75,7 @@ pub struct ChurnCounters {
 /// The session registry.
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
-    config: SessionConfig,
+    pub(crate) config: SessionConfig,
     sessions: BTreeMap<u64, Session>,
     next_id: u64,
 }

@@ -121,7 +121,7 @@ use fedco_fl::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 use fedco_fl::pool::{Ticket, TrainingPool};
 use fedco_fl::service::{ModelService, ModelServiceInit};
 use fedco_fl::staleness::{GradientGap, Lag, WeightPredictor};
-use fedco_fl::transport::PAPER_MODEL_BYTES;
+use fedco_fl::transport::{TransportModel, PAPER_MODEL_BYTES};
 use fedco_neural::data::{Dataset, SyntheticCifarConfig};
 use fedco_neural::model::{ParamVector, Sequential};
 use fedco_telemetry::event::{Event, EventKind};
@@ -286,6 +286,8 @@ pub struct Simulation {
     server: Box<dyn ModelService>,
     predictor: WeightPredictor,
     ml: Option<MlState>,
+    /// The model of the run's named link (`None` for the ideal link).
+    link: Option<TransportModel>,
     rng: SmallRng,
     /// The engine's one copy of the global model: the initial model it built
     /// the server from, then downloaded at the [`applied`](Self::applied)
@@ -423,7 +425,7 @@ impl Simulation {
 
         // Initial global parameters and optional ML workload.
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5EED_F00D);
-        let (initial_params, ml) = match &config.ml {
+        let (initial_params, ml) = match config.ml.config() {
             Some(mlcfg) => {
                 let arch = mlcfg.architecture;
                 let data = SyntheticCifarConfig {
@@ -525,6 +527,7 @@ impl Simulation {
         let power_state = vec![PowerState::Idle; users.len()];
         let power_since = vec![NOT_ACCRUING; users.len()];
         let mut sim = Simulation {
+            link: config.link.model(),
             config,
             clock,
             arrivals,
@@ -841,14 +844,11 @@ impl Simulation {
         // global model comes back down. Charge the radio if a link is set.
         // A compressed uplink shrinks only the upload leg; with compression
         // off the code path is exactly the historical one.
-        if let Some(link) = &self.config.transport {
-            let energy = match self.config.world.compression.ratio() {
+        if let Some(link) = self.link {
+            let compression = self.config.world.compression;
+            let energy = match compression.ratio() {
                 Some(ratio) => {
-                    let upload = self
-                        .config
-                        .world
-                        .compression
-                        .upload_bytes(PAPER_MODEL_BYTES as u64);
+                    let upload = compression.upload_bytes(PAPER_MODEL_BYTES as u64);
                     self.emit(
                         slot,
                         EventKind::CompressedUpload {
@@ -1719,7 +1719,7 @@ const _: () = assert!(std::mem::size_of::<EnergyProfiler>() <= 64);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedco_core::experiment::MlConfig;
+    use fedco_core::experiment::{LinkKind, MlMode};
     use fedco_core::spec::PolicySpec;
 
     fn small(policy: PolicySpec) -> SimConfig {
@@ -1787,7 +1787,7 @@ mod tests {
         let mut config = small(PolicySpec::Immediate);
         config.num_users = 3;
         config.total_slots = 900;
-        config.ml = Some(MlConfig::tiny());
+        config.ml = MlMode::Tiny;
         config.record_every_slots = 50;
         let result = run_simulation(config);
         assert!(result.final_accuracy.is_some());
@@ -1893,7 +1893,7 @@ mod tests {
         let mut config = small(PolicySpec::Immediate);
         config.num_users = 3;
         config.total_slots = 600;
-        config.ml = Some(MlConfig::tiny());
+        config.ml = MlMode::Tiny;
         let full = run_simulation(config.clone());
         let lean = run_simulation(config.summary_only());
         assert_eq!(full.final_accuracy, lean.final_accuracy);
@@ -2065,7 +2065,7 @@ mod tests {
         let base = small(PolicySpec::Immediate);
         let without = run_simulation(base.clone());
         let with = run_simulation(SimConfig {
-            transport: Some(TransportModel::lte()),
+            link: LinkKind::Lte,
             ..base.clone()
         });
         // Same schedule (the link does not change decisions)...
@@ -2089,7 +2089,7 @@ mod tests {
         assert!(with.total_energy_j > without.total_energy_j);
         // Wi-Fi is faster and lower-power than LTE, so it costs less radio.
         let wifi = run_simulation(SimConfig {
-            transport: Some(TransportModel::wifi()),
+            link: LinkKind::Wifi,
             ..base
         });
         assert!(wifi.total_energy_j < with.total_energy_j);

@@ -42,9 +42,9 @@ pub mod prelude {
     pub use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
     pub use crate::user::{TrainingPhase, UserArena};
     pub use fedco_core::experiment::{
-        ConfigError, DeviceAssignment, EmptyDeviceList, MlConfig, SimConfig,
+        ConfigError, DeviceAssignment, EmptyDeviceList, LinkKind, MlConfig, MlMode, SimConfig,
     };
-    pub use fedco_core::scenario::{parse_scenario_file, LinkKind, MlMode, ScenarioSpec};
+    pub use fedco_core::scenario::{parse_scenario_file, ScenarioSpec};
     pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
 }
 

@@ -28,7 +28,6 @@ use fedco_core::online::SlotOutcome;
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext};
 use fedco_device::power::SlotDecision;
 use fedco_device::profiler::EnergyComponent;
-use fedco_fl::transport::TransportModel;
 use fedco_telemetry::prelude::{diff, events_to_jsonl, BufferSink, Channel, Event, EventKind};
 
 use crate::prelude::*;
@@ -166,7 +165,7 @@ fn summary_mode_is_bit_identical_too() {
 #[test]
 fn user_gap_recording_and_transport_are_preserved() {
     let mut config = base_config(PolicySpec::Online { v: None });
-    config.transport = Some(TransportModel::lte());
+    config.link = LinkKind::Lte;
     config.record_user_gaps = true;
     let (dense, event) = run_both(config);
     assert_identical("online+gaps+lte", &dense, &event);
@@ -227,7 +226,7 @@ fn ml_mode_is_bit_identical() {
     let mut config = base_config(PolicySpec::Immediate);
     config.num_users = 3;
     config.total_slots = 600;
-    config.ml = Some(MlConfig::tiny());
+    config.ml = MlMode::Tiny;
     config.record_every_slots = 50;
     let (dense, event) = run_both(config);
     assert_identical("immediate+ml", &dense, &event);

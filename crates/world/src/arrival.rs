@@ -557,54 +557,25 @@ impl ArrivalModel for FlashCrowd {
     }
 }
 
-/// The declarative arrival-process choice of a scenario (`arrival=` field).
-/// Each value names one preset-parameterised model; the scenario's
-/// `arrival_p` field stays the baseline rate of all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArrivalSpec {
-    /// `bernoulli` — the paper's process (the default).
-    #[default]
-    Bernoulli,
-    /// `diurnal` — [`Diurnal::day`].
-    Diurnal,
-    /// `mmpp` — [`Mmpp::bursty`].
-    Mmpp,
-    /// `flash-crowd` — [`FlashCrowd::spike`].
-    FlashCrowd,
+fedco_device::choices! {
+    /// The declarative arrival-process choice of a scenario (`arrival=`
+    /// field). Each value names one preset-parameterised model; the
+    /// scenario's `arrival_p` field stays the baseline rate of all of them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum ArrivalSpec: "arrival model" {
+        /// `bernoulli` — the paper's process (the default).
+        #[default]
+        Bernoulli = "bernoulli",
+        /// `diurnal` — [`Diurnal::day`].
+        Diurnal = "diurnal",
+        /// `mmpp` — [`Mmpp::bursty`].
+        Mmpp = "mmpp",
+        /// `flash-crowd` (or `flash`) — [`FlashCrowd::spike`].
+        FlashCrowd = "flash-crowd" | "flash",
+    }
 }
 
 impl ArrivalSpec {
-    /// Every spec value, in label order.
-    pub const ALL: [ArrivalSpec; 4] = [
-        ArrivalSpec::Bernoulli,
-        ArrivalSpec::Diurnal,
-        ArrivalSpec::Mmpp,
-        ArrivalSpec::FlashCrowd,
-    ];
-
-    /// The canonical scenario-field value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalSpec::Bernoulli => "bernoulli",
-            ArrivalSpec::Diurnal => "diurnal",
-            ArrivalSpec::Mmpp => "mmpp",
-            ArrivalSpec::FlashCrowd => "flash-crowd",
-        }
-    }
-
-    /// Parses a scenario-field value; the error lists the valid tokens.
-    pub fn parse(value: &str) -> Result<ArrivalSpec, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "bernoulli" => Ok(ArrivalSpec::Bernoulli),
-            "diurnal" => Ok(ArrivalSpec::Diurnal),
-            "mmpp" => Ok(ArrivalSpec::Mmpp),
-            "flash-crowd" | "flash" => Ok(ArrivalSpec::FlashCrowd),
-            other => Err(format!(
-                "unknown arrival model `{other}` (expected bernoulli, diurnal, mmpp or flash-crowd)"
-            )),
-        }
-    }
-
     /// The preset-parameterised model behind the spec value.
     pub fn model(&self) -> Box<dyn ArrivalModel> {
         match self {
@@ -740,19 +711,6 @@ mod tests {
         );
         let bursty = dispersion(&sample_fleet(ArrivalSpec::Mmpp, 10, slots, 0.01, 5), slots);
         assert!(bursty > calm * 1.5, "mmpp {bursty} vs bernoulli {calm}");
-    }
-
-    #[test]
-    fn labels_round_trip_and_reject_unknowns() {
-        for spec in ArrivalSpec::ALL {
-            assert_eq!(ArrivalSpec::parse(spec.label()), Ok(spec));
-        }
-        assert_eq!(ArrivalSpec::parse(" MMPP "), Ok(ArrivalSpec::Mmpp));
-        assert_eq!(ArrivalSpec::parse("flash"), Ok(ArrivalSpec::FlashCrowd));
-        let err = ArrivalSpec::parse("poisson").unwrap_err();
-        assert!(err.contains("poisson"), "{err}");
-        assert!(err.contains("bernoulli"), "{err}");
-        assert_eq!(ArrivalSpec::default(), ArrivalSpec::Bernoulli);
     }
 
     #[test]

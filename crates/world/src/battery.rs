@@ -17,20 +17,22 @@
 use fedco_device::battery;
 use fedco_device::profiles::DeviceKind;
 
-/// The declarative battery-lifecycle choice of a scenario (`battery=`
-/// field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatterySpec {
-    /// `off` — immortal devices, the paper's setting (the default).
-    #[default]
-    Off,
-    /// `standard` — full phone batteries on a relaxed overnight-style
-    /// charging schedule; depletion is rare but possible under heavy load.
-    Standard,
-    /// `constrained` — small worn batteries, partial initial charge and a
-    /// tight charging window: devices routinely die and rejoin within the
-    /// paper's 3-hour horizon.
-    Constrained,
+fedco_device::choices! {
+    /// The declarative battery-lifecycle choice of a scenario (`battery=`
+    /// field).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum BatterySpec: "battery model" {
+        /// `off` — immortal devices, the paper's setting (the default).
+        #[default]
+        Off = "off",
+        /// `standard` — full phone batteries on a relaxed overnight-style
+        /// charging schedule; depletion is rare but possible under heavy load.
+        Standard = "standard",
+        /// `constrained` — small worn batteries, partial initial charge and a
+        /// tight charging window: devices routinely die and rejoin within the
+        /// paper's 3-hour horizon.
+        Constrained = "constrained",
+    }
 }
 
 /// The numeric parameters behind a non-`Off` [`BatterySpec`].
@@ -55,34 +57,6 @@ pub struct BatteryParams {
 }
 
 impl BatterySpec {
-    /// Every spec value, in label order.
-    pub const ALL: [BatterySpec; 3] = [
-        BatterySpec::Off,
-        BatterySpec::Standard,
-        BatterySpec::Constrained,
-    ];
-
-    /// The canonical scenario-field value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BatterySpec::Off => "off",
-            BatterySpec::Standard => "standard",
-            BatterySpec::Constrained => "constrained",
-        }
-    }
-
-    /// Parses a scenario-field value; the error lists the valid tokens.
-    pub fn parse(value: &str) -> Result<BatterySpec, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" => Ok(BatterySpec::Off),
-            "standard" => Ok(BatterySpec::Standard),
-            "constrained" => Ok(BatterySpec::Constrained),
-            other => Err(format!(
-                "unknown battery model `{other}` (expected off, standard or constrained)"
-            )),
-        }
-    }
-
     /// The parameters of the lifecycle, or `None` when batteries are off.
     pub fn params(&self) -> Option<BatteryParams> {
         match self {
@@ -137,17 +111,6 @@ impl BatteryParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip_and_reject_unknowns() {
-        for spec in BatterySpec::ALL {
-            assert_eq!(BatterySpec::parse(spec.label()), Ok(spec));
-        }
-        assert_eq!(BatterySpec::parse(" Standard "), Ok(BatterySpec::Standard));
-        let err = BatterySpec::parse("nuclear").unwrap_err();
-        assert!(err.contains("nuclear"), "{err}");
-        assert_eq!(BatterySpec::default(), BatterySpec::Off);
-    }
 
     #[test]
     fn off_has_no_params_or_capacity() {

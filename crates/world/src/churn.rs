@@ -16,44 +16,22 @@ use fedco_rng::{Rng, SeedableRng};
 /// master seed.
 const CHURN_SALT: u64 = 0xC4B2_0E11;
 
-/// The declarative churn choice of a scenario (`churn=` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChurnSpec {
-    /// `off` — nobody leaves, the paper's setting (the default).
-    #[default]
-    Off,
-    /// `light` — roughly a third of users take one mid-horizon outage.
-    Light,
-    /// `heavy` — most users take one or two outages; long stretches of the
-    /// fleet are partially dark.
-    Heavy,
+fedco_device::choices! {
+    /// The declarative churn choice of a scenario (`churn=` field).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum ChurnSpec: "churn model" {
+        /// `off` — nobody leaves, the paper's setting (the default).
+        #[default]
+        Off = "off",
+        /// `light` — roughly a third of users take one mid-horizon outage.
+        Light = "light",
+        /// `heavy` — most users take one or two outages; long stretches of the
+        /// fleet are partially dark.
+        Heavy = "heavy",
+    }
 }
 
 impl ChurnSpec {
-    /// Every spec value, in label order.
-    pub const ALL: [ChurnSpec; 3] = [ChurnSpec::Off, ChurnSpec::Light, ChurnSpec::Heavy];
-
-    /// The canonical scenario-field value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChurnSpec::Off => "off",
-            ChurnSpec::Light => "light",
-            ChurnSpec::Heavy => "heavy",
-        }
-    }
-
-    /// Parses a scenario-field value; the error lists the valid tokens.
-    pub fn parse(value: &str) -> Result<ChurnSpec, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" => Ok(ChurnSpec::Off),
-            "light" => Ok(ChurnSpec::Light),
-            "heavy" => Ok(ChurnSpec::Heavy),
-            other => Err(format!(
-                "unknown churn model `{other}` (expected off, light or heavy)"
-            )),
-        }
-    }
-
     /// `(outage attempts, per-attempt probability)` for this spec.
     fn intensity(&self) -> (u32, f64) {
         match self {
@@ -117,17 +95,6 @@ impl ChurnSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip_and_reject_unknowns() {
-        for spec in ChurnSpec::ALL {
-            assert_eq!(ChurnSpec::parse(spec.label()), Ok(spec));
-        }
-        assert_eq!(ChurnSpec::parse(" HEAVY "), Ok(ChurnSpec::Heavy));
-        let err = ChurnSpec::parse("tidal").unwrap_err();
-        assert!(err.contains("tidal"), "{err}");
-        assert_eq!(ChurnSpec::default(), ChurnSpec::Off);
-    }
 
     #[test]
     fn off_yields_no_intervals() {

@@ -19,7 +19,7 @@ fn main() {
             let m = model.profile().app_measurement(app);
             println!(
                 "{:<10} {:<12} {:>10.2} {:>10.2} {:>10.0} {:>8.0}%",
-                device.name(),
+                device.label(),
                 app.name(),
                 m.app_power_w,
                 m.corun_power_w,
@@ -38,7 +38,7 @@ fn main() {
         let state_of_charge = ((capacity - energy.value()) / capacity).clamp(0.0, 1.0);
         println!(
             "{:<10} epoch energy {:>8.1} J  state of charge after one epoch: {:>6.2} %",
-            device.name(),
+            device.label(),
             energy.value(),
             state_of_charge * 100.0
         );

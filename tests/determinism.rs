@@ -58,7 +58,7 @@ fn ml_mode_is_bit_identical_given_seed() {
         let mut c = config(PolicySpec::Immediate).with_seed(11);
         c.num_users = 3;
         c.total_slots = 400;
-        c.ml = Some(MlConfig::tiny());
+        c.ml = MlMode::Tiny;
         run_simulation(c)
     };
     let a = make();

@@ -489,7 +489,7 @@ fn lag_and_gradient_gap_are_positively_correlated() {
     // with the norm-based gradient gap.
     let mut config = small(PolicySpec::Immediate);
     config.num_users = 6;
-    config.ml = Some(MlConfig::tiny());
+    config.ml = MlMode::Tiny;
     let result = run_simulation(config);
     assert!(result.updates.len() > 5);
     assert!(

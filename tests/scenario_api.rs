@@ -62,7 +62,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
         let mut config = SimConfig::paper_default(PolicySpec::Online { v: None }).summary_only();
         config.num_users = 4;
         config.total_slots = 400;
-        config.transport = Some(TransportModel::lte());
+        config.link = LinkKind::Lte;
         run_simulation(config)
     };
     assert_eq!(
@@ -138,7 +138,7 @@ v = 1000
         config.total_slots = 500;
         config.arrival_probability = 0.01;
         config.devices = DeviceAssignment::Uniform(DeviceKind::Pixel2);
-        config.transport = Some(TransportModel::lte());
+        config.link = LinkKind::Lte;
         run_simulation(config)
     };
     assert_eq!(
