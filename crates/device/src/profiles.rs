@@ -256,6 +256,22 @@ mod tests {
     }
 
     #[test]
+    fn devices_parse_by_name() {
+        for kind in DeviceKind::ALL {
+            assert_eq!(kind.label().parse(), Ok(kind));
+            assert_eq!(
+                kind.label().to_ascii_lowercase().parse::<DeviceKind>(),
+                Ok(kind),
+                "case-insensitive"
+            );
+        }
+        assert_eq!(" Pixel2 ".parse(), Ok(DeviceKind::Pixel2));
+        let err = "warpphone".parse::<DeviceKind>().unwrap_err();
+        assert!(err.to_string().contains("unknown device `warpphone`"));
+        assert!(err.to_string().contains("pixel2"), "lists choices: {err}");
+    }
+
+    #[test]
     fn decision_overhead_matches_table_iii() {
         assert!((DeviceKind::Nexus6.profile().decision_overhead_fraction() - 0.03).abs() < 0.005);
         assert!((DeviceKind::Nexus6P.profile().decision_overhead_fraction() - 0.08).abs() < 0.01);
@@ -276,5 +292,11 @@ mod tests {
                     > 0.0
             );
         }
+    }
+
+    #[test]
+    fn display_names() {
+        assert_eq!(DeviceKind::Hikey970.to_string(), "Hikey970");
+        assert_eq!(DeviceKind::ALL.len(), 4);
     }
 }

@@ -714,6 +714,19 @@ mod tests {
     }
 
     #[test]
+    fn labels_round_trip_and_reject_unknowns() {
+        for spec in ArrivalSpec::ALL {
+            assert_eq!(spec.label().parse(), Ok(spec));
+        }
+        assert_eq!(" MMPP ".parse(), Ok(ArrivalSpec::Mmpp));
+        assert_eq!("flash".parse(), Ok(ArrivalSpec::FlashCrowd));
+        let err = "poisson".parse::<ArrivalSpec>().unwrap_err().to_string();
+        assert!(err.contains("poisson"), "{err}");
+        assert!(err.contains("bernoulli"), "{err}");
+        assert_eq!(ArrivalSpec::default(), ArrivalSpec::Bernoulli);
+    }
+
+    #[test]
     fn out_of_range_rates_are_clamped() {
         let fleet = sample_fleet(ArrivalSpec::Bernoulli, 1, 50, 7.0, 1);
         assert_eq!(fleet[0].len(), 50);

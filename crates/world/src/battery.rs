@@ -113,6 +113,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn labels_round_trip_and_reject_unknowns() {
+        for spec in BatterySpec::ALL {
+            assert_eq!(spec.label().parse(), Ok(spec));
+        }
+        assert_eq!(" Standard ".parse(), Ok(BatterySpec::Standard));
+        let err = "nuclear".parse::<BatterySpec>().unwrap_err().to_string();
+        assert!(err.contains("nuclear"), "{err}");
+        assert_eq!(BatterySpec::default(), BatterySpec::Off);
+    }
+
+    #[test]
     fn off_has_no_params_or_capacity() {
         assert_eq!(BatterySpec::Off.params(), None);
         assert_eq!(BatterySpec::Off.capacity_j(DeviceKind::Pixel2), None);

@@ -97,6 +97,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn labels_round_trip_and_reject_unknowns() {
+        for spec in ChurnSpec::ALL {
+            assert_eq!(spec.label().parse(), Ok(spec));
+        }
+        assert_eq!(" HEAVY ".parse(), Ok(ChurnSpec::Heavy));
+        let err = "tidal".parse::<ChurnSpec>().unwrap_err().to_string();
+        assert!(err.contains("tidal"), "{err}");
+        assert_eq!(ChurnSpec::default(), ChurnSpec::Off);
+    }
+
+    #[test]
     fn off_yields_no_intervals() {
         assert!(ChurnSpec::Off.intervals_for(42, 0, 10_800).is_empty());
         assert!(ChurnSpec::Heavy.intervals_for(42, 0, 0).is_empty());
