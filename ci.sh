@@ -655,6 +655,14 @@ if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- 
 fi
 grep -q 'sweep axis `users` is given more than once' /tmp/fleet_sweep_err \
     || { echo "repeated --axis error does not name the key"; exit 1; }
+# An axis without values is refused once, by the grid's own check.
+if timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \
+    --scenario smoke --axis users= --policies immediate \
+    >/dev/null 2>/tmp/fleet_sweep_err; then
+    echo "empty --axis unexpectedly succeeded"; exit 1
+fi
+grep -q 'must list at least one value' /tmp/fleet_sweep_err \
+    || { echo "empty --axis error does not say it needs a value"; exit 1; }
 # An absurd staleness budget is not an error at all: the offline planner no
 # longer sizes anything from `lb=` (it used to abort allocating 720 TB).
 timeout 60 cargo run --release --offline -p fedco-fleet --bin fleet_sweep -- \

@@ -55,6 +55,12 @@ impl SchedulerConfig {
         self
     }
 
+    /// The look-ahead window expressed in slots (at least 1): the offline
+    /// policy's replanning cadence and the window the engine plans over.
+    pub fn window_slots(&self) -> u64 {
+        ((self.lookahead_window_s / self.slot_seconds).ceil() as u64).max(1)
+    }
+
     /// Validates the configuration, naming the offending field and its value
     /// on failure.
     pub fn validate(&self) -> Result<(), SchedulerConfigError> {

@@ -13,12 +13,17 @@
 //!   (Algorithm 1) to pick which users should co-run training with their
 //!   foreground application under the staleness budget `L_b`.
 //! * [`online::OnlineScheduler`] — a Lyapunov drift-plus-penalty controller
-//!   (Algorithm 2) that only observes the current task-queue and
-//!   virtual-queue backlogs and achieves the `[O(1/V), O(V)]`
-//!   energy–staleness trade-off of Theorem 1.
+//!   (Algorithm 2) that holds the task-queue and virtual-queue backlogs
+//!   `Q(t)` and `H(t)` itself, only observes them, and achieves the
+//!   `[O(1/V), O(V)]` energy–staleness trade-off of Theorem 1.
 //!
-//! The baseline policies the paper compares against (immediate scheduling and
-//! Sync-SGD) are implemented alongside in [`policy`].
+//! Each scheduler is one type. The engine runs every policy through the
+//! [`policy::SchedulingPolicy`] trait: `OnlineScheduler` implements it
+//! itself, [`policy::OfflinePolicy`] executes the knapsack plans the engine
+//! installs, and the baselines the paper compares against (immediate
+//! scheduling and Sync-SGD) sit beside it in [`policy`]. A
+//! [`spec::PolicySpec`] builds any of them from the run's
+//! [`config::SchedulerConfig`].
 //!
 //! ```
 //! use fedco_core::prelude::*;
@@ -45,7 +50,8 @@ pub mod experiment;
 pub mod offline;
 pub mod online;
 pub mod policy;
-pub mod queues;
+#[cfg(test)]
+mod queues;
 pub mod scenario;
 pub mod spec;
 
@@ -62,14 +68,10 @@ pub mod prelude {
         DecisionObjectives, OnlineDecisionInput, OnlineScheduler, SlotOutcome,
     };
     pub use crate::policy::{
-        ImmediatePolicy, OfflinePolicy, OnlinePolicy, SchedulingPolicy, SyncSgdPolicy,
-        UserSlotContext, WindowPlan,
+        ImmediatePolicy, OfflinePolicy, SchedulingPolicy, SyncSgdPolicy, UserSlotContext,
     };
-    pub use crate::queues::{QueueState, TaskQueue, VirtualQueue};
     pub use crate::scenario::{parse_scenario_file, ParseScenarioError, ScenarioSpec};
-    pub use crate::spec::{
-        ParsePolicyError, PolicyBuildContext, PolicyFactory, PolicySpec, PolicySpecError,
-    };
+    pub use crate::spec::{ParsePolicyError, PolicyFactory, PolicySpec, PolicySpecError};
 }
 
 pub use prelude::*;

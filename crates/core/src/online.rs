@@ -1,6 +1,15 @@
 //! The online scheduler (Section V): a Lyapunov drift-plus-penalty controller
 //! that only needs the current queue backlogs and application status.
 //!
+//! Two queues drive it:
+//!
+//! * the *task queue* `Q(t)` (Definition 3, Eq. 15) — the number of users
+//!   waiting to be scheduled; arrivals are users becoming ready to train,
+//!   services are users whose training is scheduled;
+//! * the *virtual queue* `H(t)` (Eq. 16) — the accumulated excess of the sum
+//!   of gradient gaps over the staleness bound `L_b`, which turns the
+//!   time-averaged constraint (14) into a queue-stability requirement.
+//!
 //! Every slot, each user evaluates the two candidate decisions
 //! (`schedule` / `idle`) against the objective of Eq. (21),
 //!
@@ -18,7 +27,7 @@ use fedco_device::profiles::DeviceProfile;
 use fedco_fl::staleness::GradientGap;
 
 use crate::config::SchedulerConfig;
-use crate::queues::QueueState;
+use crate::policy::{SchedulingPolicy, UserSlotContext};
 
 /// Everything the controller needs to know about one user in one slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,43 +115,38 @@ pub struct SlotOutcome {
     pub gap_sum: f64,
 }
 
-/// The online Lyapunov scheduler.
+/// The online Lyapunov scheduler: the two queue backlogs and the Eq.-21
+/// rule over them. It is also the [`SchedulingPolicy`](crate::policy::SchedulingPolicy)
+/// the engine runs for `PolicySpec::Online`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineScheduler {
     config: SchedulerConfig,
-    queues: QueueState,
+    /// The task-queue backlog `Q(t)`.
+    q: f64,
+    /// The virtual-queue backlog `H(t)`.
+    h: f64,
 }
 
 impl OnlineScheduler {
-    /// Creates a scheduler with empty queues.
+    /// Creates a scheduler with empty queues (`Q(0) = H(0) = 0`).
     pub fn new(config: SchedulerConfig) -> Self {
         OnlineScheduler {
             config,
-            queues: QueueState::new(),
+            q: 0.0,
+            h: 0.0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// Current task-queue backlog `Q(t)`.
     pub fn queue_backlog(&self) -> f64 {
-        self.queues.task.backlog()
-    }
-
-    /// Current virtual-queue backlog `H(t)`.
-    pub fn virtual_backlog(&self) -> f64 {
-        self.queues.staleness.backlog()
+        self.q
     }
 
     /// Evaluates the Eq.-21 objective for both candidate decisions.
     pub fn objectives(&self, input: &OnlineDecisionInput) -> DecisionObjectives {
         let v = self.config.v;
         let td = self.config.slot_seconds;
-        let q = self.queues.task.backlog();
-        let h = self.queues.staleness.backlog();
+        let (q, h) = (self.q, self.h);
         let (schedule_power, idle_power) = match input.app_status {
             AppStatus::App(_) => (input.corun_power_w, input.app_power_w),
             AppStatus::NoApp => (input.training_power_w, input.idle_power_w),
@@ -157,33 +161,54 @@ impl OnlineScheduler {
         self.objectives(input).best()
     }
 
-    /// The queue threshold above which a device with an application present
-    /// co-runs when the virtual queue is empty (Eq. 22):
-    /// `Q(t) ≥ V·t_d·(P_a' − P_a)`.
-    pub fn corun_queue_threshold(&self, input: &OnlineDecisionInput) -> f64 {
-        self.config.v * self.config.slot_seconds * (input.corun_power_w - input.app_power_w)
-    }
-
-    /// The queue threshold above which a device with no application present
-    /// starts background training when the virtual queue is empty (Eq. 22):
-    /// `Q(t) ≥ V·t_d·(P_b − P_d)`.
-    pub fn background_queue_threshold(&self, input: &OnlineDecisionInput) -> f64 {
-        self.config.v * self.config.slot_seconds * (input.training_power_w - input.idle_power_w)
-    }
-
-    /// Advances the queues at the end of a slot (Eq. 15 and 16).
+    /// Advances the queues at the end of a slot, where `A(t)` users arrived
+    /// and `b(t)` were scheduled:
+    /// `Q(t+1) = max(Q(t) − b(t), 0) + A(t)` (Eq. 15) and
+    /// `H(t+1) = max(H(t) + Σ_i g_i(t, t+τ) − L_b, 0)` (Eq. 16).
     pub fn end_of_slot(&mut self, outcome: &SlotOutcome) {
-        self.queues.step(
-            outcome.arrivals as f64,
-            outcome.scheduled as f64,
-            outcome.gap_sum,
-            self.config.staleness_bound,
-        );
+        let arrivals = (outcome.arrivals as f64).max(0.0);
+        let services = (outcome.scheduled as f64).max(0.0);
+        self.q = (self.q - services).max(0.0) + arrivals;
+        let (gap_sum, staleness_bound) = (outcome.gap_sum, self.config.staleness_bound);
+        self.h = (self.h + gap_sum.max(0.0) - staleness_bound.max(0.0)).max(0.0);
+    }
+}
+
+/// The online controller as a policy: decided every slot, charged the full
+/// Table III decision-computation power, and decided by class while
+/// `H(t) = 0`.
+impl SchedulingPolicy for OnlineScheduler {
+    fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
+        // The inherent rule: `self.decide` here would be this method.
+        OnlineScheduler::decide(self, &ctx.input)
     }
 
-    /// The current Lyapunov function value `L(Θ(t))`.
-    pub fn lyapunov(&self) -> f64 {
-        self.queues.lyapunov()
+    fn end_of_slot(&mut self, outcome: &SlotOutcome) {
+        OnlineScheduler::end_of_slot(self, outcome);
+    }
+
+    fn queue_backlog(&self) -> f64 {
+        self.q
+    }
+
+    fn virtual_backlog(&self) -> f64 {
+        self.h
+    }
+
+    fn decision_energy_overhead(&self) -> f64 {
+        // The controller evaluates the Eq.-21 objective every slot; Table III
+        // measures the full decision-computation power for it.
+        1.0
+    }
+
+    /// With `H(t) = 0` the `h·g` terms of Eq. 21 are exact zeros for finite
+    /// gaps, so the objectives of a class do not depend on them. Evaluated
+    /// as `decide` evaluates them, for the same bits; and Eq. 16 leaves
+    /// `H(t + 1) = 0` for any gap sum below `L_b`.
+    fn class_decision(&self, input: &OnlineDecisionInput) -> Option<SlotDecision> {
+        let finite = input.predicted_gap_if_schedule.value().is_finite()
+            && input.accumulated_gap_if_idle.value().is_finite();
+        (self.h == 0.0 && finite).then(|| OnlineScheduler::decide(self, input))
     }
 }
 
@@ -192,6 +217,8 @@ mod tests {
     use super::*;
     use fedco_device::apps::AppKind;
     use fedco_device::profiles::DeviceKind;
+    use fedco_rng::rngs::SmallRng;
+    use fedco_rng::{Rng, SeedableRng};
 
     fn pixel2_input(app: Option<AppKind>, sched_gap: f64, idle_gap: f64) -> OnlineDecisionInput {
         let profile = DeviceKind::Pixel2.profile();
@@ -205,6 +232,21 @@ mod tests {
             GradientGap(sched_gap),
             GradientGap(idle_gap),
         )
+    }
+
+    /// The queue backlog of Eq. 22 at and above which a user whose schedule
+    /// and idle powers are these is scheduled while `H(t) = 0`:
+    /// `V·t_d·(P_schedule − P_idle)`.
+    fn eq22_threshold(config: &SchedulerConfig, schedule_w: f64, idle_w: f64) -> f64 {
+        config.v * config.slot_seconds * (schedule_w - idle_w)
+    }
+
+    fn arrivals(arrivals: usize) -> SlotOutcome {
+        SlotOutcome {
+            arrivals,
+            scheduled: 0,
+            gap_sum: 0.0,
+        }
     }
 
     #[test]
@@ -230,7 +272,7 @@ mod tests {
         let config = SchedulerConfig::default().with_v(100.0);
         let mut sched = OnlineScheduler::new(config);
         let input = pixel2_input(Some(AppKind::Map), 0.0, 0.0);
-        let threshold = sched.corun_queue_threshold(&input);
+        let threshold = eq22_threshold(&config, input.corun_power_w, input.app_power_w);
         // Pixel2 Map: (2.20 - 1.60) * 100 = 60.
         assert!((threshold - 60.0).abs() < 1e-9);
         // Push the queue just below the threshold: still idle.
@@ -254,10 +296,15 @@ mod tests {
     #[test]
     fn background_threshold_uses_training_minus_idle_power() {
         let config = SchedulerConfig::default().with_v(1000.0);
-        let sched = OnlineScheduler::new(config);
+        let mut sched = OnlineScheduler::new(config);
         let input = pixel2_input(None, 0.0, 0.0);
-        let th = sched.background_queue_threshold(&input);
+        let th = eq22_threshold(&config, input.training_power_w, input.idle_power_w);
         assert!((th - 1000.0 * (1.35 - 0.689)).abs() < 1e-9);
+        // The controller trains in the background above it, not below.
+        sched.end_of_slot(&arrivals(660));
+        assert_eq!(sched.decide(&input), SlotDecision::Idle);
+        sched.end_of_slot(&arrivals(2));
+        assert_eq!(sched.decide(&input), SlotDecision::Schedule);
     }
 
     #[test]
@@ -331,8 +378,74 @@ mod tests {
         });
         assert_eq!(sched.queue_backlog(), 3.0);
         assert_eq!(sched.virtual_backlog(), 200.0);
-        assert!(sched.lyapunov() > 0.0);
-        assert!(sched.config().validate().is_ok());
+    }
+
+    /// Power and `V` enter Eq. 21 only as the product `V·P·t_d`, so every
+    /// power ×2ᵏ with `V`×2⁻ᵏ leaves both objectives on the same bits
+    /// (scaling by a power of two is exact) and the decision unchanged,
+    /// over seeded inputs and queue histories.
+    #[test]
+    fn powers_times_two_to_the_k_with_v_over_two_to_the_k_decide_alike() {
+        let mut rng = SmallRng::seed_from_u64(0x90e4);
+        for case in 0..300 {
+            let config = SchedulerConfig {
+                v: rng.gen_range(0.0..20_000.0),
+                staleness_bound: rng.gen_range(0.0..2_000.0),
+                slot_seconds: rng.gen_range(0.1..10.0),
+                ..SchedulerConfig::default()
+            };
+            let history: Vec<SlotOutcome> = (0..rng.gen_range(0..60usize))
+                .map(|_| SlotOutcome {
+                    arrivals: rng.gen_range(0..20),
+                    scheduled: rng.gen_range(0..20),
+                    gap_sum: rng.gen_range(0.0..4_000.0),
+                })
+                .collect();
+            let app_status = if rng.gen_bool(0.5) {
+                AppStatus::App(AppKind::ALL[rng.gen_range(0..AppKind::ALL.len())])
+            } else {
+                AppStatus::NoApp
+            };
+            let mut power = || rng.gen_range(0.05..12.0);
+            let input = OnlineDecisionInput {
+                app_status,
+                corun_power_w: power(),
+                app_power_w: power(),
+                training_power_w: power(),
+                idle_power_w: power(),
+                predicted_gap_if_schedule: GradientGap(rng.gen_range(0.0..10.0)),
+                accumulated_gap_if_idle: GradientGap(rng.gen_range(0.0..10.0)),
+            };
+            let after_history = |config: SchedulerConfig| {
+                let mut sched = OnlineScheduler::new(config);
+                for outcome in &history {
+                    sched.end_of_slot(outcome);
+                }
+                sched
+            };
+            let base = after_history(config);
+            let bits = |o: DecisionObjectives| (o.schedule.to_bits(), o.idle.to_bits());
+            for k in -4..=4 {
+                let scale = 2f64.powi(k);
+                let scaled = after_history(SchedulerConfig {
+                    v: config.v / scale,
+                    ..config
+                });
+                let scaled_input = OnlineDecisionInput {
+                    corun_power_w: input.corun_power_w * scale,
+                    app_power_w: input.app_power_w * scale,
+                    training_power_w: input.training_power_w * scale,
+                    idle_power_w: input.idle_power_w * scale,
+                    ..input
+                };
+                assert_eq!(
+                    bits(scaled.objectives(&scaled_input)),
+                    bits(base.objectives(&input)),
+                    "case {case}, k = {k}"
+                );
+                assert_eq!(scaled.decide(&scaled_input), base.decide(&input));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Scheduling policies: the paper's online controller and the three
 //! baselines it is evaluated against (immediate scheduling, Sync-SGD and the
-//! offline knapsack).
+//! offline knapsack). Each is one type:
+//! [`OnlineScheduler`](crate::online::OnlineScheduler) implements the trait
+//! itself, the others are here.
 //!
 //! The [`SchedulingPolicy`] trait is deliberately *capability-based*: besides
 //! the per-slot decision, a policy declares whether it needs a synchronous
@@ -14,10 +16,9 @@
 //! [`PolicySpec`](crate::spec::PolicySpec) get exactly the same engine
 //! semantics as the built-ins.
 
-use fedco_device::power::{AppStatus, SlotDecision};
+use fedco_device::power::SlotDecision;
 
-use crate::config::SchedulerConfig;
-use crate::online::{OnlineDecisionInput, OnlineScheduler, SlotOutcome};
+use crate::online::{OnlineDecisionInput, SlotOutcome};
 
 /// The per-user, per-slot context handed to a policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,48 +27,9 @@ pub struct UserSlotContext {
     pub user_id: usize,
     /// The current slot index.
     pub slot: u64,
-    /// The application status of the device this slot.
-    pub app_status: AppStatus,
-    /// The Eq.-21 decision input (powers and staleness estimates).
+    /// The Eq.-21 decision input: the device's app status, its powers and
+    /// the staleness estimates.
     pub input: OnlineDecisionInput,
-}
-
-/// A look-ahead plan computed by the engine's offline scheduler for one
-/// window: the slot at which each planned user should start training.
-///
-/// Produced by the engine whenever a policy reports
-/// [`SchedulingPolicy::wants_replanning`], and handed back through
-/// [`SchedulingPolicy::install_plan`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowPlan {
-    starts: Vec<(usize, u64)>,
-}
-
-impl WindowPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        WindowPlan::default()
-    }
-
-    /// Records the start slot planned for a user.
-    pub fn set_start_slot(&mut self, user_id: usize, slot: u64) {
-        self.starts.push((user_id, slot));
-    }
-
-    /// Iterates over the `(user_id, start_slot)` entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.starts.iter().copied()
-    }
-
-    /// Number of planned users.
-    pub fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
 }
 
 /// A per-slot scheduling policy deciding, for each *waiting* user, whether to
@@ -140,15 +102,11 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     }
 
     /// Receives the look-ahead plan computed by the engine's offline
-    /// scheduler. Policies that never ask for replanning can ignore it.
-    fn install_plan(&mut self, plan: &WindowPlan) {
+    /// scheduler for one window: the `(user_id, start_slot)` at which each
+    /// planned user should start training, in the engine's order. Policies
+    /// that never ask for replanning can ignore it.
+    fn install_plan(&mut self, plan: &[(usize, u64)]) {
         let _ = plan;
-    }
-
-    /// Notification that `user_id` started training this slot (after this
-    /// policy returned [`SlotDecision::Schedule`] for them).
-    fn notify_scheduled(&mut self, user_id: usize) {
-        let _ = user_id;
     }
 
     /// The fraction (in `[0, 1]`) of the device's measured
@@ -223,13 +181,6 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ImmediatePolicy;
 
-impl ImmediatePolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        ImmediatePolicy
-    }
-}
-
 impl SchedulingPolicy for ImmediatePolicy {
     fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
         SlotDecision::Schedule
@@ -249,13 +200,6 @@ impl SchedulingPolicy for ImmediatePolicy {
 /// [`round_barrier`](SchedulingPolicy::round_barrier) capability.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SyncSgdPolicy;
-
-impl SyncSgdPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        SyncSgdPolicy
-    }
-}
 
 impl SchedulingPolicy for SyncSgdPolicy {
     fn decide(&mut self, _ctx: &UserSlotContext) -> SlotDecision {
@@ -281,7 +225,9 @@ impl SchedulingPolicy for SyncSgdPolicy {
 ///
 /// Built with a window length ([`OfflinePolicy::with_window`]), the policy
 /// asks the engine for a fresh plan at every window boundary through the
-/// [`wants_replanning`](SchedulingPolicy::wants_replanning) capability.
+/// [`wants_replanning`](SchedulingPolicy::wants_replanning) capability; the
+/// default policy has no window, never asks, and waits until a plan is
+/// installed by hand.
 #[derive(Debug, Default, Clone)]
 pub struct OfflinePolicy {
     /// The planned start slot of each user, indexed by user id (grown on
@@ -291,14 +237,8 @@ pub struct OfflinePolicy {
 }
 
 impl OfflinePolicy {
-    /// Creates an empty policy that never asks for replanning (plans must be
-    /// installed by hand; everyone waits until one is).
-    pub fn new() -> Self {
-        OfflinePolicy::with_window(0)
-    }
-
     /// Creates a policy that requests a fresh plan every `window_slots`
-    /// slots (`0` disables replanning requests, like [`OfflinePolicy::new`]).
+    /// slots (`0` disables replanning requests, like the default).
     pub fn with_window(window_slots: u64) -> Self {
         OfflinePolicy {
             window_slots,
@@ -314,18 +254,6 @@ impl OfflinePolicy {
         self.start_of[user_id] = Some(slot);
     }
 
-    /// Removes a user's plan entry (after their training started).
-    pub fn clear_user(&mut self, user_id: usize) {
-        if let Some(entry) = self.start_of.get_mut(user_id) {
-            *entry = None;
-        }
-    }
-
-    /// Clears the whole plan (at window boundaries).
-    pub fn clear(&mut self) {
-        self.start_of.clear();
-    }
-
     /// The planned start slot for a user, if any.
     pub fn planned_slot(&self, user_id: usize) -> Option<u64> {
         self.start_of.get(user_id).copied().flatten()
@@ -333,9 +261,14 @@ impl OfflinePolicy {
 }
 
 impl SchedulingPolicy for OfflinePolicy {
+    /// Schedules a user from its planned start on; the decision that
+    /// schedules it spends its plan entry.
     fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
-        match self.planned_slot(ctx.user_id) {
-            Some(start) if ctx.slot >= start => SlotDecision::Schedule,
+        match self.start_of.get_mut(ctx.user_id) {
+            Some(entry) if entry.is_some_and(|start| ctx.slot >= start) => {
+                *entry = None;
+                SlotDecision::Schedule
+            }
             _ => SlotDecision::Idle,
         }
     }
@@ -346,16 +279,12 @@ impl SchedulingPolicy for OfflinePolicy {
         self.window_slots > 0 && slot % self.window_slots == 0
     }
 
-    fn install_plan(&mut self, plan: &WindowPlan) {
-        self.clear();
+    fn install_plan(&mut self, plan: &[(usize, u64)]) {
+        self.start_of.clear();
         // A user listed twice keeps its last start.
-        for (user_id, slot) in plan.iter() {
+        for &(user_id, slot) in plan {
             self.set_start_slot(user_id, slot);
         }
-    }
-
-    fn notify_scheduled(&mut self, user_id: usize) {
-        self.clear_user(user_id);
     }
 
     fn quiescent_while_waiting(&self) -> bool {
@@ -367,64 +296,13 @@ impl SchedulingPolicy for OfflinePolicy {
     }
 }
 
-/// The online Lyapunov policy (Algorithm 2) wrapping [`OnlineScheduler`].
-#[derive(Debug, Clone)]
-pub struct OnlinePolicy {
-    scheduler: OnlineScheduler,
-}
-
-impl OnlinePolicy {
-    /// Creates the policy with the given configuration.
-    pub fn new(config: SchedulerConfig) -> Self {
-        OnlinePolicy {
-            scheduler: OnlineScheduler::new(config),
-        }
-    }
-
-    /// Access to the underlying scheduler (for thresholds and diagnostics).
-    pub fn scheduler(&self) -> &OnlineScheduler {
-        &self.scheduler
-    }
-}
-
-impl SchedulingPolicy for OnlinePolicy {
-    fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
-        self.scheduler.decide(&ctx.input)
-    }
-
-    fn end_of_slot(&mut self, outcome: &SlotOutcome) {
-        self.scheduler.end_of_slot(outcome);
-    }
-
-    fn queue_backlog(&self) -> f64 {
-        self.scheduler.queue_backlog()
-    }
-
-    fn virtual_backlog(&self) -> f64 {
-        self.scheduler.virtual_backlog()
-    }
-
-    fn decision_energy_overhead(&self) -> f64 {
-        // The controller evaluates the Eq.-21 objective every slot; Table III
-        // measures the full decision-computation power for it.
-        1.0
-    }
-
-    /// With `H(t) = 0` the `h·g` terms of Eq. 21 are exact zeros for finite
-    /// gaps, so the objectives of a class do not depend on them. Evaluated
-    /// as `decide` evaluates them, for the same bits; and Eq. 16 leaves
-    /// `H(t + 1) = 0` for any gap sum below `L_b`.
-    fn class_decision(&self, input: &OnlineDecisionInput) -> Option<SlotDecision> {
-        let finite = input.predicted_gap_if_schedule.value().is_finite()
-            && input.accumulated_gap_if_idle.value().is_finite();
-        (self.scheduler.virtual_backlog() == 0.0 && finite).then(|| self.scheduler.decide(input))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerConfig;
+    use crate::online::OnlineScheduler;
     use fedco_device::apps::AppKind;
+    use fedco_device::power::AppStatus;
     use fedco_device::profiles::DeviceKind;
     use fedco_fl::staleness::GradientGap;
     use fedco_rng::rngs::SmallRng;
@@ -442,13 +320,11 @@ mod tests {
         fn end_of_slot(&mut self, _outcome: &SlotOutcome) {}
     }
 
-    fn ctx(user_id: usize, slot: u64) -> UserSlotContext {
+    fn context(user_id: usize, slot: u64, status: AppStatus) -> UserSlotContext {
         let profile = DeviceKind::Pixel2.profile();
-        let status = AppStatus::App(AppKind::Map);
         UserSlotContext {
             user_id,
             slot,
-            app_status: status,
             input: OnlineDecisionInput::from_profile(
                 &profile,
                 status,
@@ -458,25 +334,17 @@ mod tests {
         }
     }
 
+    fn ctx(user_id: usize, slot: u64) -> UserSlotContext {
+        context(user_id, slot, AppStatus::App(AppKind::Map))
+    }
+
     fn idle_ctx(user_id: usize, slot: u64) -> UserSlotContext {
-        let profile = DeviceKind::Pixel2.profile();
-        let status = AppStatus::NoApp;
-        UserSlotContext {
-            user_id,
-            slot,
-            app_status: status,
-            input: OnlineDecisionInput::from_profile(
-                &profile,
-                status,
-                GradientGap(1.0),
-                GradientGap(0.5),
-            ),
-        }
+        context(user_id, slot, AppStatus::NoApp)
     }
 
     #[test]
     fn immediate_always_schedules() {
-        let mut p = ImmediatePolicy::new();
+        let mut p = ImmediatePolicy;
         assert_eq!(p.decide(&ctx(0, 0)), SlotDecision::Schedule);
         p.end_of_slot(&SlotOutcome::default());
         assert_eq!(p.queue_backlog(), 0.0);
@@ -485,13 +353,12 @@ mod tests {
         assert!(!p.round_barrier());
         assert!(!p.wants_replanning(0));
         assert_eq!(p.decision_energy_overhead(), 0.0);
-        p.install_plan(&WindowPlan::new());
-        p.notify_scheduled(0);
+        p.install_plan(&[]);
     }
 
     #[test]
     fn sync_policy_schedules_like_immediate_but_requests_barrier() {
-        let mut p = SyncSgdPolicy::new();
+        let mut p = SyncSgdPolicy;
         assert_eq!(p.decide(&ctx(1, 5)), SlotDecision::Schedule);
         assert!(p.round_barrier());
         assert!(!p.wants_replanning(0));
@@ -500,18 +367,18 @@ mod tests {
 
     #[test]
     fn offline_policy_follows_plan() {
-        let mut p = OfflinePolicy::new();
+        let mut p = OfflinePolicy::default();
         // No plan: wait.
         assert_eq!(p.decide(&ctx(4, 10)), SlotDecision::Idle);
         p.set_start_slot(4, 20);
         assert_eq!(p.planned_slot(4), Some(20));
         assert_eq!(p.decide(&ctx(4, 10)), SlotDecision::Idle);
-        assert_eq!(p.decide(&ctx(4, 20)), SlotDecision::Schedule);
+        assert_eq!(p.clone().decide(&ctx(4, 20)), SlotDecision::Schedule);
         assert_eq!(p.decide(&ctx(4, 30)), SlotDecision::Schedule);
-        p.clear_user(4);
+        // Scheduling spent the entry.
         assert_eq!(p.decide(&ctx(4, 30)), SlotDecision::Idle);
         p.set_start_slot(5, 1);
-        p.clear();
+        p.install_plan(&[]);
         assert_eq!(p.decide(&ctx(5, 1)), SlotDecision::Idle);
         p.end_of_slot(&SlotOutcome::default());
     }
@@ -525,7 +392,7 @@ mod tests {
         assert!(p.wants_replanning(500));
         assert!(p.wants_replanning(1000));
         // A windowless policy never asks.
-        let q = OfflinePolicy::new();
+        let q = OfflinePolicy::default();
         assert!(!q.wants_replanning(0));
         assert!(!q.wants_replanning(500));
     }
@@ -533,25 +400,42 @@ mod tests {
     #[test]
     fn offline_policy_capability_hooks_drive_the_plan() {
         let mut p = OfflinePolicy::with_window(100);
-        let mut plan = WindowPlan::new();
-        plan.set_start_slot(2, 30);
-        plan.set_start_slot(5, 10);
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
+        let plan = [(2, 30), (5, 10)];
         p.install_plan(&plan);
         assert_eq!(p.planned_slot(2), Some(30));
         assert_eq!(p.planned_slot(5), Some(10));
         // Scheduling a user clears their entry.
-        p.notify_scheduled(5);
+        assert_eq!(p.decide(&ctx(5, 10)), SlotDecision::Schedule);
         assert_eq!(p.planned_slot(5), None);
         // Installing a new plan replaces the old one wholesale.
-        p.install_plan(&WindowPlan::new());
+        p.install_plan(&[]);
         assert_eq!(p.decide(&ctx(2, 30)), SlotDecision::Idle);
+    }
+
+    /// The engine tells the policy nothing after a `Schedule`: an installed
+    /// entry is spent by the `decide` that schedules it, and by no other —
+    /// not by an `Idle` before its start, not by another user's.
+    #[test]
+    fn an_installed_plan_entry_is_spent_by_the_decide_that_schedules_it() {
+        let mut p = OfflinePolicy::with_window(100);
+        p.install_plan(&[(3, 40), (8, 0)]);
+        for slot in [0, 20, 39] {
+            assert_eq!(p.decide(&idle_ctx(3, slot)), SlotDecision::Idle);
+        }
+        assert_eq!(p.planned_slot(3), Some(40));
+        assert_eq!(p.decide(&ctx(3, 41)), SlotDecision::Schedule);
+        assert_eq!(p.planned_slot(3), None);
+        assert_eq!(p.next_decision_slot(3, 41), None);
+        assert_eq!(p.decide(&ctx(3, 41)), SlotDecision::Idle);
+        assert_eq!(p.planned_slot(8), Some(0), "another user's entry stays");
+        assert_eq!(p.decide(&idle_ctx(8, 41)), SlotDecision::Schedule);
+        assert_eq!(p.decide(&idle_ctx(8, 42)), SlotDecision::Idle);
     }
 
     #[test]
     fn online_policy_delegates_to_scheduler() {
-        let mut p = OnlinePolicy::new(SchedulerConfig::default());
+        let mut online = OnlineScheduler::new(SchedulerConfig::default());
+        let p: &mut dyn SchedulingPolicy = &mut online;
         // Empty queues: waits.
         assert_eq!(p.decide(&ctx(0, 0)), SlotDecision::Idle);
         p.end_of_slot(&SlotOutcome {
@@ -561,10 +445,12 @@ mod tests {
         });
         assert_eq!(p.queue_backlog(), 5.0);
         assert!(p.virtual_backlog() > 0.0);
-        assert!(p.scheduler().config().validate().is_ok());
         // The controller pays full decision-computation overhead.
         assert_eq!(p.decision_energy_overhead(), 1.0);
         assert!(!p.round_barrier());
+        // The trait's answers are the scheduler's own.
+        assert_eq!(online.queue_backlog(), 5.0);
+        assert_eq!(online.decide(&ctx(0, 0).input), SlotDecision::Idle);
     }
 
     /// Online answers for a class only while `H(t) = 0` and both gaps are
@@ -572,7 +458,8 @@ mod tests {
     /// built-ins never answer.
     #[test]
     fn class_decision_is_decide_while_the_virtual_queue_is_empty() {
-        let mut p = OnlinePolicy::new(SchedulerConfig::default().with_v(1.0));
+        let mut online = OnlineScheduler::new(SchedulerConfig::default().with_v(1.0));
+        let p: &mut dyn SchedulingPolicy = &mut online;
         let with_gaps = |mut c: UserSlotContext, schedule: f64, idle: f64| {
             c.input.predicted_gap_if_schedule = GradientGap(schedule);
             c.input.accumulated_gap_if_idle = GradientGap(idle);
@@ -604,9 +491,9 @@ mod tests {
         });
         assert_eq!(p.class_decision(&ctx(0, 0).input), None, "H > 0");
         let mut others: Vec<Box<dyn SchedulingPolicy>> = vec![
-            Box::new(ImmediatePolicy::new()),
-            Box::new(SyncSgdPolicy::new()),
-            Box::new(OfflinePolicy::new()),
+            Box::new(ImmediatePolicy),
+            Box::new(SyncSgdPolicy),
+            Box::new(OfflinePolicy::default()),
             Box::new(TraitDefaults),
         ];
         for other in &mut others {
@@ -618,32 +505,32 @@ mod tests {
     fn only_queueless_policies_certify_quiescence() {
         // The certificate lets the slot loop drop the per-slot gap fold, so
         // it is exactly the policies whose `end_of_slot` does nothing.
-        assert!(ImmediatePolicy::new().quiescent_while_waiting());
-        assert!(SyncSgdPolicy::new().quiescent_while_waiting());
+        assert!(ImmediatePolicy.quiescent_while_waiting());
+        assert!(SyncSgdPolicy.quiescent_while_waiting());
         assert!(OfflinePolicy::with_window(500).quiescent_while_waiting());
-        assert!(!OnlinePolicy::new(SchedulerConfig::default()).quiescent_while_waiting());
+        assert!(!OnlineScheduler::new(SchedulerConfig::default()).quiescent_while_waiting());
         // The conservative default, which custom policies inherit.
         assert!(!TraitDefaults.quiescent_while_waiting());
     }
 
     #[test]
     fn offline_plan_survives_replans_clears_and_duplicates() {
-        let mut p = OfflinePolicy::new();
+        let mut p = OfflinePolicy::default();
         p.set_start_slot(2, 50);
         p.set_start_slot(2, 20); // re-planned: the later call wins
         p.set_start_slot(7, 30);
         assert_eq!(p.planned_slot(2), Some(20));
-        p.clear_user(2);
-        p.clear_user(2);
-        p.clear_user(99);
+        // Scheduling clears an entry; deciding a user without one, or one
+        // past the end of the plan, changes nothing.
+        assert_eq!(p.decide(&ctx(2, 20)), SlotDecision::Schedule);
+        assert_eq!(p.decide(&ctx(2, 20)), SlotDecision::Idle);
+        assert_eq!(p.decide(&ctx(99, 20)), SlotDecision::Idle);
         assert_eq!(p.decide(&ctx(2, 60)), SlotDecision::Idle);
-        assert_eq!(p.decide(&ctx(7, 30)), SlotDecision::Schedule);
+        assert_eq!(p.planned_slot(7), Some(30));
+        assert_eq!(p.clone().decide(&ctx(7, 30)), SlotDecision::Schedule);
         // An installed plan replaces everything; a user listed twice keeps
         // its last start.
-        let mut plan = WindowPlan::new();
-        plan.set_start_slot(1, 40);
-        plan.set_start_slot(1, 10);
-        plan.set_start_slot(0, 25);
+        let plan = [(1, 40), (1, 10), (0, 25)];
         p.install_plan(&plan);
         assert_eq!(p.decide(&ctx(7, 30)), SlotDecision::Idle);
         assert_eq!(p.planned_slot(7), None);
@@ -659,22 +546,24 @@ mod tests {
         // slot asked from, and users without an entry: from every slot, the
         // hook names the first slot `decide` schedules at — `Idle` before it
         // with or without an application — and `None` exactly when it
-        // schedules nowhere in the window.
+        // schedules nowhere in the window. Each slot is decided on a copy of
+        // the installed plan, as the first decision of the user there.
         const WINDOW: u64 = 64;
         let mut rng = SmallRng::seed_from_u64(0x51ee9);
         for _ in 0..20 {
             let mut p = OfflinePolicy::with_window(WINDOW);
-            let mut plan = WindowPlan::new();
+            let mut plan = Vec::new();
             for user in 0..12 {
                 if rng.gen_bool(0.75) {
-                    plan.set_start_slot(user, rng.gen_range(0..WINDOW));
+                    plan.push((user, rng.gen_range(0..WINDOW)));
                 }
             }
             p.install_plan(&plan);
             for user in 0..12 {
                 for context in [ctx, idle_ctx] {
-                    let decisions: Vec<SlotDecision> =
-                        (0..WINDOW).map(|s| p.decide(&context(user, s))).collect();
+                    let decisions: Vec<SlotDecision> = (0..WINDOW)
+                        .map(|s| p.clone().decide(&context(user, s)))
+                        .collect();
                     for slot in 0..WINDOW {
                         let first = (slot..WINDOW)
                             .find(|&s| decisions[s as usize] == SlotDecision::Schedule);
@@ -691,13 +580,13 @@ mod tests {
 
     #[test]
     fn next_decision_slot_of_every_other_registry_policy_is_the_current_slot() {
-        use crate::spec::{PolicyBuildContext, PolicySpec};
-        let build = PolicyBuildContext::new(SchedulerConfig::default());
+        use crate::spec::PolicySpec;
+        let config = SchedulerConfig::default();
         for spec in PolicySpec::PAPER {
             if spec == PolicySpec::Offline {
                 continue;
             }
-            let policy = spec.build(&build);
+            let policy = spec.build(&config);
             for (user, slot) in [(0, 0), (3, 17), (99, 10_799)] {
                 assert_eq!(policy.next_decision_slot(user, slot), Some(slot), "{spec}");
             }

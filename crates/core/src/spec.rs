@@ -10,50 +10,27 @@
 //! policy instance for one run.
 //!
 //! ```
-//! use fedco_core::spec::{PolicyBuildContext, PolicySpec};
+//! use fedco_core::spec::PolicySpec;
 //! use fedco_core::config::SchedulerConfig;
 //!
 //! let spec: PolicySpec = "online:v=1000".parse().unwrap();
 //! assert_eq!(spec.label(), "Online(V=1000)");
-//! let ctx = PolicyBuildContext::new(SchedulerConfig::default());
-//! let _policy = spec.build(&ctx);
+//! let _policy = spec.build(&SchedulerConfig::default());
 //! ```
 
 use std::sync::Arc;
 
 use crate::config::SchedulerConfig;
-use crate::policy::{
-    ImmediatePolicy, OfflinePolicy, OnlinePolicy, SchedulingPolicy, SyncSgdPolicy,
-};
-
-/// Everything a policy factory can draw on when building an instance: the
-/// run's scheduler parameters. Two builds from the same context must behave
-/// identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyBuildContext {
-    /// Scheduler parameters (V, L_b, ε, look-ahead window, η, β), including
-    /// the run's slot length `scheduler.slot_seconds` (used, e.g., to convert
-    /// the look-ahead window into slots).
-    pub scheduler: SchedulerConfig,
-}
-
-impl PolicyBuildContext {
-    /// A context over the given scheduler parameters.
-    pub fn new(scheduler: SchedulerConfig) -> Self {
-        PolicyBuildContext { scheduler }
-    }
-
-    /// The look-ahead window expressed in slots (at least 1).
-    pub fn window_slots(&self) -> u64 {
-        ((self.scheduler.lookahead_window_s / self.scheduler.slot_seconds).ceil() as u64).max(1)
-    }
-}
+use crate::online::OnlineScheduler;
+use crate::policy::{ImmediatePolicy, OfflinePolicy, SchedulingPolicy, SyncSgdPolicy};
 
 /// A factory for user-defined policies, pluggable via [`PolicySpec::Custom`].
 ///
 /// Implementations must be cheap to clone behind an `Arc` and build a *fresh*
 /// policy instance per call — one simulation run never shares mutable policy
-/// state with another.
+/// state with another. A build draws on the run's scheduler parameters
+/// alone (V, L_b, ε, the look-ahead window, η, β and the slot length), so
+/// two builds from the same [`SchedulerConfig`] must behave identically.
 pub trait PolicyFactory: std::fmt::Debug + Send + Sync {
     /// The stable label that keys reports and rollups for this policy.
     ///
@@ -63,7 +40,7 @@ pub trait PolicyFactory: std::fmt::Debug + Send + Sync {
     fn label(&self) -> String;
 
     /// Builds a fresh policy instance for one run.
-    fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy>;
+    fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy>;
 }
 
 /// A named, parameterized policy description.
@@ -150,20 +127,21 @@ impl PolicySpec {
         }
     }
 
-    /// Builds a fresh policy instance for one run.
-    pub fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    /// Builds a fresh policy instance for one run over the run's scheduler
+    /// parameters.
+    pub fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         match self {
-            PolicySpec::Immediate => Box::new(ImmediatePolicy::new()),
-            PolicySpec::SyncSgd => Box::new(SyncSgdPolicy::new()),
-            PolicySpec::Offline => Box::new(OfflinePolicy::with_window(ctx.window_slots())),
+            PolicySpec::Immediate => Box::new(ImmediatePolicy),
+            PolicySpec::SyncSgd => Box::new(SyncSgdPolicy),
+            PolicySpec::Offline => Box::new(OfflinePolicy::with_window(scheduler.window_slots())),
             PolicySpec::Online { v } => {
                 let scheduler = match v {
-                    Some(v) => ctx.scheduler.with_v(*v),
-                    None => ctx.scheduler,
+                    Some(v) => scheduler.with_v(*v),
+                    None => *scheduler,
                 };
-                Box::new(OnlinePolicy::new(scheduler))
+                Box::new(OnlineScheduler::new(scheduler))
             }
-            PolicySpec::Custom(factory) => factory.build(ctx),
+            PolicySpec::Custom(factory) => factory.build(scheduler),
         }
     }
 }
@@ -304,7 +282,7 @@ impl std::str::FromStr for PolicySpec {
 mod tests {
     use super::*;
     use crate::online::SlotOutcome;
-    use crate::policy::{UserSlotContext, WindowPlan};
+    use crate::policy::UserSlotContext;
     use fedco_device::power::{AppStatus, SlotDecision};
 
     #[test]
@@ -342,18 +320,17 @@ mod tests {
 
     #[test]
     fn build_context_window_slots() {
-        let ctx = PolicyBuildContext::new(SchedulerConfig::default());
-        assert_eq!(ctx.window_slots(), 500);
-        let coarse = PolicyBuildContext::new(SchedulerConfig {
+        assert_eq!(SchedulerConfig::default().window_slots(), 500);
+        let coarse = SchedulerConfig {
             slot_seconds: 60.0,
             ..SchedulerConfig::default()
-        });
+        };
         assert_eq!(coarse.window_slots(), 9); // ceil(500/60)
     }
 
     #[test]
     fn online_spec_overrides_v() {
-        let ctx = PolicyBuildContext::new(SchedulerConfig::default());
+        let ctx = SchedulerConfig::default();
         let _default = PolicySpec::Online { v: None }.build(&ctx);
         let _small = PolicySpec::online_with_v(10.0).build(&ctx);
         // The override flows into the scheduler: with tiny V and some queue
@@ -366,7 +343,7 @@ mod tests {
     #[test]
     fn build_gives_each_builtin_its_capabilities() {
         // Capabilities tell the built-ins apart; the trait carries no tag.
-        let ctx = PolicyBuildContext::new(SchedulerConfig::default());
+        let ctx = SchedulerConfig::default();
         for spec in PolicySpec::PAPER {
             let mut p = spec.build(&ctx);
             assert_eq!(p.round_barrier(), spec == PolicySpec::SyncSgd, "{spec}");
@@ -394,7 +371,6 @@ mod tests {
         UserSlotContext {
             user_id: 0,
             slot: 0,
-            app_status: status,
             input: crate::online::OnlineDecisionInput::from_profile(
                 &profile,
                 status,
@@ -421,7 +397,7 @@ mod tests {
         fn label(&self) -> String {
             "AlwaysIdle(\"noop\", v2)".to_string()
         }
-        fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+        fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
             Box::new(AlwaysIdle)
         }
     }
@@ -430,10 +406,9 @@ mod tests {
     fn custom_factories_plug_in() {
         let spec = PolicySpec::custom(AlwaysIdleFactory);
         assert_eq!(spec.label(), "AlwaysIdle(\"noop\", v2)");
-        let ctx = PolicyBuildContext::new(SchedulerConfig::default());
-        let mut p = spec.build(&ctx);
+        let mut p = spec.build(&SchedulerConfig::default());
         assert_eq!(p.decide(&sample_ctx()), SlotDecision::Idle);
-        p.install_plan(&WindowPlan::new());
+        p.install_plan(&[]);
         assert!(!p.round_barrier());
         // Clones share the factory and stay equal (same label).
         let clone = spec.clone();

@@ -371,6 +371,74 @@ mod tests {
         }
     }
 
+    /// Every energy is a power times a time, summed: on a test-built
+    /// profile with every power ×2ᵏ (k ∈ −4..4), each energy `record`,
+    /// `record_span` and `record_decided_span` return, and the total and
+    /// every component they leave, is exactly ×2ᵏ — scaling by a power of
+    /// two commutes with every rounding. The decision charge is built as the
+    /// engine builds it, from the profile's decision and idle powers.
+    #[test]
+    fn energies_scale_exactly_with_every_power() {
+        let states = [
+            PowerState::Idle,
+            PowerState::TrainingOnly,
+            PowerState::CoRunning(AppKind::Youtube),
+            PowerState::AppOnly(AppKind::Map),
+            PowerState::CoRunning(AppKind::CandyCrush),
+        ];
+        let charge = |p: &EnergyProfiler, slot: f64| {
+            let profile = p.model().profile();
+            Joules(0.5 * (profile.decision_power_w - profile.idle_power_w) * slot)
+        };
+        for kind in DeviceKind::ALL {
+            for k in -4..=4 {
+                let scale = 2f64.powi(k);
+                let mut base = EnergyProfiler::lean(PowerModel::new(kind.profile()));
+                let scaled_profile = kind.profile().with_powers_scaled(scale);
+                let mut scaled = EnergyProfiler::lean(PowerModel::new(scaled_profile));
+                let at = |what: &str| format!("{kind:?}, k = {k}: {what}");
+                let same = |a: Joules, b: Joules, what: &str| {
+                    assert_eq!(
+                        (a.value() * scale).to_bits(),
+                        b.value().to_bits(),
+                        "{}",
+                        at(what)
+                    );
+                };
+                for state in states {
+                    for slot in [1.0, 0.1, 1.0 / 3.0] {
+                        let slot_s = Seconds(slot);
+                        same(
+                            base.record(state, slot_s),
+                            scaled.record(state, slot_s),
+                            "record",
+                        );
+                        for slots in [1, 3, 977, 10_800] {
+                            let (a, b) = (
+                                base.record_span(state, slot_s, slots),
+                                scaled.record_span(state, slot_s, slots),
+                            );
+                            same(a, b, "record_span");
+                            let (ca, cb) = (Some(charge(&base, slot)), Some(charge(&scaled, slot)));
+                            let (a, b) = (
+                                base.record_decided_span(state, slot_s, slots, ca),
+                                scaled.record_decided_span(state, slot_s, slots, cb),
+                            );
+                            same(a, b, "record_decided_span");
+                        }
+                    }
+                }
+                same(base.total_energy(), scaled.total_energy(), "total");
+                let (parts, scaled_parts) = (base.breakdown(), scaled.breakdown());
+                assert_eq!(parts.len(), scaled_parts.len(), "{}", at("components"));
+                for ((c, a), (d, b)) in parts.into_iter().zip(scaled_parts) {
+                    assert_eq!(c, d, "{}", at("components"));
+                    same(a, b, c.label());
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_length_spans_record_nothing() {
         let mut p = profiler();

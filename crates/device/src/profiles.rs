@@ -117,6 +117,21 @@ impl DeviceProfile {
         }
     }
 
+    /// This profile with every power of Tables II and III times `factor`
+    /// and every time kept.
+    #[cfg(test)]
+    pub(crate) fn with_powers_scaled(&self, factor: f64) -> Self {
+        let mut scaled = self.clone();
+        scaled.training_power_w *= factor;
+        scaled.idle_power_w *= factor;
+        scaled.decision_power_w *= factor;
+        for m in &mut scaled.app_measurements {
+            m.app_power_w *= factor;
+            m.corun_power_w *= factor;
+        }
+        scaled
+    }
+
     /// The Table II entry for an application on this device.
     pub fn app_measurement(&self, app: AppKind) -> AppMeasurement {
         self.app_measurements[app.index()]

@@ -243,11 +243,6 @@ fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
                 let token = value("--axis")?;
                 let axis = FieldAxis::parse(&token)
                     .map_err(|e| format!("--axis `{token}`: {e}\n(axis syntax: KEY=V1,V2,...)"))?;
-                if axis.values.is_empty() {
-                    return Err(Stop::Error(format!(
-                        "--axis `{token}` must list at least one value"
-                    )));
-                }
                 args.axes.push(axis);
             }
             "--policies" => {

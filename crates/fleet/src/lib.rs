@@ -70,9 +70,10 @@ pub mod prelude {
     pub use crate::grid::{FieldAxis, FleetJob, GridError, JobCoord, ScenarioGrid};
     pub use crate::report::{rollup_table, to_csv, to_jsonl};
     pub use crate::stats::{CellRollup, Streaming};
+    pub use fedco_core::config::SchedulerConfig;
     pub use fedco_core::experiment::{ConfigError, DeviceAssignment, LinkKind, MlMode, SimConfig};
     pub use fedco_core::scenario::{parse_scenario_file, ParseScenarioError, ScenarioSpec};
-    pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
+    pub use fedco_core::spec::{PolicyFactory, PolicySpec};
     pub use fedco_telemetry::event::{Channel, Event, EventKind};
     pub use fedco_telemetry::export::events_to_jsonl;
     pub use fedco_telemetry::metrics::{MetricKey, MetricValue, MetricsRegistry};

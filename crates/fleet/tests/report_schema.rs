@@ -194,8 +194,8 @@ impl PolicyFactory for QuotedLabel {
         "Eager(p=1, \"now\")".to_string()
     }
 
-    fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
-        PolicySpec::Immediate.build(ctx)
+    fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
+        PolicySpec::Immediate.build(scheduler)
     }
 }
 

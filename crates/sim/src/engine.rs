@@ -112,10 +112,9 @@ use fedco_core::config::SchedulerConfig;
 use fedco_core::experiment::{ConfigError, SimConfig};
 use fedco_core::offline::{OfflineScheduler, OfflineUser};
 use fedco_core::online::{OnlineDecisionInput, SlotOutcome};
-use fedco_core::policy::{SchedulingPolicy, UserSlotContext, WindowPlan};
-use fedco_core::spec::PolicyBuildContext;
+use fedco_core::policy::{SchedulingPolicy, UserSlotContext};
 use fedco_device::power::{AppStatus, PowerModel, PowerState, SlotDecision};
-use fedco_device::profiler::{EnergyComponent, EnergyProfiler};
+use fedco_device::profiler::{EnergyComponent, EnergyProfiler, ScheduleComparison};
 use fedco_fl::client::{ClientConfig, EpochTask, FlClient};
 use fedco_fl::model_state::{LocalUpdate, ModelSnapshot, ModelVersion};
 use fedco_fl::pool::{Ticket, TrainingPool};
@@ -419,7 +418,7 @@ impl Simulation {
             staleness_bound: config.scheduler.staleness_bound * fleet,
             ..config.scheduler
         };
-        let policy = config.policy.build(&PolicyBuildContext::new(scheduler));
+        let policy = config.policy.build(&scheduler);
         let predictor = WeightPredictor::new(scheduler.learning_rate, scheduler.momentum_beta);
         let offline_scheduler = OfflineScheduler::new(scheduler.staleness_bound, predictor);
 
@@ -700,18 +699,13 @@ impl Simulation {
         }
     }
 
-    /// The look-ahead window in slots — the same formula the policy build
-    /// uses, so the replanning cadence a policy derives from its build
-    /// context can never drift from the window the engine actually plans.
-    fn window_slots(&self) -> u64 {
-        PolicyBuildContext::new(self.config.scheduler).window_slots()
-    }
-
     /// Computes the offline knapsack plan for the window starting at `slot`
     /// and installs it into the policy via
     /// [`SchedulingPolicy::install_plan`].
     fn plan_offline_window(&mut self, slot: u64) {
-        let window = self.window_slots();
+        // The one formula the policy build reads too, so a policy's
+        // replanning cadence can never drift from the window planned here.
+        let window = self.config.scheduler.window_slots();
         let now_s = slot as f64 * self.config.scheduler.slot_seconds;
         let velocity = self.velocity_norm();
         // Per waiting user, ascending: its planner description and the slot
@@ -725,14 +719,11 @@ impl Simulation {
             let arrival = first_arrivals[i];
             let (arrival_s, saving_j) = match arrival {
                 Some(a) => {
-                    let t_train = profile.training_time().value();
-                    let t_corun = profile.corun_time(a.app).value();
-                    let separate = profile.training_power().value() * t_train
-                        + profile.app_power(a.app).value() * t_corun;
-                    let corun = profile.corun_power(a.app).value() * t_corun;
+                    // Table II's saving: separate execution less co-running.
+                    let energies = ScheduleComparison::compute(self.profilers[i].model(), a.app);
                     (
                         Some(a.slot as f64 * self.config.scheduler.slot_seconds),
-                        separate - corun,
+                        (energies.separate_total() - energies.corun).value(),
                     )
                 }
                 None => (None, 0.0),
@@ -754,14 +745,14 @@ impl Simulation {
         for &user_id in &solution.selected {
             selected[user_id] = true;
         }
-        let mut plan = WindowPlan::new();
+        let mut plan = Vec::new();
         for (wu, arrival_slot) in window_users.iter().zip(arrival_slots) {
             // Selected co-run opportunities start with their application;
             // rejected ones execute separately right away to keep their
             // staleness out of the budget; users without an arrival wait.
             if let Some(arrival_slot) = arrival_slot {
                 let start = if selected[wu.id] { arrival_slot } else { slot };
-                plan.set_start_slot(wu.id, start);
+                plan.push((wu.id, start));
             }
         }
         self.policy.install_plan(&plan);
@@ -1103,7 +1094,6 @@ impl Simulation {
                 let ctx = UserSlotContext {
                     user_id: i,
                     slot,
-                    app_status: status,
                     input,
                 };
                 self.policy.decide(&ctx)
@@ -1130,7 +1120,6 @@ impl Simulation {
                 self.file_deadline(i, until, Deadline::EpochDone);
                 self.users.gap_schedule(i, predicted);
                 tally.scheduled += 1;
-                self.policy.notify_scheduled(i);
                 self.emit(
                     slot,
                     EventKind::Schedule {

@@ -41,11 +41,12 @@ pub mod prelude {
     pub use crate::report::{render_breakdown, render_series, render_table, summarize};
     pub use crate::trace::{SimResult, TracePoint, UpdateEvent, UserGapPoint};
     pub use crate::user::{TrainingPhase, UserArena};
+    pub use fedco_core::config::SchedulerConfig;
     pub use fedco_core::experiment::{
         ConfigError, DeviceAssignment, EmptyDeviceList, LinkKind, MlConfig, MlMode, SimConfig,
     };
     pub use fedco_core::scenario::{parse_scenario_file, ScenarioSpec};
-    pub use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
+    pub use fedco_core::spec::{PolicyFactory, PolicySpec};
 }
 
 pub use prelude::*;

@@ -265,8 +265,10 @@ impl PolicyFactory for LegacyOnlineFactory {
     fn label(&self) -> String {
         "LegacyOnline".to_string()
     }
-    fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
-        Box::new(LegacyOnline(PolicySpec::Online { v: None }.build(ctx)))
+    fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
+        Box::new(LegacyOnline(
+            PolicySpec::Online { v: None }.build(scheduler),
+        ))
     }
 }
 
@@ -702,7 +704,7 @@ impl PolicyFactory for PlainImmediateFactory {
     fn label(&self) -> String {
         "PlainImmediate".to_string()
     }
-    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         Box::new(PlainImmediate)
     }
 }
@@ -806,7 +808,7 @@ impl PolicyFactory for EveryKthFactory {
     fn label(&self) -> String {
         format!("EveryKth({})", self.0)
     }
-    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         Box::new(EveryKth {
             k: self.0,
             slot: 0,

@@ -8,9 +8,10 @@
 //! `fedco-sim` depend on, so `tests/metamorphic.rs` and the equivalence
 //! suite of `fedco-sim` (through `#[path]`) include this one file.
 
+use fedco_core::config::SchedulerConfig;
 use fedco_core::online::SlotOutcome;
 use fedco_core::policy::{SchedulingPolicy, UserSlotContext};
-use fedco_core::spec::{PolicyBuildContext, PolicyFactory, PolicySpec};
+use fedco_core::spec::{PolicyFactory, PolicySpec};
 use fedco_device::power::SlotDecision;
 use fedco_rng::rngs::SmallRng;
 use fedco_rng::{Rng, SeedableRng};
@@ -38,7 +39,7 @@ impl PolicyFactory for CoinFlipFactory {
         "CoinFlip(p=0.5)".to_string()
     }
 
-    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         Box::new(CoinFlip(SmallRng::seed_from_u64(0xC01F)))
     }
 }

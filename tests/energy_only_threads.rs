@@ -56,7 +56,7 @@ impl PolicyFactory for DoomedFactory {
     fn label(&self) -> String {
         "Doomed".to_string()
     }
-    fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         Box::<Doomed>::default()
     }
 }

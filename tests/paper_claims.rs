@@ -241,11 +241,11 @@ fn online_weighs_power_by_the_runs_slot_length() {
         fn label(&self) -> String {
             "Online(V=8000, t_d=1)".to_string()
         }
-        fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
-            Box::new(OnlinePolicy::new(SchedulerConfig {
+        fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
+            Box::new(OnlineScheduler::new(SchedulerConfig {
                 v: 8000.0,
                 slot_seconds: 1.0,
-                ..ctx.scheduler
+                ..*scheduler
             }))
         }
     }
@@ -310,7 +310,7 @@ impl PolicyFactory for AppCensus {
     fn label(&self) -> String {
         "app-census".to_string()
     }
-    fn build(&self, _: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, _: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         Box::new(AppCensus(Arc::clone(&self.0)))
     }
 }
@@ -318,7 +318,7 @@ impl PolicyFactory for AppCensus {
 impl SchedulingPolicy for AppCensus {
     fn decide(&mut self, ctx: &UserSlotContext) -> SlotDecision {
         self.0[0].fetch_add(1, Ordering::Relaxed);
-        if matches!(ctx.app_status, AppStatus::App(_)) {
+        if matches!(ctx.input.app_status, AppStatus::App(_)) {
             self.0[1].fetch_add(1, Ordering::Relaxed);
         }
         SlotDecision::Idle

@@ -80,10 +80,10 @@ impl PolicyFactory for MirrorFactory {
         format!("Mirror({})", self.spec)
     }
 
-    fn build(&self, ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+    fn build(&self, scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
         // Build the same concrete policies a spec would, but registered
         // exclusively through PolicySpec::Custom.
-        self.spec.build(ctx)
+        self.spec.build(scheduler)
     }
 }
 
@@ -135,7 +135,7 @@ fn sync_semantics_come_from_the_barrier_capability() {
         fn label(&self) -> String {
             "EagerBarrier".to_string()
         }
-        fn build(&self, _ctx: &PolicyBuildContext) -> Box<dyn SchedulingPolicy> {
+        fn build(&self, _scheduler: &SchedulerConfig) -> Box<dyn SchedulingPolicy> {
             Box::new(EagerBarrier)
         }
     }

@@ -106,22 +106,27 @@ fn queue_dynamics_are_nonnegative() {
     for_each_case(0xB2, |rng| {
         let steps = rng.gen_range(1..200usize);
         let bound = rng.gen_range(0.0..100.0f64);
-        let mut q = TaskQueue::new();
-        let mut h = VirtualQueue::new();
+        let mut queues = OnlineScheduler::new(SchedulerConfig {
+            staleness_bound: bound,
+            ..SchedulerConfig::default()
+        });
         let mut expected_q = 0.0f64;
         let mut expected_h = 0.0f64;
         for _ in 0..steps {
             let arrivals = rng.gen_range(0..10usize);
             let services = rng.gen_range(0..10usize);
             let gap = rng.gen_range(0.0..200.0f64);
-            q.step(arrivals as f64, services as f64);
-            h.step(gap, bound);
+            queues.end_of_slot(&SlotOutcome {
+                arrivals,
+                scheduled: services,
+                gap_sum: gap,
+            });
             expected_q = (expected_q - services as f64).max(0.0) + arrivals as f64;
             expected_h = (expected_h + gap - bound).max(0.0);
-            assert!(q.backlog() >= 0.0);
-            assert!(h.backlog() >= 0.0);
-            assert!((q.backlog() - expected_q).abs() < 1e-9);
-            assert!((h.backlog() - expected_h).abs() < 1e-9);
+            assert!(queues.queue_backlog() >= 0.0);
+            assert!(queues.virtual_backlog() >= 0.0);
+            assert!((queues.queue_backlog() - expected_q).abs() < 1e-9);
+            assert!((queues.virtual_backlog() - expected_h).abs() < 1e-9);
         }
     });
 }
