@@ -10,6 +10,7 @@
 
 use crate::config::{SchedulerConfig, SchedulerConfigError};
 use crate::spec::{PolicySpec, PolicySpecError};
+use fedco_device::choices::UnknownChoice;
 use fedco_device::profiles::DeviceKind;
 use fedco_fl::transport::TransportModel;
 use fedco_neural::lenet::LeNetConfig;
@@ -77,17 +78,43 @@ impl DeviceAssignment {
             }
         }
     }
+}
 
-    /// A short label for reports (the device list for `Custom`).
-    pub fn label(&self) -> String {
-        match self {
-            DeviceAssignment::Uniform(kind) => format!("uniform:{kind:?}"),
-            DeviceAssignment::RoundRobinTestbed => "testbed".to_string(),
-            DeviceAssignment::Custom(devices) => {
-                let names: Vec<String> = devices.iter().map(|d| format!("{d:?}")).collect();
-                format!("custom:{}", names.join("+"))
-            }
+/// The `devices=` token, which reports print too: `testbed`, one device
+/// label in lowercase (uniform), or the `+`-joined labels of a custom list.
+impl std::fmt::Display for DeviceAssignment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kinds = match self {
+            DeviceAssignment::RoundRobinTestbed => return f.write_str("testbed"),
+            DeviceAssignment::Uniform(kind) => std::slice::from_ref(kind),
+            DeviceAssignment::Custom(kinds) => kinds,
+        };
+        let names: Vec<String> = kinds
+            .iter()
+            .map(|k| k.label().to_ascii_lowercase())
+            .collect();
+        f.write_str(&names.join("+"))
+    }
+}
+
+/// Reads the `devices=` token back: `testbed` (the round-robin mix), one
+/// device name (uniform) or a `+`-joined list (a cycled custom assignment),
+/// names in any case.
+impl std::str::FromStr for DeviceAssignment {
+    type Err = UnknownChoice;
+
+    fn from_str(value: &str) -> Result<Self, Self::Err> {
+        if value.eq_ignore_ascii_case("testbed") {
+            return Ok(DeviceAssignment::RoundRobinTestbed);
         }
+        let kinds = value
+            .split('+')
+            .map(str::parse)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(match kinds[..] {
+            [one] => DeviceAssignment::Uniform(one),
+            _ => DeviceAssignment::Custom(kinds),
+        })
     }
 }
 
@@ -678,14 +705,15 @@ mod tests {
 
     #[test]
     fn assignment_labels() {
-        assert_eq!(DeviceAssignment::RoundRobinTestbed.label(), "testbed");
+        // A report prints an assignment as the token that assigns it.
+        assert_eq!(DeviceAssignment::RoundRobinTestbed.to_string(), "testbed");
         assert_eq!(
-            DeviceAssignment::Uniform(DeviceKind::Nexus6).label(),
-            "uniform:Nexus6"
+            DeviceAssignment::Uniform(DeviceKind::Nexus6).to_string(),
+            "nexus6"
         );
         assert_eq!(
-            DeviceAssignment::Custom(vec![DeviceKind::Pixel2, DeviceKind::Hikey970]).label(),
-            "custom:Pixel2+Hikey970"
+            DeviceAssignment::Custom(vec![DeviceKind::Pixel2, DeviceKind::Hikey970]).to_string(),
+            "pixel2+hikey970"
         );
     }
 

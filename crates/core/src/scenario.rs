@@ -359,7 +359,7 @@ impl ScenarioSpec {
             "battery" => c.world.battery.label().to_string(),
             "churn" => c.world.churn.label().to_string(),
             "compress" => c.world.compression.label(),
-            "devices" => devices_token(&c.devices),
+            "devices" => c.devices.to_string(),
             "link" => c.link.label().to_string(),
             "seed" => c.seed.to_string(),
             "v" => c.scheduler.v.to_string(),
@@ -452,7 +452,7 @@ impl ScenarioSpec {
             "battery" => c.world.battery = parsed(value).map_err(bad)?,
             "churn" => c.world.churn = parsed(value).map_err(bad)?,
             "compress" => c.world.compression = CompressionSpec::parse(value).map_err(bad)?,
-            "devices" => c.devices = parse_devices(value).map_err(bad)?,
+            "devices" => c.devices = parsed(value).map_err(bad)?,
             "link" => c.link = parsed(value).map_err(bad)?,
             "seed" => c.seed = parsed(value).map_err(bad)?,
             "v" => c.scheduler.v = parsed(value).map_err(bad)?,
@@ -554,38 +554,6 @@ impl std::str::FromStr for ScenarioSpec {
             seen.push(key);
         }
         Ok(spec)
-    }
-}
-
-/// The canonical `devices=` token of an assignment (the inverse of
-/// [`parse_devices`]).
-fn devices_token(devices: &DeviceAssignment) -> String {
-    let lower = |k: DeviceKind| k.label().to_ascii_lowercase();
-    match devices {
-        DeviceAssignment::RoundRobinTestbed => "testbed".to_string(),
-        DeviceAssignment::Uniform(kind) => lower(*kind),
-        DeviceAssignment::Custom(kinds) => kinds
-            .iter()
-            .map(|&k| lower(k))
-            .collect::<Vec<_>>()
-            .join("+"),
-    }
-}
-
-/// Parses a `devices=` value: `testbed` (the round-robin mix), a single
-/// device name (uniform), or a `+`-joined list (cycled custom assignment).
-fn parse_devices(value: &str) -> Result<DeviceAssignment, String> {
-    if value.eq_ignore_ascii_case("testbed") {
-        return Ok(DeviceAssignment::RoundRobinTestbed);
-    }
-    let mut kinds = Vec::new();
-    for name in value.split('+') {
-        kinds.push(name.parse::<DeviceKind>().map_err(|e| e.to_string())?);
-    }
-    match kinds.as_slice() {
-        [] => Err("must name at least one device".to_string()),
-        [one] => Ok(DeviceAssignment::Uniform(*one)),
-        _ => DeviceAssignment::custom(kinds).map_err(|e| e.to_string()),
     }
 }
 
@@ -890,18 +858,18 @@ mod tests {
     #[test]
     fn device_tokens_round_trip() {
         for value in ["testbed", "pixel2", "pixel2+hikey970", "nexus6+nexus6p"] {
-            let parsed = parse_devices(value).expect(value);
-            assert_eq!(devices_token(&parsed), value);
+            let parsed: DeviceAssignment = value.parse().expect(value);
+            assert_eq!(parsed.to_string(), value);
         }
         assert_eq!(
-            parse_devices("testbed").expect("testbed"),
-            DeviceAssignment::RoundRobinTestbed
+            "testbed".parse::<DeviceAssignment>(),
+            Ok(DeviceAssignment::RoundRobinTestbed)
         );
         assert_eq!(
-            parse_devices("Pixel2").expect("uniform"),
-            DeviceAssignment::Uniform(DeviceKind::Pixel2)
+            "Pixel2".parse::<DeviceAssignment>(),
+            Ok(DeviceAssignment::Uniform(DeviceKind::Pixel2))
         );
-        assert!(parse_devices("pixel2+warpphone").is_err());
+        assert!("pixel2+warpphone".parse::<DeviceAssignment>().is_err());
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn list_scenarios(out: &mut impl Write) -> io::Result<()> {
             spec.users(),
             spec.slots(),
             spec.arrival_p(),
-            spec.devices().label(),
+            spec.devices(),
             spec.link().label(),
             spec.ml().label(),
         )?;

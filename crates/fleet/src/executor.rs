@@ -98,7 +98,7 @@ impl JobSummary {
             scenario: job.scenario_label.clone(),
             policy: result.policy.label(),
             arrival_probability: job.config.arrival_probability,
-            devices: job.config.devices.label(),
+            devices: job.config.devices.to_string(),
             link: job.config.link.label(),
             seed: job.replicate_seed,
             total_energy_j: result.total_energy_j,
