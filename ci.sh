@@ -340,10 +340,21 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # re-exported from fedco-core directly, -1), fedco-server -14
 # (`fedco-serve` caps its connections at `--max-sessions`, +9, and parses its
 # flags through one helper, -23).
-LOC_CEILING=17844
+# 17844 -> 17673 with one type per scheduler (-171): fedco-core -158
+# (`OnlineScheduler` holds `Q(t)` / `H(t)` and implements `SchedulingPolicy`
+# itself, so `OnlinePolicy` and queues.rs's `TaskQueue`, `VirtualQueue` and
+# `QueueState` go; `PolicyBuildContext`, `WindowPlan`, `notify_scheduled`,
+# `UserSlotContext::app_status`, the test-only threshold / Lyapunov / config
+# accessors and the `new` / `clear` constructors of the unit policies go;
+# `DeviceAssignment`'s `Display` / `FromStr` replace `label`,
+# `devices_token` and `parse_devices`), fedco-sim -9 (the engine's own
+# `window_slots`, its hand-derived Table II saving and its
+# `notify_scheduled` call), fedco-fleet -4 (`fleet_sweep`'s second
+# empty-axis check, -5; `SchedulerConfig` in the prelude, +1).
+LOC_CEILING=17673
 # fedco-sim's own ceiling, beside the total: the crate ROADMAP item 10 gates
 # (< 1 700) cannot grow back unseen while another crate shrinks.
-SIM_LOC_CEILING=2157
+SIM_LOC_CEILING=2147
 LOC_TABLE="$(cargo run --release --offline -q -p fedco-audit -- --loc)"
 echo "$LOC_TABLE"
 LOC_TOTAL="$(echo "$LOC_TABLE" | awk '$1 == "total" { print $2 }')"

@@ -116,8 +116,8 @@ pub struct SlotOutcome {
 }
 
 /// The online Lyapunov scheduler: the two queue backlogs and the Eq.-21
-/// rule over them. It is also the [`SchedulingPolicy`](crate::policy::SchedulingPolicy)
-/// the engine runs for `PolicySpec::Online`.
+/// rule over them. It is also the [`SchedulingPolicy`] the engine runs for
+/// `PolicySpec::Online`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineScheduler {
     config: SchedulerConfig,
@@ -169,8 +169,8 @@ impl OnlineScheduler {
         let arrivals = (outcome.arrivals as f64).max(0.0);
         let services = (outcome.scheduled as f64).max(0.0);
         self.q = (self.q - services).max(0.0) + arrivals;
-        let (gap_sum, staleness_bound) = (outcome.gap_sum, self.config.staleness_bound);
-        self.h = (self.h + gap_sum.max(0.0) - staleness_bound.max(0.0)).max(0.0);
+        let bound = self.config.staleness_bound;
+        self.h = (self.h + outcome.gap_sum.max(0.0) - bound.max(0.0)).max(0.0);
     }
 }
 
