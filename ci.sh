@@ -351,7 +351,14 @@ echo "==> code size per crate (fedco-audit --loc; must not rise, see EXPERIMENTS
 # `window_slots`, its hand-derived Table II saving and its
 # `notify_scheduled` call), fedco-fleet -4 (`fleet_sweep`'s second
 # empty-axis check, -5; `SchedulerConfig` in the prelude, +1).
-LOC_CEILING=17673
+# 17673 -> 17667 with the conv forward swept once per input channel (-6):
+# fedco-neural -4 (`plane::<K, T>`, one sweep per input channel with the
+# taps in a local array, +12 with its `PlaneSweep` type, shares one
+# `KERNELS` table with the backward walks; `axpy` and the per-call tap-offset
+# `Vec` gone, -10; `Dataset::class_histogram`, which only the crate's tests
+# call, is test code, -8), fedco-core -2 (`OnlineScheduler::end_of_slot`'s two
+# `max(0.0)` clamps on `usize` counts, which could never act).
+LOC_CEILING=17667
 # fedco-sim's own ceiling, beside the total: the crate ROADMAP item 10 gates
 # (< 1 700) cannot grow back unseen while another crate shrinks.
 SIM_LOC_CEILING=2147
@@ -395,7 +402,8 @@ echo "==> every test again in release, the ones ignored in debug included"
 # whole workspace runs again in release:
 # - the bit-equivalence oracles (`reference_bits`), because the vectorised
 #   code only exists in release: every fedco-neural layer's kernels against
-#   its old loops (the conv2d forward and hit-list walk with pool-shaped
+#   its old loops (the conv2d per-channel forward sweep at every kernel size
+#   1-5, trained and evaluated, and the hit-list walk with pool-shaped
 #   gradients, the 2x2 max-pool's selects over ties, ±0, -inf and NaN, dense
 #   over signed zeros, Sgd); the fused `apply_async`, the single-buffer codec
 #   and `leave_flush_reference_bits` (the `Leave` that flushes only a session

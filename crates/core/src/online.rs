@@ -166,9 +166,7 @@ impl OnlineScheduler {
     /// `Q(t+1) = max(Q(t) − b(t), 0) + A(t)` (Eq. 15) and
     /// `H(t+1) = max(H(t) + Σ_i g_i(t, t+τ) − L_b, 0)` (Eq. 16).
     pub fn end_of_slot(&mut self, outcome: &SlotOutcome) {
-        let arrivals = (outcome.arrivals as f64).max(0.0);
-        let services = (outcome.scheduled as f64).max(0.0);
-        self.q = (self.q - services).max(0.0) + arrivals;
+        self.q = (self.q - outcome.scheduled as f64).max(0.0) + outcome.arrivals as f64;
         let bound = self.config.staleness_bound;
         self.h = (self.h + outcome.gap_sum.max(0.0) - bound.max(0.0)).max(0.0);
     }

@@ -145,8 +145,9 @@ impl Dataset {
             .collect()
     }
 
-    /// Class histogram (counts per label).
-    pub fn class_histogram(&self) -> Vec<usize> {
+    /// Class histogram (counts per label), for this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.classes.max(1)];
         for ex in &self.examples {
             if ex.label < hist.len() {

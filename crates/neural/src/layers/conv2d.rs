@@ -11,7 +11,9 @@
 //! reassociated or fused into a multiply-add. The kernels reorder only work
 //! that lands in different elements:
 //!
-//! - `forward` applies one tap to a whole output plane at a time.
+//! - `forward` sweeps a whole output plane once per input channel: that
+//!   channel's `K`×`K` weights sit in a local array, and each element is
+//!   loaded, given the channel's taps in ascending `(ky, kx)` and stored.
 //! - The backward pass first collects a `(b, oc)` plane's non-zero
 //!   `grad_output` positions, its hit list (pooling and ReLU leave most of
 //!   the plane zero), and the bias sums over it. Then, per input channel,
@@ -40,37 +42,50 @@ pub struct Conv2d {
     out_channels: usize,
     kernel: usize,
     cached_input: Option<Tensor>,
-    /// `forward`'s accumulator for one output plane, kept between calls.
+    /// `forward`'s accumulator for one output plane, swept once per input
+    /// channel and kept between calls.
     rows: Vec<f32>,
     /// The backward pass's hit list for one plane, kept between calls: the
     /// input offset of each non-zero `grad_output` position, and its value.
     hits: Vec<(usize, f32)>,
 }
 
-/// `dst[i] += src[i] * weight`. Elements are independent, so the compiler is
-/// free to vectorise; each one still sees a single multiply followed by a
-/// single add.
-fn axpy(dst: &mut [f32], src: &[f32], weight: f32) {
-    let src = &src[..dst.len()];
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d += x * weight;
-    }
-}
-
 /// The input gradient of one channel and that channel's weights.
 type InputGrad<'a> = Option<(&'a mut [f32], &'a [f32])>;
+
+/// One input channel's share of an output plane in `forward`.
+type PlaneSweep = fn(&mut [f32], &[f32], &[f32], usize);
 
 /// One input channel's share of a plane's backward pass.
 type ChannelWalk = fn(&mut [f32], &[f32], InputGrad, usize, &[(usize, f32)]);
 
-/// [`channel_walk`] for each kernel size a `Conv2d` takes, 1 to 5.
-const WALKS: [ChannelWalk; 5] = [
-    channel_walk::<1, 4>,
-    channel_walk::<2, 4>,
-    channel_walk::<3, 4>,
-    channel_walk::<4, 4>,
-    channel_walk::<5, 8>,
+/// [`plane`] and [`channel_walk`] for each kernel size a `Conv2d` takes, 1
+/// to 5.
+const KERNELS: [(PlaneSweep, ChannelWalk); 5] = [
+    (plane::<1, 1>, channel_walk::<1, 4>),
+    (plane::<2, 4>, channel_walk::<2, 4>),
+    (plane::<3, 9>, channel_walk::<3, 4>),
+    (plane::<4, 16>, channel_walk::<4, 4>),
+    (plane::<5, 25>, channel_walk::<5, 8>),
 ];
+
+/// One input channel's share of an output plane for a `K`×`K` kernel of
+/// `T` taps: `rows[i] += x[i + ky·w + kx] · w_c[ky·K + kx]` in ascending
+/// `(ky, kx)`, each element loaded and stored once. Elements are
+/// independent, so the compiler is free to vectorise across them; each tap
+/// is still a single multiply followed by a single add.
+fn plane<const K: usize, const T: usize>(rows: &mut [f32], x: &[f32], w_c: &[f32], w: usize) {
+    let n = rows.len();
+    let taps: [f32; T] = std::array::from_fn(|t| w_c[t]);
+    let src: [&[f32]; T] = std::array::from_fn(|t| &x[t / K * w + t % K..][..n]);
+    for (i, r) in rows.iter_mut().enumerate() {
+        let mut acc = *r;
+        for (s, &wv) in src.iter().zip(&taps) {
+            acc += s[i] * wv;
+        }
+        *r = acc;
+    }
+}
 
 /// One input channel's share of a plane's backward pass, for a `K`×`K`
 /// kernel read `PW` lanes wide (see the module doc): `gw[ky·K + kx] += g ·
@@ -130,7 +145,7 @@ impl Conv2d {
     /// Panics unless `kernel` is 1 to 5.
     pub fn new(in_channels: usize, out_channels: usize, kernel: usize) -> Self {
         assert!(
-            (1..=WALKS.len()).contains(&kernel),
+            (1..=KERNELS.len()).contains(&kernel),
             "kernel size must be 1 to 5"
         );
         Conv2d {
@@ -168,7 +183,7 @@ impl Conv2d {
                 op: "conv2d_backward",
             });
         }
-        let (k, w, walk) = (self.kernel, input.shape()[3], WALKS[self.kernel - 1]);
+        let (k, w, walk) = (self.kernel, input.shape()[3], KERNELS[self.kernel - 1].1);
         let (plane_len, taps) = (input.shape()[2] * w, in_channels * k * k);
         let mut grad_input = input_grad.then(|| Tensor::zeros(input.shape()));
         let (x, weight) = (input.data(), &params[..self.weight_len()]);
@@ -254,20 +269,18 @@ impl Layer for Conv2d {
         // One output plane is accumulated in rows `w` apart, so the input
         // element under a tap sits at a fixed offset plus the accumulator
         // index, across row ends too (computing the never-copied-out columns
-        // `ow..w` on the way).
+        // `ow..w` on the way); the last element's last tap reads the input
+        // plane's last element.
         self.rows.resize((oh - 1) * w + ow, 0.0);
-        // Each tap's offset into an example's planes, in weight order.
-        let taps: Vec<usize> = (0..in_channels * k)
-            .flat_map(|row| (0..k).map(move |kx| (row / k * h + row % k) * w + kx))
-            .collect();
+        let (sweep, taps) = (KERNELS[k - 1].0, in_channels * k * k);
         let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
         let (weight, bias) = params.split_at(self.weight_len());
         for (plane, out_plane) in out.data_mut().chunks_mut(oh * ow).enumerate() {
             let (b, oc) = (plane / self.out_channels, plane % self.out_channels);
-            let x_b = &input.data()[b * in_channels * h * w..][..in_channels * h * w];
+            let x_b = input.data()[b * in_channels * h * w..].chunks_exact(h * w);
             self.rows.fill(bias[oc]);
-            for (&at, &wv) in taps.iter().zip(&weight[oc * taps.len()..]) {
-                axpy(&mut self.rows, &x_b[at..], wv);
+            for (x_c, w_c) in x_b.zip(weight[oc * taps..][..taps].chunks_exact(k * k)) {
+                sweep(&mut self.rows, x_c, w_c, w);
             }
             for (out_row, row) in out_plane.chunks_mut(ow).zip(self.rows.chunks(w)) {
                 out_row.copy_from_slice(&row[..ow]);
@@ -530,6 +543,43 @@ mod tests {
                 "accumulated grad_bias {label}"
             );
         }
+    }
+
+    #[test]
+    fn forward_matches_reference_bits_for_every_kernel_size() {
+        // Every kernel size, trained and evaluated, with a tenth of the
+        // inputs and weights `0.0` and a tenth `-0.0`. Each layer sees planes
+        // whose output is one row or one column, where the sweep's last read
+        // is the input plane's last element, in growing and shrinking order.
+        let mut rng = SmallRng::seed_from_u64(54);
+        let mut values = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen::<f32>() - 0.5,
+                })
+                .collect()
+        };
+        let mut cases = 0;
+        for k in 1..=5 {
+            for (ic, oc) in [(1, 2), (3, 4)] {
+                let (mut train, mut eval) = (Conv2d::new(ic, oc, k), Conv2d::new(ic, oc, k));
+                let params = values(train.param_len());
+                for (batch, h, w) in [(2, k, k + 6), (1, k + 5, k + 3), (3, k + 4, k), (2, k, k)] {
+                    let label = format!("k{k} b{batch} {ic}->{oc} {h}x{w}");
+                    let x = Tensor::from_vec(values(batch * ic * h * w), &[batch, ic, h, w]);
+                    let x = x.unwrap();
+                    let want = bits(reference_forward(&train, &params, &x).data());
+                    let y = train.forward(&params, &x, true).unwrap();
+                    assert_eq!(bits(y.data()), want, "forward {label}");
+                    let y = eval.forward(&params, &x, false).unwrap();
+                    assert_eq!(bits(y.data()), want, "eval {label}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 40);
     }
 
     #[test]
