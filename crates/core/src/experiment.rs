@@ -39,21 +39,11 @@ pub enum DeviceAssignment {
     #[default]
     RoundRobinTestbed,
     /// An explicit device per user (cycled if shorter than the user count).
-    /// Must be non-empty; build it through [`DeviceAssignment::custom`] to
-    /// get the check at construction time.
+    /// Must be non-empty, which [`SimConfig::validate`] checks.
     Custom(Vec<DeviceKind>),
 }
 
 impl DeviceAssignment {
-    /// Builds a checked [`DeviceAssignment::Custom`], rejecting empty lists.
-    pub fn custom(devices: Vec<DeviceKind>) -> Result<Self, EmptyDeviceList> {
-        if devices.is_empty() {
-            Err(EmptyDeviceList)
-        } else {
-            Ok(DeviceAssignment::Custom(devices))
-        }
-    }
-
     /// Whether the assignment can serve every user index.
     pub fn is_valid(&self) -> bool {
         match self {
@@ -67,7 +57,7 @@ impl DeviceAssignment {
     /// # Panics
     ///
     /// Panics if the assignment is an empty `Custom` list (which
-    /// [`DeviceAssignment::custom`] and `SimConfig::validate` both reject).
+    /// [`SimConfig::validate`] rejects).
     pub fn device_for(&self, user: usize) -> DeviceKind {
         match self {
             DeviceAssignment::Uniform(kind) => *kind,
@@ -669,8 +659,7 @@ mod tests {
         assert_eq!(rr.device_for(0), DeviceKind::Nexus6);
         assert_eq!(rr.device_for(3), DeviceKind::Pixel2);
         assert_eq!(rr.device_for(4), DeviceKind::Nexus6);
-        let custom = DeviceAssignment::custom(vec![DeviceKind::Pixel2, DeviceKind::Hikey970])
-            .expect("non-empty list");
+        let custom = DeviceAssignment::Custom(vec![DeviceKind::Pixel2, DeviceKind::Hikey970]);
         assert_eq!(custom.device_for(1), DeviceKind::Hikey970);
         assert_eq!(custom.device_for(2), DeviceKind::Pixel2);
         assert_eq!(
@@ -681,7 +670,6 @@ mod tests {
 
     #[test]
     fn empty_custom_assignment_is_rejected() {
-        assert_eq!(DeviceAssignment::custom(vec![]), Err(EmptyDeviceList));
         assert!(!DeviceAssignment::Custom(vec![]).is_valid());
         assert!(DeviceAssignment::RoundRobinTestbed.is_valid());
         // An invalid assignment invalidates the whole configuration, so the

@@ -23,9 +23,9 @@
 //!   value into a copy and runs [`SimConfig::validate`] on it, so an
 //!   out-of-range value is rejected with the validator's reason after a
 //!   `scenario field key=value:` prefix, and the spec stays untouched;
-//! * [`parse_scenario_file`] reads a whole catalogue of named scenarios
-//!   from a hand-rolled section/`key=value` text format (the workspace is
-//!   offline — no serde);
+//! * [`parse_scenario_file`] reads a whole catalogue of named scenarios,
+//!   one `NAME = SPEC` line each, where SPEC is the same `name[:key=value…]`
+//!   syntax and NAME becomes the label;
 //! * [`default_registry`](ScenarioSpec::default_registry) enumerates the
 //!   built-in presets (`paper-default`, `sparse`, `dense-burst`,
 //!   `hetero-devices`, `lte-uplink`, …);
@@ -72,8 +72,9 @@ pub const PRESET_NAMES: [&str; 15] = [
 ];
 
 /// The sweepable scenario fields, in canonical order. Every key is
-/// accepted by [`ScenarioSpec::set`], the `name:key=value…` CLI syntax and
-/// the scenario-file format, and any of them can back a fleet sweep axis.
+/// accepted by [`ScenarioSpec::set`] and the `name:key=value…` syntax (on
+/// the CLI and in a scenario file), and any of them can back a fleet sweep
+/// axis.
 pub const FIELD_KEYS: [&str; 17] = [
     "users",
     "slots",
@@ -237,8 +238,8 @@ impl ScenarioSpec {
     /// Re-names the spec: the new name becomes the whole identity of the
     /// current field values and the recorded overrides are cleared, so
     /// [`label`](ScenarioSpec::label) is just `name` until further fields
-    /// change. This is how the scenario-file parser turns `base +
-    /// overrides` sections into first-class named scenarios.
+    /// change. This is how the scenario-file parser turns each
+    /// `NAME = SPEC` line into a first-class named scenario.
     #[must_use]
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -422,9 +423,9 @@ impl ScenarioSpec {
     }
 
     /// Sets one field from its textual `key=value` form — the single entry
-    /// point the CLI parser, the scenario-file parser and the fleet's sweep
-    /// axes all share, so each of the [`FIELD_KEYS`] is uniformly
-    /// sweepable. The value is parsed, written into a copy of the spec and
+    /// point the `name:key=value…` parser and the fleet's sweep axes share,
+    /// so each of the [`FIELD_KEYS`] is uniformly sweepable. The value is
+    /// parsed, written into a copy of the spec and
     /// checked by [`SimConfig::validate`]; only a valid copy is committed,
     /// so a rejected value leaves the spec untouched. Unknown keys and
     /// malformed or out-of-range values are rejected with an error naming
@@ -581,132 +582,60 @@ fn parse_on_off(value: &str) -> Result<bool, String> {
     }
 }
 
-/// Parses a scenario file: a catalogue of named scenarios in a hand-rolled
-/// section/`key=value` text format (the workspace is offline — no serde).
+/// Parses a scenario file: a catalogue of named scenarios, one per line,
+/// each written `NAME = SPEC` with SPEC in the `name[:key=value…]` syntax
+/// that `FromStr` reads.
 ///
 /// ```text
-/// # One section per scenario. The section name is the scenario's label.
-/// [weekend-lte]
-/// base = sparse            # optional registry preset to start from
-/// users = 50               # then any FIELD_KEYS entry, one per line
-/// link = lte
-///
-/// [night-idle]
-/// arrival_p = 0.0001
-/// traces = off
+/// # Blank lines and lines starting with `#` are skipped.
+/// weekend-lte = sparse:users=50:link=lte
+/// night-idle = paper-default:arrival_p=0.0001:traces=off
 /// ```
 ///
-/// Rules, each violation reported with its line number:
-/// * blank lines and lines starting with `#` or `;` are skipped;
-/// * a section is `[name]` where `name` uses only letters, digits, `_`,
-///   `.` and `-`; duplicate names — and names shadowing a registry preset —
-///   are rejected, since the name alone keys every report row;
-/// * `base = <preset>` must be the first entry of its section when
-///   present (default `paper-default`);
-/// * every other line is `key = value` with a key from [`FIELD_KEYS`].
+/// Each scenario is SPEC parsed, then [`named`](ScenarioSpec::named) NAME.
+/// NAME uses only letters, digits, `_`, `.` and `-`, and must neither repeat
+/// an earlier name nor shadow a registry preset, since the name alone keys
+/// every report row. Every error names its line.
 pub fn parse_scenario_file(text: &str) -> Result<Vec<ScenarioSpec>, ParseScenarioError> {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
-    let mut current: Option<(String, ScenarioSpec, Vec<String>)> = None;
-    let at = |line_no: usize, detail: String| {
-        ParseScenarioError(format!("scenario file line {line_no}: {detail}"))
-    };
-    let finish = |specs: &mut Vec<ScenarioSpec>,
-                  section: Option<(String, ScenarioSpec, Vec<String>)>| {
-        if let Some((name, spec, _)) = section {
-            specs.push(spec.named(name));
-        }
-    };
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some(header) = line.strip_prefix('[') {
-            let name = header
-                .strip_suffix(']')
-                .ok_or_else(|| at(line_no, format!("unterminated section header `{line}`")))?
-                .trim();
-            if name.is_empty()
-                || !name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-            {
-                return Err(at(
-                    line_no,
-                    format!(
-                        "section name `{name}` must use only letters, digits, `_`, `.` and `-`"
-                    ),
-                ));
-            }
-            if PRESET_NAMES.contains(&name) {
-                return Err(at(
-                    line_no,
-                    format!(
-                        "section `{name}` shadows the built-in preset of the same name; \
-pick a different name"
-                    ),
-                ));
-            }
-            if specs.iter().any(|s| s.name() == name)
-                || current.as_ref().is_some_and(|(n, _, _)| n == name)
-            {
-                return Err(at(line_no, format!("duplicate scenario section `{name}`")));
-            }
-            finish(&mut specs, current.take());
-            current = Some((
-                name.to_string(),
-                ScenarioSpec::base("paper-default"),
-                Vec::new(),
-            ));
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or_else(|| {
-            at(
-                line_no,
-                format!("`{line}` is not a section header or key = value"),
-            )
-        })?;
-        let key = key.trim().to_ascii_lowercase();
-        let value = value.trim();
-        let Some((_, spec, seen)) = current.as_mut() else {
-            return Err(at(
-                line_no,
-                format!("`{line}` appears before any [section] header"),
-            ));
+        let at = |detail: String| {
+            ParseScenarioError(format!("scenario file line {}: {detail}", idx + 1))
         };
-        if key == "base" {
-            if !seen.is_empty() {
-                return Err(at(
-                    line_no,
-                    "`base` must be the first entry of its section".to_string(),
-                ));
-            }
-            let name = value.to_ascii_lowercase();
-            let base = ScenarioSpec::preset(&name).ok_or_else(|| {
-                at(
-                    line_no,
-                    format!(
-                        "unknown base preset `{value}` (available presets: {})",
-                        PRESET_NAMES.join(", ")
-                    ),
-                )
-            })?;
-            *spec = base;
-            seen.push("base".to_string());
-            continue;
+        let (name, spec) = line
+            .split_once('=')
+            .ok_or_else(|| at(format!("`{line}` is not NAME = SPEC")))?;
+        let name = name.trim();
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
+        {
+            return Err(at(format!(
+                "scenario name `{name}` must use only letters, digits, `_`, `.` and `-`"
+            )));
         }
-        if seen.contains(&key) {
-            return Err(at(line_no, format!("duplicate scenario field `{key}`")));
+        if PRESET_NAMES.contains(&name) {
+            return Err(at(format!(
+                "scenario `{name}` shadows the built-in preset of the same name; \
+pick a different name"
+            )));
         }
-        spec.set(&key, value)
-            .map_err(|e| at(line_no, e.to_string()))?;
-        seen.push(key);
+        if specs.iter().any(|s| s.name() == name) {
+            return Err(at(format!("duplicate scenario `{name}`")));
+        }
+        let spec = spec
+            .parse::<ScenarioSpec>()
+            .map_err(|e| at(e.to_string()))?;
+        specs.push(spec.named(name));
     }
-    finish(&mut specs, current.take());
     if specs.is_empty() {
         return Err(ParseScenarioError(
-            "scenario file defines no scenarios (no [section] headers found)".to_string(),
+            "scenario file defines no scenarios (no NAME = SPEC lines found)".to_string(),
         ));
     }
     Ok(specs)
@@ -985,18 +914,12 @@ mod tests {
     }
 
     #[test]
-    fn scenario_file_parses_sections_and_bases() {
+    fn scenario_file_parses_named_specs() {
         let text = "\
 # fleet catalogue
-[weekend-lte]
-base = sparse
-users = 50
-link = lte
+weekend-lte = sparse:users=50:link=lte
 
-; alternative comment style
-[night-idle]
-arrival_p = 0.0001
-traces = off
+night-idle = paper-default:arrival_p=0.0001:traces=off
 ";
         let specs = parse_scenario_file(text).expect("parses");
         assert_eq!(specs.len(), 2);
@@ -1019,24 +942,22 @@ traces = off
     #[test]
     fn scenario_file_rejections_name_the_line() {
         let cases = [
-            ("users = 5\n", "before any [section]"),
-            ("[a]\nusers = 5\n[a]\n", "duplicate scenario section `a`"),
-            ("[sparse]\n", "shadows the built-in preset"),
-            ("[bad name]\n", "must use only letters"),
-            ("[a\n", "unterminated section header"),
-            ("[a]\nusers = 5\nbase = smoke\n", "must be the first entry"),
-            ("[a]\nbase = warp\n", "unknown base preset `warp`"),
-            ("[a]\nusers = 5\nusers = 6\n", "duplicate scenario field"),
-            ("[a]\nusers = 0\n", "at least 1"),
-            ("[a]\nnot a key value\n", "not a section header"),
+            ("a = smoke:users=5\na = sparse\n", "duplicate scenario `a`"),
+            ("sparse = smoke\n", "shadows the built-in preset"),
+            ("bad name = smoke\n", "must use only letters"),
+            ("a = warp\n", "unknown scenario `warp`"),
+            ("a = smoke:users=5:users=6\n", "duplicate scenario field"),
+            ("a = smoke:users=0\n", "at least 1"),
             ("# only comments\n", "defines no scenarios"),
+            // The retired section format fails at its first line.
+            ("[a]\nusers = 5\n", "line 1: `[a]` is not NAME = SPEC"),
         ];
         for (text, needle) in cases {
             let err = parse_scenario_file(text).unwrap_err().to_string();
             assert!(err.contains(needle), "{text:?}: {err}");
         }
         // Line numbers point at the offending line.
-        let err = parse_scenario_file("[a]\nusers = 5\nusers = 6\n")
+        let err = parse_scenario_file("a = smoke\n\nb = smoke:users=5:users=6\n")
             .unwrap_err()
             .to_string();
         assert!(err.contains("line 3"), "{err}");

@@ -9,13 +9,12 @@
 //!                         registry, e.g. paper-default, sparse:users=50,
 //!                         lte-uplink:arrival_p=0.005
 //!   --scenario-file PATH  add every scenario defined in a scenario file
-//!                         (section/key=value format; see EXPERIMENTS.md)
+//!                         (one NAME = SPEC line each; see EXPERIMENTS.md)
 //!   --axis KEY=V1,V2,…    add one open sweep axis over any scenario field
 //!                         (repeatable), e.g. --axis users=10,100
 //!                         --axis link=ideal,lte
 //!   --policies LIST       comma-separated policy specs (default: the
 //!                         paper's four), e.g. offline, online:v=1000
-//!   --users N, --slots N  shorthand: override users/slots on every scenario
 //!   --replicates N        seeds per cell (default 2)
 //!   --seed N              base seed of the per-job derivation (default 42)
 //!   --csv PATH            write per-job rows as CSV
@@ -117,8 +116,6 @@ impl Write for Stdout {
 
 struct Args {
     workers: usize,
-    users: Option<usize>,
-    slots: Option<u64>,
     replicates: usize,
     seed: u64,
     scenarios: Vec<ScenarioSpec>,
@@ -133,7 +130,7 @@ struct Args {
 
 const USAGE: &str = "usage: fleet_sweep [--workers N] [--scenario SPEC,SPEC,...] \
 [--scenario-file PATH] [--axis KEY=V1,V2,...] [--policies SPEC,SPEC,...] \
-[--users N] [--slots N] [--replicates N] [--seed N] [--csv PATH] [--jsonl PATH] \
+[--replicates N] [--seed N] [--csv PATH] [--jsonl PATH] \
 [--trace PATH] [--metrics PATH] [--verify] [--list-scenarios] [--list-policies]";
 
 fn list_scenarios(out: &mut impl Write) -> io::Result<()> {
@@ -185,8 +182,6 @@ where
 fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
     let mut args = Args {
         workers: 0,
-        users: None,
-        slots: None,
         replicates: 2,
         seed: 42,
         scenarios: Vec::new(),
@@ -203,20 +198,6 @@ fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--workers" => args.workers = parsed("--workers", value("--workers")?)?,
-            "--users" => {
-                let n: usize = parsed("--users", value("--users")?)?;
-                if n == 0 {
-                    return Err(Stop::Error("--users must be at least 1".to_string()));
-                }
-                args.users = Some(n);
-            }
-            "--slots" => {
-                let n: u64 = parsed("--slots", value("--slots")?)?;
-                if n == 0 {
-                    return Err(Stop::Error("--slots must be at least 1".to_string()));
-                }
-                args.slots = Some(n);
-            }
             "--replicates" => args.replicates = parsed("--replicates", value("--replicates")?)?,
             "--seed" => args.seed = parsed("--seed", value("--seed")?)?,
             "--scenario" | "--scenarios" => {
@@ -288,15 +269,6 @@ fn parse_args(out: &mut impl Write) -> Result<Option<Args>, Stop> {
     }
     if args.scenarios.is_empty() {
         args.scenarios = vec![ScenarioSpec::preset("smoke").expect("registry preset")];
-    }
-    // --users/--slots are shorthand for overriding every scenario.
-    for scenario in &mut args.scenarios {
-        if let Some(users) = args.users {
-            *scenario = scenario.clone().with_users(users);
-        }
-        if let Some(slots) = args.slots {
-            *scenario = scenario.clone().with_slots(slots);
-        }
     }
     Ok(Some(args))
 }

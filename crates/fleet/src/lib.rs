@@ -19,7 +19,7 @@
 //!   default, claiming jobs in grid order through an atomic cursor) running
 //!   jobs in summary-only mode, drained by the caller in job order while the
 //!   workers keep going;
-//! * [`stats`] — mergeable streaming count/mean/M2/min/max accumulators and
+//! * [`stats`] — streaming count/mean/M2/min/max accumulators and
 //!   per-`(scenario, policy)` rollups, so sweeps never materialize traces;
 //! * [`report`] — hand-rolled CSV and JSON-lines writers (the workspace is
 //!   offline: no serde), every row keyed by `(scenario label,

@@ -1,12 +1,11 @@
-//! Mergeable streaming statistics.
+//! Streaming statistics.
 //!
 //! A fleet sweep over millions of device-runs cannot afford to hold every
 //! per-run value in memory just to compute a mean at the end. [`Streaming`]
 //! keeps the classic count/mean/M2/min/max accumulator (Welford's online
-//! algorithm), and two accumulators built on disjoint shards merge exactly
-//! (Chan et al.'s parallel update), so rollups can be folded in any
-//! sharding — as long as the *fold order* is fixed, the result is
-//! bit-identical regardless of how many workers produced the shards.
+//! algorithm), and a [`CellRollup`] absorbs each finished job of its cell.
+//! The executor absorbs jobs in job order, so the result is bit-identical
+//! regardless of how many workers ran them.
 
 use fedco_telemetry::profiling::Measured;
 
@@ -48,27 +47,6 @@ impl Streaming {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator built over a disjoint set of samples
-    /// (Chan et al.'s parallel variance update).
-    pub fn merge(&mut self, other: &Streaming) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples absorbed.
@@ -200,21 +178,6 @@ impl CellRollup {
         self.slots_per_sec.push(*job.slots_per_sec);
     }
 
-    /// Merges the rollup of a disjoint shard of jobs for the same cell.
-    pub fn merge(&mut self, other: &CellRollup) {
-        debug_assert_eq!(self.scenario, other.scenario);
-        debug_assert_eq!(self.policy, other.policy);
-        self.energy_j.merge(&other.energy_j);
-        self.radio_j.merge(&other.radio_j);
-        self.updates.merge(&other.updates);
-        self.corun_epochs.merge(&other.corun_epochs);
-        self.mean_lag.merge(&other.mean_lag);
-        self.mean_queue.merge(&other.mean_queue);
-        self.accuracy.merge(&other.accuracy);
-        self.wall_ms.merge(&other.wall_ms);
-        self.slots_per_sec.merge(&other.slots_per_sec);
-    }
-
     /// Number of runs absorbed.
     pub fn runs(&self) -> u64 {
         self.energy_j.count()
@@ -252,36 +215,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        let mut t = Streaming::new();
-        t.push(2.0);
-        let before = t.clone();
-        t.merge(&s);
-        assert_eq!(t, before);
-        let mut u = Streaming::new();
-        u.merge(&before);
-        assert_eq!(u, before);
-    }
-
-    #[test]
-    fn sharded_merge_equals_sequential_push() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut whole = Streaming::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        for split in [1, 13, 50, 99] {
-            let (a, b) = xs.split_at(split);
-            let mut sa = Streaming::new();
-            let mut sb = Streaming::new();
-            a.iter().for_each(|&x| sa.push(x));
-            b.iter().for_each(|&x| sb.push(x));
-            sa.merge(&sb);
-            assert_eq!(sa.count(), whole.count());
-            assert!((sa.mean() - whole.mean()).abs() < 1e-12);
-            assert!((sa.variance() - whole.variance()).abs() < 1e-9);
-            assert_eq!(sa.min(), whole.min());
-            assert_eq!(sa.max(), whole.max());
-        }
     }
 
     fn job(scenario: &str, policy: &str, energy: f64, acc: Option<f32>, wall: f64) -> JobSummary {
@@ -308,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn rollup_absorbs_and_merges() {
+    fn rollup_absorbs_jobs() {
         let mut r = CellRollup::new("smoke", "Online");
         r.absorb(&job("smoke", "Online", 100.0, Some(0.5), 1.0));
         r.absorb(&job("smoke", "Online", 200.0, None, 1.0));
@@ -317,9 +250,7 @@ mod tests {
         assert_eq!(r.accuracy.count(), 1);
         assert_eq!(r.wall_ms.count(), 2);
         assert_eq!(r.slots_per_sec.mean(), 2000.0);
-        let mut other = CellRollup::new("smoke", "Online");
-        other.absorb(&job("smoke", "Online", 300.0, Some(0.7), 1.0));
-        r.merge(&other);
+        r.absorb(&job("smoke", "Online", 300.0, Some(0.7), 1.0));
         assert_eq!(r.runs(), 3);
         assert_eq!(r.energy_j.mean(), 200.0);
         assert_eq!(r.accuracy.count(), 2);

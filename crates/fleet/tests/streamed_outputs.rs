@@ -24,7 +24,7 @@ fn longest_first_grid() -> ScenarioGrid {
     .with_replicates(2)
 }
 
-/// The grid of `ci.sh`'s telemetry smoke (`fleet_sweep --users 5 --slots 400`).
+/// The grid of `ci.sh`'s telemetry smoke (`fleet_sweep --scenario smoke:users=5:slots=400`).
 fn ci_grid() -> ScenarioGrid {
     ScenarioGrid::from_scenarios(vec![scenario("smoke", 5, 400)])
         .with_policy_specs(PolicySpec::PAPER.to_vec())
@@ -96,7 +96,7 @@ fn a_closed_stdout_ends_the_sweep_without_a_panic() {
     let seeds: Vec<String> = (1..=300).map(|seed| seed.to_string()).collect();
     let csv = std::env::temp_dir().join(format!("fleet_sweep_closed_{}.csv", std::process::id()));
     let mut child = Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
-        .args("--users 1 --slots 10 --replicates 1 --workers 2".split(' '))
+        .args("--scenario smoke:users=1:slots=10 --replicates 1 --workers 2".split(' '))
         .args(["--axis", &format!("seed={}", seeds.join(","))])
         .arg("--csv")
         .arg(&csv)

@@ -372,7 +372,7 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
             Some(_) if pairs.is_empty() => {}
             _ => return Err("expected `,` or `}`".to_string()),
         }
-        let key = parse_string(text, &mut chars)?;
+        let key = parse_string(&mut chars)?;
         match chars.next() {
             Some((_, ':')) => {}
             _ => return Err(format!("expected `:` after key `{key}`")),
@@ -391,7 +391,7 @@ fn parse_value(
     chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
 ) -> Result<JsonValue, String> {
     match chars.peek().copied() {
-        Some((_, '"')) => Ok(JsonValue::Str(parse_string(text, chars)?)),
+        Some((_, '"')) => Ok(JsonValue::Str(parse_string(chars)?)),
         Some((_, 't')) => {
             expect_word(text, chars, "true")?;
             Ok(JsonValue::Bool(true))
@@ -447,14 +447,12 @@ fn expect_word(
 /// Parses a JSON string literal, undoing exactly the escapes
 /// [`json_escape`] produces.
 fn parse_string(
-    text: &str,
     chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
 ) -> Result<String, String> {
     match chars.next() {
         Some((_, '"')) => {}
         _ => return Err("expected `\"`".to_string()),
     }
-    let _ = text;
     let mut out = String::new();
     loop {
         match chars.next() {

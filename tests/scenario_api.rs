@@ -91,15 +91,14 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
         let mut config = SimConfig::paper_default(PolicySpec::Offline).summary_only();
         config.num_users = 4;
         config.total_slots = 400;
-        config.devices = DeviceAssignment::custom(vec![
+        config.devices = DeviceAssignment::Custom(vec![
             DeviceKind::Pixel2,
             DeviceKind::Pixel2,
             DeviceKind::Pixel2,
             DeviceKind::Nexus6,
             DeviceKind::Nexus6P,
             DeviceKind::Hikey970,
-        ])
-        .expect("non-empty");
+        ]);
         run_simulation(config)
     };
     assert_eq!(
@@ -113,14 +112,7 @@ fn preset_runs_are_bit_identical_to_hand_built_configs() {
 fn parsed_scenario_file_runs_bit_identical_to_hand_built_config() {
     let text = "\
 # an experiment catalogue checked into the repo
-[busy-lte-phones]
-base = smoke
-users = 5
-slots = 500
-arrival_p = 0.01
-devices = pixel2
-link = lte
-v = 1000
+busy-lte-phones = smoke:users=5:slots=500:arrival_p=0.01:devices=pixel2:link=lte:v=1000
 ";
     let specs = parse_scenario_file(text).expect("parses");
     assert_eq!(specs.len(), 1);
@@ -154,6 +146,30 @@ v = 1000
         declarative.mean_virtual_queue.to_bits(),
         hand_built.mean_virtual_queue.to_bits()
     );
+}
+
+#[test]
+fn checked_in_scenario_file_is_named_specs_that_build() {
+    // Each entry of the example catalogue is its SPEC parsed and then
+    // named NAME, and holds a valid config.
+    let text = include_str!("../examples/scenarios.conf");
+    let specs = parse_scenario_file(text).expect("parses");
+    let lines: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .collect();
+    assert_eq!(specs.len(), lines.len());
+    for (spec, line) in specs.iter().zip(lines) {
+        let (name, spec_text) = line.split_once('=').expect("NAME = SPEC");
+        let expected = spec_text
+            .parse::<ScenarioSpec>()
+            .expect("SPEC parses")
+            .named(name.trim());
+        assert_eq!(spec, &expected, "{line}");
+        assert_eq!(spec.label(), name.trim());
+        assert!(spec.build().is_ok(), "{line}");
+    }
 }
 
 #[test]
