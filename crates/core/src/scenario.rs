@@ -425,9 +425,9 @@ impl ScenarioSpec {
     /// Sets one field from its textual `key=value` form — the single entry
     /// point the `name:key=value…` parser and the fleet's sweep axes share,
     /// so each of the [`FIELD_KEYS`] is uniformly sweepable. The value is
-    /// parsed, written into a copy of the spec and
-    /// checked by [`SimConfig::validate`]; only a valid copy is committed,
-    /// so a rejected value leaves the spec untouched. Unknown keys and
+    /// parsed, written into a copy of the spec and checked by
+    /// [`SimConfig::validate`]; only a valid copy is committed, so a
+    /// rejected value leaves the spec untouched. Unknown keys and
     /// malformed or out-of-range values are rejected with an error naming
     /// the offending token (and the validator's reason) and, for unknown
     /// keys, listing the valid ones.
@@ -594,8 +594,9 @@ fn parse_on_off(value: &str) -> Result<bool, String> {
 ///
 /// Each scenario is SPEC parsed, then [`named`](ScenarioSpec::named) NAME.
 /// NAME uses only letters, digits, `_`, `.` and `-`, and must neither repeat
-/// an earlier name nor shadow a registry preset, since the name alone keys
-/// every report row. Every error names its line.
+/// an earlier name nor shadow a registry preset in any letter case (`FromStr`
+/// reads `Sparse` as `sparse`), since the name alone keys every report row.
+/// Every error names its line.
 pub fn parse_scenario_file(text: &str) -> Result<Vec<ScenarioSpec>, ParseScenarioError> {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -619,7 +620,7 @@ pub fn parse_scenario_file(text: &str) -> Result<Vec<ScenarioSpec>, ParseScenari
                 "scenario name `{name}` must use only letters, digits, `_`, `.` and `-`"
             )));
         }
-        if PRESET_NAMES.contains(&name) {
+        if PRESET_NAMES.contains(&name.to_ascii_lowercase().as_str()) {
             return Err(at(format!(
                 "scenario `{name}` shadows the built-in preset of the same name; \
 pick a different name"
@@ -944,6 +945,7 @@ night-idle = paper-default:arrival_p=0.0001:traces=off
         let cases = [
             ("a = smoke:users=5\na = sparse\n", "duplicate scenario `a`"),
             ("sparse = smoke\n", "shadows the built-in preset"),
+            ("Sparse = smoke\n", "shadows the built-in preset"),
             ("bad name = smoke\n", "must use only letters"),
             ("a = warp\n", "unknown scenario `warp`"),
             ("a = smoke:users=5:users=6\n", "duplicate scenario field"),
