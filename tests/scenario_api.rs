@@ -167,7 +167,6 @@ fn checked_in_scenario_file_is_named_specs_that_build() {
             .expect("SPEC parses")
             .named(name.trim());
         assert_eq!(spec, &expected, "{line}");
-        assert_eq!(spec.label(), name.trim());
         assert!(spec.build().is_ok(), "{line}");
     }
 }
